@@ -34,7 +34,14 @@ from repro.core.cell import CellConfig
 from repro.core.kufpu import KUnaryConfig
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.pipeline import PipelineConfig, PipelineParams
-from repro.core.policy import Binary, Node, Policy, TableRef, Unary
+from repro.core.policy import (
+    Binary,
+    Node,
+    Policy,
+    TableRef,
+    Unary,
+    stateless_blockers,
+)
 from repro.core.smbm import STORED_WORD_BITS
 from repro.errors import CompilationError, ConfigurationError, RoutingError
 
@@ -549,9 +556,10 @@ class PlanVerifier:
 def specialization_blockers(compiled: "CompiledPolicy") -> list[str]:
     """Why ``compiled`` may not be specialized to a flat closure, if at all.
 
-    A pure AST/metadata walk (no execution): returns one human-readable
-    reason per blocker, empty when the plan is codegen-eligible.  This is
-    the single source of truth the TH012 lint
+    No execution: the compile-level blockers (reference data path,
+    interior taps) plus :func:`~repro.core.policy.stateless_blockers` of
+    the policy itself.  Returns one human-readable reason per blocker,
+    empty when the plan is codegen-eligible.  This is what the TH012 lint
     (:meth:`PlanVerifier.verify_codegen`), the compiler's ``codegen=True``
     gate and :class:`repro.engine.codegen.PlanCodegen`'s defensive check
     all share.
@@ -567,28 +575,7 @@ def specialization_blockers(compiled: "CompiledPolicy") -> list[str]:
             f"interior taps {sorted(compiled.tap_lines)} are read from "
             "pipeline output lines a flat closure does not materialise"
         )
-    seen: set[int] = set()
-
-    def walk(node: Node) -> None:
-        if node.node_id in seen:
-            return
-        seen.add(node.node_id)
-        if isinstance(node, Unary) and node.config.opcode.is_stateful:
-            blockers.append(
-                f"stateful operator {node.config.describe()} keeps "
-                "cross-packet state, so its output is not a function of "
-                "the table version"
-            )
-        if isinstance(node, TableRef) and node.input_index is not None:
-            blockers.append(
-                f"{node.describe()} is a caller-supplied table that "
-                "changes per packet, not per table version"
-            )
-        for child in node.children():
-            walk(child)
-
-    walk(compiled.policy.root)
-    return blockers
+    return blockers + stateless_blockers(compiled.policy)
 
 
 def _needed_ports(cfg: CellConfig, read_units: set[int]) -> tuple[bool, bool]:

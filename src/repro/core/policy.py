@@ -27,12 +27,19 @@ with a fluent feel::
 :class:`PolicyInterpreter` evaluates a policy directly over an SMBM — the
 reference semantics the compiled hardware pipeline is differentially tested
 against.
+
+:func:`fold` is the one definition of the *stateless* operator semantics
+every lowering shares: a single :func:`postorder` pass that hands each
+operator to a small *domain* object (a column of int masks, a numpy bool
+matrix, a source emitter).  :func:`stateless_blockers` decides which
+policies it may be applied to.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core.bitvector import BitVector
 from repro.core.kufpu import KUFPU, KUnaryConfig
@@ -49,6 +56,9 @@ __all__ = [
     "Conditional",
     "Policy",
     "PolicyInterpreter",
+    "postorder",
+    "fold",
+    "stateless_blockers",
     "predicate",
     "min_of",
     "max_of",
@@ -161,17 +171,13 @@ class Policy:
     name: str = "policy"
 
     def __post_init__(self) -> None:
-        def check(node: Node, at_root: bool) -> None:
-            if isinstance(node, Conditional) and not at_root:
+        for node in postorder(self.root):
+            if any(isinstance(c, Conditional) for c in node.children()):
                 raise ConfigurationError(
                     "Conditional nodes are only supported at the policy root: "
                     "the selecting MUX is implemented in the RMT stage after "
                     "the filter module (section 4.2.3)"
                 )
-            for child in node.children():
-                check(child, at_root=False)
-
-        check(self.root, at_root=True)
 
 
 # -- fluent constructors ----------------------------------------------------------
@@ -217,6 +223,112 @@ def intersection(left: Node, right: Node) -> Binary:
 
 def difference(left: Node, right: Node) -> Binary:
     return Binary(opcode=BinaryOp.DIFFERENCE, left=left, right=right)
+
+
+# -- the stateless walk: one traversal, one operator dispatch ------------------------
+
+
+def postorder(root: Node) -> list[Node]:
+    """Every node reachable from ``root`` exactly once, children before
+    parents, left before right.  A shared sub-DAG (the same node object
+    reachable twice) appears a single time, at its first visit."""
+    order: list[Node] = []
+    seen: set[int] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node.node_id not in seen:
+            seen.add(node.node_id)
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children()))
+    return order
+
+
+def stateless_blockers(policy: Policy) -> list[str]:
+    """Why ``policy``'s output is *not* a pure function of the table
+    contents (and a candidate mask), one human-readable reason per
+    offending node; empty when :func:`fold` may evaluate it.
+
+    The single eligibility decision behind the batched evaluator, the
+    codegen tier, the TH012 lint and the filter module's engine choice.
+    """
+    blockers: list[str] = []
+    for node in postorder(policy.root):
+        if isinstance(node, Unary) and node.config.opcode.is_stateful:
+            blockers.append(
+                f"stateful operator {node.config.describe()} keeps "
+                "cross-packet state, so its output advances per packet, "
+                "not per table version"
+            )
+        if isinstance(node, TableRef) and node.input_index is not None:
+            blockers.append(
+                f"{node.describe()} is a caller-supplied table that "
+                "changes per packet, not per table version"
+            )
+    return blockers
+
+
+def fold(policy: Policy, domain: Any) -> Any:
+    """The value of a stateless ``policy`` in ``domain``.
+
+    A domain is a lowering: it supplies the value of the table and of each
+    operator over already-computed operand values, and nothing about
+    traversal, sharing or memoisation —
+
+    * ``table()``: the (candidate-restricted) resource table;
+    * ``predicate(child, attr, rel_op, val)``: the entries of ``child``
+      whose ``attr`` satisfies ``rel_op val``;
+    * ``select(child, attr, k, largest)``: the ``k`` entries of ``child``
+      with the smallest (``largest``: the largest) ``attr`` — Equation 1;
+    * ``binary(op, left, right)``: union, intersection or difference
+      (never ``NO_OP``);
+    * ``conditional(primary, fallback)``: ``primary`` where non-empty,
+      else ``fallback`` (section 4.2.3).
+
+    Each node is computed once, after its operands, so shared fan-out
+    costs one evaluation; pass-through nodes (``NO_OP`` unary, ``NO_OP``
+    binary with its ``choice``) alias their operand without consulting
+    the domain.  Legal exactly when :func:`stateless_blockers` is empty.
+    """
+    values: dict[int, Any] = {}
+    for node in postorder(policy.root):
+        if isinstance(node, TableRef):
+            if node.input_index is not None:
+                raise ConfigurationError(
+                    f"cannot fold {node.describe()}: caller-supplied tables "
+                    "arrive per packet"
+                )
+            out = domain.table()
+        elif isinstance(node, Unary):
+            child = values[node.child.node_id]
+            cfg = node.config
+            if cfg.opcode is UnaryOp.NO_OP:
+                out = child
+            elif cfg.opcode is UnaryOp.PREDICATE:
+                out = domain.predicate(child, cfg.attr, cfg.rel_op, cfg.val)
+            elif cfg.opcode in (UnaryOp.MIN, UnaryOp.MAX):
+                out = domain.select(child, cfg.attr, cfg.k,
+                                    cfg.opcode is UnaryOp.MAX)
+            else:
+                raise ConfigurationError(
+                    f"cannot fold stateful operator {cfg.describe()}"
+                )
+        elif isinstance(node, Binary):
+            left = values[node.left.node_id]
+            right = values[node.right.node_id]
+            if node.opcode is BinaryOp.NO_OP:
+                out = left if node.choice == 0 else right
+            else:
+                out = domain.binary(node.opcode, left, right)
+        elif isinstance(node, Conditional):
+            out = domain.conditional(values[node.primary.node_id],
+                                     values[node.fallback.node_id])
+        else:  # pragma: no cover - exhaustive over node types
+            raise ConfigurationError(f"unknown node type {type(node)!r}")
+        values[node.node_id] = out
+    return values[policy.root.node_id]
 
 
 # -- reference interpreter ----------------------------------------------------------

@@ -5,9 +5,11 @@ The engine is the throughput tier above the per-packet fast path:
 * :class:`~repro.engine.batch.PacketBatch` — the columnar
   (struct-of-arrays) packet buffer;
 * :class:`~repro.engine.columnar.BatchedEvaluator` — interpreted batch
-  evaluation over mask columns (numpy lane + pure-Python fallback);
+  evaluation over mask columns: :func:`repro.core.policy.fold` in the
+  numpy bool-matrix domain or the pure-Python int-column domain;
 * :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
-  closures and batch kernels, cached on ``(plan_hash, smbm.version)``.
+  scalar closures (the same fold, in a source-emitting domain), cached
+  on ``(plan_hash, smbm.version)``.
 
 numpy is optional (the ``repro[batch]`` extra): every module consults
 :data:`repro.engine._np.HAVE_NUMPY` at call time and falls back to the

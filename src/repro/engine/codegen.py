@@ -8,21 +8,24 @@ caller-supplied inputs, no interior taps — all of that is provably dead
 weight: the plan's meaning is a pure function of the table contents.
 
 :class:`PlanCodegen` therefore emits, once per distinct plan, one small
-Python module of straight-line code with two entry points:
-
-* ``specialize(smbm)`` — resolves everything that is constant for one
-  table version (predicate satisfying-sets as raw int masks, bound
-  min/max bisect methods) and returns a flat ``kernel(mask) -> mask``
-  closure over those constants: no operator objects, no checks, no
-  dispatch;
-* ``specialize_batch(smbm, np)`` — the same, over dense bool matrices
-  ``[B, capacity]`` for the columnar batch tier (numpy only).
+Python module of straight-line code whose ``specialize(smbm)`` resolves
+everything that is constant for one table version (predicate
+satisfying-sets as raw int masks, bound min/max bisect methods) and
+returns a flat ``kernel(mask) -> mask`` closure over those constants: no
+operator objects, no checks, no dispatch.  The source is the policy
+folded (:func:`repro.core.policy.fold`) in the :class:`_ScalarEmitter`
+domain, whose values are variable names.
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 canonical DAG serialization) and exec'd once; specialized kernels are
 cached per instance on ``smbm.version`` — exactly the key the scalar
 memo invalidates on, so a committed table write respecializes on the
 next evaluation and nothing staler can ever be served.
+
+Batches wide enough for numpy gain nothing from a generated kernel (both
+it and the interpreted fold walk the DAG once per *batch* and spend
+their time in the same array calls), so :meth:`PlanCodegen.evaluate_masks`
+serves them through the shared :func:`~repro.engine.columnar.evaluate_column`.
 
 The interpreted pipeline stays available as the differential oracle
 (:meth:`~repro.switch.filter_module.FilterModule.sanitize_check`
@@ -35,17 +38,22 @@ import hashlib
 from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
-from repro.core.operators import BinaryOp, RelOp, UnaryOp
-from repro.core.policy import Binary, Conditional, Node, Policy, TableRef, Unary
+from repro.core.operators import BinaryOp, RelOp
+from repro.core.policy import (
+    Binary,
+    Conditional,
+    Policy,
+    TableRef,
+    Unary,
+    fold,
+    postorder,
+)
 from repro.core.smbm import SMBM
 from repro.engine import _np
 from repro.engine.columnar import (
     MIN_NUMPY_ROWS,
-    masks_to_matrix,
-    matrix_to_masks,
-    select_k_ranked,
+    evaluate_column,
     select_k_scalar,
-    unpack_mask,
 )
 from repro.errors import ConfigurationError
 
@@ -61,24 +69,6 @@ __all__ = ["PlanCodegen", "generate_plan_source", "plan_hash_of"]
 _SOURCE_CACHE: dict[str, dict] = {}
 
 
-def _walk_postorder(policy: Policy) -> list[Node]:
-    """Every reachable node once, children before parents (shared sub-DAGs
-    appear a single time, so they are evaluated once per packet)."""
-    order: list[Node] = []
-    seen: set[int] = set()
-
-    def visit(node: Node) -> None:
-        if node.node_id in seen:
-            return
-        seen.add(node.node_id)
-        for child in node.children():
-            visit(child)
-        order.append(node)
-
-    visit(policy.root)
-    return order
-
-
 def _canonical(policy: Policy) -> tuple[str, tuple[RelOp, ...]]:
     """Canonical DAG serialization + the plan's relational-operator table.
 
@@ -87,7 +77,7 @@ def _canonical(policy: Policy) -> tuple[str, tuple[RelOp, ...]]:
     structurally equal predicates serialize differently — they are
     different plans (one evaluation vs two).
     """
-    order = _walk_postorder(policy)
+    order = postorder(policy.root)
     ordinal = {node.node_id: i for i, node in enumerate(order)}
     relops: list[RelOp] = []
     tokens: list[str] = []
@@ -126,6 +116,58 @@ def plan_hash_of(policy: Policy) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+class _ScalarEmitter:
+    """Fold domain whose values are kernel variable names: each operator
+    appends one line of straight-line int-mask code to :attr:`body`, and
+    whatever is constant per table version to :attr:`preamble`."""
+
+    _SYMBOL = {
+        BinaryOp.UNION: "|",
+        BinaryOp.INTERSECTION: "&",
+        BinaryOp.DIFFERENCE: "& ~",
+    }
+
+    def __init__(self, relops: tuple[RelOp, ...]):
+        self._relops = relops
+        self.preamble: list[str] = []
+        self.body: list[str] = []
+
+    def _const(self, expr: str) -> str:
+        var = f"c{len(self.preamble)}"
+        self.preamble.append(f"{var} = {expr}")
+        return var
+
+    def _emit(self, expr: str) -> str:
+        var = f"v{len(self.body)}"
+        self.body.append(f"{var} = {expr}")
+        return var
+
+    def table(self) -> str:
+        return "t"
+
+    def predicate(self, child: str, attr: str, rel_op: RelOp, val: int) -> str:
+        sat = self._const(
+            f"smbm.metric_index({attr!r}).predicate_mask("
+            f"RELOPS[{self._relops.index(rel_op)}], {val}, full)"
+        )
+        return self._emit(f"{child} & {sat}")
+
+    def select(self, child: str, attr: str, k: int, largest: bool) -> str:
+        pick = self._const(
+            f"smbm.metric_index({attr!r})."
+            f"{'max_mask' if largest else 'min_mask'}"
+        )
+        if k == 1:
+            return self._emit(f"{pick}({child})")
+        return self._emit(f"select_k_scalar({pick}, {child}, {k})")
+
+    def binary(self, op: BinaryOp, left: str, right: str) -> str:
+        return self._emit(f"{left} {self._SYMBOL[op]} {right}")
+
+    def conditional(self, primary: str, fallback: str) -> str:
+        return self._emit(f"{primary} if {primary} else {fallback}")
+
+
 def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     """Emit the plan's specialized source.
 
@@ -136,130 +178,18 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     """
     canon, relops = _canonical(policy)
     digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    relop_index = {op: j for j, op in enumerate(relops)}
-    order = _walk_postorder(policy)
-    ordinal = {node.node_id: i for i, node in enumerate(order)}
-
-    idx_vars: dict[str, str] = {}      # metric attr -> preamble index var
-    pre_s: list[str] = []              # scalar specialize preamble
-    pre_b: list[str] = []              # batch specialize preamble
-    body_s: list[str] = []             # scalar kernel body
-    body_b: list[str] = []             # batch kernel body
-    name: dict[int, str] = {}          # node id -> kernel variable/alias
-
-    def index_var(attr: str) -> str:
-        var = idx_vars.get(attr)
-        if var is None:
-            var = f"i{len(idx_vars)}"
-            idx_vars[attr] = var
-            line = f"{var} = smbm.metric_index({attr!r})"
-            pre_s.append(line)
-            pre_b.append(line)
-        return var
-
-    for node in order:
-        i = ordinal[node.node_id]
-        if isinstance(node, TableRef):
-            if node.input_index is not None:
-                raise ConfigurationError(
-                    f"cannot specialize {node.describe()}: caller-supplied "
-                    "input tables are per-packet, not per-version"
-                )
-            name[node.node_id] = "t"
-        elif isinstance(node, Unary):
-            cfg = node.config
-            op = cfg.opcode
-            child = name[node.child.node_id]
-            if op is UnaryOp.NO_OP:
-                name[node.node_id] = child
-            elif op is UnaryOp.PREDICATE:
-                assert cfg.rel_op is not None and cfg.val is not None
-                sat = (f"{index_var(cfg.attr or '')}.predicate_mask("
-                       f"RELOPS[{relop_index[cfg.rel_op]}], {cfg.val}, full)")
-                pre_s.append(f"c{i} = {sat}")
-                pre_b.append(f"c{i} = unpack_mask(np, {sat}, capacity)")
-                body_s.append(f"v{i} = {child} & c{i}")
-                body_b.append(f"v{i} = {child} & c{i}")
-                name[node.node_id] = f"v{i}"
-            elif op in (UnaryOp.MIN, UnaryOp.MAX):
-                var = index_var(cfg.attr or "")
-                method = "min_mask" if op is UnaryOp.MIN else "max_mask"
-                pre_s.append(f"p{i} = {var}.{method}")
-                pre_b.append(f"a{i} = np.asarray({var}.ids, dtype=np.intp)")
-                if cfg.k == 1:
-                    body_s.append(f"v{i} = p{i}({child})")
-                else:
-                    body_s.append(
-                        f"v{i} = select_k_scalar(p{i}, {child}, {cfg.k})"
-                    )
-                body_b.append(
-                    f"v{i} = select_k_ranked(np, {child}, a{i}, {cfg.k}, "
-                    f"{op is UnaryOp.MAX})"
-                )
-                name[node.node_id] = f"v{i}"
-            else:
-                raise ConfigurationError(
-                    f"cannot specialize stateful operator {cfg.describe()}: "
-                    "its output advances per packet, not per table version"
-                )
-        elif isinstance(node, Binary):
-            left = name[node.left.node_id]
-            right = name[node.right.node_id]
-            if node.opcode is BinaryOp.NO_OP:
-                name[node.node_id] = left if node.choice == 0 else right
-            else:
-                expr = {
-                    BinaryOp.UNION: f"{left} | {right}",
-                    BinaryOp.INTERSECTION: f"{left} & {right}",
-                    BinaryOp.DIFFERENCE: f"{left} & ~{right}",
-                }[node.opcode]
-                body_s.append(f"v{i} = {expr}")
-                body_b.append(f"v{i} = {expr}")
-                name[node.node_id] = f"v{i}"
-        elif isinstance(node, Conditional):
-            primary = name[node.primary.node_id]
-            fallback = name[node.fallback.node_id]
-            body_s.append(f"v{i} = {primary} if {primary} else {fallback}")
-            # np.any, not ndarray.any: the method form lazily imports
-            # through the calling frame's builtins, which the hermetic
-            # exec namespace deliberately empties.
-            body_b.append(
-                f"v{i} = np.where(np.any({primary}, axis=1)[:, None], "
-                f"{primary}, {fallback})"
-            )
-            name[node.node_id] = f"v{i}"
-        else:  # pragma: no cover - exhaustive over node types
-            raise ConfigurationError(f"unknown node type {type(node)!r}")
-
-    root = name[policy.root.node_id]
-
-    def block(lines: list[str], indent: str) -> str:
-        return "\n".join(indent + line for line in lines) if lines else ""
-
+    emitter = _ScalarEmitter(relops)
+    root = fold(policy, emitter)
     # The header names only the plan hash: equal plans must emit
     # byte-identical source (the module-wide cache is keyed on the hash,
     # and the policy's display name is metadata, not plan content).
-    parts = [f"# plan {digest}", "", "def specialize(smbm):",
+    lines = [f"# plan {digest}", "", "def specialize(smbm):",
              "    full = (1 << smbm.capacity) - 1"]
-    if pre_s:
-        parts.append(block(pre_s, "    "))
-    parts.append("    def kernel(t):")
-    if body_s:
-        parts.append(block(body_s, "        "))
-    parts.append(f"        return {root}")
-    parts.append("    return kernel")
-    parts.append("")
-    parts.append("def specialize_batch(smbm, np):")
-    parts.append("    capacity = smbm.capacity")
-    parts.append("    full = (1 << capacity) - 1")
-    if pre_b:
-        parts.append(block(pre_b, "    "))
-    parts.append("    def kernel(t):")
-    if body_b:
-        parts.append(block(body_b, "        "))
-    parts.append(f"        return {root}")
-    parts.append("    return kernel")
-    return "\n".join(parts) + "\n", digest, relops
+    lines += ["    " + line for line in emitter.preamble]
+    lines.append("    def kernel(t):")
+    lines += ["        " + line for line in emitter.body]
+    lines += [f"        return {root}", "    return kernel"]
+    return "\n".join(lines) + "\n", digest, relops
 
 
 class PlanCodegen:
@@ -292,21 +222,16 @@ class PlanCodegen:
             namespace = {
                 "__builtins__": {},
                 "RELOPS": relops,
-                "unpack_mask": unpack_mask,
-                "select_k_ranked": select_k_ranked,
                 "select_k_scalar": select_k_scalar,
             }
             exec(compile(source, f"<plan {digest}>", "exec"), namespace)
             _SOURCE_CACHE[digest] = namespace
         self._specialize = namespace["specialize"]
-        self._specialize_batch = namespace["specialize_batch"]
-        # Single-entry version-keyed kernel caches, one per lane: the SMBM
-        # version only moves forward, so older kernels can never become
-        # valid again — same invalidation point as the FilterModule memo.
+        # Single-entry version-keyed kernel cache: the SMBM version only
+        # moves forward, so older kernels can never become valid again —
+        # same invalidation point as the FilterModule memo.
         self._scalar_version: int | None = None
         self._scalar_kernel = None
-        self._batch_version: int | None = None
-        self._batch_kernel = None
         # Hot-path counters stay plain ints; a weakly-held collect hook
         # publishes them only when a real registry is active.
         self._specializations = 0
@@ -330,7 +255,7 @@ class PlanCodegen:
         yield obs.Sample(
             "codegen_specializations_total", self._specializations,
             labels=labels,
-            help="specialized kernels built (scalar and batch lanes)",
+            help="specialized scalar kernels built",
         )
 
     @property
@@ -349,7 +274,7 @@ class PlanCodegen:
 
     @property
     def specializations(self) -> int:
-        """Kernels built so far (one per table version per lane touched)."""
+        """Kernels built so far (one per table version served)."""
         return self._specializations
 
     @property
@@ -368,9 +293,9 @@ class PlanCodegen:
         }
 
     def invalidate(self) -> None:
-        """Drop both lanes' specialized kernels unconditionally.
+        """Drop the specialized kernel unconditionally.
 
-        The version-keyed caches assume the SMBM version only moves
+        The version-keyed cache assumes the SMBM version only moves
         forward; a checkpoint *restore* can move it backward (or land on a
         reused version number over different contents), so the serving
         layer's cache-reset path calls this alongside dropping the scalar
@@ -378,8 +303,6 @@ class PlanCodegen:
         """
         self._scalar_version = None
         self._scalar_kernel = None
-        self._batch_version = None
-        self._batch_kernel = None
 
     # -- scalar lane ---------------------------------------------------------------
 
@@ -404,22 +327,13 @@ class PlanCodegen:
 
     def evaluate_masks(self, smbm: SMBM, masks: Sequence[int]) -> list[int]:
         """One output mask per input mask (inputs are intersected with the
-        table's presence mask, like the interpreted batch tier)."""
+        table's presence mask, like the interpreted batch tier): the flat
+        scalar kernel row by row below ``MIN_NUMPY_ROWS``, the shared
+        matrix domain at or above it."""
+        if _np.HAVE_NUMPY and len(masks) >= MIN_NUMPY_ROWS:
+            return evaluate_column(self._policy, smbm, masks)
         if not masks:
             return []
-        present = smbm.id_mask()
-        base = [present & m for m in masks]
-        if _np.HAVE_NUMPY and len(base) >= MIN_NUMPY_ROWS:
-            np = _np.numpy
-            version = smbm.version
-            if version == self._batch_version:
-                self._hits += 1
-            else:
-                self._batch_kernel = self._specialize_batch(smbm, np)
-                self._batch_version = version
-                self._specializations += 1
-                self._misses += 1
-            matrix = masks_to_matrix(np, base, smbm.capacity)
-            return matrix_to_masks(np, self._batch_kernel(matrix))
         kern = self.kernel(smbm)
-        return [kern(b) for b in base]
+        present = smbm.id_mask()
+        return [kern(present & m) for m in masks]

@@ -2,42 +2,45 @@
 
 The scalar fast path walks interpreted operator objects once *per packet*;
 at batch sizes beyond a handful of packets, Python dispatch — not the
-algorithm — dominates.  :class:`BatchedEvaluator` walks the policy DAG
+algorithm — dominates.  The batch tier runs :func:`repro.core.policy.fold`
 once *per batch* instead, carrying a whole column of input masks through
-every operator:
+every operator.  The two column representations are the two fold domains
+defined here:
 
-* with numpy (the optional ``repro[batch]`` extra) a column is a dense
-  boolean matrix ``[B, capacity]`` and each operator is a handful of
-  vectorised array ops — a predicate is one AND against a satisfying-ids
-  row vector, min/max-k is a cumulative sum over rank-ordered columns;
-* without numpy the column is a list of raw int masks and each operator
-  loops the rows through the same :class:`~repro.core.smbm.MetricIndex`
-  bisect primitives the scalar fast path uses.
+* :class:`BoolMatrixDomain` (numpy, the optional ``repro[batch]`` extra):
+  a column is a dense boolean matrix ``[B, capacity]`` and each operator
+  is a handful of vectorised array ops — a predicate is one AND against a
+  satisfying-ids row vector, min/max-k is a cumulative sum over
+  rank-ordered columns;
+* :class:`IntColumnDomain`: a column is a list of raw int masks and each
+  operator loops the rows through the same
+  :class:`~repro.core.smbm.MetricIndex` bisect primitives the scalar fast
+  path uses.
 
-Either lane computes the DAG semantics of
-:class:`~repro.core.policy.PolicyInterpreter` — legal exactly for plans
-with no cross-packet state and no caller-supplied inputs, the same
-eligibility the TH012 lint gates codegen on.  The free helper functions
-(mask packing, rank-select) are shared with the generated batch kernels in
-:mod:`repro.engine.codegen`.
+:func:`evaluate_column` picks between them by batch size and is the one
+batch entry point :class:`BatchedEvaluator` and the codegen tier's
+:meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks` share.  Legal
+exactly for policies :func:`~repro.core.policy.stateless_blockers` clears.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.operators import BinaryOp, UnaryOp
-from repro.core.policy import Binary, Conditional, Node, Policy, TableRef, Unary
+from repro.core.operators import BinaryOp, RelOp
+from repro.core.policy import Policy, fold, stateless_blockers
 from repro.core.smbm import SMBM
 from repro.engine import _np
 from repro.errors import ConfigurationError
 
 __all__ = [
     "BatchedEvaluator",
+    "BoolMatrixDomain",
+    "IntColumnDomain",
+    "evaluate_column",
     "MIN_NUMPY_ROWS",
     "masks_to_matrix",
     "matrix_to_masks",
-    "unpack_mask",
     "select_k_ranked",
 ]
 
@@ -46,7 +49,7 @@ __all__ = [
 MIN_NUMPY_ROWS = 8
 
 
-# -- shared column primitives (also used by generated batch kernels) -----------
+# -- column primitives ------------------------------------------------------------
 
 
 def masks_to_matrix(np, masks: Sequence[int], capacity: int):
@@ -62,11 +65,6 @@ def matrix_to_masks(np, matrix) -> list[int]:
     """Dense bool matrix -> one raw int mask per row."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def unpack_mask(np, mask: int, capacity: int):
-    """One raw int mask -> bool row vector of length ``capacity``."""
-    return masks_to_matrix(np, (mask,), capacity)[0]
 
 
 def select_k_ranked(np, column, ids, k: int, reverse: bool):
@@ -107,6 +105,98 @@ def select_k_scalar(pick, bits: int, k: int) -> int:
     return acc
 
 
+# -- the two column domains ---------------------------------------------------------
+
+
+class _ColumnDomain:
+    """What both column domains share: the candidate-restricted base
+    column is the table, and a predicate's satisfying set is one raw int
+    mask from the metric's :class:`~repro.core.smbm.MetricIndex`."""
+
+    def __init__(self, smbm: SMBM, base):
+        self._smbm = smbm
+        self._base = base
+        self._full = (1 << smbm.capacity) - 1
+
+    def table(self):
+        return self._base
+
+    def _satisfying(self, attr: str, rel_op: RelOp, val: int) -> int:
+        return self._smbm.metric_index(attr).predicate_mask(
+            rel_op, val, self._full
+        )
+
+
+class IntColumnDomain(_ColumnDomain):
+    """Fold domain: a column is a list of raw int masks, one per row."""
+
+    def predicate(self, child, attr: str, rel_op: RelOp, val: int):
+        sat = self._satisfying(attr, rel_op, val)
+        return [c & sat for c in child]
+
+    def select(self, child, attr: str, k: int, largest: bool):
+        index = self._smbm.metric_index(attr)
+        pick = index.max_mask if largest else index.min_mask
+        return [select_k_scalar(pick, c, k) for c in child]
+
+    def binary(self, op: BinaryOp, left, right):
+        if op is BinaryOp.UNION:
+            return [a | b for a, b in zip(left, right)]
+        if op is BinaryOp.INTERSECTION:
+            return [a & b for a, b in zip(left, right)]
+        return [a & ~b for a, b in zip(left, right)]
+
+    def conditional(self, primary, fallback):
+        return [p if p else f for p, f in zip(primary, fallback)]
+
+
+class BoolMatrixDomain(_ColumnDomain):
+    """Fold domain: a column is a dense bool matrix ``[B, capacity]``
+    (``base`` from :func:`masks_to_matrix`)."""
+
+    def predicate(self, child, attr: str, rel_op: RelOp, val: int):
+        sat = self._satisfying(attr, rel_op, val)
+        row = masks_to_matrix(_np.numpy, (sat,), self._smbm.capacity)[0]
+        return child & row
+
+    def select(self, child, attr: str, k: int, largest: bool):
+        np = _np.numpy
+        ids = np.asarray(self._smbm.metric_index(attr).ids, dtype=np.intp)
+        return select_k_ranked(np, child, ids, k, largest)
+
+    def binary(self, op: BinaryOp, left, right):
+        if op is BinaryOp.UNION:
+            return left | right
+        if op is BinaryOp.INTERSECTION:
+            return left & right
+        return left & ~right
+
+    def conditional(self, primary, fallback):
+        non_empty = primary.any(axis=1)[:, None]
+        return _np.numpy.where(non_empty, primary, fallback)
+
+
+def evaluate_column(policy: Policy, smbm: SMBM,
+                    masks: Sequence[int]) -> list[int]:
+    """One output mask per input mask, against the current table.
+
+    Each input mask is first intersected with the table's presence mask —
+    the mask names the candidate subset of the *stored* resources the
+    policy may consider for that row.
+    """
+    if not masks:
+        return []
+    present = smbm.id_mask()
+    base = [present & m for m in masks]
+    if _np.HAVE_NUMPY and len(base) >= MIN_NUMPY_ROWS:
+        np = _np.numpy
+        matrix = masks_to_matrix(np, base, smbm.capacity)
+        return matrix_to_masks(
+            np, fold(policy, BoolMatrixDomain(smbm, matrix))
+        )
+    return fold(policy, IntColumnDomain(smbm, base))
+
+
 # -- the interpreted batch tier ---------------------------------------------------
 
 
@@ -120,168 +210,24 @@ class BatchedEvaluator:
     """
 
     def __init__(self, policy: Policy, capacity: int):
+        blockers = stateless_blockers(policy)
+        if blockers:
+            raise ConfigurationError(
+                "batched evaluation requires a stateless policy: "
+                + "; ".join(blockers)
+            )
         self._policy = policy
         self._capacity = capacity
-        self._full = (1 << capacity) - 1
-        seen: set[int] = set()
-
-        def check(node: Node) -> None:
-            if node.node_id in seen:
-                return
-            seen.add(node.node_id)
-            if isinstance(node, TableRef) and node.input_index is not None:
-                raise ConfigurationError(
-                    f"batched evaluation cannot supply {node.describe()}: "
-                    "caller-provided input tables are per-packet"
-                )
-            if isinstance(node, Unary) and node.config.opcode.is_stateful:
-                raise ConfigurationError(
-                    f"batched evaluation requires a stateless policy; "
-                    f"{node.config.describe()} keeps per-packet state"
-                )
-            for child in node.children():
-                check(child)
-
-        check(policy.root)
 
     @property
     def policy(self) -> Policy:
         return self._policy
 
     def evaluate_masks(self, smbm: SMBM, masks: Sequence[int]) -> list[int]:
-        """One output mask per input mask, against the current table.
-
-        Each input mask is first intersected with the table's presence
-        mask — the mask names the candidate subset of the *stored*
-        resources the policy may consider for that row.
-        """
+        """:func:`evaluate_column` of this evaluator's policy."""
         if smbm.capacity != self._capacity:
             raise ConfigurationError(
                 f"evaluator built for capacity {self._capacity}, "
                 f"table has {smbm.capacity}"
             )
-        if not masks:
-            return []
-        present = smbm.id_mask()
-        base = [present & m for m in masks]
-        if _np.HAVE_NUMPY and len(base) >= MIN_NUMPY_ROWS:
-            return self._evaluate_numpy(smbm, base)
-        return self._evaluate_python(smbm, base)
-
-    # -- pure-Python lane: lists of raw int masks ----------------------------------
-
-    def _evaluate_python(self, smbm: SMBM, base: list[int]) -> list[int]:
-        full = self._full
-        memo: dict[int, list[int]] = {}
-
-        def walk(node: Node) -> list[int]:
-            cached = memo.get(node.node_id)
-            if cached is not None:
-                return cached
-            if isinstance(node, TableRef):
-                col = base
-            elif isinstance(node, Unary):
-                child = walk(node.child)
-                cfg = node.config
-                op = cfg.opcode
-                if op is UnaryOp.NO_OP:
-                    col = child
-                elif op is UnaryOp.PREDICATE:
-                    assert cfg.attr is not None and cfg.rel_op is not None
-                    assert cfg.val is not None
-                    sat = smbm.metric_index(cfg.attr).predicate_mask(
-                        cfg.rel_op, cfg.val, full
-                    )
-                    col = [c & sat for c in child]
-                elif op in (UnaryOp.MIN, UnaryOp.MAX):
-                    assert cfg.attr is not None
-                    index = smbm.metric_index(cfg.attr)
-                    pick = (index.min_mask if op is UnaryOp.MIN
-                            else index.max_mask)
-                    k = cfg.k
-                    col = [select_k_scalar(pick, c, k) for c in child]
-                else:  # pragma: no cover - rejected at construction
-                    raise ConfigurationError(f"stateful opcode {op} in batch")
-            elif isinstance(node, Binary):
-                left = walk(node.left)
-                right = walk(node.right)
-                op = node.opcode
-                if op is BinaryOp.NO_OP:
-                    col = left if node.choice == 0 else right
-                elif op is BinaryOp.UNION:
-                    col = [a | b for a, b in zip(left, right)]
-                elif op is BinaryOp.INTERSECTION:
-                    col = [a & b for a, b in zip(left, right)]
-                else:
-                    col = [a & ~b for a, b in zip(left, right)]
-            elif isinstance(node, Conditional):
-                primary = walk(node.primary)
-                fallback = walk(node.fallback)
-                col = [p if p else f for p, f in zip(primary, fallback)]
-            else:  # pragma: no cover
-                raise ConfigurationError(f"unknown node type {type(node)!r}")
-            memo[node.node_id] = col
-            return col
-
-        return walk(self._policy.root)
-
-    # -- numpy lane: dense bool matrices [B, capacity] ------------------------------
-
-    def _evaluate_numpy(self, smbm: SMBM, base: list[int]) -> list[int]:
-        np = _np.numpy
-        full = self._full
-        capacity = self._capacity
-        base_matrix = masks_to_matrix(np, base, capacity)
-        memo: dict[int, object] = {}
-
-        def walk(node: Node):
-            cached = memo.get(node.node_id)
-            if cached is not None:
-                return cached
-            if isinstance(node, TableRef):
-                col = base_matrix
-            elif isinstance(node, Unary):
-                child = walk(node.child)
-                cfg = node.config
-                op = cfg.opcode
-                if op is UnaryOp.NO_OP:
-                    col = child
-                elif op is UnaryOp.PREDICATE:
-                    assert cfg.attr is not None and cfg.rel_op is not None
-                    assert cfg.val is not None
-                    sat = smbm.metric_index(cfg.attr).predicate_mask(
-                        cfg.rel_op, cfg.val, full
-                    )
-                    col = child & unpack_mask(np, sat, capacity)
-                elif op in (UnaryOp.MIN, UnaryOp.MAX):
-                    assert cfg.attr is not None
-                    index = smbm.metric_index(cfg.attr)
-                    ids = np.asarray(index.ids, dtype=np.intp)
-                    col = select_k_ranked(
-                        np, child, ids, cfg.k, op is UnaryOp.MAX
-                    )
-                else:  # pragma: no cover - rejected at construction
-                    raise ConfigurationError(f"stateful opcode {op} in batch")
-            elif isinstance(node, Binary):
-                left = walk(node.left)
-                right = walk(node.right)
-                op = node.opcode
-                if op is BinaryOp.NO_OP:
-                    col = left if node.choice == 0 else right
-                elif op is BinaryOp.UNION:
-                    col = left | right
-                elif op is BinaryOp.INTERSECTION:
-                    col = left & right
-                else:
-                    col = left & ~right
-            elif isinstance(node, Conditional):
-                primary = walk(node.primary)
-                fallback = walk(node.fallback)
-                non_empty = primary.any(axis=1)[:, None]
-                col = np.where(non_empty, primary, fallback)
-            else:  # pragma: no cover
-                raise ConfigurationError(f"unknown node type {type(node)!r}")
-            memo[node.node_id] = col
-            return col
-
-        return matrix_to_masks(np, walk(self._policy.root))
+        return evaluate_column(self._policy, smbm, masks)

@@ -23,7 +23,8 @@ from repro.errors import ConfigurationError
 from repro.rmt.packet import FieldDef, HeaderDef, Packet
 from repro.rmt.parser import ACCEPT, Parser, ParseState
 
-__all__ = ["ETHERTYPE_PROBE", "ETHERTYPE_DATA", "ProbeUpdate", "ProbeCodec"]
+__all__ = ["ETHERTYPE_PROBE", "ETHERTYPE_DATA", "ProbeUpdate", "ProbeCodec",
+           "is_probe"]
 
 ETHERTYPE_PROBE = 0x88B5
 ETHERTYPE_DATA = 0x0800
@@ -38,6 +39,12 @@ ETHER_HEADER = HeaderDef(
         FieldDef("ethertype", 16),
     ),
 )
+
+
+def is_probe(packet: Packet) -> bool:
+    """Whether :meth:`ProbeCodec.decode` would treat ``packet`` as a probe
+    (it carries the probe header), without decoding it."""
+    return packet.has_header("probe")
 
 
 @dataclass(frozen=True)

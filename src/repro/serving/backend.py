@@ -166,11 +166,12 @@ class _ManagerBackend(SwitchBackend):
     multi-tenant :class:`ThanosSwitch`.
 
     Subclasses override only :meth:`_serve_batch`.  Routing of a whole
-    batch is validated *up front* through the shared
-    :class:`TenantDemux` — all distinct unknown labels and the unlabelled
-    count in one :class:`~repro.errors.RoutingError`, before any packet
-    is served — so both backends present identical all-or-nothing batch
-    admission regardless of how they serve.
+    batch — filter requests and probes alike — is validated *up front*
+    through the shared :class:`TenantDemux` — all distinct unknown labels
+    and the unlabelled count in one :class:`~repro.errors.RoutingError`,
+    before any packet is served or any probe written — so both backends
+    present identical all-or-nothing batch admission regardless of how
+    they serve.
     """
 
     def __init__(self, manager: TenantManager):

@@ -35,6 +35,7 @@ from repro.core.policy import (
     Policy,
     TableRef,
     Unary,
+    postorder,
 )
 from repro.core.kufpu import KUnaryConfig
 from repro.errors import CheckpointError, ConfigurationError
@@ -67,13 +68,11 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
     survive the round trip as shared references, not duplicated operators:
     structure, not just semantics, is preserved.
     """
-    index: dict[int, int] = {}
+    order = postorder(policy.root)
+    index = {node.node_id: i for i, node in enumerate(order)}
     nodes: list[dict[str, Any]] = []
-
-    def visit(node: Node) -> int:
-        if node.node_id in index:
-            return index[node.node_id]
-        children = [visit(child) for child in node.children()]
+    for node in order:
+        children = [index[child.node_id] for child in node.children()]
         if isinstance(node, TableRef):
             doc: dict[str, Any] = {"type": "table", "input": node.input_index}
         elif isinstance(node, Unary):
@@ -103,12 +102,8 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
             }
         else:  # pragma: no cover - exhaustive over the node algebra
             raise ConfigurationError(f"unserializable node type {type(node)!r}")
-        index[node.node_id] = len(nodes)
         nodes.append(doc)
-        return index[node.node_id]
-
-    root = visit(policy.root)
-    return {"name": policy.name, "root": root, "nodes": nodes}
+    return {"name": policy.name, "root": len(nodes) - 1, "nodes": nodes}
 
 
 def policy_from_dict(doc: Mapping[str, Any]) -> Policy:

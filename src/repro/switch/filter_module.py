@@ -23,7 +23,7 @@ from repro.core.bitvector import BitVector
 from repro.core.cell import Cell
 from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy
+from repro.core.policy import Policy, stateless_blockers
 from repro.core.smbm import SMBM
 from repro.core.ufpu_reference import GoldenOracle
 from repro.engine.batch import (  # re-exported: the metadata protocol is
@@ -54,27 +54,6 @@ __all__ = [
 ]
 
 
-#: Why each pair of constructor flags is mutually exclusive; the single
-#: :class:`~repro.errors.ConfigError` raised for a bad combination quotes
-#: every violated pair's rationale, not just the first one hit.
-_FLAG_CONFLICTS: dict[tuple[str, str], str] = {
-    ("codegen", "self_healing"): (
-        "the specialized kernel never routes through the physical Cells, "
-        "so a Cell fault could neither surface nor be healed mid-traffic"
-    ),
-    ("codegen", "naive"): (
-        "naive builds the O(N) reference data path as a differential "
-        "oracle, while codegen replaces the data path with a specialized "
-        "kernel — the oracle would never execute"
-    ),
-    ("naive", "tenant"): (
-        "tenant slicing confines the plan to a Cell-column slice of the "
-        "shared pipeline; the O(N) reference data path models a private "
-        "full-table pipeline and cannot express a slice"
-    ),
-}
-
-
 class FilterModule:
     """One filter module instance: resource table + programmed policy.
 
@@ -95,36 +74,21 @@ class FilterModule:
         params: PipelineParams | None = None,
         *,
         lfsr_seed: int = 1,
-        naive: bool = False,
         memoize: bool = True,
         self_healing: bool = False,
         sanitize: bool = False,
-        verify: bool = True,
         codegen: bool = False,
         tenant: str | None = None,
         reserved_cells: "Iterable[tuple[int, int]]" = (),
         input_lines: "Iterable[int] | None" = None,
     ):
-        tenant_mode = (
-            tenant is not None
-            or bool(reserved_cells)
-            or input_lines is not None
-        )
-        flags = {
-            "codegen": codegen,
-            "self_healing": self_healing,
-            "naive": naive,
-            "tenant": tenant_mode,
-        }
-        conflicts = [pair for pair in _FLAG_CONFLICTS
-                     if flags[pair[0]] and flags[pair[1]]]
-        if conflicts:
-            detail = "; ".join(
-                f"{a}+{b}: {_FLAG_CONFLICTS[(a, b)]}" for a, b in conflicts
-            )
+        if codegen and self_healing:
             raise ConfigError(
-                f"mutually exclusive FilterModule flags: {detail}",
-                conflicts=conflicts,
+                "mutually exclusive FilterModule flags: codegen+self_healing: "
+                "the specialized kernel never routes through the physical "
+                "Cells, so a Cell fault could neither surface nor be healed "
+                "mid-traffic",
+                conflicts=[("codegen", "self_healing")],
             )
         self._tenant = tenant
         self._reserved = frozenset(
@@ -141,11 +105,9 @@ class FilterModule:
         self._policy = policy
         self._params = params
         self._lfsr_seed = lfsr_seed
-        self._naive = naive
         self._memoize_requested = memoize
         self._self_healing = self_healing
         self._sanitize = sanitize
-        self._verify = verify
         # The table dimensions the static verifier checks the plan against
         # (width compatibility, timing closure at this N).
         self._schema = TableSchema(capacity, tuple(metric_names))
@@ -164,19 +126,9 @@ class FilterModule:
         # spanning a swap separates cleanly into old-plan/new-plan halves.
         self._plan_epoch = 0
         self._swap_version: int | None = None
-        self._compiled: CompiledPolicy = self._compile_policy(policy)
-        self._codegen = self._compiled.codegen
-        self._check_codegen_armed(self._compiled, policy)
-        # The interpreted batch tier for plans that cannot (or were not
-        # asked to) specialize; built lazily on the first masked batch.
-        self._batch_eval: BatchedEvaluator | None = None
-        self._batch_eval_tried = False
+        compiled = self._compile_policy(policy)
+        self._check_codegen_armed(compiled, policy)
         self._evaluations = 0
-        self._memoize = memoize and self._compiled.stateless
-        # Single-entry memo: the SMBM version only moves forward, so older
-        # results can never become valid again.
-        self._memo_version: int | None = None
-        self._memo_output: BitVector | None = None
         # Sanitizer-side soundness witness for the symbolic analyzer:
         # the feasible output region of the live plan, cached per
         # compiled plan (a hot-swap or fail-around recompile re-derives).
@@ -242,9 +194,9 @@ class FilterModule:
                  "codegen kernels) on install, hot-swap, fail-around, "
                  "and table restore",
         )
-        # Count the install itself: construction runs the same
-        # invalidation sequence every later plan/table change does.
-        self._reset_serving_caches()
+        # Construction installs the plan through the same sequence every
+        # later plan change does (and counts its cache reset).
+        self._install(compiled)
 
     def _plan_labels(self) -> dict[str, str]:
         """Labels of the per-plan series: policy name, plus the tenant when
@@ -303,10 +255,9 @@ class FilterModule:
         tenant slice (reserved Cells + allowed input lines) and any Cells
         routed around after faults."""
         return PolicyCompiler(self._params).compile(
-            policy, lfsr_seed=self._lfsr_seed, naive=self._naive,
+            policy, lfsr_seed=self._lfsr_seed,
             dead_cells=self._reserved | self._routed_around,
-            input_lines=self._input_lines,
-            verify=self._verify, schema=self._schema,
+            input_lines=self._input_lines, schema=self._schema,
             codegen=self._codegen_requested,
         )
 
@@ -690,14 +641,14 @@ class FilterModule:
         One sequence, used everywhere a cache could go stale: module
         install (construction), hitless hot-swap, fail-around
         recompilation, and checkpoint restore.  Covers the version-keyed
-        scalar memo, the lazily-built interpreted batch evaluator, and the
-        codegen tier's specialized kernels; counted once per reset on
-        ``serving_cache_resets_total``.
+        scalar memo and the codegen tier's specialized kernel (the
+        interpreted batch evaluator keeps nothing between calls); counted
+        once per reset on ``serving_cache_resets_total``.
         """
-        self._memo_version = None
-        self._memo_output = None
-        self._batch_eval = None
-        self._batch_eval_tried = False
+        # Single-entry memo: the SMBM version only moves forward, so older
+        # results can never become valid again.
+        self._memo_version: int | None = None
+        self._memo_output: BitVector | None = None
         if self._codegen is not None:
             self._codegen.invalidate()
         self._obs_cache_resets.inc()
@@ -708,6 +659,12 @@ class FilterModule:
         later evaluation can mix old-plan state with the new plan."""
         self._compiled = compiled
         self._codegen = compiled.codegen
+        # The interpreted batch tier serves masked rows of every plan the
+        # stateless fold can express that was not asked to specialize.
+        self._batch_eval = (
+            None if stateless_blockers(compiled.policy)
+            else BatchedEvaluator(compiled.policy, self._smbm.capacity)
+        )
         self._memoize = self._memoize_requested and compiled.stateless
         self._reset_serving_caches()
 
@@ -852,16 +809,31 @@ class FilterModule:
             return None
         return out.first_set()
 
+    def _evaluate_restricted(self, mask: int) -> int:
+        """One packet's evaluation over ``table ∩ mask`` on the scalar
+        path: the reference a masked batch row is held to."""
+        self._evaluations += 1
+        out = self._compiled.evaluate_restricted(self._smbm, mask).value
+        if self._sanitize:
+            self._check_semantic_containment(out)
+        return out
+
     def hook(self, packet: Packet) -> None:
-        """The per-stage module hook: filter on request, bypass otherwise."""
-        if not packet.metadata.get(META_FILTER_REQUEST):
+        """The per-stage module hook: filter on request, bypass otherwise.
+
+        A ``META_FILTER_INPUT`` candidate mask restricts the table the
+        policy sees for this packet, exactly as a masked batch row."""
+        meta = packet.metadata
+        if not meta.get(META_FILTER_REQUEST):
             return
-        out = self.evaluate()
-        packet.metadata[META_FILTER_OUTPUT] = out.value
-        packet.metadata[META_FILTER_SELECTED] = (
-            out.first_set() if out.popcount() == 1 else -1
+        mask = meta.get(META_FILTER_INPUT)
+        out = (self.evaluate().value if mask is None
+               else self._evaluate_restricted(int(mask)))
+        meta[META_FILTER_OUTPUT] = out
+        meta[META_FILTER_SELECTED] = (
+            (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
         )
-        packet.metadata[META_FILTER_EPOCH] = self._plan_epoch
+        meta[META_FILTER_EPOCH] = self._plan_epoch
 
     # -- batched processing -------------------------------------------------------------
 
@@ -869,18 +841,7 @@ class FilterModule:
         """The masked-row batch engine: the codegen tier when armed, else
         the interpreted columnar tier when the plan is expressible there
         (stateless, no caller-supplied inputs), else ``None``."""
-        if self._codegen is not None:
-            return self._codegen
-        if not self._batch_eval_tried:
-            self._batch_eval_tried = True
-            if self._compiled.stateless and not self._compiled.tap_lines:
-                try:
-                    self._batch_eval = BatchedEvaluator(
-                        self._policy, self._smbm.capacity
-                    )
-                except ConfigurationError:
-                    self._batch_eval = None
-        return self._batch_eval
+        return self._codegen if self._codegen is not None else self._batch_eval
 
     def evaluate_batch(
         self, packets: "Sequence[Packet] | PacketBatch"
@@ -898,7 +859,9 @@ class FilterModule:
           kernel when armed, else the interpreted columnar evaluator);
         * anything neither tier can express (stateful policies,
           caller-supplied inputs) falls back to the scalar per-row path,
-          preserving exact per-packet semantics.
+          preserving exact per-packet semantics — for a stateful policy
+          in arrival order, masked and unmasked rows interleaved, since
+          each evaluation advances the units the next one sees.
 
         Rows not requesting filtering are left untouched.  The filled
         output columns are returned on the batch; for a batch built from
@@ -916,39 +879,41 @@ class FilterModule:
             return batch
         outputs = batch.outputs
         masks = batch.input_masks
-        uniform = [i for i in rows if masks is None or masks[i] is None]
-        masked = [i for i in rows if masks is not None and masks[i] is not None]
+        if self._compiled.stateless:
+            uniform = [i for i in rows if masks is None or masks[i] is None]
+            masked = [i for i in rows
+                      if masks is not None and masks[i] is not None]
+        else:
+            # Stateful outputs advance per packet: no collapse and no
+            # reordering is legal, so every row takes the scalar path in
+            # arrival order.
+            uniform = masked = ()
+            for i in rows:
+                mask = None if masks is None else masks[i]
+                outputs[i] = (self.evaluate().value if mask is None
+                              else self._evaluate_restricted(mask))
+            self._batch_fallback_rows += len(rows)
         if uniform:
-            if self._compiled.stateless:
-                out = self.evaluate().value
-                for i in uniform:
-                    outputs[i] = out
-                self._batch_broadcast_rows += len(uniform)
-            else:
-                # Stateful outputs advance per packet: no collapse is legal.
-                for i in uniform:
-                    outputs[i] = self.evaluate().value
-                self._batch_fallback_rows += len(uniform)
+            out = self.evaluate().value
+            for i in uniform:
+                outputs[i] = out
+            self._batch_broadcast_rows += len(uniform)
         if masked:
             row_masks = [masks[i] for i in masked]  # type: ignore[index]
             engine = self._batch_engine()
-            if engine is not None:
+            if engine is None:
+                outs = [self._evaluate_restricted(m) for m in row_masks]
+                self._batch_fallback_rows += len(masked)
+            else:
                 outs = engine.evaluate_masks(self._smbm, row_masks)
                 self._batch_engine_rows += len(masked)
-            else:
-                outs = [
-                    self._compiled.evaluate_restricted(self._smbm, m).value
-                    for m in row_masks
-                ]
-                self._evaluations += len(masked)
-                self._batch_fallback_rows += len(masked)
-            if self._sanitize:
-                # Masked rows restrict the *input* table; the feasible
-                # region still over-approximates every output row, so the
-                # batched tiers are held to the same soundness contract
-                # as the scalar path.
-                for out in outs:
-                    self._check_semantic_containment(out)
+                if self._sanitize:
+                    # Masked rows restrict the *input* table; the feasible
+                    # region still over-approximates every output row, so
+                    # the batched tiers are held to the same soundness
+                    # contract as the scalar path.
+                    for out in outs:
+                        self._check_semantic_containment(out)
             for i, out in zip(masked, outs):
                 outputs[i] = out
         selected = batch.selected

@@ -7,8 +7,9 @@ needs the same routing decision: *which admitted tenant owns this
 packet?*  This module centralises that decision so the rule is written
 once:
 
-* a requesting packet with no ``META_TENANT`` label is a routing error
-  (the ingress classifier must label every probe/data packet);
+* a packet that touches a tenant's module — a filter request or a probe
+  (a table write) — with no ``META_TENANT`` label is a routing error (the
+  ingress classifier must label every probe/data packet);
 * a label naming no admitted tenant is a routing error;
 * batch demux reports **all** violations of a batch in one
   :class:`~repro.errors.RoutingError` (every distinct unknown label plus
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.engine.batch import META_FILTER_REQUEST
 from repro.errors import ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
+from repro.rmt.probe import is_probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.tenancy.manager import Tenant, TenantManager
@@ -60,28 +62,35 @@ class TenantDemux:
         except ConfigurationError as exc:
             raise RoutingError(str(exc), unknown=(name,)) from None
 
-    def partition(
-        self, packets: Sequence[Packet], *, requesting_only: bool = True
-    ) -> dict[str, list[Packet]]:
-        """Split a batch into per-tenant sub-batches, arrival order kept.
+    def partition(self, packets: Sequence[Packet]) -> dict[str, list[Packet]]:
+        """Split a batch's filter requests into per-tenant sub-batches,
+        arrival order kept.
 
-        With ``requesting_only`` (the batched filter path), packets not
-        carrying ``META_FILTER_REQUEST`` bypass demux entirely — they touch
-        no tenant's module, so they need no label.
+        Packets that neither carry ``META_FILTER_REQUEST`` nor are probes
+        bypass demux entirely — they touch no tenant's module, so they
+        need no label.  A probe's label is validated (it will write the
+        named tenant's table) but the probe joins no sub-batch.
 
         Every routing violation in the batch is collected before raising
         one :class:`~repro.errors.RoutingError` naming all distinct
         unknown labels and the unlabelled-packet count; on a violation-free
-        batch, returns ``{tenant_name: [packets...]}``.
+        batch, returns ``{tenant_name: [requesting packets...]}``.
         """
         by_tenant: dict[str, list[Packet]] = {}
         unknown: list[str] = []
         unlabelled = 0
         admitted = self._manager
         for packet in packets:
-            if requesting_only and not packet.metadata.get(META_FILTER_REQUEST):
+            meta = packet.metadata
+            if not meta.get(META_FILTER_REQUEST):
+                if is_probe(packet):
+                    name = meta.get(META_TENANT)
+                    if name is None:
+                        unlabelled += 1
+                    elif name not in admitted and name not in unknown:
+                        unknown.append(name)
                 continue
-            name = packet.metadata.get(META_TENANT)
+            name = meta.get(META_TENANT)
             if name is None:
                 unlabelled += 1
                 continue
@@ -100,7 +109,7 @@ class TenantDemux:
                 )
             if unlabelled:
                 parts.append(
-                    f"{unlabelled} requesting packet(s) carry no "
+                    f"{unlabelled} requesting or probe packet(s) carry no "
                     "META_TENANT metadata"
                 )
             raise RoutingError(

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.compiler import CompiledPolicy
 from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
@@ -22,6 +23,7 @@ from repro.core.policy import (
     Policy,
     TableRef,
     difference,
+    fold,
     intersection,
     max_of,
     min_of,
@@ -30,8 +32,14 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import HAVE_NUMPY, MIN_NUMPY_ROWS, BatchedEvaluator
+from repro.engine import HAVE_NUMPY, MIN_NUMPY_ROWS, BatchedEvaluator, PlanCodegen
 from repro.engine import _np as np_guard
+from repro.engine.columnar import (
+    BoolMatrixDomain,
+    IntColumnDomain,
+    masks_to_matrix,
+    matrix_to_masks,
+)
 from repro.errors import CompilationError, ConfigurationError
 from repro.switch.filter_module import FilterModule, PacketBatch
 
@@ -42,6 +50,33 @@ VALUE_RANGE = 16
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy not installed (the [batch] extra)"
 )
+
+
+def agreed_outputs(compiled: CompiledPolicy, smbm: SMBM,
+                   masks: list[int]) -> list[int]:
+    """The one differential over the stateless lowerings: the int-column
+    domain, the bool-matrix domain (when numpy is installed) and the
+    generated scalar kernel must all equal the interpreted pipeline's
+    :meth:`CompiledPolicy.evaluate_restricted`, row by row.  Returns the
+    agreed output column for the caller's own path to be compared with."""
+    policy = compiled.policy
+    present = smbm.id_mask()
+    base = [present & m for m in masks]
+    expected = [compiled.evaluate_restricted(smbm, m).value for m in masks]
+    assert fold(policy, IntColumnDomain(smbm, base)) == expected, (
+        f"int-column domain disagrees on {policy.name}"
+    )
+    if HAVE_NUMPY and base:
+        np = np_guard.numpy
+        matrix = masks_to_matrix(np, base, smbm.capacity)
+        assert matrix_to_masks(
+            np, fold(policy, BoolMatrixDomain(smbm, matrix))
+        ) == expected, f"bool-matrix domain disagrees on {policy.name}"
+    kernel = PlanCodegen(compiled).kernel(smbm)
+    assert [kernel(b) for b in base] == expected, (
+        f"scalar kernel disagrees on {policy.name}"
+    )
+    return expected
 
 
 def _random_write(rng: random.Random, smbm: SMBM) -> None:
@@ -120,20 +155,21 @@ def _random_masked_batch(rng: random.Random, size: int) -> PacketBatch:
 
 def _check_batch_matches_scalar(module: FilterModule,
                                 batch: PacketBatch) -> None:
-    """Every evaluated row equals the scalar path on the same mask."""
+    """Every evaluated row equals the scalar path on the same mask (and,
+    for masked rows, every lowering of the policy agrees on it)."""
     out_batch = module.evaluate_batch(batch)
     full_out = module.evaluate().value
     masks = batch.input_masks or [None] * batch.size
+    masked = [row for row in range(batch.size)
+              if batch.request[row] and masks[row] is not None]
+    restricted = dict(zip(masked, agreed_outputs(
+        module.compiled, module.smbm, [masks[row] for row in masked]
+    )))
     for row in range(batch.size):
         if not batch.request[row]:
             assert out_batch.outputs[row] is None
             continue
-        if masks[row] is None:
-            expected = full_out
-        else:
-            expected = module.compiled.evaluate_restricted(
-                module.smbm, masks[row]
-            ).value
+        expected = restricted.get(row, full_out)
         assert out_batch.outputs[row] == expected, (
             f"row {row} (mask {masks[row]!r}) disagrees with scalar path"
         )

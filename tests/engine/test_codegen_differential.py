@@ -46,6 +46,8 @@ from tests.engine.test_batch_differential import (
     METRICS,
     VALUE_RANGE,
     _build_module,
+    _check_batch_matches_scalar,
+    agreed_outputs,
     _random_masked_batch,
     _random_stateless_root,
     _random_write,
@@ -88,15 +90,11 @@ class TestCodegenVsInterpreted:
                 # Batch kernel vs the restricted interpreted pipeline.
                 masks = [rng.getrandbits(CAP) for _ in
                          range(rng.randrange(1, 12))]
-                outs = codegen.evaluate_masks(smbm, masks)
-                for mask, out in zip(masks, outs):
-                    assert out == compiled.evaluate_restricted(
-                        smbm, mask
-                    ).value, (
-                        f"batch kernel disagrees on mask {mask:#x} for "
-                        f"{compiled.policy.name}"
+                assert codegen.evaluate_masks(smbm, masks) == \
+                    agreed_outputs(compiled, smbm, masks), (
+                        f"batch lane disagrees for {compiled.policy.name}"
                     )
-                    cases += 1
+                cases += len(masks)
                 # Writes in between force respecialization on new versions.
                 _random_write(rng, smbm)
         assert cases >= 1000, f"only {cases} differential cases ran"
@@ -112,10 +110,9 @@ class TestCodegenVsInterpreted:
                 _random_write(rng, smbm)
             masks = [rng.getrandbits(CAP)
                      for _ in range(MIN_NUMPY_ROWS * 2)]
-            outs = compiled.codegen.evaluate_masks(smbm, masks)
-            for mask, out in zip(masks, outs):
-                assert out == compiled.evaluate_restricted(smbm, mask).value
-                cases += 1
+            assert compiled.codegen.evaluate_masks(smbm, masks) == \
+                agreed_outputs(compiled, smbm, masks)
+            cases += len(masks)
         assert cases >= 200
 
     @settings(max_examples=60)
@@ -140,8 +137,8 @@ class TestCodegenVsInterpreted:
                 smbm.add(rid, {"a": a, "b": b})
         assert compiled.codegen.evaluate(smbm) == \
             compiled.evaluate(smbm).value
-        [out] = compiled.codegen.evaluate_masks(smbm, [mask])
-        assert out == compiled.evaluate_restricted(smbm, mask).value
+        assert compiled.codegen.evaluate_masks(smbm, [mask]) == \
+            agreed_outputs(compiled, smbm, [mask])
 
     @settings(max_examples=40)
     @given(
@@ -154,20 +151,7 @@ class TestCodegenVsInterpreted:
         module = _build_module(rng, "hb", codegen=True)
         for _ in range(rng.randrange(1, 20)):
             _random_write(rng, module.smbm)
-        batch = _random_masked_batch(rng, size)
-        module.evaluate_batch(batch)
-        masks = batch.input_masks or [None] * size
-        full = module.evaluate().value
-        for row in range(size):
-            if not batch.request[row]:
-                assert batch.outputs[row] is None
-            elif masks[row] is None:
-                assert batch.outputs[row] == full
-            else:
-                assert batch.outputs[row] == \
-                    module.compiled.evaluate_restricted(
-                        module.smbm, masks[row]
-                    ).value
+        _check_batch_matches_scalar(module, _random_masked_batch(rng, size))
 
 
 class TestSpecializationCache:
@@ -227,7 +211,6 @@ class TestSpecializationCache:
         source, plan_hash, relops = generate_plan_source(policy)
         assert plan_hash == plan_hash_of(policy)
         assert "def specialize(smbm)" in source
-        assert "def specialize_batch(smbm, np)" in source
         assert relops == (RelOp.LT,)
         # The kernel body is straight-line mask arithmetic: no branches on
         # policy structure, no attribute lookups into the AST.

@@ -1,0 +1,162 @@
+"""One stateless walk, three domains: the lowerings of
+:func:`repro.core.policy.fold` agree with the interpreted pipeline, and the
+batch lanes keep nothing alive once they return.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from repro.core.compiler import PolicyCompiler
+from repro.core.operators import BinaryOp, RelOp
+from repro.core.pipeline import PipelineParams
+from repro.core.policy import (
+    Binary,
+    Conditional,
+    Policy,
+    TableRef,
+    max_of,
+    min_of,
+    predicate,
+    union,
+)
+from repro.core.smbm import SMBM
+from repro.engine import MIN_NUMPY_ROWS, BatchedEvaluator
+from repro.engine import _np as np_guard
+from repro.engine import columnar
+from repro.errors import CompilationError
+
+from tests.engine.test_batch_differential import (
+    CAP,
+    METRICS,
+    VALUE_RANGE,
+    agreed_outputs,
+    needs_numpy,
+)
+
+#: Roomier than the paper's default so most drawn DAGs place.
+PARAMS = PipelineParams(n=8, k=5, f=3)
+FULL = (1 << CAP) - 1
+
+_attrs = st.sampled_from(METRICS)
+
+
+def _unary_over(children):
+    return st.one_of(
+        st.builds(predicate, children, _attrs, st.sampled_from(list(RelOp)),
+                  st.integers(-2, VALUE_RANGE + 1)),
+        st.builds(lambda child, attr, k: min_of(child, attr, k=k),
+                  children, _attrs, st.integers(1, 3)),
+        st.builds(lambda child, attr, k: max_of(child, attr, k=k),
+                  children, _attrs, st.integers(1, 3)),
+    )
+
+
+def _binary_over(children):
+    merging = st.sampled_from(
+        [BinaryOp.UNION, BinaryOp.INTERSECTION, BinaryOp.DIFFERENCE]
+    )
+    return st.one_of(
+        st.builds(lambda op, left, right: Binary(op, left, right),
+                  merging, children, children),
+        st.builds(lambda left, right, choice:
+                  Binary(BinaryOp.NO_OP, left, right, choice),
+                  children, children, st.integers(0, 1)),
+        # Shared fan-out: one node object feeding both operands.
+        st.builds(lambda node: union(node, node), children),
+    )
+
+
+_nodes = st.recursive(
+    _unary_over(st.just(TableRef())),
+    lambda children: st.one_of(_unary_over(children), _binary_over(children)),
+    max_leaves=4,
+)
+_roots = st.one_of(_nodes, st.builds(Conditional, _nodes, _nodes))
+_rows = st.lists(
+    st.tuples(st.integers(0, CAP - 1), st.integers(0, VALUE_RANGE - 1),
+              st.integers(0, VALUE_RANGE - 1)),
+    max_size=CAP,
+)
+_masks = st.lists(st.integers(0, FULL), max_size=10)
+
+
+@given(root=_roots, rows=_rows, masks=_masks)
+def test_every_domain_equals_the_interpreted_pipeline(root, rows, masks):
+    """Random stateless DAGs x random tables (the empty one included) x
+    random mask columns: int-column == bool-matrix == scalar kernel ==
+    ``evaluate_restricted``.  Every column also carries the empty mask and
+    the all-ones mask, whose bits name absent ids on any non-full table."""
+    policy = Policy(root, name="prop")
+    try:
+        # verify=False: the static verifier's lints are not under test
+        # here, and it is most of what a compile costs.
+        compiled = PolicyCompiler(PARAMS).compile(policy, verify=False)
+    except CompilationError:
+        assume(False)
+    smbm = SMBM(CAP, METRICS)
+    for rid, a, b in rows:
+        if rid not in smbm:
+            smbm.add(rid, {"a": a, "b": b})
+    agreed_outputs(compiled, smbm, masks + [0, FULL])
+
+
+class TestBatchLanesLeakNothing:
+    """The batch lanes' intermediates must die by reference counting when
+    ``evaluate_masks`` returns: a cycle through them would pin every
+    ``[B, N]`` matrix of the call until the cyclic collector happens by."""
+
+    def _evaluator_and_table(self):
+        table = TableRef()
+        policy = Policy(
+            min_of(union(predicate(table, "a", RelOp.LT, 9),
+                         predicate(table, "b", RelOp.GT, 3)), "a", k=2),
+            name="leak",
+        )
+        smbm = SMBM(CAP, METRICS)
+        for rid in range(CAP // 2):
+            smbm.add(rid, {"a": rid % VALUE_RANGE, "b": (rid * 7) % VALUE_RANGE})
+        return BatchedEvaluator(policy, CAP), smbm
+
+    @pytest.fixture
+    def no_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @needs_numpy
+    def test_matrix_lane_frees_its_matrices(self, no_gc, monkeypatch):
+        evaluator, smbm = self._evaluator_and_table()
+        matrices = []
+        pack = columnar.masks_to_matrix
+
+        def recording_pack(np, masks, capacity):
+            matrix = pack(np, masks, capacity)
+            matrices.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(columnar, "masks_to_matrix", recording_pack)
+        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)
+        # The base matrix and each predicate's unpacked row went through
+        # the packer; none may outlive the call.
+        assert len(matrices) == 3
+        assert [ref() for ref in matrices] == [None] * 3
+
+    def test_int_lane_leaves_no_cycles(self, no_gc, monkeypatch):
+        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
+        evaluator, smbm = self._evaluator_and_table()
+        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)  # warm indices
+        gc.collect()
+        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)
+        # int columns are plain lists (no weak references): unreachable
+        # cyclic garbage is what a leaked walk would leave behind.
+        assert gc.collect() == 0

@@ -15,8 +15,20 @@ import pytest
 from repro import obs
 from repro.analysis.conformance import verify_checkpoint_roundtrip
 from repro.core.operators import RelOp
-from repro.core.policy import Policy, TableRef, intersection, min_of, predicate
-from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
+from repro.core.pipeline import PipelineParams
+from repro.core.policy import (
+    Policy,
+    TableRef,
+    intersection,
+    min_of,
+    predicate,
+    round_robin,
+)
+from repro.engine.batch import (
+    META_FILTER_INPUT,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+)
 from repro.errors import ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
@@ -46,25 +58,38 @@ def _policy_b() -> Policy:
     )
 
 
+def _policy_c() -> Policy:
+    """Stateful: every evaluation, masked or not, advances the pointer."""
+    return Policy(round_robin(TableRef(), "cpu"), name="rr-cpu")
+
+
+POLICIES = {"a": _policy_a, "b": _policy_b, "c": _policy_c}
+
+#: Candidate masks a data packet may carry (``None`` = the full table):
+#: dense, sparse, empty, and one whose bits name absent and out-of-range ids.
+MASKS = (None, 0b1011_0111, None, 1 << 3, 0, 0xF0F0_00E1)
+
+
 def _make_backend(cls):
-    manager = TenantManager(METRICS, smbm_capacity=16)
+    manager = TenantManager(METRICS, PipelineParams(n=6), smbm_capacity=24)
     backend = cls(manager)
-    backend.program_tenant(TenantSpec("a", _policy_a(), smbm_quota=8))
-    backend.program_tenant(TenantSpec("b", _policy_b(), smbm_quota=8))
+    for name, policy in POLICIES.items():
+        backend.program_tenant(TenantSpec(name, policy(), smbm_quota=8))
     return backend
 
 
 def _schedule():
     """A deterministic mixed schedule: probes (table writes on the wire)
-    interleaved with filtering data packets, for two tenants."""
+    interleaved with filtering data packets — masked and unmasked, so the
+    stateful tenant sees both kinds interleaved — for three tenants."""
     steps = []
-    for i in range(40):
-        tenant = "a" if i % 2 else "b"
-        if i % 5 == 0:
+    for i in range(90):
+        tenant = "abc"[i % 3]
+        if i % 7 == 0:
             steps.append(("probe", tenant, i % 8,
                           {"cpu": (i * 13) % 100, "mem": (i * 7) % 50}))
         else:
-            steps.append(("data", tenant))
+            steps.append(("data", tenant, MASKS[(i // 3) % len(MASKS)]))
     return steps
 
 
@@ -77,8 +102,10 @@ def _traffic(codec: ProbeCodec, steps):
             _, tenant, rid, metrics = step
             packet = parser.parse(codec.encode(rid, metrics))
         else:
-            _, tenant = step
+            _, tenant, mask = step
             packet = Packet(metadata={META_FILTER_REQUEST: 1})
+            if mask is not None:
+                packet.metadata[META_FILTER_INPUT] = mask
         packet.metadata[META_TENANT] = tenant
         packets.append(packet)
     return packets
@@ -87,16 +114,20 @@ def _traffic(codec: ProbeCodec, steps):
 def _golden_traces(steps):
     """Solo per-tenant FilterModules: the differential oracle both
     backends are held to."""
-    modules = {"a": FilterModule(8, METRICS, _policy_a()),
-               "b": FilterModule(8, METRICS, _policy_b())}
-    traces = {"a": [], "b": []}
+    modules = {name: FilterModule(8, METRICS, policy())
+               for name, policy in POLICIES.items()}
+    traces = {name: [] for name in POLICIES}
     for step in steps:
         if step[0] == "probe":
             _, tenant, rid, metrics = step
             modules[tenant].update_resource(rid, metrics)
-        else:
-            _, tenant = step
-            traces[tenant].append(modules[tenant].evaluate().value)
+            continue
+        _, tenant, mask = step
+        module = modules[tenant]
+        traces[tenant].append(
+            module.evaluate().value if mask is None
+            else module.compiled.evaluate_restricted(module.smbm, mask).value
+        )
     return traces
 
 
@@ -104,7 +135,7 @@ def _run(backend, steps):
     codec = ProbeCodec(METRICS)
     packets = _traffic(codec, steps)
     backend.process_batch(packets)
-    traces = {"a": [], "b": []}
+    traces = {name: [] for name in POLICIES}
     for step, packet in zip(steps, packets):
         if step[0] == "data":
             traces[step[1]].append(packet.metadata[META_FILTER_OUTPUT])
@@ -127,19 +158,39 @@ def test_backends_serve_identical_traces():
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
 def test_unknown_labels_aggregate_into_one_routing_error(cls):
     backend = _make_backend(cls)
+    codec = ProbeCodec(METRICS)
+
+    def probe(tenant):
+        packet = codec.build_parser().parse(
+            codec.encode(1, {"cpu": 5, "mem": 5})
+        )
+        if tenant is not None:
+            packet.metadata[META_TENANT] = tenant
+        return packet
+
     batch = [
+        Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"}),
+        probe("a"),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "ghost"}),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"}),
+        probe("nope"),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "zombie"}),
         Packet(metadata={META_FILTER_REQUEST: 1}),
+        probe(None),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "ghost"}),
+        Packet(metadata={}),  # touches no tenant: needs no label
     ]
+    versions = {t.name: t.module.smbm.version for t in backend.manager}
     with pytest.raises(RoutingError) as excinfo:
         backend.process_batch(batch)
-    assert excinfo.value.unknown == ("ghost", "zombie")
-    assert excinfo.value.unlabelled == 1
-    # All-or-nothing: the known tenant's packet was not served either.
-    assert META_FILTER_OUTPUT not in batch[1].metadata
+    # Requests and probes alike, every violation in the one error.
+    assert excinfo.value.unknown == ("ghost", "nope", "zombie")
+    assert excinfo.value.unlabelled == 2
+    # All-or-nothing: the well-labelled probe ahead of the mislabelled
+    # ones was not written and no request was served.
+    assert {t.name: t.module.smbm.version
+            for t in backend.manager} == versions
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
@@ -156,7 +207,7 @@ def test_write_batch_and_health(cls):
     health = backend.health()
     assert health["backend"] == cls.name
     assert health["healthy"] is True
-    assert health["tenants"] == 2
+    assert health["tenants"] == 3
     assert health["degraded_tenants"] == []
 
 

@@ -3,9 +3,9 @@
 The module's constructor takes several mode flags whose pairwise
 combinations are not all meaningful.  The contract under test:
 
-* every *conflicting* pair raises a single :class:`ConfigError` (a
-  :class:`ConfigurationError` subclass, so existing callers keep
-  working) that names **all** violated pairs, not just the first;
+* the *conflicting* pair (``codegen`` with ``self_healing``) raises a
+  :class:`ConfigError` (a :class:`ConfigurationError` subclass, so
+  existing callers keep working) that names the violated pair;
 * every *compatible* pair constructs a working module;
 * the error's ``conflicts`` attribute is machine-readable, so callers
   can branch on which flags collided.
@@ -32,7 +32,6 @@ METRICS = ("q", "load")
 FLAG_KWARGS = {
     "codegen": {"codegen": True},
     "self_healing": {"self_healing": True},
-    "naive": {"naive": True},
     "sanitize": {"sanitize": True},
     "memoize_off": {"memoize": False},
     "tenant": {
@@ -45,8 +44,6 @@ FLAG_KWARGS = {
 #: The pairs that must conflict; every other pair must construct.
 CONFLICTS = {
     frozenset({"codegen", "self_healing"}),
-    frozenset({"codegen", "naive"}),
-    frozenset({"naive", "tenant"}),
 }
 
 
@@ -87,28 +84,15 @@ def test_each_flag_alone_constructs(flag: str):
 
 
 def test_all_conflicts_reported_at_once():
-    """codegen + self_healing + naive violates two pairs; the single
-    raised error lists both, machine-readably."""
+    """The single raised error lists every violated pair (one rule
+    today), machine-readably."""
     with pytest.raises(ConfigError) as exc_info:
-        _build(codegen=True, self_healing=True, naive=True)
+        _build(codegen=True, self_healing=True)
     err = exc_info.value
     assert set(map(frozenset, err.conflicts)) == {
         frozenset({"codegen", "self_healing"}),
-        frozenset({"codegen", "naive"}),
     }
     assert "codegen" in str(err) and "self_healing" in str(err)
-
-
-def test_tenant_mode_triggers_on_any_slicing_parameter():
-    """naive+tenant conflicts however the tenant mode is switched on."""
-    for kwargs in (
-        {"tenant": "alice"},
-        {"reserved_cells": ((1, 1),)},
-        {"input_lines": (0, 1)},
-    ):
-        with pytest.raises(ConfigError) as exc_info:
-            _build(naive=True, **kwargs)
-        assert exc_info.value.involves("tenant")
 
 
 def test_tenant_mode_composes_with_self_healing():
