@@ -27,6 +27,8 @@ Quickstart: ``python -m repro.serving.controller --backend batched``.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.serving._atomic import (
     atomic_write_text,
     canonical_bytes,
@@ -39,7 +41,6 @@ from repro.serving.backend import (
     SwitchBackend,
     TableWrite,
     build_backend,
-    spec_from_checkpoint,
 )
 from repro.serving.breaker import (
     BreakerState,
@@ -53,6 +54,8 @@ from repro.serving.checkpoint import (
     policy_from_dict,
     policy_to_dict,
     save_checkpoint,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.serving.migration import LiveMigration, MigrationState
 from repro.serving.recovery import (
@@ -65,11 +68,7 @@ from repro.serving.wal import (
     WalRecord,
     WriteAheadLog,
     read_wal,
-    spec_from_dict,
-    spec_to_dict,
 )
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.controller import Controller
@@ -114,7 +113,6 @@ __all__ = [
     "read_wal",
     "recover",
     "save_checkpoint",
-    "spec_from_checkpoint",
     "spec_from_dict",
     "spec_to_dict",
 ]

@@ -92,7 +92,7 @@ def tmp_path_for(path: pathlib.Path) -> pathlib.Path:
     return path.with_suffix(path.suffix + TMP_SUFFIX)
 
 
-def atomic_write_text(path: "str | pathlib.Path", text: str, *,
+def atomic_write_text(path: str | pathlib.Path, text: str, *,
                       fsync: bool = False) -> pathlib.Path:
     """Write ``text`` to ``path`` through a tmp file + atomic rename.
 
@@ -111,7 +111,7 @@ def atomic_write_text(path: "str | pathlib.Path", text: str, *,
     return path
 
 
-def cleanup_stale_tmp(directory: "str | pathlib.Path") -> list[pathlib.Path]:
+def cleanup_stale_tmp(directory: str | pathlib.Path) -> list[pathlib.Path]:
     """Remove every ``*.tmp`` stranded by an interrupted atomic write.
 
     Returns the removed paths (sorted, for deterministic reporting) and

@@ -29,8 +29,9 @@ same observability series (distinguished only by the ``backend`` label).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro import obs
 from repro.analysis.findings import Report
@@ -42,8 +43,8 @@ from repro.rmt.packet import Packet
 from repro.serving.checkpoint import (
     SwitchCheckpoint,
     TenantCheckpoint,
-    policy_from_dict,
-    policy_to_dict,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.switch.thanos_switch import ThanosSwitch
 from repro.tenancy.demux import TenantDemux
@@ -56,7 +57,6 @@ __all__ = [
     "BatchedBackend",
     "build_backend",
     "conformance_report",
-    "spec_from_checkpoint",
 ]
 
 
@@ -66,33 +66,29 @@ class TableWrite:
 
     ``metrics=None`` deletes the resource; otherwise the write is the
     composite delete+add update of section 5.1.2.
+
+    :meth:`to_dict` / :meth:`from_dict` are the write's one persisted
+    spelling (WAL records carry it): ``{"resource_id": n, "metrics":
+    {...}}``, the ``metrics`` key absent for a delete.  The tenant is not
+    part of it — it rides in the enclosing record's envelope.
     """
 
     tenant: str
     resource_id: int
     metrics: Mapping[str, int] | None = None
 
+    def to_dict(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {"resource_id": self.resource_id}
+        if self.metrics is not None:
+            doc["metrics"] = dict(self.metrics)
+        return doc
 
-def spec_from_checkpoint(ckpt: TenantCheckpoint) -> TenantSpec:
-    """The admission spec a checkpointed tenant re-enters with.
-
-    The policy admitted is the checkpoint's *live* policy (post any
-    hot-swaps on the source), so the destination compiles exactly the plan
-    that was serving; the epoch lineage is re-stamped by
-    :meth:`FilterModule.restore_table` after admission.
-    """
-    return TenantSpec(
-        name=ckpt.name,
-        policy=policy_from_dict(ckpt.policy),
-        smbm_quota=ckpt.smbm_quota,
-        columns=ckpt.columns,
-        cell_quota=ckpt.cell_quota,
-        lfsr_seed=ckpt.lfsr_seed,
-        memoize=ckpt.memoize,
-        self_healing=ckpt.self_healing,
-        sanitize=ckpt.sanitize,
-        codegen=ckpt.codegen,
-    )
+    @classmethod
+    def from_dict(cls, tenant: str, raw: Mapping[str, Any]) -> TableWrite:
+        metrics = raw.get("metrics")
+        return cls(tenant, int(raw["resource_id"]),
+                   None if metrics is None
+                   else {str(k): int(v) for k, v in metrics.items()})
 
 
 class SwitchBackend(abc.ABC):
@@ -271,30 +267,27 @@ class _ManagerBackend(SwitchBackend):
 
     def snapshot_tenant(self, name: str) -> TenantCheckpoint:
         tenant = self._manager.get(name)
-        spec = tenant.spec
         ckpt = TenantCheckpoint(
-            name=tenant.name,
-            # The live policy, not the admitted one: hot-swaps must
-            # survive a checkpoint.
-            policy=policy_to_dict(tenant.module.policy),
+            spec=spec_to_dict(replace(
+                tenant.spec,
+                # The live policy, not the admitted one: hot-swaps must
+                # survive a checkpoint.
+                policy=tenant.module.policy,
+                # Count, not physical indices: the destination allocates
+                # its own strip, and snapshots stay comparable across
+                # switches.
+                columns=len(tenant.columns),
+            )),
             smbm_state=tenant.module.smbm.export_state(),
             plan_epoch=tenant.module.plan_epoch,
-            smbm_quota=spec.smbm_quota,
-            # Count, not physical indices: the destination allocates its
-            # own strip, and snapshots stay comparable across switches.
-            columns=len(tenant.columns),
-            cell_quota=spec.cell_quota,
-            lfsr_seed=spec.lfsr_seed,
-            memoize=spec.memoize,
-            self_healing=spec.self_healing,
-            sanitize=spec.sanitize,
-            codegen=spec.codegen,
         )
         self._obs_snapshots.inc()
         return ckpt
 
     def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
-        tenant = self._manager.admit(spec_from_checkpoint(ckpt))
+        # The epoch lineage is re-stamped by restore_table after
+        # admission of the checkpoint's (live-policy) spec.
+        tenant = self._manager.admit(spec_from_dict(ckpt.spec))
         try:
             tenant.module.restore_table(
                 ckpt.smbm_state, plan_epoch=ckpt.plan_epoch
@@ -303,7 +296,7 @@ class _ManagerBackend(SwitchBackend):
             # Never leave a half-restored tenant serving: a tenant that
             # admitted but failed to restore is evicted before the error
             # propagates.
-            self._manager.evict(ckpt.name)
+            self._manager.evict(tenant.name)
             raise
         self._obs_restores.inc()
         return tenant

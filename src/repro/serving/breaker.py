@@ -30,8 +30,8 @@ cooldown transitions are deterministic under test.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from repro import obs
 from repro.errors import CircuitOpen, ConfigurationError

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Any
 
-from repro.serving._atomic import atomic_write_text, canonical_bytes, checksum_hex
-
+from repro.core.kufpu import KUnaryConfig
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
@@ -37,8 +37,9 @@ from repro.core.policy import (
     Unary,
     postorder,
 )
-from repro.core.kufpu import KUnaryConfig
 from repro.errors import CheckpointError, ConfigurationError
+from repro.serving._atomic import atomic_write_text, canonical_bytes, checksum_hex
+from repro.tenancy.manager import TenantSpec
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -47,6 +48,8 @@ __all__ = [
     "SwitchCheckpoint",
     "policy_to_dict",
     "policy_from_dict",
+    "spec_to_dict",
+    "spec_from_dict",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -162,6 +165,34 @@ def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
     return Policy(ref(root_index), name=str(name))
 
 
+# -- tenant spec (de)serialization ----------------------------------------------------
+
+
+def spec_to_dict(spec: TenantSpec) -> dict[str, Any]:
+    """Serialize an admission spec (policy DAG included) to a JSON-safe
+    document — the one spelling every persisted form shares: the WAL's
+    ``add_tenant`` record and the tenant checkpoint both embed it.
+
+    Every dataclass field is carried by name, so a field added to
+    :class:`TenantSpec` is persisted without touching this module.
+    """
+    doc = {f.name: getattr(spec, f.name) for f in fields(TenantSpec)}
+    doc["policy"] = policy_to_dict(spec.policy)
+    return doc
+
+
+def spec_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
+    """Rebuild an admission spec from :func:`spec_to_dict` output."""
+    try:
+        doc = {f.name: raw[f.name] for f in fields(TenantSpec)}
+        doc["policy"] = policy_from_dict(raw["policy"])
+        return TenantSpec(**doc)
+    except (KeyError, TypeError, ConfigurationError) as exc:
+        raise CheckpointError(
+            f"malformed tenant spec document: {exc!r}"
+        ) from None
+
+
 # -- tenant / switch checkpoints ------------------------------------------------------
 
 
@@ -169,64 +200,37 @@ def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
 class TenantCheckpoint:
     """One tenant's complete serving state, slice-agnostic.
 
-    ``columns`` is the *count* of Cell columns the tenant was admitted
-    with, not the physical column indices: the destination switch
-    allocates its own strip, so checkpoints taken on different switches
-    with identical tenant state compare equal — the property the TH015
-    conformance lint keys on.
+    ``spec`` is the :func:`spec_to_dict` document the tenant re-enters
+    with: its ``policy`` is the *live* policy (post any hot-swaps on the
+    source), so the destination compiles exactly the plan that was
+    serving, and its ``columns`` is the *count* of Cell columns, not the
+    physical indices — the destination switch allocates its own strip,
+    so checkpoints taken on different switches with identical tenant
+    state compare equal, the property the TH015 conformance lint keys
+    on.  :meth:`payload` is flat: the spec's keys beside ``smbm_state``
+    and ``plan_epoch``.
     """
 
-    name: str
-    policy: dict[str, Any]
+    spec: dict[str, Any]
     smbm_state: dict[str, Any]
     plan_epoch: int
-    smbm_quota: int
-    columns: int = 1
-    cell_quota: int | None = None
-    lfsr_seed: int = 1
-    memoize: bool = True
-    self_healing: bool = False
-    sanitize: bool = False
-    codegen: bool = False
 
     def payload(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "policy": self.policy,
-            "smbm_state": self.smbm_state,
-            "plan_epoch": self.plan_epoch,
-            "smbm_quota": self.smbm_quota,
-            "columns": self.columns,
-            "cell_quota": self.cell_quota,
-            "lfsr_seed": self.lfsr_seed,
-            "memoize": self.memoize,
-            "self_healing": self.self_healing,
-            "sanitize": self.sanitize,
-            "codegen": self.codegen,
-        }
+        return {**self.spec, "smbm_state": self.smbm_state,
+                "plan_epoch": self.plan_epoch}
 
     @classmethod
-    def from_payload(cls, raw: Mapping[str, Any]) -> "TenantCheckpoint":
+    def from_payload(cls, raw: Mapping[str, Any]) -> TenantCheckpoint:
         try:
-            return cls(
-                name=str(raw["name"]),
-                policy=dict(raw["policy"]),
-                smbm_state=dict(raw["smbm_state"]),
-                plan_epoch=int(raw["plan_epoch"]),
-                smbm_quota=int(raw["smbm_quota"]),
-                columns=int(raw["columns"]),
-                cell_quota=(None if raw["cell_quota"] is None
-                            else int(raw["cell_quota"])),
-                lfsr_seed=int(raw["lfsr_seed"]),
-                memoize=bool(raw["memoize"]),
-                self_healing=bool(raw["self_healing"]),
-                sanitize=bool(raw["sanitize"]),
-                codegen=bool(raw["codegen"]),
-            )
+            spec = dict(raw)
+            ckpt = cls(smbm_state=dict(spec.pop("smbm_state")),
+                       plan_epoch=int(spec.pop("plan_epoch")), spec=spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed tenant checkpoint payload: {exc!r}"
             ) from None
+        spec_from_dict(spec)  # prove the spec decodes before anyone trusts it
+        return ckpt
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,8 @@ class SwitchCheckpoint:
         metric_names: tuple[str, ...] | list[str],
         params: PipelineParams,
         smbm_capacity: int,
-        tenants: "list[TenantCheckpoint] | tuple[TenantCheckpoint, ...]",
-    ) -> "SwitchCheckpoint":
+        tenants: list[TenantCheckpoint] | tuple[TenantCheckpoint, ...],
+    ) -> SwitchCheckpoint:
         return cls(
             metric_names=tuple(metric_names),
             params={"n": params.n, "k": params.k, "f": params.f,
@@ -266,7 +270,7 @@ class SwitchCheckpoint:
         }
 
     @classmethod
-    def from_payload(cls, raw: Mapping[str, Any]) -> "SwitchCheckpoint":
+    def from_payload(cls, raw: Mapping[str, Any]) -> SwitchCheckpoint:
         try:
             return cls(
                 metric_names=tuple(str(m) for m in raw["metric_names"]),
@@ -307,7 +311,7 @@ def _reintify_smbm_state(state: dict[str, Any]) -> dict[str, Any]:
 
 
 def save_checkpoint(
-    path: "str | pathlib.Path", checkpoint: SwitchCheckpoint
+    path: str | pathlib.Path, checkpoint: SwitchCheckpoint
 ) -> pathlib.Path:
     """Write a checkpoint file: magic + format + payload + SHA-256.
 
@@ -326,7 +330,7 @@ def save_checkpoint(
     return atomic_write_text(path, json.dumps(body, sort_keys=True, indent=1))
 
 
-def load_checkpoint(path: "str | pathlib.Path") -> SwitchCheckpoint:
+def load_checkpoint(path: str | pathlib.Path) -> SwitchCheckpoint:
     """Read and verify a checkpoint file, or raise CheckpointError."""
     path = pathlib.Path(path)
     try:
@@ -369,9 +373,7 @@ def load_checkpoint(path: "str | pathlib.Path") -> SwitchCheckpoint:
     # JSON round-trip turned the SMBM row/seq dict keys into strings;
     # normalise here so restore sites see the exact export_state() shape.
     tenants = tuple(
-        TenantCheckpoint(
-            **{**t.payload(), "smbm_state": _reintify_smbm_state(t.smbm_state)}
-        )
+        replace(t, smbm_state=_reintify_smbm_state(t.smbm_state))
         for t in checkpoint.tenants
     )
     return SwitchCheckpoint(

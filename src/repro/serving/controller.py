@@ -61,8 +61,9 @@ import asyncio
 import pathlib
 import time
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any
 
 from repro import obs
 from repro.core.policy import Policy
@@ -86,9 +87,10 @@ from repro.serving.checkpoint import (
     SwitchCheckpoint,
     policy_to_dict,
     save_checkpoint,
+    spec_to_dict,
 )
 from repro.serving.migration import LiveMigration, MigrationState
-from repro.serving.wal import WalRecord, WriteAheadLog, spec_to_dict
+from repro.serving.wal import WalRecord, WriteAheadLog
 from repro.tenancy.manager import Tenant, TenantSpec
 
 __all__ = ["Controller"]
@@ -116,15 +118,15 @@ class _Op:
     kind: str
     tenant: str
     apply: Callable[[], Any]
-    future: "asyncio.Future[Any]"
+    future: asyncio.Future[Any]
     admission: bool = False
     #: JSON-safe WAL args; ``None`` means this op is not logged
     #: (serving pass-throughs, and checkpoint which logs its own marker).
-    log_args: "dict[str, Any] | None" = None
+    log_args: dict[str, Any] | None = None
     priority: int = _PRIO_TABLE
     enqueued_ns: int = field(default_factory=time.perf_counter_ns)
     #: Set by the worker once the op's WAL record is durable.
-    record: "WalRecord | None" = None
+    record: WalRecord | None = None
 
 
 class _OpQueue:
@@ -137,7 +139,7 @@ class _OpQueue:
     """
 
     def __init__(self) -> None:
-        self._items: "deque[Any]" = deque()
+        self._items: deque[Any] = deque()
         self._not_empty = asyncio.Event()
         self._unfinished = 0
         self._idle = asyncio.Event()
@@ -156,17 +158,17 @@ class _OpQueue:
             self._idle.clear()
         self._not_empty.set()
 
-    def drain_ready(self, limit: int) -> "list[_Op]":
+    def drain_ready(self, limit: int) -> list[_Op]:
         """Pop up to ``limit`` immediately-available ops, stopping short
         of a shutdown sentinel — the group-commit drain."""
-        out: "list[_Op]" = []
+        out: list[_Op] = []
         while self._items and len(out) < limit:
             if self._items[0] is _SHUTDOWN:
                 break
             out.append(self._items.popleft())
         return out
 
-    def displace_lowest(self, below_priority: int) -> "_Op | None":
+    def displace_lowest(self, below_priority: int) -> _Op | None:
         """Remove and return the newest queued op strictly below
         ``below_priority``, or ``None`` when nothing is displaceable."""
         for i in range(len(self._items) - 1, -1, -1):
@@ -177,7 +179,7 @@ class _OpQueue:
                 return item
         return None
 
-    def clear_pending(self) -> "list[_Op]":
+    def clear_pending(self) -> list[_Op]:
         """Drop everything still queued (crash path); returns the ops."""
         dropped = [it for it in self._items if it is not _SHUTDOWN]
         self._items.clear()
@@ -233,8 +235,8 @@ class Controller:
         bound on each tenant's queue; saturation sheds the
         lowest-priority op with :class:`~repro.errors.Overloaded`.
     ``crash_hook``
-        chaos-harness hook fired at ``ctl.after_apply`` (the WAL fires
-        its own ``wal.*`` sites); see
+        chaos-harness hook fired at ``ctl.after_apply``, once per applied
+        op (the WAL fires its own ``wal.*`` sites, once per frame); see
         :meth:`repro.faults.injector.FaultInjector.arm_crash`.
     """
 
@@ -244,7 +246,7 @@ class Controller:
                  deadline_s: float | None = None,
                  breaker: CircuitBreakerConfig | None = None,
                  queue_limit: int | None = None,
-                 crash_hook: "Callable[[str, WalRecord | None], None] | None"
+                 crash_hook: Callable[[str, WalRecord | None], None] | None
                  = None):
         if queue_limit is not None and queue_limit < 1:
             raise ConfigurationError(
@@ -275,11 +277,7 @@ class Controller:
         backend_label = getattr(backend, "name", "unknown")
         self._registry = registry
         self._backend_label = backend_label
-        self._obs_ops: dict[tuple[str, str], obs.Counter] = {}
-        self._obs_latency: dict[str, obs.Histogram] = {}
-        self._obs_depth: dict[str, obs.Gauge] = {}
-        self._obs_shed: dict[str, obs.Counter] = {}
-        self._obs_retries: dict[str, obs.Counter] = {}
+        self._series: dict[tuple[str, ...], Any] = {}
         self._obs_deadline = registry.counter(
             "controller_deadline_exceeded_total",
             {"backend": backend_label},
@@ -295,63 +293,39 @@ class Controller:
 
     # -- obs helpers -------------------------------------------------------------------
 
-    def _count_op(self, op: str, outcome: str) -> None:
-        key = (op, outcome)
-        counter = self._obs_ops.get(key)
-        if counter is None:
-            counter = self._registry.counter(
-                "controller_ops_total",
-                {"op": op, "outcome": outcome,
-                 "backend": self._backend_label},
-                help="control-plane operations applied, by op and outcome",
-            )
-            self._obs_ops[key] = counter
-        counter.inc()
+    #: The controller's labelled series: name -> (kind, label names, help).
+    #: Every series also carries the ``backend`` label.
+    _SERIES = {
+        "controller_ops_total": (
+            "counter", ("op", "outcome"),
+            "control-plane operations applied, by op and outcome"),
+        "controller_apply_ns": (
+            "histogram", ("op",),
+            "submit-to-applied latency per op (ns, pow2 buckets)"),
+        "controller_queue_depth": (
+            "gauge", ("tenant",),
+            "ops waiting in a tenant's control queue"),
+        "controller_shed_total": (
+            "counter", ("op",),
+            "control ops shed by bounded-queue load shedding"),
+        "controller_retries_total": (
+            "counter", ("op",),
+            "transient fault-class apply failures retried with backoff"),
+    }
 
-    def _observe_latency(self, op: str, ns: int) -> None:
-        hist = self._obs_latency.get(op)
-        if hist is None:
-            hist = self._registry.histogram(
-                "controller_apply_ns",
-                {"op": op, "backend": self._backend_label},
-                help="submit-to-applied latency per op (ns, pow2 buckets)",
-            )
-            self._obs_latency[op] = hist
-        hist.observe(ns)
-
-    def _set_depth(self, tenant: str, depth: int) -> None:
-        gauge = self._obs_depth.get(tenant)
-        if gauge is None:
-            gauge = self._registry.gauge(
-                "controller_queue_depth",
-                {"tenant": tenant, "backend": self._backend_label},
-                help="ops waiting in a tenant's control queue",
-            )
-            self._obs_depth[tenant] = gauge
-        gauge.set(depth)
-
-    def _count_shed(self, op: str) -> None:
-        counter = self._obs_shed.get(op)
-        if counter is None:
-            counter = self._registry.counter(
-                "controller_shed_total",
-                {"op": op, "backend": self._backend_label},
-                help="control ops shed by bounded-queue load shedding",
-            )
-            self._obs_shed[op] = counter
-        counter.inc()
-
-    def _count_retry(self, op: str) -> None:
-        counter = self._obs_retries.get(op)
-        if counter is None:
-            counter = self._registry.counter(
-                "controller_retries_total",
-                {"op": op, "backend": self._backend_label},
-                help="transient fault-class apply failures retried "
-                     "with backoff",
-            )
-            self._obs_retries[op] = counter
-        counter.inc()
+    def _metric(self, name: str, *values: str) -> Any:
+        """The series ``name`` for these label values, created on first
+        use (label values are only known when an op arrives)."""
+        key = (name, *values)
+        series = self._series.get(key)
+        if series is None:
+            kind, label_names, help_text = self._SERIES[name]
+            labels = dict(zip(label_names, values, strict=True))
+            labels["backend"] = self._backend_label
+            series = getattr(self._registry, kind)(name, labels,
+                                                   help=help_text)
+            self._series[key] = series
+        return series
 
     # -- robustness plumbing -----------------------------------------------------------
 
@@ -373,25 +347,34 @@ class Controller:
         if self._crash_hook is not None:
             self._crash_hook(site, record)
 
-    def _die(self, op: _Op, exc: SimulatedCrash) -> None:
-        """The armed crash fired: the 'process' is dead.
+    def _die(self, queue: _OpQueue, op: _Op, rest: list[_Op],
+             exc: SimulatedCrash) -> None:
+        """The armed crash fired on ``op``: the 'process' is dead.
 
-        Reject the in-flight op (its client was never acknowledged) and
-        everything still queued, stop every worker, and abandon the WAL
-        exactly as it is on disk — recovery reads the file, not us.
+        Reject the op it hit, the ``rest`` of the batch drained with it
+        from ``queue``, and everything still queued anywhere — none was
+        acknowledged; a logged record among them may replay on recovery,
+        exactly like ops a real crash would have stranded.  Stop every
+        worker and abandon the WAL exactly as it is on disk — recovery
+        reads the file, not us.
         """
         self._closed = True
         self._crashed = True
+        self._metric("controller_ops_total", op.kind, "crash").inc()
         if not op.future.cancelled():
             op.future.set_exception(exc)
-        for queue in self._queues.values():
-            for pending in queue.clear_pending():
-                if not pending.future.cancelled():
-                    pending.future.set_exception(FaultError(
-                        "controller crashed before this op applied",
-                        component="controller", resource=pending.tenant,
-                    ))
-            queue.put_nowait(_SHUTDOWN)
+        never_acked = list(rest)
+        for _ in range(1 + len(rest)):
+            queue.task_done()
+        for other in self._queues.values():
+            never_acked.extend(other.clear_pending())
+            other.put_nowait(_SHUTDOWN)
+        for pending in never_acked:
+            if not pending.future.cancelled():
+                pending.future.set_exception(FaultError(
+                    "controller crashed before this op applied",
+                    component="controller", resource=pending.tenant,
+                ))
         if self._wal is not None:
             self._wal.close()
 
@@ -429,7 +412,7 @@ class Controller:
                         attempts=attempt, component="controller",
                         resource=op.tenant,
                     ) from exc
-                self._count_retry(op.kind)
+                self._metric("controller_retries_total", op.kind).inc()
                 await asyncio.sleep(policy.delay_s(attempt - 1))
 
     def _deadline_exc(self, op: _Op) -> DeadlineExceeded | None:
@@ -450,7 +433,7 @@ class Controller:
         )
 
     def _settle(self, queue: _OpQueue, op: _Op, *,
-                exc: "BaseException | None" = None,
+                exc: BaseException | None = None,
                 result: Any = None) -> None:
         """Resolve one op's future and account its outcome."""
         breaker = self._breaker_for(op.tenant)
@@ -473,38 +456,21 @@ class Controller:
                 self._update_degraded()
             if not op.future.cancelled():
                 op.future.set_result(result)
-        self._count_op(op.kind, outcome)
-        self._observe_latency(
-            op.kind, time.perf_counter_ns() - op.enqueued_ns
+        self._metric("controller_ops_total", op.kind, outcome).inc()
+        self._metric("controller_apply_ns", op.kind).observe(
+            time.perf_counter_ns() - op.enqueued_ns
         )
         queue.task_done()
 
-    def _die_group(self, queue: _OpQueue, op: _Op, rest: "list[_Op]",
-                   exc: SimulatedCrash) -> None:
-        """A crash fired mid-group: kill the controller, reject the op it
-        hit, and reject the rest of the drained batch (never acked; their
-        logged records may replay on recovery, exactly like queued ops a
-        real crash would have stranded)."""
-        self._count_op(op.kind, "crash")
-        self._die(op, exc)
-        queue.task_done()
-        for other in rest:
-            if not other.future.cancelled():
-                other.future.set_exception(FaultError(
-                    "controller crashed before this op applied",
-                    component="controller", resource=other.tenant,
-                ))
-            queue.task_done()
-
     async def _process_group(self, queue: _OpQueue,
-                             batch: "list[_Op]") -> bool:
+                             batch: list[_Op]) -> bool:
         """Group-commit one drained burst: log every op in a single WAL
         frame, then apply and acknowledge each in order.
 
         Returns ``False`` when a simulated crash killed the controller
         (the worker must exit).
         """
-        live: "list[_Op]" = []
+        live: list[_Op] = []
         for op in batch:
             late = self._deadline_exc(op)
             if late is not None:
@@ -525,14 +491,14 @@ class Controller:
                     )
                 except SimulatedCrash as exc:
                     hit = to_log[0]
-                    self._die_group(queue, hit,
-                                    [o for o in live if o is not hit], exc)
+                    self._die(queue, hit,
+                              [o for o in live if o is not hit], exc)
                     return False
                 except Exception as exc:  # noqa: BLE001 - relayed to callers
                     for op in live:
                         self._settle(queue, op, exc=exc)
                     return True
-                for op, rec in zip(to_log, logged):
+                for op, rec in zip(to_log, logged, strict=True):
                     op.record = rec
         for index, op in enumerate(live):
             record = op.record
@@ -550,7 +516,7 @@ class Controller:
                         self._applied_hwm[op.tenant] = record.op_id
                 self._crash("ctl.after_apply", record)
             except SimulatedCrash as exc:
-                self._die_group(queue, op, live[index + 1:], exc)
+                self._die(queue, op, live[index + 1:], exc)
                 return False
             except Exception as exc:  # noqa: BLE001 - relayed to the caller
                 self._settle(queue, op, exc=exc)
@@ -564,14 +530,14 @@ class Controller:
             if first is _SHUTDOWN:
                 return
             batch = [first, *queue.drain_ready(_GROUP_COMMIT_MAX - 1)]
-            self._set_depth(tenant, queue.qsize())
+            self._metric("controller_queue_depth", tenant).set(queue.qsize())
             if not await self._process_group(queue, batch):
                 return
 
     async def _submit(self, kind: str, tenant: str,
                       apply: Callable[[], Any], *,
                       admission: bool = False,
-                      log_args: "dict[str, Any] | None" = None,
+                      log_args: dict[str, Any] | None = None,
                       priority: int = _PRIO_TABLE) -> Any:
         if self._closed:
             raise ConfigurationError("controller is closed")
@@ -583,7 +549,7 @@ class Controller:
                 breaker.check()
             finally:
                 self._update_degraded()
-        future: "asyncio.Future[Any]" = (
+        future: asyncio.Future[Any] = (
             asyncio.get_running_loop().create_future()
         )
         op = _Op(kind=kind, tenant=tenant, apply=apply, future=future,
@@ -594,13 +560,13 @@ class Controller:
             victim = queue.displace_lowest(op.priority)
             if victim is None:
                 # Nothing queued is lower priority: shed the arrival.
-                self._count_shed(op.kind)
+                self._metric("controller_shed_total", op.kind).inc()
                 raise Overloaded(
                     f"tenant {tenant!r} control queue is full "
                     f"({self._queue_limit} ops): {kind} shed",
                     tenant=tenant, op=kind,
                 )
-            self._count_shed(victim.kind)
+            self._metric("controller_shed_total", victim.kind).inc()
             if not victim.future.cancelled():
                 victim.future.set_exception(Overloaded(
                     f"tenant {tenant!r} control queue is full "
@@ -609,7 +575,7 @@ class Controller:
                     tenant=tenant, op=victim.kind,
                 ))
         queue.put_nowait(op)
-        self._set_depth(tenant, queue.qsize())
+        self._metric("controller_queue_depth", tenant).set(queue.qsize())
         return await future
 
     # -- tenant lifecycle --------------------------------------------------------------
@@ -664,14 +630,14 @@ class Controller:
         write = TableWrite(name, resource_id, dict(metrics))
         return await self._submit(
             "update_resource", name, lambda: self._apply_write(write),
-            log_args={"resource_id": resource_id, "metrics": dict(metrics)},
+            log_args=write.to_dict(),
         )
 
     async def remove_resource(self, name: str, resource_id: int) -> None:
         write = TableWrite(name, resource_id, None)
         return await self._submit(
             "remove_resource", name, lambda: self._apply_write(write),
-            log_args={"resource_id": resource_id},
+            log_args=write.to_dict(),
         )
 
     async def write_batch(self, name: str,
@@ -694,12 +660,7 @@ class Controller:
 
         return await self._submit(
             "write_batch", name, apply,
-            log_args={"writes": [
-                {"resource_id": w.resource_id,
-                 "metrics": (None if w.metrics is None
-                             else dict(w.metrics))}
-                for w in batch
-            ]},
+            log_args={"writes": [write.to_dict() for write in batch]},
         )
 
     # -- serving (pass-through, ordered per tenant is not required) --------------------
@@ -773,7 +734,7 @@ class Controller:
 
     # -- durability --------------------------------------------------------------------
 
-    async def checkpoint(self, path: "str | pathlib.Path") -> SwitchCheckpoint:
+    async def checkpoint(self, path: str | pathlib.Path) -> SwitchCheckpoint:
         """Snapshot the whole switch to ``path`` and log the marker.
 
         Runs as an admission-serialized op, so the snapshot and the
@@ -820,7 +781,7 @@ class Controller:
             # last record is anything else witnesses an unclean death.
             self._wal.append("shutdown", _CTL)
 
-    async def __aenter__(self) -> "Controller":
+    async def __aenter__(self) -> Controller:
         return self
 
     async def __aexit__(self, *exc_info: object) -> None:

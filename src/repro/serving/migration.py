@@ -36,7 +36,7 @@ never "tenant lost".
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from collections.abc import Mapping
 
 from repro import obs
 from repro.analysis.symbolic import SemanticChange, semantic_diff

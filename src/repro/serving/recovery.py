@@ -7,10 +7,20 @@ backend from them:
 
 1. **sweep** — stale ``*.tmp`` files from interrupted atomic writes are
    removed (:func:`repro.serving._atomic.cleanup_stale_tmp`);
-2. **scan** — the WAL is read through :func:`repro.serving.wal.read_wal`;
-   a torn or corrupt tail is truncated at the first untrusted record and
-   counted (``wal_torn_records_total``).  A log whose last trusted record
-   is not a clean ``shutdown`` marker witnesses a crash, counted as
+2. **scan** — the WAL is read through :func:`repro.serving.wal.read_wal`,
+   frame by frame.  Every frame is a group of one or more records for
+   one tenant and is trusted whole or not at all: the first frame that
+   fails its length, checksum or structure ends the trusted prefix and
+   is counted (``wal_torn_records_total``).  A torn group loses all its
+   records, never some — safe, because the controller acknowledges a
+   group only after its frame is durable — and a durable group replays
+   whole, including ops whose client never saw the ack.  A file that
+   does not start with this build's ``v2`` magic is not read at all:
+   the report carries ``header_ok=False`` (and ``torn=1`` if the file is
+   non-empty), which tells it apart from a torn first frame; recovery
+   never rewrites the file, and :class:`~repro.serving.wal.WriteAheadLog`
+   refuses to open it.  A log whose last trusted record is not a clean
+   ``shutdown`` marker witnesses a crash, counted as
    ``faults_detected_total{kind="controller_crash"}`` — the detection
    half of the chaos harness's injected==detected parity ledger;
 3. **restore** — the newest ``checkpoint`` marker whose file still loads
@@ -19,13 +29,18 @@ backend from them:
 4. **replay** — every control record is dispatched to its registered
    handler in log order, *skipping* records at or below the tenant's
    high-water mark (already inside the checkpoint) — each op applies
-   exactly once across the crash boundary.
+   exactly once across the crash boundary.  Handlers see records, not
+   frames: how ops were grouped on disk does not reach them.
 
 Replay handlers are registered per op kind in :data:`REPLAY_HANDLERS`;
 the TH016 lint (:func:`repro.analysis.replay.verify_replay_coverage`)
 audits that every kind in
 :data:`~repro.serving.wal.CONTROL_OP_KINDS` has one, so a new controller
-op cannot ship without its recovery story.
+op cannot ship without its recovery story.  Handlers decode record args
+with the same codecs the controller encoded them with
+(:func:`~repro.serving.checkpoint.spec_from_dict`,
+:func:`~repro.serving.checkpoint.policy_from_dict`,
+:meth:`TableWrite.from_dict <repro.serving.backend.TableWrite.from_dict>`).
 
 Partially-applied multi-step ops resolve deterministically:
 
@@ -44,8 +59,9 @@ Partially-applied multi-step ops resolve deterministically:
 from __future__ import annotations
 
 import pathlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro import obs
 from repro.errors import ReproError, WalError
@@ -55,13 +71,9 @@ from repro.serving.checkpoint import (
     SwitchCheckpoint,
     load_checkpoint,
     policy_from_dict,
-)
-from repro.serving.wal import (
-    CONTROL_OP_KINDS,
-    WalRecord,
-    read_wal,
     spec_from_dict,
 )
+from repro.serving.wal import CONTROL_OP_KINDS, WalRecord, read_wal
 
 __all__ = [
     "REPLAY_HANDLERS",
@@ -122,38 +134,16 @@ def _replay_hot_swap(ctx: RecoveryContext, record: WalRecord) -> None:
 
 
 @replay_handler("update_resource")
-def _replay_update_resource(ctx: RecoveryContext, record: WalRecord) -> None:
+@replay_handler("remove_resource")
+@replay_handler("write_batch")
+def _replay_table_writes(ctx: RecoveryContext, record: WalRecord) -> None:
     if record.tenant in ctx.moved:
         return  # applied in the destination's failure domain, not ours
-    ctx.backend.write_batch([
-        TableWrite(record.tenant, int(record.args["resource_id"]),
-                   {str(k): int(v)
-                    for k, v in record.args["metrics"].items()}),
-    ])
-
-
-@replay_handler("remove_resource")
-def _replay_remove_resource(ctx: RecoveryContext, record: WalRecord) -> None:
-    if record.tenant in ctx.moved:
-        return
-    ctx.backend.write_batch([
-        TableWrite(record.tenant, int(record.args["resource_id"]), None),
-    ])
-
-
-@replay_handler("write_batch")
-def _replay_write_batch(ctx: RecoveryContext, record: WalRecord) -> None:
-    if record.tenant in ctx.moved:
-        return
-    ctx.backend.write_batch([
-        TableWrite(
-            record.tenant,
-            int(raw["resource_id"]),
-            (None if raw["metrics"] is None
-             else {str(k): int(v) for k, v in raw["metrics"].items()}),
-        )
-        for raw in record.args["writes"]
-    ])
+    docs = (record.args["writes"] if record.kind == "write_batch"
+            else [record.args])
+    ctx.backend.write_batch(
+        [TableWrite.from_dict(record.tenant, doc) for doc in docs]
+    )
 
 
 @replay_handler("begin_migration")
@@ -187,6 +177,10 @@ class RecoveryReport:
     replayed: int = 0
     skipped: int = 0
     torn: int = 0
+    #: False when the file is missing or does not start with this
+    #: build's WAL magic: nothing in it was read (``torn`` is then 1 for
+    #: a non-empty file).  True with ``torn == 1`` is a torn frame.
+    header_ok: bool = True
     unclean: bool = False
     checkpoint_path: str | None = None
     restored_tenants: int = 0
@@ -197,6 +191,7 @@ class RecoveryReport:
             "replayed": self.replayed,
             "skipped": self.skipped,
             "torn": self.torn,
+            "header_ok": self.header_ok,
             "unclean": self.unclean,
             "checkpoint_path": self.checkpoint_path,
             "restored_tenants": self.restored_tenants,
@@ -205,8 +200,8 @@ class RecoveryReport:
 
 
 def _pick_checkpoint(
-    records: "tuple[WalRecord, ...]", wal_dir: pathlib.Path
-) -> "tuple[SwitchCheckpoint | None, str | None, dict[str, int]]":
+    records: tuple[WalRecord, ...], wal_dir: pathlib.Path
+) -> tuple[SwitchCheckpoint | None, str | None, dict[str, int]]:
     """The newest checkpoint marker whose file still loads cleanly."""
     for record in reversed(records):
         if record.kind != "checkpoint":
@@ -224,8 +219,8 @@ def _pick_checkpoint(
 
 
 def recover(
-    wal_path: "str | pathlib.Path",
-    backend_factory: "Callable[[SwitchCheckpoint | None], SwitchBackend]",
+    wal_path: str | pathlib.Path,
+    backend_factory: Callable[[SwitchCheckpoint | None], SwitchBackend],
 ) -> RecoveryReport:
     """Rebuild a backend from disk: checkpoint restore + WAL-suffix replay.
 
@@ -253,7 +248,8 @@ def recover(
                                                   wal_path.parent)
     backend = backend_factory(checkpoint)
     report = RecoveryReport(backend=backend, torn=scan.torn,
-                            unclean=unclean, checkpoint_path=ckpt_path)
+                            header_ok=scan.header_ok, unclean=unclean,
+                            checkpoint_path=ckpt_path)
     ctx = RecoveryContext(backend=backend)
     if checkpoint is not None:
         for tenant_ckpt in checkpoint.tenants:

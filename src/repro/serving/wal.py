@@ -9,31 +9,35 @@ yet acknowledged; everything acknowledged is on disk and is replayed by
 
 On-disk format (binary, append-only)::
 
-    header:  b"thanos-wal\\x00v1\\n"                     (14 bytes)
-    record:  u32 big-endian payload length
-             payload (canonical JSON bytes, sorted keys)
+    header:  b"thanos-wal\\x00v2\\n"                     (14 bytes)
+    frame:   u32 big-endian payload length
+             payload (compact JSON, sorted keys)
              8-byte checksum (SHA-256 prefix of the payload)
 
-A frame's payload is either one JSON object ``{"op": <id>, "kind":
-..., "tenant": ..., "args": {...}}`` or a *group-commit frame* ``{"grp":
-<first op id>, "tenant": ..., "kinds": [...], "args": [...]}`` — ops the
-controller drained from one tenant's queue in one batch, made durable
-with a single encode, write, and flush
-(:meth:`WriteAheadLog.append_group`).  The group form exploits two
-invariants of a queue drain — one tenant per group, consecutive op-ids —
-so the burst shares one envelope instead of repeating it per record,
-which is what keeps the encode (the dominant cost of an append) cheap
-per op.  The payload is a sorted compact dump; unlike the checkpoint
-checksum it needs no key normalization, because the frame checksum
-covers the payload bytes exactly as written and the reader hashes what
-it reads back, never a re-encode.  A frame is trusted only when its
-length fits the file, its checksum matches, and every record in its
-payload validates structurally; the *first* untrusted frame truncates
-the log — everything after a torn write is discarded and the truncation
-is counted exactly once as ``wal_torn_records_total``.  A torn group
-frame drops the whole group: none of its ops were acknowledged (the
-controller acks only after the frame is durable), so truncating all of
-them loses nothing a client was promised.
+There is one frame shape and one code path that writes it
+(:meth:`WriteAheadLog.append_group`; :meth:`WriteAheadLog.append` is its
+one-entry call).  A frame is a *group* of one or more records that share
+a tenant and carry consecutive op-ids::
+
+    {"grp": <first op id>, "tenant": ..., "kinds": [...], "args": [...]}
+
+Record ``i`` of the frame is ``(grp + i, kinds[i], tenant, args[i])``.
+The controller drains one tenant's queue per wakeup and logs the burst
+as one frame — one encode, one write, one flush — so the envelope and
+the flush amortize over the burst; a lone op is simply a group of one.
+A burst that names two tenants is a caller bug and is refused
+(:class:`~repro.errors.WalError`) before anything is written.
+
+The checksum covers the payload bytes exactly as written and the reader
+hashes what it reads back, never a re-encode, so (unlike the checkpoint
+checksum) no key normalization is needed.  A frame is trusted only when
+its length fits the file, its checksum matches, and its payload
+validates structurally; the *first* untrusted frame ends the trusted
+prefix — everything from it on is discarded and the truncation is
+counted exactly once as ``wal_torn_records_total``.  A torn frame loses
+*every* record in it, and that is safe: the controller acknowledges a
+group's ops only after the whole frame is durable, so no client was ever
+promised any of them.
 
 Two marker kinds ride in the same log next to the control ops:
 
@@ -45,7 +49,16 @@ Two marker kinds ride in the same log next to the control ops:
   is anything else witnesses a crash (what recovery counts as
   ``faults_detected_total{kind="controller_crash"}``).
 
-Durability model: ``sync="flush"`` (the default) flushes each record to
+Opening: a missing or zero-length file is initialised with the header; a
+file that starts with this build's magic is continued (torn tail cut
+off, op-ids resumed).  Any *other* non-empty file — a foreign file, a
+``v1`` log, a log with a damaged header — is refused with
+:class:`~repro.errors.WalError` and left byte-for-byte untouched: it may
+hold acknowledged ops, and overwriting it would destroy them.  The
+magic's trailing ``v2`` is the format version; ``v1`` had a second,
+single-record payload shape that this build neither writes nor reads.
+
+Durability model: ``sync="flush"`` (the default) flushes each frame to
 the OS before the append returns — durable across *process* crash, the
 fault class the chaos harness injects.  ``sync="fsync"`` additionally
 fsyncs for power-loss durability; ``sync="none"`` leaves buffering to
@@ -59,13 +72,12 @@ import json
 import os
 import pathlib
 import struct
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from repro import obs
 from repro.errors import ConfigurationError, WalError
-from repro.serving.checkpoint import policy_from_dict, policy_to_dict
-from repro.tenancy.manager import TenantSpec
 
 __all__ = [
     "WAL_MAGIC",
@@ -76,19 +88,17 @@ __all__ = [
     "WalReadResult",
     "WriteAheadLog",
     "read_wal",
-    "spec_to_dict",
-    "spec_from_dict",
 ]
 
-#: File header; the trailing ``v1`` is the format version — bump on any
+#: File header; the trailing ``v2`` is the format version — bump on any
 #: incompatible frame or payload change.
-WAL_MAGIC = b"thanos-wal\x00v1\n"
+WAL_MAGIC = b"thanos-wal\x00v2\n"
 
 _LEN = struct.Struct(">I")
-#: Bytes of the SHA-256 digest stored per record.
+#: Bytes of the SHA-256 digest stored per frame.
 _CHECKSUM_BYTES = 8
-#: Defensive bound: no single control-op payload is anywhere near this.
-_MAX_RECORD_BYTES = 16 * 1024 * 1024
+#: Defensive bound: no frame of control-op payloads is anywhere near this.
+_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Every control-op kind the controller logs.  Recovery must hold a
 #: replay handler for each — the TH016 lint audits exactly this tuple
@@ -113,48 +123,6 @@ OP_KINDS = CONTROL_OP_KINDS + MARKER_KINDS
 _OP_KIND_SET = frozenset(OP_KINDS)
 
 
-# -- spec (de)serialization ------------------------------------------------------------
-
-
-def spec_to_dict(spec: TenantSpec) -> dict[str, Any]:
-    """Serialize an admission spec (policy DAG included) for a WAL record."""
-    return {
-        "name": spec.name,
-        "policy": policy_to_dict(spec.policy),
-        "smbm_quota": spec.smbm_quota,
-        "columns": spec.columns,
-        "cell_quota": spec.cell_quota,
-        "lfsr_seed": spec.lfsr_seed,
-        "memoize": spec.memoize,
-        "self_healing": spec.self_healing,
-        "sanitize": spec.sanitize,
-        "codegen": spec.codegen,
-    }
-
-
-def spec_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
-    """Rebuild an admission spec from :func:`spec_to_dict` output."""
-    try:
-        return TenantSpec(
-            name=str(raw["name"]),
-            policy=policy_from_dict(raw["policy"]),
-            smbm_quota=int(raw["smbm_quota"]),
-            columns=int(raw["columns"]),
-            cell_quota=(None if raw["cell_quota"] is None
-                        else int(raw["cell_quota"])),
-            lfsr_seed=int(raw["lfsr_seed"]),
-            memoize=bool(raw["memoize"]),
-            self_healing=bool(raw["self_healing"]),
-            sanitize=bool(raw["sanitize"]),
-            codegen=bool(raw["codegen"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WalError(f"malformed tenant spec document: {exc!r}") from None
-
-
-# -- records ---------------------------------------------------------------------------
-
-
 class WalRecord(NamedTuple):
     """One logged op: monotonic id, kind, owning tenant, JSON-safe args.
 
@@ -168,28 +136,12 @@ class WalRecord(NamedTuple):
     tenant: str
     args: dict[str, Any]
 
-    def payload(self) -> dict[str, Any]:
-        return {"op": self.op_id, "kind": self.kind, "tenant": self.tenant,
-                "args": self.args}
 
-    @classmethod
-    def from_payload(cls, raw: Any) -> "WalRecord":
-        if (not isinstance(raw, dict)
-                or not isinstance(raw.get("op"), int)
-                or not isinstance(raw.get("kind"), str)
-                or not isinstance(raw.get("tenant"), str)
-                or not isinstance(raw.get("args"), dict)):
-            raise WalError(f"structurally invalid WAL record: {raw!r}")
-        return cls(op_id=raw["op"], kind=raw["kind"], tenant=raw["tenant"],
-                   args=raw["args"])
-
-
-def _expand_group(doc: dict[str, Any]) -> list[WalRecord]:
-    """Unpack a group-commit frame into its records (all or none).
-
-    A group shares one tenant and consecutive op-ids starting at
-    ``grp``, so each record carries only its kind and args.
-    """
+def _decode_frame(payload: bytes) -> list[WalRecord]:
+    """Unpack one frame's payload into its records (all or none)."""
+    doc = json.loads(payload.decode())
+    if not isinstance(doc, dict):
+        raise WalError(f"structurally invalid WAL frame: {doc!r}")
     first = doc.get("grp")
     tenant = doc.get("tenant")
     kinds = doc.get("kinds")
@@ -199,7 +151,7 @@ def _expand_group(doc: dict[str, Any]) -> list[WalRecord]:
             or not kinds or len(kinds) != len(argses)
             or not all(isinstance(k, str) for k in kinds)
             or not all(isinstance(a, dict) for a in argses)):
-        raise WalError(f"structurally invalid WAL group frame: {doc!r}")
+        raise WalError(f"structurally invalid WAL frame: {doc!r}")
     return [WalRecord(first + i, kinds[i], tenant, argses[i])
             for i in range(len(kinds))]
 
@@ -208,10 +160,12 @@ def _expand_group(doc: dict[str, Any]) -> list[WalRecord]:
 class WalReadResult:
     """One pass over a log file: the trusted prefix plus tail forensics.
 
-    ``torn`` is 1 when a torn or corrupt record cut the scan short (and
+    ``torn`` is 1 when a torn or corrupt frame cut the scan short (and
     was counted as ``wal_torn_records_total``), 0 for a log that ends on
-    a record boundary.  ``valid_bytes`` is the byte length of the trusted
-    prefix — what recovery truncates the file back to before appending.
+    a frame boundary.  ``valid_bytes`` is the byte length of the trusted
+    prefix — what reopening the log truncates the file back to.
+    ``header_ok`` is False when the file is missing or does not start
+    with :data:`WAL_MAGIC` (nothing in it was read).
     """
 
     records: tuple[WalRecord, ...]
@@ -222,29 +176,21 @@ class WalReadResult:
 
 #: One preconstructed encoder: ``json.dumps`` rebuilds its encoder per
 #: call, which costs more than the encoding itself on the append path.
+#: A plain sorted dump, not ``canonical_bytes``: json stringifies any int
+#: dict key at write time and the reader hashes the bytes it reads, so
+#: writer and reader agree without the normalization pass.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _encode_record(record: WalRecord) -> bytes:
-    # Plain sorted dump, not canonical_bytes: the checksum covers the
-    # frame bytes exactly as written (the reader hashes what it reads
-    # back, never a re-encode), and json stringifies any int dict key at
-    # write time, so writer and reader agree without the normalization
-    # pass — which would otherwise dominate the append hot path.
-    payload = _ENCODE(record.payload()).encode()
-    checksum = hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
-    return _LEN.pack(len(payload)) + payload + checksum
-
-
-def read_wal(path: "str | pathlib.Path") -> WalReadResult:
+def read_wal(path: str | pathlib.Path) -> WalReadResult:
     """Scan a log, returning the trusted prefix and truncating nothing.
 
-    Never raises on torn or corrupt bytes: the first record that fails
+    Never raises on torn or corrupt bytes: the first frame that fails
     its length bound, checksum, JSON decode, or structural validation
     ends the trusted prefix, increments ``wal_torn_records_total`` once,
     and everything after it is ignored.  A missing file or an invalid
-    header reads as an empty log (``header_ok=False`` distinguishes the
-    header case so recovery can report it).
+    header reads as an empty log (``header_ok=False``; a non-empty file
+    with a bad header also counts as torn).
     """
     path = pathlib.Path(path)
     try:
@@ -274,7 +220,7 @@ def read_wal(path: "str | pathlib.Path") -> WalReadResult:
             break
         (length,) = _LEN.unpack_from(blob, offset)
         offset += _LEN.size
-        if length > _MAX_RECORD_BYTES or offset + length + _CHECKSUM_BYTES > len(blob):
+        if length > _MAX_FRAME_BYTES or offset + length + _CHECKSUM_BYTES > len(blob):
             torn = 1
             break
         payload = blob[offset:offset + length]
@@ -285,18 +231,13 @@ def read_wal(path: "str | pathlib.Path") -> WalReadResult:
             torn = 1
             break
         try:
-            doc = json.loads(payload.decode())
-            if isinstance(doc, dict) and "grp" in doc:
-                frame_records = _expand_group(doc)
-            else:
-                frame_records = [WalRecord.from_payload(doc)]
+            records.extend(_decode_frame(payload))
         except (WalError, UnicodeDecodeError, json.JSONDecodeError):
             # A structurally-bad payload behind a good checksum is next
-            # to impossible from bit rot; treat it like a torn record so
+            # to impossible from bit rot; treat it like a torn frame so
             # recovery stays total either way.
             torn = 1
             break
-        records.extend(frame_records)
         valid = offset
     if torn:
         _torn()
@@ -307,15 +248,19 @@ class WriteAheadLog:
     """Append-only op log with crash-point hooks for the chaos harness.
 
     ``crash_hook(site, record)`` — when set (by the fault injector) — is
-    invoked at three sites per append: ``wal.before_append`` (nothing
-    durable yet), ``wal.torn_append`` (a crash here leaves *half* the
-    frame on disk — the torn-tail generator), and ``wal.after_append``
-    (the record is durable but unapplied).  A hook that raises aborts the
-    append exactly as a process death at that point would.
+    invoked at three sites per *frame*, on the same path every frame
+    takes: ``wal.before_append`` (nothing durable yet),
+    ``wal.torn_append`` (a crash here leaves *half* the frame on disk —
+    the torn-tail generator), and ``wal.after_append`` (every record in
+    the frame is durable, none applied).  Arming a hook never changes the
+    bytes written.  ``record`` is the frame's *first* record: its
+    ``op_id`` is the frame's ``grp``, which is how a fault ledger names
+    the frame it killed.  A hook that raises aborts the append exactly as
+    a process death at that point would.
     """
 
-    def __init__(self, path: "str | pathlib.Path", *, sync: str = "flush",
-                 crash_hook: "Callable[[str, WalRecord], None] | None" = None):
+    def __init__(self, path: str | pathlib.Path, *, sync: str = "flush",
+                 crash_hook: Callable[[str, WalRecord], None] | None = None):
         if sync not in ("none", "flush", "fsync"):
             raise ConfigurationError(
                 f"sync must be none|flush|fsync, got {sync!r}"
@@ -342,23 +287,33 @@ class WriteAheadLog:
             help="fsync barriers issued by the write-ahead log",
         )
         existing = read_wal(self.path)
-        if self.path.exists() and existing.header_ok:
+        if existing.header_ok:
             # Continue an existing log: drop any torn tail, then append.
             with open(self.path, "r+b") as fh:
-                fh.truncate(max(existing.valid_bytes, len(WAL_MAGIC)))
+                fh.truncate(existing.valid_bytes)
             self._next_op = (max(r.op_id for r in existing.records) + 1
                              if existing.records else 0)
             self._file = open(self.path, "ab")
+        elif existing.torn:
+            # Non-empty, but not our header.  Not ours to overwrite: it
+            # may be an older-format log full of acknowledged ops, or
+            # somebody else's file entirely.
+            raise WalError(
+                f"refusing to overwrite a non-empty file that does not "
+                f"start with this build's WAL header {WAL_MAGIC!r}",
+                path=str(self.path),
+            )
         else:
             self._next_op = 0
             self._file = open(self.path, "wb")
             self._file.write(WAL_MAGIC)
-            self._flush()
+            self._sync()
         self._closed = False
 
-    # -- internals ---------------------------------------------------------------------
-
-    def _flush(self) -> None:
+    def _sync(self) -> None:
+        """Apply the durability mode to everything written so far."""
+        if self.sync == "none":
+            return
         self._file.flush()
         if self.sync == "fsync":
             os.fsync(self._file.fileno())
@@ -372,26 +327,52 @@ class WriteAheadLog:
 
     def append(self, kind: str, tenant: str,
                args: Mapping[str, Any] | None = None) -> WalRecord:
-        """Assign the next op-id, frame the record, make it durable.
+        """Log one op: a group of one."""
+        return self.append_group([(kind, tenant, args)])[0]
 
-        This sits on every control op's latency path (append *before*
-        apply), so the body stays flat: one cached-encoder dump, one
-        digest, one buffered write, one flush.
+    def append_group(
+        self, entries: Sequence[tuple[str, str, Mapping[str, Any] | None]],
+    ) -> list[WalRecord]:
+        """Assign op-ids, frame the burst, make it durable.
+
+        ``entries`` is ``[(kind, tenant, args), ...]`` in apply order, all
+        for one tenant (the controller drains per-tenant queues, so this
+        is free).  Every op gets its own consecutive op-id; the burst
+        shares a single envelope, JSON encode, checksum, write, and flush
+        — the per-frame costs that dominate a one-op append amortize
+        across the group.  This sits on every control op's latency path
+        (append *before* apply), so the body stays flat.
         """
+        if not entries:
+            return []
         if self._closed:
             raise WalError("write-ahead log is closed", path=str(self.path))
-        if kind not in _OP_KIND_SET:
-            raise WalError(f"unknown WAL op kind {kind!r}",
-                           path=str(self.path))
-        record = WalRecord(self._next_op, kind, tenant,
-                           dict(args) if args else {})
-        frame = _encode_record(record)
+        tenant = entries[0][1]
+        kinds: list[str] = []
+        argses: list[dict[str, Any]] = []
+        for kind, owner, args in entries:
+            if kind not in _OP_KIND_SET:
+                raise WalError(f"unknown WAL op kind {kind!r}",
+                               path=str(self.path))
+            if owner != tenant:
+                raise WalError(
+                    f"one WAL frame holds one tenant's ops, got both "
+                    f"{tenant!r} and {owner!r}", path=str(self.path))
+            kinds.append(kind)
+            argses.append(dict(args) if args else {})
+        first = self._next_op
+        records = [WalRecord(first + i, kinds[i], tenant, argses[i])
+                   for i in range(len(kinds))]
+        payload = _ENCODE({"grp": first, "tenant": tenant,
+                           "kinds": kinds, "args": argses}).encode()
+        checksum = hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
+        frame = _LEN.pack(len(payload)) + payload + checksum
         file = self._file
         hook = self.crash_hook
         if hook is not None:
-            hook("wal.before_append", record)
+            hook("wal.before_append", records[0])
             try:
-                hook("wal.torn_append", record)
+                hook("wal.torn_append", records[0])
             except BaseException:
                 # Simulated mid-write death: half the frame reaches the
                 # disk before the process dies — the torn tail recovery
@@ -400,73 +381,13 @@ class WriteAheadLog:
                 file.flush()
                 raise
         file.write(frame)
-        if self.sync == "flush":
-            file.flush()
-        elif self.sync == "fsync":
-            file.flush()
-            os.fsync(file.fileno())
-            self._obs_fsync.inc()
-        self._next_op += 1
-        self._obs_appends.inc()
-        self._obs_frames.inc()
-        self._obs_bytes.inc(len(frame))
-        if hook is not None:
-            hook("wal.after_append", record)
-        return record
-
-    def append_group(
-        self, entries: "Sequence[tuple[str, str, Mapping[str, Any] | None]]",
-    ) -> list[WalRecord]:
-        """Append a burst of ops as one group-commit frame.
-
-        ``entries`` is ``[(kind, tenant, args), ...]`` in apply order;
-        every op gets its own consecutive op-id, but the burst shares a
-        single envelope, JSON encode, checksum, write, and flush — the
-        per-record costs that dominate a one-op append amortize across
-        the group, which is what keeps WAL overhead on a pipelined
-        control stream low.  The group frame requires one tenant across
-        the burst (the controller drains per-tenant queues, so this is
-        free); a mixed-tenant burst, a single entry, or any append while
-        a crash hook is armed falls back to plain per-record
-        :meth:`append` frames — byte-identical to unbatched appends,
-        preserving the chaos harness's per-record crash-site semantics.
-        """
-        if not entries:
-            return []
-        tenant0 = entries[0][1]
-        if (len(entries) == 1 or self.crash_hook is not None
-                or any(tenant != tenant0 for _, tenant, _ in entries)):
-            return [self.append(kind, tenant, args)
-                    for kind, tenant, args in entries]
-        if self._closed:
-            raise WalError("write-ahead log is closed", path=str(self.path))
-        kinds: list[str] = []
-        argses: list[dict[str, Any]] = []
-        for kind, _tenant, args in entries:
-            if kind not in _OP_KIND_SET:
-                raise WalError(f"unknown WAL op kind {kind!r}",
-                               path=str(self.path))
-            kinds.append(kind)
-            argses.append(dict(args) if args else {})
-        first = self._next_op
-        records = [WalRecord(first + i, kinds[i], tenant0, argses[i])
-                   for i in range(len(kinds))]
-        payload = _ENCODE({"grp": first, "tenant": tenant0,
-                           "kinds": kinds, "args": argses}).encode()
-        checksum = hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
-        frame = _LEN.pack(len(payload)) + payload + checksum
-        file = self._file
-        file.write(frame)
-        if self.sync == "flush":
-            file.flush()
-        elif self.sync == "fsync":
-            file.flush()
-            os.fsync(file.fileno())
-            self._obs_fsync.inc()
+        self._sync()
         self._next_op += len(records)
         self._obs_appends.inc(len(records))
         self._obs_frames.inc()
         self._obs_bytes.inc(len(frame))
+        if hook is not None:
+            hook("wal.after_append", records[0])
         return records
 
     def close(self) -> None:
@@ -475,7 +396,7 @@ class WriteAheadLog:
             self._file.flush()
             self._file.close()
 
-    def __enter__(self) -> "WriteAheadLog":
+    def __enter__(self) -> WriteAheadLog:
         return self
 
     def __exit__(self, *exc_info: object) -> None:

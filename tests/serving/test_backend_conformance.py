@@ -10,6 +10,8 @@ backends TH015-clean.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import obs
@@ -272,8 +274,7 @@ def test_th015_flags_post_restore_divergence():
 def test_failed_restore_leaves_no_half_tenant():
     source = _make_backend(ScalarBackend)
     ckpt = source.snapshot_tenant("a")
-    broken = ckpt.__class__(**{**ckpt.payload(),
-                               "smbm_state": {"capacity": 99}})
+    broken = dataclasses.replace(ckpt, smbm_state={"capacity": 99})
     dest = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
     with pytest.raises(Exception):
         dest.restore_tenant(broken)

@@ -421,16 +421,14 @@ def test_write_batch_still_validates_tenant_ownership():
 def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
     """A gathered burst on one tenant drains as group-commit frames:
     far fewer WAL frames than records, and the log still replays to the
-    exact live state."""
+    exact live state.  Arming a crash hook changes none of it: the
+    hooked run writes the same bytes, not one frame per op."""
     from repro.serving import WriteAheadLog, canonical_bytes, recover
 
-    registry = obs.MetricsRegistry()
-    wal_path = tmp_path / "ctl.wal"
-
-    async def scenario() -> ScalarBackend:
+    async def scenario(wal_path, hook) -> ScalarBackend:
         backend = _backend()
-        wal = WriteAheadLog(wal_path, sync="flush")
-        async with Controller(backend, wal=wal) as ctl:
+        wal = WriteAheadLog(wal_path, sync="flush", crash_hook=hook)
+        async with Controller(backend, wal=wal, crash_hook=hook) as ctl:
             await ctl.add_tenant(_spec("a"))
             for _ in range(4):
                 await asyncio.gather(*(
@@ -439,14 +437,21 @@ def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
                 ))
         return backend
 
-    with obs.use_registry(registry):
-        live = asyncio.run(scenario())
-        appends = registry.value_of("wal_appends_total")
-        frames = registry.value_of("wal_frames_total")
-        # 1 admit + 64 updates + 1 shutdown marker, in far fewer frames.
-        assert appends == 66
-        assert frames <= 2 + 2 * 4  # admit, shutdown, bursts (+wakeup splits)
-        report = recover(wal_path, lambda _ckpt: _backend())
-        assert not report.unclean and report.errors == []
-        assert (canonical_bytes(report.backend.snapshot().payload())
-                == canonical_bytes(live.snapshot().payload()))
+    logs = []
+    for name, hook in (("plain", None),
+                       ("armed", lambda site, record=None: None)):
+        registry = obs.MetricsRegistry()
+        wal_path = tmp_path / f"{name}.wal"
+        with obs.use_registry(registry):
+            live = asyncio.run(scenario(wal_path, hook))
+            appends = registry.value_of("wal_appends_total")
+            frames = registry.value_of("wal_frames_total")
+            # 1 admit + 64 updates + 1 shutdown marker, in far fewer frames.
+            assert appends == 66
+            assert frames <= 2 + 2 * 4  # admit, shutdown, bursts (+splits)
+            report = recover(wal_path, lambda _ckpt: _backend())
+            assert not report.unclean and report.errors == []
+            assert (canonical_bytes(report.backend.snapshot().payload())
+                    == canonical_bytes(live.snapshot().payload()))
+        logs.append(wal_path.read_bytes())
+    assert logs[0] == logs[1]

@@ -8,12 +8,23 @@ record, and counts each torn tail exactly once.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
-from repro.errors import ConfigurationError, WalError
+from repro.errors import CheckpointError, ConfigurationError, WalError
+from repro.serving.backend import ScalarBackend
+from repro.serving.checkpoint import (
+    load_checkpoint,
+    policy_to_dict,
+    save_checkpoint,
+    spec_from_dict,
+    spec_to_dict,
+)
 from repro.serving.wal import (
     CONTROL_OP_KINDS,
     MARKER_KINDS,
@@ -22,10 +33,11 @@ from repro.serving.wal import (
     WalRecord,
     WriteAheadLog,
     read_wal,
-    spec_from_dict,
-    spec_to_dict,
 )
-from repro.tenancy.manager import TenantSpec
+from repro.tenancy.manager import TenantManager, TenantSpec
+
+
+METRICS = ("cpu", "mem")
 
 
 def _policy(kind: str = "min") -> Policy:
@@ -106,21 +118,91 @@ def test_missing_file_and_foreign_header_read_as_empty(tmp_path):
     assert result.records == () and result.torn == 1 and not result.header_ok
 
 
-def test_spec_roundtrip_through_wal_args():
-    spec = TenantSpec(name="alpha", policy=_policy("pred"), smbm_quota=8,
-                      columns=2, cell_quota=3, lfsr_seed=11, memoize=True,
-                      self_healing=True, sanitize=True, codegen=False)
-    rebuilt = spec_from_dict(spec_to_dict(spec))
-    # Policy node-ids are globally allocated, so compare the canonical
-    # serialized forms (what the WAL and replay actually exchange).
-    assert spec_to_dict(rebuilt) == spec_to_dict(spec)
-    assert (rebuilt.name, rebuilt.smbm_quota, rebuilt.columns,
-            rebuilt.cell_quota, rebuilt.lfsr_seed, rebuilt.memoize,
-            rebuilt.self_healing, rebuilt.sanitize, rebuilt.codegen) == (
-        spec.name, spec.smbm_quota, spec.columns, spec.cell_quota,
-        spec.lfsr_seed, spec.memoize, spec.self_healing, spec.sanitize,
-        spec.codegen)
-    with pytest.raises(WalError):
+def _not_our_log(kind: str, path) -> bytes:
+    """A non-empty file that does not start with this build's magic."""
+    if kind == "foreign":
+        blob = b"# notes.txt\nnot a wal at all, definitely longer than magic\n"
+    else:
+        _write_log(path, 3)  # three acknowledged ops
+        blob = path.read_bytes()
+        if kind == "old_magic":
+            blob = WAL_MAGIC.replace(b"v2", b"v1") + blob[len(WAL_MAGIC):]
+        else:  # one flipped header byte
+            blob = bytes([blob[0] ^ 0x01]) + blob[1:]
+    path.write_bytes(blob)
+    return blob
+
+
+@pytest.mark.parametrize("kind", ["foreign", "old_magic", "flipped_header"])
+def test_open_refuses_to_overwrite_a_file_it_cannot_read(tmp_path, kind):
+    """Regression: these used to be opened "wb" and silently replaced by
+    a fresh header — for the old-magic and flipped-byte logs that threw
+    away every acknowledged op in them."""
+    path = tmp_path / "ops.wal"
+    blob = _not_our_log(kind, path)
+    with pytest.raises(WalError) as raised:
+        WriteAheadLog(path)
+    assert raised.value.path == str(path)
+    assert path.read_bytes() == blob
+
+
+def test_open_initialises_a_missing_or_empty_file(tmp_path):
+    for path in (tmp_path / "missing.wal", tmp_path / "empty.wal"):
+        if path.name == "empty.wal":
+            path.write_bytes(b"")
+        with WriteAheadLog(path) as wal:
+            assert wal.next_op_id == 0
+            wal.append("remove_tenant", "t")
+        assert path.read_bytes().startswith(WAL_MAGIC)
+        assert len(read_wal(path).records) == 1
+
+
+def _spec_fields(spec: TenantSpec) -> dict:
+    """Every dataclass field by name; the policy as its document (node
+    ids are globally allocated, so policies compare by serialized form)."""
+    out = {f.name: getattr(spec, f.name)
+           for f in dataclasses.fields(TenantSpec)}
+    out["policy"] = policy_to_dict(spec.policy)
+    return out
+
+
+def test_every_spec_field_survives_wal_and_checkpoint_roundtrip(tmp_path):
+    """Walks ``dataclasses.fields(TenantSpec)``, so a field added to the
+    spec cannot be dropped by either persisted form: the WAL's
+    ``add_tenant`` document, or snapshot -> save/load -> restore."""
+    # codegen and self_healing exclude each other at admission, so two
+    # specs between them move every defaulted field off its default.
+    specs = [
+        TenantSpec(name="alpha", policy=_policy("pred"), smbm_quota=6,
+                   columns=2, cell_quota=5, lfsr_seed=11, memoize=False,
+                   self_healing=True, sanitize=True),
+        TenantSpec(name="beta", policy=_policy("min"), smbm_quota=5,
+                   columns=2, lfsr_seed=7, codegen=True),
+    ]
+    for field in dataclasses.fields(TenantSpec):
+        if field.default is not dataclasses.MISSING:
+            assert any(getattr(spec, field.name) != field.default
+                       for spec in specs), (
+                f"give TenantSpec.{field.name} a non-default value here")
+
+    for spec in specs:
+        wal_path = tmp_path / f"{spec.name}.wal"
+        with WriteAheadLog(wal_path) as wal:
+            wal.append("add_tenant", spec.name, {"spec": spec_to_dict(spec)})
+        (record,) = read_wal(wal_path).records
+        assert (_spec_fields(spec_from_dict(record.args["spec"]))
+                == _spec_fields(spec))
+
+        source = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+        source.program_tenant(spec)
+        saved = save_checkpoint(tmp_path / f"{spec.name}.json",
+                                source.snapshot())
+        dest = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+        (ckpt,) = load_checkpoint(saved).tenants
+        assert _spec_fields(dest.restore_tenant(ckpt).spec) == _spec_fields(
+            spec)
+
+    with pytest.raises(CheckpointError):
         spec_from_dict({"name": "broken"})
 
 
@@ -158,7 +240,7 @@ def test_group_append_roundtrip_and_frame_accounting(tmp_path):
             ])
             last = wal.append("remove_tenant", "a")
         assert registry.value_of("wal_appends_total") == 6
-        # 4 records shared one frame: plain, group, plain.
+        # Three frames of 1, 4 and 1 records.
         assert registry.value_of("wal_frames_total") == 3
     assert [r.op_id for r in group] == [1, 2, 3, 4]
     result = read_wal(path)
@@ -168,27 +250,52 @@ def test_group_append_roundtrip_and_frame_accounting(tmp_path):
 
 
 def test_single_entry_group_is_byte_identical_to_plain_append(tmp_path):
+    """``append`` is ``append_group([one])``: the same group frame, and
+    arming a (never-firing) crash hook does not change a byte of it."""
     entry = ("hot_swap", "a", {"x": 1})
-    plain, grouped = tmp_path / "plain.wal", tmp_path / "group.wal"
+    plain, grouped, hooked = (tmp_path / name for name in
+                              ("plain.wal", "group.wal", "hooked.wal"))
     with WriteAheadLog(plain) as wal:
         wal.append(*entry)
     with WriteAheadLog(grouped) as wal:
         wal.append_group([entry])
-    assert plain.read_bytes() == grouped.read_bytes()
+    with WriteAheadLog(hooked, crash_hook=lambda site, record: None) as wal:
+        wal.append(*entry)
+    assert plain.read_bytes() == grouped.read_bytes() == hooked.read_bytes()
+    blob = plain.read_bytes()[len(WAL_MAGIC):]
+    assert json.loads(blob[4:-8]) == {
+        "grp": 0, "tenant": "a", "kinds": ["hot_swap"], "args": [{"x": 1}]}
 
 
-def test_mixed_tenant_group_falls_back_to_per_record_frames(tmp_path):
+def test_mixed_tenant_group_is_rejected_and_leaves_the_log_untouched(
+        tmp_path):
     path = tmp_path / "ops.wal"
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         with WriteAheadLog(path) as wal:
-            records = wal.append_group([
-                ("update_resource", "a", {"resource_id": 1}),
-                ("update_resource", "b", {"resource_id": 2}),
-            ])
-        assert registry.value_of("wal_frames_total") == 2
-    assert [r.tenant for r in records] == ["a", "b"]
-    assert read_wal(path).records == tuple(records)
+            wal.append("add_tenant", "a", {"n": 1})
+            before = path.read_bytes()
+            with pytest.raises(WalError, match="one tenant"):
+                wal.append_group([
+                    ("update_resource", "a", {"resource_id": 1}),
+                    ("update_resource", "b", {"resource_id": 2}),
+                ])
+            assert wal.next_op_id == 1  # no op-id was consumed
+        assert registry.value_of("wal_frames_total") == 1
+        assert registry.value_of("wal_appends_total") == 1
+    assert path.read_bytes() == before
+
+
+def test_crash_sites_fire_once_per_frame_with_the_first_record(tmp_path):
+    fired = []
+    with WriteAheadLog(tmp_path / "ops.wal",
+                       crash_hook=lambda site, record: fired.append(
+                           (site, record.op_id))) as wal:
+        wal.append("add_tenant", "a")
+        wal.append_group([("update_resource", "a", {"resource_id": i})
+                          for i in range(3)])
+    sites = ["wal.before_append", "wal.torn_append", "wal.after_append"]
+    assert fired == [(s, 0) for s in sites] + [(s, 1) for s in sites]
 
 
 def test_group_append_validates_kind_and_empty_burst(tmp_path):
@@ -212,12 +319,7 @@ def test_truncated_group_frame_drops_the_whole_group(tmp_path):
     blob = path.read_bytes()
     full = read_wal(path)
     assert len(full.records) == 5
-    # Walk the frame boundaries (3 frames: plain, group, plain).
-    boundaries, offset = {len(WAL_MAGIC)}, len(WAL_MAGIC)
-    while offset < len(blob):
-        length = int.from_bytes(blob[offset:offset + 4], "big")
-        offset += 4 + length + 8
-        boundaries.add(offset)
+    boundaries = _frame_boundaries(blob)  # 3 frames of 1, 3 and 1 records
     assert len(boundaries) == 4
     target = tmp_path / "cut.wal"
     for cut in range(len(WAL_MAGIC), len(blob) + 1):
@@ -234,13 +336,32 @@ def test_truncated_group_frame_drops_the_whole_group(tmp_path):
 # -- the torn-write fuzz: every offset, truncate and flip ------------------------------
 
 
+def _frame_boundaries(blob: bytes) -> set[int]:
+    """Every offset at which a whole number of frames ends."""
+    boundaries, offset = {len(WAL_MAGIC)}, len(WAL_MAGIC)
+    while offset < len(blob):
+        length = int.from_bytes(blob[offset:offset + 4], "big")
+        offset += 4 + length + 8  # u32 prefix + payload + checksum
+        boundaries.add(offset)
+    assert offset == len(blob)
+    return boundaries
+
+
 def _fuzz_log(tmp_path) -> bytes:
+    """Frames of the shapes production writes: lone ops, markers, and a
+    multi-record group like a drained controller burst."""
     path = tmp_path / "fuzz.wal"
     with WriteAheadLog(path) as wal:
         wal.append("add_tenant", "a", {"spec": spec_to_dict(
             TenantSpec(name="a", policy=_policy(), smbm_quota=8))})
-        wal.append("update_resource", "a",
-                   {"resource_id": 1, "metrics": {"cpu": 5, "mem": 6}})
+        wal.append_group([
+            ("update_resource", "a",
+             {"resource_id": 1, "metrics": {"cpu": 5, "mem": 6}}),
+            ("remove_resource", "a", {"resource_id": 1}),
+            ("write_batch", "a", {"writes": [
+                {"resource_id": 2, "metrics": {"cpu": 7, "mem": 8}},
+                {"resource_id": 2}]}),
+        ])
         wal.append("hot_swap", "a", {"note": "args are opaque here"})
         wal.append("checkpoint", "__ctl__", {"path": "x", "hwm": {"a": 2}})
         wal.append("shutdown", "__ctl__")
@@ -253,14 +374,9 @@ def test_truncation_at_every_offset_never_raises(tmp_path):
     blob = _fuzz_log(tmp_path)
     full = read_wal(tmp_path / "fuzz.wal")
     n_records = len(full.records)
-    # A truncation exactly at a record boundary is clean (torn == 0).
-    boundaries = {len(WAL_MAGIC)}
-    offset = len(WAL_MAGIC)
-    for _ in full.records:
-        length = int.from_bytes(blob[offset:offset + 4], "big")
-        offset += 4 + length + 8  # u32 prefix + payload + checksum
-        boundaries.add(offset)
-    assert offset == len(blob)
+    # A truncation exactly at a frame boundary is clean (torn == 0).
+    boundaries = _frame_boundaries(blob)
+    assert len(boundaries) - 1 < n_records  # some frame holds a group
 
     target = tmp_path / "cut.wal"
     for cut in range(len(blob) + 1):
@@ -277,9 +393,9 @@ def test_truncation_at_every_offset_never_raises(tmp_path):
             continue
         assert result.header_ok, f"cut={cut}"
         if cut in boundaries:
-            assert result.torn == 0, f"cut={cut} is a record boundary"
+            assert result.torn == 0, f"cut={cut} is a frame boundary"
         else:
-            assert result.torn == 1, f"cut={cut} mid-record"
+            assert result.torn == 1, f"cut={cut} mid-frame"
         # The trusted prefix is always a prefix of the full record list.
         assert result.records == full.records[:len(result.records)]
         assert len(result.records) <= n_records
