@@ -29,6 +29,8 @@ the hardware-behaviour tests.
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
+from operator import index as as_int, or_
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -54,19 +56,28 @@ WRITE_LATENCY_CYCLES = 2
 #: word.
 STORED_WORD_BITS = 64
 
+#: Most moves a live :class:`MetricIndex` may have pending; one more and the
+#: table drops it, so the next read is a full build.  This is the measured
+#: crossover, not a tunable: at N=1024 a uniformly random update moves a row
+#: ~N/3 ranks and patches in ~37 us, a build takes ~225 us, so six pending
+#: moves cost what the build does (CHANGES.md, PR 14).  It also bounds what
+#: a write burst nobody reads can queue: six tuples per index, then nothing.
+PENDING_LIMIT = 6
+
 
 class MetricIndex:
     """Rank/mask arrays over one metric dimension: the read fast path.
 
-    Built from the metric's sorted flat list (value, seq, id) entries, it
-    keeps three parallel arrays:
+    Four parallel arrays over the metric's sorted flat list of
+    (value, seq, id) entries, ``n`` of them:
 
     * ``values[r]`` — the value of the entry at rank ``r`` (sorted, FIFO
       ties), so a relational bound becomes a :func:`bisect` over ranks;
     * ``ids[r]`` — the resource id of the entry at rank ``r`` (the batched
       engine's rank-order permutation: reordering an id-indexed column by
       ``ids`` turns min/max-k into "first/last k set bits");
-    * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``;
+    * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``,
+      for ``r`` in ``0..n``;
     * ``suffix[r]`` — id-bitmask of entries with rank >= ``r``.
 
     A predicate ``attr ∘ val`` is then two bisects plus
@@ -76,30 +87,87 @@ class MetricIndex:
     software analogue of the hardware evaluating against the already-sorted
     flip-flop lists every cycle.
 
-    Indexes are immutable snapshots: the owning :class:`SMBM` rebuilds one
-    lazily when its :attr:`SMBM.version` has moved past the index's build
-    version (reads vastly outnumber writes in every workload, so the O(N)
-    rebuild amortises away).
+    **A write patches the index, it does not replace it.**  The hardware
+    list stays readable while a 2-cycle write shifts the entries between
+    the old and the new position (section 5.1.3); the index does the same.
+    The owning :class:`SMBM` appends one *move* ``(a, b, id, value)`` per
+    committed write to :attr:`pending` — ``a`` the rank the row left
+    (``None`` for an add), ``b`` the rank it took in the list without its
+    old entry (``None`` for a delete) — and :meth:`SMBM.metric_index`
+    applies them in order on the next read.  An index is current iff
+    ``pending`` is empty.
+
+    The move rule.  Let ``bit = 1 << id``.  A row going from rank ``a`` to
+    rank ``b`` leaves every mask outside the ranks in between untouched
+    (the first ``r`` entries are the same *set* for ``r <= min(a, b)`` and
+    ``r > max(a, b)``), and between them each mask is its neighbour's
+    with the row's bit flipped:
+
+    * ``a < b`` (entries ``a+1..b`` slide down one rank): for ``r`` in
+      ``a+1..b``, ``prefix'[r] = prefix[r+1] ^ bit`` and
+      ``suffix'[r] = suffix[r+1] ^ bit``;
+    * ``b < a`` (entries ``b..a-1`` slide up): for ``r`` in ``b+1..a``,
+      ``prefix'[r] = prefix[r-1] ^ bit`` and
+      ``suffix'[r] = suffix[r-1] ^ bit``.
+
+    So an update costs ``|a - b|`` mask XORs per array, zero when the row
+    keeps its rank.  That is why :meth:`SMBM.update` is recorded as *one*
+    move although it commits as delete + add: taken apart, the delete must
+    clear the row's bit from every ``prefix`` above ``a`` and every
+    ``suffix`` at or below it and the add must set it again — ``n`` XORs
+    each, whatever the distance.  A lone add or delete pays that ``n``
+    (still no shifts, no re-sort, no list rebuilt).
+
+    Nothing may hold a ``MetricIndex`` across a table write: the arrays
+    change under it on the next :meth:`SMBM.metric_index` call, and an
+    index dropped by the table (pending overflow, repair, fault injection,
+    restore) is never patched again.  Re-fetch per use, as every evaluator
+    does; what *may* be kept is anything keyed on :attr:`SMBM.version`.
     """
 
-    __slots__ = ("values", "ids", "prefix", "suffix")
+    __slots__ = ("values", "ids", "prefix", "suffix", "pending")
 
     def __init__(self, entries: Sequence[tuple[int, int, int]]):
-        n = len(entries)
         self.values = [value for value, _seq, _rid in entries]
         self.ids = [rid for _value, _seq, rid in entries]
-        prefix = [0] * (n + 1)
-        acc = 0
-        for r, (_value, _seq, rid) in enumerate(entries):
-            acc |= 1 << rid
-            prefix[r + 1] = acc
-        self.prefix = prefix
-        suffix = [0] * (n + 1)
-        acc = 0
-        for r in range(n - 1, -1, -1):
-            acc |= 1 << entries[r][2]
-            suffix[r] = acc
-        self.suffix = suffix
+        bits = [1 << rid for rid in self.ids]
+        self.prefix = list(accumulate(bits, or_, initial=0))
+        bits.reverse()
+        self.suffix = list(accumulate(bits, or_, initial=0))
+        self.suffix.reverse()
+        #: Moves committed to the table since the arrays were last current,
+        #: oldest first (written by :class:`SMBM`, drained by
+        #: :meth:`apply_pending`).
+        self.pending: list[tuple[int | None, int | None, int, int]] = []
+
+    def apply_pending(self) -> int:
+        """Bring the arrays up to the table; returns the moves applied."""
+        values, ids = self.values, self.ids
+        prefix, suffix = self.prefix, self.suffix
+        for a, b, rid, value in self.pending:
+            bit = 1 << rid
+            if a is None:  # add at rank b: masks from b on gain the row
+                values.insert(b, value)
+                ids.insert(b, rid)
+                prefix[b + 1:] = [m | bit for m in prefix[b:]]
+                suffix[:b] = [m | bit for m in suffix[:b + 1]]
+            elif b is None:  # delete at rank a: the mirror image
+                del values[a], ids[a]
+                prefix[a + 1:] = [m ^ bit for m in prefix[a + 2:]]
+                suffix[:a + 1] = [m ^ bit for m in suffix[:a]]
+            else:  # update: only the ranks between a and b see the row move
+                del values[a], ids[a]
+                values.insert(b, value)
+                ids.insert(b, rid)
+                if a < b:
+                    prefix[a + 1:b + 1] = [m ^ bit for m in prefix[a + 2:b + 2]]
+                    suffix[a + 1:b + 1] = [m ^ bit for m in suffix[a + 2:b + 2]]
+                else:
+                    prefix[b + 1:a + 1] = [m ^ bit for m in prefix[b:a]]
+                    suffix[b + 1:a + 1] = [m ^ bit for m in suffix[b:a]]
+        applied = len(self.pending)
+        self.pending.clear()
+        return applied
 
     def __len__(self) -> int:
         return len(self.values)
@@ -205,10 +273,13 @@ class SMBM:
         # the pipeline's input table is an O(1) read.
         self._id_bits = 0
         # Monotonic write counter: bumped by every committed add/delete.
-        # Readers key caches (metric indexes, memoized policy outputs) on it.
+        # Readers key caches (memoized policy outputs, kernels) on it.
         self._version = 0
-        # Lazily rebuilt per-metric fast-path indexes: name -> (version, index).
-        self._indexes: dict[str, tuple[int, MetricIndex]] = {}
+        # Live per-metric fast-path indexes, built on first read.  A write
+        # appends its rank move to each one's pending list; whatever makes
+        # that bookkeeping unsound (a rewrite outside add/delete) or dearer
+        # than a fresh build (PENDING_LIMIT) just drops the index.
+        self._indexes: dict[str, MetricIndex] = {}
         # Committed-write listeners (parity/ECC maintenance, replication
         # shims).  Writes are rare relative to reads, so the notify cost
         # stays off the packet fast path entirely.
@@ -239,7 +310,12 @@ class SMBM:
         )
         self._obs_rebuilds = registry.counter(
             "smbm_index_rebuilds_total", tlabels or None,
-            help="lazy MetricIndex rebuilds after a table write",
+            help="full O(N) MetricIndex builds (first read, pending "
+                 "overflow, after a repair/restore)",
+        )
+        self._obs_patches = registry.counter(
+            "smbm_index_patches_total", tlabels or None,
+            help="table writes applied to a live MetricIndex in place",
         )
         if registry.enabled:
             registry.add_hook(self._obs_collect)
@@ -285,7 +361,7 @@ class SMBM:
 
         Two reads bracketed by equal versions observed the identical table,
         so any value derived purely from the table may be reused between
-        them — the basis of metric-index reuse and policy memoization.
+        them — the basis of policy memoization and kernel specialization.
         """
         return self._version
 
@@ -294,45 +370,62 @@ class SMBM:
 
     # -- write primitives (section 5.1.2) ---------------------------------------
 
-    def add(self, resource_id: int, metrics: Mapping[str, int]) -> None:
-        """``add(SMBM, id, [metric1: val1, ..., metricM: valM])``.
+    def _checked_row(self, resource_id: int, metrics: Mapping[str, int]) -> dict[str, int]:
+        """The row a write would store, or the error it must raise.
 
-        Inserts a new entry keeping every dimension list sorted, with FIFO
-        order among equal values, and installs the bidirectional pointers.
+        Everything that can reject ``metrics`` runs here, before the first
+        mutation, so a refused write leaves the table exactly as it was.
         """
         if not 0 <= resource_id < self._capacity:
             raise CapacityError(
                 f"resource id {resource_id} out of range [0, {self._capacity}); "
                 "ids index the bit-vector encoding so must be < N"
             )
-        if resource_id in self._rows:
-            raise ConfigurationError(
-                f"resource id {resource_id} already present; "
-                "update = delete followed by add"
-            )
         if set(metrics) != set(self._metric_names):
             raise ConfigurationError(
                 f"metric set {sorted(metrics)} does not match schema "
                 f"{sorted(self._metric_names)}"
             )
+        try:
+            return {name: as_int(metrics[name]) for name in self._metric_names}
+        except TypeError:
+            raise ConfigurationError(
+                f"metric values must be integers, got {dict(metrics)}"
+            ) from None
+
+    def add(self, resource_id: int, metrics: Mapping[str, int]) -> None:
+        """``add(SMBM, id, [metric1: val1, ..., metricM: valM])``.
+
+        Inserts a new entry keeping every dimension list sorted, with FIFO
+        order among equal values, and installs the bidirectional pointers.
+        """
+        row = self._checked_row(resource_id, metrics)
+        if resource_id in self._rows:
+            raise ConfigurationError(
+                f"resource id {resource_id} already present; "
+                "update = delete followed by add"
+            )
         if self.is_full():
             raise CapacityError(f"SMBM full: capacity {self._capacity}")
+        self._commit_add(resource_id, row)
 
+    def _commit_add(self, resource_id: int, row: dict[str, int]) -> None:
         seq = self._next_seq
         self._next_seq += 1
-        self._rows[resource_id] = {name: int(metrics[name]) for name in self._metric_names}
+        self._rows[resource_id] = row
         self._seq[resource_id] = seq
         for name in self._metric_names:
-            entry = (self._rows[resource_id][name], seq, resource_id)
-            bisect.insort(self._metric_lists[name], entry)
+            bisect.insort(self._metric_lists[name], (row[name], seq, resource_id))
         bisect.insort(self._id_list, resource_id)
         self._id_bits |= 1 << resource_id
+        if self._indexes:
+            self._record_move(resource_id, row, seq, added=True)
         self._version += 1
         self._obs_adds.inc()
         if self._write_listeners:
-            row = dict(self._rows[resource_id])
+            snapshot = dict(row)
             for listener in self._write_listeners:
-                listener("add", resource_id, row)
+                listener("add", resource_id, snapshot)
 
     def delete(self, resource_id: int) -> None:
         """``delete(SMBM, id)`` — removes the entry if present (else no-op)."""
@@ -352,16 +445,51 @@ class SMBM:
         pos = bisect.bisect_left(self._id_list, resource_id)
         del self._id_list[pos]
         self._id_bits &= ~(1 << resource_id)
+        if self._indexes:
+            self._record_move(resource_id, row, seq, added=False)
         self._version += 1
         self._obs_deletes.inc()
         if self._write_listeners:
             for listener in self._write_listeners:
                 listener("delete", resource_id, None)
 
+    def _record_move(self, resource_id: int, row: Mapping[str, int],
+                     seq: int, *, added: bool) -> None:
+        """Append a committed write's rank move to every live index.
+
+        Runs after the lists moved, so one bisect finds the rank either
+        way: where the entry now sits (add) or where it would go back
+        (delete).  A delete that is still the newest pending move when the
+        same id is added again is one update, and is rewritten as one move
+        — ranks in between are touched once, not the whole array twice.
+        """
+        for name, index in list(self._indexes.items()):
+            pending = index.pending
+            value = row[name]
+            rank = bisect.bisect_left(
+                self._metric_lists[name], (value, seq, resource_id)
+            )
+            if added and pending and pending[-1][1:3] == (None, resource_id):
+                pending[-1] = (pending[-1][0], rank, resource_id, value)
+            elif len(pending) == PENDING_LIMIT:
+                del self._indexes[name]
+            elif added:
+                pending.append((None, rank, resource_id, value))
+            else:
+                pending.append((rank, None, resource_id, value))
+
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
-        """Composite update: delete followed by add, as the paper prescribes."""
+        """Composite update: delete followed by add, as the paper prescribes.
+
+        Two committed writes (two version bumps, a fresh FIFO position),
+        but all-or-nothing: the new row is checked before the old one goes.
+        """
+        if resource_id not in self._rows:
+            self.add(resource_id, metrics)
+            return
+        row = self._checked_row(resource_id, metrics)
         self.delete(resource_id)
-        self.add(resource_id, metrics)
+        self._commit_add(resource_id, row)
 
     @property
     def sanitize(self) -> bool:
@@ -427,8 +555,8 @@ class SMBM:
         del lst[pos]
         bisect.insort(lst, (new, seq, resource_id))
         row[metric] = new
-        # The corrupted flop is read from the next cycle on: drop the cached
-        # snapshot so fast-path reads rebuild against the flipped word.
+        # The corrupted flop is read from the next cycle on: drop the index
+        # so fast-path reads rebuild against the flipped word.
         self._indexes.pop(metric, None)
         return old, new
 
@@ -438,8 +566,9 @@ class SMBM:
         Unlike :meth:`update` this preserves the row's FIFO enqueue order —
         an ECC correction rewrites the damaged word, it does not re-enqueue
         the resource.  The version counter is bumped (a repair is a
-        committed write), which invalidates every version-keyed cache:
-        metric indexes rebuild and policy memos recompute on the next read.
+        committed write), which invalidates every version-keyed cache —
+        policy memos recompute on the next read — and the indexes of the
+        repaired metrics are dropped, so they rebuild.
         Returns the list of metric names whose stored value actually moved.
         """
         row = self._rows.get(resource_id)
@@ -466,6 +595,7 @@ class SMBM:
             del lst[pos]
             bisect.insort(lst, (good, seq, resource_id))
             row[name] = good
+            self._indexes.pop(name, None)
             repaired.append(name)
         if repaired:
             self._version += 1
@@ -492,18 +622,21 @@ class SMBM:
     def metric_index(self, metric: str) -> MetricIndex:
         """The fast-path :class:`MetricIndex` for one metric dimension.
 
-        Rebuilt lazily: an index built at the current :attr:`version` is
-        reused verbatim; the first read after a write rebuilds it in O(N).
+        Current as returned, and only until the next table write: a live
+        index is handed back as is when nothing was written, patched in
+        place with the moves written since the last read, or built in O(N)
+        when the table holds none for this metric.
         """
-        cached = self._indexes.get(metric)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        index = self._indexes.get(metric)
+        if index is not None:
+            if index.pending:
+                self._obs_patches.inc(index.apply_pending())
+            return index
         if metric not in self._metric_lists:
             raise ConfigurationError(
                 f"unknown metric {metric!r}; schema: {self._metric_names}"
             )
-        index = MetricIndex(self._metric_lists[metric])
-        self._indexes[metric] = (self._version, index)
+        index = self._indexes[metric] = MetricIndex(self._metric_lists[metric])
         self._obs_rebuilds.inc()
         return index
 
@@ -555,7 +688,10 @@ class SMBM:
 
         * every dimension list is sorted (FIFO among equal values);
         * forward and reverse maps agree on every entry;
-        * all lists have exactly one entry per stored resource.
+        * all lists have exactly one entry per stored resource;
+        * every live fast-path index, brought up to date, equals one built
+          from scratch in all four arrays — so under ``sanitize=True`` a bad
+          patch is an error at the write that caused it.
         """
         n = len(self._rows)
         if len(self._id_list) != n:
@@ -577,13 +713,15 @@ class SMBM:
                     raise SimulationError(
                         f"forward/reverse maps disagree for id {rid} metric {name}"
                     )
+        for name in self._indexes:
             index = self.metric_index(name)
-            if index.values != [value for value, _seq, _rid in lst]:
-                raise SimulationError(f"{name} fast-path index values out of date")
-            if index.prefix[-1] != self._id_bits or index.suffix[0] != self._id_bits:
-                raise SimulationError(
-                    f"{name} fast-path index masks disagree with presence bitmask"
-                )
+            fresh = MetricIndex(self._metric_lists[name])
+            for array in ("values", "ids", "prefix", "suffix"):
+                if getattr(index, array) != getattr(fresh, array):
+                    raise SimulationError(
+                        f"{name} fast-path index {array} disagree with the "
+                        "sorted list"
+                    )
 
     def snapshot(self) -> dict[int, dict[str, int]]:
         """A deep copy of the current relational contents (for testing)."""
@@ -619,8 +757,9 @@ class SMBM:
         listeners see one ``("delete", rid, None)`` per row dropped and one
         ``("restore", rid, row)`` per row present afterwards, so attached
         maintenance state (ECC check words, replication shims) resyncs in
-        lockstep.  Version-keyed caches held by *callers* (policy memos,
-        metric indexes of other readers) must be invalidated by the caller:
+        lockstep.  The table drops its own metric indexes; version-keyed
+        caches held by *callers* (policy memos, specialized kernels) must
+        be invalidated by the caller:
         the restored version counter may be **lower** than the current one,
         so version-keyed reuse across a restore is unsound — the serving
         layer's restore path does exactly that.
@@ -648,6 +787,7 @@ class SMBM:
                 f"{self._capacity}"
             )
         dropped = [rid for rid in self._rows if rid not in rows]
+        self._indexes.clear()
         self._rows = {}
         self._seq = {}
         self._metric_lists = {name: [] for name in self._metric_names}
@@ -675,7 +815,6 @@ class SMBM:
             self._id_bits |= 1 << rid
         self._next_seq = int(state["next_seq"])  # type: ignore[arg-type]
         self._version = int(state["version"])  # type: ignore[arg-type]
-        self._indexes.clear()
         if self._write_listeners:
             for rid in dropped:
                 for listener in self._write_listeners:

@@ -8,9 +8,9 @@ the store, so the check word disagrees — which is exactly what
 
 The scrubber repairs corrupted words in place through
 :meth:`SMBM.repair_row`.  A repair is a committed write: it bumps the table
-version, so the lazily rebuilt :class:`~repro.core.smbm.MetricIndex` and
-any version-keyed policy memo are invalidated on the next read — the
-"invalidate caches on detected corruption" contract.
+version and drops the repaired metrics' :class:`~repro.core.smbm.MetricIndex`,
+so any version-keyed policy memo is invalidated and the index rebuilt on
+the next read — the "invalidate caches on detected corruption" contract.
 
 Detection latency is bounded by the *scrub period*: a full :meth:`scrub`
 pass visits every row, and the incremental :meth:`scrub_step` cursor

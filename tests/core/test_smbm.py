@@ -90,6 +90,44 @@ class TestAddDelete:
         s.check_invariants()
 
 
+class TestRefusedWritesLeaveTheTableUntouched:
+    """A write is checked in full before its first mutation."""
+
+    @pytest.mark.parametrize("rid, bad, error", [
+        (1, {"x": 5}, ConfigurationError),              # a metric missing
+        (1, {"x": 5, "y": 1, "z": 2}, ConfigurationError),
+        (1, {"x": "fast", "y": 1}, ConfigurationError),  # was a bare ValueError
+        (1, {"x": 5, "y": None}, ConfigurationError),
+        (1, {"x": 2.5, "y": 1}, ConfigurationError),    # was silently 2
+        (8, {"x": 5, "y": 1}, CapacityError),           # update of absent = add
+    ])
+    @pytest.mark.parametrize("write", ["add", "update"])
+    def test_bad_row_changes_nothing(self, write, rid, bad, error):
+        s = make_smbm()
+        s.add(1, {"x": 5, "y": 5})
+        s.add(2, {"x": 3, "y": 9})
+        index = s.metric_index("x")
+        seen = []
+        s.add_write_listener(lambda *event: seen.append(event))
+        before = (s.snapshot(), s.version, s.attr_list("x"), s.attr_list("y"),
+                  s.export_state())
+        with pytest.raises(error):
+            getattr(s, write)(rid, bad)
+        assert 1 in s
+        assert before == (s.snapshot(), s.version, s.attr_list("x"),
+                          s.attr_list("y"), s.export_state())
+        assert s.metric_index("x") is index and not index.pending
+        assert seen == []
+        s.check_invariants()
+
+    def test_update_on_a_full_table_still_replaces_the_row(self):
+        s = make_smbm(capacity=2)
+        s.add(0, {"x": 1, "y": 1})
+        s.add(1, {"x": 2, "y": 2})
+        s.update(1, {"x": 0, "y": 0})
+        assert s.attr_list("x") == [(0, 1), (1, 0)]
+
+
 class TestSortedLists:
     def test_lists_sorted_increasing(self):
         s = make_smbm()

@@ -1,6 +1,7 @@
 """Property-based SMBM tests (hypothesis): random write sequences preserve
-sortedness and bidirectional-map consistency, and the fast-path MetricIndex
-always agrees with a naive scan of the sorted lists."""
+sortedness and bidirectional-map consistency, the fast-path MetricIndex
+always agrees with a naive scan of the sorted lists, and an index patched
+in place across writes equals one built from scratch."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro import obs  # noqa: E402
 from repro.core.operators import RelOp  # noqa: E402
-from repro.core.smbm import SMBM  # noqa: E402
+from repro.core.smbm import PENDING_LIMIT, SMBM, MetricIndex  # noqa: E402
+from repro.errors import IntegrityError, SimulationError  # noqa: E402
 
 CAP = 16
 METRICS = ("a", "b")
@@ -135,17 +138,178 @@ class TestMetricIndexAgainstNaiveScan:
         )
 
     @given(_writes, st.sampled_from(METRICS))
-    def test_index_is_reused_until_the_next_write(self, writes, metric):
-        smbm = SMBM(CAP, METRICS)
-        model: dict[int, dict[str, int]] = {}
-        for rid, op, values in writes:
-            _apply(smbm, model, rid, op, values)
-        first = smbm.metric_index(metric)
-        assert smbm.metric_index(metric) is first  # version unchanged
-        if len(model) < CAP:
-            free = next(r for r in range(CAP) if r not in model)
-            smbm.add(free, {m: 0 for m in METRICS})
-            assert smbm.metric_index(metric) is not first
+    def test_same_object_then_equals_fresh(self, writes, metric):
+        with obs.use_registry() as reg:
+            smbm = SMBM(CAP, METRICS)
+            model: dict[int, dict[str, int]] = {}
+            for rid, op, values in writes:
+                _apply(smbm, model, rid, op, values)
+            first = smbm.metric_index(metric)
+            work = (reg.value_of("smbm_index_rebuilds_total"),
+                    reg.value_of("smbm_index_patches_total"))
+            # Unwritten: the same object, and neither a build nor a patch.
+            assert smbm.metric_index(metric) is first
+            assert not first.pending
+            assert (reg.value_of("smbm_index_rebuilds_total"),
+                    reg.value_of("smbm_index_patches_total")) == work
+            # Written: whatever object comes back equals a fresh build.
+            free = next((r for r in range(CAP) if r not in model), None)
+            if free is not None:
+                smbm.add(free, {m: 0 for m in METRICS})
+            elif model:
+                smbm.update(min(model), {m: VALUE_RANGE for m in METRICS})
+            _assert_equals_fresh(smbm, metric)
+
+
+# ======================================================================================
+# Patched index == fresh index, whatever was written and whoever read in between
+# ======================================================================================
+
+LAG_METRICS = ("a", "b", "c")
+ARRAYS = ("values", "ids", "prefix", "suffix")
+
+
+def _fresh(smbm: SMBM, metric: str) -> MetricIndex:
+    """An index built from nothing but the public sorted list."""
+    return MetricIndex([(v, 0, rid) for v, rid in smbm.attr_list(metric)])
+
+
+def _assert_equals_fresh(smbm: SMBM, metric: str) -> None:
+    index, fresh = smbm.metric_index(metric), _fresh(smbm, metric)
+    assert not index.pending
+    for array in ARRAYS:
+        assert getattr(index, array) == getattr(fresh, array), (metric, array)
+
+
+_values3 = st.tuples(*[st.integers(0, 3)] * len(LAG_METRICS))  # heavy ties
+# One step: (kind, row selector, values, metric, bit, metrics to read).
+# Updates are the common write, as they are in serving; reading a *subset*
+# leaves the other indexes lagging by more moves.
+_step = st.tuples(
+    st.sampled_from(["update"] * 4 + ["read"] * 3 + ["add", "delete"] * 2 + [
+        "repair", "corrupt", "export", "restore"]),
+    st.integers(0, 255), _values3, st.sampled_from(LAG_METRICS),
+    st.integers(0, 2), st.sets(st.sampled_from(LAG_METRICS), min_size=1),
+)
+
+
+class TestPatchedIndexEqualsFreshIndex:
+    @given(st.sampled_from([1, 2, 64, 96]), st.data())
+    @settings(max_examples=150)
+    def test_any_interleaving_of_writes_and_partial_reads(self, cap, data):
+        smbm = SMBM(cap, LAG_METRICS)
+        for rid in range(data.draw(st.integers(0, cap), label="prefill")):
+            smbm.add(rid, dict(zip(LAG_METRICS, data.draw(_values3))))
+        for metric in data.draw(st.sets(st.sampled_from(LAG_METRICS))):
+            smbm.metric_index(metric)
+        saved = None
+        steps = data.draw(st.lists(_step, max_size=50), label="steps")
+        for kind, selector, values, metric, bit, to_read in steps:
+            rid = selector % cap
+            row = dict(zip(LAG_METRICS, values))
+            if kind == "add":
+                if rid not in smbm and not smbm.is_full():
+                    smbm.add(rid, row)
+            elif kind == "delete":
+                smbm.delete(rid)
+            elif kind == "export":
+                saved = smbm.export_state()
+            elif kind == "restore":
+                if saved is not None:
+                    smbm.restore_state(saved)
+            elif kind == "read":
+                for name in to_read:
+                    _assert_equals_fresh(smbm, name)
+            elif rid not in smbm:
+                pass  # the rest rewrite a stored row
+            elif kind == "update":
+                smbm.update(rid, row)
+            elif kind == "repair":
+                smbm.repair_row(rid, row)
+            else:
+                smbm.corrupt_stored_bit(rid, metric, bit)
+        for metric in LAG_METRICS:
+            _assert_equals_fresh(smbm, metric)
+        smbm.check_invariants()
+
+    @staticmethod
+    def _ladder(n: int = 64) -> SMBM:
+        """Rows 0..n-1 with value 10*rid: rank == id, and live indexes."""
+        smbm = SMBM(n, LAG_METRICS)
+        for rid in range(n):
+            smbm.add(rid, {m: 10 * rid for m in LAG_METRICS})
+        for metric in LAG_METRICS:
+            smbm.metric_index(metric)
+        return smbm
+
+    @pytest.mark.parametrize("rid, value, a, b", [
+        (5, 405, 5, 40),     # a < b
+        (40, 45, 40, 5),     # a > b
+        (20, 201, 20, 20),   # a == b, value changed
+        (20, 200, 20, 20),   # a == b, nothing changed
+        (30, -1, 30, 0),     # to rank 0
+        (30, 10_000, 30, 63),  # to rank n-1
+        (0, 10_000, 0, 63),  # end to end
+        (63, -1, 63, 0),
+        (7, 80, 7, 8),       # lands behind its equal (FIFO tie)
+    ])
+    def test_one_update_is_one_move_between_the_two_ranks(self, rid, value, a, b):
+        smbm = self._ladder()
+        index = smbm.metric_index("a")
+        smbm.update(rid, {"a": value, "b": 10 * rid, "c": 10 * rid})
+        assert index.pending == [(a, b, rid, value)]
+        assert smbm.rank_of(rid, "a") == b
+        for metric in LAG_METRICS:
+            _assert_equals_fresh(smbm, metric)
+        assert smbm.metric_index("a") is index  # patched, not replaced
+
+    def test_lone_add_and_delete_are_patched_too(self):
+        smbm = self._ladder()
+        index = smbm.metric_index("a")
+        for rid in (0, 63, 31):
+            smbm.delete(rid)
+            _assert_equals_fresh(smbm, "a")
+        for rid, value in ((31, -5), (0, 10_000), (63, 300)):
+            smbm.add(rid, {m: value for m in LAG_METRICS})
+            _assert_equals_fresh(smbm, "a")
+        assert smbm.metric_index("a") is index
+        for metric in LAG_METRICS:  # "b" and "c" lagged by all six writes
+            _assert_equals_fresh(smbm, metric)
+
+    def test_one_write_past_the_pending_limit_drops_the_index(self):
+        smbm = self._ladder()
+        index = smbm.metric_index("a")
+        for i in range(PENDING_LIMIT):
+            smbm.update(i, {m: 1000 + i for m in LAG_METRICS})
+        assert len(index.pending) == PENDING_LIMIT
+        _assert_equals_fresh(smbm, "a")          # at the limit: patched
+        assert smbm.metric_index("a") is index
+        for i in range(PENDING_LIMIT + 1):
+            smbm.update(i, {m: 2000 + i for m in LAG_METRICS})
+        assert smbm.metric_index("a") is not index  # past it: rebuilt
+        for metric in LAG_METRICS:
+            _assert_equals_fresh(smbm, metric)
+
+    def test_restore_drops_the_live_indexes(self):
+        smbm = self._ladder()
+        saved = smbm.export_state()
+        smbm.update(3, {m: 500 for m in LAG_METRICS})
+        _assert_equals_fresh(smbm, "a")  # "b", "c" keep the move pending
+        smbm.restore_state(saved)
+        for metric in LAG_METRICS:
+            _assert_equals_fresh(smbm, metric)
+
+    def test_sanitizer_catches_a_tampered_prefix_word(self):
+        smbm = SMBM(16, LAG_METRICS, sanitize=True)
+        for rid in range(8):
+            smbm.add(rid, {m: rid for m in LAG_METRICS})
+        index = smbm.metric_index("b")
+        smbm.check_invariants()
+        index.prefix[3] ^= 1 << 7  # ends and values still look right
+        with pytest.raises(SimulationError, match="b fast-path index prefix"):
+            smbm.check_invariants()
+        with pytest.raises(IntegrityError):
+            smbm.update(1, {m: 9 for m in LAG_METRICS})
 
 
 if __name__ == "__main__":  # pragma: no cover

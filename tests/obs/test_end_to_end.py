@@ -41,7 +41,10 @@ class TestExporterEndToEnd:
         # SMBM write and rebuild accounting.
         assert counters['smbm_writes_total{op="add"}'] == 9
         assert counters['smbm_writes_total{op="delete"}'] == 1  # the update
-        assert counters["smbm_index_rebuilds_total"] >= 1
+        # One full build (first read of "a"); the update before the third
+        # evaluation reached that index as one in-place move.
+        assert counters["smbm_index_rebuilds_total"] == 1
+        assert counters["smbm_index_patches_total"] == 1
 
         # Memoization accounting agrees exactly with the module's own ints.
         assert counters['filter_evaluations_total{policy="e2e"}'] == 3
@@ -81,6 +84,13 @@ class TestExporterEndToEnd:
         assert 'filter_memo_hits_total{policy="e2e"} 1' in lines
         assert 'filter_memo_misses_total{policy="e2e"} 2' in lines
         assert "# TYPE smbm_index_rebuilds_total counter" in lines
+        assert "# TYPE smbm_index_patches_total counter" in lines
+        assert any(l.startswith("# HELP smbm_index_rebuilds_total full O(N)")
+                   for l in lines)
+        assert any(l.startswith("# HELP smbm_index_patches_total table writes")
+                   for l in lines)
+        assert "smbm_index_rebuilds_total 1" in lines
+        assert "smbm_index_patches_total 1" in lines
         assert "# TYPE filter_eval_ns histogram" in lines
         assert any(l.startswith("pipeline_cell_activations_total{")
                    for l in lines)

@@ -214,6 +214,30 @@ def test_write_batch_and_health(cls):
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_refused_write_loses_no_row(cls):
+    """Nothing above ``SMBM.update`` validates a write's metrics, so it
+    must refuse a bad row whole: the row it names keeps serving."""
+    backend = _make_backend(cls)
+    rows = [TableWrite("a", rid, {"cpu": 10 * rid + 5, "mem": rid})
+            for rid in range(4)]
+    backend.write_batch(rows)
+
+    def served():
+        packet = Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"})
+        backend.process_batch([packet])
+        return packet.metadata[META_FILTER_OUTPUT]
+
+    assert served() == 1 << 0  # least cpu
+    smbm = backend.manager.get("a").module.smbm
+    version = smbm.version
+    for bad in ({"cpu": 1}, {"cpu": "low", "mem": 1}):
+        with pytest.raises(ConfigurationError):
+            backend.write_batch([TableWrite("a", 0, bad)])
+    assert 0 in smbm and smbm.version == version
+    assert served() == 1 << 0
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
 def test_lifecycle_returns_slice_to_pool(cls):
     backend = _make_backend(cls)
     free_before = len(backend.manager.free_columns)
