@@ -52,6 +52,7 @@ from benchmarks.report import (
     format_engine_counters,
     format_filter_counters,
     format_table,
+    parse_series,
 )
 from repro import obs
 from repro.core.compiler import PolicyCompiler
@@ -387,7 +388,6 @@ def _time_tenancy(manager: TenantManager, switch: ThanosSwitch,
         "tenants": len(names),
         "per_packet_us": round(t_scalar * 1e6, 3),
         "batch_us_per_row": round(t_batch * 1e6, 4),
-        "counters": manager.counters(),
     }
 
 
@@ -606,11 +606,13 @@ def _report_text(data: dict) -> str:
             f"  per-packet (scalar demux): {tenancy['per_packet_us']:.3f} us",
             f"  per-row (batched demux):   {tenancy['batch_us_per_row']:.4f} us",
         ]
-        for name in sorted(tenancy["counters"]):
-            c = tenancy["counters"][name]
+        evals = _per_tenant(data["metrics_snapshot"],
+                            "filter_evaluations_total")
+        hits = _per_tenant(data["metrics_snapshot"], "filter_memo_hits_total")
+        for name in sorted(evals):
             lines.append(
-                f"  {name}: {c['evaluations']} evaluations, "
-                f"{c['cache_hits']} memo hits"
+                f"  {name}: {evals[name]} evaluations, "
+                f"{hits.get(name, 0)} memo hits"
             )
         text += "\n\n" + "\n".join(lines)
     if with_batch:
@@ -707,6 +709,17 @@ def _memo_hit_counters(metrics_snapshot: dict) -> dict[str, float]:
     }
 
 
+def _per_tenant(metrics_snapshot: dict, name: str) -> dict[str, int]:
+    """Tenant -> summed value of the tenant-labelled ``name`` series."""
+    totals: dict[str, int] = {}
+    for series, value in metrics_snapshot.get("counters", {}).items():
+        series_name, labels = parse_series(series)
+        if series_name == name and "tenant" in labels:
+            tenant = labels["tenant"]
+            totals[tenant] = totals.get(tenant, 0) + int(value)
+    return totals
+
+
 def _codegen_hit_counters(metrics_snapshot: dict) -> dict[str, float]:
     """The codegen-cache-hit series from an exporter snapshot."""
     return {
@@ -760,19 +773,12 @@ def test_fastpath_quick_tenants():
     assert tenancy["tenants"] == 2
     assert tenancy["per_packet_us"] > 0
     assert tenancy["batch_us_per_row"] > 0
-    assert sorted(tenancy["counters"]) == ["tenant0", "tenant1"]
-    for c in tenancy["counters"].values():
-        assert c["evaluations"] > 0
-    counters = data["metrics_snapshot"].get("counters", {})
-    per_tenant = [
-        series for series in counters
-        if series.startswith("filter_evaluations_total")
-        and "tenant=" in series
-    ]
-    assert len(per_tenant) >= 2, (
+    evals = _per_tenant(data["metrics_snapshot"], "filter_evaluations_total")
+    assert sorted(evals) == ["tenant0", "tenant1"], (
         f"expected per-tenant filter series in the snapshot, got: "
-        f"{sorted(counters)}"
+        f"{sorted(data['metrics_snapshot'].get('counters', {}))}"
     )
+    assert all(count > 0 for count in evals.values())
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ def format_filter_counters(title: str, metrics_snapshot: dict) -> str:
 _LABEL_PAIR = re.compile(r'(?P<key>\w+)="(?P<value>[^"]*)"')
 
 
-def _parse_series(series: str) -> tuple[str, dict[str, str]]:
+def parse_series(series: str) -> tuple[str, dict[str, str]]:
     """Split an exporter series key into (name, labels)."""
     name, _, rest = series.partition("{")
     return name, {m.group("key"): m.group("value")
@@ -80,15 +80,13 @@ def format_engine_counters(title: str, metrics_snapshot: dict) -> str:
     Reads the ``filter_batches_total`` / ``filter_batch_rows_total`` /
     ``filter_batch_path_rows_total{path=...}`` and
     ``codegen_cache_{hits,misses}_total`` series as emitted by
-    :func:`repro.obs.snapshot`, grouped by ``policy`` label.  Earlier
-    versions of this report read the per-module ``batch_counters()`` dicts
-    directly, which silently missed modules the bench no longer kept
-    references to; the registry snapshot is the single source of truth.
+    :func:`repro.obs.snapshot`, grouped by ``policy`` label: the registry
+    snapshot is the one place a counter is read.
     """
     counters = metrics_snapshot.get("counters", {})
     per_policy: dict[str, dict[str, float]] = {}
     for series, value in counters.items():
-        name, labels = _parse_series(series)
+        name, labels = parse_series(series)
         policy = labels.get("policy")
         if policy is None:
             continue

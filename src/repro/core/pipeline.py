@@ -117,6 +117,10 @@ class PipelineConfig:
         return "\n".join(lines)
 
 
+#: One active Cell's observed port I/O: ``(in1, in2, out1, out2)``.
+CellProbe = tuple[BitVector, BitVector, BitVector, BitVector]
+
+
 @dataclass(frozen=True)
 class _CellPlan:
     """Pruned-evaluation verdict for one physical Cell.
@@ -318,13 +322,19 @@ class FilterPipeline:
                 cell.reset_state()
 
     def evaluate(
-        self, smbm: SMBM, inputs: list[BitVector] | None = None
+        self,
+        smbm: SMBM,
+        inputs: list[BitVector] | None = None,
+        *,
+        probes: "dict[tuple[int, int], CellProbe] | None" = None,
     ) -> list[BitVector]:
         """One packet's traversal: n input tables in, n output tables out.
 
         When ``inputs`` is omitted every input line carries the full
         resource table (the common case: the pipeline input *is* the SMBM,
-        Figure 14).
+        Figure 14).  ``probes`` is the diagnostic sink of
+        :meth:`evaluate_probed`; a pass that fills it is not counted in the
+        packet totals.
         """
         n = self._params.n
         width = smbm.capacity
@@ -343,10 +353,12 @@ class FilterPipeline:
                     )
             lines = [vec.copy() for vec in inputs]
 
-        self._packets_evaluated += 1
+        if probes is None:
+            self._packets_evaluated += 1
         empty = BitVector.zeros(width)
-        for crossbar, row, plan_row in zip(self._crossbars, self._cells,
-                                           self._plan):
+        for s, (crossbar, row, plan_row) in enumerate(
+            zip(self._crossbars, self._cells, self._plan), start=1
+        ):
             ports = crossbar.apply(lines, idle=empty)
             next_lines: list[BitVector] = []
             for c, cell in enumerate(row):
@@ -361,56 +373,27 @@ class FilterPipeline:
                         (ports[2 * c].copy(), ports[2 * c + 1].copy())
                     )
                 else:
-                    o1, o2 = cell.evaluate(ports[2 * c], ports[2 * c + 1], smbm)
+                    i1, i2 = ports[2 * c], ports[2 * c + 1]
+                    o1, o2 = cell.evaluate(i1, i2, smbm)
+                    if probes is not None:
+                        probes[(s, c)] = (i1.copy(), i2.copy(), o1, o2)
                     next_lines.extend((o1, o2))
             lines = next_lines
         return lines
 
     def evaluate_probed(
         self, smbm: SMBM, inputs: list[BitVector] | None = None
-    ) -> dict[tuple[int, int], tuple[BitVector, BitVector, BitVector, BitVector]]:
+    ) -> "dict[tuple[int, int], CellProbe]":
         """Diagnostic traversal capturing every active Cell's port I/O.
 
         Returns ``{(stage, index): (in1, in2, out1, out2)}`` for the live
         non-bypass Cells — the observation a built-in self-test needs to
         compare each physical Cell against a golden model *on the inputs it
         actually saw* (so a corrupted upstream Cell does not implicate the
-        healthy Cells downstream of it).  Diagnostic passes are not counted
-        in the packet totals.
+        healthy Cells downstream of it).
         """
-        n = self._params.n
-        width = smbm.capacity
-        if inputs is None:
-            full = smbm.id_vector()
-            lines = [full.copy() for _ in range(n)]
-        else:
-            if len(inputs) != n:
-                raise ConfigurationError(
-                    f"expected {n} input tables, got {len(inputs)}"
-                )
-            lines = [vec.copy() for vec in inputs]
-        probes: dict[tuple[int, int],
-                     tuple[BitVector, BitVector, BitVector, BitVector]] = {}
-        empty = BitVector.zeros(width)
-        for s, (crossbar, row, plan_row) in enumerate(
-            zip(self._crossbars, self._cells, self._plan), start=1
-        ):
-            ports = crossbar.apply(lines, idle=empty)
-            next_lines: list[BitVector] = []
-            for c, cell in enumerate(row):
-                plan = plan_row[c]
-                if not plan.live:
-                    next_lines.extend((empty, empty))
-                elif plan.bypass:
-                    next_lines.extend(
-                        (ports[2 * c].copy(), ports[2 * c + 1].copy())
-                    )
-                else:
-                    i1, i2 = ports[2 * c], ports[2 * c + 1]
-                    o1, o2 = cell.evaluate(i1, i2, smbm)
-                    probes[(s, c)] = (i1.copy(), i2.copy(), o1, o2)
-                    next_lines.extend((o1, o2))
-            lines = next_lines
+        probes: dict[tuple[int, int], CellProbe] = {}
+        self.evaluate(smbm, inputs, probes=probes)
         return probes
 
 

@@ -57,18 +57,19 @@ WRITE_LATENCY_CYCLES = 2
 STORED_WORD_BITS = 64
 
 #: Most moves a live :class:`MetricIndex` may have pending; one more and the
-#: table drops it, so the next read is a full build.  This is the measured
+#: table drops it, so the next read is a full build.  This is a measured
 #: crossover, not a tunable: at N=1024 a uniformly random update moves a row
-#: ~N/3 ranks and patches in ~37 us, a build takes ~225 us, so six pending
-#: moves cost what the build does (CHANGES.md, PR 14).  It also bounds what
-#: a write burst nobody reads can queue: six tuples per index, then nothing.
+#: ~N/3 ranks and patches in ~19 us, a build takes ~180 us, so six pending
+#: moves stay under what the build costs (nine would reach it; CHANGES.md,
+#: PR 14 and PR 15).  It also bounds what a write burst nobody reads can
+#: queue: six tuples per index, then nothing.
 PENDING_LIMIT = 6
 
 
 class MetricIndex:
     """Rank/mask arrays over one metric dimension: the read fast path.
 
-    Four parallel arrays over the metric's sorted flat list of
+    Three parallel arrays over the metric's sorted flat list of
     (value, seq, id) entries, ``n`` of them:
 
     * ``values[r]`` — the value of the entry at rank ``r`` (sorted, FIFO
@@ -77,15 +78,15 @@ class MetricIndex:
       engine's rank-order permutation: reordering an id-indexed column by
       ``ids`` turns min/max-k into "first/last k set bits");
     * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``,
-      for ``r`` in ``0..n``;
-    * ``suffix[r]`` — id-bitmask of entries with rank >= ``r``.
+      for ``r`` in ``0..n``.  The entries with rank >= ``r`` are
+      ``prefix[n] ^ prefix[r]``, so no second mask array is kept.
 
     A predicate ``attr ∘ val`` is then two bisects plus
     ``prefix[hi] & ~prefix[lo] & input``; min/max are a binary search for
-    the lowest/highest rank whose prefix/suffix mask intersects the input —
-    O(log N) integer ANDs instead of an O(N) Python tuple scan.  This is the
-    software analogue of the hardware evaluating against the already-sorted
-    flip-flop lists every cycle.
+    the lowest/highest rank whose below-/at-or-above-rank mask intersects
+    the input — O(log N) integer ANDs instead of an O(N) Python tuple scan.
+    This is the software analogue of the hardware evaluating against the
+    already-sorted flip-flop lists every cycle.
 
     **A write patches the index, it does not replace it.**  The hardware
     list stays readable while a 2-cycle write shifts the entries between
@@ -104,19 +105,17 @@ class MetricIndex:
     with the row's bit flipped:
 
     * ``a < b`` (entries ``a+1..b`` slide down one rank): for ``r`` in
-      ``a+1..b``, ``prefix'[r] = prefix[r+1] ^ bit`` and
-      ``suffix'[r] = suffix[r+1] ^ bit``;
+      ``a+1..b``, ``prefix'[r] = prefix[r+1] ^ bit``;
     * ``b < a`` (entries ``b..a-1`` slide up): for ``r`` in ``b+1..a``,
-      ``prefix'[r] = prefix[r-1] ^ bit`` and
-      ``suffix'[r] = suffix[r-1] ^ bit``.
+      ``prefix'[r] = prefix[r-1] ^ bit``.
 
-    So an update costs ``|a - b|`` mask XORs per array, zero when the row
-    keeps its rank.  That is why :meth:`SMBM.update` is recorded as *one*
-    move although it commits as delete + add: taken apart, the delete must
-    clear the row's bit from every ``prefix`` above ``a`` and every
-    ``suffix`` at or below it and the add must set it again — ``n`` XORs
-    each, whatever the distance.  A lone add or delete pays that ``n``
-    (still no shifts, no re-sort, no list rebuilt).
+    So an update costs ``|a - b|`` mask XORs, zero when the row keeps its
+    rank.  That is why :meth:`SMBM.update` is recorded as *one* move
+    although it commits as delete + add: taken apart, the delete must
+    clear the row's bit from every ``prefix`` above ``a`` and the add must
+    set it again in every one above ``b`` — up to ``n`` XORs each, whatever
+    the distance.  A lone add or delete pays that (still no re-sort, no
+    list rebuilt).
 
     Nothing may hold a ``MetricIndex`` across a table write: the arrays
     change under it on the next :meth:`SMBM.metric_index` call, and an
@@ -125,16 +124,14 @@ class MetricIndex:
     does; what *may* be kept is anything keyed on :attr:`SMBM.version`.
     """
 
-    __slots__ = ("values", "ids", "prefix", "suffix", "pending")
+    __slots__ = ("values", "ids", "prefix", "pending")
 
     def __init__(self, entries: Sequence[tuple[int, int, int]]):
         self.values = [value for value, _seq, _rid in entries]
         self.ids = [rid for _value, _seq, rid in entries]
-        bits = [1 << rid for rid in self.ids]
-        self.prefix = list(accumulate(bits, or_, initial=0))
-        bits.reverse()
-        self.suffix = list(accumulate(bits, or_, initial=0))
-        self.suffix.reverse()
+        self.prefix = list(
+            accumulate((1 << rid for rid in self.ids), or_, initial=0)
+        )
         #: Moves committed to the table since the arrays were last current,
         #: oldest first (written by :class:`SMBM`, drained by
         #: :meth:`apply_pending`).
@@ -142,29 +139,24 @@ class MetricIndex:
 
     def apply_pending(self) -> int:
         """Bring the arrays up to the table; returns the moves applied."""
-        values, ids = self.values, self.ids
-        prefix, suffix = self.prefix, self.suffix
+        values, ids, prefix = self.values, self.ids, self.prefix
         for a, b, rid, value in self.pending:
             bit = 1 << rid
-            if a is None:  # add at rank b: masks from b on gain the row
+            if a is None:  # add at rank b: masks above b gain the row
                 values.insert(b, value)
                 ids.insert(b, rid)
                 prefix[b + 1:] = [m | bit for m in prefix[b:]]
-                suffix[:b] = [m | bit for m in suffix[:b + 1]]
             elif b is None:  # delete at rank a: the mirror image
                 del values[a], ids[a]
                 prefix[a + 1:] = [m ^ bit for m in prefix[a + 2:]]
-                suffix[:a + 1] = [m ^ bit for m in suffix[:a]]
             else:  # update: only the ranks between a and b see the row move
                 del values[a], ids[a]
                 values.insert(b, value)
                 ids.insert(b, rid)
                 if a < b:
                     prefix[a + 1:b + 1] = [m ^ bit for m in prefix[a + 2:b + 2]]
-                    suffix[a + 1:b + 1] = [m ^ bit for m in suffix[a + 2:b + 2]]
                 else:
                     prefix[b + 1:a + 1] = [m ^ bit for m in prefix[b:a]]
-                    suffix[b + 1:a + 1] = [m ^ bit for m in suffix[b:a]]
         applied = len(self.pending)
         self.pending.clear()
         return applied
@@ -190,7 +182,8 @@ class MetricIndex:
         elif rel_op is RelOp.NE:
             lo = bisect.bisect_left(values, val)
             hi = bisect.bisect_right(values, val)
-            return (self.prefix[lo] | self.suffix[hi]) & input_bits
+            prefix = self.prefix
+            return (prefix[lo] | (prefix[-1] ^ prefix[hi])) & input_bits
         else:  # pragma: no cover - exhaustive over RelOp
             raise ConfigurationError(f"unhandled relational operator {rel_op}")
         return self.prefix[hi] & ~self.prefix[lo] & input_bits
@@ -216,20 +209,25 @@ class MetricIndex:
     def max_mask(self, input_bits: int) -> int:
         """One-hot mask of the highest-rank entry present in ``input_bits``.
 
-        Mirror image of :meth:`min_mask` over the suffix masks; the last
-        valid entry is the maximum (latest-enqueued among equal values),
-        matching the reference path's last-one priority encoder.
+        Mirror image of :meth:`min_mask`: the entries at or above rank
+        ``r`` that the input holds are ``live & ~prefix[r]``, where ``live``
+        is the input cut down to the ids the table has (the input may
+        carry others, and ``~prefix[r]`` would keep them).  The last valid
+        entry is the maximum (latest-enqueued among equal values), matching
+        the reference path's last-one priority encoder.
         """
-        if not (self.suffix[0] & input_bits):
+        prefix = self.prefix
+        live = prefix[-1] & input_bits
+        if not live:
             return 0
         lo, hi = 0, len(self.values) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self.suffix[mid] & input_bits:
+            if live & ~prefix[mid]:
                 lo = mid
             else:
                 hi = mid - 1
-        return self.suffix[lo] & input_bits
+        return live & ~prefix[lo]
 
 
 class SMBM:
@@ -716,7 +714,7 @@ class SMBM:
         for name in self._indexes:
             index = self.metric_index(name)
             fresh = MetricIndex(self._metric_lists[name])
-            for array in ("values", "ids", "prefix", "suffix"):
+            for array in ("values", "ids", "prefix"):
                 if getattr(index, array) != getattr(fresh, array):
                     raise SimulationError(
                         f"{name} fast-path index {array} disagree with the "

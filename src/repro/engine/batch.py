@@ -2,9 +2,9 @@
 
 A :class:`PacketBatch` holds one *column* per packet attribute instead of
 one object per packet — the filter-request flags, the optional per-packet
-input masks (candidate resource sets), any extracted header/metadata
-fields, and the two output columns the filter module writes
-(``filter_output`` / ``filter_selected``).  Columns keep evaluation costs
+input masks (candidate resource sets), and the output columns the filter
+module writes (``filter_output`` / ``filter_selected`` /
+``filter_epoch``).  Columns keep evaluation costs
 amortised: the batched engine touches each column once per batch instead
 of chasing ``Packet`` objects and metadata dicts once per packet.
 
@@ -16,7 +16,7 @@ switch layer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -56,11 +56,11 @@ class PacketBatch:
     ``input_masks`` — ``None`` for a *uniform* batch (every packet filters
     the full table), else one ``int | None`` mask per packet (``None`` =
     full table for that packet);
-    ``fields[name][i]`` — extracted metadata/header columns;
-    ``outputs`` / ``selected`` — result columns, ``None`` until evaluated.
+    ``outputs`` / ``selected`` / ``epochs`` — result columns, ``None``
+    until evaluated.
     """
 
-    __slots__ = ("_size", "_request", "_input_masks", "_fields",
+    __slots__ = ("_size", "_request", "_input_masks",
                  "_outputs", "_selected", "_epochs", "_packets")
 
     def __init__(
@@ -69,7 +69,6 @@ class PacketBatch:
         *,
         request: Sequence[bool] | None = None,
         input_masks: Sequence[int | None] | None = None,
-        fields: dict[str, Sequence[object]] | None = None,
     ):
         if size < 0:
             raise ConfigurationError(f"batch size must be >= 0, got {size}")
@@ -82,12 +81,6 @@ class PacketBatch:
                 f"input_masks column has {len(input_masks)} rows, "
                 f"batch size is {size}"
             )
-        for name, col in (fields or {}).items():
-            if len(col) != size:
-                raise ConfigurationError(
-                    f"field column {name!r} has {len(col)} rows, "
-                    f"batch size is {size}"
-                )
         self._size = size
         self._request = (
             [True] * size if request is None else [bool(r) for r in request]
@@ -95,7 +88,6 @@ class PacketBatch:
         self._input_masks = (
             None if input_masks is None else list(input_masks)
         )
-        self._fields = {name: list(col) for name, col in (fields or {}).items()}
         self._outputs: list[int | None] = [None] * size
         self._selected: list[int | None] = [None] * size
         self._epochs: list[int | None] = [None] * size
@@ -109,34 +101,26 @@ class PacketBatch:
         return cls(size)
 
     @classmethod
-    def from_packets(
-        cls, packets: "Sequence[Packet]", field_names: Iterable[str] = ()
-    ) -> "PacketBatch":
+    def from_packets(cls, packets: "Sequence[Packet]") -> "PacketBatch":
         """Columnarise a packet list: one pass over the objects, then the
-        engine works on flat columns.  ``field_names`` selects extra
-        metadata keys to extract into :meth:`field` columns.
+        engine works on flat columns.
 
         The batch remembers the source packets so :meth:`scatter` can write
         the output columns back onto their metadata afterwards.
         """
-        names = tuple(field_names)
         request = []
         masks: list[int | None] = []
         any_mask = False
-        fields: dict[str, list[object]] = {name: [] for name in names}
         for packet in packets:
             meta = packet.metadata
             request.append(bool(meta.get(META_FILTER_REQUEST)))
             mask = meta.get(META_FILTER_INPUT)
             masks.append(int(mask) if mask is not None else None)
             any_mask = any_mask or mask is not None
-            for name in names:
-                fields[name].append(meta.get(name))
         batch = cls(
             len(request),
             request=request,
             input_masks=masks if any_mask else None,
-            fields=fields,
         )
         batch._packets = packets
         return batch
@@ -176,38 +160,9 @@ class PacketBatch:
         produced each row's output; ``None`` = not run)."""
         return self._epochs
 
-    def field(self, name: str) -> list[object]:
-        """One extracted metadata column."""
-        try:
-            return self._fields[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no field column {name!r}; extracted: {sorted(self._fields)}"
-            ) from None
-
-    # -- batch shape queries ---------------------------------------------------------
-
-    def is_uniform(self) -> bool:
-        """True when every requesting packet filters the full table — the
-        shape whose evaluation collapses to a single policy run per batch
-        signature (one memo probe for the whole batch)."""
-        if self._input_masks is None:
-            return True
-        return all(
-            mask is None
-            for mask, req in zip(self._input_masks, self._request)
-            if req
-        )
-
     def requesting_indices(self) -> list[int]:
         """Row indices of the packets that asked for filtering."""
         return [i for i, req in enumerate(self._request) if req]
-
-    def signature(self, version: int) -> tuple[int, bool]:
-        """The memo key of this batch against a table at ``version``:
-        batches with equal signatures over an unchanged table evaluate to
-        the same output column shape."""
-        return (version, self.is_uniform())
 
     # -- write-back -------------------------------------------------------------------
 
@@ -229,7 +184,7 @@ class PacketBatch:
                 packet.metadata[META_FILTER_EPOCH] = epoch
 
     def __repr__(self) -> str:
-        kind = "uniform" if self.is_uniform() else "masked"
+        kind = "uniform" if self._input_masks is None else "masked"
         done = sum(1 for out in self._outputs if out is not None)
         return (f"PacketBatch(size={self._size}, {kind}, "
                 f"requesting={len(self.requesting_indices())}, "

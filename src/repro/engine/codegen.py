@@ -272,26 +272,6 @@ class PlanCodegen:
         """The generated module source (for inspection and tests)."""
         return self._source
 
-    @property
-    def specializations(self) -> int:
-        """Kernels built so far (one per table version served)."""
-        return self._specializations
-
-    @property
-    def cache_hits(self) -> int:
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._misses
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "specializations": self._specializations,
-            "cache_hits": self._hits,
-            "cache_misses": self._misses,
-        }
-
     def invalidate(self) -> None:
         """Drop the specialized kernel unconditionally.
 
@@ -319,9 +299,11 @@ class PlanCodegen:
             self._misses += 1
         return self._scalar_kernel
 
-    def evaluate(self, smbm: SMBM) -> int:
-        """One packet's policy output as a raw int mask."""
-        return self.kernel(smbm)(smbm.id_mask())
+    def evaluate(self, smbm: SMBM, mask: int | None = None) -> int:
+        """One packet's policy output over ``table ∩ mask`` (``None`` = the
+        full table) as a raw int mask."""
+        present = smbm.id_mask()
+        return self.kernel(smbm)(present if mask is None else present & mask)
 
     # -- batch lane ----------------------------------------------------------------
 

@@ -337,49 +337,15 @@ class FilterModule:
             self._plan_epoch = int(plan_epoch)
 
     @property
-    def evaluations(self) -> int:
-        """Number of per-packet policy evaluations performed."""
-        return self._evaluations
-
-    @property
     def memoized(self) -> bool:
         """Whether evaluations are being served from the version cache."""
         return self._memoize
-
-    @property
-    def cache_hits(self) -> int:
-        """Evaluations answered from the memo without running the pipeline."""
-        return self._cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Memoized evaluations that had to run the pipeline (cold or
-        invalidated by a table write)."""
-        return self._cache_misses
 
     @property
     def codegen(self):
         """The plan's :class:`~repro.engine.codegen.PlanCodegen` tier, or
         ``None`` when the module was built without ``codegen=True``."""
         return self._codegen
-
-    def counters(self) -> dict[str, int]:
-        """Evaluation/cache counters for benchmark attribution reports."""
-        return {
-            "evaluations": self._evaluations,
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
-        }
-
-    def batch_counters(self) -> dict[str, int]:
-        """Batch-tier row attribution for benchmark reports."""
-        return {
-            "batches": self._batches,
-            "batch_rows": self._batch_rows,
-            "broadcast_rows": self._batch_broadcast_rows,
-            "engine_rows": self._batch_engine_rows,
-            "fallback_rows": self._batch_fallback_rows,
-        }
 
     @property
     def latency_cycles(self) -> int:
@@ -403,79 +369,103 @@ class FilterModule:
     # -- per-packet processing --------------------------------------------------------
 
     def evaluate(self) -> BitVector:
-        """Apply the programmed policy to the current table once.
+        """Apply the programmed policy to the current table once (an
+        unmasked :meth:`_serve`).  Callers receive an independent vector."""
+        return BitVector.from_int(self._smbm.capacity, self._serve(None))
 
-        Stateless policies are served from the version-keyed memo when the
-        table is unchanged since the last evaluation.  Callers receive an
-        independent copy, so mutating the result cannot corrupt the cache.
+    def _serve(self, mask: int | None) -> int:
+        """One packet's filter output as a raw id-mask: the only row
+        routine.  ``mask`` is the packet's ``META_FILTER_INPUT`` candidate
+        set (``None`` = the full table); every entry point — :meth:`hook`,
+        :meth:`evaluate`, :meth:`select`, each :meth:`evaluate_batch` row
+        the batch engine does not take — lands here, so what a packet gets
+        cannot depend on how it arrived.
 
-        Exception-safe: the memo entry is dropped *before* the pipeline
-        runs and re-installed only on success, and only if the table version
-        is unchanged after the run — a fault (or a concurrent table write
-        from a fault handler) mid-evaluation can therefore never leave a
-        half-populated entry keyed on a version the output does not match.
+        Unmasked rows of a stateless policy are served from the
+        version-keyed memo when the table is unchanged since the last
+        evaluation (a masked row's answer depends on its mask, so it always
+        runs).  Exception-safe: the memo entry is dropped *before* the run
+        and re-installed only on success, and only if the table version is
+        unchanged after the run — a fault (or a concurrent table write from
+        a fault handler) mid-evaluation can therefore never leave an entry
+        keyed on a version the output does not match.
         """
         self._evaluations += 1
-        if not self._memoize:
-            return self._run_guarded()
+        if mask is not None or not self._memoize:
+            return self._miss(mask)
         version = self._smbm.version
         if version == self._memo_version:
-            assert self._memo_output is not None
             self._cache_hits += 1
-            return self._memo_output.copy()
+            return self._memo_output
         self._memo_version = None
-        self._memo_output = None
-        out = self._run_guarded()
+        out = self._miss(None)
         if self._smbm.version == version:
             self._memo_version = version
             self._memo_output = out
         self._cache_misses += 1
-        return out.copy()
+        return out
 
-    def _run_guarded(self) -> BitVector:
-        """The miss path, with fail-around when self-healing is enabled."""
-        if not self._self_healing:
-            return self._run_pipeline()
+    def _miss(self, mask: int | None) -> int:
+        """A row the memo cannot answer: run it, failing around dead Cells
+        when self-healing is enabled, attributing wall time and the
+        deterministic hardware latency when metrics are enabled."""
         while True:
             try:
-                return self._run_pipeline()
+                if not self._obs_enabled:
+                    return self._run(mask)
+                t0 = time.perf_counter_ns()
+                out = self._run(mask)
+                self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
+                self._obs_cycles.inc(self._compiled.latency_cycles)
+                return out
             except CellFault as fault:
+                if not self._self_healing:
+                    raise
                 self._heal_dead(fault)
 
-    def _run_pipeline(self) -> BitVector:
-        """The miss path: run the specialized kernel when armed, else the
-        compiled pipeline, attributing wall time and deterministic hardware
-        latency when metrics are enabled."""
-        if not self._obs_enabled:
-            return self._evaluate_once()
-        t0 = time.perf_counter_ns()
-        out = self._evaluate_once()
-        self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
-        self._obs_cycles.inc(self._compiled.latency_cycles)
+    def _run(self, mask: int | None) -> int:
+        """The specialized kernel when armed, else the compiled pipeline;
+        under ``sanitize`` the kernel is held to the pipeline and every
+        output to the plan's feasible region."""
+        if self._codegen is None:
+            out = self._plan_output(mask)
+        else:
+            out = self._codegen.evaluate(self._smbm, mask)
+            if self._sanitize:
+                # The interpreted plan stays the differential oracle of the
+                # generated code (the GoldenOracle pattern, one tier up).
+                self._agreed(out, "codegen kernel",
+                             self._plan_output(mask), "the interpreted plan")
+        if self._sanitize:
+            self._check_semantic_containment(out)
         return out
 
-    def _evaluate_once(self) -> BitVector:
-        if self._codegen is None:
-            out = self._compiled.evaluate(self._smbm)
-            if self._sanitize:
-                self._check_semantic_containment(out.value)
-            return out
-        out = BitVector.from_int(
-            self._smbm.capacity, self._codegen.evaluate(self._smbm)
+    def _plan_output(self, mask: int | None) -> int:
+        """The compiled pipeline's output over ``table ∩ mask``."""
+        if mask is None:
+            return self._compiled.evaluate(self._smbm).value
+        return self._compiled.evaluate_restricted(self._smbm, mask).value
+
+    def _agreed(self, fast: int, fast_name: str,
+                reference: int, reference_name: str) -> int:
+        """The one optimised-result-vs-reference compare: returns the
+        agreed output or raises :class:`~repro.errors.IntegrityError`."""
+        if fast != reference:
+            raise IntegrityError(
+                f"sanitizer: {fast_name} output {fast:#x} disagrees with "
+                f"{reference_name} {reference:#x} on policy "
+                f"{self._policy.name!r}",
+                component="filter_module",
+            )
+        return fast
+
+    def _fast_vs_oracle(self) -> int:
+        """The compiled fast path against the shared O(N) golden oracle on
+        the live table (stateless plans only: callers check)."""
+        return self._agreed(
+            self._plan_output(None), "fast path",
+            self._oracle.expected(self._smbm).value, "golden oracle",
         )
-        if self._sanitize:
-            # The interpreted plan stays the differential oracle of the
-            # generated code (the GoldenOracle pattern, one tier up).
-            expected = self._compiled.evaluate(self._smbm)
-            if out != expected:
-                raise IntegrityError(
-                    f"sanitizer: codegen kernel output {out.value:#x} "
-                    f"disagrees with the interpreted plan "
-                    f"{expected.value:#x} on policy {self._policy.name!r}",
-                    component="filter_module",
-                )
-            self._check_semantic_containment(out.value)
-        return out
 
     def _semantic_root_region(self) -> Region:
         """The symbolic analyzer's over-approximation of the rows the
@@ -551,17 +541,9 @@ class FilterModule:
                 "sanitize_check requires a stateless policy: stateful "
                 "units legitimately diverge from the golden oracle"
             )
-        expected = self._oracle.expected(self._smbm)
-        actual = self._compiled.evaluate(self._smbm)
-        if actual != expected:
-            raise IntegrityError(
-                f"sanitizer: fast path output {actual.value:#x} disagrees "
-                f"with golden oracle {expected.value:#x} on policy "
-                f"{self._policy.name!r}",
-                component="filter_module",
-            )
-        self._check_semantic_containment(actual.value)
-        return actual
+        out = self._fast_vs_oracle()
+        self._check_semantic_containment(out)
+        return BitVector.from_int(self._smbm.capacity, out)
 
     # -- fault injection, detection and fail-around ----------------------------------
 
@@ -648,7 +630,7 @@ class FilterModule:
         # Single-entry memo: the SMBM version only moves forward, so older
         # results can never become valid again.
         self._memo_version: int | None = None
-        self._memo_output: BitVector | None = None
+        self._memo_output = 0
         if self._codegen is not None:
             self._codegen.invalidate()
         self._obs_cache_resets.inc()
@@ -755,19 +737,17 @@ class FilterModule:
             )
         healed: list[dict[str, object]] = []
         while True:
-            expected = self._oracle.expected(self._smbm)
             try:
-                actual = self._compiled.evaluate(self._smbm)
-                if actual == expected:
+                try:
+                    self._fast_vs_oracle()
                     return healed
-                found = self._localize_stuck()
+                except IntegrityError:
+                    healed.extend(self._localize_stuck())
             except CellFault as fault:
                 stage, index = self._heal_dead(fault)
                 healed.append(
                     {"stage": stage, "index": index, "kind": "cell_dead"}
                 )
-                continue
-            healed.extend(found)
 
     def _localize_stuck(self) -> list[dict[str, object]]:
         """Replay each active Cell against a golden clone; heal the liars."""
@@ -804,19 +784,8 @@ class FilterModule:
 
     def select(self) -> int | None:
         """Evaluate and return the singleton selection, if any."""
-        out = self.evaluate()
-        if out.popcount() != 1:
-            return None
-        return out.first_set()
-
-    def _evaluate_restricted(self, mask: int) -> int:
-        """One packet's evaluation over ``table ∩ mask`` on the scalar
-        path: the reference a masked batch row is held to."""
-        self._evaluations += 1
-        out = self._compiled.evaluate_restricted(self._smbm, mask).value
-        if self._sanitize:
-            self._check_semantic_containment(out)
-        return out
+        selected = _selected(self._serve(None))
+        return None if selected < 0 else selected
 
     def hook(self, packet: Packet) -> None:
         """The per-stage module hook: filter on request, bypass otherwise.
@@ -827,21 +796,12 @@ class FilterModule:
         if not meta.get(META_FILTER_REQUEST):
             return
         mask = meta.get(META_FILTER_INPUT)
-        out = (self.evaluate().value if mask is None
-               else self._evaluate_restricted(int(mask)))
+        out = self._serve(None if mask is None else int(mask))
         meta[META_FILTER_OUTPUT] = out
-        meta[META_FILTER_SELECTED] = (
-            (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
-        )
+        meta[META_FILTER_SELECTED] = _selected(out)
         meta[META_FILTER_EPOCH] = self._plan_epoch
 
     # -- batched processing -------------------------------------------------------------
-
-    def _batch_engine(self):
-        """The masked-row batch engine: the codegen tier when armed, else
-        the interpreted columnar tier when the plan is expressible there
-        (stateless, no caller-supplied inputs), else ``None``."""
-        return self._codegen if self._codegen is not None else self._batch_eval
 
     def evaluate_batch(
         self, packets: "Sequence[Packet] | PacketBatch"
@@ -852,16 +812,15 @@ class FilterModule:
         :class:`PacketBatch`.  Rows split by shape:
 
         * **uniform rows** (no ``META_FILTER_INPUT`` mask) of a stateless
-          policy collapse to a *single* policy evaluation per batch — the
-          version-keyed memo now effectively keys on the batch signature
-          ``(smbm.version, uniform)``, and the result is broadcast;
-        * **masked rows** run through the batch engine (the codegen batch
-          kernel when armed, else the interpreted columnar evaluator);
-        * anything neither tier can express (stateful policies,
-          caller-supplied inputs) falls back to the scalar per-row path,
-          preserving exact per-packet semantics — for a stateful policy
-          in arrival order, masked and unmasked rows interleaved, since
-          each evaluation advances the units the next one sees.
+          policy collapse to a *single* :meth:`evaluate` per batch, whose
+          result is broadcast;
+        * **masked rows** of a stateless policy run through the batch
+          engine (the codegen tier when armed, else the interpreted
+          columnar evaluator);
+        * every other row — all rows of a stateful policy, masked rows of
+          a plan neither tier can express — is served one at a time by
+          :meth:`_serve`, exactly as :meth:`hook` would, in arrival order
+          (each stateful evaluation advances the units the next one sees).
 
         Rows not requesting filtering are left untouched.  The filled
         output columns are returned on the batch; for a batch built from
@@ -878,54 +837,60 @@ class FilterModule:
         if not rows:
             return batch
         outputs = batch.outputs
+        selected = batch.selected
         masks = batch.input_masks
-        if self._compiled.stateless:
-            uniform = [i for i in rows if masks is None or masks[i] is None]
-            masked = [i for i in rows
-                      if masks is not None and masks[i] is not None]
-        else:
+        if not self._compiled.stateless:
             # Stateful outputs advance per packet: no collapse and no
-            # reordering is legal, so every row takes the scalar path in
-            # arrival order.
-            uniform = masked = ()
-            for i in rows:
-                mask = None if masks is None else masks[i]
-                outputs[i] = (self.evaluate().value if mask is None
-                              else self._evaluate_restricted(mask))
-            self._batch_fallback_rows += len(rows)
+            # reordering is legal.
+            uniform, single = [], rows
+        elif masks is None:
+            uniform, single = rows, []
+        else:
+            uniform = [i for i in rows if masks[i] is None]
+            single = [i for i in rows if masks[i] is not None]
         if uniform:
             out = self.evaluate().value
+            pick = _selected(out)
             for i in uniform:
                 outputs[i] = out
+                selected[i] = pick
             self._batch_broadcast_rows += len(uniform)
-        if masked:
-            row_masks = [masks[i] for i in masked]  # type: ignore[index]
-            engine = self._batch_engine()
-            if engine is None:
-                outs = [self._evaluate_restricted(m) for m in row_masks]
-                self._batch_fallback_rows += len(masked)
-            else:
-                outs = engine.evaluate_masks(self._smbm, row_masks)
-                self._batch_engine_rows += len(masked)
-                if self._sanitize:
-                    # Masked rows restrict the *input* table; the feasible
-                    # region still over-approximates every output row, so
-                    # the batched tiers are held to the same soundness
-                    # contract as the scalar path.
-                    for out in outs:
-                        self._check_semantic_containment(out)
-            for i, out in zip(masked, outs):
+        # The masked-row batch engine: the codegen tier when armed, else the
+        # interpreted columnar tier when the plan is expressible there
+        # (stateless, no caller-supplied inputs), else none.  One exists
+        # only for stateless plans, so every row it is handed has a mask.
+        engine = self._codegen if self._codegen is not None else self._batch_eval
+        if single and engine is not None:
+            outs = engine.evaluate_masks(
+                self._smbm, [masks[i] for i in single]  # type: ignore[index]
+            )
+            self._batch_engine_rows += len(single)
+            if self._sanitize:
+                # Masked rows restrict the *input* table; the feasible
+                # region still over-approximates every output row, so the
+                # batched tiers are held to the same soundness contract as
+                # the row routine.
+                for out in outs:
+                    self._check_semantic_containment(out)
+            for i, out in zip(single, outs):
                 outputs[i] = out
-        selected = batch.selected
+                selected[i] = _selected(out)
+        elif single:
+            for i in single:
+                out = self._serve(None if masks is None else masks[i])
+                outputs[i] = out
+                selected[i] = _selected(out)
+            self._batch_fallback_rows += len(single)
         epochs = batch.epochs
         epoch = self._plan_epoch
         for i in rows:
-            out = outputs[i]
-            assert out is not None
-            selected[i] = (
-                (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
-            )
             epochs[i] = epoch
         if built_here:
             batch.scatter()
         return batch
+
+
+def _selected(out: int) -> int:
+    """``META_FILTER_SELECTED`` of an output mask: the id of its single
+    set bit, or -1 when it is not a singleton."""
+    return (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1

@@ -15,10 +15,8 @@ Ties together the four tasks of implementing a filter policy:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy
 from repro.errors import ConfigurationError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.pipeline import MatchActionStage, RMTPipeline
@@ -33,61 +31,36 @@ __all__ = ["ThanosSwitch", "META_TENANT"]
 
 #: A local-metric event handler maps (event name, event args) to SMBM writes.
 EventHandler = Callable[["ThanosSwitch", Mapping[str, int]], None]
+#: Cuts a run of data packets into (owning module, its packets) sub-batches.
+RunSplit = Callable[[list[Packet]],
+                    Iterable[tuple[FilterModule, list[Packet]]]]
 
 
 class ThanosSwitch:
     """A switch with one RMT pipeline and one inline filter module — or,
     in multi-tenant mode (:meth:`multi_tenant`), one demuxed filter stage
-    serving every admitted tenant's slice of the shared pipeline."""
+    serving every admitted tenant's slice of the shared pipeline.
+
+    The two differ only in who owns a packet: construction fixes one owner
+    lookup (packet -> module) and one run split (data packets -> per-module
+    sub-batches), and everything below is written once against those.
+    """
 
     def __init__(
         self,
-        capacity: int,
-        metric_names: Sequence[str],
-        policy: Policy | None,
-        params: PipelineParams | None = None,
+        filter_module: FilterModule,
         ingress_stages: list[MatchActionStage] | None = None,
         egress_stages: list[MatchActionStage] | None = None,
-        *,
-        lfsr_seed: int = 1,
-        codegen: bool = False,
-        tenants: "TenantManager | None" = None,
     ):
-        if (policy is None) == (tenants is None):
-            raise ConfigurationError(
-                "exactly one of policy (dedicated switch) or tenants "
-                "(multi-tenant switch) must be given"
-            )
-        self._tenants = tenants
-        self._demux = None if tenants is None else TenantDemux(tenants)
-        if tenants is not None:
-            metric_names = tenants.metric_names
-        self._codec = ProbeCodec(metric_names)
-        self._parser = self._codec.build_parser()
-        if tenants is None:
-            assert policy is not None
-            self._filter: FilterModule | None = FilterModule(
-                capacity, metric_names, policy, params,
-                lfsr_seed=lfsr_seed, codegen=codegen,
-            )
-            hook = self._filter.hook
-        else:
-            # Per-tenant demux: the filter stage routes each requesting
-            # packet to its owning tenant's module by the META_TENANT
-            # metadata key (set by the ingress classifier).
-            self._filter = None
-            hook = self._tenant_hook
-        filter_stage = MatchActionStage(name="thanos-filter", hook=hook)
-        stages = list(ingress_stages or [])
-        stages.append(filter_stage)
-        stages.extend(egress_stages or [])
-        # Batched serving is only sound when the filter is the sole stage:
-        # other stages' tables and register charges must interleave with
-        # each packet, which a columnar pass cannot reproduce.
-        self._filter_only = len(stages) == 1
-        self._pipeline = RMTPipeline(stages)
-        self._event_handlers: dict[str, EventHandler] = {}
-        self._probes_processed = 0
+        """A dedicated switch around one built filter module."""
+        self._filter: FilterModule | None = filter_module
+        self._tenants: "TenantManager | None" = None
+        self._wire(
+            filter_module.smbm.metric_names,
+            lambda packet: filter_module,
+            lambda run: ((filter_module, run),),
+            ingress_stages, egress_stages,
+        )
 
     @classmethod
     def multi_tenant(
@@ -100,10 +73,46 @@ class ThanosSwitch:
         ``tenants``.  Probe and data packets must carry the
         ``META_TENANT`` metadata key; the switch demuxes to the owning
         tenant's filter module and SMBM and never guesses."""
-        return cls(
-            0, tenants.metric_names, None, tenants.params,
-            ingress_stages, egress_stages, tenants=tenants,
+        switch = cls.__new__(cls)
+        switch._filter = None
+        switch._tenants = tenants
+        demux = TenantDemux(tenants)
+        # Tenants' tables are disjoint, so sub-batch order is immaterial;
+        # within each tenant arrival order is preserved.  Every routing
+        # violation in a run (all distinct unknown labels, all unlabelled
+        # packets) surfaces in the one RoutingError the demux raises.
+        switch._wire(
+            tenants.metric_names,
+            lambda packet: demux.resolve(packet).module,
+            lambda run: ((tenants.get(name).module, pkts)
+                         for name, pkts in demux.partition(run).items()),
+            ingress_stages, egress_stages,
         )
+        return switch
+
+    def _wire(
+        self,
+        metric_names: Sequence[str],
+        owner: Callable[[Packet], FilterModule],
+        split: RunSplit,
+        ingress_stages: list[MatchActionStage] | None,
+        egress_stages: list[MatchActionStage] | None,
+    ) -> None:
+        self._owner = owner
+        self._split = split
+        self._codec = ProbeCodec(metric_names)
+        self._parser = self._codec.build_parser()
+        stages = list(ingress_stages or [])
+        stages.append(MatchActionStage(name="thanos-filter",
+                                       hook=self._filter_hook))
+        stages.extend(egress_stages or [])
+        # Batched serving is only sound when the filter is the sole stage:
+        # other stages' tables and register charges must interleave with
+        # each packet, which a columnar pass cannot reproduce.
+        self._filter_only = len(stages) == 1
+        self._pipeline = RMTPipeline(stages)
+        self._event_handlers: dict[str, EventHandler] = {}
+        self._probes_processed = 0
 
     @property
     def filter_module(self) -> FilterModule:
@@ -119,16 +128,11 @@ class ThanosSwitch:
         """The tenant manager, or ``None`` for a dedicated switch."""
         return self._tenants
 
-    def _tenant_of(self, packet: Packet) -> FilterModule:
-        """Demux: the filter module owning this packet's traffic."""
-        assert self._demux is not None
-        return self._demux.resolve(packet).module
-
-    def _tenant_hook(self, packet: Packet) -> None:
-        """The demuxed filter stage: route to the owner, bypass otherwise."""
-        if not packet.metadata.get(META_FILTER_REQUEST):
-            return
-        self._tenant_of(packet).hook(packet)
+    def _filter_hook(self, packet: Packet) -> None:
+        """The filter stage: route to the owner, bypass otherwise (a packet
+        that asks for nothing needs no owner, so no tenant label)."""
+        if packet.metadata.get(META_FILTER_REQUEST):
+            self._owner(packet).hook(packet)
 
     @property
     def pipeline(self) -> RMTPipeline:
@@ -144,17 +148,19 @@ class ThanosSwitch:
         """Parse wire bytes and process the resulting packet."""
         return self.process(self._parser.parse(data))
 
+    def _apply_probe(self, packet: Packet, update) -> None:
+        """Commit one decoded probe to its owner's resource table."""
+        self._owner(packet).update_resource(update.resource_id, update.metrics)
+        self._probes_processed += 1
+
     def process(self, packet: Packet) -> Packet:
         """Process one packet: probe packets update the SMBM, data packets
         traverse the pipeline (and trigger filtering when they request it)."""
         update = self._codec.decode(packet)
-        if update is not None:
-            module = (self._filter if self._tenants is None
-                      else self._tenant_of(packet))
-            module.update_resource(update.resource_id, update.metrics)
-            self._probes_processed += 1
-            return packet
-        return self._pipeline.process(packet)
+        if update is None:
+            return self._pipeline.process(packet)
+        self._apply_probe(packet, update)
+        return packet
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
         """Process a packet stream, serving data packets in columnar batches.
@@ -176,34 +182,21 @@ class ThanosSwitch:
         def flush() -> None:
             if not run:
                 return
-            if not self._filter_only:
+            if self._filter_only:
+                for module, pkts in self._split(run):
+                    module.evaluate_batch(pkts)
+            else:
                 for p in run:
                     self._pipeline.process(p)
-            elif self._tenants is None:
-                assert self._filter is not None
-                self._filter.evaluate_batch(run)
-            else:
-                # Demux the run into per-tenant sub-batches.  Tenants'
-                # tables are disjoint, so sub-batch order is immaterial;
-                # within each tenant arrival order is preserved.  Every
-                # routing violation in the run (all distinct unknown
-                # labels, all unlabelled packets) surfaces in the one
-                # RoutingError the demux raises.
-                assert self._demux is not None
-                for name, pkts in self._demux.partition(run).items():
-                    self._tenants.get(name).module.evaluate_batch(pkts)
             run.clear()
 
         for packet in packets:
             update = self._codec.decode(packet)
-            if update is not None:
-                flush()  # writes may not reorder past pending reads
-                module = (self._filter if self._tenants is None
-                          else self._tenant_of(packet))
-                module.update_resource(update.resource_id, update.metrics)
-                self._probes_processed += 1
-            else:
+            if update is None:
                 run.append(packet)
+            else:
+                flush()  # writes may not reorder past pending reads
+                self._apply_probe(packet, update)
         flush()
         return list(packets)
 

@@ -427,10 +427,3 @@ class TenantManager:
                         metrics: Mapping[str, int]) -> None:
         """Route a metric update to one tenant's table."""
         self.get(name).module.update_resource(resource_id, metrics)
-
-    def counters(self) -> dict[str, dict[str, int]]:
-        """Per-tenant evaluation/cache counters (benchmark attribution)."""
-        return {
-            name: tenant.module.counters()
-            for name, tenant in self._tenants.items()
-        }

@@ -64,12 +64,12 @@ class TestSmbmSanitize:
 
 
 class TestMemoCoherence:
-    def test_memo_invalidated_by_every_commit(self):
+    def test_memo_invalidated_by_every_commit(self, registry):
         module = FilterModule(8, ("q",), _policy(), sanitize=True)
         module.smbm.add(1, {"q": 5})
         module.evaluate()
         module.evaluate()
-        assert module.cache_hits == 1
+        assert registry.value_of("filter_memo_hits_total") == 1
         module.smbm.add(2, {"q": 3})  # coherence listener passes
         assert module.evaluate().first_set() == 2
 

@@ -138,7 +138,7 @@ def test_verified_plan_never_raises_at_evaluation(policy: Policy, seed: int):
                 )
 
 
-def test_verified_plan_survives_10k_random_packets():
+def test_verified_plan_survives_10k_random_packets(registry):
     """Acceptance run: one verified plan, 10k packets, periodic writes,
     zero raises — with the sanitizer armed the whole way."""
     table = TableRef()
@@ -163,5 +163,5 @@ def test_verified_plan_survives_10k_random_packets():
                 module.update_resource(
                     rid, {m: rng.randrange(1000) for m in METRICS}
                 )
-    assert module.evaluations == 10_000
+    assert registry.value_of("filter_evaluations_total") == 10_000
     assert module.sanitize_check() is not None

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Iterator
 
 import pytest
+
+from repro import obs
 
 try:  # hypothesis ships in the dev environment / CI, but stay importable
     import hypothesis
@@ -98,6 +101,16 @@ def rng(request: pytest.FixtureRequest) -> random.Random:
     base = _base_seed(request.config)
     request.node._rng_base_seed = base
     return random.Random(f"{base}:{request.node.nodeid}")
+
+
+@pytest.fixture
+def registry() -> "Iterator[obs.MetricsRegistry]":
+    """A live metrics registry for the test's duration.  Modules built
+    inside the test publish into it, so a counter is read the way an
+    operator reads it: ``registry.value_of("filter_memo_hits_total")``
+    (summed over label sets, or one series with ``labels=``)."""
+    with obs.use_registry(obs.MetricsRegistry()) as installed:
+        yield installed
 
 
 @pytest.hookimpl(hookwrapper=True)

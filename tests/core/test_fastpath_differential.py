@@ -242,36 +242,36 @@ class TestFilterModuleMemoization:
             module.update_resource(rid, {"a": rid * 2, "b": rid})
         return module
 
-    def test_unchanged_table_hits_cache(self):
+    def test_unchanged_table_hits_cache(self, registry):
         module = self._stateless_module()
         assert module.memoized
         first = module.evaluate()
         second = module.evaluate()
         assert first == second
-        assert module.cache_misses == 1
-        assert module.cache_hits == 1
-        assert module.evaluations == 2
+        assert registry.value_of("filter_memo_misses_total") == 1
+        assert registry.value_of("filter_memo_hits_total") == 1
+        assert registry.value_of("filter_evaluations_total") == 2
 
-    def test_write_invalidates(self):
+    def test_write_invalidates(self, registry):
         module = self._stateless_module()
         out = module.evaluate()
-        assert module.cache_misses == 1
+        assert registry.value_of("filter_memo_misses_total") == 1
         # Move resource 0 across the predicate threshold.
         module.update_resource(0, {"a": VALUE_RANGE, "b": 0})
         out2 = module.evaluate()
-        assert module.cache_misses == 2
+        assert registry.value_of("filter_memo_misses_total") == 2
         assert out2 != out
         assert not out2[0]
 
-    def test_returned_vector_is_a_private_copy(self):
+    def test_returned_vector_is_a_private_copy(self, registry):
         module = self._stateless_module()
         out = module.evaluate()
         out[0] = not out[0]  # caller-side mutation must not corrupt the memo
         fresh = module.evaluate()
         assert fresh != out
-        assert module.cache_hits == 1
+        assert registry.value_of("filter_memo_hits_total") == 1
 
-    def test_stateful_policy_is_never_memoized(self):
+    def test_stateful_policy_is_never_memoized(self, registry):
         policy = Policy(round_robin(TableRef(), "a"))
         module = FilterModule(CAP, METRICS, policy)
         for rid in range(4):
@@ -280,9 +280,10 @@ class TestFilterModuleMemoization:
         assert not module.compiled.stateless
         picks = [module.select() for _ in range(4)]
         assert sorted(picks) == [0, 1, 2, 3]  # round-robin advances per packet
-        assert module.cache_hits == 0 and module.cache_misses == 0
+        assert registry.value_of("filter_memo_hits_total") == 0
+        assert registry.value_of("filter_memo_misses_total") == 0
 
-    def test_memoization_agrees_with_reference_across_writes(self):
+    def test_memoization_agrees_with_reference_across_writes(self, registry):
         rng = random.Random(0xCAFE)
         policy_fast = Policy(min_of(intersection(
             predicate(TableRef(), "a", RelOp.GE, 2),
@@ -301,8 +302,8 @@ class TestFilterModuleMemoization:
             module.smbm.check_invariants()
             for _ in range(rng.randrange(1, 4)):  # repeats exercise the memo
                 assert module.evaluate() == reference.evaluate(module.smbm)
-        assert module.cache_hits > 0
-        assert module.cache_misses > 0
+        assert registry.value_of("filter_memo_hits_total") > 0
+        assert registry.value_of("filter_memo_misses_total") > 0
 
 
 def _stateful_builders() -> dict[str, callable]:

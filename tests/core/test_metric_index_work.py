@@ -99,7 +99,7 @@ class TestReadSideWork:
                     assert kernel(module.smbm.id_mask() & mask) == expect
             rebuilds, patches = _work(reg)
             assert rebuilds == len(METRICS) and patches == 10 * len(READS)
-            assert module.codegen.specializations == 10
+            assert reg.value_of("codegen_specializations_total") == 10
 
 
 def _lines_executed(fn) -> int:

@@ -228,26 +228,32 @@ class TestBatchVsScalarDifferential:
         assert batch_np.selected == batch_py.selected
 
 
+def _path_rows(registry) -> dict[str, int]:
+    """Batch rows served so far, by serving path (all modules summed)."""
+    samples, _ = registry.collect()
+    return {dict(s.labels)["path"]: s.value for s in samples
+            if s.name == "filter_batch_path_rows_total"}
+
+
 class TestServingPaths:
-    def test_uniform_stateless_broadcasts(self, rng):
+    def test_uniform_stateless_broadcasts(self, rng, registry):
         module = _build_module(rng, "bc")
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate_batch(PacketBatch.uniform(16))
-        counters = module.batch_counters()
-        assert counters["batches"] == 1
-        assert counters["broadcast_rows"] == 16
-        assert counters["engine_rows"] == counters["fallback_rows"] == 0
+        assert registry.value_of("filter_batches_total") == 1
+        assert _path_rows(registry) == {
+            "broadcast": 16, "engine": 0, "fallback": 0}
 
-    def test_masked_stateless_uses_engine(self, rng):
+    def test_masked_stateless_uses_engine(self, rng, registry):
         module = _build_module(rng, "eng")
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate_batch(PacketBatch(8, input_masks=[1] * 8))
-        assert module.batch_counters()["engine_rows"] == 8
-        assert module.batch_counters()["fallback_rows"] == 0
+        assert _path_rows(registry) == {
+            "broadcast": 0, "engine": 8, "fallback": 0}
 
-    def test_stateful_policy_falls_back_per_row(self, rng):
+    def test_stateful_policy_falls_back_per_row(self, rng, registry):
         """Stateful units advance per packet: the batch must replay them
         row by row, matching a scalar loop exactly."""
         policy = Policy(round_robin(TableRef(), "a"), name="rr")
@@ -262,16 +268,16 @@ class TestServingPaths:
         expected = [scalar.evaluate().value for _ in range(9)]
         assert batch.outputs == expected
         assert len(set(expected)) > 1  # the round-robin actually advanced
-        assert batched.batch_counters()["fallback_rows"] == 9
+        assert _path_rows(registry)["fallback"] == 9
 
-    def test_memoized_broadcast_reuses_version_cache(self, rng):
+    def test_memoized_broadcast_reuses_version_cache(self, rng, registry):
         module = _build_module(rng, "memo")
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate_batch(PacketBatch.uniform(8))
-        hits_before = module.counters()["cache_hits"]
+        hits_before = registry.value_of("filter_memo_hits_total")
         module.evaluate_batch(PacketBatch.uniform(8))
-        assert module.counters()["cache_hits"] > hits_before
+        assert registry.value_of("filter_memo_hits_total") > hits_before
 
     def test_empty_and_non_requesting_batches(self, rng):
         module = _build_module(rng, "empty")

@@ -39,7 +39,14 @@ from repro.errors import (
     ConfigurationError,
     IntegrityError,
 )
-from repro.switch.filter_module import FilterModule, PacketBatch
+from repro.rmt.packet import Packet
+from repro.switch.filter_module import (
+    META_FILTER_INPUT,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+    FilterModule,
+    PacketBatch,
+)
 
 from tests.engine.test_batch_differential import (
     CAP,
@@ -155,19 +162,19 @@ class TestCodegenVsInterpreted:
 
 
 class TestSpecializationCache:
-    def test_version_keyed_invalidation(self, rng):
+    def test_version_keyed_invalidation(self, rng, registry):
         compiled = _compile_random(rng, "cache")
         codegen = compiled.codegen
         smbm = SMBM(CAP, METRICS)
         _random_write(rng, smbm)
         codegen.evaluate(smbm)
-        misses = codegen.cache_misses
+        misses = registry.value_of("codegen_cache_misses_total")
         codegen.evaluate(smbm)          # unchanged version: a hit
-        assert codegen.cache_misses == misses
-        assert codegen.cache_hits >= 1
+        assert registry.value_of("codegen_cache_misses_total") == misses
+        assert registry.value_of("codegen_cache_hits_total") >= 1
         _random_write(rng, smbm)        # version moved: respecialize
         codegen.evaluate(smbm)
-        assert codegen.cache_misses == misses + 1
+        assert registry.value_of("codegen_cache_misses_total") == misses + 1
 
     def test_source_cache_shared_across_equal_plans(self):
         node = lambda: min_of(  # noqa: E731 - tiny local factory
@@ -256,6 +263,12 @@ class TestSanitizerDifferential:
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate()  # agreeing paths: no complaint
+        masked = Packet(metadata={META_FILTER_REQUEST: 1,
+                                  META_FILTER_INPUT: rng.getrandbits(CAP)})
+        module.hook(masked)  # a masked row is held to the same check
+        assert masked.metadata[META_FILTER_OUTPUT] == \
+            module.compiled.evaluate_restricted(
+                module.smbm, masked.metadata[META_FILTER_INPUT]).value
 
     def test_sanitize_catches_a_tampered_kernel(self, rng, monkeypatch):
         module = _build_module(rng, "evil", codegen=True, sanitize=True,
@@ -265,7 +278,11 @@ class TestSanitizerDifferential:
         good = module.evaluate().value
         monkeypatch.setattr(
             module.codegen, "evaluate",
-            lambda smbm: good ^ module.smbm.id_mask() ^ (1 << (CAP - 1)),
+            lambda smbm, mask=None:
+                good ^ module.smbm.id_mask() ^ (1 << (CAP - 1)),
         )
         with pytest.raises(IntegrityError):
             module.evaluate()
+        with pytest.raises(IntegrityError):  # masked scalar rows too
+            module.hook(Packet(metadata={META_FILTER_REQUEST: 1,
+                                         META_FILTER_INPUT: (1 << CAP) - 1}))

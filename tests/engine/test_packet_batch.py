@@ -20,7 +20,6 @@ def test_uniform_batch_requests_everything():
     assert batch.size == len(batch) == 5
     assert batch.request == [True] * 5
     assert batch.input_masks is None
-    assert batch.is_uniform()
     assert batch.requesting_indices() == list(range(5))
     assert batch.outputs == [None] * 5
 
@@ -31,24 +30,7 @@ def test_column_length_validation():
     with pytest.raises(ConfigurationError):
         PacketBatch(3, input_masks=[1, 2, 3, 4])
     with pytest.raises(ConfigurationError):
-        PacketBatch(2, fields={"port": [1, 2, 3]})
-    with pytest.raises(ConfigurationError):
         PacketBatch(-1)
-
-
-def test_masked_batch_is_not_uniform():
-    batch = PacketBatch(3, input_masks=[0b101, None, 0b011])
-    assert not batch.is_uniform()
-    # A mask column of all-None collapses back to uniform semantics.
-    assert PacketBatch(3, input_masks=[None, None, None]).is_uniform()
-
-
-def test_signature_keys_on_version_and_shape():
-    uniform = PacketBatch.uniform(4)
-    masked = PacketBatch(4, input_masks=[1, 2, 3, 4])
-    assert uniform.signature(7) == (7, True)
-    assert masked.signature(7) == (7, False)
-    assert uniform.signature(8) != uniform.signature(7)
 
 
 def test_from_packets_and_scatter_round_trip():
@@ -59,15 +41,11 @@ def test_from_packets_and_scatter_round_trip():
             p.metadata[META_FILTER_REQUEST] = 1
         if i == 3:
             p.metadata[META_FILTER_INPUT] = 0b1010
-        p.metadata["port"] = i * 10
         packets.append(p)
-    batch = PacketBatch.from_packets(packets, field_names=("port",))
+    batch = PacketBatch.from_packets(packets)
     assert batch.size == 4
     assert batch.request == [True, True, False, True]
     assert batch.input_masks == [None, None, None, 0b1010]
-    assert batch.field("port") == [0, 10, 20, 30]
-    with pytest.raises(ConfigurationError):
-        batch.field("missing")
 
     batch.outputs[0] = 0b01
     batch.selected[0] = 0

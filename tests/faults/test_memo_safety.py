@@ -27,13 +27,14 @@ def make_module(*, self_healing=False, n_rows=6):
     return module
 
 
-def test_fault_mid_eval_leaves_no_stale_memo():
+def test_fault_mid_eval_leaves_no_stale_memo(registry):
     """The old memo entry is dropped before the pipeline runs: after a
     fault escapes, the next evaluation recomputes rather than serving an
     entry whose version no longer matches reality."""
     module = make_module(self_healing=False)
     correct = module.evaluate()
-    assert module.cache_hits == 0 and module.cache_misses == 1
+    assert registry.value_of("filter_memo_hits_total") == 0
+    assert registry.value_of("filter_memo_misses_total") == 1
 
     stage, index = module.compiled.pipeline.active_cells()[0]
     module.inject_cell_kill(stage, index)
@@ -47,28 +48,28 @@ def test_fault_mid_eval_leaves_no_stale_memo():
     recovered = module.evaluate()
     # Completed misses only: initial + recovery (the faulted run raised
     # before its miss was accounted).
-    assert module.cache_misses == 2
+    assert registry.value_of("filter_memo_misses_total") == 2
     expected = make_module(self_healing=False)
     expected.update_resource(0, {"cpu": 1, "mem": 500})
     assert recovered == expected.evaluate()
     assert recovered != correct  # row 0 changed eligibility
 
 
-def test_memo_hit_path_survives_fault_cycle():
+def test_memo_hit_path_survives_fault_cycle(registry):
     module = make_module(self_healing=False)
     first = module.evaluate()
     assert module.evaluate() == first
-    assert module.cache_hits == 1
+    assert registry.value_of("filter_memo_hits_total") == 1
 
     stage, index = module.compiled.pipeline.active_cells()[0]
     module.inject_cell_kill(stage, index)
     # Hardware fault without a table write: the version matches, the memo
     # legitimately serves, and nothing faults.
     assert module.evaluate() == first
-    assert module.cache_hits == 2
+    assert registry.value_of("filter_memo_hits_total") == 2
 
 
-def test_memo_not_installed_when_version_moves_mid_run():
+def test_memo_not_installed_when_version_moves_mid_run(registry):
     """A table write that lands *during* the pipeline run (e.g. from a
     fault handler) must prevent installation of the now-stale output."""
     module = make_module(self_healing=True)
@@ -79,28 +80,29 @@ def test_memo_not_installed_when_version_moves_mid_run():
     # guarded run observes a version change... simplest deterministic
     # stand-in: poke the version between the miss check and the install by
     # monkey-patching the pipeline runner.
-    real_run = module._run_guarded
+    real_miss = module._miss
     poked = {"done": False}
 
-    def run_and_write():
-        out = real_run()
+    def miss_and_write(mask):
+        out = real_miss(mask)
         if not poked["done"]:
             poked["done"] = True
             module.smbm.update(0, {"cpu": 99, "mem": 99})
         return out
 
-    module._run_guarded = run_and_write
+    module._miss = miss_and_write
     module.update_resource(1, {"cpu": 2, "mem": 2})  # force a miss
     module.evaluate()  # version moved mid-run: no memo installed
-    module._run_guarded = real_run
+    module._miss = real_miss
 
-    before_hits = module.cache_hits
+    before_hits = registry.value_of("filter_memo_hits_total")
     module.evaluate()
-    assert module.cache_hits == before_hits  # miss: nothing stale served
-    assert module.cache_misses >= 3
+    # A miss: nothing stale served.
+    assert registry.value_of("filter_memo_hits_total") == before_hits
+    assert registry.value_of("filter_memo_misses_total") >= 3
 
 
-def test_healing_run_installs_consistent_memo():
+def test_healing_run_installs_consistent_memo(registry):
     """After a fail-around mid-evaluation, the memo entry (if any) must
     correspond to the healed pipeline's output at the current version."""
     module = make_module(self_healing=True)
@@ -113,4 +115,4 @@ def test_healing_run_installs_consistent_memo():
     # A subsequent hit serves exactly the healed output.
     again = module.evaluate()
     assert again == healed
-    assert module.cache_hits >= 1
+    assert registry.value_of("filter_memo_hits_total") >= 1

@@ -46,11 +46,10 @@ class TestExporterEndToEnd:
         assert counters["smbm_index_rebuilds_total"] == 1
         assert counters["smbm_index_patches_total"] == 1
 
-        # Memoization accounting agrees exactly with the module's own ints.
+        # Memoization accounting: miss, hit, miss after the write.
         assert counters['filter_evaluations_total{policy="e2e"}'] == 3
         assert counters['filter_memo_hits_total{policy="e2e"}'] == 1
         assert counters['filter_memo_misses_total{policy="e2e"}'] == 2
-        assert module.cache_hits == 1 and module.cache_misses == 2
 
         # Per-cell pipeline accounting: the static plan's activations,
         # bypasses and skips all scale with packets evaluated.

@@ -113,12 +113,12 @@ def _traffic(codec: ProbeCodec, steps):
     return packets
 
 
-def _golden_traces(steps):
+def _golden_traces(steps, policies=POLICIES):
     """Solo per-tenant FilterModules: the differential oracle both
     backends are held to."""
     modules = {name: FilterModule(8, METRICS, policy())
-               for name, policy in POLICIES.items()}
-    traces = {name: [] for name in POLICIES}
+               for name, policy in policies.items()}
+    traces = {name: [] for name in policies}
     for step in steps:
         if step[0] == "probe":
             _, tenant, rid, metrics = step
@@ -137,10 +137,11 @@ def _run(backend, steps):
     codec = ProbeCodec(METRICS)
     packets = _traffic(codec, steps)
     backend.process_batch(packets)
-    traces = {name: [] for name in POLICIES}
+    traces = {}
     for step, packet in zip(steps, packets):
         if step[0] == "data":
-            traces[step[1]].append(packet.metadata[META_FILTER_OUTPUT])
+            traces.setdefault(step[1], []).append(
+                packet.metadata[META_FILTER_OUTPUT])
     return traces
 
 
@@ -155,6 +156,90 @@ def test_backends_serve_identical_traces():
     scalar = _run(_make_backend(ScalarBackend), steps)
     batched = _run(_make_backend(BatchedBackend), steps)
     assert scalar == batched
+
+
+#: The dead-Cell schedule's tenants, each with a spare Cell column: one
+#: heals around a dead Cell, one serves from a kernel no Cell fault reaches.
+FAULT_TENANTS = {"heal": {"self_healing": True}, "kern": {"codegen": True}}
+
+
+def _dead_cell_schedule():
+    """Both tenants' first packets after the fault are *masked*: whichever
+    entry point carries a masked row has to heal (or run the kernel)
+    itself, it cannot ride on an unmasked row having done so."""
+    steps = [("probe", tenant, rid, {"cpu": 40 - 7 * rid, "mem": rid})
+             for rid in range(5) for tenant in FAULT_TENANTS]
+    for i, mask in enumerate((0b00111, 0b10011, None, 1 << 3, None, 0)):
+        for tenant in FAULT_TENANTS:
+            steps.append(("data", tenant, mask))
+        if i == 3:
+            steps.append(("probe", "heal", 1, {"cpu": 1, "mem": 1}))
+            steps.append(("probe", "kern", 1, {"cpu": 1, "mem": 1}))
+    return steps
+
+
+def _run_with_dead_cells(cls, steps):
+    """Serve ``steps`` with the first active Cell of every tenant dead
+    from the start; returns (traces, tenant -> (module, dead position))."""
+    manager = TenantManager(METRICS, PipelineParams(n=8), smbm_capacity=16)
+    backend = cls(manager)
+    killed = {}
+    for name, flags in FAULT_TENANTS.items():
+        tenant = backend.program_tenant(
+            TenantSpec(name, _policy_a(), smbm_quota=8, columns=2, **flags))
+        dead = tenant.module.compiled.pipeline.active_cells()[0]
+        tenant.module.inject_cell_kill(*dead)
+        killed[name] = (tenant.module, dead)
+    return _run(backend, steps), killed
+
+
+def test_dead_cell_schedule_serves_alike_on_both_backends():
+    steps = _dead_cell_schedule()
+    scalar, killed = _run_with_dead_cells(ScalarBackend, steps)
+    batched, _ = _run_with_dead_cells(BatchedBackend, steps)
+    golden = _golden_traces(steps, {name: _policy_a for name in FAULT_TENANTS})
+    assert scalar == batched == golden
+    # On the scalar backend the first row to meet the dead Cell was a
+    # masked one, and it healed exactly as an unmasked row would have.
+    module, dead = killed["heal"]
+    assert module.routed_around == {dead}
+    assert killed["kern"][0].routed_around == frozenset()
+
+
+def test_every_miss_is_timed_and_charged_masked_or_not(registry):
+    """N rows of the row routine that miss the memo move
+    ``filter_evaluations_total``, the ``filter_eval_ns`` count and
+    ``filter_eval_cycles_total`` by N, N and N x latency, whichever entry
+    point carried them and whether or not they carried a mask."""
+    for policy, flags in ((_policy_a, {}), (_policy_a, {"codegen": True}),
+                          (_policy_c, {})):
+        module = FilterModule(8, METRICS, policy(), **flags)
+        for rid in range(5):
+            module.update_resource(rid, {"cpu": 40 - 7 * rid, "mem": rid})
+        module.evaluate()  # fill the memo where there is one
+
+        def moved():
+            _, histograms = registry.collect()
+            return (registry.value_of("filter_evaluations_total"),
+                    sum(h.count for h in histograms
+                        if h.name == "filter_eval_ns"),
+                    registry.value_of("filter_eval_cycles_total"))
+
+        before = moved()
+        packets = _traffic(ProbeCodec(METRICS), [
+            ("data", "t", mask) for mask in (0b111, 0b10011, 0, 0b1)])
+        module.hook(packets[0])
+        module.hook(packets[1])
+        module.update_resource(0, {"cpu": 99, "mem": 0})
+        module.select()  # unmasked miss: the write dropped any memo
+        misses = 3
+        if not module.compiled.stateless:
+            # Every batch row of a stateful plan is a row-routine row.
+            module.evaluate_batch(packets[2:])
+            misses += 2
+        after = moved()
+        assert [b - a for a, b in zip(before, after)] == [
+            misses, misses, misses * module.latency_cycles], (policy, flags)
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)

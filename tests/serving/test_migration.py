@@ -218,8 +218,6 @@ def test_post_migration_serving_caches_rebuild():
     migration.begin()
     migration.cutover()
     assert _serve(dst) == before
-    module = dst.manager.get("t").module
     # Warm memo on the destination, then a write invalidates it.
-    assert module.cache_hits >= 0
     dst.write_batch([TableWrite("t", 3, {"cpu": 1, "mem": 30})])
     assert _serve(dst) != 0

@@ -32,12 +32,10 @@ def least_utilised_policy() -> Policy:
 
 
 def make_switch(policy=None) -> ThanosSwitch:
-    return ThanosSwitch(
-        capacity=8,
-        metric_names=METRICS,
-        policy=policy or least_utilised_policy(),
-        params=PipelineParams(n=2, k=2, f=2, chain_length=2),
-    )
+    return ThanosSwitch(FilterModule(
+        8, METRICS, policy or least_utilised_policy(),
+        PipelineParams(n=2, k=2, f=2, chain_length=2),
+    ))
 
 
 def data_packet() -> Packet:
@@ -56,14 +54,14 @@ class TestFilterModule:
         fm.update_resource(1, {"util": 90, "delay": 9})  # metric refresh
         assert fm.select() == 0
 
-    def test_hook_bypasses_without_request(self):
+    def test_hook_bypasses_without_request(self, registry):
         fm = FilterModule(8, METRICS, least_utilised_policy(),
                           PipelineParams(n=2, k=1, f=1, chain_length=1))
         fm.update_resource(0, {"util": 5, "delay": 5})
         packet = data_packet()
         fm.hook(packet)
         assert META_FILTER_OUTPUT not in packet.metadata
-        assert fm.evaluations == 0
+        assert registry.value_of("filter_evaluations_total") == 0
 
     def test_hook_writes_metadata_on_request(self):
         fm = FilterModule(8, METRICS, least_utilised_policy(),
@@ -134,10 +132,10 @@ class TestThanosSwitch:
             predicate(servers, "delay", "<", 5),
         )
         policy = Policy(Conditional(random_pick(eligible), random_pick(TableRef())))
-        sw = ThanosSwitch(
-            capacity=8, metric_names=METRICS, policy=policy,
-            params=PipelineParams(n=4, k=3, f=2, chain_length=2),
-        )
+        sw = ThanosSwitch(FilterModule(
+            8, METRICS, policy,
+            PipelineParams(n=4, k=3, f=2, chain_length=2),
+        ))
         sw.receive_bytes(sw._codec.encode(0, {"util": 90, "delay": 9}))
         sw.receive_bytes(sw._codec.encode(1, {"util": 10, "delay": 1}))
         packet = sw.filter_for(data_packet())
