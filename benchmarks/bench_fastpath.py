@@ -2,10 +2,11 @@
 
 Sweeps N over {64, 256, 1024} for four stateless policies (predicate, min,
 max, and a fused predicate/predicate/min chain), timing three data paths
-through the *same* compiled pipeline configuration:
+for the *same* policy:
 
-* ``ref``  — the naive O(N) temp-list walk (``PolicyCompiler.compile(naive=True)``);
-* ``fast`` — the O(log N) rank/prefix-bitmask engine (the default);
+* ``ref``  — the naive O(N) temp-list walk (a ``PolicyInterpreter``);
+* ``fast`` — the compiled pipeline on the O(log N) rank/prefix-bitmask
+  engine;
 * ``memo`` — a memoized :class:`~repro.switch.filter_module.FilterModule`
   answering repeated packets against an unchanged table from the
   SMBM-version cache.
@@ -60,6 +61,7 @@ from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Policy,
+    PolicyInterpreter,
     TableRef,
     intersection,
     max_of,
@@ -190,8 +192,8 @@ def _build_env(params: PipelineParams, sweep) -> dict[tuple[int, str], tuple]:
         _fill(smbm, rng)
         for name, build in builders.items():
             fast = PolicyCompiler(params).compile(build())
-            ref = PolicyCompiler(params).compile(build(), naive=True)
-            assert fast.stateless and ref.stateless
+            ref = PolicyInterpreter(build())
+            assert fast.stateless
 
             module = FilterModule(n_resources, METRICS, build(), params)
             for rid in range(n_resources):

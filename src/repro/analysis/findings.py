@@ -75,8 +75,7 @@ RULES: dict[str, Rule] = {
              "empty"),
         Rule("TH012", "CodegenIneligible", Severity.WARNING,
              "the plan cannot be specialized to a flat closure (stateful "
-             "units, caller-supplied inputs, interior taps, or a reference "
-             "build)"),
+             "units, caller-supplied inputs or interior taps)"),
         Rule("TH013", "QuotaExceeded", Severity.ERROR,
              "a tenant's plan or table needs more Cells or SMBM rows than "
              "its admitted quota, or admission would oversubscribe the "

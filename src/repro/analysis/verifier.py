@@ -516,7 +516,7 @@ class PlanVerifier:
         function of the table contents: every blocker reported here names
         a way the pipeline traversal carries information a per-version
         kernel cannot (cross-packet unit state, caller-supplied input
-        tables, interior tap lines, or the reference data path itself).
+        tables, interior tap lines).
         A clean report means the generated kernel is semantically
         interchangeable with the interpreted plan at every table version.
         """
@@ -556,20 +556,15 @@ class PlanVerifier:
 def specialization_blockers(compiled: "CompiledPolicy") -> list[str]:
     """Why ``compiled`` may not be specialized to a flat closure, if at all.
 
-    No execution: the compile-level blockers (reference data path,
-    interior taps) plus :func:`~repro.core.policy.stateless_blockers` of
-    the policy itself.  Returns one human-readable reason per blocker,
-    empty when the plan is codegen-eligible.  This is what the TH012 lint
+    No execution: the compile-level blocker (interior taps) plus
+    :func:`~repro.core.policy.stateless_blockers` of the policy itself.
+    Returns one human-readable reason per blocker, empty when the plan is
+    codegen-eligible.  This is what the TH012 lint
     (:meth:`PlanVerifier.verify_codegen`), the compiler's ``codegen=True``
     gate and :class:`repro.engine.codegen.PlanCodegen`'s defensive check
     all share.
     """
     blockers: list[str] = []
-    if compiled.naive:
-        blockers.append(
-            "built on the O(N) reference data path: the oracle build must "
-            "stay interpreted to keep differential testing meaningful"
-        )
     if compiled.tap_lines:
         blockers.append(
             f"interior taps {sorted(compiled.tap_lines)} are read from "

@@ -85,18 +85,14 @@ class Cell:
     """
 
     def __init__(self, chain_length: int, config: CellConfig, *, lfsr_seed: int = 1,
-                 naive: bool = False,
                  position: tuple[int, int] | None = None):
         self._config = config
         self._position = position
         self._dead = False
         self._stuck: dict[int, int] = {}
-        self._kufpu1 = KUFPU(
-            chain_length, config.kufpu1, lfsr_seed=lfsr_seed, naive=naive
-        )
+        self._kufpu1 = KUFPU(chain_length, config.kufpu1, lfsr_seed=lfsr_seed)
         self._kufpu2 = KUFPU(
-            chain_length, config.kufpu2, lfsr_seed=lfsr_seed + chain_length,
-            naive=naive,
+            chain_length, config.kufpu2, lfsr_seed=lfsr_seed + chain_length
         )
         self._bfpu1 = BFPU(config.bfpu1)
         self._bfpu2 = BFPU(config.bfpu2)

@@ -132,7 +132,6 @@ class PolicyCompiler:
         *,
         taps: dict[str, Node] | None = None,
         lfsr_seed: int = 1,
-        naive: bool = False,
         dead_cells: "Iterable[tuple[int, int]] | None" = None,
         input_lines: "Iterable[int] | None" = None,
         verify: bool = True,
@@ -145,10 +144,6 @@ class PolicyCompiler:
         ``taps`` names interior nodes whose values should also be carried to
         the pipeline outputs (e.g. DRILL's "examined samples" set, which the
         RMT stage after the module stores as next decision's feedback input).
-
-        ``naive=True`` builds the pipeline on the O(N) reference data path
-        (the differential-testing oracle) instead of the mask-engine fast
-        path; the emitted configuration is identical either way.
 
         ``dead_cells`` names physical Cells — ``(stage, index)`` pairs,
         stage 1-based — that must not be allocated (fail-around after a
@@ -190,7 +185,7 @@ class PolicyCompiler:
             )
         with obs.get_tracer().span("policy_compile") as span:
             compiled = self._compile(
-                policy, taps=taps, lfsr_seed=lfsr_seed, naive=naive,
+                policy, taps=taps, lfsr_seed=lfsr_seed,
                 dead_cells=dead_cells, input_lines=input_lines,
             )
             # Attribute the emitted configuration's deterministic hardware
@@ -227,7 +222,6 @@ class PolicyCompiler:
         *,
         taps: dict[str, Node] | None,
         lfsr_seed: int,
-        naive: bool,
         dead_cells: "Iterable[tuple[int, int]] | None" = None,
         input_lines: "Iterable[int] | None" = None,
     ) -> "CompiledPolicy":
@@ -290,7 +284,6 @@ class PolicyCompiler:
             mux=mux,
             tap_lines=tap_lines,
             lfsr_seed=lfsr_seed,
-            naive=naive,
             dead_cells=dead,
         )
 
@@ -668,7 +661,7 @@ class CompiledPolicy:
     def __init__(self, policy: Policy, params: PipelineParams,
                  config: PipelineConfig, output_line: int,
                  mux: MuxPlan | None, tap_lines: dict[str, int] | None = None,
-                 lfsr_seed: int = 1, naive: bool = False,
+                 lfsr_seed: int = 1,
                  dead_cells: Iterable[tuple[int, int]] = ()):
         self._policy = policy
         self._params = params
@@ -676,7 +669,6 @@ class CompiledPolicy:
         self._output_line = output_line
         self._mux = mux
         self._tap_lines = dict(tap_lines or {})
-        self._naive = naive
         self._dead_cells = frozenset(dead_cells)
         # Warning-level verifier findings, attached post-verification.
         self._lint_findings: tuple["Finding", ...] = ()
@@ -691,8 +683,7 @@ class CompiledPolicy:
         if mux is not None:
             live |= {mux.primary_line, mux.fallback_line}
         self._pipeline = FilterPipeline(
-            params, config, lfsr_seed=lfsr_seed, naive=naive,
-            live_outputs=live,
+            params, config, lfsr_seed=lfsr_seed, live_outputs=live,
         )
         # The faults are physical: the freshly modelled pipeline must carry
         # them too, so a mis-compilation that routed through a dead Cell
@@ -740,11 +731,6 @@ class CompiledPolicy:
         :attr:`~repro.core.smbm.SMBM.version`.
         """
         return self._stateless
-
-    @property
-    def naive(self) -> bool:
-        """True when built on the O(N) reference data path."""
-        return self._naive
 
     @property
     def lint_findings(self) -> tuple["Finding", ...]:

@@ -72,10 +72,8 @@ class KUnaryConfig:
 class KUFPU:
     """A physical parallel chain of UFPUs with its I/O generators."""
 
-    def __init__(
-        self, chain_length: int, config: KUnaryConfig, *, lfsr_seed: int = 1,
-        naive: bool = False
-    ):
+    def __init__(self, chain_length: int, config: KUnaryConfig, *,
+                 lfsr_seed: int = 1):
         if chain_length < 1:
             raise ConfigurationError(
                 f"chain length must be >= 1, got {chain_length}"
@@ -90,8 +88,7 @@ class KUFPU:
         # Only the first K units are programmed; the rest are bypasses whose
         # outputs the I/O generators exclude from the final union.
         self._units = [
-            UFPU(unit_cfg, lfsr_seed=lfsr_seed + i, naive=naive)
-            for i in range(config.k)
+            UFPU(unit_cfg, lfsr_seed=lfsr_seed + i) for i in range(config.k)
         ]
 
     @property

@@ -175,7 +175,7 @@ class FilterPipeline:
     """
 
     def __init__(self, params: PipelineParams, config: PipelineConfig,
-                 *, lfsr_seed: int = 1, naive: bool = False,
+                 *, lfsr_seed: int = 1,
                  live_outputs: Iterable[int] | None = None):
         if len(config.stages) != params.k:
             raise ConfigurationError(
@@ -199,7 +199,7 @@ class FilterPipeline:
             for c, cell_cfg in enumerate(stage.cells):
                 row.append(
                     Cell(params.chain_length, cell_cfg, lfsr_seed=seed,
-                         naive=naive, position=(s + 1, c))
+                         position=(s + 1, c))
                 )
                 seed += 2 * params.chain_length + 1
             self._cells.append(row)
@@ -408,11 +408,10 @@ class ClockedFilterPipeline:
     """
 
     def __init__(self, params: PipelineParams, config: PipelineConfig,
-                 *, lfsr_seed: int = 1, naive: bool = False,
+                 *, lfsr_seed: int = 1,
                  live_outputs: Iterable[int] | None = None):
         self._inner = FilterPipeline(
-            params, config, lfsr_seed=lfsr_seed, naive=naive,
-            live_outputs=live_outputs,
+            params, config, lfsr_seed=lfsr_seed, live_outputs=live_outputs,
         )
         self._latch: PipelineLatch[list[BitVector]] = PipelineLatch(
             params.latency_cycles

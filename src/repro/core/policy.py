@@ -25,8 +25,11 @@ with a fluent feel::
     policy = Policy(Conditional(random_pick(eligible), random_pick(servers)))
 
 :class:`PolicyInterpreter` evaluates a policy directly over an SMBM — the
-reference semantics the compiled hardware pipeline is differentially tested
-against.
+one naive truth: a DAG walk whose stateless operators are the paper's
+temp-list walk (:mod:`repro.core.ufpu_reference`), sharing no compiler,
+Cell, mask engine or :func:`fold` with what is differentially tested
+against it (the compiled pipeline, every ``fold`` lowering, the sanitizer's
+and the self-test's fast path).
 
 :func:`fold` is the one definition of the *stateless* operator semantics
 every lowering shares: a single :func:`postorder` pass that hands each
@@ -45,6 +48,7 @@ from repro.core.bitvector import BitVector
 from repro.core.kufpu import KUFPU, KUnaryConfig
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.smbm import SMBM
+from repro.core.ufpu_reference import reference_unary
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -335,26 +339,35 @@ def fold(policy: Policy, domain: Any) -> Any:
 
 
 class PolicyInterpreter:
-    """Direct evaluation of a policy DAG over an SMBM.
+    """Direct evaluation of a policy DAG over an SMBM: the naive reference.
 
-    Stateful operators (round-robin, random) keep per-node state across
-    calls, exactly as the hardware units they stand for.  Shared sub-DAGs
-    (the same node object reachable twice) are evaluated once per packet.
+    Stateless unary nodes are Equation 1 over the O(N) temp-list operators
+    (:func:`~repro.core.ufpu_reference.reference_unary`), which read the
+    table's sorted lists and nothing else.  Stateful operators (round-robin,
+    random) have one implementation, the hardware unit's, and keep per-node
+    state across calls exactly as it does.  Shared sub-DAGs (the same node
+    object reachable twice) are evaluated once per packet.
     """
 
     def __init__(self, policy: Policy, *, lfsr_seed: int = 1,
-                 chain_length: int | None = None, naive: bool = False):
+                 chain_length: int | None = None):
         self._policy = policy
         self._units: dict[int, KUFPU] = {}
         seed = lfsr_seed
+        seeded: set[int] = set()
 
         def build(node: Node) -> None:
-            if isinstance(node, Unary) and node.node_id not in self._units:
+            if isinstance(node, Unary) and node.node_id not in seeded:
                 nonlocal seed
+                seeded.add(node.node_id)
                 length = chain_length if chain_length is not None else max(1, node.config.k)
-                self._units[node.node_id] = KUFPU(
-                    length, node.config, lfsr_seed=seed, naive=naive
-                )
+                if node.config.opcode.is_stateful:
+                    self._units[node.node_id] = KUFPU(
+                        length, node.config, lfsr_seed=seed
+                    )
+                # Every Unary node, stateful or not, takes its slot of the
+                # seed space, so a node's LFSR stream depends only on where
+                # it sits in the DAG.
                 seed += length + 1
             for child in node.children():
                 build(child)
@@ -371,15 +384,18 @@ class PolicyInterpreter:
 
     def evaluate(
         self, smbm: SMBM, extra_inputs: dict[int, BitVector] | None = None,
-        *, record: dict[int, BitVector] | None = None,
+        *, mask: int | None = None,
+        record: dict[int, BitVector] | None = None,
     ) -> BitVector:
         """One packet's policy evaluation; returns the output table.
 
         ``extra_inputs`` supplies the tables for explicit
-        ``TableRef(input_index=i)`` nodes.  ``record``, when given, is
-        used as the per-node memo and left filled with every evaluated
-        node's output keyed by ``node_id`` — the concrete witness the
-        semantic soundness suite checks abstract regions against (nodes
+        ``TableRef(input_index=i)`` nodes.  ``mask`` is the packet's
+        ``META_FILTER_INPUT`` candidate set: the table the policy sees is
+        ``table ∩ mask`` (``None`` = the full table).  ``record``, when
+        given, is used as the per-node memo and left filled with every
+        evaluated node's output keyed by ``node_id`` — the concrete witness
+        the semantic soundness suite checks abstract regions against (nodes
         short-circuited away, e.g. a Conditional's untaken arm, stay
         absent).
         """
@@ -390,7 +406,11 @@ class PolicyInterpreter:
                 return cache[node.node_id]
             if isinstance(node, TableRef):
                 if node.input_index is None:
-                    out = smbm.id_vector()
+                    present = smbm.id_mask()
+                    out = BitVector.from_int(
+                        smbm.capacity,
+                        present if mask is None else present & mask,
+                    )
                 elif extra_inputs is None or node.input_index not in extra_inputs:
                     raise ConfigurationError(
                         f"policy reads input[{node.input_index}] but no such "
@@ -399,7 +419,10 @@ class PolicyInterpreter:
                 else:
                     out = extra_inputs[node.input_index]
             elif isinstance(node, Unary):
-                out = self._units[node.node_id].evaluate(walk(node.child), smbm)
+                unit = self._units.get(node.node_id)
+                child = walk(node.child)
+                out = (reference_unary(node.config, child, smbm)
+                       if unit is None else unit.evaluate(child, smbm))
             elif isinstance(node, Binary):
                 left = walk(node.left)
                 right = walk(node.right)

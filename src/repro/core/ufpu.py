@@ -5,18 +5,17 @@ A UFPU is programmed at compile time with an opcode (and operands) from
 encoded as a bit vector indexed by resource id — to an output bit vector, in
 **two clock cycles**, fully pipelined.
 
-The functional ``evaluate`` method realises the paper's semantics with two
-interchangeable data paths:
+The functional ``evaluate`` method realises the paper's semantics on the
+mask engine: predicate/min/max run against the SMBM's
+:class:`~repro.core.smbm.MetricIndex` — two bisects plus a handful of
+integer bitmask ANDs, O(log N) instead of an O(N) temp-list walk — and
+outputs become a :class:`BitVector` only at the unit boundary.  The paper's
+literal clock-by-clock temp-list walk lives apart, in
+:mod:`repro.core.ufpu_reference`, and is reached only through
+:class:`repro.core.policy.PolicyInterpreter`; this module does not import
+it, so the reference cannot come to share the code it checks.
 
-* the **fast path** (default) evaluates predicate/min/max against the
-  SMBM's :class:`~repro.core.smbm.MetricIndex` — two bisects plus a handful
-  of integer bitmask ANDs, O(log N) instead of an O(N) temp-list walk.
-  Outputs are converted to :class:`BitVector` only at the unit boundary.
-* the **reference path** (``naive=True``) is the paper's literal
-  clock-by-clock temp-list description, kept in
-  :mod:`repro.core.ufpu_reference` as the differential-testing oracle.
-
-Operator semantics (identical on both paths):
+Operator semantics:
 
 * **predicate** — cycle 1 copies the attribute's sorted list into a temp
   list and masks entries whose resource is absent from the input vector
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import ufpu_reference
 from repro.core.bitvector import BitVector
 from repro.core.clocked import PipelineLatch
 from repro.core.lfsr import LFSR
@@ -103,11 +101,8 @@ class UFPU:
     """A single programmable unary filter processing unit."""
 
     def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1,
-                 lfsr_width: int = 16, naive: bool = False):
+                 lfsr_width: int = 16):
         self._config = config
-        # Reference-path switch: route predicate/min/max through the O(N)
-        # temp-list oracle instead of the mask engine.
-        self._naive = naive
         # Random operator state: a free-running LFSR (section 5.2.1).
         self._lfsr = LFSR(lfsr_width, seed=lfsr_seed)
         # Round-robin operator state: <last_id, w>.
@@ -117,10 +112,6 @@ class UFPU:
     @property
     def config(self) -> UnaryConfig:
         return self._config
-
-    @property
-    def naive(self) -> bool:
-        return self._naive
 
     def reset_state(self) -> None:
         """Clear the stateful operator registers (round-robin position)."""
@@ -153,8 +144,6 @@ class UFPU:
     def _predicate(self, inp: BitVector, smbm: SMBM) -> BitVector:
         cfg = self._config
         assert cfg.attr is not None and cfg.rel_op is not None and cfg.val is not None
-        if self._naive:
-            return ufpu_reference.naive_predicate(cfg, inp, smbm)
         index = smbm.metric_index(cfg.attr)
         return BitVector.from_int(
             inp.width, index.predicate_mask(cfg.rel_op, cfg.val, inp.value)
@@ -163,8 +152,6 @@ class UFPU:
     def _extreme(self, inp: BitVector, smbm: SMBM, *, want_min: bool) -> BitVector:
         cfg = self._config
         assert cfg.attr is not None
-        if self._naive:
-            return ufpu_reference.naive_extreme(cfg, inp, smbm, want_min=want_min)
         index = smbm.metric_index(cfg.attr)
         bits = index.min_mask(inp.value) if want_min else index.max_mask(inp.value)
         return BitVector.from_int(inp.width, bits)
@@ -200,9 +187,8 @@ class UFPU:
 class ClockedUFPU:
     """Cycle-accurate UFPU: 2-cycle latency, one new input accepted per cycle."""
 
-    def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1,
-                 naive: bool = False):
-        self._unit = UFPU(config, lfsr_seed=lfsr_seed, naive=naive)
+    def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1):
+        self._unit = UFPU(config, lfsr_seed=lfsr_seed)
         self._pipe: PipelineLatch[BitVector] = PipelineLatch(UFPU_LATENCY_CYCLES)
         self._cycle = 0
 

@@ -1,18 +1,21 @@
 """Reference (naive) UFPU data path: the paper's literal temp-list walk.
 
-These are the original O(N) list-based implementations of the predicate,
-min and max operators, kept as the differential-testing oracle for the
-O(log N) mask engine in :mod:`repro.core.ufpu` /
-:meth:`repro.core.smbm.SMBM.metric_index`.  ``UFPU(config, naive=True)``
-routes its selector opcodes through these functions, and the property tests
-in ``tests/core`` assert bit-for-bit agreement between the two paths over
-randomized tables and policies.
+The O(N) list-based predicate, min and max operators, and
+:func:`reference_unary`, the K-UFPU of Equation 1 built from nothing else.
+:class:`repro.core.policy.PolicyInterpreter` evaluates every stateless unary
+node through :func:`reference_unary`; that interpreter is the one naive truth
+the mask engine (:mod:`repro.core.ufpu`,
+:meth:`repro.core.smbm.SMBM.metric_index`), the compiled pipeline and every
+:func:`~repro.core.policy.fold` lowering are differentially tested against.
+Nothing here reads a :class:`~repro.core.smbm.MetricIndex` or imports the
+code it is the reference for: only ``SMBM.attr_list``.
 
-They mirror the paper's clock-by-clock description directly: cycle 1 copies
-the attribute's sorted list into a temp list and masks entries whose
-resource is absent from the input vector (NULL); cycle 2 applies the
-predicate per entry, or feeds the validity bits to a first-one / last-one
-priority encoder (sorted list, so first valid = min, last valid = max).
+The operators mirror the paper's clock-by-clock description directly:
+cycle 1 copies the attribute's sorted list into a temp list and masks
+entries whose resource is absent from the input vector (NULL); cycle 2
+applies the predicate per entry, or feeds the validity bits to a first-one /
+last-one priority encoder (sorted list, so first valid = min, last valid =
+max).
 """
 
 from __future__ import annotations
@@ -20,65 +23,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.bitvector import BitVector
+from repro.core.operators import UnaryOp
 from repro.core.priority_encoder import encode_first, encode_last
 from repro.core.smbm import SMBM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.compiler import CompiledPolicy
-    from repro.core.pipeline import PipelineParams
-    from repro.core.policy import Policy
+    from repro.core.kufpu import KUnaryConfig
     from repro.core.ufpu import UnaryConfig
 
 __all__ = [
-    "GoldenOracle",
     "masked_temp_list",
     "naive_predicate",
     "naive_extreme",
+    "reference_unary",
 ]
-
-
-class GoldenOracle:
-    """A compiled O(N) reference pipeline for one policy.
-
-    The shared golden model behind both the built-in self-test
-    (:meth:`repro.switch.filter_module.FilterModule.self_test`) and the
-    runtime sanitizer: each used to compile its own naive pipeline and walk
-    the reference path independently; both now ask this oracle.  Compiled
-    lazily on first use (``verify=False`` — the fast path being checked
-    already went through the verifier, and the oracle must stay usable even
-    while diagnosing a table the sanitizer has flagged).
-
-    Only meaningful for stateless policies: a stateful unit's outputs
-    advance per evaluation, so oracle and fast path legitimately diverge.
-    """
-
-    def __init__(
-        self,
-        policy: "Policy",
-        params: "PipelineParams | None" = None,
-        *,
-        lfsr_seed: int = 1,
-    ):
-        self._policy = policy
-        self._params = params
-        self._lfsr_seed = lfsr_seed
-        self._compiled: "CompiledPolicy | None" = None
-
-    @property
-    def compiled(self) -> "CompiledPolicy":
-        """The naive-path compilation (built on first access)."""
-        if self._compiled is None:
-            from repro.core.compiler import PolicyCompiler
-
-            self._compiled = PolicyCompiler(self._params).compile(
-                self._policy, lfsr_seed=self._lfsr_seed, naive=True,
-                verify=False,
-            )
-        return self._compiled
-
-    def expected(self, smbm: SMBM) -> BitVector:
-        """The reference answer for the current table contents."""
-        return self.compiled.evaluate(smbm)
 
 
 def masked_temp_list(
@@ -125,4 +83,30 @@ def naive_extreme(
         entry = temp[idx]
         assert entry is not None  # the encoder only reports valid positions
         out[entry[1]] = True
+    return out
+
+
+def reference_unary(
+    config: "KUnaryConfig", inp: BitVector, smbm: SMBM
+) -> BitVector:
+    """A stateless K-UFPU by the book (Equation 1): ``K`` rounds of the
+    unit operator, each over what the rounds before it left behind; the
+    output is the union of the rounds."""
+    op = config.opcode
+    if op is UnaryOp.NO_OP:
+        return inp.copy()
+    # Round-robin and random keep cross-packet state: they have one
+    # implementation (repro.core.kufpu.KUFPU) and no naive reference.
+    assert not op.is_stateful, config.describe()
+    unit = config.unit_config()
+    out = BitVector.zeros(inp.width)
+    remaining = inp
+    for _ in range(config.k):
+        if op is UnaryOp.PREDICATE:
+            picked = naive_predicate(unit, remaining, smbm)
+        else:
+            picked = naive_extreme(unit, remaining, smbm,
+                                   want_min=op is UnaryOp.MIN)
+        out = out | picked
+        remaining = remaining - picked
     return out

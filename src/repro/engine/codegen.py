@@ -27,9 +27,11 @@ it and the interpreted fold walk the DAG once per *batch* and spend
 their time in the same array calls), so :meth:`PlanCodegen.evaluate_masks`
 serves them through the shared :func:`~repro.engine.columnar.evaluate_column`.
 
-The interpreted pipeline stays available as the differential oracle
-(:meth:`~repro.switch.filter_module.FilterModule.sanitize_check`
-pattern); the generated code is the optimisation, never the spec.
+The generated code is the optimisation, never the spec: under
+``sanitize=True`` the filter module holds every kernel row and every
+batch-engine row to the interpreted pipeline on the same mask, and the
+differential suites hold both to the naive
+:class:`~repro.core.policy.PolicyInterpreter`.
 """
 
 from __future__ import annotations

@@ -23,9 +23,14 @@ from repro.core.bitvector import BitVector
 from repro.core.cell import Cell
 from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy, stateless_blockers
+from repro.core.policy import (
+    Policy,
+    PolicyInterpreter,
+    TableRef,
+    postorder,
+    stateless_blockers,
+)
 from repro.core.smbm import SMBM
-from repro.core.ufpu_reference import GoldenOracle
 from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_EPOCH,            # defined at the engine layer so the
     META_FILTER_INPUT,            # batch buffer needs no switch imports
@@ -111,9 +116,6 @@ class FilterModule:
         # The table dimensions the static verifier checks the plan against
         # (width compatibility, timing closure at this N).
         self._schema = TableSchema(capacity, tuple(metric_names))
-        # Shared golden model: compiled lazily, used by both self_test()
-        # and the sanitizer's on-demand output check.
-        self._oracle = GoldenOracle(policy, params, lfsr_seed=lfsr_seed)
         # Physical faults: everything ever injected (re-applied to every
         # recompiled pipeline — the hardware does not heal) vs the subset
         # *detected* so far, which compilation routes around.
@@ -409,19 +411,27 @@ class FilterModule:
         """A row the memo cannot answer: run it, failing around dead Cells
         when self-healing is enabled, attributing wall time and the
         deterministic hardware latency when metrics are enabled."""
+        return self._failing_around(
+            self._timed_run if self._obs_enabled else self._run, mask)
+
+    def _failing_around(self, run: "Callable[[int | None], int]",
+                        mask: int | None) -> int:
+        """``run(mask)``, retried on the surviving Cells after each dead
+        Cell it meets when self-healing is enabled."""
         while True:
             try:
-                if not self._obs_enabled:
-                    return self._run(mask)
-                t0 = time.perf_counter_ns()
-                out = self._run(mask)
-                self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
-                self._obs_cycles.inc(self._compiled.latency_cycles)
-                return out
+                return run(mask)
             except CellFault as fault:
                 if not self._self_healing:
                     raise
                 self._heal_dead(fault)
+
+    def _timed_run(self, mask: int | None) -> int:
+        t0 = time.perf_counter_ns()
+        out = self._run(mask)
+        self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
+        self._obs_cycles.inc(self._compiled.latency_cycles)
+        return out
 
     def _run(self, mask: int | None) -> int:
         """The specialized kernel when armed, else the compiled pipeline;
@@ -432,8 +442,8 @@ class FilterModule:
         else:
             out = self._codegen.evaluate(self._smbm, mask)
             if self._sanitize:
-                # The interpreted plan stays the differential oracle of the
-                # generated code (the GoldenOracle pattern, one tier up).
+                # The interpreted plan stays the differential oracle of
+                # the generated code.
                 self._agreed(out, "codegen kernel",
                              self._plan_output(mask), "the interpreted plan")
         if self._sanitize:
@@ -460,11 +470,25 @@ class FilterModule:
         return fast
 
     def _fast_vs_oracle(self) -> int:
-        """The compiled fast path against the shared O(N) golden oracle on
-        the live table (stateless plans only: callers check)."""
+        """The compiled plan against the naive interpreter on the live
+        table.  Stateless plans only: a stateful unit's outputs advance per
+        evaluation, so the two legitimately diverge.  A plan that reads
+        ``input[i]`` is compared as it is served: every line carries the
+        full table."""
+        if not self._compiled.stateless:
+            raise ConfigurationError(
+                "sanitize_check and self_test require a stateless policy: "
+                "stateful units legitimately diverge from the naive reference"
+            )
+        full = self._smbm.id_vector()
+        inputs = {node.input_index: full
+                  for node in postorder(self._policy.root)
+                  if isinstance(node, TableRef)
+                  and node.input_index is not None}
         return self._agreed(
             self._plan_output(None), "fast path",
-            self._oracle.expected(self._smbm).value, "golden oracle",
+            self._reference.evaluate(self._smbm, inputs).value,
+            "the naive reference",
         )
 
     def _semantic_root_region(self) -> Region:
@@ -529,18 +553,11 @@ class FilterModule:
     def sanitize_check(self) -> BitVector:
         """On-demand oracle comparison: fast path vs the O(N) reference.
 
-        Evaluates the compiled fast path and the shared
-        :class:`~repro.core.ufpu_reference.GoldenOracle` on the live table
+        Evaluates the compiled fast path and the naive
+        :class:`~repro.core.policy.PolicyInterpreter` on the live table
         and raises :class:`~repro.errors.IntegrityError` on any mismatch.
-        Returns the (agreed) output.  Only valid for stateless policies —
-        a stateful unit's outputs advance per evaluation, so the two paths
-        legitimately diverge.
+        Returns the (agreed) output.  Only valid for stateless policies.
         """
-        if not self._compiled.stateless:
-            raise ConfigurationError(
-                "sanitize_check requires a stateless policy: stateful "
-                "units legitimately diverge from the golden oracle"
-            )
         out = self._fast_vs_oracle()
         self._check_semantic_containment(out)
         return BitVector.from_int(self._smbm.capacity, out)
@@ -641,6 +658,12 @@ class FilterModule:
         later evaluation can mix old-plan state with the new plan."""
         self._compiled = compiled
         self._codegen = compiled.codegen
+        # The naive reference self_test() and sanitize_check() hold the
+        # plan to: a walk of the policy DAG over the table's sorted lists,
+        # sharing no compiler, Cell or MetricIndex with the plan it judges
+        # (a DAG walk, not a compile, so it is simply built with the plan).
+        self._reference = PolicyInterpreter(compiled.policy,
+                                            lfsr_seed=self._lfsr_seed)
         # The interpreted batch tier serves masked rows of every plan the
         # stateless fold can express that was not asked to specialize.
         self._batch_eval = (
@@ -682,8 +705,6 @@ class FilterModule:
         self._swap_version = self._smbm.version
         self._policy = policy
         self._obs_policy = policy.name
-        self._oracle = GoldenOracle(policy, self._params,
-                                    lfsr_seed=self._lfsr_seed)
         self._install(compiled)
         self._plan_epoch += 1
         self._obs_swaps.inc()
@@ -716,25 +737,22 @@ class FilterModule:
         """Built-in self-test: golden-model comparison with per-Cell
         localization, healing every fault it finds.
 
-        Compares the fast-path pipeline against the shared
-        :class:`~repro.core.ufpu_reference.GoldenOracle` (the O(N)
-        reference pipeline, compiled once and reused by both this BIST and
-        :meth:`sanitize_check`) on the live table.  On mismatch, each
-        active physical Cell is replayed against a golden clone *on the
+        Compares the fast-path pipeline against the naive
+        :class:`~repro.core.policy.PolicyInterpreter` (the reference
+        :meth:`sanitize_check` uses too) on the live table.  Detection
+        stands on that independent reference; localisation needs only a
+        fault-free clone: on mismatch, each active physical Cell is
+        replayed against a fresh Cell of the same configuration *on the
         inputs it actually saw*, so exactly the corrupted Cells are
-        implicated; they are then routed around by recompilation.  Dead
+        implicated (and a disagreement no Cell accounts for — a corrupt
+        index, a mis-compile — is reported, not pinned on healthy
+        hardware); they are then routed around by recompilation.  Dead
         Cells discovered along the way are healed the same way.  Returns
         the faults found, e.g. ``[{"stage": 2, "index": 0, "kind":
         "cell_stuck"}]`` (empty = healthy).
 
-        Only valid for stateless policies: a stateful unit's outputs advance
-        per packet, so fast path and golden model legitimately disagree.
+        Only valid for stateless policies.
         """
-        if not self._compiled.stateless:
-            raise ConfigurationError(
-                "self_test requires a stateless policy: stateful units "
-                "legitimately diverge from a golden replay"
-            )
         healed: list[dict[str, object]] = []
         while True:
             try:
@@ -750,22 +768,22 @@ class FilterModule:
                 )
 
     def _localize_stuck(self) -> list[dict[str, object]]:
-        """Replay each active Cell against a golden clone; heal the liars."""
+        """Replay each active Cell against a fault-free clone; heal the
+        liars."""
         t0 = time.perf_counter_ns()
         probes = self._compiled.pipeline.evaluate_probed(self._smbm)
         chain = self._compiled.params.chain_length
         suspects: list[dict[str, object]] = []
         for (stage, index), (in1, in2, out1, out2) in sorted(probes.items()):
             cfg = self._compiled.config.stages[stage - 1].cells[index]
-            golden_cell = Cell(chain, cfg, naive=True)
-            g1, g2 = golden_cell.evaluate(in1, in2, self._smbm)
+            g1, g2 = Cell(chain, cfg).evaluate(in1, in2, self._smbm)
             if g1 != out1 or g2 != out2:
                 suspects.append(
                     {"stage": stage, "index": index, "kind": "cell_stuck"}
                 )
         if not suspects:
             raise IntegrityError(
-                "fast path disagrees with the golden model but no Cell "
+                "fast path disagrees with the naive reference but no Cell "
                 "could be localized",
                 component="filter_module",
             )
@@ -861,16 +879,20 @@ class FilterModule:
         # only for stateless plans, so every row it is handed has a mask.
         engine = self._codegen if self._codegen is not None else self._batch_eval
         if single and engine is not None:
-            outs = engine.evaluate_masks(
-                self._smbm, [masks[i] for i in single]  # type: ignore[index]
-            )
+            row_masks = [masks[i] for i in single]  # type: ignore[index]
+            outs = engine.evaluate_masks(self._smbm, row_masks)
             self._batch_engine_rows += len(single)
             if self._sanitize:
-                # Masked rows restrict the *input* table; the feasible
-                # region still over-approximates every output row, so the
-                # batched tiers are held to the same soundness contract as
-                # the row routine.
-                for out in outs:
+                # The batched tiers are held to what the row routine holds
+                # its kernel to: the interpreted plan on the same mask (so
+                # a Cell fault the scalar path would raise, or heal, is
+                # raised or healed here too) and the plan's feasible
+                # region, which over-approximates every output row whatever
+                # the mask.
+                for mask, out in zip(row_masks, outs):
+                    plan = self._failing_around(self._plan_output, mask)
+                    self._agreed(out, "batch engine",
+                                 plan, "the interpreted plan")
                     self._check_semantic_containment(out)
             for i, out in zip(single, outs):
                 outputs[i] = out

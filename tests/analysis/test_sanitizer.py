@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policy import Policy, TableRef, min_of
+from repro.core.bfpu import BFPU
+from repro.core.bitvector import BitVector
+from repro.core.kufpu import KUFPU
+from repro.core.operators import BinaryOp
+from repro.core.policy import (
+    Policy,
+    PolicyInterpreter,
+    TableRef,
+    difference,
+    min_of,
+)
 from repro.core.smbm import SMBM
-from repro.core.ufpu_reference import GoldenOracle
 from repro.errors import ConfigurationError, IntegrityError
 from repro.faults.injector import FaultInjector
 from repro.switch.filter_module import FilterModule
@@ -92,8 +101,6 @@ class TestOracleCheck:
         out = module.sanitize_check()
         assert out.first_set() == 5
         assert module.self_test() == []
-        # One shared oracle compilation behind both checks.
-        assert module._oracle.compiled.naive
 
     def test_observable_stuck_fault_caught(self):
         module = FilterModule(8, ("q",), _policy())
@@ -102,7 +109,8 @@ class TestOracleCheck:
         inj = FaultInjector(seed=3)
         event = inj.stick_cell(module)
         assert event is not None, "injector found no observable stuck fault"
-        with pytest.raises(IntegrityError, match="disagrees with golden"):
+        with pytest.raises(IntegrityError,
+                           match="disagrees with the naive reference"):
             module.sanitize_check()
 
     def test_stateful_policy_rejected(self):
@@ -113,12 +121,77 @@ class TestOracleCheck:
         with pytest.raises(ConfigurationError):
             module.sanitize_check()
 
-    def test_golden_oracle_standalone(self):
-        oracle = GoldenOracle(_policy())
+    def test_interpreter_standalone(self):
+        reference = PolicyInterpreter(_policy())
         smbm = SMBM(8, ("q",))
         smbm.add(2, {"q": 4})
-        assert oracle.expected(smbm).first_set() == 2
-        assert oracle.compiled is oracle.compiled  # compiled once, cached
+        smbm.add(5, {"q": 1})
+        assert reference.evaluate(smbm).first_set() == 5
+        assert reference.evaluate(smbm, mask=0b100).first_set() == 2
+
+
+def _swapped_difference(monkeypatch) -> None:
+    """BFPU mutant: ``b - a`` where the opcode says ``a - b``."""
+    evaluate = BFPU.evaluate
+
+    def swapped(self, a, b):
+        if self.config.opcode is BinaryOp.DIFFERENCE:
+            a, b = b, a
+        return evaluate(self, a, b)
+
+    monkeypatch.setattr(BFPU, "evaluate", swapped)
+
+
+def _unstripped_chain(monkeypatch) -> None:
+    """K-UFPU mutant: Equation 1 without ``I_i = I_{i-1} - O_{i-1}`` —
+    every unit sees the whole input, so K units pick the same entry."""
+
+    def unstripped(self, inp, smbm):
+        out = 0
+        for unit in self._units:
+            out |= unit.evaluate(inp, smbm).value
+        return BitVector.from_int(inp.width, out)
+
+    monkeypatch.setattr(KUFPU, "evaluate", unstripped)
+
+
+class TestReferenceIndependence:
+    """The reference is a different program from the plan it judges: a
+    fault in anything the plan is built from cannot hide in both."""
+
+    def _module(self) -> FilterModule:
+        table = TableRef()
+        module = FilterModule(
+            8, ("q",),
+            Policy(difference(table, min_of(table, "q", k=2)), name="rest"))
+        for rid in range(6):
+            module.smbm.add(rid, {"q": 10 - rid})
+        return module
+
+    @pytest.mark.parametrize("mutate",
+                             [_swapped_difference, _unstripped_chain])
+    def test_mutant_in_a_pipeline_component_is_caught(self, monkeypatch,
+                                                      mutate):
+        healthy = self._module().sanitize_check().value
+        assert healthy == 0b001111  # all but the two smallest: ids 5 and 4
+        mutate(monkeypatch)
+        module = self._module()
+        assert module.evaluate().value != healthy  # the mutant is live
+        with pytest.raises(IntegrityError,
+                           match="disagrees with the naive reference"):
+            module.sanitize_check()
+
+    def test_corrupt_index_is_not_pinned_on_healthy_cells(self):
+        """A mask-engine fault is in no Cell: self-test reports it instead
+        of routing around hardware a fault-free clone vouches for."""
+        module = self._module()
+        assert module.self_test() == []
+        index = module.smbm.metric_index("q")
+        index.prefix[1] ^= 1 << 0  # rank 0 now names id 0 beside id 5
+        with pytest.raises(IntegrityError,
+                           match="no Cell could be localized"):
+            module.self_test()
+        assert module.routed_around == frozenset()
 
 
 class TestReplicatedSanitize:

@@ -215,11 +215,6 @@ def test_th012_codegen_ineligible():
         taps={"examined": eligible_node}, schema=SCHEMA,
     )
     assert rules_of(verifier.verify_codegen(tapped)) == ["TH012"]
-    # Reference build: blocked (the oracle must stay interpreted).
-    naive = compiler.compile(
-        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA, naive=True,
-    )
-    assert rules_of(verifier.verify_codegen(naive)) == ["TH012"]
     # Eligible plan: clean, and codegen=True attaches the tier.
     plain = compiler.compile(
         Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA, codegen=True,

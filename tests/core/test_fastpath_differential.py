@@ -1,4 +1,6 @@
-"""Differential tests: mask-engine fast path vs the O(N) reference path.
+"""Differential tests: mask-engine fast path vs the O(N) naive reference
+(:mod:`repro.core.ufpu_reference` at unit level, the
+:class:`~repro.core.policy.PolicyInterpreter` built on it at policy level).
 
 Seeded-random sequences of SMBM writes interleaved with random predicates,
 selectors and whole policies, asserting after every step that
@@ -20,13 +22,15 @@ import random
 
 import pytest
 
+from repro.core import ufpu_reference
 from repro.core.bitvector import BitVector
-from repro.core.compiler import PolicyCompiler
+from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Node,
     Policy,
+    PolicyInterpreter,
     TableRef,
     difference,
     intersection,
@@ -126,7 +130,12 @@ class TestUFPUFastVsReference:
                 config = _random_selector_config(rng)
                 inp = _random_input(rng)
                 fast = UFPU(config).evaluate(inp, smbm)
-                ref = UFPU(config, naive=True).evaluate(inp, smbm)
+                if config.opcode is UnaryOp.PREDICATE:
+                    ref = ufpu_reference.naive_predicate(config, inp, smbm)
+                else:
+                    ref = ufpu_reference.naive_extreme(
+                        config, inp, smbm,
+                        want_min=config.opcode is UnaryOp.MIN)
                 assert fast == ref, (
                     f"fast/reference disagree for {config.describe()} on "
                     f"input {inp!r}"
@@ -176,10 +185,10 @@ class TestCompiledPolicyDifferential:
                             name=f"rand{attempts}")
             try:
                 fast = compiler.compile(policy)
-                ref = compiler.compile(policy, naive=True)
             except CompilationError:
                 continue  # policy exceeded the physical pipeline; try another
-            assert fast.stateless and ref.stateless
+            ref = PolicyInterpreter(policy)
+            assert fast.stateless
             # Several packets per policy, with writes in between.
             for _ in range(3):
                 assert fast.evaluate(smbm) == ref.evaluate(smbm), (
@@ -285,18 +294,12 @@ class TestFilterModuleMemoization:
 
     def test_memoization_agrees_with_reference_across_writes(self, registry):
         rng = random.Random(0xCAFE)
-        policy_fast = Policy(min_of(intersection(
+        policy = Policy(min_of(intersection(
             predicate(TableRef(), "a", RelOp.GE, 2),
             predicate(TableRef(), "b", RelOp.LE, VALUE_RANGE - 2),
         ), "b"))
-        module = FilterModule(CAP, METRICS, policy_fast)
-        reference = PolicyCompiler().compile(
-            Policy(min_of(intersection(
-                predicate(TableRef(), "a", RelOp.GE, 2),
-                predicate(TableRef(), "b", RelOp.LE, VALUE_RANGE - 2),
-            ), "b")),
-            naive=True,
-        )
+        module = FilterModule(CAP, METRICS, policy)
+        reference = PolicyInterpreter(policy)
         for _ in range(100):
             _random_write(rng, module.smbm)
             module.smbm.check_invariants()
@@ -338,15 +341,30 @@ def _stateful_builders() -> dict[str, callable]:
     }
 
 
-class TestStatefulPolicyDifferential:
-    """Stateful selectors against the reference path, packet by packet.
+def _stateful_unit_seed(compiled: CompiledPolicy, lfsr_seed: int) -> int:
+    """The LFSR seed the pipeline gave the stateful K-UFPU of ``compiled``:
+    Cells take ``2 * chain + 1`` seeds each in stage-major order, a Cell's
+    second side starting ``chain`` in."""
+    params = compiled.params
+    for s, stage in enumerate(compiled.config.stages):
+        for c, cell in enumerate(stage.cells):
+            for side, kufpu in enumerate((cell.kufpu1, cell.kufpu2)):
+                if kufpu.opcode.is_stateful:
+                    return (lfsr_seed + side * params.chain_length
+                            + (s * params.cells_per_stage + c)
+                            * (2 * params.chain_length + 1))
+    raise AssertionError("no stateful unit in the compiled plan")
 
-    The naive flag routes the stateless subtrees (predicates, min/max)
-    through the O(N) temp-list walk while the stateful selector logic is
-    identical, so two pipelines compiled from the same policy with the same
-    ``lfsr_seed`` must agree on *every* packet — including how their
-    internal state (round-robin pointers, LFSR) advances across interleaved
-    table writes.
+
+class TestStatefulPolicyDifferential:
+    """Stateful selectors against the naive interpreter, packet by packet.
+
+    The interpreter runs the stateless subtrees (predicates, min/max)
+    through the O(N) temp-list walk while the stateful selector — the root
+    of every policy here — is the same unit on both sides, so once it is
+    handed the seed the pipeline gave that unit the two must agree on
+    *every* packet — including how their internal state (round-robin
+    pointers, LFSR) advances across interleaved table writes.
     """
 
     def test_stateful_fast_vs_reference_per_packet(self):
@@ -360,9 +378,12 @@ class TestStatefulPolicyDifferential:
                         rid,
                         {m: rng.randrange(VALUE_RANGE) for m in METRICS},
                     )
-                fast = compiler.compile(build(), lfsr_seed=seed)
-                ref = compiler.compile(build(), lfsr_seed=seed, naive=True)
-                assert not fast.stateless and not ref.stateless
+                policy = build()
+                fast = compiler.compile(policy, lfsr_seed=seed)
+                assert not fast.stateless
+                ref = PolicyInterpreter(
+                    policy, lfsr_seed=_stateful_unit_seed(fast, seed),
+                    chain_length=fast.params.chain_length)
                 for packet in range(40):
                     out_fast = fast.evaluate(smbm)
                     out_ref = ref.evaluate(smbm)
@@ -375,24 +396,20 @@ class TestStatefulPolicyDifferential:
                         smbm.check_invariants()
 
     def test_round_robin_cycles_all_eligible_resources(self):
-        compiler = PolicyCompiler(PipelineParams())
-        for naive in (False, True):
-            smbm = SMBM(CAP, METRICS)
-            for rid in range(6):
-                smbm.add(rid, {"a": 1, "b": 0})
-            compiled = compiler.compile(
-                Policy(round_robin(TableRef(), "a"), name="rr-cycle"),
-                naive=naive,
-            )
-            picks = []
-            for _ in range(6):
-                out = compiled.evaluate(smbm)
-                chosen = [rid for rid in range(CAP) if out[rid]]
-                assert len(chosen) == 1
-                picks.append(chosen[0])
-            assert sorted(picks) == list(range(6)), (
-                f"round-robin (naive={naive}) must visit every resource once"
-            )
+        smbm = SMBM(CAP, METRICS)
+        for rid in range(6):
+            smbm.add(rid, {"a": 1, "b": 0})
+        compiled = PolicyCompiler(PipelineParams()).compile(
+            Policy(round_robin(TableRef(), "a"), name="rr-cycle"))
+        picks = []
+        for _ in range(6):
+            out = compiled.evaluate(smbm)
+            chosen = [rid for rid in range(CAP) if out[rid]]
+            assert len(chosen) == 1
+            picks.append(chosen[0])
+        assert sorted(picks) == list(range(6)), (
+            "round-robin must visit every resource once"
+        )
 
     def test_different_seeds_diverge_identical_seeds_agree(self):
         compiler = PolicyCompiler(PipelineParams())
@@ -401,15 +418,15 @@ class TestStatefulPolicyDifferential:
         for rid in range(CAP):
             smbm.add(rid, {m: rng.randrange(VALUE_RANGE) for m in METRICS})
 
-        def trace(seed: int, naive: bool) -> list:
+        def trace(seed: int) -> list:
             compiled = compiler.compile(
                 Policy(random_pick(TableRef(), 1), name="rnd"),
-                lfsr_seed=seed, naive=naive,
+                lfsr_seed=seed,
             )
             return [compiled.evaluate(smbm) for _ in range(24)]
 
-        assert trace(3, naive=False) == trace(3, naive=True)
-        assert trace(3, naive=False) != trace(11, naive=False), (
+        assert trace(3) == trace(3)
+        assert trace(3) != trace(11), (
             "different LFSR seeds should produce different pick sequences"
         )
 

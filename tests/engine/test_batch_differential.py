@@ -21,6 +21,7 @@ from repro.core.policy import (
     Conditional,
     Node,
     Policy,
+    PolicyInterpreter,
     TableRef,
     difference,
     fold,
@@ -54,15 +55,23 @@ needs_numpy = pytest.mark.skipif(
 
 def agreed_outputs(compiled: CompiledPolicy, smbm: SMBM,
                    masks: list[int]) -> list[int]:
-    """The one differential over the stateless lowerings: the int-column
-    domain, the bool-matrix domain (when numpy is installed) and the
-    generated scalar kernel must all equal the interpreted pipeline's
-    :meth:`CompiledPolicy.evaluate_restricted`, row by row.  Returns the
-    agreed output column for the caller's own path to be compared with."""
+    """The one differential over the stateless lowerings, standing on the
+    naive truth: the interpreted pipeline's
+    :meth:`CompiledPolicy.evaluate_restricted`, the int-column domain, the
+    bool-matrix domain (when numpy is installed) and the generated scalar
+    kernel — every one a ``MetricIndex`` user — must all equal the
+    :class:`PolicyInterpreter`'s walk of the sorted lists, row by row.
+    Returns the agreed output column for the caller's own path to be
+    compared with."""
     policy = compiled.policy
     present = smbm.id_mask()
     base = [present & m for m in masks]
-    expected = [compiled.evaluate_restricted(smbm, m).value for m in masks]
+    reference = PolicyInterpreter(policy)
+    expected = [reference.evaluate(smbm, mask=m).value for m in masks]
+    assert [compiled.evaluate_restricted(smbm, m).value
+            for m in masks] == expected, (
+        f"interpreted pipeline disagrees on {policy.name}"
+    )
     assert fold(policy, IntColumnDomain(smbm, base)) == expected, (
         f"int-column domain disagrees on {policy.name}"
     )

@@ -20,6 +20,7 @@ from repro.core.policy import (
     Binary,
     Conditional,
     Policy,
+    PolicyInterpreter,
     TableRef,
     max_of,
     min_of,
@@ -91,8 +92,9 @@ _masks = st.lists(st.integers(0, FULL), max_size=10)
 def test_every_domain_equals_the_interpreted_pipeline(root, rows, masks):
     """Random stateless DAGs x random tables (the empty one included) x
     random mask columns: int-column == bool-matrix == scalar kernel ==
-    ``evaluate_restricted``.  Every column also carries the empty mask and
-    the all-ones mask, whose bits name absent ids on any non-full table."""
+    ``evaluate_restricted`` == the naive interpreter.  Every column also
+    carries the empty mask and the all-ones mask, whose bits name absent
+    ids on any non-full table."""
     policy = Policy(root, name="prop")
     try:
         # verify=False: the static verifier's lints are not under test
@@ -105,6 +107,36 @@ def test_every_domain_equals_the_interpreted_pipeline(root, rows, masks):
         if rid not in smbm:
             smbm.add(rid, {"a": a, "b": b})
     agreed_outputs(compiled, smbm, masks + [0, FULL])
+
+
+def test_the_reference_shares_nothing_with_what_it_checks(registry):
+    """What makes the differential above worth its name: the naive
+    interpreter answers from the table's sorted lists alone — it builds
+    and patches no ``MetricIndex`` and compiles nothing."""
+    table = TableRef()
+    policy = Policy(
+        Conditional(min_of(union(predicate(table, "a", RelOp.LT, 9),
+                                 predicate(table, "b", RelOp.GT, 3)), "a", k=2),
+                    max_of(table, "b")),
+        name="independent",
+    )
+    smbm = SMBM(CAP, METRICS)
+    for rid in range(CAP // 2):
+        smbm.add(rid, {"a": rid % VALUE_RANGE, "b": (rid * 7) % VALUE_RANGE})
+    reference = PolicyInterpreter(policy)
+    assert reference.evaluate(smbm).value == 0b11
+    smbm.update(0, {"a": VALUE_RANGE - 1, "b": 0})
+    assert reference.evaluate(smbm, mask=0b1111).value == 0b110
+    assert registry.value_of("smbm_index_rebuilds_total") == 0
+    assert registry.value_of("smbm_index_patches_total") == 0
+    assert registry.value_of("span_calls_total",
+                             {"span": "policy_compile"}) == 0
+    # The same questions put to a compiled plan move both.
+    compiled = PolicyCompiler(PARAMS).compile(policy)
+    assert compiled.evaluate_restricted(smbm, 0b1111).value == 0b110
+    assert registry.value_of("smbm_index_rebuilds_total") > 0
+    assert registry.value_of("span_calls_total",
+                             {"span": "policy_compile"}) == 1
 
 
 class TestBatchLanesLeakNothing:

@@ -31,7 +31,7 @@ from repro.engine.batch import (
     META_FILTER_OUTPUT,
     META_FILTER_REQUEST,
 )
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import CellFault, ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
 from repro.serving.backend import (
@@ -159,32 +159,40 @@ def test_backends_serve_identical_traces():
 
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
-#: heals around a dead Cell, one serves from a kernel no Cell fault reaches.
-FAULT_TENANTS = {"heal": {"self_healing": True}, "kern": {"codegen": True}}
+#: heals around a dead Cell (and one more does under the sanitizer, whose
+#: plan compare is where a batch-engine row meets the Cell), one serves
+#: from a kernel no Cell fault reaches.
+FAULT_TENANTS = {"heal": {"self_healing": True},
+                 "heal-san": {"self_healing": True, "sanitize": True},
+                 "kern": {"codegen": True}}
+#: And one whose sanitizer holds that kernel to the Cells it bypasses: with
+#: one dead it must refuse every row, however the row arrives.
+SANITIZED_KERNEL = {"kern-san": {"codegen": True, "sanitize": True}}
 
 
 def _dead_cell_schedule():
-    """Both tenants' first packets after the fault are *masked*: whichever
-    entry point carries a masked row has to heal (or run the kernel)
-    itself, it cannot ride on an unmasked row having done so."""
+    """Every tenant's first packets after the fault are *masked*, and a
+    probe closes that run before an unmasked one arrives: whichever entry
+    point carries a masked row has to heal (or run the kernel) itself, it
+    cannot ride on an unmasked row having done so."""
     steps = [("probe", tenant, rid, {"cpu": 40 - 7 * rid, "mem": rid})
              for rid in range(5) for tenant in FAULT_TENANTS]
     for i, mask in enumerate((0b00111, 0b10011, None, 1 << 3, None, 0)):
         for tenant in FAULT_TENANTS:
             steps.append(("data", tenant, mask))
-        if i == 3:
-            steps.append(("probe", "heal", 1, {"cpu": 1, "mem": 1}))
-            steps.append(("probe", "kern", 1, {"cpu": 1, "mem": 1}))
+        if i in (1, 3):
+            for tenant in FAULT_TENANTS:
+                steps.append(("probe", tenant, i, {"cpu": i, "mem": i}))
     return steps
 
 
-def _run_with_dead_cells(cls, steps):
+def _run_with_dead_cells(cls, steps, tenants=FAULT_TENANTS):
     """Serve ``steps`` with the first active Cell of every tenant dead
     from the start; returns (traces, tenant -> (module, dead position))."""
-    manager = TenantManager(METRICS, PipelineParams(n=8), smbm_capacity=16)
+    manager = TenantManager(METRICS, PipelineParams(n=12), smbm_capacity=24)
     backend = cls(manager)
     killed = {}
-    for name, flags in FAULT_TENANTS.items():
+    for name, flags in tenants.items():
         tenant = backend.program_tenant(
             TenantSpec(name, _policy_a(), smbm_quota=8, columns=2, **flags))
         dead = tenant.module.compiled.pipeline.active_cells()[0]
@@ -196,14 +204,28 @@ def _run_with_dead_cells(cls, steps):
 def test_dead_cell_schedule_serves_alike_on_both_backends():
     steps = _dead_cell_schedule()
     scalar, killed = _run_with_dead_cells(ScalarBackend, steps)
-    batched, _ = _run_with_dead_cells(BatchedBackend, steps)
+    batched, killed_batched = _run_with_dead_cells(BatchedBackend, steps)
     golden = _golden_traces(steps, {name: _policy_a for name in FAULT_TENANTS})
     assert scalar == batched == golden
     # On the scalar backend the first row to meet the dead Cell was a
-    # masked one, and it healed exactly as an unmasked row would have.
-    module, dead = killed["heal"]
+    # masked one, and it healed exactly as an unmasked row would have; on
+    # the batched one the sanitized tenant's was a masked engine row.
+    module, dead = killed_batched["heal-san"]
     assert module.routed_around == {dead}
+    for name in ("heal", "heal-san"):
+        module, dead = killed[name]
+        assert module.routed_around == {dead}
     assert killed["kern"][0].routed_around == frozenset()
+    # The sanitized kernel's masked rows meet the dead Cell in the
+    # sanitizer's plan compare on both backends — per packet on one, per
+    # engine row on the other, below and above the numpy lane's threshold.
+    for rows in (2, 9):
+        masked = ([("probe", "kern-san", rid, {"cpu": 9 - rid, "mem": rid})
+                   for rid in range(3)]
+                  + [("data", "kern-san", 0b011)] * rows)
+        for cls in BACKENDS:
+            with pytest.raises(CellFault):
+                _run_with_dead_cells(cls, masked, SANITIZED_KERNEL)
 
 
 def test_every_miss_is_timed_and_charged_masked_or_not(registry):
