@@ -247,8 +247,9 @@ def _build_batch_env(
     * ``module_b`` — a memoized module serving ``uniform`` (every row
       filters the whole table) via the broadcast path, and ``masked``
       (per-row candidate masks) via the columnar engine;
-    * ``module_cg`` — the same policy with ``memoize=False, codegen=True``,
-      so every evaluation runs the specialized flat kernel and the
+    * ``module_cg`` — the same policy with ``codegen=True``; its kernel
+      tier (``module_cg.codegen``) is what the codegen column times, called
+      directly so the module's memo cannot answer for it and the
       version-keyed codegen cache accrues hits.
 
     Correctness (batched broadcast == scalar evaluate == codegen kernel,
@@ -265,8 +266,7 @@ def _build_batch_env(
         for name, build in builders.items():
             module_b = FilterModule(n_resources, METRICS, build(), params)
             module_cg = FilterModule(
-                n_resources, METRICS, build(), params,
-                memoize=False, codegen=True,
+                n_resources, METRICS, build(), params, codegen=True,
             )
             for rid in range(n_resources):
                 metrics = dict(smbm.metrics_of(rid))
@@ -302,9 +302,9 @@ def _build_batch_env(
                         f"restricted pipeline for {name} at N={n_resources}"
                     )
             # The codegen module serves the same masked batch through its
-            # specialized kernel (and a second scalar call), so the
-            # version-keyed codegen cache registers hits, not just the
-            # first-specialization misses.
+            # kernel tier, and the kernel is called once more at the same
+            # table version, so the version-keyed codegen cache registers
+            # a hit, not just the first-specialization miss.
             expected_masked = list(masked.outputs)
             module_cg.evaluate_batch(masked)
             if masked.outputs != expected_masked:
@@ -312,7 +312,7 @@ def _build_batch_env(
                     f"codegen masked batch disagrees with the interpreted "
                     f"engine for {name} at N={n_resources}"
                 )
-            if module_cg.evaluate().value != out:
+            if module_cg.codegen.evaluate(module_cg.smbm) != out:
                 raise AssertionError(
                     f"codegen cache-hit evaluation disagrees for {name} "
                     f"at N={n_resources}"
@@ -472,14 +472,18 @@ def run_sweep(quick: bool = False, batch: bool = False,
         )
     # Batched serving paths (registry disabled): per-row cost of a uniform
     # batch through the memoized broadcast path, and per-call cost of the
-    # specialized flat kernel (memoize off, so every call runs it).
+    # specialized flat kernel (called on the tier itself: through the
+    # module the memo would answer every call after the first).
     batch_times: dict[tuple[int, str], tuple[float, float]] = {}
     for key, (module_b, uniform, _masked, module_cg) in batch_env.items():
         t_batch = _time_per_call(
             lambda m=module_b, u=uniform: m.evaluate_batch(u),
             target_s=target_s,
         ) / batch_size
-        t_cg = _time_per_call(module_cg.evaluate, target_s=target_s)
+        t_cg = _time_per_call(
+            lambda m=module_cg: m.codegen.evaluate(m.smbm),
+            target_s=target_s,
+        )
         batch_times[key] = (t_batch, t_cg)
     # Multi-tenant demuxed serving (instrumented: the per-tenant series
     # must land in the snapshot).

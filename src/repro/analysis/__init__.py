@@ -53,7 +53,6 @@ from repro.analysis.verifier import (
     PlanVerifier,
     TableSchema,
     TenantSlice,
-    specialization_blockers,
     verify_policy_compiles,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "PlanVerifier",
     "TableSchema",
     "TenantSlice",
-    "specialization_blockers",
     "verify_policy_compiles",
     "RaceDetector",
     "RaceFinding",

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.compiler import CompiledPolicy
 
 __all__ = ["TableSchema", "TenantSlice", "PlanVerifier",
-           "verify_policy_compiles", "specialization_blockers"]
+           "verify_policy_compiles"]
 
 
 @dataclass(frozen=True)
@@ -145,26 +145,21 @@ class PlanVerifier:
     """Static checker for one pipeline geometry (and optionally one table).
 
     ``schema`` enables the SMBM-dependent checks (TH002 unknown metric,
-    TH008 timing closure); without it only geometry checks run.
-    ``target_clock_ghz`` overrides the paper's 1 GHz switch-clock target;
-    ``benes_size`` overrides the per-stage Benes network size (the default
-    :meth:`~repro.core.benes.BenesNetwork.for_crossbar` sizing always fits
-    the compiler's own wirings — smaller networks model a floorplan with
-    constrained crossbars).
+    TH008 timing closure against the paper's 1 GHz switch clock,
+    :data:`repro.core.area.TARGET_CLOCK_GHZ`); without it only geometry
+    checks run.  ``benes_size`` overrides the per-stage Benes network size
+    (the default :meth:`~repro.core.benes.BenesNetwork.for_crossbar` sizing
+    always fits the compiler's own wirings — smaller networks model a
+    floorplan with constrained crossbars).
     """
 
     def __init__(self, params: PipelineParams | None = None, *,
                  schema: TableSchema | None = None,
-                 target_clock_ghz: float | None = None,
                  benes_size: int | None = None,
                  semantic: bool = True):
         self._params = params if params is not None else PipelineParams()
         self._schema = schema
         self._semantic = semantic
-        self._target_clock_ghz = (
-            area.TARGET_CLOCK_GHZ if target_clock_ghz is None
-            else target_clock_ghz
-        )
         self._benes = (
             BenesNetwork(benes_size) if benes_size is not None
             else BenesNetwork.for_crossbar(self._params.n, self._params.f)
@@ -425,13 +420,13 @@ class PlanVerifier:
             self._params.chain_length, n_rows,
         )
         achieved = min(smbm_clock, pipe_clock)
-        if achieved < self._target_clock_ghz:
+        if achieved < area.TARGET_CLOCK_GHZ:
             limiter = "SMBM search" if smbm_clock <= pipe_clock else "Cell"
             report.add(
                 "TH008",
                 f"critical path ({limiter}) closes at {achieved:.3f} GHz "
                 f"for N={n_rows}, m={m}, below the "
-                f"{self._target_clock_ghz:.3f} GHz target clock",
+                f"{area.TARGET_CLOCK_GHZ:.3f} GHz target clock",
             )
         return report
 
@@ -515,15 +510,24 @@ class PlanVerifier:
         The codegen bargain is only sound when a plan's output is a pure
         function of the table contents: every blocker reported here names
         a way the pipeline traversal carries information a per-version
-        kernel cannot (cross-packet unit state, caller-supplied input
-        tables, interior tap lines).
+        kernel cannot — the policy's own
+        :func:`~repro.core.policy.stateless_blockers` (cross-packet unit
+        state, caller-supplied input tables; what
+        :class:`~repro.engine.codegen.PlanCodegen` refuses) plus interior
+        tap lines, which only a compilation has.
         A clean report means the generated kernel is semantically
         interchangeable with the interpreted plan at every table version.
         """
         report = Report(
             subject=f"codegen eligibility of {compiled.policy.name!r}"
         )
-        for blocker in specialization_blockers(compiled):
+        if compiled.tap_lines:
+            report.add(
+                "TH012",
+                f"interior taps {sorted(compiled.tap_lines)} are read from "
+                "pipeline output lines a flat closure does not materialise",
+            )
+        for blocker in stateless_blockers(compiled.policy):
             report.add("TH012", blocker)
         return report
 
@@ -553,26 +557,6 @@ class PlanVerifier:
         return report
 
 
-def specialization_blockers(compiled: "CompiledPolicy") -> list[str]:
-    """Why ``compiled`` may not be specialized to a flat closure, if at all.
-
-    No execution: the compile-level blocker (interior taps) plus
-    :func:`~repro.core.policy.stateless_blockers` of the policy itself.
-    Returns one human-readable reason per blocker, empty when the plan is
-    codegen-eligible.  This is what the TH012 lint
-    (:meth:`PlanVerifier.verify_codegen`), the compiler's ``codegen=True``
-    gate and :class:`repro.engine.codegen.PlanCodegen`'s defensive check
-    all share.
-    """
-    blockers: list[str] = []
-    if compiled.tap_lines:
-        blockers.append(
-            f"interior taps {sorted(compiled.tap_lines)} are read from "
-            "pipeline output lines a flat closure does not materialise"
-        )
-    return blockers + stateless_blockers(compiled.policy)
-
-
 def _needed_ports(cfg: CellConfig, read_units: set[int]) -> tuple[bool, bool]:
     """Which Cell input ports feed the units the live outputs read."""
     need_u1 = 0 in read_units
@@ -587,7 +571,6 @@ def verify_policy_compiles(
     params: PipelineParams | None = None,
     *,
     schema: TableSchema | None = None,
-    target_clock_ghz: float | None = None,
     taps: dict[str, Node] | None = None,
     semantic: bool = True,
 ) -> Report:
@@ -601,9 +584,7 @@ def verify_policy_compiles(
     """
     from repro.core.compiler import PolicyCompiler  # late: import cycle
 
-    verifier = PlanVerifier(params, schema=schema,
-                            target_clock_ghz=target_clock_ghz,
-                            semantic=semantic)
+    verifier = PlanVerifier(params, schema=schema, semantic=semantic)
     try:
         compiled = PolicyCompiler(params).compile(
             policy, taps=taps, verify=False,

@@ -25,7 +25,16 @@ Mapping rules (all visible in Figure 14):
   the filter module.
 
 Exceeding any physical resource raises
-:class:`~repro.errors.CompilationError` with a description of what ran out.
+:class:`~repro.errors.CompilationError` with a description of what ran out;
+a DAG with more operator levels than the ``k`` stages can host is refused
+before any placement is tried (each DAG walk here visits a node once,
+however many paths share it).
+
+The compiler decides *placement* only.  What a policy means in software —
+the naive reference, the batch engine, the ``codegen`` kernel — is lowered
+from the :class:`~repro.core.policy.Policy` by the layers above and is not
+attached to a :class:`CompiledPolicy`: a recompile onto other Cells leaves
+all of it valid.
 """
 
 from __future__ import annotations
@@ -45,14 +54,21 @@ from repro.core.pipeline import (
     PipelineParams,
     StageConfig,
 )
-from repro.core.policy import Binary, Conditional, Node, Policy, TableRef, Unary
+from repro.core.policy import (
+    Binary,
+    Conditional,
+    Node,
+    Policy,
+    TableRef,
+    Unary,
+    postorder,
+)
 from repro.core.smbm import SMBM
 from repro.errors import CompilationError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.findings import Finding
     from repro.analysis.verifier import TableSchema
-    from repro.engine.codegen import PlanCodegen
 
 __all__ = ["PolicyCompiler", "CompiledPolicy", "MuxPlan"]
 
@@ -136,8 +152,6 @@ class PolicyCompiler:
         input_lines: "Iterable[int] | None" = None,
         verify: bool = True,
         schema: "TableSchema | None" = None,
-        target_clock_ghz: float | None = None,
-        codegen: bool = False,
     ) -> "CompiledPolicy":
         """Map ``policy`` onto the pipeline, or raise CompilationError.
 
@@ -165,24 +179,11 @@ class PolicyCompiler:
         registry.  ``schema`` (a
         :class:`repro.analysis.verifier.TableSchema`) enables the
         SMBM-dependent checks — unknown metrics and timing closure against
-        ``target_clock_ghz`` (default: the paper's 1 GHz switch target).
+        the paper's 1 GHz switch target
+        (:data:`repro.core.area.TARGET_CLOCK_GHZ`).
         ``verify=False`` is the escape hatch for deliberately-degenerate
         plans (and for the verifier's own trial compilations).
-
-        ``codegen=True`` additionally runs the TH012 eligibility lint and,
-        when the plan is eligible, attaches a
-        :class:`repro.engine.codegen.PlanCodegen` specialization tier to
-        the result (:attr:`CompiledPolicy.codegen`).  Ineligible plans
-        compile fine but carry TH012 warnings and no codegen tier.  The
-        combination ``codegen=True, verify=False`` is rejected: the whole
-        bargain — generated code may elide every runtime check — rests on
-        the plan having been verified.
         """
-        if codegen and not verify:
-            raise ConfigurationError(
-                "codegen=True requires verify=True: specialized kernels "
-                "elide the runtime checks only a verified plan may drop"
-            )
         with obs.get_tracer().span("policy_compile") as span:
             compiled = self._compile(
                 policy, taps=taps, lfsr_seed=lfsr_seed,
@@ -196,24 +197,11 @@ class PolicyCompiler:
             # types for its trial-compile helper.
             from repro.analysis.verifier import PlanVerifier
 
-            verifier = PlanVerifier(
-                self._params, schema=schema,
-                target_clock_ghz=target_clock_ghz,
-            )
+            verifier = PlanVerifier(self._params, schema=schema)
             report = verifier.verify_compiled(compiled)
             report.emit()
             report.raise_if_errors()
-            warnings = report.warnings
-            if codegen:
-                eligibility = verifier.verify_codegen(compiled)
-                eligibility.emit()
-                warnings = warnings + eligibility.warnings
-                if eligibility.clean:
-                    # Late import: the engine layer sits above core.
-                    from repro.engine.codegen import PlanCodegen
-
-                    compiled.attach_codegen(PlanCodegen(compiled))
-            compiled.attach_lint_findings(warnings)
+            compiled.attach_lint_findings(report.warnings)
         return compiled
 
     def _compile(
@@ -528,12 +516,21 @@ class _CompileState:
     # -- recursive compilation -----------------------------------------------------
 
     def prepare(self, root: Node) -> None:
-        """Count parents over the full policy DAG (fusion legality) and
-        collect the explicitly indexed input lines."""
+        """One pass over the policy DAG, each node once however many paths
+        reach it: count parents per edge (fusion is only legal at 1), check
+        and collect the explicitly indexed input lines, and refuse a DAG
+        taller than the pipeline before anything recursive runs."""
         self.parent_count[root.node_id] = 1
-        self._count_parents(root)
-
-        def scan(node: Node) -> None:
+        # Lower bound on the stage a node's value appears at: a stage
+        # hosts at most one unary and one binary level (a binary's Cell
+        # may absorb each operand's unary).
+        depth: dict[int, int] = {}
+        for node in postorder(root):
+            below = node.children()
+            for child in below:
+                self.parent_count[child.node_id] = (
+                    self.parent_count.get(child.node_id, 0) + 1
+                )
             if isinstance(node, TableRef) and node.input_index is not None:
                 if not 0 <= node.input_index < self.params.n:
                     raise CompilationError(
@@ -550,17 +547,20 @@ class _CompileState:
                         rule="TH014", operator=node.describe(),
                     )
                 self.reserved_inputs.add(node.input_index)
-            for child in node.children():
-                scan(child)
-
-        scan(root)
-
-    def _count_parents(self, node: Node) -> None:
-        for child in node.children():
-            self.parent_count[child.node_id] = (
-                self.parent_count.get(child.node_id, 0) + 1
+            if isinstance(node, Binary):
+                below = tuple(c.child if isinstance(c, Unary) else c
+                              for c in below)
+            level = max((depth[c.node_id] for c in below), default=-1)
+            # The conditional's MUX sits after the pipeline: no stage.
+            depth[node.node_id] = (
+                level if isinstance(node, Conditional) else level + 1
             )
-            self._count_parents(child)
+        if depth[root.node_id] > self.params.k:
+            raise CompilationError(
+                f"policy is {depth[root.node_id]} operator levels deep but "
+                f"the pipeline has k={self.params.k} stages",
+                rule="TH009", stage=self.params.k,
+            )
 
     def _fusable(self, node: Node) -> bool:
         """A node a binary parent may absorb into its Cell's K-UFPU."""
@@ -672,9 +672,6 @@ class CompiledPolicy:
         self._dead_cells = frozenset(dead_cells)
         # Warning-level verifier findings, attached post-verification.
         self._lint_findings: tuple["Finding", ...] = ()
-        # The codegen specialization tier, attached by compile(codegen=True)
-        # when the plan passes the TH012 eligibility lint.
-        self._codegen: "PlanCodegen | None" = None
         # Memoizable iff no programmed unit keeps cross-packet state.
         self._stateless = config.is_stateless()
         # Only these output lines are ever read back; the pipeline prunes
@@ -743,15 +740,6 @@ class CompiledPolicy:
 
     def attach_lint_findings(self, findings: list["Finding"]) -> None:
         self._lint_findings = tuple(findings)
-
-    @property
-    def codegen(self) -> "PlanCodegen | None":
-        """The specialization tier, or ``None`` when not requested at
-        compile time or when the plan carries TH012 blockers."""
-        return self._codegen
-
-    def attach_codegen(self, codegen: "PlanCodegen") -> None:
-        self._codegen = codegen
 
     @property
     def latency_cycles(self) -> int:

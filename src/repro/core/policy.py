@@ -349,30 +349,29 @@ class PolicyInterpreter:
     object reachable twice) are evaluated once per packet.
     """
 
-    def __init__(self, policy: Policy, *, lfsr_seed: int = 1,
-                 chain_length: int | None = None):
+    def __init__(self, policy: Policy, *, lfsr_seed: int = 1):
         self._policy = policy
         self._units: dict[int, KUFPU] = {}
         seed = lfsr_seed
-        seeded: set[int] = set()
-
-        def build(node: Node) -> None:
-            if isinstance(node, Unary) and node.node_id not in seeded:
-                nonlocal seed
-                seeded.add(node.node_id)
-                length = chain_length if chain_length is not None else max(1, node.config.k)
+        # Pre-order, each node at its first visit only (a shared sub-DAG
+        # is not walked again per path): every Unary node, stateful or
+        # not, takes its slot of the seed space, so a node's LFSR stream
+        # depends only on where it sits in the DAG.
+        seen: set[int] = set()
+        stack = [policy.root]
+        while stack:
+            node = stack.pop()
+            if node.node_id in seen:
+                continue
+            seen.add(node.node_id)
+            if isinstance(node, Unary):
+                length = max(1, node.config.k)
                 if node.config.opcode.is_stateful:
                     self._units[node.node_id] = KUFPU(
                         length, node.config, lfsr_seed=seed
                     )
-                # Every Unary node, stateful or not, takes its slot of the
-                # seed space, so a node's LFSR stream depends only on where
-                # it sits in the DAG.
                 seed += length + 1
-            for child in node.children():
-                build(child)
-
-        build(policy.root)
+            stack.extend(reversed(node.children()))
 
     @property
     def policy(self) -> Policy:

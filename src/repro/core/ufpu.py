@@ -100,11 +100,10 @@ class UnaryConfig:
 class UFPU:
     """A single programmable unary filter processing unit."""
 
-    def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1,
-                 lfsr_width: int = 16):
+    def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1):
         self._config = config
-        # Random operator state: a free-running LFSR (section 5.2.1).
-        self._lfsr = LFSR(lfsr_width, seed=lfsr_seed)
+        # Random operator state: a free-running 16-bit LFSR (section 5.2.1).
+        self._lfsr = LFSR(16, seed=lfsr_seed)
         # Round-robin operator state: <last_id, w>.
         self._rr_last_id: int | None = None
         self._rr_w = 0

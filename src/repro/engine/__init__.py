@@ -1,4 +1,4 @@
-"""Batched columnar evaluation and verified-plan policy codegen.
+"""Batched columnar evaluation and per-policy codegen.
 
 The engine is the throughput tier above the per-packet fast path:
 

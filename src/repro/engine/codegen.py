@@ -1,11 +1,10 @@
-"""Per-plan policy codegen: verified plans become flat specialized closures.
+"""Per-policy codegen: eligible policies become flat specialized closures.
 
 The interpreted fast path pays Python dispatch per operator object per
 packet, plus the bounds/width/liveness checks the pipeline model carries.
-Once the static verifier (TH001-TH011) has proven a plan safe and the
-TH012 eligibility lint has proven it *specializable* — stateless, no
-caller-supplied inputs, no interior taps — all of that is provably dead
-weight: the plan's meaning is a pure function of the table contents.
+For a policy :func:`~repro.core.policy.stateless_blockers` has nothing
+against — stateless, no caller-supplied inputs — all of that is dead
+weight: the policy's meaning is a pure function of the table contents.
 
 :class:`PlanCodegen` therefore emits, once per distinct plan, one small
 Python module of straight-line code whose ``specialize(smbm)`` resolves
@@ -15,6 +14,12 @@ returns a flat ``kernel(mask) -> mask`` closure over those constants: no
 operator objects, no checks, no dispatch.  The source is the policy
 folded (:func:`repro.core.policy.fold`) in the :class:`_ScalarEmitter`
 domain, whose values are variable names.
+
+The tier is a lowering of the *policy*: it takes no compiled plan, the
+compiler (:mod:`repro.core.compiler`) does not know it exists, and a
+:class:`~repro.switch.filter_module.FilterModule` builds it on its policy
+clock — construction and ``hot_swap`` — so a fail-around recompile onto
+other Cells keeps the same object.
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 canonical DAG serialization) and exec'd once; specialized kernels are
@@ -37,7 +42,7 @@ differential suites hold both to the naive
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.core.operators import BinaryOp, RelOp
@@ -49,6 +54,7 @@ from repro.core.policy import (
     Unary,
     fold,
     postorder,
+    stateless_blockers,
 )
 from repro.core.smbm import SMBM
 from repro.engine import _np
@@ -58,9 +64,6 @@ from repro.engine.columnar import (
     select_k_scalar,
 )
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.core.compiler import CompiledPolicy
 
 __all__ = ["PlanCodegen", "generate_plan_source", "plan_hash_of"]
 
@@ -195,26 +198,23 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
 
 
 class PlanCodegen:
-    """The codegen tier of one compiled plan.
+    """The codegen tier of one policy.
 
-    Construction requires a specialization-eligible plan (no TH012
-    blockers — see
-    :func:`repro.analysis.verifier.specialization_blockers`); the
-    compiler's ``codegen=True`` path checks eligibility before building
-    one, and construction re-raises :class:`ConfigurationError` on an
-    ineligible plan as defense in depth.
+    A lowering of the policy alone — no compilation, placement or Cell
+    enters it — so it is built when the policy changes and survives every
+    fail-around recompile.  Construction is the eligibility gate: a policy
+    :func:`~repro.core.policy.stateless_blockers` objects to (stateful
+    operators, caller-supplied inputs — the TH012 blockers a policy can
+    carry) raises :class:`ConfigurationError` naming them.
     """
 
-    def __init__(self, compiled: "CompiledPolicy"):
-        from repro.analysis.verifier import specialization_blockers
-
-        blockers = specialization_blockers(compiled)
+    def __init__(self, policy: Policy):
+        blockers = stateless_blockers(policy)
         if blockers:
             raise ConfigurationError(
-                "plan is not specialization-eligible (TH012): "
+                f"policy {policy.name!r} is not codegen-eligible (TH012): "
                 + "; ".join(blockers)
             )
-        policy = compiled.policy
         self._policy = policy
         source, digest, relops = generate_plan_source(policy)
         self._source = source

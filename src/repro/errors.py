@@ -15,32 +15,6 @@ class ConfigurationError(ReproError):
     """A component was configured with invalid or inconsistent parameters."""
 
 
-class ConfigError(ConfigurationError):
-    """Mutually exclusive configuration flags were combined.
-
-    The typed variant of :class:`ConfigurationError` raised by components
-    with a flag-exclusivity matrix (e.g.
-    :class:`~repro.switch.filter_module.FilterModule`): ``conflicts`` lists
-    every violated pair as ``(flag_a, flag_b)`` tuples so tests and callers
-    can assert on exactly which combination was rejected rather than
-    pattern-matching message text.  All conflicts are reported in one
-    raise, not just the first one found.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        conflicts: "tuple[tuple[str, str], ...] | list[tuple[str, str]]" = (),
-    ):
-        super().__init__(message)
-        self.conflicts = tuple(tuple(pair) for pair in conflicts)
-
-    def involves(self, flag: str) -> bool:
-        """True when ``flag`` appears in any reported conflict pair."""
-        return any(flag in pair for pair in self.conflicts)
-
-
 class CompilationError(ReproError):
     """A filter policy cannot be mapped onto the target pipeline.
 
@@ -95,8 +69,8 @@ class RoutingError(ReproError):
     """A switching network could not realise the requested connection set.
 
     Also raised by multi-tenant demux when packets cannot be routed to an
-    owning tenant.  Following the all-violations ConfigError style, batch
-    demux reports *every* offending label in one raise: ``unknown`` lists
+    owning tenant.  Batch demux reports *every* offending label in one
+    raise, not just the first one found: ``unknown`` lists
     each distinct ``META_TENANT`` label with no admitted tenant, and
     ``unlabelled`` counts requesting packets carrying no label at all, so
     callers can assert on the full violation set rather than fixing one

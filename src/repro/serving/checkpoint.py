@@ -182,7 +182,9 @@ def spec_to_dict(spec: TenantSpec) -> dict[str, Any]:
 
 
 def spec_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
-    """Rebuild an admission spec from :func:`spec_to_dict` output."""
+    """Rebuild an admission spec from :func:`spec_to_dict` output.  Keys
+    naming no current field (a document written when the spec still had
+    them, e.g. ``memoize``) are ignored, so old logs stay replayable."""
     try:
         doc = {f.name: raw[f.name] for f in fields(TenantSpec)}
         doc["policy"] = policy_from_dict(raw["policy"])

@@ -8,6 +8,14 @@ RMT stages that follow (section 3).
 
 Packets that do not want filtering simply bypass the module
 (:meth:`FilterModule.hook` leaves packets without the trigger flag alone).
+
+The paper maps the policy onto Cells once, at compile time; a fault moves
+the *placement*, not the policy.  The module keeps that split: what the
+policy alone determines is built when the policy changes, what the
+placement determines when the Cells move, and what a table version
+determines when the table is written (the three clocks in
+:class:`FilterModule`'s docstring).  Its mode flags — ``self_healing``,
+``sanitize``, ``codegen`` — and the tenant slice compose freely.
 """
 
 from __future__ import annotations
@@ -39,13 +47,9 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_SELECTED,
     PacketBatch,
 )
+from repro.engine.codegen import PlanCodegen
 from repro.engine.columnar import BatchedEvaluator
-from repro.errors import (
-    CellFault,
-    ConfigError,
-    ConfigurationError,
-    IntegrityError,
-)
+from repro.errors import CellFault, ConfigurationError, IntegrityError
 from repro.rmt.packet import Packet
 
 __all__ = [
@@ -69,6 +73,20 @@ class FilterModule:
     table every clock cycle.  Any committed write bumps the version and so
     invalidates the cache.  Stateful policies are never memoized (their
     outputs advance per packet by design).
+
+    Every piece of serving state is rebuilt on exactly one of three clocks:
+
+    * the **policy clock** (construction, :meth:`hot_swap`) —
+      :meth:`_program` builds what is a function of the policy alone: the
+      naive reference, the ``codegen`` kernel, the masked-row batch engine,
+      the sanitizer's feasible region, the policy-labelled instruments;
+    * the **placement clock** (construction, :meth:`hot_swap`, every
+      fail-around recompile) — :meth:`_place` maps the policy onto the
+      Cells the slice and the detected faults leave and re-arms the
+      physical faults, :meth:`_install` flips the plan; nothing the policy
+      clock owns is touched;
+    * the **version clock** (every committed table write, and a restore) —
+      the memo entry and the kernel's specialization.
     """
 
     def __init__(
@@ -79,7 +97,6 @@ class FilterModule:
         params: PipelineParams | None = None,
         *,
         lfsr_seed: int = 1,
-        memoize: bool = True,
         self_healing: bool = False,
         sanitize: bool = False,
         codegen: bool = False,
@@ -87,14 +104,6 @@ class FilterModule:
         reserved_cells: "Iterable[tuple[int, int]]" = (),
         input_lines: "Iterable[int] | None" = None,
     ):
-        if codegen and self_healing:
-            raise ConfigError(
-                "mutually exclusive FilterModule flags: codegen+self_healing: "
-                "the specialized kernel never routes through the physical "
-                "Cells, so a Cell fault could neither surface nor be healed "
-                "mid-traffic",
-                conflicts=[("codegen", "self_healing")],
-            )
         self._tenant = tenant
         self._reserved = frozenset(
             (int(stage), int(index)) for stage, index in reserved_cells
@@ -107,10 +116,8 @@ class FilterModule:
                           tenant=tenant)
         # Compile inputs are kept so fail-around can recompile the same
         # policy onto the surviving Cells after a hardware fault.
-        self._policy = policy
         self._params = params
         self._lfsr_seed = lfsr_seed
-        self._memoize_requested = memoize
         self._self_healing = self_healing
         self._sanitize = sanitize
         # The table dimensions the static verifier checks the plan against
@@ -127,14 +134,8 @@ class FilterModule:
         # every filter output (scalar and batched) so a packet stream
         # spanning a swap separates cleanly into old-plan/new-plan halves.
         self._plan_epoch = 0
-        self._swap_version: int | None = None
-        compiled = self._compile_policy(policy)
-        self._check_codegen_armed(compiled, policy)
+        compiled = self._place(policy)
         self._evaluations = 0
-        # Sanitizer-side soundness witness for the symbolic analyzer:
-        # the feasible output region of the live plan, cached per
-        # compiled plan (a hot-swap or fail-around recompile re-derives).
-        self._semantic_cache: tuple[CompiledPolicy, Region] | None = None
         self._cache_hits = 0
         self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
@@ -159,10 +160,9 @@ class FilterModule:
         # timing capture, and only when a real registry is active.
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
-        self._obs_policy = policy.name
+        self._program(policy)
         if self._obs_enabled:
             registry.add_hook(self._obs_collect)
-            self._make_plan_instruments(registry)
         # Fault/repair instruments live off the per-packet path (faults are
         # rare events), so they are created unconditionally: against the null
         # registry they are shared no-op singletons.  With a tenant set they
@@ -196,35 +196,63 @@ class FilterModule:
                  "codegen kernels) on install, hot-swap, fail-around, "
                  "and table restore",
         )
-        # Construction installs the plan through the same sequence every
+        # Construction installs the plan through the same step every
         # later plan change does (and counts its cache reset).
         self._install(compiled)
+
+    def _program(self, policy: Policy) -> None:
+        """The policy clock: build everything that is a function of the
+        policy alone.  Every lowering is built before the first assignment,
+        so a policy one of them refuses (``codegen=True`` on a plan with
+        TH012 blockers raises :class:`~repro.errors.ConfigurationError`)
+        leaves the module exactly as it was."""
+        # The naive reference self_test() and sanitize_check() hold the
+        # plan to: a walk of the policy DAG over the table's sorted lists,
+        # sharing no compiler, Cell or MetricIndex with the plan it judges.
+        reference = PolicyInterpreter(policy, lfsr_seed=self._lfsr_seed)
+        # The one masked-row batch engine: the kernel tier when armed, else
+        # the interpreted columnar tier for every plan the stateless fold
+        # can express, else none (those rows take the row routine).
+        kernel = engine = None
+        if self._codegen_requested:
+            kernel = engine = PlanCodegen(policy)
+        elif not stateless_blockers(policy):
+            engine = BatchedEvaluator(policy, self._smbm.capacity)
+        self._policy = policy
+        self._reference = reference
+        self._codegen = kernel
+        self._engine = engine
+        # Sanitizer-side soundness witness for the symbolic analyzer: the
+        # feasible output region of the policy, derived on first use.
+        self._region: Region | None = None
+        if self._obs_enabled:
+            # The policy label is part of the series identity, so a new
+            # policy gets fresh hot-path series; the old one's stay
+            # behind, frozen.
+            registry = obs.get_registry()
+            labels = self._plan_labels()
+            self._obs_eval_ns = registry.histogram(
+                "filter_eval_ns", labels,
+                help="miss-path policy evaluation wall time (ns, pow2 "
+                     "buckets)",
+            )
+            self._obs_cycles = registry.counter(
+                "filter_eval_cycles_total", labels,
+                help="modelled hardware cycles spent in miss-path "
+                     "evaluations",
+            )
+            self._obs_batch_size = registry.histogram(
+                "filter_batch_size", labels,
+                help="requesting rows per evaluate_batch call (pow2 buckets)",
+            )
 
     def _plan_labels(self) -> dict[str, str]:
         """Labels of the per-plan series: policy name, plus the tenant when
         this module is one slice of a shared pipeline."""
-        labels = {"policy": self._obs_policy}
+        labels = {"policy": self._policy.name}
         if self._tenant is not None:
             labels["tenant"] = self._tenant
         return labels
-
-    def _make_plan_instruments(self, registry) -> None:
-        """(Re)create the policy-labelled hot-path instruments.  Called at
-        construction and again after a hot-swap: the policy label is part of
-        the series identity, so a new plan gets fresh series."""
-        labels = self._plan_labels()
-        self._obs_eval_ns = registry.histogram(
-            "filter_eval_ns", labels,
-            help="miss-path policy evaluation wall time (ns, pow2 buckets)",
-        )
-        self._obs_cycles = registry.counter(
-            "filter_eval_cycles_total", labels,
-            help="modelled hardware cycles spent in miss-path evaluations",
-        )
-        self._obs_batch_size = registry.histogram(
-            "filter_batch_size", labels,
-            help="requesting rows per evaluate_batch call (pow2 buckets)",
-        )
 
     def _obs_collect(self):
         """Collect hook: publish the per-packet int counters as samples."""
@@ -252,26 +280,28 @@ class FilterModule:
                 help="batch rows served, by serving path",
             )
 
-    def _compile_policy(self, policy: Policy) -> CompiledPolicy:
-        """Compile ``policy`` under this module's standing constraints: the
-        tenant slice (reserved Cells + allowed input lines) and any Cells
-        routed around after faults."""
-        return PolicyCompiler(self._params).compile(
+    def _place(self, policy: Policy) -> CompiledPolicy:
+        """The placement clock: map ``policy`` onto the Cells this module
+        may use — its tenant slice (reserved Cells + allowed input lines)
+        less any Cells routed around after faults — and re-arm the physical
+        faults on the result, which outlive any recompile (excluded Cells
+        are killed by the compilation itself and never routed through).
+
+        Raises :class:`~repro.errors.CompilationError` only when the policy
+        truly does not fit those Cells."""
+        compiled = PolicyCompiler(self._params).compile(
             policy, lfsr_seed=self._lfsr_seed,
             dead_cells=self._reserved | self._routed_around,
             input_lines=self._input_lines, schema=self._schema,
-            codegen=self._codegen_requested,
         )
-
-    def _check_codegen_armed(self, compiled: CompiledPolicy,
-                             policy: Policy) -> None:
-        if self._codegen_requested and compiled.codegen is None:
-            blockers = [f.message for f in compiled.lint_findings
-                        if f.rule == "TH012"]
-            raise ConfigurationError(
-                f"policy {policy.name!r} is not codegen-eligible (TH012): "
-                + "; ".join(blockers)
-            )
+        pipeline = compiled.pipeline
+        for pos in self._hw_dead - compiled.dead_cells:
+            pipeline.cell_at(*pos).kill()
+        for pos, sides in self._hw_stuck.items():
+            if pos not in compiled.dead_cells:
+                for side, stuck in sides.items():
+                    pipeline.cell_at(*pos).inject_stuck(side, stuck)
+        return compiled
 
     @property
     def smbm(self) -> SMBM:
@@ -299,13 +329,6 @@ class FilterModule:
     def plan_epoch(self) -> int:
         """Plan generation counter: 0 at construction, +1 per hot-swap."""
         return self._plan_epoch
-
-    @property
-    def swap_version(self) -> int | None:
-        """The SMBM version the last hot-swap flipped on (``None`` = no
-        swap yet).  Outputs produced at or past this version under the new
-        epoch; the pair (version, epoch) is the swap boundary."""
-        return self._swap_version
 
     @property
     def compiled(self) -> CompiledPolicy:
@@ -339,13 +362,8 @@ class FilterModule:
             self._plan_epoch = int(plan_epoch)
 
     @property
-    def memoized(self) -> bool:
-        """Whether evaluations are being served from the version cache."""
-        return self._memoize
-
-    @property
     def codegen(self):
-        """The plan's :class:`~repro.engine.codegen.PlanCodegen` tier, or
+        """The policy's :class:`~repro.engine.codegen.PlanCodegen` tier, or
         ``None`` when the module was built without ``codegen=True``."""
         return self._codegen
 
@@ -493,15 +511,13 @@ class FilterModule:
 
     def _semantic_root_region(self) -> Region:
         """The symbolic analyzer's over-approximation of the rows the
-        live plan can ever select, cached per compiled plan."""
-        cache = self._semantic_cache
-        if cache is None or cache[0] is not self._compiled:
-            analysis = analyze_policy(
-                self._compiled.policy, schema=self._schema
-            )
-            cache = (self._compiled, analysis.root_region)
-            self._semantic_cache = cache
-        return cache[1]
+        live policy can ever select (it reads the policy and the schema
+        only, so it is cached per policy)."""
+        if self._region is None:
+            self._region = analyze_policy(
+                self._policy, schema=self._schema
+            ).root_region
+        return self._region
 
     def _check_semantic_containment(self, output_bits: int) -> None:
         """Sanitizer half of the soundness contract: every selected row
@@ -611,28 +627,9 @@ class FilterModule:
         self._compiled.pipeline.cell_at(stage, index).clear_stuck(side)
 
     def _recompile(self) -> None:
-        """Map the policy onto the surviving Cells and re-arm the faults.
-
-        Raises :class:`~repro.errors.CompilationError` only when the policy
-        truly no longer fits the surviving Cells.
-        """
-        compiled = self._compile_policy(self._policy)
-        self._rearm_faults(compiled)
-        self._install(compiled)
-
-    def _rearm_faults(self, compiled: CompiledPolicy) -> None:
-        """The physical faults outlive any recompile: re-apply every
-        injected fault not already excluded (excluded Cells are killed by
-        the compilation itself and never routed through)."""
-        pipeline = compiled.pipeline
-        for pos in self._hw_dead - compiled.dead_cells:
-            pipeline.cell_at(*pos).kill()
-        for pos, sides in self._hw_stuck.items():
-            if pos in compiled.dead_cells:
-                continue
-            cell = pipeline.cell_at(*pos)
-            for side, stuck in sides.items():
-                cell.inject_stuck(side, stuck)
+        """Fail-around: a tick of the placement clock alone — the policy's
+        reference, kernel and batch engine are the objects they were."""
+        self._install(self._place(self._policy))
 
     def _reset_serving_caches(self) -> None:
         """Drop every serving cache derived from the plan or the table.
@@ -654,23 +651,10 @@ class FilterModule:
 
     def _install(self, compiled: CompiledPolicy) -> None:
         """Atomically make ``compiled`` the live plan: flip the plan
-        reference and drop every plan-derived cache in one step, so no
+        reference and drop every version-keyed cache in one step, so no
         later evaluation can mix old-plan state with the new plan."""
         self._compiled = compiled
-        self._codegen = compiled.codegen
-        # The naive reference self_test() and sanitize_check() hold the
-        # plan to: a walk of the policy DAG over the table's sorted lists,
-        # sharing no compiler, Cell or MetricIndex with the plan it judges
-        # (a DAG walk, not a compile, so it is simply built with the plan).
-        self._reference = PolicyInterpreter(compiled.policy,
-                                            lfsr_seed=self._lfsr_seed)
-        # The interpreted batch tier serves masked rows of every plan the
-        # stateless fold can express that was not asked to specialize.
-        self._batch_eval = (
-            None if stateless_blockers(compiled.policy)
-            else BatchedEvaluator(compiled.policy, self._smbm.capacity)
-        )
-        self._memoize = self._memoize_requested and compiled.stateless
+        self._memoize = compiled.stateless
         self._reset_serving_caches()
 
     def hot_swap(
@@ -681,37 +665,31 @@ class FilterModule:
     ) -> int:
         """Hitlessly replace the programmed policy with ``policy``.
 
-        The replacement is compiled *beside* the live plan (under the same
-        tenant slice and fault exclusions), optionally vetted by ``gate``
-        (e.g. a tenant manager's slice verifier — it may raise to abort the
-        swap with the live plan untouched), then flipped in atomically on
-        an SMBM version boundary: :attr:`swap_version` records the table
-        version the flip observed, and every plan-derived cache (the
-        version memo, the batched evaluator, the codegen kernel — which
-        lives on the compiled plan itself) is invalidated in the same step.
+        Both the policy and the placement clock tick.  The replacement is
+        compiled *beside* the live plan (under the same tenant slice and
+        fault exclusions) and optionally vetted by ``gate`` (e.g. a tenant
+        manager's slice verifier); its lowerings are built beside the live
+        ones.  Any of the three may raise — a policy that does not fit, a
+        gate that refuses, ``codegen=True`` on a policy with TH012
+        blockers — and the live plan, epoch and outputs are then untouched.
+        Otherwise the flip is atomic on an SMBM version boundary, with
+        every version-keyed cache dropped in the same step.
         No packet ever sees a mix: outputs stamped with the old
         :attr:`plan_epoch` came entirely from the old plan, outputs with
         the new epoch entirely from the new one.
 
         Returns the new plan epoch.
         """
-        compiled = self._compile_policy(policy)
-        self._check_codegen_armed(compiled, policy)
+        compiled = self._place(policy)
         if gate is not None:
             gate(compiled)
-        self._rearm_faults(compiled)
-        # Flip.  Single-threaded cycle model: everything between here and
-        # the epoch bump happens on one packet boundary.
-        self._swap_version = self._smbm.version
-        self._policy = policy
-        self._obs_policy = policy.name
+        # Flip.  _program raises, if it does, before it assigns anything;
+        # from there to the epoch bump is one packet boundary
+        # (single-threaded cycle model).
+        self._program(policy)
         self._install(compiled)
         self._plan_epoch += 1
         self._obs_swaps.inc()
-        if self._obs_enabled:
-            # New policy label = new series identity for the hot-path
-            # instruments; the old plan's series stay behind, frozen.
-            self._make_plan_instruments(obs.get_registry())
         return self._plan_epoch
 
     def _heal_dead(self, fault: CellFault) -> tuple[int, int]:
@@ -873,11 +851,9 @@ class FilterModule:
                 outputs[i] = out
                 selected[i] = pick
             self._batch_broadcast_rows += len(uniform)
-        # The masked-row batch engine: the codegen tier when armed, else the
-        # interpreted columnar tier when the plan is expressible there
-        # (stateless, no caller-supplied inputs), else none.  One exists
-        # only for stateless plans, so every row it is handed has a mask.
-        engine = self._codegen if self._codegen is not None else self._batch_eval
+        # A batch engine exists only for stateless plans, so every row it is
+        # handed has a mask.
+        engine = self._engine
         if single and engine is not None:
             row_masks = [masks[i] for i in single]  # type: ignore[index]
             outs = engine.evaluate_masks(self._smbm, row_masks)

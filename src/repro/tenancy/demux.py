@@ -13,8 +13,7 @@ once:
 * a label naming no admitted tenant is a routing error;
 * batch demux reports **all** violations of a batch in one
   :class:`~repro.errors.RoutingError` (every distinct unknown label plus
-  the count of unlabelled packets), in the all-violations style of
-  :class:`~repro.errors.ConfigError` — a client replaying a rejected
+  the count of unlabelled packets) — a client replaying a rejected
   batch learns the complete fix, not one label per round trip.
 """
 

@@ -70,7 +70,6 @@ class TenantSpec:
     columns: int = 1
     cell_quota: int | None = None
     lfsr_seed: int = 1
-    memoize: bool = True
     self_healing: bool = False
     sanitize: bool = False
     codegen: bool = False
@@ -337,7 +336,6 @@ class TenantManager:
                 spec.policy,
                 self._params,
                 lfsr_seed=spec.lfsr_seed,
-                memoize=spec.memoize,
                 self_healing=spec.self_healing,
                 sanitize=spec.sanitize,
                 codegen=spec.codegen,

@@ -639,13 +639,13 @@ def test_sanitizer_catches_region_escapes():
     """Wiring check: force a bogus (empty) cached region and confirm the
     containment assert actually trips on the serving path."""
     policy = _pred("cpu", RelOp.LT, 200, "loose")
-    # memoize off: the second evaluate must re-run the sanitized path
-    # rather than serve the memoized (pre-corruption) result.
-    module = FilterModule(CAPACITY, METRICS, policy, sanitize=True,
-                          memoize=False)
+    module = FilterModule(CAPACITY, METRICS, policy, sanitize=True)
     module.update_resource(1, {"cpu": 10, "mem": 10})
     assert module.evaluate().value != 0  # sound region: serves fine
-    module._semantic_cache = (module.compiled, Region.bottom())
+    module._region = Region.bottom()
+    # A write moves the table version: the next evaluate re-runs the
+    # sanitized path rather than serve the memoized (pre-corruption) result.
+    module.update_resource(2, {"cpu": 20, "mem": 20})
     with pytest.raises(IntegrityError, match="feasible region"):
         module.evaluate()
 

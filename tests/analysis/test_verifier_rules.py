@@ -190,8 +190,11 @@ def test_th011_contradictory_predicates():
 
 def test_th012_codegen_ineligible():
     """Every specialization blocker yields a TH012 warning; eligible plans
-    verify clean and clean means the compiler attaches a codegen tier."""
+    verify clean, and the kernel tier's own gate agrees with the lint on
+    every blocker a policy can carry."""
     from repro.core.policy import random_pick
+    from repro.engine.codegen import PlanCodegen
+    from repro.errors import ConfigurationError
 
     verifier = PlanVerifier(schema=SCHEMA)
     compiler = PolicyCompiler()
@@ -215,18 +218,18 @@ def test_th012_codegen_ineligible():
         taps={"examined": eligible_node}, schema=SCHEMA,
     )
     assert rules_of(verifier.verify_codegen(tapped)) == ["TH012"]
-    # Eligible plan: clean, and codegen=True attaches the tier.
+    # Eligible plan: clean, and the kernel tier builds.
     plain = compiler.compile(
-        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA, codegen=True,
+        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA,
     )
     assert verifier.verify_codegen(plain).clean
-    assert plain.codegen is not None
-    # Ineligible + codegen=True: compiles, carries TH012, no tier attached.
-    flagged = compiler.compile(
-        Policy(random_pick(TableRef()), name="t"), schema=SCHEMA, codegen=True,
-    )
-    assert flagged.codegen is None
-    assert "TH012" in {f.rule for f in flagged.lint_findings}
+    assert PlanCodegen(plain.policy).plan_hash
+    # Ineligible: the tier refuses with the lint's rule id and reasons.
+    for blocked in (stateful, indexed):
+        with pytest.raises(ConfigurationError, match="TH012") as exc_info:
+            PlanCodegen(blocked.policy)
+        for finding in verifier.verify_codegen(blocked).findings:
+            assert finding.message in str(exc_info.value)
 
 
 def test_error_findings_raise_with_shared_context():

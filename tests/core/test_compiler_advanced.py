@@ -196,3 +196,47 @@ def right_copy():
     from repro.core.policy import max_of
 
     return max_of(TableRef(), "x")
+
+
+class TestSharedSubDags:
+    """The compiler's DAG walks go per node, not per path to it."""
+
+    def test_nodes_under_a_shared_sub_dag_still_fuse(self):
+        """Two paths reach each predicate (through the shared
+        intersection) but one edge does: both fuse into the
+        intersection's Cell, and the policy fits the default four stages
+        instead of needing a fifth."""
+        import random
+
+        from repro.core.policy import difference, max_of
+
+        def pred():
+            return predicate(TableRef(), "x", RelOp.LT, 5)
+
+        shared = intersection(pred(), pred())
+        policy = Policy(
+            min_of(difference(union(min_of(shared, "x"), max_of(shared, "x")),
+                              pred()), "y"),
+            name="shared",
+        )
+        compiled = PolicyCompiler().compile(policy)
+        reference = PolicyInterpreter(policy)
+        rng = random.Random(17)
+        for _ in range(200):
+            smbm = SMBM(8, ["x", "y"])
+            for rid in rng.sample(range(8), rng.randrange(9)):
+                smbm.add(rid, {"x": rng.randrange(10), "y": rng.randrange(10)})
+            assert compiled.evaluate(smbm) == reference.evaluate(smbm)
+
+    def test_a_dag_taller_than_the_pipeline_is_refused_not_recursed_into(self):
+        """A 5 000-node unary chain, as a policy document would deliver
+        it: a typed refusal from the compiler, and a constructor of the
+        reference that walks it without recursing."""
+        node = TableRef()
+        for _ in range(5000):
+            node = min_of(node, "x")
+        policy = Policy(node, name="chain")
+        with pytest.raises(CompilationError) as exc_info:
+            PolicyCompiler().compile(policy)
+        assert exc_info.value.rule == "TH009"
+        assert PolicyInterpreter(policy).policy is policy

@@ -81,7 +81,7 @@ def agreed_outputs(compiled: CompiledPolicy, smbm: SMBM,
         assert matrix_to_masks(
             np, fold(policy, BoolMatrixDomain(smbm, matrix))
         ) == expected, f"bool-matrix domain disagrees on {policy.name}"
-    kernel = PlanCodegen(compiled).kernel(smbm)
+    kernel = PlanCodegen(policy).kernel(smbm)
     assert [kernel(b) for b in base] == expected, (
         f"scalar kernel disagrees on {policy.name}"
     )

@@ -5,8 +5,8 @@ codegen tier emits is *observationally identical* to the interpreted Cell
 pipeline it replaces.  These suites drive well over 1000 randomized
 (policy x table-state) cases through both paths — scalar kernels, batch
 kernels on both lanes, cache invalidation across SMBM writes — plus the
-configuration guards (codegen requires verify, excludes self-healing,
-rejects ineligible plans) and the sanitizer's kernel-vs-oracle check.
+eligibility gate (ineligible policies are refused) and the sanitizer's
+kernel-vs-oracle check.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ PARAMS = PipelineParams()
 
 
 def _compile_random(rng: random.Random, name: str):
-    """A random codegen-eligible compiled policy (with the tier attached)."""
+    """A random codegen-eligible policy: ``(compiled plan, kernel tier)``."""
     compiler = PolicyCompiler(PARAMS)
     from repro.analysis import TableSchema
 
@@ -72,9 +72,10 @@ def _compile_random(rng: random.Random, name: str):
     for attempt in range(50):
         policy = Policy(_random_stateless_root(rng), name=f"{name}{attempt}")
         try:
-            return compiler.compile(policy, schema=schema, codegen=True)
+            compiled = compiler.compile(policy, schema=schema)
         except CompilationError:
             continue
+        return compiled, PlanCodegen(policy)
     raise AssertionError("no random policy compiled in 50 tries")
 
 
@@ -84,9 +85,7 @@ class TestCodegenVsInterpreted:
     def test_randomized_cases(self, rng):
         cases = 0
         for round_no in range(60):
-            compiled = _compile_random(rng, f"cg{round_no}")
-            codegen = compiled.codegen
-            assert codegen is not None
+            compiled, codegen = _compile_random(rng, f"cg{round_no}")
             smbm = SMBM(CAP, METRICS)
             for _ in range(rng.randrange(2, 25)):
                 _random_write(rng, smbm)
@@ -111,13 +110,13 @@ class TestCodegenVsInterpreted:
         monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
         cases = 0
         for round_no in range(15):
-            compiled = _compile_random(rng, f"py{round_no}")
+            compiled, codegen = _compile_random(rng, f"py{round_no}")
             smbm = SMBM(CAP, METRICS)
             for _ in range(rng.randrange(2, 25)):
                 _random_write(rng, smbm)
             masks = [rng.getrandbits(CAP)
                      for _ in range(MIN_NUMPY_ROWS * 2)]
-            assert compiled.codegen.evaluate_masks(smbm, masks) == \
+            assert codegen.evaluate_masks(smbm, masks) == \
                 agreed_outputs(compiled, smbm, masks)
             cases += len(masks)
         assert cases >= 200
@@ -135,16 +134,15 @@ class TestCodegenVsInterpreted:
     )
     def test_hypothesis_kernel_equals_interpreted(self, seed, writes, mask):
         rng = random.Random(seed)
-        compiled = _compile_random(rng, "hyp")
+        compiled, codegen = _compile_random(rng, "hyp")
         smbm = SMBM(CAP, METRICS)
         for rid, a, b in writes:
             if rid in smbm:
                 smbm.update(rid, {"a": a, "b": b})
             else:
                 smbm.add(rid, {"a": a, "b": b})
-        assert compiled.codegen.evaluate(smbm) == \
-            compiled.evaluate(smbm).value
-        assert compiled.codegen.evaluate_masks(smbm, [mask]) == \
+        assert codegen.evaluate(smbm) == compiled.evaluate(smbm).value
+        assert codegen.evaluate_masks(smbm, [mask]) == \
             agreed_outputs(compiled, smbm, [mask])
 
     @settings(max_examples=40)
@@ -163,8 +161,7 @@ class TestCodegenVsInterpreted:
 
 class TestSpecializationCache:
     def test_version_keyed_invalidation(self, rng, registry):
-        compiled = _compile_random(rng, "cache")
-        codegen = compiled.codegen
+        _, codegen = _compile_random(rng, "cache")
         smbm = SMBM(CAP, METRICS)
         _random_write(rng, smbm)
         codegen.evaluate(smbm)
@@ -180,14 +177,10 @@ class TestSpecializationCache:
         node = lambda: min_of(  # noqa: E731 - tiny local factory
             predicate(TableRef(), "a", RelOp.LT, 9), "b"
         )
-        first = PolicyCompiler(PARAMS).compile(
-            Policy(node(), name="one"), codegen=True,
-        )
-        second = PolicyCompiler(PARAMS).compile(
-            Policy(node(), name="two"), codegen=True,
-        )
-        assert first.codegen.plan_hash == second.codegen.plan_hash
-        assert first.codegen.source == second.codegen.source
+        first = PlanCodegen(Policy(node(), name="one"))
+        second = PlanCodegen(Policy(node(), name="two"))
+        assert first.plan_hash == second.plan_hash
+        assert first.source == second.source
 
     def test_plan_hash_sensitivity(self):
         base = Policy(
@@ -225,20 +218,6 @@ class TestSpecializationCache:
 
 
 class TestConfigurationGuards:
-    def test_codegen_requires_verify(self):
-        with pytest.raises(ConfigurationError):
-            PolicyCompiler(PARAMS).compile(
-                Policy(min_of(TableRef(), "a"), name="t"),
-                verify=False, codegen=True,
-            )
-
-    def test_codegen_excludes_self_healing(self):
-        with pytest.raises(ConfigurationError):
-            FilterModule(
-                CAP, METRICS, Policy(min_of(TableRef(), "a"), name="t"),
-                PARAMS, codegen=True, self_healing=True,
-            )
-
     def test_module_rejects_ineligible_policy(self):
         with pytest.raises(ConfigurationError) as exc_info:
             FilterModule(
@@ -249,17 +228,15 @@ class TestConfigurationGuards:
         assert "TH012" in str(exc_info.value)
 
     def test_plancodegen_rejects_blocked_plans(self):
-        compiled = PolicyCompiler(PARAMS).compile(
-            Policy(random_pick(TableRef()), name="t"),
-        )
-        with pytest.raises(ConfigurationError):
-            PlanCodegen(compiled)
+        for root in (random_pick(TableRef()),
+                     min_of(TableRef(input_index=1), "a")):
+            with pytest.raises(ConfigurationError, match="TH012"):
+                PlanCodegen(Policy(root, name="t"))
 
 
 class TestSanitizerDifferential:
     def test_sanitize_checks_kernel_against_interpreter(self, rng):
-        module = _build_module(rng, "san", codegen=True, sanitize=True,
-                               memoize=False)
+        module = _build_module(rng, "san", codegen=True, sanitize=True)
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate()  # agreeing paths: no complaint
@@ -271,11 +248,11 @@ class TestSanitizerDifferential:
                 module.smbm, masked.metadata[META_FILTER_INPUT]).value
 
     def test_sanitize_catches_a_tampered_kernel(self, rng, monkeypatch):
-        module = _build_module(rng, "evil", codegen=True, sanitize=True,
-                               memoize=False)
+        module = _build_module(rng, "evil", codegen=True, sanitize=True)
         for _ in range(10):
             _random_write(rng, module.smbm)
         good = module.evaluate().value
+        _random_write(rng, module.smbm)  # the memo must not answer next
         monkeypatch.setattr(
             module.codegen, "evaluate",
             lambda smbm, mask=None:

@@ -71,7 +71,17 @@ def _binary_over(children):
                   children, children, st.integers(0, 1)),
         # Shared fan-out: one node object feeding both operands.
         st.builds(lambda node: union(node, node), children),
+        # A shared binary over unaries of its own: two paths reach each
+        # unary but one edge does, so it fuses into the binary's Cell.
+        st.builds(lambda op, left, right, attr:
+                  _min_and_max_of(Binary(op, left, right), attr),
+                  merging, _unary_over(children), _unary_over(children),
+                  _attrs),
     )
+
+
+def _min_and_max_of(shared, attr):
+    return union(min_of(shared, attr), max_of(shared, attr))
 
 
 _nodes = st.recursive(

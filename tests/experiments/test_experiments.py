@@ -95,24 +95,32 @@ class TestPortLBExperiment:
 
 
 class TestL4LBExperiment:
-    def test_runs_and_pairs(self):
-        kw = dict(n_queries=150, seed=3)
-        r1 = run_l4lb_experiment(L4LBExperimentConfig(which_policy=1, **kw))
-        r2 = run_l4lb_experiment(L4LBExperimentConfig(which_policy=2, **kw))
-        assert len(r1.response_times) == 150
-        assert len(r2.response_times) == 150
+    N_QUERIES = 400
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """Policies 1 and 2 over the same query stream, run once for the
+        whole class (a run is seconds; the results are read-only)."""
+        return tuple(
+            run_l4lb_experiment(L4LBExperimentConfig(
+                which_policy=which, n_queries=self.N_QUERIES, seed=3))
+            for which in (1, 2)
+        )
+
+    def test_runs_and_pairs(self, pair):
+        r1, r2 = pair
+        assert len(r1.response_times) == self.N_QUERIES
+        assert len(r2.response_times) == self.N_QUERIES
         ratios = r1.per_query_ratios(r2)
-        assert len(ratios) == 150
+        assert len(ratios) == self.N_QUERIES
         assert ratios == sorted(ratios)
 
-    def test_percentile_bounds(self):
-        r = run_l4lb_experiment(L4LBExperimentConfig(which_policy=1, n_queries=100))
+    def test_percentile_bounds(self, pair):
+        r = pair[0]
         assert r.percentile(0) <= r.percentile(50) <= r.percentile(100)
 
-    def test_policy2_not_worse_on_average(self):
-        kw = dict(n_queries=400, seed=3)
-        r1 = run_l4lb_experiment(L4LBExperimentConfig(which_policy=1, **kw))
-        r2 = run_l4lb_experiment(L4LBExperimentConfig(which_policy=2, **kw))
+    def test_policy2_not_worse_on_average(self, pair):
+        r1, r2 = pair
         assert r2.mean() < r1.mean()
 
 

@@ -11,6 +11,7 @@ backends TH015-clean.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -31,7 +32,12 @@ from repro.engine.batch import (
     META_FILTER_OUTPUT,
     META_FILTER_REQUEST,
 )
-from repro.errors import CellFault, ConfigurationError, RoutingError
+from repro.errors import (
+    CellFault,
+    CompilationError,
+    ConfigurationError,
+    RoutingError,
+)
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
 from repro.serving.backend import (
@@ -40,6 +46,7 @@ from repro.serving.backend import (
     TableWrite,
     build_backend,
 )
+from repro.serving.checkpoint import policy_from_dict
 from repro.switch.filter_module import FilterModule
 from repro.tenancy.manager import TenantManager, TenantSpec
 
@@ -160,11 +167,13 @@ def test_backends_serve_identical_traces():
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
 #: heals around a dead Cell (and one more does under the sanitizer, whose
-#: plan compare is where a batch-engine row meets the Cell), one serves
-#: from a kernel no Cell fault reaches.
+#: plan compare is where a batch-engine row meets the Cell), two serve
+#: from a kernel no Cell fault reaches — one of them able to heal once a
+#: self-test finds the Cell its traffic never touches.
 FAULT_TENANTS = {"heal": {"self_healing": True},
                  "heal-san": {"self_healing": True, "sanitize": True},
-                 "kern": {"codegen": True}}
+                 "kern": {"codegen": True},
+                 "kern-heal": {"codegen": True, "self_healing": True}}
 #: And one whose sanitizer holds that kernel to the Cells it bypasses: with
 #: one dead it must refuse every row, however the row arrives.
 SANITIZED_KERNEL = {"kern-san": {"codegen": True, "sanitize": True}}
@@ -189,7 +198,8 @@ def _dead_cell_schedule():
 def _run_with_dead_cells(cls, steps, tenants=FAULT_TENANTS):
     """Serve ``steps`` with the first active Cell of every tenant dead
     from the start; returns (traces, tenant -> (module, dead position))."""
-    manager = TenantManager(METRICS, PipelineParams(n=12), smbm_capacity=24)
+    manager = TenantManager(METRICS, PipelineParams(n=4 * len(tenants)),
+                            smbm_capacity=8 * len(tenants))
     backend = cls(manager)
     killed = {}
     for name, flags in tenants.items():
@@ -216,6 +226,14 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
         module, dead = killed[name]
         assert module.routed_around == {dead}
     assert killed["kern"][0].routed_around == frozenset()
+    # With the kernel armed the dead Cell is not on the serving path, so
+    # traffic alone never finds it; the self-test does, and heals it.
+    for served in (killed, killed_batched):
+        module, dead = served["kern-heal"]
+        assert module.routed_around == frozenset()
+        assert module.self_test() == [
+            {"stage": dead[0], "index": dead[1], "kind": "cell_dead"}]
+        assert module.routed_around == {dead}
     # The sanitized kernel's masked rows meet the dead Cell in the
     # sanitizer's plan compare on both backends — per packet on one, per
     # engine row on the other, below and above the numpy lane's threshold.
@@ -353,6 +371,31 @@ def test_lifecycle_returns_slice_to_pool(cls):
     epoch = backend.hot_swap("a", _policy_b())
     assert epoch == 1
     assert backend.manager.get("a").module.policy.name == "eligible-min-mem"
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_deeply_shared_policy_document_is_refused_at_once(cls):
+    """``union(n, n)`` nested 40 deep is 41 nodes and 2^40 paths: admission
+    and hot-swap must refuse it per node (TH009: taller than the pipeline),
+    not walk it per path while holding the controller's admission lock."""
+    nodes = [{"type": "table", "input": None}]
+    for below in range(40):
+        nodes.append({"type": "binary", "op": "union", "left": below,
+                      "right": below, "choice": None})
+    policy = policy_from_dict({"name": "diamonds", "root": 40, "nodes": nodes})
+    backend = _make_backend(cls)
+    backend.unprogram_tenant("c")  # room to admit, were the policy to fit
+    started = time.perf_counter()
+    for refused in (
+        lambda: backend.program_tenant(TenantSpec("d", policy, smbm_quota=8)),
+        lambda: backend.hot_swap("a", policy),
+        lambda: backend.hot_swap("a", policy, allow_semantic_change=False),
+    ):
+        with pytest.raises(CompilationError) as exc_info:
+            refused()
+        assert exc_info.value.rule == "TH009"
+    assert time.perf_counter() - started < 0.5
+    assert backend.manager.get("a").plan_epoch == 0
 
 
 def test_obs_series_names_identical_across_backends():

@@ -1,14 +1,11 @@
-"""FilterModule flag-conflict guards: one typed error, every conflict.
+"""FilterModule options compose, and each piece of serving state is
+rebuilt on exactly one clock.
 
-The module's constructor takes several mode flags whose pairwise
-combinations are not all meaningful.  The contract under test:
-
-* the *conflicting* pair (``codegen`` with ``self_healing``) raises a
-  :class:`ConfigError` (a :class:`ConfigurationError` subclass, so
-  existing callers keep working) that names the violated pair;
-* every *compatible* pair constructs a working module;
-* the error's ``conflicts`` attribute is machine-readable, so callers
-  can branch on which flags collided.
+No combination of the mode flags is refused: every one of them serves,
+through every door, what a plain module serves
+(:func:`tests.switch.test_row_path_property.serves_like_plain` — healthy
+and with a Cell dead).  The clock tests pin what a fail-around recompile
+must leave alone and what a hot-swap must replace.
 """
 
 from __future__ import annotations
@@ -19,41 +16,31 @@ import pytest
 
 from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy, TableRef, predicate
-from repro.errors import ConfigError, ConfigurationError
+from repro.core.policy import Policy, TableRef, min_of, predicate, random_pick
+from repro.errors import ConfigurationError
 from repro.switch.filter_module import FilterModule
 
-PARAMS = PipelineParams()
+from tests.switch.test_row_path_property import serves_like_plain
+
+PARAMS = PipelineParams(n=8)
 METRICS = ("q", "load")
 
-#: Every mode flag the guard matrix covers, mapped to the constructor
-#: kwargs that turn it on.  "tenant" is a mode, not a boolean: it is
-#: enabled by any of the slicing parameters.
+#: Every mode flag, mapped to the constructor kwargs that turn it on.
+#: "tenant" is a mode, not a boolean: it is enabled by the slicing
+#: parameters (here: the first two of four Cell columns).
 FLAG_KWARGS = {
     "codegen": {"codegen": True},
     "self_healing": {"self_healing": True},
     "sanitize": {"sanitize": True},
-    "memoize_off": {"memoize": False},
     "tenant": {
         "tenant": "alice",
-        "reserved_cells": ((1, 1), (2, 1), (3, 1), (4, 1)),
-        "input_lines": (0, 1),
+        "reserved_cells": tuple(
+            (stage, col)
+            for stage in range(1, PARAMS.k + 1) for col in (2, 3)
+        ),
+        "input_lines": (0, 1, 2, 3),
     },
 }
-
-#: The pairs that must conflict; every other pair must construct.
-CONFLICTS = {
-    frozenset({"codegen", "self_healing"}),
-}
-
-
-def _build(**kwargs) -> FilterModule:
-    return FilterModule(
-        8, METRICS,
-        Policy(predicate(TableRef(), "q", RelOp.LT, 5), name="p"),
-        PARAMS,
-        **kwargs,
-    )
 
 
 @pytest.mark.parametrize(
@@ -62,37 +49,17 @@ def _build(**kwargs) -> FilterModule:
     ids=lambda v: v,
 )
 def test_pairwise_flag_matrix(a: str, b: str):
-    """Every pairwise flag combination either conflicts loudly (typed
-    ConfigError naming the pair) or builds a working module."""
-    kwargs = {**FLAG_KWARGS[a], **FLAG_KWARGS[b]}
-    if frozenset({a, b}) in CONFLICTS:
-        with pytest.raises(ConfigError) as exc_info:
-            _build(**kwargs)
-        err = exc_info.value
-        assert err.involves(a) and err.involves(b)
-        # Typed subclass: legacy except-clauses still catch it.
-        assert isinstance(err, ConfigurationError)
-    else:
-        module = _build(**kwargs)
-        assert module.evaluate() is not None
+    serves_like_plain(**FLAG_KWARGS[a], **FLAG_KWARGS[b])
 
 
 @pytest.mark.parametrize("flag", sorted(FLAG_KWARGS), ids=lambda v: v)
 def test_each_flag_alone_constructs(flag: str):
-    module = _build(**FLAG_KWARGS[flag])
-    assert module.evaluate() is not None
+    serves_like_plain(**FLAG_KWARGS[flag])
 
 
-def test_all_conflicts_reported_at_once():
-    """The single raised error lists every violated pair (one rule
-    today), machine-readably."""
-    with pytest.raises(ConfigError) as exc_info:
-        _build(codegen=True, self_healing=True)
-    err = exc_info.value
-    assert set(map(frozenset, err.conflicts)) == {
-        frozenset({"codegen", "self_healing"}),
-    }
-    assert "codegen" in str(err) and "self_healing" in str(err)
+def test_every_flag_at_once():
+    serves_like_plain(**{k: v for kwargs in FLAG_KWARGS.values()
+                         for k, v in kwargs.items()})
 
 
 def test_tenant_mode_composes_with_self_healing():
@@ -101,18 +68,12 @@ def test_tenant_mode_composes_with_self_healing():
     # Two columns: fail-around needs a surviving path through the strip
     # (a one-column strip whose only stage-1 Cell dies is severed — the
     # compiler rightly refuses, which is its own guarantee).
-    params = PipelineParams(n=8)
     module = FilterModule(
         8, METRICS,
         Policy(predicate(TableRef(), "q", RelOp.LT, 5), name="p"),
-        params,
+        PARAMS,
         self_healing=True,
-        tenant="alice",
-        reserved_cells=tuple(
-            (stage, col)
-            for stage in range(1, params.k + 1) for col in (2, 3)
-        ),
-        input_lines=(0, 1, 2, 3),
+        **FLAG_KWARGS["tenant"],
     )
     assert module.tenant == "alice"
     assert module.self_healing
@@ -129,3 +90,50 @@ def test_tenant_mode_composes_with_self_healing():
     assert healed.value == out.value
     assert (1, 0) in module.routed_around
     assert module.reserved_cells <= module.compiled.dead_cells
+
+
+# -- the three clocks ------------------------------------------------------------------
+
+
+def _lowerings(module: FilterModule) -> tuple:
+    """What the policy clock owns: kernel, batch engine, naive reference."""
+    return module.codegen, module._engine, module._reference
+
+
+def _min_q() -> Policy:
+    return Policy(min_of(predicate(TableRef(), "q", RelOp.LT, 50), "load"),
+                  name="min-load")
+
+
+@pytest.mark.parametrize("codegen", (False, True), ids=("batch", "kernel"))
+def test_fail_around_keeps_what_the_policy_built_and_a_swap_replaces_it(
+        codegen: bool):
+    module = FilterModule(8, METRICS, _min_q(), PARAMS, self_healing=True,
+                          sanitize=True, codegen=codegen)
+    for rid in range(4):
+        module.update_resource(rid, {"q": 10 * rid, "load": 9 - rid})
+    built = _lowerings(module)
+    assert (built[0] is not None) == codegen and built[1] is not None
+    plan = module.compiled
+    module.inject_cell_kill(*plan.pipeline.active_cells()[0])
+    assert module.select() == 3  # healed mid-traffic
+    assert module.compiled is not plan and module.routed_around
+    assert all(now is was for now, was in zip(_lowerings(module), built))
+    assert module.hot_swap(_min_q()) == 1
+    for now, was in zip(_lowerings(module), built):
+        assert now is not was or was is None
+    assert module.select() == 3
+
+
+def test_a_swap_the_kernel_refuses_leaves_the_live_plan_untouched():
+    module = FilterModule(8, METRICS, _min_q(), PARAMS, codegen=True)
+    for rid in range(4):
+        module.update_resource(rid, {"q": 10 * rid, "load": 9 - rid})
+    before = (module.plan_epoch, module.compiled, module.policy,
+              _lowerings(module), module.evaluate())
+    with pytest.raises(ConfigurationError, match="TH012"):
+        module.hot_swap(Policy(random_pick(TableRef()), name="stateful"))
+    assert (module.plan_epoch, module.compiled, module.policy,
+            _lowerings(module), module.evaluate()) == before
+    module.update_resource(3, {"q": 99, "load": 0})  # and it still serves
+    assert module.select() == 2

@@ -17,10 +17,16 @@ and plan epoch, or the same exception type — and account for the packet
 exactly once: one ``filter_evaluations_total`` tick when the row routine
 served it, one ``filter_batch_path_rows_total{path="engine"}`` row when
 the batch engine did.
+
+:func:`serves_like_plain` turns the same doors on the module's options:
+whatever combination of them a module is built with, every door serves
+what a plain module serves — healthy, and with an active Cell dead
+wherever something absorbs the fault.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -33,6 +39,7 @@ from repro.core.policy import (
     Conditional,
     Policy,
     TableRef,
+    min_of,
     predicate,
     random_pick,
     round_robin,
@@ -66,12 +73,13 @@ STATEFUL_ROOTS = (
                         random_pick(TableRef())),
 )
 
-#: Module options a stateless plan may carry; a stateful one takes those
+#: Every combination of the mode flags; a stateful plan takes them
 #: without ``codegen`` (TH012 refuses it).
-FLAGS = (
-    {}, {"memoize": False}, {"sanitize": True}, {"self_healing": True},
-    {"codegen": True}, {"codegen": True, "sanitize": True},
-    {"codegen": True, "memoize": False},
+FLAGS = tuple(
+    {flag: True for flag in combo}
+    for size in range(4)
+    for combo in itertools.combinations(
+        ("self_healing", "sanitize", "codegen"), size)
 )
 
 
@@ -140,6 +148,14 @@ def _serve(door: str, module: FilterModule, mask: int | None, all_none: bool):
             meta[META_FILTER_EPOCH])
 
 
+def _absorbs_dead_cell(flags) -> bool:
+    """A dead Cell is only survivable where something absorbs it on every
+    door: the heal guard, or a kernel that never runs Cells (and is not
+    being cross-checked against them)."""
+    return bool(flags.get("self_healing") or (
+        flags.get("codegen") and not flags.get("sanitize")))
+
+
 def _outcome(fn):
     try:
         return ("ok",) + tuple(fn())
@@ -173,11 +189,7 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
         for rid, metrics in rows:
             for module in twins.values():
                 module.update_resource(rid, metrics)
-        # A dead Cell is only survivable where something absorbs it on
-        # every door: the heal guard, or a kernel that never runs Cells
-        # (and is not being cross-checked against them).
-        absorbs = flags.get("self_healing") or (
-            flags.get("codegen") and not flags.get("sanitize"))
+        absorbs = _absorbs_dead_cell(flags)
         for number, step in enumerate(steps):
             if step[0] == "write":
                 for module in twins.values():
@@ -212,3 +224,49 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
                     moved = {door: _counts(registry, door) - before[door]
                              for door in DOORS}
                     assert set(moved.values()) == {1}, (step, moved)
+
+
+def serves_like_plain(**options) -> None:
+    """Twin modules built with ``options``, one per door, against a plain
+    module fed the same rows and the same hot-swap: every door serves the
+    plain module's output, selected id and epoch on every mask shape —
+    healthy, and with the first active Cell dead.  Where nothing absorbs
+    the dead Cell the row routine says so (``CellFault`` through ``hook``,
+    never a silent answer) and no door serves anything *but* the plain
+    rows or that fault."""
+    def build(**kwargs) -> FilterModule:
+        # Two spare Cell columns, so a slice still has one to heal onto.
+        module = FilterModule(CAP, METRICS, policy(), PipelineParams(n=8),
+                              **kwargs)
+        for rid in range(CAP // 2):
+            module.update_resource(rid, {"a": (5 * rid) % VALUE_RANGE,
+                                         "b": (3 * rid + 1) % VALUE_RANGE})
+        assert module.hot_swap(policy()) == 1
+        return module
+
+    def policy() -> Policy:
+        return Policy(min_of(predicate(TableRef(), "a", RelOp.LT, 12), "b"),
+                      name="p")
+
+    masks = (None, 0b1011_0110_1101, 1 << 3, 0, 0b1111 << (CAP - 2))
+    plain = build()
+    want = {mask: _outcome(lambda: _serve("hook", plain, mask, False))
+            for mask in masks}
+    assert {outcome[0] for outcome in want.values()} == {"ok"}
+    for dead in (False, True):
+        twins = {door: build(**options) for door in DOORS}
+        if dead:
+            for module in twins.values():
+                module.inject_cell_kill(
+                    *module.compiled.pipeline.active_cells()[0])
+        for mask, door in itertools.product(masks, DOORS):
+            got = _outcome(lambda: _serve(door, twins[door], mask, False))
+            if door == "select" and mask is None and got[0] == "ok":
+                got = got[:1] + want[mask][1:2] + got[2:]
+            if not dead or _absorbs_dead_cell(options):
+                assert got == want[mask], (dead, door, mask)
+            elif door == "hook":
+                assert got == ("raise", "CellFault"), (door, mask)
+            else:
+                assert got in (want[mask], ("raise", "CellFault")), (
+                    door, mask)
