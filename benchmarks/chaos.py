@@ -42,9 +42,10 @@ The run finishes with the **parity check**: for every *detectable* fault
 class (``seu``, ``cell_dead``, ``cell_stuck``, ``replica_divergence``,
 ``migration_divergence``, ``controller_crash``),
 ``faults_detected_total`` must equal ``faults_injected_total`` in the obs
-registry — nothing injected goes unseen, nothing is detected twice.  The
-JSON artefact embeds the full metrics snapshot plus the parity table, which
-is what the CI ``chaos-smoke`` job asserts against.
+registry — nothing injected goes unseen, nothing is detected twice.  Every
+invariant, parity included, is asserted by the run itself, so the exit
+status is the check (CI keys on nothing else); the JSON artefact embeds the
+full metrics snapshot plus the parity table for inspection.
 
 Run directly::
 
@@ -657,6 +658,13 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
                 skipped_total += report.skipped
                 torn_tails += report.torn
 
+    # The sweep covered every crash point on both backends, and both
+    # recovery arms (replay, torn-tail truncation) actually ran.
+    assert crash_runs == len(backends) * len(sweep), (
+        f"sweep incomplete: {crash_runs} of {len(backends) * len(sweep)}"
+    )
+    assert replayed_total > 0, "no record was ever replayed"
+    assert torn_tails > 0, "torn-append arm never truncated a tail"
     return {
         "backends": sorted(backends),
         "ops_scheduled": n_ops,
@@ -742,6 +750,11 @@ def run_chaos(seed: int = DEFAULT_SEED, quick: bool = False,
             f"parity violated for {kind}: injected {row['injected']}, "
             f"detected {row['detected']}"
         )
+    injected = {k: v for k, v in snapshot.get("counters", {}).items()
+                if k.startswith("faults_injected_total")}
+    assert injected and all(v > 0 for v in injected.values()), (
+        f"expected nonzero fault-injection counters, got: {injected}"
+    )
     if REPAIRING_PHASES & set(results):
         # Bounded recovery latency: every repair path observed at least
         # one latency sample, and the histogram sums stay finite and

@@ -71,8 +71,9 @@ RULES: dict[str, Rule] = {
              "a programmed K-UFPU's output is dropped by the Cell's BFPU "
              "muxing"),
         Rule("TH011", "ContradictoryPredicates", Severity.WARNING,
-             "an intersection of predicates over one attribute is provably "
-             "empty"),
+             "retired into TH019 (no check emits it): an intersection of "
+             "contradictory predicates is one case of a provably empty "
+             "intersection"),
         Rule("TH012", "CodegenIneligible", Severity.WARNING,
              "the plan cannot be specialized to a flat closure (stateful "
              "units, caller-supplied inputs or interior taps)"),
@@ -122,9 +123,9 @@ class Finding:
     The location fields mirror
     :class:`~repro.errors.CompilationError`'s context so a finding raised
     as an error and a compile-time failure print identically.
-    ``node_path`` locates AST-level findings (TH011, TH017–TH019) inside
-    the policy DAG: the root-to-node child-index path, ``()`` for the
-    root itself.
+    ``node_path`` locates AST-level findings (TH002–TH004, TH017–TH019)
+    inside the policy DAG: the root-to-node child-index path, ``()`` for
+    the root itself.
     """
 
     rule: str

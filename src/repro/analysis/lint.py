@@ -9,10 +9,11 @@ otherwise — the CI ``lint`` job keys on this.
 ``--semantic`` extends the run with the symbolic-analysis demonstrations
 (TH017–TH019 reachability/shadowing, TH021 cross-tenant overlap) and
 measures the semantic pass's lint-time overhead against a baseline run
-with the pass disabled.  ``--format json`` emits one machine-readable
-document (findings with rule / severity / node path, stale demos, the
-summary and the timing block) instead of text — the CI lint job consumes
-this rather than grepping output.
+with the pass disabled; a demonstration that stopped firing, or an
+overhead at the 2x budget, is an error like any other and sets the exit
+status.  ``--format json`` emits one machine-readable document (findings
+with rule / severity / node path, stale demos, the summary and the timing
+block) instead of text.
 
 ::
 
@@ -145,8 +146,8 @@ def _wide_lb() -> tuple[Policy, dict[str, Node]]:
 
 def _semantic_unreachable() -> tuple[Policy, dict[str, Node]]:
     # A chained pair of predicates whose admitted regions are disjoint:
-    # syntactically fine (TH011 only sees intersections of sibling
-    # predicates), semantically dead — the TH017 demonstration.
+    # every node is locally fine, the chain is semantically dead — the
+    # TH017 demonstration.
     from repro.core.operators import RelOp
     from repro.core.policy import TableRef, predicate
 
@@ -176,7 +177,7 @@ def _semantic_shadow() -> tuple[Policy, dict[str, Node]]:
 def _semantic_vacuous() -> tuple[Policy, dict[str, Node]]:
     # The right arm's region is cpu>20 (selectors pass regions through),
     # disjoint from the left arm's cpu<10 — a provably-empty intersection
-    # the syntactic TH011 check cannot see.  The TH019 demonstration.
+    # no sibling-predicate comparison would see.  The TH019 demonstration.
     from repro.core.operators import RelOp
     from repro.core.policy import TableRef, intersection, min_of, predicate
 
@@ -368,25 +369,33 @@ def lint_all(name_filter: str | None = None, *,
     return reports
 
 
+#: The lint-time budget of the symbolic pass: ``--semantic`` fails when
+#: verifying with it costs this many times the verification without it.
+SEMANTIC_OVERHEAD_BUDGET = 2.0
+
+
 def measure_semantic_overhead() -> dict[str, float]:
     """Lint-time cost of the semantic pass over the bundled catalogue.
 
-    Verifies every non-tenant entry twice — once with the symbolic pass
-    disabled (the baseline), once with it on — and reports the wall-time
-    ratio.  The acceptance bar is ratio < 2: the abstract interpretation
-    must stay well under the cost of trial compilation itself.
+    Verifies every non-tenant entry with the symbolic pass disabled (the
+    baseline) and with it on, and reports the wall-time ratio, held
+    under :data:`SEMANTIC_OVERHEAD_BUDGET`: the abstract interpretation
+    must stay well under the cost of trial compilation itself.  Each side
+    is the fastest of three alternating rounds — the loops run a few
+    milliseconds, and one scheduler stall must not read as a blown budget.
     """
     entries = [e for e in POLICY_CATALOGUE if e.tenant_slice is None]
-    for entry in entries:  # warm imports/caches out of the measurement
-        _lint_entry(entry, semantic=False)
-    t0 = time.perf_counter()
-    for entry in entries:
-        _lint_entry(entry, semantic=False)
-    baseline_s = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    for entry in entries:
-        _lint_entry(entry, semantic=True)
-    semantic_s = time.perf_counter() - t1
+
+    def timed(semantic: bool) -> float:
+        t0 = time.perf_counter()
+        for entry in entries:
+            _lint_entry(entry, semantic=semantic)
+        return time.perf_counter() - t0
+
+    timed(False)  # warm imports/caches out of the measurement
+    rounds = [(timed(False), timed(True)) for _ in range(3)]
+    baseline_s = min(base for base, _ in rounds)
+    semantic_s = min(sem for _, sem in rounds)
     ratio = semantic_s / baseline_s if baseline_s > 0 else float("inf")
     return {
         "baseline_s": baseline_s,
@@ -492,6 +501,12 @@ def main(argv: list[str] | None = None) -> int:
         text_lines.append(replay_report.describe())
     n_errors += len(replay_report.errors)
     timing = measure_semantic_overhead() if args.semantic else None
+    if timing is not None and timing["ratio"] >= SEMANTIC_OVERHEAD_BUDGET:
+        text_lines.append(
+            f"semantic pass overhead {timing['ratio']:.2f}x reaches the "
+            f"{SEMANTIC_OVERHEAD_BUDGET:g}x lint-time budget"
+        )
+        n_errors += 1
 
     summary_line = (
         f"linted {len(reports)} bundled polic"

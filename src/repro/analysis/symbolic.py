@@ -57,6 +57,8 @@ from repro.core.policy import (
     Policy,
     TableRef,
     Unary,
+    postorder,
+    preorder_paths,
 )
 from repro.errors import CompilationError, ConfigurationError
 
@@ -135,19 +137,19 @@ class SemanticAnalysis:
 
 
 class _Analyzer:
-    """The abstract transfer functions, memoized per node id."""
+    """The abstract transfer functions over ``facts``, one per node id."""
 
-    def __init__(self, seed: Region, report: Report) -> None:
+    def __init__(self, seed: Region, report: Report,
+                 paths: dict[int, tuple[int, ...]]) -> None:
         self._seed = seed
         self._report = report
+        self._paths = paths
         self.facts: dict[int, NodeFact] = {}
-        self.paths: dict[int, tuple[int, ...]] = {}
 
-    def visit(self, node: Node, path: tuple[int, ...]) -> NodeFact:
-        cached = self.facts.get(node.node_id)
-        if cached is not None:
-            return cached
-        self.paths[node.node_id] = path
+    def visit(self, node: Node) -> None:
+        """Derive ``node``'s fact from its operands', which the caller
+        has visited already (children first)."""
+        path = self._paths[node.node_id]
         if isinstance(node, TableRef):
             fact = self._table_ref(node)
         elif isinstance(node, Unary):
@@ -159,7 +161,6 @@ class _Analyzer:
         else:  # pragma: no cover - exhaustive over the node kinds
             raise ConfigurationError(f"unknown node type {type(node)!r}")
         self.facts[node.node_id] = fact
-        return fact
 
     def _table_ref(self, node: TableRef) -> NodeFact:
         # A caller-supplied input table still holds rows of the *same*
@@ -170,7 +171,7 @@ class _Analyzer:
         return _fact(self._seed, guaranteed=is_main, full=is_main)
 
     def _unary(self, node: Unary, path: tuple[int, ...]) -> NodeFact:
-        child = self.visit(node.child, path + (0,))
+        child = self.facts[node.child.node_id]
         config = node.config
         if config.opcode is UnaryOp.NO_OP:
             return child
@@ -201,8 +202,8 @@ class _Analyzer:
         return _fact(child.region, guaranteed=child.guaranteed, full=False)
 
     def _binary(self, node: Binary, path: tuple[int, ...]) -> NodeFact:
-        left = self.visit(node.left, path + (0,))
-        right = self.visit(node.right, path + (1,))
+        left = self.facts[node.left.node_id]
+        right = self.facts[node.right.node_id]
         if node.opcode is BinaryOp.NO_OP:
             return left if node.choice == 0 else right
         if node.opcode is BinaryOp.UNION:
@@ -256,8 +257,8 @@ class _Analyzer:
 
     def _conditional(self, node: Conditional,
                      path: tuple[int, ...]) -> NodeFact:
-        primary = self.visit(node.primary, path + (0,))
-        fallback = self.visit(node.fallback, path + (1,))
+        primary = self.facts[node.primary.node_id]
+        fallback = self.facts[node.fallback.node_id]
         if primary.region.empty:
             self._report.add(
                 "TH018",
@@ -308,14 +309,18 @@ def analyze_policy(
     the returned analysis records the table version it is valid at.
     """
     report = Report(subject=f"policy {policy.name!r} semantics")
-    analyzer = _Analyzer(_seed_region(smbm), report)
-    root = analyzer.visit(policy.root, ())
+    paths = {
+        node.node_id: path for node, path in preorder_paths(policy.root)
+    }
+    analyzer = _Analyzer(_seed_region(smbm), report, paths)
+    for node in postorder(policy.root):
+        analyzer.visit(node)
     return SemanticAnalysis(
         policy=policy,
         report=report,
-        facts=dict(analyzer.facts),
-        node_paths=dict(analyzer.paths),
-        root=root,
+        facts=analyzer.facts,
+        node_paths=paths,
+        root=analyzer.facts[policy.root.node_id],
         schema=schema,
         table_version=None if smbm is None else smbm.version,
     )

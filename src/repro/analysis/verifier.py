@@ -5,13 +5,15 @@ executing a single cycle:
 
 * **policy checks** (AST level) — operator/schema compatibility (TH002),
   operand width against the stored metric word (TH003), parallel-chain
-  feasibility (TH004), contradictory predicate intersections (TH011);
+  feasibility (TH004), input-index range (TH006) — all node-local; what a
+  policy *means* (contradictions included) is the symbolic pass's;
 * **plan checks** (emitted :class:`~repro.core.pipeline.PipelineConfig`) —
   wiring ranges (TH006), crossbar fan-out legality (TH005), Benes-network
-  routability of every stage's wiring (TH007), and the liveness lints: a
-  backward reachability pass mirroring the pipeline's pruned evaluation
-  plan flags programmed units in unreachable Cells (TH001) and unit
-  outputs the BFPU muxing drops (TH010);
+  routability of every stage's wiring (TH007), and the liveness lints: the
+  backward reachability pass behind the pipeline's pruned evaluation plan
+  (:func:`~repro.core.pipeline.units_read`) flags programmed units in
+  unreachable Cells (TH001) and unit outputs the BFPU muxing drops
+  (TH010);
 * **timing closure** — the analytical clock model of
   :mod:`repro.core.area` must meet the target clock for the SMBM size and
   pipeline dimensions in use (TH008).
@@ -30,16 +32,14 @@ from typing import TYPE_CHECKING
 from repro.analysis.findings import Report
 from repro.core import area
 from repro.core.benes import BenesNetwork, Crossbar
-from repro.core.cell import CellConfig
-from repro.core.kufpu import KUnaryConfig
-from repro.core.operators import BinaryOp, RelOp, UnaryOp
-from repro.core.pipeline import PipelineConfig, PipelineParams
+from repro.core.operators import BinaryOp, UnaryOp
+from repro.core.pipeline import PipelineConfig, PipelineParams, units_read
 from repro.core.policy import (
-    Binary,
     Node,
     Policy,
     TableRef,
     Unary,
+    preorder_paths,
     stateless_blockers,
 )
 from repro.core.smbm import STORED_WORD_BITS
@@ -123,24 +123,6 @@ class TenantSlice:
         )
 
 
-def _predicate_interval(config: KUnaryConfig) -> tuple[float, float] | None:
-    """The closed value interval a predicate admits, or None if unbounded
-    in a way interval reasoning cannot capture (NE)."""
-    val = config.val
-    assert val is not None
-    if config.rel_op is RelOp.LT:
-        return (0, val - 1)
-    if config.rel_op is RelOp.LE:
-        return (0, val)
-    if config.rel_op is RelOp.GT:
-        return (val + 1, float("inf"))
-    if config.rel_op is RelOp.GE:
-        return (val, float("inf"))
-    if config.rel_op is RelOp.EQ:
-        return (val, val)
-    return None  # NE admits everything but one point
-
-
 class PlanVerifier:
     """Static checker for one pipeline geometry (and optionally one table).
 
@@ -176,36 +158,25 @@ class PlanVerifier:
     # -- policy (AST) checks ------------------------------------------------------
 
     def verify_policy(self, policy: Policy) -> Report:
-        """AST-level checks: TH002, TH003, TH004, TH011.
+        """AST-level, node-local checks: TH002, TH003, TH004, TH006.
 
         Every AST finding carries its root-to-node ``node_path`` (shared
         sub-DAGs keep their first pre-order path), so a diagnostic names
         the exact node, not just the policy.
         """
         report = Report(subject=f"policy {policy.name!r}")
-        seen: set[int] = set()
-
-        def walk(node: Node, path: tuple[int, ...]) -> None:
-            if node.node_id in seen:
-                return
-            seen.add(node.node_id)
+        for node, path in preorder_paths(policy.root):
             if isinstance(node, Unary):
                 self._check_unary(node, report, path)
-            elif isinstance(node, TableRef):
-                if (node.input_index is not None
-                        and not 0 <= node.input_index < self._params.n):
-                    report.add(
-                        "TH006",
-                        f"input index {node.input_index} out of range for a "
-                        f"pipeline with n={self._params.n} inputs",
-                        operator=node.describe(), node_path=path,
-                    )
-            elif isinstance(node, Binary):
-                self._check_binary(node, report, path)
-            for i, child in enumerate(node.children()):
-                walk(child, path + (i,))
-
-        walk(policy.root, ())
+            elif (isinstance(node, TableRef)
+                    and node.input_index is not None
+                    and not 0 <= node.input_index < self._params.n):
+                report.add(
+                    "TH006",
+                    f"input index {node.input_index} out of range for a "
+                    f"pipeline with n={self._params.n} inputs",
+                    operator=node.describe(), node_path=path,
+                )
         return report
 
     def _check_unary(self, node: Unary, report: Report,
@@ -237,31 +208,6 @@ class PlanVerifier:
                     operator=config.describe(), node_path=path,
                 )
 
-    def _check_binary(self, node: Binary, report: Report,
-                      path: tuple[int, ...]) -> None:
-        if node.opcode is not BinaryOp.INTERSECTION:
-            return
-        left, right = node.left, node.right
-        if not (isinstance(left, Unary) and isinstance(right, Unary)):
-            return
-        lcfg, rcfg = left.config, right.config
-        if (lcfg.opcode is not UnaryOp.PREDICATE
-                or rcfg.opcode is not UnaryOp.PREDICATE
-                or lcfg.attr != rcfg.attr):
-            return
-        li = _predicate_interval(lcfg)
-        ri = _predicate_interval(rcfg)
-        if li is None or ri is None:
-            return
-        if li[0] > ri[1] or ri[0] > li[1]:
-            report.add(
-                "TH011",
-                f"intersection of {lcfg.describe()} and {rcfg.describe()} "
-                f"over {lcfg.attr!r} admits no value: the output is always "
-                "empty",
-                operator=str(node.opcode), node_path=path,
-            )
-
     # -- plan (emitted config) checks ----------------------------------------------
 
     def verify_config(self, config: PipelineConfig,
@@ -269,9 +215,9 @@ class PlanVerifier:
         """Plan-level checks over an emitted configuration.
 
         ``live_outputs`` names the output lines the caller reads (default:
-        all of them) — the anchor of the TH001/TH010 liveness lints, which
-        re-derive the same backward reachability the pipeline's pruned
-        evaluation plan uses.
+        all of them) — the anchor of the TH001/TH010 liveness lints, read
+        off the same backward reachability pass as the pipeline's pruned
+        evaluation plan.
         """
         report = Report(subject="pipeline config")
         params = self._params
@@ -342,60 +288,31 @@ class PlanVerifier:
     def _check_liveness(self, config: PipelineConfig,
                         live_outputs: Iterable[int] | None,
                         report: Report) -> None:
-        """Backward reachability: TH001 dead programmed Cells, TH010
-        programmed units whose output the BFPU muxing drops."""
-        n = self._params.n
-        if live_outputs is None:
-            live = set(range(n))
-        else:
-            live = set(live_outputs)
-        # Gathered back-to-front, reported front-to-back.
+        """TH001 dead programmed Cells, TH010 programmed units whose
+        output the BFPU muxing drops."""
+        live = (set(range(self._params.n)) if live_outputs is None
+                else set(live_outputs))
         pending: list[tuple[int, int, tuple[str, str, str]]] = []
-        for s in range(self._params.k, 0, -1):
-            stage = config.stages[s - 1]
-            needed_sources: set[int] = set()
-            for c, cfg in enumerate(stage.cells):
-                o1_live = (2 * c) in live
-                o2_live = (2 * c + 1) in live
-                programmed = [
-                    kcfg for kcfg in (cfg.kufpu1, cfg.kufpu2)
-                    if kcfg.opcode is not UnaryOp.NO_OP
-                ]
-                if not (o1_live or o2_live):
-                    for kcfg in programmed:
-                        pending.append((s, c, (
-                            "TH001",
-                            f"programmed unit {kcfg.describe()} sits in a "
-                            "Cell unreachable from any live pipeline output",
-                            kcfg.describe(),
-                        )))
-                    continue
-                # Which units do the live BFPU outputs actually read?
-                read_units: set[int] = set()
-                for out_live, bcfg in ((o1_live, cfg.bfpu1),
-                                       (o2_live, cfg.bfpu2)):
-                    if not out_live:
-                        continue
-                    if bcfg.opcode is BinaryOp.NO_OP:
-                        read_units.add(bcfg.choice or 0)
-                    else:
-                        read_units.update((0, 1))
+        for s, (stage, row) in enumerate(
+            zip(config.stages, units_read(config, live)), start=1
+        ):
+            for c, (cfg, read) in enumerate(zip(stage.cells, row)):
                 for u, kcfg in enumerate((cfg.kufpu1, cfg.kufpu2)):
-                    if kcfg.opcode is not UnaryOp.NO_OP and u not in read_units:
-                        pending.append((s, c, (
-                            "TH010",
+                    if kcfg.opcode is UnaryOp.NO_OP or u in read:
+                        continue
+                    if read:
+                        rule, message = "TH010", (
                             f"unit {u + 1} is programmed "
                             f"({kcfg.describe()}) but every live BFPU "
-                            "output drops it",
-                            kcfg.describe(),
-                        )))
-                # Liveness propagates through the input swap and wiring.
-                need_p1, need_p2 = _needed_ports(cfg, read_units)
-                if need_p1 and (2 * c) in stage.wiring:
-                    needed_sources.add(stage.wiring[2 * c])
-                if need_p2 and (2 * c + 1) in stage.wiring:
-                    needed_sources.add(stage.wiring[2 * c + 1])
-            live = needed_sources
+                            "output drops it"
+                        )
+                    else:
+                        rule, message = "TH001", (
+                            f"programmed unit {kcfg.describe()} sits in a "
+                            "Cell unreachable from any live pipeline output"
+                        )
+                    pending.append((s, c, (rule, message, kcfg.describe())))
+        # Reported by (stage, Cell, message), not by unit index.
         for s, c, (rule, message, op) in sorted(pending):
             report.add(rule, message, stage=s, cell=c, operator=op)
 
@@ -555,15 +472,6 @@ class PlanVerifier:
             report.extend(analyze_policy(compiled.policy,
                                          schema=self._schema).report)
         return report
-
-
-def _needed_ports(cfg: CellConfig, read_units: set[int]) -> tuple[bool, bool]:
-    """Which Cell input ports feed the units the live outputs read."""
-    need_u1 = 0 in read_units
-    need_u2 = 1 in read_units
-    if cfg.input_swap:
-        return need_u2, need_u1
-    return need_u1, need_u2
 
 
 def verify_policy_compiles(

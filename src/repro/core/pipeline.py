@@ -34,6 +34,7 @@ __all__ = [
     "PipelineConfig",
     "FilterPipeline",
     "ClockedFilterPipeline",
+    "units_read",
 ]
 
 
@@ -137,29 +138,40 @@ class _CellPlan:
     bypass: bool
 
 
-def _cell_needed_inputs(
-    cfg: CellConfig, o1_live: bool, o2_live: bool
-) -> tuple[bool, bool]:
-    """Which of a live Cell's input ports can influence its live outputs.
+def units_read(config: PipelineConfig, live: set[int]) -> list[list[set[int]]]:
+    """The one backward liveness pass, from the ``live`` pipeline output
+    lines: per stage (front to back) and Cell, the K-UFPU sides (0, 1) its
+    live output lines read — empty for a Cell no live line can be reached
+    from.
 
-    Traces liveness backward through the BFPUs (a passthrough mux reads one
-    side only) and the input 2x2 crossbar.  Ports that cannot influence a
-    live output need not keep their upstream source line alive.
+    A live BFPU output reads both sides, a passthrough mux only its
+    ``choice``; a side that is read keeps alive the source line wired to
+    the Cell input port feeding it (through the input 2x2 crossbar).  The
+    pruned evaluation plan and the verifier's TH001/TH010 lints are both
+    read off this table.
     """
-    need_u1 = need_u2 = False
-    for out_live, bcfg in ((o1_live, cfg.bfpu1), (o2_live, cfg.bfpu2)):
-        if not out_live:
-            continue
-        if bcfg.opcode is BinaryOp.NO_OP:
-            if bcfg.choice == 0:
-                need_u1 = True
-            else:
-                need_u2 = True
-        else:
-            need_u1 = need_u2 = True
-    if cfg.input_swap:
-        return need_u2, need_u1
-    return need_u1, need_u2
+    rows: list[list[set[int]]] = []
+    for stage in reversed(config.stages):
+        row: list[set[int]] = []
+        needed_sources: set[int] = set()
+        for c, cfg in enumerate(stage.cells):
+            read: set[int] = set()
+            for line, bcfg in ((2 * c, cfg.bfpu1), (2 * c + 1, cfg.bfpu2)):
+                if line not in live:
+                    continue
+                if bcfg.opcode is BinaryOp.NO_OP:
+                    read.add(bcfg.choice)
+                else:
+                    read.update((0, 1))
+            row.append(read)
+            for unit in read:
+                port = 2 * c + (unit ^ cfg.input_swap)
+                if port in stage.wiring:
+                    needed_sources.add(stage.wiring[port])
+        rows.append(row)
+        live = needed_sources
+    rows.reverse()
+    return rows
 
 
 class FilterPipeline:
@@ -236,7 +248,7 @@ class FilterPipeline:
     def _build_plan(
         self, config: PipelineConfig, live_outputs: Iterable[int] | None
     ) -> list[list[_CellPlan]]:
-        """Backward liveness pass: which Cells matter, which are pure wires."""
+        """Which Cells matter (:func:`units_read`), which are pure wires."""
         n = self._params.n
         if live_outputs is None:
             live = set(range(n))
@@ -248,17 +260,13 @@ class FilterPipeline:
                         f"live output line {line} out of range [0, {n})"
                     )
         plans: list[list[_CellPlan]] = []
-        for stage in reversed(config.stages):
+        for stage, row in zip(config.stages, units_read(config, live)):
             row_plans: list[_CellPlan] = []
-            needed_sources: set[int] = set()
-            for c, cell_cfg in enumerate(stage.cells):
-                o1_live = (2 * c) in live
-                o2_live = (2 * c + 1) in live
-                if not (o1_live or o2_live):
-                    row_plans.append(_CellPlan(live=False, bypass=False))
-                    continue
+            for cell_cfg, read in zip(stage.cells, row):
+                reachable = bool(read)
                 bypass = (
-                    not cell_cfg.input_swap
+                    reachable
+                    and not cell_cfg.input_swap
                     and cell_cfg.kufpu1.opcode is UnaryOp.NO_OP
                     and cell_cfg.kufpu2.opcode is UnaryOp.NO_OP
                     and cell_cfg.bfpu1.opcode is BinaryOp.NO_OP
@@ -266,15 +274,8 @@ class FilterPipeline:
                     and cell_cfg.bfpu2.opcode is BinaryOp.NO_OP
                     and cell_cfg.bfpu2.choice == 1
                 )
-                row_plans.append(_CellPlan(live=True, bypass=bypass))
-                need_i1, need_i2 = _cell_needed_inputs(cell_cfg, o1_live, o2_live)
-                if need_i1 and (2 * c) in stage.wiring:
-                    needed_sources.add(stage.wiring[2 * c])
-                if need_i2 and (2 * c + 1) in stage.wiring:
-                    needed_sources.add(stage.wiring[2 * c + 1])
+                row_plans.append(_CellPlan(live=reachable, bypass=bypass))
             plans.append(row_plans)
-            live = needed_sources
-        plans.reverse()
         return plans
 
     @property

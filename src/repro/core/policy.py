@@ -41,6 +41,7 @@ policies it may be applied to.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,6 +62,7 @@ __all__ = [
     "Policy",
     "PolicyInterpreter",
     "postorder",
+    "preorder_paths",
     "fold",
     "stateless_blockers",
     "predicate",
@@ -250,6 +252,24 @@ def postorder(root: Node) -> list[Node]:
     return order
 
 
+def preorder_paths(root: Node) -> Iterator[tuple[Node, tuple[int, ...]]]:
+    """Every node reachable from ``root`` exactly once, parents before
+    children, left before right, each with the child-index path of that
+    first visit — the coordinates a diagnostic names a node by.  A shared
+    sub-DAG keeps its first pre-order path."""
+    seen: set[int] = set()
+    stack: list[tuple[Node, tuple[int, ...]]] = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.node_id in seen:
+            continue
+        seen.add(node.node_id)
+        yield node, path
+        stack.extend(reversed(
+            [(child, path + (i,)) for i, child in enumerate(node.children())]
+        ))
+
+
 def stateless_blockers(policy: Policy) -> list[str]:
     """Why ``policy``'s output is *not* a pure function of the table
     contents (and a candidate mask), one human-readable reason per
@@ -357,13 +377,7 @@ class PolicyInterpreter:
         # is not walked again per path): every Unary node, stateful or
         # not, takes its slot of the seed space, so a node's LFSR stream
         # depends only on where it sits in the DAG.
-        seen: set[int] = set()
-        stack = [policy.root]
-        while stack:
-            node = stack.pop()
-            if node.node_id in seen:
-                continue
-            seen.add(node.node_id)
+        for node, _ in preorder_paths(policy.root):
             if isinstance(node, Unary):
                 length = max(1, node.config.k)
                 if node.config.opcode.is_stateful:
@@ -371,7 +385,6 @@ class PolicyInterpreter:
                         length, node.config, lfsr_seed=seed
                     )
                 seed += length + 1
-            stack.extend(reversed(node.children()))
 
     @property
     def policy(self) -> Policy:

@@ -96,7 +96,8 @@ def test_emitted_findings_counted_by_rule():
     }
 
 
-def test_semantic_mode_runs_the_symbolic_demonstrations(capsys):
+def test_semantic_mode_runs_the_symbolic_demonstrations(capsys, monkeypatch):
+    from repro.analysis import lint
     from repro.analysis.lint import SEMANTIC_CATALOGUE
 
     assert main(["--semantic"]) == 0
@@ -107,6 +108,12 @@ def test_semantic_mode_runs_the_symbolic_demonstrations(capsys):
     n = 11 + len(SEMANTIC_CATALOGUE)
     assert f"linted {n} bundled policies" in out
     assert "10 expected demo finding(s)" in out
+    # The overhead budget is part of the exit status, not a CI-side parse.
+    monkeypatch.setattr(lint, "SEMANTIC_OVERHEAD_BUDGET", 0.5)
+    assert main(["--semantic"]) == 1
+    out = capsys.readouterr().out
+    assert "reaches the 0.5x lint-time budget" in out
+    assert "1 error(s)" in out
 
 
 def test_semantic_demos_fire_exactly_their_promised_rules():

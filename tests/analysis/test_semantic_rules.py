@@ -102,6 +102,48 @@ def test_th017_does_not_fire_on_satisfiable_chains():
     assert analysis.root_region.get("cpu") == IntervalSet.of([(21, 69)])
 
 
+def test_both_dag_walkers_visit_each_node_once_without_recursing():
+    """A unary chain twice as deep as the interpreter's recursion limit,
+    and a 40-deep diamond with 2^40 root-to-leaf paths: the symbolic pass
+    and the AST checks both return at once, each node at its first
+    pre-order path, findings children-first."""
+    import time
+
+    from repro.analysis import PlanVerifier
+
+    def walk(policy):
+        # Plain values only: a failing assert must not repr() the DAG.
+        analysis = analyze_policy(policy, schema=SCHEMA)
+        report = PlanVerifier(schema=SCHEMA).verify_policy(policy)
+        return (
+            len(analysis.facts),
+            max(analysis.node_paths.values(), key=len),
+            [(f.rule, f.node_path) for f in analysis.report.findings],
+            [(f.rule, f.node_path) for f in report.findings],
+        )
+
+    started = time.perf_counter()
+    depth = 2000
+    chain = predicate(_dead_predicate(), "cpu", RelOp.LT, 1 << STORED_WORD_BITS)
+    for _ in range(depth):
+        chain = min_of(chain, "cpu")
+    nodes, deepest, semantic, structural = walk(Policy(chain, name="chain"))
+    assert nodes == depth + 4 and deepest == (0,) * (depth + 3)
+    assert semantic == [("TH017", (0,) * (depth + 1))]
+    assert structural == [("TH003", (0,) * depth)]
+
+    shared = predicate(TableRef(), "cpu", RelOp.LT, 10)
+    for _ in range(40):
+        shared = union(shared, shared)
+    nodes, deepest, semantic, structural = walk(Policy(
+        intersection(shared, predicate(TableRef(), "cpu", RelOp.GT, 20)),
+        name="diamonds",
+    ))
+    assert nodes == 45 and deepest == (0,) * 42
+    assert semantic == [("TH019", ())] and structural == []
+    assert time.perf_counter() - started < 1.0
+
+
 # -- TH018 ShadowedBranch --------------------------------------------------------------
 
 
@@ -151,8 +193,8 @@ def test_th018_does_not_fire_on_a_live_conditional():
 
 
 def test_th019_fires_on_provably_empty_intersection():
-    # The right arm hides its predicate under a selector, so the
-    # syntactic TH011 check cannot see the contradiction.
+    # The right arm hides its predicate under a selector: only a region
+    # meet, not a comparison of sibling predicates, sees the contradiction.
     table = TableRef()
     policy = Policy(
         intersection(

@@ -178,14 +178,20 @@ def test_th011_contradictory_predicates():
         predicate(t, "q", RelOp.LT, 10),
         predicate(t, "q", RelOp.GT, 20),
     )
-    report = PlanVerifier().verify_policy(Policy(root, name="t"))
-    assert rules_of(report) == ["TH011"]
+    # One fact, one derivation: the id is retired into TH019, the symbolic
+    # pass's region meet — the node-local AST checks stay silent.
+    policy = Policy(root, name="t")
+    assert PlanVerifier().verify_policy(policy).clean
+    report = verify_policy_compiles(policy, schema=SCHEMA)
+    assert [(f.rule, f.node_path) for f in report.findings] == [("TH019", ())]
+    assert "retired" in RULES["TH011"].summary
     # Overlapping intervals are not flagged.
-    ok = intersection(
+    ok = Policy(intersection(
         predicate(t, "q", RelOp.LT, 30),
         predicate(t, "q", RelOp.GT, 20),
-    )
-    assert PlanVerifier().verify_policy(Policy(ok, name="t")).clean
+    ), name="t")
+    assert PlanVerifier().verify_policy(ok).clean
+    assert verify_policy_compiles(ok, schema=SCHEMA).clean
 
 
 def test_th012_codegen_ineligible():

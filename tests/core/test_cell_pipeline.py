@@ -195,3 +195,36 @@ class TestFilterPipeline:
         )
         with pytest.raises(Exception):
             FilterPipeline(params, config)
+
+    def test_pruned_plan_and_liveness_lints_follow_the_input_swap(self):
+        """One reachability pass, two readers.  Stage 2's swapped Cell
+        feeds its first unit from port 1, so the line port 1 taps stays
+        live and the one port 0 taps is pruned: the plan skips the Cell
+        driving it, the verifier flags that Cell's programmed unit
+        (TH001), and the pruned output equals the all-live pipeline's."""
+        from repro.analysis import PlanVerifier
+
+        params = PipelineParams(n=4, k=2, f=2, chain_length=2)
+        stage1 = StageConfig(
+            wiring={0: 0, 2: 1},
+            cells=[CellConfig(kufpu1=pred("x", "<", 8)),
+                   CellConfig(kufpu1=pred("y", ">", 3))],
+        )
+        stage2 = StageConfig(
+            wiring={0: 0, 1: 2},
+            cells=[CellConfig(input_swap=True,
+                              kufpu1=KUnaryConfig(UnaryOp.MIN, attr="x")),
+                   CellConfig.bypass()],
+        )
+        config = PipelineConfig(stages=[stage1, stage2])
+        pruned = FilterPipeline(params, config, live_outputs=[0])
+        assert pruned.active_cells() == [(1, 1), (2, 0)]
+        smbm = build({0: (9, 1), 1: (5, 7), 2: (3, 4), 3: (6, 2)})
+        # y > 3 keeps {1, 2}; min x among them is id 2.
+        assert set(pruned.evaluate(smbm)[0].indices()) == {2}
+        assert pruned.evaluate(smbm)[0] == FilterPipeline(
+            params, config).evaluate(smbm)[0]
+        report = PlanVerifier(params).verify_config(config, live_outputs=[0])
+        assert [(f.rule, f.stage, f.cell) for f in report.findings] == [
+            ("TH001", 1, 0),
+        ]

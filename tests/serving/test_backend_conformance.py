@@ -373,29 +373,58 @@ def test_lifecycle_returns_slice_to_pool(cls):
     assert backend.manager.get("a").module.policy.name == "eligible-min-mem"
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_deeply_shared_policy_document_is_refused_at_once(cls):
-    """``union(n, n)`` nested 40 deep is 41 nodes and 2^40 paths: admission
-    and hot-swap must refuse it per node (TH009: taller than the pipeline),
-    not walk it per path while holding the controller's admission lock."""
+def _diamonds_document() -> dict:
+    """``union(n, n)`` nested 40 deep: 41 nodes, 2^40 root-to-leaf paths."""
     nodes = [{"type": "table", "input": None}]
     for below in range(40):
         nodes.append({"type": "binary", "op": "union", "left": below,
                       "right": below, "choice": None})
-    policy = policy_from_dict({"name": "diamonds", "root": 40, "nodes": nodes})
+    return {"name": "diamonds", "root": 40, "nodes": nodes}
+
+
+def _chain_document() -> dict:
+    """A unary chain twice as deep as the interpreter's recursion limit."""
+    nodes = [{"type": "table", "input": None}]
+    for below in range(2000):
+        nodes.append({"type": "unary", "op": "min", "k": 1, "attr": "cpu",
+                      "rel": None, "val": None, "child": below})
+    return {"name": "chain", "root": 2000, "nodes": nodes}
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_deeply_shared_policy_document_is_refused_at_once(cls):
+    """Admission and hot-swap must refuse a document taller than the
+    pipeline per node (TH009), not walk the diamonds per path while
+    holding the controller's admission lock — and not recurse into the
+    chain: the refusal is typed, and the live plan keeps serving."""
     backend = _make_backend(cls)
     backend.unprogram_tenant("c")  # room to admit, were the policy to fit
+    backend.write_batch([TableWrite("a", rid, {"cpu": 9 - rid, "mem": rid})
+                         for rid in range(4)])
+    module = backend.manager.get("a").module
+
+    def served():
+        packet = Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"})
+        backend.process_batch([packet])
+        return packet.metadata[META_FILTER_OUTPUT]
+
+    live_policy, live_output = module.policy, served()
     started = time.perf_counter()
-    for refused in (
-        lambda: backend.program_tenant(TenantSpec("d", policy, smbm_quota=8)),
-        lambda: backend.hot_swap("a", policy),
-        lambda: backend.hot_swap("a", policy, allow_semantic_change=False),
-    ):
-        with pytest.raises(CompilationError) as exc_info:
-            refused()
-        assert exc_info.value.rule == "TH009"
-    assert time.perf_counter() - started < 0.5
+    for document in (_diamonds_document(), _chain_document()):
+        policy = policy_from_dict(document)
+        for refused in (
+            lambda: backend.program_tenant(
+                TenantSpec("d", policy, smbm_quota=8)),
+            lambda: backend.hot_swap("a", policy),
+            lambda: backend.hot_swap("a", policy,
+                                     allow_semantic_change=False),
+        ):
+            with pytest.raises(CompilationError) as exc_info:
+                refused()
+            assert exc_info.value.rule == "TH009"
+    assert time.perf_counter() - started < 1.0
     assert backend.manager.get("a").plan_epoch == 0
+    assert module.policy is live_policy and served() == live_output
 
 
 def test_obs_series_names_identical_across_backends():

@@ -65,7 +65,8 @@ def _schedule(rounds=30):
     [(ScalarBackend, BatchedBackend), (BatchedBackend, ScalarBackend)],
     ids=("scalar-to-batched", "batched-to-scalar"),
 )
-def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
+def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls,
+                                                    registry):
     steps = _schedule(30)
     # The golden twin: same schedule, no migration, solo module.
     twin = FilterModule(8, METRICS, _policy())
@@ -101,6 +102,10 @@ def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
     assert stats["dual_writes"] == migration.dual_writes > 0
     assert "t" not in src.manager  # source slice returned to the pool
     assert "t" in dst.manager
+    assert registry.value_of(
+        "tenant_migrations_total", {"outcome": "complete"}) == 1
+    assert registry.value_of(
+        "tenant_migrations_total", {"outcome": "aborted"}) == 0
 
 
 def test_cutover_gate_catches_bypassed_writes():
@@ -131,7 +136,7 @@ def test_cutover_gate_catches_one_sided_hot_swap():
         migration.cutover()
 
 
-def test_abort_returns_destination_slice():
+def test_abort_returns_destination_slice(registry):
     src, dst = _backend(ScalarBackend), _backend(BatchedBackend)
     _admit(src)
     migration = LiveMigration(src, dst, "t")
@@ -142,6 +147,10 @@ def test_abort_returns_destination_slice():
     assert "t" in src.manager  # source untouched, still serving
     assert "t" not in dst.manager
     assert len(dst.manager.free_columns) == 2
+    assert registry.value_of(
+        "tenant_migrations_total", {"outcome": "aborted"}) == 1
+    assert registry.value_of(
+        "tenant_migrations_total", {"outcome": "complete"}) == 0
 
 
 def test_migration_state_machine_is_single_use():

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
+from repro.errors import CompilationError
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.serving._atomic import canonical_bytes
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
@@ -490,9 +491,14 @@ def test_migration_without_cutover_rolls_back_on_the_source(tmp_path):
 
 def test_replay_errors_are_counted_not_fatal(tmp_path):
     """A deterministic apply failure (op that failed pre-crash too) is
-    recorded and skipped; everything after it still recovers."""
+    recorded and skipped; everything after it still recovers — also when
+    the poisoned op is a policy document far deeper than the
+    interpreter's recursion limit, which must fail typed both times."""
     backend = _backend()
     wal = WriteAheadLog(tmp_path / "ops.wal")
+    node = TableRef()
+    for _ in range(2000):
+        node = min_of(node, "cpu")
 
     async def run() -> None:
         async with Controller(backend, wal=wal) as ctl:
@@ -501,6 +507,9 @@ def test_replay_errors_are_counted_not_fatal(tmp_path):
                 # Write to a tenant that was never admitted: logged,
                 # then fails apply — deterministically, both times.
                 await ctl.update_resource("ghost", 0, {"cpu": 0, "mem": 0})
+            with pytest.raises(CompilationError) as exc_info:
+                await ctl.hot_swap("a", Policy(node, name="chain"))
+            assert exc_info.value.rule == "TH009"
             await ctl.update_resource("a", 1, {"cpu": 5, "mem": 6})
 
     asyncio.run(run())
@@ -509,9 +518,10 @@ def test_replay_errors_are_counted_not_fatal(tmp_path):
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         report = recover(tmp_path / "ops.wal", _factory)
-        assert registry.value_of("wal_replay_errors_total") == 1
-    assert len(report.errors) == 1
-    assert report.errors[0][1] == "update_resource"
+        assert registry.value_of("wal_replay_errors_total") == 2
+    assert [kind for _, kind, _ in report.errors] == [
+        "update_resource", "hot_swap",
+    ]
     assert report.replayed == 2
     assert _state(report.backend) == _state(backend)
 

@@ -177,6 +177,13 @@ def test_two_tenant_chaos_isolation(rng):
         if k.startswith("filter_evaluations_total") and 'tenant="b"' in k
     ]
     assert sum(b_evals) == len(golden_b)
+    # ... each one a hit or a miss of B's own, tenant-labelled memo.
+    b_hits, b_misses = (
+        sum(v for k, v in counters.items()
+            if k.startswith(name) and 'tenant="b"' in k)
+        for name in ("filter_memo_hits_total", "filter_memo_misses_total")
+    )
+    assert b_hits > 0 and b_hits + b_misses == len(golden_b)
 
 
 def test_batched_two_tenant_isolation(rng):
