@@ -33,8 +33,8 @@ and the self-test's fast path).
 
 :func:`fold` is the one definition of the *stateless* operator semantics
 every lowering shares: a single :func:`postorder` pass that hands each
-operator to a small *domain* object (a column of int masks, a numpy bool
-matrix, a source emitter).  :func:`stateless_blockers` decides which
+operator to a small *domain* object (a column of int masks, a source
+emitter).  :func:`stateless_blockers` decides which
 policies it may be applied to.
 """
 

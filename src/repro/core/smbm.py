@@ -59,24 +59,21 @@ STORED_WORD_BITS = 64
 #: Most moves a live :class:`MetricIndex` may have pending; one more and the
 #: table drops it, so the next read is a full build.  This is a measured
 #: crossover, not a tunable: at N=1024 a uniformly random update moves a row
-#: ~N/3 ranks and patches in ~19 us, a build takes ~180 us, so six pending
-#: moves stay under what the build costs (nine would reach it; CHANGES.md,
-#: PR 14 and PR 15).  It also bounds what a write burst nobody reads can
-#: queue: six tuples per index, then nothing.
+#: ~N/3 ranks and patches in ~21 us, a build takes ~150 us, so six pending
+#: moves stay under what the build costs (seven reach it; CHANGES.md,
+#: PR 14, PR 15 and PR 21).  It also bounds what a write burst nobody reads
+#: can queue: six tuples per index, then nothing.
 PENDING_LIMIT = 6
 
 
 class MetricIndex:
     """Rank/mask arrays over one metric dimension: the read fast path.
 
-    Three parallel arrays over the metric's sorted flat list of
+    Two parallel arrays over the metric's sorted flat list of
     (value, seq, id) entries, ``n`` of them:
 
     * ``values[r]`` — the value of the entry at rank ``r`` (sorted, FIFO
       ties), so a relational bound becomes a :func:`bisect` over ranks;
-    * ``ids[r]`` — the resource id of the entry at rank ``r`` (the batched
-      engine's rank-order permutation: reordering an id-indexed column by
-      ``ids`` turns min/max-k into "first/last k set bits");
     * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``,
       for ``r`` in ``0..n``.  The entries with rank >= ``r`` are
       ``prefix[n] ^ prefix[r]``, so no second mask array is kept.
@@ -85,6 +82,9 @@ class MetricIndex:
     ``prefix[hi] & ~prefix[lo] & input``; min/max are a binary search for
     the lowest/highest rank whose below-/at-or-above-rank mask intersects
     the input — O(log N) integer ANDs instead of an O(N) Python tuple scan.
+    Equation 1's K-select (:meth:`select_mask`) is the same search with a
+    popcount in place of the truthiness test: one bisect for the rank cut
+    that leaves k of the input's ids on the wanted side, not K picks.
     This is the software analogue of the hardware evaluating against the
     already-sorted flip-flop lists every cycle.
 
@@ -124,13 +124,13 @@ class MetricIndex:
     does; what *may* be kept is anything keyed on :attr:`SMBM.version`.
     """
 
-    __slots__ = ("values", "ids", "prefix", "pending")
+    __slots__ = ("values", "prefix", "pending")
 
     def __init__(self, entries: Sequence[tuple[int, int, int]]):
         self.values = [value for value, _seq, _rid in entries]
-        self.ids = [rid for _value, _seq, rid in entries]
         self.prefix = list(
-            accumulate((1 << rid for rid in self.ids), or_, initial=0)
+            accumulate((1 << rid for _value, _seq, rid in entries), or_,
+                       initial=0)
         )
         #: Moves committed to the table since the arrays were last current,
         #: oldest first (written by :class:`SMBM`, drained by
@@ -139,20 +139,18 @@ class MetricIndex:
 
     def apply_pending(self) -> int:
         """Bring the arrays up to the table; returns the moves applied."""
-        values, ids, prefix = self.values, self.ids, self.prefix
+        values, prefix = self.values, self.prefix
         for a, b, rid, value in self.pending:
             bit = 1 << rid
             if a is None:  # add at rank b: masks above b gain the row
                 values.insert(b, value)
-                ids.insert(b, rid)
                 prefix[b + 1:] = [m | bit for m in prefix[b:]]
             elif b is None:  # delete at rank a: the mirror image
-                del values[a], ids[a]
+                del values[a]
                 prefix[a + 1:] = [m ^ bit for m in prefix[a + 2:]]
             else:  # update: only the ranks between a and b see the row move
-                del values[a], ids[a]
+                del values[a]
                 values.insert(b, value)
-                ids.insert(b, rid)
                 if a < b:
                     prefix[a + 1:b + 1] = [m ^ bit for m in prefix[a + 2:b + 2]]
                 else:
@@ -228,6 +226,36 @@ class MetricIndex:
             else:
                 hi = mid - 1
         return live & ~prefix[lo]
+
+    def select_mask(self, input_bits: int, k: int, largest: bool) -> int:
+        """The ``k`` lowest-rank (highest, when ``largest``) entries
+        present in ``input_bits``: Equation 1's K-select, all of them when
+        the input holds at most ``k``.
+
+        ``prefix[r] & live`` gains at most one id per rank, so the
+        smallest ``r`` at which it holds ``want`` ids holds exactly the
+        ``want`` lowest-rank ones (none at ``r = 0``, for ``k = 0``) — one
+        binary search, whatever ``k``.  The ``k`` highest are the input
+        without its ``count - k`` lowest.  The single pick keeps the
+        cheaper truthiness search of :meth:`min_mask` / :meth:`max_mask`.
+        """
+        if k == 1:
+            return self.max_mask(input_bits) if largest else self.min_mask(input_bits)
+        prefix = self.prefix
+        live = prefix[-1] & input_bits
+        count = live.bit_count()
+        if count <= k:
+            return live
+        want = count - k if largest else k
+        lo, hi = 0, len(self.values)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (prefix[mid] & live).bit_count() >= want:
+                hi = mid
+            else:
+                lo = mid + 1
+        lowest = prefix[lo] & live
+        return live ^ lowest if largest else lowest
 
 
 class SMBM:
@@ -688,7 +716,7 @@ class SMBM:
         * forward and reverse maps agree on every entry;
         * all lists have exactly one entry per stored resource;
         * every live fast-path index, brought up to date, equals one built
-          from scratch in all four arrays — so under ``sanitize=True`` a bad
+          from scratch in both arrays — so under ``sanitize=True`` a bad
           patch is an error at the write that caused it.
         """
         n = len(self._rows)
@@ -714,7 +742,7 @@ class SMBM:
         for name in self._indexes:
             index = self.metric_index(name)
             fresh = MetricIndex(self._metric_lists[name])
-            for array in ("values", "ids", "prefix"):
+            for array in ("values", "prefix"):
                 if getattr(index, array) != getattr(fresh, array):
                     raise SimulationError(
                         f"{name} fast-path index {array} disagree with the "

@@ -6,17 +6,15 @@ The engine is the throughput tier above the per-packet fast path:
   (struct-of-arrays) packet buffer;
 * :class:`~repro.engine.columnar.BatchedEvaluator` — interpreted batch
   evaluation over mask columns: :func:`repro.core.policy.fold` in the
-  numpy bool-matrix domain or the pure-Python int-column domain;
+  int-column domain;
 * :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
   scalar closures (the same fold, in a source-emitting domain), cached
   on ``(plan_hash, smbm.version)``.
 
-numpy is optional (the ``repro[batch]`` extra): every module consults
-:data:`repro.engine._np.HAVE_NUMPY` at call time and falls back to the
-pure-Python int-mask lane without it.
+Both are pure Python over int masks; nothing here imports an array
+library (DESIGN.md, "What a domain supplies", has the measurement).
 """
 
-from repro.engine._np import HAVE_NUMPY
 from repro.engine.batch import (
     META_FILTER_INPUT,
     META_FILTER_OUTPUT,
@@ -25,11 +23,9 @@ from repro.engine.batch import (
     PacketBatch,
 )
 from repro.engine.codegen import PlanCodegen, generate_plan_source, plan_hash_of
-from repro.engine.columnar import BatchedEvaluator, MIN_NUMPY_ROWS
+from repro.engine.columnar import BatchedEvaluator
 
 __all__ = [
-    "HAVE_NUMPY",
-    "MIN_NUMPY_ROWS",
     "PacketBatch",
     "BatchedEvaluator",
     "PlanCodegen",

@@ -30,6 +30,7 @@ __all__ = [
     "META_FILTER_SELECTED",
     "META_FILTER_INPUT",
     "META_FILTER_EPOCH",
+    "checked_mask",
 ]
 
 #: Metadata flag a packet sets to request filtering.
@@ -47,6 +48,23 @@ META_FILTER_INPUT = "filter_input"
 #: monotone watermark separating old-plan from new-plan outputs — the
 #: invariant the swap tests key on ("never a mixed plan").
 META_FILTER_EPOCH = "filter_epoch"
+
+
+def checked_mask(mask: object) -> int:
+    """A packet's ``META_FILTER_INPUT`` value as the int mask it must be.
+
+    The one place the mask enters (the scalar hook and the columnariser
+    both call it): an ``int`` passes unchanged — negative ones keep their
+    two's-complement meaning — and anything else is refused, ``bool`` and
+    ``float`` included, rather than coerced or left to raise a bare
+    builtin error from the middle of a batch.
+    """
+    if type(mask) is int:
+        return mask
+    raise ConfigurationError(
+        f"{META_FILTER_INPUT} must be an int id-bitmask, "
+        f"got {type(mask).__name__}"
+    )
 
 
 class PacketBatch:
@@ -115,7 +133,7 @@ class PacketBatch:
             meta = packet.metadata
             request.append(bool(meta.get(META_FILTER_REQUEST)))
             mask = meta.get(META_FILTER_INPUT)
-            masks.append(int(mask) if mask is not None else None)
+            masks.append(checked_mask(mask) if mask is not None else None)
             any_mask = any_mask or mask is not None
         batch = cls(
             len(request),

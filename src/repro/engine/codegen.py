@@ -27,10 +27,11 @@ cached per instance on ``smbm.version`` — exactly the key the scalar
 memo invalidates on, so a committed table write respecializes on the
 next evaluation and nothing staler can ever be served.
 
-Batches wide enough for numpy gain nothing from a generated kernel (both
-it and the interpreted fold walk the DAG once per *batch* and spend
-their time in the same array calls), so :meth:`PlanCodegen.evaluate_masks`
-serves them through the shared :func:`~repro.engine.columnar.evaluate_column`.
+A batch runs the same kernel row by row
+(:meth:`PlanCodegen.evaluate_masks`): what it saves over the interpreted
+column fold is per-operator dispatch, which the fold already pays once
+per *batch* — so the kernel earns its keep on single rows, not on wide
+columns (DESIGN.md has the measurement).
 
 The generated code is the optimisation, never the spec: under
 ``sanitize=True`` the filter module holds every kernel row and every
@@ -57,12 +58,6 @@ from repro.core.policy import (
     stateless_blockers,
 )
 from repro.core.smbm import SMBM
-from repro.engine import _np
-from repro.engine.columnar import (
-    MIN_NUMPY_ROWS,
-    evaluate_column,
-    select_k_scalar,
-)
 from repro.errors import ConfigurationError
 
 __all__ = ["PlanCodegen", "generate_plan_source", "plan_hash_of"]
@@ -158,13 +153,8 @@ class _ScalarEmitter:
         return self._emit(f"{child} & {sat}")
 
     def select(self, child: str, attr: str, k: int, largest: bool) -> str:
-        pick = self._const(
-            f"smbm.metric_index({attr!r})."
-            f"{'max_mask' if largest else 'min_mask'}"
-        )
-        if k == 1:
-            return self._emit(f"{pick}({child})")
-        return self._emit(f"select_k_scalar({pick}, {child}, {k})")
+        select = self._const(f"smbm.metric_index({attr!r}).select_mask")
+        return self._emit(f"{select}({child}, {k}, {largest})")
 
     def binary(self, op: BinaryOp, left: str, right: str) -> str:
         return self._emit(f"{left} {self._SYMBOL[op]} {right}")
@@ -221,11 +211,7 @@ class PlanCodegen:
         self._hash = digest
         namespace = _SOURCE_CACHE.get(digest)
         if namespace is None:
-            namespace = {
-                "__builtins__": {},
-                "RELOPS": relops,
-                "select_k_scalar": select_k_scalar,
-            }
+            namespace = {"__builtins__": {}, "RELOPS": relops}
             exec(compile(source, f"<plan {digest}>", "exec"), namespace)
             _SOURCE_CACHE[digest] = namespace
         self._specialize = namespace["specialize"]
@@ -312,10 +298,7 @@ class PlanCodegen:
     def evaluate_masks(self, smbm: SMBM, masks: Sequence[int]) -> list[int]:
         """One output mask per input mask (inputs are intersected with the
         table's presence mask, like the interpreted batch tier): the flat
-        scalar kernel row by row below ``MIN_NUMPY_ROWS``, the shared
-        matrix domain at or above it."""
-        if _np.HAVE_NUMPY and len(masks) >= MIN_NUMPY_ROWS:
-            return evaluate_column(self._policy, smbm, masks)
+        scalar kernel, row by row."""
         if not masks:
             return []
         kern = self.kernel(smbm)

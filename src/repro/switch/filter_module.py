@@ -46,6 +46,7 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_REQUEST,
     META_FILTER_SELECTED,
     PacketBatch,
+    checked_mask,
 )
 from repro.engine.codegen import PlanCodegen
 from repro.engine.columnar import BatchedEvaluator
@@ -792,7 +793,7 @@ class FilterModule:
         if not meta.get(META_FILTER_REQUEST):
             return
         mask = meta.get(META_FILTER_INPUT)
-        out = self._serve(None if mask is None else int(mask))
+        out = self._serve(None if mask is None else checked_mask(mask))
         meta[META_FILTER_OUTPUT] = out
         meta[META_FILTER_SELECTED] = _selected(out)
         meta[META_FILTER_EPOCH] = self._plan_epoch

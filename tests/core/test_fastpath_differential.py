@@ -41,7 +41,7 @@ from repro.core.policy import (
     round_robin,
     union,
 )
-from repro.core.smbm import SMBM
+from repro.core.smbm import SMBM, MetricIndex
 from repro.core.ufpu import UFPU, UnaryConfig
 from repro.errors import CompilationError
 from repro.switch.filter_module import FilterModule
@@ -84,6 +84,16 @@ def _random_selector_config(rng: random.Random) -> UnaryConfig:
     return UnaryConfig(UnaryOp.MIN if kind == 1 else UnaryOp.MAX, attr=attr)
 
 
+class _CountingList(list):
+    """A list that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, item):
+        self.reads += 1
+        return super().__getitem__(item)
+
+
 class TestMaskEngineVsBruteForce:
     """MetricIndex masks against a direct Python scan of the sorted list."""
 
@@ -114,6 +124,23 @@ class TestMaskEngineVsBruteForce:
             expect_max = 1 << entries[valid_ranks[-1]][1] if valid_ranks else 0
             assert index.min_mask(inp) == expect_min, f"step {step}: min mismatch"
             assert index.max_mask(inp) == expect_max, f"step {step}: max mismatch"
+
+            # Equation 1's K-select is the first / last k valid ranks —
+            # ``inp`` carries ids the table does not hold, the cut falls
+            # inside FIFO ties — found with one bisect over ``prefix``
+            # whatever k: a read per halving plus the two ends.
+            count = len(valid_ranks)
+            counted = MetricIndex([(v, 0, rid) for v, rid in entries])
+            counted.prefix = prefix = _CountingList(counted.prefix)
+            for k in (0, 1, 2, 3, count, count + 1):
+                for largest in (False, True):
+                    ranks = (valid_ranks[max(count - k, 0):] if largest
+                             else valid_ranks[:k])
+                    prefix.reads = 0
+                    assert counted.select_mask(inp, k, largest) == sum(
+                        1 << entries[r][1] for r in ranks
+                    ), f"step {step}: select(k={k}, largest={largest}) mismatch"
+                    assert prefix.reads <= len(entries).bit_length() + 2
 
 
 class TestUFPUFastVsReference:

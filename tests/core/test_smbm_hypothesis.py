@@ -166,7 +166,7 @@ class TestMetricIndexAgainstNaiveScan:
 # ======================================================================================
 
 LAG_METRICS = ("a", "b", "c")
-ARRAYS = ("values", "ids", "prefix")
+ARRAYS = ("values", "prefix")
 
 
 def _fresh(smbm: SMBM, metric: str) -> MetricIndex:

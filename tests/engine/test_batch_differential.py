@@ -4,8 +4,8 @@
 looping :meth:`FilterModule.evaluate` (uniform rows) /
 :meth:`CompiledPolicy.evaluate_restricted` (masked rows) — across
 randomized policies, random per-row candidate masks, table mutations
-between batches, the pure-Python fallback and (when installed) the numpy
-lane, and stateful policies served by the per-row fallback path.
+between batches, and stateful policies served by the per-row fallback
+path.
 """
 
 from __future__ import annotations
@@ -33,14 +33,8 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import HAVE_NUMPY, MIN_NUMPY_ROWS, BatchedEvaluator, PlanCodegen
-from repro.engine import _np as np_guard
-from repro.engine.columnar import (
-    BoolMatrixDomain,
-    IntColumnDomain,
-    masks_to_matrix,
-    matrix_to_masks,
-)
+from repro.engine import BatchedEvaluator, PlanCodegen
+from repro.engine.columnar import IntColumnDomain
 from repro.errors import CompilationError, ConfigurationError
 from repro.switch.filter_module import FilterModule, PacketBatch
 
@@ -48,18 +42,14 @@ CAP = 32
 METRICS = ("a", "b")
 VALUE_RANGE = 16
 
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (the [batch] extra)"
-)
-
 
 def agreed_outputs(compiled: CompiledPolicy, smbm: SMBM,
                    masks: list[int]) -> list[int]:
     """The one differential over the stateless lowerings, standing on the
     naive truth: the interpreted pipeline's
-    :meth:`CompiledPolicy.evaluate_restricted`, the int-column domain, the
-    bool-matrix domain (when numpy is installed) and the generated scalar
-    kernel — every one a ``MetricIndex`` user — must all equal the
+    :meth:`CompiledPolicy.evaluate_restricted`, the int-column domain and
+    the generated scalar kernel — every one a ``MetricIndex`` user — must
+    all equal the
     :class:`PolicyInterpreter`'s walk of the sorted lists, row by row.
     Returns the agreed output column for the caller's own path to be
     compared with."""
@@ -75,12 +65,6 @@ def agreed_outputs(compiled: CompiledPolicy, smbm: SMBM,
     assert fold(policy, IntColumnDomain(smbm, base)) == expected, (
         f"int-column domain disagrees on {policy.name}"
     )
-    if HAVE_NUMPY and base:
-        np = np_guard.numpy
-        matrix = masks_to_matrix(np, base, smbm.capacity)
-        assert matrix_to_masks(
-            np, fold(policy, BoolMatrixDomain(smbm, matrix))
-        ) == expected, f"bool-matrix domain disagrees on {policy.name}"
     kernel = PlanCodegen(policy).kernel(smbm)
     assert [kernel(b) for b in base] == expected, (
         f"scalar kernel disagrees on {policy.name}"
@@ -189,7 +173,7 @@ def _check_batch_matches_scalar(module: FilterModule,
 
 
 class TestBatchVsScalarDifferential:
-    """Randomized policies x masks x table mutations, both lanes."""
+    """Randomized policies x masks x table mutations."""
 
     def _run(self, rng: random.Random, *, rounds: int) -> int:
         cases = 0
@@ -209,32 +193,8 @@ class TestBatchVsScalarDifferential:
             cases += uniform.size
         return cases
 
-    def test_randomized_cases_fallback_lane(self, rng, monkeypatch):
-        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
+    def test_randomized_cases(self, rng):
         assert self._run(rng, rounds=20) >= 200
-
-    @needs_numpy
-    def test_randomized_cases_numpy_lane(self, rng):
-        assert self._run(rng, rounds=20) >= 200
-
-    @needs_numpy
-    def test_lanes_agree_bit_for_bit(self, rng, monkeypatch):
-        """The numpy kernels and the pure-Python fallback are the same
-        function: identical outputs on identical batches."""
-        module = _build_module(rng, "lane")
-        for _ in range(20):
-            _random_write(rng, module.smbm)
-        batch_np = _random_masked_batch(rng, MIN_NUMPY_ROWS * 3)
-        batch_py = PacketBatch(
-            batch_np.size,
-            request=list(batch_np.request),
-            input_masks=list(batch_np.input_masks),
-        )
-        module.evaluate_batch(batch_np)
-        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
-        module.evaluate_batch(batch_py)
-        assert batch_np.outputs == batch_py.outputs
-        assert batch_np.selected == batch_py.selected
 
 
 def _path_rows(registry) -> dict[str, int]:

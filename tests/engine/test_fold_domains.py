@@ -1,12 +1,11 @@
-"""One stateless walk, three domains: the lowerings of
+"""One stateless walk, two domains: the lowerings of
 :func:`repro.core.policy.fold` agree with the interpreted pipeline, and the
-batch lanes keep nothing alive once they return.
+batch fold keeps nothing alive once it returns.
 """
 
 from __future__ import annotations
 
 import gc
-import weakref
 
 import pytest
 
@@ -28,9 +27,7 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import MIN_NUMPY_ROWS, BatchedEvaluator
-from repro.engine import _np as np_guard
-from repro.engine import columnar
+from repro.engine import BatchedEvaluator
 from repro.errors import CompilationError
 
 from tests.engine.test_batch_differential import (
@@ -38,7 +35,6 @@ from tests.engine.test_batch_differential import (
     METRICS,
     VALUE_RANGE,
     agreed_outputs,
-    needs_numpy,
 )
 
 #: Roomier than the paper's default so most drawn DAGs place.
@@ -101,7 +97,7 @@ _masks = st.lists(st.integers(0, FULL), max_size=10)
 @given(root=_roots, rows=_rows, masks=_masks)
 def test_every_domain_equals_the_interpreted_pipeline(root, rows, masks):
     """Random stateless DAGs x random tables (the empty one included) x
-    random mask columns: int-column == bool-matrix == scalar kernel ==
+    random mask columns: int-column == scalar kernel ==
     ``evaluate_restricted`` == the naive interpreter.  Every column also
     carries the empty mask and the all-ones mask, whose bits name absent
     ids on any non-full table."""
@@ -150,9 +146,9 @@ def test_the_reference_shares_nothing_with_what_it_checks(registry):
 
 
 class TestBatchLanesLeakNothing:
-    """The batch lanes' intermediates must die by reference counting when
+    """The batch fold's intermediates must die by reference counting when
     ``evaluate_masks`` returns: a cycle through them would pin every
-    ``[B, N]`` matrix of the call until the cyclic collector happens by."""
+    column of the call until the cyclic collector happens by."""
 
     def _evaluator_and_table(self):
         table = TableRef()
@@ -175,30 +171,11 @@ class TestBatchLanesLeakNothing:
         finally:
             gc.enable()
 
-    @needs_numpy
-    def test_matrix_lane_frees_its_matrices(self, no_gc, monkeypatch):
+    def test_int_lane_leaves_no_cycles(self, no_gc):
         evaluator, smbm = self._evaluator_and_table()
-        matrices = []
-        pack = columnar.masks_to_matrix
-
-        def recording_pack(np, masks, capacity):
-            matrix = pack(np, masks, capacity)
-            matrices.append(weakref.ref(matrix))
-            return matrix
-
-        monkeypatch.setattr(columnar, "masks_to_matrix", recording_pack)
-        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)
-        # The base matrix and each predicate's unpacked row went through
-        # the packer; none may outlive the call.
-        assert len(matrices) == 3
-        assert [ref() for ref in matrices] == [None] * 3
-
-    def test_int_lane_leaves_no_cycles(self, no_gc, monkeypatch):
-        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
-        evaluator, smbm = self._evaluator_and_table()
-        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)  # warm indices
+        evaluator.evaluate_masks(smbm, [FULL] * 8)  # warm indices
         gc.collect()
-        evaluator.evaluate_masks(smbm, [FULL] * MIN_NUMPY_ROWS)
+        evaluator.evaluate_masks(smbm, [FULL] * 8)
         # int columns are plain lists (no weak references): unreachable
         # cyclic garbage is what a leaked walk would leave behind.
         assert gc.collect() == 0

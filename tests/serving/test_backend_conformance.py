@@ -236,7 +236,7 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
         assert module.routed_around == {dead}
     # The sanitized kernel's masked rows meet the dead Cell in the
     # sanitizer's plan compare on both backends — per packet on one, per
-    # engine row on the other, below and above the numpy lane's threshold.
+    # engine row on the other, for a short column and a longer one.
     for rows in (2, 9):
         masked = ([("probe", "kern-san", rid, {"cpu": 9 - rid, "mem": rid})
                    for rid in range(3)]
@@ -318,6 +318,36 @@ def test_unknown_labels_aggregate_into_one_routing_error(cls):
     assert {t.name: t.module.smbm.version
             for t in backend.manager} == versions
     assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
+
+
+@pytest.mark.parametrize("hostile", ["abc", b"\x01", [1], 3.7, True],
+                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_malformed_input_mask_is_one_configuration_error(cls, hostile):
+    """A ``META_FILTER_INPUT`` that is not an int is refused where it
+    enters, with the same error on both backends — never a bare builtin
+    exception, never a float served truncated.  What the rest of the batch
+    is left holding is not asserted: refusing it whole, before the probe
+    ahead of the bad packet commits, takes the one up-front column pass of
+    ROADMAP item 2."""
+    backend = _make_backend(cls)
+    codec = ProbeCodec(METRICS)
+    probe = codec.build_parser().parse(codec.encode(1, {"cpu": 5, "mem": 5}))
+    probe.metadata[META_TENANT] = "a"
+    requests = [
+        Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a",
+                         META_FILTER_INPUT: mask})
+        for mask in [0b11] * 9 + [hostile]
+    ]
+    epochs = {t.name: t.plan_epoch for t in backend.manager}
+    with pytest.raises(ConfigurationError) as excinfo:
+        backend.process_batch([probe] + requests)
+    assert str(excinfo.value) == (
+        f"{META_FILTER_INPUT} must be an int id-bitmask, "
+        f"got {type(hostile).__name__}"
+    )
+    assert META_FILTER_OUTPUT not in requests[-1].metadata
+    assert {t.name: t.plan_epoch for t in backend.manager} == epochs
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
