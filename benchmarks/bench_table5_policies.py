@@ -28,8 +28,8 @@ SCHEMAS = {
 def _compile_all():
     compiled = {}
     for key in TABLE5_POLICIES:
-        policy, taps = build_table5_policy(key)
-        compiled[key] = PolicyCompiler(DEFAULTS).compile(policy, taps=taps)
+        compiled[key] = PolicyCompiler(DEFAULTS).compile(
+            build_table5_policy(key))
     return compiled
 
 
@@ -61,17 +61,9 @@ def test_table5_compile_all(benchmark):
 def test_table5_evaluate_each(benchmark):
     compiled = _compile_all()
     tables = {key: _smbm_for(key) for key in compiled}
-    from repro.core.bitvector import BitVector
 
     def evaluate_all():
-        outs = {}
-        for key, cp in compiled.items():
-            if key == "drill":
-                prev = BitVector.zeros(16)
-                outs[key], _ = cp.evaluate_with_taps(tables[key], {1: prev})
-            else:
-                outs[key] = cp.evaluate(tables[key])
-        return outs
+        return {key: cp.evaluate(tables[key]) for key, cp in compiled.items()}
 
     outs = benchmark(evaluate_all)
     # Selector policies produce singletons; every output stays in-table.

@@ -6,15 +6,13 @@ Shows the DRILL policy both ways:
 1. **Standalone**, on a single switch with pre-loaded port queues — the
    compiled Thanos pipeline makes the decision: ``d`` random samples
    unioned with the ``m`` best remembered samples, minimum queue wins, and
-   the examined set feeds back as next decision's input (the Table 5 chain
-   with an explicit feedback input line).
+   the examined set feeds back as next decision's input (the Table 5 chain;
+   the policy binds its ``examined`` union to input line 1).
 2. **In the fabric**, comparing random / least-queued / DRILL per-packet
    forwarding on the Figure 18 experiment at one load point.
 
 Run:  python examples/drill_port_lb.py   (takes ~1 minute)
 """
-
-import random
 
 from repro.experiments import PortLBExperimentConfig, run_portlb_experiment
 from repro.netsim.link import Link
@@ -47,7 +45,7 @@ def standalone_demo() -> None:
             link.send(NetPacket(1, 0, 1, 0, 1460))
     switch.set_up_ports(list(range(8)))
 
-    drill = DrillPolicy(d=2, m=1, mode="thanos", rng=random.Random(1))
+    drill = DrillPolicy(d=2, m=1)
     print(f"port queue fills (packets): {queue_fill}")
     for i in range(8):
         packet = NetPacket(5, 0, 99, i, 1460)

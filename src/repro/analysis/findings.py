@@ -76,7 +76,7 @@ RULES: dict[str, Rule] = {
              "intersection"),
         Rule("TH012", "CodegenIneligible", Severity.WARNING,
              "the plan cannot be specialized to a flat closure (stateful "
-             "units, caller-supplied inputs or interior taps)"),
+             "units or feedback registers)"),
         Rule("TH013", "QuotaExceeded", Severity.ERROR,
              "a tenant's plan or table needs more Cells or SMBM rows than "
              "its admitted quota, or admission would oversubscribe the "

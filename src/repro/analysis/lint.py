@@ -41,7 +41,7 @@ from repro.analysis.verifier import (
     verify_policy_compiles,
 )
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Node, Policy
+from repro.core.policy import Policy
 from repro.errors import CompilationError
 
 __all__ = [
@@ -76,7 +76,7 @@ class CatalogueEntry:
     """
 
     name: str
-    build: Callable[[], tuple[Policy, dict[str, Node]]]
+    build: Callable[[], Policy]
     params: PipelineParams
     schema: TableSchema
     tenant_slice: TenantSlice | None = None
@@ -85,8 +85,8 @@ class CatalogueEntry:
     co_tenants: tuple[str, ...] = ()
 
 
-def _table5(key: str) -> Callable[[], tuple[Policy, dict[str, Node]]]:
-    def build() -> tuple[Policy, dict[str, Node]]:
+def _table5(key: str) -> Callable[[], Policy]:
+    def build() -> Policy:
         from repro.policies.table5 import build_table5_policy
 
         return build_table5_policy(key)
@@ -94,25 +94,25 @@ def _table5(key: str) -> Callable[[], tuple[Policy, dict[str, Node]]]:
     return build
 
 
-def _firewall() -> tuple[Policy, dict[str, Node]]:
+def _firewall() -> Policy:
     from repro.policies.firewall import RateFirewall
 
-    return RateFirewall(8, 1000.0).module.compiled.policy, {}
+    return RateFirewall(8, 1000.0).module.compiled.policy
 
 
-def _diagnosis() -> tuple[Policy, dict[str, Node]]:
+def _diagnosis() -> Policy:
     from repro.policies.diagnosis import PortRateMonitor
 
-    return PortRateMonitor(8, 1000.0).module.compiled.policy, {}
+    return PortRateMonitor(8, 1000.0).module.compiled.policy
 
 
-def _portlb() -> tuple[Policy, dict[str, Node]]:
+def _portlb() -> Policy:
     from repro.core.policy import TableRef, min_of
 
-    return Policy(min_of(TableRef(), "queue"), name="portlb-least-queued"), {}
+    return Policy(min_of(TableRef(), "queue"), name="portlb-least-queued")
 
 
-def _sliced_lb() -> tuple[Policy, dict[str, Node]]:
+def _sliced_lb() -> Policy:
     from repro.core.operators import RelOp
     from repro.core.policy import TableRef, intersection, min_of, predicate
 
@@ -121,10 +121,10 @@ def _sliced_lb() -> tuple[Policy, dict[str, Node]]:
         predicate(table, "cpu", RelOp.LT, 70),
         predicate(table, "mem", RelOp.GT, 16),
     )
-    return Policy(min_of(eligible, "cpu"), name="tenant-sliced-lb"), {}
+    return Policy(min_of(eligible, "cpu"), name="tenant-sliced-lb")
 
 
-def _wide_lb() -> tuple[Policy, dict[str, Node]]:
+def _wide_lb() -> Policy:
     # Wide on purpose: four leaf predicates force two Cells in the first
     # stage, so an unconfined compile cannot stay inside a single column.
     from repro.core.operators import RelOp
@@ -141,10 +141,10 @@ def _wide_lb() -> tuple[Policy, dict[str, Node]]:
     )
     return Policy(
         min_of(intersection(healthy, sane), "cpu"), name="tenant-wide-lb"
-    ), {}
+    )
 
 
-def _semantic_unreachable() -> tuple[Policy, dict[str, Node]]:
+def _semantic_unreachable() -> Policy:
     # A chained pair of predicates whose admitted regions are disjoint:
     # every node is locally fine, the chain is semantically dead — the
     # TH017 demonstration.
@@ -155,10 +155,10 @@ def _semantic_unreachable() -> tuple[Policy, dict[str, Node]]:
     return Policy(
         predicate(inner, "cpu", RelOp.GT, 20),
         name="semantic-unreachable-demo",
-    ), {}
+    )
 
 
-def _semantic_shadow() -> tuple[Policy, dict[str, Node]]:
+def _semantic_shadow() -> Policy:
     # min-of over the full table is non-empty whenever the table is, so
     # the Conditional's fallback arm can never serve — the TH018 demo.
     from repro.core.operators import RelOp
@@ -171,10 +171,10 @@ def _semantic_shadow() -> tuple[Policy, dict[str, Node]]:
             predicate(table, "cpu", RelOp.LT, 50),
         ),
         name="semantic-shadow-demo",
-    ), {}
+    )
 
 
-def _semantic_vacuous() -> tuple[Policy, dict[str, Node]]:
+def _semantic_vacuous() -> Policy:
     # The right arm's region is cpu>20 (selectors pass regions through),
     # disjoint from the left arm's cpu<10 — a provably-empty intersection
     # no sibling-predicate comparison would see.  The TH019 demonstration.
@@ -188,20 +188,20 @@ def _semantic_vacuous() -> tuple[Policy, dict[str, Node]]:
             min_of(predicate(table, "cpu", RelOp.GT, 20), "mem"),
         ),
         name="semantic-vacuous-demo",
-    ), {}
+    )
 
 
-def _semantic_overlap_a() -> tuple[Policy, dict[str, Node]]:
+def _semantic_overlap_a() -> Policy:
     from repro.core.operators import RelOp
     from repro.core.policy import TableRef, predicate
 
     return Policy(
         predicate(TableRef(), "cpu", RelOp.LT, 50),
         name="semantic-overlap-a",
-    ), {}
+    )
 
 
-def _semantic_overlap_b() -> tuple[Policy, dict[str, Node]]:
+def _semantic_overlap_b() -> Policy:
     from repro.core.operators import RelOp
     from repro.core.policy import TableRef, intersection, predicate
 
@@ -212,7 +212,7 @@ def _semantic_overlap_b() -> tuple[Policy, dict[str, Node]]:
             predicate(table, "cpu", RelOp.LT, 60),
         ),
         name="semantic-overlap-b",
-    ), {}
+    )
 
 
 _ROUTING_SCHEMA = TableSchema(LINT_CAPACITY, ("util", "queue", "loss"))
@@ -299,11 +299,10 @@ def _catalogue(semantic: bool) -> tuple[CatalogueEntry, ...]:
 
 def _lint_entry(entry: CatalogueEntry, *, semantic: bool = True) -> Report:
     """One catalogue entry's verification pass, slice-aware."""
-    policy, taps = entry.build()
+    policy = entry.build()
     if entry.tenant_slice is None:
         return verify_policy_compiles(
-            policy, entry.params, schema=entry.schema, taps=taps or None,
-            semantic=semantic,
+            policy, entry.params, schema=entry.schema, semantic=semantic,
         )
     from repro.core.compiler import PolicyCompiler  # late: import cycle
 
@@ -313,8 +312,7 @@ def _lint_entry(entry: CatalogueEntry, *, semantic: bool = True) -> Report:
     lines = tenant_slice.lines if entry.confined else None
     try:
         compiled = PolicyCompiler(entry.params).compile(
-            policy, taps=taps or None, verify=False,
-            dead_cells=dead, input_lines=lines,
+            policy, verify=False, dead_cells=dead, input_lines=lines,
         )
     except CompilationError as exc:
         report = Report(subject=f"tenant slice of {policy.name!r}")
@@ -329,7 +327,7 @@ def _lint_entry(entry: CatalogueEntry, *, semantic: bool = True) -> Report:
 def _overlap_report(entry: CatalogueEntry,
                     by_name: dict[str, CatalogueEntry]) -> Report:
     """The entry's TH021 pass against its declared co-tenants."""
-    tenants = [(entry.name, entry.build()[0])]
+    tenants = [(entry.name, entry.build())]
     for other_name in entry.co_tenants:
         other = by_name.get(other_name)
         if other is None:
@@ -340,7 +338,7 @@ def _overlap_report(entry: CatalogueEntry,
                 f"{other_name!r}",
             )
             return report
-        tenants.append((other.name, other.build()[0]))
+        tenants.append((other.name, other.build()))
     return tenant_overlap_report(
         tenants, schema=entry.schema,
         subject=f"co-tenants of {entry.name!r}",

@@ -10,8 +10,8 @@ interpreter walks the policy DAG once, propagating three facts per edge:
   the edge never carries a row.
 * **guaranteed** — an under-approximation: the edge provably carries at
   least one row whenever the resource table is non-empty (selectors
-  preserve it, tautological predicates preserve it, caller-supplied input
-  tables break it).
+  preserve it, tautological predicates preserve it, feedback input
+  lines break it).
 * **full** — the edge provably carries *exactly* the whole table (only
   table references and tautological filters over them).
 
@@ -163,8 +163,8 @@ class _Analyzer:
         self.facts[node.node_id] = fact
 
     def _table_ref(self, node: TableRef) -> NodeFact:
-        # A caller-supplied input table still holds rows of the *same*
-        # SMBM (the pipeline presents feedback state as row masks), so
+        # A feedback line still holds rows of the *same* SMBM (the
+        # register is a row mask, empty before the first packet), so
         # the seed region applies — but it may be empty at any time, so
         # neither guarantee survives.
         is_main = node.input_index is None

@@ -35,7 +35,6 @@ from repro.core.benes import BenesNetwork, Crossbar
 from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.pipeline import PipelineConfig, PipelineParams, units_read
 from repro.core.policy import (
-    Node,
     Policy,
     TableRef,
     Unary,
@@ -429,21 +428,14 @@ class PlanVerifier:
         a way the pipeline traversal carries information a per-version
         kernel cannot — the policy's own
         :func:`~repro.core.policy.stateless_blockers` (cross-packet unit
-        state, caller-supplied input tables; what
-        :class:`~repro.engine.codegen.PlanCodegen` refuses) plus interior
-        tap lines, which only a compilation has.
+        state, feedback registers; what
+        :class:`~repro.engine.codegen.PlanCodegen` refuses).
         A clean report means the generated kernel is semantically
         interchangeable with the interpreted plan at every table version.
         """
         report = Report(
             subject=f"codegen eligibility of {compiled.policy.name!r}"
         )
-        if compiled.tap_lines:
-            report.add(
-                "TH012",
-                f"interior taps {sorted(compiled.tap_lines)} are read from "
-                "pipeline output lines a flat closure does not materialise",
-            )
         for blocker in stateless_blockers(compiled.policy):
             report.add("TH012", blocker)
         return report
@@ -454,7 +446,7 @@ class PlanVerifier:
         """Everything at once over a compiled plan.
 
         The liveness anchor is exactly the line set the compiled policy
-        reads back: its output line, the MUX lines and every named tap.
+        reads back: its output line, the MUX lines and every feedback tap.
         The semantic pass (TH017–TH019, :mod:`repro.analysis.symbolic`)
         rides along so ``compile(verify=True)`` surfaces reachability and
         shadowing lints as warnings by default.
@@ -479,7 +471,6 @@ def verify_policy_compiles(
     params: PipelineParams | None = None,
     *,
     schema: TableSchema | None = None,
-    taps: dict[str, Node] | None = None,
     semantic: bool = True,
 ) -> Report:
     """Trial-compile ``policy`` and verify the result, never raising.
@@ -494,9 +485,7 @@ def verify_policy_compiles(
 
     verifier = PlanVerifier(params, schema=schema, semantic=semantic)
     try:
-        compiled = PolicyCompiler(params).compile(
-            policy, taps=taps, verify=False,
-        )
+        compiled = PolicyCompiler(params).compile(policy, verify=False)
     except CompilationError as exc:
         from repro.analysis.symbolic import analyze_policy  # late: layering
 

@@ -146,7 +146,6 @@ class PolicyCompiler:
         self,
         policy: Policy,
         *,
-        taps: dict[str, Node] | None = None,
         lfsr_seed: int = 1,
         dead_cells: "Iterable[tuple[int, int]] | None" = None,
         input_lines: "Iterable[int] | None" = None,
@@ -155,9 +154,10 @@ class PolicyCompiler:
     ) -> "CompiledPolicy":
         """Map ``policy`` onto the pipeline, or raise CompilationError.
 
-        ``taps`` names interior nodes whose values should also be carried to
-        the pipeline outputs (e.g. DRILL's "examined samples" set, which the
-        RMT stage after the module stores as next decision's feedback input).
+        Every node :attr:`~repro.core.policy.Policy.feedback` binds is also
+        carried to a pipeline output (a *tap*, e.g. DRILL's "examined
+        samples" set), where the compiled policy reads it back after each
+        traversal.
 
         ``dead_cells`` names physical Cells — ``(stage, index)`` pairs,
         stage 1-based — that must not be allocated (fail-around after a
@@ -186,7 +186,7 @@ class PolicyCompiler:
         """
         with obs.get_tracer().span("policy_compile") as span:
             compiled = self._compile(
-                policy, taps=taps, lfsr_seed=lfsr_seed,
+                policy, lfsr_seed=lfsr_seed,
                 dead_cells=dead_cells, input_lines=input_lines,
             )
             # Attribute the emitted configuration's deterministic hardware
@@ -208,7 +208,6 @@ class PolicyCompiler:
         self,
         policy: Policy,
         *,
-        taps: dict[str, Node] | None,
         lfsr_seed: int,
         dead_cells: "Iterable[tuple[int, int]] | None" = None,
         input_lines: "Iterable[int] | None" = None,
@@ -244,7 +243,7 @@ class PolicyCompiler:
         state = _CompileState(self._params, dead_cells=dead,
                               input_lines=allowed)
         root = policy.root
-        state.prepare(root)
+        state.prepare(policy)
         if isinstance(root, Conditional):
             primary = state.compile_node(root.primary)
             fallback = state.compile_node(root.fallback)
@@ -258,11 +257,11 @@ class PolicyCompiler:
             assert wire.line is not None
             mux = None
             output_line = wire.line
-        tap_lines: dict[str, int] = {}
-        for name, node in (taps or {}).items():
+        tap_lines: dict[int, int] = {}
+        for index, node in policy.feedback.items():
             wire = state.bring_to(state.compile_node(node), self._params.k)
             assert wire.line is not None
-            tap_lines[name] = wire.line
+            tap_lines[index] = wire.line
         config = state.emit()
         return CompiledPolicy(
             policy=policy,
@@ -302,7 +301,7 @@ class _CompileState:
         self.wires: dict[int, dict[int, _Wire]] = {}
         # How many parents each node has (fusion is only legal at 1).
         self.parent_count: dict[int, int] = {}
-        # Input lines carrying caller-supplied tables (explicit TableRefs);
+        # Input lines carrying feedback registers (explicit TableRefs);
         # "any table" taps must avoid these.
         self.reserved_inputs: set[int] = set()
 
@@ -321,7 +320,7 @@ class _CompileState:
                 )
         else:
             # "Any input line": pick the least-tapped original input that is
-            # not reserved for a caller-supplied table and, under tenant
+            # not reserved for a feedback register and, under tenant
             # slicing, belongs to this plan's allowed input set.
             allowed = (
                 range(self.params.n) if self.input_lines is None
@@ -515,11 +514,13 @@ class _CompileState:
 
     # -- recursive compilation -----------------------------------------------------
 
-    def prepare(self, root: Node) -> None:
+    def prepare(self, policy: Policy) -> None:
         """One pass over the policy DAG, each node once however many paths
-        reach it: count parents per edge (fusion is only legal at 1), check
-        and collect the explicitly indexed input lines, and refuse a DAG
-        taller than the pipeline before anything recursive runs."""
+        reach it: count parents per edge (fusion is only legal at 1; a
+        feedback tap is one more consumer), check and collect the explicitly
+        indexed input lines, and refuse a DAG taller than the pipeline
+        before anything recursive runs."""
+        root = policy.root
         self.parent_count[root.node_id] = 1
         # Lower bound on the stage a node's value appears at: a stage
         # hosts at most one unary and one binary level (a binary's Cell
@@ -555,6 +556,8 @@ class _CompileState:
             depth[node.node_id] = (
                 level if isinstance(node, Conditional) else level + 1
             )
+        for bound in policy.feedback.values():
+            self.parent_count[bound.node_id] += 1
         if depth[root.node_id] > self.params.k:
             raise CompilationError(
                 f"policy is {depth[root.node_id]} operator levels deep but "
@@ -656,11 +659,18 @@ class CompiledPolicy:
     ``evaluate`` runs one packet's filtering: the pipeline produces its
     output tables and, for conditional policies, the post-pipeline RMT MUX
     picks the primary output when non-empty, else the fallback.
+
+    Each :attr:`~repro.core.policy.Policy.feedback` register lives here,
+    beside the pipeline's LFSRs and round-robin pointers: ``tap_lines``
+    maps input line ``i`` to the output line its bound node was routed to,
+    every traversal presents the register on line ``i`` and reads the tap
+    back, and a recompile or :meth:`reset_state` restarts it from zeros
+    exactly as it restarts the units.
     """
 
     def __init__(self, policy: Policy, params: PipelineParams,
                  config: PipelineConfig, output_line: int,
-                 mux: MuxPlan | None, tap_lines: dict[str, int] | None = None,
+                 mux: MuxPlan | None, tap_lines: dict[int, int] | None = None,
                  lfsr_seed: int = 1,
                  dead_cells: Iterable[tuple[int, int]] = ()):
         self._policy = policy
@@ -672,8 +682,10 @@ class CompiledPolicy:
         self._dead_cells = frozenset(dead_cells)
         # Warning-level verifier findings, attached post-verification.
         self._lint_findings: tuple["Finding", ...] = ()
-        # Memoizable iff no programmed unit keeps cross-packet state.
-        self._stateless = config.is_stateless()
+        self._registers: dict[int, int] = {}
+        # Memoizable iff nothing keeps cross-packet state: no programmed
+        # unit and no feedback register.
+        self._stateless = config.is_stateless() and not self._tap_lines
         # Only these output lines are ever read back; the pipeline prunes
         # everything that cannot reach them.
         live = {output_line} | set(self._tap_lines.values())
@@ -721,10 +733,11 @@ class CompiledPolicy:
 
     @property
     def stateless(self) -> bool:
-        """True when the policy contains no round-robin/random units.
+        """True when :func:`~repro.core.policy.stateless_blockers` is
+        empty: no round-robin/random unit, no feedback register.
 
-        A stateless policy's output depends only on the SMBM contents and
-        the input tables, so callers may cache results keyed on
+        A stateless policy's output depends only on the SMBM contents (and
+        a candidate mask), so callers may cache results keyed on
         :attr:`~repro.core.smbm.SMBM.version`.
         """
         return self._stateless
@@ -747,25 +760,29 @@ class CompiledPolicy:
 
     def reset_state(self) -> None:
         self._pipeline.reset_state()
+        self._registers.clear()
 
     @property
-    def tap_lines(self) -> dict[str, int]:
+    def tap_lines(self) -> dict[int, int]:
+        """Feedback input line -> the output line its bound node is read
+        back from."""
         return dict(self._tap_lines)
 
-    def _run(
-        self, smbm: SMBM, extra_inputs: dict[int, BitVector] | None
-    ) -> list[BitVector]:
-        if not extra_inputs:
+    def _run(self, smbm: SMBM, mask: int | None = None) -> list[BitVector]:
+        """One traversal: table lines carry ``table ∩ mask``, each feedback
+        line its register, which is then rewritten from its tap."""
+        if mask is None and not self._tap_lines:
             return self._pipeline.evaluate(smbm)
-        full = smbm.id_vector()
-        inputs = [full.copy() for _ in range(self._params.n)]
-        for index, table in extra_inputs.items():
-            if not 0 <= index < self._params.n:
-                raise ConfigurationError(
-                    f"extra input index {index} out of range for n={self._params.n}"
-                )
-            inputs[index] = table
-        return self._pipeline.evaluate(smbm, inputs)
+        table = (smbm.id_vector() if mask is None else
+                 BitVector.from_int(smbm.capacity, smbm.id_mask() & mask))
+        inputs = [table] * self._params.n  # the pipeline copies each line
+        for index in self._tap_lines:
+            inputs[index] = BitVector.from_int(
+                smbm.capacity, self._registers.get(index, 0))
+        outputs = self._pipeline.evaluate(smbm, inputs)
+        for index, line in self._tap_lines.items():
+            self._registers[index] = outputs[line].value
+        return outputs
 
     def _mux_output(
         self, outputs: list[BitVector], mux_select: bool | None
@@ -782,7 +799,6 @@ class CompiledPolicy:
     def evaluate(
         self,
         smbm: SMBM,
-        extra_inputs: dict[int, BitVector] | None = None,
         *,
         mux_select: bool | None = None,
     ) -> BitVector:
@@ -793,7 +809,7 @@ class CompiledPolicy:
         section 4.2.3, where the RMT stage drives the select from packet
         metadata); ``None`` keeps the default primary-if-non-empty rule.
         """
-        return self._mux_output(self._run(smbm, extra_inputs), mux_select)
+        return self._mux_output(self._run(smbm), mux_select)
 
     def evaluate_restricted(
         self,
@@ -802,40 +818,21 @@ class CompiledPolicy:
         *,
         mux_select: bool | None = None,
     ) -> BitVector:
-        """One packet's traversal with every input line restricted to
+        """One packet's traversal with every table line restricted to
         ``table ∩ mask`` — the scalar reference semantics of a batch row
-        carrying a candidate-set mask (``META_FILTER_INPUT``).
-
-        All ``n`` input lines carry the restricted table, so the plan must
-        not read caller-supplied ``input[i]`` tables (those rows take the
-        per-packet ``extra_inputs`` path instead).
+        carrying a candidate-set mask (``META_FILTER_INPUT``).  A feedback
+        line is not a table line: it carries its register, unmasked.
         """
-        base = BitVector.from_int(smbm.capacity, smbm.id_mask() & mask)
-        inputs = [base.copy() for _ in range(self._params.n)]
-        outputs = self._pipeline.evaluate(smbm, inputs)
-        return self._mux_output(outputs, mux_select)
-
-    def evaluate_with_taps(
-        self,
-        smbm: SMBM,
-        extra_inputs: dict[int, BitVector] | None = None,
-        *,
-        mux_select: bool | None = None,
-    ) -> tuple[BitVector, dict[str, BitVector]]:
-        """Evaluate, also returning the tapped interior values by name."""
-        outputs = self._run(smbm, extra_inputs)
-        taps = {name: outputs[line] for name, line in self._tap_lines.items()}
-        return self._mux_output(outputs, mux_select), taps
+        return self._mux_output(self._run(smbm, mask), mux_select)
 
     def select(
         self,
         smbm: SMBM,
-        extra_inputs: dict[int, BitVector] | None = None,
         *,
         mux_select: bool | None = None,
     ) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""
-        out = self.evaluate(smbm, extra_inputs, mux_select=mux_select)
+        out = self.evaluate(smbm, mux_select=mux_select)
         if out.popcount() != 1:
             return None
         return out.first_set()

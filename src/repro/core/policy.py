@@ -2,7 +2,9 @@
 
 A policy is a DAG of filter operator nodes over the resource table:
 
-* :class:`TableRef` — a pipeline input carrying the full resource table;
+* :class:`TableRef` — a pipeline input line: the full resource table, or
+  (``input_index=i``) a feedback register the policy itself binds
+  (:attr:`Policy.feedback`);
 * :class:`Unary` — one unary operator (section 4.1.1), possibly as a
   *parallel chain* of K identical operators (section 4.2.1) when ``k > 1``;
 * :class:`Binary` — one binary operator merging two sub-policies
@@ -41,7 +43,7 @@ policies it may be applied to.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -97,11 +99,9 @@ class TableRef(Node):
     """A pipeline input line.
 
     With the default ``input_index=None`` the line carries the full resource
-    table (the common case).  An explicit ``input_index`` names a specific
-    pipeline input whose table the *caller* supplies at evaluation time —
-    this is how feedback state enters a policy, e.g. DRILL's "m least loaded
-    samples from the last time slot" (Table 5), which the RMT pipeline
-    stores and presents as an input table.
+    table (the common case).  An explicit ``input_index`` names the pipeline
+    input a :attr:`Policy.feedback` binding drives — e.g. DRILL's "m least
+    loaded samples from the last time slot" (Table 5).
     """
 
     input_index: int | None = None
@@ -171,18 +171,43 @@ class Policy:
     A :class:`Conditional` may appear only at the root — its MUX lives in
     the RMT stage after the filter module, so it cannot feed further filter
     operators (section 4.2.3).
+
+    ``feedback`` is Table 5's arrow as data: ``{i: node}`` says input line
+    ``i`` of packet *p+1* carries the value ``node`` had on packet *p* —
+    all zeros before the first packet and after ``reset_state()``.  Every
+    ``TableRef(input_index=i)`` must be bound, every binding read, and
+    every bound node part of the DAG.  Each evaluator
+    (:class:`PolicyInterpreter`, a compiled policy) keeps the register
+    beside its stateful units, so a policy with feedback is stateful.
     """
 
     root: Node = field(default_factory=TableRef)
     name: str = "policy"
+    feedback: Mapping[int, Node] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for node in postorder(self.root):
+        nodes = postorder(self.root)
+        for node in nodes:
             if any(isinstance(c, Conditional) for c in node.children()):
                 raise ConfigurationError(
                     "Conditional nodes are only supported at the policy root: "
                     "the selecting MUX is implemented in the RMT stage after "
                     "the filter module (section 4.2.3)"
+                )
+        read = {node.input_index for node in nodes
+                if isinstance(node, TableRef) and node.input_index is not None}
+        if read != set(self.feedback):
+            raise ConfigurationError(
+                f"policy {self.name!r} reads input lines {sorted(read)} but "
+                f"its feedback binds {list(self.feedback)}: every "
+                "input[i] needs exactly one binding"
+            )
+        in_dag = {node.node_id for node in nodes}
+        for index, bound in self.feedback.items():
+            if bound.node_id not in in_dag:
+                raise ConfigurationError(
+                    f"feedback into input[{index}] is bound to a node "
+                    f"outside policy {self.name!r}'s DAG"
                 )
 
 
@@ -273,10 +298,12 @@ def preorder_paths(root: Node) -> Iterator[tuple[Node, tuple[int, ...]]]:
 def stateless_blockers(policy: Policy) -> list[str]:
     """Why ``policy``'s output is *not* a pure function of the table
     contents (and a candidate mask), one human-readable reason per
-    offending node; empty when :func:`fold` may evaluate it.
+    stateful operator and per feedback register; empty when :func:`fold`
+    may evaluate it.
 
-    The single eligibility decision behind the batched evaluator, the
-    codegen tier, the TH012 lint and the filter module's engine choice.
+    The single definition of "stateless" behind the version memo
+    (``CompiledPolicy.stateless``), the batched evaluator, the codegen
+    tier, the TH012 lint and the filter module's engine choice.
     """
     blockers: list[str] = []
     for node in postorder(policy.root):
@@ -286,11 +313,11 @@ def stateless_blockers(policy: Policy) -> list[str]:
                 "cross-packet state, so its output advances per packet, "
                 "not per table version"
             )
-        if isinstance(node, TableRef) and node.input_index is not None:
-            blockers.append(
-                f"{node.describe()} is a caller-supplied table that "
-                "changes per packet, not per table version"
-            )
+    for index in sorted(policy.feedback):
+        blockers.append(
+            f"input[{index}] is a feedback register carrying the previous "
+            "packet's value, so it changes per packet, not per table version"
+        )
     return blockers
 
 
@@ -321,8 +348,8 @@ def fold(policy: Policy, domain: Any) -> Any:
         if isinstance(node, TableRef):
             if node.input_index is not None:
                 raise ConfigurationError(
-                    f"cannot fold {node.describe()}: caller-supplied tables "
-                    "arrive per packet"
+                    f"cannot fold {node.describe()}: a feedback register "
+                    "changes per packet"
                 )
             out = domain.table()
         elif isinstance(node, Unary):
@@ -365,13 +392,16 @@ class PolicyInterpreter:
     (:func:`~repro.core.ufpu_reference.reference_unary`), which read the
     table's sorted lists and nothing else.  Stateful operators (round-robin,
     random) have one implementation, the hardware unit's, and keep per-node
-    state across calls exactly as it does.  Shared sub-DAGs (the same node
-    object reachable twice) are evaluated once per packet.
+    state across calls exactly as it does; beside them sits the
+    interpreter's own copy of each :attr:`Policy.feedback` register,
+    written after every packet.  Shared sub-DAGs (the same node object
+    reachable twice) are evaluated once per packet.
     """
 
     def __init__(self, policy: Policy, *, lfsr_seed: int = 1):
         self._policy = policy
         self._units: dict[int, KUFPU] = {}
+        self._registers: dict[int, int] = {}
         seed = lfsr_seed
         # Pre-order, each node at its first visit only (a shared sub-DAG
         # is not walked again per path): every Unary node, stateful or
@@ -393,18 +423,18 @@ class PolicyInterpreter:
     def reset_state(self) -> None:
         for unit in self._units.values():
             unit.reset_state()
+        self._registers.clear()
 
     def evaluate(
-        self, smbm: SMBM, extra_inputs: dict[int, BitVector] | None = None,
-        *, mask: int | None = None,
+        self, smbm: SMBM, *, mask: int | None = None,
         record: dict[int, BitVector] | None = None,
     ) -> BitVector:
         """One packet's policy evaluation; returns the output table.
 
-        ``extra_inputs`` supplies the tables for explicit
-        ``TableRef(input_index=i)`` nodes.  ``mask`` is the packet's
-        ``META_FILTER_INPUT`` candidate set: the table the policy sees is
-        ``table ∩ mask`` (``None`` = the full table).  ``record``, when
+        ``mask`` is the packet's ``META_FILTER_INPUT`` candidate set: the
+        table the policy sees is ``table ∩ mask`` (``None`` = the full
+        table); a feedback line is not a table line and is left alone.
+        ``record``, when
         given, is used as the per-node memo and left filled with every
         evaluated node's output keyed by ``node_id`` — the concrete witness
         the semantic soundness suite checks abstract regions against (nodes
@@ -423,13 +453,11 @@ class PolicyInterpreter:
                         smbm.capacity,
                         present if mask is None else present & mask,
                     )
-                elif extra_inputs is None or node.input_index not in extra_inputs:
-                    raise ConfigurationError(
-                        f"policy reads input[{node.input_index}] but no such "
-                        "extra input was supplied"
-                    )
                 else:
-                    out = extra_inputs[node.input_index]
+                    out = BitVector.from_int(
+                        smbm.capacity,
+                        self._registers.get(node.input_index, 0),
+                    )
             elif isinstance(node, Unary):
                 unit = self._units.get(node.node_id)
                 child = walk(node.child)
@@ -454,13 +482,17 @@ class PolicyInterpreter:
             cache[node.node_id] = out
             return out
 
-        return walk(self._policy.root)
+        out = walk(self._policy.root)
+        # Every register is read before any is written: one packet boundary.
+        self._registers = {
+            index: walk(bound).value
+            for index, bound in self._policy.feedback.items()
+        }
+        return out
 
-    def select(
-        self, smbm: SMBM, extra_inputs: dict[int, BitVector] | None = None
-    ) -> int | None:
+    def select(self, smbm: SMBM) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""
-        out = self.evaluate(smbm, extra_inputs)
+        out = self.evaluate(smbm)
         if out.popcount() != 1:
             return None
         return out.first_set()

@@ -3,7 +3,7 @@
 The interpreted fast path pays Python dispatch per operator object per
 packet, plus the bounds/width/liveness checks the pipeline model carries.
 For a policy :func:`~repro.core.policy.stateless_blockers` has nothing
-against — stateless, no caller-supplied inputs — all of that is dead
+against — no stateful unit, no feedback register — all of that is dead
 weight: the policy's meaning is a pure function of the table contents.
 
 :class:`PlanCodegen` therefore emits, once per distinct plan, one small
@@ -194,7 +194,7 @@ class PlanCodegen:
     enters it — so it is built when the policy changes and survives every
     fail-around recompile.  Construction is the eligibility gate: a policy
     :func:`~repro.core.policy.stateless_blockers` objects to (stateful
-    operators, caller-supplied inputs — the TH012 blockers a policy can
+    operators, feedback registers — the TH012 blockers a policy can
     carry) raises :class:`ConfigurationError` naming them.
     """
 

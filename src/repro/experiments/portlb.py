@@ -7,9 +7,9 @@ from purely local state (egress queue depths):
 * Policy 2 — least queued port;
 * Policy 3 — DRILL(d, m).
 
-The DRILL policy runs in its fast mode here (identical semantics to the
-compiled Thanos pipeline, see ``tests/policies/test_portlb_l4lb.py``); the
-``drill_mode`` knob switches to the full pipeline for small runs.
+Policies 2 and 3 are decided by the compiled filter: one
+:class:`~repro.switch.filter_module.FilterModule` per switch, whose compiled
+policy also holds DRILL's ``examined`` feedback register.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class PortLBExperimentConfig:
     seed: int = 1
     d: int = 2
     m: int = 1
-    drill_mode: str = "fast"
     n_leaf: int = 8
     n_spine: int = 8
     hosts_per_leaf: int = 4
@@ -76,8 +75,7 @@ def _policy_factory(config: PortLBExperimentConfig):
             return LeastQueuedPortPolicy(update_period_s=config.update_period_s)
         if config.policy == "policy3":
             return DrillPolicy(
-                d=config.d, m=config.m, mode=config.drill_mode,
-                rng=random.Random(seed), lfsr_seed=seed % 4093 + 1,
+                d=config.d, m=config.m, lfsr_seed=seed % 4093 + 1,
                 update_period_s=config.update_period_s,
             )
         raise ConfigurationError(f"unknown port LB policy {config.policy!r}")

@@ -11,12 +11,11 @@ DRILL's Table 5 expression in Thanos is::
     union( K=d random(table),  K=m min(queue)(previous samples) )
         |> K=1 min(queue)
 
-where "previous samples" enters the pipeline as an explicit input table fed
-back from the last decision (RMT-side state).  :class:`DrillPolicy` runs
-exactly this compiled pipeline per packet; because per-packet pipeline
-evaluation in Python is slow, it also offers a ``fast`` mode with the same
-semantics in plain code (used by the large simulation sweeps; the
-equivalence is covered by tests).
+where "previous samples" is input line 1, which the policy's own
+:attr:`~repro.core.policy.Policy.feedback` binds to the union: the register
+lives in the compiled policy of each switch's
+:class:`~repro.switch.filter_module.FilterModule`, beside its LFSRs.
+Policies 2 and 3 run that module per packet, like every other NF here.
 
 Queue lengths are *local* metrics: in hardware they are event-maintained in
 the SMBM at enqueue/dequeue (section 3); here we write the live queue depths
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import random
 
-from repro.core.bitvector import BitVector
-from repro.core.compiler import PolicyCompiler
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Policy,
@@ -38,10 +35,10 @@ from repro.core.policy import (
     random_pick,
     union,
 )
-from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
 from repro.netsim.packet import NetPacket
 from repro.netsim.switch import NetSwitch
+from repro.switch.filter_module import FilterModule
 
 __all__ = ["RandomPortPolicy", "LeastQueuedPortPolicy", "DrillPolicy",
            "drill_policy_ast"]
@@ -61,9 +58,10 @@ class RandomPortPolicy:
         return self._rng.choice(candidates)
 
 
-class _PortTableMixin:
-    """Shared machinery: a per-switch SMBM of candidate ports with their
-    queue depths (resource id = index into the candidate list).
+class _PortTablePolicy:
+    """Shared machinery: one filter module per switch whose table is the
+    candidate ports with their queue depths (resource id = index into the
+    candidate list), programmed with ``policy``.
 
     ``update_period_s`` models how often the hardware samples the queue
     registers into the SMBM: every decision within one period sees the same
@@ -73,18 +71,27 @@ class _PortTableMixin:
     effect DRILL's randomised sampling is designed to break.
     """
 
-    update_period_s: float = 0.0
+    def __init__(self, policy: Policy, params: PipelineParams, *,
+                 lfsr_seed: int = 1, update_period_s: float = 0.0):
+        self.update_period_s = update_period_s
+        self._policy = policy
+        self._params = params
+        self._lfsr_seed = lfsr_seed
 
-    def _port_smbm(self, switch: NetSwitch, candidates: list[int]) -> SMBM:
-        smbm = switch.attachments.get("portlb_smbm")
-        if not isinstance(smbm, SMBM):
-            smbm = SMBM(max(len(candidates), 2), ["queue"])
-            switch.attachments["portlb_smbm"] = smbm
+    def _port_module(self, switch: NetSwitch,
+                     candidates: list[int]) -> FilterModule:
+        module = switch.attachments.get("portlb_module")
+        if not isinstance(module, FilterModule):
+            module = FilterModule(
+                max(len(candidates), 2), ["queue"], self._policy,
+                self._params, lfsr_seed=self._lfsr_seed,
+            )
+            switch.attachments["portlb_module"] = module
             switch.attachments["portlb_snapshot_at"] = float("-inf")
         now = switch._sim.now
         last = switch.attachments["portlb_snapshot_at"]
         if self.update_period_s and now - last < self.update_period_s:
-            return smbm  # decisions within the period share the snapshot
+            return module  # decisions within the period share the snapshot
         switch.attachments["portlb_snapshot_at"] = now
         for index, port in enumerate(candidates):
             # Queue metric = drain time in tenths of a microsecond, so ports
@@ -92,59 +99,49 @@ class _PortTableMixin:
             # port is still a long wait).
             link = switch.ports[port]
             drain_s = link.queued_bytes * 8 / link.bandwidth_bps
-            depth = int(drain_s * 1e7)
-            if index in smbm:
-                smbm.update(index, {"queue": depth})
-            else:
-                smbm.add(index, {"queue": depth})
-        return smbm
-
-
-class LeastQueuedPortPolicy(_PortTableMixin):
-    """Policy 2: the least-queued port, through a compiled min(queue)."""
-
-    def __init__(self, params: PipelineParams | None = None,
-                 update_period_s: float = 0.0):
-        self.update_period_s = update_period_s
-        self._compiled = PolicyCompiler(
-            params or PipelineParams(n=2, k=1, f=2, chain_length=1)
-        ).compile(Policy(min_of(TableRef(), "queue"), name="portlb-least-queued"))
+            module.update_resource(index, {"queue": int(drain_s * 1e7)})
+        return module
 
     def choose(self, switch: NetSwitch, packet: NetPacket,
                candidates: list[int]) -> int:
-        smbm = self._port_smbm(switch, candidates)
-        selected = self._compiled.select(smbm)
+        selected = self._port_module(switch, candidates).select()
         if selected is None or selected >= len(candidates):
             return candidates[0]
         return candidates[selected]
 
 
-def drill_policy_ast(d: int, m: int) -> tuple[Policy, dict]:
-    """The DRILL policy AST plus the tap for the feedback samples.
+class LeastQueuedPortPolicy(_PortTablePolicy):
+    """Policy 2: the least-queued port, ``min(queue)`` over the table."""
 
-    Returns ``(policy, taps)`` where ``taps['examined']`` is the union node
-    whose value the RMT stage stores as the next decision's input 1.
-    """
+    def __init__(self, params: PipelineParams | None = None,
+                 update_period_s: float = 0.0):
+        super().__init__(
+            Policy(min_of(TableRef(), "queue"), name="portlb-least-queued"),
+            params or PipelineParams(n=2, k=1, f=2, chain_length=1),
+            update_period_s=update_period_s,
+        )
+
+
+def drill_policy_ast(d: int, m: int) -> Policy:
+    """The DRILL(d, m) policy: with ``m > 0`` its ``examined`` union is fed
+    back to input line 1, the next decision's "previous samples"."""
     if d < 1 or m < 0:
         raise ConfigurationError(f"DRILL needs d >= 1 and m >= 0, got d={d} m={m}")
-    sampled = random_pick(TableRef(), k=d)
-    if m > 0:
+    examined = random_pick(TableRef(), k=d)
+    feedback = {}
+    if m > 0:  # no memory, no register
         remembered = min_of(TableRef(input_index=1), "queue", k=m)
-        examined = union(sampled, remembered)
-        taps = {"examined": examined}
-    else:
-        examined = sampled
-        taps = {}  # no memory, no feedback input to store
-    policy = Policy(min_of(examined, "queue"), name=f"drill-d{d}-m{m}")
-    return policy, taps
+        examined = union(examined, remembered)
+        feedback = {1: examined}
+    return Policy(min_of(examined, "queue"), name=f"drill-d{d}-m{m}",
+                  feedback=feedback)
 
 
-class DrillPolicy(_PortTableMixin):
-    """Policy 3: DRILL(d, m), per-packet decisions.
+class DrillPolicy(_PortTablePolicy):
+    """Policy 3: DRILL(d, m), per-packet decisions on the compiled filter.
 
-    ``mode='thanos'`` evaluates the compiled filter pipeline per packet;
-    ``mode='fast'`` computes the same decision in plain Python (for the
-    large simulation sweeps).
+    Each switch's module holds its own ``examined`` register, so switches
+    sharing one ``DrillPolicy`` share neither memory nor table.
     """
 
     def __init__(
@@ -152,68 +149,14 @@ class DrillPolicy(_PortTableMixin):
         d: int = 2,
         m: int = 1,
         *,
-        mode: str = "fast",
-        rng: random.Random | None = None,
         params: PipelineParams | None = None,
         lfsr_seed: int = 1,
         update_period_s: float = 0.0,
     ):
-        if mode not in ("thanos", "fast"):
-            raise ConfigurationError(f"unknown DRILL mode {mode!r}")
         self.d = d
         self.m = m
-        self.update_period_s = update_period_s
-        self._mode = mode
-        self._rng = rng or random.Random(0)
-        if mode == "thanos":
-            chain = max(d, m, 1)
-            policy, taps = drill_policy_ast(d, m)
-            self._compiled = PolicyCompiler(
-                params or PipelineParams(n=4, k=3, f=2, chain_length=chain)
-            ).compile(policy, taps=taps, lfsr_seed=lfsr_seed)
-
-    # -- per-switch feedback state ---------------------------------------------------
-
-    def _prev_samples(self, switch: NetSwitch, width: int) -> BitVector:
-        prev = switch.attachments.get("drill_prev")
-        if isinstance(prev, BitVector) and prev.width == width:
-            return prev
-        return BitVector.zeros(width)
-
-    # -- decisions ------------------------------------------------------------------------
-
-    def choose(self, switch: NetSwitch, packet: NetPacket,
-               candidates: list[int]) -> int:
-        smbm = self._port_smbm(switch, candidates)
-        if self._mode == "thanos":
-            index = self._choose_thanos(switch, smbm, len(candidates))
-        else:
-            index = self._choose_fast(switch, smbm, len(candidates))
-        return candidates[index]
-
-    def _choose_thanos(self, switch: NetSwitch, smbm: SMBM, n: int) -> int:
-        prev = self._prev_samples(switch, smbm.capacity)
-        out, taps = self._compiled.evaluate_with_taps(smbm, {1: prev})
-        if "examined" in taps:
-            switch.attachments["drill_prev"] = taps["examined"]
-        selected = out.first_set()
-        if selected is None or selected >= n:
-            return self._rng.randrange(n)
-        return selected
-
-    def _choose_fast(self, switch: NetSwitch, smbm: SMBM, n: int) -> int:
-        prev = self._prev_samples(switch, smbm.capacity)
-        sampled: set[int] = set()
-        pool = list(range(n))
-        self._rng.shuffle(pool)
-        sampled.update(pool[: self.d])
-        remembered = sorted(
-            (i for i in prev.indices() if i < n),
-            key=lambda i: smbm.metric_of(i, "queue"),
-        )[: self.m]
-        examined = sampled | set(remembered)
-        best = min(examined, key=lambda i: (smbm.metric_of(i, "queue"), i))
-        switch.attachments["drill_prev"] = BitVector.from_indices(
-            smbm.capacity, examined
+        super().__init__(
+            drill_policy_ast(d, m),
+            params or PipelineParams(n=4, k=3, f=2, chain_length=max(d, m, 1)),
+            lfsr_seed=lfsr_seed, update_period_s=update_period_s,
         )
-        return best

@@ -1,8 +1,8 @@
 """The Table 5 example policies.
 
 Table 5 of the paper shows how five evaluation policies map onto Thanos
-filter chains.  This module builds each as a policy AST (plus, for DRILL,
-its feedback tap) so the Table 5 bench can compile all of them onto the
+filter chains.  This module builds each as a policy AST (DRILL's carries
+its feedback binding) so the Table 5 bench can compile all of them onto the
 default pipeline and verify their semantics.
 
 | Key                  | Paper policy                                  |
@@ -16,7 +16,7 @@ default pipeline and verify their semantics.
 
 from __future__ import annotations
 
-from repro.core.policy import Node, Policy
+from repro.core.policy import Policy
 from repro.errors import ConfigurationError
 from repro.policies.l4lb import l4lb_policy_ast
 from repro.policies.portlb import drill_policy_ast
@@ -35,16 +35,16 @@ TABLE5_POLICIES = (
 
 def build_table5_policy(
     key: str, *, top_x: int = 3, d: int = 2, m: int = 1
-) -> tuple[Policy, dict[str, Node]]:
-    """Build one Table 5 policy; returns (policy, taps)."""
+) -> Policy:
+    """Build one Table 5 policy."""
     if key == "ecmp-random":
-        return routing_policy_ast("policy1"), {}
+        return routing_policy_ast("policy1")
     if key == "conga-min-util":
-        return routing_policy_ast("policy2"), {}
+        return routing_policy_ast("policy2")
     if key == "l4lb-resource":
-        return l4lb_policy_ast(2), {}
+        return l4lb_policy_ast(2)
     if key == "routing-top-x":
-        return routing_policy_ast("policy3", top_x=top_x), {}
+        return routing_policy_ast("policy3", top_x=top_x)
     if key == "drill":
         return drill_policy_ast(d, m)
     raise ConfigurationError(

@@ -69,7 +69,9 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
     Nodes are emitted in deterministic post-order with local indices, so
     shared sub-DAGs (the same node object reachable twice — shared fan-out)
     survive the round trip as shared references, not duplicated operators:
-    structure, not just semantics, is preserved.
+    structure, not just semantics, is preserved.  ``feedback`` (input line
+    -> index of the bound node) is present only when the policy binds one,
+    so a policy without feedback keeps the bytes it always had.
     """
     order = postorder(policy.root)
     index = {node.node_id: i for i, node in enumerate(order)}
@@ -106,7 +108,11 @@ def policy_to_dict(policy: Policy) -> dict[str, Any]:
         else:  # pragma: no cover - exhaustive over the node algebra
             raise ConfigurationError(f"unserializable node type {type(node)!r}")
         nodes.append(doc)
-    return {"name": policy.name, "root": len(nodes) - 1, "nodes": nodes}
+    doc = {"name": policy.name, "root": len(nodes) - 1, "nodes": nodes}
+    if policy.feedback:
+        doc["feedback"] = {str(line): index[bound.node_id]
+                           for line, bound in policy.feedback.items()}
+    return doc
 
 
 def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
@@ -158,11 +164,14 @@ def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
                     f"policy document has unknown node type {kind!r}"
                 )
             built.append(node)
+        feedback = {int(line): ref(i)
+                    for line, i in doc.get("feedback", {}).items()}
+        return Policy(ref(root_index), name=str(name), feedback=feedback)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ConfigurationError) as exc:
         raise CheckpointError(f"malformed policy document: {exc!r}") from None
-    return Policy(ref(root_index), name=str(name))
 
 
 # -- tenant spec (de)serialization ----------------------------------------------------
@@ -211,6 +220,12 @@ class TenantCheckpoint:
     state compare equal, the property the TH015 conformance lint keys
     on.  :meth:`payload` is flat: the spec's keys beside ``smbm_state``
     and ``plan_epoch``.
+
+    *Not* captured: the cross-packet state of the compiled policy — LFSR
+    registers, round-robin pointers and weights, and
+    :attr:`~repro.core.policy.Policy.feedback` registers.  A restored,
+    recovered or migrated stateful tenant restarts them from the seed and
+    from zeros (ROADMAP item 4(c)).
     """
 
     spec: dict[str, Any]

@@ -34,8 +34,6 @@ from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Policy,
     PolicyInterpreter,
-    TableRef,
-    postorder,
     stateless_blockers,
 )
 from repro.core.smbm import SMBM
@@ -67,8 +65,9 @@ __all__ = [
 class FilterModule:
     """One filter module instance: resource table + programmed policy.
 
-    For **stateless** policies (no round-robin/random units) the module
-    memoizes the evaluation result keyed on the SMBM's write-version
+    For **stateless** policies (no round-robin/random unit and no feedback
+    register: :func:`~repro.core.policy.stateless_blockers` is empty) the
+    module memoizes the evaluation result keyed on the SMBM's write-version
     counter: back-to-back packets against an unchanged table cost a single
     comparison — the software analogue of the hardware answering the same
     table every clock cycle.  Any committed write bumps the version and so
@@ -490,23 +489,17 @@ class FilterModule:
 
     def _fast_vs_oracle(self) -> int:
         """The compiled plan against the naive interpreter on the live
-        table.  Stateless plans only: a stateful unit's outputs advance per
-        evaluation, so the two legitimately diverge.  A plan that reads
-        ``input[i]`` is compared as it is served: every line carries the
-        full table."""
+        table.  Stateless plans only: a stateful unit's or a feedback
+        register's outputs advance per evaluation, so the two legitimately
+        diverge."""
         if not self._compiled.stateless:
             raise ConfigurationError(
                 "sanitize_check and self_test require a stateless policy: "
                 "stateful units legitimately diverge from the naive reference"
             )
-        full = self._smbm.id_vector()
-        inputs = {node.input_index: full
-                  for node in postorder(self._policy.root)
-                  if isinstance(node, TableRef)
-                  and node.input_index is not None}
         return self._agreed(
             self._plan_output(None), "fast path",
-            self._reference.evaluate(self._smbm, inputs).value,
+            self._reference.evaluate(self._smbm).value,
             "the naive reference",
         )
 

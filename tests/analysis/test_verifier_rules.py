@@ -24,6 +24,7 @@ from repro.core.policy import (
     max_of,
     min_of,
     predicate,
+    union,
 )
 from repro.core.smbm import STORED_WORD_BITS
 from repro.errors import CompilationError
@@ -211,19 +212,14 @@ def test_th012_codegen_ineligible():
     report = verifier.verify_codegen(stateful)
     assert rules_of(report) == ["TH012"]
     assert report.ok and not report.clean  # warning-level lint
-    # Caller-supplied input table: blocked.
+    # Feedback register (an interior node tapped back to input[1]): blocked.
+    examined = union(predicate(TableRef(), "q", RelOp.LT, 10),
+                     min_of(TableRef(input_index=1), "q"))
     indexed = compiler.compile(
-        Policy(min_of(TableRef(input_index=1), "q"), name="t"), schema=SCHEMA,
+        Policy(min_of(examined, "q"), name="t", feedback={1: examined}),
+        schema=SCHEMA,
     )
     assert rules_of(verifier.verify_codegen(indexed)) == ["TH012"]
-    # Interior tap: blocked.
-    t = TableRef()
-    eligible_node = predicate(t, "q", RelOp.LT, 10)
-    tapped = compiler.compile(
-        Policy(min_of(eligible_node, "q"), name="t"),
-        taps={"examined": eligible_node}, schema=SCHEMA,
-    )
-    assert rules_of(verifier.verify_codegen(tapped)) == ["TH012"]
     # Eligible plan: clean, and the kernel tier builds.
     plain = compiler.compile(
         Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA,

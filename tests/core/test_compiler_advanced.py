@@ -1,10 +1,9 @@
-"""Advanced compiler features: explicit inputs, taps, feedback chains."""
+"""Advanced compiler features: feedback input lines, their taps, MUX selects."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitvector import BitVector
 from repro.core.compiler import PolicyCompiler
 from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
@@ -30,96 +29,118 @@ def build_smbm(values: dict[int, int], cap=16) -> SMBM:
     return smbm
 
 
+def remembering() -> Policy:
+    """``min(seen)``, ``seen = (x < 50) ∪ min(input[1])`` fed back to line 1."""
+    seen = union(predicate(TableRef(), "x", "<", 50),
+                 min_of(TableRef(input_index=1), "x"))
+    return Policy(min_of(seen, "x"), feedback={1: seen})
+
+
 class TestExplicitInputs:
     def test_explicit_input_flows_through(self):
-        policy = Policy(min_of(TableRef(input_index=1), "x"))
+        """Line 1 carries what its bound node held one packet earlier."""
+        fed = predicate(TableRef(), "x", "<", 5)
+        policy = Policy(union(fed, min_of(TableRef(input_index=1), "x")),
+                        feedback={1: fed})
         compiled = PolicyCompiler(PARAMS).compile(policy)
         smbm = build_smbm({0: 5, 1: 3, 2: 9, 3: 1})
-        subset = BitVector.from_indices(16, [0, 2])
-        out = compiled.evaluate(smbm, {1: subset})
-        assert set(out.indices()) == {0}  # min of the supplied subset only
+        assert set(compiled.evaluate(smbm).indices()) == {1, 3}
+        smbm.update(3, {"x": 7})
+        smbm.update(1, {"x": 8})
+        # Nothing is < 5 any more: what is left is the min of last
+        # packet's {1, 3}, not of the table (whose min is id 0).
+        assert set(compiled.evaluate(smbm).indices()) == {3}
 
-    def test_without_extra_input_line_carries_full_table(self):
-        policy = Policy(min_of(TableRef(input_index=1), "x"))
-        compiled = PolicyCompiler(PARAMS).compile(policy)
-        smbm = build_smbm({0: 5, 3: 1})
-        out = compiled.evaluate(smbm)  # default: full table on every line
-        assert set(out.indices()) == {3}
+    def test_feedback_line_is_empty_before_the_first_packet_and_after_reset(self):
+        fed = predicate(TableRef(), "x", "<", 50)
+        policy = Policy(intersection(fed, TableRef(input_index=1)),
+                        feedback={1: fed})
+        smbm = build_smbm({0: 5, 3: 1, 4: 70})
+        for evaluator in (PolicyCompiler(PARAMS).compile(policy),
+                          PolicyInterpreter(policy)):
+            assert evaluator.evaluate(smbm).is_empty()
+            assert set(evaluator.evaluate(smbm).indices()) == {0, 3}
+            evaluator.reset_state()
+            assert evaluator.evaluate(smbm).is_empty()
 
     def test_interpreter_requires_declared_inputs(self):
-        policy = Policy(min_of(TableRef(input_index=1), "x"))
+        with pytest.raises(ConfigurationError):
+            Policy(min_of(TableRef(input_index=1), "x"))
+        policy = remembering()
         interp = PolicyInterpreter(policy)
         smbm = build_smbm({0: 5})
-        with pytest.raises(ConfigurationError):
-            interp.evaluate(smbm)
-        out = interp.evaluate(smbm, {1: BitVector.from_indices(16, [0])})
-        assert set(out.indices()) == {0}
+        assert set(interp.evaluate(smbm).indices()) == {0}
 
     def test_out_of_range_input_index_rejected(self):
-        policy = Policy(min_of(TableRef(input_index=7), "x"))
+        line = TableRef(input_index=7)
+        policy = Policy(min_of(line, "x"), feedback={7: line})
         with pytest.raises(CompilationError):
             PolicyCompiler(PARAMS).compile(policy)
 
     def test_reserved_line_not_used_for_full_table(self):
-        """'Any table' taps must avoid lines the caller will overwrite."""
+        """'Any table' taps must avoid lines a register drives."""
         explicit = TableRef(input_index=0)
+        nothing = predicate(TableRef(), "x", ">", 1000)
         policy = Policy(
-            union(min_of(explicit, "x"), min_of(TableRef(), "x"))
+            union(min_of(explicit, "x"),
+                  union(min_of(TableRef(), "x"), nothing)),
+            feedback={0: nothing},
         )
         compiled = PolicyCompiler(PARAMS).compile(policy)
         smbm = build_smbm({0: 5, 1: 3, 2: 9})
-        empty = BitVector.zeros(16)
-        out = compiled.evaluate(smbm, {0: empty})
-        # The explicit branch sees nothing; the implicit branch must still
-        # see the full table (id 1 is its min).
-        assert set(out.indices()) == {1}
-
-    def test_extra_input_bad_index_at_runtime(self):
-        policy = Policy(min_of(TableRef(), "x"))
-        compiled = PolicyCompiler(PARAMS).compile(policy)
-        smbm = build_smbm({0: 5})
-        with pytest.raises(ConfigurationError):
-            compiled.evaluate(smbm, {9: BitVector.zeros(16)})
+        for _ in range(2):
+            # The explicit branch sees nothing; the implicit branches must
+            # still see the full table (id 1 is its min).
+            assert set(compiled.evaluate(smbm).indices()) == {1}
 
     @given(
-        st.dictionaries(st.integers(min_value=0, max_value=15),
-                        st.integers(min_value=0, max_value=99), min_size=1,
-                        max_size=16),
-        st.sets(st.integers(min_value=0, max_value=15)),
+        st.lists(
+            st.dictionaries(st.integers(min_value=0, max_value=15),
+                            st.integers(min_value=0, max_value=99),
+                            min_size=1, max_size=16),
+            min_size=1, max_size=6,
+        ),
+        st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_compiled_equals_interpreted_with_inputs(self, rows, subset):
+    def test_property_compiled_equals_interpreted_with_inputs(self, tables, k):
+        """``input[1]`` bound to an interior unary its binary parent would
+        otherwise fuse: both evaluators carry the register across a
+        sequence of tables, each packet twice."""
+        fed = predicate(TableRef(), "x", "<", 50)
         policy = Policy(
-            intersection(
-                predicate(TableRef(), "x", "<", 50),
-                min_of(TableRef(input_index=1), "x", k=2),
-            )
+            union(intersection(fed, predicate(TableRef(), "x", ">", 10)),
+                  min_of(TableRef(input_index=1), "x", k=k)),
+            feedback={1: fed},
         )
         compiled = PolicyCompiler(PARAMS).compile(policy)
         interp = PolicyInterpreter(policy)
-        smbm = build_smbm(rows)
-        extra = {1: BitVector.from_indices(16, subset & set(rows))}
-        assert compiled.evaluate(smbm, extra) == interp.evaluate(smbm, extra)
+        for rows in tables:
+            smbm = build_smbm(rows)
+            for _ in range(2):
+                assert compiled.evaluate(smbm) == interp.evaluate(smbm)
 
 
 class TestTaps:
     def test_tap_exposes_interior_value(self):
-        t = TableRef()
-        inner = predicate(t, "x", "<", 50)
-        policy = Policy(min_of(inner, "x"))
-        compiled = PolicyCompiler(PARAMS).compile(policy, taps={"inner": inner})
+        """The register holds the *bound* node's value, not the root's."""
+        policy = remembering()
+        compiled = PolicyCompiler(PARAMS).compile(policy)
         smbm = build_smbm({0: 10, 1: 60, 2: 30})
-        out, taps = compiled.evaluate_with_taps(smbm)
-        assert set(out.indices()) == {0}
-        assert set(taps["inner"].indices()) == {0, 2}
+        assert set(compiled.evaluate(smbm).indices()) == {0}
+        smbm.update(0, {"x": 80})
+        smbm.update(2, {"x": 70})
+        # Nothing is < 50 now, so the answer is the min of line 1: id 2 if
+        # it carries ``seen`` = {0, 2}, id 0 had it carried the root's {0}.
+        assert set(compiled.evaluate(smbm).indices()) == {2}
 
     def test_tap_lines_recorded(self):
-        t = TableRef()
-        inner = predicate(t, "x", "<", 50)
-        compiled = PolicyCompiler(PARAMS).compile(
-            Policy(min_of(inner, "x")), taps={"inner": inner}
-        )
-        assert "inner" in compiled.tap_lines
+        policy = remembering()
+        compiled = PolicyCompiler(PARAMS).compile(policy)
+        assert set(compiled.tap_lines) == {1}
+        assert compiled.tap_lines[1] != compiled.output_line
+        assert PolicyCompiler(PARAMS).compile(
+            Policy(min_of(TableRef(), "x"))).tap_lines == {}
 
     def test_feedback_loop_drill_style(self):
         """Previous output fed back as next decision's input: the chain
@@ -128,16 +149,12 @@ class TestTaps:
 
         prev_ref = TableRef(input_index=1)
         examined = u(random_pick(TableRef(), k=2), min_of(prev_ref, "x", k=1))
-        policy = Policy(min_of(examined, "x"))
-        compiled = PolicyCompiler(PARAMS).compile(
-            policy, taps={"examined": examined}
-        )
+        policy = Policy(min_of(examined, "x"), feedback={1: examined})
+        compiled = PolicyCompiler(PARAMS).compile(policy)
         smbm = build_smbm({i: 100 - i for i in range(10)})
-        prev = BitVector.zeros(16)
         picked_values = []
         for _ in range(40):
-            out, taps = compiled.evaluate_with_taps(smbm, {1: prev})
-            prev = taps["examined"]
+            out = compiled.evaluate(smbm)
             picked_values.append(smbm.metric_of(out.first_set(), "x"))
         # The m=1 memory keeps the best port seen so far, so the picked
         # metric never gets worse — the defining property of DRILL's memory.

@@ -32,11 +32,13 @@ from repro.core.policy import (
     Policy,
     PolicyInterpreter,
     TableRef,
+    Unary,
     difference,
     intersection,
     max_of,
     min_of,
     predicate,
+    preorder_paths,
     random_pick,
     round_robin,
     union,
@@ -334,6 +336,19 @@ class TestFilterModuleMemoization:
         assert registry.value_of("filter_memo_misses_total") > 0
 
 
+def drill_shaped(d: int, m: int, attr: str) -> Policy:
+    """DRILL(d, m) as :func:`repro.policies.portlb.drill_policy_ast` draws
+    it, over metric ``attr`` instead of ``queue``."""
+    examined = random_pick(TableRef(), d)
+    feedback = {}
+    if m:
+        examined = union(examined,
+                         min_of(TableRef(input_index=1), attr, k=m))
+        feedback = {1: examined}
+    return Policy(min_of(examined, attr), name=f"drill-d{d}-m{m}",
+                  feedback=feedback)
+
+
 def _stateful_builders() -> dict[str, callable]:
     """Policies whose selectors carry per-packet state (round-robin
     pointers, the LFSR); fresh ASTs per call (node ids are identity-based)."""
@@ -358,38 +373,68 @@ def _stateful_builders() -> dict[str, callable]:
             name="random-k2",
         )
 
+    def build_fused_feedback() -> Policy:
+        # The bound random unit is one its union parent would fuse were
+        # the tap not a second consumer.
+        fed = random_pick(TableRef(), 2)
+        return Policy(
+            union(fed, min_of(TableRef(input_index=1), "b")),
+            name="fused-feedback", feedback={1: fed},
+        )
+
+    def build_feedback_only() -> Policy:
+        # No stateful unit at all: the register alone makes it stateful.
+        seen = union(predicate(TableRef(), "a", RelOp.LT, 4),
+                     min_of(TableRef(input_index=1), "b", k=2))
+        return Policy(min_of(seen, "a"), name="feedback-only",
+                      feedback={1: seen})
+
     return {
         "rr": build_rr,
         "rr-filtered": build_rr_filtered,
         "random-1": build_random,
         "random-k2": build_random_k2,
+        "fused-feedback": build_fused_feedback,
+        "feedback-only": build_feedback_only,
+        **{f"drill-d{d}-m{m}": lambda d=d, m=m: drill_shaped(d, m, "a")
+           for d, m in ((2, 1), (4, 4), (3, 0))},
     }
 
 
 def _stateful_unit_seed(compiled: CompiledPolicy, lfsr_seed: int) -> int:
-    """The LFSR seed the pipeline gave the stateful K-UFPU of ``compiled``:
-    Cells take ``2 * chain + 1`` seeds each in stage-major order, a Cell's
-    second side starting ``chain`` in."""
+    """The interpreter seed that hands its stateful unit the LFSR seed the
+    pipeline gave the stateful K-UFPU of ``compiled``.  Cells take
+    ``2 * chain + 1`` seeds each in stage-major order, a Cell's second side
+    starting ``chain`` in; the interpreter gives every Unary before the
+    stateful one in pre-order ``k + 1`` slots."""
     params = compiled.params
+    slots_before = 0
+    for node, _ in preorder_paths(compiled.policy.root):
+        if isinstance(node, Unary):
+            if node.config.opcode.is_stateful:
+                break
+            slots_before += max(1, node.config.k) + 1
     for s, stage in enumerate(compiled.config.stages):
         for c, cell in enumerate(stage.cells):
             for side, kufpu in enumerate((cell.kufpu1, cell.kufpu2)):
                 if kufpu.opcode.is_stateful:
                     return (lfsr_seed + side * params.chain_length
                             + (s * params.cells_per_stage + c)
-                            * (2 * params.chain_length + 1))
-    raise AssertionError("no stateful unit in the compiled plan")
+                            * (2 * params.chain_length + 1)
+                            - slots_before)
+    return lfsr_seed  # registers only: no seeded unit to align
 
 
 class TestStatefulPolicyDifferential:
     """Stateful selectors against the naive interpreter, packet by packet.
 
     The interpreter runs the stateless subtrees (predicates, min/max)
-    through the O(N) temp-list walk while the stateful selector — the root
-    of every policy here — is the same unit on both sides, so once it is
+    through the O(N) temp-list walk while the one stateful selector of
+    every policy here is the same unit on both sides, so once it is
     handed the seed the pipeline gave that unit the two must agree on
     *every* packet — including how their internal state (round-robin
-    pointers, LFSR) advances across interleaved table writes.
+    pointers, LFSR, feedback registers) advances across interleaved table
+    writes.
     """
 
     def test_stateful_fast_vs_reference_per_packet(self):
@@ -409,8 +454,12 @@ class TestStatefulPolicyDifferential:
                 ref = PolicyInterpreter(
                     policy, lfsr_seed=_stateful_unit_seed(fast, seed))
                 for packet in range(40):
-                    out_fast = fast.evaluate(smbm)
-                    out_ref = ref.evaluate(smbm)
+                    # Every third packet carries a candidate mask: it
+                    # restricts the table lines, never a register line.
+                    mask = rng.getrandbits(CAP) if packet % 3 == 2 else None
+                    out_fast = (fast.evaluate(smbm) if mask is None else
+                                fast.evaluate_restricted(smbm, mask))
+                    out_ref = ref.evaluate(smbm, mask=mask)
                     assert out_fast == out_ref, (
                         f"stateful fast/reference diverged: policy {name}, "
                         f"lfsr_seed {seed}, packet {packet}"

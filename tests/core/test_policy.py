@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.bitvector import BitVector
+from repro.core.compiler import PolicyCompiler
 from repro.core.operators import RelOp
 from repro.core.policy import (
     Binary,
@@ -18,10 +19,14 @@ from repro.core.policy import (
     predicate,
     random_pick,
     round_robin,
+    stateless_blockers,
     union,
 )
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
+from repro.policies.table5 import TABLE5_POLICIES, build_table5_policy
+from tests.core.test_fastpath_differential import _stateful_builders
+from tests.serving.test_backend_conformance import POLICIES
 
 CAP = 16
 
@@ -49,6 +54,35 @@ class TestConstruction:
     def test_helpers_accept_string_relop(self):
         node = predicate(TableRef(), "x", "<", 5)
         assert node.config.rel_op is RelOp.LT
+
+    def test_feedback_is_checked_where_the_policy_is_built(self):
+        line = TableRef(input_index=1)
+        seen = union(predicate(TableRef(), "x", "<", 5), min_of(line, "x"))
+        assert Policy(seen, feedback={1: seen}).feedback == {1: seen}
+        for feedback in (
+            {},                              # input[1] nobody binds
+            {1: seen, 2: seen},              # a binding nobody reads
+            {1: min_of(TableRef(), "x")},    # a bound node outside the DAG
+        ):
+            with pytest.raises(ConfigurationError):
+                Policy(seen, feedback=feedback)
+
+
+BUILDERS = {
+    **{key: lambda key=key: build_table5_policy(key)
+       for key in TABLE5_POLICIES},
+    **{f"tenant-{name}": build for name, build in POLICIES.items()},
+    **_stateful_builders(),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_stateless_has_one_definition(name):
+    """What the memo trusts (the compiled plan) and what picks the engine
+    (the policy) cannot disagree — a feedback register counts in both."""
+    policy = BUILDERS[name]()
+    compiled = PolicyCompiler().compile(policy)
+    assert compiled.stateless == (not stateless_blockers(policy))
 
 
 class TestInterpreter:

@@ -265,9 +265,10 @@ class TestBatchedEvaluatorGuards:
             )
 
     def test_rejects_caller_supplied_inputs(self):
+        line = TableRef(input_index=1)
         with pytest.raises(ConfigurationError):
             BatchedEvaluator(
-                Policy(min_of(TableRef(input_index=1), "a"), name="idx"), CAP
+                Policy(min_of(line, "a"), name="idx", feedback={1: line}), CAP
             )
 
     def test_rejects_capacity_mismatch(self, rng):

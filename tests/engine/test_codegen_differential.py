@@ -211,10 +211,12 @@ class TestConfigurationGuards:
         assert "TH012" in str(exc_info.value)
 
     def test_plancodegen_rejects_blocked_plans(self):
-        for root in (random_pick(TableRef()),
-                     min_of(TableRef(input_index=1), "a")):
+        line = TableRef(input_index=1)
+        for policy in (Policy(random_pick(TableRef()), name="t"),
+                       Policy(min_of(line, "a"), name="t",
+                              feedback={1: line})):
             with pytest.raises(ConfigurationError, match="TH012"):
-                PlanCodegen(Policy(root, name="t"))
+                PlanCodegen(policy)
 
 
 class TestSanitizerDifferential:

@@ -7,6 +7,7 @@ to reproduce the paper's factors (that is the benchmarks' job).
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import (
     CachingExperimentConfig,
     L4LBExperimentConfig,
@@ -78,17 +79,8 @@ class TestPortLBExperiment:
         ))
         assert result.completed > 10
 
-    def test_thanos_drill_mode_runs_in_fabric(self):
-        """The full compiled-pipeline DRILL inside the simulator."""
-        result = run_portlb_experiment(PortLBExperimentConfig(
-            policy="policy3", drill_mode="thanos", d=2, m=1,
-            n_leaf=2, n_spine=4, hosts_per_leaf=1,
-            duration_s=0.004, drain_s=0.3, load=0.4, seed=2,
-        ))
-        assert result.completed > 0
-
     def test_unknown_policy_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError):
             run_portlb_experiment(PortLBExperimentConfig(
                 policy="policy9", duration_s=0.005, load=0.4,
             ))

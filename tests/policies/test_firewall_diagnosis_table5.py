@@ -108,8 +108,8 @@ class TestTable5:
 
     @pytest.mark.parametrize("key", TABLE5_POLICIES)
     def test_compiles_on_default_pipeline(self, key):
-        policy, taps = build_table5_policy(key)
-        compiled = PolicyCompiler(self.DEFAULTS).compile(policy, taps=taps)
+        compiled = PolicyCompiler(self.DEFAULTS).compile(
+            build_table5_policy(key))
         assert compiled.latency_cycles == self.DEFAULTS.latency_cycles
 
     def test_unknown_key_rejected(self):
@@ -118,7 +118,7 @@ class TestTable5:
 
     def test_semantics_smoke(self):
         """conga-min-util on a path table picks the least utilised path."""
-        policy, _ = build_table5_policy("conga-min-util")
+        policy = build_table5_policy("conga-min-util")
         compiled = PolicyCompiler(self.DEFAULTS).compile(policy)
         smbm = SMBM(8, ["util", "queue", "loss"])
         for rid, util in [(0, 500), (1, 100), (2, 300)]:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.bitvector import BitVector
 from repro.core.pipeline import PipelineParams
 from repro.core.smbm import SMBM
 from repro.errors import CapacityError, ConfigurationError
@@ -71,13 +70,15 @@ class TestLeastQueuedPortPolicy:
 
 class TestDrillAst:
     def test_ast_shape(self):
-        policy, taps = drill_policy_ast(d=2, m=1)
-        assert "examined" in taps
+        policy = drill_policy_ast(d=2, m=1)
         assert policy.name == "drill-d2-m1"
+        # Table 5's arrow: the examined union, the root's operand, drives
+        # the line its own remembered half reads.
+        assert policy.feedback == {1: policy.root.child}
+        assert policy.root.child.right.child.input_index == 1
 
     def test_m_zero_has_no_feedback(self):
-        policy, taps = drill_policy_ast(d=3, m=0)
-        assert taps == {}
+        assert drill_policy_ast(d=3, m=0).feedback == {}
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -85,52 +86,41 @@ class TestDrillAst:
 
 
 class TestDrillPolicy:
-    @pytest.mark.parametrize("mode", ["thanos", "fast"])
-    def test_choice_is_min_queue_of_examined(self, mode):
+    def test_choice_is_min_queue_of_examined(self):
         """The DRILL invariant: the chosen port's queue is the minimum among
         some (d+m)-subset containing it — with d = N it is the global min."""
         n = 4
         sim, switch = make_switch(n, queue_fill=[7, 2, 9, 4])
-        policy = DrillPolicy(d=n, m=0, mode=mode, rng=random.Random(1))
+        policy = DrillPolicy(d=n, m=0)
         chosen = policy.choose(switch, pkt(), switch.up_ports)
         depths = [switch.queue_bytes(p) for p in range(n)]
         assert depths[chosen] == min(depths)
 
-    @pytest.mark.parametrize("mode", ["thanos", "fast"])
-    def test_memory_feeds_back(self, mode):
+    def test_memory_feeds_back(self):
         """With d=1, m=1, the remembered good port keeps winning against a
         random sample of one."""
         n = 4
         sim, switch = make_switch(n, queue_fill=[9, 9, 0, 9])
-        policy = DrillPolicy(d=1, m=1, mode=mode, rng=random.Random(3))
+        policy = DrillPolicy(d=1, m=1, lfsr_seed=3)
         picks = [policy.choose(switch, pkt(), switch.up_ports) for _ in range(30)]
         # Once port 2 enters the sample set it is remembered and re-picked.
         assert picks.count(2) > len(picks) / 2
 
-    @pytest.mark.parametrize("mode", ["thanos", "fast"])
-    def test_prev_samples_stored_per_switch(self, mode):
-        sim, switch = make_switch(4, queue_fill=[1, 2, 3, 4])
-        policy = DrillPolicy(d=2, m=1, mode=mode, rng=random.Random(5))
-        policy.choose(switch, pkt(), switch.up_ports)
-        prev = switch.attachments["drill_prev"]
-        assert isinstance(prev, BitVector)
-        assert 1 <= prev.popcount() <= 3  # d samples (+ m remembered)
-
-    def test_modes_agree_under_full_sampling(self):
-        """d=N makes both modes deterministic: always the global minimum."""
-        n = 6
-        fills = [5, 1, 8, 3, 9, 2]
-        _s1, sw1 = make_switch(n, queue_fill=fills)
-        _s2, sw2 = make_switch(n, queue_fill=fills)
-        fast = DrillPolicy(d=n, m=0, mode="fast", rng=random.Random(1))
-        thanos = DrillPolicy(d=n, m=0, mode="thanos", rng=random.Random(1))
-        assert fast.choose(sw1, pkt(), sw1.up_ports) == thanos.choose(
-            sw2, pkt(), sw2.up_ports
-        )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DrillPolicy(mode="warp")
+    def test_prev_samples_stored_per_switch(self):
+        """Two switches sharing one policy object share neither table nor
+        register: each converges on, and then never leaves, its own best
+        port.  (A shared register would hand each switch the other's
+        samples, and a remembered port would be lost every other packet.)"""
+        _s1, sw1 = make_switch(4, queue_fill=[9, 9, 0, 9])
+        _s2, sw2 = make_switch(4, queue_fill=[0, 9, 9, 9])
+        policy = DrillPolicy(d=1, m=1)
+        picks1, picks2 = [], []
+        for _ in range(40):
+            picks1.append(policy.choose(sw1, pkt(), sw1.up_ports))
+            picks2.append(policy.choose(sw2, pkt(), sw2.up_ports))
+        assert 2 in picks1 and 0 in picks2
+        assert set(picks1[picks1.index(2):]) == {2}
+        assert set(picks2[picks2.index(0):]) == {0}
 
     def test_random_port_policy(self):
         sim, switch = make_switch(4)

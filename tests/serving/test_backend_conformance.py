@@ -49,6 +49,7 @@ from repro.serving.backend import (
 from repro.serving.checkpoint import policy_from_dict
 from repro.switch.filter_module import FilterModule
 from repro.tenancy.manager import TenantManager, TenantSpec
+from tests.core.test_fastpath_differential import drill_shaped
 
 METRICS = ("cpu", "mem")
 BACKENDS = (ScalarBackend, BatchedBackend)
@@ -72,7 +73,15 @@ def _policy_c() -> Policy:
     return Policy(round_robin(TableRef(), "cpu"), name="rr-cpu")
 
 
-POLICIES = {"a": _policy_a, "b": _policy_b, "c": _policy_c}
+def _policy_f() -> Policy:
+    """Stateful twice over: an LFSR, and a register fed back to input[1]
+    that a mask must leave alone."""
+    return drill_shaped(2, 1, "cpu")
+
+
+#: ``input[1]`` names a physical line, so the feedback tenant is admitted
+#: first: its one-column slice is then lines {0, 1}.
+POLICIES = {"f": _policy_f, "a": _policy_a, "b": _policy_b, "c": _policy_c}
 
 #: Candidate masks a data packet may carry (``None`` = the full table):
 #: dense, sparse, empty, and one whose bits name absent and out-of-range ids.
@@ -80,7 +89,7 @@ MASKS = (None, 0b1011_0111, None, 1 << 3, 0, 0xF0F0_00E1)
 
 
 def _make_backend(cls):
-    manager = TenantManager(METRICS, PipelineParams(n=6), smbm_capacity=24)
+    manager = TenantManager(METRICS, PipelineParams(n=8), smbm_capacity=32)
     backend = cls(manager)
     for name, policy in POLICIES.items():
         backend.program_tenant(TenantSpec(name, policy(), smbm_quota=8))
@@ -90,15 +99,17 @@ def _make_backend(cls):
 def _schedule():
     """A deterministic mixed schedule: probes (table writes on the wire)
     interleaved with filtering data packets — masked and unmasked, so the
-    stateful tenant sees both kinds interleaved — for three tenants."""
+    stateful tenants see both kinds interleaved — for every tenant."""
+    names = list(POLICIES)
     steps = []
     for i in range(90):
-        tenant = "abc"[i % 3]
+        tenant = names[i % len(names)]
         if i % 7 == 0:
             steps.append(("probe", tenant, i % 8,
                           {"cpu": (i * 13) % 100, "mem": (i * 7) % 50}))
         else:
-            steps.append(("data", tenant, MASKS[(i // 3) % len(MASKS)]))
+            steps.append(
+                ("data", tenant, MASKS[(i // len(names)) % len(MASKS)]))
     return steps
 
 
@@ -252,7 +263,7 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
     ``filter_eval_cycles_total`` by N, N and N x latency, whichever entry
     point carried them and whether or not they carried a mask."""
     for policy, flags in ((_policy_a, {}), (_policy_a, {"codegen": True}),
-                          (_policy_c, {})):
+                          (_policy_c, {}), (_policy_f, {})):
         module = FilterModule(8, METRICS, policy(), **flags)
         for rid in range(5):
             module.update_resource(rid, {"cpu": 40 - 7 * rid, "mem": rid})
@@ -277,6 +288,10 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
             # Every batch row of a stateful plan is a row-routine row.
             module.evaluate_batch(packets[2:])
             misses += 2
+            labels = {"policy": module.policy.name}
+            assert registry.value_of("filter_memo_hits_total", labels) == 0
+            assert registry.value_of("filter_batch_path_rows_total",
+                                     {**labels, "path": "fallback"}) == 2
         after = moved()
         assert [b - a for a, b in zip(before, after)] == [
             misses, misses, misses * module.latency_cycles], (policy, flags)
@@ -364,7 +379,7 @@ def test_write_batch_and_health(cls):
     health = backend.health()
     assert health["backend"] == cls.name
     assert health["healthy"] is True
-    assert health["tenants"] == 3
+    assert health["tenants"] == len(POLICIES)
     assert health["degraded_tenants"] == []
 
 

@@ -26,10 +26,12 @@ from repro.core.policy import (
     predicate,
     random_pick,
     round_robin,
+    union,
 )
 from repro.core.smbm import SMBM
 from repro.errors import CapacityError, CheckpointError, ConfigurationError
 from repro.faults.scrub import ECCStore
+from repro.serving._atomic import canonical_bytes
 from repro.serving.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_MAGIC,
@@ -170,6 +172,13 @@ def test_replicated_restore_rejects_wrong_replica_count():
 # -- policy document round trip --------------------------------------------------------
 
 
+def _feedback_policy():
+    table = TableRef()
+    seen = union(random_pick(table, k=2),
+                 predicate(TableRef(input_index=1), "cpu", RelOp.GE, 3))
+    return Policy(min_of(seen, "cpu"), name="extra-input", feedback={1: seen})
+
+
 def _policies():
     table = TableRef()
     shared = predicate(table, "cpu", RelOp.LT, 70)
@@ -180,8 +189,7 @@ def _policies():
         Policy(Conditional(random_pick(shared), random_pick(table)),
                name="conditional"),
         Policy(round_robin(table, "cpu"), name="stateful"),
-        Policy(predicate(TableRef(input_index=1), "cpu", RelOp.GE, 3),
-               name="extra-input"),
+        _feedback_policy(),
     ]
 
 
@@ -202,6 +210,26 @@ def test_policy_roundtrip_preserves_shared_fanout():
     assert root.left is root.right.child  # one node object, not a clone
 
 
+def test_policy_roundtrip_keeps_the_feedback_binding_shared():
+    doc = policy_to_dict(_feedback_policy())
+    assert doc["feedback"] == {"1": doc["root"] - 1}
+    rebuilt = policy_from_dict(doc)
+    # The bound node is the root's own operand, not a clone beside it.
+    assert rebuilt.feedback == {1: rebuilt.root.child}
+    assert rebuilt.root.child.right.child.input_index == 1
+
+
+def test_policy_document_without_feedback_keeps_its_bytes():
+    """Every document written before the field existed: no key, an empty
+    binding, and the same bytes on the way back out."""
+    policy = Policy(min_of(TableRef(), "cpu"), name="old")
+    doc = policy_to_dict(policy)
+    assert "feedback" not in doc
+    assert policy_from_dict(doc).feedback == {}
+    assert canonical_bytes(policy_to_dict(policy_from_dict(doc))) \
+        == canonical_bytes(doc)
+
+
 def test_policy_document_rejects_garbage():
     with pytest.raises(CheckpointError):
         policy_from_dict({"name": "x"})
@@ -215,6 +243,13 @@ def test_policy_document_rejects_garbage():
              "choice": None},
             {"type": "table", "input": None},
         ]})
+    nodes = policy_to_dict(_feedback_policy())["nodes"]
+    for feedback in ({"1": 99}, {"x": 0}, {"2": 0}, [[1, 0]], {}):
+        # A binding to no node, on no line, on a line nobody reads, of the
+        # wrong shape — and an input[1] left unbound.
+        with pytest.raises(CheckpointError):
+            policy_from_dict({"name": "x", "root": len(nodes) - 1,
+                              "nodes": nodes, "feedback": feedback})
 
 
 # -- on-disk format --------------------------------------------------------------------
