@@ -11,8 +11,9 @@ Layers, bottom up:
 * :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
   restore plus exactly-once WAL-suffix replay;
 * :mod:`repro.serving.backend` — :class:`SwitchBackend`, the contract a
-  control plane programs against, with two conforming implementations
-  (:class:`ScalarBackend`, :class:`BatchedBackend`);
+  control plane programs against, implemented once; its two subclasses
+  (:class:`ScalarBackend`, :class:`BatchedBackend`) differ only in how
+  a run of data packets is served;
 * :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
   breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
@@ -20,7 +21,8 @@ Layers, bottom up:
   write-ahead durability, deadlines/retry/breaker/load-shedding;
 * :mod:`repro.serving.migration` — zero-loss live migration of a tenant
   between two switch instances (checkpoint → dual-running → atomic
-  cutover on an SMBM version boundary).
+  cutover on an SMBM version boundary, gated by the TH015 diff of the
+  two tenant payloads).
 
 Quickstart: ``python -m repro.serving.controller --backend batched``.
 """

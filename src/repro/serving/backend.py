@@ -18,12 +18,14 @@ Two backends conform today, both multiplexing tenants over one
 
 The shared machinery — tenant demux, admission, the epoch watermark
 stamped on filter outputs, serving-cache resets on plan or table change —
-lives in :class:`_ManagerBackend` (and below it, in
+lives in :class:`SwitchBackend` itself (and below it, in
 :class:`~repro.tenancy.demux.TenantDemux` and
 :class:`~repro.switch.filter_module.FilterModule`), so the backends
-differ *only* in how a run of data packets is served.  That is what the
-conformance suite checks: same inputs, same outputs, same error shapes,
-same observability series (distinguished only by the ``backend`` label).
+differ *only* in how a run of data packets is served
+(:meth:`SwitchBackend._serve_batch`, the one abstract method).  That is
+what the conformance suite checks: same inputs, same outputs, same error
+shapes, same observability series (distinguished only by the ``backend``
+label).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import obs
-from repro.analysis.findings import Report
 from repro.analysis.symbolic import require_semantically_clean
 from repro.analysis.verifier import TableSchema
 from repro.core.policy import Policy
@@ -56,7 +57,6 @@ __all__ = [
     "ScalarBackend",
     "BatchedBackend",
     "build_backend",
-    "conformance_report",
 ]
 
 
@@ -92,74 +92,9 @@ class TableWrite:
 
 
 class SwitchBackend(abc.ABC):
-    """The serving contract a control plane programs against."""
-
-    #: Short identifier used as the ``backend`` label on obs series.
-    name: str = "abstract"
-
-    # -- tenant lifecycle --------------------------------------------------------------
-
-    @abc.abstractmethod
-    def program_tenant(self, spec: TenantSpec) -> Tenant:
-        """Admit and program a tenant; static TH013/TH014 gates apply."""
-
-    @abc.abstractmethod
-    def unprogram_tenant(self, name: str) -> None:
-        """Evict a tenant, returning its slice to the free pools."""
-
-    @abc.abstractmethod
-    def hot_swap(self, name: str, policy: Policy, *,
-                 allow_semantic_change: bool = True) -> int:
-        """Hitlessly replace a tenant's policy; returns the new epoch.
-
-        The serving path escalates the TH017–TH019 reachability lints to
-        errors — a policy with a provably-dead region must not be swapped
-        in live.  With ``allow_semantic_change=False`` a swap that
-        *widens* the admitted match region is additionally rejected
-        (TH020): only equivalent or narrowing replacements install.
-        """
-
-    # -- table maintenance -------------------------------------------------------------
-
-    @abc.abstractmethod
-    def write_batch(self, writes: Iterable[TableWrite]) -> int:
-        """Apply table writes in order; returns the count applied."""
-
-    # -- serving -----------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def process(self, packet: Packet) -> Packet:
-        """Serve one packet (probe or data)."""
-
-    @abc.abstractmethod
-    def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Serve a packet stream, preserving per-packet semantics."""
-
-    # -- checkpoint / restore ----------------------------------------------------------
-
-    @abc.abstractmethod
-    def snapshot_tenant(self, name: str) -> TenantCheckpoint:
-        """Capture one tenant's complete serving state."""
-
-    @abc.abstractmethod
-    def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
-        """Recreate a tenant from a checkpoint: admit its spec, restore
-        its table bit-faithfully, re-stamp its epoch watermark."""
-
-    @abc.abstractmethod
-    def snapshot(self) -> SwitchCheckpoint:
-        """Capture the whole switch: geometry plus every tenant."""
-
-    # -- health ------------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def health(self) -> dict[str, object]:
-        """A liveness/degradation summary for the control plane."""
-
-
-class _ManagerBackend(SwitchBackend):
-    """Shared implementation over a :class:`TenantManager` and a
-    multi-tenant :class:`ThanosSwitch`.
+    """The serving contract a control plane programs against, implemented
+    once over a :class:`TenantManager` and a multi-tenant
+    :class:`ThanosSwitch`.
 
     Subclasses override only :meth:`_serve_batch`.  Routing of a whole
     batch — filter requests and probes alike — is validated *up front*
@@ -169,6 +104,9 @@ class _ManagerBackend(SwitchBackend):
     present identical all-or-nothing batch admission regardless of how
     they serve.
     """
+
+    #: Short identifier used as the ``backend`` label on obs series.
+    name: str = "abstract"
 
     def __init__(self, manager: TenantManager):
         self._manager = manager
@@ -197,7 +135,9 @@ class _ManagerBackend(SwitchBackend):
 
     @property
     def manager(self) -> TenantManager:
-        """The admission path every tenant-lifecycle op serializes through."""
+        """The admission path every tenant-lifecycle op serializes through.
+        Part of the contract: migration's fault injection, the chaos
+        harness and the benchmark harness read tenants through it."""
         return self._manager
 
     @property
@@ -207,16 +147,23 @@ class _ManagerBackend(SwitchBackend):
     # -- tenant lifecycle --------------------------------------------------------------
 
     def program_tenant(self, spec: TenantSpec) -> Tenant:
+        """Admit and program a tenant; static TH013/TH014 gates apply."""
         return self._manager.admit(spec)
 
     def unprogram_tenant(self, name: str) -> None:
+        """Evict a tenant, returning its slice to the free pools."""
         self._manager.evict(name)
 
     def hot_swap(self, name: str, policy: Policy, *,
                  allow_semantic_change: bool = True) -> int:
-        # Serving-time escalation: reachability lints that compile as
-        # warnings (TH017–TH019) are install-blocking here — a live swap
-        # to a policy with provably-dead regions is operator error.
+        """Hitlessly replace a tenant's policy; returns the new epoch.
+
+        The serving path escalates the TH017–TH019 reachability lints to
+        errors — a policy with a provably-dead region must not be swapped
+        in live.  With ``allow_semantic_change=False`` a swap that
+        *widens* the admitted match region is additionally rejected
+        (TH020): only equivalent or narrowing replacements install.
+        """
         tenant = self._manager.get(name)
         require_semantically_clean(
             policy,
@@ -232,6 +179,7 @@ class _ManagerBackend(SwitchBackend):
     # -- table maintenance -------------------------------------------------------------
 
     def write_batch(self, writes: Iterable[TableWrite]) -> int:
+        """Apply table writes in order; returns the count applied."""
         applied = 0
         for write in writes:
             module = self._manager.get(write.tenant).module
@@ -246,11 +194,13 @@ class _ManagerBackend(SwitchBackend):
     # -- serving -----------------------------------------------------------------------
 
     def process(self, packet: Packet) -> Packet:
+        """Serve one packet (probe or data)."""
         out = self._switch.process(packet)
         self._obs_packets.inc()
         return out
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
+        """Serve a packet stream, preserving per-packet semantics."""
         # One demux pass over the whole batch surfaces every routing
         # violation before any packet is served; per-packet serving later
         # re-resolves each label against the (unchanged) admitted set.
@@ -266,6 +216,7 @@ class _ManagerBackend(SwitchBackend):
     # -- checkpoint / restore ----------------------------------------------------------
 
     def snapshot_tenant(self, name: str) -> TenantCheckpoint:
+        """Capture one tenant's complete serving state."""
         tenant = self._manager.get(name)
         ckpt = TenantCheckpoint(
             spec=spec_to_dict(replace(
@@ -285,8 +236,8 @@ class _ManagerBackend(SwitchBackend):
         return ckpt
 
     def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
-        # The epoch lineage is re-stamped by restore_table after
-        # admission of the checkpoint's (live-policy) spec.
+        """Recreate a tenant from a checkpoint: admit its spec, restore
+        its table bit-faithfully, re-stamp its epoch watermark."""
         tenant = self._manager.admit(spec_from_dict(ckpt.spec))
         try:
             tenant.module.restore_table(
@@ -302,6 +253,7 @@ class _ManagerBackend(SwitchBackend):
         return tenant
 
     def snapshot(self) -> SwitchCheckpoint:
+        """Capture the whole switch: geometry plus every tenant."""
         return SwitchCheckpoint.build(
             self._manager.metric_names,
             self._manager.params,
@@ -312,6 +264,7 @@ class _ManagerBackend(SwitchBackend):
     # -- health ------------------------------------------------------------------------
 
     def health(self) -> dict[str, object]:
+        """A liveness/degradation summary for the control plane."""
         degraded = sorted(
             t.name for t in self._manager if t.module.degraded
         )
@@ -326,7 +279,7 @@ class _ManagerBackend(SwitchBackend):
         }
 
 
-class ScalarBackend(_ManagerBackend):
+class ScalarBackend(SwitchBackend):
     """The per-packet reference path: every packet, probe or data,
     traverses the RMT pipeline individually."""
 
@@ -336,7 +289,7 @@ class ScalarBackend(_ManagerBackend):
         return [self._switch.process(p) for p in packets]
 
 
-class BatchedBackend(_ManagerBackend):
+class BatchedBackend(SwitchBackend):
     """The columnar engine path: probes are batch boundaries, data runs
     between them go through the batched/codegen tiers."""
 
@@ -346,7 +299,7 @@ class BatchedBackend(_ManagerBackend):
         return self._switch.process_batch(packets)
 
 
-def build_backend(kind: str, manager: TenantManager) -> _ManagerBackend:
+def build_backend(kind: str, manager: TenantManager) -> SwitchBackend:
     """Backend factory for CLIs and harnesses (``scalar`` | ``batched``)."""
     backends = {"scalar": ScalarBackend, "batched": BatchedBackend}
     try:
@@ -356,13 +309,3 @@ def build_backend(kind: str, manager: TenantManager) -> _ManagerBackend:
             f"unknown backend {kind!r}; choose from {sorted(backends)}"
         ) from None
     return cls(manager)
-
-
-def conformance_report(
-    left: SwitchBackend, right: SwitchBackend, name: str
-) -> Report:
-    """Compare one tenant's snapshots across two backends (delegates to
-    the analysis layer's TH015 checkpoint-faithfulness rule)."""
-    from repro.analysis.conformance import verify_checkpoint_roundtrip
-
-    return verify_checkpoint_roundtrip(left, right, name)

@@ -211,21 +211,32 @@ def spec_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
 class TenantCheckpoint:
     """One tenant's complete serving state, slice-agnostic.
 
+    :meth:`payload` is *the* definition of a tenant's state — what a
+    checkpoint file stores, what restore, recovery and migration carry,
+    and what TH015
+    (:func:`repro.analysis.conformance.diff_tenant_payloads`, the one
+    "same state?" predicate, also the live-migration cutover gate)
+    compares key by key.  It is flat: the spec's keys beside
+    ``smbm_state`` and ``plan_epoch``.  A new state component is one
+    payload key plus one export/restore pair on
+    :class:`~repro.switch.filter_module.FilterModule`, called from
+    ``snapshot_tenant`` / ``restore_tenant`` — nothing else: the diff,
+    the gate and the file format walk whatever keys are there.
+
     ``spec`` is the :func:`spec_to_dict` document the tenant re-enters
     with: its ``policy`` is the *live* policy (post any hot-swaps on the
     source), so the destination compiles exactly the plan that was
     serving, and its ``columns`` is the *count* of Cell columns, not the
     physical indices — the destination switch allocates its own strip,
     so checkpoints taken on different switches with identical tenant
-    state compare equal, the property the TH015 conformance lint keys
-    on.  :meth:`payload` is flat: the spec's keys beside ``smbm_state``
-    and ``plan_epoch``.
+    state compare equal.
 
-    *Not* captured: the cross-packet state of the compiled policy — LFSR
-    registers, round-robin pointers and weights, and
+    *Not* captured yet: the cross-packet state of the compiled policy —
+    LFSR registers, round-robin pointers and weights, and
     :attr:`~repro.core.policy.Policy.feedback` registers.  A restored,
     recovered or migrated stateful tenant restarts them from the seed and
-    from zeros (ROADMAP item 4(c)).
+    from zeros (ROADMAP item 4(c); the ``STATEFUL_4C`` cases in
+    ``tests/serving`` are its strict-xfail landing pad).
     """
 
     spec: dict[str, Any]

@@ -11,11 +11,13 @@ the controller guarantees:
   (admit, evict, hot-swap, migration phases) additionally hold the
   admission lock, so the :class:`~repro.tenancy.manager.TenantManager`
   admission path runs one op at a time across all tenants;
-* **migration transparency** — while a tenant is
-  :class:`~repro.serving.migration.LiveMigration` dual-running, its table
-  writes are applied to *both* instances through the migration gate; the
-  submitting client neither knows nor cares that a move is in flight, and
-  no control op is dropped;
+* **migration transparency** — every per-tenant op (table writes,
+  hot-swap, evict) resolves its target through one lookup: the
+  :class:`~repro.serving.migration.LiveMigration` while the tenant is
+  dual-running (the op lands on *both* instances), the destination once
+  it is cut over, this controller's backend otherwise; the submitting
+  client neither knows nor cares that a move is in flight, and no
+  control op is dropped;
 * **crash consistency** — with a :class:`~repro.serving.wal.WriteAheadLog`
   attached, every control op is appended (and made durable) immediately
   *before* it applies, in apply order, so an acknowledged op is always
@@ -263,7 +265,8 @@ class Controller:
         self._workers: dict[str, asyncio.Task[None]] = {}
         self._migrations: dict[str, LiveMigration] = {}
         # Tenants cut over to another instance: in-flight client streams
-        # keep working, their writes re-homed to the destination.
+        # keep working, their ops re-homed to the destination until the
+        # name is admitted here again.
         self._moved: dict[str, SwitchBackend] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         # Per-tenant op-id of the last WAL-logged op whose apply finished
@@ -274,7 +277,7 @@ class Controller:
         self._closed = False
         self._crashed = False
         registry = obs.get_registry()
-        backend_label = getattr(backend, "name", "unknown")
+        backend_label = backend.name
         self._registry = registry
         self._backend_label = backend_label
         self._series: dict[tuple[str, ...], Any] = {}
@@ -580,10 +583,25 @@ class Controller:
 
     # -- tenant lifecycle --------------------------------------------------------------
 
+    def _home(self, tenant: str) -> SwitchBackend | LiveMigration:
+        """Where a tenant's ops apply: both instances while it is
+        dual-running, the destination once cut over, else our backend."""
+        migration = self._migrations.get(tenant)
+        if (migration is not None
+                and migration.state is MigrationState.DUAL_RUNNING):
+            return migration
+        return self._moved.get(tenant, self._backend)
+
     async def add_tenant(self, spec: TenantSpec) -> Tenant:
+        def apply() -> Tenant:
+            tenant = self._backend.program_tenant(spec)
+            # The name lives here again; a tenant of that name cut over
+            # earlier is the destination's business, not this stream's.
+            self._moved.pop(spec.name, None)
+            return tenant
+
         return await self._submit(
-            "add_tenant", spec.name,
-            lambda: self._backend.program_tenant(spec), admission=True,
+            "add_tenant", spec.name, apply, admission=True,
             log_args={"spec": spec_to_dict(spec)},
             priority=_PRIO_LIFECYCLE,
         )
@@ -591,7 +609,7 @@ class Controller:
     async def remove_tenant(self, name: str) -> None:
         return await self._submit(
             "remove_tenant", name,
-            lambda: self._backend.unprogram_tenant(name), admission=True,
+            lambda: self._home(name).unprogram_tenant(name), admission=True,
             log_args={}, priority=_PRIO_LIFECYCLE,
         )
 
@@ -602,7 +620,7 @@ class Controller:
         # already passed the gate with the permissive default.
         return await self._submit(
             "hot_swap", name,
-            lambda: self._backend.hot_swap(
+            lambda: self._home(name).hot_swap(
                 name, policy, allow_semantic_change=allow_semantic_change
             ),
             admission=True,
@@ -612,31 +630,22 @@ class Controller:
 
     # -- table maintenance -------------------------------------------------------------
 
-    def _apply_write(self, write: TableWrite) -> None:
-        """One write, migration-aware: dual-running tenants get the write
-        on both instances through the migration gate."""
-        migration = self._migrations.get(write.tenant)
-        if (migration is not None
-                and migration.state is MigrationState.DUAL_RUNNING):
-            if write.metrics is None:
-                migration.remove(write.resource_id)
-            else:
-                migration.apply_write(write.resource_id, write.metrics)
-            return
-        self._moved.get(write.tenant, self._backend).write_batch([write])
+    def _write(self, write: TableWrite) -> None:
+        """One table write, applied wherever its tenant lives."""
+        self._home(write.tenant).write_batch([write])
 
     async def update_resource(self, name: str, resource_id: int,
                               metrics: Mapping[str, int]) -> None:
         write = TableWrite(name, resource_id, dict(metrics))
         return await self._submit(
-            "update_resource", name, lambda: self._apply_write(write),
+            "update_resource", name, lambda: self._write(write),
             log_args=write.to_dict(),
         )
 
     async def remove_resource(self, name: str, resource_id: int) -> None:
         write = TableWrite(name, resource_id, None)
         return await self._submit(
-            "remove_resource", name, lambda: self._apply_write(write),
+            "remove_resource", name, lambda: self._write(write),
             log_args=write.to_dict(),
         )
 
@@ -652,14 +661,9 @@ class Controller:
                     f"write_batch on tenant {name!r} contains a write "
                     f"addressed to {write.tenant!r}"
                 )
-
-        def apply() -> int:
-            for write in batch:
-                self._apply_write(write)
-            return len(batch)
-
         return await self._submit(
-            "write_batch", name, apply,
+            "write_batch", name,
+            lambda: self._home(name).write_batch(batch),
             log_args={"writes": [write.to_dict() for write in batch]},
         )
 
@@ -692,19 +696,23 @@ class Controller:
 
         return await self._submit(
             "begin_migration", name, apply, admission=True,
-            log_args={"dest": getattr(dest, "name", "unknown")},
+            log_args={"dest": dest.name},
             priority=_PRIO_LIFECYCLE,
         )
+
+    def _migration(self, name: str) -> LiveMigration:
+        migration = self._migrations.get(name)
+        if migration is None:
+            raise ConfigurationError(
+                f"no migration in flight for tenant {name!r}"
+            )
+        return migration
 
     async def cutover(self, name: str) -> dict[str, object]:
         """Atomically cut ``name`` over to the migration destination."""
 
         def apply() -> dict[str, object]:
-            migration = self._migrations.get(name)
-            if migration is None:
-                raise ConfigurationError(
-                    f"no migration in flight for tenant {name!r}"
-                )
+            migration = self._migration(name)
             stats = migration.cutover()
             del self._migrations[name]
             self._moved[name] = migration.dest
@@ -719,12 +727,7 @@ class Controller:
         """Tear down an in-flight migration; the source keeps serving."""
 
         def apply() -> None:
-            migration = self._migrations.get(name)
-            if migration is None:
-                raise ConfigurationError(
-                    f"no migration in flight for tenant {name!r}"
-                )
-            migration.abort()
+            self._migration(name).abort()
             del self._migrations[name]
 
         return await self._submit(

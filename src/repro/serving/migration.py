@@ -12,22 +12,29 @@ The state machine::
   ``V``), recreate it on the destination (admit the live policy, restore
   the table bit-faithfully, re-stamp the epoch watermark).  Both tables
   now read identically at version ``V``.
-* **dual-running** — every table write flows through
-  :meth:`LiveMigration.apply_write` / :meth:`remove`, which applies it to
-  *both* instances.  Starting from identical state at the same version,
-  identical write sequences keep the two version counters in lockstep —
-  the invariant the cutover gate checks.  Data packets keep being served
-  by the source: no packet is ever dropped or double-served.
+* **dual-running** — the migration is the tenant's *home*: it has the
+  per-tenant half of the backend contract
+  (:meth:`~LiveMigration.write_batch`, :meth:`~LiveMigration.hot_swap`,
+  :meth:`~LiveMigration.unprogram_tenant`) and applies each op to the
+  source, then the destination, through their own methods.  Starting
+  from identical state, identical op sequences keep the two instances
+  in lockstep — the invariant the cutover gate checks.  An op the
+  source refuses never reaches the destination; one only the
+  destination refuses leaves the two apart, which is what the gate
+  reports.  Data packets keep being served by the source: no packet is
+  ever dropped or double-served.
 * **cutover** — an atomic flip on an SMBM version boundary: the gate
-  asserts the two version counters agree and the two exported table
-  states are bit-identical (rows, FIFO order, version counter — the
-  conservation assert), then the tenant is evicted from the source.  From
-  the next packet on, the destination serves — over a table
-  provably equal to the one the source would have served from.
+  snapshots the tenant on both sides and asks the TH015 conformance diff
+  (:func:`repro.analysis.conformance.diff_tenant_payloads`) whether the
+  two payloads — table rows, FIFO order, version counter, live policy,
+  epoch watermark, admission spec, and whatever a tenant's state grows
+  next — are identical, then the tenant is evicted from the source.
+  From the next packet on, the destination serves — over state provably
+  equal to what the source would have served from.
 
-Anything out of order (a write slipping past the dual-running gate, a
-divergent version at cutover) raises
-:class:`~repro.errors.IntegrityError` and the migration can be
+Anything out of order (a write or hot-swap slipping past the migration
+onto one side only) raises :class:`~repro.errors.IntegrityError` naming
+every divergent facet, and the migration can be
 :meth:`abort`-ed, returning the destination's half to the pools with the
 source still serving — the failure mode is "migration didn't happen",
 never "tenant lost".
@@ -36,13 +43,13 @@ never "tenant lost".
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
+from collections.abc import Iterable
 
 from repro import obs
-from repro.analysis.symbolic import SemanticChange, semantic_diff
-from repro.analysis.verifier import TableSchema
+from repro.analysis.conformance import diff_tenant_payloads
+from repro.core.policy import Policy
 from repro.errors import ConfigurationError, IntegrityError
-from repro.serving.backend import SwitchBackend
+from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.checkpoint import TenantCheckpoint
 
 __all__ = ["MigrationState", "LiveMigration"]
@@ -119,20 +126,18 @@ class LiveMigration:
         """Writes applied to both instances while dual-running."""
         return self._dual_writes
 
-    def _require(self, state: MigrationState, op: str) -> None:
+    def _require(self, state: MigrationState, op: str,
+                 tenant: str | None = None) -> None:
         if self._state is not state:
             raise ConfigurationError(
                 f"cannot {op} a migration in state {self._state.value!r} "
                 f"(requires {state.value!r})"
             )
-
-    def _module(self, backend: SwitchBackend):
-        manager = getattr(backend, "manager", None)
-        if manager is None:  # pragma: no cover - defensive
+        if tenant is not None and tenant != self._tenant:
             raise ConfigurationError(
-                "backend exposes no tenant manager; cannot dual-write"
+                f"cannot {op} tenant {tenant!r}: this migration moves "
+                f"{self._tenant!r}"
             )
-        return manager.get(self._tenant).module
 
     # -- phase 1: checkpoint + restore -------------------------------------------------
 
@@ -146,80 +151,61 @@ class LiveMigration:
         self._state = MigrationState.DUAL_RUNNING
         return ckpt
 
-    # -- phase 2: the dual-running gate ------------------------------------------------
+    # -- phase 2: dual-running, the tenant's home is both instances --------------------
 
-    def apply_write(self, resource_id: int,
-                    metrics: Mapping[str, int]) -> None:
-        """Apply one table update to both instances, in lockstep."""
-        self._require(MigrationState.DUAL_RUNNING, "dual-write through")
-        self._module(self._source).update_resource(resource_id, metrics)
-        self._module(self._dest).update_resource(resource_id, metrics)
-        self._dual_writes += 1
-        self._obs_dual_writes.inc()
+    def write_batch(self, writes: Iterable[TableWrite]) -> int:
+        """Apply each table write to the source, then the destination."""
+        applied = 0
+        for write in writes:
+            self._require(MigrationState.DUAL_RUNNING, "dual-write",
+                          write.tenant)
+            self._source.write_batch([write])
+            self._dest.write_batch([write])
+            applied += 1
+            self._dual_writes += 1
+            self._obs_dual_writes.inc()
+        return applied
 
-    def remove(self, resource_id: int) -> None:
-        """Apply one table delete to both instances, in lockstep."""
-        self._require(MigrationState.DUAL_RUNNING, "dual-write through")
-        self._module(self._source).remove_resource(resource_id)
-        self._module(self._dest).remove_resource(resource_id)
-        self._dual_writes += 1
-        self._obs_dual_writes.inc()
+    def hot_swap(self, name: str, policy: Policy, *,
+                 allow_semantic_change: bool = True) -> int:
+        """Swap the policy on the source, then the destination; both land
+        on the same epoch, which is returned."""
+        self._require(MigrationState.DUAL_RUNNING, "hot-swap", name)
+        self._source.hot_swap(name, policy,
+                              allow_semantic_change=allow_semantic_change)
+        return self._dest.hot_swap(
+            name, policy, allow_semantic_change=allow_semantic_change)
+
+    def unprogram_tenant(self, name: str) -> None:
+        """Evict the tenant from both instances: nothing is left to move,
+        so the migration ends aborted."""
+        self._require(MigrationState.DUAL_RUNNING, "evict", name)
+        self._source.unprogram_tenant(name)
+        self.abort()
 
     # -- phase 3: atomic cutover -------------------------------------------------------
 
     def cutover(self) -> dict[str, object]:
         """Flip serving to the destination on an SMBM version boundary.
 
-        The conservation gate: the two version counters must agree (no
-        write slipped past the dual-running gate on either side) and the
-        two exported table states must be bit-identical — stored rows,
-        FIFO enqueue order, version counter.  Only then is the tenant
-        evicted from the source.  On gate failure the migration stays
-        dual-running (nothing is torn down) and
-        :class:`~repro.errors.IntegrityError` reports the divergence.
+        The conservation gate: both instances are snapshotted and their
+        payloads must be TH015-clean — every key of a tenant's state
+        bit-identical.  Only then is the tenant evicted from the source.
+        On gate failure the migration stays dual-running (nothing is torn
+        down) and one :class:`~repro.errors.IntegrityError` reports every
+        divergent facet.
         """
         self._require(MigrationState.DUAL_RUNNING, "cut over")
-        src = self._module(self._source)
-        dst = self._module(self._dest)
-        src_version = src.smbm.version
-        dst_version = dst.smbm.version
-        if src_version != dst_version:
+        moved = self._dest.snapshot_tenant(self._tenant)
+        report = diff_tenant_payloads(
+            self._source.snapshot_tenant(self._tenant).payload(),
+            moved.payload(), subject=self._tenant,
+        )
+        if not report.clean:
             self._obs_gate_detected.inc()
             raise IntegrityError(
-                f"migration cutover gate: source at SMBM version "
-                f"{src_version} but destination at {dst_version} — a "
-                "write bypassed the dual-running gate",
-                component="migration",
-            )
-        src_state = src.smbm.export_state()
-        dst_state = dst.smbm.export_state()
-        if src_state != dst_state:
-            self._obs_gate_detected.inc()
-            raise IntegrityError(
-                "migration cutover gate: table states diverge at version "
-                f"{src_version} despite matching counters",
-                component="migration",
-            )
-        if src.plan_epoch != dst.plan_epoch:
-            self._obs_gate_detected.inc()
-            raise IntegrityError(
-                f"migration cutover gate: plan epoch {src.plan_epoch} on "
-                f"source vs {dst.plan_epoch} on destination — a hot-swap "
-                "landed on one side only",
-                component="migration",
-            )
-        # Epoch counters can agree while the policies differ (the same
-        # number of swaps landed on each side, but to different plans).
-        # The semantic gate compares what the two plans *admit*: the
-        # feasible match regions must be identical before the flip.
-        schema = TableSchema(src.smbm.capacity, src.smbm.metric_names)
-        diff = semantic_diff(src.policy, dst.policy, schema=schema)
-        if diff.change is not SemanticChange.EQUIVALENT:
-            self._obs_gate_detected.inc()
-            raise IntegrityError(
-                "migration cutover gate: source and destination policies "
-                f"are not semantically equivalent ({diff.describe()}) — "
-                "the destination would admit a different match region",
+                "migration cutover gate: an op reached one instance only — "
+                + report.describe(),
                 component="migration",
             )
         self._source.unprogram_tenant(self._tenant)
@@ -227,10 +213,10 @@ class LiveMigration:
         self._obs_outcomes["complete"].inc()
         return {
             "tenant": self._tenant,
-            "cutover_version": src_version,
-            "plan_epoch": dst.plan_epoch,
+            "cutover_version": moved.smbm_state["version"],
+            "plan_epoch": moved.plan_epoch,
             "dual_writes": self._dual_writes,
-            "rows": len(dst.smbm),
+            "rows": len(moved.smbm_state["rows"]),
         }
 
     def abort(self) -> None:

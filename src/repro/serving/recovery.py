@@ -49,8 +49,9 @@ Partially-applied multi-step ops resolve deterministically:
   install is atomic, so there is no half state to preserve);
 * a **migration** treats the ``cutover`` record as its commit point:
   logged means moved (the tenant is evicted from the recovered source
-  and later writes to it are skipped — they belong to the destination's
-  failure domain), not logged means rolled *back* (the tenant keeps
+  and every later op on it is skipped by the replay loop — it belongs
+  to the destination's failure domain — until an ``add_tenant`` homes
+  the name here again), not logged means rolled *back* (the tenant keeps
   serving on the recovered source; ``begin``/``abort`` replay as
   source-side no-ops because the destination's half lives in the
   destination's own log).
@@ -90,7 +91,8 @@ class RecoveryContext:
 
     backend: SwitchBackend
     #: Tenants whose ``cutover`` record committed: evicted here, and any
-    #: later write addressed to them belongs to the destination's domain.
+    #: later op addressed to them belongs to the destination's domain —
+    #: until the name is admitted here again.
     moved: set[str] = field(default_factory=set)
 
 
@@ -117,6 +119,7 @@ def replay_handler(kind: str) -> Callable[[Handler], Handler]:
 @replay_handler("add_tenant")
 def _replay_add_tenant(ctx: RecoveryContext, record: WalRecord) -> None:
     ctx.backend.program_tenant(spec_from_dict(record.args["spec"]))
+    ctx.moved.discard(record.tenant)
 
 
 @replay_handler("remove_tenant")
@@ -137,8 +140,6 @@ def _replay_hot_swap(ctx: RecoveryContext, record: WalRecord) -> None:
 @replay_handler("remove_resource")
 @replay_handler("write_batch")
 def _replay_table_writes(ctx: RecoveryContext, record: WalRecord) -> None:
-    if record.tenant in ctx.moved:
-        return  # applied in the destination's failure domain, not ours
     docs = (record.args["writes"] if record.kind == "write_batch"
             else [record.args])
     ctx.backend.write_batch(
@@ -273,9 +274,12 @@ def recover(
     for record in scan.records:
         if record.kind not in CONTROL_OP_KINDS:
             continue  # checkpoint/shutdown markers structure the log only
-        if record.op_id <= hwm.get(record.tenant, -1):
+        if (record.op_id <= hwm.get(record.tenant, -1)
+                or (record.tenant in ctx.moved
+                    and record.kind != "add_tenant")):
             # Exactly-once: this op's effect is already inside the
-            # restored checkpoint.
+            # restored checkpoint — or the tenant was cut over and the op
+            # applied in the destination's failure domain, not ours.
             report.skipped += 1
             obs_skipped.inc()
             continue

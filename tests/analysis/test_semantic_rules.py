@@ -358,14 +358,19 @@ def test_migration_cutover_gate_rejects_semantic_divergence():
     migration = LiveMigration(src, dst, "t")
     migration.begin()
     # The same number of swaps lands on each side — epochs agree — but
-    # to regionally different policies: only the semantic gate sees it.
+    # to regionally different policies: the policy document is part of
+    # the tenant's state, so the one TH015 comparison sees it.
     src.hot_swap("t", _pred("cpu", RelOp.LT, 50, "narrow-50"))
     dst.hot_swap("t", _pred("cpu", RelOp.LT, 60, "narrow-60"))
-    with pytest.raises(IntegrityError, match="semantically equivalent"):
+    with pytest.raises(IntegrityError, match="'policy' diverges") as exc:
         migration.cutover()
+    assert "plan_epoch" not in str(exc.value)
 
 
-def test_migration_cutover_accepts_structurally_different_equivalents():
+def test_migration_cutover_gate_is_bit_level_not_semantic():
+    """The gate asks "same state?", not "same region?": two swaps that
+    bypassed the migration are a divergence even when the plans admit the
+    same rows (a swap through the migration lands one document on both)."""
     src = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
     dst = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
     src.program_tenant(
@@ -375,7 +380,10 @@ def test_migration_cutover_accepts_structurally_different_equivalents():
     migration.begin()
     src.hot_swap("t", _pred("cpu", RelOp.LT, 50, "lt"))
     dst.hot_swap("t", _pred("cpu", RelOp.LE, 49, "le"))  # same region
-    assert migration.cutover()["tenant"] == "t"
+    with pytest.raises(IntegrityError, match="'policy' diverges"):
+        migration.cutover()
+    migration.hot_swap("t", _pred("cpu", RelOp.LT, 50, "lt"))
+    assert migration.cutover()["plan_epoch"] == 2
 
 
 # -- TH021 CrossTenantOverlap ----------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.serving.checkpoint import policy_from_dict
 from repro.switch.filter_module import FilterModule
 from repro.tenancy.manager import TenantManager, TenantSpec
 from tests.core.test_fastpath_differential import drill_shaped
+from tests.serving.test_migration import STATEFUL_4C, serve_trace
 
 METRICS = ("cpu", "mem")
 BACKENDS = (ScalarBackend, BatchedBackend)
@@ -505,6 +506,22 @@ def test_checkpoint_roundtrip_is_th015_clean(src_cls, dst_cls):
     report = verify_checkpoint_roundtrip(source, dest, "a")
     assert report.clean, report.describe()
     assert dest.manager.get("a").plan_epoch == 1
+
+
+@pytest.mark.parametrize("policy", [_policy_b, *STATEFUL_4C])
+def test_restored_tenant_continues_the_source_trace(policy):
+    """The golden twin at trace level: a restored copy serves the packets
+    the source would have served next."""
+    source = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+    source.program_tenant(TenantSpec("t", policy(), smbm_quota=8))
+    source.write_batch([
+        TableWrite("t", i, {"cpu": i + 1, "mem": i + 3}) for i in range(5)
+    ])
+    serve_trace(source, count=3)
+    dest = BatchedBackend(TenantManager(METRICS, smbm_capacity=16))
+    dest.restore_tenant(source.snapshot_tenant("t"))
+    assert verify_checkpoint_roundtrip(source, dest, "t").clean
+    assert serve_trace(dest, count=5) == serve_trace(source, count=5)
 
 
 def test_th015_flags_post_restore_divergence():

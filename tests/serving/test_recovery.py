@@ -24,6 +24,7 @@ from repro.serving.controller import Controller
 from repro.serving.recovery import recover
 from repro.serving.wal import WAL_MAGIC, WriteAheadLog, read_wal
 from repro.tenancy.manager import TenantManager, TenantSpec
+from tests.serving.test_migration import STATEFUL_4C, serve_trace
 
 METRICS = ("cpu", "mem")
 
@@ -459,6 +460,72 @@ def test_migration_cutover_rolls_forward_on_the_source(tmp_path):
     assert _state(report.backend) == _state(source)
     # And the destination really does hold the moved tenant's writes.
     assert sorted(dest.manager.get("m").module.smbm.snapshot()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("cls", [ScalarBackend, BatchedBackend],
+                         ids=lambda c: c.name)
+def test_ops_that_followed_a_moving_tenant_replay_on_the_source(tmp_path,
+                                                                cls):
+    """One log holding a hot-swap during dual-running, a hot-swap and an
+    evict after the cutover, a re-admission of the moved name and an
+    evict during dual-running: the recovered source is the live source,
+    and only the ops that applied in the destination's domain are
+    skipped."""
+    source, dest = _backend(cls), _backend(cls)
+    wal = WriteAheadLog(tmp_path / "ops.wal")
+
+    async def run() -> None:
+        async with Controller(source, wal=wal) as ctl:
+            await ctl.add_tenant(_spec("m"))
+            await ctl.update_resource("m", 1, {"cpu": 1, "mem": 1})
+            await ctl.begin_migration("m", dest)
+            await ctl.hot_swap("m", _policy("pred"))  # both instances
+            await ctl.update_resource("m", 2, {"cpu": 2, "mem": 2})
+            assert (await ctl.cutover("m"))["plan_epoch"] == 1
+            await ctl.hot_swap("m", _policy())  # the destination's...
+            await ctl.update_resource("m", 3, {"cpu": 3, "mem": 3})
+            assert dest.manager.get("m").plan_epoch == 2
+            await ctl.remove_tenant("m")  # ...all three of them
+            assert "m" not in dest.manager
+            await ctl.add_tenant(_spec("m", "pred"))  # home again
+            await ctl.update_resource("m", 4, {"cpu": 4, "mem": 4})
+            await ctl.hot_swap("m", _policy())
+            await ctl.add_tenant(_spec("gone"))
+            await ctl.begin_migration("gone", dest)
+            await ctl.remove_tenant("gone")  # evicted from both
+            assert len(dest.manager) == 0
+
+    asyncio.run(run())
+    wal.close()
+
+    report = recover(tmp_path / "ops.wal", lambda _ckpt: _backend(cls))
+    assert not report.errors
+    assert (report.replayed, report.skipped) == (12, 3)
+    assert _state(report.backend) == _state(source)
+    home = report.backend.manager.get("m")
+    assert sorted(home.module.smbm.snapshot()) == [4]
+    assert home.plan_epoch == 1
+
+
+@pytest.mark.parametrize("policy", [_policy, *STATEFUL_4C])
+def test_recovered_tenant_continues_the_live_trace(tmp_path, policy):
+    """The golden twin at trace level: the live backend that never died
+    and its recovered copy serve the same next packets."""
+    live = _backend()
+    wal = WriteAheadLog(tmp_path / "ops.wal")
+
+    async def run() -> None:
+        async with Controller(live, wal=wal) as ctl:
+            await ctl.add_tenant(TenantSpec("a", policy(), smbm_quota=8))
+            for i in range(5):
+                await ctl.update_resource("a", i, {"cpu": i + 1, "mem": i})
+
+    asyncio.run(run())
+    wal.close()
+    serve_trace(live, "a", 3)  # served packets are in no log
+    report = recover(tmp_path / "ops.wal", _factory)
+    assert _state(report.backend) == _state(live)
+    assert serve_trace(report.backend, "a", 5) == serve_trace(live, "a", 5)
 
 
 def test_migration_without_cutover_rolls_back_on_the_source(tmp_path):
