@@ -38,7 +38,6 @@ from repro.analysis.conformance import (
 from repro.analysis.domains import IntervalSet, Region
 from repro.analysis.findings import RULES, Finding, Report, Rule, Severity
 from repro.analysis.races import RaceDetector, RaceFinding
-from repro.analysis.replay import audit_replay_registry, verify_replay_coverage
 from repro.analysis.symbolic import (
     NodeFact,
     SemanticAnalysis,
@@ -78,8 +77,6 @@ __all__ = [
     "verify_policy_compiles",
     "RaceDetector",
     "RaceFinding",
-    "audit_replay_registry",
     "diff_tenant_payloads",
     "verify_checkpoint_roundtrip",
-    "verify_replay_coverage",
 ]

@@ -89,10 +89,9 @@ RULES: dict[str, Rule] = {
              "boundary (restored table, policy, or epoch watermark is not "
              "bit-identical to the source)"),
         Rule("TH016", "ReplayHandlerMissing", Severity.ERROR,
-             "a controller op kind is logged to the write-ahead log but "
-             "has no registered recovery replay handler (or a handler "
-             "names an unknown kind) — a crash after that op would be "
-             "unrecoverable"),
+             "retired: unrepresentable since the op table (no check "
+             "emits it) — the kinds the write-ahead log accepts are the "
+             "keys of the one table recovery replays through"),
         Rule("TH017", "UnreachablePredicate", Severity.WARNING,
              "a predicate's feasible region is empty: no table row can "
              "ever satisfy it, so the operator never fires"),

@@ -444,14 +444,6 @@ def main(argv: list[str] | None = None) -> int:
     if not reports:
         print(f"no bundled policy matches {args.filter!r}", file=sys.stderr)
         return 2
-    # The TH016 recovery-completeness audit rides along with every lint
-    # run (it has no per-policy scope): each WAL-logged controller op
-    # kind must have a registered replay handler.
-    from repro.analysis.replay import verify_replay_coverage
-
-    replay_report = verify_replay_coverage()
-    replay_report.emit()
-
     entries = {entry.name: entry for entry in _catalogue(args.semantic)}
     n_errors = n_warnings = n_expected = 0
     policies_doc: list[dict[str, object]] = []
@@ -492,12 +484,6 @@ def main(argv: list[str] | None = None) -> int:
             continue
         suffix = " (expected: demonstration entry)" if expected else ""
         text_lines.append(report.describe() + suffix)
-    if replay_report.clean:
-        if args.verbose:
-            text_lines.append("wal-replay-coverage: clean")
-    else:
-        text_lines.append(replay_report.describe())
-    n_errors += len(replay_report.errors)
     timing = measure_semantic_overhead() if args.semantic else None
     if timing is not None and timing["ratio"] >= SEMANTIC_OVERHEAD_BUDGET:
         text_lines.append(
@@ -508,20 +494,13 @@ def main(argv: list[str] | None = None) -> int:
 
     summary_line = (
         f"linted {len(reports)} bundled polic"
-        f"{'y' if len(reports) == 1 else 'ies'} "
-        f"+ replay coverage: "
+        f"{'y' if len(reports) == 1 else 'ies'}: "
         f"{n_errors} error(s), {n_warnings} warning(s), "
         f"{n_expected} expected demo finding(s)"
     )
     if args.format == "json":
         doc: dict[str, object] = {
             "policies": policies_doc,
-            "replay": {
-                "clean": replay_report.clean,
-                "findings": [
-                    _finding_dict(f) for f in replay_report.findings
-                ],
-            },
             "summary": {
                 "linted": len(reports),
                 "errors": n_errors,
@@ -533,9 +512,6 @@ def main(argv: list[str] | None = None) -> int:
             doc["timing"] = timing
         print(json.dumps(doc, indent=2))
     else:
-        # Replay-coverage output precedes per-policy reports in text mode
-        # for continuity with earlier releases; the assembled order here
-        # preserves the original line layout.
         for line in text_lines:
             print(line)
         if timing is not None:

@@ -236,6 +236,14 @@ class MetricsRegistry:
             )
         return inst
 
+    def discard(self, name: str,
+                labels: Mapping[str, str] | Labels | None = None) -> None:
+        """Drop one series, whatever its kind: for an owner whose label
+        values come from callers and would otherwise accumulate."""
+        key = (name, _canon_labels(labels))
+        for instruments in (self._counters, self._gauges, self._histograms):
+            instruments.pop(key, None)
+
     # -- collect hooks -----------------------------------------------------------
 
     def add_hook(self, hook: CollectHook) -> None:

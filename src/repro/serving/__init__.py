@@ -6,23 +6,27 @@ Layers, bottom up:
   (canonical bytes, tmp+rename atomic replacement, stale-tmp hygiene);
 * :mod:`repro.serving.checkpoint` — bit-faithful tenant/switch state
   capture; versioned, checksummed on-disk format;
-* :mod:`repro.serving.wal` — the checksummed, length-prefixed
-  write-ahead op log every control op is appended to before it applies;
-* :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
-  restore plus exactly-once WAL-suffix replay;
 * :mod:`repro.serving.backend` — :class:`SwitchBackend`, the contract a
   control plane programs against, implemented once; its two subclasses
   (:class:`ScalarBackend`, :class:`BatchedBackend`) differ only in how
   a run of data packets is served;
+* :mod:`repro.serving.migration` — zero-loss live migration of a tenant
+  between two switch instances (checkpoint → dual-running → atomic
+  cutover on an SMBM version boundary, gated by the TH015 diff of the
+  two tenant payloads);
+* :mod:`repro.serving.ops` — the control-op table: each op's WAL
+  spelling and its effect, stated once, and the homing rule
+  (:class:`Homes`) it applies through;
+* :mod:`repro.serving.wal` — the checksummed, length-prefixed
+  write-ahead op log every control op is appended to before it applies;
+* :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
+  restore plus exactly-once WAL-suffix replay through the op table;
 * :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
   breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
   concurrent clients, per-tenant total order, serialized admission,
-  write-ahead durability, deadlines/retry/breaker/load-shedding;
-* :mod:`repro.serving.migration` — zero-loss live migration of a tenant
-  between two switch instances (checkpoint → dual-running → atomic
-  cutover on an SMBM version boundary, gated by the TH015 diff of the
-  two tenant payloads).
+  write-ahead durability, deadlines/retry/breaker/load-shedding, all
+  through the same table.
 
 Quickstart: ``python -m repro.serving.controller --backend batched``.
 """
@@ -60,11 +64,8 @@ from repro.serving.checkpoint import (
     spec_to_dict,
 )
 from repro.serving.migration import LiveMigration, MigrationState
-from repro.serving.recovery import (
-    REPLAY_HANDLERS,
-    RecoveryReport,
-    recover,
-)
+from repro.serving.ops import CONTROL_OPS
+from repro.serving.recovery import RecoveryReport, recover
 from repro.serving.wal import (
     CONTROL_OP_KINDS,
     WalRecord,
@@ -91,11 +92,11 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "CircuitBreakerConfig",
+    "CONTROL_OPS",
     "CONTROL_OP_KINDS",
     "Controller",
     "LiveMigration",
     "MigrationState",
-    "REPLAY_HANDLERS",
     "RecoveryReport",
     "ScalarBackend",
     "SwitchBackend",

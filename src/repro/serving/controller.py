@@ -11,8 +11,13 @@ the controller guarantees:
   (admit, evict, hot-swap, migration phases) additionally hold the
   admission lock, so the :class:`~repro.tenancy.manager.TenantManager`
   admission path runs one op at a time across all tenants;
+* **one statement per op** — a public method only builds its op's typed
+  payload; what the op does, and how it is spelled in the log, is its
+  row of :data:`repro.serving.ops.CONTROL_OPS`, which
+  :func:`repro.serving.recovery.recover` replays through as well;
 * **migration transparency** — every per-tenant op (table writes,
-  hot-swap, evict) resolves its target through one lookup: the
+  hot-swap, evict) resolves its target through one lookup,
+  :meth:`Homes.resolve <repro.serving.ops.Homes.resolve>`: the
   :class:`~repro.serving.migration.LiveMigration` while the tenant is
   dual-running (the op lands on *both* instances), the destination once
   it is cut over, this controller's backend otherwise; the submitting
@@ -21,11 +26,13 @@ the controller guarantees:
 * **crash consistency** — with a :class:`~repro.serving.wal.WriteAheadLog`
   attached, every control op is appended (and made durable) immediately
   *before* it applies, in apply order, so an acknowledged op is always
-  recoverable by :func:`repro.serving.recovery.recover` and a crash loses
+  recoverable by :func:`~repro.serving.recovery.recover` and a crash loses
   only unacknowledged ops; a worker *group-commits*: it drains every
   immediately-available op on its queue and logs the burst as one WAL
   frame (single encode + write + flush), which keeps durable logging
-  cheap on pipelined control streams; :meth:`checkpoint` writes a
+  cheap on pipelined control streams; an op whose outcome replay cannot
+  recompute (``cutover``, ``checkpoint``) is alone in its batch and logs
+  at its commit point instead; :meth:`checkpoint` writes a
   :class:`~repro.serving.checkpoint.SwitchCheckpoint` plus a WAL marker
   carrying the per-tenant op-id high-water mark, bounding replay to the
   suffix; a clean :meth:`aclose` appends a ``shutdown`` marker — its
@@ -42,7 +49,10 @@ the controller guarantees:
   Throughout all of it the *data path* keeps serving the last-good plan:
   :meth:`process_batch` never queues behind control ops and keeps
   working even while every breaker is open — the degraded mode the
-  ``controller_degraded`` gauge advertises.
+  ``controller_degraded`` gauge advertises;
+* **no state per name** — a tenant's queue, worker task and queue-depth
+  series exist while ops are queued or the name is admitted, migrating
+  or moved; a name nobody lives under is released once its queue drains.
 
 Observability: ``controller_ops_total{op,outcome}``,
 ``controller_queue_depth{tenant}``, ``controller_apply_ns{op}``,
@@ -85,13 +95,9 @@ from repro.serving.breaker import (
     CircuitBreaker,
     CircuitBreakerConfig,
 )
-from repro.serving.checkpoint import (
-    SwitchCheckpoint,
-    policy_to_dict,
-    save_checkpoint,
-    spec_to_dict,
-)
-from repro.serving.migration import LiveMigration, MigrationState
+from repro.serving.checkpoint import SwitchCheckpoint, save_checkpoint
+from repro.serving.migration import LiveMigration
+from repro.serving.ops import CONTROL_OPS, ControlOp, Homes
 from repro.serving.wal import WalRecord, WriteAheadLog
 from repro.tenancy.manager import Tenant, TenantSpec
 
@@ -101,11 +107,6 @@ _SHUTDOWN = object()
 
 #: Reserved queue for switch-wide ops (checkpoint) — not a tenant name.
 _CTL = "__ctl__"
-
-#: Queue priorities: lifecycle/admission ops displace table maintenance
-#: under overload, never the other way around.
-_PRIO_TABLE = 0
-_PRIO_LIFECYCLE = 1
 
 #: Errors the retry loop must never eat: they *are* the backoff verdict.
 _FAIL_FAST = (RetryExhausted, DeadlineExceeded, Overloaded)
@@ -119,16 +120,25 @@ _GROUP_COMMIT_MAX = 64
 class _Op:
     kind: str
     tenant: str
-    apply: Callable[[], Any]
+    payload: Any
     future: asyncio.Future[Any]
-    admission: bool = False
-    #: JSON-safe WAL args; ``None`` means this op is not logged
-    #: (serving pass-throughs, and checkpoint which logs its own marker).
-    log_args: dict[str, Any] | None = None
-    priority: int = _PRIO_TABLE
+    #: The op's row of the table; ``None`` for the checkpoint marker op.
+    spec: ControlOp | None
     enqueued_ns: int = field(default_factory=time.perf_counter_ns)
     #: Set by the worker once the op's WAL record is durable.
     record: WalRecord | None = None
+
+    @property
+    def lifecycle(self) -> bool:
+        """Holds the admission lock, and displaces table maintenance
+        under overload — never the other way around."""
+        return self.spec is None or self.spec.lifecycle
+
+    @property
+    def solo(self) -> bool:
+        """Logs at its own commit point, so it shares a WAL frame (and
+        a group-commit batch) with no other op."""
+        return self.spec is None or self.spec.gate is not None
 
 
 class _OpQueue:
@@ -160,22 +170,24 @@ class _OpQueue:
             self._idle.clear()
         self._not_empty.set()
 
-    def drain_ready(self, limit: int) -> list[_Op]:
-        """Pop up to ``limit`` immediately-available ops, stopping short
-        of a shutdown sentinel — the group-commit drain."""
-        out: list[_Op] = []
-        while self._items and len(out) < limit:
-            if self._items[0] is _SHUTDOWN:
+    def drain_ready(self, first: _Op, limit: int) -> list[_Op]:
+        """The group-commit drain: ``first`` plus the immediately
+        available ops behind it, up to ``limit`` in all, stopping short
+        of a shutdown sentinel and keeping a solo op alone."""
+        out = [first]
+        while not first.solo and self._items and len(out) < limit:
+            head = self._items[0]
+            if head is _SHUTDOWN or head.solo:
                 break
             out.append(self._items.popleft())
         return out
 
-    def displace_lowest(self, below_priority: int) -> _Op | None:
-        """Remove and return the newest queued op strictly below
-        ``below_priority``, or ``None`` when nothing is displaceable."""
+    def displace_lowest(self, arrival: _Op) -> _Op | None:
+        """Remove and return the newest queued table op a lifecycle
+        ``arrival`` may displace, or ``None`` when there is none."""
         for i in range(len(self._items) - 1, -1, -1):
             item = self._items[i]
-            if item is not _SHUTDOWN and item.priority < below_priority:
+            if item is not _SHUTDOWN and item.lifecycle < arrival.lifecycle:
                 del self._items[i]
                 self.task_done()
                 return item
@@ -263,11 +275,7 @@ class Controller:
         self._crash_hook = crash_hook
         self._queues: dict[str, _OpQueue] = {}
         self._workers: dict[str, asyncio.Task[None]] = {}
-        self._migrations: dict[str, LiveMigration] = {}
-        # Tenants cut over to another instance: in-flight client streams
-        # keep working, their ops re-homed to the destination until the
-        # name is admitted here again.
-        self._moved: dict[str, SwitchBackend] = {}
+        self._homes = Homes(backend)
         self._breakers: dict[str, CircuitBreaker] = {}
         # Per-tenant op-id of the last WAL-logged op whose apply finished
         # (ok or error): the exactly-once high-water mark a checkpoint
@@ -393,15 +401,31 @@ class Controller:
             )
         return queue
 
+    def _apply(self, op: _Op) -> Any:
+        """One op's effect, as its row of the table states it."""
+        spec = op.spec
+        if spec is None:
+            return self._checkpoint(op.payload)
+        if spec.gate is None:
+            return spec.apply(self._homes, op.tenant, op.payload)
+        # Commit-point logging: the record exists only once the gate has
+        # passed, and before the first byte of backend state changes.
+        answer = spec.gate(self._homes, op.tenant, op.payload)
+        if self._wal is not None:
+            op.record = self._wal.append(op.kind, op.tenant,
+                                         spec.encode(op.payload))
+        spec.apply(self._homes, op.tenant, op.payload)
+        return answer
+
     async def _apply_with_retry(self, op: _Op) -> Any:
         attempt = 0
         while True:
             attempt += 1
             try:
-                if op.admission:
+                if op.lifecycle:
                     async with self._admission_lock:
-                        return op.apply()
-                return op.apply()
+                        return self._apply(op)
+                return self._apply(op)
             except _FAIL_FAST:
                 raise
             except FaultError as exc:
@@ -485,11 +509,11 @@ class Controller:
         # the worker (not at submit) so WAL order is exactly apply order
         # and shed or deadline-failed ops are never logged.
         if self._wal is not None:
-            to_log = [op for op in live if op.log_args is not None]
+            to_log = [op for op in live if not op.solo]
             if to_log:
                 try:
                     logged = self._wal.append_group(
-                        [(op.kind, op.tenant, op.log_args)
+                        [(op.kind, op.tenant, op.spec.encode(op.payload))
                          for op in to_log]
                     )
                 except SimulatedCrash as exc:
@@ -504,7 +528,6 @@ class Controller:
                 for op, rec in zip(to_log, logged, strict=True):
                     op.record = rec
         for index, op in enumerate(live):
-            record = op.record
             try:
                 try:
                     result = await self._apply_with_retry(op)
@@ -515,9 +538,9 @@ class Controller:
                     # but a SimulatedCrash mid-apply must leave the op
                     # below the next checkpoint's high-water mark so
                     # recovery replays it.
-                    if record is not None and not self._crashed:
-                        self._applied_hwm[op.tenant] = record.op_id
-                self._crash("ctl.after_apply", record)
+                    if op.record is not None and not self._crashed:
+                        self._applied_hwm[op.tenant] = op.record.op_id
+                self._crash("ctl.after_apply", op.record)
             except SimulatedCrash as exc:
                 self._die(queue, op, live[index + 1:], exc)
                 return False
@@ -532,16 +555,21 @@ class Controller:
             first = await queue.get()
             if first is _SHUTDOWN:
                 return
-            batch = [first, *queue.drain_ready(_GROUP_COMMIT_MAX - 1)]
+            batch = queue.drain_ready(first, _GROUP_COMMIT_MAX)
             self._metric("controller_queue_depth", tenant).set(queue.qsize())
             if not await self._process_group(queue, batch):
                 return
+            if not queue.qsize() and not self._homes.knows(tenant):
+                # Nobody lives under this name (a typo, an evicted
+                # tenant, a refused admit): a label must not be able to
+                # mint state here.  The next submit starts afresh.
+                del self._queues[tenant], self._workers[tenant]
+                self._series.pop(("controller_queue_depth", tenant), None)
+                self._registry.discard("controller_queue_depth", {
+                    "tenant": tenant, "backend": self._backend_label})
+                return
 
-    async def _submit(self, kind: str, tenant: str,
-                      apply: Callable[[], Any], *,
-                      admission: bool = False,
-                      log_args: dict[str, Any] | None = None,
-                      priority: int = _PRIO_TABLE) -> Any:
+    async def _submit(self, kind: str, tenant: str, payload: Any) -> Any:
         if self._closed:
             raise ConfigurationError("controller is closed")
         breaker = self._breaker_for(tenant)
@@ -555,12 +583,11 @@ class Controller:
         future: asyncio.Future[Any] = (
             asyncio.get_running_loop().create_future()
         )
-        op = _Op(kind=kind, tenant=tenant, apply=apply, future=future,
-                 admission=admission, log_args=log_args, priority=priority)
+        op = _Op(kind, tenant, payload, future, CONTROL_OPS.get(kind))
         queue = self._queue_for(tenant)
         if (self._queue_limit is not None
                 and queue.real_size() >= self._queue_limit):
-            victim = queue.displace_lowest(op.priority)
+            victim = queue.displace_lowest(op)
             if victim is None:
                 # Nothing queued is lower priority: shed the arrival.
                 self._metric("controller_shed_total", op.kind).inc()
@@ -583,71 +610,28 @@ class Controller:
 
     # -- tenant lifecycle --------------------------------------------------------------
 
-    def _home(self, tenant: str) -> SwitchBackend | LiveMigration:
-        """Where a tenant's ops apply: both instances while it is
-        dual-running, the destination once cut over, else our backend."""
-        migration = self._migrations.get(tenant)
-        if (migration is not None
-                and migration.state is MigrationState.DUAL_RUNNING):
-            return migration
-        return self._moved.get(tenant, self._backend)
-
     async def add_tenant(self, spec: TenantSpec) -> Tenant:
-        def apply() -> Tenant:
-            tenant = self._backend.program_tenant(spec)
-            # The name lives here again; a tenant of that name cut over
-            # earlier is the destination's business, not this stream's.
-            self._moved.pop(spec.name, None)
-            return tenant
-
-        return await self._submit(
-            "add_tenant", spec.name, apply, admission=True,
-            log_args={"spec": spec_to_dict(spec)},
-            priority=_PRIO_LIFECYCLE,
-        )
+        return await self._submit("add_tenant", spec.name, spec)
 
     async def remove_tenant(self, name: str) -> None:
-        return await self._submit(
-            "remove_tenant", name,
-            lambda: self._home(name).unprogram_tenant(name), admission=True,
-            log_args={}, priority=_PRIO_LIFECYCLE,
-        )
+        return await self._submit("remove_tenant", name, None)
 
     async def hot_swap(self, name: str, policy: Policy, *,
                        allow_semantic_change: bool = True) -> int:
-        # The flag is a pre-install gate, not serving state: it is not
-        # logged to the WAL, and crash-recovery replays a swap that
-        # already passed the gate with the permissive default.
-        return await self._submit(
-            "hot_swap", name,
-            lambda: self._home(name).hot_swap(
-                name, policy, allow_semantic_change=allow_semantic_change
-            ),
-            admission=True,
-            log_args={"policy": policy_to_dict(policy)},
-            priority=_PRIO_LIFECYCLE,
-        )
+        return await self._submit("hot_swap", name,
+                                  (policy, allow_semantic_change))
 
     # -- table maintenance -------------------------------------------------------------
 
-    def _write(self, write: TableWrite) -> None:
-        """One table write, applied wherever its tenant lives."""
-        self._home(write.tenant).write_batch([write])
-
     async def update_resource(self, name: str, resource_id: int,
                               metrics: Mapping[str, int]) -> None:
-        write = TableWrite(name, resource_id, dict(metrics))
         return await self._submit(
-            "update_resource", name, lambda: self._write(write),
-            log_args=write.to_dict(),
-        )
+            "update_resource", name,
+            TableWrite(name, resource_id, dict(metrics)))
 
     async def remove_resource(self, name: str, resource_id: int) -> None:
-        write = TableWrite(name, resource_id, None)
-        return await self._submit(
-            "remove_resource", name, lambda: self._write(write),
-            log_args=write.to_dict(),
-        )
+        return await self._submit("remove_resource", name,
+                                  TableWrite(name, resource_id, None))
 
     async def write_batch(self, name: str,
                           writes: Iterable[TableWrite]) -> int:
@@ -661,11 +645,7 @@ class Controller:
                     f"write_batch on tenant {name!r} contains a write "
                     f"addressed to {write.tenant!r}"
                 )
-        return await self._submit(
-            "write_batch", name,
-            lambda: self._home(name).write_batch(batch),
-            log_args={"writes": [write.to_dict() for write in batch]},
-        )
+        return await self._submit("write_batch", name, batch)
 
     # -- serving (pass-through, ordered per tenant is not required) --------------------
 
@@ -687,53 +667,20 @@ class Controller:
         land on the source only (and are captured by the checkpoint);
         writes submitted after it are dual-applied.
         """
-        migration = LiveMigration(self._backend, dest, name)
-
-        def apply() -> LiveMigration:
-            migration.begin()
-            self._migrations[name] = migration
-            return migration
-
-        return await self._submit(
-            "begin_migration", name, apply, admission=True,
-            log_args={"dest": dest.name},
-            priority=_PRIO_LIFECYCLE,
-        )
-
-    def _migration(self, name: str) -> LiveMigration:
-        migration = self._migrations.get(name)
-        if migration is None:
-            raise ConfigurationError(
-                f"no migration in flight for tenant {name!r}"
-            )
-        return migration
+        return await self._submit("begin_migration", name, dest)
 
     async def cutover(self, name: str) -> dict[str, object]:
-        """Atomically cut ``name`` over to the migration destination."""
+        """Atomically cut ``name`` over to the migration destination.
 
-        def apply() -> dict[str, object]:
-            migration = self._migration(name)
-            stats = migration.cutover()
-            del self._migrations[name]
-            self._moved[name] = migration.dest
-            return stats
-
-        return await self._submit(
-            "cutover", name, apply, admission=True,
-            log_args={}, priority=_PRIO_LIFECYCLE,
-        )
+        The conservation gate runs first; the ``cutover`` record is
+        appended only once it passes, and the source is evicted after
+        that — a tripped gate leaves no record and no change.
+        """
+        return await self._submit("cutover", name, None)
 
     async def abort_migration(self, name: str) -> None:
         """Tear down an in-flight migration; the source keeps serving."""
-
-        def apply() -> None:
-            self._migration(name).abort()
-            del self._migrations[name]
-
-        return await self._submit(
-            "abort_migration", name, apply, admission=True,
-            log_args={}, priority=_PRIO_LIFECYCLE,
-        )
+        return await self._submit("abort_migration", name, None)
 
     # -- durability --------------------------------------------------------------------
 
@@ -746,24 +693,21 @@ class Controller:
         it (``op_id`` above each tenant's mark).  The marker is appended
         *after* the checkpoint file is durably renamed into place — a
         logged marker always names a loadable file (or recovery falls
-        back to an older one).
+        back to an older one) — and carries the homing state beside the
+        mark, since who is migrating or moved is in no backend snapshot.
         """
+        return await self._submit("checkpoint", _CTL, path)
 
-        def apply() -> SwitchCheckpoint:
-            snapshot = self._backend.snapshot()
-            saved = save_checkpoint(path, snapshot)
-            if self._wal is not None:
-                self._wal.append("checkpoint", _CTL, {
-                    "path": str(saved),
-                    "hwm": dict(self._applied_hwm),
-                })
-            return snapshot
-
-        return await self._submit(
-            "checkpoint", _CTL, apply, admission=True,
-            log_args=None,  # logs its own marker, after the file exists
-            priority=_PRIO_LIFECYCLE,
-        )
+    def _checkpoint(self, path: str | pathlib.Path) -> SwitchCheckpoint:
+        snapshot = self._backend.snapshot()
+        saved = save_checkpoint(path, snapshot)
+        if self._wal is not None:
+            self._wal.append("checkpoint", _CTL, {
+                "path": str(saved),
+                "hwm": dict(self._applied_hwm),
+                **self._homes.to_doc(),
+            })
+        return snapshot
 
     # -- lifecycle ---------------------------------------------------------------------
 

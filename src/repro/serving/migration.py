@@ -185,15 +185,13 @@ class LiveMigration:
 
     # -- phase 3: atomic cutover -------------------------------------------------------
 
-    def cutover(self) -> dict[str, object]:
-        """Flip serving to the destination on an SMBM version boundary.
-
-        The conservation gate: both instances are snapshotted and their
+    def gate(self) -> dict[str, object]:
+        """The conservation gate: both instances are snapshotted and their
         payloads must be TH015-clean — every key of a tenant's state
-        bit-identical.  Only then is the tenant evicted from the source.
-        On gate failure the migration stays dual-running (nothing is torn
-        down) and one :class:`~repro.errors.IntegrityError` reports every
-        divergent facet.
+        bit-identical.  Returns the cutover stats.  On failure the
+        migration stays dual-running (nothing is torn down) and one
+        :class:`~repro.errors.IntegrityError` reports every divergent
+        facet.
         """
         self._require(MigrationState.DUAL_RUNNING, "cut over")
         moved = self._dest.snapshot_tenant(self._tenant)
@@ -208,9 +206,6 @@ class LiveMigration:
                 + report.describe(),
                 component="migration",
             )
-        self._source.unprogram_tenant(self._tenant)
-        self._state = MigrationState.COMPLETE
-        self._obs_outcomes["complete"].inc()
         return {
             "tenant": self._tenant,
             "cutover_version": moved.smbm_state["version"],
@@ -218,6 +213,22 @@ class LiveMigration:
             "dual_writes": self._dual_writes,
             "rows": len(moved.smbm_state["rows"]),
         }
+
+    def complete(self) -> None:
+        """Evict the tenant from the source: the destination serves it
+        from here on.  :meth:`gate` vouches for this; a caller that logs
+        the move does so between the two."""
+        self._require(MigrationState.DUAL_RUNNING, "cut over")
+        self._source.unprogram_tenant(self._tenant)
+        self._state = MigrationState.COMPLETE
+        self._obs_outcomes["complete"].inc()
+
+    def cutover(self) -> dict[str, object]:
+        """Flip serving to the destination on an SMBM version boundary:
+        :meth:`gate`, then :meth:`complete`."""
+        stats = self.gate()
+        self.complete()
+        return stats
 
     def abort(self) -> None:
         """Tear down the destination's half; the source keeps serving."""

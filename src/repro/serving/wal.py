@@ -78,6 +78,7 @@ from typing import Any, NamedTuple
 
 from repro import obs
 from repro.errors import ConfigurationError, WalError
+from repro.serving.ops import CONTROL_OPS
 
 __all__ = [
     "WAL_MAGIC",
@@ -100,20 +101,9 @@ _CHECKSUM_BYTES = 8
 #: Defensive bound: no frame of control-op payloads is anywhere near this.
 _MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Every control-op kind the controller logs.  Recovery must hold a
-#: replay handler for each — the TH016 lint audits exactly this tuple
-#: against :data:`repro.serving.recovery.REPLAY_HANDLERS`.
-CONTROL_OP_KINDS = (
-    "add_tenant",
-    "remove_tenant",
-    "hot_swap",
-    "update_resource",
-    "remove_resource",
-    "write_batch",
-    "begin_migration",
-    "cutover",
-    "abort_migration",
-)
+#: Every control-op kind the controller logs: the keys of the control-op
+#: table, so a kind that can be logged is a kind that can be replayed.
+CONTROL_OP_KINDS = tuple(CONTROL_OPS)
 
 #: Non-op records that structure the log rather than mutate the backend.
 MARKER_KINDS = ("checkpoint", "shutdown")

@@ -36,7 +36,7 @@ def test_tenancy_rules_exercised_from_the_catalogue():
 def test_cli_exit_zero_with_expected_demo_findings(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
-    assert ("linted 11 bundled policies + replay coverage: 0 error(s), "
+    assert ("linted 11 bundled policies: 0 error(s), "
             "0 warning(s), 6 expected demo finding(s)") in out
     assert "TH013" in out and "TH014" in out
     assert "(expected: demonstration entry)" in out
@@ -54,7 +54,7 @@ def test_cli_name_filter(capsys):
     assert main(["drill", "-v"]) == 0
     out = capsys.readouterr().out
     assert "drill: clean" in out
-    assert "linted 1 bundled policy + replay coverage:" in out
+    assert "linted 1 bundled policy:" in out
 
 
 def test_cli_unmatched_filter_exits_two(capsys):
@@ -133,7 +133,7 @@ def test_json_format_is_machine_readable(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["errors"] == 0
     assert doc["summary"]["expected_demo_findings"] == 10
-    assert doc["replay"]["clean"] is True
+    assert "replay" not in doc  # TH016 retired with the handler registry
     by_name = {p["name"]: p for p in doc["policies"]}
     th17 = [f for f in by_name["semantic-unreachable-demo"]["findings"]
             if f["rule"] == "TH017"]

@@ -360,16 +360,3 @@ def test_confined_compile_is_slice_clean():
             dead_cells=narrow.reserved_cells(params),
             input_lines=narrow.lines,
         )
-
-
-def test_th016_replay_handler_missing():
-    """A logged op kind with no replay handler (or a handler registered
-    for a kind the WAL never logs) is unrecoverable — both directions of
-    the registry drift produce TH016 and nothing else."""
-    from repro.analysis.replay import audit_replay_registry
-
-    missing = audit_replay_registry(("new_op",), {})
-    assert rules_of(missing) == ["TH016"]
-    assert missing.findings[0].operator == "new_op"
-    dead = audit_replay_registry((), {"renamed_op": object()})
-    assert rules_of(dead) == ["TH016"]

@@ -591,23 +591,3 @@ def test_replay_errors_are_counted_not_fatal(tmp_path):
     ]
     assert report.replayed == 2
     assert _state(report.backend) == _state(backend)
-
-
-def test_th016_replay_coverage_is_clean():
-    from repro.analysis.replay import (
-        audit_replay_registry,
-        verify_replay_coverage,
-    )
-
-    assert verify_replay_coverage().clean
-
-    # The audit actually bites in both directions.
-    gap = audit_replay_registry(("add_tenant", "new_op"),
-                                {"add_tenant": object()})
-    assert [f.rule for f in gap.errors] == ["TH016"]
-    assert "new_op" in gap.errors[0].message
-    dead = audit_replay_registry(("add_tenant",),
-                                 {"add_tenant": object(),
-                                  "renamed_op": object()})
-    assert [f.rule for f in dead.errors] == ["TH016"]
-    assert "renamed_op" in dead.errors[0].message
