@@ -126,20 +126,24 @@ class PacketBatch:
         The batch remembers the source packets so :meth:`scatter` can write
         the output columns back onto their metadata afterwards.
         """
-        request = []
-        masks: list[int | None] = []
-        any_mask = False
-        for packet in packets:
-            meta = packet.metadata
-            request.append(bool(meta.get(META_FILTER_REQUEST)))
-            mask = meta.get(META_FILTER_INPUT)
-            masks.append(checked_mask(mask) if mask is not None else None)
-            any_mask = any_mask or mask is not None
-        batch = cls(
-            len(request),
-            request=request,
-            input_masks=masks if any_mask else None,
-        )
+        metas = [packet.metadata for packet in packets]
+        masks = [meta.get(META_FILTER_INPUT) for meta in metas]
+        batch = cls.from_rows(packets, [
+            None if mask is None else checked_mask(mask) for mask in masks])
+        batch._request = [bool(meta.get(META_FILTER_REQUEST))
+                          for meta in metas]
+        return batch
+
+    @classmethod
+    def from_rows(cls, packets: "Sequence[Packet]",
+                  input_masks: Sequence[int | None]) -> "PacketBatch":
+        """:meth:`from_packets` with both columns already read: every packet
+        requests filtering and ``input_masks`` holds each one's checked
+        mask (``None`` = the full table) — how the switch hands over a run
+        it classified at the batch's edge, without reading any metadata
+        again."""
+        masked = any(mask is not None for mask in input_masks)
+        batch = cls(len(packets), input_masks=input_masks if masked else None)
         batch._packets = packets
         return batch
 

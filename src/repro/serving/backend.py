@@ -12,19 +12,25 @@ Two backends conform today, both multiplexing tenants over one
 
 * :class:`ScalarBackend` — the per-packet reference path: every packet
   traverses the RMT pipeline individually (``switch.process``);
-* :class:`BatchedBackend` — the columnar engine path: probe packets act
-  as batch boundaries and the data runs between them go through the
-  batched/codegen tiers (``switch.process_batch``).
+* :class:`BatchedBackend` — the columnar engine path
+  (``switch.process_batch``): one classifying pass over the batch, then
+  each tenant's rows through the batched/codegen tiers in runs cut only
+  by that tenant's own probes.
 
-The shared machinery — tenant demux, admission, the epoch watermark
-stamped on filter outputs, serving-cache resets on plan or table change —
-lives in :class:`SwitchBackend` itself (and below it, in
-:class:`~repro.tenancy.demux.TenantDemux` and
+Both refuse a batch by one rule, before any probe commits or any row is
+served: :func:`~repro.tenancy.demux.classify`, which the batched switch
+runs as its first pass and the scalar backend through
+:meth:`~repro.tenancy.demux.TenantDemux.partition` — every routing
+violation in one :class:`~repro.errors.RoutingError`, else the first
+malformed mask or out-of-quota probe id.  The rest of the shared
+machinery — admission, the epoch watermark stamped on filter outputs,
+serving-cache resets on plan or table change — lives in
+:class:`SwitchBackend` itself (and below it, in
 :class:`~repro.switch.filter_module.FilterModule`), so the backends
-differ *only* in how a run of data packets is served
+differ *only* in how an admitted batch is served
 (:meth:`SwitchBackend._serve_batch`, the one abstract method).  That is
 what the conformance suite checks: same inputs, same outputs, same error
-shapes, same observability series (distinguished only by the ``backend``
+types, same observability series (distinguished only by the ``backend``
 label).
 """
 
@@ -96,13 +102,9 @@ class SwitchBackend(abc.ABC):
     once over a :class:`TenantManager` and a multi-tenant
     :class:`ThanosSwitch`.
 
-    Subclasses override only :meth:`_serve_batch`.  Routing of a whole
-    batch — filter requests and probes alike — is validated *up front*
-    through the shared :class:`TenantDemux` — all distinct unknown labels
-    and the unlabelled count in one :class:`~repro.errors.RoutingError`,
-    before any packet is served or any probe written — so both backends
-    present identical all-or-nothing batch admission regardless of how
-    they serve.
+    Subclasses override only :meth:`_serve_batch`, and both start it with
+    the same whole-batch check (module docstring), so they present
+    identical all-or-nothing batch admission regardless of how they serve.
     """
 
     #: Short identifier used as the ``backend`` label on obs series.
@@ -201,10 +203,6 @@ class SwitchBackend(abc.ABC):
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
         """Serve a packet stream, preserving per-packet semantics."""
-        # One demux pass over the whole batch surfaces every routing
-        # violation before any packet is served; per-packet serving later
-        # re-resolves each label against the (unchanged) admitted set.
-        self._demux.partition(packets)
         out = self._serve_batch(packets)
         self._obs_packets.inc(len(packets))
         return out
@@ -286,12 +284,16 @@ class ScalarBackend(SwitchBackend):
     name = "scalar"
 
     def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
+        # The batched path's up-front refusal, then per-packet serving
+        # (which re-resolves each label against the unchanged admitted set).
+        self._demux.partition(packets)
         return [self._switch.process(p) for p in packets]
 
 
 class BatchedBackend(SwitchBackend):
-    """The columnar engine path: probes are batch boundaries, data runs
-    between them go through the batched/codegen tiers."""
+    """The columnar engine path: one classifying pass per batch, then
+    each tenant's rows through the batched/codegen tiers, cut only by that
+    tenant's own probes."""
 
     name = "batched"
 

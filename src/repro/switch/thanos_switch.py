@@ -15,14 +15,15 @@ Ties together the four tasks of implementing a filter policy:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from repro.engine.batch import PacketBatch
 from repro.errors import ConfigurationError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.pipeline import MatchActionStage, RMTPipeline
-from repro.rmt.probe import ProbeCodec
+from repro.rmt.probe import ProbeCodec, ProbeUpdate
 from repro.switch.filter_module import META_FILTER_REQUEST, FilterModule
-from repro.tenancy.demux import TenantDemux
+from repro.tenancy.demux import TenantDemux, classify
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime switch<->tenancy cycle
     from repro.tenancy.manager import TenantManager
@@ -31,9 +32,6 @@ __all__ = ["ThanosSwitch", "META_TENANT"]
 
 #: A local-metric event handler maps (event name, event args) to SMBM writes.
 EventHandler = Callable[["ThanosSwitch", Mapping[str, int]], None]
-#: Cuts a run of data packets into (owning module, its packets) sub-batches.
-RunSplit = Callable[[list[Packet]],
-                    Iterable[tuple[FilterModule, list[Packet]]]]
 
 
 class ThanosSwitch:
@@ -41,9 +39,8 @@ class ThanosSwitch:
     in multi-tenant mode (:meth:`multi_tenant`), one demuxed filter stage
     serving every admitted tenant's slice of the shared pipeline.
 
-    The two differ only in who owns a packet: construction fixes one owner
-    lookup (packet -> module) and one run split (data packets -> per-module
-    sub-batches), and everything below is written once against those.
+    The two differ only in who owns a packet: a dedicated switch's one
+    module, or the module of the tenant its ``META_TENANT`` label names.
     """
 
     def __init__(
@@ -55,12 +52,8 @@ class ThanosSwitch:
         """A dedicated switch around one built filter module."""
         self._filter: FilterModule | None = filter_module
         self._tenants: "TenantManager | None" = None
-        self._wire(
-            filter_module.smbm.metric_names,
-            lambda packet: filter_module,
-            lambda run: ((filter_module, run),),
-            ingress_stages, egress_stages,
-        )
+        self._wire(filter_module.smbm.metric_names, ingress_stages,
+                   egress_stages)
 
     @classmethod
     def multi_tenant(
@@ -76,30 +69,16 @@ class ThanosSwitch:
         switch = cls.__new__(cls)
         switch._filter = None
         switch._tenants = tenants
-        demux = TenantDemux(tenants)
-        # Tenants' tables are disjoint, so sub-batch order is immaterial;
-        # within each tenant arrival order is preserved.  Every routing
-        # violation in a run (all distinct unknown labels, all unlabelled
-        # packets) surfaces in the one RoutingError the demux raises.
-        switch._wire(
-            tenants.metric_names,
-            lambda packet: demux.resolve(packet).module,
-            lambda run: ((tenants.get(name).module, pkts)
-                         for name, pkts in demux.partition(run).items()),
-            ingress_stages, egress_stages,
-        )
+        switch._demux = TenantDemux(tenants)
+        switch._wire(tenants.metric_names, ingress_stages, egress_stages)
         return switch
 
     def _wire(
         self,
         metric_names: Sequence[str],
-        owner: Callable[[Packet], FilterModule],
-        split: RunSplit,
         ingress_stages: list[MatchActionStage] | None,
         egress_stages: list[MatchActionStage] | None,
     ) -> None:
-        self._owner = owner
-        self._split = split
         self._codec = ProbeCodec(metric_names)
         self._parser = self._codec.build_parser()
         stages = list(ingress_stages or [])
@@ -128,11 +107,17 @@ class ThanosSwitch:
         """The tenant manager, or ``None`` for a dedicated switch."""
         return self._tenants
 
+    def _owner_of(self, packet: Packet) -> FilterModule:
+        """The module a probe or filter request belongs to."""
+        if self._filter is not None:
+            return self._filter
+        return self._demux.resolve(packet).module
+
     def _filter_hook(self, packet: Packet) -> None:
         """The filter stage: route to the owner, bypass otherwise (a packet
         that asks for nothing needs no owner, so no tenant label)."""
         if packet.metadata.get(META_FILTER_REQUEST):
-            self._owner(packet).hook(packet)
+            self._owner_of(packet).hook(packet)
 
     @property
     def pipeline(self) -> RMTPipeline:
@@ -148,9 +133,9 @@ class ThanosSwitch:
         """Parse wire bytes and process the resulting packet."""
         return self.process(self._parser.parse(data))
 
-    def _apply_probe(self, packet: Packet, update) -> None:
+    def _apply_probe(self, module: FilterModule, update: ProbeUpdate) -> None:
         """Commit one decoded probe to its owner's resource table."""
-        self._owner(packet).update_resource(update.resource_id, update.metrics)
+        module.update_resource(update.resource_id, update.metrics)
         self._probes_processed += 1
 
     def process(self, packet: Packet) -> Packet:
@@ -159,45 +144,51 @@ class ThanosSwitch:
         update = self._codec.decode(packet)
         if update is None:
             return self._pipeline.process(packet)
-        self._apply_probe(packet, update)
+        self._apply_probe(self._owner_of(packet), update)
         return packet
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Process a packet stream, serving data packets in columnar batches.
+        """Process a packet stream, serving each owner's rows in columnar
+        batches.
 
-        Probe packets are decoded and applied to the SMBM **in arrival
-        order** — they act as batch boundaries, so every data packet sees
-        exactly the table state it would have seen under per-packet
-        :meth:`process`.  The runs of data packets between probes go
-        through :meth:`FilterModule.evaluate_batch` when the filter is the
-        only RMT stage; with ingress/egress stages present each packet
-        falls back to the per-packet pipeline (those stages' tables and
-        register charges must interleave per packet).  Note the RMT
-        pipeline's ``packets_processed`` counter only advances on the
-        per-packet path; batched rows are counted by the filter module's
-        own batch counters.
+        When the filter is the only RMT stage, one pass
+        (:func:`~repro.tenancy.demux.classify`) reads every packet's
+        metadata once: it decodes probes only, routes probes and filter
+        requests to their owner, and refuses the whole batch — before any
+        probe commits or any row is served — on a routing violation, a
+        malformed mask or a probe resource id past its owner's quota.
+        Each owner's rows are then served in arrival order through
+        :meth:`FilterModule.evaluate_batch`, cut only by that owner's own
+        probes, which commit in arrival order: every row sees exactly the
+        table state it would under per-packet :meth:`process`, and a probe
+        for one tenant never splits another's run (tables are disjoint, so
+        the order across owners is immaterial).
+
+        An error raised while *serving* a row — a dead Cell met without
+        ``self_healing``, a sanitizer refusal — is the one :meth:`process`
+        raises for that row, and propagates as is (a masked row the batch
+        engine takes runs no Cell, so it meets no dead Cell either).  Which
+        other owners' rows and probes were served before it is not part of
+        the contract: per-packet serving stops at the packet, this path at
+        the run.
+
+        With ingress/egress stages present each packet takes
+        :meth:`process` (those stages' tables and register charges must
+        interleave per packet).  Note the RMT pipeline's
+        ``packets_processed`` counter only advances on that path; batched
+        rows are counted by the filter module's own batch counters.
         """
-        run: list[Packet] = []
-
-        def flush() -> None:
-            if not run:
-                return
-            if self._filter_only:
-                for module, pkts in self._split(run):
-                    module.evaluate_batch(pkts)
-            else:
-                for p in run:
-                    self._pipeline.process(p)
-            run.clear()
-
-        for packet in packets:
-            update = self._codec.decode(packet)
-            if update is None:
-                run.append(packet)
-            else:
-                flush()  # writes may not reorder past pending reads
-                self._apply_probe(packet, update)
-        flush()
+        if not self._filter_only:
+            for packet in packets:
+                self.process(packet)
+            return list(packets)
+        owners, cuts, runs = classify(packets, self._codec.decode,
+                                      self._tenants, self._filter)
+        for name, run, update in cuts:
+            _serve_run(owners[name], *run)
+            self._apply_probe(owners[name], update)
+        for name, run in runs.items():
+            _serve_run(owners[name], *run)
         return list(packets)
 
     def filter_for(self, packet: Packet) -> Packet:
@@ -219,3 +210,12 @@ class ThanosSwitch:
         if handler is None:
             raise ConfigurationError(f"no handler for event {name!r}")
         handler(self, args)
+
+
+def _serve_run(module: FilterModule, rows: list[Packet],
+               masks: list[int | None]) -> None:
+    """One owner's run of rows through its batch tiers, written back once."""
+    if rows:
+        batch = PacketBatch.from_rows(rows, masks)
+        module.evaluate_batch(batch)
+        batch.scatter()

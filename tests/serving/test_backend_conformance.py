@@ -14,6 +14,8 @@ import dataclasses
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.conformance import verify_checkpoint_roundtrip
@@ -28,11 +30,14 @@ from repro.core.policy import (
     round_robin,
 )
 from repro.engine.batch import (
+    META_FILTER_EPOCH,
     META_FILTER_INPUT,
     META_FILTER_OUTPUT,
     META_FILTER_REQUEST,
+    META_FILTER_SELECTED,
 )
 from repro.errors import (
+    CapacityError,
     CellFault,
     CompilationError,
     ConfigurationError,
@@ -40,6 +45,7 @@ from repro.errors import (
 )
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
+from repro.serving import canonical_bytes
 from repro.serving.backend import (
     BatchedBackend,
     ScalarBackend,
@@ -114,20 +120,34 @@ def _schedule():
     return steps
 
 
+#: Step kinds that put a probe on the wire; the second one also carries
+#: ``META_FILTER_REQUEST``, which must not make it a row.
+PROBES = ("probe", "probe+request")
+
+
 def _traffic(codec: ProbeCodec, steps):
-    """Fresh packet objects for one backend run (metadata is mutated)."""
+    """Fresh packet objects for one backend run (metadata is mutated).
+    Besides probes and ``("data", tenant, mask)`` rows, a ``("quiet",
+    tenant)`` step is a packet that requests nothing (``tenant=None``: not
+    even a label)."""
     parser = codec.build_parser()
     packets = []
     for step in steps:
-        if step[0] == "probe":
+        tenant = step[1]
+        if step[0] in PROBES:
             _, tenant, rid, metrics = step
             packet = parser.parse(codec.encode(rid, metrics))
+            if step[0] == "probe+request":
+                packet.metadata[META_FILTER_REQUEST] = 1
+        elif step[0] == "quiet":
+            packet = Packet()
         else:
             _, tenant, mask = step
             packet = Packet(metadata={META_FILTER_REQUEST: 1})
             if mask is not None:
                 packet.metadata[META_FILTER_INPUT] = mask
-        packet.metadata[META_TENANT] = tenant
+        if tenant is not None:
+            packet.metadata[META_TENANT] = tenant
         packets.append(packet)
     return packets
 
@@ -139,9 +159,11 @@ def _golden_traces(steps, policies=POLICIES):
                for name, policy in policies.items()}
     traces = {name: [] for name in policies}
     for step in steps:
-        if step[0] == "probe":
+        if step[0] in PROBES:
             _, tenant, rid, metrics = step
             modules[tenant].update_resource(rid, metrics)
+            continue
+        if step[0] == "quiet":
             continue
         _, tenant, mask = step
         module = modules[tenant]
@@ -175,6 +197,109 @@ def test_backends_serve_identical_traces():
     scalar = _run(_make_backend(ScalarBackend), steps)
     batched = _run(_make_backend(BatchedBackend), steps)
     assert scalar == batched
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("data"), st.sampled_from(list(POLICIES)),
+              st.sampled_from(MASKS) | st.integers(0, 0xFF)),
+    st.tuples(st.sampled_from(PROBES), st.sampled_from(list(POLICIES)),
+              st.integers(0, 7),
+              st.fixed_dictionaries({"cpu": st.integers(0, 99),
+                                     "mem": st.integers(0, 49)})),
+    st.tuples(st.just("quiet"), st.sampled_from([*POLICIES, None])),
+)
+
+
+def _per_packet(backend, steps):
+    """Serve ``steps`` as one batch: ``(output, selected, epoch)`` per
+    packet, ``None`` where the packet was not served."""
+    packets = _traffic(ProbeCodec(METRICS), steps)
+    backend.process_batch(packets)
+    return [tuple(p.metadata.get(key) for key in (
+        META_FILTER_OUTPUT, META_FILTER_SELECTED, META_FILTER_EPOCH))
+        for p in packets]
+
+
+@settings(max_examples=60)
+@given(st.lists(_STEPS, max_size=40))
+def test_random_schedules_serve_alike_on_both_backends(steps):
+    """Stateful (``c``), feedback (``f``) and stateless tenants under
+    masked and unmasked rows, probes with and without later rows of their
+    tenant, packets asking for nothing and probes that also ask for
+    filtering: both backends serve the solo oracle per packet and end in
+    the same state."""
+    golden = {name: iter(outs) for name, outs in _golden_traces(steps).items()}
+    want = []
+    for step in steps:
+        out = next(golden[step[1]]) if step[0] == "data" else None
+        want.append((None, None, None) if out is None else (
+            out, out.bit_length() - 1 if out.bit_count() == 1 else -1, 0))
+    served = {}
+    for cls in BACKENDS:
+        backend = _make_backend(cls)
+        served[cls] = (_per_packet(backend, steps),
+                       canonical_bytes(backend.snapshot().payload()),
+                       backend.switch.probes_processed)
+    assert served[ScalarBackend][0] == served[BatchedBackend][0] == want
+    assert served[ScalarBackend][1:] == served[BatchedBackend][1:]
+    assert served[BatchedBackend][2] == sum(s[0] in PROBES for s in steps)
+
+
+def _batches_by_tenant(registry) -> dict[str, float]:
+    samples, _ = registry.collect()
+    return {name: sum(s.value for s in samples
+                      if s.name == "filter_batches_total"
+                      and ("tenant", name) in s.labels)
+            for name in POLICIES}
+
+
+def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
+    """One ``evaluate_batch`` per run, and a run of tenant A ends only at
+    a probe for A that finds A's rows pending; probes are decoded once
+    each and nothing else is."""
+    decoded = []
+    decode = ProbeCodec.decode
+
+    def counting_decode(codec, packet):
+        decoded.append(packet)
+        return decode(codec, packet)
+
+    monkeypatch.setattr(ProbeCodec, "decode", counting_decode)
+    row = {"cpu": 5, "mem": 5}
+    steps = [
+        ("data", "a", None), ("data", "b", None),
+        ("probe", "b", 1, row),          # b pending: b's first run ends
+        ("data", "a", 0b11),
+        ("probe", "c", 2, row),          # c has nothing pending
+        ("probe", "a", 3, row),          # a's two rows were one run
+        ("data", "c", None),
+        ("probe+request", "f", 4, row),  # f has nothing pending
+        ("data", "f", None), ("data", "b", None), ("quiet", None),
+        ("probe", "b", 5, row),          # b's second run ends
+        ("probe", "b", 6, row),          # b has nothing pending
+        ("data", "a", None), ("data", "b", 0b1), ("data", "c", None),
+    ]
+    backend = _make_backend(BatchedBackend)
+    before = _batches_by_tenant(registry)
+    packets = _traffic(ProbeCodec(METRICS), steps)
+    backend.process_batch(packets)
+    after = _batches_by_tenant(registry)
+    # 1 + the tenant's own probes that arrived with its rows pending.
+    assert {name: after[name] - before[name] for name in POLICIES} == {
+        "a": 1 + 1, "b": 1 + 2, "c": 1 + 0, "f": 1 + 0}
+    probes = [p for p, s in zip(packets, steps) if s[0] in PROBES]
+    assert len(decoded) == len(probes) == 6
+    assert all(got is want for got, want in zip(decoded, probes))
+
+    decoded.clear()
+    rows = [("data", name, mask) for mask in (None, 0b10)
+            for name in ("a", "b", "c")]
+    before = after
+    backend.process_batch(_traffic(ProbeCodec(METRICS), rows))
+    after = _batches_by_tenant(registry)
+    assert {name: after[name] - before[name] for name in POLICIES} == {
+        "a": 1, "b": 1, "c": 1, "f": 0}
+    assert decoded == []
 
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
@@ -342,10 +467,9 @@ def test_unknown_labels_aggregate_into_one_routing_error(cls):
 def test_malformed_input_mask_is_one_configuration_error(cls, hostile):
     """A ``META_FILTER_INPUT`` that is not an int is refused where it
     enters, with the same error on both backends — never a bare builtin
-    exception, never a float served truncated.  What the rest of the batch
-    is left holding is not asserted: refusing it whole, before the probe
-    ahead of the bad packet commits, takes the one up-front column pass of
-    ROADMAP item 2."""
+    exception, never a float served truncated — and it refuses the batch
+    whole: the probe ahead of the bad packet does not commit and no row
+    ahead of it is served."""
     backend = _make_backend(cls)
     codec = ProbeCodec(METRICS)
     probe = codec.build_parser().parse(codec.encode(1, {"cpu": 5, "mem": 5}))
@@ -356,14 +480,54 @@ def test_malformed_input_mask_is_one_configuration_error(cls, hostile):
         for mask in [0b11] * 9 + [hostile]
     ]
     epochs = {t.name: t.plan_epoch for t in backend.manager}
+    versions = {t.name: t.module.smbm.version for t in backend.manager}
     with pytest.raises(ConfigurationError) as excinfo:
         backend.process_batch([probe] + requests)
     assert str(excinfo.value) == (
         f"{META_FILTER_INPUT} must be an int id-bitmask, "
         f"got {type(hostile).__name__}"
     )
-    assert META_FILTER_OUTPUT not in requests[-1].metadata
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in requests)
     assert {t.name: t.plan_epoch for t in backend.manager} == epochs
+    assert {t.name: t.module.smbm.version
+            for t in backend.manager} == versions
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_out_of_quota_probe_id_refuses_the_whole_batch(cls):
+    """A wire probe naming a resource id at or past its tenant's quota
+    fits the 16-bit field but no row of the table: the batch is refused
+    with a CapacityError before the valid probe ahead of it commits or
+    any row is served."""
+    backend = _make_backend(cls)
+    quota = backend.manager.get("a").module.smbm.capacity
+    row = {"cpu": 5, "mem": 5}
+    packets = _traffic(ProbeCodec(METRICS), [
+        ("probe", "a", 1, row), ("data", "a", None), ("data", "b", 0b11),
+        ("probe", "a", quota, row), ("data", "a", None),
+    ])
+    versions = {t.name: t.module.smbm.version for t in backend.manager}
+    with pytest.raises(CapacityError, match=f"resource id {quota}"):
+        backend.process_batch(packets)
+    assert {t.name: t.module.smbm.version
+            for t in backend.manager} == versions
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in packets)
+    assert backend.switch.probes_processed == 0
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_a_dead_cell_met_while_serving_raises_alike(cls):
+    """Past the up-front check, a serving-time error keeps its type on
+    both backends (``ThanosSwitch.process_batch``'s contract): a dead Cell
+    that an unmasked row meets without ``self_healing`` is a CellFault.
+    (On the batched backend a masked row of this plan takes the batch
+    engine, which runs no Cell; the dead-Cell schedule above covers those
+    rows.)"""
+    steps = ([("probe", "plain", rid, {"cpu": 9 - rid, "mem": rid})
+              for rid in range(3)]
+             + [("data", "plain", mask) for mask in (None, 0b011)])
+    with pytest.raises(CellFault):
+        _run_with_dead_cells(cls, steps, {"plain": {}})
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)

@@ -12,8 +12,8 @@ from repro.core.policy import (
     predicate,
     random_pick,
 )
-from repro.errors import ConfigurationError
-from repro.rmt.packet import Packet
+from repro.errors import CapacityError, ConfigurationError
+from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ETHER_HEADER, ETHERTYPE_DATA
 from repro.switch.filter_module import (
     META_FILTER_OUTPUT,
@@ -119,6 +119,34 @@ class TestThanosSwitch:
             sw.receive_bytes(sw._codec.encode(rid, {"util": util, "delay": 0}))
         packet = sw.filter_for(data_packet())
         assert packet.metadata[META_FILTER_SELECTED] == 1
+
+    def test_process_batch_is_the_one_pass_with_one_owner(self):
+        """A dedicated switch batches like it processes per packet —
+        probes commit in arrival order, tenant labels are not read — and
+        refuses a probe id past its table whole."""
+        def stream(sw, ids):
+            packets = []
+            for rid, util in zip(ids, [60, 10, 40, 5]):
+                packets.append(sw._parser.parse(
+                    sw._codec.encode(rid, {"util": util, "delay": 0})))
+                packets.append(data_packet())
+                packets[-1].metadata.update(
+                    {META_FILTER_REQUEST: 1, META_TENANT: "unread"})
+            return packets
+
+        batched, scalar = make_switch(), make_switch()
+        served = batched.process_batch(stream(batched, range(4)))
+        want = [scalar.process(p) for p in stream(scalar, range(4))]
+        assert [p.metadata[META_FILTER_SELECTED] for p in served[1::2]] == [
+            0, 1, 1, 3]
+        assert [p.metadata for p in served] == [p.metadata for p in want]
+        assert batched.probes_processed == scalar.probes_processed == 4
+        fresh = make_switch()
+        packets = stream(fresh, [0, 1, 8, 2])
+        with pytest.raises(CapacityError, match="resource id 8"):
+            fresh.process_batch(packets)
+        assert len(fresh.filter_module.smbm) == fresh.probes_processed == 0
+        assert not any(META_FILTER_OUTPUT in p.metadata for p in packets)
 
     def test_data_packet_without_request_bypasses(self):
         sw = make_switch()
