@@ -75,8 +75,9 @@ RULES: dict[str, Rule] = {
              "contradictory predicates is one case of a provably empty "
              "intersection"),
         Rule("TH012", "CodegenIneligible", Severity.WARNING,
-             "the plan cannot be specialized to a flat closure (stateful "
-             "units or feedback registers)"),
+             "retired (no check emits it): every stateless plan is served "
+             "by its kernel and a stateful one by the Cells, so there is "
+             "no per-tenant lowering choice left to lint"),
         Rule("TH013", "QuotaExceeded", Severity.ERROR,
              "a tenant's plan or table needs more Cells or SMBM rows than "
              "its admitted quota, or admission would oversubscribe the "

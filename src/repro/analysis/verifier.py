@@ -34,13 +34,7 @@ from repro.core import area
 from repro.core.benes import BenesNetwork, Crossbar
 from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.pipeline import PipelineConfig, PipelineParams, units_read
-from repro.core.policy import (
-    Policy,
-    TableRef,
-    Unary,
-    preorder_paths,
-    stateless_blockers,
-)
+from repro.core.policy import Policy, TableRef, Unary, preorder_paths
 from repro.core.smbm import STORED_WORD_BITS
 from repro.errors import CompilationError, ConfigurationError, RoutingError
 
@@ -416,28 +410,6 @@ class PlanVerifier:
                 f"table capacity {self._schema.capacity} exceeds the "
                 f"tenant's SMBM row quota {tenant_slice.smbm_quota}",
             )
-        return report
-
-    # -- codegen eligibility (TH012) --------------------------------------------------
-
-    def verify_codegen(self, compiled: "CompiledPolicy") -> Report:
-        """TH012: may this plan be specialized to a flat closure?
-
-        The codegen bargain is only sound when a plan's output is a pure
-        function of the table contents: every blocker reported here names
-        a way the pipeline traversal carries information a per-version
-        kernel cannot — the policy's own
-        :func:`~repro.core.policy.stateless_blockers` (cross-packet unit
-        state, feedback registers; what
-        :class:`~repro.engine.codegen.PlanCodegen` refuses).
-        A clean report means the generated kernel is semantically
-        interchangeable with the interpreted plan at every table version.
-        """
-        report = Report(
-            subject=f"codegen eligibility of {compiled.policy.name!r}"
-        )
-        for blocker in stateless_blockers(compiled.policy):
-            report.add("TH012", blocker)
         return report
 
     # -- the full pass ---------------------------------------------------------------

@@ -31,7 +31,7 @@ before any placement is tried (each DAG walk here visits a node once,
 however many paths share it).
 
 The compiler decides *placement* only.  What a policy means in software —
-the naive reference, the batch engine, the ``codegen`` kernel — is lowered
+the naive reference, the codegen kernel — is lowered
 from the :class:`~repro.core.policy.Policy` by the layers above and is not
 attached to a :class:`CompiledPolicy`: a recompile onto other Cells leaves
 all of it valid.

@@ -302,8 +302,8 @@ def stateless_blockers(policy: Policy) -> list[str]:
     may evaluate it.
 
     The single definition of "stateless" behind the version memo
-    (``CompiledPolicy.stateless``), the batched evaluator, the codegen
-    tier, the TH012 lint and the filter module's engine choice.
+    (``CompiledPolicy.stateless``) and the codegen kernel: a filter module
+    builds the kernel exactly when this is empty.
     """
     blockers: list[str] = []
     for node in postorder(policy.root):

@@ -4,15 +4,14 @@ The engine is the throughput tier above the per-packet fast path:
 
 * :class:`~repro.engine.batch.PacketBatch` — the columnar
   (struct-of-arrays) packet buffer;
-* :class:`~repro.engine.columnar.BatchedEvaluator` — interpreted batch
-  evaluation over mask columns: :func:`repro.core.policy.fold` in the
-  int-column domain;
 * :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
-  scalar closures (the same fold, in a source-emitting domain), cached
-  on ``(plan_hash, smbm.version)``.
+  scalar closures (:func:`repro.core.policy.fold` in a source-emitting
+  domain), cached on ``(plan_hash, smbm.version)``: the one software
+  lowering of a stateless policy, for single rows and batch columns alike.
 
-Both are pure Python over int masks; nothing here imports an array
-library (DESIGN.md, "What a domain supplies", has the measurement).
+:mod:`repro.engine.columnar` (the same fold over int-mask columns) serves
+no row.  Everything here is pure Python over int masks; nothing imports an
+array library (DESIGN.md, "What a domain supplies", has the measurement).
 """
 
 from repro.engine.batch import (
@@ -23,11 +22,9 @@ from repro.engine.batch import (
     PacketBatch,
 )
 from repro.engine.codegen import PlanCodegen, generate_plan_source, plan_hash_of
-from repro.engine.columnar import BatchedEvaluator
 
 __all__ = [
     "PacketBatch",
-    "BatchedEvaluator",
     "PlanCodegen",
     "generate_plan_source",
     "plan_hash_of",

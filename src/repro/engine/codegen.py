@@ -1,4 +1,4 @@
-"""Per-policy codegen: eligible policies become flat specialized closures.
+"""Per-policy codegen: stateless policies become flat specialized closures.
 
 The interpreted fast path pays Python dispatch per operator object per
 packet, plus the bounds/width/liveness checks the pipeline model carries.
@@ -17,9 +17,9 @@ domain, whose values are variable names.
 
 The tier is a lowering of the *policy*: it takes no compiled plan, the
 compiler (:mod:`repro.core.compiler`) does not know it exists, and a
-:class:`~repro.switch.filter_module.FilterModule` builds it on its policy
-clock — construction and ``hot_swap`` — so a fail-around recompile onto
-other Cells keeps the same object.
+:class:`~repro.switch.filter_module.FilterModule` builds one for every
+stateless policy on its policy clock — construction and ``hot_swap`` — so
+a fail-around recompile onto other Cells keeps the same object.
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 canonical DAG serialization) and exec'd once; specialized kernels are
@@ -28,10 +28,11 @@ memo invalidates on, so a committed table write respecializes on the
 next evaluation and nothing staler can ever be served.
 
 A batch runs the same kernel row by row
-(:meth:`PlanCodegen.evaluate_masks`): what it saves over the interpreted
-column fold is per-operator dispatch, which the fold already pays once
-per *batch* — so the kernel earns its keep on single rows, not on wide
-columns (DESIGN.md has the measurement).
+(:meth:`PlanCodegen.evaluate_masks`), so one object is both the row
+routine's lowering and the module's batch engine.  What it saves over the
+interpreted column fold is per-operator dispatch, which the fold pays once
+per *batch*: on a wide column the two are even, on short columns and
+single rows the kernel wins (DESIGN.md, ``tools/lowering_costs.py``).
 
 The generated code is the optimisation, never the spec: under
 ``sanitize=True`` the filter module holds every kernel row and every
@@ -192,18 +193,18 @@ class PlanCodegen:
 
     A lowering of the policy alone — no compilation, placement or Cell
     enters it — so it is built when the policy changes and survives every
-    fail-around recompile.  Construction is the eligibility gate: a policy
+    fail-around recompile.  A policy
     :func:`~repro.core.policy.stateless_blockers` objects to (stateful
-    operators, feedback registers — the TH012 blockers a policy can
-    carry) raises :class:`ConfigurationError` naming them.
+    operators, feedback registers) has no kernel: construction raises
+    :class:`ConfigurationError` naming every blocker.
     """
 
     def __init__(self, policy: Policy):
         blockers = stateless_blockers(policy)
         if blockers:
             raise ConfigurationError(
-                f"policy {policy.name!r} is not codegen-eligible (TH012): "
-                + "; ".join(blockers)
+                f"policy {policy.name!r} has no kernel, its output is not "
+                "a function of the table alone: " + "; ".join(blockers)
             )
         self._policy = policy
         source, digest, relops = generate_plan_source(policy)

@@ -1,5 +1,12 @@
 """Batched columnar policy evaluation over id-mask columns.
 
+Serves no row; kept for the benchmark's import (``benchmarks/e2e/tracing.py``
+wraps :meth:`BatchedEvaluator.evaluate_masks`).  ``FilterModule`` serves
+masked batch rows with the policy's
+:class:`~repro.engine.codegen.PlanCodegen` kernel, which is even with this
+fold on wide columns and ahead of it on short ones (DESIGN.md, "Batched
+engine & policy codegen").
+
 The scalar fast path walks interpreted operator objects once *per packet*;
 at batch sizes beyond a handful of packets, Python dispatch — not the
 algorithm — dominates.  The batch tier runs :func:`repro.core.policy.fold`

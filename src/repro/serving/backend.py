@@ -14,7 +14,8 @@ Two backends conform today, both multiplexing tenants over one
   traverses the RMT pipeline individually (``switch.process``);
 * :class:`BatchedBackend` — the columnar engine path
   (``switch.process_batch``): one classifying pass over the batch, then
-  each tenant's rows through the batched/codegen tiers in runs cut only
+  each tenant's rows through its module's ``evaluate_batch`` (a memo
+  broadcast, the kernel, or per-row for a stateful plan) in runs cut only
   by that tenant's own probes.
 
 Both refuse a batch by one rule, before any probe commits or any row is
@@ -292,8 +293,8 @@ class ScalarBackend(SwitchBackend):
 
 class BatchedBackend(SwitchBackend):
     """The columnar engine path: one classifying pass per batch, then
-    each tenant's rows through the batched/codegen tiers, cut only by that
-    tenant's own probes."""
+    each tenant's rows through its module's ``evaluate_batch``, cut only
+    by that tenant's own probes."""
 
     name = "batched"
 

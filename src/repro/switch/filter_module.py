@@ -15,7 +15,13 @@ policy alone determines is built when the policy changes, what the
 placement determines when the Cells move, and what a table version
 determines when the table is written (the three clocks in
 :class:`FilterModule`'s docstring).  Its mode flags — ``self_healing``,
-``sanitize``, ``codegen`` — and the tenant slice compose freely.
+``sanitize`` — and the tenant slice compose freely.
+
+A stateless policy has one software lowering, its
+:class:`~repro.engine.codegen.PlanCodegen` kernel, for memo misses, masked
+rows and batch columns alike.  The Cell pipeline is the hardware model; it
+serves the rows of a stateful policy, and any row while an injected fault
+is still on the placement, so the fault surfaces where hardware meets it.
 """
 
 from __future__ import annotations
@@ -31,11 +37,7 @@ from repro.core.bitvector import BitVector
 from repro.core.cell import Cell
 from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import (
-    Policy,
-    PolicyInterpreter,
-    stateless_blockers,
-)
+from repro.core.policy import Policy, PolicyInterpreter, stateless_blockers
 from repro.core.smbm import SMBM
 from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_EPOCH,            # defined at the engine layer so the
@@ -47,7 +49,6 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
     checked_mask,
 )
 from repro.engine.codegen import PlanCodegen
-from repro.engine.columnar import BatchedEvaluator
 from repro.errors import CellFault, ConfigurationError, IntegrityError
 from repro.rmt.packet import Packet
 
@@ -78,8 +79,8 @@ class FilterModule:
 
     * the **policy clock** (construction, :meth:`hot_swap`) —
       :meth:`_program` builds what is a function of the policy alone: the
-      naive reference, the ``codegen`` kernel, the masked-row batch engine,
-      the sanitizer's feasible region, the policy-labelled instruments;
+      naive reference, the kernel (stateless policies only), the
+      sanitizer's feasible region, the policy-labelled instruments;
     * the **placement clock** (construction, :meth:`hot_swap`, every
       fail-around recompile) — :meth:`_place` maps the policy onto the
       Cells the slice and the detected faults leave and re-arms the
@@ -99,7 +100,6 @@ class FilterModule:
         lfsr_seed: int = 1,
         self_healing: bool = False,
         sanitize: bool = False,
-        codegen: bool = False,
         tenant: str | None = None,
         reserved_cells: "Iterable[tuple[int, int]]" = (),
         input_lines: "Iterable[int] | None" = None,
@@ -129,7 +129,6 @@ class FilterModule:
         self._hw_dead: set[tuple[int, int]] = set()
         self._hw_stuck: dict[tuple[int, int], dict[int, int]] = {}
         self._routed_around: set[tuple[int, int]] = set()
-        self._codegen_requested = codegen
         # A hitless hot-swap bumps the epoch; the watermark is stamped on
         # every filter output (scalar and batched) so a packet stream
         # spanning a swap separates cleanly into old-plan/new-plan halves.
@@ -140,8 +139,8 @@ class FilterModule:
         self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
         # "broadcast" = uniform rows collapsed to one memoized evaluation,
-        # "engine" = columnar/codegen batch kernels, "fallback" = the
-        # scalar per-row loop (stateful policies, ineligible plans).
+        # "engine" = masked rows in one kernel call, "fallback" = the
+        # scalar per-row loop (stateful policies).
         self._batches = 0
         self._batch_rows = 0
         self._batch_broadcast_rows = 0
@@ -192,9 +191,8 @@ class FilterModule:
         )
         self._obs_cache_resets = registry.counter(
             "serving_cache_resets_total", tlabels or None,
-            help="serving-cache invalidations (memo, batch evaluator, "
-                 "codegen kernels) on install, hot-swap, fail-around, "
-                 "and table restore",
+            help="serving-cache invalidations (memo, codegen kernel) on "
+                 "install, hot-swap, fail-around, and table restore",
         )
         # Construction installs the plan through the same step every
         # later plan change does (and counts its cache reset).
@@ -202,26 +200,17 @@ class FilterModule:
 
     def _program(self, policy: Policy) -> None:
         """The policy clock: build everything that is a function of the
-        policy alone.  Every lowering is built before the first assignment,
-        so a policy one of them refuses (``codegen=True`` on a plan with
-        TH012 blockers raises :class:`~repro.errors.ConfigurationError`)
-        leaves the module exactly as it was."""
+        policy alone, before the first assignment — among it one
+        :class:`PlanCodegen` for a stateless policy (the row routine's
+        lowering and the batch engine both), none for a stateful one."""
         # The naive reference self_test() and sanitize_check() hold the
         # plan to: a walk of the policy DAG over the table's sorted lists,
         # sharing no compiler, Cell or MetricIndex with the plan it judges.
         reference = PolicyInterpreter(policy, lfsr_seed=self._lfsr_seed)
-        # The one masked-row batch engine: the kernel tier when armed, else
-        # the interpreted columnar tier for every plan the stateless fold
-        # can express, else none (those rows take the row routine).
-        kernel = engine = None
-        if self._codegen_requested:
-            kernel = engine = PlanCodegen(policy)
-        elif not stateless_blockers(policy):
-            engine = BatchedEvaluator(policy, self._smbm.capacity)
+        kernel = None if stateless_blockers(policy) else PlanCodegen(policy)
         self._policy = policy
         self._reference = reference
         self._codegen = kernel
-        self._engine = engine
         # Sanitizer-side soundness witness for the symbolic analyzer: the
         # feasible output region of the policy, derived on first use.
         self._region: Region | None = None
@@ -347,7 +336,7 @@ class FilterModule:
         Every serving cache is dropped *before* the restore lands: the
         restored version counter may be lower than (or collide with) the
         live one, so version-keyed reuse across a restore is unsound — the
-        memo, batch evaluator, and codegen kernels all rebuild against the
+        memo and the kernel's specialization both rebuild against the
         restored table.  ``plan_epoch`` optionally re-stamps the module's
         epoch watermark so a migrated tenant's outputs keep the epoch
         lineage of the source module.
@@ -363,8 +352,8 @@ class FilterModule:
 
     @property
     def codegen(self):
-        """The policy's :class:`~repro.engine.codegen.PlanCodegen` tier, or
-        ``None`` when the module was built without ``codegen=True``."""
+        """The policy's :class:`~repro.engine.codegen.PlanCodegen` kernel,
+        or ``None`` for a stateful policy."""
         return self._codegen
 
     @property
@@ -452,13 +441,14 @@ class FilterModule:
         return out
 
     def _run(self, mask: int | None) -> int:
-        """The specialized kernel when armed, else the compiled pipeline;
+        """The kernel :meth:`_arm` chose, else the compiled pipeline;
         under ``sanitize`` the kernel is held to the pipeline and every
         output to the plan's feasible region."""
-        if self._codegen is None:
+        kernel = self._row_kernel
+        if kernel is None:
             out = self._plan_output(mask)
         else:
-            out = self._codegen.evaluate(self._smbm, mask)
+            out = kernel.evaluate(self._smbm, mask)
             if self._sanitize:
                 # The interpreted plan stays the differential oracle of
                 # the generated code.
@@ -598,6 +588,7 @@ class FilterModule:
         """
         self._hw_dead.add((stage, index))
         self._compiled.pipeline.cell_at(stage, index).kill()
+        self._arm()
 
     def inject_cell_stuck(self, stage: int, index: int, side: int,
                           stuck: int) -> None:
@@ -608,6 +599,7 @@ class FilterModule:
         """
         self._hw_stuck.setdefault((stage, index), {})[side] = stuck
         self._compiled.pipeline.cell_at(stage, index).inject_stuck(side, stuck)
+        self._arm()
 
     def remove_cell_stuck(self, stage: int, index: int, side: int) -> None:
         """Undo an injected stuck fault (an injector reverting a flip that
@@ -619,22 +611,28 @@ class FilterModule:
             if not sides:
                 del self._hw_stuck[pos]
         self._compiled.pipeline.cell_at(stage, index).clear_stuck(side)
+        self._arm()
+
+    def _arm(self) -> None:
+        """Derive the row routine's lowering: the kernel, unless an
+        injected fault sits on a Cell the placement does not exclude —
+        then the Cells, so the fault surfaces on the next miss (a dead Cell
+        raises or heals, a stuck one corrupts) as in hardware."""
+        faulty = (self._hw_dead | self._hw_stuck.keys()) - \
+            self._compiled.dead_cells
+        self._row_kernel = None if faulty else self._codegen
 
     def _recompile(self) -> None:
         """Fail-around: a tick of the placement clock alone — the policy's
-        reference, kernel and batch engine are the objects they were."""
+        reference and kernel are the objects they were."""
         self._install(self._place(self._policy))
 
     def _reset_serving_caches(self) -> None:
-        """Drop every serving cache derived from the plan or the table.
-
-        One sequence, used everywhere a cache could go stale: module
-        install (construction), hitless hot-swap, fail-around
-        recompilation, and checkpoint restore.  Covers the version-keyed
-        scalar memo and the codegen tier's specialized kernel (the
-        interpreted batch evaluator keeps nothing between calls); counted
-        once per reset on ``serving_cache_resets_total``.
-        """
+        """Drop every serving cache derived from the plan or the table —
+        the version-keyed memo and the kernel's specialization — wherever
+        one could go stale: install (construction), hot-swap, fail-around
+        recompile and checkpoint restore.  Counted once per reset on
+        ``serving_cache_resets_total``."""
         # Single-entry memo: the SMBM version only moves forward, so older
         # results can never become valid again.
         self._memo_version: int | None = None
@@ -650,6 +648,7 @@ class FilterModule:
         self._compiled = compiled
         self._memoize = compiled.stateless
         self._reset_serving_caches()
+        self._arm()
 
     def hot_swap(
         self,
@@ -662,12 +661,12 @@ class FilterModule:
         Both the policy and the placement clock tick.  The replacement is
         compiled *beside* the live plan (under the same tenant slice and
         fault exclusions) and optionally vetted by ``gate`` (e.g. a tenant
-        manager's slice verifier); its lowerings are built beside the live
-        ones.  Any of the three may raise — a policy that does not fit, a
-        gate that refuses, ``codegen=True`` on a policy with TH012
-        blockers — and the live plan, epoch and outputs are then untouched.
-        Otherwise the flip is atomic on an SMBM version boundary, with
-        every version-keyed cache dropped in the same step.
+        manager's slice verifier); a policy that does not fit, or a gate
+        that refuses, raises with the live plan, epoch and outputs
+        untouched.  Then the policy's lowerings are built — a kernel for a
+        stateless replacement, none for a stateful one — and the flip is
+        atomic on an SMBM version boundary, with every version-keyed cache
+        dropped in the same step.
         No packet ever sees a mix: outputs stamped with the old
         :attr:`plan_epoch` came entirely from the old plan, outputs with
         the new epoch entirely from the new one.
@@ -796,7 +795,7 @@ class FilterModule:
     def evaluate_batch(
         self, packets: "Sequence[Packet] | PacketBatch"
     ) -> PacketBatch:
-        """Filter a whole batch of packets through the columnar tiers.
+        """Filter a whole batch of packets.
 
         Accepts a packet sequence (columnarised here) or a prepared
         :class:`PacketBatch`.  Rows split by shape:
@@ -804,11 +803,10 @@ class FilterModule:
         * **uniform rows** (no ``META_FILTER_INPUT`` mask) of a stateless
           policy collapse to a *single* :meth:`evaluate` per batch, whose
           result is broadcast;
-        * **masked rows** of a stateless policy run through the batch
-          engine (the codegen tier when armed, else the interpreted
-          columnar evaluator);
-        * every other row — all rows of a stateful policy, masked rows of
-          a plan neither tier can express — is served one at a time by
+        * **masked rows** of a stateless policy go to the policy's kernel
+          in one :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks`
+          call, which never runs a Cell;
+        * every row of a stateful policy is served one at a time by
           :meth:`_serve`, exactly as :meth:`hook` would, in arrival order
           (each stateful evaluation advances the units the next one sees).
 
@@ -829,7 +827,8 @@ class FilterModule:
         outputs = batch.outputs
         selected = batch.selected
         masks = batch.input_masks
-        if not self._compiled.stateless:
+        kernel = self._codegen
+        if kernel is None:
             # Stateful outputs advance per packet: no collapse and no
             # reordering is legal.
             uniform, single = [], rows
@@ -845,16 +844,15 @@ class FilterModule:
                 outputs[i] = out
                 selected[i] = pick
             self._batch_broadcast_rows += len(uniform)
-        # A batch engine exists only for stateless plans, so every row it is
+        # A kernel exists only for stateless plans, so every row it is
         # handed has a mask.
-        engine = self._engine
-        if single and engine is not None:
+        if single and kernel is not None:
             row_masks = [masks[i] for i in single]  # type: ignore[index]
-            outs = engine.evaluate_masks(self._smbm, row_masks)
+            outs = kernel.evaluate_masks(self._smbm, row_masks)
             self._batch_engine_rows += len(single)
             if self._sanitize:
-                # The batched tiers are held to what the row routine holds
-                # its kernel to: the interpreted plan on the same mask (so
+                # Engine rows are held to what the row routine holds the
+                # kernel to: the interpreted plan on the same mask (so
                 # a Cell fault the scalar path would raise, or heal, is
                 # raised or healed here too) and the plan's feasible
                 # region, which over-approximates every output row whatever

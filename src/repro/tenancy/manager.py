@@ -61,7 +61,10 @@ class TenantSpec:
     quota's physical shape); ``smbm_quota`` the number of resource-table
     rows; ``cell_quota`` optionally bounds *occupied* Cells below the
     strip's natural capacity of ``k * columns``.  The remaining flags are
-    passed through to the tenant's :class:`FilterModule`.
+    passed through to the tenant's :class:`FilterModule`, except
+    ``codegen``: accepted and ignored (every stateless plan is served by
+    its kernel), and still persisted, so logged and checkpointed specs
+    keep their bytes.
     """
 
     name: str
@@ -338,7 +341,6 @@ class TenantManager:
                 lfsr_seed=spec.lfsr_seed,
                 self_healing=spec.self_healing,
                 sanitize=spec.sanitize,
-                codegen=spec.codegen,
                 tenant=spec.name,
                 reserved_cells=tenant_slice.reserved_cells(self._params),
                 input_lines=tenant_slice.lines,

@@ -3,8 +3,8 @@
 Per-rule trigger and non-trigger cases, the hot-swap/migration serving
 gates, emit de-duplication, and the differential soundness contract: a
 region the analyzer calls unreachable must receive zero packets on the
-interpreted, batched and codegen serving paths, over randomized policies
-and tables.
+Cell pipeline, the kernel's row and batch paths and the naive
+interpreter, over randomized policies and tables.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM, STORED_WORD_BITS
-from repro.engine.batch import META_FILTER_INPUT, META_FILTER_REQUEST
+from repro.engine.batch import (
+    META_FILTER_INPUT,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+)
 from repro.errors import CompilationError, IntegrityError
 from repro.rmt.packet import Packet
 from repro.serving.backend import ScalarBackend
@@ -644,45 +648,35 @@ def test_live_seeded_regions_are_sound(policy, seed):
 
 
 def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
-    """The half-dead union across interpreted, batched and codegen
-    serving, sanitizer armed: the dead arm never contributes a row and
-    the containment assert stays silent."""
-    def build():
-        return Policy(
-            union(_dead_predicate("cpu"),
-                  predicate(TableRef(), "mem", RelOp.LT, 128)),
-            name="half-dead",
-        )
-
-    dead_path = (0,)
-    outputs = []
-    for codegen in (False, True):
-        rng = random.Random(7)  # identical tables on both paths
-        policy = build()
-        module = FilterModule(CAPACITY, METRICS, policy,
-                              sanitize=True, codegen=codegen)
-        for rid in range(10):
-            module.update_resource(
-                rid, {m: rng.randrange(256) for m in METRICS}
-            )
-        scalar = module.evaluate()  # interpreted (or codegen+oracle) path
-        module.sanitize_check()
-        # The batched path, masked rows included.
-        packets = [
-            Packet(metadata={META_FILTER_REQUEST: 1}),
-            Packet(metadata={META_FILTER_REQUEST: 1,
-                             META_FILTER_INPUT: 0b1010101010}),
-        ]
-        module.evaluate_batch(packets)
-        outputs.append(scalar.value)
-        # Zero-hit witness for the dead arm on a parallel interpreter.
-        analysis = analyze_policy(policy, schema=SCHEMA)
-        dead_node = policy.root.children()[dead_path[0]]
-        assert analysis.fact_at(dead_node).region.empty
-        record = {}
-        PolicyInterpreter(policy).evaluate(module.smbm, record=record)
-        assert record[dead_node.node_id].value == 0
-    assert outputs[0] == outputs[1]  # interpreted == codegen
+    """The half-dead union across the Cell pipeline, the kernel (row and
+    batch) and the naive interpreter, sanitizer armed: the dead arm never
+    contributes a row and the containment assert stays silent."""
+    policy = Policy(
+        union(_dead_predicate("cpu"),
+              predicate(TableRef(), "mem", RelOp.LT, 128)),
+        name="half-dead",
+    )
+    rng = random.Random(7)
+    module = FilterModule(CAPACITY, METRICS, policy, sanitize=True)
+    for rid in range(10):
+        module.update_resource(rid, {m: rng.randrange(256) for m in METRICS})
+    scalar = module.evaluate()  # the kernel, held to the Cells
+    assert module.sanitize_check() == scalar  # the Cells, held to the oracle
+    # The batched path, masked rows included.
+    packets = [
+        Packet(metadata={META_FILTER_REQUEST: 1}),
+        Packet(metadata={META_FILTER_REQUEST: 1,
+                         META_FILTER_INPUT: 0b1010101010}),
+    ]
+    module.evaluate_batch(packets)
+    assert packets[0].metadata[META_FILTER_OUTPUT] == scalar.value
+    # Zero-hit witness for the dead arm on a parallel interpreter.
+    analysis = analyze_policy(policy, schema=SCHEMA)
+    dead_node = policy.root.children()[0]
+    assert analysis.fact_at(dead_node).region.empty
+    record = {}
+    PolicyInterpreter(policy).evaluate(module.smbm, record=record)
+    assert record[dead_node.node_id].value == 0
 
 
 def test_sanitizer_catches_region_escapes():
@@ -702,7 +696,7 @@ def test_sanitizer_catches_region_escapes():
 
 def test_sanitized_serving_stays_green_on_bundled_policies():
     """The soundness assert is not over-strict: a clean bundled-style
-    policy serves under sanitize+codegen across table churn."""
+    policy serves under the sanitizer across table churn."""
     table = TableRef()
     policy = Policy(
         min_of(intersection(predicate(table, "cpu", RelOp.LT, 70),

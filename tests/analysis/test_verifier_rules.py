@@ -196,42 +196,33 @@ def test_th011_contradictory_predicates():
 
 
 def test_th012_codegen_ineligible():
-    """Every specialization blocker yields a TH012 warning; eligible plans
-    verify clean, and the kernel tier's own gate agrees with the lint on
-    every blocker a policy can carry."""
-    from repro.core.policy import random_pick
+    """TH012 is retired: with no per-tenant lowering choice there is
+    nothing to lint, so no check emits it.  The kernel tier still has no
+    kernel for a stateful unit or a feedback register, and its refusal
+    names every blocker rather than the retired rule."""
+    from repro.core.policy import random_pick, stateless_blockers
     from repro.engine.codegen import PlanCodegen
     from repro.errors import ConfigurationError
 
+    assert "retired" in RULES["TH012"].summary
+    assert not hasattr(PlanVerifier, "verify_codegen")
     verifier = PlanVerifier(schema=SCHEMA)
     compiler = PolicyCompiler()
-    # Stateful unit: blocked.
-    stateful = compiler.compile(
-        Policy(random_pick(TableRef()), name="t"), schema=SCHEMA,
-    )
-    report = verifier.verify_codegen(stateful)
-    assert rules_of(report) == ["TH012"]
-    assert report.ok and not report.clean  # warning-level lint
-    # Feedback register (an interior node tapped back to input[1]): blocked.
+    # A feedback register: an interior node tapped back to input[1].
     examined = union(predicate(TableRef(), "q", RelOp.LT, 10),
                      min_of(TableRef(input_index=1), "q"))
-    indexed = compiler.compile(
-        Policy(min_of(examined, "q"), name="t", feedback={1: examined}),
-        schema=SCHEMA,
-    )
-    assert rules_of(verifier.verify_codegen(indexed)) == ["TH012"]
-    # Eligible plan: clean, and the kernel tier builds.
-    plain = compiler.compile(
-        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA,
-    )
-    assert verifier.verify_codegen(plain).clean
-    assert PlanCodegen(plain.policy).plan_hash
-    # Ineligible: the tier refuses with the lint's rule id and reasons.
-    for blocked in (stateful, indexed):
-        with pytest.raises(ConfigurationError, match="TH012") as exc_info:
-            PlanCodegen(blocked.policy)
-        for finding in verifier.verify_codegen(blocked).findings:
-            assert finding.message in str(exc_info.value)
+    for policy in (Policy(random_pick(TableRef()), name="t"),
+                   Policy(min_of(examined, "q"), name="t",
+                          feedback={1: examined})):
+        compiled = compiler.compile(policy, schema=SCHEMA)
+        assert "TH012" not in rules_of(verifier.verify_compiled(compiled))
+        with pytest.raises(ConfigurationError) as exc_info:
+            PlanCodegen(policy)
+        assert "TH012" not in str(exc_info.value)
+        blockers = stateless_blockers(policy)
+        assert blockers
+        assert all(reason in str(exc_info.value) for reason in blockers)
+    assert PlanCodegen(Policy(min_of(TableRef(), "q"), name="t")).plan_hash
 
 
 def test_error_findings_raise_with_shared_context():

@@ -86,7 +86,7 @@ class TestReadSideWork:
 
     def test_codegen_kernel_follows_a_patched_write(self, rng):
         with obs.use_registry() as reg:
-            module = _full_module(rng, codegen=True)
+            module = _full_module(rng)
             masks = [rng.getrandbits(N) for _ in range(8)] + [(1 << N) - 1]
             for _ in range(10):
                 module.update_resource(

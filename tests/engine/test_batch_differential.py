@@ -33,8 +33,8 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import BatchedEvaluator, PlanCodegen
-from repro.engine.columnar import IntColumnDomain
+from repro.engine import PlanCodegen
+from repro.engine.columnar import BatchedEvaluator, IntColumnDomain
 from repro.errors import CompilationError, ConfigurationError
 from repro.switch.filter_module import FilterModule, PacketBatch
 

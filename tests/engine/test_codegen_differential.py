@@ -4,9 +4,9 @@ The verified-then-specialized bargain only holds if the flat closure the
 codegen tier emits is *observationally identical* to the interpreted Cell
 pipeline it replaces.  These suites drive well over 1000 randomized
 (policy x table-state) cases through both paths — scalar kernels, batch
-kernels, cache invalidation across SMBM writes — plus the
-eligibility gate (ineligible policies are refused) and the sanitizer's
-kernel-vs-oracle check.
+kernels, cache invalidation across SMBM writes — plus the stateless gate
+(a stateful policy has no kernel) and the sanitizer's kernel-vs-oracle
+check.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ PARAMS = PipelineParams()
 
 
 def _compile_random(rng: random.Random, name: str):
-    """A random codegen-eligible policy: ``(compiled plan, kernel tier)``."""
+    """A random stateless policy: ``(compiled plan, kernel tier)``."""
     compiler = PolicyCompiler(PARAMS)
     from repro.analysis import TableSchema
 
@@ -136,7 +136,7 @@ class TestCodegenVsInterpreted:
     def test_hypothesis_batch_equals_scalar_loop(self, seed, size):
         """evaluate_batch == N scalar evaluations, module level."""
         rng = random.Random(seed)
-        module = _build_module(rng, "hb", codegen=True)
+        module = _build_module(rng, "hb")
         for _ in range(rng.randrange(1, 20)):
             _random_write(rng, module.smbm)
         _check_batch_matches_scalar(module, _random_masked_batch(rng, size))
@@ -201,27 +201,24 @@ class TestSpecializationCache:
 
 
 class TestConfigurationGuards:
-    def test_module_rejects_ineligible_policy(self):
-        with pytest.raises(ConfigurationError) as exc_info:
-            FilterModule(
-                CAP, METRICS,
-                Policy(random_pick(TableRef()), name="t"),
-                PARAMS, codegen=True,
-            )
-        assert "TH012" in str(exc_info.value)
+    def test_module_builds_no_kernel_for_a_stateful_policy(self):
+        module = FilterModule(CAP, METRICS,
+                              Policy(random_pick(TableRef()), name="t"),
+                              PARAMS)
+        assert module.codegen is None
 
     def test_plancodegen_rejects_blocked_plans(self):
         line = TableRef(input_index=1)
         for policy in (Policy(random_pick(TableRef()), name="t"),
                        Policy(min_of(line, "a"), name="t",
                               feedback={1: line})):
-            with pytest.raises(ConfigurationError, match="TH012"):
+            with pytest.raises(ConfigurationError, match="has no kernel"):
                 PlanCodegen(policy)
 
 
 class TestSanitizerDifferential:
     def test_sanitize_checks_kernel_against_interpreter(self, rng):
-        module = _build_module(rng, "san", codegen=True, sanitize=True)
+        module = _build_module(rng, "san", sanitize=True)
         for _ in range(10):
             _random_write(rng, module.smbm)
         module.evaluate()  # agreeing paths: no complaint
@@ -233,7 +230,7 @@ class TestSanitizerDifferential:
                 module.smbm, masked.metadata[META_FILTER_INPUT]).value
 
     def test_sanitize_catches_a_tampered_kernel(self, rng, monkeypatch):
-        module = _build_module(rng, "evil", codegen=True, sanitize=True)
+        module = _build_module(rng, "evil", sanitize=True)
         for _ in range(10):
             _random_write(rng, module.smbm)
         good = module.evaluate().value

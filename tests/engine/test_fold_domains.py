@@ -27,7 +27,7 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import BatchedEvaluator
+from repro.engine.columnar import BatchedEvaluator
 from repro.errors import CompilationError
 
 from tests.engine.test_batch_differential import (

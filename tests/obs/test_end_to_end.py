@@ -24,10 +24,11 @@ def _run_workload(reg: obs.MetricsRegistry) -> FilterModule:
     )
     for rid in range(8):
         module.update_resource(rid, {"a": rid * 2, "b": rid})
-    module.evaluate()           # miss: runs the pipeline
+    module.evaluate()           # miss: runs the policy's kernel
     module.evaluate()           # hit: served from the version memo
     module.update_resource(0, {"a": 15, "b": 0})
     module.evaluate()           # miss again: write invalidated the memo
+    module.sanitize_check()     # one run of the Cell pipeline it models
     return module
 
 
@@ -52,7 +53,7 @@ class TestExporterEndToEnd:
         assert counters['filter_memo_misses_total{policy="e2e"}'] == 2
 
         # Per-cell pipeline accounting: the static plan's activations,
-        # bypasses and skips all scale with packets evaluated.
+        # bypasses and skips all scale with pipeline runs.
         activations = {
             k: v for k, v in counters.items()
             if k.startswith("pipeline_cell_activations_total{")
@@ -61,14 +62,14 @@ class TestExporterEndToEnd:
         assert all(v >= 1 for v in activations.values())
         assert 'cell="' in next(iter(activations))
         assert 'stage="' in next(iter(activations))
-        # Two pipeline runs: the two memo misses.
-        assert counters["pipeline_packets_total"] == 2
+        # One pipeline run: the sanitizer's; the memo misses ran the kernel.
+        assert counters["pipeline_packets_total"] == 1
 
         # The compile span fired (module construction compiles the policy).
         assert counters['span_calls_total{span="policy_compile"}'] >= 1
         assert counters['span_cycles_total{span="policy_compile"}'] >= 1
 
-        # Evaluation latency histogram observed once per pipeline run.
+        # Evaluation latency histogram observed once per memo miss.
         hist = snap["histograms"]['filter_eval_ns{policy="e2e"}']
         assert hist["count"] == 2
         assert hist["sum"] > 0

@@ -303,24 +303,20 @@ def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
 
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
-#: heals around a dead Cell (and one more does under the sanitizer, whose
-#: plan compare is where a batch-engine row meets the Cell), two serve
-#: from a kernel no Cell fault reaches — one of them able to heal once a
-#: self-test finds the Cell its traffic never touches.
+#: heals around a dead Cell, and one more does under the sanitizer, whose
+#: plan compare is where a batch-engine row meets the Cell.
 FAULT_TENANTS = {"heal": {"self_healing": True},
-                 "heal-san": {"self_healing": True, "sanitize": True},
-                 "kern": {"codegen": True},
-                 "kern-heal": {"codegen": True, "self_healing": True}}
-#: And one whose sanitizer holds that kernel to the Cells it bypasses: with
-#: one dead it must refuse every row, however the row arrives.
-SANITIZED_KERNEL = {"kern-san": {"codegen": True, "sanitize": True}}
+                 "heal-san": {"self_healing": True, "sanitize": True}}
+#: And one whose sanitizer holds the kernel to the Cells with nothing to
+#: heal them: with one dead it must refuse every row, however it arrives.
+SANITIZED = {"san": {"sanitize": True}}
 
 
 def _dead_cell_schedule():
     """Every tenant's first packets after the fault are *masked*, and a
     probe closes that run before an unmasked one arrives: whichever entry
-    point carries a masked row has to heal (or run the kernel) itself, it
-    cannot ride on an unmasked row having done so."""
+    point carries a masked row has to heal itself, it cannot ride on an
+    unmasked row having done so."""
     steps = [("probe", tenant, rid, {"cpu": 40 - 7 * rid, "mem": rid})
              for rid in range(5) for tenant in FAULT_TENANTS]
     for i, mask in enumerate((0b00111, 0b10011, None, 1 << 3, None, 0)):
@@ -362,25 +358,16 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
     for name in ("heal", "heal-san"):
         module, dead = killed[name]
         assert module.routed_around == {dead}
-    assert killed["kern"][0].routed_around == frozenset()
-    # With the kernel armed the dead Cell is not on the serving path, so
-    # traffic alone never finds it; the self-test does, and heals it.
-    for served in (killed, killed_batched):
-        module, dead = served["kern-heal"]
-        assert module.routed_around == frozenset()
-        assert module.self_test() == [
-            {"stage": dead[0], "index": dead[1], "kind": "cell_dead"}]
-        assert module.routed_around == {dead}
-    # The sanitized kernel's masked rows meet the dead Cell in the
+    # The sanitized tenant's masked rows meet the dead Cell in the
     # sanitizer's plan compare on both backends — per packet on one, per
     # engine row on the other, for a short column and a longer one.
     for rows in (2, 9):
-        masked = ([("probe", "kern-san", rid, {"cpu": 9 - rid, "mem": rid})
+        masked = ([("probe", "san", rid, {"cpu": 9 - rid, "mem": rid})
                    for rid in range(3)]
-                  + [("data", "kern-san", 0b011)] * rows)
+                  + [("data", "san", 0b011)] * rows)
         for cls in BACKENDS:
             with pytest.raises(CellFault):
-                _run_with_dead_cells(cls, masked, SANITIZED_KERNEL)
+                _run_with_dead_cells(cls, masked, SANITIZED)
 
 
 def test_every_miss_is_timed_and_charged_masked_or_not(registry):
@@ -388,9 +375,8 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
     ``filter_evaluations_total``, the ``filter_eval_ns`` count and
     ``filter_eval_cycles_total`` by N, N and N x latency, whichever entry
     point carried them and whether or not they carried a mask."""
-    for policy, flags in ((_policy_a, {}), (_policy_a, {"codegen": True}),
-                          (_policy_c, {}), (_policy_f, {})):
-        module = FilterModule(8, METRICS, policy(), **flags)
+    for policy in (_policy_a, _policy_c, _policy_f):
+        module = FilterModule(8, METRICS, policy())
         for rid in range(5):
             module.update_resource(rid, {"cpu": 40 - 7 * rid, "mem": rid})
         module.evaluate()  # fill the memo where there is one
@@ -420,7 +406,7 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
                                      {**labels, "path": "fallback"}) == 2
         after = moved()
         assert [b - a for a, b in zip(before, after)] == [
-            misses, misses, misses * module.latency_cycles], (policy, flags)
+            misses, misses, misses * module.latency_cycles], policy
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)

@@ -486,7 +486,7 @@ def test_any_interleaving_stays_th015_clean_against_an_unmoved_twin(
 
 def test_post_migration_serving_caches_rebuild():
     """The restored module must not serve stale version-keyed results:
-    memo/batch/codegen caches reset across restore (counted on the shared
+    memo and kernel caches reset across restore (counted on the shared
     serving_cache_resets_total path), then rebuild against the restored
     table."""
     src, dst = _backend(ScalarBackend), _backend(ScalarBackend)

@@ -36,8 +36,8 @@ def _policy(kind: str = "min") -> Policy:
     return Policy(predicate(table, "cpu", RelOp.LT, 50), name="under")
 
 
-def _spec(name: str, kind: str = "min") -> TenantSpec:
-    return TenantSpec(name=name, policy=_policy(kind), smbm_quota=8)
+def _spec(name: str, kind: str = "min", **flags) -> TenantSpec:
+    return TenantSpec(name=name, policy=_policy(kind), smbm_quota=8, **flags)
 
 
 def _backend(cls=ScalarBackend):
@@ -52,13 +52,13 @@ def _state(backend) -> bytes:
     return canonical_bytes(backend.snapshot().payload())
 
 
-async def _schedule(ctl: Controller) -> None:
+async def _schedule(ctl: Controller, **flags) -> None:
     """The shared op schedule golden twins and victims both run."""
-    await ctl.add_tenant(_spec("a"))
+    await ctl.add_tenant(_spec("a", **flags))
     for i in range(4):
         await ctl.update_resource("a", i, {"cpu": i * 3, "mem": i})
     await ctl.hot_swap("a", _policy("pred"))
-    await ctl.add_tenant(_spec("b", "pred"))
+    await ctl.add_tenant(_spec("b", "pred", **flags))
     await ctl.update_resource("b", 1, {"cpu": 9, "mem": 2})
     await ctl.remove_resource("a", 2)
     await ctl.remove_tenant("b")
@@ -77,28 +77,43 @@ def _run_golden() -> ScalarBackend:
 
 def test_clean_shutdown_replays_bit_identically(tmp_path):
     golden = _run_golden()
-    backend = _backend()
-    wal = WriteAheadLog(tmp_path / "ops.wal")
+    recovered = {}
+    # ``TenantSpec.codegen`` is retired: accepted, persisted, ignored.
+    for codegen in (False, True):
+        backend = _backend()
+        path = tmp_path / f"codegen-{codegen}.wal"
+        wal = WriteAheadLog(path)
 
-    async def run() -> None:
-        async with Controller(backend, wal=wal) as ctl:
-            await _schedule(ctl)
+        async def run() -> None:
+            async with Controller(backend, wal=wal) as ctl:
+                await _schedule(ctl, codegen=codegen)
 
-    asyncio.run(run())
-    wal.close()
-    assert read_wal(tmp_path / "ops.wal").records[-1].kind == "shutdown"
+        asyncio.run(run())
+        wal.close()
+        assert read_wal(path).records[-1].kind == "shutdown"
 
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        report = recover(tmp_path / "ops.wal", _factory)
-        # Clean shutdown: no crash detected.
-        assert registry.value_of(
-            "faults_detected_total", {"kind": "controller_crash"}
-        ) == 0
-        assert registry.value_of("wal_records_replayed_total") == 10
-    assert not report.unclean and report.torn == 0 and not report.errors
-    assert report.replayed == 10 and report.skipped == 0
-    assert _state(report.backend) == _state(golden) == _state(backend)
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            report = recover(path, _factory)
+            # Clean shutdown: no crash detected.
+            assert registry.value_of(
+                "faults_detected_total", {"kind": "controller_crash"}
+            ) == 0
+            assert registry.value_of("wal_records_replayed_total") == 10
+        assert not report.unclean and report.torn == 0 and not report.errors
+        assert report.replayed == 10 and report.skipped == 0
+        assert _state(report.backend) == _state(backend)
+        assert [t.spec.codegen for t in report.backend.manager] == [codegen]
+        recovered[codegen] = report.backend
+    assert _state(recovered[False]) == _state(golden)
+    # The flag moves its own persisted key and nothing else.
+    without_flag = []
+    for backend in recovered.values():
+        payload = backend.snapshot().payload()
+        for tenant in payload["tenants"]:
+            tenant.pop("codegen")
+        without_flag.append(canonical_bytes(payload))
+    assert without_flag[0] == without_flag[1]
 
 
 def test_crash_recovers_to_golden_twin_and_is_detected(tmp_path):

@@ -73,13 +73,11 @@ STATEFUL_ROOTS = (
                         random_pick(TableRef())),
 )
 
-#: Every combination of the mode flags; a stateful plan takes them
-#: without ``codegen`` (TH012 refuses it).
+#: Every combination of the mode flags.
 FLAGS = tuple(
     {flag: True for flag in combo}
-    for size in range(4)
-    for combo in itertools.combinations(
-        ("self_healing", "sanitize", "codegen"), size)
+    for size in range(3)
+    for combo in itertools.combinations(("self_healing", "sanitize"), size)
 )
 
 
@@ -149,11 +147,9 @@ def _serve(door: str, module: FilterModule, mask: int | None, all_none: bool):
 
 
 def _absorbs_dead_cell(flags) -> bool:
-    """A dead Cell is only survivable where something absorbs it on every
-    door: the heal guard, or a kernel that never runs Cells (and is not
-    being cross-checked against them)."""
-    return bool(flags.get("self_healing") or (
-        flags.get("codegen") and not flags.get("sanitize")))
+    """A dead Cell is only survivable where the heal guard absorbs it:
+    while it is live, every row routine run walks the Cells and meets it."""
+    return bool(flags.get("self_healing"))
 
 
 def _outcome(fn):
@@ -174,8 +170,6 @@ def _outcome(fn):
 @settings(max_examples=120)
 def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
                                         all_none):
-    if stateful:
-        flags = {k: v for k, v in flags.items() if k != "codegen"}
     with obs.use_registry(obs.MetricsRegistry()) as registry:
         try:
             twins = {
