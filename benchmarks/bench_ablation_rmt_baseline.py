@@ -56,8 +56,8 @@ def thanos_min(values):
     for i, value in enumerate(values):
         smbm.add(i, {"x": value})
     unit = UFPU(UnaryConfig(UnaryOp.MIN, attr="x"))
-    out = unit.evaluate(smbm.id_vector(), smbm)
-    return out.first_set()
+    out = unit.evaluate(smbm.id_mask(), smbm)
+    return out.bit_length() - 1 if out else None
 
 
 def test_rmt_recirculation_baseline(benchmark):

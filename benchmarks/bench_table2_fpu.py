@@ -9,7 +9,6 @@ import random
 from benchmarks.report import emit, format_table
 from repro.core import area
 from repro.core.bfpu import BFPU, BinaryConfig
-from repro.core.bitvector import BitVector
 from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.smbm import SMBM
 from repro.core.ufpu import UFPU, UnaryConfig
@@ -44,7 +43,7 @@ def _populated_smbm(n=128, seed=2):
     smbm = SMBM(n, ["x"])
     for rid in range(n):
         smbm.add(rid, {"x": rng.randrange(10_000)})
-    return smbm, smbm.id_vector()
+    return smbm, smbm.id_mask()
 
 
 def test_table2_ufpu_min_evaluation(benchmark):
@@ -52,7 +51,7 @@ def test_table2_ufpu_min_evaluation(benchmark):
     smbm, full = _populated_smbm()
     unit = UFPU(UnaryConfig(UnaryOp.MIN, attr="x"))
     result = benchmark(unit.evaluate, full, smbm)
-    assert result.popcount() == 1
+    assert result.bit_count() == 1
 
 
 def test_table2_ufpu_predicate_evaluation(benchmark):
@@ -61,13 +60,13 @@ def test_table2_ufpu_predicate_evaluation(benchmark):
 
     unit = UFPU(UnaryConfig(UnaryOp.PREDICATE, attr="x", rel_op=RelOp.LT, val=5000))
     result = benchmark(unit.evaluate, full, smbm)
-    assert 0 < result.popcount() < 128
+    assert 0 < result.bit_count() < 128
 
 
 def test_table2_bfpu_intersection_evaluation(benchmark):
     rng = random.Random(3)
-    a = BitVector.from_indices(128, rng.sample(range(128), 64))
-    b = BitVector.from_indices(128, rng.sample(range(128), 64))
+    a = sum(1 << i for i in rng.sample(range(128), 64))
+    b = sum(1 << i for i in rng.sample(range(128), 64))
     unit = BFPU(BinaryConfig(BinaryOp.INTERSECTION))
     result = benchmark(unit.evaluate, a, b)
     assert result == (a & b)

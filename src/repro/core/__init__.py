@@ -12,21 +12,27 @@ This package models every hardware block of Thanos's filter module
 * :class:`~repro.core.cell.Cell` and
   :class:`~repro.core.pipeline.FilterPipeline` — the programmable serial chain
   pipeline built from Cells and Benes crossbars (section 5.3.2);
+* :class:`~repro.core.clocked.PipelineLatch` — the one clocked primitive the
+  cycle-accurate tests latch a unit's ``evaluate`` in;
 * :mod:`~repro.core.policy` and :mod:`~repro.core.compiler` — the policy
   abstraction (section 4) and its mapping onto the hardware pipeline;
 * :mod:`~repro.core.area` — the analytical area and clock model used to
   reproduce Tables 1-4.
+
+Every table flowing between the units is an N-bit vector indexed by
+resource id (section 5.2.1), held as a raw int mask;
+:class:`~repro.core.bitvector.BitVector` is only the value the public reads
+(``CompiledPolicy.evaluate`` and its siblings) hand back.
 """
 
 from repro.core.bitvector import BitVector
-from repro.core.table import ResourceTable
 from repro.core.smbm import SMBM
 from repro.core.operators import UnaryOp, BinaryOp, RelOp
 from repro.core.ufpu import UFPU, UnaryConfig
 from repro.core.bfpu import BFPU, BinaryConfig
 from repro.core.kufpu import KUFPU, KUnaryConfig
 from repro.core.cell import Cell
-from repro.core.pipeline import ClockedFilterPipeline, FilterPipeline, PipelineParams
+from repro.core.pipeline import FilterPipeline, PipelineParams
 from repro.core.policy import (
     Policy,
     TableRef,
@@ -47,7 +53,6 @@ from repro.core.compiler import PolicyCompiler, CompiledPolicy
 
 __all__ = [
     "BitVector",
-    "ResourceTable",
     "SMBM",
     "UnaryOp",
     "BinaryOp",
@@ -60,7 +65,6 @@ __all__ = [
     "KUnaryConfig",
     "Cell",
     "FilterPipeline",
-    "ClockedFilterPipeline",
     "PipelineParams",
     "Policy",
     "TableRef",

@@ -1,25 +1,29 @@
 """Binary Filter Processing Unit (section 5.2.2).
 
-A BFPU merges two tables — encoded as bit vectors — in **one clock cycle**.
-Because tables are bit vectors, the set operators reduce to bitwise logic:
+A BFPU merges two tables — encoded as bit vectors, held as raw id-mask
+ints — in **one clock cycle**.  Because tables are bit vectors, the set
+operators reduce to bitwise logic:
 
 * ``union``        → ``a OR b``
 * ``intersection`` → ``a AND b``
 * ``difference``   → ``a AND NOT b``
 * ``no-op``        → a 2:1 mux selected by the compile-time ``choice`` bit.
+
+The 1-cycle latency is :data:`BFPU_LATENCY_CYCLES`; the cycle-accurate
+tests latch ``evaluate`` in a :class:`~repro.core.clocked.PipelineLatch` of
+that latency.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.bitvector import BitVector
-from repro.core.clocked import PipelineLatch
 from repro.core.operators import BinaryOp
 from repro.errors import ConfigurationError
 
-__all__ = ["BinaryConfig", "BFPU", "ClockedBFPU", "BFPU_LATENCY_CYCLES"]
+__all__ = ["BinaryConfig", "BFPU", "BFPU_LATENCY_CYCLES"]
 
 #: Processing latency of a BFPU (section 5.2.2).
 BFPU_LATENCY_CYCLES = 1
@@ -65,19 +69,18 @@ class BFPU:
     def __init__(self, config: BinaryConfig):
         self._config = config
         op = config.opcode
+        self._fn: Callable[[int, int], int]
         if op is BinaryOp.NO_OP:
             if config.choice == 0:
-                self._fn: Callable[[BitVector, BitVector], BitVector] = (
-                    lambda a, b: a.copy()
-                )
+                self._fn = lambda a, b: a
             else:
-                self._fn = lambda a, b: b.copy()
+                self._fn = lambda a, b: b
         elif op is BinaryOp.UNION:
-            self._fn = BitVector.__or__
+            self._fn = operator.or_
         elif op is BinaryOp.INTERSECTION:
-            self._fn = BitVector.__and__
+            self._fn = operator.and_
         elif op is BinaryOp.DIFFERENCE:
-            self._fn = BitVector.__sub__
+            self._fn = lambda a, b: a & ~b
         else:  # pragma: no cover - exhaustive over BinaryOp
             raise ConfigurationError(f"unhandled opcode {op}")
 
@@ -85,27 +88,7 @@ class BFPU:
     def config(self) -> BinaryConfig:
         return self._config
 
-    def evaluate(self, a: BitVector, b: BitVector) -> BitVector:
+    def evaluate(self, a: int, b: int) -> int:
         """Merge the two input tables according to the configured opcode."""
         return self._fn(a, b)
 
-
-class ClockedBFPU:
-    """Cycle-accurate BFPU: 1-cycle latency, one merge accepted per cycle."""
-
-    def __init__(self, config: BinaryConfig):
-        self._unit = BFPU(config)
-        self._pipe: PipelineLatch[BitVector] = PipelineLatch(BFPU_LATENCY_CYCLES)
-        self._cycle = 0
-
-    @property
-    def cycle(self) -> int:
-        return self._cycle
-
-    def issue(self, a: BitVector, b: BitVector) -> None:
-        self._pipe.issue(self._unit.evaluate(a, b))
-
-    def tick(self) -> BitVector | None:
-        out = self._pipe.tick()
-        self._cycle += 1
-        return out

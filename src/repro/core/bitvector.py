@@ -6,9 +6,13 @@ resource with id ``i`` is present in the (sub-)table.  Encoding tables this
 way reduces the binary set operators of the BFPU to single-cycle bitwise
 logic.
 
-The class here is a small, immutable-width, mutable-content bit vector with
-the operations the hardware uses: bitwise AND/OR/NOT, population count and
-first/last set-bit queries (the priority-encoder primitives).
+Inside the hardware model (units, Cells, the pipeline, the naive
+interpreter's walk) such a vector is a raw int mask.  The class here is the
+value the public reads hand back — ``CompiledPolicy.evaluate`` and its
+siblings, ``PolicyInterpreter.evaluate``, ``FilterModule.evaluate`` — built
+once from the output mask: a small, immutable-width, mutable-content bit
+vector with bitwise AND/OR/NOT, population count and first/last set-bit
+queries.
 """
 
 from __future__ import annotations

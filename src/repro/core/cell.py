@@ -17,6 +17,10 @@ Applying only unary ops means programming the BFPUs as muxes
 (``no-op`` with choice 0/1); applying a binary op to the raw inputs means
 programming the K-UFPUs as ``no-op``; the Figure 14 pattern — unary ops on
 both inputs merged by an ``intersection`` — uses all four units at once.
+
+Lines carry raw id-mask ints: a Cell maps two masks to two masks, and the
+units never see a line that did not come out of same-width logic, so no
+hop inside it is checked.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.bfpu import BFPU, BFPU_LATENCY_CYCLES, BinaryConfig
-from repro.core.bitvector import BitVector
 from repro.core.kufpu import KUFPU, KUnaryConfig
 from repro.core.smbm import SMBM
 from repro.core.ufpu import UFPU_LATENCY_CYCLES
@@ -152,9 +155,7 @@ class Cell:
         self._kufpu1.reset_state()
         self._kufpu2.reset_state()
 
-    def evaluate(
-        self, in1: BitVector, in2: BitVector, smbm: SMBM
-    ) -> tuple[BitVector, BitVector]:
+    def evaluate(self, in1: int, in2: int, smbm: SMBM) -> tuple[int, int]:
         """One packet's traversal of the Cell."""
         if self._dead:
             stage, index = self._position if self._position else (None, None)
@@ -170,10 +171,10 @@ class Cell:
         if self._stuck:
             s1 = self._stuck.get(1)
             if s1 is not None:
-                o1 = BitVector.zeros(o1.width) if s1 == 0 else in1.copy()
+                o1 = 0 if s1 == 0 else in1
             s2 = self._stuck.get(2)
             if s2 is not None:
-                o2 = BitVector.zeros(o2.width) if s2 == 0 else in2.copy()
+                o2 = 0 if s2 == 0 else in2
         return o1, o2
 
 

@@ -1,60 +1,29 @@
-"""A tiny synchronous-hardware simulation harness.
+"""The one clocked primitive of the hardware model.
 
-The cycle-accurate models in this package (SMBM, UFPU, BFPU, the filter
-pipeline) all follow the same discipline as the System Verilog they stand in
-for: state changes only at clock edges, and fully pipelined units accept a new
-request every cycle while completing each request a fixed number of cycles
-later.
+The cycle-accurate behaviour the paper claims for its units (SMBM writes,
+UFPU, BFPU, the filter pipeline) follows the discipline of the System
+Verilog they stand in for: state changes only at clock edges, and fully
+pipelined units accept a new request every cycle while completing each
+request a fixed number of cycles later.
 
 :class:`PipelineLatch` models that fixed-latency, one-issue-per-cycle
 behaviour: requests pushed at cycle ``t`` emerge at cycle ``t + latency``.
-:class:`Clock` drives a set of components, calling ``tick()`` on each in
-registration order once per cycle.
+A unit's latency is checked by latching its functional ``evaluate`` result
+(computed against the table visible at issue time) in a latch of the
+unit's latency; :class:`~repro.core.smbm.ClockedSMBM` is the one wrapper
+with its own behaviour on retire (the write commits then).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generic, Protocol, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.errors import SimulationError
 
-__all__ = ["Clocked", "Clock", "PipelineLatch"]
+__all__ = ["PipelineLatch"]
 
 T = TypeVar("T")
-
-
-class Clocked(Protocol):
-    """Anything driven by a clock edge."""
-
-    def tick(self) -> None:
-        """Advance internal state by one clock cycle."""
-
-
-class Clock:
-    """Drives registered components one clock edge at a time."""
-
-    def __init__(self) -> None:
-        self._components: list[Clocked] = []
-        self._cycle = 0
-
-    @property
-    def cycle(self) -> int:
-        """Number of completed clock cycles."""
-        return self._cycle
-
-    def register(self, component: Clocked) -> None:
-        """Attach a component; ``tick`` order follows registration order."""
-        self._components.append(component)
-
-    def step(self, cycles: int = 1) -> None:
-        """Advance the clock by ``cycles`` edges."""
-        if cycles < 0:
-            raise SimulationError(f"cannot step a negative cycle count: {cycles}")
-        for _ in range(cycles):
-            for component in self._components:
-                component.tick()
-            self._cycle += 1
 
 
 class PipelineLatch(Generic[T]):

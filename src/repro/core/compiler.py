@@ -658,7 +658,9 @@ class CompiledPolicy:
 
     ``evaluate`` runs one packet's filtering: the pipeline produces its
     output tables and, for conditional policies, the post-pipeline RMT MUX
-    picks the primary output when non-empty, else the fallback.
+    picks the primary output when non-empty, else the fallback.  The
+    traversal runs on raw id-mask ints; the public reads wrap the one
+    output mask in a :class:`~repro.core.bitvector.BitVector`.
 
     Each :attr:`~repro.core.policy.Policy.feedback` register lives here,
     beside the pipeline's LFSRs and round-robin pointers: ``tap_lines``
@@ -768,33 +770,27 @@ class CompiledPolicy:
         back from."""
         return dict(self._tap_lines)
 
-    def _run(self, smbm: SMBM, mask: int | None = None) -> list[BitVector]:
-        """One traversal: table lines carry ``table ∩ mask``, each feedback
-        line its register, which is then rewritten from its tap."""
+    def _run(self, smbm: SMBM, mask: int | None = None,
+             mux_select: bool | None = None) -> int:
+        """One traversal's output mask: table lines carry ``table ∩ mask``,
+        each feedback line its register, which is then rewritten from its
+        tap; a conditional's RMT MUX then picks its output."""
         if mask is None and not self._tap_lines:
-            return self._pipeline.evaluate(smbm)
-        table = (smbm.id_vector() if mask is None else
-                 BitVector.from_int(smbm.capacity, smbm.id_mask() & mask))
-        inputs = [table] * self._params.n  # the pipeline copies each line
-        for index in self._tap_lines:
-            inputs[index] = BitVector.from_int(
-                smbm.capacity, self._registers.get(index, 0))
-        outputs = self._pipeline.evaluate(smbm, inputs)
-        for index, line in self._tap_lines.items():
-            self._registers[index] = outputs[line].value
-        return outputs
-
-    def _mux_output(
-        self, outputs: list[BitVector], mux_select: bool | None
-    ) -> BitVector:
+            outputs = self._pipeline.evaluate(smbm)
+        else:
+            table = smbm.id_mask() if mask is None else smbm.id_mask() & mask
+            inputs = [table] * self._params.n
+            for index in self._tap_lines:
+                inputs[index] = self._registers.get(index, 0)
+            outputs = self._pipeline.evaluate(smbm, inputs)
+            for index, line in self._tap_lines.items():
+                self._registers[index] = outputs[line]
         if self._mux is None:
             return outputs[self._output_line]
         primary = outputs[self._mux.primary_line]
         if mux_select is None:
-            mux_select = not primary.is_empty()
-        if mux_select:
-            return primary
-        return outputs[self._mux.fallback_line]
+            mux_select = primary != 0
+        return primary if mux_select else outputs[self._mux.fallback_line]
 
     def evaluate(
         self,
@@ -809,7 +805,8 @@ class CompiledPolicy:
         section 4.2.3, where the RMT stage drives the select from packet
         metadata); ``None`` keeps the default primary-if-non-empty rule.
         """
-        return self._mux_output(self._run(smbm), mux_select)
+        return BitVector.from_int(smbm.capacity,
+                                  self._run(smbm, None, mux_select))
 
     def evaluate_restricted(
         self,
@@ -823,7 +820,8 @@ class CompiledPolicy:
         carrying a candidate-set mask (``META_FILTER_INPUT``).  A feedback
         line is not a table line: it carries its register, unmasked.
         """
-        return self._mux_output(self._run(smbm, mask), mux_select)
+        return BitVector.from_int(smbm.capacity,
+                                  self._run(smbm, mask, mux_select))
 
     def select(
         self,
@@ -832,10 +830,8 @@ class CompiledPolicy:
         mux_select: bool | None = None,
     ) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""
-        out = self.evaluate(smbm, mux_select=mux_select)
-        if out.popcount() != 1:
-            return None
-        return out.first_set()
+        out = self._run(smbm, None, mux_select)
+        return out.bit_length() - 1 if out.bit_count() == 1 else None
 
     def describe(self) -> str:
         lines = [f"policy {self._policy.name!r} on n={self._params.n}, "

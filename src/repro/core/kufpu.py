@@ -13,6 +13,9 @@ With ``K = 1`` a K-UFPU is functionally a plain UFPU.  With ``K > 1`` and a
 selector opcode it filters *K distinct* entries: K ``min`` units yield the K
 smallest entries, K ``random`` units yield K distinct uniform draws, etc.
 
+The chain speaks raw id-mask ints: each unit's :meth:`~repro.core.ufpu.UFPU.step`
+takes what the I/O generator left and the union is one ``|`` per unit.
+
 Latency is deterministic — every input traverses all ``chain_length`` units
 (bypass units still latch) — so the chain adds
 ``chain_length * UFPU_LATENCY_CYCLES`` cycles regardless of K, and is fully
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bitvector import BitVector
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.smbm import SMBM
 from repro.core.ufpu import UFPU, UFPU_LATENCY_CYCLES, UnaryConfig
@@ -90,6 +92,7 @@ class KUFPU:
         self._units = [
             UFPU(unit_cfg, lfsr_seed=lfsr_seed + i) for i in range(config.k)
         ]
+        self._steps = [unit.step for unit in self._units]
 
     @property
     def chain_length(self) -> int:
@@ -108,22 +111,15 @@ class KUFPU:
         for unit in self._units:
             unit.reset_state()
 
-    def evaluate(self, inp: BitVector, smbm: SMBM) -> BitVector:
-        """One packet's traversal: Equation 1 chaining plus the output union.
-
-        The I/O-generator bookkeeping runs on raw ints; BitVectors are only
-        materialised at the unit boundaries.
-        """
+    def evaluate(self, inp: int, smbm: SMBM) -> int:
+        """One packet's traversal: Equation 1 chaining plus the output union."""
         if self._config.opcode is UnaryOp.NO_OP:
-            return inp.copy()
-        width = inp.width
-        accumulated = 0
-        current = inp
-        for unit in self._units:
-            out = unit.evaluate(current, smbm)
-            accumulated |= out.value
-            remaining = current.value & ~out.value
-            if not remaining:
+            return inp
+        out = 0
+        for step in self._steps:
+            picked = step(inp, smbm)
+            out |= picked
+            inp &= ~picked
+            if not inp:
                 break  # remaining units see an empty table and contribute nothing
-            current = BitVector.from_int(width, remaining)
-        return BitVector.from_int(width, accumulated)
+        return out

@@ -8,9 +8,10 @@ Thanos supports two classes of filter operators:
   ``difference`` — merge the outputs of two unary operations.
 
 These enums are the *opcodes* with which UFPUs and BFPUs are programmed at
-compile time; the semantic implementations live in :mod:`repro.core.ufpu`,
-:mod:`repro.core.bfpu`, and the reference versions in
-:mod:`repro.core.table`.
+compile time; the semantic implementations live in :mod:`repro.core.ufpu`
+and :mod:`repro.core.bfpu`, the naive reference in
+:mod:`repro.core.ufpu_reference` and
+:class:`~repro.core.policy.PolicyInterpreter`.
 """
 
 from __future__ import annotations

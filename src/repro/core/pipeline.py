@@ -12,6 +12,13 @@ All crossbar wirings and unit opcodes are fixed at compile time (by
 :class:`~repro.core.compiler.PolicyCompiler`); at runtime the pipeline maps
 packets' input tables to output tables at one packet per clock, with a
 deterministic latency of ``k * (chain_length * 2 + 1)`` cycles.
+
+Every line carries a raw id-mask int, the one set representation of the
+hardware model: a crossbar forwards the int, a Cell maps two ints to two.
+The range of a caller's input masks is checked once, at
+:meth:`FilterPipeline.evaluate`; no hop inside the pipeline is.  The
+latency is checked by latching ``evaluate`` in a
+:class:`~repro.core.clocked.PipelineLatch` of ``params.latency_cycles``.
 """
 
 from __future__ import annotations
@@ -21,9 +28,7 @@ from typing import Iterable
 
 from repro import obs
 from repro.core.benes import Crossbar
-from repro.core.bitvector import BitVector
 from repro.core.cell import Cell, CellConfig, cell_latency_cycles
-from repro.core.clocked import PipelineLatch
 from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
@@ -33,7 +38,6 @@ __all__ = [
     "StageConfig",
     "PipelineConfig",
     "FilterPipeline",
-    "ClockedFilterPipeline",
     "units_read",
 ]
 
@@ -119,7 +123,7 @@ class PipelineConfig:
 
 
 #: One active Cell's observed port I/O: ``(in1, in2, out1, out2)``.
-CellProbe = tuple[BitVector, BitVector, BitVector, BitVector]
+CellProbe = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class _CellPlan:
     empty table placeholder nobody reads).
     ``bypass`` — the Cell is a pure straight-through wire (both K-UFPUs
     no-op, both BFPUs the identity muxes, no input swap), so its outputs are
-    copies of its input ports and the unit machinery can be skipped.
+    its input ports and the unit machinery can be skipped.
     """
 
     live: bool
@@ -325,65 +329,62 @@ class FilterPipeline:
     def evaluate(
         self,
         smbm: SMBM,
-        inputs: list[BitVector] | None = None,
+        inputs: list[int] | None = None,
         *,
         probes: "dict[tuple[int, int], CellProbe] | None" = None,
-    ) -> list[BitVector]:
+    ) -> list[int]:
         """One packet's traversal: n input tables in, n output tables out.
 
         When ``inputs`` is omitted every input line carries the full
         resource table (the common case: the pipeline input *is* the SMBM,
-        Figure 14).  ``probes`` is the diagnostic sink of
+        Figure 14); given, each must be a mask of ids below the SMBM's
+        capacity.  ``probes`` is the diagnostic sink of
         :meth:`evaluate_probed`; a pass that fills it is not counted in the
         packet totals.
         """
         n = self._params.n
-        width = smbm.capacity
         if inputs is None:
-            full = smbm.id_vector()
-            lines = [full.copy() for _ in range(n)]
+            lines = [smbm.id_mask()] * n
         else:
             if len(inputs) != n:
                 raise ConfigurationError(
                     f"expected {n} input tables, got {len(inputs)}"
                 )
-            for vec in inputs:
-                if vec.width != width:
+            width = smbm.capacity
+            for mask in inputs:
+                if mask >> width:  # an id >= N, or a negative int
                     raise ConfigurationError(
-                        f"input width {vec.width} != SMBM capacity {width}"
+                        f"input mask {mask:#x} names an id outside the "
+                        f"SMBM's capacity {width}"
                     )
-            lines = [vec.copy() for vec in inputs]
+            lines = inputs
 
         if probes is None:
             self._packets_evaluated += 1
-        empty = BitVector.zeros(width)
         for s, (crossbar, row, plan_row) in enumerate(
             zip(self._crossbars, self._cells, self._plan), start=1
         ):
-            ports = crossbar.apply(lines, idle=empty)
-            next_lines: list[BitVector] = []
+            ports = crossbar.apply(lines, idle=0)
+            lines = []
             for c, cell in enumerate(row):
                 plan = plan_row[c]
                 if not plan.live:
                     # Dead Cell: no live output is reachable from its lines,
                     # so skip the units and park empty placeholders.
-                    next_lines.extend((empty, empty))
+                    lines += (0, 0)
                 elif plan.bypass:
-                    # Pure wire: outputs are copies of the input ports.
-                    next_lines.extend(
-                        (ports[2 * c].copy(), ports[2 * c + 1].copy())
-                    )
+                    # Pure wire: outputs are the input ports.
+                    lines += (ports[2 * c], ports[2 * c + 1])
                 else:
                     i1, i2 = ports[2 * c], ports[2 * c + 1]
                     o1, o2 = cell.evaluate(i1, i2, smbm)
                     if probes is not None:
-                        probes[(s, c)] = (i1.copy(), i2.copy(), o1, o2)
-                    next_lines.extend((o1, o2))
-            lines = next_lines
+                        probes[(s, c)] = (i1, i2, o1, o2)
+                    lines += (o1, o2)
         return lines
 
     def evaluate_probed(
-        self, smbm: SMBM, inputs: list[BitVector] | None = None
+        self, smbm: SMBM, inputs: list[int] | None = None
     ) -> "dict[tuple[int, int], CellProbe]":
         """Diagnostic traversal capturing every active Cell's port I/O.
 
@@ -396,51 +397,3 @@ class FilterPipeline:
         probes: dict[tuple[int, int], CellProbe] = {}
         self.evaluate(smbm, inputs, probes=probes)
         return probes
-
-
-class ClockedFilterPipeline:
-    """Cycle-accurate wrapper: one packet enters per cycle, its outputs
-    emerge exactly ``params.latency_cycles`` ticks later.
-
-    The design-goal test bench of section 5: fully pipelined (a new packet
-    is accepted every clock), with a small *deterministic* latency.  Results
-    are computed against the SMBM state visible at issue time, matching
-    hardware where the first stage latches its operands on entry.
-    """
-
-    def __init__(self, params: PipelineParams, config: PipelineConfig,
-                 *, lfsr_seed: int = 1,
-                 live_outputs: Iterable[int] | None = None):
-        self._inner = FilterPipeline(
-            params, config, lfsr_seed=lfsr_seed, live_outputs=live_outputs,
-        )
-        self._latch: PipelineLatch[list[BitVector]] = PipelineLatch(
-            params.latency_cycles
-        )
-        self._cycle = 0
-
-    @property
-    def params(self) -> PipelineParams:
-        return self._inner.params
-
-    @property
-    def cycle(self) -> int:
-        return self._cycle
-
-    @property
-    def latency_cycles(self) -> int:
-        return self._inner.latency_cycles
-
-    def issue(self, smbm: SMBM, inputs: list[BitVector] | None = None) -> None:
-        """Present one packet's tables at the pipeline input this cycle."""
-        self._latch.issue(self._inner.evaluate(smbm, inputs))
-
-    def tick(self) -> list[BitVector] | None:
-        """Clock edge; returns the output tables retiring this cycle."""
-        out = self._latch.tick()
-        self._cycle += 1
-        return out
-
-    def occupancy(self) -> int:
-        """Packets currently in flight inside the pipeline."""
-        return self._latch.occupancy()

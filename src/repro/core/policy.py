@@ -38,6 +38,10 @@ every lowering shares: a single :func:`postorder` pass that hands each
 operator to a small *domain* object (a column of int masks, a source
 emitter).  :func:`stateless_blockers` decides which
 policies it may be applied to.
+
+:func:`policy_to_dict` / :func:`policy_from_dict` are the one canonical
+document of a policy DAG: checkpoints and the WAL persist it, and the
+codegen plan hash is its digest.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.core.kufpu import KUFPU, KUnaryConfig
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.smbm import SMBM
 from repro.core.ufpu_reference import reference_unary
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 __all__ = [
     "Node",
@@ -67,6 +71,8 @@ __all__ = [
     "preorder_paths",
     "fold",
     "stateless_blockers",
+    "policy_to_dict",
+    "policy_from_dict",
     "predicate",
     "min_of",
     "max_of",
@@ -382,6 +388,122 @@ def fold(policy: Policy, domain: Any) -> Any:
     return values[policy.root.node_id]
 
 
+# -- the policy document ------------------------------------------------------------
+
+
+def policy_to_dict(policy: Policy) -> dict[str, Any]:
+    """Serialize a policy DAG to a JSON-safe document: the one canonical
+    spelling of a policy, which checkpoints and the WAL persist and whose
+    digest (less ``name``) is the codegen plan hash.
+
+    Nodes are emitted in deterministic post-order with local indices, so
+    shared sub-DAGs (the same node object reachable twice — shared fan-out)
+    survive the round trip as shared references, not duplicated operators:
+    structure, not just semantics, is preserved.  ``feedback`` (input line
+    -> index of the bound node) is present only when the policy binds one,
+    so a policy without feedback keeps the bytes it always had.
+    """
+    order = postorder(policy.root)
+    index = {node.node_id: i for i, node in enumerate(order)}
+    nodes: list[dict[str, Any]] = []
+    for node in order:
+        children = [index[child.node_id] for child in node.children()]
+        if isinstance(node, TableRef):
+            doc: dict[str, Any] = {"type": "table", "input": node.input_index}
+        elif isinstance(node, Unary):
+            cfg = node.config
+            doc = {
+                "type": "unary",
+                "op": cfg.opcode.value,
+                "k": cfg.k,
+                "attr": cfg.attr,
+                "rel": None if cfg.rel_op is None else cfg.rel_op.value,
+                "val": cfg.val,
+                "child": children[0],
+            }
+        elif isinstance(node, Binary):
+            doc = {
+                "type": "binary",
+                "op": node.opcode.value,
+                "left": children[0],
+                "right": children[1],
+                "choice": node.choice,
+            }
+        elif isinstance(node, Conditional):
+            doc = {
+                "type": "conditional",
+                "primary": children[0],
+                "fallback": children[1],
+            }
+        else:  # pragma: no cover - exhaustive over the node algebra
+            raise ConfigurationError(f"unserializable node type {type(node)!r}")
+        nodes.append(doc)
+    doc = {"name": policy.name, "root": len(nodes) - 1, "nodes": nodes}
+    if policy.feedback:
+        doc["feedback"] = {str(line): index[bound.node_id]
+                           for line, bound in policy.feedback.items()}
+    return doc
+
+
+def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
+    """Rebuild a policy from :func:`policy_to_dict` output."""
+    try:
+        raw_nodes = doc["nodes"]
+        root_index = doc["root"]
+        name = doc["name"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed policy document: {exc!r}") from None
+    built: list[Node] = []
+
+    def ref(i: object) -> Node:
+        if not isinstance(i, int) or not 0 <= i < len(built):
+            raise CheckpointError(
+                f"policy document node reference {i!r} is not a prior node"
+            )
+        return built[i]
+
+    try:
+        for raw in raw_nodes:
+            kind = raw["type"]
+            if kind == "table":
+                node: Node = TableRef(input_index=raw["input"])
+            elif kind == "unary":
+                node = Unary(
+                    config=KUnaryConfig(
+                        UnaryOp(raw["op"]),
+                        k=raw["k"],
+                        attr=raw["attr"],
+                        rel_op=None if raw["rel"] is None else RelOp(raw["rel"]),
+                        val=raw["val"],
+                    ),
+                    child=ref(raw["child"]),
+                )
+            elif kind == "binary":
+                node = Binary(
+                    opcode=BinaryOp(raw["op"]),
+                    left=ref(raw["left"]),
+                    right=ref(raw["right"]),
+                    choice=raw["choice"],
+                )
+            elif kind == "conditional":
+                node = Conditional(
+                    primary=ref(raw["primary"]), fallback=ref(raw["fallback"])
+                )
+            else:
+                raise CheckpointError(
+                    f"policy document has unknown node type {kind!r}"
+                )
+            built.append(node)
+        feedback = {int(line): ref(i)
+                    for line, i in doc.get("feedback", {}).items()}
+        return Policy(ref(root_index), name=str(name), feedback=feedback)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ConfigurationError) as exc:
+        raise CheckpointError(f"malformed policy document: {exc!r}") from None
+
+
 # -- reference interpreter ----------------------------------------------------------
 
 
@@ -427,37 +549,31 @@ class PolicyInterpreter:
 
     def evaluate(
         self, smbm: SMBM, *, mask: int | None = None,
-        record: dict[int, BitVector] | None = None,
+        record: dict[int, int] | None = None,
     ) -> BitVector:
         """One packet's policy evaluation; returns the output table.
 
         ``mask`` is the packet's ``META_FILTER_INPUT`` candidate set: the
         table the policy sees is ``table ∩ mask`` (``None`` = the full
         table); a feedback line is not a table line and is left alone.
-        ``record``, when
+        The walk itself runs on raw id-mask ints.  ``record``, when
         given, is used as the per-node memo and left filled with every
-        evaluated node's output keyed by ``node_id`` — the concrete witness
-        the semantic soundness suite checks abstract regions against (nodes
-        short-circuited away, e.g. a Conditional's untaken arm, stay
-        absent).
+        evaluated node's output mask keyed by ``node_id`` — the concrete
+        witness the semantic soundness suite checks abstract regions
+        against (nodes short-circuited away, e.g. a Conditional's untaken
+        arm, stay absent).
         """
-        cache: dict[int, BitVector] = {} if record is None else record
+        cache: dict[int, int] = {} if record is None else record
 
-        def walk(node: Node) -> BitVector:
+        def walk(node: Node) -> int:
             if node.node_id in cache:
                 return cache[node.node_id]
             if isinstance(node, TableRef):
                 if node.input_index is None:
                     present = smbm.id_mask()
-                    out = BitVector.from_int(
-                        smbm.capacity,
-                        present if mask is None else present & mask,
-                    )
+                    out = present if mask is None else present & mask
                 else:
-                    out = BitVector.from_int(
-                        smbm.capacity,
-                        self._registers.get(node.input_index, 0),
-                    )
+                    out = self._registers.get(node.input_index, 0)
             elif isinstance(node, Unary):
                 unit = self._units.get(node.node_id)
                 child = walk(node.child)
@@ -473,10 +589,10 @@ class PolicyInterpreter:
                 elif node.opcode is BinaryOp.INTERSECTION:
                     out = left & right
                 else:
-                    out = left - right
+                    out = left & ~right
             elif isinstance(node, Conditional):
                 primary = walk(node.primary)
-                out = primary if not primary.is_empty() else walk(node.fallback)
+                out = primary if primary else walk(node.fallback)
             else:  # pragma: no cover
                 raise ConfigurationError(f"unknown node type {type(node)!r}")
             cache[node.node_id] = out
@@ -485,10 +601,10 @@ class PolicyInterpreter:
         out = walk(self._policy.root)
         # Every register is read before any is written: one packet boundary.
         self._registers = {
-            index: walk(bound).value
+            index: walk(bound)
             for index, bound in self._policy.feedback.items()
         }
-        return out
+        return BitVector.from_int(smbm.capacity, out)
 
     def select(self, smbm: SMBM) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""

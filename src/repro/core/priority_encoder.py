@@ -11,16 +11,16 @@ A priority encoder takes an N-bit vector and returns the index of the first
 * ``random`` — find the first valid index at or after a random draw ``r``,
   wrapping around.
 
-The functions here operate on :class:`~repro.core.bitvector.BitVector` and
-also report the combinational depth of the encoder (a tree of 2:1 selectors),
-which feeds the timing model in :mod:`repro.core.area`.
+The functions here operate on raw int masks (bit ``i`` set = position ``i``
+valid), the one set representation of the hardware model, and
+:func:`encoder_depth` reports the combinational depth of the encoder (a
+tree of 2:1 selectors), which feeds the timing model in
+:mod:`repro.core.area`.
 """
 
 from __future__ import annotations
 
 import math
-
-from repro.core.bitvector import BitVector
 
 __all__ = [
     "encode_first",
@@ -30,23 +30,26 @@ __all__ = [
 ]
 
 
-def encode_first(vector: BitVector) -> int | None:
-    """Index of the lowest set bit, or ``None`` if the vector is empty."""
-    return vector.first_set()
+def encode_first(mask: int) -> int | None:
+    """Index of the lowest set bit, or ``None`` if the mask is empty."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
-def encode_last(vector: BitVector) -> int | None:
-    """Index of the highest set bit, or ``None`` if the vector is empty."""
-    return vector.last_set()
+def encode_last(mask: int) -> int | None:
+    """Index of the highest set bit, or ``None`` if the mask is empty."""
+    return mask.bit_length() - 1 if mask else None
 
 
-def encode_cyclic(vector: BitVector, start: int) -> int | None:
+def encode_cyclic(mask: int, start: int) -> int | None:
     """First set bit at or after ``start``, wrapping to the vector start.
 
     Hardware realisation: rotate the vector right by ``start`` positions
     (pure wiring) and feed it to a first-one priority encoder.
     """
-    return vector.first_set_from(start)
+    high = mask >> start
+    if high:
+        return start + (high & -high).bit_length() - 1
+    return encode_first(mask)
 
 
 def encoder_depth(width: int) -> int:

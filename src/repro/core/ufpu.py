@@ -5,11 +5,14 @@ A UFPU is programmed at compile time with an opcode (and operands) from
 encoded as a bit vector indexed by resource id — to an output bit vector, in
 **two clock cycles**, fully pipelined.
 
-The functional ``evaluate`` method realises the paper's semantics on the
-mask engine: predicate/min/max run against the SMBM's
-:class:`~repro.core.smbm.MetricIndex` — two bisects plus a handful of
-integer bitmask ANDs, O(log N) instead of an O(N) temp-list walk — and
-outputs become a :class:`BitVector` only at the unit boundary.  The paper's
+The unit speaks raw id-mask ints (bit ``i`` set = resource ``i`` present),
+the one set representation of the hardware model.  :meth:`UFPU.step` is
+the paper's semantics on the mask engine: predicate/min/max run against
+the SMBM's :class:`~repro.core.smbm.MetricIndex` — two bisects plus a
+handful of integer bitmask ANDs, O(log N) instead of an O(N) temp-list
+walk.  :meth:`UFPU.evaluate` is the same step behind the one range check a
+caller's mask gets; the units chained inside a K-UFPU, Cell and pipeline
+call ``step`` on masks that came out of same-width logic.  The paper's
 literal clock-by-clock temp-list walk lives apart, in
 :mod:`repro.core.ufpu_reference`, and is reached only through
 :class:`repro.core.policy.PolicyInterpreter`; this module does not import
@@ -35,23 +38,23 @@ Operator semantics:
 * **random** — cycle 1 draws ``r`` from an LFSR; cycle 2 outputs ``r`` if
   valid, else the first valid index cyclically after ``r``.
 
-:class:`ClockedUFPU` wraps the functional unit in a 2-cycle pipeline latch
-for the cycle-accurate tests.
+The 2-cycle latency is :data:`UFPU_LATENCY_CYCLES`; the cycle-accurate
+tests latch ``evaluate`` in a :class:`~repro.core.clocked.PipelineLatch` of
+that latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.bitvector import BitVector
-from repro.core.clocked import PipelineLatch
 from repro.core.lfsr import LFSR
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.priority_encoder import encode_cyclic
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
 
-__all__ = ["UnaryConfig", "UFPU", "ClockedUFPU", "UFPU_LATENCY_CYCLES"]
+__all__ = ["UnaryConfig", "UFPU", "UFPU_LATENCY_CYCLES"]
 
 #: Processing latency of a UFPU (section 5.2.1).
 UFPU_LATENCY_CYCLES = 2
@@ -98,7 +101,11 @@ class UnaryConfig:
 
 
 class UFPU:
-    """A single programmable unary filter processing unit."""
+    """A single programmable unary filter processing unit.
+
+    The opcode is fixed at compile time, so the per-packet dispatch is
+    resolved once at construction: :attr:`step` is the selected operator.
+    """
 
     def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1):
         self._config = config
@@ -107,6 +114,15 @@ class UFPU:
         # Round-robin operator state: <last_id, w>.
         self._rr_last_id: int | None = None
         self._rr_w = 0
+        #: ``step(mask, smbm) -> mask``: the configured operator, unchecked.
+        self.step: Callable[[int, SMBM], int] = {
+            UnaryOp.NO_OP: _identity,
+            UnaryOp.PREDICATE: self._predicate,
+            UnaryOp.MIN: self._min,
+            UnaryOp.MAX: self._max,
+            UnaryOp.ROUND_ROBIN: self._round_robin,
+            UnaryOp.RANDOM: self._random,
+        }[config.opcode]
 
     @property
     def config(self) -> UnaryConfig:
@@ -119,92 +135,57 @@ class UFPU:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, inp: BitVector, smbm: SMBM) -> BitVector:
+    def evaluate(self, inp: int, smbm: SMBM) -> int:
         """Apply the configured operation to the input table for one packet."""
-        if inp.width != smbm.capacity:
+        if inp >> smbm.capacity:  # an id >= N, or a negative int
             raise ConfigurationError(
-                f"input vector width {inp.width} != SMBM capacity {smbm.capacity}"
+                f"input mask {inp:#x} names an id outside the SMBM's "
+                f"capacity {smbm.capacity}"
             )
-        op = self._config.opcode
-        if op is UnaryOp.NO_OP:
-            return inp.copy()
-        if op is UnaryOp.PREDICATE:
-            return self._predicate(inp, smbm)
-        if op is UnaryOp.MIN:
-            return self._extreme(inp, smbm, want_min=True)
-        if op is UnaryOp.MAX:
-            return self._extreme(inp, smbm, want_min=False)
-        if op is UnaryOp.ROUND_ROBIN:
-            return self._round_robin(inp, smbm)
-        if op is UnaryOp.RANDOM:
-            return self._random(inp, smbm)
-        raise ConfigurationError(f"unhandled opcode {op}")  # pragma: no cover
+        return self.step(inp, smbm)
 
-    def _predicate(self, inp: BitVector, smbm: SMBM) -> BitVector:
+    def _predicate(self, inp: int, smbm: SMBM) -> int:
         cfg = self._config
         assert cfg.attr is not None and cfg.rel_op is not None and cfg.val is not None
-        index = smbm.metric_index(cfg.attr)
-        return BitVector.from_int(
-            inp.width, index.predicate_mask(cfg.rel_op, cfg.val, inp.value)
-        )
+        return smbm.metric_index(cfg.attr).predicate_mask(cfg.rel_op, cfg.val, inp)
 
-    def _extreme(self, inp: BitVector, smbm: SMBM, *, want_min: bool) -> BitVector:
-        cfg = self._config
-        assert cfg.attr is not None
-        index = smbm.metric_index(cfg.attr)
-        bits = index.min_mask(inp.value) if want_min else index.max_mask(inp.value)
-        return BitVector.from_int(inp.width, bits)
-
-    def _round_robin(self, inp: BitVector, smbm: SMBM) -> BitVector:
-        if inp.is_empty():
-            return BitVector.zeros(inp.width)
+    def _min(self, inp: int, smbm: SMBM) -> int:
         assert self._config.attr is not None
+        return smbm.metric_index(self._config.attr).min_mask(inp)
+
+    def _max(self, inp: int, smbm: SMBM) -> int:
+        assert self._config.attr is not None
+        return smbm.metric_index(self._config.attr).max_mask(inp)
+
+    def _round_robin(self, inp: int, smbm: SMBM) -> int:
+        if not inp:
+            return 0
+        attr = self._config.attr
+        assert attr is not None
         last = self._rr_last_id
-        if last is not None and (inp.value >> last) & 1:
-            weight = smbm.metric_of(last, self._config.attr) if last in smbm else 0
+        if last is not None and (inp >> last) & 1:
+            weight = smbm.metric_of(last, attr) if last in smbm else 0
             if self._rr_w < max(1, weight):
                 # Keep serving the same entry while its weight allows.
                 self._rr_w += 1
-                return BitVector.from_int(inp.width, 1 << last)
+                return 1 << last
         # Advance: first valid index cyclically after last (or from 0).
-        start = 0 if last is None else (last + 1) % inp.width
+        start = 0 if last is None else (last + 1) % smbm.capacity
         nxt = encode_cyclic(inp, start)
         assert nxt is not None  # inp is non-empty
         self._rr_last_id = nxt
         self._rr_w = 1
-        return BitVector.from_int(inp.width, 1 << nxt)
+        return 1 << nxt
 
-    def _random(self, inp: BitVector, smbm: SMBM) -> BitVector:
-        if inp.is_empty():
-            return BitVector.zeros(inp.width)
-        r = self._lfsr.sample(inp.width)
-        idx = r if (inp.value >> r) & 1 else encode_cyclic(inp, r)
+    def _random(self, inp: int, smbm: SMBM) -> int:
+        if not inp:
+            return 0
+        r = self._lfsr.sample(smbm.capacity)
+        idx = r if (inp >> r) & 1 else encode_cyclic(inp, r)
         assert idx is not None
-        return BitVector.from_int(inp.width, 1 << idx)
+        return 1 << idx
 
 
-class ClockedUFPU:
-    """Cycle-accurate UFPU: 2-cycle latency, one new input accepted per cycle."""
-
-    def __init__(self, config: UnaryConfig, *, lfsr_seed: int = 1):
-        self._unit = UFPU(config, lfsr_seed=lfsr_seed)
-        self._pipe: PipelineLatch[BitVector] = PipelineLatch(UFPU_LATENCY_CYCLES)
-        self._cycle = 0
-
-    @property
-    def cycle(self) -> int:
-        return self._cycle
-
-    def issue(self, inp: BitVector, smbm: SMBM) -> None:
-        """Present an input table at the unit for this cycle.
-
-        The result is computed against the SMBM state visible at issue time,
-        matching hardware where cycle 1 latches the temp list.
-        """
-        self._pipe.issue(self._unit.evaluate(inp, smbm))
-
-    def tick(self) -> BitVector | None:
-        """Clock edge; returns the output retiring this cycle, if any."""
-        out = self._pipe.tick()
-        self._cycle += 1
-        return out
+def _identity(inp: int, smbm: SMBM) -> int:
+    """The ``no-op`` opcode: the input table, unchanged."""
+    return inp

@@ -22,10 +22,11 @@ stateless policy on its policy clock — construction and ``hot_swap`` — so
 a fail-around recompile onto other Cells keeps the same object.
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
-canonical DAG serialization) and exec'd once; specialized kernels are
-cached per instance on ``smbm.version`` — exactly the key the scalar
-memo invalidates on, so a committed table write respecializes on the
-next evaluation and nothing staler can ever be served.
+policy's canonical document, :func:`~repro.core.policy.policy_to_dict`)
+and exec'd once; specialized kernels are cached per instance on
+``smbm.version`` — exactly the key the scalar memo invalidates on, so a
+committed table write respecializes on the next evaluation and nothing
+staler can ever be served.
 
 A batch runs the same kernel row by row
 (:meth:`PlanCodegen.evaluate_masks`), so one object is both the row
@@ -44,20 +45,12 @@ differential suites hold both to the naive
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Sequence
 
 from repro import obs
 from repro.core.operators import BinaryOp, RelOp
-from repro.core.policy import (
-    Binary,
-    Conditional,
-    Policy,
-    TableRef,
-    Unary,
-    fold,
-    postorder,
-    stateless_blockers,
-)
+from repro.core.policy import Policy, fold, policy_to_dict, stateless_blockers
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
 
@@ -70,57 +63,27 @@ __all__ = ["PlanCodegen", "generate_plan_source", "plan_hash_of"]
 _SOURCE_CACHE: dict[str, dict] = {}
 
 
-def _canonical(policy: Policy) -> tuple[str, tuple[RelOp, ...]]:
-    """Canonical DAG serialization + the plan's relational-operator table.
-
-    Node identity (sharing) is captured through post-order ordinals, so
-    ``union(p, p)`` of one shared predicate and ``union(p1, p2)`` of two
-    structurally equal predicates serialize differently — they are
-    different plans (one evaluation vs two).
-    """
-    order = postorder(policy.root)
-    ordinal = {node.node_id: i for i, node in enumerate(order)}
-    relops: list[RelOp] = []
-    tokens: list[str] = []
-    for node in order:
-        if isinstance(node, TableRef):
-            tokens.append(f"T({node.input_index})")
-        elif isinstance(node, Unary):
-            cfg = node.config
-            rel = ""
-            if cfg.rel_op is not None:
-                rel = f",{cfg.rel_op.value}"
-                if cfg.rel_op not in relops:
-                    relops.append(cfg.rel_op)
-            tokens.append(
-                f"U({cfg.opcode.value},k={cfg.k},a={cfg.attr!r}{rel},"
-                f"v={cfg.val},{ordinal[node.child.node_id]})"
-            )
-        elif isinstance(node, Binary):
-            tokens.append(
-                f"B({node.opcode.value},c={node.choice},"
-                f"{ordinal[node.left.node_id]},{ordinal[node.right.node_id]})"
-            )
-        elif isinstance(node, Conditional):
-            tokens.append(
-                f"C({ordinal[node.primary.node_id]},"
-                f"{ordinal[node.fallback.node_id]})"
-            )
-        else:  # pragma: no cover - exhaustive over node types
-            raise ConfigurationError(f"unknown node type {type(node)!r}")
-    return ";".join(tokens), tuple(relops)
-
-
 def plan_hash_of(policy: Policy) -> str:
-    """The plan hash: a stable digest of the canonical DAG serialization."""
-    canon, _relops = _canonical(policy)
+    """The plan hash: a digest of the policy's canonical document
+    (:func:`~repro.core.policy.policy_to_dict`) less its display ``name``.
+
+    The document numbers nodes by post-order position, so node identity
+    (sharing) is part of it: ``union(p, p)`` of one shared predicate and
+    ``union(p1, p2)`` of two structurally equal predicates hash
+    differently — they are different plans (one evaluation vs two).
+    """
+    doc = policy_to_dict(policy)
+    del doc["name"]
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 class _ScalarEmitter:
     """Fold domain whose values are kernel variable names: each operator
     appends one line of straight-line int-mask code to :attr:`body`, and
-    whatever is constant per table version to :attr:`preamble`."""
+    whatever is constant per table version to :attr:`preamble`; each
+    relational operator a predicate names joins :attr:`relops`, the table
+    the code indexes as ``RELOPS[j]``."""
 
     _SYMBOL = {
         BinaryOp.UNION: "|",
@@ -128,8 +91,8 @@ class _ScalarEmitter:
         BinaryOp.DIFFERENCE: "& ~",
     }
 
-    def __init__(self, relops: tuple[RelOp, ...]):
-        self._relops = relops
+    def __init__(self) -> None:
+        self.relops: list[RelOp] = []
         self.preamble: list[str] = []
         self.body: list[str] = []
 
@@ -147,9 +110,11 @@ class _ScalarEmitter:
         return "t"
 
     def predicate(self, child: str, attr: str, rel_op: RelOp, val: int) -> str:
+        if rel_op not in self.relops:
+            self.relops.append(rel_op)
         sat = self._const(
             f"smbm.metric_index({attr!r}).predicate_mask("
-            f"RELOPS[{self._relops.index(rel_op)}], {val}, full)"
+            f"RELOPS[{self.relops.index(rel_op)}], {val}, full)"
         )
         return self._emit(f"{child} & {sat}")
 
@@ -172,9 +137,8 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     spelled as literals).  The source is capacity-independent: everything
     table-shaped is resolved inside ``specialize`` at run time.
     """
-    canon, relops = _canonical(policy)
-    digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    emitter = _ScalarEmitter(relops)
+    digest = plan_hash_of(policy)
+    emitter = _ScalarEmitter()
     root = fold(policy, emitter)
     # The header names only the plan hash: equal plans must emit
     # byte-identical source (the module-wide cache is keyed on the hash,
@@ -185,7 +149,7 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     lines.append("    def kernel(t):")
     lines += ["        " + line for line in emitter.body]
     lines += [f"        return {root}", "    return kernel"]
-    return "\n".join(lines) + "\n", digest, relops
+    return "\n".join(lines) + "\n", digest, tuple(emitter.relops)
 
 
 class PlanCodegen:

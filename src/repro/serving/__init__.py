@@ -5,7 +5,8 @@ Layers, bottom up:
 * :mod:`repro.serving._atomic` — the shared durable-write discipline
   (canonical bytes, tmp+rename atomic replacement, stale-tmp hygiene);
 * :mod:`repro.serving.checkpoint` — bit-faithful tenant/switch state
-  capture; versioned, checksummed on-disk format;
+  capture; versioned, checksummed on-disk format (the live policy is the
+  :func:`~repro.core.policy.policy_to_dict` document, re-exported here);
 * :mod:`repro.serving.backend` — :class:`SwitchBackend`, the contract a
   control plane programs against, implemented once; its two subclasses
   (:class:`ScalarBackend`, :class:`BatchedBackend`) differ only in how
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.policy import policy_from_dict, policy_to_dict
 from repro.serving._atomic import (
     atomic_write_text,
     canonical_bytes,
@@ -57,8 +59,6 @@ from repro.serving.checkpoint import (
     SwitchCheckpoint,
     TenantCheckpoint,
     load_checkpoint,
-    policy_from_dict,
-    policy_to_dict,
     save_checkpoint,
     spec_from_dict,
     spec_to_dict,

@@ -25,18 +25,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from repro.core.kufpu import KUnaryConfig
-from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import (
-    Binary,
-    Conditional,
-    Node,
-    Policy,
-    TableRef,
-    Unary,
-    postorder,
-)
+from repro.core.policy import policy_from_dict, policy_to_dict
 from repro.errors import CheckpointError, ConfigurationError
 from repro.serving._atomic import atomic_write_text, canonical_bytes, checksum_hex
 from repro.tenancy.manager import TenantSpec
@@ -46,8 +36,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "TenantCheckpoint",
     "SwitchCheckpoint",
-    "policy_to_dict",
-    "policy_from_dict",
     "spec_to_dict",
     "spec_from_dict",
     "save_checkpoint",
@@ -58,120 +46,6 @@ CHECKPOINT_MAGIC = "thanos-checkpoint"
 #: Bump on any incompatible payload change; loaders reject what they do
 #: not understand rather than guessing.
 CHECKPOINT_FORMAT = 1
-
-
-# -- policy (de)serialization ---------------------------------------------------------
-
-
-def policy_to_dict(policy: Policy) -> dict[str, Any]:
-    """Serialize a policy DAG to a JSON-safe document.
-
-    Nodes are emitted in deterministic post-order with local indices, so
-    shared sub-DAGs (the same node object reachable twice — shared fan-out)
-    survive the round trip as shared references, not duplicated operators:
-    structure, not just semantics, is preserved.  ``feedback`` (input line
-    -> index of the bound node) is present only when the policy binds one,
-    so a policy without feedback keeps the bytes it always had.
-    """
-    order = postorder(policy.root)
-    index = {node.node_id: i for i, node in enumerate(order)}
-    nodes: list[dict[str, Any]] = []
-    for node in order:
-        children = [index[child.node_id] for child in node.children()]
-        if isinstance(node, TableRef):
-            doc: dict[str, Any] = {"type": "table", "input": node.input_index}
-        elif isinstance(node, Unary):
-            cfg = node.config
-            doc = {
-                "type": "unary",
-                "op": cfg.opcode.value,
-                "k": cfg.k,
-                "attr": cfg.attr,
-                "rel": None if cfg.rel_op is None else cfg.rel_op.value,
-                "val": cfg.val,
-                "child": children[0],
-            }
-        elif isinstance(node, Binary):
-            doc = {
-                "type": "binary",
-                "op": node.opcode.value,
-                "left": children[0],
-                "right": children[1],
-                "choice": node.choice,
-            }
-        elif isinstance(node, Conditional):
-            doc = {
-                "type": "conditional",
-                "primary": children[0],
-                "fallback": children[1],
-            }
-        else:  # pragma: no cover - exhaustive over the node algebra
-            raise ConfigurationError(f"unserializable node type {type(node)!r}")
-        nodes.append(doc)
-    doc = {"name": policy.name, "root": len(nodes) - 1, "nodes": nodes}
-    if policy.feedback:
-        doc["feedback"] = {str(line): index[bound.node_id]
-                           for line, bound in policy.feedback.items()}
-    return doc
-
-
-def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
-    """Rebuild a policy from :func:`policy_to_dict` output."""
-    try:
-        raw_nodes = doc["nodes"]
-        root_index = doc["root"]
-        name = doc["name"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed policy document: {exc!r}") from None
-    built: list[Node] = []
-
-    def ref(i: object) -> Node:
-        if not isinstance(i, int) or not 0 <= i < len(built):
-            raise CheckpointError(
-                f"policy document node reference {i!r} is not a prior node"
-            )
-        return built[i]
-
-    try:
-        for raw in raw_nodes:
-            kind = raw["type"]
-            if kind == "table":
-                node: Node = TableRef(input_index=raw["input"])
-            elif kind == "unary":
-                node = Unary(
-                    config=KUnaryConfig(
-                        UnaryOp(raw["op"]),
-                        k=raw["k"],
-                        attr=raw["attr"],
-                        rel_op=None if raw["rel"] is None else RelOp(raw["rel"]),
-                        val=raw["val"],
-                    ),
-                    child=ref(raw["child"]),
-                )
-            elif kind == "binary":
-                node = Binary(
-                    opcode=BinaryOp(raw["op"]),
-                    left=ref(raw["left"]),
-                    right=ref(raw["right"]),
-                    choice=raw["choice"],
-                )
-            elif kind == "conditional":
-                node = Conditional(
-                    primary=ref(raw["primary"]), fallback=ref(raw["fallback"])
-                )
-            else:
-                raise CheckpointError(
-                    f"policy document has unknown node type {kind!r}"
-                )
-            built.append(node)
-        feedback = {int(line): ref(i)
-                    for line, i in doc.get("feedback", {}).items()}
-        return Policy(ref(root_index), name=str(name), feedback=feedback)
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ConfigurationError) as exc:
-        raise CheckpointError(f"malformed policy document: {exc!r}") from None
 
 
 # -- tenant spec (de)serialization ----------------------------------------------------

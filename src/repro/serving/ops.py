@@ -33,14 +33,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any, NamedTuple
 
+from repro.core.policy import policy_from_dict, policy_to_dict
 from repro.errors import ConfigurationError
 from repro.serving.backend import SwitchBackend, TableWrite
-from repro.serving.checkpoint import (
-    policy_from_dict,
-    policy_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.serving.checkpoint import spec_from_dict, spec_to_dict
 from repro.serving.migration import LiveMigration, MigrationState
 
 __all__ = ["CONTROL_OPS", "ControlOp", "Elsewhere", "Homes", "NotHere"]

@@ -692,17 +692,24 @@ class FilterModule:
         pos = (fault.stage, fault.index)
         if pos in self._routed_around:
             raise fault  # already excluded yet faulted again: give up loudly
-        t0 = time.perf_counter_ns()
-        self._routed_around.add(pos)
+        self._route_around([pos], self._obs_cell_dead, time.perf_counter_ns())
+        return pos
+
+    def _route_around(self, cells: list[tuple[int, int]],
+                      detected: obs.Counter, t0: int) -> None:
+        """The one repair step: mark ``cells`` routed around and recompile
+        onto the rest (the marks roll back if that fails), then count them
+        on ``detected``, time the repair from ``t0`` and set the
+        ``degraded_mode`` gauge."""
+        self._routed_around.update(cells)
         try:
             self._recompile()
         except Exception:
-            self._routed_around.discard(pos)
+            self._routed_around.difference_update(cells)
             raise
-        self._obs_cell_dead.inc()
+        detected.inc(len(cells))
         self._obs_repair_ns.observe(time.perf_counter_ns() - t0)
         self._obs_degraded.set(len(self._routed_around))
-        return pos
 
     def self_test(self) -> list[dict[str, object]]:
         """Built-in self-test: golden-model comparison with per-Cell
@@ -739,37 +746,25 @@ class FilterModule:
                 )
 
     def _localize_stuck(self) -> list[dict[str, object]]:
-        """Replay each active Cell against a fault-free clone; heal the
-        liars."""
+        """Replay each active Cell against a fault-free clone on the masks
+        it saw; heal the liars."""
         t0 = time.perf_counter_ns()
         probes = self._compiled.pipeline.evaluate_probed(self._smbm)
         chain = self._compiled.params.chain_length
-        suspects: list[dict[str, object]] = []
+        liars = []
         for (stage, index), (in1, in2, out1, out2) in sorted(probes.items()):
             cfg = self._compiled.config.stages[stage - 1].cells[index]
-            g1, g2 = Cell(chain, cfg).evaluate(in1, in2, self._smbm)
-            if g1 != out1 or g2 != out2:
-                suspects.append(
-                    {"stage": stage, "index": index, "kind": "cell_stuck"}
-                )
-        if not suspects:
+            if Cell(chain, cfg).evaluate(in1, in2, self._smbm) != (out1, out2):
+                liars.append((stage, index))
+        if not liars:
             raise IntegrityError(
                 "fast path disagrees with the naive reference but no Cell "
                 "could be localized",
                 component="filter_module",
             )
-        for s in suspects:
-            self._routed_around.add((s["stage"], s["index"]))
-        try:
-            self._recompile()
-        except Exception:
-            for s in suspects:
-                self._routed_around.discard((s["stage"], s["index"]))
-            raise
-        self._obs_cell_stuck.inc(len(suspects))
-        self._obs_repair_ns.observe(time.perf_counter_ns() - t0)
-        self._obs_degraded.set(len(self._routed_around))
-        return suspects
+        self._route_around(liars, self._obs_cell_stuck, t0)
+        return [{"stage": stage, "index": index, "kind": "cell_stuck"}
+                for stage, index in liars]
 
     def select(self) -> int | None:
         """Evaluate and return the singleton selection, if any."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bfpu import BFPU
-from repro.core.bitvector import BitVector
 from repro.core.kufpu import KUFPU
 from repro.core.operators import BinaryOp
 from repro.core.policy import (
@@ -149,8 +148,8 @@ def _unstripped_chain(monkeypatch) -> None:
     def unstripped(self, inp, smbm):
         out = 0
         for unit in self._units:
-            out |= unit.evaluate(inp, smbm).value
-        return BitVector.from_int(inp.width, out)
+            out |= unit.evaluate(inp, smbm)
+        return out
 
     monkeypatch.setattr(KUFPU, "evaluate", unstripped)
 

@@ -585,8 +585,7 @@ def _random_table(rng: random.Random, rows: int) -> SMBM:
     return smbm
 
 
-def _assert_rows_in_region(vec, region, smbm):
-    bits = vec.value
+def _assert_rows_in_region(bits, region, smbm):
     while bits:
         low = bits & -bits
         bits ^= low
@@ -614,11 +613,11 @@ def test_abstract_regions_are_sound_over_random_policies(policy, seed, rows):
     for _ in range(3):  # stateful units advance; soundness holds per call
         record = {}
         out = interpreter.evaluate(smbm, record=record)
-        for node_id, vec in record.items():
+        for node_id, bits in record.items():
             fact = analysis.facts[node_id]
-            _assert_rows_in_region(vec, fact.region, smbm)
+            _assert_rows_in_region(bits, fact.region, smbm)
             if fact.region.empty:
-                assert vec.value == 0
+                assert bits == 0
         if analysis.root.region.empty:
             assert out.value == 0
         if analysis.root.guaranteed and len(smbm) > 0:
@@ -637,11 +636,11 @@ def test_live_seeded_regions_are_sound(policy, seed):
     out = interpreter_out = PolicyInterpreter(policy).evaluate(
         smbm, record=record
     )
-    for node_id, vec in record.items():
+    for node_id, bits in record.items():
         fact = analysis.facts[node_id]
-        _assert_rows_in_region(vec, fact.region, smbm)
+        _assert_rows_in_region(bits, fact.region, smbm)
         if fact.region.empty:
-            assert vec.value == 0
+            assert bits == 0
     if analysis.root.region.empty:
         assert out.value == 0
     assert interpreter_out is out
@@ -676,7 +675,7 @@ def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
     assert analysis.fact_at(dead_node).region.empty
     record = {}
     PolicyInterpreter(policy).evaluate(module.smbm, record=record)
-    assert record[dead_node.node_id].value == 0
+    assert record[dead_node.node_id] == 0
 
 
 def test_sanitizer_catches_region_escapes():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.bfpu import BinaryConfig
-from repro.core.bitvector import BitVector
 from repro.core.cell import Cell, CellConfig, cell_latency_cycles
 from repro.core.kufpu import KUnaryConfig
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
@@ -15,6 +14,7 @@ from repro.core.pipeline import (
 )
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
+from tests.core.test_ufpu_bfpu import ids
 
 CAP = 16
 
@@ -34,8 +34,7 @@ class TestCell:
     def test_bypass_cell_is_identity(self):
         smbm = build({0: (1, 1), 5: (2, 2)})
         cell = Cell(4, CellConfig.bypass())
-        i1 = BitVector.from_indices(CAP, [0])
-        i2 = BitVector.from_indices(CAP, [5])
+        i1, i2 = 1 << 0, 1 << 5
         o1, o2 = cell.evaluate(i1, i2, smbm)
         assert (o1, o2) == (i1, i2)
 
@@ -51,10 +50,10 @@ class TestCell:
                 bfpu2=BinaryConfig.passthrough(1),
             ),
         )
-        full = smbm.id_vector()
+        full = smbm.id_mask()
         o1, o2 = cell.evaluate(full, full, smbm)
-        assert set(o1.indices()) == {0, 1, 2}
-        assert set(o2.indices()) == {4, 5}
+        assert ids(o1) == {0, 1, 2}
+        assert ids(o2) == {4, 5}
 
     def test_binary_over_raw_inputs(self):
         """K-UFPUs no-op, BFPU1 does the set op (Figure 13 example 2)."""
@@ -62,10 +61,9 @@ class TestCell:
         cell = Cell(
             4, CellConfig(bfpu1=BinaryConfig(BinaryOp.INTERSECTION))
         )
-        i1 = BitVector.from_indices(CAP, [1, 2, 3])
-        i2 = BitVector.from_indices(CAP, [2, 3, 4])
+        i1, i2 = 0b01110, 0b11100
         o1, _o2 = cell.evaluate(i1, i2, smbm)
-        assert set(o1.indices()) == {2, 3}
+        assert ids(o1) == {2, 3}
 
     def test_fused_unary_and_binary(self):
         """The Figure 14 stage-1 pattern: two predicates intersected."""
@@ -78,16 +76,15 @@ class TestCell:
                 bfpu1=BinaryConfig(BinaryOp.INTERSECTION),
             ),
         )
-        full = smbm.id_vector()
+        full = smbm.id_mask()
         o1, _ = cell.evaluate(full, full, smbm)
         # x < 5: {0..4}; y < 8: {3..7}; intersection: {3, 4}
-        assert set(o1.indices()) == {3, 4}
+        assert ids(o1) == {3, 4}
 
     def test_input_swap(self):
         smbm = build({0: (1, 1), 5: (2, 2)})
         cell = Cell(4, CellConfig(input_swap=True))
-        i1 = BitVector.from_indices(CAP, [0])
-        i2 = BitVector.from_indices(CAP, [5])
+        i1, i2 = 1 << 0, 1 << 5
         o1, o2 = cell.evaluate(i1, i2, smbm)
         assert (o1, o2) == (i2, i1)
 
@@ -137,8 +134,8 @@ class TestFilterPipeline:
         pipe = FilterPipeline(params, config)
         smbm = build({1: (0, 0), 4: (0, 0)})
         out = pipe.evaluate(smbm)
-        assert set(out[0].indices()) == {1, 4}
-        assert set(out[1].indices()) == {1, 4}
+        assert ids(out[0]) == {1, 4}
+        assert ids(out[1]) == {1, 4}
 
     def test_unwired_port_is_empty_table(self):
         params = PipelineParams(n=2, k=1, chain_length=2)
@@ -146,29 +143,32 @@ class TestFilterPipeline:
         pipe = FilterPipeline(params, config)
         smbm = build({1: (0, 0)})
         out = pipe.evaluate(smbm)
-        assert not out[0].is_empty()
-        assert out[1].is_empty()
+        assert out[0] != 0
+        assert out[1] == 0
 
     def test_explicit_inputs(self):
         params = PipelineParams(n=2, k=1, chain_length=2)
         config = single_stage_config({0: 1, 1: 0}, [CellConfig.bypass()])
         pipe = FilterPipeline(params, config)
         smbm = build({i: (0, 0) for i in range(4)})
-        i0 = BitVector.from_indices(CAP, [0])
-        i1 = BitVector.from_indices(CAP, [1])
-        out = pipe.evaluate(smbm, [i0, i1])
-        assert set(out[0].indices()) == {1}
-        assert set(out[1].indices()) == {0}
+        out = pipe.evaluate(smbm, [1 << 0, 1 << 1])
+        assert ids(out[0]) == {1}
+        assert ids(out[1]) == {0}
 
     def test_input_width_validated(self):
+        """A caller's input mask naming an id >= N (or a negative int) is
+        refused, and so is a wrong number of input tables."""
         params = PipelineParams(n=2, k=1, chain_length=2)
         config = single_stage_config({}, [CellConfig.bypass()])
         pipe = FilterPipeline(params, config)
         smbm = build({0: (0, 0)})
+        pipe.evaluate(smbm, [1 << (CAP - 1), 0])
         with pytest.raises(ConfigurationError):
-            pipe.evaluate(smbm, [BitVector.zeros(4), BitVector.zeros(4)])
+            pipe.evaluate(smbm, [1 << CAP, 0])
         with pytest.raises(ConfigurationError):
-            pipe.evaluate(smbm, [BitVector.zeros(CAP)])
+            pipe.evaluate(smbm, [0, -1])
+        with pytest.raises(ConfigurationError):
+            pipe.evaluate(smbm, [0])
 
     def test_two_stage_serial_chain(self):
         """Stage 1 filters x < 8; stage 2 takes min y of the survivors."""
@@ -185,7 +185,7 @@ class TestFilterPipeline:
         smbm = build({0: (9, 1), 1: (5, 7), 2: (3, 4), 3: (6, 2)})
         out = pipe.evaluate(smbm)
         # x < 8 keeps {1, 2, 3}; min y among them is id 3 (y=2).
-        assert set(out[0].indices()) == {3}
+        assert ids(out[0]) == {3}
 
     def test_fanout_violation_rejected_at_construction(self):
         params = PipelineParams(n=4, k=1, f=1, chain_length=2)
@@ -221,7 +221,7 @@ class TestFilterPipeline:
         assert pruned.active_cells() == [(1, 1), (2, 0)]
         smbm = build({0: (9, 1), 1: (5, 7), 2: (3, 4), 3: (6, 2)})
         # y > 3 keeps {1, 2}; min x among them is id 2.
-        assert set(pruned.evaluate(smbm)[0].indices()) == {2}
+        assert ids(pruned.evaluate(smbm)[0]) == {2}
         assert pruned.evaluate(smbm)[0] == FilterPipeline(
             params, config).evaluate(smbm)[0]
         report = PlanVerifier(params).verify_config(config, live_outputs=[0])

@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.core import ufpu_reference
-from repro.core.bitvector import BitVector
 from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
@@ -69,8 +68,8 @@ def _random_write(rng: random.Random, smbm: SMBM) -> None:
         smbm.delete(rid)
 
 
-def _random_input(rng: random.Random) -> BitVector:
-    return BitVector.from_int(CAP, rng.getrandbits(CAP))
+def _random_input(rng: random.Random) -> int:
+    return rng.getrandbits(CAP)
 
 
 def _random_selector_config(rng: random.Random) -> UnaryConfig:
@@ -167,7 +166,7 @@ class TestUFPUFastVsReference:
                         want_min=config.opcode is UnaryOp.MIN)
                 assert fast == ref, (
                     f"fast/reference disagree for {config.describe()} on "
-                    f"input {inp!r}"
+                    f"input {inp:#x}"
                 )
                 cases += 1
         assert cases >= 1000

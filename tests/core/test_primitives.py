@@ -1,11 +1,10 @@
-"""Tests for LFSR, priority encoders, and the clocked-pipeline harness."""
+"""Tests for LFSR, priority encoders, and the one clocked primitive."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bitvector import BitVector
-from repro.core.clocked import Clock, PipelineLatch
+from repro.core.clocked import PipelineLatch
 from repro.core.lfsr import LFSR, MAXIMAL_TAPS
 from repro.core.priority_encoder import (
     encode_cyclic,
@@ -68,17 +67,18 @@ class TestLFSR:
 
 class TestPriorityEncoder:
     def test_first_last(self):
-        v = BitVector.from_indices(16, [4, 9])
+        v = (1 << 4) | (1 << 9)
         assert encode_first(v) == 4
         assert encode_last(v) == 9
 
     def test_cyclic(self):
-        v = BitVector.from_indices(16, [4, 9])
+        v = (1 << 4) | (1 << 9)
+        assert encode_cyclic(v, 4) == 4
         assert encode_cyclic(v, 5) == 9
         assert encode_cyclic(v, 10) == 4
 
     def test_empty_returns_none(self):
-        v = BitVector.zeros(8)
+        v = 0
         assert encode_first(v) is None
         assert encode_last(v) is None
         assert encode_cyclic(v, 3) is None
@@ -139,25 +139,3 @@ class TestPipelineLatch:
                 got.append(out)
         assert got == list(range(count))
 
-
-class TestClock:
-    def test_drives_components_in_order(self):
-        order = []
-
-        class Comp:
-            def __init__(self, name):
-                self.name = name
-
-            def tick(self):
-                order.append(self.name)
-
-        clk = Clock()
-        clk.register(Comp("a"))
-        clk.register(Comp("b"))
-        clk.step(2)
-        assert order == ["a", "b", "a", "b"]
-        assert clk.cycle == 2
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(SimulationError):
-            Clock().step(-1)

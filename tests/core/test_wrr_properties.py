@@ -38,11 +38,11 @@ class TestProportionality:
         """Over whole rounds, entry i is selected exactly weight_i times."""
         smbm = build(weights)
         unit = UFPU(UnaryConfig(UnaryOp.ROUND_ROBIN, attr="w"))
-        inp = smbm.id_vector()
+        inp = smbm.id_mask()
         round_len = sum(weights.values())
         counts = Counter()
         for _ in range(3 * round_len):
-            picked = next(iter(unit.evaluate(inp, smbm).indices()))
+            picked = unit.evaluate(inp, smbm).bit_length() - 1
             counts[picked] += 1
         for rid, weight in weights.items():
             assert counts[rid] == 3 * weight
@@ -53,10 +53,10 @@ class TestProportionality:
         """Entries are served in increasing id order, wrapping around."""
         smbm = build(weights)
         unit = UFPU(UnaryConfig(UnaryOp.ROUND_ROBIN, attr="w"))
-        inp = smbm.id_vector()
+        inp = smbm.id_mask()
         round_len = sum(weights.values())
         picks = [
-            next(iter(unit.evaluate(inp, smbm).indices()))
+            unit.evaluate(inp, smbm).bit_length() - 1
             for _ in range(round_len)
         ]
         # Collapse consecutive repeats: the visit order of distinct ids.
@@ -71,12 +71,12 @@ class TestProportionality:
     def test_deleted_entry_skipped_without_stall(self, weights, removed):
         smbm = build(weights)
         unit = UFPU(UnaryConfig(UnaryOp.ROUND_ROBIN, attr="w"))
-        inp = smbm.id_vector()
+        inp = smbm.id_mask()
         unit.evaluate(inp, smbm)  # establish some position
         if removed in smbm and len(weights) > 1:
             smbm.delete(removed)
-            inp = smbm.id_vector()
+            inp = smbm.id_mask()
         for _ in range(8):
             out = unit.evaluate(inp, smbm)
-            assert out.popcount() == 1
-            assert set(out.indices()) <= set(smbm.ids())
+            assert out.bit_count() == 1
+            assert out.bit_length() - 1 in smbm.ids()

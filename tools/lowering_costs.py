@@ -13,7 +13,10 @@ callables that serve a stateless row:
   version;
 * a memo miss, right after a table write: the kernel respecialising and
   running (``PlanCodegen.evaluate``) against the walk of the compiled Cells
-  (``CompiledPolicy.evaluate``) the row routine ran in its place.
+  (``CompiledPolicy.evaluate``) the row routine ran in its place;
+* ``probe_mix``'s stateful ``t3`` (round-robin): the Cell walk
+  (``CompiledPolicy.evaluate``) that serves each of its rows, alone, as
+  no kernel exists for it.
 
 Each figure is the best of ``--repeat`` timed loops, in microseconds per
 call; ``fold/kernel`` and ``cells/kernel`` are how many times faster the
@@ -74,7 +77,8 @@ def after_a_write_us(module: FilterModule, evaluate, repeat: int) -> float:
 
 def measure(seed: int, repeat: int):
     """Per tenant: ``(name, [(slower µs, kernel µs), ...])``, one pair per
-    column size, then the memo miss's (Cell walk, kernel) pair."""
+    column size, then the memo miss's (Cell walk, kernel) pair; last the
+    stateful ``t3`` with its Cell walk alone (kernel ``None``)."""
     writes = shape.table_writes(seed)
     masks = [packet.metadata[META_FILTER_INPUT]
              for packet in shape.masked_pool(seed)[0][:max(COLUMNS)]]
@@ -98,6 +102,14 @@ def measure(seed: int, repeat: int):
             after_a_write_us(module, lambda: kernel.evaluate(smbm), repeat),
         ))
         yield name, pairs
+    module = FilterModule(shape.ROWS, shape.METRICS,
+                          shape.policies(stateful_t3=True)["t3"],
+                          PipelineParams(n=8))
+    for write in writes:
+        if write.tenant == "t3":
+            module.update_resource(write.resource_id, write.metrics)
+    walk = best_us(lambda: module.compiled.evaluate(module.smbm), repeat)
+    yield "t3 (stateful)", [(None, None)] * len(COLUMNS) + [(walk, None)]
 
 
 def main(argv: list[str]) -> int:
@@ -114,7 +126,10 @@ def main(argv: list[str]) -> int:
     for name, pairs in measure(args.seed, args.repeat):
         line = [name]
         for slow, fast in pairs:
-            line += [f"{slow:.1f} / {fast:.1f}", f"{slow / fast:.2f}x"]
+            if fast is None:
+                line += ["—" if slow is None else f"{slow:.1f} / —", "—"]
+            else:
+                line += [f"{slow:.1f} / {fast:.1f}", f"{slow / fast:.2f}x"]
         print("| " + " | ".join(line) + " |")
     return 0
 
