@@ -560,8 +560,9 @@ class PolicyInterpreter:
         given, is used as the per-node memo and left filled with every
         evaluated node's output mask keyed by ``node_id`` — the concrete
         witness the semantic soundness suite checks abstract regions
-        against (nodes short-circuited away, e.g. a Conditional's untaken
-        arm, stay absent).
+        against.  Every node reachable from the root or a feedback binding
+        is recorded, a Conditional's untaken arm included: both arms are
+        computed before the MUX picks one.
         """
         cache: dict[int, int] = {} if record is None else record
 
@@ -591,8 +592,11 @@ class PolicyInterpreter:
                 else:
                     out = left & ~right
             elif isinstance(node, Conditional):
+                # Both arms run before the MUX, as in hardware (section
+                # 4.2.3): a stateful unit in the untaken arm still steps.
                 primary = walk(node.primary)
-                out = primary if primary else walk(node.fallback)
+                fallback = walk(node.fallback)
+                out = primary if primary else fallback
             else:  # pragma: no cover
                 raise ConfigurationError(f"unknown node type {type(node)!r}")
             cache[node.node_id] = out

@@ -9,9 +9,11 @@ The cache stores the most popular courses as SMBM resources whose metric
 dimensions are the course attributes (number, term, level, units) plus the
 course's prerequisite/dependent adjacency (as compact bit masks over the
 cached set).  Point queries on cached nodes are answered from the SMBM;
-multi-attribute *filter queries* are answered by a compiled Thanos predicate
-chain over the cached table — all at the switch, saving the server round
-trip and processing delay.
+multi-attribute *filter queries* are answered by a Thanos predicate chain
+over the cached table, each served by its own
+:class:`~repro.switch.filter_module.FilterModule` loaded with the cached
+rows (so it gets the memo and the kernel) — all at the switch, saving the
+server round trip and processing delay.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from repro import obs
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import Policy, TableRef, intersection, predicate
 from repro.core.smbm import SMBM
-from repro.core.compiler import PolicyCompiler
 from repro.errors import CapacityError, ConfigurationError
 from repro.graphdb.graph import CourseGraph
+from repro.switch.filter_module import FilterModule
 from repro.workloads.traces import Query
 
 __all__ = ["InNetworkCache"]
@@ -68,7 +70,7 @@ class InNetworkCache:
         self._complete_dependents = {
             cid for cid in cached_nodes if self._dependents[cid] <= cached
         }
-        self._compiled_filters: dict[str, tuple] = {}
+        self._filters: dict[str, tuple] = {}
         self.hits = 0
         self.misses = 0
         # Observability: hit/miss ints above are the source of truth; a
@@ -111,41 +113,46 @@ class InNetworkCache:
         self.misses += 1
         return None
 
-    # -- compiled filter queries -------------------------------------------------------------
+    # -- filter queries ----------------------------------------------------------------
 
     def install_filter(
         self, name: str, *conditions: tuple[str, str, int],
         params: PipelineParams | None = None,
     ) -> None:
-        """Compile a popular multi-attribute filter query onto the pipeline,
-        e.g. ``install_filter("intro-fall", ("level", "<", 3), ("term", "==", 1))``."""
+        """Program a popular multi-attribute filter query onto a filter
+        module holding the cached rows, e.g.
+        ``install_filter("intro-fall", ("level", "<", 3), ("term", "==", 1))``."""
         if not conditions:
             raise ConfigurationError("a filter query needs at least one condition")
         table = TableRef()
         node = predicate(table, *conditions[0])
         for attr, rel, val in conditions[1:]:
             node = intersection(node, predicate(TableRef(), attr, rel, val))
-        compiled = PolicyCompiler(
-            params or PipelineParams(n=8, k=4, f=2, chain_length=2)
-        ).compile(Policy(node, name=f"cache-filter-{name}"))
-        self._compiled_filters[name] = (compiled, conditions)
+        module = FilterModule(
+            self._smbm.capacity, ATTR_METRICS,
+            Policy(node, name=f"cache-filter-{name}"),
+            params or PipelineParams(n=8, k=4, f=2, chain_length=2),
+        )
+        for slot in self._course_of:
+            module.update_resource(slot, self._smbm.metrics_of(slot))
+        self._filters[name] = (module, conditions)
 
     def run_filter(self, name: str) -> set[int]:
         """Answer an installed filter query: matching course ids."""
-        if name not in self._compiled_filters:
+        if name not in self._filters:
             raise ConfigurationError(f"no filter query {name!r} installed")
-        compiled, _conditions = self._compiled_filters[name]
+        module, _conditions = self._filters[name]
         with obs.get_tracer().span("cache_filter_query") as span:
-            out = compiled.evaluate(self._smbm)
-            span.add_cycles(compiled.latency_cycles)
+            out = module.evaluate()
+            span.add_cycles(module.latency_cycles)
         self.hits += 1
         return {self._course_of[slot] for slot in out.indices()}
 
     def reference_filter(self, name: str) -> set[int]:
         """The same filter evaluated by the reference graph code, restricted
         to cached nodes (for differential testing)."""
-        if name not in self._compiled_filters:
+        if name not in self._filters:
             raise ConfigurationError(f"no filter query {name!r} installed")
-        _compiled, conditions = self._compiled_filters[name]
+        _module, conditions = self._filters[name]
         bounds = {attr: (rel, val) for attr, rel, val in conditions}
         return self._graph.filter_courses(**bounds) & set(self._slot_of)

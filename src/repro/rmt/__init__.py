@@ -1,15 +1,14 @@
-"""RMT pipeline substrate (sections 2.2 and 3).
+"""RMT substrate (sections 2.2 and 3).
 
-A model of the Reconfigurable Match Table architecture that Thanos extends:
+The parts of the Reconfigurable Match Table architecture the model keeps:
+the packet and parser the probe path runs on, and the register arrays an
+RMT-only baseline is built from.
 
 * :mod:`~repro.rmt.packet` — packets with header stacks and metadata;
 * :mod:`~repro.rmt.parser` — the programmable parser (a state machine over
   serialised header bytes);
 * :mod:`~repro.rmt.registers` — stateful register arrays with RMT's
   one-access-per-array-per-stage constraint;
-* :mod:`~repro.rmt.match_table` — exact (SRAM) and ternary (TCAM) match
-  tables with priority and actions;
-* :mod:`~repro.rmt.pipeline` — the feed-forward match-action pipeline;
 * :mod:`~repro.rmt.probe` — probe-packet formats carrying remote resource
   metrics, and their extraction in the RMT pipeline (section 3, task 1).
 """
@@ -17,8 +16,6 @@ A model of the Reconfigurable Match Table architecture that Thanos extends:
 from repro.rmt.packet import HeaderDef, FieldDef, Packet
 from repro.rmt.parser import Parser, ParseState
 from repro.rmt.registers import RegisterArray
-from repro.rmt.match_table import MatchTable, MatchKind, TableEntry
-from repro.rmt.pipeline import MatchActionStage, RMTPipeline
 from repro.rmt.probe import ProbeCodec, ProbeUpdate
 
 __all__ = [
@@ -28,11 +25,6 @@ __all__ = [
     "Parser",
     "ParseState",
     "RegisterArray",
-    "MatchTable",
-    "MatchKind",
-    "TableEntry",
-    "MatchActionStage",
-    "RMTPipeline",
     "ProbeCodec",
     "ProbeUpdate",
 ]

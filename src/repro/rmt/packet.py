@@ -20,8 +20,8 @@ __all__ = ["FieldDef", "HeaderDef", "Packet", "META_TENANT"]
 
 #: Metadata key naming the tenant a packet belongs to on a virtualized
 #: switch (set by the ingress classifier — in this model, the traffic
-#: source).  Probe and data packets both carry it; a multi-tenant switch
-#: demuxes on it and refuses to guess when it is absent.
+#: source).  Probe and data packets both carry it; the switch demuxes on
+#: it and refuses to guess when it is absent.
 META_TENANT = "tenant"
 
 

@@ -11,7 +11,7 @@ Two backends conform today, both multiplexing tenants over one
 :class:`~repro.switch.thanos_switch.ThanosSwitch`:
 
 * :class:`ScalarBackend` — the per-packet reference path: every packet
-  traverses the RMT pipeline individually (``switch.process``);
+  goes through the switch's filter stage on its own (``switch.process``);
 * :class:`BatchedBackend` — the columnar engine path
   (``switch.process_batch``): one classifying pass over the batch, then
   each tenant's rows through its module's ``evaluate_batch`` (a memo
@@ -100,8 +100,8 @@ class TableWrite:
 
 class SwitchBackend(abc.ABC):
     """The serving contract a control plane programs against, implemented
-    once over a :class:`TenantManager` and a multi-tenant
-    :class:`ThanosSwitch`.
+    once over a :class:`TenantManager` and the :class:`ThanosSwitch`
+    that demuxes its tenants.
 
     Subclasses override only :meth:`_serve_batch`, and both start it with
     the same whole-batch check (module docstring), so they present
@@ -113,7 +113,7 @@ class SwitchBackend(abc.ABC):
 
     def __init__(self, manager: TenantManager):
         self._manager = manager
-        self._switch = ThanosSwitch.multi_tenant(manager)
+        self._switch = ThanosSwitch(manager)
         self._demux = TenantDemux(manager)
         registry = obs.get_registry()
         labels = {"backend": self.name}
@@ -280,7 +280,7 @@ class SwitchBackend(abc.ABC):
 
 class ScalarBackend(SwitchBackend):
     """The per-packet reference path: every packet, probe or data,
-    traverses the RMT pipeline individually."""
+    goes through the switch's filter stage on its own."""
 
     name = "scalar"
 

@@ -109,7 +109,7 @@ class TenantCheckpoint:
     LFSR registers, round-robin pointers and weights, and
     :attr:`~repro.core.policy.Policy.feedback` registers.  A restored,
     recovered or migrated stateful tenant restarts them from the seed and
-    from zeros (ROADMAP item 4(c); the ``STATEFUL_4C`` cases in
+    from zeros (ROADMAP item 2(c); the ``STATEFUL_4C`` cases in
     ``tests/serving`` are its strict-xfail landing pad).
     """
 

@@ -2,9 +2,10 @@
 
 * :class:`~repro.switch.filter_module.FilterModule` — SMBM + compiled filter
   pipeline, triggered per packet, writing its result to packet metadata;
-* :class:`~repro.switch.thanos_switch.ThanosSwitch` — RMT ingress stages, the
-  inline filter module, and RMT egress stages, with the probe path and
-  local-metric event hooks;
+* :class:`~repro.switch.thanos_switch.ThanosSwitch` — the filter stage every
+  tenant admitted on a :class:`~repro.tenancy.manager.TenantManager`
+  shares: it routes each probe and filter request to the module of the
+  tenant its ``META_TENANT`` label names;
 * :class:`~repro.switch.replication.ReplicatedSMBM` — synchronised SMBM
   replicas for multi-pipelined data planes (section 5.1.5), including write
   contention detection.

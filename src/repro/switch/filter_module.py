@@ -772,7 +772,7 @@ class FilterModule:
         return None if selected < 0 else selected
 
     def hook(self, packet: Packet) -> None:
-        """The per-stage module hook: filter on request, bypass otherwise.
+        """The per-packet filter stage: filter on request, bypass otherwise.
 
         A ``META_FILTER_INPUT`` candidate mask restricts the table the
         policy sees for this packet, exactly as a masked batch row."""

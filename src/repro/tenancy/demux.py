@@ -43,18 +43,16 @@ Run = tuple[list[Packet], list["int | None"]]
 def classify(
     packets: Sequence[Packet],
     decode: Callable[[Packet], ProbeUpdate | None],
-    tenants: "TenantManager | None",
-    solo: "FilterModule | None",
-) -> tuple[dict, list[tuple["str | None", Run, ProbeUpdate]], dict]:
+    tenants: "TenantManager",
+) -> tuple[dict, list[tuple[str, Run, ProbeUpdate]], dict]:
     """The one pass at a batch's edge: read each packet's metadata once,
     classify it, route it and refuse the whole batch before anything
     commits.
 
     A packet is a *probe* when it carries the probe header (only those are
     decoded), a *row* when it requests filtering, and otherwise bypasses:
-    it touches no module and needs no label.  Probes and rows belong to an
-    owner — the ``META_TENANT`` label's admitted tenant, or ``solo`` (a
-    dedicated switch: one owner, labels unread).
+    it touches no module and needs no label.  Probes and rows belong to
+    the admitted tenant their ``META_TENANT`` label names.
 
     Refusals: every routing violation in one :class:`RoutingError`;
     failing that, the first malformed ``META_FILTER_INPUT`` mask
@@ -67,9 +65,9 @@ def classify(
     owner's rows are cut by its own probes only; and each owner's run
     after its last probe.
     """
-    owners: dict[str | None, FilterModule] = {}
-    runs: dict[str | None, Run] = {}
-    cuts: list[tuple[str | None, Run, ProbeUpdate]] = []
+    owners: dict[str, FilterModule] = {}
+    runs: dict[str, Run] = {}
+    cuts: list[tuple[str, Run, ProbeUpdate]] = []
     unknown: list[str] = []
     unlabelled = 0
     refusal: Exception | None = None
@@ -78,16 +76,16 @@ def classify(
         probe = packet.headers and is_probe(packet)  # no header, no call
         if not (probe or meta.get(META_FILTER_REQUEST)):
             continue
-        name = None if solo is not None else meta.get(META_TENANT)
+        name = meta.get(META_TENANT)
         run = runs.get(name)
         if run is None:
-            if solo is None and name not in tenants:
+            if name not in tenants:
                 if name is None:
                     unlabelled += 1
                 elif name not in unknown:
                     unknown.append(name)
                 continue
-            owners[name] = solo if solo is not None else tenants.get(name).module
+            owners[name] = tenants.get(name).module
             run = runs[name] = ([], [])
         if probe:
             update = decode(packet)
@@ -163,8 +161,7 @@ class TenantDemux:
         exactly what the batched switch refuses (the scalar backend's
         up-front check).  Returns ``{tenant_name: [rows...]}`` for every
         tenant with at least one row."""
-        _, cuts, runs = classify(packets, self._codec.decode,
-                                 self._manager, None)
+        _, cuts, runs = classify(packets, self._codec.decode, self._manager)
         by_tenant: dict[str, list[Packet]] = {}
         for name, (rows, _), _ in cuts:
             by_tenant.setdefault(name, []).extend(rows)

@@ -27,6 +27,7 @@ from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
+    Conditional,
     Node,
     Policy,
     PolicyInterpreter,
@@ -388,6 +389,18 @@ def _stateful_builders() -> dict[str, callable]:
         return Policy(min_of(seen, "a"), name="feedback-only",
                       feedback={1: seen})
 
+    def build_conditional_rr() -> Policy:
+        # Both arms hold a round-robin pointer; the hardware's MUX sits
+        # after the pipeline, so the fallback's pointer moves even on
+        # packets the primary serves.
+        return Policy(
+            Conditional(
+                round_robin(predicate(TableRef(), "a", RelOp.LT, 2), "a"),
+                round_robin(TableRef(), "b"),
+            ),
+            name="conditional-rr",
+        )
+
     return {
         "rr": build_rr,
         "rr-filtered": build_rr_filtered,
@@ -395,6 +408,7 @@ def _stateful_builders() -> dict[str, callable]:
         "random-k2": build_random_k2,
         "fused-feedback": build_fused_feedback,
         "feedback-only": build_feedback_only,
+        "conditional-rr": build_conditional_rr,
         **{f"drill-d{d}-m{m}": lambda d=d, m=m: drill_shaped(d, m, "a")
            for d, m in ((2, 1), (4, 4), (3, 0))},
     }

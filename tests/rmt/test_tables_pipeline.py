@@ -1,126 +1,9 @@
-"""Tests for match tables, register arrays, and the RMT pipeline."""
+"""Tests for RMT register arrays: the stateful memory of one stage."""
 
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.rmt.match_table import MatchKind, MatchTable, TableEntry
-from repro.rmt.packet import Packet
-from repro.rmt.pipeline import MatchActionStage, RMTPipeline
 from repro.rmt.registers import RegisterArray
-
-
-def ip_packet(src=1, dst=2):
-    p = Packet()
-    p.push_header("ip", {"src": src, "dst": dst, "proto": 6})
-    return p
-
-
-def set_meta(packet, data):
-    packet.metadata.update(data)
-
-
-class TestExactTable:
-    def make(self):
-        t = MatchTable("fwd", [("ip", "dst")], MatchKind.EXACT)
-        t.register_action("set_port", lambda p, d: set_meta(p, {"port": d["port"]}))
-        return t
-
-    def test_hit_runs_action(self):
-        t = self.make()
-        t.insert(TableEntry(key=(2,), action_name="set_port", action_data={"port": 7}))
-        p = ip_packet(dst=2)
-        assert t.apply(p)
-        assert p.metadata["port"] == 7
-
-    def test_miss(self):
-        t = self.make()
-        p = ip_packet(dst=9)
-        assert not t.apply(p)
-        assert "port" not in p.metadata
-
-    def test_duplicate_key_rejected(self):
-        t = self.make()
-        t.insert(TableEntry(key=(2,), action_name="set_port"))
-        with pytest.raises(ConfigurationError):
-            t.insert(TableEntry(key=(2,), action_name="set_port"))
-
-    def test_unknown_action_rejected(self):
-        t = self.make()
-        with pytest.raises(ConfigurationError):
-            t.insert(TableEntry(key=(2,), action_name="nope"))
-
-    def test_capacity(self):
-        t = MatchTable("small", [("ip", "dst")], capacity=1)
-        t.register_action("a", lambda p, d: None)
-        t.insert(TableEntry(key=(1,), action_name="a"))
-        with pytest.raises(CapacityError):
-            t.insert(TableEntry(key=(2,), action_name="a"))
-
-    def test_remove(self):
-        t = self.make()
-        t.insert(TableEntry(key=(2,), action_name="set_port"))
-        t.remove_exact((2,))
-        assert not t.apply(ip_packet(dst=2))
-
-    def test_mask_rejected_on_exact(self):
-        t = self.make()
-        with pytest.raises(ConfigurationError):
-            t.insert(TableEntry(key=(2,), action_name="set_port", mask=(0xFF,)))
-
-    def test_metadata_key(self):
-        t = MatchTable("m", [("meta", "flow")], MatchKind.EXACT)
-        t.register_action("mark", lambda p, d: set_meta(p, {"hit": 1}))
-        t.insert(TableEntry(key=(5,), action_name="mark"))
-        p = ip_packet()
-        p.metadata["flow"] = 5
-        assert t.apply(p)
-
-    def test_missing_metadata_raises(self):
-        t = MatchTable("m", [("meta", "flow")], MatchKind.EXACT)
-        t.register_action("mark", lambda p, d: None)
-        with pytest.raises(ConfigurationError):
-            t.lookup(ip_packet())
-
-
-class TestTernaryTable:
-    def make(self):
-        t = MatchTable("acl", [("ip", "src")], MatchKind.TERNARY)
-        t.register_action("verdict", lambda p, d: set_meta(p, {"drop": d["drop"]}))
-        return t
-
-    def test_masked_match(self):
-        t = self.make()
-        # Match any src in 0x10xx (mask the low byte away).
-        t.insert(
-            TableEntry(key=(0x1000,), mask=(0xFF00,), action_name="verdict",
-                       action_data={"drop": 1})
-        )
-        p = ip_packet(src=0x10AB)
-        assert t.apply(p)
-        assert p.metadata["drop"] == 1
-        assert not t.apply(ip_packet(src=0x20AB))
-
-    def test_priority_order(self):
-        t = self.make()
-        t.insert(
-            TableEntry(key=(0,), mask=(0,), priority=1, action_name="verdict",
-                       action_data={"drop": 0})
-        )
-        t.insert(
-            TableEntry(key=(5,), mask=(0xFFFF,), priority=10, action_name="verdict",
-                       action_data={"drop": 1})
-        )
-        p = ip_packet(src=5)
-        t.apply(p)
-        assert p.metadata["drop"] == 1  # specific high-priority entry wins
-        p2 = ip_packet(src=6)
-        t.apply(p2)
-        assert p2.metadata["drop"] == 0  # wildcard entry catches the rest
-
-    def test_missing_mask_rejected(self):
-        t = self.make()
-        with pytest.raises(ConfigurationError):
-            t.insert(TableEntry(key=(5,), action_name="verdict"))
 
 
 class TestRegisterArray:
@@ -162,45 +45,3 @@ class TestRegisterArray:
     def test_control_plane_peek_is_unconstrained(self):
         reg = RegisterArray("counters", 4, initial=9)
         assert reg.peek_all() == [9, 9, 9, 9]
-
-
-class TestRMTPipeline:
-    def build(self):
-        fwd = MatchTable("fwd", [("ip", "dst")])
-        fwd.register_action(
-            "set_port", lambda p, d: set_meta(p, {"port": d["port"]})
-        )
-        fwd.insert(TableEntry(key=(2,), action_name="set_port", action_data={"port": 3}))
-        counters = RegisterArray("pkt_count", 16)
-
-        def count_hook(packet):
-            counters.read_modify_write(packet.header("ip")["dst"] % 16, 1)
-
-        stage1 = MatchActionStage("ingress", tables=[fwd])
-        stage1.add_register(counters)
-        stage2 = MatchActionStage("count", hook=count_hook)
-        return RMTPipeline([stage1, stage2]), counters
-
-    def test_stages_run_in_order(self):
-        pipe, counters = self.build()
-        p = pipe.process(ip_packet(dst=2))
-        assert p.metadata["port"] == 3
-        assert counters.peek_all()[2] == 1
-        assert pipe.packets_processed == 1
-
-    def test_duplicate_stage_names_rejected(self):
-        s = MatchActionStage("x")
-        with pytest.raises(ConfigurationError):
-            RMTPipeline([s, MatchActionStage("x")])
-
-    def test_stage_lookup(self):
-        pipe, _ = self.build()
-        assert pipe.stage("ingress").name == "ingress"
-        with pytest.raises(ConfigurationError):
-            pipe.stage("ghost")
-
-    def test_duplicate_register_rejected(self):
-        stage = MatchActionStage("s")
-        stage.add_register(RegisterArray("r", 4))
-        with pytest.raises(ConfigurationError):
-            stage.add_register(RegisterArray("r", 4))

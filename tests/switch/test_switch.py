@@ -12,9 +12,9 @@ from repro.core.policy import (
     predicate,
     random_pick,
 )
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError
 from repro.rmt.packet import META_TENANT, Packet
-from repro.rmt.probe import ETHER_HEADER, ETHERTYPE_DATA
+from repro.rmt.probe import ETHERTYPE_DATA, ProbeCodec
 from repro.switch.filter_module import (
     META_FILTER_OUTPUT,
     META_FILTER_REQUEST,
@@ -23,6 +23,7 @@ from repro.switch.filter_module import (
 )
 from repro.switch.replication import ReplicatedSMBM, WriteContention
 from repro.switch.thanos_switch import ThanosSwitch
+from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("util", "delay")
 
@@ -31,17 +32,44 @@ def least_utilised_policy() -> Policy:
     return Policy(min_of(TableRef(), "util"), name="conga")
 
 
-def make_switch(policy=None) -> ThanosSwitch:
-    return ThanosSwitch(FilterModule(
-        8, METRICS, policy or least_utilised_policy(),
-        PipelineParams(n=2, k=2, f=2, chain_length=2),
+TENANT = "t"
+CODEC = ProbeCodec(METRICS)
+PARSER = CODEC.build_parser()
+
+
+def make_switch(policy=None, params=None) -> ThanosSwitch:
+    """A dedicated switch: one tenant owning every Cell column and row."""
+    params = params or PipelineParams(n=2, k=2, f=2, chain_length=2)
+    manager = TenantManager(METRICS, params, smbm_capacity=8)
+    manager.admit(TenantSpec(
+        TENANT, policy or least_utilised_policy(), smbm_quota=8,
+        columns=params.cells_per_stage,
     ))
+    return ThanosSwitch(manager)
+
+
+def module_of(sw: ThanosSwitch) -> FilterModule:
+    return sw.tenants.get(TENANT).module
 
 
 def data_packet() -> Packet:
     p = Packet()
     p.push_header("ether", {"dst": 0, "src": 0, "ethertype": ETHERTYPE_DATA})
     return p
+
+
+def probe(rid: int, **metrics: int) -> Packet:
+    """A parsed probe packet, labelled with the switch's one tenant."""
+    packet = PARSER.parse(CODEC.encode(rid, metrics))
+    packet.metadata[META_TENANT] = TENANT
+    return packet
+
+
+def request() -> Packet:
+    """A labelled data packet that asks to be filtered."""
+    packet = data_packet()
+    packet.metadata.update({META_FILTER_REQUEST: 1, META_TENANT: TENANT})
+    return packet
 
 
 class TestFilterModule:
@@ -99,56 +127,55 @@ class TestFilterModule:
 
 
 class TestThanosSwitch:
+    """A dedicated switch is a one-tenant manager: probes and filter
+    requests carry that tenant's label."""
+
     def test_probe_updates_resource_table(self):
         sw = make_switch()
-        codec_wire = sw._codec.encode(2, {"util": 30, "delay": 4})
-        sw.receive_bytes(codec_wire)
+        sw.process(probe(2, util=30, delay=4))
         assert sw.probes_processed == 1
-        assert sw.filter_module.smbm.metrics_of(2) == {"util": 30, "delay": 4}
+        assert module_of(sw).smbm.metrics_of(2) == {"util": 30, "delay": 4}
 
     def test_probe_refresh_overwrites(self):
         sw = make_switch()
-        sw.receive_bytes(sw._codec.encode(2, {"util": 30, "delay": 4}))
-        sw.receive_bytes(sw._codec.encode(2, {"util": 70, "delay": 9}))
-        assert sw.filter_module.smbm.metrics_of(2)["util"] == 70
+        sw.process(probe(2, util=30, delay=4))
+        sw.process(probe(2, util=70, delay=9))
+        assert module_of(sw).smbm.metrics_of(2)["util"] == 70
 
     def test_data_packet_filtering_end_to_end(self):
         """Probes fill the table; a data packet picks the least-utilised path."""
         sw = make_switch()
         for rid, util in [(0, 60), (1, 10), (2, 40)]:
-            sw.receive_bytes(sw._codec.encode(rid, {"util": util, "delay": 0}))
-        packet = sw.filter_for(data_packet())
+            sw.process(probe(rid, util=util, delay=0))
+        packet = sw.process(request())
         assert packet.metadata[META_FILTER_SELECTED] == 1
 
     def test_process_batch_is_the_one_pass_with_one_owner(self):
-        """A dedicated switch batches like it processes per packet —
-        probes commit in arrival order, tenant labels are not read — and
-        refuses a probe id past its table whole."""
-        def stream(sw, ids):
+        """A one-tenant switch batches like it processes per packet —
+        probes commit in arrival order — and refuses a probe id past its
+        tenant's quota whole, committing nothing."""
+        def stream(ids):
             packets = []
             for rid, util in zip(ids, [60, 10, 40, 5]):
-                packets.append(sw._parser.parse(
-                    sw._codec.encode(rid, {"util": util, "delay": 0})))
-                packets.append(data_packet())
-                packets[-1].metadata.update(
-                    {META_FILTER_REQUEST: 1, META_TENANT: "unread"})
+                packets += [probe(rid, util=util, delay=0), request()]
             return packets
 
         batched, scalar = make_switch(), make_switch()
-        served = batched.process_batch(stream(batched, range(4)))
-        want = [scalar.process(p) for p in stream(scalar, range(4))]
+        served = batched.process_batch(stream(range(4)))
+        want = [scalar.process(p) for p in stream(range(4))]
         assert [p.metadata[META_FILTER_SELECTED] for p in served[1::2]] == [
             0, 1, 1, 3]
         assert [p.metadata for p in served] == [p.metadata for p in want]
         assert batched.probes_processed == scalar.probes_processed == 4
         fresh = make_switch()
-        packets = stream(fresh, [0, 1, 8, 2])
+        packets = stream([0, 1, 8, 2])
         with pytest.raises(CapacityError, match="resource id 8"):
             fresh.process_batch(packets)
-        assert len(fresh.filter_module.smbm) == fresh.probes_processed == 0
+        assert len(module_of(fresh).smbm) == fresh.probes_processed == 0
         assert not any(META_FILTER_OUTPUT in p.metadata for p in packets)
 
     def test_data_packet_without_request_bypasses(self):
+        """A packet that asks for nothing needs no tenant label."""
         sw = make_switch()
         packet = sw.process(data_packet())
         assert META_FILTER_SELECTED not in packet.metadata
@@ -160,48 +187,33 @@ class TestThanosSwitch:
             predicate(servers, "delay", "<", 5),
         )
         policy = Policy(Conditional(random_pick(eligible), random_pick(TableRef())))
-        sw = ThanosSwitch(FilterModule(
-            8, METRICS, policy,
-            PipelineParams(n=4, k=3, f=2, chain_length=2),
-        ))
-        sw.receive_bytes(sw._codec.encode(0, {"util": 90, "delay": 9}))
-        sw.receive_bytes(sw._codec.encode(1, {"util": 10, "delay": 1}))
-        packet = sw.filter_for(data_packet())
+        sw = make_switch(policy, PipelineParams(n=4, k=3, f=2, chain_length=2))
+        sw.process(probe(0, util=90, delay=9))
+        sw.process(probe(1, util=10, delay=1))
+        packet = sw.process(request())
         assert packet.metadata[META_FILTER_SELECTED] == 1
 
     def test_local_metric_event_hooks(self):
-        """Queue-length maintenance via enqueue/dequeue events (section 3)."""
+        """Queue-length maintenance on enqueue/dequeue events (section 3):
+        the network function writes the local metric through its tenant's
+        module, and the next request is served on it."""
         sw = make_switch()
+        module = module_of(sw)
 
-        def on_enqueue(switch, args):
-            port = args["port"]
-            table = switch.filter_module.smbm
-            current = table.metrics_of(port) if port in table else {"util": 0, "delay": 0}
-            current["util"] += 1
-            switch.filter_module.update_resource(port, current)
+        def on_queue(port, delta):
+            table = module.smbm
+            current = (table.metrics_of(port) if port in table
+                       else {"util": 0, "delay": 0})
+            current["util"] += delta
+            module.update_resource(port, current)
 
-        def on_dequeue(switch, args):
-            port = args["port"]
-            current = switch.filter_module.smbm.metrics_of(port)
-            current["util"] -= 1
-            switch.filter_module.update_resource(port, current)
-
-        sw.register_event("enqueue", on_enqueue)
-        sw.register_event("dequeue", on_dequeue)
-        sw.on_event("enqueue", port=3)
-        sw.on_event("enqueue", port=3)
-        sw.on_event("dequeue", port=3)
-        assert sw.filter_module.smbm.metrics_of(3)["util"] == 1
-
-    def test_duplicate_event_rejected(self):
-        sw = make_switch()
-        sw.register_event("e", lambda s, a: None)
-        with pytest.raises(ConfigurationError):
-            sw.register_event("e", lambda s, a: None)
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_switch().on_event("ghost")
+        on_queue(3, +1)
+        on_queue(3, +1)
+        on_queue(3, -1)
+        on_queue(5, +1)
+        on_queue(5, +1)
+        assert module.smbm.metrics_of(3)["util"] == 1
+        assert sw.process(request()).metadata[META_FILTER_SELECTED] == 3
 
 
 class TestReplicatedSMBM:

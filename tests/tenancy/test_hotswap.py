@@ -77,7 +77,7 @@ def _env(rows, policy_index: int):
     ))
     for rid, (q, load) in enumerate(rows):
         mgr.update_resource("a", rid, {"q": q, "load": load})
-    return mgr, ThanosSwitch.multi_tenant(mgr)
+    return mgr, ThanosSwitch(mgr)
 
 
 def _packet() -> Packet:

@@ -130,7 +130,7 @@ def test_two_tenant_chaos_isolation(rng):
         tenant_b = mgr.admit(TenantSpec(
             "b", _policy_b(), smbm_quota=QUOTA, columns=1,
         ))
-        switch = ThanosSwitch.multi_tenant(mgr)
+        switch = ThanosSwitch(mgr)
 
         trace_b = []
         for i, step in enumerate(steps):
@@ -197,7 +197,7 @@ def test_batched_two_tenant_isolation(rng):
     mgr = TenantManager(METRICS, PARAMS, smbm_capacity=4 * QUOTA)
     mgr.admit(TenantSpec("a", _policy_a(), smbm_quota=QUOTA, columns=2))
     mgr.admit(TenantSpec("b", _policy_b(), smbm_quota=QUOTA, columns=1))
-    switch = ThanosSwitch.multi_tenant(mgr)
+    switch = ThanosSwitch(mgr)
 
     # Writes act as batch boundaries; build maximal packet runs between
     # them, exactly like the probe-path batching contract.
