@@ -500,7 +500,7 @@ def phase_live_migration(inj: FaultInjector, *, rounds: int) -> dict:
 
 #: The crash sweep's scripted schedule has 9 control ops with a
 #: checkpoint submitted after this many of them; the WAL then carries
-#: appends [op0..op4, checkpoint-marker, op5..op8, shutdown-marker].
+#: appends [op0..op4, checkpoint record, op5..op8, shutdown marker].
 CRASH_CKPT_AT = 5
 #: Control ops applied before / after the k-th WAL append (k = 0..10,
 #: derived from the fixed schedule above): a crash *before* or *mid*
@@ -576,18 +576,17 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
         asyncio.run(run())
         return states
 
-    async def victim(make_backend, wal_path, ckpt_path, hook):
+    async def victim(make_backend, wal_path, hook):
         """One controller life: run the schedule until the armed crash
         point (if any) kills it.  Returns (acked ops, crashed)."""
         backend = make_backend()
         wal = WriteAheadLog(wal_path, crash_hook=hook)
         acked = 0
         try:
-            async with Controller(backend, wal=wal,
-                                  crash_hook=hook) as ctl:
+            async with Controller(backend, wal=wal) as ctl:
                 for i, (_, op) in enumerate(ops):
                     if i == CRASH_CKPT_AT:
-                        await ctl.checkpoint(ckpt_path)
+                        await ctl.checkpoint()
                     await op(ctl)
                     acked += 1
             return acked, False
@@ -618,7 +617,7 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
         with tempfile.TemporaryDirectory() as tmp_str:
             tmp = pathlib.Path(tmp_str)
             acked, crashed = asyncio.run(victim(
-                make_backend, tmp / "ops.wal", tmp / "ckpt.json", None))
+                make_backend, tmp / "ops.wal", None))
             assert acked == n_ops and not crashed
             report = recover(tmp / "ops.wal", lambda _ckpt: make_backend())
             assert not report.unclean and report.torn == 0
@@ -632,7 +631,7 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
                 tmp = pathlib.Path(tmp_str)
                 wal_path = tmp / "ops.wal"
                 acked, crashed = asyncio.run(victim(
-                    make_backend, wal_path, tmp / "ckpt.json", hook))
+                    make_backend, wal_path, hook))
                 tag = f"{backend_name}:{site}@{at_op}"
                 assert crashed, f"{tag}: armed crash never fired"
                 # Zero acked-op loss: everything the client saw complete

@@ -517,11 +517,16 @@ class PolicyInterpreter:
     state across calls exactly as it does; beside them sits the
     interpreter's own copy of each :attr:`Policy.feedback` register,
     written after every packet.  Shared sub-DAGs (the same node object
-    reachable twice) are evaluated once per packet.
+    reachable twice) are evaluated once per packet.  A packet is one pass
+    over :func:`postorder` — children first, left before right, as a
+    recursive walk would step the units — so no DAG is too deep for it.
     """
 
     def __init__(self, policy: Policy, *, lfsr_seed: int = 1):
         self._policy = policy
+        # Every bound node is in the root's DAG (Policy checks), so this
+        # one order also computes every feedback register's value.
+        self._order = postorder(policy.root)
         self._units: dict[int, KUFPU] = {}
         self._registers: dict[int, int] = {}
         seed = lfsr_seed
@@ -556,59 +561,52 @@ class PolicyInterpreter:
         ``mask`` is the packet's ``META_FILTER_INPUT`` candidate set: the
         table the policy sees is ``table ∩ mask`` (``None`` = the full
         table); a feedback line is not a table line and is left alone.
-        The walk itself runs on raw id-mask ints.  ``record``, when
-        given, is used as the per-node memo and left filled with every
+        The pass itself runs on raw id-mask ints.  ``record``, when
+        given, is the per-node output map and is left filled with every
         evaluated node's output mask keyed by ``node_id`` — the concrete
         witness the semantic soundness suite checks abstract regions
         against.  Every node reachable from the root or a feedback binding
         is recorded, a Conditional's untaken arm included: both arms are
         computed before the MUX picks one.
         """
-        cache: dict[int, int] = {} if record is None else record
-
-        def walk(node: Node) -> int:
-            if node.node_id in cache:
-                return cache[node.node_id]
+        out: dict[int, int] = {} if record is None else record
+        for node in self._order:
             if isinstance(node, TableRef):
                 if node.input_index is None:
                     present = smbm.id_mask()
-                    out = present if mask is None else present & mask
+                    value = present if mask is None else present & mask
                 else:
-                    out = self._registers.get(node.input_index, 0)
+                    value = self._registers.get(node.input_index, 0)
             elif isinstance(node, Unary):
                 unit = self._units.get(node.node_id)
-                child = walk(node.child)
-                out = (reference_unary(node.config, child, smbm)
-                       if unit is None else unit.evaluate(child, smbm))
+                child = out[node.child.node_id]
+                value = (reference_unary(node.config, child, smbm)
+                         if unit is None else unit.evaluate(child, smbm))
             elif isinstance(node, Binary):
-                left = walk(node.left)
-                right = walk(node.right)
+                left = out[node.left.node_id]
+                right = out[node.right.node_id]
                 if node.opcode is BinaryOp.NO_OP:
-                    out = left if node.choice == 0 else right
+                    value = left if node.choice == 0 else right
                 elif node.opcode is BinaryOp.UNION:
-                    out = left | right
+                    value = left | right
                 elif node.opcode is BinaryOp.INTERSECTION:
-                    out = left & right
+                    value = left & right
                 else:
-                    out = left & ~right
+                    value = left & ~right
             elif isinstance(node, Conditional):
-                # Both arms run before the MUX, as in hardware (section
+                # Both arms ran before the MUX, as in hardware (section
                 # 4.2.3): a stateful unit in the untaken arm still steps.
-                primary = walk(node.primary)
-                fallback = walk(node.fallback)
-                out = primary if primary else fallback
+                primary = out[node.primary.node_id]
+                value = primary if primary else out[node.fallback.node_id]
             else:  # pragma: no cover
                 raise ConfigurationError(f"unknown node type {type(node)!r}")
-            cache[node.node_id] = out
-            return out
-
-        out = walk(self._policy.root)
+            out[node.node_id] = value
         # Every register is read before any is written: one packet boundary.
         self._registers = {
-            index: walk(bound)
+            index: out[bound.node_id]
             for index, bound in self._policy.feedback.items()
         }
-        return BitVector.from_int(smbm.capacity, out)
+        return BitVector.from_int(smbm.capacity, out[self._policy.root.node_id])
 
     def select(self, smbm: SMBM) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""

@@ -435,15 +435,42 @@ class SMBM:
             raise CapacityError(f"SMBM full: capacity {self._capacity}")
         self._commit_add(resource_id, row)
 
-    def _commit_add(self, resource_id: int, row: dict[str, int]) -> None:
-        seq = self._next_seq
-        self._next_seq += 1
+    def _insert(self, resource_id: int, row: dict[str, int], seq: int) -> None:
+        """Store a row at FIFO position ``seq`` in every list and map."""
         self._rows[resource_id] = row
         self._seq[resource_id] = seq
         for name in self._metric_names:
             bisect.insort(self._metric_lists[name], (row[name], seq, resource_id))
         bisect.insort(self._id_list, resource_id)
         self._id_bits |= 1 << resource_id
+
+    def _find(self, name: str, entry: tuple[int, int, int]) -> int:
+        """Rank of ``entry`` in the ``name`` list; the reverse map must
+        hold exactly the entry the forward map names."""
+        lst = self._metric_lists[name]
+        pos = bisect.bisect_left(lst, entry)
+        if pos >= len(lst) or lst[pos] != entry:
+            raise SimulationError(
+                f"bidirectional map corrupted: {entry} missing from {name} list"
+            )
+        return pos
+
+    def _rewrite(self, resource_id: int, name: str, value: int) -> None:
+        """Rewrite a row's ``name`` word to ``value`` in place: the FIFO
+        position stays, and the metric's index is dropped so the next
+        read rebuilds against the new word."""
+        row = self._rows[resource_id]
+        seq = self._seq[resource_id]
+        lst = self._metric_lists[name]
+        del lst[self._find(name, (row[name], seq, resource_id))]
+        bisect.insort(lst, (value, seq, resource_id))
+        row[name] = value
+        self._indexes.pop(name, None)
+
+    def _commit_add(self, resource_id: int, row: dict[str, int]) -> None:
+        seq = self._next_seq
+        self._next_seq += 1
+        self._insert(resource_id, row, seq)
         if self._indexes:
             self._record_move(resource_id, row, seq, added=True)
         self._version += 1
@@ -460,14 +487,8 @@ class SMBM:
             return
         seq = self._seq.pop(resource_id)
         for name in self._metric_names:
-            entry = (row[name], seq, resource_id)
-            lst = self._metric_lists[name]
-            pos = bisect.bisect_left(lst, entry)
-            if pos >= len(lst) or lst[pos] != entry:
-                raise SimulationError(
-                    f"bidirectional map corrupted: {entry} missing from {name} list"
-                )
-            del lst[pos]
+            del self._metric_lists[name][
+                self._find(name, (row[name], seq, resource_id))]
         pos = bisect.bisect_left(self._id_list, resource_id)
         del self._id_list[pos]
         self._id_bits &= ~(1 << resource_id)
@@ -573,17 +594,8 @@ class SMBM:
             )
         old = row[metric]
         new = old ^ (1 << bit)
-        seq = self._seq[resource_id]
-        lst = self._metric_lists[metric]
-        pos = bisect.bisect_left(lst, (old, seq, resource_id))
-        if pos >= len(lst) or lst[pos] != (old, seq, resource_id):
-            raise SimulationError("bidirectional map corrupted before injection")
-        del lst[pos]
-        bisect.insort(lst, (new, seq, resource_id))
-        row[metric] = new
-        # The corrupted flop is read from the next cycle on: drop the index
-        # so fast-path reads rebuild against the flipped word.
-        self._indexes.pop(metric, None)
+        # The corrupted flop is read from the next cycle on.
+        self._rewrite(resource_id, metric, new)
         return old, new
 
     def repair_row(self, resource_id: int, corrected: Mapping[str, int]) -> list[str]:
@@ -605,23 +617,12 @@ class SMBM:
                 f"metric set {sorted(corrected)} does not match schema "
                 f"{sorted(self._metric_names)}"
             )
-        seq = self._seq[resource_id]
         repaired: list[str] = []
         for name in self._metric_names:
             good = int(corrected[name])
             if row[name] == good:
                 continue
-            lst = self._metric_lists[name]
-            entry = (row[name], seq, resource_id)
-            pos = bisect.bisect_left(lst, entry)
-            if pos >= len(lst) or lst[pos] != entry:
-                raise SimulationError(
-                    f"bidirectional map corrupted: {entry} missing from {name} list"
-                )
-            del lst[pos]
-            bisect.insort(lst, (good, seq, resource_id))
-            row[name] = good
-            self._indexes.pop(name, None)
+            self._rewrite(resource_id, name, good)
             repaired.append(name)
         if repaired:
             self._version += 1
@@ -702,12 +703,8 @@ class SMBM:
         row = self._rows.get(resource_id)
         if row is None:
             raise ConfigurationError(f"no resource with id {resource_id}")
-        entry = (row[metric], self._seq[resource_id], resource_id)
-        lst = self._metric_lists[metric]
-        pos = bisect.bisect_left(lst, entry)
-        if pos >= len(lst) or lst[pos] != entry:
-            raise SimulationError("bidirectional map corrupted in rank_of")
-        return pos
+        return self._find(metric, (row[metric], self._seq[resource_id],
+                                   resource_id))
 
     def check_invariants(self) -> None:
         """Assert structural invariants; used by property-based tests.
@@ -830,15 +827,8 @@ class SMBM:
                     f"checkpoint row {rid} metric set {sorted(row)} does not "
                     f"match schema {sorted(self._metric_names)}"
                 )
-            seq = int(seqs[rid])
-            self._rows[rid] = {n: int(row[n]) for n in self._metric_names}
-            self._seq[rid] = seq
-            for name in self._metric_names:
-                bisect.insort(
-                    self._metric_lists[name], (self._rows[rid][name], seq, rid)
-                )
-            bisect.insort(self._id_list, rid)
-            self._id_bits |= 1 << rid
+            self._insert(rid, {n: int(row[n]) for n in self._metric_names},
+                         int(seqs[rid]))
         self._next_seq = int(state["next_seq"])  # type: ignore[arg-type]
         self._version = int(state["version"])  # type: ignore[arg-type]
         if self._write_listeners:

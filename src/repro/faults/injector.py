@@ -261,13 +261,16 @@ class FaultInjector:
         """Arm one crash point: a hook that kills the controller at the
         ``at_op``-th occurrence of ``site``.
 
-        Returns a ``hook(fired_site, record=None)`` callable suitable as
-        both a :class:`~repro.serving.wal.WriteAheadLog` ``crash_hook``
-        and a controller ``crash_hook`` (duck-typed — this package never
-        imports the serving layer).  When the armed occurrence fires it
-        records a ``controller_crash`` :class:`FaultEvent` (the injected
-        half of the parity ledger; recovery's unclean-shutdown detection
-        is the detected half) and raises :class:`SimulatedCrash`.
+        Returns a ``hook(fired_site, record=None)`` callable to pass as
+        a :class:`~repro.serving.wal.WriteAheadLog` ``crash_hook``
+        (duck-typed — this package never imports the serving layer).
+        The log fires the ``wal.*`` sites and a controller over it fires
+        ``ctl.after_apply`` through the same hook, so one argument arms
+        every crash site, checkpoints included.  When the armed
+        occurrence fires it records a ``controller_crash``
+        :class:`FaultEvent` (the injected half of the parity ledger;
+        recovery's unclean-shutdown detection is the detected half) and
+        raises :class:`SimulatedCrash`.
         """
         state = {"hits": 0}
 

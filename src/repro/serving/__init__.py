@@ -2,11 +2,10 @@
 
 Layers, bottom up:
 
-* :mod:`repro.serving._atomic` — the shared durable-write discipline
-  (canonical bytes, tmp+rename atomic replacement, stale-tmp hygiene);
 * :mod:`repro.serving.checkpoint` — bit-faithful tenant/switch state
-  capture; versioned, checksummed on-disk format (the live policy is the
+  capture and its canonical encoding (the live policy is the
   :func:`~repro.core.policy.policy_to_dict` document, re-exported here);
+  a checkpoint is logged as a WAL record, it has no file of its own;
 * :mod:`repro.serving.backend` — :class:`SwitchBackend`, the contract a
   control plane programs against, implemented once; its two subclasses
   (:class:`ScalarBackend`, :class:`BatchedBackend`) differ only in how
@@ -19,9 +18,11 @@ Layers, bottom up:
   spelling and its effect, stated once, and the homing rule
   (:class:`Homes`) it applies through;
 * :mod:`repro.serving.wal` — the checksummed, length-prefixed
-  write-ahead op log every control op is appended to before it applies;
-* :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
-  restore plus exactly-once WAL-suffix replay through the op table;
+  write-ahead op log every control op is appended to before it applies,
+  and the one file recovery reads;
+* :mod:`repro.serving.recovery` — idempotent crash recovery: restore
+  from the newest checkpoint record plus exactly-once replay of the
+  log's suffix through the op table;
 * :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
   breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
@@ -37,12 +38,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.policy import policy_from_dict, policy_to_dict
-from repro.serving._atomic import (
-    atomic_write_text,
-    canonical_bytes,
-    checksum_hex,
-    cleanup_stale_tmp,
-)
 from repro.serving.backend import (
     BatchedBackend,
     ScalarBackend,
@@ -58,8 +53,7 @@ from repro.serving.breaker import (
 from repro.serving.checkpoint import (
     SwitchCheckpoint,
     TenantCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
+    canonical_bytes,
     spec_from_dict,
     spec_to_dict,
 )
@@ -105,17 +99,12 @@ __all__ = [
     "TenantCheckpoint",
     "WalRecord",
     "WriteAheadLog",
-    "atomic_write_text",
     "build_backend",
     "canonical_bytes",
-    "checksum_hex",
-    "cleanup_stale_tmp",
-    "load_checkpoint",
     "policy_from_dict",
     "policy_to_dict",
     "read_wal",
     "recover",
-    "save_checkpoint",
     "spec_from_dict",
     "spec_to_dict",
 ]

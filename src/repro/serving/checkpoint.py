@@ -1,4 +1,4 @@
-"""Versioned, checksummed checkpoints of serving state.
+"""Checkpoints of serving state, and the one canonical state encoding.
 
 A checkpoint captures everything needed to recreate a tenant's serving
 state on another switch instance: the admission spec, the live policy
@@ -7,45 +7,74 @@ hot-swaps), the SMBM state (bit-faithful: stored words, FIFO enqueue
 order, version counter), and the plan-epoch watermark.  A
 :class:`SwitchCheckpoint` bundles one :class:`TenantCheckpoint` per
 admitted tenant plus the shared pipeline geometry, so a whole switch can
-be rebuilt from disk.
+be rebuilt.
 
-The on-disk format is defensive: a magic string, an explicit format
-version, and a SHA-256 checksum over the canonically-encoded payload.
-:func:`load_checkpoint` raises :class:`~repro.errors.CheckpointError` for
-anything it cannot *prove* trustworthy — unknown magic or format,
-truncated or non-JSON bytes, checksum mismatch, structurally invalid
-payload — never a half-restored switch.
+A checkpoint has no file of its own: its :meth:`SwitchCheckpoint.payload`
+is the args of a ``checkpoint`` record in the write-ahead log
+(:meth:`Controller.checkpoint <repro.serving.controller.Controller.checkpoint>`),
+trusted exactly as every other frame is — length, checksum, structure.
+:meth:`SwitchCheckpoint.from_payload` decodes it back, or raises
+:class:`~repro.errors.CheckpointError` for a payload it cannot decode —
+never a half-restored switch.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import policy_from_dict, policy_to_dict
 from repro.errors import CheckpointError, ConfigurationError
-from repro.serving._atomic import atomic_write_text, canonical_bytes, checksum_hex
 from repro.tenancy.manager import TenantSpec
 
 __all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_FORMAT",
     "TenantCheckpoint",
     "SwitchCheckpoint",
+    "canonical_bytes",
     "spec_to_dict",
     "spec_from_dict",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
-CHECKPOINT_MAGIC = "thanos-checkpoint"
-#: Bump on any incompatible payload change; loaders reject what they do
-#: not understand rather than guessing.
-CHECKPOINT_FORMAT = 1
+
+def _normalize_key(key: Any) -> str:
+    """Exactly json.dumps's key coercion (bool before int: True is an
+    int whose JSON key form is ``"true"``, not ``"True"``)."""
+    if isinstance(key, str):
+        return key
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return str(key)
+    if isinstance(key, float):
+        return repr(key)
+    raise TypeError(f"unserializable dict key {key!r}")
+
+
+def _normalize(obj: Any) -> Any:
+    if isinstance(obj, dict):
+        return {_normalize_key(k): _normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_normalize(v) for v in obj]
+    return obj
+
+
+def canonical_bytes(payload: dict[str, Any]) -> bytes:
+    """One byte string per state, the "same state?" comparison every
+    golden-twin check makes: sorted keys, no whitespace variance, UTF-8.
+    JSON maps int dict keys to strings, and int keys sort numerically
+    while their string forms sort lexicographically (10 < 2 as strings),
+    so keys are stringified *before* the sorted dump: a live snapshot
+    and one decoded from the log encode to the exact same bytes."""
+    return json.dumps(
+        _normalize(payload), sort_keys=True, separators=(",", ":")
+    ).encode()
 
 
 # -- tenant spec (de)serialization ----------------------------------------------------
@@ -86,7 +115,7 @@ class TenantCheckpoint:
     """One tenant's complete serving state, slice-agnostic.
 
     :meth:`payload` is *the* definition of a tenant's state — what a
-    checkpoint file stores, what restore, recovery and migration carry,
+    checkpoint record logs, what restore, recovery and migration carry,
     and what TH015
     (:func:`repro.analysis.conformance.diff_tenant_payloads`, the one
     "same state?" predicate, also the live-migration cutover gate)
@@ -95,7 +124,7 @@ class TenantCheckpoint:
     payload key plus one export/restore pair on
     :class:`~repro.switch.filter_module.FilterModule`, called from
     ``snapshot_tenant`` / ``restore_tenant`` — nothing else: the diff,
-    the gate and the file format walk whatever keys are there.
+    the gate and the log walk whatever keys are there.
 
     ``spec`` is the :func:`spec_to_dict` document the tenant re-enters
     with: its ``policy`` is the *live* policy (post any hot-swaps on the
@@ -125,9 +154,14 @@ class TenantCheckpoint:
     def from_payload(cls, raw: Mapping[str, Any]) -> TenantCheckpoint:
         try:
             spec = dict(raw)
-            ckpt = cls(smbm_state=dict(spec.pop("smbm_state")),
+            state = dict(spec.pop("smbm_state"))
+            # A payload read back from the log has JSON's string dict
+            # keys; SMBM row ids are ints again from here on.
+            for key in ("rows", "seq"):
+                state[key] = {int(rid): v for rid, v in state[key].items()}
+            ckpt = cls(smbm_state=state,
                        plan_epoch=int(spec.pop("plan_epoch")), spec=spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
                 f"malformed tenant checkpoint payload: {exc!r}"
             ) from None
@@ -137,7 +171,12 @@ class TenantCheckpoint:
 
 @dataclass(frozen=True)
 class SwitchCheckpoint:
-    """A whole switch instance: shared geometry plus every tenant."""
+    """A whole switch instance: shared geometry plus every tenant.
+
+    :meth:`from_payload` takes the args of a ``checkpoint`` WAL record
+    as they are and ignores the keys beside the payload (the marker's
+    high-water mark and homing state).
+    """
 
     metric_names: tuple[str, ...]
     params: dict[str, int]
@@ -182,105 +221,7 @@ class SwitchCheckpoint:
                     TenantCheckpoint.from_payload(t) for t in raw["tenants"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
                 f"malformed switch checkpoint payload: {exc!r}"
             ) from None
-
-
-# -- on-disk format -------------------------------------------------------------------
-
-
-# The canonical encoding + checksum the on-disk format rests on is shared
-# with the write-ahead log (repro.serving._atomic); re-exported here under
-# the historical name because tests and callers pattern-match on it.
-_canonical_bytes = canonical_bytes
-
-
-def _reintify_smbm_state(state: dict[str, Any]) -> dict[str, Any]:
-    """Undo JSON's string-keyed dicts inside an SMBM state document."""
-    state = dict(state)
-    for key in ("rows", "seq"):
-        if key in state and isinstance(state[key], dict):
-            state[key] = {int(k): v for k, v in state[key].items()}
-    if isinstance(state.get("rows"), dict):
-        state["rows"] = {
-            rid: dict(row) for rid, row in state["rows"].items()
-        }
-    if "metric_names" in state:
-        state["metric_names"] = list(state["metric_names"])
-    return state
-
-
-def save_checkpoint(
-    path: str | pathlib.Path, checkpoint: SwitchCheckpoint
-) -> pathlib.Path:
-    """Write a checkpoint file: magic + format + payload + SHA-256.
-
-    The write goes through a same-directory temporary file and an atomic
-    rename, so a crash mid-write can leave a stale checkpoint or none —
-    never a truncated one that parses.
-    """
-    path = pathlib.Path(path)
-    payload = checkpoint.payload()
-    body = {
-        "magic": CHECKPOINT_MAGIC,
-        "format": CHECKPOINT_FORMAT,
-        "sha256": checksum_hex(_canonical_bytes(payload)),
-        "payload": payload,
-    }
-    return atomic_write_text(path, json.dumps(body, sort_keys=True, indent=1))
-
-
-def load_checkpoint(path: str | pathlib.Path) -> SwitchCheckpoint:
-    """Read and verify a checkpoint file, or raise CheckpointError."""
-    path = pathlib.Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint: {exc}", path=str(path)
-        ) from None
-    try:
-        body = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint is not valid JSON (truncated?): {exc}",
-            path=str(path),
-        ) from None
-    if not isinstance(body, dict) or body.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"not a thanos checkpoint (magic={body.get('magic')!r} "
-            f"if it parsed at all)" if isinstance(body, dict)
-            else "not a thanos checkpoint (top level is not an object)",
-            path=str(path),
-        )
-    if body.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"unsupported checkpoint format {body.get('format')!r} "
-            f"(this build reads format {CHECKPOINT_FORMAT})",
-            path=str(path),
-        )
-    payload = body.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointError("checkpoint payload missing", path=str(path))
-    digest = checksum_hex(_canonical_bytes(payload))
-    if digest != body.get("sha256"):
-        raise CheckpointError(
-            f"checkpoint checksum mismatch: stored {body.get('sha256')!r}, "
-            f"computed {digest!r} — the file is corrupt",
-            path=str(path),
-        )
-    checkpoint = SwitchCheckpoint.from_payload(payload)
-    # JSON round-trip turned the SMBM row/seq dict keys into strings;
-    # normalise here so restore sites see the exact export_state() shape.
-    tenants = tuple(
-        replace(t, smbm_state=_reintify_smbm_state(t.smbm_state))
-        for t in checkpoint.tenants
-    )
-    return SwitchCheckpoint(
-        metric_names=checkpoint.metric_names,
-        params=checkpoint.params,
-        smbm_capacity=checkpoint.smbm_capacity,
-        tenants=tenants,
-    )

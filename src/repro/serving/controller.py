@@ -32,11 +32,14 @@ the controller guarantees:
   frame (single encode + write + flush), which keeps durable logging
   cheap on pipelined control streams; an op whose outcome replay cannot
   recompute (``cutover``, ``checkpoint``) is alone in its batch and logs
-  at its commit point instead; :meth:`checkpoint` writes a
-  :class:`~repro.serving.checkpoint.SwitchCheckpoint` plus a WAL marker
-  carrying the per-tenant op-id high-water mark, bounding replay to the
-  suffix; a clean :meth:`aclose` appends a ``shutdown`` marker — its
-  absence is how recovery detects a crash;
+  at its commit point instead; :meth:`checkpoint` logs one
+  ``checkpoint`` record holding the whole
+  :class:`~repro.serving.checkpoint.SwitchCheckpoint` payload and the
+  per-tenant op-id high-water mark, bounding replay to the suffix; a
+  clean :meth:`aclose` appends a ``shutdown`` marker — its absence is
+  how recovery detects a crash.  The log is the only file, so every
+  crash site is on it: the WAL's ``crash_hook`` also fires
+  ``ctl.after_apply`` once per applied op;
 * **overload protection** — optional per-op deadlines
   (:class:`~repro.errors.DeadlineExceeded`, never partially applied),
   :class:`~repro.faults.retry.RetryPolicy`-driven backoff for transient
@@ -70,10 +73,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import pathlib
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -95,7 +97,7 @@ from repro.serving.breaker import (
     CircuitBreaker,
     CircuitBreakerConfig,
 )
-from repro.serving.checkpoint import SwitchCheckpoint, save_checkpoint
+from repro.serving.checkpoint import SwitchCheckpoint
 from repro.serving.migration import LiveMigration
 from repro.serving.ops import CONTROL_OPS, ControlOp, Homes
 from repro.serving.wal import WalRecord, WriteAheadLog
@@ -233,7 +235,11 @@ class Controller:
 
     ``wal``
         a :class:`~repro.serving.wal.WriteAheadLog`; every control op is
-        appended durably immediately before it applies.
+        appended durably immediately before it applies.  Its
+        ``crash_hook`` (the chaos harness's, see
+        :meth:`repro.faults.injector.FaultInjector.arm_crash`) fires the
+        ``wal.*`` sites once per frame and ``ctl.after_apply`` once per
+        applied op.
     ``retry_policy``
         a :class:`~repro.faults.retry.RetryPolicy`; transient fault-class
         apply errors back off and retry, exhaustion raises
@@ -248,10 +254,6 @@ class Controller:
     ``queue_limit``
         bound on each tenant's queue; saturation sheds the
         lowest-priority op with :class:`~repro.errors.Overloaded`.
-    ``crash_hook``
-        chaos-harness hook fired at ``ctl.after_apply``, once per applied
-        op (the WAL fires its own ``wal.*`` sites, once per frame); see
-        :meth:`repro.faults.injector.FaultInjector.arm_crash`.
     """
 
     def __init__(self, backend: SwitchBackend, *,
@@ -259,9 +261,7 @@ class Controller:
                  retry_policy: RetryPolicy | None = None,
                  deadline_s: float | None = None,
                  breaker: CircuitBreakerConfig | None = None,
-                 queue_limit: int | None = None,
-                 crash_hook: Callable[[str, WalRecord | None], None] | None
-                 = None):
+                 queue_limit: int | None = None):
         if queue_limit is not None and queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {queue_limit}"
@@ -272,7 +272,6 @@ class Controller:
         self._deadline_s = deadline_s
         self._breaker_config = breaker
         self._queue_limit = queue_limit
-        self._crash_hook = crash_hook
         self._queues: dict[str, _OpQueue] = {}
         self._workers: dict[str, asyncio.Task[None]] = {}
         self._homes = Homes(backend)
@@ -355,8 +354,9 @@ class Controller:
         self._obs_degraded.set(1 if degraded else 0)
 
     def _crash(self, site: str, record: WalRecord | None) -> None:
-        if self._crash_hook is not None:
-            self._crash_hook(site, record)
+        hook = None if self._wal is None else self._wal.crash_hook
+        if hook is not None:
+            hook(site, record)
 
     def _die(self, queue: _OpQueue, op: _Op, rest: list[_Op],
              exc: SimulatedCrash) -> None:
@@ -405,7 +405,7 @@ class Controller:
         """One op's effect, as its row of the table states it."""
         spec = op.spec
         if spec is None:
-            return self._checkpoint(op.payload)
+            return self._checkpoint()
         if spec.gate is None:
             return spec.apply(self._homes, op.tenant, op.payload)
         # Commit-point logging: the record exists only once the gate has
@@ -684,26 +684,25 @@ class Controller:
 
     # -- durability --------------------------------------------------------------------
 
-    async def checkpoint(self, path: str | pathlib.Path) -> SwitchCheckpoint:
-        """Snapshot the whole switch to ``path`` and log the marker.
+    async def checkpoint(self) -> SwitchCheckpoint:
+        """Snapshot the whole switch into one ``checkpoint`` WAL record.
 
         Runs as an admission-serialized op, so the snapshot and the
         high-water mark it carries are mutually consistent: recovery
         restores the checkpoint and replays exactly the ops logged after
-        it (``op_id`` above each tenant's mark).  The marker is appended
-        *after* the checkpoint file is durably renamed into place — a
-        logged marker always names a loadable file (or recovery falls
-        back to an older one) — and carries the homing state beside the
-        mark, since who is migrating or moved is in no backend snapshot.
+        it (``op_id`` above each tenant's mark).  The record's args are
+        the snapshot's payload plus the mark and the homing state, since
+        who is migrating or moved is in no backend snapshot; it is
+        durable, torn or absent exactly as any other frame.  Without a
+        WAL this only returns the snapshot.
         """
-        return await self._submit("checkpoint", _CTL, path)
+        return await self._submit("checkpoint", _CTL, None)
 
-    def _checkpoint(self, path: str | pathlib.Path) -> SwitchCheckpoint:
+    def _checkpoint(self) -> SwitchCheckpoint:
         snapshot = self._backend.snapshot()
-        saved = save_checkpoint(path, snapshot)
         if self._wal is not None:
             self._wal.append("checkpoint", _CTL, {
-                "path": str(saved),
+                **snapshot.payload(),
                 "hwm": dict(self._applied_hwm),
                 **self._homes.to_doc(),
             })

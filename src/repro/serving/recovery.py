@@ -1,13 +1,11 @@
-"""Idempotent, exactly-once recovery: checkpoint + WAL-suffix replay.
+"""Idempotent, exactly-once recovery: checkpoint restore + WAL-suffix replay.
 
-A controller that crashes leaves two artefacts on disk: the latest
-:class:`~repro.serving.checkpoint.SwitchCheckpoint` (if one was ever
-taken) and the write-ahead log.  :func:`recover` rebuilds a serving
-backend from them:
+A controller that crashes leaves one artefact on disk: the write-ahead
+log.  A checkpoint is a record in it, not a file beside it, so
+:func:`recover` opens no other file and rebuilds a serving backend in
+three stages:
 
-1. **sweep** — stale ``*.tmp`` files from interrupted atomic writes are
-   removed (:func:`repro.serving._atomic.cleanup_stale_tmp`);
-2. **scan** — the WAL is read through :func:`repro.serving.wal.read_wal`,
+1. **scan** — the WAL is read through :func:`repro.serving.wal.read_wal`,
    frame by frame.  Every frame is a group of one or more records for
    one tenant and is trusted whole or not at all: the first frame that
    fails its length, checksum or structure ends the trusted prefix and
@@ -23,12 +21,16 @@ backend from them:
    ``shutdown`` marker witnesses a crash, counted as
    ``faults_detected_total{kind="controller_crash"}`` — the detection
    half of the chaos harness's injected==detected parity ledger;
-3. **restore** — the newest ``checkpoint`` marker whose file still loads
-   cleanly is restored tenant by tenant; its per-tenant op-id high-water
-   mark seeds the exactly-once filter, and the homing state it carries
-   (who was migrating, who had moved) seeds the replay's
-   :class:`~repro.serving.ops.Homes`;
-4. **replay** — every control record above its tenant's high-water mark
+2. **restore** — the newest ``checkpoint`` record in the trusted prefix
+   whose payload decodes (:meth:`SwitchCheckpoint.from_payload
+   <repro.serving.checkpoint.SwitchCheckpoint.from_payload>`) is restored
+   tenant by tenant; its per-tenant op-id high-water mark seeds the
+   exactly-once filter, and the homing state it carries (who was
+   migrating, who had moved) seeds the replay's
+   :class:`~repro.serving.ops.Homes`.  A checkpoint torn with its frame
+   is simply not in the prefix, so replay starts from an older one or
+   from the first record;
+3. **replay** — every control record above its tenant's high-water mark
    (the rest is already inside the checkpoint) runs, in log order,
    through its row of :data:`repro.serving.ops.CONTROL_OPS` — each op
    applies exactly once across the crash boundary.  Replay sees
@@ -70,10 +72,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
-from repro.errors import ReproError
-from repro.serving._atomic import cleanup_stale_tmp
+from repro.errors import CheckpointError, ReproError
 from repro.serving.backend import SwitchBackend
-from repro.serving.checkpoint import SwitchCheckpoint, load_checkpoint
+from repro.serving.checkpoint import SwitchCheckpoint
 from repro.serving.ops import CONTROL_OPS, Homes, NotHere
 from repro.serving.wal import WalRecord, read_wal
 
@@ -93,7 +94,8 @@ class RecoveryReport:
     #: a non-empty file).  True with ``torn == 1`` is a torn frame.
     header_ok: bool = True
     unclean: bool = False
-    checkpoint_path: str | None = None
+    #: Op id of the checkpoint record restored from, if any.
+    checkpoint_op_id: int | None = None
     restored_tenants: int = 0
     errors: list[tuple[int, str, str]] = field(default_factory=list)
 
@@ -103,28 +105,23 @@ class RecoveryReport:
 
 
 def _pick_checkpoint(
-    records: tuple[WalRecord, ...], wal_dir: pathlib.Path
-) -> tuple[SwitchCheckpoint | None, str | None, dict[str, Any]]:
-    """The newest checkpoint marker whose file still loads cleanly:
-    the checkpoint, its path, and the marker's args."""
+    records: tuple[WalRecord, ...],
+) -> tuple[SwitchCheckpoint | None, WalRecord | None]:
+    """The newest checkpoint record whose payload decodes, decoded."""
     for record in reversed(records):
-        if record.kind != "checkpoint":
-            continue
-        raw_path = pathlib.Path(str(record.args.get("path", "")))
-        path = raw_path if raw_path.is_absolute() else wal_dir / raw_path
-        try:
-            checkpoint = load_checkpoint(path)
-        except ReproError:
-            continue  # corrupt or missing: fall back to an older one
-        return checkpoint, str(path), record.args
-    return None, None, {}
+        if record.kind == "checkpoint":
+            try:
+                return SwitchCheckpoint.from_payload(record.args), record
+            except CheckpointError:
+                continue  # e.g. a marker from before checkpoints were records
+    return None, None
 
 
 def recover(
     wal_path: str | pathlib.Path,
     backend_factory: Callable[[SwitchCheckpoint | None], SwitchBackend],
 ) -> RecoveryReport:
-    """Rebuild a backend from disk: checkpoint restore + WAL-suffix replay.
+    """Rebuild a backend from the log: checkpoint restore + suffix replay.
 
     ``backend_factory`` receives the chosen checkpoint (or ``None``) and
     must return an *empty* backend with matching geometry; recovery then
@@ -134,8 +131,6 @@ def recover(
     re-raise of an op that failed identically before the crash must not
     abort the recovery of everything after it.
     """
-    wal_path = pathlib.Path(wal_path)
-    cleanup_stale_tmp(wal_path.parent)
     scan = read_wal(wal_path)
     registry = obs.get_registry()
 
@@ -146,19 +141,19 @@ def recover(
             help="unclean controller shutdowns detected at recovery",
         ).inc()
 
-    checkpoint, ckpt_path, marker = _pick_checkpoint(scan.records,
-                                                     wal_path.parent)
-    hwm = {str(t): int(op) for t, op in marker.get("hwm", {}).items()}
+    checkpoint, marker = _pick_checkpoint(scan.records)
     backend = backend_factory(checkpoint)
     report = RecoveryReport(backend=backend, torn=scan.torn,
-                            header_ok=scan.header_ok, unclean=unclean,
-                            checkpoint_path=ckpt_path)
+                            header_ok=scan.header_ok, unclean=unclean)
     homes = Homes(backend)
-    if checkpoint is not None:
+    hwm: dict[str, int] = {}
+    if checkpoint is not None and marker is not None:
+        report.checkpoint_op_id = marker.op_id
+        hwm = {str(t): int(op) for t, op in marker.args["hwm"].items()}
         for tenant_ckpt in checkpoint.tenants:
             backend.restore_tenant(tenant_ckpt)
             report.restored_tenants += 1
-        homes.restore(marker)
+        homes.restore(marker.args)
 
     for record in scan.records:
         op = CONTROL_OPS.get(record.kind)

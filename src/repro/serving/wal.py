@@ -29,22 +29,26 @@ A burst that names two tenants is a caller bug and is refused
 (:class:`~repro.errors.WalError`) before anything is written.
 
 The checksum covers the payload bytes exactly as written and the reader
-hashes what it reads back, never a re-encode, so (unlike the checkpoint
-checksum) no key normalization is needed.  A frame is trusted only when
-its length fits the file, its checksum matches, and its payload
-validates structurally; the *first* untrusted frame ends the trusted
-prefix — everything from it on is discarded and the truncation is
-counted exactly once as ``wal_torn_records_total``.  A torn frame loses
-*every* record in it, and that is safe: the controller acknowledges a
-group's ops only after the whole frame is durable, so no client was ever
-promised any of them.
+hashes what it reads back, never a re-encode, so no key normalization
+is needed.  A frame is trusted only when its length is within
+``_MAX_FRAME_BYTES`` and fits the file, its checksum matches, and its
+payload validates structurally; the *first* untrusted frame ends the
+trusted prefix — everything from it on is discarded and the truncation
+is counted exactly once as ``wal_torn_records_total``.  A torn frame
+loses *every* record in it, and that is safe: the controller
+acknowledges a group's ops only after the whole frame is durable, so no
+client was ever promised any of them.  The writer refuses a frame over
+the bound (:class:`~repro.errors.WalError`, nothing written) rather
+than acknowledge one its own reader would discard.
 
 Two marker kinds ride in the same log next to the control ops:
 
-* ``checkpoint`` — a :class:`~repro.serving.checkpoint.SwitchCheckpoint`
-  was written; ``args`` carries its path and the per-tenant op-id
-  high-water mark, so recovery restores the checkpoint and replays only
-  the suffix;
+* ``checkpoint`` — ``args`` *is* a
+  :class:`~repro.serving.checkpoint.SwitchCheckpoint` payload, plus the
+  per-tenant op-id high-water mark (``hwm``) and the homing state
+  (``migrating``, ``moved``), so recovery restores the checkpoint and
+  replays only the suffix.  There is no checkpoint file: this log is the
+  one file recovery reads;
 * ``shutdown`` — the controller closed cleanly; a log whose last record
   is anything else witnesses a crash (what recovery counts as
   ``faults_detected_total{kind="controller_crash"}``).
@@ -98,7 +102,7 @@ WAL_MAGIC = b"thanos-wal\x00v2\n"
 _LEN = struct.Struct(">I")
 #: Bytes of the SHA-256 digest stored per frame.
 _CHECKSUM_BYTES = 8
-#: Defensive bound: no frame of control-op payloads is anywhere near this.
+#: Largest frame payload the reader trusts, and so the writer accepts.
 _MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Every control-op kind the controller logs: the keys of the control-op
@@ -246,11 +250,15 @@ class WriteAheadLog:
     bytes written.  ``record`` is the frame's *first* record: its
     ``op_id`` is the frame's ``grp``, which is how a fault ledger names
     the frame it killed.  A hook that raises aborts the append exactly as
-    a process death at that point would.
+    a process death at that point would.  A
+    :class:`~repro.serving.controller.Controller` over this log fires
+    its one site, ``ctl.after_apply``, through the same hook, so every
+    crash site is on the log.
     """
 
     def __init__(self, path: str | pathlib.Path, *, sync: str = "flush",
-                 crash_hook: Callable[[str, WalRecord], None] | None = None):
+                 crash_hook: Callable[[str, WalRecord | None], None]
+                 | None = None):
         if sync not in ("none", "flush", "fsync"):
             raise ConfigurationError(
                 f"sync must be none|flush|fsync, got {sync!r}"
@@ -355,6 +363,11 @@ class WriteAheadLog:
                    for i in range(len(kinds))]
         payload = _ENCODE({"grp": first, "tenant": tenant,
                            "kinds": kinds, "args": argses}).encode()
+        if len(payload) > _MAX_FRAME_BYTES:
+            raise WalError(
+                f"a {len(payload)}-byte WAL frame exceeds the "
+                f"{_MAX_FRAME_BYTES}-byte bound its reader trusts",
+                path=str(self.path))
         checksum = hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
         frame = _LEN.pack(len(payload)) + payload + checksum
         file = self._file

@@ -23,6 +23,7 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
+from repro.engine import PlanCodegen
 from repro.errors import ConfigurationError
 from repro.policies.table5 import TABLE5_POLICIES, build_table5_policy
 from tests.core.test_fastpath_differential import _stateful_builders
@@ -180,3 +181,17 @@ class TestInterpreter:
         policy = Policy(min_of(predicate(TableRef(), "x", "<", 8), "y"))
         interp = PolicyInterpreter(policy)
         assert set(interp.evaluate(smbm).indices()) == {3}
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        """Regression: a recursive walk overflowed the stack on a chain
+        the kernel serves; one pass over the postorder does not."""
+        smbm = build({0: (5, 0), 1: (1, 0), 2: (2, 0), 3: (9, 0)})
+        node = TableRef()
+        for i in range(1500):
+            node = (predicate(node, "x", "<", 9) if i % 2
+                    else predicate(node, "x", ">", 1))
+        policy = Policy(node, name="deep")
+        record = {}
+        out = PolicyInterpreter(policy).evaluate(smbm, record=record)
+        assert out.value == PlanCodegen(policy).evaluate(smbm) == 0b101
+        assert len(record) == 1501

@@ -1,15 +1,18 @@
-"""Checkpoint/restore: bit-identical round trips and hostile files.
+"""Checkpoint/restore: bit-identical round trips and hostile payloads.
 
 Property acceptance: ``restore(snapshot(smbm))`` reproduces the stored
 words, the FIFO enqueue order, *and* the version counter exactly — under
 arbitrary write histories, under :class:`ReplicatedSMBM` (per-replica,
 divergence preserved), and with an :class:`ECCStore` attached (check
-words rebuild to the source's).  Corrupted, truncated, or alien files are
-rejected with :class:`~repro.errors.CheckpointError`, never half-restored.
+words rebuild to the source's).  A checkpoint's file is the write-ahead
+log: it round-trips through a ``checkpoint`` record bit-identically, and
+a payload that does not decode is rejected with
+:class:`~repro.errors.CheckpointError`, never half-restored.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -31,15 +34,16 @@ from repro.core.policy import (
 from repro.core.smbm import SMBM
 from repro.errors import CapacityError, CheckpointError, ConfigurationError
 from repro.faults.scrub import ECCStore
-from repro.serving._atomic import canonical_bytes
+from repro.serving.backend import ScalarBackend, TableWrite
 from repro.serving.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_MAGIC,
-    load_checkpoint,
+    SwitchCheckpoint,
+    canonical_bytes,
     policy_from_dict,
     policy_to_dict,
-    save_checkpoint,
 )
+from repro.serving.recovery import recover
+from repro.serving.wal import WriteAheadLog, read_wal
+from repro.tenancy.manager import TenantManager, TenantSpec
 from repro.switch.replication import ReplicatedSMBM
 
 METRICS = ("cpu", "mem")
@@ -252,15 +256,24 @@ def test_policy_document_rejects_garbage():
                               "nodes": nodes, "feedback": feedback})
 
 
-# -- on-disk format --------------------------------------------------------------------
+# -- the checkpoint record ------------------------------------------------------------
+
+
+def test_canonical_bytes_normalizes_int_and_string_keys():
+    # JSON stringifies int dict keys; the canonical form must encode the
+    # writer's int-keyed payload and the reader's string-keyed round trip
+    # to the same bytes.
+    int_keyed = {"rows": {1: "x", 10: "y", 2: "z"}}
+    str_keyed = json.loads(json.dumps(int_keyed))
+    assert canonical_bytes(int_keyed) == canonical_bytes(str_keyed)
+
+
+def _backend() -> ScalarBackend:
+    return ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
 def _switch_checkpoint():
-    from repro.serving.backend import ScalarBackend, TableWrite
-    from repro.tenancy.manager import TenantManager, TenantSpec
-
-    manager = TenantManager(METRICS, smbm_capacity=16)
-    backend = ScalarBackend(manager)
+    backend = _backend()
     backend.program_tenant(TenantSpec(
         name="t", policy=Policy(min_of(TableRef(), "cpu"), name="ll"),
         smbm_quota=8,
@@ -271,24 +284,29 @@ def _switch_checkpoint():
     return backend, backend.snapshot()
 
 
+def _through_the_log(path, checkpoint) -> SwitchCheckpoint:
+    """Log ``checkpoint`` as a record and decode it back from the file."""
+    with WriteAheadLog(path) as wal:
+        wal.append("checkpoint", "__ctl__",
+                   {**checkpoint.payload(), "hwm": {}})
+    (record,) = read_wal(path).records
+    return SwitchCheckpoint.from_payload(record.args)
+
+
 def test_file_roundtrip_is_bit_identical(tmp_path):
     backend, checkpoint = _switch_checkpoint()
-    path = save_checkpoint(tmp_path / "c.json", checkpoint)
-    loaded = load_checkpoint(path)
+    loaded = _through_the_log(tmp_path / "ops.wal", checkpoint)
     assert loaded == checkpoint
     assert (loaded.tenants[0].smbm_state
             == backend.manager.get("t").module.smbm.export_state())
 
 
 def test_file_roundtrip_survives_two_digit_row_ids(tmp_path):
-    """Regression: int row ids sort numerically at save time but their
-    JSON string forms sort lexicographically ("10" < "2"), so the
-    checksum canonicalization must hash what a reader of the file sees
-    — any table with a row id >= 10 used to fail verification."""
-    from repro.serving.backend import ScalarBackend, TableWrite
-    from repro.tenancy.manager import TenantManager, TenantSpec
-
-    backend = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+    """Int row ids sort numerically in a live snapshot but their JSON
+    string forms sort lexicographically ("10" < "2"): a checkpoint
+    decoded from the log must still hold int row ids and encode to the
+    live snapshot's canonical bytes."""
+    backend = _backend()
     backend.program_tenant(TenantSpec(
         name="t", policy=Policy(min_of(TableRef(), "cpu"), name="ll"),
         smbm_quota=16,
@@ -297,45 +315,35 @@ def test_file_roundtrip_survives_two_digit_row_ids(tmp_path):
         TableWrite("t", rid, {"cpu": rid, "mem": 1})
         for rid in (12, 10, 2, 1, 15)
     ])
-    path = save_checkpoint(tmp_path / "c.json", backend.snapshot())
-    loaded = load_checkpoint(path)
+    loaded = _through_the_log(tmp_path / "ops.wal", backend.snapshot())
     assert (loaded.tenants[0].smbm_state
             == backend.manager.get("t").module.smbm.export_state())
-
-
-def test_truncated_file_rejected(tmp_path):
-    _, checkpoint = _switch_checkpoint()
-    path = save_checkpoint(tmp_path / "c.json", checkpoint)
-    text = path.read_text()
-    for cut in (0, 10, len(text) // 2, len(text) - 2):
-        path.write_text(text[:cut])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+    assert (canonical_bytes(loaded.payload())
+            == canonical_bytes(backend.snapshot().payload()))
 
 
 def test_corrupted_payload_rejected(tmp_path):
+    """A payload that does not decode is refused whole, and recovery
+    passes over its record to the newest checkpoint that does."""
     _, checkpoint = _switch_checkpoint()
-    path = save_checkpoint(tmp_path / "c.json", checkpoint)
-    body = json.loads(path.read_text())
-    body["payload"]["tenants"][0]["smbm_state"]["version"] += 1
-    path.write_text(json.dumps(body))
-    with pytest.raises(CheckpointError, match="checksum"):
-        load_checkpoint(path)
+    payload = json.loads(json.dumps(checkpoint.payload()))
+    for corrupt in (
+        lambda p: p["tenants"][0].pop("plan_epoch"),
+        lambda p: p["tenants"][0]["smbm_state"].update(rows=[1, 2]),
+        lambda p: p["tenants"][0]["smbm_state"]["seq"].update(x=0),
+        lambda p: p["tenants"][0]["policy"].update(root=99),
+        lambda p: p.update(params=None),
+    ):
+        bad = copy.deepcopy(payload)
+        corrupt(bad)
+        with pytest.raises(CheckpointError):
+            SwitchCheckpoint.from_payload(bad)
 
-
-def test_alien_magic_and_format_rejected(tmp_path):
-    _, checkpoint = _switch_checkpoint()
-    path = save_checkpoint(tmp_path / "c.json", checkpoint)
-    body = json.loads(path.read_text())
-    path.write_text(json.dumps({**body, "magic": "not-a-checkpoint"}))
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
-    path.write_text(json.dumps({**body, "format": CHECKPOINT_FORMAT + 1}))
-    with pytest.raises(CheckpointError, match="format"):
-        load_checkpoint(path)
-    assert body["magic"] == CHECKPOINT_MAGIC  # the writer stamped it
-
-
-def test_missing_file_rejected(tmp_path):
-    with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path / "nope.json")
+    path = tmp_path / "ops.wal"
+    with WriteAheadLog(path) as wal:
+        good = wal.append("checkpoint", "__ctl__", {**payload, "hwm": {}})
+        wal.append("checkpoint", "__ctl__", {**bad, "hwm": {}})
+    report = recover(path, lambda _ckpt: _backend())
+    assert report.checkpoint_op_id == good.op_id
+    assert (canonical_bytes(report.backend.snapshot().payload())
+            == canonical_bytes(checkpoint.payload()))

@@ -428,7 +428,7 @@ def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
     async def scenario(wal_path, hook) -> ScalarBackend:
         backend = _backend()
         wal = WriteAheadLog(wal_path, sync="flush", crash_hook=hook)
-        async with Controller(backend, wal=wal, crash_hook=hook) as ctl:
+        async with Controller(backend, wal=wal) as ctl:
             await ctl.add_tenant(_spec("a"))
             for _ in range(4):
                 await asyncio.gather(*(

@@ -22,8 +22,8 @@ from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.errors import CompilationError, IntegrityError, ReproError
 from repro.faults import FaultInjector, SimulatedCrash
-from repro.serving._atomic import canonical_bytes
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
+from repro.serving.checkpoint import canonical_bytes
 from repro.serving.controller import Controller
 from repro.serving.ops import CONTROL_OPS
 from repro.serving.recovery import recover
@@ -65,7 +65,7 @@ def _run(source, wal_path, scenario, hook=None) -> bool:
     async def main() -> bool:
         wal = WriteAheadLog(wal_path, crash_hook=hook)
         try:
-            async with Controller(source, wal=wal, crash_hook=hook) as ctl:
+            async with Controller(source, wal=wal) as ctl:
                 await scenario(ctl)
             return False
         except SimulatedCrash:
@@ -186,7 +186,7 @@ def test_cutover_advances_the_high_water_mark(tmp_path):
         await ctl.add_tenant(_spec("t"))
         await ctl.begin_migration("t", dest)
         await ctl.cutover("t")
-        await ctl.checkpoint(tmp_path / "switch.ckpt")
+        await ctl.checkpoint()
         await ctl.update_resource("t", 1, _row(1))  # the destination's
 
     _run(source, tmp_path / "ops.wal", scenario)
@@ -279,8 +279,8 @@ def test_recover_equals_the_live_source_for_any_op_sequence(src_cls, dst_cls,
     moved: set[str] = set()
     errors: list[str] = []          # live error kinds replay must repeat
 
-    async def step(ctl: Controller, tmp: pathlib.Path, kind: str,
-                   name: str = "", *rest) -> None:
+    async def step(ctl: Controller, kind: str, name: str = "",
+                   *rest) -> None:
         if kind == "admit":
             await ctl.add_tenant(_spec(name, rest[0]))
             moved.discard(name)
@@ -311,15 +311,14 @@ def test_recover_equals_the_live_source_for_any_op_sequence(src_cls, dst_cls,
         elif kind == "abort":
             await ctl.abort_migration(name)
         else:
-            await ctl.checkpoint(tmp / "switch.ckpt")
+            await ctl.checkpoint()
             errors.clear()  # below the mark: skipped, not re-failed
 
     async def scenario(ctl: Controller) -> None:
-        tmp = pathlib.Path(ctl._wal.path).parent
         for kind, *args in steps:
             elsewhere = kind in HOMED and args[0] in moved
             try:
-                await step(ctl, tmp, kind, *args)
+                await step(ctl, kind, *args)
             except ReproError:
                 # A refused cutover is in no log, and an op homed on the
                 # destination failed there, not here.

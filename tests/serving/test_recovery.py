@@ -18,8 +18,8 @@ from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.errors import CompilationError
 from repro.faults import FaultInjector, SimulatedCrash
-from repro.serving._atomic import canonical_bytes
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
+from repro.serving.checkpoint import canonical_bytes
 from repro.serving.controller import Controller
 from repro.serving.recovery import recover
 from repro.serving.wal import WAL_MAGIC, WriteAheadLog, read_wal
@@ -134,7 +134,7 @@ def test_crash_recovers_to_golden_twin_and_is_detected(tmp_path):
     wal = WriteAheadLog(tmp_path / "ops.wal", crash_hook=hook)
 
     async def run_victim() -> str:
-        ctl = Controller(backend, wal=wal, crash_hook=hook)
+        ctl = Controller(backend, wal=wal)
         try:
             await _schedule(ctl)
         except SimulatedCrash:
@@ -205,8 +205,9 @@ def _golden_states(cls) -> list[bytes]:
 
 
 def _run_group_victim(cls, wal_path, hook) -> tuple[set[int], bool]:
-    """One controller life over GROUP_STEPS with ``hook`` armed on both
-    the WAL and the controller.  Returns (acked op indices, crashed)."""
+    """One controller life over GROUP_STEPS with ``hook`` armed on the
+    WAL, which the controller fires its own site through.  Returns
+    (acked op indices, crashed)."""
     acked: set[int] = set()
 
     async def tracked(index: int, ctl: Controller) -> None:
@@ -216,8 +217,7 @@ def _run_group_victim(cls, wal_path, hook) -> tuple[set[int], bool]:
     async def run() -> bool:
         wal = WriteAheadLog(wal_path, crash_hook=hook)
         try:
-            async with Controller(_backend(cls), wal=wal,
-                                  crash_hook=hook) as ctl:
+            async with Controller(_backend(cls), wal=wal) as ctl:
                 index = 0
                 for step in GROUP_STEPS:
                     results = await asyncio.gather(
@@ -347,17 +347,16 @@ def test_unreadable_header_is_reported_apart_from_a_torn_first_frame(
     assert (report.header_ok, report.torn, report.replayed) == (True, 1, 0)
 
 
-def test_checkpoint_bounds_replay_to_the_suffix(tmp_path):
-    golden = _run_golden()
-    backend = _backend()
-    wal = WriteAheadLog(tmp_path / "ops.wal")
+def _run_with_checkpoint(wal_path) -> None:
+    """The shared schedule with a checkpoint after its first five ops."""
+    wal = WriteAheadLog(wal_path)
 
     async def run() -> None:
-        async with Controller(backend, wal=wal) as ctl:
+        async with Controller(_backend(), wal=wal) as ctl:
             await ctl.add_tenant(_spec("a"))
             for i in range(4):
                 await ctl.update_resource("a", i, {"cpu": i * 3, "mem": i})
-            await ctl.checkpoint(tmp_path / "mid.ckpt")
+            await ctl.checkpoint()
             await ctl.hot_swap("a", _policy("pred"))
             await ctl.add_tenant(_spec("b", "pred"))
             await ctl.update_resource("b", 1, {"cpu": 9, "mem": 2})
@@ -367,8 +366,16 @@ def test_checkpoint_bounds_replay_to_the_suffix(tmp_path):
     asyncio.run(run())
     wal.close()
 
+
+def test_checkpoint_bounds_replay_to_the_suffix(tmp_path):
+    golden = _run_golden()
+    _run_with_checkpoint(tmp_path / "ops.wal")
+    marker = next(r for r in read_wal(tmp_path / "ops.wal").records
+                  if r.kind == "checkpoint")
+    assert marker.op_id == 5
+
     report = recover(tmp_path / "ops.wal", _factory)
-    assert report.checkpoint_path == str(tmp_path / "mid.ckpt")
+    assert report.checkpoint_op_id == marker.op_id
     assert report.restored_tenants == 1
     # The 5 pre-checkpoint ops are inside the restored checkpoint.
     assert report.skipped == 5 and report.replayed == 5
@@ -376,31 +383,46 @@ def test_checkpoint_bounds_replay_to_the_suffix(tmp_path):
 
 
 def test_corrupt_checkpoint_falls_back_to_full_replay(tmp_path):
-    golden = _run_golden()
-    backend = _backend()
-    wal = WriteAheadLog(tmp_path / "ops.wal")
+    """A log cut inside the checkpoint frame: the checkpoint is torn like
+    any frame, and the trusted prefix before it replays in full."""
+    golden = _backend()
 
-    async def run() -> None:
-        async with Controller(backend, wal=wal) as ctl:
+    async def run_golden() -> None:
+        async with Controller(golden) as ctl:
             await ctl.add_tenant(_spec("a"))
             for i in range(4):
                 await ctl.update_resource("a", i, {"cpu": i * 3, "mem": i})
-            await ctl.checkpoint(tmp_path / "mid.ckpt")
-            await ctl.hot_swap("a", _policy("pred"))
-            await ctl.add_tenant(_spec("b", "pred"))
-            await ctl.update_resource("b", 1, {"cpu": 9, "mem": 2})
-            await ctl.remove_resource("a", 2)
-            await ctl.remove_tenant("b")
 
-    asyncio.run(run())
-    wal.close()
-    # Rot the checkpoint file: the marker must not be trusted blindly.
-    (tmp_path / "mid.ckpt").write_text("garbage, not a checkpoint")
+    asyncio.run(run_golden())
+    path = tmp_path / "ops.wal"
+    _run_with_checkpoint(path)
+    blob = path.read_bytes()
+    offset = len(WAL_MAGIC)
+    while True:
+        length = int.from_bytes(blob[offset:offset + 4], "big")
+        if json.loads(blob[offset + 4:offset + 4 + length])["kinds"] == [
+                "checkpoint"]:
+            break
+        offset += 4 + length + 8
+    path.write_bytes(blob[:offset + 4 + length // 2])
 
-    report = recover(tmp_path / "ops.wal", _factory)
-    assert report.checkpoint_path is None and report.restored_tenants == 0
-    assert report.skipped == 0 and report.replayed == 10
+    report = recover(path, _factory)
+    assert report.torn == 1 and report.unclean
+    assert report.checkpoint_op_id is None and report.restored_tenants == 0
+    assert report.skipped == 0 and report.replayed == 5
     assert _state(report.backend) == _state(golden)
+
+
+def test_recovery_opens_no_file_but_the_log(tmp_path):
+    """Whatever else lives beside the log is not recovery's to touch."""
+    _run_with_checkpoint(tmp_path / "ops.wal")
+    notes = tmp_path / "notes.tmp"
+    notes.write_text("an operator's notes")
+    before = sorted(tmp_path.iterdir())
+    report = recover(tmp_path / "ops.wal", _factory)
+    assert report.restored_tenants == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert notes.read_text() == "an operator's notes"
 
 
 def test_recovery_is_idempotent(tmp_path):

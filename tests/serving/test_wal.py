@@ -17,11 +17,11 @@ from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.errors import CheckpointError, ConfigurationError, WalError
+from repro.serving import wal as wal_module
 from repro.serving.backend import ScalarBackend
 from repro.serving.checkpoint import (
-    load_checkpoint,
+    SwitchCheckpoint,
     policy_to_dict,
-    save_checkpoint,
     spec_from_dict,
     spec_to_dict,
 )
@@ -169,7 +169,7 @@ def _spec_fields(spec: TenantSpec) -> dict:
 def test_every_spec_field_survives_wal_and_checkpoint_roundtrip(tmp_path):
     """Walks ``dataclasses.fields(TenantSpec)``, so a field added to the
     spec cannot be dropped by either persisted form: the WAL's
-    ``add_tenant`` document, or snapshot -> save/load -> restore."""
+    ``add_tenant`` document, or snapshot -> checkpoint record -> restore."""
     spec = TenantSpec(name="alpha", policy=_policy("pred"), smbm_quota=6,
                       columns=2, cell_quota=5, lfsr_seed=11,
                       self_healing=True, sanitize=True, codegen=True)
@@ -181,20 +181,20 @@ def test_every_spec_field_survives_wal_and_checkpoint_roundtrip(tmp_path):
     # A document written before a field was retired (``memoize`` until
     # PR 17) still carries its key; both persisted forms must keep reading.
     for era, extra in (("now", {}), ("old", {"memoize": False})):
+        source = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+        source.program_tenant(spec)
         wal_path = tmp_path / f"{era}.wal"
         with WriteAheadLog(wal_path) as wal:
             wal.append("add_tenant", spec.name,
                        {"spec": {**spec_to_dict(spec), **extra}})
-        (record,) = read_wal(wal_path).records
+            wal.append("checkpoint", "__ctl__",
+                       {**source.snapshot().payload(), "hwm": {}})
+        record, marker = read_wal(wal_path).records
         assert (_spec_fields(spec_from_dict(record.args["spec"]))
                 == _spec_fields(spec))
 
-        source = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
-        source.program_tenant(spec)
-        saved = save_checkpoint(tmp_path / f"{era}.json",
-                                source.snapshot())
         dest = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
-        (ckpt,) = load_checkpoint(saved).tenants
+        (ckpt,) = SwitchCheckpoint.from_payload(marker.args).tenants
         ckpt = dataclasses.replace(ckpt, spec={**ckpt.spec, **extra})
         assert _spec_fields(dest.restore_tenant(ckpt).spec) == _spec_fields(
             spec)
@@ -295,6 +295,30 @@ def test_crash_sites_fire_once_per_frame_with_the_first_record(tmp_path):
     assert fired == [(s, 0) for s in sites] + [(s, 1) for s in sites]
 
 
+def test_oversized_frame_is_refused_before_anything_is_written(
+        tmp_path, monkeypatch):
+    """Regression: a frame over the bound the reader trusts used to be
+    written and acknowledged, then dropped at recovery with every frame
+    after it — and reopening the log truncated the file at it."""
+    monkeypatch.setattr(wal_module, "_MAX_FRAME_BYTES", 200)
+    path = tmp_path / "ops.wal"
+    with WriteAheadLog(path) as wal:
+        wal.append("add_tenant", "a", {"n": 1})
+        before = path.read_bytes()
+        with pytest.raises(WalError, match="bound"):
+            wal.append("update_resource", "a", {"blob": "x" * 300})
+        assert path.read_bytes() == before
+        assert wal.next_op_id == 1  # no op-id was consumed
+        wal.append("remove_tenant", "a")
+    full = path.read_bytes()
+    result = read_wal(path)
+    assert result.torn == 0
+    assert [(r.op_id, r.kind) for r in result.records] == [
+        (0, "add_tenant"), (1, "remove_tenant")]
+    WriteAheadLog(path).close()
+    assert path.read_bytes() == full
+
+
 def test_group_append_validates_kind_and_empty_burst(tmp_path):
     with WriteAheadLog(tmp_path / "ops.wal") as wal:
         assert wal.append_group([]) == []
@@ -360,7 +384,9 @@ def _fuzz_log(tmp_path) -> bytes:
                 {"resource_id": 2}]}),
         ])
         wal.append("hot_swap", "a", {"note": "args are opaque here"})
-        wal.append("checkpoint", "__ctl__", {"path": "x", "hwm": {"a": 2}})
+        wal.append("checkpoint", "__ctl__", {
+            "metric_names": ["cpu", "mem"], "tenants": [], "hwm": {"a": 2},
+            "migrating": {}, "moved": {}})
         wal.append("shutdown", "__ctl__")
     return path.read_bytes()
 
