@@ -70,8 +70,9 @@ class RoutingError(ReproError):
 
     Also raised by multi-tenant demux when packets cannot be routed to an
     owning tenant.  Batch demux reports *every* offending label in one
-    raise, not just the first one found: ``unknown`` lists
-    each distinct ``META_TENANT`` label with no admitted tenant, and
+    raise, not just the first one found: ``unknown`` lists each distinct
+    ``META_TENANT`` label with no admitted tenant, ordered by ``str``
+    (a client may send a label of any type), and
     ``unlabelled`` counts requesting packets carrying no label at all, so
     callers can assert on the full violation set rather than fixing one
     label per exception.
@@ -81,7 +82,7 @@ class RoutingError(ReproError):
         self,
         message: str,
         *,
-        unknown: "tuple[str, ...] | list[str]" = (),
+        unknown: "tuple[object, ...] | list[object]" = (),
         unlabelled: int = 0,
     ):
         super().__init__(message)
@@ -160,68 +161,18 @@ class IntegrityError(FaultError):
 
 
 class RetryExhausted(FaultError):
-    """A control-plane operation failed past its retry budget.
+    """A probed server stayed unreachable past its retry budget.
 
-    ``attempts`` records how many tries were made before giving up.
+    Raised by the graph-database cluster's probe loop, which retries a
+    lost probe under a :class:`~repro.faults.retry.RetryPolicy` before
+    evicting the server.  The switch control plane never retries: an op
+    commits once or is refused.  ``attempts`` records how many tries were
+    made before giving up.
     """
 
     def __init__(self, message: str, *, attempts: int | None = None, **context):
         super().__init__(message, **context)
         self.attempts = attempts
-
-
-class DeadlineExceeded(FaultError):
-    """A control-plane operation missed its deadline before applying.
-
-    Raised by the controller when an op sat in its tenant queue past the
-    configured per-op deadline: the op is failed fast *without* being
-    applied (or logged), so a deadline failure never leaves partial
-    state.  ``deadline_s`` records the budget that was missed and
-    ``waited_s`` how long the op actually queued.
-    """
-
-    def __init__(self, message: str, *, deadline_s: float | None = None,
-                 waited_s: float | None = None, **context):
-        context.setdefault("component", "controller")
-        super().__init__(message, **context)
-        self.deadline_s = deadline_s
-        self.waited_s = waited_s
-
-
-class CircuitOpen(FaultError):
-    """A tenant's control-plane circuit breaker is open: fail fast.
-
-    Raised at submit time (the op is never queued, logged, or applied)
-    while the breaker counts down its cooldown.  ``tenant`` names the
-    tripped circuit and ``failures`` how many consecutive failures opened
-    it, so callers can back off instead of queueing forever behind a
-    wedged tenant.
-    """
-
-    def __init__(self, message: str, *, tenant: str | None = None,
-                 failures: int | None = None, **context):
-        context.setdefault("component", "controller")
-        super().__init__(message, **context)
-        self.tenant = tenant
-        self.failures = failures
-
-
-class Overloaded(FaultError):
-    """A control op was shed because a bounded queue was saturated.
-
-    The controller's load-shedding path: when a tenant's op queue is
-    full, the lowest-priority op (the incoming one, or a queued one that
-    a higher-priority arrival displaces) fails fast with this error and
-    is counted as ``controller_shed_total{op=...}``.  The data path keeps
-    serving the last-good plan throughout.
-    """
-
-    def __init__(self, message: str, *, tenant: str | None = None,
-                 op: str | None = None, **context):
-        context.setdefault("component", "controller")
-        super().__init__(message, **context)
-        self.tenant = tenant
-        self.op = op
 
 
 class CellFault(FaultError):

@@ -8,8 +8,8 @@ The subsystem has four parts:
   lockstep with committed table writes, and :class:`Scrubber` sweeps the
   table in the background, correcting SEU bit-flips in place (which bumps
   the table version and so invalidates every version-keyed cache);
-* :mod:`repro.faults.retry` — control-plane retry/backoff policy and the
-  :class:`~repro.errors.RetryExhausted` raise helper;
+* :mod:`repro.faults.retry` — the probe retry/backoff schedule
+  (:class:`RetryPolicy`) behind :class:`~repro.errors.RetryExhausted`;
 * :mod:`repro.faults.injector` — the deterministic, seeded
   :class:`FaultInjector` driving all fault classes, with every injection
   counted through ``repro.obs`` (``faults_injected_total{kind=...}``).
@@ -17,7 +17,7 @@ The subsystem has four parts:
 
 from repro.faults.ecc import ECCResult, ecc_check_word, ecc_decode
 from repro.faults.injector import FaultEvent, FaultInjector, SimulatedCrash
-from repro.faults.retry import RetryPolicy, retry_call
+from repro.faults.retry import RetryPolicy
 from repro.faults.scrub import ECCStore, Scrubber
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ECCStore",
     "Scrubber",
     "RetryPolicy",
-    "retry_call",
     "FaultEvent",
     "FaultInjector",
     "SimulatedCrash",

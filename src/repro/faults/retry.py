@@ -1,28 +1,22 @@
-"""Control-plane retry with exponential backoff.
+"""Probe retry with exponential backoff.
 
 Probe-driven table updates cross a lossy network: a probe can be dropped, a
-server can be slow or dead.  The cluster control plane retries with
+server can be slow or dead.  The cluster's probe loop retries with
 exponential backoff and gives up after a bounded budget, raising
 :class:`~repro.errors.RetryExhausted` with structured context so the caller
 can evict the resource and redistribute its load.
 
-Two usage shapes:
-
-* :meth:`RetryPolicy.delay_s` — pure schedule arithmetic for event-driven
-  callers (the netsim cluster schedules its own timeout events);
-* :func:`retry_call` — synchronous helper for direct call sites.
+:meth:`RetryPolicy.delay_s` is pure schedule arithmetic: event-driven
+callers (the netsim cluster) schedule their own timeout events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
-from repro.errors import ConfigurationError, RetryExhausted
+from repro.errors import ConfigurationError
 
-__all__ = ["RetryPolicy", "retry_call"]
-
-T = TypeVar("T")
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -53,34 +47,3 @@ class RetryPolicy:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
         return min(self.base_delay_s * self.multiplier ** attempt,
                    self.max_delay_s)
-
-
-def retry_call(
-    fn: Callable[[], T],
-    policy: RetryPolicy,
-    *,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    component: str | None = None,
-    resource: "int | str | None" = None,
-    sleep: Callable[[float], None] | None = None,
-) -> T:
-    """Call ``fn`` until it succeeds or the retry budget is spent.
-
-    ``sleep`` (optional) is invoked with the backoff delay between attempts
-    — pass a simulator hook or leave ``None`` for no real waiting (tests and
-    discrete-event callers model time themselves).  On exhaustion raises
-    :class:`~repro.errors.RetryExhausted` carrying the attempt count and the
-    last error as ``__cause__``.
-    """
-    last: BaseException | None = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if attempt + 1 < policy.max_attempts and sleep is not None:
-                sleep(policy.delay_s(attempt))
-    raise RetryExhausted(
-        f"gave up after {policy.max_attempts} attempts: {last}",
-        attempts=policy.max_attempts, component=component, resource=resource,
-    ) from last

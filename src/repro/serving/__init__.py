@@ -23,12 +23,10 @@ Layers, bottom up:
 * :mod:`repro.serving.recovery` — idempotent crash recovery: restore
   from the newest checkpoint record plus exactly-once replay of the
   log's suffix through the op table;
-* :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
-  breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
-  concurrent clients, per-tenant total order, serialized admission,
-  write-ahead durability, deadlines/retry/breaker/load-shedding, all
-  through the same table.
+  concurrent clients, per-tenant total order, serialized admission and
+  write-ahead durability, every op through the same table on one path
+  (queue, group-commit, apply, ack); an op applies once or is refused.
 
 Quickstart: ``python -m repro.serving.controller --backend batched``.
 """
@@ -44,11 +42,6 @@ from repro.serving.backend import (
     SwitchBackend,
     TableWrite,
     build_backend,
-)
-from repro.serving.breaker import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerConfig,
 )
 from repro.serving.checkpoint import (
     SwitchCheckpoint,
@@ -83,9 +76,6 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "BatchedBackend",
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitBreakerConfig",
     "CONTROL_OPS",
     "CONTROL_OP_KINDS",
     "Controller",

@@ -40,29 +40,21 @@ the controller guarantees:
   how recovery detects a crash.  The log is the only file, so every
   crash site is on it: the WAL's ``crash_hook`` also fires
   ``ctl.after_apply`` once per applied op;
-* **overload protection** — optional per-op deadlines
-  (:class:`~repro.errors.DeadlineExceeded`, never partially applied),
-  :class:`~repro.faults.retry.RetryPolicy`-driven backoff for transient
-  fault-class apply errors (exhaustion surfaces as
-  :class:`~repro.errors.RetryExhausted` with attempt context), a
-  per-tenant :class:`~repro.serving.breaker.CircuitBreaker` failing
-  submits fast (:class:`~repro.errors.CircuitOpen`) while a tenant is
-  wedged, and bounded per-tenant queues that shed the lowest-priority
-  queued op (:class:`~repro.errors.Overloaded`) under saturation.
-  Throughout all of it the *data path* keeps serving the last-good plan:
-  :meth:`process_batch` never queues behind control ops and keeps
-  working even while every breaker is open — the degraded mode the
-  ``controller_degraded`` gauge advertises;
+* **one path, once** — every op takes the same path (queue,
+  group-commit to the WAL, apply — under the admission lock if it is a
+  lifecycle op — then acknowledge) and applies once or is refused.  An
+  error reaches the submitting client as raised; nothing retries,
+  re-applies or sheds, because exactly-once replay relies on apply
+  errors being deterministic.  The *data path* never queues behind
+  control ops: :meth:`process_batch` keeps serving the last-good plans
+  through a busy or crashed control plane;
 * **no state per name** — a tenant's queue, worker task and queue-depth
   series exist while ops are queued or the name is admitted, migrating
   or moved; a name nobody lives under is released once its queue drains.
 
 Observability: ``controller_ops_total{op,outcome}``,
-``controller_queue_depth{tenant}``, ``controller_apply_ns{op}``,
-``controller_deadline_exceeded_total``, ``controller_retries_total{op}``,
-``controller_shed_total{op}``, ``controller_degraded``, plus the
-``wal_*`` series and ``circuit_state{tenant}`` from the attached
-subsystems.
+``controller_queue_depth{tenant}``, ``controller_apply_ns{op}``, plus
+the ``wal_*`` series of an attached log.
 
 ``python -m repro.serving.controller`` runs a self-contained smoke
 scenario (concurrent clients on a chosen backend) and prints the metrics
@@ -81,22 +73,10 @@ from typing import Any
 
 from repro import obs
 from repro.core.policy import Policy
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    FaultError,
-    Overloaded,
-    RetryExhausted,
-)
+from repro.errors import ConfigurationError, FaultError
 from repro.faults.injector import SimulatedCrash
-from repro.faults.retry import RetryPolicy
 from repro.rmt.packet import Packet
 from repro.serving.backend import SwitchBackend, TableWrite, build_backend
-from repro.serving.breaker import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerConfig,
-)
 from repro.serving.checkpoint import SwitchCheckpoint
 from repro.serving.migration import LiveMigration
 from repro.serving.ops import CONTROL_OPS, ControlOp, Homes
@@ -110,11 +90,7 @@ _SHUTDOWN = object()
 #: Reserved queue for switch-wide ops (checkpoint) — not a tenant name.
 _CTL = "__ctl__"
 
-#: Errors the retry loop must never eat: they *are* the backoff verdict.
-_FAIL_FAST = (RetryExhausted, DeadlineExceeded, Overloaded)
-
 #: Most ops a worker logs + applies per wakeup: one group-commit frame.
-#: Bounds frame size and how long a drained burst can starve shedding.
 _GROUP_COMMIT_MAX = 64
 
 
@@ -132,8 +108,7 @@ class _Op:
 
     @property
     def lifecycle(self) -> bool:
-        """Holds the admission lock, and displaces table maintenance
-        under overload — never the other way around."""
+        """Applies holding the admission lock."""
         return self.spec is None or self.spec.lifecycle
 
     @property
@@ -144,12 +119,12 @@ class _Op:
 
 
 class _OpQueue:
-    """Per-tenant FIFO with priority displacement and join semantics.
+    """Per-tenant FIFO with join semantics.
 
-    A hand-rolled :class:`asyncio.Queue` replacement because load
-    shedding needs what Queue cannot do: remove a specific queued item
-    (the lowest-priority one) when a higher-priority op arrives at a
-    full queue.
+    A hand-rolled :class:`asyncio.Queue` replacement because group
+    commit needs what Queue cannot do: look at the head before taking it
+    (a solo op or the shutdown sentinel stays queued), and drop every
+    queued op at once on the crash path.
     """
 
     def __init__(self) -> None:
@@ -161,9 +136,6 @@ class _OpQueue:
 
     def qsize(self) -> int:
         return len(self._items)
-
-    def real_size(self) -> int:
-        return sum(1 for item in self._items if item is not _SHUTDOWN)
 
     def put_nowait(self, item: Any) -> None:
         self._items.append(item)
@@ -183,17 +155,6 @@ class _OpQueue:
                 break
             out.append(self._items.popleft())
         return out
-
-    def displace_lowest(self, arrival: _Op) -> _Op | None:
-        """Remove and return the newest queued table op a lifecycle
-        ``arrival`` may displace, or ``None`` when there is none."""
-        for i in range(len(self._items) - 1, -1, -1):
-            item = self._items[i]
-            if item is not _SHUTDOWN and item.lifecycle < arrival.lifecycle:
-                del self._items[i]
-                self.task_done()
-                return item
-        return None
 
     def clear_pending(self) -> list[_Op]:
         """Drop everything still queued (crash path); returns the ops."""
@@ -231,51 +192,21 @@ class Controller:
     the backend, so a single client sees synchronous semantics while many
     clients interleave safely.
 
-    All robustness features are opt-in and orthogonal:
-
-    ``wal``
-        a :class:`~repro.serving.wal.WriteAheadLog`; every control op is
-        appended durably immediately before it applies.  Its
-        ``crash_hook`` (the chaos harness's, see
-        :meth:`repro.faults.injector.FaultInjector.arm_crash`) fires the
-        ``wal.*`` sites once per frame and ``ctl.after_apply`` once per
-        applied op.
-    ``retry_policy``
-        a :class:`~repro.faults.retry.RetryPolicy`; transient fault-class
-        apply errors back off and retry, exhaustion raises
-        :class:`~repro.errors.RetryExhausted`.
-    ``deadline_s``
-        per-op queue-to-apply budget; a late op fails with
-        :class:`~repro.errors.DeadlineExceeded` *before* logging or
-        applying anything.
-    ``breaker``
-        a :class:`~repro.serving.breaker.CircuitBreakerConfig`; each
-        tenant gets a breaker and wedged tenants fail fast at submit.
-    ``queue_limit``
-        bound on each tenant's queue; saturation sheds the
-        lowest-priority op with :class:`~repro.errors.Overloaded`.
+    ``wal``, a :class:`~repro.serving.wal.WriteAheadLog`, is the one
+    option: every control op is appended durably before it applies.  Its
+    ``crash_hook`` (the chaos harness's, see
+    :meth:`repro.faults.injector.FaultInjector.arm_crash`) fires the
+    ``wal.*`` sites once per frame and ``ctl.after_apply`` once per
+    applied op.
     """
 
     def __init__(self, backend: SwitchBackend, *,
-                 wal: WriteAheadLog | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 deadline_s: float | None = None,
-                 breaker: CircuitBreakerConfig | None = None,
-                 queue_limit: int | None = None):
-        if queue_limit is not None and queue_limit < 1:
-            raise ConfigurationError(
-                f"queue_limit must be >= 1, got {queue_limit}"
-            )
+                 wal: WriteAheadLog | None = None):
         self._backend = backend
         self._wal = wal
-        self._retry_policy = retry_policy
-        self._deadline_s = deadline_s
-        self._breaker_config = breaker
-        self._queue_limit = queue_limit
         self._queues: dict[str, _OpQueue] = {}
         self._workers: dict[str, asyncio.Task[None]] = {}
         self._homes = Homes(backend)
-        self._breakers: dict[str, CircuitBreaker] = {}
         # Per-tenant op-id of the last WAL-logged op whose apply finished
         # (ok or error): the exactly-once high-water mark a checkpoint
         # marker carries so recovery replays only the suffix.
@@ -283,23 +214,9 @@ class Controller:
         self._admission_lock = asyncio.Lock()
         self._closed = False
         self._crashed = False
-        registry = obs.get_registry()
-        backend_label = backend.name
-        self._registry = registry
-        self._backend_label = backend_label
+        self._registry = obs.get_registry()
+        self._backend_label = backend.name
         self._series: dict[tuple[str, ...], Any] = {}
-        self._obs_deadline = registry.counter(
-            "controller_deadline_exceeded_total",
-            {"backend": backend_label},
-            help="ops failed fast for missing their queue-to-apply "
-                 "deadline (never partially applied)",
-        )
-        self._obs_degraded = registry.gauge(
-            "controller_degraded", {"backend": backend_label},
-            help="1 while any tenant breaker is not closed: control "
-                 "plane degraded, data path serving last-good plans",
-        )
-        self._obs_degraded.set(0)
 
     # -- obs helpers -------------------------------------------------------------------
 
@@ -315,12 +232,6 @@ class Controller:
         "controller_queue_depth": (
             "gauge", ("tenant",),
             "ops waiting in a tenant's control queue"),
-        "controller_shed_total": (
-            "counter", ("op",),
-            "control ops shed by bounded-queue load shedding"),
-        "controller_retries_total": (
-            "counter", ("op",),
-            "transient fault-class apply failures retried with backoff"),
     }
 
     def _metric(self, name: str, *values: str) -> Any:
@@ -337,21 +248,7 @@ class Controller:
             self._series[key] = series
         return series
 
-    # -- robustness plumbing -----------------------------------------------------------
-
-    def _breaker_for(self, tenant: str) -> CircuitBreaker | None:
-        if self._breaker_config is None or tenant == _CTL:
-            return None
-        breaker = self._breakers.get(tenant)
-        if breaker is None:
-            breaker = CircuitBreaker(tenant, self._breaker_config)
-            self._breakers[tenant] = breaker
-        return breaker
-
-    def _update_degraded(self) -> None:
-        degraded = any(b.state != BreakerState.CLOSED
-                       for b in self._breakers.values())
-        self._obs_degraded.set(1 if degraded else 0)
+    # -- crash sites -------------------------------------------------------------------
 
     def _crash(self, site: str, record: WalRecord | None) -> None:
         hook = None if self._wal is None else self._wal.crash_hook
@@ -417,73 +314,17 @@ class Controller:
         spec.apply(self._homes, op.tenant, op.payload)
         return answer
 
-    async def _apply_with_retry(self, op: _Op) -> Any:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if op.lifecycle:
-                    async with self._admission_lock:
-                        return self._apply(op)
-                return self._apply(op)
-            except _FAIL_FAST:
-                raise
-            except FaultError as exc:
-                policy = self._retry_policy
-                if policy is None:
-                    raise
-                if attempt >= policy.max_attempts:
-                    raise RetryExhausted(
-                        f"{op.kind} on tenant {op.tenant!r} gave up "
-                        f"after {attempt} attempts: {exc}",
-                        attempts=attempt, component="controller",
-                        resource=op.tenant,
-                    ) from exc
-                self._metric("controller_retries_total", op.kind).inc()
-                await asyncio.sleep(policy.delay_s(attempt - 1))
-
-    def _deadline_exc(self, op: _Op) -> DeadlineExceeded | None:
-        """Deadline first: a late op fails before anything is logged or
-        applied, so a deadline miss never leaves partial state."""
-        if self._deadline_s is None:
-            return None
-        waited_s = (time.perf_counter_ns() - op.enqueued_ns) / 1e9
-        if waited_s <= self._deadline_s:
-            return None
-        self._obs_deadline.inc()
-        return DeadlineExceeded(
-            f"{op.kind} on tenant {op.tenant!r} queued "
-            f"{waited_s * 1e3:.2f}ms past its "
-            f"{self._deadline_s * 1e3:.2f}ms deadline",
-            deadline_s=self._deadline_s, waited_s=waited_s,
-            resource=op.tenant,
-        )
-
     def _settle(self, queue: _OpQueue, op: _Op, *,
                 exc: BaseException | None = None,
                 result: Any = None) -> None:
         """Resolve one op's future and account its outcome."""
-        breaker = self._breaker_for(op.tenant)
-        if exc is not None:
-            outcome = "error"
-            if breaker is not None:
-                if isinstance(exc, FaultError):
-                    breaker.record_failure()
-                else:
-                    # Caller bugs (configuration errors) say nothing
-                    # about tenant health.
-                    breaker.record_success()
-                self._update_degraded()
-            if not op.future.cancelled():
-                op.future.set_exception(exc)
-        else:
-            outcome = "ok"
-            if breaker is not None:
-                breaker.record_success()
-                self._update_degraded()
-            if not op.future.cancelled():
+        if not op.future.cancelled():
+            if exc is None:
                 op.future.set_result(result)
-        self._metric("controller_ops_total", op.kind, outcome).inc()
+            else:
+                op.future.set_exception(exc)
+        self._metric("controller_ops_total", op.kind,
+                     "ok" if exc is None else "error").inc()
         self._metric("controller_apply_ns", op.kind).observe(
             time.perf_counter_ns() - op.enqueued_ns
         )
@@ -497,19 +338,11 @@ class Controller:
         Returns ``False`` when a simulated crash killed the controller
         (the worker must exit).
         """
-        live: list[_Op] = []
-        for op in batch:
-            late = self._deadline_exc(op)
-            if late is not None:
-                self._settle(queue, op, exc=late)
-            else:
-                live.append(op)
         # Write-ahead: every record in the frame is durable before the
         # first byte of backend state changes.  Appends happen here in
-        # the worker (not at submit) so WAL order is exactly apply order
-        # and shed or deadline-failed ops are never logged.
+        # the worker (not at submit) so WAL order is exactly apply order.
         if self._wal is not None:
-            to_log = [op for op in live if not op.solo]
+            to_log = [op for op in batch if not op.solo]
             if to_log:
                 try:
                     logged = self._wal.append_group(
@@ -519,18 +352,22 @@ class Controller:
                 except SimulatedCrash as exc:
                     hit = to_log[0]
                     self._die(queue, hit,
-                              [o for o in live if o is not hit], exc)
+                              [o for o in batch if o is not hit], exc)
                     return False
                 except Exception as exc:  # noqa: BLE001 - relayed to callers
-                    for op in live:
+                    for op in batch:
                         self._settle(queue, op, exc=exc)
                     return True
                 for op, rec in zip(to_log, logged, strict=True):
                     op.record = rec
-        for index, op in enumerate(live):
+        for index, op in enumerate(batch):
             try:
                 try:
-                    result = await self._apply_with_retry(op)
+                    if op.lifecycle:
+                        async with self._admission_lock:
+                            result = self._apply(op)
+                    else:
+                        result = self._apply(op)
                 finally:
                     # The op is 'processed' for exactly-once purposes
                     # whether it applied or raised (apply errors are
@@ -542,7 +379,7 @@ class Controller:
                         self._applied_hwm[op.tenant] = op.record.op_id
                 self._crash("ctl.after_apply", op.record)
             except SimulatedCrash as exc:
-                self._die(queue, op, live[index + 1:], exc)
+                self._die(queue, op, batch[index + 1:], exc)
                 return False
             except Exception as exc:  # noqa: BLE001 - relayed to the caller
                 self._settle(queue, op, exc=exc)
@@ -572,38 +409,11 @@ class Controller:
     async def _submit(self, kind: str, tenant: str, payload: Any) -> Any:
         if self._closed:
             raise ConfigurationError("controller is closed")
-        breaker = self._breaker_for(tenant)
-        if breaker is not None:
-            # Fail fast while the tenant is wedged: nothing is queued,
-            # logged, or applied.  check() may flip OPEN -> HALF_OPEN.
-            try:
-                breaker.check()
-            finally:
-                self._update_degraded()
         future: asyncio.Future[Any] = (
             asyncio.get_running_loop().create_future()
         )
         op = _Op(kind, tenant, payload, future, CONTROL_OPS.get(kind))
         queue = self._queue_for(tenant)
-        if (self._queue_limit is not None
-                and queue.real_size() >= self._queue_limit):
-            victim = queue.displace_lowest(op)
-            if victim is None:
-                # Nothing queued is lower priority: shed the arrival.
-                self._metric("controller_shed_total", op.kind).inc()
-                raise Overloaded(
-                    f"tenant {tenant!r} control queue is full "
-                    f"({self._queue_limit} ops): {kind} shed",
-                    tenant=tenant, op=kind,
-                )
-            self._metric("controller_shed_total", victim.kind).inc()
-            if not victim.future.cancelled():
-                victim.future.set_exception(Overloaded(
-                    f"tenant {tenant!r} control queue is full "
-                    f"({self._queue_limit} ops): queued {victim.kind} "
-                    f"displaced by {kind}",
-                    tenant=tenant, op=victim.kind,
-                ))
         queue.put_nowait(op)
         self._metric("controller_queue_depth", tenant).set(queue.qsize())
         return await future
@@ -651,10 +461,9 @@ class Controller:
 
     async def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
         """Serve a packet stream on the backend.  Deliberately *not*
-        routed through the op queues and *not* gated on ``closed``,
-        breakers, or deadlines: the data path serves the last-good
-        installed plans even while the control plane is overloaded,
-        tripped, or crashed — degraded mode."""
+        routed through the op queues and *not* gated on ``closed``: the
+        data path serves the last-good installed plans even while the
+        control plane is busy or crashed."""
         return self._backend.process_batch(list(packets))
 
     # -- live migration ----------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 :data:`CONTROL_OPS` maps an op kind to a :class:`ControlOp` — how its
 payload is spelled in a WAL record (``encode`` / ``decode``), what it
-does (``apply``), whether it is a lifecycle op (admission-serialized,
-and displacing table maintenance under overload), and for an op whose
+does (``apply``), whether it is a lifecycle op (it applies holding the
+admission lock, one at a time across all tenants), and for an op whose
 outcome a replay cannot recompute, the ``gate`` it must pass first.  The
 live :class:`~repro.serving.controller.Controller` runs
 ``apply(homes, tenant, payload)`` and logs ``encode(payload)``;

@@ -10,7 +10,8 @@ once:
 * a packet that touches a tenant's module — a filter request or a probe
   (a table write) — with no ``META_TENANT`` label is a routing error (the
   ingress classifier must label every probe/data packet);
-* a label naming no admitted tenant is a routing error;
+* a label naming no admitted tenant — whatever its type, hashable or
+  not — is a routing error;
 * batch demux reports **all** violations of a batch in one
   :class:`~repro.errors.RoutingError` (every distinct unknown label plus
   the count of unlabelled packets) — a client replaying a rejected
@@ -77,7 +78,12 @@ def classify(
         if not (probe or meta.get(META_FILTER_REQUEST)):
             continue
         name = meta.get(META_TENANT)
-        run = runs.get(name)
+        try:
+            run = runs.get(name)
+        except TypeError:  # an unhashable label: no tenant can own it
+            if name not in unknown:
+                unknown.append(name)
+            continue
         if run is None:
             if name not in tenants:
                 if name is None:
@@ -106,11 +112,13 @@ def classify(
         run[0].append(packet)
         run[1].append(mask)
     if unknown or unlabelled:
+        # Labels are whatever a client sent: order them by their text.
+        unknown.sort(key=str)
         parts = []
         if unknown:
             parts.append(
                 f"{len(unknown)} unknown META_TENANT label(s) "
-                f"{sorted(unknown)} (admitted: "
+                f"{unknown} (admitted: "
                 f"{sorted(t.name for t in tenants)})"
             )
         if unlabelled:
@@ -121,7 +129,7 @@ def classify(
         raise RoutingError(
             "batch demux on a multi-tenant switch failed: "
             + "; ".join(parts),
-            unknown=tuple(sorted(unknown)),
+            unknown=tuple(unknown),
             unlabelled=unlabelled,
         )
     if refusal is not None:
@@ -152,8 +160,12 @@ class TenantDemux:
             )
         try:
             return self._manager.get(name)
-        except ConfigurationError as exc:
-            raise RoutingError(str(exc), unknown=(name,)) from None
+        except (ConfigurationError, TypeError):  # TypeError: unhashable
+            raise RoutingError(
+                f"no admitted tenant {name!r}; admitted: "
+                f"{sorted(t.name for t in self._manager)}",
+                unknown=(name,),
+            ) from None
 
     def partition(self, packets: Sequence[Packet]) -> dict[str, list[Packet]]:
         """Split a batch's rows into per-tenant sub-batches, arrival order

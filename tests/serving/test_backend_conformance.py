@@ -447,6 +447,36 @@ def test_unknown_labels_aggregate_into_one_routing_error(cls):
     assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
 
 
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_hostile_labels_in_a_batch_are_one_routing_error(cls):
+    """A label of any type — unorderable beside a string, or unhashable
+    — is an unknown label like any other, reported in the one error in
+    ``str`` order."""
+    backend = _make_backend(cls)
+    labels = ["a", 5, "x", ["x"], {"a": 1}, 5, ["x"]]
+    batch = [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: label})
+             for label in labels]
+    versions = {t.name: t.module.smbm.version for t in backend.manager}
+    with pytest.raises(RoutingError) as excinfo:
+        backend.process_batch(batch)
+    assert excinfo.value.unknown == (5, ["x"], "x", {"a": 1})
+    assert excinfo.value.unlabelled == 0
+    assert {t.name: t.module.smbm.version
+            for t in backend.manager} == versions
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
+
+
+@pytest.mark.parametrize("label", [["x"], {"a": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_hostile_label_on_one_packet_is_a_routing_error(cls, label):
+    backend = _make_backend(cls)
+    packet = Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: label})
+    with pytest.raises(RoutingError) as excinfo:
+        backend.process(packet)
+    assert excinfo.value.unknown == (label,)
+    assert META_FILTER_OUTPUT not in packet.metadata
+
+
 @pytest.mark.parametrize("hostile", ["abc", b"\x01", [1], 3.7, True],
                          ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)

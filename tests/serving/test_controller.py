@@ -8,13 +8,17 @@ public API is awaitable either way.
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
-from repro.errors import CompilationError, ConfigurationError
+from repro.engine.batch import META_FILTER_REQUEST
+from repro.errors import CompilationError, ConfigurationError, FaultError
+from repro.rmt.packet import META_TENANT, Packet
+from repro.serving import WriteAheadLog, canonical_bytes, recover
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
 from repro.serving.controller import Controller
 from repro.tenancy.manager import TenantManager, TenantSpec
@@ -158,6 +162,158 @@ def test_write_batch_rejects_foreign_tenant_writes():
 
     assert asyncio.run(scenario()) == 3
     assert sorted(backend.manager.get("t").module.smbm.snapshot()) == [2]
+
+
+def test_write_batch_still_validates_tenant_ownership(registry):
+    """The ownership check refuses at submit: nothing is queued, counted
+    or applied."""
+    backend = _backend()
+
+    async def scenario():
+        async with Controller(backend) as ctl:
+            await ctl.add_tenant(_spec("t"))
+            with pytest.raises(ConfigurationError):
+                await ctl.write_batch("t", [
+                    TableWrite("t", 1, {"cpu": 1, "mem": 1}),
+                    TableWrite("other", 2, {"cpu": 2, "mem": 2}),
+                ])
+
+    asyncio.run(scenario())
+    assert len(backend.manager.get("t").module.smbm) == 0
+    # The admit is the only op the controller ever saw.
+    assert registry.value_of("controller_ops_total") == 1
+    assert registry.value_of("controller_ops_total",
+                             {"op": "add_tenant", "outcome": "ok",
+                              "backend": "scalar"}) == 1
+
+
+def test_controller_takes_backend_and_wal_only():
+    params = inspect.signature(Controller).parameters
+    assert list(params) == ["backend", "wal"]
+    assert params["wal"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+class _FlakyBackend(ScalarBackend):
+    """A backend whose first ``fail_times`` write batches raise a
+    fault-class error."""
+
+    def __init__(self, manager, *, fail_times: int):
+        super().__init__(manager)
+        self.fail_times = fail_times
+        self.attempts = 0
+
+    def write_batch(self, writes):
+        self.attempts += 1
+        if self.attempts <= self.fail_times:
+            raise FaultError("transient glitch", component="backend",
+                             resource=self.attempts)
+        return super().write_batch(writes)
+
+
+def test_without_retry_policy_fault_surfaces_immediately():
+    """An op applies once or is refused: a fault reaches the client as
+    raised, and the backend is never called again for it."""
+    backend = _FlakyBackend(TenantManager(METRICS, smbm_capacity=16),
+                            fail_times=1)
+
+    async def scenario():
+        async with Controller(backend) as ctl:
+            await ctl.add_tenant(_spec("t"))
+            with pytest.raises(FaultError, match="transient glitch"):
+                await ctl.update_resource("t", 1, {"cpu": 5, "mem": 6})
+
+    asyncio.run(scenario())
+    assert backend.attempts == 1
+    assert len(backend.manager.get("t").module.smbm) == 0
+
+
+def test_unaffected_tenants_keep_serving_under_overload():
+    """Tenant 'noisy' is wedged — its worker waits on the admission lock
+    with writes queued behind it; tenant 'quiet' still applies a table
+    write and serves packets from its installed plan."""
+    backend = _backend()
+
+    async def scenario():
+        async with Controller(backend) as ctl:
+            await ctl.add_tenant(_spec("noisy"))
+            await ctl.add_tenant(_spec("quiet"))
+            await ctl.update_resource("quiet", 1, {"cpu": 3, "mem": 4})
+            release = asyncio.Event()
+
+            async def hold_lock() -> None:
+                async with ctl._admission_lock:
+                    await release.wait()
+
+            holder = asyncio.create_task(hold_lock())
+            await asyncio.sleep(0)
+            blocker = asyncio.create_task(ctl.hot_swap("noisy", _policy()))
+            flood = [
+                asyncio.create_task(ctl.update_resource(
+                    "noisy", i, {"cpu": i, "mem": i}))
+                for i in range(8)
+            ]
+            try:
+                await asyncio.sleep(0)
+                # The quiet tenant's control plane is untouched...
+                await ctl.update_resource("quiet", 2, {"cpu": 5, "mem": 6})
+                # ...and its data path serves the installed plan...
+                served = await ctl.process_batch([
+                    Packet(metadata={META_FILTER_REQUEST: 1,
+                                     META_TENANT: "quiet"})
+                ])
+                # ...while every noisy op still waits its turn.
+                assert not any(t.done() for t in (blocker, *flood))
+                assert len(backend.manager.get("noisy").module.smbm) == 0
+            finally:
+                release.set()
+            await asyncio.gather(holder, blocker, *flood)
+            return served
+
+    served = asyncio.run(scenario())
+    assert len(served) == 1
+    assert sorted(
+        backend.manager.get("quiet").module.smbm.snapshot()
+    ) == [1, 2]
+    assert len(backend.manager.get("noisy").module.smbm) == 8
+
+
+def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
+    """A gathered burst on one tenant drains as group-commit frames:
+    far fewer WAL frames than records, and the log still replays to the
+    exact live state.  Arming a crash hook changes none of it: the
+    hooked run writes the same bytes, not one frame per op."""
+
+    async def scenario(wal_path, hook) -> ScalarBackend:
+        backend = _backend()
+        wal = WriteAheadLog(wal_path, sync="flush", crash_hook=hook)
+        async with Controller(backend, wal=wal) as ctl:
+            await ctl.add_tenant(_spec("a"))
+            for _ in range(4):
+                await asyncio.gather(*(
+                    ctl.update_resource("a", i % 8, {"cpu": i, "mem": 1})
+                    for i in range(16)
+                ))
+        wal.close()
+        return backend
+
+    logs = []
+    for name, hook in (("plain", None),
+                       ("armed", lambda site, record=None: None)):
+        registry = obs.MetricsRegistry()
+        wal_path = tmp_path / f"{name}.wal"
+        with obs.use_registry(registry):
+            live = asyncio.run(scenario(wal_path, hook))
+            appends = registry.value_of("wal_appends_total")
+            frames = registry.value_of("wal_frames_total")
+            # 1 admit + 64 updates + 1 shutdown marker, in far fewer frames.
+            assert appends == 66
+            assert frames <= 2 + 2 * 4  # admit, shutdown, bursts (+splits)
+            report = recover(wal_path, lambda _ckpt: _backend())
+            assert not report.unclean and report.errors == []
+            assert (canonical_bytes(report.backend.snapshot().payload())
+                    == canonical_bytes(live.snapshot().payload()))
+        logs.append(wal_path.read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_closed_controller_rejects_submissions():

@@ -209,9 +209,10 @@ def test_cutover_advances_the_high_water_mark(tmp_path):
 def test_names_nobody_lives_under_hold_no_state(registry, cls):
     backend = _backend(cls)
 
-    def depth_series() -> int:
-        return sum(key.startswith("controller_queue_depth")
-                   for key in obs.snapshot(registry)["gauges"])
+    def series() -> list[str]:
+        snap = obs.snapshot(registry)
+        return [key for kind in ("counters", "gauges", "histograms")
+                for key in snap[kind]]
 
     async def scenario() -> None:
         async with Controller(backend) as ctl:
@@ -231,7 +232,10 @@ def test_names_nobody_lives_under_hold_no_state(registry, cls):
             assert admitted == 1
             assert len(ctl._queues) == len(ctl._workers) == admitted
             assert len(asyncio.all_tasks()) - 1 == admitted
-            assert depth_series() == admitted
+            assert sum(key.startswith("controller_queue_depth")
+                       for key in series()) == admitted
+            # No sample, of any series, carries a ghost's name.
+            assert not [key for key in series() if '"ghost-' in key]
 
     asyncio.run(scenario())
 
