@@ -5,8 +5,7 @@ onto the Cell pipeline once, then runs every clock cycle with no runtime
 checks (section 5.3.2).  That puts the entire burden of rejecting bad
 plans on the compiler — exactly as P4 RMT backends validate resource
 allocation before a program ever touches a switch.  This package provides
-that verification layer plus the runtime half that proves the cycle model
-upholds its own invariants:
+that verification layer:
 
 * :mod:`repro.analysis.findings` — the rule registry (stable ``THnnn``
   ids), :class:`Finding` and :class:`Report` (the shared diagnostic
@@ -20,9 +19,8 @@ upholds its own invariants:
   abstract interpreter over policy DAGs: per-metric interval regions,
   the TH017–TH019 reachability/shadowing lints, :func:`semantic_diff`
   hot-swap classification (TH020) and cross-tenant overlap (TH021);
-* :mod:`repro.analysis.races` — :class:`RaceDetector`, a lockset-style
-  detector over :meth:`repro.switch.replication.ReplicatedSMBM.commit_cycle`
-  write windows;
+* :mod:`repro.analysis.conformance` — the TH015 "same state?" check
+  over two tenants' checkpoint payloads;
 * :mod:`repro.analysis.lint` — the ``python -m repro.analysis.lint`` CLI
   linting every bundled policy in :mod:`repro.policies`
   (``--semantic`` adds the cross-policy checks, ``--format json`` the
@@ -37,7 +35,6 @@ from repro.analysis.conformance import (
 )
 from repro.analysis.domains import IntervalSet, Region
 from repro.analysis.findings import RULES, Finding, Report, Rule, Severity
-from repro.analysis.races import RaceDetector, RaceFinding
 from repro.analysis.symbolic import (
     NodeFact,
     SemanticAnalysis,
@@ -75,8 +72,6 @@ __all__ = [
     "TableSchema",
     "TenantSlice",
     "verify_policy_compiles",
-    "RaceDetector",
-    "RaceFinding",
     "diff_tenant_payloads",
     "verify_checkpoint_roundtrip",
 ]

@@ -464,9 +464,10 @@ def require_semantically_clean(
 ) -> SemanticAnalysis:
     """Analyze ``policy`` and raise on *any* semantic finding.
 
-    The serving gates (hot-swap, migration cutover) escalate the
-    warning-level TH017–TH019 lints to errors: a policy about to go live
-    with a provably-dead branch is an operator mistake worth stopping.
+    The hot-swap gate (:meth:`~repro.serving.backend.SwitchBackend.hot_swap`,
+    its only caller) escalates the warning-level TH017–TH019 lints to
+    errors: a policy about to go live with a provably-dead branch is an
+    operator mistake worth stopping.
     The findings are still counted through the obs registry first.
     """
     analysis = analyze_policy(policy, schema=schema)

@@ -62,6 +62,7 @@ from repro.core.policy import (
     TableRef,
     Unary,
     postorder,
+    stateless_blockers,
 )
 from repro.core.smbm import SMBM
 from repro.errors import CompilationError, ConfigurationError
@@ -91,12 +92,10 @@ class _Wire:
 class MuxPlan:
     """Post-pipeline MUX for a conditional policy (RMT stage, section 4.2.3).
 
-    By default the MUX selects output ``primary_line`` when it is non-empty,
-    else ``fallback_line``.  The RMT stage hosting the MUX may instead drive
-    the select with any predicate it can compute (over packet metadata,
-    registers, ...): pass ``mux_select`` to
-    :meth:`CompiledPolicy.evaluate` to model that externally-computed
-    condition.
+    The MUX selects output ``primary_line`` when it is non-empty, else
+    ``fallback_line``: the empty-check conditional every Table 5 policy
+    uses, and the only select a :class:`~repro.core.policy.Conditional`
+    can express.
     """
 
     primary_line: int
@@ -685,9 +684,7 @@ class CompiledPolicy:
         # Warning-level verifier findings, attached post-verification.
         self._lint_findings: tuple["Finding", ...] = ()
         self._registers: dict[int, int] = {}
-        # Memoizable iff nothing keeps cross-packet state: no programmed
-        # unit and no feedback register.
-        self._stateless = config.is_stateless() and not self._tap_lines
+        self._stateless = not stateless_blockers(policy)
         # Only these output lines are ever read back; the pipeline prunes
         # everything that cannot reach them.
         live = {output_line} | set(self._tap_lines.values())
@@ -770,8 +767,7 @@ class CompiledPolicy:
         back from."""
         return dict(self._tap_lines)
 
-    def _run(self, smbm: SMBM, mask: int | None = None,
-             mux_select: bool | None = None) -> int:
+    def _run(self, smbm: SMBM, mask: int | None = None) -> int:
         """One traversal's output mask: table lines carry ``table ∩ mask``,
         each feedback line its register, which is then rewritten from its
         tap; a conditional's RMT MUX then picks its output."""
@@ -787,50 +783,24 @@ class CompiledPolicy:
                 self._registers[index] = outputs[line]
         if self._mux is None:
             return outputs[self._output_line]
-        primary = outputs[self._mux.primary_line]
-        if mux_select is None:
-            mux_select = primary != 0
-        return primary if mux_select else outputs[self._mux.fallback_line]
+        return (outputs[self._mux.primary_line]
+                or outputs[self._mux.fallback_line])
 
-    def evaluate(
-        self,
-        smbm: SMBM,
-        *,
-        mux_select: bool | None = None,
-    ) -> BitVector:
-        """One packet's traversal: the final filtered table.
+    def evaluate(self, smbm: SMBM) -> BitVector:
+        """One packet's traversal: the final filtered table."""
+        return BitVector.from_int(smbm.capacity, self._run(smbm))
 
-        ``mux_select`` overrides the conditional MUX with an externally
-        computed predicate (the general ``if (predicate)`` conditional of
-        section 4.2.3, where the RMT stage drives the select from packet
-        metadata); ``None`` keeps the default primary-if-non-empty rule.
-        """
-        return BitVector.from_int(smbm.capacity,
-                                  self._run(smbm, None, mux_select))
-
-    def evaluate_restricted(
-        self,
-        smbm: SMBM,
-        mask: int,
-        *,
-        mux_select: bool | None = None,
-    ) -> BitVector:
+    def evaluate_restricted(self, smbm: SMBM, mask: int) -> BitVector:
         """One packet's traversal with every table line restricted to
         ``table ∩ mask`` — the scalar reference semantics of a batch row
         carrying a candidate-set mask (``META_FILTER_INPUT``).  A feedback
         line is not a table line: it carries its register, unmasked.
         """
-        return BitVector.from_int(smbm.capacity,
-                                  self._run(smbm, mask, mux_select))
+        return BitVector.from_int(smbm.capacity, self._run(smbm, mask))
 
-    def select(
-        self,
-        smbm: SMBM,
-        *,
-        mux_select: bool | None = None,
-    ) -> int | None:
+    def select(self, smbm: SMBM) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""
-        out = self._run(smbm, None, mux_select)
+        out = self._run(smbm)
         return out.bit_length() - 1 if out.bit_count() == 1 else None
 
     def describe(self) -> str:

@@ -100,19 +100,6 @@ class PipelineConfig:
 
     stages: list[StageConfig]
 
-    def is_stateless(self) -> bool:
-        """True when no programmed unit keeps state across packets.
-
-        A stateless configuration's output is a pure function of the SMBM
-        contents (and the input tables), which is what makes table-version
-        memoization sound.
-        """
-        return not any(
-            cell.kufpu1.opcode.is_stateful or cell.kufpu2.opcode.is_stateful
-            for stage in self.stages
-            for cell in stage.cells
-        )
-
     def describe(self) -> str:
         lines = []
         for s, stage in enumerate(self.stages, start=1):

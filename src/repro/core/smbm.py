@@ -53,8 +53,10 @@ WRITE_LATENCY_CYCLES = 2
 #: Width of one stored metric word in the fault model: every metric value is
 #: held in a 64-bit flip-flop word, so single-event upsets flip one of these
 #: 64 bits.  The ECC model in :mod:`repro.faults.ecc` protects exactly this
-#: word.
+#: word.  A write refuses any value outside ``[0, 2**STORED_WORD_BITS)``,
+#: the region the analyser, TH003 and the ECC word all assume.
 STORED_WORD_BITS = 64
+_WORD_LIMIT = 1 << STORED_WORD_BITS
 
 #: Most moves a live :class:`MetricIndex` may have pending; one more and the
 #: table drops it, so the next read is a full build.  This is a measured
@@ -413,11 +415,18 @@ class SMBM:
                 f"{sorted(self._metric_names)}"
             )
         try:
-            return {name: as_int(metrics[name]) for name in self._metric_names}
+            row = {name: as_int(metrics[name]) for name in self._metric_names}
         except TypeError:
             raise ConfigurationError(
                 f"metric values must be integers, got {dict(metrics)}"
             ) from None
+        for name, value in row.items():
+            if not 0 <= value < _WORD_LIMIT:
+                raise ConfigurationError(
+                    f"metric {name}={value} does not fit the unsigned "
+                    f"{STORED_WORD_BITS}-bit stored word"
+                )
+        return row
 
     def add(self, resource_id: int, metrics: Mapping[str, int]) -> None:
         """``add(SMBM, id, [metric1: val1, ..., metricM: valM])``.

@@ -128,7 +128,7 @@ class FaultError(ReproError):
 
     Carries structured context so detection and recovery machinery (and
     tests) can reason about *where* a fault bit: the failing ``component``
-    (e.g. ``"cell"``, ``"smbm"``, ``"replicated_smbm"``, ``"graphdb"``), the
+    (e.g. ``"cell"``, ``"smbm"``, ``"replicated_smbm"``), the
     ``cycle`` (or simulated time) it was observed at, and the ``resource``
     (row id, server id, link name, ...) it touched.  All context fields are
     optional — raise sites fill in what they know.
@@ -158,21 +158,6 @@ class FaultError(ReproError):
 
 class IntegrityError(FaultError):
     """Stored state failed a parity/ECC or cross-replica consistency check."""
-
-
-class RetryExhausted(FaultError):
-    """A probed server stayed unreachable past its retry budget.
-
-    Raised by the graph-database cluster's probe loop, which retries a
-    lost probe under a :class:`~repro.faults.retry.RetryPolicy` before
-    evicting the server.  The switch control plane never retries: an op
-    commits once or is refused.  ``attempts`` records how many tries were
-    made before giving up.
-    """
-
-    def __init__(self, message: str, *, attempts: int | None = None, **context):
-        super().__init__(message, **context)
-        self.attempts = attempts
 
 
 class CellFault(FaultError):

@@ -38,10 +38,9 @@ class SimulatedCrash(BaseException):
     """Process death at an armed crash point.
 
     Deliberately a :class:`BaseException`: the controller's worker relays
-    ``Exception`` to callers and its retry loop eats transient
-    :class:`~repro.errors.FaultError`\\ s — a simulated *process death*
-    must tunnel through both, exactly as a real ``kill -9`` would, and be
-    handled only by the crash path itself.  ``site`` names the crash
+    every ``Exception`` to the submitting client, so a simulated *process
+    death* must tunnel through it, exactly as a real ``kill -9`` would, and
+    be handled only by the crash path itself.  ``site`` names the crash
     point (``wal.before_append``, ``wal.torn_append``,
     ``wal.after_append``, ``ctl.after_apply``) and ``at_op`` which
     occurrence of that site fired.
@@ -95,23 +94,21 @@ class FaultInjector:
 
     # -- SMBM storage faults -----------------------------------------------------
 
-    def flip_smbm_bit(self, smbm: SMBM, *, target: str = "smbm",
-                      max_bit: int | None = None) -> FaultEvent:
+    def flip_smbm_bit(self, smbm: SMBM) -> FaultEvent:
         """One SEU: flip a random bit of a random stored metric word."""
         rows = sorted(smbm.snapshot())
         if not rows:
             raise ConfigurationError("cannot flip a bit in an empty table")
         rid = self._rng.choice(rows)
         metric = self._rng.choice(list(smbm.metric_names))
-        bit = self._rng.randrange(max_bit or STORED_WORD_BITS)
+        bit = self._rng.randrange(STORED_WORD_BITS)
         old, new = smbm.corrupt_stored_bit(rid, metric, bit)
         return self._record(
-            "seu", target, resource=rid, metric=metric, bit=bit,
+            "seu", "smbm", resource=rid, metric=metric, bit=bit,
             old=old, new=new,
         )
 
-    def flip_smbm_bits(self, smbm: SMBM, n: int, *, target: str = "smbm",
-                       max_bit: int | None = None) -> list[FaultEvent]:
+    def flip_smbm_bits(self, smbm: SMBM, n: int) -> list[FaultEvent]:
         """``n`` SEUs in *distinct* stored words (one flip per word, so
         every one is single-bit correctable and the detection ledger is
         exact)."""
@@ -126,18 +123,17 @@ class FaultInjector:
         chosen = self._rng.sample(words, n)
         events = []
         for rid, metric in chosen:
-            bit = self._rng.randrange(max_bit or STORED_WORD_BITS)
+            bit = self._rng.randrange(STORED_WORD_BITS)
             old, new = smbm.corrupt_stored_bit(rid, metric, bit)
             events.append(self._record(
-                "seu", target, resource=rid, metric=metric, bit=bit,
+                "seu", "smbm", resource=rid, metric=metric, bit=bit,
                 old=old, new=new,
             ))
         return events
 
     # -- filter pipeline hardware faults -------------------------------------------
 
-    def kill_cell(self, module: FilterModule, *,
-                  target: str = "filter_module") -> FaultEvent | None:
+    def kill_cell(self, module: FilterModule) -> FaultEvent | None:
         """Kill a random Cell the evaluation plan actually routes through.
 
         Targeting only active (live, non-bypass) Cells guarantees the death
@@ -153,10 +149,10 @@ class FaultInjector:
             return None
         stage, index = self._rng.choice(candidates)
         module.inject_cell_kill(stage, index)
-        return self._record("cell_dead", target, stage=stage, index=index)
+        return self._record("cell_dead", "filter_module",
+                            stage=stage, index=index)
 
-    def stick_cell(self, module: FilterModule, *,
-                   target: str = "filter_module") -> FaultEvent | None:
+    def stick_cell(self, module: FilterModule) -> FaultEvent | None:
         """Wedge a unit column stuck-at-0/1 so the policy output changes.
 
         Candidates (active Cells x sides x stuck values) are tried in
@@ -180,7 +176,7 @@ class FaultInjector:
             corrupted = module.compiled.evaluate(module.smbm)
             if corrupted != baseline:
                 return self._record(
-                    "cell_stuck", target,
+                    "cell_stuck", "filter_module",
                     stage=stage, index=index, side=side, stuck=stuck,
                 )
             module.remove_cell_stuck(stage, index, side)
@@ -188,8 +184,7 @@ class FaultInjector:
 
     # -- replication faults --------------------------------------------------------
 
-    def diverge_replica(self, rep: ReplicatedSMBM, *,
-                        target: str = "replicated_smbm") -> FaultEvent:
+    def diverge_replica(self, rep: ReplicatedSMBM) -> FaultEvent:
         """Corrupt one stored bit in a single replica, breaking sync."""
         if rep.pipelines < 2:
             raise ConfigurationError(
@@ -207,14 +202,14 @@ class FaultInjector:
         bit = self._rng.randrange(STORED_WORD_BITS)
         old, new = replica.corrupt_stored_bit(rid, metric, bit)
         return self._record(
-            "replica_divergence", target,
+            "replica_divergence", "replicated_smbm",
             pipeline=pipeline, resource=rid, metric=metric, bit=bit,
             old=old, new=new,
         )
 
     def contend_writes(self, rep: ReplicatedSMBM, resource_id: int,
-                       metrics_by_pipeline: dict[int, dict[str, int]], *,
-                       target: str = "replicated_smbm") -> FaultEvent:
+                       metrics_by_pipeline: dict[int, dict[str, int]]
+                       ) -> FaultEvent:
         """Stage same-cycle writes to one resource from several pipelines —
         the hazard the paper's one-path-per-resource rule precludes."""
         if len(metrics_by_pipeline) < 2:
@@ -224,40 +219,35 @@ class FaultInjector:
         for pipeline, metrics in sorted(metrics_by_pipeline.items()):
             rep.issue_update(pipeline, resource_id, metrics)
         return self._record(
-            "write_contention", target, resource=resource_id,
+            "write_contention", "replicated_smbm", resource=resource_id,
             pipelines=sorted(metrics_by_pipeline),
         )
 
     # -- network / control-plane faults ---------------------------------------------
 
-    def fail_link(self, link, *, target: str | None = None) -> FaultEvent:
+    def fail_link(self, link) -> FaultEvent:
         """Cut a link (the harness schedules the restore edge)."""
         link.fail()
-        return self._record("link_flap", target or f"link:{link.name}")
+        return self._record("link_flap", f"link:{link.name}")
 
-    def drop_probes(self, server, n: int = 1, *,
-                    target: str | None = None) -> FaultEvent:
+    def drop_probes(self, server, n: int = 1) -> FaultEvent:
         """Lose the next ``n`` resource probes of one graphdb server."""
         server.drop_next_probes(n)
         return self._record(
-            "probe_loss", target or f"server:{server.server_id}", count=n,
+            "probe_loss", f"server:{server.server_id}", count=n,
         )
 
-    def drop_probe_ticks(self, probe_service, n: int = 1, *,
-                         target: str = "probe_service") -> FaultEvent:
+    def drop_probe_ticks(self, probe_service, n: int = 1) -> FaultEvent:
         """Lose the next ``n`` whole probe bursts of a netsim ProbeService."""
         probe_service.drop_next(n)
-        return self._record("probe_loss", target, count=n)
+        return self._record("probe_loss", "probe_service", count=n)
 
-    def crash_server(self, server, *, target: str | None = None) -> FaultEvent:
+    def crash_server(self, server) -> FaultEvent:
         """Crash a graphdb server (restore is the harness's choice)."""
         server.crash()
-        return self._record(
-            "server_crash", target or f"server:{server.server_id}",
-        )
+        return self._record("server_crash", f"server:{server.server_id}")
 
-    def arm_crash(self, site: str, at_op: int = 0, *,
-                  target: str = "controller"):
+    def arm_crash(self, site: str, at_op: int = 0):
         """Arm one crash point: a hook that kills the controller at the
         ``at_op``-th occurrence of ``site``.
 
@@ -281,7 +271,7 @@ class FaultInjector:
             state["hits"] = hit + 1
             if hit == at_op:
                 self._record(
-                    "controller_crash", target, site=site, at_op=at_op,
+                    "controller_crash", "controller", site=site, at_op=at_op,
                     op_id=getattr(record, "op_id", None),
                 )
                 raise SimulatedCrash(site, at_op)
@@ -289,8 +279,7 @@ class FaultInjector:
         return hook
 
     def bypass_migration_write(self, migration, resource_id: int,
-                               metrics: dict[str, int], *,
-                               target: str = "migration") -> FaultEvent:
+                               metrics: dict[str, int]) -> FaultEvent:
         """Land one table write on a dual-running migration's *source*
         only, slipping around the dual-running gate.  The divergence must
         be caught by the cutover conservation gate
@@ -301,6 +290,6 @@ class FaultInjector:
         module = migration.source.manager.get(migration.tenant).module
         module.update_resource(resource_id, dict(metrics))
         return self._record(
-            "migration_divergence", target,
+            "migration_divergence", "migration",
             tenant=migration.tenant, resource=resource_id,
         )

@@ -15,9 +15,9 @@ the next read — the "invalidate caches on detected corruption" contract.
 Detection latency is bounded by the *scrub period*: a full :meth:`scrub`
 pass visits every row, and the incremental :meth:`scrub_step` cursor
 guarantees every row is visited once per ``ceil(len(table)/rows_per_step)``
-steps.  Uncorrectable (double-bit) corruption is either quarantined (the
-row is deleted — the resource drops out of every filter decision, the safe
-degraded mode) or raised as :class:`~repro.errors.IntegrityError`.
+steps.  Uncorrectable (double-bit) corruption is quarantined: the row is
+deleted, so the resource drops out of every filter decision, the safe
+degraded mode.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.smbm import SMBM
-from repro.errors import ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError
 from repro.faults.ecc import ecc_check_word, ecc_decode
 
 __all__ = ["ScrubEvent", "ECCStore", "Scrubber"]
@@ -100,24 +100,17 @@ class ECCStore:
 class Scrubber:
     """Background sweep over the table, correcting what the ECC can.
 
-    ``on_uncorrectable`` chooses the double-bit-error policy:
-    ``"quarantine"`` (default) deletes the row — dropping the resource from
-    every filter decision is the safe degraded mode — while ``"raise"``
-    surfaces :class:`~repro.errors.IntegrityError` to the caller.
+    A row with a double-bit (uncorrectable) word is quarantined: deleted,
+    so the resource drops out of every filter decision.
 
     Detections and repairs are counted and timed through ``repro.obs``:
     ``faults_detected_total{kind="seu"}``, ``smbm_scrub_rows_total``,
-    ``smbm_scrub_repairs_total``, ``repair_latency_ns{component="scrubber"}``.
+    ``smbm_scrub_repairs_total``, ``smbm_scrub_quarantines_total``,
+    ``repair_latency_ns{component="scrubber"}``.
     """
 
-    def __init__(self, store: ECCStore, *, on_uncorrectable: str = "quarantine"):
-        if on_uncorrectable not in ("quarantine", "raise"):
-            raise ConfigurationError(
-                f"on_uncorrectable must be 'quarantine' or 'raise', "
-                f"got {on_uncorrectable!r}"
-            )
+    def __init__(self, store: ECCStore):
         self._store = store
-        self._on_uncorrectable = on_uncorrectable
         self._cursor = 0
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
@@ -153,12 +146,6 @@ class Scrubber:
         # One detection event per corrupted word.
         self._obs_detected.inc(len(bad))
         if any(r.status == "uncorrectable" for r in bad.values()):
-            if self._on_uncorrectable == "raise":
-                raise IntegrityError(
-                    f"uncorrectable corruption in resource {resource_id} "
-                    f"(metrics {sorted(bad)})",
-                    component="smbm", resource=resource_id,
-                )
             smbm.delete(resource_id)
             self._obs_quarantined.inc()
             self._obs_repair_ns.observe(time.perf_counter_ns() - t0)

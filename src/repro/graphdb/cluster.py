@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.errors import ConfigurationError, RetryExhausted
-from repro.faults.retry import RetryPolicy
+from repro.errors import ConfigurationError
 from repro.graphdb.server import GraphDBServer
 from repro.netsim.sim import Simulator
 from repro.policies.l4lb import L4LoadBalancer
@@ -26,13 +25,21 @@ from repro.workloads.traces import Query, ResourceConsumptionTrace
 
 __all__ = ["QueryResult", "FailoverEvent", "GraphDBCluster"]
 
+#: Probes a server may leave unanswered in a row before it is evicted.
+_PROBE_ATTEMPTS = 3
+#: Backoff before retry ``i`` (0-based) is ``_FIRST_BACKOFF * 2**i`` probe
+#: periods, capped at one period, so retries stay inside about one period
+#: and a dead server is evicted within ~one period rather than stretching it.
+_FIRST_BACKOFF = 1 / 8
+
 
 @dataclass(frozen=True)
 class FailoverEvent:
     """One control-plane recovery action, for the chaos harness's audit.
 
-    ``kind`` is ``"retry_exhausted"``, ``"evicted"``, ``"drained"`` (with
-    ``detail`` = queries redistributed) or ``"readmitted"``.
+    ``kind`` is ``"retry_exhausted"`` (with ``detail`` = probes sent),
+    ``"evicted"``, ``"drained"`` (with ``detail`` = queries redistributed)
+    or ``"readmitted"``.
     """
 
     time: float
@@ -55,8 +62,8 @@ class GraphDBCluster:
     """Servers + load balancer + probe loop, driven by a query trace.
 
     The probe loop doubles as the failure detector: a probe that goes
-    unanswered is retried with exponential backoff
-    (:class:`~repro.faults.retry.RetryPolicy`); once the budget is spent
+    unanswered is retried with exponential backoff (the schedule is
+    ``_PROBE_ATTEMPTS`` and ``_FIRST_BACKOFF``); once the budget is spent
     the server is **evicted** — its resource row leaves the table, its
     connection-affinity entries are dropped, and its parked queries are
     drained and redistributed to the survivors.  A later answered probe
@@ -75,7 +82,6 @@ class GraphDBCluster:
         network_rtt_s: float = 200e-6,
         cpu_limit: int = 65,
         lfsr_seed: int = 1,
-        retry_policy: RetryPolicy | None = None,
     ):
         if n_servers < 1:
             raise ConfigurationError("need at least one server")
@@ -88,14 +94,6 @@ class GraphDBCluster:
         )
         self.servers = [GraphDBServer(sim, i, trace) for i in range(n_servers)]
         self.results: list[QueryResult] = []
-        # Probe retries back off inside one probe period, so a dead server
-        # is detected within ~one period rather than stretching it.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3,
-            base_delay_s=probe_period_s / 8,
-            multiplier=2.0,
-            max_delay_s=probe_period_s,
-        )
         self._down: set[int] = set()
         self.failover_log: list[FailoverEvent] = []
         self.probe_timeouts = 0
@@ -147,22 +145,15 @@ class GraphDBCluster:
             return
         self.probe_timeouts += 1
         self._obs_timeouts.inc()
-        if attempt + 1 < self.retry_policy.max_attempts:
+        if attempt + 1 < _PROBE_ATTEMPTS:
             self._sim.schedule(
-                self.retry_policy.delay_s(attempt),
+                self._probe_period * min(_FIRST_BACKOFF * 2 ** attempt, 1),
                 lambda: self._probe_one(server, attempt + 1),
             )
             return
-        exhausted = RetryExhausted(
-            f"server {server.server_id} unreachable after "
-            f"{self.retry_policy.max_attempts} probes",
-            attempts=self.retry_policy.max_attempts,
-            component="graphdb", cycle=self._sim.now,
-            resource=server.server_id,
-        )
         self.failover_log.append(
             FailoverEvent(self._sim.now, server.server_id, "retry_exhausted",
-                          exhausted.attempts or 0)
+                          _PROBE_ATTEMPTS)
         )
         self._evict(server)
 

@@ -10,8 +10,10 @@ Wire format (big-endian)::
     ether { dst:32, src:32, ethertype:16 }        # 0x88B5 = probe
     probe { resource_id:16, metric_1:32, ..., metric_M:32 }
 
-Metric values are encoded with a +2^31 offset so that negative metric values
-survive the unsigned wire fields.
+A metric field carries the unsigned value as stored, so every decodable
+probe fits the SMBM's unsigned stored word; :meth:`ProbeCodec.encode`
+refuses a negative metric (or one of 2^32 or more) with
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ __all__ = ["ETHERTYPE_PROBE", "ETHERTYPE_DATA", "ProbeUpdate", "ProbeCodec",
 
 ETHERTYPE_PROBE = 0x88B5
 ETHERTYPE_DATA = 0x0800
-
-_METRIC_OFFSET = 1 << 31
 
 ETHER_HEADER = HeaderDef(
     "ether",
@@ -106,10 +106,7 @@ class ProbeCodec:
         )
         packet.push_header(
             "probe",
-            {
-                "resource_id": resource_id,
-                **{name: metrics[name] + _METRIC_OFFSET for name in self._metric_names},
-            },
+            {"resource_id": resource_id, **metrics},
         )
         return packet.serialize({"ether": ETHER_HEADER, "probe": self._probe_header})
 
@@ -120,7 +117,5 @@ class ProbeCodec:
         values = packet.header("probe")
         return ProbeUpdate(
             resource_id=values["resource_id"],
-            metrics={
-                name: values[name] - _METRIC_OFFSET for name in self._metric_names
-            },
+            metrics={name: values[name] for name in self._metric_names},
         )

@@ -7,8 +7,8 @@
   shares: it routes each probe and filter request to the module of the
   tenant its ``META_TENANT`` label names;
 * :class:`~repro.switch.replication.ReplicatedSMBM` — synchronised SMBM
-  replicas for multi-pipelined data planes (section 5.1.5), including write
-  contention detection.
+  replicas for multi-pipelined data planes (section 5.1.5), refusing a
+  cycle with write contention.
 """
 
 from repro.switch.filter_module import FilterModule

@@ -9,17 +9,12 @@ a write contention.
 
 The paper avoids contention operationally: probes for the same resource
 always follow one network path, hence arrive on one pipeline.
-:class:`ReplicatedSMBM` models the synchronous-update design and *detects*
-contention; what happens next is configurable:
-
-* ``on_contention="raise"`` (default) — :class:`WriteContention` is raised
-  and **no** staged write of the cycle is applied.  The commit is atomic:
-  either every replica sees the cycle's writes or none does, and the staged
-  set is always cleared, so the structure stays usable after the exception.
-* ``on_contention="arbitrate"`` — the write from the lowest-numbered
-  pipeline wins (a fixed-priority hardware arbiter); the losers are dropped
-  and counted.  Replicas stay synchronised because all of them apply the
-  same winner.
+:class:`ReplicatedSMBM` models the synchronous-update design and refuses a
+contended cycle: :meth:`~ReplicatedSMBM.commit_cycle` raises one
+:class:`WriteContention` naming every clashing pipeline pair, and **no**
+staged write of the cycle is applied.  The commit is atomic: either every
+replica sees the cycle's writes or none does, and the staged set is always
+cleared, so the structure stays usable after the exception.
 
 Replicas can still diverge through *faults* (an SEU in one replica's rows, a
 partially failed apply): :meth:`diverged_replicas` detects this by
@@ -32,10 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.analysis.races import RaceDetector
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError, FaultError, IntegrityError, ReproError
 
@@ -43,11 +38,18 @@ __all__ = ["WriteContention", "ReplicatedSMBM"]
 
 
 class WriteContention(FaultError):
-    """Two pipelines updated the same SMBM entry in the same cycle."""
+    """Pipelines updated the same SMBM entry in the same cycle.
 
-    def __init__(self, message: str, **context):
+    ``pairs`` names every clash of the refused cycle as a sorted tuple of
+    ``(resource_id, pipeline_a, pipeline_b)`` with ``pipeline_a <
+    pipeline_b``; three writers to one resource are three pairs.
+    """
+
+    def __init__(self, message: str, *,
+                 pairs: Iterable[tuple[int, int, int]], **context):
         context.setdefault("component", "replicated_smbm")
         super().__init__(message, **context)
+        self.pairs = tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -63,41 +65,28 @@ class ReplicatedSMBM:
 
     Writes are staged per cycle with :meth:`issue_update` /
     :meth:`issue_delete` (tagged by originating pipeline) and applied to all
-    replicas at :meth:`commit_cycle`.  Two writes to the same resource id in
-    one cycle either raise :class:`WriteContention` or are arbitrated,
-    depending on ``on_contention``.
+    replicas at :meth:`commit_cycle`.  Writes to one resource id from two
+    pipelines in one cycle refuse the whole cycle with
+    :class:`WriteContention`.  ``sanitize=True`` also asserts replica
+    synchrony after every successful commit.
     """
 
     def __init__(self, pipelines: int, capacity: int, metric_names: Sequence[str],
-                 *, on_contention: str = "raise", sanitize: bool = False):
+                 *, sanitize: bool = False):
         if pipelines < 1:
             raise ReproError(f"need at least one pipeline, got {pipelines}")
-        if on_contention not in ("raise", "arbitrate"):
-            raise ConfigurationError(
-                f"on_contention must be 'raise' or 'arbitrate', "
-                f"got {on_contention!r}"
-            )
         self._replicas = [
             SMBM(capacity, metric_names, sanitize=sanitize)
             for _ in range(pipelines)
         ]
         self._pending: list[_PendingWrite] = []
         self._cycles = 0
-        self._on_contention = on_contention
-        self._arbitrations = 0
         self._sanitize = sanitize
-        # Sanitizer mode arms a lockset-style race detector over every
-        # commit cycle's raw staged write set (fed before dedup or
-        # arbitration, so it sees exactly the writers that contended) and
-        # asserts replica synchrony after each successful commit.
-        self._race_detector: RaceDetector | None = (
-            RaceDetector() if sanitize else None
-        )
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
         self._obs_contentions = registry.counter(
             "replica_write_contentions_total",
-            help="same-resource same-cycle write clashes (raised or arbitrated)",
+            help="same-resource same-cycle pipeline pairs in refused cycles",
         )
         self._obs_detected = registry.counter(
             "faults_detected_total", {"kind": "replica_divergence"},
@@ -121,19 +110,9 @@ class ReplicatedSMBM:
         return self._cycles
 
     @property
-    def arbitrations(self) -> int:
-        """Contended writes resolved by the fixed-priority arbiter."""
-        return self._arbitrations
-
-    @property
     def sanitize(self) -> bool:
         """True when per-commit invariant checking is armed."""
         return self._sanitize
-
-    @property
-    def race_detector(self) -> RaceDetector | None:
-        """The armed race detector (None unless ``sanitize=True``)."""
-        return self._race_detector
 
     def replica(self, pipeline: int) -> SMBM:
         """The replica read by a given pipeline's filter module."""
@@ -157,37 +136,34 @@ class ReplicatedSMBM:
         before any replica is touched, and the staged set is cleared no
         matter how the commit ends — a raised :class:`WriteContention` (or a
         mid-apply :class:`~repro.errors.CapacityError`) never leaves stale
-        writes behind to replay into a later cycle.
+        writes behind to replay into a later cycle.  A pipeline writing one
+        resource twice in a cycle is not contention: its later write wins.
         """
         self._cycles += 1
-        if self._race_detector is not None:
-            # Feed the *raw* staged set — before dedup/arbitration — so the
-            # detector reports exactly the writers that physically contended
-            # for a flip-flop row, including pairs arbitration resolves.
-            self._race_detector.observe_cycle(
-                self._cycles,
-                [(w.pipeline, w.resource_id) for w in self._pending],
-            )
         try:
             by_resource: dict[int, _PendingWrite] = {}
+            writers: dict[int, set[int]] = {}
             for write in self._pending:
-                clash = by_resource.get(write.resource_id)
-                if clash is None or clash.pipeline == write.pipeline:
-                    by_resource[write.resource_id] = write
-                    continue
-                self._obs_contentions.inc()
-                if self._on_contention == "raise":
-                    raise WriteContention(
-                        f"pipelines {clash.pipeline} and {write.pipeline} both "
-                        f"wrote resource {write.resource_id} in cycle "
-                        f"{self._cycles}; the paper precludes this by pinning "
-                        "a resource's probes to one network path",
-                        cycle=self._cycles, resource=write.resource_id,
-                    )
-                # Fixed-priority arbiter: the lowest-numbered pipeline wins.
-                self._arbitrations += 1
-                if write.pipeline < clash.pipeline:
-                    by_resource[write.resource_id] = write
+                by_resource[write.resource_id] = write
+                writers.setdefault(write.resource_id, set()).add(write.pipeline)
+            pairs = sorted(
+                (rid, a, b)
+                for rid, pipelines in writers.items()
+                for a, b in combinations(sorted(pipelines), 2)
+            )
+            if pairs:
+                self._obs_contentions.inc(len(pairs))
+                clashes = "; ".join(
+                    f"pipelines {a} and {b} on resource {rid}"
+                    for rid, a, b in pairs
+                )
+                raise WriteContention(
+                    f"cycle {self._cycles} refused, same-resource writes "
+                    f"from different pipelines: {clashes}; the paper "
+                    "precludes this by pinning a resource's probes to one "
+                    "network path",
+                    pairs=pairs, cycle=self._cycles, resource=pairs[0][0],
+                )
             for write in by_resource.values():
                 for replica in self._replicas:
                     if write.kind == "delete":
@@ -204,7 +180,7 @@ class ReplicatedSMBM:
     # -- checkpoint / restore ----------------------------------------------------
 
     def export_state(self) -> dict[str, object]:
-        """Bit-faithful export of every replica plus the commit counters.
+        """Bit-faithful export of every replica plus the cycle counter.
 
         Replicas are exported individually (not deduplicated to one copy):
         a checkpoint taken while a replica is diverged must restore the
@@ -215,7 +191,6 @@ class ReplicatedSMBM:
             "pipelines": len(self._replicas),
             "replicas": [r.export_state() for r in self._replicas],
             "cycles": self._cycles,
-            "arbitrations": self._arbitrations,
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -223,6 +198,8 @@ class ReplicatedSMBM:
 
         The pipeline count must match; any writes staged but not committed
         are discarded (a checkpoint is only taken on a commit boundary).
+        Keys it does not read, such as a counter an older export carried,
+        are dropped.
         """
         replicas = state.get("replicas")
         if (not isinstance(replicas, list)
@@ -234,7 +211,6 @@ class ReplicatedSMBM:
         for replica, sub in zip(self._replicas, replicas):
             replica.restore_state(sub)
         self._cycles = int(state["cycles"])  # type: ignore[arg-type]
-        self._arbitrations = int(state["arbitrations"])  # type: ignore[arg-type]
         self._pending.clear()
 
     # -- divergence detection and repair -----------------------------------------

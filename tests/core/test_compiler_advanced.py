@@ -162,32 +162,6 @@ class TestTaps:
         assert picked_values[-1] < picked_values[0] or picked_values[0] == 91
 
 
-class TestExternalMuxSelect:
-    """Section 4.2.3's general conditional: the RMT stage can drive the MUX
-    select from any predicate, not just the primary-non-empty check."""
-
-    def test_mux_select_override(self):
-        from repro.core.policy import Conditional, max_of
-
-        policy = Policy(
-            Conditional(min_of(TableRef(), "x"), max_of(TableRef(), "x"))
-        )
-        compiled = PolicyCompiler(PARAMS).compile(policy)
-        smbm = build_smbm({0: 1, 1: 9})
-        # Default: primary (min) is non-empty, so it wins.
-        assert compiled.select(smbm) == 0
-        # Externally computed predicate says "take the else branch".
-        assert compiled.select(smbm, mux_select=False) == 1
-        # And force-primary behaves like the default here.
-        assert compiled.select(smbm, mux_select=True) == 0
-
-    def test_mux_select_ignored_without_conditional(self):
-        policy = Policy(min_of(TableRef(), "x"))
-        compiled = PolicyCompiler(PARAMS).compile(policy)
-        smbm = build_smbm({0: 1, 1: 9})
-        assert compiled.select(smbm, mux_select=False) == 0
-
-
 class TestBinaryNoOpMux:
     """The binary no-op (a 2:1 MUX, section 4.1.2) inside a compiled chain."""
 

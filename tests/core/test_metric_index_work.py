@@ -127,7 +127,7 @@ def _lines_executed(fn) -> int:
 def _table(n: int, live: bool) -> SMBM:
     table = SMBM(n, METRICS)
     for rid in range(n):
-        table.add(rid, {m: (rid * 7) % 50 for m in METRICS})
+        table.add(rid, {m: 1 + (rid * 7) % 50 for m in METRICS})
     if live:
         for metric in METRICS:
             table.metric_index(metric)
@@ -157,7 +157,7 @@ class TestWriteSideWork:
         table = _table(n, live=True)
         costs = [
             _lines_executed(lambda i=i: table.update(
-                i, {m: (1000 if i % 2 else -1) for m in METRICS}))
+                i, {m: (1000 if i % 2 else 0) for m in METRICS}))
             for i in range(PENDING_LIMIT)
         ]
         assert len(set(costs)) == 1, costs

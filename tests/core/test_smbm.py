@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.smbm import SMBM, WRITE_LATENCY_CYCLES, ClockedSMBM
+from repro.core.smbm import (
+    SMBM,
+    STORED_WORD_BITS,
+    WRITE_LATENCY_CYCLES,
+    ClockedSMBM,
+)
 from repro.errors import CapacityError, ConfigurationError
 
 
@@ -100,6 +105,10 @@ class TestRefusedWritesLeaveTheTableUntouched:
         (1, {"x": 5, "y": None}, ConfigurationError),
         (1, {"x": 2.5, "y": 1}, ConfigurationError),    # was silently 2
         (8, {"x": 5, "y": 1}, CapacityError),           # update of absent = add
+        # Outside the unsigned stored word the analyser, TH003 and the ECC
+        # assume (both were once stored).
+        (0, {"x": -1, "y": 1}, ConfigurationError),
+        (0, {"x": 5, "y": 2**STORED_WORD_BITS}, ConfigurationError),
     ])
     @pytest.mark.parametrize("write", ["add", "update"])
     def test_bad_row_changes_nothing(self, write, rid, bad, error):
@@ -197,9 +206,9 @@ class SMBMMachine(RuleBasedStateMachine):
 
     @rule(
         rid=st.integers(min_value=0, max_value=15),
-        a=st.integers(min_value=-100, max_value=100),
-        b=st.integers(min_value=-100, max_value=100),
-        c=st.integers(min_value=-100, max_value=100),
+        a=st.integers(min_value=0, max_value=200),
+        b=st.integers(min_value=0, max_value=200),
+        c=st.integers(min_value=0, max_value=200),
     )
     def add(self, rid, a, b, c):
         metrics = {"a": a, "b": b, "c": c}
@@ -217,10 +226,10 @@ class SMBMMachine(RuleBasedStateMachine):
 
     @rule(
         rid=st.integers(min_value=0, max_value=15),
-        a=st.integers(min_value=-100, max_value=100),
+        a=st.integers(min_value=0, max_value=200),
     )
     def update(self, rid, a):
-        metrics = {"a": a, "b": a * 2, "c": -a}
+        metrics = {"a": a, "b": a * 2, "c": 200 - a}
         self.smbm.update(rid, metrics)
         self.model[rid] = metrics
 

@@ -234,10 +234,11 @@ class TestPatchedIndexEqualsFreshIndex:
 
     @staticmethod
     def _ladder(n: int = 64) -> SMBM:
-        """Rows 0..n-1 with value 10*rid: rank == id, and live indexes."""
+        """Rows 0..n-1 with value 10*rid + 1: rank == id, value 0 sorts
+        before every row, and live indexes."""
         smbm = SMBM(n, LAG_METRICS)
         for rid in range(n):
-            smbm.add(rid, {m: 10 * rid for m in LAG_METRICS})
+            smbm.add(rid, {m: 10 * rid + 1 for m in LAG_METRICS})
         for metric in LAG_METRICS:
             smbm.metric_index(metric)
         return smbm
@@ -245,18 +246,18 @@ class TestPatchedIndexEqualsFreshIndex:
     @pytest.mark.parametrize("rid, value, a, b", [
         (5, 405, 5, 40),     # a < b
         (40, 45, 40, 5),     # a > b
-        (20, 201, 20, 20),   # a == b, value changed
-        (20, 200, 20, 20),   # a == b, nothing changed
-        (30, -1, 30, 0),     # to rank 0
+        (20, 202, 20, 20),   # a == b, value changed
+        (20, 201, 20, 20),   # a == b, nothing changed
+        (30, 0, 30, 0),      # to rank 0
         (30, 10_000, 30, 63),  # to rank n-1
         (0, 10_000, 0, 63),  # end to end
-        (63, -1, 63, 0),
-        (7, 80, 7, 8),       # lands behind its equal (FIFO tie)
+        (63, 0, 63, 0),
+        (7, 81, 7, 8),       # lands behind its equal (FIFO tie)
     ])
     def test_one_update_is_one_move_between_the_two_ranks(self, rid, value, a, b):
         smbm = self._ladder()
         index = smbm.metric_index("a")
-        smbm.update(rid, {"a": value, "b": 10 * rid, "c": 10 * rid})
+        smbm.update(rid, {"a": value, "b": 10 * rid + 1, "c": 10 * rid + 1})
         assert index.pending == [(a, b, rid, value)]
         assert smbm.rank_of(rid, "a") == b
         for metric in LAG_METRICS:
@@ -269,7 +270,7 @@ class TestPatchedIndexEqualsFreshIndex:
         for rid in (0, 63, 31):
             smbm.delete(rid)
             _assert_equals_fresh(smbm, "a")
-        for rid, value in ((31, -5), (0, 10_000), (63, 300)):
+        for rid, value in ((31, 0), (0, 10_000), (63, 300)):
             smbm.add(rid, {m: value for m in LAG_METRICS})
             _assert_equals_fresh(smbm, "a")
         assert smbm.metric_index("a") is index

@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.core.smbm import SMBM, STORED_WORD_BITS
-from repro.errors import ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError
 from repro.faults.scrub import ECCStore, Scrubber
 
 METRICS = ("cpu", "mem")
@@ -101,20 +101,8 @@ class TestScrubber:
         assert events == [e for e in events if e.action == "quarantined"]
         assert 1 not in smbm  # dropped from every filter decision
 
-    def test_raise_on_double_bit(self):
-        smbm = make_table(3)
-        scrubber = Scrubber(ECCStore(smbm), on_uncorrectable="raise")
-        smbm.corrupt_stored_bit(1, "cpu", 1)
-        smbm.corrupt_stored_bit(1, "cpu", 7)
-        with pytest.raises(IntegrityError) as exc:
-            scrubber.scrub()
-        assert exc.value.resource == 1
-
-    def test_invalid_policy_rejected(self):
-        smbm = make_table(1)
-        with pytest.raises(ConfigurationError):
-            Scrubber(ECCStore(smbm), on_uncorrectable="ignore")
-        scrubber = Scrubber(ECCStore(smbm))
+    def test_zero_row_budget_rejected(self):
+        scrubber = Scrubber(ECCStore(make_table(1)))
         with pytest.raises(ConfigurationError):
             scrubber.scrub_step(rows=0)
 

@@ -149,12 +149,20 @@ class TestParser:
 class TestProbeCodec:
     def test_roundtrip(self):
         codec = ProbeCodec(["util", "delay"])
-        wire = codec.encode(7, {"util": 55, "delay": -3})
+        wire = codec.encode(7, {"util": 55, "delay": 2**32 - 1})
         packet = codec.build_parser().parse(wire)
         update = codec.decode(packet)
         assert update is not None
         assert update.resource_id == 7
-        assert update.metrics == {"util": 55, "delay": -3}
+        assert update.metrics == {"util": 55, "delay": 2**32 - 1}
+
+    @pytest.mark.parametrize("value", [-7, 2**32])
+    def test_metric_outside_the_field_refused(self, value):
+        """Every decodable probe is storable: the codec carries unsigned
+        values only, so a negative metric never reaches the table."""
+        codec = ProbeCodec(["cpu", "mem"])
+        with pytest.raises(ConfigurationError):
+            codec.encode(1, {"cpu": value, "mem": 3})
 
     def test_data_packet_decodes_to_none(self):
         codec = ProbeCodec(["util"])
@@ -169,8 +177,8 @@ class TestProbeCodec:
 
     @given(
         st.integers(min_value=0, max_value=65535),
-        st.integers(min_value=-(2**30), max_value=2**30),
-        st.integers(min_value=-(2**30), max_value=2**30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_property_roundtrip(self, rid, util, delay):
         codec = ProbeCodec(["util", "delay"])

@@ -410,6 +410,27 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
+def test_every_decodable_probe_is_storable_under_the_sanitizer(cls):
+    """A probe field is the unsigned value as stored: the widest one a
+    probe can carry lands in a sanitized tenant without tripping the
+    analyser's feasible-region check, and the filter still serves."""
+    backend = cls(TenantManager(METRICS, smbm_capacity=8))
+    backend.program_tenant(TenantSpec(
+        "t", Policy(predicate(TableRef(), "cpu", RelOp.LT, 10), name="lt10"),
+        smbm_quota=4, sanitize=True))
+    widest = 2**32 - 1
+    batch = _traffic(ProbeCodec(METRICS), [
+        ("probe", "t", 0, {"cpu": widest, "mem": widest}),
+        ("probe", "t", 1, {"cpu": 0, "mem": 0}),
+        ("data", "t", None),
+    ])
+    backend.process_batch(batch)
+    assert batch[-1].metadata[META_FILTER_OUTPUT] == 0b10
+    module = backend.manager.get("t").module
+    assert module.smbm.metrics_of(0) == {"cpu": widest, "mem": widest}
+
+
+@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
 def test_unknown_labels_aggregate_into_one_routing_error(cls):
     backend = _make_backend(cls)
     codec = ProbeCodec(METRICS)

@@ -167,6 +167,19 @@ def test_replicated_roundtrip_preserves_every_replica():
                 == rep.replica(i).export_state())
 
 
+def test_replicated_restore_drops_a_retired_counter_key():
+    """Older exports carried a second counter beside ``cycles``; restore
+    accepts such a payload and drops the key."""
+    rep = ReplicatedSMBM(2, 4, METRICS)
+    rep.issue_update(0, 1, {"cpu": 10, "mem": 1})
+    rep.commit_cycle()
+    state = rep.export_state()
+    assert sorted(state) == ["cycles", "pipelines", "replicas"]
+    target = ReplicatedSMBM(2, 4, METRICS)
+    target.restore_state({**state, "retired_counter": 3})
+    assert target.export_state() == state
+
+
 def test_replicated_restore_rejects_wrong_replica_count():
     rep = ReplicatedSMBM(2, 4, METRICS)
     with pytest.raises(ConfigurationError):
