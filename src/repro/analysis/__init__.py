@@ -11,14 +11,18 @@ that verification layer:
   ids), :class:`Finding` and :class:`Report` (the shared diagnostic
   format of verifier findings and compile errors);
 * :mod:`repro.analysis.verifier` — :class:`PlanVerifier`, the static
-  checker over policy ASTs, emitted pipeline configurations and the
-  analytical timing model; wired into
+  checker of what a plan's *structure* is: policy ASTs, emitted pipeline
+  configurations and the analytical timing model; wired into
   :meth:`repro.core.compiler.PolicyCompiler.compile` (on by default,
-  ``verify=False`` escape hatch);
+  ``verify=False`` escape hatch), so it runs on every placement;
 * :mod:`repro.analysis.domains` / :mod:`repro.analysis.symbolic` — the
-  abstract interpreter over policy DAGs: per-metric interval regions,
-  the TH017–TH019 reachability/shadowing lints, :func:`semantic_diff`
-  hot-swap classification (TH020) and cross-tenant overlap (TH021);
+  abstract interpreter over policy DAGs: per-metric interval regions and
+  the TH017–TH019 reachability/shadowing lints.  What a policy *means*
+  is a function of the policy alone, so the analysis runs once when a
+  policy is programmed (a
+  :class:`~repro.switch.filter_module.FilterModule` keeps it on its
+  policy clock); the hot-swap gate, the sanitizer and the TH021
+  cross-tenant overlap check at admission all read that one copy;
 * :mod:`repro.analysis.conformance` — the TH015 "same state?" check
   over two tenants' checkpoint payloads;
 * :mod:`repro.analysis.lint` — the ``python -m repro.analysis.lint`` CLI
@@ -38,11 +42,8 @@ from repro.analysis.findings import RULES, Finding, Report, Rule, Severity
 from repro.analysis.symbolic import (
     NodeFact,
     SemanticAnalysis,
-    SemanticChange,
-    SemanticDiff,
     analyze_policy,
     cross_tenant_overlap,
-    semantic_diff,
     tenant_overlap_report,
 )
 from repro.analysis.verifier import (
@@ -62,11 +63,8 @@ __all__ = [
     "Region",
     "NodeFact",
     "SemanticAnalysis",
-    "SemanticChange",
-    "SemanticDiff",
     "analyze_policy",
     "cross_tenant_overlap",
-    "semantic_diff",
     "tenant_overlap_report",
     "PlanVerifier",
     "TableSchema",

@@ -105,9 +105,9 @@ RULES: dict[str, Rule] = {
              "disjoint regions, or a difference that subtracts nothing "
              "(identity) or everything (empty output)"),
         Rule("TH020", "SemanticHotSwapChange", Severity.ERROR,
-             "a hot-swap would widen the policy's admitted match region "
-             "while the gate demands semantic equivalence or narrowing "
-             "(allow_semantic_change=False)"),
+             "retired (no check emits it): the hot-swap gate refuses any "
+             "replacement with a TH017-TH019 finding, and an explicit "
+             "replacement is meant to change what the policy admits"),
         Rule("TH021", "CrossTenantOverlap", Severity.WARNING,
              "two tenants' admitted policies claim overlapping match "
              "regions on shared metrics of the one physical table "

@@ -31,19 +31,17 @@ The walk emits the semantic lint rules:
   difference that provably subtracts nothing (identity) or subtracts the
   full table (provably empty output).
 
-On top of the per-policy analysis sit the cross-policy checks:
-:func:`semantic_diff` classifies a hot-swap as equivalent / narrowing /
-widening by comparing admitted root regions (**TH020** when a gate
-rejects a widening), and :func:`tenant_overlap_report` flags admitted
-tenant pairs whose policies claim overlapping match regions on shared
-metrics (**TH021**).
+The analysis is a function of the policy alone (plus the table schema),
+so a :class:`~repro.switch.filter_module.FilterModule` computes it once,
+when the policy is programmed, and every consumer reads that copy.  On
+top of it sits one cross-policy check over *regions*, not policies:
+:func:`tenant_overlap_report` flags a newcomer whose admitted match
+region overlaps a sitting tenant's on shared metrics (**TH021**).
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,7 +58,7 @@ from repro.core.policy import (
     postorder,
     preorder_paths,
 )
-from repro.errors import CompilationError, ConfigurationError
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.verifier import TableSchema
@@ -69,13 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "NodeFact",
     "SemanticAnalysis",
-    "SemanticChange",
-    "SemanticDiff",
     "analyze_policy",
-    "semantic_diff",
     "cross_tenant_overlap",
     "tenant_overlap_report",
-    "require_semantically_clean",
 ]
 
 
@@ -326,97 +320,19 @@ def analyze_policy(
     )
 
 
-# -- semantic hot-swap diff (TH020) ----------------------------------------------------
-
-
-class SemanticChange(enum.Enum):
-    """How a replacement policy's admitted match region relates to the
-    live one's."""
-
-    EQUIVALENT = "equivalent"
-    NARROWING = "narrowing"
-    WIDENING = "widening"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class SemanticDiff:
-    """The classified region change of one ``old -> new`` policy swap.
-
-    This is a *region* diff: two structurally different policies with the
-    same admitted region (say ``min`` vs ``max`` over one filter) compare
-    EQUIVALENT — the gate's question is "could the new plan serve a row
-    the old plan never could?", which is exactly region containment.
-    """
-
-    change: SemanticChange
-    old_region: Region
-    new_region: Region
-
-    def describe(self) -> str:
-        if self.change is SemanticChange.EQUIVALENT:
-            return f"equivalent: both admit {self.old_region.describe()}"
-        metrics = sorted(
-            set(self.old_region.constrained_metrics)
-            | set(self.new_region.constrained_metrics)
-        )
-        deltas = [
-            f"{m}: {self.old_region.get(m).describe()} -> "
-            f"{self.new_region.get(m).describe()}"
-            for m in metrics
-            if self.old_region.get(m) != self.new_region.get(m)
-        ]
-        detail = "; ".join(deltas) if deltas else (
-            f"{self.old_region.describe()} -> {self.new_region.describe()}"
-        )
-        return f"{self.change}: {detail}"
-
-
-def semantic_diff(
-    old: Policy,
-    new: Policy,
-    *,
-    schema: "TableSchema | None" = None,
-    smbm: "SMBM | None" = None,
-) -> SemanticDiff:
-    """Classify replacing ``old`` with ``new`` by admitted match region.
-
-    Both policies are analyzed under the same seed (static by default so
-    the verdict is table-independent; pass ``smbm`` for a live-range
-    verdict valid at that table version).
-    """
-    old_region = analyze_policy(old, schema=schema, smbm=smbm).root_region
-    new_region = analyze_policy(new, schema=schema, smbm=smbm).root_region
-    if new_region == old_region:
-        change = SemanticChange.EQUIVALENT
-    elif new_region.is_subset(old_region):
-        change = SemanticChange.NARROWING
-    else:
-        change = SemanticChange.WIDENING
-    return SemanticDiff(change, old_region, new_region)
-
-
 # -- cross-tenant overlap (TH021) ------------------------------------------------------
 
 
-def cross_tenant_overlap(
-    a: Policy,
-    b: Policy,
-    *,
-    schema: "TableSchema | None" = None,
-) -> Region | None:
-    """The region two policies both admit on their shared constrained
-    metrics, or None when they provably cannot claim the same rows.
+def cross_tenant_overlap(region_a: Region, region_b: Region) -> Region | None:
+    """The region two admitted match regions share on their common
+    constrained metrics, or None when they provably cannot claim the
+    same rows.
 
-    Policies that constrain no common metric make no comparable claim
+    Regions that constrain no common metric make no comparable claim
     (each filters along its own dimension) and report no overlap —
     TH021 targets tenants *competing for the same match space*, not
     merely coexisting.
     """
-    region_a = analyze_policy(a, schema=schema).root_region
-    region_b = analyze_policy(b, schema=schema).root_region
     if region_a.empty or region_b.empty:
         return None
     shared = sorted(
@@ -431,53 +347,24 @@ def cross_tenant_overlap(
 
 
 def tenant_overlap_report(
-    tenants: Sequence[tuple[str, Policy]],
+    name: str,
+    region: Region,
+    sitting: Iterable[tuple[str, Region]],
     *,
-    schema: "TableSchema | None" = None,
-    subject: str = "cross-tenant overlap",
+    subject: str,
 ) -> Report:
-    """Pairwise TH021 over named tenant policies sharing one pipeline."""
+    """TH021 for one newcomer: its admitted region against each sitting
+    tenant's.  Pairs among the sitting tenants were reported when the
+    later of the two arrived, so they are not compared again."""
     report = Report(subject=subject)
-    for (name_a, policy_a), (name_b, policy_b) in itertools.combinations(
-        tenants, 2
-    ):
-        overlap = cross_tenant_overlap(policy_a, policy_b, schema=schema)
+    for other, other_region in sitting:
+        overlap = cross_tenant_overlap(region, other_region)
         if overlap is not None:
             report.add(
                 "TH021",
-                f"tenants {name_a!r} and {name_b!r} claim overlapping "
+                f"tenants {name!r} and {other!r} claim overlapping "
                 "match regions on shared metrics "
                 f"{list(overlap.constrained_metrics)}: "
                 f"{overlap.describe()}",
             )
     return report
-
-
-# -- serving-gate escalation -----------------------------------------------------------
-
-
-def require_semantically_clean(
-    policy: Policy,
-    *,
-    schema: "TableSchema | None" = None,
-    context: str,
-) -> SemanticAnalysis:
-    """Analyze ``policy`` and raise on *any* semantic finding.
-
-    The hot-swap gate (:meth:`~repro.serving.backend.SwitchBackend.hot_swap`,
-    its only caller) escalates the warning-level TH017–TH019 lints to
-    errors: a policy about to go live with a provably-dead branch is an
-    operator mistake worth stopping.
-    The findings are still counted through the obs registry first.
-    """
-    analysis = analyze_policy(policy, schema=schema)
-    report = analysis.report
-    if not report.clean:
-        report.emit()
-        first = report.findings[0]
-        detail = "; ".join(f.format() for f in report.findings)
-        raise CompilationError(
-            f"semantic verification failed for {context}: {detail}",
-            rule=first.rule, operator=first.operator,
-        )
-    return analysis

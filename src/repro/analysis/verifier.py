@@ -130,11 +130,9 @@ class PlanVerifier:
 
     def __init__(self, params: PipelineParams | None = None, *,
                  schema: TableSchema | None = None,
-                 benes_size: int | None = None,
-                 semantic: bool = True):
+                 benes_size: int | None = None):
         self._params = params if params is not None else PipelineParams()
         self._schema = schema
-        self._semantic = semantic
         self._benes = (
             BenesNetwork(benes_size) if benes_size is not None
             else BenesNetwork.for_crossbar(self._params.n, self._params.f)
@@ -419,12 +417,10 @@ class PlanVerifier:
 
         The liveness anchor is exactly the line set the compiled policy
         reads back: its output line, the MUX lines and every feedback tap.
-        The semantic pass (TH017–TH019, :mod:`repro.analysis.symbolic`)
-        rides along so ``compile(verify=True)`` surfaces reachability and
-        shadowing lints as warnings by default.
+        Structure only: what the policy *means* (TH017–TH019) does not
+        depend on its placement, so it is analysed once per policy
+        (:func:`repro.analysis.symbolic.analyze_policy`), not per compile.
         """
-        from repro.analysis.symbolic import analyze_policy  # late: layering
-
         live = {compiled.output_line} | set(compiled.tap_lines.values())
         if compiled.mux is not None:
             live |= {compiled.mux.primary_line, compiled.mux.fallback_line}
@@ -432,9 +428,6 @@ class PlanVerifier:
         report.extend(self.verify_policy(compiled.policy))
         report.extend(self.verify_config(compiled.config, live_outputs=live))
         report.extend(self.verify_timing())
-        if self._semantic:
-            report.extend(analyze_policy(compiled.policy,
-                                         schema=self._schema).report)
         return report
 
 
@@ -443,7 +436,6 @@ def verify_policy_compiles(
     params: PipelineParams | None = None,
     *,
     schema: TableSchema | None = None,
-    semantic: bool = True,
 ) -> Report:
     """Trial-compile ``policy`` and verify the result, never raising.
 
@@ -455,16 +447,12 @@ def verify_policy_compiles(
     """
     from repro.core.compiler import PolicyCompiler  # late: import cycle
 
-    verifier = PlanVerifier(params, schema=schema, semantic=semantic)
+    verifier = PlanVerifier(params, schema=schema)
     try:
         compiled = PolicyCompiler(params).compile(policy, verify=False)
     except CompilationError as exc:
-        from repro.analysis.symbolic import analyze_policy  # late: layering
-
         report = Report(subject=f"policy {policy.name!r}")
         report.extend(verifier.verify_policy(policy))
-        if semantic:
-            report.extend(analyze_policy(policy, schema=schema).report)
         rule = exc.rule or "TH009"
         if not any(f.rule == rule for f in report.findings):
             report.add(rule, str(exc.args[0] if exc.args else exc),

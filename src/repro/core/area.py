@@ -27,7 +27,6 @@ dominance, clock independence, sub-percent chip overhead).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.benes import BenesNetwork
 from repro.errors import ConfigurationError
@@ -267,16 +266,3 @@ def chip_overhead_percent(
         raise ConfigurationError(f"area must be non-negative, got {area_mm2}")
     low, high = SWITCH_CHIP_AREA_MM2_RANGE if chip_mm2 is None else (chip_mm2, chip_mm2)
     return 100.0 * area_mm2 / low, 100.0 * area_mm2 / high
-
-
-@dataclass(frozen=True)
-class ModelComparison:
-    """One paper-vs-model cell, used by the benches."""
-
-    label: str
-    paper: float
-    model: float
-
-    @property
-    def ratio(self) -> float:
-        return self.model / self.paper if self.paper else math.inf

@@ -147,10 +147,6 @@ class Cell:
         """Remove the stuck-at fault on one side, if any."""
         self._stuck.pop(side, None)
 
-    def clear_faults(self) -> None:
-        self._dead = False
-        self._stuck.clear()
-
     def reset_state(self) -> None:
         self._kufpu1.reset_state()
         self._kufpu2.reset_state()

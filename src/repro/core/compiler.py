@@ -68,7 +68,6 @@ from repro.core.smbm import SMBM
 from repro.errors import CompilationError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.findings import Finding
     from repro.analysis.verifier import TableSchema
 
 __all__ = ["PolicyCompiler", "CompiledPolicy", "MuxPlan"]
@@ -171,11 +170,11 @@ class PolicyCompiler:
         rule TH014 — the static half of cross-tenant isolation.
 
         ``verify`` (default on) runs the static plan verifier
-        (:class:`repro.analysis.verifier.PlanVerifier`) over the result:
-        error-level findings raise :class:`~repro.errors.CompilationError`
-        with their rule id; warning-level lints are recorded on
-        :attr:`CompiledPolicy.lint_findings` and counted through the obs
-        registry.  ``schema`` (a
+        (:class:`repro.analysis.verifier.PlanVerifier`) over the result's
+        structure: error-level findings raise
+        :class:`~repro.errors.CompilationError` with their rule id;
+        warning-level lints are counted through the obs registry.
+        ``schema`` (a
         :class:`repro.analysis.verifier.TableSchema`) enables the
         SMBM-dependent checks — unknown metrics and timing closure against
         the paper's 1 GHz switch target
@@ -200,7 +199,6 @@ class PolicyCompiler:
             report = verifier.verify_compiled(compiled)
             report.emit()
             report.raise_if_errors()
-            compiled.attach_lint_findings(report.warnings)
         return compiled
 
     def _compile(
@@ -681,8 +679,6 @@ class CompiledPolicy:
         self._mux = mux
         self._tap_lines = dict(tap_lines or {})
         self._dead_cells = frozenset(dead_cells)
-        # Warning-level verifier findings, attached post-verification.
-        self._lint_findings: tuple["Finding", ...] = ()
         self._registers: dict[int, int] = {}
         self._stateless = not stateless_blockers(policy)
         # Only these output lines are ever read back; the pipeline prunes
@@ -740,18 +736,6 @@ class CompiledPolicy:
         :attr:`~repro.core.smbm.SMBM.version`.
         """
         return self._stateless
-
-    @property
-    def lint_findings(self) -> tuple["Finding", ...]:
-        """Warning-level verifier findings attached at compile time.
-
-        Empty when compiled with ``verify=False`` or when the plan was
-        clean; error-level findings never appear here (they raise).
-        """
-        return self._lint_findings
-
-    def attach_lint_findings(self, findings: list["Finding"]) -> None:
-        self._lint_findings = tuple(findings)
 
     @property
     def latency_cycles(self) -> int:

@@ -76,11 +76,6 @@ class UnaryOp(enum.Enum):
         return self is UnaryOp.PREDICATE
 
     @property
-    def is_selector(self) -> bool:
-        """Whether the opcode outputs at most a single entry."""
-        return self in (UnaryOp.MIN, UnaryOp.MAX, UnaryOp.ROUND_ROBIN, UnaryOp.RANDOM)
-
-    @property
     def is_stateful(self) -> bool:
         """Whether the opcode keeps per-unit state across packets.
 

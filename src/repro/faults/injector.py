@@ -237,11 +237,6 @@ class FaultInjector:
             "probe_loss", f"server:{server.server_id}", count=n,
         )
 
-    def drop_probe_ticks(self, probe_service, n: int = 1) -> FaultEvent:
-        """Lose the next ``n`` whole probe bursts of a netsim ProbeService."""
-        probe_service.drop_next(n)
-        return self._record("probe_loss", "probe_service", count=n)
-
     def crash_server(self, server) -> FaultEvent:
         """Crash a graphdb server (restore is the harness's choice)."""
         server.crash()

@@ -116,23 +116,10 @@ class ProbeService:
         self._callbacks: list[Callable[[float], None]] = []
         self._running = False
         self.ticks = 0
-        self._drop_budget = 0
-        self.ticks_lost = 0
 
     @property
     def period_s(self) -> float:
         return self._period
-
-    def drop_next(self, n: int = 1) -> None:
-        """Fault injection: lose the next ``n`` probe bursts entirely.
-
-        A lost burst means no table refresh that period — policies act on
-        metrics one period staler, the exact failure probe packets have on
-        a real fabric.  Lost ticks are counted in :attr:`ticks_lost`.
-        """
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
-        self._drop_budget += n
 
     def register(self, callback: Callable[[float], None]) -> None:
         """Add a refresh callback; it runs once immediately on registration
@@ -148,11 +135,7 @@ class ProbeService:
 
     def _tick(self) -> None:
         self.ticks += 1
-        if self._drop_budget > 0:
-            self._drop_budget -= 1
-            self.ticks_lost += 1
-        else:
-            now = self._sim.now
-            for callback in self._callbacks:
-                callback(now)
+        now = self._sim.now
+        for callback in self._callbacks:
+            callback(now)
         self._sim.schedule(self._period, self._tick)

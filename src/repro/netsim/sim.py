@@ -30,10 +30,6 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def events_run(self) -> int:
-        return self._events_run
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from now."""
         if delay < 0:

@@ -171,9 +171,6 @@ class Network:
     def total_drops(self) -> int:
         return sum(link.packets_dropped for link in self.links.values())
 
-    def total_sent(self) -> int:
-        return sum(link.packets_sent for link in self.links.values())
-
 
 def build_leaf_spine(
     sim: Simulator,

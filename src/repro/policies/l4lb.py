@@ -141,11 +141,6 @@ class L4LoadBalancer:
     def module(self) -> FilterModule:
         return self._module
 
-    @property
-    def live_servers(self) -> frozenset[int]:
-        """Servers currently eligible for new assignments."""
-        return frozenset(self._live)
-
     def on_probe(self, server: int, metrics: dict[str, int]) -> None:
         """A server probe: refresh its row in the resource table.
 

@@ -128,9 +128,3 @@ class Packet:
                 raise ConfigurationError(f"no definition for header {hname!r}")
             out += defs[hname].pack(values)
         return bytes(out)
-
-    @property
-    def total_bytes(self) -> int:
-        """Wire size used by the network simulator (headers are counted by
-        the caller's header definitions; metadata is switch-internal)."""
-        return self.payload_bytes

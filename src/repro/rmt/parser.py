@@ -66,11 +66,6 @@ class Parser:
                     )
         self._start = start
 
-    @property
-    def header_defs(self) -> dict[str, HeaderDef]:
-        """Header definitions keyed by header name (for serialisation)."""
-        return {s.header.name: s.header for s in self._states.values()}
-
     def parse(self, data: bytes) -> Packet:
         """Run the state machine over ``data``; returns the parsed packet.
 

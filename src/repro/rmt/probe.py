@@ -70,10 +70,6 @@ class ProbeCodec:
     def metric_names(self) -> tuple[str, ...]:
         return self._metric_names
 
-    @property
-    def probe_header(self) -> HeaderDef:
-        return self._probe_header
-
     def build_parser(self) -> Parser:
         """A parser that accepts probe and plain data packets."""
         return Parser(

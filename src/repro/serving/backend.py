@@ -43,8 +43,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import obs
-from repro.analysis.symbolic import require_semantically_clean
-from repro.analysis.verifier import TableSchema
 from repro.core.policy import Policy
 from repro.errors import ConfigurationError
 from repro.rmt.packet import Packet
@@ -157,27 +155,11 @@ class SwitchBackend(abc.ABC):
         """Evict a tenant, returning its slice to the free pools."""
         self._manager.evict(name)
 
-    def hot_swap(self, name: str, policy: Policy, *,
-                 allow_semantic_change: bool = True) -> int:
+    def hot_swap(self, name: str, policy: Policy) -> int:
         """Hitlessly replace a tenant's policy; returns the new epoch.
-
-        The serving path escalates the TH017–TH019 reachability lints to
-        errors — a policy with a provably-dead region must not be swapped
-        in live.  With ``allow_semantic_change=False`` a swap that
-        *widens* the admitted match region is additionally rejected
-        (TH020): only equivalent or narrowing replacements install.
-        """
-        tenant = self._manager.get(name)
-        require_semantically_clean(
-            policy,
-            schema=TableSchema(
-                tenant.slice.smbm_quota, self._manager.metric_names
-            ),
-            context=f"hot-swap of tenant {name!r}",
-        )
-        return self._manager.hot_swap(
-            name, policy, allow_semantic_change=allow_semantic_change
-        )
+        The manager's gate refuses a replacement with any TH017–TH019
+        finding or one that escapes the tenant's slice."""
+        return self._manager.hot_swap(name, policy)
 
     # -- table maintenance -------------------------------------------------------------
 

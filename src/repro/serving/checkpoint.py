@@ -199,9 +199,6 @@ class SwitchCheckpoint:
             tenants=tuple(tenants),
         )
 
-    def pipeline_params(self) -> PipelineParams:
-        return PipelineParams(**self.params)
-
     def payload(self) -> dict[str, Any]:
         return {
             "metric_names": list(self.metric_names),

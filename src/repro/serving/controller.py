@@ -426,10 +426,8 @@ class Controller:
     async def remove_tenant(self, name: str) -> None:
         return await self._submit("remove_tenant", name, None)
 
-    async def hot_swap(self, name: str, policy: Policy, *,
-                       allow_semantic_change: bool = True) -> int:
-        return await self._submit("hot_swap", name,
-                                  (policy, allow_semantic_change))
+    async def hot_swap(self, name: str, policy: Policy) -> int:
+        return await self._submit("hot_swap", name, policy)
 
     # -- table maintenance -------------------------------------------------------------
 

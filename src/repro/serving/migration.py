@@ -166,15 +166,12 @@ class LiveMigration:
             self._obs_dual_writes.inc()
         return applied
 
-    def hot_swap(self, name: str, policy: Policy, *,
-                 allow_semantic_change: bool = True) -> int:
+    def hot_swap(self, name: str, policy: Policy) -> int:
         """Swap the policy on the source, then the destination; both land
         on the same epoch, which is returned."""
         self._require(MigrationState.DUAL_RUNNING, "hot-swap", name)
-        self._source.hot_swap(name, policy,
-                              allow_semantic_change=allow_semantic_change)
-        return self._dest.hot_swap(
-            name, policy, allow_semantic_change=allow_semantic_change)
+        self._source.hot_swap(name, policy)
+        return self._dest.hot_swap(name, policy)
 
     def unprogram_tenant(self, name: str) -> None:
         """Evict the tenant from both instances: nothing is left to move,

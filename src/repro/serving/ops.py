@@ -180,18 +180,15 @@ CONTROL_OPS: dict[str, ControlOp] = {
             homes.resolve(tenant).unprogram_tenant(tenant),
         lifecycle=True,
     ),
-    # Payload ``(policy, allow_semantic_change)``.  A durable record
-    # rolls forward: replay re-runs the whole compile-beside-and-install
-    # sequence under the same flag the live call passed (a record
-    # without the key predates it and was applied permissively).
+    # Payload: the policy.  A durable record rolls forward: replay
+    # re-runs the whole compile-beside-and-install sequence through the
+    # same gate.  Decode reads only the policy: an older record's
+    # retired TH020 flag is dropped and the swap replays permissively.
     "hot_swap": ControlOp(
-        encode=lambda swap: {"policy": policy_to_dict(swap[0]),
-                             "allow_semantic_change": swap[1]},
-        decode=lambda tenant, args: (
-            policy_from_dict(args["policy"]),
-            bool(args.get("allow_semantic_change", True))),
-        apply=lambda homes, tenant, swap: homes.resolve(tenant).hot_swap(
-            tenant, swap[0], allow_semantic_change=swap[1]),
+        encode=lambda policy: {"policy": policy_to_dict(policy)},
+        decode=lambda tenant, args: policy_from_dict(args["policy"]),
+        apply=lambda homes, tenant, policy:
+            homes.resolve(tenant).hot_swap(tenant, policy),
         lifecycle=True,
     ),
     "update_resource": _ROW_WRITE,

@@ -50,9 +50,8 @@ resolve deterministically:
 
 * a **hot-swap** whose record is durable is rolled *forward* — replay
   re-runs the whole compile-beside-and-install sequence (the in-memory
-  install is atomic, so there is no half state to preserve), under the
-  ``allow_semantic_change`` flag the record carries: a swap the live
-  gate refused is refused again;
+  install is atomic, so there is no half state to preserve), through
+  the same gate: a swap the live gate refused is refused again;
 * a **migration** commits at its ``cutover`` record, which the
   controller appends only after the conservation gate has passed and
   before the source is evicted: logged means moved (the tenant is

@@ -11,11 +11,11 @@ Packets that do not want filtering simply bypass the module
 
 The paper maps the policy onto Cells once, at compile time; a fault moves
 the *placement*, not the policy.  The module keeps that split: what the
-policy alone determines is built when the policy changes, what the
-placement determines when the Cells move, and what a table version
-determines when the table is written (the three clocks in
-:class:`FilterModule`'s docstring).  Its mode flags — ``self_healing``,
-``sanitize`` — and the tenant slice compose freely.
+policy alone determines — its semantic analysis among it — is built when
+the policy changes, what the placement determines when the Cells move,
+and what a table version determines when the table is written (the three
+clocks in :class:`FilterModule`'s docstring).  Its mode flags —
+``self_healing``, ``sanitize`` — and the tenant slice compose freely.
 
 A stateless policy has one software lowering, its
 :class:`~repro.engine.codegen.PlanCodegen` kernel, for memo misses, masked
@@ -30,8 +30,7 @@ import time
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.analysis.domains import Region
-from repro.analysis.symbolic import analyze_policy
+from repro.analysis.symbolic import SemanticAnalysis, analyze_policy
 from repro.analysis.verifier import TableSchema
 from repro.core.bitvector import BitVector
 from repro.core.cell import Cell
@@ -78,9 +77,11 @@ class FilterModule:
     Every piece of serving state is rebuilt on exactly one of three clocks:
 
     * the **policy clock** (construction, :meth:`hot_swap`) —
-      :meth:`_program` builds what is a function of the policy alone: the
-      naive reference, the kernel (stateless policies only), the
-      sanitizer's feasible region, the policy-labelled instruments;
+      :meth:`_program` installs what is a function of the policy alone:
+      the :attr:`analysis` (computed once per policy; the hot-swap gate,
+      the sanitizer's containment check and admission's TH021 check all
+      read it), the naive reference, the kernel (stateless policies
+      only), the policy-labelled instruments;
     * the **placement clock** (construction, :meth:`hot_swap`, every
       fail-around recompile) — :meth:`_place` maps the policy onto the
       Cells the slice and the detected faults leave and re-arms the
@@ -159,7 +160,7 @@ class FilterModule:
         # timing capture, and only when a real registry is active.
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
-        self._program(policy)
+        self._program(analyze_policy(policy, schema=self._schema))
         if self._obs_enabled:
             registry.add_hook(self._obs_collect)
         # Fault/repair instruments live off the per-packet path (faults are
@@ -198,22 +199,23 @@ class FilterModule:
         # later plan change does (and counts its cache reset).
         self._install(compiled)
 
-    def _program(self, policy: Policy) -> None:
-        """The policy clock: build everything that is a function of the
-        policy alone, before the first assignment — among it one
-        :class:`PlanCodegen` for a stateless policy (the row routine's
-        lowering and the batch engine both), none for a stateful one."""
+    def _program(self, analysis: SemanticAnalysis) -> None:
+        """The policy clock: install ``analysis`` (emitting its findings)
+        and build everything else that is a function of its policy alone,
+        before the first assignment — among it one :class:`PlanCodegen`
+        for a stateless policy (the row routine's lowering and the batch
+        engine both), none for a stateful one."""
+        policy = analysis.policy
         # The naive reference self_test() and sanitize_check() hold the
         # plan to: a walk of the policy DAG over the table's sorted lists,
         # sharing no compiler, Cell or MetricIndex with the plan it judges.
         reference = PolicyInterpreter(policy, lfsr_seed=self._lfsr_seed)
         kernel = None if stateless_blockers(policy) else PlanCodegen(policy)
         self._policy = policy
+        self._analysis = analysis
         self._reference = reference
         self._codegen = kernel
-        # Sanitizer-side soundness witness for the symbolic analyzer: the
-        # feasible output region of the policy, derived on first use.
-        self._region: Region | None = None
+        analysis.report.emit()
         if self._obs_enabled:
             # The policy label is part of the series identity, so a new
             # policy gets fresh hot-path series; the old one's stay
@@ -327,6 +329,12 @@ class FilterModule:
     def policy(self) -> Policy:
         """The currently programmed policy (the live one after a swap)."""
         return self._policy
+
+    @property
+    def analysis(self) -> SemanticAnalysis:
+        """The live policy's semantic analysis, computed once when it was
+        programmed: no placement change re-runs it."""
+        return self._analysis
 
     def restore_table(
         self, state: "Mapping[str, object]", *, plan_epoch: int | None = None
@@ -493,16 +501,6 @@ class FilterModule:
             "the naive reference",
         )
 
-    def _semantic_root_region(self) -> Region:
-        """The symbolic analyzer's over-approximation of the rows the
-        live policy can ever select (it reads the policy and the schema
-        only, so it is cached per policy)."""
-        if self._region is None:
-            self._region = analyze_policy(
-                self._policy, schema=self._schema
-            ).root_region
-        return self._region
-
     def _check_semantic_containment(self, output_bits: int) -> None:
         """Sanitizer half of the soundness contract: every selected row
         must lie inside the plan's feasible region.  A hit outside it
@@ -510,7 +508,7 @@ class FilterModule:
         received traffic — the analysis would be unsound."""
         if not output_bits:
             return
-        region = self._semantic_root_region()
+        region = self._analysis.root_region
         bits = output_bits
         while bits:
             low = bits & -bits
@@ -654,19 +652,20 @@ class FilterModule:
         self,
         policy: Policy,
         *,
-        gate: "Callable[[CompiledPolicy], None] | None" = None,
+        gate: "Callable[[CompiledPolicy, SemanticAnalysis], None] | None" = None,
     ) -> int:
         """Hitlessly replace the programmed policy with ``policy``.
 
         Both the policy and the placement clock tick.  The replacement is
         compiled *beside* the live plan (under the same tenant slice and
-        fault exclusions) and optionally vetted by ``gate`` (e.g. a tenant
-        manager's slice verifier); a policy that does not fit, or a gate
-        that refuses, raises with the live plan, epoch and outputs
-        untouched.  Then the policy's lowerings are built — a kernel for a
-        stateless replacement, none for a stateful one — and the flip is
-        atomic on an SMBM version boundary, with every version-keyed cache
-        dropped in the same step.
+        fault exclusions) and analysed once; ``gate`` (e.g. a tenant
+        manager's semantic and slice checks) is handed the plan and that
+        analysis.  A policy that does not fit, or a gate that refuses,
+        raises with the live plan, epoch and outputs untouched.  Then the
+        same analysis is installed and the policy's lowerings are built — a
+        kernel for a stateless replacement, none for a stateful one — and
+        the flip is atomic on an SMBM version boundary, with every
+        version-keyed cache dropped in the same step.
         No packet ever sees a mix: outputs stamped with the old
         :attr:`plan_epoch` came entirely from the old plan, outputs with
         the new epoch entirely from the new one.
@@ -674,12 +673,13 @@ class FilterModule:
         Returns the new plan epoch.
         """
         compiled = self._place(policy)
+        analysis = analyze_policy(policy, schema=self._schema)
         if gate is not None:
-            gate(compiled)
+            gate(compiled, analysis)
         # Flip.  _program raises, if it does, before it assigns anything;
         # from there to the epoch bump is one packet boundary
         # (single-threaded cycle model).
-        self._program(policy)
+        self._program(analysis)
         self._install(compiled)
         self._plan_epoch += 1
         self._obs_swaps.inc()

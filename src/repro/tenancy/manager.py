@@ -34,20 +34,16 @@ and kernels are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.analysis.findings import Report
-from repro.analysis.symbolic import (
-    SemanticChange,
-    semantic_diff,
-    tenant_overlap_report,
-)
+from repro.analysis.symbolic import SemanticAnalysis, tenant_overlap_report
 from repro.analysis.verifier import PlanVerifier, TableSchema, TenantSlice
 from repro.core.compiler import CompiledPolicy
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import Policy
-from repro.errors import ConfigurationError
+from repro.errors import CompilationError, ConfigurationError
 from repro.switch.filter_module import FilterModule
 
 __all__ = ["TenantSpec", "Tenant", "TenantManager"]
@@ -129,39 +125,6 @@ class Tenant:
         """Plan generation: 0 at admission, +1 per hot-swap."""
         return self._module.plan_epoch
 
-    def hot_swap(self, policy: Policy, *,
-                 gate: "Callable[[CompiledPolicy], None] | None" = None,
-                 allow_semantic_change: bool = True) -> int:
-        """Replace this tenant's policy hitlessly (see
-        :meth:`FilterModule.hot_swap` for the flip mechanics).
-
-        ``allow_semantic_change=False`` arms the TH020 gate: the
-        replacement's admitted match region (per
-        :func:`repro.analysis.symbolic.semantic_diff`) must be equivalent
-        to or narrower than the live policy's — a widening is rejected
-        before anything compiles or installs, with the live plan
-        untouched.  The default permits any change: an explicit policy
-        replacement usually *is* a semantic change.
-        """
-        if not allow_semantic_change:
-            schema = TableSchema(
-                self._slice.smbm_quota, self._module.smbm.metric_names
-            )
-            diff = semantic_diff(self._module.policy, policy, schema=schema)
-            if diff.change is SemanticChange.WIDENING:
-                report = Report(subject=f"hot-swap of tenant {self.name!r}")
-                report.add(
-                    "TH020",
-                    f"replacement policy {policy.name!r} widens the "
-                    f"admitted match region of "
-                    f"{self._module.policy.name!r} ({diff.describe()}) "
-                    "but the gate demands equivalence or narrowing "
-                    "(allow_semantic_change=False)",
-                )
-                report.emit()
-                report.raise_if_errors()
-        return self._module.hot_swap(policy, gate=gate)
-
     def __repr__(self) -> str:
         return (f"Tenant({self.name!r}, columns={sorted(self.columns)}, "
                 f"smbm_quota={self._slice.smbm_quota}, "
@@ -183,8 +146,9 @@ class TenantManager:
     :meth:`hot_swap` replaces one tenant's policy hitlessly: the
     replacement compiles and verifies *beside* the live plan and flips in
     atomically on an SMBM version boundary (see
-    :meth:`FilterModule.hot_swap`); a replacement that escapes the slice
-    is rejected at the gate with the live plan untouched.
+    :meth:`FilterModule.hot_swap`); a replacement with a semantic finding
+    or one that escapes the slice is rejected at the gate with the live
+    plan untouched.
     """
 
     def __init__(
@@ -353,10 +317,13 @@ class TenantManager:
         # sitting tenant's?  Overlap is legal (tenants may deliberately
         # watch the same rows) but worth surfacing — it is how one
         # tenant's "drain backend 7" fight with another's "prefer backend
-        # 7" starts.  Warnings only: counted, never rejecting.
+        # 7" starts.  Warnings only: counted, never rejecting.  Only the
+        # newcomer's pairs are new, and every region was analysed when its
+        # policy was programmed: admission itself analyses nothing.
         overlaps = tenant_overlap_report(
-            [(spec.name, spec.policy)]
-            + [(t.name, t.module.policy) for t in self._tenants.values()],
+            spec.name, module.analysis.root_region,
+            [(t.name, t.module.analysis.root_region)
+             for t in self._tenants.values()],
             subject=f"admission of tenant {spec.name!r}",
         )
         overlaps.emit()
@@ -388,38 +355,32 @@ class TenantManager:
 
     # -- policy lifecycle --------------------------------------------------------------
 
-    def overlap_report(self) -> Report:
-        """Pairwise TH021 over every admitted tenant's *live* policy."""
-        return tenant_overlap_report(
-            [(t.name, t.module.policy) for t in self._tenants.values()],
-            subject="admitted tenants",
-        )
-
-    def hot_swap(self, name: str, policy: Policy, *,
-                 allow_semantic_change: bool = True) -> int:
+    def hot_swap(self, name: str, policy: Policy) -> int:
         """Hitlessly replace one tenant's policy.
 
-        The replacement is compiled beside the live plan, confined to the
-        same slice, then re-verified (TH013/TH014) at the flip gate: a
-        replacement that would escape the slice aborts the swap with the
+        The replacement is compiled and analysed beside the live plan,
+        confined to the same slice, then vetted at the flip gate: any
+        semantic finding (the TH017–TH019 lints, escalated to errors — a
+        policy with a provably-dead region must not go live) or a plan
+        that would escape the slice (TH013/TH014) aborts the swap with the
         live plan still serving.  Returns the tenant's new plan epoch.
-
-        ``allow_semantic_change=False`` additionally requires the
-        replacement's admitted match region to be equivalent to (or
-        narrower than) the live policy's: a *widening* — the new plan
-        could serve a row the old one provably never could — is rejected
-        with rule TH020 before anything is installed.  The default allows
-        any semantic change, as deliberate policy replacements usually
-        are one.
         """
         tenant = self.get(name)
 
-        def gate(compiled: CompiledPolicy) -> None:
+        def gate(compiled: CompiledPolicy, analysis: SemanticAnalysis) -> None:
+            report = analysis.report
+            if not report.clean:
+                report.emit()
+                first = report.findings[0]
+                detail = "; ".join(f.format() for f in report.findings)
+                raise CompilationError(
+                    f"semantic verification failed for hot-swap of tenant "
+                    f"{name!r}: {detail}",
+                    rule=first.rule, operator=first.operator,
+                )
             self._verify_slice(tenant.spec, tenant.slice, compiled)
 
-        return tenant.hot_swap(
-            policy, gate=gate, allow_semantic_change=allow_semantic_change,
-        )
+        return tenant.module.hot_swap(policy, gate=gate)
 
     # -- traffic helpers ---------------------------------------------------------------
 

@@ -1,27 +1,28 @@
 """The symbolic policy-semantics analyzer: rules TH017-TH021.
 
 Per-rule trigger and non-trigger cases, the hot-swap/migration serving
-gates, emit de-duplication, and the differential soundness contract: a
-region the analyzer calls unreachable must receive zero packets on the
-Cell pipeline, the kernel's row and batch paths and the naive
-interpreter, over randomized policies and tables.
+gates, the analysis as a policy-clock artifact (computed once per
+policy, read by every gate), emit de-duplication, and the differential
+soundness contract: a region the analyzer calls unreachable must
+receive zero packets on the Cell pipeline, the kernel's row and batch
+paths and the naive interpreter, over randomized policies and tables.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 
 import pytest
 
 from repro import obs
-from repro.analysis import RULES, TableSchema
+from repro.analysis import RULES, TableSchema, symbolic
 from repro.analysis.domains import IntervalSet, Region
 from repro.analysis.symbolic import (
-    SemanticChange,
+    NodeFact,
     analyze_policy,
     cross_tenant_overlap,
-    semantic_diff,
     tenant_overlap_report,
 )
 from repro.core.operators import RelOp
@@ -250,38 +251,11 @@ def test_th019_does_not_fire_on_overlapping_operands():
     assert analyze_policy(policy, schema=SCHEMA).report.clean
 
 
-# -- TH020 SemanticHotSwapChange -------------------------------------------------------
+# -- the hot-swap gate -----------------------------------------------------------------
 
 
 def _pred(attr, rel_op, val, name):
     return Policy(predicate(TableRef(), attr, rel_op, val), name=name)
-
-
-def test_semantic_diff_classifies_known_pairs():
-    old = _pred("cpu", RelOp.LT, 70, "old")
-    assert semantic_diff(
-        old, _pred("cpu", RelOp.LE, 69, "same"), schema=SCHEMA
-    ).change is SemanticChange.EQUIVALENT
-    assert semantic_diff(
-        old, _pred("cpu", RelOp.LT, 50, "tighter"), schema=SCHEMA
-    ).change is SemanticChange.NARROWING
-    diff = semantic_diff(old, _pred("cpu", RelOp.LT, 90, "looser"),
-                         schema=SCHEMA)
-    assert diff.change is SemanticChange.WIDENING
-    assert "cpu: [0..69] -> [0..89]" in diff.describe()
-
-
-def test_semantic_diff_is_a_region_diff_not_a_structural_one():
-    # min vs max over the same filter admit the same region: EQUIVALENT,
-    # even though the selected rows differ packet to packet.
-    base = predicate(TableRef(), "cpu", RelOp.LT, 70)
-    other = predicate(TableRef(), "cpu", RelOp.LT, 70)
-    diff = semantic_diff(
-        Policy(min_of(base, "cpu"), name="least"),
-        Policy(max_of(other, "cpu"), name="most"),
-        schema=SCHEMA,
-    )
-    assert diff.change is SemanticChange.EQUIVALENT
 
 
 def _manager_with_tenant(policy=None):
@@ -289,29 +263,6 @@ def _manager_with_tenant(policy=None):
     policy = policy or _pred("cpu", RelOp.LT, 70, "base")
     manager.admit(TenantSpec("t", policy, smbm_quota=8))
     return manager
-
-
-def test_hot_swap_rejects_widening_when_semantic_change_disallowed():
-    manager = _manager_with_tenant()
-    wide = _pred("cpu", RelOp.LT, 90, "wide")
-    with pytest.raises(CompilationError, match="TH020") as exc_info:
-        manager.hot_swap("t", wide, allow_semantic_change=False)
-    assert exc_info.value.rule == "TH020"
-    # The live policy is untouched by the rejected swap.
-    assert manager.get("t").module.policy.name == "base"
-    assert manager.get("t").module.plan_epoch == 0
-
-
-def test_hot_swap_allows_narrowing_and_equivalent_swaps_under_gate():
-    manager = _manager_with_tenant()
-    assert manager.hot_swap(
-        "t", _pred("cpu", RelOp.LT, 50, "tight"),
-        allow_semantic_change=False,
-    ) == 1
-    assert manager.hot_swap(
-        "t", _pred("cpu", RelOp.LE, 49, "same"),
-        allow_semantic_change=False,
-    ) == 2
 
 
 def test_hot_swap_allows_widening_by_default():
@@ -325,12 +276,12 @@ def test_backend_hot_swap_escalates_reachability_lints_to_errors():
         TenantSpec("t", _pred("cpu", RelOp.LT, 70, "base"), smbm_quota=8)
     )
     dead = Policy(_dead_predicate(), name="dead")
-    with pytest.raises(CompilationError, match="TH017"):
+    with pytest.raises(CompilationError, match="TH017") as exc_info:
         backend.hot_swap("t", dead)
-    with pytest.raises(CompilationError, match="TH020"):
-        backend.hot_swap("t", _pred("cpu", RelOp.LT, 90, "wide"),
-                         allow_semantic_change=False)
+    assert exc_info.value.rule == "TH017"
+    assert backend.manager.get("t").module.policy.name == "base"
     assert backend.hot_swap("t", _pred("cpu", RelOp.LT, 90, "wide")) == 1
+    assert "retired" in RULES["TH020"].summary
 
 
 def test_controller_hot_swap_passes_the_semantic_gate_through():
@@ -342,13 +293,11 @@ def test_controller_hot_swap_passes_the_semantic_gate_through():
                 TenantSpec("t", _pred("cpu", RelOp.LT, 70, "base"),
                            smbm_quota=8)
             )
-            with pytest.raises(CompilationError, match="TH020"):
-                await ctl.hot_swap("t", _pred("cpu", RelOp.LT, 90, "wide"),
-                                   allow_semantic_change=False)
+            with pytest.raises(CompilationError, match="TH017"):
+                await ctl.hot_swap("t", Policy(_dead_predicate(),
+                                               name="dead"))
             return await ctl.hot_swap(
-                "t", _pred("cpu", RelOp.LT, 50, "tight"),
-                allow_semantic_change=False,
-            )
+                "t", _pred("cpu", RelOp.LT, 50, "tight"))
 
     assert asyncio.run(scenario()) == 1
 
@@ -393,6 +342,10 @@ def test_migration_cutover_gate_is_bit_level_not_semantic():
 # -- TH021 CrossTenantOverlap ----------------------------------------------------------
 
 
+def _root_region(policy):
+    return analyze_policy(policy, schema=SCHEMA).root_region
+
+
 def test_cross_tenant_overlap_on_shared_metric():
     a = _pred("cpu", RelOp.LT, 50, "a")
     b = Policy(
@@ -402,32 +355,32 @@ def test_cross_tenant_overlap_on_shared_metric():
         ),
         name="b",
     )
-    overlap = cross_tenant_overlap(a, b, schema=SCHEMA)
+    overlap = cross_tenant_overlap(_root_region(a), _root_region(b))
     assert overlap is not None
     assert overlap.get("cpu") == IntervalSet.of([(31, 49)])
 
 
 def test_no_overlap_for_disjoint_or_uncomparable_policies():
-    a = _pred("cpu", RelOp.LT, 20, "a")
+    a = _root_region(_pred("cpu", RelOp.LT, 20, "a"))
     assert cross_tenant_overlap(
-        a, _pred("cpu", RelOp.GT, 40, "b"), schema=SCHEMA
+        a, _root_region(_pred("cpu", RelOp.GT, 40, "b"))
     ) is None  # disjoint on the shared metric
     assert cross_tenant_overlap(
-        a, _pred("mem", RelOp.GT, 40, "c"), schema=SCHEMA
+        a, _root_region(_pred("mem", RelOp.GT, 40, "c"))
     ) is None  # no shared constrained metric: no comparable claim
     assert cross_tenant_overlap(
-        a, Policy(_dead_predicate(), name="dead"), schema=SCHEMA
+        a, _root_region(Policy(_dead_predicate(), name="dead"))
     ) is None  # an empty region claims nothing
 
 
 def test_tenant_overlap_report_is_pairwise():
     report = tenant_overlap_report(
+        "a", _root_region(_pred("cpu", RelOp.LT, 50, "a")),
         [
-            ("a", _pred("cpu", RelOp.LT, 50, "a")),
-            ("b", _pred("cpu", RelOp.GT, 30, "b")),
-            ("c", _pred("mem", RelOp.GT, 10, "c")),
+            ("b", _root_region(_pred("cpu", RelOp.GT, 30, "b"))),
+            ("c", _root_region(_pred("mem", RelOp.GT, 10, "c"))),
         ],
-        schema=SCHEMA,
+        subject="admission of tenant 'a'",
     )
     assert rules_of(report) == ["TH021"]  # only the (a, b) pair competes
     assert "'a'" in report.findings[0].message
@@ -451,8 +404,78 @@ def test_manager_overlap_report_and_admission_warning():
         if series.startswith("lint_findings_total") and "TH021" in series
     ]
     assert overlaps and overlaps[0][1] == 1
-    report = manager.overlap_report()
-    assert rules_of(report) == ["TH021"]
+    # The finding names the newcomer and the sitting tenant it overlaps.
+    assert rules_of(tenant_overlap_report(
+        "b", manager.get("b").module.analysis.root_region,
+        [("a", manager.get("a").module.analysis.root_region)],
+        subject="admission of tenant 'b'",
+    )) == ["TH021"]
+
+
+def test_th021_counts_each_overlapping_pair_once(registry):
+    """Admission compares the newcomer with each sitting tenant only:
+    four tenants whose regions all overlap make 0, 1, 3, 6 findings in
+    total after each admission, one per pair, never a bystander pair
+    again under the next admission's subject."""
+    from repro.core.pipeline import PipelineParams
+
+    manager = TenantManager(METRICS, PipelineParams(n=8), smbm_capacity=32)
+    counts = []
+    for i, name in enumerate("abcd"):
+        manager.admit(TenantSpec(name, _pred("cpu", RelOp.LT, 50 + i, name),
+                                 smbm_quota=8))
+        counts.append(registry.value_of("lint_findings_total",
+                                        {"rule": "TH021"}))
+    assert counts == [0, 1, 3, 6]
+
+
+def test_each_policy_is_analysed_once_per_programming(monkeypatch):
+    """The analysis is a policy-clock artifact: admitting the benchmark
+    tenants analyses each policy once (admission's TH021 check reads the
+    modules' copies), a backend hot-swap analyses the replacement once
+    (the gate and the install share it), and a fail-around recompile —
+    a placement change — analyses nothing."""
+    from benchmarks.e2e import shape
+    from repro.core.pipeline import PipelineParams
+    from repro.switch import filter_module
+
+    calls = []
+    real = symbolic.analyze_policy
+
+    def counting(policy, **kwargs):
+        calls.append(policy.name)
+        return real(policy, **kwargs)
+
+    # Count the name where every caller looks it up.
+    monkeypatch.setattr(symbolic, "analyze_policy", counting)
+    monkeypatch.setattr(filter_module, "analyze_policy", counting)
+
+    backend = ScalarBackend(shape.new_manager())
+    specs = shape.tenant_specs()
+    for spec in specs:
+        backend.program_tenant(spec)
+    assert len(specs) == 4 and len(calls) == 4
+
+    calls.clear()
+    module = backend.manager.get(specs[0].name).module
+    before = module.analysis
+    assert backend.hot_swap(specs[0].name,
+                            _pred("cpu", RelOp.LT, 60, "swapped")) == 1
+    assert calls == ["swapped"]
+    assert module.analysis is not before
+    assert module.analysis.policy.name == "swapped"
+
+    module = FilterModule(CAPACITY, METRICS,
+                          _pred("cpu", RelOp.LT, 50, "healing"),
+                          PipelineParams(n=6, k=3, f=2, chain_length=2),
+                          self_healing=True)
+    module.update_resource(1, {"cpu": 10, "mem": 10})
+    analysis = module.analysis
+    calls.clear()
+    module.inject_cell_kill(*module.compiled.pipeline.active_cells()[0])
+    assert module.evaluate().value == 0b10
+    assert module.degraded and module.analysis is analysis
+    assert calls == []
 
 
 # -- emit de-duplication ---------------------------------------------------------------
@@ -685,7 +708,8 @@ def test_sanitizer_catches_region_escapes():
     module = FilterModule(CAPACITY, METRICS, policy, sanitize=True)
     module.update_resource(1, {"cpu": 10, "mem": 10})
     assert module.evaluate().value != 0  # sound region: serves fine
-    module._region = Region.bottom()
+    module._analysis = dataclasses.replace(
+        module.analysis, root=NodeFact(Region.bottom(), False, False))
     # A write moves the table version: the next evaluate re-runs the
     # sanitized path rather than serve the memoized (pre-corruption) result.
     module.update_resource(2, {"cpu": 20, "mem": 20})

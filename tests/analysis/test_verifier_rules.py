@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import RULES, PlanVerifier, Severity, TableSchema
+from repro.analysis.symbolic import analyze_policy
 from repro.analysis.verifier import verify_policy_compiles
 from repro.core.cell import CellConfig
 from repro.core.compiler import PolicyCompiler
@@ -169,8 +170,9 @@ def test_th010_unread_unit():
     )
     report = PlanVerifier(schema=SCHEMA).verify_compiled(compiled)
     assert rules_of(report) == ["TH010"]
-    # warning-level: the compile succeeded and attached the lint finding.
-    assert [f.rule for f in compiled.lint_findings] == ["TH010"]
+    # warning-level: the compile succeeded, and the trial compile reports it.
+    assert rules_of(verify_policy_compiles(
+        Policy(root, name="t"), schema=SCHEMA)) == ["TH010"]
 
 
 def test_th011_contradictory_predicates():
@@ -180,10 +182,11 @@ def test_th011_contradictory_predicates():
         predicate(t, "q", RelOp.GT, 20),
     )
     # One fact, one derivation: the id is retired into TH019, the symbolic
-    # pass's region meet — the node-local AST checks stay silent.
+    # pass's region meet — the structural checks stay silent.
     policy = Policy(root, name="t")
     assert PlanVerifier().verify_policy(policy).clean
-    report = verify_policy_compiles(policy, schema=SCHEMA)
+    assert verify_policy_compiles(policy, schema=SCHEMA).clean
+    report = analyze_policy(policy, schema=SCHEMA).report
     assert [(f.rule, f.node_path) for f in report.findings] == [("TH019", ())]
     assert "retired" in RULES["TH011"].summary
     # Overlapping intervals are not flagged.
@@ -246,10 +249,13 @@ def test_compile_rejects_unknown_metric_by_default():
         )
     assert exc_info.value.rule == "TH002"
     # The escape hatch still compiles it (evaluation would fail later).
-    compiled = PolicyCompiler().compile(
+    PolicyCompiler().compile(
         Policy(min_of(TableRef(), "latency"), name="t"), verify=False,
     )
-    assert compiled.lint_findings == ()
+    # ...and the trial compile reports what it skipped.
+    assert rules_of(verify_policy_compiles(
+        Policy(min_of(TableRef(), "latency"), name="t"), schema=SCHEMA,
+    )) == ["TH002"]
 
 
 def _chain_policy() -> Policy:

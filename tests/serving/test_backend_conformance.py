@@ -663,12 +663,16 @@ def test_deeply_shared_policy_document_is_refused_at_once(cls):
             lambda: backend.program_tenant(
                 TenantSpec("d", policy, smbm_quota=8)),
             lambda: backend.hot_swap("a", policy),
-            lambda: backend.hot_swap("a", policy,
-                                     allow_semantic_change=False),
         ):
             with pytest.raises(CompilationError) as exc_info:
                 refused()
             assert exc_info.value.rule == "TH009"
+    # A replacement that fits but can never fire is refused too.
+    dead = Policy(predicate(predicate(TableRef(), "cpu", RelOp.LT, 10),
+                            "cpu", RelOp.GT, 20), name="dead")
+    with pytest.raises(CompilationError) as exc_info:
+        backend.hot_swap("a", dead)
+    assert exc_info.value.rule == "TH017"
     assert time.perf_counter() - started < 1.0
     assert backend.manager.get("a").plan_epoch == 0
     assert module.policy is live_policy and served() == live_output

@@ -39,6 +39,10 @@ POLICIES = {
     "wide": lambda: Policy(
         predicate(TableRef(), "cpu", RelOp.LT, 50), name="wide"),
     "min": lambda: Policy(min_of(TableRef(), "cpu"), name="least"),
+    # Admits (with a TH017 warning) but no swap to it passes the gate.
+    "dead": lambda: Policy(predicate(predicate(TableRef(), "cpu", RelOp.LT,
+                                               10), "cpu", RelOp.GT, 20),
+                           name="dead"),
 }
 
 
@@ -81,17 +85,15 @@ def _run(source, wal_path, scenario, hook=None) -> bool:
 
 @BACKENDS
 def test_refused_swap_is_refused_again_on_replay(tmp_path, cls):
-    """TH020 refuses a widening swap under allow_semantic_change=False —
-    but only after its record is durable.  The flag rides in the record,
-    so replay passes the gate the same argument."""
+    """The gate refuses a swap to a policy with a TH017 finding — but
+    only after its record is durable, so replay meets the same gate."""
     source = _backend(cls)
 
     async def scenario(ctl: Controller) -> None:
         await ctl.add_tenant(_spec("t"))
         with pytest.raises(CompilationError) as refused:
-            await ctl.hot_swap("t", POLICIES["wide"](),
-                               allow_semantic_change=False)
-        assert refused.value.rule == "TH020"
+            await ctl.hot_swap("t", POLICIES["dead"]())
+        assert refused.value.rule == "TH017"
 
     _run(source, tmp_path / "ops.wal", scenario)
     report = recover(tmp_path / "ops.wal", lambda _ckpt: _backend(cls))
@@ -99,24 +101,6 @@ def test_refused_swap_is_refused_again_on_replay(tmp_path, cls):
     assert (tenant.module.policy.name, tenant.plan_epoch) == ("narrow", 0)
     assert [kind for _, kind, _ in report.errors] == ["hot_swap"]
     assert _state(report.backend) == _state(source)
-
-
-def test_swap_record_without_the_flag_replays_permissively(tmp_path):
-    """A log written before records carried the flag: its swaps passed
-    whatever gate they met, and replay as they always did."""
-    with WriteAheadLog(tmp_path / "ops.wal") as wal:
-        encode = {kind: CONTROL_OPS[kind].encode
-                  for kind in ("add_tenant", "hot_swap")}
-        wal.append("add_tenant", "t", encode["add_tenant"](_spec("t")))
-        swap = encode["hot_swap"]((POLICIES["wide"](), False))
-        del swap["allow_semantic_change"]
-        wal.append("hot_swap", "t", swap)
-        wal.append("shutdown", "__ctl__")
-    report = recover(tmp_path / "ops.wal",
-                     lambda _ckpt: _backend(ScalarBackend))
-    tenant = report.backend.manager.get("t")
-    assert not report.errors
-    assert (tenant.module.policy.name, tenant.plan_epoch) == ("wide", 1)
 
 
 # -- a durable cutover always means moved ----------------------------------------
@@ -256,8 +240,7 @@ STEPS = st.one_of(
     st.tuples(st.just("write_batch"), NAMES, st.lists(
         st.tuples(RIDS, st.one_of(ROWS, st.none(), st.just(BAD_ROW))),
         max_size=4)),
-    st.tuples(st.just("hot_swap"), NAMES, st.sampled_from(sorted(POLICIES)),
-              st.booleans()),
+    st.tuples(st.just("hot_swap"), NAMES, st.sampled_from(sorted(POLICIES))),
     st.tuples(st.just("bypass"), NAMES, RIDS, ROWS),
     st.tuples(st.just("abort"), NAMES),
     st.tuples(st.just("checkpoint")),
@@ -298,8 +281,7 @@ def test_recover_equals_the_live_source_for_any_op_sequence(src_cls, dst_cls,
             await ctl.write_batch(
                 name, [TableWrite(name, rid, row) for rid, row in rest[0]])
         elif kind == "hot_swap":
-            await ctl.hot_swap(name, POLICIES[rest[0]](),
-                               allow_semantic_change=rest[1])
+            await ctl.hot_swap(name, POLICIES[rest[0]]())
         elif kind == "begin":
             # A fresh destination per move: nothing fails there alone.
             dest = _backend(dst_cls)
@@ -359,7 +341,7 @@ def test_every_logged_kind_is_a_table_row_and_round_trips():
     payloads = {
         "add_tenant": _spec("t", "min"),
         "remove_tenant": None,
-        "hot_swap": (POLICIES["wide"](), False),
+        "hot_swap": POLICIES["wide"](),
         "update_resource": TableWrite("t", 1, _row(1)),
         "remove_resource": TableWrite("t", 1, None),
         "write_batch": [TableWrite("t", 1, _row(1)),
@@ -373,5 +355,8 @@ def test_every_logged_kind_is_a_table_row_and_round_trips():
         op = CONTROL_OPS[kind]
         args = json.loads(json.dumps(op.encode(payload)))  # as a log holds it
         assert op.encode(op.decode("t", args)) == args, kind
-    assert CONTROL_OPS["hot_swap"].decode(
-        "t", CONTROL_OPS["hot_swap"].encode(payloads["hot_swap"]))[1] is False
+    # An older record carried a second key (the retired TH020 flag):
+    # decode reads only the policy, so the swap replays permissively.
+    old = {**CONTROL_OPS["hot_swap"].encode(payloads["hot_swap"]),
+           "retired_flag": False}
+    assert CONTROL_OPS["hot_swap"].decode("t", old).name == "wide"
