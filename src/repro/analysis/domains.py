@@ -82,10 +82,6 @@ class IntervalSet:
         return cls(((0, WORD_MAX),))
 
     @classmethod
-    def span(cls, lo: int, hi: int) -> "IntervalSet":
-        return cls.of([(lo, hi)])
-
-    @classmethod
     def point(cls, value: int) -> "IntervalSet":
         return cls.of([(value, value)])
 

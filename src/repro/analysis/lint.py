@@ -332,7 +332,7 @@ def _verify_entry(entry: CatalogueEntry) -> Report:
 
 def _analyze_entry(entry: CatalogueEntry) -> SemanticAnalysis:
     """The entry's symbolic analysis (TH017–TH019, its root region)."""
-    return analyze_policy(entry.build(), schema=entry.schema)
+    return analyze_policy(entry.build())
 
 
 def _overlap_report(entry: CatalogueEntry,

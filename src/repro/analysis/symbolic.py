@@ -1,8 +1,9 @@
 """Symbolic policy semantics: abstract interpretation over the policy DAG.
 
 The structural verifier (TH001–TH016) proves a plan *fits* the pipeline;
-this module proves things about what the plan *means*.  An abstract
-interpreter walks the policy DAG once, propagating three facts per edge:
+this module proves things about what the plan *means*.  The abstract
+interpreter is one more :func:`~repro.core.policy.fold` domain, whose
+value is a :class:`NodeFact` of three facts per edge:
 
 * **region** — a :class:`~repro.analysis.domains.Region`
   over-approximating the rows the edge can carry: any concrete output row
@@ -15,12 +16,12 @@ interpreter walks the policy DAG once, propagating three facts per edge:
 * **full** — the edge provably carries *exactly* the whole table (only
   table references and tautological filters over them).
 
-Regions are seeded from the stored-word width (every metric lives in
-``[0, 2**STORED_WORD_BITS - 1]``) and, when a live table is supplied,
-tightened to the observed per-metric value span — a live-seeded analysis
-is stamped against that table version and goes stale with it.
+Every input line starts from the stored-word width: each metric lives
+in ``[0, 2**STORED_WORD_BITS - 1]``, so its region is top.
 
-The walk emits the semantic lint rules:
+The domain emits the semantic lint rules, each at its node's first
+pre-order path (:func:`~repro.core.policy.preorder_paths`, looked up by
+``node_id``):
 
 * **TH017** UnreachablePredicate — a predicate whose feasible region is
   empty: it can never fire.
@@ -31,8 +32,8 @@ The walk emits the semantic lint rules:
   difference that provably subtracts nothing (identity) or subtracts the
   full table (provably empty output).
 
-The analysis is a function of the policy alone (plus the table schema),
-so a :class:`~repro.switch.filter_module.FilterModule` computes it once,
+The analysis is a function of the policy alone, so a
+:class:`~repro.switch.filter_module.FilterModule` computes it once,
 when the policy is programmed, and every consumer reads that copy.  On
 top of it sits one cross-policy check over *regions*, not policies:
 :func:`tenant_overlap_report` flags a newcomer whose admitted match
@@ -43,11 +44,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.analysis.domains import IntervalSet, Region
 from repro.analysis.findings import Report
-from repro.core.operators import BinaryOp, UnaryOp
+from repro.core.operators import BinaryOp
 from repro.core.policy import (
     Binary,
     Conditional,
@@ -55,14 +55,10 @@ from repro.core.policy import (
     Policy,
     TableRef,
     Unary,
-    postorder,
+    fold,
     preorder_paths,
 )
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.verifier import TableSchema
-    from repro.core.smbm import SMBM
 
 __all__ = [
     "NodeFact",
@@ -103,8 +99,6 @@ class SemanticAnalysis:
     facts: Mapping[int, NodeFact]
     node_paths: Mapping[int, tuple[int, ...]]
     root: NodeFact
-    schema: "TableSchema | None" = None
-    table_version: int | None = None
 
     @property
     def root_region(self) -> Region:
@@ -131,75 +125,59 @@ class SemanticAnalysis:
 
 
 class _Analyzer:
-    """The abstract transfer functions over ``facts``, one per node id."""
+    """The :class:`NodeFact` domain of :func:`fold`: one abstract transfer
+    function per operator, each reporting at its node's path."""
 
-    def __init__(self, seed: Region, report: Report,
-                 paths: dict[int, tuple[int, ...]]) -> None:
-        self._seed = seed
+    def __init__(self, report: Report,
+                 paths: Mapping[int, tuple[int, ...]]) -> None:
         self._report = report
         self._paths = paths
-        self.facts: dict[int, NodeFact] = {}
 
-    def visit(self, node: Node) -> None:
-        """Derive ``node``'s fact from its operands', which the caller
-        has visited already (children first)."""
-        path = self._paths[node.node_id]
-        if isinstance(node, TableRef):
-            fact = self._table_ref(node)
-        elif isinstance(node, Unary):
-            fact = self._unary(node, path)
-        elif isinstance(node, Binary):
-            fact = self._binary(node, path)
-        elif isinstance(node, Conditional):
-            fact = self._conditional(node, path)
-        else:  # pragma: no cover - exhaustive over the node kinds
-            raise ConfigurationError(f"unknown node type {type(node)!r}")
-        self.facts[node.node_id] = fact
+    def table(self, node: TableRef) -> NodeFact:
+        return NodeFact(Region.top(), guaranteed=True, full=True)
 
-    def _table_ref(self, node: TableRef) -> NodeFact:
+    def feedback(self, node: TableRef) -> NodeFact:
         # A feedback line still holds rows of the *same* SMBM (the
         # register is a row mask, empty before the first packet), so
-        # the seed region applies — but it may be empty at any time, so
+        # the top region applies — but it may be empty at any time, so
         # neither guarantee survives.
-        is_main = node.input_index is None
-        return _fact(self._seed, guaranteed=is_main, full=is_main)
+        return NodeFact(Region.top(), guaranteed=False, full=False)
 
-    def _unary(self, node: Unary, path: tuple[int, ...]) -> NodeFact:
-        child = self.facts[node.child.node_id]
+    def predicate(self, node: Unary, child: NodeFact) -> NodeFact:
         config = node.config
-        if config.opcode is UnaryOp.NO_OP:
-            return child
-        if config.opcode is UnaryOp.PREDICATE:
-            assert config.attr is not None
-            assert config.rel_op is not None and config.val is not None
-            admitted = IntervalSet.from_predicate(config.rel_op, config.val)
-            region = child.region.meet(Region.of({config.attr: admitted}))
-            if region.empty and not child.region.empty:
-                upstream = child.region.get(config.attr)
-                self._report.add(
-                    "TH017",
-                    f"predicate {config.describe()} can never fire: the "
-                    f"feasible {config.attr!r} region upstream is "
-                    f"{upstream.describe()}, disjoint from "
-                    f"{admitted.describe()}",
-                    operator=config.describe(), node_path=path,
-                )
-            tautological = child.region.get(config.attr).issubset(admitted)
-            return _fact(
-                region,
-                guaranteed=child.guaranteed and tautological,
-                full=child.full and tautological,
+        assert config.attr is not None
+        assert config.rel_op is not None and config.val is not None
+        admitted = IntervalSet.from_predicate(config.rel_op, config.val)
+        region = child.region.meet(Region.of({config.attr: admitted}))
+        if region.empty and not child.region.empty:
+            upstream = child.region.get(config.attr)
+            self._report.add(
+                "TH017",
+                f"predicate {config.describe()} can never fire: the "
+                f"feasible {config.attr!r} region upstream is "
+                f"{upstream.describe()}, disjoint from "
+                f"{admitted.describe()}",
+                operator=config.describe(),
+                node_path=self._paths[node.node_id],
             )
-        # Selectors (min/max/round-robin/random) pick a non-empty subset
-        # of a non-empty input: the region passes through, the guarantee
-        # survives, fullness does not.
+        tautological = child.region.get(config.attr).issubset(admitted)
+        return _fact(
+            region,
+            guaranteed=child.guaranteed and tautological,
+            full=child.full and tautological,
+        )
+
+    def select(self, node: Unary, child: NodeFact) -> NodeFact:
+        # Selectors (min/max, and the round-robin/random units) pick a
+        # non-empty subset of a non-empty input: the region passes
+        # through, the guarantee survives, fullness does not.
         return _fact(child.region, guaranteed=child.guaranteed, full=False)
 
-    def _binary(self, node: Binary, path: tuple[int, ...]) -> NodeFact:
-        left = self.facts[node.left.node_id]
-        right = self.facts[node.right.node_id]
-        if node.opcode is BinaryOp.NO_OP:
-            return left if node.choice == 0 else right
+    unit = select
+
+    def binary(self, node: Binary, left: NodeFact,
+               right: NodeFact) -> NodeFact:
+        path = self._paths[node.node_id]
         if node.opcode is BinaryOp.UNION:
             return _fact(
                 left.region.join(right.region),
@@ -249,10 +227,9 @@ class _Analyzer:
             full=left.full and identity,
         )
 
-    def _conditional(self, node: Conditional,
-                     path: tuple[int, ...]) -> NodeFact:
-        primary = self.facts[node.primary.node_id]
-        fallback = self.facts[node.fallback.node_id]
+    def conditional(self, node: Conditional, primary: NodeFact,
+                    fallback: NodeFact) -> NodeFact:
+        path = self._paths[node.node_id]
         if primary.region.empty:
             self._report.add(
                 "TH018",
@@ -277,47 +254,17 @@ class _Analyzer:
         )
 
 
-def _seed_region(smbm: "SMBM | None") -> Region:
-    """Top statically; the observed per-metric value span when a live,
-    non-empty table is supplied."""
-    if smbm is None or len(smbm) == 0:
-        return Region.top()
-    spans: dict[str, IntervalSet] = {}
-    for metric in smbm.metric_names:
-        values = smbm.attr_list(metric)
-        spans[metric] = IntervalSet.span(values[0][0], values[-1][0])
-    return Region.of(spans)
-
-
-def analyze_policy(
-    policy: Policy,
-    *,
-    schema: "TableSchema | None" = None,
-    smbm: "SMBM | None" = None,
-) -> SemanticAnalysis:
-    """Abstractly interpret ``policy``; never raises on any legal DAG.
-
-    ``schema`` is accepted for symmetry with the verifier (today every
-    metric shares the stored-word width; per-metric widths would refine
-    the seed here).  ``smbm`` tightens the seed to the live value ranges —
-    the returned analysis records the table version it is valid at.
-    """
+def analyze_policy(policy: Policy) -> SemanticAnalysis:
+    """Abstractly interpret ``policy`` — :func:`fold` in the
+    :class:`NodeFact` domain; never raises on any legal DAG."""
     report = Report(subject=f"policy {policy.name!r} semantics")
     paths = {
         node.node_id: path for node, path in preorder_paths(policy.root)
     }
-    analyzer = _Analyzer(_seed_region(smbm), report, paths)
-    for node in postorder(policy.root):
-        analyzer.visit(node)
-    return SemanticAnalysis(
-        policy=policy,
-        report=report,
-        facts=analyzer.facts,
-        node_paths=paths,
-        root=analyzer.facts[policy.root.node_id],
-        schema=schema,
-        table_version=None if smbm is None else smbm.version,
-    )
+    facts: dict[int, NodeFact] = {}
+    root = fold(policy, _Analyzer(report, paths), facts)
+    return SemanticAnalysis(policy=policy, report=report, facts=facts,
+                            node_paths=paths, root=root)
 
 
 # -- cross-tenant overlap (TH021) ------------------------------------------------------

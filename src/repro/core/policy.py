@@ -26,18 +26,23 @@ with a fluent feel::
     )
     policy = Policy(Conditional(random_pick(eligible), random_pick(servers)))
 
-:class:`PolicyInterpreter` evaluates a policy directly over an SMBM — the
-one naive truth: a DAG walk whose stateless operators are the paper's
-temp-list walk (:mod:`repro.core.ufpu_reference`), sharing no compiler,
-Cell, mask engine or :func:`fold` with what is differentially tested
-against it (the compiled pipeline, every ``fold`` lowering, the sanitizer's
-and the self-test's fast path).
+:func:`fold` is the one walk of the node algebra: a single
+:func:`postorder` pass that hands each operator to a small *domain*
+object.  Every evaluator and analysis of a policy is a domain — the
+naive interpreter's int masks, the kernel's source emitter
+(:mod:`repro.engine.codegen`), a column of int masks
+(:mod:`repro.engine.columnar`) and the interval facts of
+:mod:`repro.analysis.symbolic`.  :func:`stateless_blockers` decides
+which policies a domain without stateful units may fold.
 
-:func:`fold` is the one definition of the *stateless* operator semantics
-every lowering shares: a single :func:`postorder` pass that hands each
-operator to a small *domain* object (a column of int masks, a source
-emitter).  :func:`stateless_blockers` decides which
-policies it may be applied to.
+:class:`PolicyInterpreter` is the naive truth, the ``fold`` domain the
+compiled pipeline, the other domains, the sanitizer and the self-test are
+differentially tested against.  Its operators share no code with what
+they check: stateless unaries are the paper's temp-list walk
+(:mod:`repro.core.ufpu_reference`), with no compiler, Cell or mask
+engine.  The dispatch it does share; the independent side for the
+dispatch is the Cells, which place and evaluate the same DAG without
+``fold`` (:mod:`repro.core.compiler`).
 
 :func:`policy_to_dict` / :func:`policy_from_dict` are the one canonical
 document of a policy DAG: checkpoints and the WAL persist it, and the
@@ -262,7 +267,7 @@ def difference(left: Node, right: Node) -> Binary:
     return Binary(opcode=BinaryOp.DIFFERENCE, left=left, right=right)
 
 
-# -- the stateless walk: one traversal, one operator dispatch ------------------------
+# -- the policy walk: one traversal, one operator dispatch ---------------------------
 
 
 def postorder(root: Node) -> list[Node]:
@@ -304,8 +309,8 @@ def preorder_paths(root: Node) -> Iterator[tuple[Node, tuple[int, ...]]]:
 def stateless_blockers(policy: Policy) -> list[str]:
     """Why ``policy``'s output is *not* a pure function of the table
     contents (and a candidate mask), one human-readable reason per
-    stateful operator and per feedback register; empty when :func:`fold`
-    may evaluate it.
+    stateful operator and per feedback register; empty when a domain
+    without stateful units may :func:`fold` it.
 
     The single definition of "stateless" behind the version memo
     (``CompiledPolicy.stateless``) and the codegen kernel: a filter module
@@ -327,65 +332,68 @@ def stateless_blockers(policy: Policy) -> list[str]:
     return blockers
 
 
-def fold(policy: Policy, domain: Any) -> Any:
-    """The value of a stateless ``policy`` in ``domain``.
+def fold(policy: Policy, domain: Any,
+         values: dict[int, Any] | None = None) -> Any:
+    """The value of ``policy`` in ``domain``: the one walk of the node
+    algebra.
 
-    A domain is a lowering: it supplies the value of the table and of each
-    operator over already-computed operand values, and nothing about
-    traversal, sharing or memoisation —
+    A domain supplies the value of each node over its already-computed
+    operand values, and nothing about traversal, sharing or memoisation.
+    Every hook takes the node first, so the domain reads the operator's
+    parameters off it (``node.config``, ``node.opcode``) and keys
+    per-node state (a unit, a diagnostic path) by ``node.node_id``:
 
-    * ``table()``: the (candidate-restricted) resource table;
-    * ``predicate(child, attr, rel_op, val)``: the entries of ``child``
-      whose ``attr`` satisfies ``rel_op val``;
-    * ``select(child, attr, k, largest)``: the ``k`` entries of ``child``
-      with the smallest (``largest``: the largest) ``attr`` — Equation 1;
-    * ``binary(op, left, right)``: union, intersection or difference
+    * ``table(node)``: the (candidate-restricted) resource table;
+    * ``feedback(node)``: the register of input line ``node.input_index``
+      (:attr:`Policy.feedback`);
+    * ``predicate(node, child)``: the entries of ``child`` satisfying the
+      node's ``attr rel_op val``;
+    * ``select(node, child)``: min or max, Equation 1's ``k`` rounds;
+    * ``unit(node, child)``: a round-robin or random unit, stepped once;
+    * ``binary(node, left, right)``: union, intersection or difference
       (never ``NO_OP``);
-    * ``conditional(primary, fallback)``: ``primary`` where non-empty,
-      else ``fallback`` (section 4.2.3).
+    * ``conditional(node, primary, fallback)``: ``primary`` where
+      non-empty, else ``fallback`` (section 4.2.3).
 
-    Each node is computed once, after its operands, so shared fan-out
-    costs one evaluation; pass-through nodes (``NO_OP`` unary, ``NO_OP``
-    binary with its ``choice``) alias their operand without consulting
-    the domain.  Legal exactly when :func:`stateless_blockers` is empty.
+    One :func:`postorder` pass: each node is computed once, after its
+    operands, so shared fan-out costs one evaluation and both arms of a
+    Conditional are computed before its MUX, as in hardware.  Pass-through
+    nodes (``NO_OP`` unary, ``NO_OP`` binary with its ``choice``) alias
+    their operand without consulting the domain.  ``values``, when given,
+    is left holding every node's value keyed by ``node_id``.  A domain
+    without ``unit`` and ``feedback`` folds exactly the policies
+    :func:`stateless_blockers` clears.
     """
-    values: dict[int, Any] = {}
+    out: dict[int, Any] = {} if values is None else values
     for node in postorder(policy.root):
         if isinstance(node, TableRef):
-            if node.input_index is not None:
-                raise ConfigurationError(
-                    f"cannot fold {node.describe()}: a feedback register "
-                    "changes per packet"
-                )
-            out = domain.table()
+            value = (domain.table(node) if node.input_index is None
+                     else domain.feedback(node))
         elif isinstance(node, Unary):
-            child = values[node.child.node_id]
-            cfg = node.config
-            if cfg.opcode is UnaryOp.NO_OP:
-                out = child
-            elif cfg.opcode is UnaryOp.PREDICATE:
-                out = domain.predicate(child, cfg.attr, cfg.rel_op, cfg.val)
-            elif cfg.opcode in (UnaryOp.MIN, UnaryOp.MAX):
-                out = domain.select(child, cfg.attr, cfg.k,
-                                    cfg.opcode is UnaryOp.MAX)
+            child = out[node.child.node_id]
+            opcode = node.config.opcode
+            if opcode is UnaryOp.NO_OP:
+                value = child
+            elif opcode is UnaryOp.PREDICATE:
+                value = domain.predicate(node, child)
+            elif opcode.is_stateful:
+                value = domain.unit(node, child)
             else:
-                raise ConfigurationError(
-                    f"cannot fold stateful operator {cfg.describe()}"
-                )
+                value = domain.select(node, child)
         elif isinstance(node, Binary):
-            left = values[node.left.node_id]
-            right = values[node.right.node_id]
+            left = out[node.left.node_id]
+            right = out[node.right.node_id]
             if node.opcode is BinaryOp.NO_OP:
-                out = left if node.choice == 0 else right
+                value = left if node.choice == 0 else right
             else:
-                out = domain.binary(node.opcode, left, right)
+                value = domain.binary(node, left, right)
         elif isinstance(node, Conditional):
-            out = domain.conditional(values[node.primary.node_id],
-                                     values[node.fallback.node_id])
+            value = domain.conditional(node, out[node.primary.node_id],
+                                       out[node.fallback.node_id])
         else:  # pragma: no cover - exhaustive over node types
             raise ConfigurationError(f"unknown node type {type(node)!r}")
-        values[node.node_id] = out
-    return values[policy.root.node_id]
+        out[node.node_id] = value
+    return out[policy.root.node_id]
 
 
 # -- the policy document ------------------------------------------------------------
@@ -507,26 +515,63 @@ def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
 # -- reference interpreter ----------------------------------------------------------
 
 
+class _NaiveDomain:
+    """:class:`PolicyInterpreter`'s :func:`fold` domain for one packet.
+
+    A value is a raw id-mask int.  Stateless unaries are the temp-list
+    walk (:func:`~repro.core.ufpu_reference.reference_unary`), stateful
+    ones the interpreter's units, feedback lines its registers.
+    """
+
+    def __init__(self, smbm: SMBM, table: int, units: Mapping[int, KUFPU],
+                 registers: Mapping[int, int]) -> None:
+        self._smbm = smbm
+        self._table = table
+        self._units = units
+        self._registers = registers
+
+    def table(self, node: TableRef) -> int:
+        return self._table
+
+    def feedback(self, node: TableRef) -> int:
+        return self._registers.get(node.input_index, 0)
+
+    def predicate(self, node: Unary, child: int) -> int:
+        return reference_unary(node.config, child, self._smbm)
+
+    select = predicate
+
+    def unit(self, node: Unary, child: int) -> int:
+        return self._units[node.node_id].evaluate(child, self._smbm)
+
+    def binary(self, node: Binary, left: int, right: int) -> int:
+        if node.opcode is BinaryOp.UNION:
+            return left | right
+        if node.opcode is BinaryOp.INTERSECTION:
+            return left & right
+        return left & ~right
+
+    def conditional(self, node: Conditional, primary: int,
+                    fallback: int) -> int:
+        return primary if primary else fallback
+
+
 class PolicyInterpreter:
     """Direct evaluation of a policy DAG over an SMBM: the naive reference.
 
-    Stateless unary nodes are Equation 1 over the O(N) temp-list operators
+    A packet is one :func:`fold` in the naive domain.  Stateless unary
+    nodes are Equation 1 over the O(N) temp-list operators
     (:func:`~repro.core.ufpu_reference.reference_unary`), which read the
-    table's sorted lists and nothing else.  Stateful operators (round-robin,
-    random) have one implementation, the hardware unit's, and keep per-node
-    state across calls exactly as it does; beside them sits the
-    interpreter's own copy of each :attr:`Policy.feedback` register,
-    written after every packet.  Shared sub-DAGs (the same node object
-    reachable twice) are evaluated once per packet.  A packet is one pass
-    over :func:`postorder` — children first, left before right, as a
-    recursive walk would step the units — so no DAG is too deep for it.
+    table's sorted lists and nothing else.  Stateful operators
+    (round-robin, random) have one implementation, the hardware unit's:
+    the interpreter keeps one per node, seeded by its pre-order slot, and
+    steps it as the Cells do, the units of a Conditional's untaken arm
+    included.  Beside them sits the interpreter's own copy of each
+    :attr:`Policy.feedback` register, written after every packet.
     """
 
     def __init__(self, policy: Policy, *, lfsr_seed: int = 1):
         self._policy = policy
-        # Every bound node is in the root's DAG (Policy checks), so this
-        # one order also computes every feedback register's value.
-        self._order = postorder(policy.root)
         self._units: dict[int, KUFPU] = {}
         self._registers: dict[int, int] = {}
         seed = lfsr_seed
@@ -569,44 +614,20 @@ class PolicyInterpreter:
         is recorded, a Conditional's untaken arm included: both arms are
         computed before the MUX picks one.
         """
+        present = smbm.id_mask()
+        table = present if mask is None else present & mask
         out: dict[int, int] = {} if record is None else record
-        for node in self._order:
-            if isinstance(node, TableRef):
-                if node.input_index is None:
-                    present = smbm.id_mask()
-                    value = present if mask is None else present & mask
-                else:
-                    value = self._registers.get(node.input_index, 0)
-            elif isinstance(node, Unary):
-                unit = self._units.get(node.node_id)
-                child = out[node.child.node_id]
-                value = (reference_unary(node.config, child, smbm)
-                         if unit is None else unit.evaluate(child, smbm))
-            elif isinstance(node, Binary):
-                left = out[node.left.node_id]
-                right = out[node.right.node_id]
-                if node.opcode is BinaryOp.NO_OP:
-                    value = left if node.choice == 0 else right
-                elif node.opcode is BinaryOp.UNION:
-                    value = left | right
-                elif node.opcode is BinaryOp.INTERSECTION:
-                    value = left & right
-                else:
-                    value = left & ~right
-            elif isinstance(node, Conditional):
-                # Both arms ran before the MUX, as in hardware (section
-                # 4.2.3): a stateful unit in the untaken arm still steps.
-                primary = out[node.primary.node_id]
-                value = primary if primary else out[node.fallback.node_id]
-            else:  # pragma: no cover
-                raise ConfigurationError(f"unknown node type {type(node)!r}")
-            out[node.node_id] = value
-        # Every register is read before any is written: one packet boundary.
+        root = fold(self._policy,
+                    _NaiveDomain(smbm, table, self._units, self._registers),
+                    out)
+        # Every bound node is in the root's DAG (Policy checks), so the
+        # fold computed every register's next value.  Every register was
+        # read before any is written: one packet boundary.
         self._registers = {
             index: out[bound.node_id]
             for index, bound in self._policy.feedback.items()
         }
-        return BitVector.from_int(smbm.capacity, out[self._policy.root.node_id])
+        return BitVector.from_int(smbm.capacity, root)
 
     def select(self, smbm: SMBM) -> int | None:
         """Evaluate and return the single selected resource id, if exactly one."""

@@ -818,6 +818,12 @@ class SMBM:
                 f"checkpoint holds {len(rows)} rows, table capacity is "
                 f"{self._capacity}"
             )
+        # Every row passes the write guard before anything is cleared, so
+        # a refused state leaves the table as it was.
+        checked = [(int(rid), self._checked_row(int(rid), row), int(seqs[rid]))
+                   for rid, row in rows.items()]
+        next_seq = int(state["next_seq"])  # type: ignore[arg-type]
+        version = int(state["version"])  # type: ignore[arg-type]
         dropped = [rid for rid in self._rows if rid not in rows]
         self._indexes.clear()
         self._rows = {}
@@ -825,21 +831,10 @@ class SMBM:
         self._metric_lists = {name: [] for name in self._metric_names}
         self._id_list = []
         self._id_bits = 0
-        for rid, row in rows.items():
-            rid = int(rid)
-            if not 0 <= rid < self._capacity:
-                raise CapacityError(
-                    f"checkpoint row id {rid} out of range [0, {self._capacity})"
-                )
-            if set(row) != set(self._metric_names):
-                raise ConfigurationError(
-                    f"checkpoint row {rid} metric set {sorted(row)} does not "
-                    f"match schema {sorted(self._metric_names)}"
-                )
-            self._insert(rid, {n: int(row[n]) for n in self._metric_names},
-                         int(seqs[rid]))
-        self._next_seq = int(state["next_seq"])  # type: ignore[arg-type]
-        self._version = int(state["version"])  # type: ignore[arg-type]
+        for rid, row, seq in checked:
+            self._insert(rid, row, seq)
+        self._next_seq = next_seq
+        self._version = version
         if self._write_listeners:
             for rid in dropped:
                 for listener in self._write_listeners:

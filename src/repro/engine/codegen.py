@@ -49,8 +49,17 @@ import json
 from typing import Sequence
 
 from repro import obs
-from repro.core.operators import BinaryOp, RelOp
-from repro.core.policy import Policy, fold, policy_to_dict, stateless_blockers
+from repro.core.operators import BinaryOp, RelOp, UnaryOp
+from repro.core.policy import (
+    Binary,
+    Conditional,
+    Policy,
+    TableRef,
+    Unary,
+    fold,
+    policy_to_dict,
+    stateless_blockers,
+)
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
 
@@ -106,26 +115,30 @@ class _ScalarEmitter:
         self.body.append(f"{var} = {expr}")
         return var
 
-    def table(self) -> str:
+    def table(self, node: TableRef) -> str:
         return "t"
 
-    def predicate(self, child: str, attr: str, rel_op: RelOp, val: int) -> str:
-        if rel_op not in self.relops:
-            self.relops.append(rel_op)
+    def predicate(self, node: Unary, child: str) -> str:
+        cfg = node.config
+        if cfg.rel_op not in self.relops:
+            self.relops.append(cfg.rel_op)
         sat = self._const(
-            f"smbm.metric_index({attr!r}).predicate_mask("
-            f"RELOPS[{self.relops.index(rel_op)}], {val}, full)"
+            f"smbm.metric_index({cfg.attr!r}).predicate_mask("
+            f"RELOPS[{self.relops.index(cfg.rel_op)}], {cfg.val}, full)"
         )
         return self._emit(f"{child} & {sat}")
 
-    def select(self, child: str, attr: str, k: int, largest: bool) -> str:
-        select = self._const(f"smbm.metric_index({attr!r}).select_mask")
-        return self._emit(f"{select}({child}, {k}, {largest})")
+    def select(self, node: Unary, child: str) -> str:
+        cfg = node.config
+        select = self._const(f"smbm.metric_index({cfg.attr!r}).select_mask")
+        largest = cfg.opcode is UnaryOp.MAX
+        return self._emit(f"{select}({child}, {cfg.k}, {largest})")
 
-    def binary(self, op: BinaryOp, left: str, right: str) -> str:
-        return self._emit(f"{left} {self._SYMBOL[op]} {right}")
+    def binary(self, node: Binary, left: str, right: str) -> str:
+        return self._emit(f"{left} {self._SYMBOL[node.opcode]} {right}")
 
-    def conditional(self, primary: str, fallback: str) -> str:
+    def conditional(self, node: Conditional, primary: str,
+                    fallback: str) -> str:
         return self._emit(f"{primary} if {primary} else {fallback}")
 
 

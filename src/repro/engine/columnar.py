@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.operators import BinaryOp, RelOp
+from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.policy import Policy, fold, stateless_blockers
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
@@ -43,27 +43,30 @@ class IntColumnDomain:
         self._base = base
         self._full = (1 << smbm.capacity) - 1
 
-    def table(self):
+    def table(self, node):
         return self._base
 
-    def predicate(self, child, attr: str, rel_op: RelOp, val: int):
-        sat = self._smbm.metric_index(attr).predicate_mask(
-            rel_op, val, self._full
+    def predicate(self, node, child):
+        cfg = node.config
+        sat = self._smbm.metric_index(cfg.attr).predicate_mask(
+            cfg.rel_op, cfg.val, self._full
         )
         return [c & sat for c in child]
 
-    def select(self, child, attr: str, k: int, largest: bool):
-        select = self._smbm.metric_index(attr).select_mask
-        return [select(c, k, largest) for c in child]
+    def select(self, node, child):
+        cfg = node.config
+        select = self._smbm.metric_index(cfg.attr).select_mask
+        largest = cfg.opcode is UnaryOp.MAX
+        return [select(c, cfg.k, largest) for c in child]
 
-    def binary(self, op: BinaryOp, left, right):
-        if op is BinaryOp.UNION:
+    def binary(self, node, left, right):
+        if node.opcode is BinaryOp.UNION:
             return [a | b for a, b in zip(left, right)]
-        if op is BinaryOp.INTERSECTION:
+        if node.opcode is BinaryOp.INTERSECTION:
             return [a & b for a, b in zip(left, right)]
         return [a & ~b for a, b in zip(left, right)]
 
-    def conditional(self, primary, fallback):
+    def conditional(self, node, primary, fallback):
         return [p if p else f for p, f in zip(primary, fallback)]
 
 

@@ -160,7 +160,7 @@ class FilterModule:
         # timing capture, and only when a real registry is active.
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
-        self._program(analyze_policy(policy, schema=self._schema))
+        self._program(analyze_policy(policy))
         if self._obs_enabled:
             registry.add_hook(self._obs_collect)
         # Fault/repair instruments live off the per-packet path (faults are
@@ -347,15 +347,16 @@ class FilterModule:
         memo and the kernel's specialization both rebuild against the
         restored table.  ``plan_epoch`` optionally re-stamps the module's
         epoch watermark so a migrated tenant's outputs keep the epoch
-        lineage of the source module.
+        lineage of the source module; a negative one is refused before
+        anything is touched.
         """
+        if plan_epoch is not None and plan_epoch < 0:
+            raise ConfigurationError(
+                f"plan_epoch must be >= 0, got {plan_epoch}"
+            )
         self._reset_serving_caches()
         self._smbm.restore_state(state)
         if plan_epoch is not None:
-            if plan_epoch < 0:
-                raise ConfigurationError(
-                    f"plan_epoch must be >= 0, got {plan_epoch}"
-                )
             self._plan_epoch = int(plan_epoch)
 
     @property
@@ -673,7 +674,7 @@ class FilterModule:
         Returns the new plan epoch.
         """
         compiled = self._place(policy)
-        analysis = analyze_policy(policy, schema=self._schema)
+        analysis = analyze_policy(policy)
         if gate is not None:
             gate(compiled, analysis)
         # Flip.  _program raises, if it does, before it assigns anything;

@@ -75,8 +75,7 @@ def _dead_predicate(attr="cpu"):
 
 
 def test_th017_fires_on_contradictory_chained_predicates():
-    analysis = analyze_policy(Policy(_dead_predicate(), name="dead"),
-                              schema=SCHEMA)
+    analysis = analyze_policy(Policy(_dead_predicate(), name="dead"))
     assert rules_of(analysis.report) == ["TH017"]
     finding = analysis.report.findings[0]
     assert finding.node_path == ()  # the outer predicate is the root
@@ -89,7 +88,6 @@ def test_th017_node_path_points_at_the_dead_arm():
     live = predicate(TableRef(), "mem", RelOp.LT, 50)
     analysis = analyze_policy(
         Policy(union(live, _dead_predicate()), name="half-dead"),
-        schema=SCHEMA,
     )
     assert rules_of(analysis.report) == ["TH017"]
     assert analysis.report.findings[0].node_path == (1,)
@@ -102,7 +100,7 @@ def test_th017_does_not_fire_on_satisfiable_chains():
     chain = predicate(
         predicate(TableRef(), "cpu", RelOp.LT, 70), "cpu", RelOp.GT, 20
     )
-    analysis = analyze_policy(Policy(chain, name="band"), schema=SCHEMA)
+    analysis = analyze_policy(Policy(chain, name="band"))
     assert analysis.report.clean
     assert analysis.root_region.get("cpu") == IntervalSet.of([(21, 69)])
 
@@ -118,7 +116,7 @@ def test_both_dag_walkers_visit_each_node_once_without_recursing():
 
     def walk(policy):
         # Plain values only: a failing assert must not repr() the DAG.
-        analysis = analyze_policy(policy, schema=SCHEMA)
+        analysis = analyze_policy(policy)
         report = PlanVerifier(schema=SCHEMA).verify_policy(policy)
         return (
             len(analysis.facts),
@@ -159,7 +157,7 @@ def test_th018_fires_when_primary_is_guaranteed():
                     predicate(table, "cpu", RelOp.LT, 50)),
         name="shadowed",
     )
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     assert rules_of(analysis.report) == ["TH018"]
     finding = analysis.report.findings[0]
     assert finding.node_path == (1,)  # the fallback arm
@@ -172,7 +170,7 @@ def test_th018_fires_when_primary_is_provably_empty():
         Conditional(_dead_predicate(), predicate(table, "mem", RelOp.GT, 1)),
         name="dead-primary",
     )
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     assert set(rules_of(analysis.report)) == {"TH017", "TH018"}
     th018 = [f for f in analysis.report.findings if f.rule == "TH018"]
     assert th018[0].node_path == (0,)  # the primary arm
@@ -191,7 +189,7 @@ def test_th018_does_not_fire_on_a_live_conditional():
     policy = Policy(
         Conditional(random_pick(eligible), random_pick(table)), name="l4lb"
     )
-    assert analyze_policy(policy, schema=SCHEMA).report.clean
+    assert analyze_policy(policy).report.clean
 
 
 # -- TH019 VacuousSetOp ----------------------------------------------------------------
@@ -208,7 +206,7 @@ def test_th019_fires_on_provably_empty_intersection():
         ),
         name="vacuous",
     )
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     assert rules_of(analysis.report) == ["TH019"]
     assert analysis.report.findings[0].node_path == ()
     assert analysis.root_region.empty
@@ -220,7 +218,7 @@ def test_th019_fires_on_identity_difference():
         difference(predicate(table, "cpu", RelOp.LT, 50), _dead_predicate()),
         name="identity-diff",
     )
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     assert set(rules_of(analysis.report)) == {"TH017", "TH019"}
     th019 = [f for f in analysis.report.findings if f.rule == "TH019"]
     assert "empty set" in th019[0].message
@@ -234,7 +232,7 @@ def test_th019_fires_on_subtract_everything():
         difference(predicate(table, "cpu", RelOp.LT, 50), table),
         name="minus-all",
     )
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     assert "TH019" in rules_of(analysis.report)
     assert analysis.root_region.empty
 
@@ -248,7 +246,7 @@ def test_th019_does_not_fire_on_overlapping_operands():
         ),
         name="band",
     )
-    assert analyze_policy(policy, schema=SCHEMA).report.clean
+    assert analyze_policy(policy).report.clean
 
 
 # -- the hot-swap gate -----------------------------------------------------------------
@@ -343,7 +341,7 @@ def test_migration_cutover_gate_is_bit_level_not_semantic():
 
 
 def _root_region(policy):
-    return analyze_policy(policy, schema=SCHEMA).root_region
+    return analyze_policy(policy).root_region
 
 
 def test_cross_tenant_overlap_on_shared_metric():
@@ -486,7 +484,7 @@ def test_repeat_compiles_do_not_double_count_findings():
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         for _ in range(3):  # identical (rule, policy, node_path) each time
-            analysis = analyze_policy(policy, schema=SCHEMA)
+            analysis = analyze_policy(policy)
             analysis.report.emit()
         snapshot = obs.snapshot(registry)
     counts = {
@@ -506,7 +504,7 @@ def test_distinct_findings_still_count_separately():
             union(_dead_predicate("cpu"), _dead_predicate("mem")),
             name="double-dead",
         )
-        analyze_policy(policy, schema=SCHEMA).report.emit()
+        analyze_policy(policy).report.emit()
         snapshot = obs.snapshot(registry)
     counts = [
         value
@@ -518,10 +516,10 @@ def test_distinct_findings_still_count_separately():
 
 def test_null_registry_does_not_poison_the_dedup_cache():
     policy = Policy(_dead_predicate(), name="dead")
-    analyze_policy(policy, schema=SCHEMA).report.emit()  # null: discarded
+    analyze_policy(policy).report.emit()  # null: discarded
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        analyze_policy(policy, schema=SCHEMA).report.emit()
+        analyze_policy(policy).report.emit()
         snapshot = obs.snapshot(registry)
     counts = [
         value
@@ -529,25 +527,6 @@ def test_null_registry_does_not_poison_the_dedup_cache():
         if series.startswith("lint_findings_total") and "TH017" in series
     ]
     assert counts == [1]
-
-
-# -- live-range seeding ----------------------------------------------------------------
-
-
-def test_live_table_ranges_tighten_the_verdict():
-    smbm = SMBM(CAPACITY, METRICS)
-    smbm.add(1, {"cpu": 30, "mem": 5})
-    smbm.add(2, {"cpu": 40, "mem": 9})
-    # Statically satisfiable, dead against the live value range.
-    policy = Policy(
-        predicate(TableRef(), "cpu", RelOp.GT, 80), name="hot-only"
-    )
-    static = analyze_policy(policy, schema=SCHEMA)
-    assert static.report.clean
-    live = analyze_policy(policy, schema=SCHEMA, smbm=smbm)
-    assert rules_of(live.report) == ["TH017"]
-    assert live.table_version == smbm.version
-    assert live.root_region.empty
 
 
 # -- differential soundness ------------------------------------------------------------
@@ -631,7 +610,7 @@ def test_abstract_regions_are_sound_over_random_policies(policy, seed, rows):
     non-empty table produces a non-empty output."""
     rng = random.Random(seed)
     smbm = _random_table(rng, rows)
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     interpreter = PolicyInterpreter(policy)
     for _ in range(3):  # stateful units advance; soundness holds per call
         record = {}
@@ -645,28 +624,6 @@ def test_abstract_regions_are_sound_over_random_policies(policy, seed, rows):
             assert out.value == 0
         if analysis.root.guaranteed and len(smbm) > 0:
             assert out.value != 0
-
-
-@given(policy=sem_policies(),
-       seed=st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=200, deadline=None)
-def test_live_seeded_regions_are_sound(policy, seed):
-    """Soundness with the seed tightened to the live value ranges."""
-    rng = random.Random(seed)
-    smbm = _random_table(rng, rng.randrange(CAPACITY + 1))
-    analysis = analyze_policy(policy, schema=SCHEMA, smbm=smbm)
-    record = {}
-    out = interpreter_out = PolicyInterpreter(policy).evaluate(
-        smbm, record=record
-    )
-    for node_id, bits in record.items():
-        fact = analysis.facts[node_id]
-        _assert_rows_in_region(bits, fact.region, smbm)
-        if fact.region.empty:
-            assert bits == 0
-    if analysis.root.region.empty:
-        assert out.value == 0
-    assert interpreter_out is out
 
 
 def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
@@ -693,7 +650,7 @@ def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
     module.evaluate_batch(packets)
     assert packets[0].metadata[META_FILTER_OUTPUT] == scalar.value
     # Zero-hit witness for the dead arm on a parallel interpreter.
-    analysis = analyze_policy(policy, schema=SCHEMA)
+    analysis = analyze_policy(policy)
     dead_node = policy.root.children()[0]
     assert analysis.fact_at(dead_node).region.empty
     record = {}

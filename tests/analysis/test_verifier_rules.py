@@ -186,7 +186,7 @@ def test_th011_contradictory_predicates():
     policy = Policy(root, name="t")
     assert PlanVerifier().verify_policy(policy).clean
     assert verify_policy_compiles(policy, schema=SCHEMA).clean
-    report = analyze_policy(policy, schema=SCHEMA).report
+    report = analyze_policy(policy).report
     assert [(f.rule, f.node_path) for f in report.findings] == [("TH019", ())]
     assert "retired" in RULES["TH011"].summary
     # Overlapping intervals are not flagged.

@@ -43,8 +43,9 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.recovery import recover
 from repro.serving.wal import WriteAheadLog, read_wal
-from repro.tenancy.manager import TenantManager, TenantSpec
+from repro.switch.filter_module import FilterModule
 from repro.switch.replication import ReplicatedSMBM
+from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
 
@@ -144,6 +145,38 @@ def test_restore_rejects_schema_and_capacity_mismatch():
                                               for i in range(3)},
              "seq": {i: i for i in range(3)}}
         )
+
+
+def test_refused_restore_leaves_the_table_as_it_was():
+    """Every row passes the write guard before anything is cleared: a row
+    id past the capacity, a negative metric and one past the stored word
+    are each refused, and the live table keeps its rows, FIFO order and
+    version."""
+    target = SMBM(4, METRICS)
+    target.add(3, {"cpu": 9, "mem": 9})
+    target.add(0, {"cpu": 7, "mem": 7})
+    before = target.export_state()
+    good = {"cpu": 1, "mem": 2}
+    for rows in ({1: good, 9: good},
+                 {1: good, 2: {"cpu": -4, "mem": 2}},
+                 {1: good, 2: {"cpu": 2**70, "mem": 2}}):
+        state = {**before, "rows": rows, "seq": {rid: rid for rid in rows}}
+        with pytest.raises((CapacityError, ConfigurationError)):
+            target.restore_state(state)
+        assert target.export_state() == before
+
+
+def test_refused_restore_table_touches_neither_caches_nor_rows(registry):
+    module = FilterModule(4, METRICS, Policy(min_of(TableRef(), "cpu")))
+    module.update_resource(0, {"cpu": 5, "mem": 5})
+    before = module.smbm.export_state()
+    resets = registry.value_of("serving_cache_resets_total")
+    other = SMBM(4, METRICS)
+    other.add(2, {"cpu": 1, "mem": 1})
+    with pytest.raises(ConfigurationError, match="plan_epoch"):
+        module.restore_table(other.export_state(), plan_epoch=-1)
+    assert module.smbm.export_state() == before
+    assert registry.value_of("serving_cache_resets_total") == resets
 
 
 # -- ReplicatedSMBM --------------------------------------------------------------------
