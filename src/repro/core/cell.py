@@ -113,6 +113,11 @@ class Cell:
         return self._kufpu1.chain_length
 
     @property
+    def kufpus(self) -> tuple[KUFPU, KUFPU]:
+        """The two K-UFPUs, side 1 then side 2."""
+        return self._kufpu1, self._kufpu2
+
+    @property
     def latency_cycles(self) -> int:
         """Input crossbar is pure wiring; units dominate the latency."""
         return self._kufpu1.latency_cycles + BFPU_LATENCY_CYCLES

@@ -61,6 +61,7 @@ from repro.core.policy import (
     Policy,
     TableRef,
     Unary,
+    UnitState,
     postorder,
     stateless_blockers,
 )
@@ -128,6 +129,11 @@ class _CellState:
 
     def is_empty(self) -> bool:
         return self.sides == [None, None] and self.binary is None
+
+    def copy(self) -> "_CellState":
+        twin = _CellState()
+        twin.sides, twin.binary = list(self.sides), self.binary
+        return twin
 
 
 class PolicyCompiler:
@@ -227,16 +233,8 @@ class PolicyCompiler:
                         f"allowed input line {line} out of range "
                         f"[0, {self._params.n})"
                     )
-        for stage, index in dead:
-            if not 1 <= stage <= self._params.k:
-                raise ConfigurationError(
-                    f"dead cell stage {stage} out of range [1, {self._params.k}]"
-                )
-            if not 0 <= index < self._params.cells_per_stage:
-                raise ConfigurationError(
-                    f"dead cell index {index} out of range "
-                    f"[0, {self._params.cells_per_stage})"
-                )
+        # A dead Cell outside the pipeline is refused where the plan kills
+        # it: ``FilterPipeline.cell_at`` range-checks every position.
         state = _CompileState(self._params, dead_cells=dead,
                               input_lines=allowed)
         root = policy.root
@@ -259,17 +257,21 @@ class PolicyCompiler:
             wire = state.bring_to(state.compile_node(node), self._params.k)
             assert wire.line is not None
             tap_lines[index] = wire.line
-        config = state.emit()
-        return CompiledPolicy(
+        # The Cells' units start where the interpreter's and a filter
+        # module's do: the pre-order seed-slot rule, not the Cell position.
+        seeded = UnitState.seeded(policy, lfsr_seed)
+        compiled = CompiledPolicy(
             policy=policy,
             params=self._params,
-            config=config,
+            config=state.emit(),
             output_line=output_line,
             mux=mux,
             tap_lines=tap_lines,
-            lfsr_seed=lfsr_seed,
+            unit_sites={nid: state.unit_sites[nid] for nid in seeded.units},
             dead_cells=dead,
         )
+        compiled.restore_units(seeded.export())
+        return compiled
 
 
 class _CompileState:
@@ -301,6 +303,8 @@ class _CompileState:
         # Input lines carrying feedback registers (explicit TableRefs);
         # "any table" taps must avoid these.
         self.reserved_inputs: set[int] = set()
+        # Stateful node id -> (stage, output line) of the K-UFPU hosting it.
+        self.unit_sites: dict[int, tuple[int, int]] = {}
 
     # -- resource accounting ------------------------------------------------------
 
@@ -339,14 +343,17 @@ class _CompileState:
         self.taps[stage][line] += 1
         return line
 
-    def _alloc_side(self, stage: int) -> tuple[int, int]:
-        """A free unary side at ``stage``: (cell index, side index)."""
+    def _check_stage(self, stage: int) -> None:
         if not 1 <= stage <= self.params.k:
             raise CompilationError(
                 f"policy needs a stage {stage} but the pipeline has "
                 f"k={self.params.k}",
                 rule="TH009", stage=stage,
             )
+
+    def _alloc_side(self, stage: int) -> tuple[int, int]:
+        """A free unary side at ``stage``: (cell index, side index)."""
+        self._check_stage(stage)
         for c, cell in enumerate(self.cells[stage]):
             if (stage, c) in self.dead_cells:
                 continue  # hardware fault: route around this Cell
@@ -363,12 +370,7 @@ class _CompileState:
 
     def _alloc_cell(self, stage: int) -> int:
         """A whole free Cell at ``stage`` for a binary operator."""
-        if not 1 <= stage <= self.params.k:
-            raise CompilationError(
-                f"policy needs a stage {stage} but the pipeline has "
-                f"k={self.params.k}",
-                rule="TH009", stage=stage,
-            )
+        self._check_stage(stage)
         for c, cell in enumerate(self.cells[stage]):
             if (stage, c) in self.dead_cells:
                 continue  # hardware fault: route around this Cell
@@ -386,15 +388,7 @@ class _CompileState:
     def _snapshot(self) -> tuple:
         """Copy all allocation state, so a failed placement attempt can be
         rolled back without leaking the resources it consumed."""
-        cells_copy: list[list[_CellState]] = []
-        for row in self.cells:
-            new_row = []
-            for cell in row:
-                c = _CellState()
-                c.sides = list(cell.sides)
-                c.binary = cell.binary
-                new_row.append(c)
-            cells_copy.append(new_row)
+        cells_copy = [[cell.copy() for cell in row] for row in self.cells]
         taps_copy = [list(row) for row in self.taps]
         wires_copy = {nid: dict(by_stage) for nid, by_stage in self.wires.items()}
         return cells_copy, taps_copy, wires_copy
@@ -590,6 +584,11 @@ class _CompileState:
             return self._table_wire(node)
         return self.compile_node(node)
 
+    def _site(self, node: Node, wire: _Wire) -> None:
+        if isinstance(node, Unary) and node.config.opcode.is_stateful:
+            assert wire.line is not None
+            self.unit_sites[node.node_id] = (wire.stage, wire.line)
+
     def compile_node(self, node: Node) -> _Wire:
         """Materialise ``node``; reuse the wire if already materialised."""
         existing = self._latest_wire(node)
@@ -603,19 +602,20 @@ class _CompileState:
             )
         if isinstance(node, Unary):
             src = self._source_of(node.child)
-            return self._record(
-                node, self._place_unary(node.config, src, src.stage + 1)
-            )
+            wire = self._place_unary(node.config, src, src.stage + 1)
+            self._site(node, wire)
+            return self._record(node, wire)
         if isinstance(node, Binary):
             left_cfg, left_src = self._operand(node.left)
             right_cfg, right_src = self._operand(node.right)
-            return self._record(
-                node,
-                self._place_binary(
-                    node.opcode, node.choice, left_cfg, left_src,
-                    right_cfg, right_src,
-                ),
-            )
+            wire = self._place_binary(node.opcode, node.choice, left_cfg,
+                                      left_src, right_cfg, right_src)
+            # A fused operand sits on the Cell's own K-UFPU, side by side.
+            for side, (operand, cfg) in enumerate(
+                    ((node.left, left_cfg), (node.right, right_cfg))):
+                if cfg is not _NOOP_K:
+                    self._site(operand, _Wire(wire.stage, wire.line + side))
+            return self._record(node, wire)
         raise CompilationError(
             f"cannot compile node type {type(node).__name__}",
             rule="TH006", operator=type(node).__name__,
@@ -659,18 +659,22 @@ class CompiledPolicy:
     traversal runs on raw id-mask ints; the public reads wrap the one
     output mask in a :class:`~repro.core.bitvector.BitVector`.
 
-    Each :attr:`~repro.core.policy.Policy.feedback` register lives here,
-    beside the pipeline's LFSRs and round-robin pointers: ``tap_lines``
-    maps input line ``i`` to the output line its bound node was routed to,
-    every traversal presents the register on line ``i`` and reads the tap
-    back, and a recompile or :meth:`reset_state` restarts it from zeros
-    exactly as it restarts the units.
+    The plan's cross-packet state is a
+    :class:`~repro.core.policy.UnitState` over the Cells' own K-UFPUs:
+    ``unit_sites`` maps each stateful node, in pre-order, to the stage
+    and output line of the K-UFPU hosting it, and each
+    :attr:`~repro.core.policy.Policy.feedback` register sits beside them:
+    ``tap_lines`` maps input line ``i`` to the output line its bound node
+    was routed to, and every traversal presents the register on line
+    ``i`` and reads the tap back.  :meth:`export_units` and
+    :meth:`restore_units` read and load all of it; the compiler seeds
+    the units through the latter.
     """
 
     def __init__(self, policy: Policy, params: PipelineParams,
                  config: PipelineConfig, output_line: int,
                  mux: MuxPlan | None, tap_lines: dict[int, int] | None = None,
-                 lfsr_seed: int = 1,
+                 unit_sites: dict[int, tuple[int, int]] | None = None,
                  dead_cells: Iterable[tuple[int, int]] = ()):
         self._policy = policy
         self._params = params
@@ -679,16 +683,17 @@ class CompiledPolicy:
         self._mux = mux
         self._tap_lines = dict(tap_lines or {})
         self._dead_cells = frozenset(dead_cells)
-        self._registers: dict[int, int] = {}
         self._stateless = not stateless_blockers(policy)
         # Only these output lines are ever read back; the pipeline prunes
         # everything that cannot reach them.
         live = {output_line} | set(self._tap_lines.values())
         if mux is not None:
             live |= {mux.primary_line, mux.fallback_line}
-        self._pipeline = FilterPipeline(
-            params, config, lfsr_seed=lfsr_seed, live_outputs=live,
-        )
+        self._pipeline = FilterPipeline(params, config, live_outputs=live)
+        self._units = UnitState({
+            nid: self._pipeline.cell_at(stage, line // 2).kufpus[line % 2]
+            for nid, (stage, line) in (unit_sites or {}).items()
+        })
         # The faults are physical: the freshly modelled pipeline must carry
         # them too, so a mis-compilation that routed through a dead Cell
         # would fault loudly instead of silently computing.
@@ -742,8 +747,15 @@ class CompiledPolicy:
         return self._params.latency_cycles
 
     def reset_state(self) -> None:
-        self._pipeline.reset_state()
-        self._registers.clear()
+        self._units.reset()
+
+    def export_units(self) -> dict[str, list]:
+        """The Cells' unit and feedback registers
+        (:meth:`UnitState.export <repro.core.policy.UnitState.export>`)."""
+        return self._units.export()
+
+    def restore_units(self, state: dict[str, list]) -> None:
+        self._units.restore(state)
 
     @property
     def tap_lines(self) -> dict[int, int]:
@@ -761,10 +773,10 @@ class CompiledPolicy:
             table = smbm.id_mask() if mask is None else smbm.id_mask() & mask
             inputs = [table] * self._params.n
             for index in self._tap_lines:
-                inputs[index] = self._registers.get(index, 0)
+                inputs[index] = self._units.registers.get(index, 0)
             outputs = self._pipeline.evaluate(smbm, inputs)
             for index, line in self._tap_lines.items():
-                self._registers[index] = outputs[line]
+                self._units.registers[index] = outputs[line]
         if self._mux is None:
             return outputs[self._output_line]
         return (outputs[self._mux.primary_line]

@@ -25,6 +25,7 @@ pipelined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.smbm import SMBM
@@ -110,6 +111,26 @@ class KUFPU:
     def reset_state(self) -> None:
         for unit in self._units:
             unit.reset_state()
+
+    def state(self) -> list:
+        """The programmed units' registers (:meth:`UFPU.state`), in order."""
+        return [unit.state() for unit in self._units]
+
+    def load(self, state) -> None:
+        """Set the registers :meth:`state` read."""
+        if len(state) != len(self._units):
+            raise ConfigurationError(
+                f"unit state for {len(state)} units, the chain programs "
+                f"{len(self._units)}"
+            )
+        for unit, registers in zip(self._units, state):
+            unit.load(registers)
+
+    @property
+    def step(self) -> Callable[[int, SMBM], int]:
+        """:meth:`evaluate`, or the one programmed unit's own step when
+        K = 1: the same function, one call shallower."""
+        return self._steps[0] if len(self._steps) == 1 else self.evaluate
 
     def evaluate(self, inp: int, smbm: SMBM) -> int:
         """One packet's traversal: Equation 1 chaining plus the output union."""

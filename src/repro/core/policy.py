@@ -33,7 +33,9 @@ naive interpreter's int masks, the kernel's source emitter
 (:mod:`repro.engine.codegen`), a column of int masks
 (:mod:`repro.engine.columnar`) and the interval facts of
 :mod:`repro.analysis.symbolic`.  :func:`stateless_blockers` decides
-which policies a domain without stateful units may fold.
+which policies a domain without stateful units may fold, and which
+outputs may be memoised per table version.  :class:`UnitState` is a
+policy's cross-packet state and its one seed-slot rule.
 
 :class:`PolicyInterpreter` is the naive truth, the ``fold`` domain the
 compiled pipeline, the other domains, the sanitizer and the self-test are
@@ -72,6 +74,7 @@ __all__ = [
     "Conditional",
     "Policy",
     "PolicyInterpreter",
+    "UnitState",
     "postorder",
     "preorder_paths",
     "fold",
@@ -313,8 +316,9 @@ def stateless_blockers(policy: Policy) -> list[str]:
     without stateful units may :func:`fold` it.
 
     The single definition of "stateless" behind the version memo
-    (``CompiledPolicy.stateless``) and the codegen kernel: a filter module
-    builds the kernel exactly when this is empty.
+    (``CompiledPolicy.stateless``): a filter module memoises exactly when
+    this is empty.  It does not decide lowering: the codegen kernel steps
+    the units and registers a stateful policy needs.
     """
     blockers: list[str] = []
     for node in postorder(policy.root):
@@ -512,6 +516,75 @@ def policy_from_dict(doc: Mapping[str, Any]) -> Policy:
         raise CheckpointError(f"malformed policy document: {exc!r}") from None
 
 
+# -- cross-packet state -------------------------------------------------------------
+
+
+class UnitState:
+    """A policy's cross-packet state: one K-UFPU per stateful node, keyed
+    by ``node_id`` in pre-order, and the :attr:`Policy.feedback`
+    registers, keyed by input line.
+
+    :meth:`seeded` is the one seed-slot rule.  Pre-order, each node at its
+    first visit only (a shared sub-DAG is not walked again per path),
+    every Unary node, stateful or not, takes ``max(1, k) + 1`` slots of
+    the seed space, so a unit's LFSR stream depends only on ``lfsr_seed``
+    and where the unit sits in the DAG: not on the Cells it is placed on,
+    nor on the tenants beside it.  The interpreter, the compiled Cells and
+    a filter module's kernel all start from it.
+
+    :meth:`export` and :meth:`restore` are the one spelling of the state:
+    ``{"units": [...], "feedback": [[line, mask], ...]}``, the units'
+    registers (:meth:`KUFPU.state <repro.core.kufpu.KUFPU.state>`) in
+    pre-order and the registers by line, JSON-safe.  Both sides of a
+    restore must hold the same policy's units.
+    """
+
+    def __init__(self, units: dict[int, KUFPU]) -> None:
+        self.units = units
+        self.registers: dict[int, int] = {}
+
+    @classmethod
+    def seeded(cls, policy: Policy, lfsr_seed: int = 1) -> UnitState:
+        units: dict[int, KUFPU] = {}
+        seed = lfsr_seed
+        for node, _ in preorder_paths(policy.root):
+            if isinstance(node, Unary):
+                length = max(1, node.config.k)
+                if node.config.opcode.is_stateful:
+                    units[node.node_id] = KUFPU(length, node.config,
+                                                lfsr_seed=seed)
+                seed += length + 1
+        return cls(units)
+
+    def reset(self) -> None:
+        """Clear the round-robin registers and the feedback registers."""
+        for unit in self.units.values():
+            unit.reset_state()
+        self.registers.clear()
+
+    def export(self) -> dict[str, list]:
+        return {
+            "units": [unit.state() for unit in self.units.values()],
+            "feedback": [[line, self.registers[line]]
+                         for line in sorted(self.registers)],
+        }
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Load :meth:`export` output in place: whatever closes over the
+        units or the registers sees the restored state."""
+        units = state["units"]
+        if len(units) != len(self.units):
+            raise ConfigurationError(
+                f"unit state names {len(units)} units, the policy has "
+                f"{len(self.units)}"
+            )
+        for unit, registers in zip(self.units.values(), units):
+            unit.load(registers)
+        self.registers.clear()
+        self.registers.update(
+            (int(line), int(mask)) for line, mask in state["feedback"])
+
+
 # -- reference interpreter ----------------------------------------------------------
 
 
@@ -564,38 +637,23 @@ class PolicyInterpreter:
     (:func:`~repro.core.ufpu_reference.reference_unary`), which read the
     table's sorted lists and nothing else.  Stateful operators
     (round-robin, random) have one implementation, the hardware unit's:
-    the interpreter keeps one per node, seeded by its pre-order slot, and
-    steps it as the Cells do, the units of a Conditional's untaken arm
-    included.  Beside them sits the interpreter's own copy of each
-    :attr:`Policy.feedback` register, written after every packet.
+    the interpreter keeps its own :class:`UnitState` — one unit per node,
+    seeded by its pre-order slot, stepped as the Cells and the kernel step
+    theirs, the units of a Conditional's untaken arm included — and its
+    own copy of each :attr:`Policy.feedback` register, written after every
+    packet.
     """
 
     def __init__(self, policy: Policy, *, lfsr_seed: int = 1):
         self._policy = policy
-        self._units: dict[int, KUFPU] = {}
-        self._registers: dict[int, int] = {}
-        seed = lfsr_seed
-        # Pre-order, each node at its first visit only (a shared sub-DAG
-        # is not walked again per path): every Unary node, stateful or
-        # not, takes its slot of the seed space, so a node's LFSR stream
-        # depends only on where it sits in the DAG.
-        for node, _ in preorder_paths(policy.root):
-            if isinstance(node, Unary):
-                length = max(1, node.config.k)
-                if node.config.opcode.is_stateful:
-                    self._units[node.node_id] = KUFPU(
-                        length, node.config, lfsr_seed=seed
-                    )
-                seed += length + 1
+        self._state = UnitState.seeded(policy, lfsr_seed)
 
     @property
     def policy(self) -> Policy:
         return self._policy
 
     def reset_state(self) -> None:
-        for unit in self._units.values():
-            unit.reset_state()
-        self._registers.clear()
+        self._state.reset()
 
     def evaluate(
         self, smbm: SMBM, *, mask: int | None = None,
@@ -617,16 +675,17 @@ class PolicyInterpreter:
         present = smbm.id_mask()
         table = present if mask is None else present & mask
         out: dict[int, int] = {} if record is None else record
+        state = self._state
         root = fold(self._policy,
-                    _NaiveDomain(smbm, table, self._units, self._registers),
+                    _NaiveDomain(smbm, table, state.units, state.registers),
                     out)
         # Every bound node is in the root's DAG (Policy checks), so the
         # fold computed every register's next value.  Every register was
         # read before any is written: one packet boundary.
-        self._registers = {
+        state.registers.update({
             index: out[bound.node_id]
             for index, bound in self._policy.feedback.items()
-        }
+        })
         return BitVector.from_int(smbm.capacity, root)
 
     def select(self, smbm: SMBM) -> int | None:

@@ -133,6 +133,15 @@ class UFPU:
         self._rr_last_id = None
         self._rr_w = 0
 
+    def state(self) -> list:
+        """The operator registers as ``[lfsr, last_id, w]``."""
+        return [self._lfsr.state, self._rr_last_id, self._rr_w]
+
+    def load(self, state) -> None:
+        """Set the registers :meth:`state` read."""
+        lfsr, self._rr_last_id, self._rr_w = state
+        self._lfsr = LFSR(16, seed=lfsr)
+
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, inp: int, smbm: SMBM) -> int:

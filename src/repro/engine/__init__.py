@@ -7,7 +7,8 @@ The engine is the throughput tier above the per-packet fast path:
 * :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
   scalar closures (:func:`repro.core.policy.fold` in a source-emitting
   domain), cached on ``(plan_hash, smbm.version)``: the one software
-  lowering of a stateless policy, for single rows and batch columns alike.
+  lowering of every policy, for single rows and batch columns alike (a
+  stateful one's kernel steps the units its owner lends it).
 
 :mod:`repro.engine.columnar` (the same fold over int-mask columns) serves
 no row.  Everything here is pure Python over int masks; nothing imports an

@@ -1,45 +1,59 @@
-"""Per-policy codegen: stateless policies become flat specialized closures.
+"""Per-policy codegen: every policy becomes a flat specialized closure.
 
 The interpreted fast path pays Python dispatch per operator object per
 packet, plus the bounds/width/liveness checks the pipeline model carries.
-For a policy :func:`~repro.core.policy.stateless_blockers` has nothing
-against — no stateful unit, no feedback register — all of that is dead
-weight: the policy's meaning is a pure function of the table contents.
+A kernel pays neither.  :class:`PlanCodegen` emits, once per distinct
+plan, one small Python module of straight-line code whose
+``specialize(smbm)`` resolves everything that is constant for one table
+version (predicate satisfying-sets as raw int masks, bound min/max bisect
+methods) and returns a flat ``kernel(mask) -> mask`` closure over those
+constants: no operator objects, no checks, no dispatch.  The source is
+the policy folded (:func:`repro.core.policy.fold`) in the
+:class:`_ScalarEmitter` domain, whose values are variable names.
 
-:class:`PlanCodegen` therefore emits, once per distinct plan, one small
-Python module of straight-line code whose ``specialize(smbm)`` resolves
-everything that is constant for one table version (predicate
-satisfying-sets as raw int masks, bound min/max bisect methods) and
-returns a flat ``kernel(mask) -> mask`` closure over those constants: no
-operator objects, no checks, no dispatch.  The source is the policy
-folded (:func:`repro.core.policy.fold`) in the :class:`_ScalarEmitter`
-domain, whose values are variable names.
+A policy with round-robin or random units, or with
+:attr:`~repro.core.policy.Policy.feedback` registers, is lowered the same
+way.  Its ``specialize(smbm, units, regs)`` also computes the stateless
+*frontier* (the pure values the units read) once for the unmasked table,
+and its row routine steps each unit over it (a pointer/weight move or
+an LFSR advance, then ``encode_cyclic``, K rounds for ``k > 1``: the
+hardware unit's own step, :attr:`repro.core.kufpu.KUFPU.step`), both
+arms of a Conditional before the MUX, and then writes the registers.
+The units and registers are a
+:class:`~repro.core.policy.UnitState` the owner lends the kernel as
+:attr:`PlanCodegen.units`; the kernel keeps no cross-packet state of its
+own.  Whether a policy is stateless decides only whether its outputs
+may be memoised, never whether it has a kernel.
 
 The tier is a lowering of the *policy*: it takes no compiled plan, the
 compiler (:mod:`repro.core.compiler`) does not know it exists, and a
 :class:`~repro.switch.filter_module.FilterModule` builds one for every
-stateless policy on its policy clock — construction and ``hot_swap`` — so
-a fail-around recompile onto other Cells keeps the same object.
+policy on its policy clock (construction and ``hot_swap``), so a
+fail-around recompile onto other Cells keeps the same object, and the
+same units.
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 policy's canonical document, :func:`~repro.core.policy.policy_to_dict`)
 and exec'd once; specialized kernels are cached per instance on
-``smbm.version`` — exactly the key the scalar memo invalidates on, so a
-committed table write respecializes on the next evaluation and nothing
-staler can ever be served.
+``smbm.version`` (and on the lent units), exactly the key the scalar
+memo invalidates on, so a committed table write respecializes on the
+next evaluation and nothing staler can ever be served.
 
 A batch runs the same kernel row by row
-(:meth:`PlanCodegen.evaluate_masks`), so one object is both the row
-routine's lowering and the module's batch engine.  What it saves over the
-interpreted column fold is per-operator dispatch, which the fold pays once
-per *batch*: on a wide column the two are even, on short columns and
-single rows the kernel wins (DESIGN.md, ``tools/lowering_costs.py``).
+(:meth:`PlanCodegen.evaluate_masks`), in arrival order, so one object is
+both the row routine's lowering and the module's batch engine: B rows of
+a stateful policy on one table version are B unit steps over one
+frontier.  What it saves over the interpreted column fold is
+per-operator dispatch, which the fold pays once per *batch*: on a wide
+column the two are even, on short columns and single rows the kernel
+wins (DESIGN.md, ``tools/lowering_costs.py``).
 
 The generated code is the optimisation, never the spec: under
 ``sanitize=True`` the filter module holds every kernel row and every
-batch-engine row to the interpreted pipeline on the same mask, and the
-differential suites hold both to the naive
-:class:`~repro.core.policy.PolicyInterpreter`.
+batch-engine row to the interpreted pipeline on the same mask (the Cells
+loaded with the units' state from before the row), and the differential
+suites hold both to the naive
+:class:`~repro.core.policy.PolicyInterpreter` at the same ``lfsr_seed``.
 """
 
 from __future__ import annotations
@@ -56,9 +70,10 @@ from repro.core.policy import (
     Policy,
     TableRef,
     Unary,
+    UnitState,
     fold,
     policy_to_dict,
-    stateless_blockers,
+    postorder,
 )
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
@@ -89,10 +104,17 @@ def plan_hash_of(policy: Policy) -> str:
 
 class _ScalarEmitter:
     """Fold domain whose values are kernel variable names: each operator
-    appends one line of straight-line int-mask code to :attr:`body`, and
-    whatever is constant per table version to :attr:`preamble`; each
-    relational operator a predicate names joins :attr:`relops`, the table
-    the code indexes as ``RELOPS[j]``."""
+    appends one line of straight-line int-mask code, and whatever is
+    constant per table version to :attr:`preamble`; each relational
+    operator a predicate names joins :attr:`relops`, the table the code
+    indexes as ``RELOPS[j]``.
+
+    A line that reads a unit or a feedback register, directly or through
+    its operands, is a *step* (:attr:`steps`): it runs once per row.
+    Every other line is *pure* (:attr:`body`), a function of the
+    candidate table ``t`` alone; :attr:`frontier` lists the pure values a
+    step reads.  The ``j``-th unit the fold meets is ``units[j]``: the
+    fold's post-order."""
 
     _SYMBOL = {
         BinaryOp.UNION: "|",
@@ -104,19 +126,37 @@ class _ScalarEmitter:
         self.relops: list[RelOp] = []
         self.preamble: list[str] = []
         self.body: list[str] = []
+        self.steps: list[str] = []
+        self.frontier: list[str] = []
+        self._units = 0
+        self._stepped: set[str] = set()
 
     def _const(self, expr: str) -> str:
         var = f"c{len(self.preamble)}"
         self.preamble.append(f"{var} = {expr}")
         return var
 
-    def _emit(self, expr: str) -> str:
-        var = f"v{len(self.body)}"
-        self.body.append(f"{var} = {expr}")
+    def _emit(self, expr: str, *operands: str, step: bool = False) -> str:
+        var = f"v{len(self.body) + len(self.steps)}"
+        if step or any(o in self._stepped for o in operands):
+            self.steps.append(f"{var} = {expr}")
+            self._stepped.add(var)
+            self.read(*operands)
+        else:
+            self.body.append(f"{var} = {expr}")
         return var
+
+    def read(self, *operands: str) -> None:
+        """A step reads ``operands``: the pure ones join the frontier."""
+        for o in operands:
+            if o not in self._stepped and o != "t" and o not in self.frontier:
+                self.frontier.append(o)
 
     def table(self, node: TableRef) -> str:
         return "t"
+
+    def feedback(self, node: TableRef) -> str:
+        return self._emit(f"regs.get({node.input_index}, 0)", step=True)
 
     def predicate(self, node: Unary, child: str) -> str:
         cfg = node.config
@@ -126,20 +166,27 @@ class _ScalarEmitter:
             f"smbm.metric_index({cfg.attr!r}).predicate_mask("
             f"RELOPS[{self.relops.index(cfg.rel_op)}], {cfg.val}, full)"
         )
-        return self._emit(f"{child} & {sat}")
+        return self._emit(f"{child} & {sat}", child)
 
     def select(self, node: Unary, child: str) -> str:
         cfg = node.config
         select = self._const(f"smbm.metric_index({cfg.attr!r}).select_mask")
         largest = cfg.opcode is UnaryOp.MAX
-        return self._emit(f"{select}({child}, {cfg.k}, {largest})")
+        return self._emit(f"{select}({child}, {cfg.k}, {largest})", child)
+
+    def unit(self, node: Unary, child: str) -> str:
+        step = self._const(f"units[{self._units}]")
+        self._units += 1
+        return self._emit(f"{step}({child}, smbm)", child, step=True)
 
     def binary(self, node: Binary, left: str, right: str) -> str:
-        return self._emit(f"{left} {self._SYMBOL[node.opcode]} {right}")
+        return self._emit(f"{left} {self._SYMBOL[node.opcode]} {right}",
+                          left, right)
 
     def conditional(self, node: Conditional, primary: str,
                     fallback: str) -> str:
-        return self._emit(f"{primary} if {primary} else {fallback}")
+        return self._emit(f"{primary} if {primary} else {fallback}",
+                          primary, fallback)
 
 
 def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
@@ -152,15 +199,32 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     """
     digest = plan_hash_of(policy)
     emitter = _ScalarEmitter()
-    root = fold(policy, emitter)
+    values: dict[int, str] = {}
+    root = fold(policy, emitter, values)
     # The header names only the plan hash: equal plans must emit
     # byte-identical source (the module-wide cache is keyed on the hash,
     # and the policy's display name is metadata, not plan content).
-    lines = [f"# plan {digest}", "", "def specialize(smbm):",
+    head = "smbm, units, regs" if emitter.steps else "smbm"
+    lines = [f"# plan {digest}", "", f"def specialize({head}):",
              "    full = (1 << smbm.capacity) - 1"]
     lines += ["    " + line for line in emitter.preamble]
-    lines.append("    def kernel(t):")
-    lines += ["        " + line for line in emitter.body]
+    # Every register is written after every line has read it: one packet
+    # boundary, as in the interpreter.
+    writes = [f"regs[{line}] = {values[bound.node_id]}"
+              for line, bound in sorted(policy.feedback.items())]
+    emitter.read(root, *(values[b.node_id] for b in policy.feedback.values()))
+    body = ["        " + line for line in emitter.body]
+    if emitter.steps and emitter.frontier:
+        # The pure values the steps read: computed once per table version
+        # for the unmasked table, and per row only for a masked one.
+        front = ", ".join(emitter.frontier) + ","
+        lines += ["    def frontier(t):", *body, f"        return ({front})",
+                  "    T = smbm.id_mask()", "    F = frontier(T)",
+                  "    def kernel(t):",
+                  f"        {front} = F if t == T else frontier(t)"]
+    else:
+        lines += ["    def kernel(t):", *body]
+    lines += ["        " + line for line in emitter.steps + writes]
     lines += [f"        return {root}", "    return kernel"]
     return "\n".join(lines) + "\n", digest, tuple(emitter.relops)
 
@@ -170,20 +234,25 @@ class PlanCodegen:
 
     A lowering of the policy alone — no compilation, placement or Cell
     enters it — so it is built when the policy changes and survives every
-    fail-around recompile.  A policy
-    :func:`~repro.core.policy.stateless_blockers` objects to (stateful
-    operators, feedback registers) has no kernel: construction raises
-    :class:`ConfigurationError` naming every blocker.
+    fail-around recompile.  Every policy has one.  The kernel of a policy
+    with units or feedback registers steps the
+    :class:`~repro.core.policy.UnitState` its owner lends it as
+    :attr:`units`: it holds no cross-packet state of its own.
     """
 
+    #: The state a stateful kernel steps (``None`` until lent; a
+    #: stateless kernel never reads it).  Lending another respecializes.
+    units: UnitState | None = None
+
     def __init__(self, policy: Policy):
-        blockers = stateless_blockers(policy)
-        if blockers:
-            raise ConfigurationError(
-                f"policy {policy.name!r} has no kernel, its output is not "
-                "a function of the table alone: " + "; ".join(blockers)
-            )
         self._policy = policy
+        # The order the generated code indexes its units in: the fold's
+        # post-order.
+        self._unit_ids = [
+            node.node_id for node in postorder(policy.root)
+            if isinstance(node, Unary) and node.config.opcode.is_stateful
+        ]
+        self._stateful = bool(self._unit_ids or policy.feedback)
         source, digest, relops = generate_plan_source(policy)
         self._source = source
         self._hash = digest
@@ -197,6 +266,7 @@ class PlanCodegen:
         # moves forward, so older kernels can never become valid again —
         # same invalidation point as the FilterModule memo.
         self._scalar_version: int | None = None
+        self._scalar_units: UnitState | None = None
         self._scalar_kernel = None
         # Hot-path counters stay plain ints; a weakly-held collect hook
         # publishes them only when a real registry is active.
@@ -254,16 +324,28 @@ class PlanCodegen:
 
     def kernel(self, smbm: SMBM):
         """The flat ``kernel(mask) -> mask`` closure for the current table
-        version, specializing if the version moved."""
-        version = smbm.version
-        if version == self._scalar_version:
+        version and :attr:`units`, specializing if either moved."""
+        version, units = smbm.version, self.units
+        if version == self._scalar_version and units is self._scalar_units:
             self._hits += 1
+            return self._scalar_kernel
+        if not self._stateful:
+            kernel = self._specialize(smbm)
+        elif units is None:
+            raise ConfigurationError(
+                f"policy {self._policy.name!r} keeps cross-packet state: "
+                "its kernel steps the UnitState its owner lends as units"
+            )
         else:
-            self._scalar_kernel = self._specialize(smbm)
-            self._scalar_version = version
-            self._specializations += 1
-            self._misses += 1
-        return self._scalar_kernel
+            kernel = self._specialize(
+                smbm, [units.units[nid].step for nid in self._unit_ids],
+                units.registers)
+        self._scalar_kernel = kernel
+        self._scalar_version = version
+        self._scalar_units = units
+        self._specializations += 1
+        self._misses += 1
+        return kernel
 
     def evaluate(self, smbm: SMBM, mask: int | None = None) -> int:
         """One packet's policy output over ``table ∩ mask`` (``None`` = the
@@ -273,12 +355,14 @@ class PlanCodegen:
 
     # -- batch lane ----------------------------------------------------------------
 
-    def evaluate_masks(self, smbm: SMBM, masks: Sequence[int]) -> list[int]:
+    def evaluate_masks(self, smbm: SMBM,
+                       masks: Sequence[int | None]) -> list[int]:
         """One output mask per input mask (inputs are intersected with the
-        table's presence mask, like the interpreted batch tier): the flat
-        scalar kernel, row by row."""
+        table's presence mask, ``None`` is the full table): the flat
+        scalar kernel, row by row, in order — so a stateful kernel steps
+        its units once per row, as the rows arrived."""
         if not masks:
             return []
         kern = self.kernel(smbm)
         present = smbm.id_mask()
-        return [kern(present & m) for m in masks]
+        return [kern(present if m is None else present & m) for m in masks]

@@ -199,17 +199,20 @@ class SwitchBackend(abc.ABC):
     def snapshot_tenant(self, name: str) -> TenantCheckpoint:
         """Capture one tenant's complete serving state."""
         tenant = self._manager.get(name)
+        spec = spec_to_dict(replace(
+            tenant.spec,
+            # The live policy, not the admitted one: hot-swaps must
+            # survive a checkpoint.
+            policy=tenant.module.policy,
+            # Count, not physical indices: the destination allocates its
+            # own strip, and snapshots stay comparable across switches.
+            columns=len(tenant.columns),
+        ))
+        units = tenant.module.export_units()
+        if units is not None:  # stateless payloads keep their bytes
+            spec["units"] = units
         ckpt = TenantCheckpoint(
-            spec=spec_to_dict(replace(
-                tenant.spec,
-                # The live policy, not the admitted one: hot-swaps must
-                # survive a checkpoint.
-                policy=tenant.module.policy,
-                # Count, not physical indices: the destination allocates
-                # its own strip, and snapshots stay comparable across
-                # switches.
-                columns=len(tenant.columns),
-            )),
+            spec=spec,
             smbm_state=tenant.module.smbm.export_state(),
             plan_epoch=tenant.module.plan_epoch,
         )
@@ -218,12 +221,14 @@ class SwitchBackend(abc.ABC):
 
     def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
         """Recreate a tenant from a checkpoint: admit its spec, restore
-        its table bit-faithfully, re-stamp its epoch watermark."""
+        its table bit-faithfully and its unit state, re-stamp its epoch
+        watermark."""
         tenant = self._manager.admit(spec_from_dict(ckpt.spec))
         try:
             tenant.module.restore_table(
                 ckpt.smbm_state, plan_epoch=ckpt.plan_epoch
             )
+            tenant.module.restore_units(ckpt.units)
         except Exception:
             # Never leave a half-restored tenant serving: a tenant that
             # admitted but failed to restore is evicted before the error
@@ -232,6 +237,14 @@ class SwitchBackend(abc.ABC):
             raise
         self._obs_restores.inc()
         return tenant
+
+    def export_units(self, name: str) -> dict | None:
+        """One tenant's unit state (:attr:`TenantCheckpoint.units`): what
+        a live migration moves when it commits."""
+        return self._manager.get(name).module.export_units()
+
+    def restore_units(self, name: str, units: dict | None) -> None:
+        self._manager.get(name).module.restore_units(units)
 
     def snapshot(self) -> SwitchCheckpoint:
         """Capture the whole switch: geometry plus every tenant."""

@@ -124,7 +124,8 @@ class TenantCheckpoint:
     payload key plus one export/restore pair on
     :class:`~repro.switch.filter_module.FilterModule`, called from
     ``snapshot_tenant`` / ``restore_tenant`` — nothing else: the diff,
-    the gate and the log walk whatever keys are there.
+    the gate and the log walk whatever keys are there.  A key beside the
+    spec's own fields rides in :attr:`spec`, which ignores it on decode.
 
     ``spec`` is the :func:`spec_to_dict` document the tenant re-enters
     with: its ``policy`` is the *live* policy (post any hot-swaps on the
@@ -134,17 +135,29 @@ class TenantCheckpoint:
     so checkpoints taken on different switches with identical tenant
     state compare equal.
 
-    *Not* captured yet: the cross-packet state of the compiled policy —
-    LFSR registers, round-robin pointers and weights, and
-    :attr:`~repro.core.policy.Policy.feedback` registers.  A restored,
-    recovered or migrated stateful tenant restarts them from the seed and
-    from zeros (ROADMAP item 2(c); the ``STATEFUL_4C`` cases in
-    ``tests/serving`` are its strict-xfail landing pad).
+    The policy's cross-packet state is the ``units`` key
+    (:meth:`FilterModule.export_units
+    <repro.switch.filter_module.FilterModule.export_units>`): the LFSR
+    registers, round-robin pointers and weights, and
+    :attr:`~repro.core.policy.Policy.feedback` registers.  Only a policy
+    with units or feedback writes it, so a stateless payload keeps the
+    bytes it had before the key existed; a payload without it (a
+    stateless tenant, or one logged before the key existed) restores the
+    units from the seed.  The live-migration gate leaves it out of its
+    comparison: the source keeps serving, and stepping its units, until
+    the cutover commits, and the state moves with the commit
+    (:meth:`LiveMigration.complete
+    <repro.serving.migration.LiveMigration.complete>`).
     """
 
     spec: dict[str, Any]
     smbm_state: dict[str, Any]
     plan_epoch: int
+
+    @property
+    def units(self) -> dict[str, Any] | None:
+        """The ``units`` key, or ``None`` where the payload has none."""
+        return self.spec.get("units")
 
     def payload(self) -> dict[str, Any]:
         return {**self.spec, "smbm_state": self.smbm_state,

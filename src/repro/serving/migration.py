@@ -192,10 +192,12 @@ class LiveMigration:
         """
         self._require(MigrationState.DUAL_RUNNING, "cut over")
         moved = self._dest.snapshot_tenant(self._tenant)
-        report = diff_tenant_payloads(
-            self._source.snapshot_tenant(self._tenant).payload(),
-            moved.payload(), subject=self._tenant,
-        )
+        # Unit state is not compared: the source steps its units until
+        # the flip, and they move with the commit (:meth:`complete`).
+        source, dest = (
+            {k: v for k, v in ckpt.payload().items() if k != "units"}
+            for ckpt in (self._source.snapshot_tenant(self._tenant), moved))
+        report = diff_tenant_payloads(source, dest, subject=self._tenant)
         if not report.clean:
             self._obs_gate_detected.inc()
             raise IntegrityError(
@@ -212,10 +214,13 @@ class LiveMigration:
         }
 
     def complete(self) -> None:
-        """Evict the tenant from the source: the destination serves it
-        from here on.  :meth:`gate` vouches for this; a caller that logs
-        the move does so between the two."""
+        """Move the tenant's unit state to the destination and evict the
+        tenant from the source: the destination serves it from here on.
+        :meth:`gate` vouches for the rest; a caller that logs the move
+        does so between the two."""
         self._require(MigrationState.DUAL_RUNNING, "cut over")
+        self._dest.restore_units(self._tenant,
+                                 self._source.export_units(self._tenant))
         self._source.unprogram_tenant(self._tenant)
         self._state = MigrationState.COMPLETE
         self._obs_outcomes["complete"].inc()

@@ -53,7 +53,8 @@ class Elsewhere:
     def _absorb(self, *args: Any, **kwargs: Any) -> None:
         """Not this log's business."""
 
-    restore_tenant = write_batch = hot_swap = unprogram_tenant = _absorb
+    restore_tenant = restore_units = write_batch = hot_swap = _absorb
+    unprogram_tenant = _absorb
 
 
 class NotHere(Exception):

@@ -17,11 +17,19 @@ and what a table version determines when the table is written (the three
 clocks in :class:`FilterModule`'s docstring).  Its mode flags —
 ``self_healing``, ``sanitize`` — and the tenant slice compose freely.
 
-A stateless policy has one software lowering, its
+Every policy has one software lowering, its
 :class:`~repro.engine.codegen.PlanCodegen` kernel, for memo misses, masked
-rows and batch columns alike.  The Cell pipeline is the hardware model; it
-serves the rows of a stateful policy, and any row while an injected fault
-is still on the placement, so the fault surfaces where hardware meets it.
+rows, batch columns and the rows of a stateful policy alike.  A stateful
+policy's unit state — LFSR registers, round-robin pointers and weights,
+feedback registers — lives on the policy clock, in the one
+:class:`~repro.core.policy.UnitState` the module owns and lends the
+kernel; it is seeded by the policy alone, so no placement, co-tenant,
+recompile or heal moves it.  The Cell pipeline is the hardware model
+(latency, fault placement, the sanitizer's oracle).  It serves a row
+only while an injected fault is still on the placement, so the fault
+surfaces where hardware meets it, and under ``sanitize`` it checks every
+kernel row; either way it is loaded from the owner's units before the
+walk and stores them back after it.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.core.bitvector import BitVector
 from repro.core.cell import Cell
 from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy, PolicyInterpreter, stateless_blockers
+from repro.core.policy import Policy, PolicyInterpreter, UnitState
 from repro.core.smbm import SMBM
 from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_EPOCH,            # defined at the engine layer so the
@@ -72,7 +80,8 @@ class FilterModule:
     comparison — the software analogue of the hardware answering the same
     table every clock cycle.  Any committed write bumps the version and so
     invalidates the cache.  Stateful policies are never memoized (their
-    outputs advance per packet by design).
+    outputs advance per packet by design): each row is one step of their
+    units on the kernel.
 
     Every piece of serving state is rebuilt on exactly one of three clocks:
 
@@ -80,8 +89,10 @@ class FilterModule:
       :meth:`_program` installs what is a function of the policy alone:
       the :attr:`analysis` (computed once per policy; the hot-swap gate,
       the sanitizer's containment check and admission's TH021 check all
-      read it), the naive reference, the kernel (stateless policies
-      only), the policy-labelled instruments;
+      read it), the naive reference, the kernel, the unit state the
+      kernel steps and the Cells load and store back
+      (:meth:`export_units` / :meth:`restore_units`), the
+      policy-labelled instruments;
     * the **placement clock** (construction, :meth:`hot_swap`, every
       fail-around recompile) — :meth:`_place` maps the policy onto the
       Cells the slice and the detected faults leave and re-arms the
@@ -135,18 +146,15 @@ class FilterModule:
         # spanning a swap separates cleanly into old-plan/new-plan halves.
         self._plan_epoch = 0
         compiled = self._place(policy)
-        self._evaluations = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
+        self._evaluations = self._cache_hits = self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
         # "broadcast" = uniform rows collapsed to one memoized evaluation,
-        # "engine" = masked rows in one kernel call, "fallback" = the
-        # scalar per-row loop (stateful policies).
-        self._batches = 0
-        self._batch_rows = 0
-        self._batch_broadcast_rows = 0
-        self._batch_engine_rows = 0
-        self._batch_fallback_rows = 0
+        # "engine" = rows the kernel served in one call (masked rows of a
+        # stateless policy, every row of a stateful one), "fallback" = the
+        # row routine, row by row (rows the Cells check under sanitize, or
+        # serve for a stateful policy while a fault is live).
+        self._batches = self._batch_rows = self._batch_broadcast_rows = 0
+        self._batch_engine_rows = self._batch_fallback_rows = 0
         if sanitize:
             # Memo-version coherence: a committed write bumps the table
             # version, so a memo entry keyed at (or past) the post-write
@@ -202,15 +210,19 @@ class FilterModule:
     def _program(self, analysis: SemanticAnalysis) -> None:
         """The policy clock: install ``analysis`` (emitting its findings)
         and build everything else that is a function of its policy alone,
-        before the first assignment — among it one :class:`PlanCodegen`
-        for a stateless policy (the row routine's lowering and the batch
-        engine both), none for a stateful one."""
+        before the first assignment — among it the one
+        :class:`PlanCodegen` (the row routine's lowering and the batch
+        engine both) and the units it steps, freshly seeded."""
         policy = analysis.policy
         # The naive reference self_test() and sanitize_check() hold the
         # plan to: a walk of the policy DAG over the table's sorted lists,
         # sharing no compiler, Cell or MetricIndex with the plan it judges.
         reference = PolicyInterpreter(policy, lfsr_seed=self._lfsr_seed)
-        kernel = None if stateless_blockers(policy) else PlanCodegen(policy)
+        kernel = PlanCodegen(policy)
+        # The one owner of the unit and feedback registers: the kernel
+        # steps them, the Cells load them and store them back.
+        self._units = kernel.units = UnitState.seeded(policy,
+                                                      self._lfsr_seed)
         self._policy = policy
         self._analysis = analysis
         self._reference = reference
@@ -360,10 +372,21 @@ class FilterModule:
             self._plan_epoch = int(plan_epoch)
 
     @property
-    def codegen(self):
-        """The policy's :class:`~repro.engine.codegen.PlanCodegen` kernel,
-        or ``None`` for a stateful policy."""
+    def codegen(self) -> PlanCodegen:
+        """The policy's :class:`~repro.engine.codegen.PlanCodegen` kernel."""
         return self._codegen
+
+    def export_units(self) -> "dict[str, list] | None":
+        """The policy's unit and feedback registers
+        (:meth:`UnitState.export <repro.core.policy.UnitState.export>`),
+        or ``None`` when it has neither."""
+        return None if self._memoize else self._units.export()
+
+    def restore_units(self, state: "Mapping[str, object] | None") -> None:
+        """Load what :meth:`export_units` returned for the same policy;
+        ``None`` leaves the units as they are."""
+        if state is not None:
+            self._units.restore(state)
 
     @property
     def latency_cycles(self) -> int:
@@ -457,21 +480,31 @@ class FilterModule:
         if kernel is None:
             out = self._plan_output(mask)
         else:
+            before = self._units.export() if self._sanitize else None
             out = kernel.evaluate(self._smbm, mask)
             if self._sanitize:
                 # The interpreted plan stays the differential oracle of
-                # the generated code.
-                self._agreed(out, "codegen kernel",
-                             self._plan_output(mask), "the interpreted plan")
+                # the generated code, from the units' state before it.
+                self._agreed(out, "codegen kernel", self._plan_output(
+                    mask, before), "the interpreted plan")
         if self._sanitize:
             self._check_semantic_containment(out)
         return out
 
-    def _plan_output(self, mask: int | None) -> int:
-        """The compiled pipeline's output over ``table ∩ mask``."""
-        if mask is None:
-            return self._compiled.evaluate(self._smbm).value
-        return self._compiled.evaluate_restricted(self._smbm, mask).value
+    def _plan_output(self, mask: int | None,
+                     units: "dict[str, list] | None" = None) -> int:
+        """The compiled pipeline's output over ``table ∩ mask``.  The
+        Cells' units are loaded from the owner (or from ``units``, a state
+        it exported) and stored back only after a whole walk, so neither a
+        switch between kernel and Cells nor a fault mid-walk forks them."""
+        compiled, stateful = self._compiled, not self._memoize
+        if stateful:
+            compiled.restore_units(units or self._units.export())
+        out = (compiled.evaluate(self._smbm) if mask is None else
+               compiled.evaluate_restricted(self._smbm, mask)).value
+        if stateful:
+            self._units.restore(compiled.export_units())
+        return out
 
     def _agreed(self, fast: int, fast_name: str,
                 reference: int, reference_name: str) -> int:
@@ -603,12 +636,10 @@ class FilterModule:
     def remove_cell_stuck(self, stage: int, index: int, side: int) -> None:
         """Undo an injected stuck fault (an injector reverting a flip that
         turned out to be unobservable on the programmed policy)."""
-        pos = (stage, index)
-        sides = self._hw_stuck.get(pos)
-        if sides is not None:
-            sides.pop(side, None)
-            if not sides:
-                del self._hw_stuck[pos]
+        sides = self._hw_stuck.get((stage, index), {})
+        sides.pop(side, None)
+        if not sides:
+            self._hw_stuck.pop((stage, index), None)
         self._compiled.pipeline.cell_at(stage, index).clear_stuck(side)
         self._arm()
 
@@ -616,14 +647,15 @@ class FilterModule:
         """Derive the row routine's lowering: the kernel, unless an
         injected fault sits on a Cell the placement does not exclude —
         then the Cells, so the fault surfaces on the next miss (a dead Cell
-        raises or heals, a stuck one corrupts) as in hardware."""
+        raises or heals, a stuck one corrupts) as in hardware, stepping the
+        same units the kernel would have."""
         faulty = (self._hw_dead | self._hw_stuck.keys()) - \
             self._compiled.dead_cells
         self._row_kernel = None if faulty else self._codegen
 
     def _recompile(self) -> None:
         """Fail-around: a tick of the placement clock alone — the policy's
-        reference and kernel are the objects they were."""
+        reference, kernel and units are the objects they were."""
         self._install(self._place(self._policy))
 
     def _reset_serving_caches(self) -> None:
@@ -636,8 +668,7 @@ class FilterModule:
         # results can never become valid again.
         self._memo_version: int | None = None
         self._memo_output = 0
-        if self._codegen is not None:
-            self._codegen.invalidate()
+        self._codegen.invalidate()
         self._obs_cache_resets.inc()
 
     def _install(self, compiled: CompiledPolicy) -> None:
@@ -663,9 +694,8 @@ class FilterModule:
         manager's semantic and slice checks) is handed the plan and that
         analysis.  A policy that does not fit, or a gate that refuses,
         raises with the live plan, epoch and outputs untouched.  Then the
-        same analysis is installed and the policy's lowerings are built — a
-        kernel for a stateless replacement, none for a stateful one — and
-        the flip is atomic on an SMBM version boundary, with every
+        same analysis is installed and the policy's kernel and units are
+        built, and the flip is atomic on an SMBM version boundary, with every
         version-keyed cache dropped in the same step.
         No packet ever sees a mix: outputs stamped with the old
         :attr:`plan_epoch` came entirely from the old plan, outputs with
@@ -799,12 +829,15 @@ class FilterModule:
         * **uniform rows** (no ``META_FILTER_INPUT`` mask) of a stateless
           policy collapse to a *single* :meth:`evaluate` per batch, whose
           result is broadcast;
-        * **masked rows** of a stateless policy go to the policy's kernel
-          in one :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks`
-          call, which never runs a Cell;
-        * every row of a stateful policy is served one at a time by
-          :meth:`_serve`, exactly as :meth:`hook` would, in arrival order
-          (each stateful evaluation advances the units the next one sees).
+        * **masked rows** of a stateless policy, and every row of a
+          stateful one, go to the policy's kernel in one
+          :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks` call,
+          in arrival order (each stateful row is one step of the units
+          the next row sees), which runs no Cell;
+        * under ``sanitize``, and for a stateful policy while an injected
+          fault is live, :meth:`_serve` takes those rows instead, one at
+          a time, exactly as :meth:`hook` would: the Cells check (or
+          serve) each.
 
         Rows not requesting filtering are left untouched.  The filled
         output columns are returned on the batch; for a batch built from
@@ -823,8 +856,7 @@ class FilterModule:
         outputs = batch.outputs
         selected = batch.selected
         masks = batch.input_masks
-        kernel = self._codegen
-        if kernel is None:
+        if not self._memoize:
             # Stateful outputs advance per packet: no collapse and no
             # reordering is legal.
             uniform, single = [], rows
@@ -840,33 +872,23 @@ class FilterModule:
                 outputs[i] = out
                 selected[i] = pick
             self._batch_broadcast_rows += len(uniform)
-        # A kernel exists only for stateless plans, so every row it is
-        # handed has a mask.
-        if single and kernel is not None:
-            row_masks = [masks[i] for i in single]  # type: ignore[index]
-            outs = kernel.evaluate_masks(self._smbm, row_masks)
-            self._batch_engine_rows += len(single)
-            if self._sanitize:
-                # Engine rows are held to what the row routine holds the
-                # kernel to: the interpreted plan on the same mask (so
-                # a Cell fault the scalar path would raise, or heal, is
-                # raised or healed here too) and the plan's feasible
-                # region, which over-approximates every output row whatever
-                # the mask.
-                for mask, out in zip(row_masks, outs):
-                    plan = self._failing_around(self._plan_output, mask)
-                    self._agreed(out, "batch engine",
-                                 plan, "the interpreted plan")
-                    self._check_semantic_containment(out)
-            for i, out in zip(single, outs):
-                outputs[i] = out
-                selected[i] = _selected(out)
-        elif single:
-            for i in single:
-                out = self._serve(None if masks is None else masks[i])
-                outputs[i] = out
-                selected[i] = _selected(out)
+        row_masks = [None if masks is None else masks[i] for i in single]
+        if not single:
+            outs = []
+        elif self._sanitize or (self._row_kernel is None
+                                and not self._memoize):
+            # The Cells check every row (sanitize) or serve a stateful
+            # one (a fault is live): the row routine takes each, in
+            # order, so a Cell fault raises or heals here as it would
+            # for the same packet at ``hook``.
+            outs = [self._serve(mask) for mask in row_masks]
             self._batch_fallback_rows += len(single)
+        else:
+            outs = self._codegen.evaluate_masks(self._smbm, row_masks)
+            self._batch_engine_rows += len(single)
+        for i, out in zip(single, outs):
+            outputs[i] = out
+            selected[i] = _selected(out)
         epochs = batch.epochs
         epoch = self._plan_epoch
         for i in rows:

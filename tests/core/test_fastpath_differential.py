@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.core import ufpu_reference
-from repro.core.compiler import CompiledPolicy, PolicyCompiler
+from repro.core.compiler import PolicyCompiler
 from repro.core.operators import RelOp, UnaryOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
@@ -32,13 +32,11 @@ from repro.core.policy import (
     Policy,
     PolicyInterpreter,
     TableRef,
-    Unary,
     difference,
     intersection,
     max_of,
     min_of,
     predicate,
-    preorder_paths,
     random_pick,
     round_robin,
     union,
@@ -414,40 +412,16 @@ def _stateful_builders() -> dict[str, callable]:
     }
 
 
-def _stateful_unit_seed(compiled: CompiledPolicy, lfsr_seed: int) -> int:
-    """The interpreter seed that hands its stateful unit the LFSR seed the
-    pipeline gave the stateful K-UFPU of ``compiled``.  Cells take
-    ``2 * chain + 1`` seeds each in stage-major order, a Cell's second side
-    starting ``chain`` in; the interpreter gives every Unary before the
-    stateful one in pre-order ``k + 1`` slots."""
-    params = compiled.params
-    slots_before = 0
-    for node, _ in preorder_paths(compiled.policy.root):
-        if isinstance(node, Unary):
-            if node.config.opcode.is_stateful:
-                break
-            slots_before += max(1, node.config.k) + 1
-    for s, stage in enumerate(compiled.config.stages):
-        for c, cell in enumerate(stage.cells):
-            for side, kufpu in enumerate((cell.kufpu1, cell.kufpu2)):
-                if kufpu.opcode.is_stateful:
-                    return (lfsr_seed + side * params.chain_length
-                            + (s * params.cells_per_stage + c)
-                            * (2 * params.chain_length + 1)
-                            - slots_before)
-    return lfsr_seed  # registers only: no seeded unit to align
-
-
 class TestStatefulPolicyDifferential:
     """Stateful selectors against the naive interpreter, packet by packet.
 
     The interpreter runs the stateless subtrees (predicates, min/max)
     through the O(N) temp-list walk while the one stateful selector of
-    every policy here is the same unit on both sides, so once it is
-    handed the seed the pipeline gave that unit the two must agree on
-    *every* packet — including how their internal state (round-robin
-    pointers, LFSR, feedback registers) advances across interleaved table
-    writes.
+    every policy here is the same unit on both sides, seeded by the same
+    pre-order seed-slot rule from one ``lfsr_seed``, so the two must
+    agree on *every* packet — including how their internal state
+    (round-robin pointers, LFSR, feedback registers) advances across
+    interleaved table writes.
     """
 
     def test_stateful_fast_vs_reference_per_packet(self):
@@ -464,8 +438,7 @@ class TestStatefulPolicyDifferential:
                 policy = build()
                 fast = compiler.compile(policy, lfsr_seed=seed)
                 assert not fast.stateless
-                ref = PolicyInterpreter(
-                    policy, lfsr_seed=_stateful_unit_seed(fast, seed))
+                ref = PolicyInterpreter(policy, lfsr_seed=seed)
                 for packet in range(40):
                     # Every third packet carries a candidate mask: it
                     # restricts the table lines, never a register line.

@@ -222,9 +222,9 @@ class TestServingPaths:
         assert _path_rows(registry) == {
             "broadcast": 0, "engine": 8, "fallback": 0}
 
-    def test_stateful_policy_falls_back_per_row(self, rng, registry):
-        """Stateful units advance per packet: the batch must replay them
-        row by row, matching a scalar loop exactly."""
+    def test_stateful_policy_steps_its_units_per_row(self, rng, registry):
+        """Stateful units advance per packet: the batch must step them
+        row by row, matching a scalar loop exactly, on the kernel."""
         policy = Policy(round_robin(TableRef(), "a"), name="rr")
         batched = FilterModule(CAP, METRICS, policy, PipelineParams())
         scalar = FilterModule(CAP, METRICS, policy, PipelineParams())
@@ -237,7 +237,8 @@ class TestServingPaths:
         expected = [scalar.evaluate().value for _ in range(9)]
         assert batch.outputs == expected
         assert len(set(expected)) > 1  # the round-robin actually advanced
-        assert _path_rows(registry)["fallback"] == 9
+        assert _path_rows(registry) == {
+            "broadcast": 0, "engine": 9, "fallback": 0}
 
     def test_memoized_broadcast_reuses_version_cache(self, rng, registry):
         module = _build_module(rng, "memo")

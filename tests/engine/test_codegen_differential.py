@@ -24,7 +24,9 @@ from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Conditional,
     Policy,
+    PolicyInterpreter,
     TableRef,
+    UnitState,
     max_of,
     min_of,
     predicate,
@@ -47,6 +49,7 @@ from repro.switch.filter_module import (
     PacketBatch,
 )
 
+from tests.core.test_fastpath_differential import _stateful_builders
 from tests.engine.test_batch_differential import (
     CAP,
     METRICS,
@@ -201,19 +204,73 @@ class TestSpecializationCache:
 
 
 class TestConfigurationGuards:
-    def test_module_builds_no_kernel_for_a_stateful_policy(self):
+    def test_module_lends_its_units_to_a_stateful_kernel(self):
         module = FilterModule(CAP, METRICS,
                               Policy(random_pick(TableRef()), name="t"),
                               PARAMS)
-        assert module.codegen is None
+        assert module.codegen.units is not None
+        assert len(module.codegen.units.units) == 1
 
-    def test_plancodegen_rejects_blocked_plans(self):
+    def test_stateful_kernel_refuses_to_run_without_lent_units(self):
+        smbm = SMBM(CAP, METRICS)
+        smbm.add(0, {"a": 1, "b": 2})
         line = TableRef(input_index=1)
         for policy in (Policy(random_pick(TableRef()), name="t"),
                        Policy(min_of(line, "a"), name="t",
                               feedback={1: line})):
-            with pytest.raises(ConfigurationError, match="has no kernel"):
-                PlanCodegen(policy)
+            codegen = PlanCodegen(policy)
+            with pytest.raises(ConfigurationError, match="cross-packet"):
+                codegen.evaluate(smbm)
+            codegen.units = UnitState.seeded(policy)
+            reference = PolicyInterpreter(policy)
+            for _ in range(3):
+                assert codegen.evaluate(smbm) == \
+                    reference.evaluate(smbm).value
+
+
+class TestStatefulKernel:
+    """The kernel's unit steps against the naive interpreter at one
+    ``lfsr_seed``, per row and per batch, over every stateful shape."""
+
+    @pytest.mark.parametrize("name", list(_stateful_builders()))
+    def test_kernel_rows_and_batches_equal_the_interpreter(self, name):
+        for seed in (1, 7, 0xACE):
+            rng = random.Random(seed * 0x9E37 + len(name))
+            policy = _stateful_builders()[name]()
+            # The plain module serves from its kernel; the sanitized one
+            # holds every row to the Cells, loaded from the same units.
+            modules = [FilterModule(CAP, METRICS, policy, PARAMS,
+                                    lfsr_seed=seed, sanitize=sanitize)
+                       for sanitize in (False, True)]
+            reference = PolicyInterpreter(policy, lfsr_seed=seed)
+            smbm = modules[0].smbm
+            for step in range(40):
+                rid = rng.randrange(CAP)
+                metrics = {m: rng.randrange(VALUE_RANGE) for m in METRICS}
+                for module in modules:  # a table write between batches
+                    module.update_resource(rid, metrics)
+                masks = [rng.getrandbits(CAP) if rng.random() < 0.5 else None
+                         for _ in range(rng.randrange(1, 9))]
+                expected = [reference.evaluate(smbm, mask=m).value
+                            for m in masks]
+                if step % 2:  # one row at a time
+                    for module in modules:
+                        served = []
+                        for mask in masks:
+                            meta = {META_FILTER_REQUEST: 1}
+                            if mask is not None:
+                                meta[META_FILTER_INPUT] = mask
+                            packet = Packet(metadata=meta)
+                            module.hook(packet)
+                            served.append(packet.metadata[META_FILTER_OUTPUT])
+                        assert served == expected, (name, seed, step)
+                else:  # one batch, masked and unmasked rows mixed
+                    for module in modules:
+                        batch = PacketBatch(len(masks), input_masks=masks)
+                        module.evaluate_batch(batch)
+                        assert batch.outputs == expected, (name, seed, step)
+            assert modules[0].codegen.units.export() == \
+                modules[1].export_units()
 
 
 class TestSanitizerDifferential:

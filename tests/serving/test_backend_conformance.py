@@ -56,7 +56,7 @@ from repro.serving.checkpoint import policy_from_dict
 from repro.switch.filter_module import FilterModule
 from repro.tenancy.manager import TenantManager, TenantSpec
 from tests.core.test_fastpath_differential import drill_shaped
-from tests.serving.test_migration import STATEFUL_4C, serve_trace
+from tests.serving.test_migration import STATEFUL_CASES, serve_trace
 
 METRICS = ("cpu", "mem")
 BACKENDS = (ScalarBackend, BatchedBackend)
@@ -304,7 +304,7 @@ def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
 #: heals around a dead Cell, and one more does under the sanitizer, whose
-#: plan compare is where a batch-engine row meets the Cell.
+#: plan compare is where a masked batch row meets the Cell.
 FAULT_TENANTS = {"heal": {"self_healing": True},
                  "heal-san": {"self_healing": True, "sanitize": True}}
 #: And one whose sanitizer holds the kernel to the Cells with nothing to
@@ -352,7 +352,7 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
     assert scalar == batched == golden
     # On the scalar backend the first row to meet the dead Cell was a
     # masked one, and it healed exactly as an unmasked row would have; on
-    # the batched one the sanitized tenant's was a masked engine row.
+    # the batched one the sanitized tenant's was a masked batch row.
     module, dead = killed_batched["heal-san"]
     assert module.routed_around == {dead}
     for name in ("heal", "heal-san"):
@@ -360,7 +360,7 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
         assert module.routed_around == {dead}
     # The sanitized tenant's masked rows meet the dead Cell in the
     # sanitizer's plan compare on both backends — per packet on one, per
-    # engine row on the other, for a short column and a longer one.
+    # batch row on the other, for a short column and a longer one.
     for rows in (2, 9):
         masked = ([("probe", "san", rid, {"cpu": 9 - rid, "mem": rid})
                    for rid in range(3)]
@@ -397,13 +397,13 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
         module.select()  # unmasked miss: the write dropped any memo
         misses = 3
         if not module.compiled.stateless:
-            # Every batch row of a stateful plan is a row-routine row.
+            # A batch row of a stateful plan is a kernel row: one unit
+            # step, charged to the engine path and not to the row routine.
             module.evaluate_batch(packets[2:])
-            misses += 2
             labels = {"policy": module.policy.name}
             assert registry.value_of("filter_memo_hits_total", labels) == 0
             assert registry.value_of("filter_batch_path_rows_total",
-                                     {**labels, "path": "fallback"}) == 2
+                                     {**labels, "path": "engine"}) == 2
         after = moved()
         assert [b - a for a, b in zip(before, after)] == [
             misses, misses, misses * module.latency_cycles], policy
@@ -713,7 +713,7 @@ def test_checkpoint_roundtrip_is_th015_clean(src_cls, dst_cls):
     assert dest.manager.get("a").plan_epoch == 1
 
 
-@pytest.mark.parametrize("policy", [_policy_b, *STATEFUL_4C])
+@pytest.mark.parametrize("policy", [_policy_b, *STATEFUL_CASES])
 def test_restored_tenant_continues_the_source_trace(policy):
     """The golden twin at trace level: a restored copy serves the packets
     the source would have served next."""

@@ -37,6 +37,7 @@ from repro.faults.scrub import ECCStore
 from repro.serving.backend import ScalarBackend, TableWrite
 from repro.serving.checkpoint import (
     SwitchCheckpoint,
+    TenantCheckpoint,
     canonical_bytes,
     policy_from_dict,
     policy_to_dict,
@@ -366,6 +367,48 @@ def test_file_roundtrip_survives_two_digit_row_ids(tmp_path):
             == backend.manager.get("t").module.smbm.export_state())
     assert (canonical_bytes(loaded.payload())
             == canonical_bytes(backend.snapshot().payload()))
+
+
+def test_unit_state_is_one_payload_key_written_only_when_stateful(tmp_path):
+    """The ``units`` key carries the LFSR, round-robin and feedback
+    registers through the log; a stateless tenant's payload has no such
+    key, and a payload without it restores the units from the seed."""
+    fed = predicate(TableRef(), "cpu", RelOp.LT, 6)
+    policies = {
+        "lt": Policy(min_of(TableRef(), "cpu"), name="lt"),
+        "rr": Policy(round_robin(TableRef(), "cpu"), name="rr"),
+        "random": Policy(random_pick(TableRef(), k=2), name="random"),
+        "fb": Policy(intersection(fed, TableRef(input_index=1)), name="fb",
+                     feedback={1: fed}),
+    }
+    for name, policy in policies.items():
+        backend = _backend()
+        backend.program_tenant(TenantSpec(name, policy, smbm_quota=8,
+                                          columns=2))
+        backend.write_batch([TableWrite(name, rid, {"cpu": rid, "mem": 1})
+                             for rid in range(6)])
+        live = backend.manager.get(name).module
+        for _ in range(4):
+            live.evaluate()
+        (ckpt,) = _through_the_log(tmp_path / f"{name}.wal",
+                                   backend.snapshot()).tenants
+        assert canonical_bytes(ckpt.payload()) == \
+            canonical_bytes(backend.snapshot_tenant(name).payload())
+        if name == "lt":
+            assert "units" not in ckpt.payload() and ckpt.units is None
+            continue
+        assert ckpt.units == live.export_units()
+        if name == "fb":
+            assert ckpt.units["feedback"]  # the register, after 4 packets
+        old = TenantCheckpoint.from_payload(
+            {k: v for k, v in ckpt.payload().items() if k != "units"})
+        restored, from_seed = (_backend().restore_tenant(c).module
+                               for c in (ckpt, old))
+        seeded = FilterModule(8, METRICS, policy)
+        seeded.restore_table(live.smbm.export_state())
+        for _ in range(6):
+            assert restored.evaluate() == live.evaluate()
+            assert from_seed.evaluate() == seeded.evaluate()
 
 
 def test_corrupted_payload_rejected(tmp_path):

@@ -57,23 +57,17 @@ def _random_pick() -> Policy:
     return Policy(random_pick(TableRef()), name="random-pick")
 
 
-#: ROADMAP 4(c)'s landing pad.  A tenant's state is
-#: ``TenantCheckpoint.payload()`` and the round-robin pointer/weight and
-#: the LFSR register are not in it yet, so a moved stateful tenant
-#: restarts its units from the seed (a weighted round-robin that served
-#: 0,1,2 continues 2,3,3,3,4 at home and 0,1,2,2,3 on its copy).  The day
-#: the payload carries them these flip to XPASS and the marks come off.
-def stateful_4c(*fixed):
-    """The two stateful cases, each after the ``fixed`` leading values."""
-    return [
-        pytest.param(*fixed, make, id=make().name, marks=pytest.mark.xfail(
-            strict=True,
-            reason="ROADMAP 4(c): unit state is in no checkpoint"))
-        for make in (_weighted_rr, _random_pick)
-    ]
+def stateful_cases(*fixed, marks=()):
+    """The two stateful cases, each after the ``fixed`` leading values.
+    A tenant's unit state is its payload's ``units`` key, so a moved or
+    restored copy continues the stream its source would have served (a
+    weighted round-robin that served 0,1,2 continues 2,3,3,3,4 on
+    both)."""
+    return [pytest.param(*fixed, make, id=make().name, marks=marks)
+            for make in (_weighted_rr, _random_pick)]
 
 
-STATEFUL_4C = stateful_4c()
+STATEFUL_CASES = stateful_cases()
 
 
 def _backend(cls):
@@ -110,7 +104,7 @@ def _schedule(rounds=30):
                  id="scalar-to-batched"),
     pytest.param(BatchedBackend, ScalarBackend, _policy,
                  id="batched-to-scalar"),
-    *stateful_4c(ScalarBackend, BatchedBackend),
+    *stateful_cases(ScalarBackend, BatchedBackend),
 ])
 def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls, policy,
                                                     registry):

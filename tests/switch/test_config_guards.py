@@ -206,16 +206,15 @@ def test_a_stuck_cell_holds_rows_on_the_cells_until_it_is_gone(plan_runs):
     assert _hook(module, 0b0110) == 0b0100 and plan_runs == []
 
 
-def test_a_swap_to_a_stateful_policy_drops_the_kernel_and_back_rebuilds_it(
+def test_a_swap_to_a_stateful_policy_builds_a_kernel_that_steps_its_units(
         plan_runs):
     module = _filled()
     kernel = module.codegen
-    assert kernel is not None
     module.hot_swap(Policy(random_pick(TableRef()), name="stateful"))
-    assert module.codegen is None
+    stateful = module.codegen
+    assert stateful is not kernel and stateful.units is not None
     module.select()
-    assert plan_runs == ["evaluate"]  # a stateful plan's rows walk the Cells
-    plan_runs.clear()
+    assert plan_runs == []  # a stateful plan's rows step the kernel's units
     assert module.hot_swap(_min_q()) == 2
-    assert module.codegen is not None and module.codegen is not kernel
+    assert module.codegen not in (kernel, stateful)
     assert module.select() == 3 and plan_runs == []

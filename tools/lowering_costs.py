@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Time the stateless lowerings on the benchmark's shape:
+"""Time the policy lowerings on the benchmark's shape:
 ``PYTHONPATH=src python tools/lowering_costs.py [--seed 1] [--repeat 7]``.
 
 Builds the four ``benchmarks/e2e`` tenants ``t0..t3`` (N=1024, every table
 full, ``--seed`` fixing tables and masks) and times, per tenant, the
-callables that serve a stateless row:
+callables that serve a row:
 
 * a masked column of B = 1, 16 and 256 rows, half dense and half
   16-of-1024 sparse as ``masked_read`` draws them: the column fold
@@ -14,9 +14,10 @@ callables that serve a stateless row:
 * a memo miss, right after a table write: the kernel respecialising and
   running (``PlanCodegen.evaluate``) against the walk of the compiled Cells
   (``CompiledPolicy.evaluate``) the row routine ran in its place;
-* ``probe_mix``'s stateful ``t3`` (round-robin): the Cell walk
-  (``CompiledPolicy.evaluate``) that serves each of its rows, alone, as
-  no kernel exists for it.
+* ``probe_mix``'s stateful ``t3`` (round-robin), one row on an unchanged
+  table: the Cell walk (``CompiledPolicy.evaluate``) that served each of
+  its rows before the kernel stepped units, against the kernel's unit
+  step (``PlanCodegen.evaluate`` on an already-specialised version).
 
 Each figure is the best of ``--repeat`` timed loops, in microseconds per
 call; ``fold/kernel`` and ``cells/kernel`` are how many times faster the
@@ -78,7 +79,7 @@ def after_a_write_us(module: FilterModule, evaluate, repeat: int) -> float:
 def measure(seed: int, repeat: int):
     """Per tenant: ``(name, [(slower µs, kernel µs), ...])``, one pair per
     column size, then the memo miss's (Cell walk, kernel) pair; last the
-    stateful ``t3`` with its Cell walk alone (kernel ``None``)."""
+    stateful ``t3``'s (Cell walk, unit step) pair for one row."""
     writes = shape.table_writes(seed)
     masks = [packet.metadata[META_FILTER_INPUT]
              for packet in shape.masked_pool(seed)[0][:max(COLUMNS)]]
@@ -108,8 +109,11 @@ def measure(seed: int, repeat: int):
     for write in writes:
         if write.tenant == "t3":
             module.update_resource(write.resource_id, write.metrics)
-    walk = best_us(lambda: module.compiled.evaluate(module.smbm), repeat)
-    yield "t3 (stateful)", [(None, None)] * len(COLUMNS) + [(walk, None)]
+    smbm, kernel = module.smbm, module.codegen
+    walk = best_us(lambda: module.compiled.evaluate(smbm), repeat)
+    step = None if kernel is None else best_us(  # no stateful kernel yet
+        lambda: kernel.evaluate(smbm), repeat)
+    yield "t3 (stateful)", [(None, None)] * len(COLUMNS) + [(walk, step)]
 
 
 def main(argv: list[str]) -> int:
@@ -120,7 +124,8 @@ def main(argv: list[str]) -> int:
     head = ["tenant"]
     for size in COLUMNS:
         head += [f"B={size} fold / kernel (µs)", "fold/kernel"]
-    head += ["miss: cells / kernel (µs)", "cells/kernel"]
+    head += ["miss (t3 stateful: one row): cells / kernel (µs)",
+             "cells/kernel"]
     print("| " + " | ".join(head) + " |")
     print("|" + "---|" * len(head))
     for name, pairs in measure(args.seed, args.repeat):
