@@ -38,7 +38,6 @@ from repro.core.policy import (
     TableRef,
     Unary,
     Binary,
-    ParallelChain,
     Conditional,
     predicate,
     min_of,
@@ -70,7 +69,6 @@ __all__ = [
     "TableRef",
     "Unary",
     "Binary",
-    "ParallelChain",
     "Conditional",
     "predicate",
     "min_of",

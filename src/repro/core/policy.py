@@ -69,7 +69,6 @@ __all__ = [
     "Node",
     "TableRef",
     "Unary",
-    "ParallelChain",
     "Binary",
     "Conditional",
     "Policy",
@@ -138,10 +137,6 @@ class Unary(Node):
 
     def describe(self) -> str:
         return self.config.describe()
-
-
-class ParallelChain(Unary):
-    """Alias emphasising a K>1 parallel chain (section 4.2.1)."""
 
 
 @dataclass(frozen=True, eq=False)

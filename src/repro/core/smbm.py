@@ -1,35 +1,28 @@
 """Sorted Multidimensional Bidirectional Map (section 5.1).
 
-The SMBM is Thanos's hardware resource table.  For N resources with M
-metrics it keeps **M+1 flat sorted lists** — one for the resource id
-(primary attribute) and one per metric — with a **bidirectional mapping**
-between the id dimension and every metric dimension: each id entry points at
-its M metric entries, and each metric entry points back at its id entry.
+Thanos's resource table: for N resources with M metrics, **one sorted list
+per metric dimension** and a **bidirectional mapping** between the id
+dimension (the presence bitmask) and each of them — every id points at its
+M entries (the forward map), every entry back at its id.  Modelled: lists
+sorted ascending with FIFO order among equal values (5.1); ``add`` and
+``delete`` take **two clock cycles** (search, then shift-and-write), fully
+pipelined (5.1.2-5.1.3); writes commit **atomically** in the second cycle,
+so a read never sees a torn table (5.1.4); every list is readable **every
+cycle**, being flip-flops (5.1.3).
 
-Hardware properties modelled here:
-
-* lists are sorted in increasing order, equal values kept in enqueue (FIFO)
-  order (section 5.1);
-* ``add`` and ``delete`` each take exactly **two clock cycles** — cycle one
-  searches all lists in parallel for the affected positions, cycle two
-  performs the shift-and-write — and are **fully pipelined**, one write
-  retired per cycle (section 5.1.2-5.1.3);
-* writes commit **atomically in the second cycle**, so a read issued in any
-  cycle observes either the pre-write or post-write table, never a torn
-  state (section 5.1.4);
-* the whole structure is readable **every cycle** in parallel with writes,
-  because every list lives in flip-flops rather than SRAM (section 5.1.3).
-
-:class:`SMBM` is the functional model (every method completes immediately,
-used on the packet fast path of the network simulator);
-:class:`ClockedSMBM` wraps it with the cycle-accurate write pipeline used by
-the hardware-behaviour tests.
+Each list is a :class:`MetricIndex`, with the id masks the read operators
+search, sorted from the rows on the metric's first read (a list nobody
+reads is kept by nobody).  From then on a committed write shifts it once
+and patches its masks in place, as the flip-flops shift; nothing rebuilds.
+:class:`SMBM` is the functional model (every method completes at once);
+:class:`ClockedSMBM` wraps it in the cycle-accurate write pipeline.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from itertools import accumulate
+from math import isqrt
 from operator import index as as_int, or_
 from typing import Mapping, Sequence
 
@@ -37,235 +30,289 @@ from repro import obs
 from repro.core.bitvector import BitVector
 from repro.core.clocked import PipelineLatch
 from repro.core.operators import RelOp
-from repro.errors import (
-    CapacityError,
-    ConfigurationError,
-    IntegrityError,
-    SimulationError,
-)
+from repro.errors import (CapacityError, ConfigurationError, IntegrityError,
+                          SimulationError)
 
 __all__ = ["SMBM", "MetricIndex", "ClockedSMBM", "WRITE_LATENCY_CYCLES",
-           "STORED_WORD_BITS"]
+           "STORED_WORD_BITS", "bucket_span"]
 
 #: Latency, in clock cycles, of the add and delete primitives (section 5.1.3).
 WRITE_LATENCY_CYCLES = 2
 
-#: Width of one stored metric word in the fault model: every metric value is
-#: held in a 64-bit flip-flop word, so single-event upsets flip one of these
-#: 64 bits.  The ECC model in :mod:`repro.faults.ecc` protects exactly this
-#: word.  A write refuses any value outside ``[0, 2**STORED_WORD_BITS)``,
-#: the region the analyser, TH003 and the ECC word all assume.
+#: Bits of one stored metric word (what an SEU flips, :mod:`repro.faults.ecc`
+#: protects, the analyser and TH003 assume).  Writes refuse values outside
+#: it, so ``value << 64 | seq`` (seq below 2**64 too) is a sort key.
 STORED_WORD_BITS = 64
 _WORD_LIMIT = 1 << STORED_WORD_BITS
 
-#: Most moves a live :class:`MetricIndex` may have pending; one more and the
-#: table drops it, so the next read is a full build.  This is a measured
-#: crossover, not a tunable: at N=1024 a uniformly random update moves a row
-#: ~N/3 ranks and patches in ~21 us, a build takes ~150 us, so six pending
-#: moves stay under what the build costs (seven reach it; CHANGES.md,
-#: PR 14, PR 15 and PR 21).  It also bounds what a write burst nobody reads
-#: can queue: six tuples per index, then nothing.
-PENDING_LIMIT = 6
+
+def bucket_span(capacity: int) -> int:
+    """B for ``capacity`` rows, measured (``tools/index_costs.py``): a write
+    patches ~2B local masks and a third of ~N/B boundaries."""
+    return max(4, isqrt(capacity) // 2)
+
+
+def _masks(ids: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Each bucket's local prefix masks, and the mask below each boundary."""
+    local = [list(accumulate((1 << rid for rid in bucket), or_, initial=0))
+             for bucket in ids]
+    return local, list(accumulate((loc[-1] for loc in local), or_, initial=0))
+
+
+#: Predicates keeping the ids below the first key of value ``val + offset``,
+#: or those at or above it.
+_UNDER = {RelOp.LT: 0, RelOp.LE: 1}
+_OVER = {RelOp.GE: 0, RelOp.GT: 1}
+
+
+def _first(masks: list[int], bits: int) -> int:
+    """The smallest ``r >= 1`` with ``masks[r] & bits`` (prefix masks)."""
+    lo, hi = 1, len(masks) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if masks[mid] & bits:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _last(masks: list[int], live: int) -> int:
+    """The largest ``r < len - 1`` with ``live & ~masks[r]`` non-empty."""
+    lo, hi = 0, len(masks) - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if live & ~masks[mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _reach(masks: list[int], live: int, want: int) -> int:
+    """The smallest ``r >= 1`` with ``want`` ids of ``live`` in ``masks[r]``."""
+    lo, hi = 1, len(masks) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (masks[mid] & live).bit_count() >= want:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class MetricIndex:
-    """Rank/mask arrays over one metric dimension: the read fast path.
+    """One metric dimension's sorted list, in buckets, with its read masks.
 
-    Two parallel arrays over the metric's sorted flat list of
-    (value, seq, id) entries, ``n`` of them:
+    Entries are int sort keys ``value << 64 | seq`` (FIFO ties inside the
+    key) beside their ids: ``keys[i]``/``ids[i]`` are bucket ``i`` in rank
+    order, ``maxes[i]`` its last key.  Buckets hold ``span``..``2*span``
+    entries (the first 1..``2*span``), so there are ``<= ceil(n/span)``.
+    The masks: ``local[i][j]``, the ids of bucket ``i``'s first ``j``
+    entries, and ``below[i]``, the ids in buckets before ``i`` (``below[-1]``
+    is the table).  The ids below a key are ``below[i] | local[i][j]``, two
+    bisects away; min, max and K-select search ``below``, then one ``local``.
 
-    * ``values[r]`` — the value of the entry at rank ``r`` (sorted, FIFO
-      ties), so a relational bound becomes a :func:`bisect` over ranks;
-    * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``,
-      for ``r`` in ``0..n``.  The entries with rank >= ``r`` are
-      ``prefix[n] ^ prefix[r]``, so no second mask array is kept.
-
-    A predicate ``attr ∘ val`` is then two bisects plus
-    ``prefix[hi] & ~prefix[lo] & input``; min/max are a binary search for
-    the lowest/highest rank whose below-/at-or-above-rank mask intersects
-    the input — O(log N) integer ANDs instead of an O(N) Python tuple scan.
-    Equation 1's K-select (:meth:`select_mask`) is the same search with a
-    popcount in place of the truthiness test: one bisect for the rank cut
-    that leaves k of the input's ids on the wanted side, not K picks.
-    This is the software analogue of the hardware evaluating against the
-    already-sorted flip-flop lists every cycle.
-
-    **A write patches the index, it does not replace it.**  The hardware
-    list stays readable while a 2-cycle write shifts the entries between
-    the old and the new position (section 5.1.3); the index does the same.
-    The owning :class:`SMBM` appends one *move* ``(a, b, id, value)`` per
-    committed write to :attr:`pending` — ``a`` the rank the row left
-    (``None`` for an add), ``b`` the rank it took in the list without its
-    old entry (``None`` for a delete) — and :meth:`SMBM.metric_index`
-    applies them in order on the next read.  An index is current iff
-    ``pending`` is empty.
-
-    The move rule.  Let ``bit = 1 << id``.  A row going from rank ``a`` to
-    rank ``b`` leaves every mask outside the ranks in between untouched
-    (the first ``r`` entries are the same *set* for ``r <= min(a, b)`` and
-    ``r > max(a, b)``), and between them each mask is its neighbour's
-    with the row's bit flipped:
-
-    * ``a < b`` (entries ``a+1..b`` slide down one rank): for ``r`` in
-      ``a+1..b``, ``prefix'[r] = prefix[r+1] ^ bit``;
-    * ``b < a`` (entries ``b..a-1`` slide up): for ``r`` in ``b+1..a``,
-      ``prefix'[r] = prefix[r-1] ^ bit``.
-
-    So an update costs ``|a - b|`` mask XORs, zero when the row keeps its
-    rank.  That is why :meth:`SMBM.update` is recorded as *one* move
-    although it commits as delete + add: taken apart, the delete must
-    clear the row's bit from every ``prefix`` above ``a`` and the add must
-    set it again in every one above ``b`` — up to ``n`` XORs each, whatever
-    the distance.  A lone add or delete pays that (still no re-sort, no
-    list rebuilt).
-
-    Nothing may hold a ``MetricIndex`` across a table write: the arrays
-    change under it on the next :meth:`SMBM.metric_index` call, and an
-    index dropped by the table (pending overflow, repair, fault injection,
-    restore) is never patched again.  Re-fetch per use, as every evaluator
-    does; what *may* be kept is anything keyed on :attr:`SMBM.version`.
+    **A write patches the masks at commit**: ``local`` past the entry in
+    the bucket it leaves and the one it enters, and its bit in ``below``
+    at the boundaries between — at most ``4*span + ceil(n/span)`` words
+    with splits and merges, where a flat prefix array rewrites every rank
+    in between.  A bucket past ``2*span`` splits; one under ``span`` merges
+    into, or borrows the last entry of, the bucket before it.
     """
 
-    __slots__ = ("values", "prefix", "pending")
+    __slots__ = ("span", "keys", "ids", "maxes", "local", "below")
 
-    def __init__(self, entries: Sequence[tuple[int, int, int]]):
-        self.values = [value for value, _seq, _rid in entries]
-        self.prefix = list(
-            accumulate((1 << rid for _value, _seq, rid in entries), or_,
-                       initial=0)
-        )
-        #: Moves committed to the table since the arrays were last current,
-        #: oldest first (written by :class:`SMBM`, drained by
-        #: :meth:`apply_pending`).
-        self.pending: list[tuple[int | None, int | None, int, int]] = []
+    def __init__(self, entries: Sequence[tuple[int, int]], span: int):
+        self.span = span
+        self.fill(entries)
 
-    def apply_pending(self) -> int:
-        """Bring the arrays up to the table; returns the moves applied."""
-        values, prefix = self.values, self.prefix
-        for a, b, rid, value in self.pending:
-            bit = 1 << rid
-            if a is None:  # add at rank b: masks above b gain the row
-                values.insert(b, value)
-                prefix[b + 1:] = [m | bit for m in prefix[b:]]
-            elif b is None:  # delete at rank a: the mirror image
-                del values[a]
-                prefix[a + 1:] = [m ^ bit for m in prefix[a + 2:]]
-            else:  # update: only the ranks between a and b see the row move
-                del values[a]
-                values.insert(b, value)
-                if a < b:
-                    prefix[a + 1:b + 1] = [m ^ bit for m in prefix[a + 2:b + 2]]
-                else:
-                    prefix[b + 1:a + 1] = [m ^ bit for m in prefix[b:a]]
-        applied = len(self.pending)
-        self.pending.clear()
-        return applied
+    def fill(self, entries: Sequence[tuple[int, int]]) -> None:
+        """Lay out rank-ordered ``(key, id)`` pairs and build their masks."""
+        n, span = len(entries), self.span
+        cuts = [0, *range(n - (max(n - 1, 0) // span) * span, n + 1, span)]
+        buckets = [entries[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        self.keys = [[key for key, _ in bucket] for bucket in buckets]
+        self.ids = [[rid for _, rid in bucket] for bucket in buckets]
+        self.maxes = [bucket[-1] for bucket in self.keys if bucket]
+        self.local, self.below = _masks(self.ids)
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def rank(self, key: int) -> int:
+        """How many entries sort before ``key``."""
+        i = bisect_left(self.maxes, key)
+        return sum(map(len, self.keys[:i])) + (
+            bisect_left(self.keys[i], key) if i < len(self.maxes) else 0)
+
+    def _ids_below(self, key: int) -> int:
+        """Ids of the entries whose sort key is below ``key``."""
+        below = self.below
+        i = bisect_left(self.maxes, key)
+        if i == len(self.maxes):
+            return below[-1]
+        return below[i] | self.local[i][bisect_left(self.keys[i], key)]
 
     def predicate_mask(self, rel_op: RelOp, val: int, input_bits: int) -> int:
         """Ids from ``input_bits`` whose value satisfies ``value ∘ val``."""
-        values = self.values
-        n = len(values)
-        if rel_op is RelOp.LT:
-            lo, hi = 0, bisect.bisect_left(values, val)
-        elif rel_op is RelOp.LE:
-            lo, hi = 0, bisect.bisect_right(values, val)
-        elif rel_op is RelOp.GT:
-            lo, hi = bisect.bisect_right(values, val), n
-        elif rel_op is RelOp.GE:
-            lo, hi = bisect.bisect_left(values, val), n
-        elif rel_op is RelOp.EQ:
-            lo = bisect.bisect_left(values, val)
-            hi = bisect.bisect_right(values, val)
-        elif rel_op is RelOp.NE:
-            lo = bisect.bisect_left(values, val)
-            hi = bisect.bisect_right(values, val)
-            prefix = self.prefix
-            return (prefix[lo] | (prefix[-1] ^ prefix[hi])) & input_bits
-        else:  # pragma: no cover - exhaustive over RelOp
-            raise ConfigurationError(f"unhandled relational operator {rel_op}")
-        return self.prefix[hi] & ~self.prefix[lo] & input_bits
+        if rel_op in _UNDER:
+            return self._ids_below(val + _UNDER[rel_op] << 64) & input_bits
+        table = self.below[-1]
+        if rel_op in _OVER:
+            return (table ^ self._ids_below(val + _OVER[rel_op] << 64)) & input_bits
+        equal = self._ids_below(val + 1 << 64) ^ self._ids_below(val << 64)
+        return (equal if rel_op is RelOp.EQ else table ^ equal) & input_bits
 
     def min_mask(self, input_bits: int) -> int:
-        """One-hot mask of the lowest-rank entry present in ``input_bits``.
-
-        Binary search for the smallest rank prefix intersecting the input;
-        at that point ``prefix[r] & input`` holds exactly the one id bit of
-        the first valid entry (= the minimum, FIFO among equal values).
-        """
-        if not (self.prefix[-1] & input_bits):
+        """One-hot mask of the lowest-rank entry in ``input_bits`` (FIFO
+        among equal values): the first prefix meeting the input, twice."""
+        below = self.below
+        if not below[-1] & input_bits:
             return 0
-        lo, hi = 1, len(self.values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.prefix[mid] & input_bits:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.prefix[lo] & input_bits
+        local = self.local[_first(below, input_bits) - 1]
+        return local[_first(local, input_bits)] & input_bits
 
     def max_mask(self, input_bits: int) -> int:
-        """One-hot mask of the highest-rank entry present in ``input_bits``.
-
-        Mirror image of :meth:`min_mask`: the entries at or above rank
-        ``r`` that the input holds are ``live & ~prefix[r]``, where ``live``
-        is the input cut down to the ids the table has (the input may
-        carry others, and ``~prefix[r]`` would keep them).  The last valid
-        entry is the maximum (latest-enqueued among equal values), matching
-        the reference path's last-one priority encoder.
-        """
-        prefix = self.prefix
-        live = prefix[-1] & input_bits
+        """One-hot mask of the highest-rank entry in ``input_bits`` (the
+        latest-enqueued among equal values, as the last-one encoder picks),
+        on ``live``: the input cut to the table's ids, which ``~`` keeps."""
+        below = self.below
+        live = below[-1] & input_bits
         if not live:
             return 0
-        lo, hi = 0, len(self.values) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if live & ~prefix[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return live & ~prefix[lo]
+        local = self.local[_last(below, live)]
+        live &= local[-1]
+        return live & ~local[_last(local, live)]
 
     def select_mask(self, input_bits: int, k: int, largest: bool) -> int:
-        """The ``k`` lowest-rank (highest, when ``largest``) entries
-        present in ``input_bits``: Equation 1's K-select, all of them when
-        the input holds at most ``k``.
-
-        ``prefix[r] & live`` gains at most one id per rank, so the
-        smallest ``r`` at which it holds ``want`` ids holds exactly the
-        ``want`` lowest-rank ones (none at ``r = 0``, for ``k = 0``) — one
-        binary search, whatever ``k``.  The ``k`` highest are the input
-        without its ``count - k`` lowest.  The single pick keeps the
-        cheaper truthiness search of :meth:`min_mask` / :meth:`max_mask`.
-        """
+        """Equation 1's K-select: the ``k`` lowest-rank (``largest``:
+        highest) entries in ``input_bits``, all if it holds at most ``k``.
+        The first rank with ``want`` live ids below it yields exactly the
+        ``want`` lowest: one popcount search per level, whatever ``k``."""
         if k == 1:
             return self.max_mask(input_bits) if largest else self.min_mask(input_bits)
-        prefix = self.prefix
-        live = prefix[-1] & input_bits
+        below = self.below
+        live = below[-1] & input_bits
         count = live.bit_count()
         if count <= k:
             return live
         want = count - k if largest else k
-        lo, hi = 0, len(self.values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (prefix[mid] & live).bit_count() >= want:
-                hi = mid
-            else:
-                lo = mid + 1
-        lowest = prefix[lo] & live
+        lowest = 0
+        if want:
+            i = _reach(below, live, want) - 1
+            lowest = below[i] & live
+            local = self.local[i]
+            lowest |= local[_reach(local, live, want - lowest.bit_count())] & live
         return live ^ lowest if largest else lowest
+
+    # -- writes: while a row is out of the list, ``below[k]`` still holds its
+    # bit for every ``k > a``, ``a`` the boundary ``_take`` returns; ``_put``
+    # moves it past the bucket the row enters.  An add comes from the last
+    # boundary, a delete goes to it.
+
+    def move(self, old: int | None, new: int | None, rid: int) -> None:
+        """Move ``rid``'s entry from key ``old`` (None: an add) to ``new``
+        (None: a delete), masks patched."""
+        a = len(self.keys) if old is None else self._take(old, rid)
+        if new is not None:
+            self._put(new, rid, a)
+        else:
+            bit, below = 1 << rid, self.below
+            below[a + 1:] = [m ^ bit for m in below[a + 1:]]
+
+    def _take(self, key: int, rid: int) -> int:
+        maxes, local = self.maxes, self.local
+        a = bisect_left(maxes, key)
+        keys = self.keys[a] if a < len(maxes) else [key + 1]
+        p = bisect_left(keys, key)
+        if keys[p] != key or self.ids[a][p] != rid:
+            raise SimulationError(
+                f"bidirectional map corrupted: id {rid} missing from its "
+                "sorted list")
+        ids, bit, loc = self.ids[a], 1 << rid, local[a]
+        del keys[p], ids[p]
+        loc[p + 1:] = [m ^ bit for m in loc[p + 2:]]
+        if len(keys) >= self.span:
+            if p == len(keys):
+                maxes[a] = keys[-1]
+            return a
+        if not keys:  # only the first bucket can empty
+            del maxes[0]
+            if len(self.keys) > 1:
+                del self.keys[0], self.ids[0], local[0], self.below[1]
+            return 0
+        maxes[a] = keys[-1]
+        if a == 0:
+            return a
+        prev = a - 1
+        pkeys, pids = self.keys[prev], self.ids[prev]
+        if len(pkeys) + len(keys) <= 2 * self.span:  # merge into prev
+            total = local[prev][-1]
+            local[prev] += [m | total for m in local[a][1:]]
+            del local[a], self.below[a]
+            pkeys += keys
+            pids += ids
+            del self.keys[a], self.ids[a], maxes[prev]
+            return prev
+        keys.insert(0, pkeys.pop())  # borrow prev's last entry
+        ids.insert(0, pids.pop())
+        maxes[prev] = pkeys[-1]
+        bit = 1 << ids[0]
+        local[prev].pop()
+        local[a] = [0, *(m | bit for m in local[a])]
+        self.below[a] ^= bit
+        return a
+
+    def _put(self, key: int, rid: int, a: int) -> None:
+        maxes = self.maxes
+        b = bisect_left(maxes, key)
+        if b == len(maxes) and b:  # past every bucket: the last one
+            b -= 1
+        keys = self.keys[b]
+        if len(keys) == 2 * self.span:
+            self._split(b)
+            a += a > b
+            b += key > maxes[b]
+            keys = self.keys[b]
+        q = bisect_left(keys, key)
+        keys.insert(q, key)
+        self.ids[b].insert(q, rid)
+        if q == len(keys) - 1:
+            maxes[b:b + 1] = [key]
+        bit, loc = 1 << rid, self.local[b]
+        loc[q + 1:] = [m | bit for m in loc[q:]]
+        if a != b:
+            lo, hi = (a + 1, b + 1) if a < b else (b + 1, a + 1)
+            below = self.below
+            below[lo:hi] = [m ^ bit for m in below[lo:hi]]
+
+    def _split(self, i: int) -> None:
+        span, keys, ids = self.span, self.keys[i], self.ids[i]
+        self.keys.insert(i + 1, keys[span:])
+        self.ids.insert(i + 1, ids[span:])
+        del keys[span:], ids[span:]
+        self.maxes.insert(i, keys[-1])
+        loc = self.local[i]
+        second = [m ^ loc[span] for m in loc[span:]]
+        del loc[span + 1:]
+        self.local.insert(i + 1, second)
+        # below[i + 1] has a moving row's bit iff the new boundary must.
+        self.below.insert(i + 1, self.below[i + 1] ^ second[-1])
+
+    def check(self, entries: Sequence[tuple[int, int]], name: str) -> None:
+        """Raise unless this holds ``entries``, legally laid out and masked."""
+        span, sizes = self.span, [len(bucket) for bucket in self.keys]
+        if sizes != [len(bucket) for bucket in self.ids] or list(entries) != [
+                pair for pairs in map(zip, self.keys, self.ids) for pair in pairs]:
+            raise SimulationError(f"{name} sorted list disagrees with the rows")
+        if (self.maxes != [bucket[-1] for bucket in self.keys if bucket]
+                or not (sizes[0] or len(sizes) == 1) or sizes[0] > 2 * span
+                or any(not span <= size <= 2 * span for size in sizes[1:])):
+            raise SimulationError(f"{name} bucket layout broken: {sizes}")
+        if (self.local, self.below) != _masks(self.ids):
+            raise SimulationError(f"{name} masks disagree with the sorted list")
 
 
 class SMBM:
-    """Functional model of the Sorted Multidimensional Bidirectional Map.
-
-    ``capacity`` is the hardware N (number of flip-flop rows per list);
-    ``metric_names`` is the ordered schema of the M metric dimensions.
-    """
+    """The functional SMBM: N = ``capacity`` rows, M = ``metric_names``."""
 
     def __init__(
         self,
@@ -284,47 +331,25 @@ class SMBM:
             raise ConfigurationError(f"duplicate metric names: {names}")
         self._capacity = capacity
         self._metric_names = names
-        # Forward map: id -> {metric: value}, plus the enqueue sequence used
-        # as the FIFO tie-break key inside every sorted list.
+        # Forward map, and the enqueue sequence that breaks FIFO ties.
         self._rows: dict[int, dict[str, int]] = {}
         self._seq: dict[int, int] = {}
         self._next_seq = 0
-        # One flat sorted list per metric dimension.  Entries are
-        # (value, enqueue_seq, id): the (value, seq) prefix is the sort key,
-        # the trailing id is the reverse-map pointer back to the id dimension.
-        self._metric_lists: dict[str, list[tuple[int, int, int]]] = {
-            name: [] for name in names
-        }
-        # The id dimension: ids are unique, so plain sorted order suffices.
-        self._id_list: list[int] = []
-        # Presence bitmask over [0, capacity), maintained incrementally so
-        # the pipeline's input table is an O(1) read.
-        self._id_bits = 0
-        # Monotonic write counter: bumped by every committed add/delete.
-        # Readers key caches (memoized policy outputs, kernels) on it.
-        self._version = 0
-        # Live per-metric fast-path indexes, built on first read.  A write
-        # appends its rank move to each one's pending list; whatever makes
-        # that bookkeeping unsound (a rewrite outside add/delete) or dearer
-        # than a fresh build (PENDING_LIMIT) just drops the index.
+        # The reverse map: each read metric's sorted list.
         self._indexes: dict[str, MetricIndex] = {}
-        # Committed-write listeners (parity/ECC maintenance, replication
-        # shims).  Writes are rare relative to reads, so the notify cost
-        # stays off the packet fast path entirely.
+        self._span = bucket_span(capacity)
+        # The id dimension, and the pipeline's input table as an O(1) read.
+        self._id_bits = 0
+        # Bumped by every committed write; caches (memos, kernels) key on it.
+        self._version = 0
+        # Committed-write listeners (parity/ECC, replication shims).
         self._write_listeners: list = []
-        # Sanitizer mode: every committed write re-checks the structural
-        # invariants (sortedness, bidirectional map agreement, presence
-        # mask).  O(N * M) per write, so strictly a debug/verification
-        # mode — the read fast path is untouched either way.
+        # Every committed write re-checks the invariants: O(N * M), debug only.
         self._sanitize = sanitize
         if sanitize:
             self.add_write_listener(self._sanitize_listener)
-        # Observability: writes and index rebuilds are rare relative to
-        # reads, so they increment registry counters directly (no-ops under
-        # the default null registry); occupancy/version are published by a
-        # weakly-held collect hook only when a real registry is active.
-        # A multi-tenant deployment passes ``tenant`` so every smbm_* series
-        # splits per tenant and a neighbour's writes never pollute the view.
+        # Writes and mask builds bump counters (no-ops under the null
+        # registry); ``tenant`` splits every smbm_* series per tenant.
         self._tenant = tenant
         tlabels = {} if tenant is None else {"tenant": tenant}
         registry = obs.get_registry()
@@ -338,21 +363,18 @@ class SMBM:
         )
         self._obs_rebuilds = registry.counter(
             "smbm_index_rebuilds_total", tlabels or None,
-            help="full O(N) MetricIndex builds (first read, pending "
-                 "overflow, after a repair/restore)",
+            help="full O(N) index builds (a metric's first read, a restore)",
         )
         self._obs_patches = registry.counter(
             "smbm_index_patches_total", tlabels or None,
-            help="table writes applied to a live MetricIndex in place",
+            help="table writes patched into a read metric's index at commit",
         )
         if registry.enabled:
             registry.add_hook(self._obs_collect)
 
     def _obs_collect(self):
         """Collect hook: occupancy and version as aggregate samples."""
-        tlabels = (
-            () if self._tenant is None else (("tenant", self._tenant),)
-        )
+        tlabels = () if self._tenant is None else (("tenant", self._tenant),)
         yield obs.Sample("smbm_resources", len(self._rows), kind="gauge",
                          labels=tlabels,
                          help="resources currently stored across SMBMs")
@@ -385,12 +407,7 @@ class SMBM:
 
     @property
     def version(self) -> int:
-        """Monotonic counter of committed writes (adds and deletes).
-
-        Two reads bracketed by equal versions observed the identical table,
-        so any value derived purely from the table may be reused between
-        them — the basis of policy memoization and kernel specialization.
-        """
+        """Committed writes so far: memos and kernels key on it."""
         return self._version
 
     def is_full(self) -> bool:
@@ -399,95 +416,60 @@ class SMBM:
     # -- write primitives (section 5.1.2) ---------------------------------------
 
     def _checked_row(self, resource_id: int, metrics: Mapping[str, int]) -> dict[str, int]:
-        """The row a write would store, or the error it must raise.
-
-        Everything that can reject ``metrics`` runs here, before the first
-        mutation, so a refused write leaves the table exactly as it was.
-        """
+        """The row a write would store, or its error, before any change."""
         if not 0 <= resource_id < self._capacity:
             raise CapacityError(
                 f"resource id {resource_id} out of range [0, {self._capacity}); "
-                "ids index the bit-vector encoding so must be < N"
-            )
+                "ids index the bit-vector encoding so must be < N")
         if set(metrics) != set(self._metric_names):
             raise ConfigurationError(
                 f"metric set {sorted(metrics)} does not match schema "
-                f"{sorted(self._metric_names)}"
-            )
+                f"{sorted(self._metric_names)}")
         try:
             row = {name: as_int(metrics[name]) for name in self._metric_names}
         except TypeError:
             raise ConfigurationError(
-                f"metric values must be integers, got {dict(metrics)}"
-            ) from None
+                f"metric values must be integers, got {dict(metrics)}") from None
         for name, value in row.items():
             if not 0 <= value < _WORD_LIMIT:
                 raise ConfigurationError(
                     f"metric {name}={value} does not fit the unsigned "
-                    f"{STORED_WORD_BITS}-bit stored word"
-                )
+                    f"{STORED_WORD_BITS}-bit stored word")
         return row
 
     def add(self, resource_id: int, metrics: Mapping[str, int]) -> None:
-        """``add(SMBM, id, [metric1: val1, ..., metricM: valM])``.
-
-        Inserts a new entry keeping every dimension list sorted, with FIFO
-        order among equal values, and installs the bidirectional pointers.
-        """
+        """``add(SMBM, id, [metric1: val1, ..., metricM: valM])``."""
         row = self._checked_row(resource_id, metrics)
         if resource_id in self._rows:
             raise ConfigurationError(
                 f"resource id {resource_id} already present; "
-                "update = delete followed by add"
-            )
+                "update = delete followed by add")
         if self.is_full():
             raise CapacityError(f"SMBM full: capacity {self._capacity}")
-        self._commit_add(resource_id, row)
-
-    def _insert(self, resource_id: int, row: dict[str, int], seq: int) -> None:
-        """Store a row at FIFO position ``seq`` in every list and map."""
-        self._rows[resource_id] = row
-        self._seq[resource_id] = seq
-        for name in self._metric_names:
-            bisect.insort(self._metric_lists[name], (row[name], seq, resource_id))
-        bisect.insort(self._id_list, resource_id)
+        seq = self._enqueue(resource_id, row)
         self._id_bits |= 1 << resource_id
+        for name, index in self._indexes.items():
+            index.move(None, row[name] << 64 | seq, resource_id)
+        self._commit("add", resource_id, row)
 
-    def _find(self, name: str, entry: tuple[int, int, int]) -> int:
-        """Rank of ``entry`` in the ``name`` list; the reverse map must
-        hold exactly the entry the forward map names."""
-        lst = self._metric_lists[name]
-        pos = bisect.bisect_left(lst, entry)
-        if pos >= len(lst) or lst[pos] != entry:
-            raise SimulationError(
-                f"bidirectional map corrupted: {entry} missing from {name} list"
-            )
-        return pos
-
-    def _rewrite(self, resource_id: int, name: str, value: int) -> None:
-        """Rewrite a row's ``name`` word to ``value`` in place: the FIFO
-        position stays, and the metric's index is dropped so the next
-        read rebuilds against the new word."""
-        row = self._rows[resource_id]
-        seq = self._seq[resource_id]
-        lst = self._metric_lists[name]
-        del lst[self._find(name, (row[name], seq, resource_id))]
-        bisect.insort(lst, (value, seq, resource_id))
-        row[name] = value
-        self._indexes.pop(name, None)
-
-    def _commit_add(self, resource_id: int, row: dict[str, int]) -> None:
-        seq = self._next_seq
+    def _enqueue(self, resource_id: int, row: dict[str, int]) -> int:
+        """Store ``row`` in the forward map at the next FIFO position."""
+        seq = self._seq[resource_id] = self._next_seq
         self._next_seq += 1
-        self._insert(resource_id, row, seq)
-        if self._indexes:
-            self._record_move(resource_id, row, seq, added=True)
+        self._rows[resource_id] = row
+        return seq
+
+    def _commit(self, op: str, resource_id: int, row: dict[str, int] | None,
+                patched: bool = True) -> None:
+        """Retire one add or delete: version, counters, listeners."""
         self._version += 1
-        self._obs_adds.inc()
+        (self._obs_adds if op == "add" else self._obs_deletes).inc()
+        if patched and self._indexes:
+            self._obs_patches.inc(len(self._indexes))
         if self._write_listeners:
-            snapshot = dict(row)
+            snapshot = None if row is None else dict(row)
             for listener in self._write_listeners:
-                listener("add", resource_id, snapshot)
+                listener(op, resource_id, snapshot)
 
     def delete(self, resource_id: int) -> None:
         """``delete(SMBM, id)`` — removes the entry if present (else no-op)."""
@@ -495,57 +477,26 @@ class SMBM:
         if row is None:
             return
         seq = self._seq.pop(resource_id)
-        for name in self._metric_names:
-            del self._metric_lists[name][
-                self._find(name, (row[name], seq, resource_id))]
-        pos = bisect.bisect_left(self._id_list, resource_id)
-        del self._id_list[pos]
         self._id_bits &= ~(1 << resource_id)
-        if self._indexes:
-            self._record_move(resource_id, row, seq, added=False)
-        self._version += 1
-        self._obs_deletes.inc()
-        if self._write_listeners:
-            for listener in self._write_listeners:
-                listener("delete", resource_id, None)
-
-    def _record_move(self, resource_id: int, row: Mapping[str, int],
-                     seq: int, *, added: bool) -> None:
-        """Append a committed write's rank move to every live index.
-
-        Runs after the lists moved, so one bisect finds the rank either
-        way: where the entry now sits (add) or where it would go back
-        (delete).  A delete that is still the newest pending move when the
-        same id is added again is one update, and is rewritten as one move
-        — ranks in between are touched once, not the whole array twice.
-        """
-        for name, index in list(self._indexes.items()):
-            pending = index.pending
-            value = row[name]
-            rank = bisect.bisect_left(
-                self._metric_lists[name], (value, seq, resource_id)
-            )
-            if added and pending and pending[-1][1:3] == (None, resource_id):
-                pending[-1] = (pending[-1][0], rank, resource_id, value)
-            elif len(pending) == PENDING_LIMIT:
-                del self._indexes[name]
-            elif added:
-                pending.append((None, rank, resource_id, value))
-            else:
-                pending.append((rank, None, resource_id, value))
+        for name, index in self._indexes.items():
+            index.move(row[name] << 64 | seq, None, resource_id)
+        self._commit("delete", resource_id, None)
 
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
-        """Composite update: delete followed by add, as the paper prescribes.
-
-        Two committed writes (two version bumps, a fresh FIFO position),
-        but all-or-nothing: the new row is checked before the old one goes.
-        """
+        """Delete then add, as the paper prescribes: two committed writes (two
+        version bumps, a fresh FIFO position, listeners see both in order),
+        all-or-nothing, and one move per list, old rank to new."""
         if resource_id not in self._rows:
             self.add(resource_id, metrics)
             return
         row = self._checked_row(resource_id, metrics)
-        self.delete(resource_id)
-        self._commit_add(resource_id, row)
+        old, old_seq = self._rows.pop(resource_id), self._seq.pop(resource_id)
+        seq = self._enqueue(resource_id, row)
+        for name, index in self._indexes.items():
+            index.move(old[name] << 64 | old_seq, row[name] << 64 | seq,
+                       resource_id)
+        self._commit("delete", resource_id, None, patched=False)
+        self._commit("add", resource_id, row)
 
     @property
     def sanitize(self) -> bool:
@@ -565,42 +516,33 @@ class SMBM:
             ) from exc
 
     def add_write_listener(self, listener) -> None:
-        """Subscribe to committed writes: ``listener(kind, id, row)``.
-
-        ``kind`` is ``"add"``, ``"delete"`` or ``"repair"``; ``row`` is a
-        copy of the committed metric values (None for deletes).  Used by the
-        parity/ECC layer to keep check words in lockstep with the table.
-        """
+        """Subscribe ``listener(kind, id, row)`` to committed writes: kind
+        add/delete/repair/restore, row a copy (None for a delete)."""
         self._write_listeners.append(listener)
 
     # -- fault model (SEU injection and repair) ---------------------------------
 
+    def _rewrite(self, resource_id: int, name: str, value: int) -> None:
+        """Rewrite a row's ``name`` word to ``value`` in place: the entry
+        moves to the new value's rank at its old FIFO position."""
+        row, seq = self._rows[resource_id], self._seq[resource_id]
+        index = self._indexes.get(name)
+        if index is not None:
+            index.move(row[name] << 64 | seq, value << 64 | seq, resource_id)
+            self._obs_patches.inc()
+        row[name] = value
+
     def corrupt_stored_bit(self, resource_id: int, metric: str, bit: int) -> tuple[int, int]:
-        """Fault-injection backdoor: flip one bit of a stored metric word.
-
-        Models a single-event upset in the flip-flop row holding the value:
-        the stored word changes *in place* — subsequent hardware reads (the
-        forward map and any rebuilt fast-path index) observe the corrupted
-        value — but nothing that only a committed write would touch moves:
-        the :attr:`version` counter stays put (so version-keyed caches keep
-        serving pre-corruption results until a scrubber notices), write
-        listeners are not notified (the parity word now *disagrees* with the
-        stored word, which is exactly what detection keys on), and the FIFO
-        enqueue order is preserved.
-
-        Returns ``(old_value, new_value)``.
-        """
+        """Fault-injection backdoor: an SEU flips one bit of a stored word in
+        place, seen by every later read; the version, listeners (so parity
+        now *disagrees*) and FIFO order stay.  Returns ``(old, new)``."""
         row = self._rows.get(resource_id)
         if row is None:
             raise ConfigurationError(f"no resource with id {resource_id}")
-        if metric not in row:
-            raise ConfigurationError(
-                f"unknown metric {metric!r}; schema: {self._metric_names}"
-            )
+        self._known(metric)
         if not 0 <= bit < STORED_WORD_BITS:
             raise ConfigurationError(
-                f"bit {bit} outside the {STORED_WORD_BITS}-bit stored word"
-            )
+                f"bit {bit} outside the {STORED_WORD_BITS}-bit stored word")
         old = row[metric]
         new = old ^ (1 << bit)
         # The corrupted flop is read from the next cycle on.
@@ -608,31 +550,16 @@ class SMBM:
         return old, new
 
     def repair_row(self, resource_id: int, corrected: Mapping[str, int]) -> list[str]:
-        """Restore a row to ``corrected`` values in place (scrubber repair).
-
-        Unlike :meth:`update` this preserves the row's FIFO enqueue order —
-        an ECC correction rewrites the damaged word, it does not re-enqueue
-        the resource.  The version counter is bumped (a repair is a
-        committed write), which invalidates every version-keyed cache —
-        policy memos recompute on the next read — and the indexes of the
-        repaired metrics are dropped, so they rebuild.
-        Returns the list of metric names whose stored value actually moved.
-        """
+        """Scrubber repair: rewrite a row to ``corrected`` (checked like a
+        write) at its FIFO position, bumping the version; returns the
+        metrics whose stored value moved."""
         row = self._rows.get(resource_id)
         if row is None:
             raise ConfigurationError(f"no resource with id {resource_id}")
-        if set(corrected) != set(self._metric_names):
-            raise ConfigurationError(
-                f"metric set {sorted(corrected)} does not match schema "
-                f"{sorted(self._metric_names)}"
-            )
-        repaired: list[str] = []
-        for name in self._metric_names:
-            good = int(corrected[name])
-            if row[name] == good:
-                continue
-            self._rewrite(resource_id, name, good)
-            repaired.append(name)
+        good = self._checked_row(resource_id, corrected)
+        repaired = [name for name in self._metric_names if row[name] != good[name]]
+        for name in repaired:
+            self._rewrite(resource_id, name, good[name])
         if repaired:
             self._version += 1
             if self._write_listeners:
@@ -644,8 +571,8 @@ class SMBM:
     # -- read interface (shared with the filter pipeline) -------------------------
 
     def ids(self) -> list[int]:
-        """The id dimension list, in sorted order."""
-        return list(self._id_list)
+        """The id dimension, in sorted order."""
+        return sorted(self._rows)
 
     def id_vector(self) -> BitVector:
         """Presence bit vector over [0, capacity): the pipeline's input table."""
@@ -655,25 +582,21 @@ class SMBM:
         """The presence bitmask as a raw int (the fast path's input table)."""
         return self._id_bits
 
-    def metric_index(self, metric: str) -> MetricIndex:
-        """The fast-path :class:`MetricIndex` for one metric dimension.
-
-        Current as returned, and only until the next table write: a live
-        index is handed back as is when nothing was written, patched in
-        place with the moves written since the last read, or built in O(N)
-        when the table holds none for this metric.
-        """
-        index = self._indexes.get(metric)
-        if index is not None:
-            if index.pending:
-                self._obs_patches.inc(index.apply_pending())
-            return index
-        if metric not in self._metric_lists:
+    def _known(self, metric: str) -> None:
+        if metric not in self._metric_names:
             raise ConfigurationError(
-                f"unknown metric {metric!r}; schema: {self._metric_names}"
-            )
-        index = self._indexes[metric] = MetricIndex(self._metric_lists[metric])
-        self._obs_rebuilds.inc()
+                f"unknown metric {metric!r}; schema: {self._metric_names}")
+
+    def metric_index(self, metric: str) -> MetricIndex:
+        """One metric's sorted list with its masks: the read fast path.
+        The first read sorts and masks the rows, O(N log N); every
+        committed write patches the list from then on."""
+        index = self._indexes.get(metric)
+        if index is None:
+            self._known(metric)
+            index = MetricIndex(self._sorted_entries(metric), self._span)
+            self._indexes[metric] = index
+            self._obs_rebuilds.inc()
         return index
 
     def metric_of(self, resource_id: int, metric: str) -> int:
@@ -695,65 +618,38 @@ class SMBM:
         except KeyError:
             raise ConfigurationError(f"no resource with id {resource_id}") from None
 
-    def attr_list(self, metric: str) -> list[tuple[int, int]]:
-        """The sorted flat list of one metric dimension as (value, id) pairs.
+    def _sorted_entries(self, metric: str) -> list[tuple[int, int]]:
+        """Every row's ``(key, id)`` in rank order, sorted from the rows."""
+        rows, seqs = self._rows, self._seq
+        return sorted((row[metric] << 64 | seqs[rid], rid)
+                      for rid, row in rows.items())
 
-        This is the list a UFPU copies into its ``temp_list`` in its first
-        clock cycle; the id in each pair is the reverse-map pointer.
-        """
-        if metric not in self._metric_lists:
-            raise ConfigurationError(
-                f"unknown metric {metric!r}; schema: {self._metric_names}"
-            )
-        return [(value, rid) for (value, _seq, rid) in self._metric_lists[metric]]
+    def attr_list(self, metric: str) -> list[tuple[int, int]]:
+        """One metric's sorted list as (value, id) pairs: the UFPU's
+        ``temp_list``.  Sorted from the rows on demand, so this oracle
+        shares no structure with the :class:`MetricIndex` it checks."""
+        self._known(metric)
+        return [(key >> 64, rid) for key, rid in self._sorted_entries(metric)]
 
     def rank_of(self, resource_id: int, metric: str) -> int:
         """Position of a resource's entry within a metric dimension list."""
         row = self._rows.get(resource_id)
         if row is None:
             raise ConfigurationError(f"no resource with id {resource_id}")
-        return self._find(metric, (row[metric], self._seq[resource_id],
-                                   resource_id))
+        return self.metric_index(metric).rank(
+            row[metric] << 64 | self._seq[resource_id])
 
     def check_invariants(self) -> None:
-        """Assert structural invariants; used by property-based tests.
-
-        * every dimension list is sorted (FIFO among equal values);
-        * forward and reverse maps agree on every entry;
-        * all lists have exactly one entry per stored resource;
-        * every live fast-path index, brought up to date, equals one built
-          from scratch in both arrays — so under ``sanitize=True`` a bad
-          patch is an error at the write that caused it.
-        """
-        n = len(self._rows)
-        if len(self._id_list) != n:
-            raise SimulationError("id list length disagrees with row count")
-        if self._id_list != sorted(self._id_list):
-            raise SimulationError("id list not sorted")
-        if self._id_bits != sum(1 << rid for rid in self._id_list):
-            raise SimulationError("presence bitmask disagrees with id list")
-        for name in self._metric_names:
-            lst = self._metric_lists[name]
-            if len(lst) != n:
-                raise SimulationError(f"{name} list length disagrees with row count")
-            if lst != sorted(lst):
-                raise SimulationError(f"{name} list not sorted with FIFO ties")
-            for value, seq, rid in lst:
-                if rid not in self._rows:
-                    raise SimulationError(f"{name} list points at absent id {rid}")
-                if self._rows[rid][name] != value or self._seq[rid] != seq:
-                    raise SimulationError(
-                        f"forward/reverse maps disagree for id {rid} metric {name}"
-                    )
-        for name in self._indexes:
-            index = self.metric_index(name)
-            fresh = MetricIndex(self._metric_lists[name])
-            for array in ("values", "prefix"):
-                if getattr(index, array) != getattr(fresh, array):
-                    raise SimulationError(
-                        f"{name} fast-path index {array} disagree with the "
-                        "sorted list"
-                    )
+        """Raise :class:`SimulationError` unless every read metric's list
+        equals a fresh sort of the rows, laid out legally with fresh masks,
+        and the presence mask names the rows; run at every commit under
+        sanitize."""
+        if set(self._seq) != set(self._rows):
+            raise SimulationError("FIFO sequence map disagrees with the rows")
+        if self._id_bits != sum(1 << rid for rid in self._rows):
+            raise SimulationError("presence bitmask disagrees with the rows")
+        for name, index in self._indexes.items():
+            index.check(self._sorted_entries(name), name)
 
     def snapshot(self) -> dict[int, dict[str, int]]:
         """A deep copy of the current relational contents (for testing)."""
@@ -762,16 +658,8 @@ class SMBM:
     # -- checkpoint / restore (serving-layer state migration) ---------------------
 
     def export_state(self) -> dict[str, object]:
-        """Bit-faithful state export for checkpoint/restore.
-
-        Captures everything a restored table needs to be indistinguishable
-        from this one: the stored metric words, the FIFO enqueue sequence
-        (sorted-list tie-break order), the next sequence number, and the
-        :attr:`version` counter.  The derived structures (sorted lists,
-        presence mask, fast-path indexes) are *not* exported — they are
-        rebuilt deterministically from the rows and sequence numbers, which
-        is exactly how :meth:`check_invariants` defines consistency.
-        """
+        """Bit-faithful checkpoint state: the words, FIFO sequence numbers and
+        version; lists and masks are derived from them on restore."""
         return {
             "capacity": self._capacity,
             "metric_names": list(self._metric_names),
@@ -782,64 +670,51 @@ class SMBM:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a state produced by :meth:`export_state`, in place.
-
-        The capacity and metric schema must match this table's; everything
-        else — rows, FIFO order, version counter — is overwritten.  Write
-        listeners see one ``("delete", rid, None)`` per row dropped and one
-        ``("restore", rid, row)`` per row present afterwards, so attached
-        maintenance state (ECC check words, replication shims) resyncs in
-        lockstep.  The table drops its own metric indexes; version-keyed
-        caches held by *callers* (policy memos, specialized kernels) must
-        be invalidated by the caller:
-        the restored version counter may be **lower** than the current one,
-        so version-keyed reuse across a restore is unsound — the serving
-        layer's restore path does exactly that.
-        """
+        """Restore :meth:`export_state` output in place (same capacity and
+        schema), rebuilding every read metric's list and masks.
+        Listeners see ``("delete", rid, None)`` per row dropped and
+        ``("restore", rid, row)`` per row kept.  The version may go **down**:
+        callers must drop their own version-keyed caches."""
         if state.get("capacity") != self._capacity:
             raise ConfigurationError(
                 f"checkpoint capacity {state.get('capacity')} does not match "
-                f"table capacity {self._capacity}"
-            )
+                f"table capacity {self._capacity}")
         if tuple(state.get("metric_names", ())) != self._metric_names:  # type: ignore[arg-type]
             raise ConfigurationError(
                 f"checkpoint schema {state.get('metric_names')} does not "
-                f"match table schema {list(self._metric_names)}"
-            )
-        rows = state["rows"]
-        seqs = state["seq"]
+                f"match table schema {list(self._metric_names)}")
+        rows, seqs = state["rows"], state["seq"]
         assert isinstance(rows, dict) and isinstance(seqs, dict)
         if set(rows) != set(seqs):
             raise ConfigurationError(
-                "corrupt checkpoint state: row ids and sequence ids disagree"
-            )
+                "corrupt checkpoint state: row ids and sequence ids disagree")
         if len(rows) > self._capacity:
             raise CapacityError(
                 f"checkpoint holds {len(rows)} rows, table capacity is "
-                f"{self._capacity}"
-            )
-        # Every row passes the write guard before anything is cleared, so
-        # a refused state leaves the table as it was.
-        checked = [(int(rid), self._checked_row(int(rid), row), int(seqs[rid]))
-                   for rid, row in rows.items()]
+                f"{self._capacity}")
+        # Rows and FIFO order are checked before anything is cleared.
+        checked = {int(rid): self._checked_row(int(rid), row)
+                   for rid, row in rows.items()}
+        order = {int(rid): int(seqs[rid]) for rid in rows}
         next_seq = int(state["next_seq"])  # type: ignore[arg-type]
         version = int(state["version"])  # type: ignore[arg-type]
-        dropped = [rid for rid in self._rows if rid not in rows]
-        self._indexes.clear()
-        self._rows = {}
-        self._seq = {}
-        self._metric_lists = {name: [] for name in self._metric_names}
-        self._id_list = []
-        self._id_bits = 0
-        for rid, row, seq in checked:
-            self._insert(rid, row, seq)
-        self._next_seq = next_seq
-        self._version = version
+        if (len(set(order.values())) != len(order) or not 0 <= next_seq < _WORD_LIMIT
+                or not all(0 <= seq < next_seq for seq in order.values())):
+            raise ConfigurationError(
+                "corrupt checkpoint state: FIFO sequence numbers must be distinct "
+                f"and in [0, next_seq={next_seq}), with next_seq below 2**64")
+        dropped = [rid for rid in self._rows if rid not in checked]
+        self._rows, self._seq = checked, order
+        self._id_bits = sum(1 << rid for rid in checked)
+        for name, index in self._indexes.items():
+            index.fill(self._sorted_entries(name))
+            self._obs_rebuilds.inc()
+        self._next_seq, self._version = next_seq, version
         if self._write_listeners:
             for rid in dropped:
                 for listener in self._write_listeners:
                     listener("delete", rid, None)
-            for rid in self._id_list:
+            for rid in sorted(self._rows):
                 row_copy = dict(self._rows[rid])
                 for listener in self._write_listeners:
                     listener("restore", rid, row_copy)
@@ -857,12 +732,8 @@ class _WriteOp:
 
 
 class ClockedSMBM:
-    """Cycle-accurate wrapper: 2-cycle pipelined writes, per-cycle reads.
-
-    At most one write may be issued per cycle; it commits atomically on the
-    tick that completes its second cycle.  ``read()`` may be called any
-    number of times per cycle and always observes the committed state.
-    """
+    """Cycle-accurate wrapper: one write issued per cycle commits on the
+    tick ending its second cycle; ``read()`` sees the committed state."""
 
     def __init__(self, capacity: int, metric_names: Sequence[str]):
         self._smbm = SMBM(capacity, metric_names)

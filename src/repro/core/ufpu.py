@@ -8,9 +8,9 @@ encoded as a bit vector indexed by resource id — to an output bit vector, in
 The unit speaks raw id-mask ints (bit ``i`` set = resource ``i`` present),
 the one set representation of the hardware model.  :meth:`UFPU.step` is
 the paper's semantics on the mask engine: predicate/min/max run against
-the SMBM's :class:`~repro.core.smbm.MetricIndex` — two bisects plus a
-handful of integer bitmask ANDs, O(log N) instead of an O(N) temp-list
-walk.  :meth:`UFPU.evaluate` is the same step behind the one range check a
+the SMBM's :class:`~repro.core.smbm.MetricIndex`, the metric's bucketed
+sorted list with its prefix masks — bisects plus a handful of integer
+bitmask ANDs, O(log N) instead of an O(N) temp-list walk.  :meth:`UFPU.evaluate` is the same step behind the one range check a
 caller's mask gets; the units chained inside a K-UFPU, Cell and pipeline
 call ``step`` on masks that came out of same-width logic.  The paper's
 literal clock-by-clock temp-list walk lives apart, in

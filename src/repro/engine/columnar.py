@@ -14,8 +14,8 @@ once *per batch* instead, carrying a whole column of input masks through
 every operator.  A column is a list of raw int masks, one per row
 (:class:`IntColumnDomain`): the bit vectors the paper moves between filter
 units, and each operator loops the rows through the same
-:class:`~repro.core.smbm.MetricIndex` bisect primitives the scalar fast
-path uses.
+:class:`~repro.core.smbm.MetricIndex` mask searches (the metric's sorted
+list, in buckets, with its prefix masks) the scalar fast path uses.
 
 :func:`evaluate_column` is the batch entry point behind
 :class:`BatchedEvaluator`.  Legal exactly for policies

@@ -46,8 +46,7 @@ class TestSmbmSanitize:
         smbm.add(1, {"q": 5})
         # Corrupt the reverse map out from under the forward map: the
         # sorted-list entry no longer matches the stored row.
-        value, seq, rid = smbm._metric_lists["q"][0]
-        smbm._metric_lists["q"][0] = (value + 1, seq, rid)
+        smbm.metric_index("q").keys[0][0] += 1 << 64  # value + 1, same seq
         with pytest.raises(IntegrityError) as exc_info:
             smbm.add(2, {"q": 7})
         assert exc_info.value.component == "smbm"
@@ -65,8 +64,7 @@ class TestSmbmSanitize:
     def test_unsanitized_table_skips_the_check(self):
         smbm = SMBM(8, ("q",))
         smbm.add(1, {"q": 5})
-        value, seq, rid = smbm._metric_lists["q"][0]
-        smbm._metric_lists["q"][0] = (value + 1, seq, rid)
+        smbm.metric_index("q").keys[0][0] += 1 << 64  # value + 1, same seq
         smbm.add(2, {"q": 7})  # no sanitizer, nothing raises
         assert not smbm.sanitize
 
@@ -187,7 +185,7 @@ class TestReferenceIndependence:
         module = self._module()
         assert module.self_test() == []
         index = module.smbm.metric_index("q")
-        index.prefix[1] ^= 1 << 0  # rank 0 now names id 0 beside id 5
+        index.local[0][1] ^= 1 << 0  # rank 0 now names id 0 beside id 5
         with pytest.raises(IntegrityError,
                            match="no Cell could be localized"):
             module.self_test()

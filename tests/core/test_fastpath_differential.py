@@ -127,20 +127,28 @@ class TestMaskEngineVsBruteForce:
 
             # Equation 1's K-select is the first / last k valid ranks —
             # ``inp`` carries ids the table does not hold, the cut falls
-            # inside FIFO ties — found with one bisect over ``prefix``
-            # whatever k: a read per halving plus the two ends.
+            # inside FIFO ties — found with one bisect over the bucket
+            # boundaries and one inside a bucket, whatever k: a read per
+            # halving of each level plus the ends.
             count = len(valid_ranks)
-            counted = MetricIndex([(v, 0, rid) for v, rid in entries])
-            counted.prefix = prefix = _CountingList(counted.prefix)
+            counted = MetricIndex((), index.span)
+            counted.keys, counted.ids = index.keys, index.ids
+            counted.maxes = index.maxes
+            counted.below = below = _CountingList(index.below)
+            counted.local = local = [_CountingList(loc) for loc in index.local]
+            limit = (len(below).bit_length()
+                     + max(map(len, local)).bit_length() + 3)
             for k in (0, 1, 2, 3, count, count + 1):
                 for largest in (False, True):
                     ranks = (valid_ranks[max(count - k, 0):] if largest
                              else valid_ranks[:k])
-                    prefix.reads = 0
+                    for counting in (below, *local):
+                        counting.reads = 0
                     assert counted.select_mask(inp, k, largest) == sum(
                         1 << entries[r][1] for r in ranks
                     ), f"step {step}: select(k={k}, largest={largest}) mismatch"
-                    assert prefix.reads <= len(entries).bit_length() + 2
+                    reads = below.reads + sum(loc.reads for loc in local)
+                    assert reads <= limit
 
 
 class TestUFPUFastVsReference:

@@ -120,12 +120,32 @@ class TestRefusedWritesLeaveTheTableUntouched:
         s.add_write_listener(lambda *event: seen.append(event))
         before = (s.snapshot(), s.version, s.attr_list("x"), s.attr_list("y"),
                   s.export_state())
+        masks = (list(index.below), [list(loc) for loc in index.local])
         with pytest.raises(error):
             getattr(s, write)(rid, bad)
         assert 1 in s
         assert before == (s.snapshot(), s.version, s.attr_list("x"),
                           s.attr_list("y"), s.export_state())
-        assert s.metric_index("x") is index and not index.pending
+        assert s.metric_index("x") is index
+        assert masks == (index.below, index.local)
+        assert seen == []
+        s.check_invariants()
+
+    @pytest.mark.parametrize("bad", [-1, 2**STORED_WORD_BITS, 2.7, "3"])
+    def test_repair_refuses_what_a_write_refuses(self, bad):
+        """A scrubber's corrected row passes the same guard as a write,
+        before its first word moves (it once stored -1 and 2**64, and
+        truncated 2.7 to 2)."""
+        s = make_smbm()
+        s.add(0, {"x": 5, "y": 5})
+        s.add(1, {"x": 3, "y": 9})
+        s.metric_index("x")
+        seen = []
+        s.add_write_listener(lambda *event: seen.append(event))
+        before = (s.export_state(), s.attr_list("x"), s.attr_list("y"))
+        with pytest.raises(ConfigurationError):
+            s.repair_row(0, {"x": 4, "y": bad})
+        assert (s.export_state(), s.attr_list("x"), s.attr_list("y")) == before
         assert seen == []
         s.check_invariants()
 

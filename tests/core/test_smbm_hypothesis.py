@@ -1,7 +1,7 @@
 """Property-based SMBM tests (hypothesis): random write sequences preserve
 sortedness and bidirectional-map consistency, the fast-path MetricIndex
-always agrees with a naive scan of the sorted lists, and an index patched
-in place across writes equals one built from scratch."""
+always agrees with a naive scan of the sorted lists, and masks patched at
+every commit equal masks built from scratch."""
 
 from __future__ import annotations
 
@@ -10,9 +10,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from itertools import accumulate  # noqa: E402
+from operator import or_  # noqa: E402
+
 from repro import obs  # noqa: E402
 from repro.core.operators import RelOp  # noqa: E402
-from repro.core.smbm import PENDING_LIMIT, SMBM, MetricIndex  # noqa: E402
+from repro.core.smbm import SMBM  # noqa: E402
 from repro.errors import IntegrityError, SimulationError  # noqa: E402
 
 CAP = 16
@@ -149,7 +152,6 @@ class TestMetricIndexAgainstNaiveScan:
                     reg.value_of("smbm_index_patches_total"))
             # Unwritten: the same object, and neither a build nor a patch.
             assert smbm.metric_index(metric) is first
-            assert not first.pending
             assert (reg.value_of("smbm_index_rebuilds_total"),
                     reg.value_of("smbm_index_patches_total")) == work
             # Written: whatever object comes back equals a fresh build.
@@ -166,19 +168,26 @@ class TestMetricIndexAgainstNaiveScan:
 # ======================================================================================
 
 LAG_METRICS = ("a", "b", "c")
-ARRAYS = ("values", "prefix")
 
 
-def _fresh(smbm: SMBM, metric: str) -> MetricIndex:
-    """An index built from nothing but the public sorted list."""
-    return MetricIndex([(v, 0, rid) for v, rid in smbm.attr_list(metric)])
+def _flat_masks(smbm: SMBM, metric: str) -> list[int]:
+    """The ids below every rank, read off the live masks whatever their
+    bucket layout: ``below[i] | local[i][j]`` per entry, then the table."""
+    index = smbm._indexes[metric]
+    return [below | loc for below, local in zip(index.below, index.local)
+            for loc in local[:-1]] + [index.below[-1]]
 
 
 def _assert_equals_fresh(smbm: SMBM, metric: str) -> None:
-    index, fresh = smbm.metric_index(metric), _fresh(smbm, metric)
-    assert not index.pending
-    for array in ARRAYS:
-        assert getattr(index, array) == getattr(fresh, array), (metric, array)
+    """The live masks of ``metric`` (built by this read if nobody read it
+    before) equal a build from nothing but the public sorted list."""
+    index = smbm.metric_index(metric)
+    entries = smbm.attr_list(metric)
+    assert [rid for bucket in index.ids for rid in bucket] == [
+        rid for _v, rid in entries], metric
+    assert _flat_masks(smbm, metric) == list(
+        accumulate((1 << rid for _v, rid in entries), or_, initial=0)), metric
+    smbm.check_invariants()
 
 
 _values3 = st.tuples(*[st.integers(0, 3)] * len(LAG_METRICS))  # heavy ties
@@ -233,13 +242,13 @@ class TestPatchedIndexEqualsFreshIndex:
         smbm.check_invariants()
 
     @staticmethod
-    def _ladder(n: int = 64) -> SMBM:
+    def _ladder(n: int = 64, read=LAG_METRICS) -> SMBM:
         """Rows 0..n-1 with value 10*rid + 1: rank == id, value 0 sorts
-        before every row, and live indexes."""
+        before every row, and ``read``'s masks built."""
         smbm = SMBM(n, LAG_METRICS)
         for rid in range(n):
             smbm.add(rid, {m: 10 * rid + 1 for m in LAG_METRICS})
-        for metric in LAG_METRICS:
+        for metric in read:
             smbm.metric_index(metric)
         return smbm
 
@@ -257,9 +266,12 @@ class TestPatchedIndexEqualsFreshIndex:
     def test_one_update_is_one_move_between_the_two_ranks(self, rid, value, a, b):
         smbm = self._ladder()
         index = smbm.metric_index("a")
+        assert smbm.rank_of(rid, "a") == a
         smbm.update(rid, {"a": value, "b": 10 * rid + 1, "c": 10 * rid + 1})
-        assert index.pending == [(a, b, rid, value)]
         assert smbm.rank_of(rid, "a") == b
+        # Patched at the commit: current before any read asks for it.
+        assert _flat_masks(smbm, "a") == list(accumulate(
+            (1 << r for _v, r in smbm.attr_list("a")), or_, initial=0))
         for metric in LAG_METRICS:
             _assert_equals_fresh(smbm, metric)
         assert smbm.metric_index("a") is index  # patched, not replaced
@@ -274,40 +286,49 @@ class TestPatchedIndexEqualsFreshIndex:
             smbm.add(rid, {m: value for m in LAG_METRICS})
             _assert_equals_fresh(smbm, "a")
         assert smbm.metric_index("a") is index
-        for metric in LAG_METRICS:  # "b" and "c" lagged by all six writes
+        for metric in LAG_METRICS:  # "b" and "c" were patched by all six
             _assert_equals_fresh(smbm, metric)
 
-    def test_one_write_past_the_pending_limit_drops_the_index(self):
-        smbm = self._ladder()
-        index = smbm.metric_index("a")
-        for i in range(PENDING_LIMIT):
-            smbm.update(i, {m: 1000 + i for m in LAG_METRICS})
-        assert len(index.pending) == PENDING_LIMIT
-        _assert_equals_fresh(smbm, "a")          # at the limit: patched
-        assert smbm.metric_index("a") is index
-        for i in range(PENDING_LIMIT + 1):
-            smbm.update(i, {m: 2000 + i for m in LAG_METRICS})
-        assert smbm.metric_index("a") is not index  # past it: rebuilt
-        for metric in LAG_METRICS:
-            _assert_equals_fresh(smbm, metric)
+    def test_a_write_burst_nobody_reads_never_drops_the_index(self):
+        with obs.use_registry() as reg:
+            smbm = self._ladder()
+            index = smbm.metric_index("a")
+            built = reg.value_of("smbm_index_rebuilds_total")
+            for i in range(60):  # splits, merges and borrows on the way
+                smbm.update(i, {m: 1000 + (i * 37) % 640 for m in LAG_METRICS})
+            assert smbm.metric_index("a") is index
+            assert reg.value_of("smbm_index_rebuilds_total") == built
+            assert reg.value_of("smbm_index_patches_total") == 60 * 3
+            for metric in LAG_METRICS:
+                _assert_equals_fresh(smbm, metric)
 
-    def test_restore_drops_the_live_indexes(self):
-        smbm = self._ladder()
-        saved = smbm.export_state()
-        smbm.update(3, {m: 500 for m in LAG_METRICS})
-        _assert_equals_fresh(smbm, "a")  # "b", "c" keep the move pending
-        smbm.restore_state(saved)
-        for metric in LAG_METRICS:
-            _assert_equals_fresh(smbm, metric)
+    def test_restore_rebuilds_the_read_masks_in_place(self):
+        with obs.use_registry() as reg:
+            smbm = self._ladder(read=("a", "b"))
+            saved = smbm.export_state()
+            index = smbm.metric_index("a")
+            smbm.update(3, {m: 500 for m in LAG_METRICS})
+            built = reg.value_of("smbm_index_rebuilds_total")
+            smbm.restore_state(saved)
+            # "a" and "b" were read: rebuilt at the restore; "c" was not.
+            assert reg.value_of("smbm_index_rebuilds_total") == built + 2
+            assert "c" not in smbm._indexes
+            assert smbm.metric_index("a") is index
+            for metric in LAG_METRICS:
+                _assert_equals_fresh(smbm, metric)
 
-    def test_sanitizer_catches_a_tampered_prefix_word(self):
+    @pytest.mark.parametrize("level", ["local", "below"])
+    def test_sanitizer_catches_a_tampered_mask_word(self, level):
         smbm = SMBM(16, LAG_METRICS, sanitize=True)
-        for rid in range(8):
+        for rid in range(12):
             smbm.add(rid, {m: rid for m in LAG_METRICS})
         index = smbm.metric_index("b")
         smbm.check_invariants()
-        index.prefix[3] ^= 1 << 7  # ends and values still look right
-        with pytest.raises(SimulationError, match="b fast-path index prefix"):
+        if level == "local":
+            index.local[1][2] ^= 1 << 15  # sorted list and below still right
+        else:
+            index.below[1] ^= 1 << 15
+        with pytest.raises(SimulationError, match="b masks disagree"):
             smbm.check_invariants()
         with pytest.raises(IntegrityError):
             smbm.update(1, {m: 9 for m in LAG_METRICS})

@@ -167,6 +167,31 @@ def test_refused_restore_leaves_the_table_as_it_was():
         assert target.export_state() == before
 
 
+@pytest.mark.parametrize("seq, next_seq", [
+    ({1: 5, 2: 5}, 0),       # a tie, both past the next sequence number
+    ({1: 5, 2: 5}, 6),       # a tie
+    ({1: -1, 2: 0}, 3),      # negative
+    ({1: 0, 2: 3}, 3),       # not issued yet
+    ({1: 0, 2: 1}, 2**64),   # past the key's sequence field
+])
+def test_restore_refuses_a_fifo_order_no_table_could_hold(seq, next_seq):
+    """A later add must enqueue behind every restored row; a tie, a
+    negative or a not-yet-issued sequence number would let it sort ahead
+    (``min`` then picked the newest of equal values)."""
+    target = SMBM(4, METRICS)
+    target.add(3, {"cpu": 9, "mem": 9})
+    before = target.export_state()
+    rows = {1: {"cpu": 3, "mem": 3}, 2: {"cpu": 3, "mem": 3}}
+    with pytest.raises(ConfigurationError, match="FIFO sequence"):
+        target.restore_state({**before, "rows": rows, "seq": seq,
+                              "next_seq": next_seq})
+    assert target.export_state() == before
+    target.restore_state({**before, "rows": rows, "seq": {1: 0, 2: 1},
+                          "next_seq": 2})
+    target.add(0, {"cpu": 3, "mem": 3})
+    assert target.attr_list("cpu") == [(3, 1), (3, 2), (3, 0)]
+
+
 def test_refused_restore_table_touches_neither_caches_nor_rows(registry):
     module = FilterModule(4, METRICS, Policy(min_of(TableRef(), "cpu")))
     module.update_resource(0, {"cpu": 5, "mem": 5})
