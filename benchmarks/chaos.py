@@ -214,12 +214,12 @@ def phase_cell_kill(inj: FaultInjector, *, n_rows: int) -> dict:
     module.update_resource(0, update)
     twin.update_resource(0, update)
     healed = module.evaluate()
-    assert module.routed_around == {(event.detail["stage"], event.detail["index"])}
+    assert module.cells.routed_around == {(event.detail["stage"], event.detail["index"])}
     assert healed == twin.evaluate(), "fail-around output diverged from twin"
-    assert module.degraded
+    assert module.cells.degraded
     return {
         "killed": [event.detail["stage"], event.detail["index"]],
-        "routed_around": sorted(module.routed_around),
+        "routed_around": sorted(module.cells.routed_around),
     }
 
 

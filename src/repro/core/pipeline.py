@@ -136,8 +136,10 @@ def units_read(config: PipelineConfig, live: set[int]) -> list[list[set[int]]]:
     from.
 
     A live BFPU output reads both sides, a passthrough mux only its
-    ``choice``; a side that is read keeps alive the source line wired to
-    the Cell input port feeding it (through the input 2x2 crossbar).  The
+    ``choice``, and a side hosting a stateful unit is always read (the
+    unit steps on every packet, as the interpreter and the kernel step
+    it); a side that is read keeps alive the source line wired to the
+    Cell input port feeding it (through the input 2x2 crossbar).  The
     pruned evaluation plan and the verifier's TH001/TH010 lints are both
     read off this table.
     """
@@ -154,6 +156,8 @@ def units_read(config: PipelineConfig, live: set[int]) -> list[list[set[int]]]:
                     read.add(bcfg.choice)
                 else:
                     read.update((0, 1))
+            read.update(u for u, k in enumerate((cfg.kufpu1, cfg.kufpu2))
+                        if k.opcode.is_stateful)
             row.append(read)
             for unit in read:
                 port = 2 * c + (unit ^ cfg.input_swap)

@@ -140,15 +140,11 @@ class FaultInjector:
         is observable: the next evaluation faults and the self-healing path
         must recompile.  Returns ``None`` when no targetable Cell remains.
         """
-        candidates = [
-            pos for pos in module.compiled.pipeline.active_cells()
-            if pos not in module.routed_around
-            and not module.compiled.pipeline.cell_at(*pos).is_dead
-        ]
+        candidates = module.cells.targets()
         if not candidates:
             return None
         stage, index = self._rng.choice(candidates)
-        module.inject_cell_kill(stage, index)
+        module.cells.kill(stage, index)
         return self._record("cell_dead", "filter_module",
                             stage=stage, index=index)
 
@@ -160,26 +156,19 @@ class FaultInjector:
         reverted (nothing can detect it), keeping injected == detected
         exact.  Returns ``None`` when no observable wedge exists.
         """
-        pipeline = module.compiled.pipeline
-        candidates = [
-            (pos, side, stuck)
-            for pos in pipeline.active_cells()
-            if pos not in module.routed_around
-            and not pipeline.cell_at(*pos).is_dead
-            for side in (1, 2)
-            for stuck in (0, 1)
-        ]
+        candidates = [(pos, side, stuck) for pos in module.cells.targets()
+                      for side in (1, 2) for stuck in (0, 1)]
         self._rng.shuffle(candidates)
         baseline = module.compiled.evaluate(module.smbm)
         for (stage, index), side, stuck in candidates:
-            module.inject_cell_stuck(stage, index, side, stuck)
+            module.cells.stick(stage, index, side, stuck)
             corrupted = module.compiled.evaluate(module.smbm)
             if corrupted != baseline:
                 return self._record(
                     "cell_stuck", "filter_module",
                     stage=stage, index=index, side=side, stuck=stuck,
                 )
-            module.remove_cell_stuck(stage, index, side)
+            module.cells.unstick(stage, index, side)
         return None
 
     # -- replication faults --------------------------------------------------------

@@ -260,7 +260,7 @@ class SwitchBackend(abc.ABC):
     def health(self) -> dict[str, object]:
         """A liveness/degradation summary for the control plane."""
         degraded = sorted(
-            t.name for t in self._manager if t.module.degraded
+            t.name for t in self._manager if t.module.cells.degraded
         )
         return {
             "backend": self.name,

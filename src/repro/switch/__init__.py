@@ -2,6 +2,8 @@
 
 * :class:`~repro.switch.filter_module.FilterModule` — SMBM + compiled filter
   pipeline, triggered per packet, writing its result to packet metadata;
+  its :class:`~repro.switch.cell_shadow.CellShadow` (``module.cells``) is
+  the policy placed on Cells, with the faults, fail-around and self-test;
 * :class:`~repro.switch.thanos_switch.ThanosSwitch` — the filter stage every
   tenant admitted on a :class:`~repro.tenancy.manager.TenantManager`
   shares: it routes each probe and filter request to the module of the

@@ -10,12 +10,15 @@ Packets that do not want filtering simply bypass the module
 (:meth:`FilterModule.hook` leaves packets without the trigger flag alone).
 
 The paper maps the policy onto Cells once, at compile time; a fault moves
-the *placement*, not the policy.  The module keeps that split: what the
-policy alone determines — its semantic analysis among it — is built when
-the policy changes, what the placement determines when the Cells move,
-and what a table version determines when the table is written (the three
-clocks in :class:`FilterModule`'s docstring).  Its mode flags —
-``self_healing``, ``sanitize`` — and the tenant slice compose freely.
+the *placement*, not the policy.  The module keeps that split with two
+owners.  :class:`FilterModule` is the serving core: what the policy alone
+determines — its semantic analysis, the naive reference, the kernel and
+the unit state — built when the policy changes, and the version memo, the
+doors and the counters.  Its :attr:`~FilterModule.cells`, a
+:class:`~repro.switch.cell_shadow.CellShadow`, is the hardware model: the
+placement, the injected faults, fail-around, the self-test and the
+sanitizer's Cell compare; ``self_healing`` and ``sanitize`` are its
+settings, and the tenant slice its bounds.
 
 Every policy has one software lowering, its
 :class:`~repro.engine.codegen.PlanCodegen` kernel, for memo misses, masked
@@ -24,12 +27,11 @@ policy's unit state — LFSR registers, round-robin pointers and weights,
 feedback registers — lives on the policy clock, in the one
 :class:`~repro.core.policy.UnitState` the module owns and lends the
 kernel; it is seeded by the policy alone, so no placement, co-tenant,
-recompile or heal moves it.  The Cell pipeline is the hardware model
-(latency, fault placement, the sanitizer's oracle).  It serves a row
-only while an injected fault is still on the placement, so the fault
-surfaces where hardware meets it, and under ``sanitize`` it checks every
-kernel row; either way it is loaded from the owner's units before the
-walk and stores them back after it.
+recompile or heal moves it.  One rule decides when a row walks the Cells:
+while an injected fault sits on the placement, every row the memo cannot
+answer does, from any door and masked or not; under ``sanitize`` the Cells
+check every kernel row.  Either way they are loaded from the owner's units
+before the walk.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from repro import obs
 from repro.analysis.symbolic import SemanticAnalysis, analyze_policy
 from repro.analysis.verifier import TableSchema
 from repro.core.bitvector import BitVector
-from repro.core.cell import Cell
-from repro.core.compiler import CompiledPolicy, PolicyCompiler
+from repro.core.compiler import CompiledPolicy
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy, PolicyInterpreter, UnitState
+from repro.core.policy import (Policy, PolicyInterpreter, UnitState,
+                               stateless_blockers)
 from repro.core.smbm import SMBM
 from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_EPOCH,            # defined at the engine layer so the
@@ -56,8 +58,9 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
     checked_mask,
 )
 from repro.engine.codegen import PlanCodegen
-from repro.errors import CellFault, ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError, IntegrityError
 from repro.rmt.packet import Packet
+from repro.switch.cell_shadow import CellShadow
 
 __all__ = [
     "FilterModule",
@@ -94,10 +97,10 @@ class FilterModule:
       (:meth:`export_units` / :meth:`restore_units`), the
       policy-labelled instruments;
     * the **placement clock** (construction, :meth:`hot_swap`, every
-      fail-around recompile) — :meth:`_place` maps the policy onto the
-      Cells the slice and the detected faults leave and re-arms the
-      physical faults, :meth:`_install` flips the plan; nothing the policy
-      clock owns is touched;
+      fail-around recompile) — :attr:`cells` maps the policy onto the
+      Cells the slice and the detected faults leave, re-arms the physical
+      faults and installs the plan; nothing the policy clock owns is
+      touched;
     * the **version clock** (every committed table write, and a restore) —
       the memo entry and the kernel's specialization.
     """
@@ -117,42 +120,31 @@ class FilterModule:
         input_lines: "Iterable[int] | None" = None,
     ):
         self._tenant = tenant
-        self._reserved = frozenset(
-            (int(stage), int(index)) for stage, index in reserved_cells
-        )
-        self._input_lines = (
-            None if input_lines is None
-            else frozenset(int(line) for line in input_lines)
-        )
         self._smbm = SMBM(capacity, metric_names, sanitize=sanitize,
                           tenant=tenant)
-        # Compile inputs are kept so fail-around can recompile the same
-        # policy onto the surviving Cells after a hardware fault.
-        self._params = params
         self._lfsr_seed = lfsr_seed
-        self._self_healing = self_healing
-        self._sanitize = sanitize
-        # The table dimensions the static verifier checks the plan against
-        # (width compatibility, timing closure at this N).
-        self._schema = TableSchema(capacity, tuple(metric_names))
-        # Physical faults: everything ever injected (re-applied to every
-        # recompiled pipeline — the hardware does not heal) vs the subset
-        # *detected* so far, which compilation routes around.
-        self._hw_dead: set[tuple[int, int]] = set()
-        self._hw_stuck: dict[tuple[int, int], dict[int, int]] = {}
-        self._routed_around: set[tuple[int, int]] = set()
+        tlabels = {} if tenant is None else {"tenant": tenant}
+        # The schema is the table dimensions the static verifier checks
+        # every placement against (width compatibility, timing closure).
+        self._cells = CellShadow(
+            params, TableSchema(capacity, tuple(metric_names)),
+            lfsr_seed=lfsr_seed, reserved_cells=reserved_cells,
+            input_lines=input_lines, self_healing=self_healing,
+            sanitize=sanitize, on_move=self._reset_serving_caches,
+            labels=tlabels, policy_name=policy.name,
+        )
         # A hitless hot-swap bumps the epoch; the watermark is stamped on
         # every filter output (scalar and batched) so a packet stream
         # spanning a swap separates cleanly into old-plan/new-plan halves.
         self._plan_epoch = 0
-        compiled = self._place(policy)
+        compiled = self._cells.place(policy)
         self._evaluations = self._cache_hits = self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
         # "broadcast" = uniform rows collapsed to one memoized evaluation,
         # "engine" = rows the kernel served in one call (masked rows of a
         # stateless policy, every row of a stateful one), "fallback" = the
-        # row routine, row by row (rows the Cells check under sanitize, or
-        # serve for a stateful policy while a fault is live).
+        # row routine, row by row (those rows while the Cells take rows:
+        # a fault is live, or sanitize).
         self._batches = self._batch_rows = self._batch_broadcast_rows = 0
         self._batch_engine_rows = self._batch_fallback_rows = 0
         if sanitize:
@@ -171,29 +163,8 @@ class FilterModule:
         self._program(analyze_policy(policy))
         if self._obs_enabled:
             registry.add_hook(self._obs_collect)
-        # Fault/repair instruments live off the per-packet path (faults are
-        # rare events), so they are created unconditionally: against the null
-        # registry they are shared no-op singletons.  With a tenant set they
-        # carry the tenant label: each tenant's fault domain is a separate
-        # series, so a fault in one tenant's slice never moves another's
-        # counters.
-        tlabels = {} if tenant is None else {"tenant": tenant}
-        self._obs_cell_dead = registry.counter(
-            "faults_detected_total", {"kind": "cell_dead", **tlabels},
-            help="dead Cells detected (CellFault) and routed around",
-        )
-        self._obs_cell_stuck = registry.counter(
-            "faults_detected_total", {"kind": "cell_stuck", **tlabels},
-            help="silently corrupting Cells localized by self-test",
-        )
-        self._obs_repair_ns = registry.histogram(
-            "repair_latency_ns", {"component": "filter_module", **tlabels},
-            help="fault-to-recompiled recovery wall time (ns, pow2 buckets)",
-        )
-        self._obs_degraded = registry.gauge(
-            "degraded_mode", {"policy": policy.name, **tlabels},
-            help="Cells currently routed around (0 = healthy hardware)",
-        )
+        # Off the per-packet path, so created unconditionally: against the
+        # null registry they are shared no-op singletons.
         self._obs_swaps = registry.counter(
             "filter_hot_swaps_total", {"policy": policy.name, **tlabels},
             help="hitless policy hot-swaps installed on this module",
@@ -205,7 +176,7 @@ class FilterModule:
         )
         # Construction installs the plan through the same step every
         # later plan change does (and counts its cache reset).
-        self._install(compiled)
+        self._cells.install(compiled)
 
     def _program(self, analysis: SemanticAnalysis) -> None:
         """The policy clock: install ``analysis`` (emitting its findings)
@@ -227,6 +198,7 @@ class FilterModule:
         self._analysis = analysis
         self._reference = reference
         self._codegen = kernel
+        self._memoize = not stateless_blockers(policy)
         analysis.report.emit()
         if self._obs_enabled:
             # The policy label is part of the series identity, so a new
@@ -283,29 +255,6 @@ class FilterModule:
                 help="batch rows served, by serving path",
             )
 
-    def _place(self, policy: Policy) -> CompiledPolicy:
-        """The placement clock: map ``policy`` onto the Cells this module
-        may use — its tenant slice (reserved Cells + allowed input lines)
-        less any Cells routed around after faults — and re-arm the physical
-        faults on the result, which outlive any recompile (excluded Cells
-        are killed by the compilation itself and never routed through).
-
-        Raises :class:`~repro.errors.CompilationError` only when the policy
-        truly does not fit those Cells."""
-        compiled = PolicyCompiler(self._params).compile(
-            policy, lfsr_seed=self._lfsr_seed,
-            dead_cells=self._reserved | self._routed_around,
-            input_lines=self._input_lines, schema=self._schema,
-        )
-        pipeline = compiled.pipeline
-        for pos in self._hw_dead - compiled.dead_cells:
-            pipeline.cell_at(*pos).kill()
-        for pos, sides in self._hw_stuck.items():
-            if pos not in compiled.dead_cells:
-                for side, stuck in sides.items():
-                    pipeline.cell_at(*pos).inject_stuck(side, stuck)
-        return compiled
-
     @property
     def smbm(self) -> SMBM:
         """The resource table (writable through add/delete/update)."""
@@ -317,25 +266,20 @@ class FilterModule:
         return self._tenant
 
     @property
-    def reserved_cells(self) -> frozenset[tuple[int, int]]:
-        """Cells outside this module's slice of the shared pipeline —
-        statically excluded from every compilation."""
-        return self._reserved
-
-    @property
-    def input_lines(self) -> frozenset[int] | None:
-        """Pipeline input lines this module may drive, or ``None`` when it
-        owns the whole input stage."""
-        return self._input_lines
-
-    @property
     def plan_epoch(self) -> int:
         """Plan generation counter: 0 at construction, +1 per hot-swap."""
         return self._plan_epoch
 
     @property
     def compiled(self) -> CompiledPolicy:
-        return self._compiled
+        """The live placement (:attr:`cells`' compiled pipeline)."""
+        return self._cells.compiled
+
+    @property
+    def cells(self) -> CellShadow:
+        """The hardware shadow: placement, faults, fail-around, self-test
+        and the sanitizer's Cell compare."""
+        return self._cells
 
     @property
     def policy(self) -> Policy:
@@ -363,9 +307,7 @@ class FilterModule:
         anything is touched.
         """
         if plan_epoch is not None and plan_epoch < 0:
-            raise ConfigurationError(
-                f"plan_epoch must be >= 0, got {plan_epoch}"
-            )
+            raise ConfigurationError(f"plan_epoch must be >= 0, got {plan_epoch}")
         self._reset_serving_caches()
         self._smbm.restore_state(state)
         if plan_epoch is not None:
@@ -393,7 +335,7 @@ class FilterModule:
         """Deterministic processing latency added to a packet's pipeline
         traversal (the packet itself is unmodified and un-delayed relative
         to the pipeline: the module is fully pipelined)."""
-        return self._compiled.latency_cycles
+        return self._cells.compiled.latency_cycles
 
     # -- resource table maintenance --------------------------------------------------
 
@@ -447,93 +389,18 @@ class FilterModule:
         return out
 
     def _miss(self, mask: int | None) -> int:
-        """A row the memo cannot answer: run it, failing around dead Cells
-        when self-healing is enabled, attributing wall time and the
-        deterministic hardware latency when metrics are enabled."""
-        return self._failing_around(
-            self._timed_run if self._obs_enabled else self._run, mask)
-
-    def _failing_around(self, run: "Callable[[int | None], int]",
-                        mask: int | None) -> int:
-        """``run(mask)``, retried on the surviving Cells after each dead
-        Cell it meets when self-healing is enabled."""
-        while True:
-            try:
-                return run(mask)
-            except CellFault as fault:
-                if not self._self_healing:
-                    raise
-                self._heal_dead(fault)
-
-    def _timed_run(self, mask: int | None) -> int:
-        t0 = time.perf_counter_ns()
-        out = self._run(mask)
-        self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
-        self._obs_cycles.inc(self._compiled.latency_cycles)
-        return out
-
-    def _run(self, mask: int | None) -> int:
-        """The kernel :meth:`_arm` chose, else the compiled pipeline;
-        under ``sanitize`` the kernel is held to the pipeline and every
-        output to the plan's feasible region."""
-        kernel = self._row_kernel
-        if kernel is None:
-            out = self._plan_output(mask)
-        else:
-            before = self._units.export() if self._sanitize else None
-            out = kernel.evaluate(self._smbm, mask)
-            if self._sanitize:
-                # The interpreted plan stays the differential oracle of
-                # the generated code, from the units' state before it.
-                self._agreed(out, "codegen kernel", self._plan_output(
-                    mask, before), "the interpreted plan")
-        if self._sanitize:
+        """A row the memo cannot answer: the one call into the Cell shadow
+        (the kernel's answer, or the Cells' while they take rows), held to
+        the plan's feasible region under ``sanitize``; with metrics enabled
+        it attributes wall time and the deterministic hardware latency."""
+        t0 = time.perf_counter_ns() if self._obs_enabled else 0
+        out = self._cells.run(self._smbm, mask, self._codegen, self._units)
+        if self._obs_enabled:
+            self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
+            self._obs_cycles.inc(self._cells.compiled.latency_cycles)
+        if self._cells.sanitize:
             self._check_semantic_containment(out)
         return out
-
-    def _plan_output(self, mask: int | None,
-                     units: "dict[str, list] | None" = None) -> int:
-        """The compiled pipeline's output over ``table ∩ mask``.  The
-        Cells' units are loaded from the owner (or from ``units``, a state
-        it exported) and stored back only after a whole walk, so neither a
-        switch between kernel and Cells nor a fault mid-walk forks them."""
-        compiled, stateful = self._compiled, not self._memoize
-        if stateful:
-            compiled.restore_units(units or self._units.export())
-        out = (compiled.evaluate(self._smbm) if mask is None else
-               compiled.evaluate_restricted(self._smbm, mask)).value
-        if stateful:
-            self._units.restore(compiled.export_units())
-        return out
-
-    def _agreed(self, fast: int, fast_name: str,
-                reference: int, reference_name: str) -> int:
-        """The one optimised-result-vs-reference compare: returns the
-        agreed output or raises :class:`~repro.errors.IntegrityError`."""
-        if fast != reference:
-            raise IntegrityError(
-                f"sanitizer: {fast_name} output {fast:#x} disagrees with "
-                f"{reference_name} {reference:#x} on policy "
-                f"{self._policy.name!r}",
-                component="filter_module",
-            )
-        return fast
-
-    def _fast_vs_oracle(self) -> int:
-        """The compiled plan against the naive interpreter on the live
-        table.  Stateless plans only: a stateful unit's or a feedback
-        register's outputs advance per evaluation, so the two legitimately
-        diverge."""
-        if not self._compiled.stateless:
-            raise ConfigurationError(
-                "sanitize_check and self_test require a stateless policy: "
-                "stateful units legitimately diverge from the naive reference"
-            )
-        return self._agreed(
-            self._plan_output(None), "fast path",
-            self._reference.evaluate(self._smbm).value,
-            "the naive reference",
-        )
 
     def _check_semantic_containment(self, output_bits: int) -> None:
         """Sanitizer half of the soundness contract: every selected row
@@ -564,11 +431,6 @@ class FilterModule:
 
     # -- runtime sanitizer -------------------------------------------------------------
 
-    @property
-    def sanitize(self) -> bool:
-        """True when commit-time invariant checking is armed."""
-        return self._sanitize
-
     def _sanitize_memo_listener(self, kind: str, resource_id: int, row) -> None:
         """Commit-time check: no memo entry may survive a committed write."""
         if (self._memo_version is not None
@@ -590,73 +452,16 @@ class FilterModule:
         and raises :class:`~repro.errors.IntegrityError` on any mismatch.
         Returns the (agreed) output.  Only valid for stateless policies.
         """
-        out = self._fast_vs_oracle()
+        out = self._cells.check(self._smbm, self._reference)
         self._check_semantic_containment(out)
         return BitVector.from_int(self._smbm.capacity, out)
 
-    # -- fault injection, detection and fail-around ----------------------------------
-
-    @property
-    def self_healing(self) -> bool:
-        return self._self_healing
-
-    @property
-    def routed_around(self) -> frozenset[tuple[int, int]]:
-        """Detected-faulty Cells the current compilation avoids."""
-        return frozenset(self._routed_around)
-
-    @property
-    def degraded(self) -> bool:
-        """True while the policy runs on a reduced set of Cells."""
-        return bool(self._routed_around)
-
-    def inject_cell_kill(self, stage: int, index: int) -> None:
-        """Physical fault: the Cell at (stage, index) dies.
-
-        The fault persists across recompilations (hardware does not heal);
-        detection happens on the next evaluation that routes through the
-        Cell (loud :class:`~repro.errors.CellFault`) or via
-        :meth:`self_test`.
-        """
-        self._hw_dead.add((stage, index))
-        self._compiled.pipeline.cell_at(stage, index).kill()
-        self._arm()
-
-    def inject_cell_stuck(self, stage: int, index: int, side: int,
-                          stuck: int) -> None:
-        """Physical fault: output column ``side`` wedges at ``stuck``.
-
-        Silent corruption — nothing raises; only :meth:`self_test` (golden
-        model comparison) can detect and localize it.
-        """
-        self._hw_stuck.setdefault((stage, index), {})[side] = stuck
-        self._compiled.pipeline.cell_at(stage, index).inject_stuck(side, stuck)
-        self._arm()
-
-    def remove_cell_stuck(self, stage: int, index: int, side: int) -> None:
-        """Undo an injected stuck fault (an injector reverting a flip that
-        turned out to be unobservable on the programmed policy)."""
-        sides = self._hw_stuck.get((stage, index), {})
-        sides.pop(side, None)
-        if not sides:
-            self._hw_stuck.pop((stage, index), None)
-        self._compiled.pipeline.cell_at(stage, index).clear_stuck(side)
-        self._arm()
-
-    def _arm(self) -> None:
-        """Derive the row routine's lowering: the kernel, unless an
-        injected fault sits on a Cell the placement does not exclude —
-        then the Cells, so the fault surfaces on the next miss (a dead Cell
-        raises or heals, a stuck one corrupts) as in hardware, stepping the
-        same units the kernel would have."""
-        faulty = (self._hw_dead | self._hw_stuck.keys()) - \
-            self._compiled.dead_cells
-        self._row_kernel = None if faulty else self._codegen
-
-    def _recompile(self) -> None:
-        """Fail-around: a tick of the placement clock alone — the policy's
-        reference, kernel and units are the objects they were."""
-        self._install(self._place(self._policy))
+    def self_test(self) -> list[dict[str, object]]:
+        """Built-in self-test against the naive reference, healing every
+        fault it finds (:meth:`CellShadow.self_test
+        <repro.switch.cell_shadow.CellShadow.self_test>`).  Only valid for
+        stateless policies."""
+        return self._cells.self_test(self._smbm, self._reference)
 
     def _reset_serving_caches(self) -> None:
         """Drop every serving cache derived from the plan or the table —
@@ -670,15 +475,6 @@ class FilterModule:
         self._memo_output = 0
         self._codegen.invalidate()
         self._obs_cache_resets.inc()
-
-    def _install(self, compiled: CompiledPolicy) -> None:
-        """Atomically make ``compiled`` the live plan: flip the plan
-        reference and drop every version-keyed cache in one step, so no
-        later evaluation can mix old-plan state with the new plan."""
-        self._compiled = compiled
-        self._memoize = compiled.stateless
-        self._reset_serving_caches()
-        self._arm()
 
     def hot_swap(
         self,
@@ -703,7 +499,7 @@ class FilterModule:
 
         Returns the new plan epoch.
         """
-        compiled = self._place(policy)
+        compiled = self._cells.place(policy)
         analysis = analyze_policy(policy)
         if gate is not None:
             gate(compiled, analysis)
@@ -711,91 +507,10 @@ class FilterModule:
         # from there to the epoch bump is one packet boundary
         # (single-threaded cycle model).
         self._program(analysis)
-        self._install(compiled)
+        self._cells.install(compiled)
         self._plan_epoch += 1
         self._obs_swaps.inc()
         return self._plan_epoch
-
-    def _heal_dead(self, fault: CellFault) -> tuple[int, int]:
-        """Route around the dead Cell a CellFault just reported."""
-        if fault.stage is None or fault.index is None:
-            raise fault  # unlocatable: nothing to route around
-        pos = (fault.stage, fault.index)
-        if pos in self._routed_around:
-            raise fault  # already excluded yet faulted again: give up loudly
-        self._route_around([pos], self._obs_cell_dead, time.perf_counter_ns())
-        return pos
-
-    def _route_around(self, cells: list[tuple[int, int]],
-                      detected: obs.Counter, t0: int) -> None:
-        """The one repair step: mark ``cells`` routed around and recompile
-        onto the rest (the marks roll back if that fails), then count them
-        on ``detected``, time the repair from ``t0`` and set the
-        ``degraded_mode`` gauge."""
-        self._routed_around.update(cells)
-        try:
-            self._recompile()
-        except Exception:
-            self._routed_around.difference_update(cells)
-            raise
-        detected.inc(len(cells))
-        self._obs_repair_ns.observe(time.perf_counter_ns() - t0)
-        self._obs_degraded.set(len(self._routed_around))
-
-    def self_test(self) -> list[dict[str, object]]:
-        """Built-in self-test: golden-model comparison with per-Cell
-        localization, healing every fault it finds.
-
-        Compares the fast-path pipeline against the naive
-        :class:`~repro.core.policy.PolicyInterpreter` (the reference
-        :meth:`sanitize_check` uses too) on the live table.  Detection
-        stands on that independent reference; localisation needs only a
-        fault-free clone: on mismatch, each active physical Cell is
-        replayed against a fresh Cell of the same configuration *on the
-        inputs it actually saw*, so exactly the corrupted Cells are
-        implicated (and a disagreement no Cell accounts for — a corrupt
-        index, a mis-compile — is reported, not pinned on healthy
-        hardware); they are then routed around by recompilation.  Dead
-        Cells discovered along the way are healed the same way.  Returns
-        the faults found, e.g. ``[{"stage": 2, "index": 0, "kind":
-        "cell_stuck"}]`` (empty = healthy).
-
-        Only valid for stateless policies.
-        """
-        healed: list[dict[str, object]] = []
-        while True:
-            try:
-                try:
-                    self._fast_vs_oracle()
-                    return healed
-                except IntegrityError:
-                    healed.extend(self._localize_stuck())
-            except CellFault as fault:
-                stage, index = self._heal_dead(fault)
-                healed.append(
-                    {"stage": stage, "index": index, "kind": "cell_dead"}
-                )
-
-    def _localize_stuck(self) -> list[dict[str, object]]:
-        """Replay each active Cell against a fault-free clone on the masks
-        it saw; heal the liars."""
-        t0 = time.perf_counter_ns()
-        probes = self._compiled.pipeline.evaluate_probed(self._smbm)
-        chain = self._compiled.params.chain_length
-        liars = []
-        for (stage, index), (in1, in2, out1, out2) in sorted(probes.items()):
-            cfg = self._compiled.config.stages[stage - 1].cells[index]
-            if Cell(chain, cfg).evaluate(in1, in2, self._smbm) != (out1, out2):
-                liars.append((stage, index))
-        if not liars:
-            raise IntegrityError(
-                "fast path disagrees with the naive reference but no Cell "
-                "could be localized",
-                component="filter_module",
-            )
-        self._route_around(liars, self._obs_cell_stuck, t0)
-        return [{"stage": stage, "index": index, "kind": "cell_stuck"}
-                for stage, index in liars]
 
     def select(self) -> int | None:
         """Evaluate and return the singleton selection, if any."""
@@ -833,11 +548,11 @@ class FilterModule:
           stateful one, go to the policy's kernel in one
           :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks` call,
           in arrival order (each stateful row is one step of the units
-          the next row sees), which runs no Cell;
-        * under ``sanitize``, and for a stateful policy while an injected
-          fault is live, :meth:`_serve` takes those rows instead, one at
-          a time, exactly as :meth:`hook` would: the Cells check (or
-          serve) each.
+          the next row sees);
+        * while the Cells take rows (:attr:`CellShadow.takes_rows
+          <repro.switch.cell_shadow.CellShadow.takes_rows>`: an injected
+          fault is live, or ``sanitize``), :meth:`_serve` takes those rows
+          instead, one at a time, exactly as :meth:`hook` would.
 
         Rows not requesting filtering are left untouched.  The filled
         output columns are returned on the batch; for a batch built from
@@ -875,12 +590,11 @@ class FilterModule:
         row_masks = [None if masks is None else masks[i] for i in single]
         if not single:
             outs = []
-        elif self._sanitize or (self._row_kernel is None
-                                and not self._memoize):
-            # The Cells check every row (sanitize) or serve a stateful
-            # one (a fault is live): the row routine takes each, in
-            # order, so a Cell fault raises or heals here as it would
-            # for the same packet at ``hook``.
+        elif self._cells.takes_rows:
+            # The Cells serve (a fault is live) or check (sanitize) every
+            # row: the row routine takes each, in order, so a Cell fault
+            # raises or heals here as it would for the same packet at
+            # ``hook``.
             outs = [self._serve(mask) for mask in row_masks]
             self._batch_fallback_rows += len(single)
         else:

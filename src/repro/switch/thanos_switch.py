@@ -93,11 +93,11 @@ class ThanosSwitch:
 
         An error raised while *serving* a row — a dead Cell met without
         ``self_healing``, a sanitizer refusal — is the one :meth:`process`
-        raises for that row, and propagates as is (a masked row the batch
-        engine takes runs no Cell, so it meets no dead Cell either).  Which
-        other owners' rows and probes were served before it is not part of
-        the contract: per-packet serving stops at the packet, this path at
-        the run.
+        raises for that row, and propagates as is: while a fault sits on an
+        owner's placement every row its memo cannot answer walks the Cells,
+        masked or not, on either path.  Which other owners' rows and probes
+        were served before it is not part of the contract: per-packet
+        serving stops at the packet, this path at the run.
         """
         owners, cuts, runs = classify(packets, self._codec.decode,
                                       self._tenants)

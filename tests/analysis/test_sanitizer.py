@@ -189,7 +189,7 @@ class TestReferenceIndependence:
         with pytest.raises(IntegrityError,
                            match="no Cell could be localized"):
             module.self_test()
-        assert module.routed_around == frozenset()
+        assert module.cells.routed_around == frozenset()
 
 
 class TestReplicatedSanitize:

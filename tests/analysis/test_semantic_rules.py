@@ -470,9 +470,9 @@ def test_each_policy_is_analysed_once_per_programming(monkeypatch):
     module.update_resource(1, {"cpu": 10, "mem": 10})
     analysis = module.analysis
     calls.clear()
-    module.inject_cell_kill(*module.compiled.pipeline.active_cells()[0])
+    module.cells.kill(*module.compiled.pipeline.active_cells()[0])
     assert module.evaluate().value == 0b10
-    assert module.degraded and module.analysis is analysis
+    assert module.cells.degraded and module.analysis is analysis
     assert calls == []
 
 

@@ -58,12 +58,12 @@ def test_kill_hidden_by_memo_until_miss():
     module = make_module()
     baseline = module.evaluate()
     stage, index = first_active(module)
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     assert module.evaluate() == baseline  # memo hit, corpse never routed
-    assert not module.routed_around
+    assert not module.cells.routed_around
     module.update_resource(0, {"cpu": 1, "mem": 1})  # miss forces the fault
     module.evaluate()
-    assert module.routed_around == {(stage, index)}
+    assert module.cells.routed_around == {(stage, index)}
 
 
 def test_heal_matches_fault_free_twin(rng):
@@ -72,18 +72,18 @@ def test_heal_matches_fault_free_twin(rng):
     for rid in range(6):
         twin.update_resource(rid, dict(module.smbm.metrics_of(rid)))
     stage, index = first_active(module)
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     module.update_resource(0, {"cpu": 5, "mem": 500})
     twin.update_resource(0, {"cpu": 5, "mem": 500})
     assert module.evaluate() == twin.evaluate()
-    assert module.degraded
-    assert module.routed_around == {(stage, index)}
+    assert module.cells.degraded
+    assert module.cells.routed_around == {(stage, index)}
 
 
 def test_without_self_healing_fault_propagates():
     module = make_module(self_healing=False)
     stage, index = first_active(module)
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     module.update_resource(0, {"cpu": 1, "mem": 1})
     with pytest.raises(CellFault) as exc:
         module.evaluate()
@@ -94,35 +94,53 @@ def test_capacity_exhaustion_raises_and_rolls_back():
     """When no surviving placement exists, CompilationError surfaces and
     the failed position is NOT left in routed_around."""
     module = make_module(TIGHT)
-    module.inject_cell_kill(1, 0)
+    module.cells.kill(1, 0)
     module.update_resource(0, {"cpu": 1, "mem": 1})
     module.evaluate()
-    assert module.routed_around == {(1, 0)}
+    assert module.cells.routed_around == {(1, 0)}
     # Stage 1 is the gateway for every input wire; killing its last Cell
     # leaves nothing to compile onto.
-    module.inject_cell_kill(1, 1)
+    module.cells.kill(1, 1)
     module.update_resource(0, {"cpu": 2, "mem": 2})
     with pytest.raises(CompilationError):
         module.evaluate()
-    assert module.routed_around == {(1, 0)}
+    assert module.cells.routed_around == {(1, 0)}
+
+
+@pytest.mark.parametrize("inject", [
+    lambda cells: cells.kill(99, 0),
+    lambda cells: cells.stick(1, 0, 3, 1),
+    lambda cells: cells.stick(1, 0, 1, 7),
+], ids=("no-such-cell", "no-such-side", "no-such-level"))
+def test_a_refused_injection_leaves_nothing_behind(inject):
+    """An injection the pipeline refuses records no fault: the next
+    recompile (here a hot-swap) re-arms only real ones."""
+    module = make_module()
+    want = module.evaluate()
+    with pytest.raises(ConfigurationError):
+        inject(module.cells)
+    assert not module.cells.serves
+    assert module.hot_swap(make_policy()) == 1
+    module.update_resource(0, {"cpu": 0, "mem": 0})  # the memo must miss
+    assert module.evaluate() == want
 
 
 def test_stuck_fault_is_silent_until_self_test():
     module = make_module()
     twin = make_module(self_healing=False)
     stage, index = first_active(module)
-    module.inject_cell_stuck(stage, index, 1, 0)
+    module.cells.stick(stage, index, 1, 0)
     healed = module.self_test()
     if healed:  # wedge was observable on this policy/table
         assert {(h["stage"], h["index"]) for h in healed} == {(stage, index)}
-        assert module.routed_around == {(stage, index)}
+        assert module.cells.routed_around == {(stage, index)}
     assert module.evaluate() == twin.evaluate()
 
 
 def test_self_test_healthy_module_reports_nothing():
     module = make_module()
     assert module.self_test() == []
-    assert not module.routed_around
+    assert not module.cells.routed_around
 
 
 def test_self_test_requires_stateless_policy():
@@ -142,11 +160,11 @@ def test_physical_faults_survive_recompile():
     # A physically distinct Cell the current plan happens not to use; the
     # fail-around recompile will route onto it, so the wedge must follow.
     stuck_pos = (dead_pos[0], (dead_pos[1] + 1) % 3)
-    module.inject_cell_stuck(*stuck_pos, 2, 1)
-    module.inject_cell_kill(*dead_pos)
+    module.cells.stick(*stuck_pos, 2, 1)
+    module.cells.kill(*dead_pos)
     module.update_resource(0, {"cpu": 1, "mem": 1})
     module.evaluate()  # heals the dead Cell via recompile
-    assert module.routed_around == {dead_pos}
+    assert module.cells.routed_around == {dead_pos}
     cell = module.compiled.pipeline.cell_at(*stuck_pos)
     assert cell.stuck_faults == {2: 1}
 
@@ -173,7 +191,7 @@ def test_degraded_gauge_tracks_routed_around():
     with obs.use_registry(registry):
         module = make_module()
         stage, index = first_active(module)
-        module.inject_cell_kill(stage, index)
+        module.cells.kill(stage, index)
         module.update_resource(0, {"cpu": 1, "mem": 1})
         module.evaluate()
         snap = obs.snapshot(registry)

@@ -37,7 +37,7 @@ def test_fault_mid_eval_leaves_no_stale_memo(registry):
     assert registry.value_of("filter_memo_misses_total") == 1
 
     stage, index = module.compiled.pipeline.active_cells()[0]
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     module.update_resource(0, {"cpu": 1, "mem": 500})  # invalidate memo
     with pytest.raises(CellFault):
         module.evaluate()
@@ -62,7 +62,7 @@ def test_memo_hit_path_survives_fault_cycle(registry):
     assert registry.value_of("filter_memo_hits_total") == 1
 
     stage, index = module.compiled.pipeline.active_cells()[0]
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     # Hardware fault without a table write: the version matches, the memo
     # legitimately serves, and nothing faults.
     assert module.evaluate() == first
@@ -108,10 +108,10 @@ def test_healing_run_installs_consistent_memo(registry):
     module = make_module(self_healing=True)
     module.evaluate()
     stage, index = module.compiled.pipeline.active_cells()[0]
-    module.inject_cell_kill(stage, index)
+    module.cells.kill(stage, index)
     module.update_resource(0, {"cpu": 3, "mem": 300})
     healed = module.evaluate()  # faults, recompiles, returns healed output
-    assert module.routed_around == {(stage, index)}
+    assert module.cells.routed_around == {(stage, index)}
     # A subsequent hit serves exactly the healed output.
     again = module.evaluate()
     assert again == healed

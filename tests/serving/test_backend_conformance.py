@@ -303,12 +303,12 @@ def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
 
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
-#: heals around a dead Cell, and one more does under the sanitizer, whose
-#: plan compare is where a masked batch row meets the Cell.
+#: heals around a dead Cell, and one more does under the sanitizer.  While
+#: the fault is live every row walks the Cells, masked batch rows included.
 FAULT_TENANTS = {"heal": {"self_healing": True},
                  "heal-san": {"self_healing": True, "sanitize": True}}
-#: And one whose sanitizer holds the kernel to the Cells with nothing to
-#: heal them: with one dead it must refuse every row, however it arrives.
+#: And one with nothing to heal its Cells: with one dead it must refuse
+#: every row, however it arrives.
 SANITIZED = {"san": {"sanitize": True}}
 
 
@@ -339,7 +339,7 @@ def _run_with_dead_cells(cls, steps, tenants=FAULT_TENANTS):
         tenant = backend.program_tenant(
             TenantSpec(name, _policy_a(), smbm_quota=8, columns=2, **flags))
         dead = tenant.module.compiled.pipeline.active_cells()[0]
-        tenant.module.inject_cell_kill(*dead)
+        tenant.module.cells.kill(*dead)
         killed[name] = (tenant.module, dead)
     return _run(backend, steps), killed
 
@@ -350,17 +350,17 @@ def test_dead_cell_schedule_serves_alike_on_both_backends():
     batched, killed_batched = _run_with_dead_cells(BatchedBackend, steps)
     golden = _golden_traces(steps, {name: _policy_a for name in FAULT_TENANTS})
     assert scalar == batched == golden
-    # On the scalar backend the first row to meet the dead Cell was a
-    # masked one, and it healed exactly as an unmasked row would have; on
-    # the batched one the sanitized tenant's was a masked batch row.
-    module, dead = killed_batched["heal-san"]
-    assert module.routed_around == {dead}
+    # On both backends the first row to meet the dead Cell was a masked
+    # one, and it healed exactly as an unmasked row would have.
+    for name in ("heal", "heal-san"):
+        module, dead = killed_batched[name]
+        assert module.cells.routed_around == {dead}
     for name in ("heal", "heal-san"):
         module, dead = killed[name]
-        assert module.routed_around == {dead}
-    # The sanitized tenant's masked rows meet the dead Cell in the
-    # sanitizer's plan compare on both backends — per packet on one, per
-    # batch row on the other, for a short column and a longer one.
+        assert module.cells.routed_around == {dead}
+    # The sanitized tenant's masked rows meet the dead Cell on both
+    # backends — per packet on one, per batch row on the other, for a
+    # short column and a longer one.
     for rows in (2, 9):
         masked = ([("probe", "san", rid, {"cpu": 9 - rid, "mem": rid})
                    for rid in range(3)]
@@ -556,10 +556,7 @@ def test_out_of_quota_probe_id_refuses_the_whole_batch(cls):
 def test_a_dead_cell_met_while_serving_raises_alike(cls):
     """Past the up-front check, a serving-time error keeps its type on
     both backends (``ThanosSwitch.process_batch``'s contract): a dead Cell
-    that an unmasked row meets without ``self_healing`` is a CellFault.
-    (On the batched backend a masked row of this plan takes the batch
-    engine, which runs no Cell; the dead-Cell schedule above covers those
-    rows.)"""
+    that a row meets without ``self_healing`` is a CellFault."""
     steps = ([("probe", "plain", rid, {"cpu": 9 - rid, "mem": rid})
               for rid in range(3)]
              + [("data", "plain", mask) for mask in (None, 0b011)])

@@ -84,7 +84,7 @@ def test_tenant_mode_composes_with_self_healing():
         **FLAG_KWARGS["tenant"],
     )
     assert module.tenant == "alice"
-    assert module.self_healing
+    assert module.cells.self_healing
     module.update_resource(0, {"q": 3, "load": 1})
     module.update_resource(1, {"q": 7, "load": 2})
     out = module.evaluate()
@@ -92,12 +92,12 @@ def test_tenant_mode_composes_with_self_healing():
     # slice: the reserved Cells stay excluded afterwards.  (A table write
     # invalidates the memo so the next evaluation really routes through
     # the pipeline and trips the dead Cell.)
-    module.inject_cell_kill(1, 0)
+    module.cells.kill(1, 0)
     module.update_resource(2, {"q": 9, "load": 3})
     healed = module.evaluate()
     assert healed.value == out.value
-    assert (1, 0) in module.routed_around
-    assert module.reserved_cells <= module.compiled.dead_cells
+    assert (1, 0) in module.cells.routed_around
+    assert module.cells.reserved_cells <= module.compiled.dead_cells
 
 
 # -- the three clocks ------------------------------------------------------------------
@@ -144,9 +144,9 @@ def test_fail_around_keeps_what_the_policy_built_and_a_swap_replaces_it():
     built = _lowerings(module)
     assert None not in built
     plan = module.compiled
-    module.inject_cell_kill(*plan.pipeline.active_cells()[0])
+    module.cells.kill(*plan.pipeline.active_cells()[0])
     assert module.select() == 3  # healed mid-traffic
-    assert module.compiled is not plan and module.routed_around
+    assert module.compiled is not plan and module.cells.routed_around
     assert all(now is was for now, was in zip(_lowerings(module), built))
     assert module.hot_swap(_min_q()) == 1
     assert all(now is not was for now, was in zip(_lowerings(module), built))
@@ -175,7 +175,7 @@ def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
     module = _filled(self_healing=self_healing)
     assert module.select() == 3
     dead = module.compiled.pipeline.active_cells()[0]
-    module.inject_cell_kill(*dead)
+    module.cells.kill(*dead)
     module.update_resource(0, {"q": 0, "load": 9})  # the memo must miss
     if self_healing:
         assert module.select() == 3 and plan_runs == ["evaluate"]
@@ -188,7 +188,7 @@ def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
         # The self-test meets it too, and routes around it.
         assert module.self_test() == [
             {"stage": dead[0], "index": dead[1], "kind": "cell_dead"}]
-    assert module.routed_around == {dead}
+    assert module.cells.routed_around == {dead}
     plan_runs.clear()  # healed: rows are back on the kernel
     module.update_resource(0, {"q": 0, "load": 0})
     assert (module.select(), _hook(module, 0b0110)) == (0, 0b0100)
@@ -198,10 +198,10 @@ def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
 def test_a_stuck_cell_holds_rows_on_the_cells_until_it_is_gone(plan_runs):
     module = _filled()
     pos = module.compiled.pipeline.active_cells()[0]
-    module.inject_cell_stuck(*pos, 1, 0)
+    module.cells.stick(*pos, 1, 0)
     _hook(module, 0b0110)
     assert plan_runs == ["evaluate_restricted"]
-    module.remove_cell_stuck(*pos, 1)
+    module.cells.unstick(*pos, 1)
     plan_runs.clear()
     assert _hook(module, 0b0110) == 0b0100 and plan_runs == []
 

@@ -2,8 +2,8 @@
 which entry point carried it.
 
 Five twin modules are built identically and driven through the same
-sequence of packets, table writes, hot-swaps and (where something can
-absorb it) a Cell fault — each twin through a different door:
+sequence of packets, table writes, hot-swaps, wedged Cells and (where
+something can absorb it) a dead Cell — each twin through a different door:
 
 * ``hook``    — :meth:`FilterModule.hook` on the packet;
 * ``packets`` — :meth:`FilterModule.evaluate_batch` on ``[packet]``;
@@ -45,6 +45,7 @@ from repro.core.policy import (
     round_robin,
 )
 from repro.errors import CompilationError
+from repro.faults.injector import FaultInjector
 from repro.rmt.packet import Packet
 from repro.switch.filter_module import (
     META_FILTER_EPOCH,
@@ -103,6 +104,7 @@ _step = st.one_of(
     st.tuples(st.just("write"), st.integers(0, CAP - 1), _metrics),
     st.tuples(st.just("swap"), st.integers(0, 10_000)),
     st.tuples(st.just("kill")),
+    st.tuples(st.just("stick")),
 )
 
 
@@ -195,12 +197,22 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
                     for door, module in twins.items()
                 }
                 assert len(set(outcomes.values())) == 1, outcomes
+            elif step[0] == "stick":
+                # Silent: every later row the memo cannot answer walks
+                # the wedged Cells, whichever door it came in by.  (The
+                # injector's probe walk meets a dead Cell not yet healed.)
+                outcomes = {
+                    door: _outcome(lambda m=module: (
+                        FaultInjector(seed=3).stick_cell(m),))
+                    for door, module in twins.items()
+                }
+                assert len(set(map(repr, outcomes.values()))) == 1, outcomes
             elif step[0] == "kill":
                 if absorbs:
                     for module in twins.values():
                         cells = module.compiled.pipeline.active_cells()
-                        if cells and cells[0] not in module.routed_around:
-                            module.inject_cell_kill(*cells[0])
+                        if cells and cells[0] not in module.cells.routed_around:
+                            module.cells.kill(*cells[0])
             else:
                 mask = step[1]
                 before = {door: _counts(registry, door) for door in DOORS}
@@ -251,7 +263,7 @@ def serves_like_plain(**options) -> None:
         twins = {door: build(**options) for door in DOORS}
         if dead:
             for module in twins.values():
-                module.inject_cell_kill(
+                module.cells.kill(
                     *module.compiled.pipeline.active_cells()[0])
         for mask, door in itertools.product(masks, DOORS):
             got = _outcome(lambda: _serve(door, twins[door], mask, False))

@@ -82,18 +82,18 @@ def _fault_a(tenant_a, rng) -> None:
     module = tenant_a.module
     candidates = sorted(
         pos for pos in _occupied(module.compiled)
-        if pos not in module.routed_around
+        if pos not in module.cells.routed_around
     )
     stage1_alive = [
         c for c in sorted(tenant_a.columns)
-        if (1, c) not in module.routed_around
+        if (1, c) not in module.cells.routed_around
         and (1, c) not in module.compiled.dead_cells
     ]
     if len(stage1_alive) <= 1:
         candidates = [pos for pos in candidates if pos[0] != 1]
     if candidates:
         stage, index = rng.choice(candidates)
-        module.inject_cell_kill(stage, index)
+        module.cells.kill(stage, index)
 
 
 def _occupied(compiled):
@@ -151,8 +151,8 @@ def test_two_tenant_chaos_isolation(rng):
     # Bit-identical: B never noticed A's faults or heals.
     assert trace_b == golden_b
     # A really did take (and heal) faults — the chaos was not a no-op.
-    assert tenant_a.module.routed_around
-    assert tenant_a.module.degraded
+    assert tenant_a.module.cells.routed_around
+    assert tenant_a.module.cells.degraded
     counters = snap["counters"]
     a_faults = sum(
         v for k, v in counters.items()
@@ -162,7 +162,7 @@ def test_two_tenant_chaos_isolation(rng):
         v for k, v in counters.items()
         if k.startswith("faults_detected_total") and 'tenant="b"' in k
     )
-    assert a_faults == len(tenant_a.module.routed_around) > 0
+    assert a_faults == len(tenant_a.module.cells.routed_around) > 0
     assert b_faults == 0
     gauges = snap["gauges"]
     b_degraded = [

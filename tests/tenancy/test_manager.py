@@ -114,7 +114,7 @@ def test_admitted_module_is_slice_confined():
     module = tenant.module
     assert module.tenant == "a"
     assert module.smbm.capacity == 8
-    assert module.input_lines == frozenset({0, 1})
+    assert module.cells.input_lines == frozenset({0, 1})
     assert tenant.slice.reserved_cells(PARAMS) <= module.compiled.dead_cells
     occupied_columns = {
         c for _stage, c in _occupied(module.compiled)
