@@ -12,7 +12,10 @@ that verification layer:
   format of verifier findings and compile errors);
 * :mod:`repro.analysis.verifier` — :class:`PlanVerifier`, the static
   checker of what a plan's *structure* is: policy ASTs, emitted pipeline
-  configurations and the analytical timing model; wired into
+  configurations and the analytical timing model.  It reports the
+  pipeline's resource limits (TH004–TH006) from their one statement in
+  :mod:`repro.core.pipeline`, and routes no Benes network (TH007 is
+  retired: every in-range, fan-out-legal wiring routes); wired into
   :meth:`repro.core.compiler.PolicyCompiler.compile` (on by default,
   ``verify=False`` escape hatch), so it runs on every placement;
 * :mod:`repro.analysis.domains` / :mod:`repro.analysis.symbolic` — the

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import enum
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import CompilationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pipeline import Fault
 
 __all__ = ["Severity", "Rule", "RULES", "Finding", "Report"]
 
@@ -54,14 +59,15 @@ RULES: dict[str, Rule] = {
         Rule("TH003", "ValueWidthExceeded", Severity.ERROR,
              "a predicate operand does not fit the stored metric word"),
         Rule("TH004", "ChainOverflow", Severity.ERROR,
-             "a parallel chain K exceeds the physical K-UFPU chain length"),
+             "a parallel chain K is longer than the physical K-UFPU chain"),
         Rule("TH005", "FanoutExceeded", Severity.ERROR,
              "a source line feeds more crossbar ports than the fan-out f"),
         Rule("TH006", "WiringRange", Severity.ERROR,
-             "a wiring endpoint (port, line, stage, input index) is out of "
-             "range or not feed-forward"),
+             "a stage or Cell count, or a wiring endpoint (port, line, "
+             "input index), is out of range"),
         Rule("TH007", "BenesUnroutable", Severity.ERROR,
-             "a stage's crossbar wiring does not fit its Benes network"),
+             "retired (no check emits it): each stage's default-size Benes "
+             "network routes every TH005/TH006-clean wiring"),
         Rule("TH008", "TimingClosure", Severity.ERROR,
              "the plan's critical path cannot meet the target clock"),
         Rule("TH009", "CapacityOverflow", Severity.ERROR,
@@ -191,6 +197,22 @@ class Report:
                           operator=operator, node_path=node_path)
         self.findings.append(finding)
         return finding
+
+    def add_faults(self, faults: Iterable[Fault]) -> None:
+        """Record each broken pipeline limit
+        (:func:`~repro.core.pipeline.policy_faults`,
+        :func:`~repro.core.pipeline.config_faults`) as a finding."""
+        self.findings.extend(Finding(**fault._asdict()) for fault in faults)
+
+    def add_refusal(self, exc: CompilationError) -> Report:
+        """Record a refused compile as a finding under its own rule id
+        (TH009 when the raise site attached none), unless a finding of
+        that rule is already here (a static check found it first)."""
+        rule = exc.rule or "TH009"
+        if all(f.rule != rule for f in self.findings):
+            self.add(rule, str(exc.args[0] if exc.args else exc),
+                     stage=exc.stage, cell=exc.cell, operator=exc.operator)
+        return self
 
     def extend(self, other: "Report") -> "Report":
         self.findings.extend(other.findings)

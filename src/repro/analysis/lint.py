@@ -322,10 +322,7 @@ def _verify_entry(entry: CatalogueEntry) -> Report:
         )
     except CompilationError as exc:
         report = Report(subject=f"tenant slice of {policy.name!r}")
-        report.add(exc.rule or "TH009",
-                   str(exc.args[0] if exc.args else exc),
-                   stage=exc.stage, cell=exc.cell, operator=exc.operator)
-        return report
+        return report.add_refusal(exc)
     verifier = PlanVerifier(entry.params, schema=entry.schema)
     return verifier.verify_slice(compiled, tenant_slice)
 

@@ -4,23 +4,28 @@
 executing a single cycle:
 
 * **policy checks** (AST level) — operator/schema compatibility (TH002),
-  operand width against the stored metric word (TH003), parallel-chain
-  feasibility (TH004), input-index range (TH006) — all node-local; what a
-  policy *means* (contradictions included) is the symbolic pass's;
+  operand width against the stored metric word (TH003), and the
+  pipeline's node limits of :func:`~repro.core.pipeline.policy_faults`:
+  parallel-chain length (TH004) and input-index range (TH006) — all
+  node-local; what a policy *means* (contradictions included) is the
+  symbolic pass's;
 * **plan checks** (emitted :class:`~repro.core.pipeline.PipelineConfig`) —
-  wiring ranges (TH006), crossbar fan-out legality (TH005), Benes-network
-  routability of every stage's wiring (TH007), and the liveness lints: the
-  backward reachability pass behind the pipeline's pruned evaluation plan
-  (:func:`~repro.core.pipeline.units_read`) flags programmed units in
-  unreachable Cells (TH001) and unit outputs the BFPU muxing drops
-  (TH010);
+  the limits of :func:`~repro.core.pipeline.config_faults`: stage and Cell
+  counts and wiring ranges (TH006) and crossbar fan-out (TH005); then the
+  liveness lints: the backward reachability pass behind the pipeline's
+  pruned evaluation plan (:func:`~repro.core.pipeline.units_read`) flags
+  programmed units in unreachable Cells (TH001) and unit outputs the BFPU
+  muxing drops (TH010);
 * **timing closure** — the analytical clock model of
   :mod:`repro.core.area` must meet the target clock for the SMBM size and
   pipeline dimensions in use (TH008).
 
+TH004–TH006 are stated once, in :mod:`repro.core.pipeline`: the compiler
+and the pipeline model raise the first fault those functions yield, and the
+verifier reports them all.  No Benes network is routed: at the default
+size every wiring that keeps TH005 and TH006 routes (TH007 is retired).
 The verifier is pure analysis: it never mutates its inputs and builds no
-hardware models beyond routing each stage's Benes network (offline, as the
-paper's compile flow does).
+hardware model.
 """
 
 from __future__ import annotations
@@ -31,12 +36,17 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.findings import Report
 from repro.core import area
-from repro.core.benes import BenesNetwork, Crossbar
 from repro.core.operators import BinaryOp, UnaryOp
-from repro.core.pipeline import PipelineConfig, PipelineParams, units_read
-from repro.core.policy import Policy, TableRef, Unary, preorder_paths
+from repro.core.pipeline import (
+    PipelineConfig,
+    PipelineParams,
+    config_faults,
+    policy_faults,
+    units_read,
+)
+from repro.core.policy import Policy, Unary, preorder_paths
 from repro.core.smbm import STORED_WORD_BITS
-from repro.errors import CompilationError, ConfigurationError, RoutingError
+from repro.errors import CompilationError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.compiler import CompiledPolicy
@@ -122,21 +132,13 @@ class PlanVerifier:
     ``schema`` enables the SMBM-dependent checks (TH002 unknown metric,
     TH008 timing closure against the paper's 1 GHz switch clock,
     :data:`repro.core.area.TARGET_CLOCK_GHZ`); without it only geometry
-    checks run.  ``benes_size`` overrides the per-stage Benes network size
-    (the default :meth:`~repro.core.benes.BenesNetwork.for_crossbar` sizing
-    always fits the compiler's own wirings — smaller networks model a
-    floorplan with constrained crossbars).
+    checks run.
     """
 
     def __init__(self, params: PipelineParams | None = None, *,
-                 schema: TableSchema | None = None,
-                 benes_size: int | None = None):
+                 schema: TableSchema | None = None):
         self._params = params if params is not None else PipelineParams()
         self._schema = schema
-        self._benes = (
-            BenesNetwork(benes_size) if benes_size is not None
-            else BenesNetwork.for_crossbar(self._params.n, self._params.f)
-        )
 
     @property
     def params(self) -> PipelineParams:
@@ -156,48 +158,29 @@ class PlanVerifier:
         the exact node, not just the policy.
         """
         report = Report(subject=f"policy {policy.name!r}")
+        report.add_faults(policy_faults(policy, self._params))
         for node, path in preorder_paths(policy.root):
-            if isinstance(node, Unary):
-                self._check_unary(node, report, path)
-            elif (isinstance(node, TableRef)
-                    and node.input_index is not None
-                    and not 0 <= node.input_index < self._params.n):
+            if not isinstance(node, Unary):
+                continue
+            config = node.config
+            if (config.attr is not None and self._schema is not None
+                    and config.attr not in self._schema.metric_names):
                 report.add(
-                    "TH006",
-                    f"input index {node.input_index} out of range for a "
-                    f"pipeline with n={self._params.n} inputs",
-                    operator=node.describe(), node_path=path,
-                )
-        return report
-
-    def _check_unary(self, node: Unary, report: Report,
-                     path: tuple[int, ...]) -> None:
-        config = node.config
-        op = config.opcode.value
-        if config.k > self._params.chain_length:
-            report.add(
-                "TH004",
-                f"parallel chain K={config.k} exceeds the physical K-UFPU "
-                f"chain length {self._params.chain_length}",
-                operator=config.describe(), node_path=path,
-            )
-        if (config.attr is not None and self._schema is not None
-                and config.attr not in self._schema.metric_names):
-            report.add(
-                "TH002",
-                f"{op} reads metric {config.attr!r} absent from the SMBM "
-                f"schema {self._schema.metric_names}",
-                operator=config.describe(), node_path=path,
-            )
-        if config.opcode is UnaryOp.PREDICATE:
-            assert config.val is not None
-            if not 0 <= config.val < (1 << STORED_WORD_BITS):
-                report.add(
-                    "TH003",
-                    f"predicate operand {config.val} does not fit the "
-                    f"{STORED_WORD_BITS}-bit stored metric word",
+                    "TH002",
+                    f"{config.opcode.value} reads metric {config.attr!r} "
+                    f"absent from the SMBM schema {self._schema.metric_names}",
                     operator=config.describe(), node_path=path,
                 )
+            if config.opcode is UnaryOp.PREDICATE:
+                assert config.val is not None
+                if not 0 <= config.val < (1 << STORED_WORD_BITS):
+                    report.add(
+                        "TH003",
+                        f"predicate operand {config.val} does not fit the "
+                        f"{STORED_WORD_BITS}-bit stored metric word",
+                        operator=config.describe(), node_path=path,
+                    )
+        return report
 
     # -- plan (emitted config) checks ----------------------------------------------
 
@@ -211,70 +194,10 @@ class PlanVerifier:
         evaluation plan.
         """
         report = Report(subject="pipeline config")
-        params = self._params
-        if len(config.stages) != params.k:
-            report.add(
-                "TH006",
-                f"config has {len(config.stages)} stages, the pipeline has "
-                f"k={params.k}",
-            )
-            return report
-        for s, stage in enumerate(config.stages, start=1):
-            if len(stage.cells) != params.cells_per_stage:
-                report.add(
-                    "TH006",
-                    f"{len(stage.cells)} cell configs, need "
-                    f"{params.cells_per_stage}",
-                    stage=s,
-                )
-                continue
-            self._check_stage_wiring(s, stage.wiring, report)
-        if report.errors:
-            return report  # liveness over malformed wiring is meaningless
-        self._check_liveness(config, live_outputs, report)
+        report.add_faults(config_faults(config, self._params))
+        if not report.findings:  # liveness over malformed wiring is meaningless
+            self._check_liveness(config, live_outputs, report)
         return report
-
-    def _check_stage_wiring(self, s: int, wiring: dict[int, int],
-                            report: Report) -> None:
-        params = self._params
-        n = params.n
-        taps: dict[int, int] = {}
-        in_range = True
-        for port, line in wiring.items():
-            if not 0 <= port < n:
-                report.add(
-                    "TH006", f"Cell input port {port} out of range [0, {n})",
-                    stage=s, cell=port // 2 if port >= 0 else None,
-                )
-                in_range = False
-            if not 0 <= line < n:
-                report.add(
-                    "TH006", f"source line {line} out of range [0, {n})",
-                    stage=s,
-                )
-                in_range = False
-                continue
-            taps[line] = taps.get(line, 0) + 1
-        for line, count in sorted(taps.items()):
-            if count > params.f:
-                report.add(
-                    "TH005",
-                    f"source line {line} feeds {count} ports, exceeding the "
-                    f"fan-out bound f={params.f}",
-                    stage=s,
-                )
-        if not in_range or any(c > params.f for c in taps.values()):
-            return  # the Crossbar model would reject it for the same reason
-        crossbar = Crossbar(n, n, params.f, wiring)
-        try:
-            self._benes.route_crossbar(crossbar)
-        except RoutingError as exc:
-            report.add(
-                "TH007",
-                f"wiring not routable on the size-{self._benes.size} Benes "
-                f"network: {exc}",
-                stage=s,
-            )
 
     def _check_liveness(self, config: PipelineConfig,
                         live_outputs: Iterable[int] | None,
@@ -415,18 +338,15 @@ class PlanVerifier:
     def verify_compiled(self, compiled: "CompiledPolicy") -> Report:
         """Everything at once over a compiled plan.
 
-        The liveness anchor is exactly the line set the compiled policy
-        reads back: its output line, the MUX lines and every feedback tap.
+        The liveness anchor is the line set the compiled policy reads
+        back (:attr:`~repro.core.compiler.CompiledPolicy.live_outputs`).
         Structure only: what the policy *means* (TH017–TH019) does not
         depend on its placement, so it is analysed once per policy
         (:func:`repro.analysis.symbolic.analyze_policy`), not per compile.
         """
-        live = {compiled.output_line} | set(compiled.tap_lines.values())
-        if compiled.mux is not None:
-            live |= {compiled.mux.primary_line, compiled.mux.fallback_line}
         report = Report(subject=f"compiled policy {compiled.policy.name!r}")
         report.extend(self.verify_policy(compiled.policy))
-        report.extend(self.verify_config(compiled.config, live_outputs=live))
+        report.extend(self.verify_config(compiled.config, compiled.live_outputs))
         report.extend(self.verify_timing())
         return report
 
@@ -451,11 +371,5 @@ def verify_policy_compiles(
     try:
         compiled = PolicyCompiler(params).compile(policy, verify=False)
     except CompilationError as exc:
-        report = Report(subject=f"policy {policy.name!r}")
-        report.extend(verifier.verify_policy(policy))
-        rule = exc.rule or "TH009"
-        if not any(f.rule == rule for f in report.findings):
-            report.add(rule, str(exc.args[0] if exc.args else exc),
-                       stage=exc.stage, cell=exc.cell, operator=exc.operator)
-        return report
+        return verifier.verify_policy(policy).add_refusal(exc)
     return verifier.verify_compiled(compiled)

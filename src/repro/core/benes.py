@@ -10,24 +10,54 @@ Two models live in this module:
 
 * :class:`Crossbar` — the functional model used by the pipeline: a mapping
   from each output port to its source input line, validated against the
-  fan-out bound.  This is what a configured, non-blocking network *does*.
+  port and line ranges and the fan-out bound (:func:`wiring_faults`).
+  This is what a configured, non-blocking network *does*.
 * :class:`BenesNetwork` — the structural model: a recursive Benes network of
   2x2 switches with an implementation of the classic looping algorithm to
   route any permutation, used to (a) demonstrate the non-blocking property
-  the paper relies on and (b) count switches for the area model.
+  the paper relies on and (b) count switches for the area model.  The
+  network is rearrangeably non-blocking, so at the
+  :meth:`~BenesNetwork.for_crossbar` size every wiring that keeps the
+  :func:`wiring_faults` rules routes: a compile checks those rules and
+  routes no network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from repro.errors import ConfigurationError, RoutingError
 
-__all__ = ["Crossbar", "BenesNetwork", "BenesConfig", "benes_switch_count"]
+__all__ = ["Crossbar", "BenesNetwork", "BenesConfig", "benes_switch_count",
+           "wiring_faults"]
 
 T = TypeVar("T")
+
+
+def wiring_faults(wiring: Mapping[int, int], n_inputs: int, n_outputs: int,
+                  fanout: int) -> Iterator[tuple[str, str, int | None]]:
+    """The rules a crossbar wiring keeps, each stated here once: every port
+    and source line in range (TH006), and no source line feeding more than
+    ``fanout`` ports (TH005).  Yields ``(rule, message, port)``, ``port``
+    naming an out-of-range port and None otherwise.  :class:`Crossbar`
+    raises the first; :func:`repro.core.pipeline.config_faults` reads them
+    per stage."""
+    taps: dict[int, int] = {}
+    for port, line in wiring.items():
+        if not 0 <= port < n_outputs:
+            yield ("TH006", f"Cell input port {port} out of range "
+                            f"[0, {n_outputs})", port)
+        if not 0 <= line < n_inputs:
+            yield ("TH006", f"source line {line} out of range "
+                            f"[0, {n_inputs})", None)
+            continue
+        taps[line] = taps.get(line, 0) + 1
+    for line, count in sorted(taps.items()):
+        if count > fanout:
+            yield ("TH005", f"source line {line} feeds {count} ports, "
+                            f"exceeding the fan-out bound f={fanout}", None)
 
 
 class Crossbar:
@@ -35,7 +65,9 @@ class Crossbar:
 
     ``wiring`` maps output port -> source input line.  An input line may
     feed at most ``fanout`` outputs; outputs absent from the map carry no
-    signal (the pipeline models them as empty tables).
+    signal (the pipeline models them as empty tables).  A wiring that
+    breaks a :func:`wiring_faults` rule is refused: RoutingError for the
+    fan-out bound, ConfigurationError for a range.
     """
 
     def __init__(self, n_inputs: int, n_outputs: int, fanout: int,
@@ -44,23 +76,10 @@ class Crossbar:
             raise ConfigurationError("crossbar needs at least one input and output")
         if fanout < 1:
             raise ConfigurationError(f"fan-out must be >= 1, got {fanout}")
-        uses: dict[int, int] = {}
-        for out_port, in_line in wiring.items():
-            if not 0 <= out_port < n_outputs:
-                raise ConfigurationError(
-                    f"output port {out_port} out of range [0, {n_outputs})"
-                )
-            if not 0 <= in_line < n_inputs:
-                raise ConfigurationError(
-                    f"input line {in_line} out of range [0, {n_inputs})"
-                )
-            uses[in_line] = uses.get(in_line, 0) + 1
-        for in_line, count in uses.items():
-            if count > fanout:
-                raise RoutingError(
-                    f"input line {in_line} fans out to {count} outputs, "
-                    f"exceeding the fan-out bound f={fanout}"
-                )
+        for rule, message, _ in wiring_faults(wiring, n_inputs, n_outputs,
+                                              fanout):
+            raise (RoutingError if rule == "TH005"
+                   else ConfigurationError)(message)
         self._n_inputs = n_inputs
         self._n_outputs = n_outputs
         self._fanout = fanout

@@ -25,10 +25,14 @@ Mapping rules (all visible in Figure 14):
   the filter module.
 
 Exceeding any physical resource raises
-:class:`~repro.errors.CompilationError` with a description of what ran out;
-a DAG with more operator levels than the ``k`` stages can host is refused
-before any placement is tried (each DAG walk here visits a node once,
-however many paths share it).
+:class:`~repro.errors.CompilationError` with a description of what ran out.
+Before any placement is tried, a DAG with more operator levels than the
+``k`` stages can host is refused (TH009), then a node breaking a limit of
+:func:`~repro.core.pipeline.policy_faults` (TH004, TH006), the one
+statement of those limits the verifier reports too (each DAG walk here
+visits a node once, however many paths share it).  The placement search
+itself keeps only what it backtracks on: the crossbar fan-out counters
+(TH005) and the free Cells and sides of each stage (TH009).
 
 The compiler decides *placement* only.  What a policy means in software —
 the naive reference, the codegen kernel — is lowered
@@ -40,7 +44,7 @@ all of it valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro import obs
 from repro.core.bfpu import BinaryConfig
@@ -53,6 +57,7 @@ from repro.core.pipeline import (
     PipelineConfig,
     PipelineParams,
     StageConfig,
+    policy_faults,
 )
 from repro.core.policy import (
     Binary,
@@ -343,17 +348,8 @@ class _CompileState:
         self.taps[stage][line] += 1
         return line
 
-    def _check_stage(self, stage: int) -> None:
-        if not 1 <= stage <= self.params.k:
-            raise CompilationError(
-                f"policy needs a stage {stage} but the pipeline has "
-                f"k={self.params.k}",
-                rule="TH009", stage=stage,
-            )
-
     def _alloc_side(self, stage: int) -> tuple[int, int]:
         """A free unary side at ``stage``: (cell index, side index)."""
-        self._check_stage(stage)
         for c, cell in enumerate(self.cells[stage]):
             if (stage, c) in self.dead_cells:
                 continue  # hardware fault: route around this Cell
@@ -370,7 +366,6 @@ class _CompileState:
 
     def _alloc_cell(self, stage: int) -> int:
         """A whole free Cell at ``stage`` for a binary operator."""
-        self._check_stage(stage)
         for c, cell in enumerate(self.cells[stage]):
             if (stage, c) in self.dead_cells:
                 continue  # hardware fault: route around this Cell
@@ -403,15 +398,10 @@ class _CompileState:
         return wire
 
     def bring_to(self, wire: _Wire, stage: int) -> _Wire:
-        """Carry a wire forward to ``stage`` through no-op passthroughs."""
+        """Carry a wire forward to ``stage``, which is never behind it,
+        through no-op passthroughs."""
         while wire.stage < stage:
             wire = self._place_step(_NOOP_K, wire, wire.stage + 1)
-        if wire.stage != stage:
-            raise CompilationError(
-                f"value produced at stage {wire.stage} cannot feed stage "
-                f"{stage}: the pipeline is feed-forward",
-                rule="TH006", stage=stage,
-            )
         return wire
 
     def _latest_wire(self, node: Node) -> _Wire | None:
@@ -430,93 +420,76 @@ class _CompileState:
         :meth:`bring_to` (with a no-op config) and the stage-searching
         placers build on.
         """
-        assert source.stage == stage - 1, (source, stage)
         c, side = self._alloc_side(stage)
         line = self._tap(stage, source)
         self.cells[stage][c].sides[side] = _SideUse(kconfig, _Wire(stage - 1, line))
         return _Wire(stage, 2 * c + side)
 
-    def _place_unary(self, kconfig: KUnaryConfig, source: _Wire,
-                     min_stage: int) -> _Wire:
-        """Place one unary op at the earliest feasible stage."""
-        if kconfig.k > self.params.chain_length:
-            raise CompilationError(
-                f"parallel chain K={kconfig.k} exceeds the physical K-UFPU "
-                f"chain length {self.params.chain_length}",
-                rule="TH004", operator=kconfig.describe(),
-            )
+    def _first_stage(self, first: int, operator: str,
+                     place: Callable[[int], _Wire], kind: str = "") -> _Wire:
+        """``place`` at the earliest stage from ``first`` on that takes it;
+        a failed attempt is rolled back without leaking what it used."""
         last_error: CompilationError | None = None
-        for stage in range(max(min_stage, source.stage + 1), self.params.k + 1):
+        for stage in range(first, self.params.k + 1):
             snap = self._snapshot()
             try:
-                src = self.bring_to(source, stage - 1)
-                return self._place_step(kconfig, src, stage)
+                return place(stage)
             except CompilationError as exc:
                 self._restore(snap)
                 last_error = exc
         raise CompilationError(
-            f"could not place {kconfig.describe()} in any stage "
-            f">= {min_stage}: {last_error}",
+            f"could not place {kind}{operator} in any stage >= {first}: "
+            f"{last_error}",
             rule=(last_error.rule or "TH009") if last_error else "TH009",
             stage=last_error.stage if last_error else None,
-            operator=kconfig.describe(),
+            operator=operator,
         )
+
+    def _place_unary(self, kconfig: KUnaryConfig, source: _Wire) -> _Wire:
+        """Place one unary op at the earliest feasible stage."""
+        return self._first_stage(
+            source.stage + 1, kconfig.describe(),
+            lambda stage: self._place_step(
+                kconfig, self.bring_to(source, stage - 1), stage))
 
     def _place_binary(self, opcode: BinaryOp, choice: int | None,
                       left_cfg: KUnaryConfig, left_src: _Wire,
                       right_cfg: KUnaryConfig, right_src: _Wire) -> _Wire:
         """Place a (possibly unary-fused) binary op in a whole Cell."""
-        for cfg in (left_cfg, right_cfg):
-            if cfg.k > self.params.chain_length:
-                raise CompilationError(
-                    f"parallel chain K={cfg.k} exceeds the physical K-UFPU "
-                    f"chain length {self.params.chain_length}",
-                    rule="TH004", operator=cfg.describe(),
-                )
-        min_stage = max(left_src.stage, right_src.stage) + 1
-        last_error: CompilationError | None = None
-        for stage in range(min_stage, self.params.k + 1):
-            snap = self._snapshot()
-            try:
-                c = self._alloc_cell(stage)
-                lsrc = self.bring_to(left_src, stage - 1)
-                rsrc = self.bring_to(right_src, stage - 1)
-                lline = self._tap(stage, lsrc)
-                rline = self._tap(stage, rsrc)
-            except CompilationError as exc:
-                self._restore(snap)
-                last_error = exc
-                continue
+
+        def place(stage: int) -> _Wire:
+            c = self._alloc_cell(stage)
+            lsrc = self.bring_to(left_src, stage - 1)
+            rsrc = self.bring_to(right_src, stage - 1)
+            lline, rline = self._tap(stage, lsrc), self._tap(stage, rsrc)
             cell = self.cells[stage][c]
             cell.sides[0] = _SideUse(left_cfg, _Wire(stage - 1, lline))
             cell.sides[1] = _SideUse(right_cfg, _Wire(stage - 1, rline))
-            if opcode is BinaryOp.NO_OP:
-                cell.binary = BinaryConfig(opcode, choice=choice)
-            else:
-                cell.binary = BinaryConfig(opcode)
+            cell.binary = BinaryConfig(
+                opcode, choice=choice if opcode is BinaryOp.NO_OP else None)
             return _Wire(stage, 2 * c)
-        raise CompilationError(
-            f"could not place binary {opcode} in any stage "
-            f">= {min_stage}: {last_error}",
-            rule=(last_error.rule or "TH009") if last_error else "TH009",
-            stage=last_error.stage if last_error else None,
-            operator=str(opcode),
-        )
+
+        return self._first_stage(
+            max(left_src.stage, right_src.stage) + 1, str(opcode), place,
+            kind="binary ")
 
     # -- recursive compilation -----------------------------------------------------
 
     def prepare(self, policy: Policy) -> None:
-        """One pass over the policy DAG, each node once however many paths
-        reach it: count parents per edge (fusion is only legal at 1; a
-        feedback tap is one more consumer), check and collect the explicitly
-        indexed input lines, and refuse a DAG taller than the pipeline
-        before anything recursive runs."""
+        """Before anything recursive runs: count parents per edge in one
+        pass over the DAG, each node once however many paths reach it
+        (fusion is only legal at 1; a feedback tap is one more consumer),
+        refuse a DAG taller than the pipeline (TH009), then the first
+        :func:`~repro.core.pipeline.policy_faults` limit, then an
+        explicitly indexed input line outside this plan's allowed set
+        (TH014), and reserve the rest."""
         root = policy.root
         self.parent_count[root.node_id] = 1
         # Lower bound on the stage a node's value appears at: a stage
         # hosts at most one unary and one binary level (a binary's Cell
         # may absorb each operand's unary).
         depth: dict[int, int] = {}
+        indexed: list[tuple[int, TableRef]] = []
         for node in postorder(root):
             below = node.children()
             for child in below:
@@ -524,21 +497,7 @@ class _CompileState:
                     self.parent_count.get(child.node_id, 0) + 1
                 )
             if isinstance(node, TableRef) and node.input_index is not None:
-                if not 0 <= node.input_index < self.params.n:
-                    raise CompilationError(
-                        f"input index {node.input_index} out of range for a "
-                        f"pipeline with n={self.params.n} inputs",
-                        rule="TH006", operator=node.describe(),
-                    )
-                if (self.input_lines is not None
-                        and node.input_index not in self.input_lines):
-                    raise CompilationError(
-                        f"{node.describe()} taps input line "
-                        f"{node.input_index}, outside this tenant's allowed "
-                        f"lines {sorted(self.input_lines)}",
-                        rule="TH014", operator=node.describe(),
-                    )
-                self.reserved_inputs.add(node.input_index)
+                indexed.append((node.input_index, node))
             if isinstance(node, Binary):
                 below = tuple(c.child if isinstance(c, Unary) else c
                               for c in below)
@@ -555,6 +514,17 @@ class _CompileState:
                 f"the pipeline has k={self.params.k} stages",
                 rule="TH009", stage=self.params.k,
             )
+        for fault in policy_faults(policy, self.params):
+            raise CompilationError(fault.message, rule=fault.rule,
+                                   operator=fault.operator)
+        for line, node in indexed:
+            if self.input_lines is not None and line not in self.input_lines:
+                raise CompilationError(
+                    f"{node.describe()} taps input line {line}, outside "
+                    f"this tenant's allowed lines {sorted(self.input_lines)}",
+                    rule="TH014", operator=node.describe(),
+                )
+            self.reserved_inputs.add(line)
 
     def _fusable(self, node: Node) -> bool:
         """A node a binary parent may absorb into its Cell's K-UFPU."""
@@ -598,11 +568,11 @@ class _CompileState:
             # A bare table reference only needs a wire when consumed by a
             # later stage; materialise it as a stage-1 passthrough.
             return self._record(
-                node, self._place_unary(_NOOP_K, self._table_wire(node), 1)
+                node, self._place_unary(_NOOP_K, self._table_wire(node))
             )
         if isinstance(node, Unary):
             src = self._source_of(node.child)
-            wire = self._place_unary(node.config, src, src.stage + 1)
+            wire = self._place_unary(node.config, src)
             self._site(node, wire)
             return self._record(node, wire)
         if isinstance(node, Binary):
@@ -684,11 +654,13 @@ class CompiledPolicy:
         self._tap_lines = dict(tap_lines or {})
         self._dead_cells = frozenset(dead_cells)
         self._stateless = not stateless_blockers(policy)
-        # Only these output lines are ever read back; the pipeline prunes
-        # everything that cannot reach them.
         live = {output_line} | set(self._tap_lines.values())
         if mux is not None:
             live |= {mux.primary_line, mux.fallback_line}
+        #: The output lines ever read back: the output, the MUX lines and
+        #: every feedback tap.  The pipeline prunes everything that cannot
+        #: reach them, and the verifier's liveness lints anchor on them.
+        self.live_outputs = frozenset(live)
         self._pipeline = FilterPipeline(params, config, live_outputs=live)
         self._units = UnitState({
             nid: self._pipeline.cell_at(stage, line // 2).kufpus[line % 2]

@@ -19,25 +19,35 @@ The range of a caller's input masks is checked once, at
 :meth:`FilterPipeline.evaluate`; no hop inside the pipeline is.  The
 latency is checked by latching ``evaluate`` in a
 :class:`~repro.core.clocked.PipelineLatch` of ``params.latency_cycles``.
+
+The pipeline's resource limits are stated here once: :func:`policy_faults`
+over a policy's nodes (chain length TH004, input-index range TH006) and
+:func:`config_faults` over a configuration (stage and Cell counts, wiring
+ranges TH006, fan-out TH005).  The compiler and :class:`FilterPipeline`
+raise the first fault, the verifier reports them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from repro import obs
-from repro.core.benes import Crossbar
+from repro.core.benes import Crossbar, wiring_faults
 from repro.core.cell import Cell, CellConfig, cell_latency_cycles
 from repro.core.operators import BinaryOp, UnaryOp
+from repro.core.policy import Policy, TableRef, Unary, preorder_paths
 from repro.core.smbm import SMBM
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 
 __all__ = [
     "PipelineParams",
     "StageConfig",
     "PipelineConfig",
     "FilterPipeline",
+    "Fault",
+    "config_faults",
+    "policy_faults",
     "units_read",
 ]
 
@@ -169,6 +179,62 @@ def units_read(config: PipelineConfig, live: set[int]) -> list[list[set[int]]]:
     return rows
 
 
+class Fault(NamedTuple):
+    """One broken resource limit, located as a verifier finding is."""
+
+    rule: str
+    message: str
+    stage: int | None = None
+    cell: int | None = None
+    operator: str | None = None
+    node_path: tuple[int, ...] | None = None
+
+
+def policy_faults(policy: Policy, params: PipelineParams) -> Iterator[Fault]:
+    """The pipeline's limits on a policy's nodes, each stated here once: a
+    parallel chain K no longer than the physical K-UFPU chain (TH004) and
+    an explicit input index inside the ``n`` pipeline inputs (TH006).
+    Pre-order, each node once, located by operator and node path.  The
+    compiler raises the first; the verifier reports them all."""
+    for node, path in preorder_paths(policy.root):
+        if isinstance(node, Unary) and node.config.k > params.chain_length:
+            yield Fault(
+                "TH004", f"parallel chain K={node.config.k} "
+                f"exceeds the physical K-UFPU chain length "
+                f"{params.chain_length}",
+                operator=node.config.describe(), node_path=path)
+        elif (isinstance(node, TableRef) and node.input_index is not None
+                and not 0 <= node.input_index < params.n):
+            yield Fault(
+                "TH006", f"input index {node.input_index} "
+                f"out of range for a pipeline with n={params.n} inputs",
+                operator=node.describe(), node_path=path)
+
+
+def config_faults(config: PipelineConfig,
+                  params: PipelineParams) -> Iterator[Fault]:
+    """The pipeline's limits on a configuration, each stated here once:
+    ``k`` stages of ``n/2`` Cell configs (TH006, nothing more is checked
+    past a wrong stage count) and, per stage, the crossbar wiring rules
+    of :func:`~repro.core.benes.wiring_faults` (TH005, TH006).
+    :class:`FilterPipeline` raises the first; the verifier reports them
+    all."""
+    if len(config.stages) != params.k:
+        yield Fault("TH006", f"config has {len(config.stages)} stages, the "
+                             f"pipeline has k={params.k}")
+        return
+    for s, stage in enumerate(config.stages, start=1):
+        if len(stage.cells) != params.cells_per_stage:
+            yield Fault("TH006", f"stage {s} has {len(stage.cells)} cell "
+                                 f"configs, need {params.cells_per_stage}",
+                        stage=s)
+            continue
+        for rule, message, port in wiring_faults(stage.wiring, params.n,
+                                                 params.n, params.f):
+            yield Fault(rule, message, stage=s,
+                        cell=None if port is None or port < 0 else port // 2)
+
+
 class FilterPipeline:
     """A configured, runnable serial chain pipeline.
 
@@ -178,35 +244,28 @@ class FilterPipeline:
     NO_OP bypass Cells, unwired ports, and Cells whose outputs cannot reach
     a live line.  With the default ``None`` every output is treated as
     live (safe for direct use), which still enables the bypass shortcut and
-    interior-dead-line pruning.
+    interior-dead-line pruning.  A configuration breaking a
+    :func:`config_faults` limit is refused with its first fault:
+    RoutingError for the fan-out bound, ConfigurationError otherwise.
     """
 
     def __init__(self, params: PipelineParams, config: PipelineConfig,
                  *, lfsr_seed: int = 1,
                  live_outputs: Iterable[int] | None = None):
-        if len(config.stages) != params.k:
-            raise ConfigurationError(
-                f"config has {len(config.stages)} stages, pipeline has k={params.k}"
-            )
+        for fault in config_faults(config, params):
+            raise (RoutingError if fault.rule == "TH005"
+                   else ConfigurationError)(fault.message)
         self._params = params
-        self._crossbars: list[Crossbar] = []
+        self._crossbars = [Crossbar(params.n, params.n, params.f, stage.wiring)
+                           for stage in config.stages]
         self._cells: list[list[Cell]] = []
         seed = lfsr_seed
-        for s, stage in enumerate(config.stages):
-            if len(stage.cells) != params.cells_per_stage:
-                raise ConfigurationError(
-                    f"stage {s + 1} has {len(stage.cells)} cell configs, "
-                    f"need {params.cells_per_stage}"
-                )
-            # Crossbar validation enforces the fan-out bound f per source line.
-            self._crossbars.append(
-                Crossbar(params.n, params.n, params.f, stage.wiring)
-            )
+        for s, stage in enumerate(config.stages, start=1):
             row: list[Cell] = []
             for c, cell_cfg in enumerate(stage.cells):
                 row.append(
                     Cell(params.chain_length, cell_cfg, lfsr_seed=seed,
-                         position=(s + 1, c))
+                         position=(s, c))
                 )
                 seed += 2 * params.chain_length + 1
             self._cells.append(row)

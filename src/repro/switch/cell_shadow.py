@@ -57,7 +57,7 @@ class CellShadow:
                  *, lfsr_seed: int, reserved_cells: Iterable[Position],
                  input_lines: Iterable[int] | None, self_healing: bool,
                  sanitize: bool, on_move: Callable[[], None],
-                 labels: dict[str, str], policy_name: str):
+                 labels: dict[str, str]):
         self._params = params
         self._schema = schema
         self._lfsr_seed = lfsr_seed
@@ -82,7 +82,8 @@ class CellShadow:
         # Faults are rare events: these instruments live off the per-packet
         # path and carry the tenant label, so a fault in one tenant's slice
         # never moves another's series.
-        registry = obs.get_registry()
+        self._registry = registry = obs.get_registry()
+        self._labels = labels
         self._obs_cell_dead = registry.counter(
             "faults_detected_total", {"kind": "cell_dead", **labels},
             help="dead Cells detected (CellFault) and routed around")
@@ -92,9 +93,10 @@ class CellShadow:
         self._obs_repair_ns = registry.histogram(
             "repair_latency_ns", {"component": "filter_module", **labels},
             help="fault-to-recompiled recovery wall time (ns, pow2 buckets)")
-        self._obs_degraded = registry.gauge(
-            "degraded_mode", {"policy": policy_name, **labels},
-            help="Cells currently routed around (0 = healthy hardware)")
+        # This shadow's share of the live policy's ``degraded_mode`` series
+        # (shadows with the same labels add up); nothing is filed until the
+        # first install, so it starts on an unregistered gauge.
+        self._obs_degraded, self._degraded = obs.Gauge("degraded_mode"), 0
 
     # -- the placement clock ------------------------------------------------------
 
@@ -118,9 +120,18 @@ class CellShadow:
         return compiled
 
     def install(self, compiled: CompiledPolicy) -> None:
-        """Make ``compiled`` the live placement and tell the owner."""
+        """Make ``compiled`` the live placement, move this shadow's share of
+        ``degraded_mode`` to its policy's series (the series it leaves
+        drops that share, so labels stay as few as the policies installed)
+        and tell the owner."""
         self.compiled = compiled
         self._arm()
+        gauge = self._registry.gauge(
+            "degraded_mode", {"policy": compiled.policy.name, **self._labels},
+            help="Cells currently routed around (0 = healthy hardware)")
+        self._obs_degraded.dec(self._degraded)
+        self._obs_degraded, self._degraded = gauge, len(self._routed_around)
+        gauge.inc(self._degraded)
         self._on_move()()
 
     def _arm(self) -> None:
@@ -302,8 +313,7 @@ class CellShadow:
                       t0: int) -> None:
         """The one repair step: mark ``cells`` routed around and recompile
         the live policy onto the rest (the marks roll back if that fails),
-        then count them on ``detected``, time the repair from ``t0`` and
-        set the ``degraded_mode`` gauge."""
+        then count them on ``detected`` and time the repair from ``t0``."""
         self._routed_around.update(cells)
         try:
             self.install(self.place(self.compiled.policy))
@@ -312,4 +322,3 @@ class CellShadow:
             raise
         detected.inc(len(cells))
         self._obs_repair_ns.observe(time.perf_counter_ns() - t0)
-        self._obs_degraded.set(len(self._routed_around))

@@ -131,7 +131,7 @@ class FilterModule:
             lfsr_seed=lfsr_seed, reserved_cells=reserved_cells,
             input_lines=input_lines, self_healing=self_healing,
             sanitize=sanitize, on_move=self._reset_serving_caches,
-            labels=tlabels, policy_name=policy.name,
+            labels=tlabels,
         )
         # A hitless hot-swap bumps the epoch; the watermark is stamped on
         # every filter output (scalar and batched) so a packet stream

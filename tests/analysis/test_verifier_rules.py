@@ -125,16 +125,25 @@ def test_th006_wiring_range():
 
 
 def test_th007_benes_unroutable():
-    """A constrained (smaller-than-default) Benes network rejects a wiring
-    the full-size network routes fine."""
+    """TH007 is retired: the per-stage Benes network is rearrangeably
+    non-blocking, so at its default size every wiring that keeps TH005 and
+    TH006 routes, and there is no smaller network to ask for.  (That every
+    such wiring routes is the property test in ``test_benes.py``.)"""
+    import inspect
+
+    from repro.core.benes import BenesNetwork, Crossbar
+
+    assert "retired" in RULES["TH007"].summary
+    # No knob sizes a network smaller than the default.
+    assert list(inspect.signature(PlanVerifier).parameters) == [
+        "params", "schema"]
     params = PipelineParams(n=4, k=1, f=2, chain_length=1)
+    wiring = {0: 0, 1: 0, 2: 1, 3: 2}  # legal fan-out 2
     config = PipelineConfig(stages=[StageConfig(
-        wiring={0: 0, 1: 0, 2: 1, 3: 2},  # legal fan-out 2
-        cells=[CellConfig(), CellConfig()],
+        wiring=wiring, cells=[CellConfig(), CellConfig()],
     )])
     assert PlanVerifier(params).verify_config(config).clean
-    report = PlanVerifier(params, benes_size=4).verify_config(config)
-    assert rules_of(report) == ["TH007"]
+    BenesNetwork.for_crossbar(4, 2).route_crossbar(Crossbar(4, 4, 2, wiring))
 
 
 def test_th008_timing_closure():

@@ -199,3 +199,25 @@ def test_degraded_gauge_tracks_routed_around():
     assert snap["counters"]['faults_detected_total{kind="cell_dead"}'] == 1
     hist = snap["histograms"]['repair_latency_ns{component="filter_module"}']
     assert hist["count"] == 1 and hist["sum"] > 0
+
+
+def test_degraded_gauge_follows_the_live_policy():
+    """After a hot-swap, a healed Cell is filed under the policy the module
+    runs; the swapped-out policy's series reads 0."""
+    def named(name):
+        return Policy(make_policy().root, name=name)
+
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        module = FilterModule(6, METRICS, named("first"), ROOMY,
+                              self_healing=True)
+        module.update_resource(0, {"cpu": 1, "mem": 200})
+        module.hot_swap(named("second"))
+        module.cells.kill(*first_active(module))
+        module.update_resource(1, {"cpu": 2, "mem": 300})
+        module.evaluate()  # meets the dead Cell and routes around it
+        gauges = obs.snapshot(registry)["gauges"]
+    assert module.cells.routed_around
+    assert gauges['degraded_mode{policy="second"}'] == 1
+    assert not [v for k, v in gauges.items()
+                if k.startswith("degraded_mode") and '"first"' in k and v]
