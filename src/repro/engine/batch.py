@@ -4,9 +4,11 @@ A :class:`PacketBatch` holds one *column* per packet attribute instead of
 one object per packet — the filter-request flags, the optional per-packet
 input masks (candidate resource sets), and the output columns the filter
 module writes (``filter_output`` / ``filter_selected`` /
-``filter_epoch``).  Columns keep evaluation costs
-amortised: the batched engine touches each column once per batch instead
-of chasing ``Packet`` objects and metadata dicts once per packet.
+``filter_epoch``).  It is the column form
+:meth:`FilterModule.evaluate_batch
+<repro.switch.filter_module.FilterModule.evaluate_batch>` takes; the
+switch's own batch path hands each owner's run to the module's batch core
+as a bare mask column and writes the outputs onto the packets itself.
 
 The metadata keys mirror the per-packet protocol of
 :mod:`repro.switch.filter_module`; they are *defined* here (the switch
@@ -128,22 +130,13 @@ class PacketBatch:
         """
         metas = [packet.metadata for packet in packets]
         masks = [meta.get(META_FILTER_INPUT) for meta in metas]
-        batch = cls.from_rows(packets, [
-            None if mask is None else checked_mask(mask) for mask in masks])
-        batch._request = [bool(meta.get(META_FILTER_REQUEST))
-                          for meta in metas]
-        return batch
-
-    @classmethod
-    def from_rows(cls, packets: "Sequence[Packet]",
-                  input_masks: Sequence[int | None]) -> "PacketBatch":
-        """:meth:`from_packets` with both columns already read: every packet
-        requests filtering and ``input_masks`` holds each one's checked
-        mask (``None`` = the full table) — how the switch hands over a run
-        it classified at the batch's edge, without reading any metadata
-        again."""
-        masked = any(mask is not None for mask in input_masks)
-        batch = cls(len(packets), input_masks=input_masks if masked else None)
+        masked = any(mask is not None for mask in masks)
+        batch = cls(
+            len(packets),
+            request=[meta.get(META_FILTER_REQUEST) for meta in metas],
+            input_masks=[None if mask is None else checked_mask(mask)
+                         for mask in masks] if masked else None,
+        )
         batch._packets = packets
         return batch
 

@@ -18,15 +18,13 @@ refuses a negative metric (or one of 2^32 or more) with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.rmt.packet import FieldDef, HeaderDef, Packet
 from repro.rmt.parser import ACCEPT, Parser, ParseState
 
-__all__ = ["ETHERTYPE_PROBE", "ETHERTYPE_DATA", "ProbeUpdate", "ProbeCodec",
-           "is_probe"]
+__all__ = ["ETHERTYPE_PROBE", "ETHERTYPE_DATA", "ProbeUpdate", "ProbeCodec"]
 
 ETHERTYPE_PROBE = 0x88B5
 ETHERTYPE_DATA = 0x0800
@@ -41,14 +39,7 @@ ETHER_HEADER = HeaderDef(
 )
 
 
-def is_probe(packet: Packet) -> bool:
-    """Whether :meth:`ProbeCodec.decode` would treat ``packet`` as a probe
-    (it carries the probe header), without decoding it."""
-    return packet.has_header("probe")
-
-
-@dataclass(frozen=True)
-class ProbeUpdate:
+class ProbeUpdate(NamedTuple):
     """A decoded probe: the resource id and its fresh metric values."""
 
     resource_id: int
@@ -107,11 +98,10 @@ class ProbeCodec:
         return packet.serialize({"ether": ETHER_HEADER, "probe": self._probe_header})
 
     def decode(self, packet: Packet) -> ProbeUpdate | None:
-        """Extract the probe update from a parsed packet; None if not a probe."""
-        if not packet.has_header("probe"):
-            return None
-        values = packet.header("probe")
-        return ProbeUpdate(
-            resource_id=values["resource_id"],
-            metrics={name: values[name] for name in self._metric_names},
-        )
+        """Extract the probe update from a parsed packet; None if not a probe
+        (it carries no probe header).  One scan of the header list."""
+        for name, values in packet.headers:
+            if name == "probe":
+                return ProbeUpdate(values["resource_id"], {
+                    metric: values[metric] for metric in self._metric_names})
+        return None

@@ -14,9 +14,10 @@ Two backends conform today, both multiplexing tenants over one
   goes through the switch's filter stage on its own (``switch.process``);
 * :class:`BatchedBackend` — the columnar engine path
   (``switch.process_batch``): one classifying pass over the batch, then
-  each tenant's rows through its module's ``evaluate_batch`` (a memo
-  broadcast, the kernel, or per-row for a stateful plan) in runs cut only
-  by that tenant's own probes.
+  each tenant's run of rows as one mask column through its module's
+  ``evaluate_masks`` (a memo broadcast, the kernel, or the row routine
+  while the Cells take rows), the outputs written straight onto the
+  packets, in runs cut only by that tenant's own probes.
 
 Both refuse a batch by one rule, before any probe commits or any row is
 served: :func:`~repro.tenancy.demux.classify`, which the batched switch
@@ -288,8 +289,8 @@ class ScalarBackend(SwitchBackend):
 
 class BatchedBackend(SwitchBackend):
     """The columnar engine path: one classifying pass per batch, then
-    each tenant's rows through its module's ``evaluate_batch``, cut only
-    by that tenant's own probes."""
+    each tenant's run of rows as one mask column through its module's
+    ``evaluate_masks``, cut only by that tenant's own probes."""
 
     name = "batched"
 

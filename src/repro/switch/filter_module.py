@@ -65,6 +65,7 @@ from repro.switch.cell_shadow import CellShadow
 __all__ = [
     "FilterModule",
     "PacketBatch",
+    "selected_id",
     "META_FILTER_REQUEST",
     "META_FILTER_OUTPUT",
     "META_FILTER_SELECTED",
@@ -218,7 +219,7 @@ class FilterModule:
             )
             self._obs_batch_size = registry.histogram(
                 "filter_batch_size", labels,
-                help="requesting rows per evaluate_batch call (pow2 buckets)",
+                help="requesting rows per evaluate_masks call (pow2 buckets)",
             )
 
     def _plan_labels(self) -> dict[str, str]:
@@ -242,10 +243,10 @@ class FilterModule:
                          help="memoized evaluations that ran the pipeline")
         yield obs.Sample("filter_batches_total", self._batches,
                          labels=labels,
-                         help="evaluate_batch calls")
+                         help="evaluate_masks calls")
         yield obs.Sample("filter_batch_rows_total", self._batch_rows,
                          labels=labels,
-                         help="requesting rows seen by evaluate_batch")
+                         help="requesting rows seen by evaluate_masks")
         for path, rows in (("broadcast", self._batch_broadcast_rows),
                            ("engine", self._batch_engine_rows),
                            ("fallback", self._batch_fallback_rows)):
@@ -360,7 +361,7 @@ class FilterModule:
         """One packet's filter output as a raw id-mask: the only row
         routine.  ``mask`` is the packet's ``META_FILTER_INPUT`` candidate
         set (``None`` = the full table); every entry point — :meth:`hook`,
-        :meth:`evaluate`, :meth:`select`, each :meth:`evaluate_batch` row
+        :meth:`evaluate`, :meth:`select`, each :meth:`evaluate_masks` row
         the batch engine does not take — lands here, so what a packet gets
         cannot depend on how it arrived.
 
@@ -514,7 +515,7 @@ class FilterModule:
 
     def select(self) -> int | None:
         """Evaluate and return the singleton selection, if any."""
-        selected = _selected(self._serve(None))
+        selected = selected_id(self._serve(None))
         return None if selected < 0 else selected
 
     def hook(self, packet: Packet) -> None:
@@ -528,22 +529,18 @@ class FilterModule:
         mask = meta.get(META_FILTER_INPUT)
         out = self._serve(None if mask is None else checked_mask(mask))
         meta[META_FILTER_OUTPUT] = out
-        meta[META_FILTER_SELECTED] = _selected(out)
+        meta[META_FILTER_SELECTED] = selected_id(out)
         meta[META_FILTER_EPOCH] = self._plan_epoch
 
     # -- batched processing -------------------------------------------------------------
 
-    def evaluate_batch(
-        self, packets: "Sequence[Packet] | PacketBatch"
-    ) -> PacketBatch:
-        """Filter a whole batch of packets.
+    def evaluate_masks(self, masks: Sequence[int | None]) -> list[int]:
+        """The batch core: one output mask per row, in arrival order, for a
+        column of candidate masks (``None`` = the full table).  Rows split
+        by shape:
 
-        Accepts a packet sequence (columnarised here) or a prepared
-        :class:`PacketBatch`.  Rows split by shape:
-
-        * **uniform rows** (no ``META_FILTER_INPUT`` mask) of a stateless
-          policy collapse to a *single* :meth:`evaluate` per batch, whose
-          result is broadcast;
+        * **unmasked rows** of a stateless policy all get *one* memoized
+          :meth:`_serve` answer;
         * **masked rows** of a stateless policy, and every row of a
           stateful one, go to the policy's kernel in one
           :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks` call,
@@ -552,67 +549,69 @@ class FilterModule:
         * while the Cells take rows (:attr:`CellShadow.takes_rows
           <repro.switch.cell_shadow.CellShadow.takes_rows>`: an injected
           fault is live, or ``sanitize``), :meth:`_serve` takes those rows
-          instead, one at a time, exactly as :meth:`hook` would.
+          instead, one at a time, exactly as :meth:`hook` would, so a Cell
+          fault raises or heals here as it would for the same packet.
+        """
+        rows = len(masks)
+        self._batches += 1
+        self._batch_rows += rows
+        if self._obs_enabled:
+            self._obs_batch_size.observe(rows)
+        if not rows:
+            return []
+        # Stateful outputs advance per packet: no collapse and no
+        # reordering is legal.
+        unmasked = masks.count(None) if self._memoize else 0
+        if not unmasked:
+            return self._run_rows(masks)
+        out = self._serve(None)
+        self._batch_broadcast_rows += unmasked
+        outs = [out] * rows
+        if unmasked < rows:
+            single = [i for i, mask in enumerate(masks) if mask is not None]
+            for i, got in zip(single,
+                              self._run_rows([masks[i] for i in single])):
+                outs[i] = got
+        return outs
 
-        Rows not requesting filtering are left untouched.  The filled
-        output columns are returned on the batch; for a batch built from
-        packets, :meth:`PacketBatch.scatter` writes them back to packet
-        metadata (done here automatically).
+    def _run_rows(self, masks: Sequence[int | None]) -> list[int]:
+        """Rows that cannot share a memo answer: the kernel in one call,
+        or the row routine while the Cells take rows."""
+        if self._cells.takes_rows:
+            self._batch_fallback_rows += len(masks)
+            return [self._serve(mask) for mask in masks]
+        self._batch_engine_rows += len(masks)
+        return self._codegen.evaluate_masks(self._smbm, masks)
+
+    def evaluate_batch(
+        self, packets: "Sequence[Packet] | PacketBatch"
+    ) -> PacketBatch:
+        """Filter a whole batch of packets: :meth:`evaluate_masks` over the
+        requesting rows' mask column, its outputs written to the batch's
+        columns.
+
+        Accepts a packet sequence (columnarised here, and the columns
+        scattered back onto the packets' metadata) or a prepared
+        :class:`PacketBatch`.  Rows not requesting filtering are left
+        untouched.
         """
         built_here = not isinstance(packets, PacketBatch)
         batch = PacketBatch.from_packets(packets) if built_here else packets
         rows = batch.requesting_indices()
-        self._batches += 1
-        self._batch_rows += len(rows)
-        if self._obs_enabled:
-            self._obs_batch_size.observe(len(rows))
-        if not rows:
-            return batch
-        outputs = batch.outputs
-        selected = batch.selected
         masks = batch.input_masks
-        if not self._memoize:
-            # Stateful outputs advance per packet: no collapse and no
-            # reordering is legal.
-            uniform, single = [], rows
-        elif masks is None:
-            uniform, single = rows, []
-        else:
-            uniform = [i for i in rows if masks[i] is None]
-            single = [i for i in rows if masks[i] is not None]
-        if uniform:
-            out = self.evaluate().value
-            pick = _selected(out)
-            for i in uniform:
-                outputs[i] = out
-                selected[i] = pick
-            self._batch_broadcast_rows += len(uniform)
-        row_masks = [None if masks is None else masks[i] for i in single]
-        if not single:
-            outs = []
-        elif self._cells.takes_rows:
-            # The Cells serve (a fault is live) or check (sanitize) every
-            # row: the row routine takes each, in order, so a Cell fault
-            # raises or heals here as it would for the same packet at
-            # ``hook``.
-            outs = [self._serve(mask) for mask in row_masks]
-            self._batch_fallback_rows += len(single)
-        else:
-            outs = self._codegen.evaluate_masks(self._smbm, row_masks)
-            self._batch_engine_rows += len(single)
-        for i, out in zip(single, outs):
-            outputs[i] = out
-            selected[i] = _selected(out)
-        epochs = batch.epochs
+        outs = self.evaluate_masks(
+            [None] * len(rows) if masks is None else [masks[i] for i in rows])
         epoch = self._plan_epoch
-        for i in rows:
-            epochs[i] = epoch
+        for i, out in zip(rows, outs):
+            batch.outputs[i] = out
+            batch.selected[i] = selected_id(out)
+            batch.epochs[i] = epoch
         if built_here:
             batch.scatter()
         return batch
 
 
-def _selected(out: int) -> int:
+def selected_id(out: int) -> int:
     """``META_FILTER_SELECTED`` of an output mask: the id of its single
     set bit, or -1 when it is not a singleton."""
     return (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1

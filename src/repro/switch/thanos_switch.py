@@ -22,10 +22,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.engine.batch import PacketBatch
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec, ProbeUpdate
-from repro.switch.filter_module import META_FILTER_REQUEST, FilterModule
+from repro.switch.filter_module import (
+    META_FILTER_EPOCH,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+    META_FILTER_SELECTED,
+    FilterModule,
+    selected_id,
+)
 from repro.tenancy.demux import TenantDemux, classify
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime switch<->tenancy cycle
@@ -76,20 +82,21 @@ class ThanosSwitch:
         return packet
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Process a packet stream, serving each owner's rows in columnar
-        batches.
+        """Process a packet stream, serving each owner's rows as columns.
 
         One pass (:func:`~repro.tenancy.demux.classify`) reads every
-        packet's metadata once: it decodes probes only, routes probes and
-        filter requests to their owner, and refuses the whole batch —
-        before any probe commits or any row is served — on a routing
-        violation, a malformed mask or a probe resource id past its
-        owner's quota.  Each owner's rows are then served in arrival order
-        through :meth:`FilterModule.evaluate_batch`, cut only by that
-        owner's own probes, which commit in arrival order: every row sees
-        exactly the table state it would under per-packet :meth:`process`,
-        and a probe for one tenant never splits another's run (tables are
-        disjoint, so the order across owners is immaterial).
+        packet's metadata once: it decodes only packets that carry headers,
+        routes probes and filter requests to their owner, and refuses the
+        whole batch — before any probe commits or any row is served — on a
+        routing violation, a malformed mask or a probe resource id past its
+        owner's quota.  Each owner's rows are then served in arrival order,
+        one mask column through :meth:`FilterModule.evaluate_masks` per
+        run, the outputs written straight onto the rows' metadata.  A run
+        is cut only by its owner's own probes, which commit in arrival
+        order: every row sees exactly the table state it would under
+        per-packet :meth:`process`, and a probe for one tenant never splits
+        another's run (tables are disjoint, so the order across owners is
+        immaterial).
 
         An error raised while *serving* a row — a dead Cell met without
         ``self_healing``, a sanitizer refusal — is the one :meth:`process`
@@ -111,8 +118,18 @@ class ThanosSwitch:
 
 def _serve_run(module: FilterModule, rows: list[Packet],
                masks: list[int | None]) -> None:
-    """One owner's run of rows through its batch tiers, written back once."""
+    """One owner's run of rows: its mask column through the batch core, and
+    each output written onto its row's metadata, as :meth:`FilterModule.hook`
+    writes it (``selected`` once per distinct output object, so once for a
+    broadcast run)."""
     if rows:
-        batch = PacketBatch.from_rows(rows, masks)
-        module.evaluate_batch(batch)
-        batch.scatter()
+        outs = module.evaluate_masks(masks)
+        epoch = module.plan_epoch
+        last = pick = None
+        for packet, out in zip(rows, outs):
+            if out is not last:
+                last, pick = out, selected_id(out)
+            meta = packet.metadata
+            meta[META_FILTER_OUTPUT] = out
+            meta[META_FILTER_SELECTED] = pick
+            meta[META_FILTER_EPOCH] = epoch

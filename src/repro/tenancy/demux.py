@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.engine.batch import META_FILTER_INPUT, META_FILTER_REQUEST, checked_mask
 from repro.errors import CapacityError, ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
-from repro.rmt.probe import ProbeCodec, ProbeUpdate, is_probe
+from repro.rmt.probe import ProbeCodec, ProbeUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.switch.filter_module import FilterModule
@@ -50,8 +50,9 @@ def classify(
     classify it, route it and refuse the whole batch before anything
     commits.
 
-    A packet is a *probe* when it carries the probe header (only those are
-    decoded), a *row* when it requests filtering, and otherwise bypasses:
+    A packet is a *probe* when ``decode`` finds the probe header on it
+    (one scan of its headers; a packet with none is not decoded), a *row*
+    when it requests filtering, and otherwise bypasses:
     it touches no module and needs no label.  Probes and rows belong to
     the admitted tenant their ``META_TENANT`` label names.
 
@@ -74,8 +75,9 @@ def classify(
     refusal: Exception | None = None
     for packet in packets:
         meta = packet.metadata
-        probe = packet.headers and is_probe(packet)  # no header, no call
-        if not (probe or meta.get(META_FILTER_REQUEST)):
+        # A packet without headers is no probe: it costs no decode call.
+        update = decode(packet) if packet.headers else None
+        if update is None and not meta.get(META_FILTER_REQUEST):
             continue
         name = meta.get(META_TENANT)
         try:
@@ -93,8 +95,7 @@ def classify(
                 continue
             owners[name] = tenants.get(name).module
             run = runs[name] = ([], [])
-        if probe:
-            update = decode(packet)
+        if update is not None:
             quota = owners[name].smbm.capacity
             if update.resource_id >= quota and refusal is None:
                 refusal = CapacityError(

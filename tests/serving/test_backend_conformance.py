@@ -21,8 +21,10 @@ from repro import obs
 from repro.analysis.conformance import verify_checkpoint_roundtrip
 from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
+from repro.core.smbm import SMBM
 from repro.core.policy import (
     Policy,
+    PolicyInterpreter,
     TableRef,
     intersection,
     min_of,
@@ -35,6 +37,7 @@ from repro.engine.batch import (
     META_FILTER_OUTPUT,
     META_FILTER_REQUEST,
     META_FILTER_SELECTED,
+    PacketBatch,
 )
 from repro.errors import (
     CapacityError,
@@ -254,9 +257,9 @@ def _batches_by_tenant(registry) -> dict[str, float]:
 
 
 def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
-    """One ``evaluate_batch`` per run, and a run of tenant A ends only at
-    a probe for A that finds A's rows pending; probes are decoded once
-    each and nothing else is."""
+    """One batch-core call (``evaluate_masks``) per run, and a run of
+    tenant A ends only at a probe for A that finds A's rows pending;
+    probes are decoded once each and a packet without headers is not."""
     decoded = []
     decode = ProbeCodec.decode
 
@@ -300,6 +303,50 @@ def test_a_probe_splits_only_its_own_tenants_run(registry, monkeypatch):
     assert {name: after[name] - before[name] for name in POLICIES} == {
         "a": 1, "b": 1, "c": 1, "f": 0}
     assert decoded == []
+
+
+def test_the_batched_switch_serves_without_a_packet_batch(monkeypatch):
+    """Each owner's run goes to its module as a mask column and the outputs
+    go straight onto the packets: with ``PacketBatch`` unconstructible, a
+    batch of probes, masked and unmasked rows and quiet packets, over
+    stateless, stateful and feedback tenants, still serves the solo oracle
+    per packet."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PacketBatch was built while serving")
+
+    monkeypatch.setattr(PacketBatch, "__init__", refuse)
+    names = list(POLICIES)
+
+    def row(n):
+        return {"cpu": (n * 37) % 100, "mem": (n * 11) % 50}
+
+    steps = [("probe", name, rid, row(rid + i))
+             for i, name in enumerate(names) for rid in range(4)]
+    for i, mask in enumerate(MASKS * 2):
+        steps += [("data", name, mask) for name in names]
+        steps.append(("quiet", None if i % 2 else "a"))
+        steps.append(("probe", names[i % len(names)], 4 + i % 4, row(i)))
+    # The naive reference per tenant: one unit state for masked and
+    # unmasked rows alike (row 7 ties row 0 on cpu, so a round-robin's
+    # pointer decides between them).
+    tables = {name: SMBM(8, METRICS) for name in names}
+    oracles = {name: PolicyInterpreter(POLICIES[name]()) for name in names}
+    want = []
+    for step in steps:
+        table = tables.get(step[1])
+        if step[0] == "probe":
+            (table.update if step[2] in table else table.add)(*step[2:])
+        if step[0] != "data":
+            want.append((None, None, None))
+            continue
+        out = oracles[step[1]].evaluate(table, mask=step[2]).value
+        want.append(
+            (out, out.bit_length() - 1 if out.bit_count() == 1 else -1, 0))
+    backend = _make_backend(BatchedBackend)
+    assert _per_packet(backend, steps) == want
+    assert any(out for out, _, _ in want if out is not None)
+    assert backend.switch.probes_processed == sum(
+        step[0] == "probe" for step in steps)
 
 
 #: The dead-Cell schedule's tenants, each with a spare Cell column: one
