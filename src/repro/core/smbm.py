@@ -10,12 +10,13 @@ pipelined (5.1.2-5.1.3); writes commit **atomically** in the second cycle,
 so a read never sees a torn table (5.1.4); every list is readable **every
 cycle**, being flip-flops (5.1.3).
 
-Each list is a :class:`MetricIndex`, with the id masks the read operators
-search, sorted from the rows on the metric's first read (a list nobody
-reads is kept by nobody).  From then on a committed write shifts it once
-and patches its masks in place, as the flip-flops shift; nothing rebuilds.
-:class:`SMBM` is the functional model (every method completes at once);
-:class:`ClockedSMBM` wraps it in the cycle-accurate write pipeline.
+A UFPU reads the lists two ways (5.2.1): min, max and K-select through a
+priority encoder over a :class:`MetricIndex` (the list in buckets), a
+predicate through its comparator bank, :meth:`SMBM.predicate_set`.  Each is
+built from the rows on its first read; then a committed write flips its
+row's bit in the boundaries it crosses and in each set, as the flip-flops
+shift.  A metric only predicates read has no list.  :class:`SMBM` is the
+functional model; :class:`ClockedSMBM` adds the cycle-accurate write pipe.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from math import isqrt
 from operator import index as as_int, or_
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.core.bitvector import BitVector
@@ -47,95 +48,111 @@ _WORD_LIMIT = 1 << STORED_WORD_BITS
 
 
 def bucket_span(capacity: int) -> int:
-    """B for ``capacity`` rows, measured (``tools/index_costs.py``): a write
-    patches ~2B local masks and a third of ~N/B boundaries."""
-    return max(4, isqrt(capacity) // 2)
+    """B for ``capacity`` rows, from ``tools/index_costs.py``'s ``w+r``
+    column: a write patches a third of ~N/B boundaries, a read bisects them
+    and scans one bucket of at most 2B entries."""
+    return max(4, isqrt(capacity))
 
 
-def _masks(ids: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Each bucket's local prefix masks, and the mask below each boundary."""
-    local = [list(accumulate((1 << rid for rid in bucket), or_, initial=0))
-             for bucket in ids]
-    return local, list(accumulate((loc[-1] for loc in local), or_, initial=0))
+def _bits(ids) -> int:
+    """The id mask of ``ids``."""
+    return sum(1 << rid for rid in ids)
 
 
-#: Predicates keeping the ids below the first key of value ``val + offset``,
-#: or those at or above it.
-_UNDER = {RelOp.LT: 0, RelOp.LE: 1}
-_OVER = {RelOp.GE: 0, RelOp.GT: 1}
+def _boundaries(ids: list[list[int]]) -> list[int]:
+    """The mask of the ids below each bucket boundary."""
+    return list(accumulate(map(_bits, ids), or_, initial=0))
 
 
 def _first(masks: list[int], bits: int) -> int:
-    """The smallest ``r >= 1`` with ``masks[r] & bits`` (prefix masks)."""
-    lo, hi = 1, len(masks) - 1
+    """The smallest ``r >= 1`` with ``masks[r] & bits`` (prefix masks), 1
+    tried first: a dense input ends there."""
+    lo, hi, mid = 1, len(masks) - 1, 1
     while lo < hi:
-        mid = (lo + hi) // 2
         if masks[mid] & bits:
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return lo
 
 
 def _last(masks: list[int], live: int) -> int:
-    """The largest ``r < len - 1`` with ``live & ~masks[r]`` non-empty."""
-    lo, hi = 0, len(masks) - 2
+    """The largest ``r < len - 1`` with ``live & ~masks[r]`` non-empty,
+    ``len - 2`` tried first: a dense input ends there."""
+    lo, hi, mid = 0, len(masks) - 2, len(masks) - 2
     while lo < hi:
-        mid = (lo + hi + 1) // 2
         if live & ~masks[mid]:
             lo = mid
         else:
             hi = mid - 1
+        mid = (lo + hi + 1) // 2
     return lo
 
 
-def _reach(masks: list[int], live: int, want: int) -> int:
-    """The smallest ``r >= 1`` with ``want`` ids of ``live`` in ``masks[r]``."""
+def _reach(masks: list[int], live: int, want: int, top: bool) -> int:
+    """The smallest ``r >= 1`` with ``want`` ids of ``live`` in ``masks[r]``
+    (bucket ``r - 1`` holds the ``want``-th), the end ``top`` names first."""
     lo, hi = 1, len(masks) - 1
+    mid = hi - 1 if top else 1
     while lo < hi:
-        mid = (lo + hi) // 2
         if (masks[mid] & live).bit_count() >= want:
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return lo
 
 
+def _encode(ids: Iterable[int], live: int, count: int) -> int:
+    """The first ``count`` ids of ``ids`` that ``live`` names (all of
+    ``live`` if it names no more): section 5.2.1's priority encoder."""
+    if live.bit_count() <= count:
+        return live
+    out = 0
+    for rid in ids:
+        if not count:
+            break
+        if live >> rid & 1:
+            out |= 1 << rid
+            count -= 1
+    return out
+
+
 class MetricIndex:
-    """One metric dimension's sorted list, in buckets, with its read masks.
+    """One metric dimension's sorted list, in buckets, with its boundaries.
 
     Entries are int sort keys ``value << 64 | seq`` (FIFO ties inside the
     key) beside their ids: ``keys[i]``/``ids[i]`` are bucket ``i`` in rank
     order, ``maxes[i]`` its last key.  Buckets hold ``span``..``2*span``
-    entries (the first 1..``2*span``), so there are ``<= ceil(n/span)``.
-    The masks: ``local[i][j]``, the ids of bucket ``i``'s first ``j``
-    entries, and ``below[i]``, the ids in buckets before ``i`` (``below[-1]``
-    is the table).  The ids below a key are ``below[i] | local[i][j]``, two
-    bisects away; min, max and K-select search ``below``, then one ``local``.
+    entries (the first 1..``2*span``), so there are ``<= ceil(n/span)``;
+    ``below[i]`` masks the ids in buckets before ``i`` (``below[-1]``: the
+    table).  A read bisects ``below`` for the bucket its answer ends in and
+    scans it, from the front for the lowest ranks, the back for the highest:
+    section 5.2.1's priority encoder over at most ``2*span`` entries.
 
-    **A write patches the masks at commit**: ``local`` past the entry in
-    the bucket it leaves and the one it enters, and its bit in ``below``
-    at the boundaries between — at most ``4*span + ceil(n/span)`` words
-    with splits and merges, where a flat prefix array rewrites every rank
-    in between.  A bucket past ``2*span`` splits; one under ``span`` merges
-    into, or borrows the last entry of, the bucket before it.
+    **A write patches the boundaries at commit**: its bit flips in the
+    ``below`` words between the bucket it leaves and the one it enters, at
+    most ``ceil(n/span) + 1`` words with splits and merges.  A bucket past
+    ``2*span`` splits; one under ``span`` merges into, or borrows the last
+    entry of, the bucket before it.
     """
 
-    __slots__ = ("span", "keys", "ids", "maxes", "local", "below")
+    __slots__ = ("span", "keys", "ids", "maxes", "below")
 
     def __init__(self, entries: Sequence[tuple[int, int]], span: int):
         self.span = span
         self.fill(entries)
 
     def fill(self, entries: Sequence[tuple[int, int]]) -> None:
-        """Lay out rank-ordered ``(key, id)`` pairs and build their masks."""
+        """Lay out rank-ordered ``(key, id)`` pairs and build the boundaries."""
         n, span = len(entries), self.span
         cuts = [0, *range(n - (max(n - 1, 0) // span) * span, n + 1, span)]
         buckets = [entries[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.keys = [[key for key, _ in bucket] for bucket in buckets]
         self.ids = [[rid for _, rid in bucket] for bucket in buckets]
         self.maxes = [bucket[-1] for bucket in self.keys if bucket]
-        self.local, self.below = _masks(self.ids)
+        self.below = _boundaries(self.ids)
 
     def rank(self, key: int) -> int:
         """How many entries sort before ``key``."""
@@ -143,50 +160,33 @@ class MetricIndex:
         return sum(map(len, self.keys[:i])) + (
             bisect_left(self.keys[i], key) if i < len(self.maxes) else 0)
 
-    def _ids_below(self, key: int) -> int:
-        """Ids of the entries whose sort key is below ``key``."""
-        below = self.below
-        i = bisect_left(self.maxes, key)
-        if i == len(self.maxes):
-            return below[-1]
-        return below[i] | self.local[i][bisect_left(self.keys[i], key)]
-
-    def predicate_mask(self, rel_op: RelOp, val: int, input_bits: int) -> int:
-        """Ids from ``input_bits`` whose value satisfies ``value ∘ val``."""
-        if rel_op in _UNDER:
-            return self._ids_below(val + _UNDER[rel_op] << 64) & input_bits
-        table = self.below[-1]
-        if rel_op in _OVER:
-            return (table ^ self._ids_below(val + _OVER[rel_op] << 64)) & input_bits
-        equal = self._ids_below(val + 1 << 64) ^ self._ids_below(val << 64)
-        return (equal if rel_op is RelOp.EQ else table ^ equal) & input_bits
-
     def min_mask(self, input_bits: int) -> int:
         """One-hot mask of the lowest-rank entry in ``input_bits`` (FIFO
-        among equal values): the first prefix meeting the input, twice."""
+        among equal values): the first bucket meeting the input, scanned
+        from its front."""
         below = self.below
         if not below[-1] & input_bits:
             return 0
-        local = self.local[_first(below, input_bits) - 1]
-        return local[_first(local, input_bits)] & input_bits
+        i = _first(below, input_bits) - 1
+        return _encode(self.ids[i], below[i + 1] & input_bits, 1)
 
     def max_mask(self, input_bits: int) -> int:
         """One-hot mask of the highest-rank entry in ``input_bits`` (the
-        latest-enqueued among equal values, as the last-one encoder picks),
-        on ``live``: the input cut to the table's ids, which ``~`` keeps."""
+        latest-enqueued among equal values, as the last-one encoder picks):
+        the last bucket meeting ``live``, the input cut to the table's ids,
+        scanned from its back."""
         below = self.below
         live = below[-1] & input_bits
         if not live:
             return 0
-        local = self.local[_last(below, live)]
-        live &= local[-1]
-        return live & ~local[_last(local, live)]
+        i = _last(below, live)
+        return _encode(reversed(self.ids[i]), live & ~below[i], 1)
 
     def select_mask(self, input_bits: int, k: int, largest: bool) -> int:
         """Equation 1's K-select: the ``k`` lowest-rank (``largest``:
-        highest) entries in ``input_bits``, all if it holds at most ``k``.
-        The first rank with ``want`` live ids below it yields exactly the
-        ``want`` lowest: one popcount search per level, whatever ``k``."""
+        highest) entries in ``input_bits``, all if it holds at most ``k``: a
+        bisect finds the bucket the ``k``-th ends in, the live ids past it
+        are taken, and one scan of it from that side takes the rest."""
         if k == 1:
             return self.max_mask(input_bits) if largest else self.min_mask(input_bits)
         below = self.below
@@ -194,14 +194,15 @@ class MetricIndex:
         count = live.bit_count()
         if count <= k:
             return live
-        want = count - k if largest else k
-        lowest = 0
-        if want:
-            i = _reach(below, live, want) - 1
-            lowest = below[i] & live
-            local = self.local[i]
-            lowest |= local[_reach(local, live, want - lowest.bit_count())] & live
-        return live ^ lowest if largest else lowest
+        if largest:
+            i = _reach(below, live, count - k + 1, True) - 1
+            out = live & ~below[i + 1]
+            bucket, ids = (live & ~below[i]) ^ out, reversed(self.ids[i])
+        else:
+            i = _reach(below, live, k, False) - 1
+            out = below[i] & live
+            bucket, ids = (below[i + 1] & live) ^ out, self.ids[i]
+        return out | _encode(ids, bucket, k - out.bit_count())
 
     # -- writes: while a row is out of the list, ``below[k]`` still holds its
     # bit for every ``k > a``, ``a`` the boundary ``_take`` returns; ``_put``
@@ -210,7 +211,7 @@ class MetricIndex:
 
     def move(self, old: int | None, new: int | None, rid: int) -> None:
         """Move ``rid``'s entry from key ``old`` (None: an add) to ``new``
-        (None: a delete), masks patched."""
+        (None: a delete), boundaries patched."""
         a = len(self.keys) if old is None else self._take(old, rid)
         if new is not None:
             self._put(new, rid, a)
@@ -219,7 +220,7 @@ class MetricIndex:
             below[a + 1:] = [m ^ bit for m in below[a + 1:]]
 
     def _take(self, key: int, rid: int) -> int:
-        maxes, local = self.maxes, self.local
+        maxes = self.maxes
         a = bisect_left(maxes, key)
         keys = self.keys[a] if a < len(maxes) else [key + 1]
         p = bisect_left(keys, key)
@@ -227,9 +228,8 @@ class MetricIndex:
             raise SimulationError(
                 f"bidirectional map corrupted: id {rid} missing from its "
                 "sorted list")
-        ids, bit, loc = self.ids[a], 1 << rid, local[a]
+        ids = self.ids[a]
         del keys[p], ids[p]
-        loc[p + 1:] = [m ^ bit for m in loc[p + 2:]]
         if len(keys) >= self.span:
             if p == len(keys):
                 maxes[a] = keys[-1]
@@ -237,7 +237,7 @@ class MetricIndex:
         if not keys:  # only the first bucket can empty
             del maxes[0]
             if len(self.keys) > 1:
-                del self.keys[0], self.ids[0], local[0], self.below[1]
+                del self.keys[0], self.ids[0], self.below[1]
             return 0
         maxes[a] = keys[-1]
         if a == 0:
@@ -245,20 +245,14 @@ class MetricIndex:
         prev = a - 1
         pkeys, pids = self.keys[prev], self.ids[prev]
         if len(pkeys) + len(keys) <= 2 * self.span:  # merge into prev
-            total = local[prev][-1]
-            local[prev] += [m | total for m in local[a][1:]]
-            del local[a], self.below[a]
             pkeys += keys
             pids += ids
-            del self.keys[a], self.ids[a], maxes[prev]
+            del self.keys[a], self.ids[a], maxes[prev], self.below[a]
             return prev
         keys.insert(0, pkeys.pop())  # borrow prev's last entry
         ids.insert(0, pids.pop())
         maxes[prev] = pkeys[-1]
-        bit = 1 << ids[0]
-        local[prev].pop()
-        local[a] = [0, *(m | bit for m in local[a])]
-        self.below[a] ^= bit
+        self.below[a] ^= 1 << ids[0]
         return a
 
     def _put(self, key: int, rid: int, a: int) -> None:
@@ -277,28 +271,22 @@ class MetricIndex:
         self.ids[b].insert(q, rid)
         if q == len(keys) - 1:
             maxes[b:b + 1] = [key]
-        bit, loc = 1 << rid, self.local[b]
-        loc[q + 1:] = [m | bit for m in loc[q:]]
         if a != b:
             lo, hi = (a + 1, b + 1) if a < b else (b + 1, a + 1)
-            below = self.below
+            bit, below = 1 << rid, self.below
             below[lo:hi] = [m ^ bit for m in below[lo:hi]]
 
     def _split(self, i: int) -> None:
         span, keys, ids = self.span, self.keys[i], self.ids[i]
         self.keys.insert(i + 1, keys[span:])
         self.ids.insert(i + 1, ids[span:])
+        # below[i + 1] has a moving row's bit iff the new boundary must.
+        self.below.insert(i + 1, self.below[i + 1] ^ _bits(ids[span:]))
         del keys[span:], ids[span:]
         self.maxes.insert(i, keys[-1])
-        loc = self.local[i]
-        second = [m ^ loc[span] for m in loc[span:]]
-        del loc[span + 1:]
-        self.local.insert(i + 1, second)
-        # below[i + 1] has a moving row's bit iff the new boundary must.
-        self.below.insert(i + 1, self.below[i + 1] ^ second[-1])
 
     def check(self, entries: Sequence[tuple[int, int]], name: str) -> None:
-        """Raise unless this holds ``entries``, legally laid out and masked."""
+        """Raise unless this holds ``entries``, legally laid out and bounded."""
         span, sizes = self.span, [len(bucket) for bucket in self.keys]
         if sizes != [len(bucket) for bucket in self.ids] or list(entries) != [
                 pair for pairs in map(zip, self.keys, self.ids) for pair in pairs]:
@@ -307,21 +295,15 @@ class MetricIndex:
                 or not (sizes[0] or len(sizes) == 1) or sizes[0] > 2 * span
                 or any(not span <= size <= 2 * span for size in sizes[1:])):
             raise SimulationError(f"{name} bucket layout broken: {sizes}")
-        if (self.local, self.below) != _masks(self.ids):
+        if self.below != _boundaries(self.ids):
             raise SimulationError(f"{name} masks disagree with the sorted list")
 
 
 class SMBM:
     """The functional SMBM: N = ``capacity`` rows, M = ``metric_names``."""
 
-    def __init__(
-        self,
-        capacity: int,
-        metric_names: Sequence[str],
-        *,
-        sanitize: bool = False,
-        tenant: str | None = None,
-    ):
+    def __init__(self, capacity: int, metric_names: Sequence[str], *,
+                 sanitize: bool = False, tenant: str | None = None):
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         if not metric_names:
@@ -335,9 +317,10 @@ class SMBM:
         self._rows: dict[int, dict[str, int]] = {}
         self._seq: dict[int, int] = {}
         self._next_seq = 0
-        # The reverse map: each read metric's sorted list.
+        # The reverse map: selected metrics' sorted lists, predicates' [test, ids].
         self._indexes: dict[str, MetricIndex] = {}
         self._span = bucket_span(capacity)
+        self._sets: dict[tuple[str, RelOp, int], list] = {}
         # The id dimension, and the pipeline's input table as an O(1) read.
         self._id_bits = 0
         # Bumped by every committed write; caches (memos, kernels) key on it.
@@ -353,21 +336,19 @@ class SMBM:
         self._tenant = tenant
         tlabels = {} if tenant is None else {"tenant": tenant}
         registry = obs.get_registry()
-        self._obs_adds = registry.counter(
-            "smbm_writes_total", {"op": "add", **tlabels},
-            help="committed SMBM writes",
-        )
-        self._obs_deletes = registry.counter(
-            "smbm_writes_total", {"op": "delete", **tlabels},
-            help="committed SMBM writes",
-        )
+        self._obs_adds, self._obs_deletes = (
+            registry.counter("smbm_writes_total", {"op": op, **tlabels},
+                             help="committed SMBM writes")
+            for op in ("add", "delete"))
         self._obs_rebuilds = registry.counter(
             "smbm_index_rebuilds_total", tlabels or None,
-            help="full O(N) index builds (a metric's first read, a restore)",
+            help="full O(N) index builds (a sorted list's or a predicate "
+                 "set's first read, a restore)",
         )
         self._obs_patches = registry.counter(
             "smbm_index_patches_total", tlabels or None,
-            help="table writes patched into a read metric's index at commit",
+            help="table writes patched into a sorted list or predicate set "
+                 "at commit",
         )
         if registry.enabled:
             registry.add_hook(self._obs_collect)
@@ -376,10 +357,8 @@ class SMBM:
         """Collect hook: occupancy and version as aggregate samples."""
         tlabels = () if self._tenant is None else (("tenant", self._tenant),)
         yield obs.Sample("smbm_resources", len(self._rows), kind="gauge",
-                         labels=tlabels,
-                         help="resources currently stored across SMBMs")
-        yield obs.Sample("smbm_version_total", self._version,
-                         labels=tlabels,
+                         labels=tlabels, help="resources currently stored across SMBMs")
+        yield obs.Sample("smbm_version_total", self._version, labels=tlabels,
                          help="committed writes (sum of version counters)")
 
     @property
@@ -448,8 +427,7 @@ class SMBM:
             raise CapacityError(f"SMBM full: capacity {self._capacity}")
         seq = self._enqueue(resource_id, row)
         self._id_bits |= 1 << resource_id
-        for name, index in self._indexes.items():
-            index.move(None, row[name] << 64 | seq, resource_id)
+        self._shift(resource_id, None, 0, row, seq)
         self._commit("add", resource_id, row)
 
     def _enqueue(self, resource_id: int, row: dict[str, int]) -> int:
@@ -464,12 +442,17 @@ class SMBM:
         """Retire one add or delete: version, counters, listeners."""
         self._version += 1
         (self._obs_adds if op == "add" else self._obs_deletes).inc()
-        if patched and self._indexes:
-            self._obs_patches.inc(len(self._indexes))
+        if patched and (self._indexes or self._sets):
+            self._obs_patches.inc(len(self._indexes) + len(self._sets))
+        if self._write_listeners:
+            self._notify(op, resource_id, row)
+
+    def _notify(self, kind: str, resource_id: int,
+                row: dict[str, int] | None) -> None:
         if self._write_listeners:
             snapshot = None if row is None else dict(row)
             for listener in self._write_listeners:
-                listener(op, resource_id, snapshot)
+                listener(kind, resource_id, snapshot)
 
     def delete(self, resource_id: int) -> None:
         """``delete(SMBM, id)`` — removes the entry if present (else no-op)."""
@@ -478,8 +461,7 @@ class SMBM:
             return
         seq = self._seq.pop(resource_id)
         self._id_bits &= ~(1 << resource_id)
-        for name, index in self._indexes.items():
-            index.move(row[name] << 64 | seq, None, resource_id)
+        self._shift(resource_id, row, seq, None, 0)
         self._commit("delete", resource_id, None)
 
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
@@ -491,12 +473,21 @@ class SMBM:
             return
         row = self._checked_row(resource_id, metrics)
         old, old_seq = self._rows.pop(resource_id), self._seq.pop(resource_id)
-        seq = self._enqueue(resource_id, row)
-        for name, index in self._indexes.items():
-            index.move(old[name] << 64 | old_seq, row[name] << 64 | seq,
-                       resource_id)
+        self._shift(resource_id, old, old_seq, row,
+                    self._enqueue(resource_id, row))
         self._commit("delete", resource_id, None, patched=False)
         self._commit("add", resource_id, row)
+
+    def _shift(self, resource_id: int, old: dict[str, int] | None,
+               old_seq: int, row: dict[str, int] | None, seq: int) -> None:
+        """Move the row's entry in every read list from ``old`` (None: an
+        add) to ``row`` (None: a delete), and its bit in every set."""
+        for name, index in self._indexes.items():
+            index.move(None if old is None else old[name] << 64 | old_seq,
+                       None if row is None else row[name] << 64 | seq,
+                       resource_id)
+        if self._sets:
+            self._patch_sets(resource_id, row)
 
     @property
     def sanitize(self) -> bool:
@@ -529,16 +520,15 @@ class SMBM:
         index = self._indexes.get(name)
         if index is not None:
             index.move(row[name] << 64 | seq, value << 64 | seq, resource_id)
-            self._obs_patches.inc()
         row[name] = value
+        self._patch_sets(resource_id, row)
+        self._obs_patches.inc((index is not None) + len(self._sets))
 
     def corrupt_stored_bit(self, resource_id: int, metric: str, bit: int) -> tuple[int, int]:
         """Fault-injection backdoor: an SEU flips one bit of a stored word in
         place, seen by every later read; the version, listeners (so parity
         now *disagrees*) and FIFO order stay.  Returns ``(old, new)``."""
-        row = self._rows.get(resource_id)
-        if row is None:
-            raise ConfigurationError(f"no resource with id {resource_id}")
+        row = self._row(resource_id)
         self._known(metric)
         if not 0 <= bit < STORED_WORD_BITS:
             raise ConfigurationError(
@@ -553,19 +543,14 @@ class SMBM:
         """Scrubber repair: rewrite a row to ``corrected`` (checked like a
         write) at its FIFO position, bumping the version; returns the
         metrics whose stored value moved."""
-        row = self._rows.get(resource_id)
-        if row is None:
-            raise ConfigurationError(f"no resource with id {resource_id}")
+        row = self._row(resource_id)
         good = self._checked_row(resource_id, corrected)
         repaired = [name for name in self._metric_names if row[name] != good[name]]
         for name in repaired:
             self._rewrite(resource_id, name, good[name])
         if repaired:
             self._version += 1
-            if self._write_listeners:
-                snapshot = dict(row)
-                for listener in self._write_listeners:
-                    listener("repair", resource_id, snapshot)
+            self._notify("repair", resource_id, row)
         return repaired
 
     # -- read interface (shared with the filter pipeline) -------------------------
@@ -587,10 +572,15 @@ class SMBM:
             raise ConfigurationError(
                 f"unknown metric {metric!r}; schema: {self._metric_names}")
 
+    def _row(self, resource_id: int) -> dict[str, int]:
+        row = self._rows.get(resource_id)
+        if row is None:
+            raise ConfigurationError(f"no resource with id {resource_id}")
+        return row
+
     def metric_index(self, metric: str) -> MetricIndex:
-        """One metric's sorted list with its masks: the read fast path.
-        The first read sorts and masks the rows, O(N log N); every
-        committed write patches the list from then on."""
+        """One metric's sorted list, what min, max and K-select read: sorted
+        from the rows on the first read, patched at every commit after."""
         index = self._indexes.get(metric)
         if index is None:
             self._known(metric)
@@ -599,24 +589,45 @@ class SMBM:
             self._obs_rebuilds.inc()
         return index
 
+    def predicate_set(self, metric: str, rel_op: RelOp, val: int) -> int:
+        """The ids whose ``metric`` satisfies ``rel_op val`` (the comparator
+        bank's output): scanned from the rows on the first read, then one
+        bit set or cleared at every commit."""
+        entry = self._sets.get((metric, rel_op, val))
+        if entry is None:
+            self._known(metric)
+            entry = self._sets[metric, rel_op, val] = [rel_op.fn, 0]
+            entry[1] = self._scan(metric, entry[0], val)
+            self._obs_rebuilds.inc()
+        return entry[1]
+
+    def keep_predicates(self, keys: Iterable[tuple[str, RelOp, int]]) -> None:
+        """Drop every predicate set but those of ``keys``, each ``(metric,
+        rel_op, val)``: a filter module keeps its installed policy's."""
+        self._sets = {key: self._sets[key] for key in self._sets.keys() & set(keys)}
+
+    def _scan(self, metric: str, test, val: int) -> int:
+        return _bits(rid for rid, row in self._rows.items() if test(row[metric], val))
+
+    def _patch_sets(self, resource_id: int, row: dict[str, int] | None) -> None:
+        """Set or clear ``resource_id``'s bit in every predicate set as
+        ``row`` (None: deleted) satisfies it."""
+        bit = 1 << resource_id
+        for (name, _, val), entry in self._sets.items():
+            if row is not None and entry[0](row[name], val):
+                entry[1] |= bit
+            else:
+                entry[1] &= ~bit
+
     def metric_of(self, resource_id: int, metric: str) -> int:
         """Forward map: id -> metric value."""
-        try:
-            row = self._rows[resource_id]
-        except KeyError:
-            raise ConfigurationError(f"no resource with id {resource_id}") from None
-        if metric not in row:
-            raise ConfigurationError(
-                f"unknown metric {metric!r}; schema: {self._metric_names}"
-            )
+        row = self._row(resource_id)
+        self._known(metric)
         return row[metric]
 
     def metrics_of(self, resource_id: int) -> dict[str, int]:
         """Forward map: id -> all metric values (a row of the relational table)."""
-        try:
-            return dict(self._rows[resource_id])
-        except KeyError:
-            raise ConfigurationError(f"no resource with id {resource_id}") from None
+        return dict(self._row(resource_id))
 
     def _sorted_entries(self, metric: str) -> list[tuple[int, int]]:
         """Every row's ``(key, id)`` in rank order, sorted from the rows."""
@@ -633,23 +644,25 @@ class SMBM:
 
     def rank_of(self, resource_id: int, metric: str) -> int:
         """Position of a resource's entry within a metric dimension list."""
-        row = self._rows.get(resource_id)
-        if row is None:
-            raise ConfigurationError(f"no resource with id {resource_id}")
+        row = self._row(resource_id)
         return self.metric_index(metric).rank(
             row[metric] << 64 | self._seq[resource_id])
 
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` unless every read metric's list
-        equals a fresh sort of the rows, laid out legally with fresh masks,
-        and the presence mask names the rows; run at every commit under
-        sanitize."""
+        equals a fresh sort of the rows, laid out legally with fresh
+        boundaries, every predicate set a fresh scan, and the presence mask
+        names the rows; run at every commit under sanitize."""
         if set(self._seq) != set(self._rows):
             raise SimulationError("FIFO sequence map disagrees with the rows")
-        if self._id_bits != sum(1 << rid for rid in self._rows):
+        if self._id_bits != _bits(self._rows):
             raise SimulationError("presence bitmask disagrees with the rows")
         for name, index in self._indexes.items():
             index.check(self._sorted_entries(name), name)
+        for (name, rel_op, val), (test, ids) in self._sets.items():
+            if ids != self._scan(name, test, val):
+                raise SimulationError(
+                    f"predicate set {name} {rel_op} {val} disagrees with the rows")
 
     def snapshot(self) -> dict[int, dict[str, int]]:
         """A deep copy of the current relational contents (for testing)."""
@@ -659,7 +672,7 @@ class SMBM:
 
     def export_state(self) -> dict[str, object]:
         """Bit-faithful checkpoint state: the words, FIFO sequence numbers and
-        version; lists and masks are derived from them on restore."""
+        version; lists and sets are derived from them on restore."""
         return {
             "capacity": self._capacity,
             "metric_names": list(self._metric_names),
@@ -671,7 +684,7 @@ class SMBM:
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore :meth:`export_state` output in place (same capacity and
-        schema), rebuilding every read metric's list and masks.
+        schema), rebuilding every read metric's list and predicate set.
         Listeners see ``("delete", rid, None)`` per row dropped and
         ``("restore", rid, row)`` per row kept.  The version may go **down**:
         callers must drop their own version-keyed caches."""
@@ -705,30 +718,17 @@ class SMBM:
                 f"and in [0, next_seq={next_seq}), with next_seq below 2**64")
         dropped = [rid for rid in self._rows if rid not in checked]
         self._rows, self._seq = checked, order
-        self._id_bits = sum(1 << rid for rid in checked)
+        self._id_bits = _bits(checked)
         for name, index in self._indexes.items():
             index.fill(self._sorted_entries(name))
-            self._obs_rebuilds.inc()
+        for (name, _, val), entry in self._sets.items():
+            entry[1] = self._scan(name, entry[0], val)
+        self._obs_rebuilds.inc(len(self._indexes) + len(self._sets))
         self._next_seq, self._version = next_seq, version
-        if self._write_listeners:
-            for rid in dropped:
-                for listener in self._write_listeners:
-                    listener("delete", rid, None)
-            for rid in sorted(self._rows):
-                row_copy = dict(self._rows[rid])
-                for listener in self._write_listeners:
-                    listener("restore", rid, row_copy)
-
-
-class _WriteOp:
-    """A pending write travelling through the 2-cycle write pipeline."""
-
-    __slots__ = ("kind", "resource_id", "metrics")
-
-    def __init__(self, kind: str, resource_id: int, metrics: Mapping[str, int] | None):
-        self.kind = kind
-        self.resource_id = resource_id
-        self.metrics = metrics
+        for rid in dropped:
+            self._notify("delete", rid, None)
+        for rid in sorted(self._rows):
+            self._notify("restore", rid, self._rows[rid])
 
 
 class ClockedSMBM:
@@ -737,7 +737,7 @@ class ClockedSMBM:
 
     def __init__(self, capacity: int, metric_names: Sequence[str]):
         self._smbm = SMBM(capacity, metric_names)
-        self._pipe: PipelineLatch[_WriteOp] = PipelineLatch(WRITE_LATENCY_CYCLES)
+        self._pipe: PipelineLatch[tuple] = PipelineLatch(WRITE_LATENCY_CYCLES)
         self._cycle = 0
         self._commit_log: list[tuple[int, str, int]] = []
 
@@ -752,22 +752,22 @@ class ClockedSMBM:
 
     def issue_add(self, resource_id: int, metrics: Mapping[str, int]) -> None:
         """Present an add at the write port for the current cycle."""
-        self._pipe.issue(_WriteOp("add", resource_id, dict(metrics)))
+        self._pipe.issue(("add", resource_id, dict(metrics)))
 
     def issue_delete(self, resource_id: int) -> None:
         """Present a delete at the write port for the current cycle."""
-        self._pipe.issue(_WriteOp("delete", resource_id, None))
+        self._pipe.issue(("delete", resource_id, None))
 
     def tick(self) -> None:
         """Clock edge: advance the write pipeline, committing a retiring op."""
         retiring = self._pipe.tick()
         if retiring is not None:
-            if retiring.kind == "add":
-                assert retiring.metrics is not None
-                self._smbm.add(retiring.resource_id, retiring.metrics)
+            kind, resource_id, metrics = retiring
+            if kind == "add":
+                self._smbm.add(resource_id, metrics)
             else:
-                self._smbm.delete(retiring.resource_id)
-            self._commit_log.append((self._cycle, retiring.kind, retiring.resource_id))
+                self._smbm.delete(resource_id)
+            self._commit_log.append((self._cycle, kind, resource_id))
         self._cycle += 1
 
     def read(self) -> SMBM:

@@ -7,13 +7,14 @@ encoded as a bit vector indexed by resource id — to an output bit vector, in
 
 The unit speaks raw id-mask ints (bit ``i`` set = resource ``i`` present),
 the one set representation of the hardware model.  :meth:`UFPU.step` is
-the paper's semantics on the mask engine: predicate/min/max run against
-the SMBM's :class:`~repro.core.smbm.MetricIndex`, the metric's bucketed
-sorted list with its prefix masks — bisects plus a handful of integer
-bitmask ANDs, O(log N) instead of an O(N) temp-list walk.  :meth:`UFPU.evaluate` is the same step behind the one range check a
-caller's mask gets; the units chained inside a K-UFPU, Cell and pipeline
-call ``step`` on masks that came out of same-width logic.  The paper's
-literal clock-by-clock temp-list walk lives apart, in
+the paper's semantics on the mask engine: a predicate ANDs its input with
+the SMBM's satisfying set (:meth:`~repro.core.smbm.SMBM.predicate_set`),
+and min/max search the metric's :class:`~repro.core.smbm.MetricIndex`, a
+bisect of its bucket boundaries and a scan of one bucket, instead of an
+O(N) temp-list walk.  :meth:`UFPU.evaluate` is the same step behind the
+one range check a caller's mask gets; the units chained inside a K-UFPU,
+Cell and pipeline call ``step`` on masks that came out of same-width
+logic.  The paper's literal clock-by-clock temp-list walk lives apart, in
 :mod:`repro.core.ufpu_reference`, and is reached only through
 :class:`repro.core.policy.PolicyInterpreter`; this module does not import
 it, so the reference cannot come to share the code it checks.
@@ -156,7 +157,7 @@ class UFPU:
     def _predicate(self, inp: int, smbm: SMBM) -> int:
         cfg = self._config
         assert cfg.attr is not None and cfg.rel_op is not None and cfg.val is not None
-        return smbm.metric_index(cfg.attr).predicate_mask(cfg.rel_op, cfg.val, inp)
+        return smbm.predicate_set(cfg.attr, cfg.rel_op, cfg.val) & inp
 
     def _min(self, inp: int, smbm: SMBM) -> int:
         assert self._config.attr is not None

@@ -5,7 +5,8 @@ The O(N) list-based predicate, min and max operators, and
 :class:`repro.core.policy.PolicyInterpreter` evaluates every stateless unary
 node through :func:`reference_unary`; that interpreter is the one naive truth
 the mask engine (:mod:`repro.core.ufpu`,
-:meth:`repro.core.smbm.SMBM.metric_index`), the compiled pipeline and every
+:meth:`repro.core.smbm.SMBM.metric_index`,
+:meth:`~repro.core.smbm.SMBM.predicate_set`), the compiled pipeline and every
 :func:`~repro.core.policy.fold` lowering are differentially tested against.
 Nothing here reads a :class:`~repro.core.smbm.MetricIndex` or imports the
 code it is the reference for: only ``SMBM.attr_list``.  Tables are raw

@@ -5,11 +5,12 @@ packet, plus the bounds/width/liveness checks the pipeline model carries.
 A kernel pays neither.  :class:`PlanCodegen` emits, once per distinct
 plan, one small Python module of straight-line code whose
 ``specialize(smbm)`` resolves everything that is constant for one table
-version (predicate satisfying-sets as raw int masks, bound min/max bisect
-methods) and returns a flat ``kernel(mask) -> mask`` closure over those
-constants: no operator objects, no checks, no dispatch.  The source is
-the policy folded (:func:`repro.core.policy.fold`) in the
-:class:`_ScalarEmitter` domain, whose values are variable names.
+version (predicate satisfying-sets, which the SMBM keeps and patches one
+bit per write, and bound min/max searches) and returns a flat
+``kernel(mask) -> mask`` closure over those constants: no operator
+objects, no checks, no dispatch.  The source is the policy folded
+(:func:`repro.core.policy.fold`) in the :class:`_ScalarEmitter` domain,
+whose values are variable names.
 
 A policy with round-robin or random units, or with
 :attr:`~repro.core.policy.Policy.feedback` registers, is lowered the same
@@ -163,8 +164,8 @@ class _ScalarEmitter:
         if cfg.rel_op not in self.relops:
             self.relops.append(cfg.rel_op)
         sat = self._const(
-            f"smbm.metric_index({cfg.attr!r}).predicate_mask("
-            f"RELOPS[{self.relops.index(cfg.rel_op)}], {cfg.val}, full)"
+            f"smbm.predicate_set({cfg.attr!r}, "
+            f"RELOPS[{self.relops.index(cfg.rel_op)}], {cfg.val})"
         )
         return self._emit(f"{child} & {sat}", child)
 
@@ -205,8 +206,7 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     # byte-identical source (the module-wide cache is keyed on the hash,
     # and the policy's display name is metadata, not plan content).
     head = "smbm, units, regs" if emitter.steps else "smbm"
-    lines = [f"# plan {digest}", "", f"def specialize({head}):",
-             "    full = (1 << smbm.capacity) - 1"]
+    lines = [f"# plan {digest}", "", f"def specialize({head}):"]
     lines += ["    " + line for line in emitter.preamble]
     # Every register is written after every line has read it: one packet
     # boundary, as in the interpreter.

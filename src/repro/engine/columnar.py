@@ -13,9 +13,10 @@ algorithm — dominates.  The batch tier runs :func:`repro.core.policy.fold`
 once *per batch* instead, carrying a whole column of input masks through
 every operator.  A column is a list of raw int masks, one per row
 (:class:`IntColumnDomain`): the bit vectors the paper moves between filter
-units, and each operator loops the rows through the same
-:class:`~repro.core.smbm.MetricIndex` mask searches (the metric's sorted
-list, in buckets, with its prefix masks) the scalar fast path uses.
+units, and each operator loops the rows through the same SMBM reads the
+scalar fast path uses: a predicate's satisfying set
+(:meth:`~repro.core.smbm.SMBM.predicate_set`) and a select's
+:class:`~repro.core.smbm.MetricIndex` search.
 
 :func:`evaluate_column` is the batch entry point behind
 :class:`BatchedEvaluator`.  Legal exactly for policies
@@ -41,16 +42,13 @@ class IntColumnDomain:
     def __init__(self, smbm: SMBM, base: list[int]):
         self._smbm = smbm
         self._base = base
-        self._full = (1 << smbm.capacity) - 1
 
     def table(self, node):
         return self._base
 
     def predicate(self, node, child):
         cfg = node.config
-        sat = self._smbm.metric_index(cfg.attr).predicate_mask(
-            cfg.rel_op, cfg.val, self._full
-        )
+        sat = self._smbm.predicate_set(cfg.attr, cfg.rel_op, cfg.val)
         return [c & sat for c in child]
 
     def select(self, node, child):

@@ -45,8 +45,9 @@ from repro.analysis.verifier import TableSchema
 from repro.core.bitvector import BitVector
 from repro.core.compiler import CompiledPolicy
 from repro.core.pipeline import PipelineParams
-from repro.core.policy import (Policy, PolicyInterpreter, UnitState,
-                               stateless_blockers)
+from repro.core.operators import UnaryOp
+from repro.core.policy import (Policy, PolicyInterpreter, Unary, UnitState,
+                               postorder, stateless_blockers)
 from repro.core.smbm import SMBM
 from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_EPOCH,            # defined at the engine layer so the
@@ -96,7 +97,8 @@ class FilterModule:
       read it), the naive reference, the kernel, the unit state the
       kernel steps and the Cells load and store back
       (:meth:`export_units` / :meth:`restore_units`), the
-      policy-labelled instruments;
+      policy-labelled instruments, and which predicate sets the SMBM
+      keeps (the policy's; every other is dropped);
     * the **placement clock** (construction, :meth:`hot_swap`, every
       fail-around recompile) — :attr:`cells` maps the policy onto the
       Cells the slice and the detected faults leave, re-arms the physical
@@ -200,6 +202,10 @@ class FilterModule:
         self._reference = reference
         self._codegen = kernel
         self._memoize = not stateless_blockers(policy)
+        self._smbm.keep_predicates(
+            (node.config.attr, node.config.rel_op, node.config.val)
+            for node in postorder(policy.root) if isinstance(node, Unary)
+            and node.config.opcode is UnaryOp.PREDICATE)
         analysis.report.emit()
         if self._obs_enabled:
             # The policy label is part of the series identity, so a new

@@ -12,13 +12,14 @@ import pytest
 
 from repro.core.bfpu import BFPU
 from repro.core.kufpu import KUFPU
-from repro.core.operators import BinaryOp
+from repro.core.operators import BinaryOp, RelOp
 from repro.core.policy import (
     Policy,
     PolicyInterpreter,
     TableRef,
     difference,
     min_of,
+    predicate,
 )
 from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError, IntegrityError
@@ -156,11 +157,15 @@ class TestReferenceIndependence:
     """The reference is a different program from the plan it judges: a
     fault in anything the plan is built from cannot hide in both."""
 
-    def _module(self) -> FilterModule:
+    def _module(self, above: int | None = None) -> FilterModule:
+        """The rest after the two smallest, of the rows with ``q > above``
+        if given."""
         table = TableRef()
+        pool = table if above is None else predicate(table, "q", RelOp.GT,
+                                                     above)
         module = FilterModule(
             8, ("q",),
-            Policy(difference(table, min_of(table, "q", k=2)), name="rest"))
+            Policy(difference(pool, min_of(table, "q", k=2)), name="rest"))
         for rid in range(6):
             module.smbm.add(rid, {"q": 10 - rid})
         return module
@@ -180,12 +185,12 @@ class TestReferenceIndependence:
             module.sanitize_check()
 
     def test_corrupt_index_is_not_pinned_on_healthy_cells(self):
-        """A mask-engine fault is in no Cell: self-test reports it instead
+        """A predicate-set fault is in no Cell: self-test reports it instead
         of routing around hardware a fault-free clone vouches for."""
-        module = self._module()
+        module = self._module(above=5)
         assert module.self_test() == []
-        index = module.smbm.metric_index("q")
-        index.local[0][1] ^= 1 << 0  # rank 0 now names id 0 beside id 5
+        # The set of q > 5 (ids 0-4) now leaves out id 0.
+        module.smbm._sets["q", RelOp.GT, 5][1] ^= 1 << 0
         with pytest.raises(IntegrityError,
                            match="no Cell could be localized"):
             module.self_test()

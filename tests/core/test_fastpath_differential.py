@@ -85,7 +85,7 @@ def _random_selector_config(rng: random.Random) -> UnaryConfig:
 
 
 class _CountingList(list):
-    """A list that counts its element reads."""
+    """A list that counts its element reads, by index or by iteration."""
 
     reads = 0
 
@@ -93,9 +93,21 @@ class _CountingList(list):
         self.reads += 1
         return super().__getitem__(item)
 
+    def _counted(self, items):
+        for item in items:
+            self.reads += 1
+            yield item
+
+    def __iter__(self):
+        return self._counted(super().__iter__())
+
+    def __reversed__(self):
+        return self._counted(super().__reversed__())
+
 
 class TestMaskEngineVsBruteForce:
-    """MetricIndex masks against a direct Python scan of the sorted list."""
+    """Predicate sets and MetricIndex masks against a direct Python scan of
+    the sorted list."""
 
     def test_predicate_min_max_masks(self):
         rng = random.Random(0xA5A5)
@@ -114,7 +126,7 @@ class TestMaskEngineVsBruteForce:
             for value, rid in entries:
                 if rel.apply(value, val) and (inp >> rid) & 1:
                     expect |= 1 << rid
-            assert index.predicate_mask(rel, val, inp) == expect, (
+            assert smbm.predicate_set(metric, rel, val) & inp == expect, (
                 f"step {step}: predicate({metric} {rel} {val}) mismatch"
             )
 
@@ -128,26 +140,25 @@ class TestMaskEngineVsBruteForce:
             # Equation 1's K-select is the first / last k valid ranks —
             # ``inp`` carries ids the table does not hold, the cut falls
             # inside FIFO ties — found with one bisect over the bucket
-            # boundaries and one inside a bucket, whatever k: a read per
-            # halving of each level plus the ends.
+            # boundaries and one scan of one bucket, whatever k: a read per
+            # halving plus the ends, and at most the bucket's entries.
             count = len(valid_ranks)
             counted = MetricIndex((), index.span)
-            counted.keys, counted.ids = index.keys, index.ids
-            counted.maxes = index.maxes
+            counted.keys, counted.maxes = index.keys, index.maxes
             counted.below = below = _CountingList(index.below)
-            counted.local = local = [_CountingList(loc) for loc in index.local]
+            counted.ids = buckets = [_CountingList(ids) for ids in index.ids]
             limit = (len(below).bit_length()
-                     + max(map(len, local)).bit_length() + 3)
+                     + max(map(len, buckets)) + 3)
             for k in (0, 1, 2, 3, count, count + 1):
                 for largest in (False, True):
                     ranks = (valid_ranks[max(count - k, 0):] if largest
                              else valid_ranks[:k])
-                    for counting in (below, *local):
+                    for counting in (below, *buckets):
                         counting.reads = 0
                     assert counted.select_mask(inp, k, largest) == sum(
                         1 << entries[r][1] for r in ranks
                     ), f"step {step}: select(k={k}, largest={largest}) mismatch"
-                    reads = below.reads + sum(loc.reads for loc in local)
+                    reads = below.reads + sum(ids.reads for ids in buckets)
                     assert reads <= limit
 
 

@@ -1,12 +1,14 @@
-"""Work-count guards for the SMBM's per-metric indexes (no timing anywhere).
+"""Work-count guards for the SMBM's read structures (no timing anywhere).
 
-The claim these hold in tier-1: a committed write patches the index of
-every metric somebody has read — never a build, and at most
-``ceil(N/B) + 4B`` rewritten mask words, bucket splits and merges included
-— and a metric nobody has read has no index to touch.  Counts come from a
-live ``MetricsRegistry`` (``smbm_index_rebuilds_total`` = full builds,
-``smbm_index_patches_total`` = writes patched into an index) and, for the
-words, from object identity: a patched word is a new int object.
+The claim these hold in tier-1: a committed write patches the sorted list
+of every metric a select has read and every predicate set somebody has
+read — never a build, and at most ``ceil(N/B) + 1`` rewritten boundary
+words, bucket splits and merges included, plus one word per set — and
+nothing nobody has read is kept to touch: a metric only predicates read
+has no sorted list.  Counts come from a live ``MetricsRegistry``
+(``smbm_index_rebuilds_total`` = full builds, ``smbm_index_patches_total``
+= writes patched into a list or set) and, for the words, from object
+identity: a patched word is a new int object.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from repro.switch.filter_module import FilterModule
 
 N = 1024
 METRICS = ("cpu", "mem", "disk")
-#: Reads two of the three metrics: ``cpu`` twice, ``mem`` once.
-READS = ("cpu", "mem")
+#: The policy selects on ``cpu`` (one sorted list) and holds two
+#: predicate sets, one on ``cpu`` and one on ``mem``.
+LISTS = ("cpu",)
+STRUCTURES = len(LISTS) + 2
 
 
 def _policy() -> Policy:
@@ -59,11 +63,12 @@ class TestReadSideWork:
             module = _full_module(rng)
             module.evaluate()
             rebuilds, patches = _work(reg)
-            assert rebuilds == len(READS)
+            assert rebuilds == STRUCTURES
+            assert set(module.smbm._indexes) == set(LISTS)
             for _ in range(k):
                 module.update_resource(rng.randrange(N), _random_row(rng))
                 module.evaluate()
-            assert _work(reg) == (rebuilds, patches + k * len(READS))
+            assert _work(reg) == (rebuilds, patches + k * STRUCTURES)
             assert module.smbm.metric_index("disk") is not None
             assert _work(reg)[0] == rebuilds + 1  # disk's first read
 
@@ -71,14 +76,14 @@ class TestReadSideWork:
         with obs.use_registry() as reg:
             module = _full_module(rng)
             module.evaluate()
-            indexes = {m: module.smbm.metric_index(m) for m in READS}
+            indexes = {m: module.smbm.metric_index(m) for m in LISTS}
             rebuilds, patches = _work(reg)
             for _ in range(100):
                 module.update_resource(rng.randrange(N), _random_row(rng))
-            assert _work(reg) == (rebuilds, patches + 100 * len(READS))
+            assert _work(reg) == (rebuilds, patches + 100 * STRUCTURES)
             module.evaluate()
-            assert _work(reg) == (rebuilds, patches + 100 * len(READS))
-            for metric in READS:
+            assert _work(reg) == (rebuilds, patches + 100 * STRUCTURES)
+            for metric in LISTS:
                 assert module.smbm.metric_index(metric) is indexes[metric]
             module.smbm.check_invariants()
 
@@ -95,14 +100,15 @@ class TestReadSideWork:
                     assert kernel(module.smbm.id_mask() & mask) == expect
             rebuilds, patches = _work(reg)
             # The first specialisation builds; the nine writes after it patch.
-            assert rebuilds == len(READS) and patches == 9 * len(READS)
+            assert rebuilds == STRUCTURES and patches == 9 * STRUCTURES
             assert reg.value_of("codegen_specializations_total") == 10
 
 
-def _words(index) -> tuple[set[int], list]:
-    """Identities of every mask word, and references that keep them alive
-    (so no later word can reuse an identity)."""
-    words = [word for local in index.local for word in local] + index.below
+def _words(table: SMBM) -> tuple[set[int], list]:
+    """Identities of every boundary word of ``x`` and every predicate-set
+    word, and references that keep them alive (so no later word can reuse
+    an identity)."""
+    words = table._indexes["x"].below + [ids for _, ids in table._sets.values()]
     return {id(word) for word in words}, words
 
 
@@ -112,7 +118,8 @@ class TestWriteSideWork:
             raise AssertionError("a write built an index nobody read")
 
         table = SMBM(64, METRICS)
-        monkeypatch.setattr(smbm_module, "_masks", never)
+        monkeypatch.setattr(smbm_module, "_boundaries", never)
+        monkeypatch.setattr(SMBM, "_scan", never)
         for rid in range(64):
             table.add(rid, _random_row(rng))
         for _ in range(200):
@@ -120,34 +127,37 @@ class TestWriteSideWork:
             table.delete(rng.randrange(64))
         table.corrupt_stored_bit(next(iter(table.snapshot())), "cpu", 3)
         table.restore_state(table.export_state())
-        assert table._indexes == {}
+        assert table._indexes == {} and table._sets == {}
 
     @pytest.mark.parametrize("n", [64, 256, N])
-    def test_write_rewrites_n_over_b_plus_4b(self, n, rng):
-        """A write rewrites at most ``ceil(N/B) + 4B`` mask words.
+    def test_write_rewrites_n_over_b_plus_1(self, n, rng):
+        """A write rewrites at most ``ceil(N/B) + 1`` boundary words, and
+        one word per predicate set.
 
         Every write kind, from the ends of the ranking and inside ties,
         through bucket splits, merges and borrows; ids stay clear of the
         interpreter's shared small ints, so every patched word is new."""
         span = bucket_span(n)
-        bound = math.ceil(n / span) + 4 * span
         table = SMBM(n, ("x", "y"))
         first = 9  # masks of ids >= 9 are all above 256
         for rid in range(first, n):
             table.add(rid, {"x": rng.randrange(50), "y": 0})
         index = table.metric_index("x")
+        table.predicate_set("x", RelOp.LT, 25)
+        table.predicate_set("y", RelOp.EQ, 0)
+        bound = math.ceil(n / span) + 1 + len(table._sets)
         layouts, worst = set(), 0
         for step in range(1500):
             rid = rng.randrange(first, n)
             value = rng.choice([0, 10**6, rng.randrange(50)])
-            before, _alive = _words(index)
+            before, _alive = _words(table)
             if step % 7 == 0:
                 table.delete(rid)
             elif rid in table:
                 table.update(rid, {"x": value, "y": 0})
             else:
                 table.add(rid, {"x": value, "y": 0})
-            words = sum(id(w) not in before for w in _words(index)[1])
+            words = sum(id(w) not in before for w in _words(table)[1])
             worst = max(worst, words)
             layouts.add(len(index.keys))
             assert words <= bound, (step, words, bound)
@@ -155,3 +165,24 @@ class TestWriteSideWork:
         assert len(layouts) > 2  # the bucket count moved: splits and merges ran
         assert "y" not in table._indexes
         assert worst > 0
+
+
+class TestPredicateSetsFollowThePolicy:
+    def test_hot_swaps_keep_only_the_live_policys_sets(self, rng):
+        """Fifty hot-swaps, each to new predicate constants, with rows
+        served and written between: the table ends holding the live
+        policy's two sets and no other, each equal to a fresh scan."""
+        module = FilterModule(64, METRICS, _policy())
+        for rid in range(64):
+            module.update_resource(rid, _random_row(rng))
+        module.evaluate()
+        for i in range(50):
+            table = TableRef()
+            module.hot_swap(Policy(min_of(intersection(
+                predicate(table, "cpu", RelOp.LT, 500 + i),
+                predicate(table, "mem", RelOp.GT, i)), "disk"), name=f"v{i}"))
+            module.evaluate()
+            module.update_resource(rng.randrange(64), _random_row(rng))
+        assert set(module.smbm._sets) == {("cpu", RelOp.LT, 549),
+                                          ("mem", RelOp.GT, 49)}
+        module.smbm.check_invariants()

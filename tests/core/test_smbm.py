@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.operators import RelOp
 from repro.core.smbm import (
     SMBM,
     STORED_WORD_BITS,
@@ -120,14 +121,14 @@ class TestRefusedWritesLeaveTheTableUntouched:
         s.add_write_listener(lambda *event: seen.append(event))
         before = (s.snapshot(), s.version, s.attr_list("x"), s.attr_list("y"),
                   s.export_state())
-        masks = (list(index.below), [list(loc) for loc in index.local])
+        masks = (list(index.below), s.predicate_set("y", RelOp.GT, 6))
         with pytest.raises(error):
             getattr(s, write)(rid, bad)
         assert 1 in s
         assert before == (s.snapshot(), s.version, s.attr_list("x"),
                           s.attr_list("y"), s.export_state())
         assert s.metric_index("x") is index
-        assert masks == (index.below, index.local)
+        assert masks == (index.below, s.predicate_set("y", RelOp.GT, 6))
         assert seen == []
         s.check_invariants()
 

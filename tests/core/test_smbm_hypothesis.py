@@ -1,7 +1,8 @@
 """Property-based SMBM tests (hypothesis): random write sequences preserve
 sortedness and bidirectional-map consistency, the fast-path MetricIndex
-always agrees with a naive scan of the sorted lists, and masks patched at
-every commit equal masks built from scratch."""
+and the predicate sets always agree with a naive scan of the sorted lists,
+and boundaries and sets patched at every commit equal ones built from
+scratch."""
 
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ class TestMetricIndexAgainstNaiveScan:
         for value, rid in entries:
             if rel.apply(value, val) and (inp >> rid) & 1:
                 expect |= 1 << rid
-        assert index.predicate_mask(rel, val, inp) == expect
+        assert smbm.predicate_set(metric, rel, val) & inp == expect
 
         live_ranks = [r for r, (_v, rid) in enumerate(entries)
                       if (inp >> rid) & 1]
@@ -171,22 +172,27 @@ LAG_METRICS = ("a", "b", "c")
 
 
 def _flat_masks(smbm: SMBM, metric: str) -> list[int]:
-    """The ids below every rank, read off the live masks whatever their
-    bucket layout: ``below[i] | local[i][j]`` per entry, then the table."""
+    """The ids below every rank, read off the live boundaries whatever the
+    bucket layout: ``below[i]`` and bucket ``i``'s first ``j`` ids per
+    entry, then the table."""
     index = smbm._indexes[metric]
-    return [below | loc for below, local in zip(index.below, index.local)
-            for loc in local[:-1]] + [index.below[-1]]
+    return [below | sum(1 << rid for rid in ids[:j])
+            for below, ids in zip(index.below, index.ids)
+            for j in range(len(ids))] + [index.below[-1]]
 
 
 def _assert_equals_fresh(smbm: SMBM, metric: str) -> None:
-    """The live masks of ``metric`` (built by this read if nobody read it
-    before) equal a build from nothing but the public sorted list."""
+    """The live boundaries of ``metric`` and its ``>= 2`` set (built by
+    this read if nobody read them before, patched by every write after)
+    equal a build from nothing but the public sorted list."""
     index = smbm.metric_index(metric)
     entries = smbm.attr_list(metric)
     assert [rid for bucket in index.ids for rid in bucket] == [
         rid for _v, rid in entries], metric
     assert _flat_masks(smbm, metric) == list(
         accumulate((1 << rid for _v, rid in entries), or_, initial=0)), metric
+    assert smbm.predicate_set(metric, RelOp.GE, 2) == sum(
+        1 << rid for value, rid in entries if value >= 2), metric
     smbm.check_invariants()
 
 
@@ -305,30 +311,37 @@ class TestPatchedIndexEqualsFreshIndex:
     def test_restore_rebuilds_the_read_masks_in_place(self):
         with obs.use_registry() as reg:
             smbm = self._ladder(read=("a", "b"))
+            smbm.predicate_set("c", RelOp.LT, 100)  # ids 0-9
             saved = smbm.export_state()
             index = smbm.metric_index("a")
-            smbm.update(3, {m: 500 for m in LAG_METRICS})
+            smbm.update(3, {m: 500 for m in LAG_METRICS})  # 3 leaves the set
             built = reg.value_of("smbm_index_rebuilds_total")
             smbm.restore_state(saved)
-            # "a" and "b" were read: rebuilt at the restore; "c" was not.
-            assert reg.value_of("smbm_index_rebuilds_total") == built + 2
+            # The lists of "a" and "b" and the set on "c" were read: rebuilt
+            # at the restore; "c" has no list.
+            assert reg.value_of("smbm_index_rebuilds_total") == built + 3
             assert "c" not in smbm._indexes
+            assert smbm.predicate_set("c", RelOp.LT, 100) == (1 << 10) - 1
             assert smbm.metric_index("a") is index
             for metric in LAG_METRICS:
                 _assert_equals_fresh(smbm, metric)
 
-    @pytest.mark.parametrize("level", ["local", "below"])
+    @pytest.mark.parametrize("level", ["predicate_set", "below"])
     def test_sanitizer_catches_a_tampered_mask_word(self, level):
         smbm = SMBM(16, LAG_METRICS, sanitize=True)
         for rid in range(12):
             smbm.add(rid, {m: rid for m in LAG_METRICS})
         index = smbm.metric_index("b")
+        smbm.predicate_set("b", RelOp.LT, 6)
         smbm.check_invariants()
-        if level == "local":
-            index.local[1][2] ^= 1 << 15  # sorted list and below still right
+        if level == "predicate_set":
+            # The sorted list and its boundaries are still right.
+            smbm._sets["b", RelOp.LT, 6][1] ^= 1 << 15
+            match = "predicate set b < 6 disagrees"
         else:
             index.below[1] ^= 1 << 15
-        with pytest.raises(SimulationError, match="b masks disagree"):
+            match = "b masks disagree"
+        with pytest.raises(SimulationError, match=match):
             smbm.check_invariants()
         with pytest.raises(IntegrityError):
             smbm.update(1, {m: 9 for m in LAG_METRICS})
