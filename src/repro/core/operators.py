@@ -33,6 +33,11 @@ class RelOp(enum.Enum):
     EQ = "=="
     NE = "!="
 
+    # Members are singletons compared by identity, so the identity hash is
+    # sound and runs in C; Enum's own hashes the name in Python code, and
+    # every predicate-set lookup keyed on (metric, RelOp, val) pays it.
+    __hash__ = object.__hash__
+
     @property
     def fn(self) -> Callable[[int, int], bool]:
         return _REL_FNS[self]

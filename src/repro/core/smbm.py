@@ -604,7 +604,9 @@ class SMBM:
     def keep_predicates(self, keys: Iterable[tuple[str, RelOp, int]]) -> None:
         """Drop every predicate set but those of ``keys``, each ``(metric,
         rel_op, val)``: a filter module keeps its installed policy's."""
-        self._sets = {key: self._sets[key] for key in self._sets.keys() & set(keys)}
+        wanted = set(keys)
+        self._sets = {key: entry for key, entry in self._sets.items()
+                      if key in wanted}
 
     def _scan(self, metric: str, test, val: int) -> int:
         return _bits(rid for rid, row in self._rows.items() if test(row[metric], val))

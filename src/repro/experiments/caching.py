@@ -100,5 +100,6 @@ def run_caching_experiment(
         config.n_queries, clients=[0, 1, 2, 3], rate_hz=config.query_rate_hz
     )
     cluster.submit_trace(queries)
-    sim.run(until=queries[-1].arrival_time + 120.0)
+    sim.run(until=queries[-1].arrival_time + 120.0,
+            stop=lambda: len(cluster.results) == len(queries))
     return CachingExperimentResult(config=config, results=cluster.results)

@@ -85,7 +85,8 @@ def run_l4lb_experiment(config: L4LBExperimentConfig) -> L4LBExperimentResult:
         config.n_queries, clients=[0, 1, 2, 3], rate_hz=config.query_rate_hz
     )
     cluster.submit_trace(queries)
-    sim.run(until=queries[-1].arrival_time + 120.0)
+    sim.run(until=queries[-1].arrival_time + 120.0,
+            stop=lambda: len(cluster.results) == len(queries))
     return L4LBExperimentResult(
         config=config,
         response_times=cluster.response_times(),

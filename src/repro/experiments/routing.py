@@ -50,10 +50,6 @@ class RoutingExperimentConfig:
     drain_s: float = 0.4
     flow_scale: float = 0.1
     top_x: int = 5
-    # "snapshot": periodic metric snapshots (staleness model, fast);
-    # "inband": real source-routed probe packets that accumulate worst-link
-    # metrics and consume fabric bandwidth (the full section 3 mechanism).
-    probe_mode: str = "snapshot"
     probe_period_s: float = 1e-3
     flowlet_gap_s: float = 5e-3
     metrics_tau_s: float = 3e-3
@@ -158,7 +154,7 @@ def run_routing_experiment(config: RoutingExperimentConfig) -> RoutingExperiment
     rng = random.Random(config.seed)
     if config.policy == "policy1":
         shared.inner = RandomUplinkPolicy(random.Random(config.seed + 10))
-    elif config.probe_mode == "snapshot":
+    else:
         directory = PathMetricsDirectory(net)
         service = ProbeService(sim, period_s=config.probe_period_s)
         shared.inner = ThanosRoutingPolicy(
@@ -168,27 +164,6 @@ def run_routing_experiment(config: RoutingExperimentConfig) -> RoutingExperiment
             rng=random.Random(config.seed + 10),
         )
         service.start()
-    elif config.probe_mode == "inband":
-        from repro.netsim.inband_probes import InbandProbeService
-
-        directory = PathMetricsDirectory(net)
-        policy_obj = ThanosRoutingPolicy(
-            net, directory, None, config.policy,
-            top_x=config.top_x,
-            params=PipelineParams(n=8, k=4, f=2, chain_length=8),
-            rng=random.Random(config.seed + 10),
-        )
-        shared.inner = policy_obj
-        inband = InbandProbeService(
-            sim, net, policy_obj.deliver_path_metrics,
-            period_s=config.probe_period_s,
-        )
-        inband.start()
-    else:
-        raise ConfigurationError(
-            f"unknown probe mode {config.probe_mode!r}; "
-            "expected snapshot or inband"
-        )
 
     sizes = WebSearchFlowSizes(random.Random(config.seed + 1),
                                scale=config.flow_scale)
@@ -196,9 +171,15 @@ def run_routing_experiment(config: RoutingExperimentConfig) -> RoutingExperiment
         random.Random(config.seed + 2), list(net.hosts), sizes,
         config.load, config.bandwidth_bps,
     )
-    for flow in generator.flows(duration_s=config.duration_s):
+    flows = list(generator.flows(duration_s=config.duration_s))
+    for flow in flows:
         sim.at(flow.start_time, lambda f=flow: net.start_flow(f))
-    sim.run(until=config.duration_s + config.drain_s)
+    # Done once every flow has finished and the fabric holds no packet:
+    # past that point only probe refreshes and dead timers run, and they
+    # move no result.
+    recorder = net.recorder
+    sim.run(until=config.duration_s + config.drain_s,
+            stop=lambda: recorder.finished == len(flows) and net.idle())
 
     decisions = sum(s.policy_decisions for s in net.switches.values())
     return RoutingExperimentResult(

@@ -32,7 +32,6 @@ from repro.netsim.host import Host
 from repro.netsim.switch import NetSwitch, ForwardingPolicy
 from repro.netsim.topology import Network, build_leaf_spine, build_fat_tree
 from repro.netsim.probes import PathMetricsDirectory, ProbeService
-from repro.netsim.inband_probes import InbandProbeService, ProbePacket
 from repro.netsim.tracing import FlowRecorder, FlowRecord
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "build_fat_tree",
     "PathMetricsDirectory",
     "ProbeService",
-    "InbandProbeService",
-    "ProbePacket",
     "FlowRecorder",
     "FlowRecord",
 ]

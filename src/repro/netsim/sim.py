@@ -23,7 +23,6 @@ class Simulator:
         self._now = 0.0
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._events_run = 0
 
     @property
     def now(self) -> float:
@@ -40,21 +39,24 @@ class Simulator:
         """Run ``callback`` at absolute time ``time``."""
         self.schedule(time - self._now, callback)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Drain the event queue, optionally bounded by time or event count."""
-        while self._queue:
-            if max_events is not None and self._events_run >= max_events:
-                return
-            time, _seq, callback = self._queue[0]
+    def run(self, until: float | None = None,
+            stop: Callable[[], bool] | None = None) -> None:
+        """Drain the event queue; return early once the next event lies past
+        ``until`` (the clock then reads ``until``) or right after the first
+        event on which ``stop()`` holds (the clock reads that event's time)."""
+        queue, pop = self._queue, heapq.heappop
+        while queue:
+            time, _seq, callback = queue[0]
             if until is not None and time > until:
                 self._now = until
                 return
-            heapq.heappop(self._queue)
+            pop(queue)
             if time < self._now:
                 raise SimulationError("event queue went backwards in time")
             self._now = time
             callback()
-            self._events_run += 1
+            if stop is not None and stop():
+                return
         if until is not None:
             self._now = max(self._now, until)
 

@@ -171,6 +171,18 @@ class Network:
     def total_drops(self) -> int:
         return sum(link.packets_dropped for link in self.links.values())
 
+    def idle(self) -> bool:
+        """No packet is queued or on the wire: every packet a link sent has
+        reached its next node (a corrupted one is dropped, never sent)."""
+        sent = 0
+        for link in self.links.values():
+            if link.queued_packets:
+                return False
+            sent += link.packets_sent
+        arrived = sum(h.packets_received for h in self.hosts.values())
+        return sent == arrived + sum(s.packets_forwarded
+                                     for s in self.switches.values())
+
 
 def build_leaf_spine(
     sim: Simulator,

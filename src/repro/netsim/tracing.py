@@ -30,6 +30,7 @@ class FlowRecorder:
     def __init__(self) -> None:
         self._started: dict[int, TcpFlow] = {}
         self._records: list[FlowRecord] = []
+        self.finished = 0  # flows completed: a plain int, polled per event
         # Flow completions are rare events, so the FCT histogram is fed
         # directly (a no-op against the default null registry).
         registry = obs.get_registry()
@@ -58,6 +59,7 @@ class FlowRecorder:
         del self._started[flow.flow_id]
         record = FlowRecord(flow, finished_at)
         self._records.append(record)
+        self.finished += 1
         self._obs_fct_us.observe(record.fct * 1e6)
 
     @property

@@ -90,7 +90,7 @@ class ThanosRoutingPolicy:
         self,
         network: Network,
         directory: PathMetricsDirectory,
-        probe_service: ProbeService | None,
+        probe_service: ProbeService,
         policy_name: str,
         *,
         top_x: int = 5,
@@ -105,12 +105,7 @@ class ThanosRoutingPolicy:
         self._rng = rng or random.Random(0)
         self._modules: dict[tuple[str, str], FilterModule] = {}
         self._seed = 1
-        # Snapshot mode: a ProbeService drives periodic refreshes from the
-        # live directory.  In-band mode (probe_service=None): metric updates
-        # arrive per returning probe via deliver_path_metrics, and the
-        # directory is only used to bootstrap newly created modules.
-        if probe_service is not None:
-            probe_service.register(self.refresh)
+        probe_service.register(self.refresh)
 
     # -- module management ---------------------------------------------------------
 
@@ -153,31 +148,6 @@ class ThanosRoutingPolicy:
         for (switch_name, dst_edge), module in self._modules.items():
             switch = self._network.switches[switch_name]
             self._refresh_module(switch, dst_edge, module, now)
-
-    def deliver_path_metrics(
-        self, switch_name: str, dst_edge: str, port: int,
-        metrics: dict[str, float], now: float,
-    ) -> None:
-        """In-band probe return: one path's accumulated metrics arrive at
-        their origin switch and update its SMBM (delete+add, section 5.1.2).
-
-        The signature matches :class:`~repro.netsim.inband_probes.
-        InbandProbeService`'s deliver callback.  With several paths behind
-        one port, the freshest report wins.
-        """
-        switch = self._network.switches[switch_name]
-        module = self._module_for(switch, dst_edge)
-        port_to_index = {p: i for i, p in enumerate(switch.up_ports)}
-        index = port_to_index.get(port)
-        if index is None:
-            return  # the port stopped being a candidate (route change)
-        from repro.netsim.probes import LOSS_SCALE, UTIL_SCALE
-
-        module.update_resource(index, {
-            "util": int(metrics["util"] * UTIL_SCALE),
-            "queue": int(metrics["queue"]),
-            "loss": int(metrics["loss"] * LOSS_SCALE),
-        })
 
     # -- the ForwardingPolicy interface ------------------------------------------------
 

@@ -5,6 +5,8 @@ stack (policies -> compiled pipelines -> simulator) and its invariants, not
 to reproduce the paper's factors (that is the benchmarks' job).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -18,6 +20,7 @@ from repro.experiments import (
     run_portlb_experiment,
     run_routing_experiment,
 )
+from repro.netsim.sim import Simulator
 
 TINY_ROUTING = dict(
     n_leaf=4, n_spine=4, hosts_per_leaf=2, duration_s=0.01, drain_s=0.3,
@@ -46,6 +49,29 @@ class TestRoutingExperiment:
         )
         assert a.mean_fct == b.mean_fct
         assert a.drops == b.drops
+
+    def test_run_ends_with_its_last_flow(self):
+        """The run stops once every flow is done and the fabric is empty,
+        so a ten-times longer drain horizon changes nothing."""
+        config = RoutingExperimentConfig(policy="policy3", **TINY_ROUTING)
+        longer = RoutingExperimentConfig(policy="policy3", **{
+            **TINY_ROUTING, "drain_s": 10 * TINY_ROUTING["drain_s"]})
+        a = run_routing_experiment(config)
+        b = run_routing_experiment(longer)
+        assert b == dataclasses.replace(a, config=longer)
+
+    def test_stopping_early_equals_running_to_the_horizon(self, monkeypatch):
+        """On this lossy fabric ACKs are still on the wire when the last
+        flow finishes, and one of them is dropped: the run must wait for
+        an empty fabric, not stop at the last completion."""
+        config = RoutingExperimentConfig(policy="policy1", **{
+            **TINY_ROUTING, "seed": 35, "load": 0.8,
+            "flaky_error_rate": 0.4, "flowlet_gap_s": 1e-4})
+        early = run_routing_experiment(config)
+        run = Simulator.run
+        monkeypatch.setattr(Simulator, "run",
+                            lambda self, until=None, stop=None: run(self, until))
+        assert run_routing_experiment(config) == early
 
     def test_seed_changes_outcome(self):
         base = dict(TINY_ROUTING)
@@ -153,19 +179,4 @@ class TestFatTreeRouting:
         with pytest.raises(Exception):
             run_routing_experiment(RoutingExperimentConfig(
                 policy="policy1", topology="hypercube", duration_s=0.005,
-            ))
-
-
-class TestInbandProbeMode:
-    def test_inband_mode_runs_and_decides(self):
-        result = run_routing_experiment(RoutingExperimentConfig(
-            policy="policy2", probe_mode="inband", **TINY_ROUTING
-        ))
-        assert result.completed > 10
-        assert result.policy_decisions > 0
-
-    def test_unknown_probe_mode_rejected(self):
-        with pytest.raises(Exception):
-            run_routing_experiment(RoutingExperimentConfig(
-                policy="policy2", probe_mode="telepathy", duration_s=0.004,
             ))

@@ -78,7 +78,22 @@ class TestSimulator:
         sim.run()
         assert times == [5.0]
 
-    def test_max_events(self):
+    def test_stop_ends_the_run_after_the_first_event_it_holds_on(self):
+        sim = Simulator()
+        count = []
+
+        def tick():
+            count.append(sim.now)
+            sim.schedule(1.0, tick)
+
+        sim.schedule(0.0, tick)
+        sim.run(until=100.0, stop=lambda: len(count) == 10)
+        assert len(count) == 10
+        assert sim.now == 9.0          # the clock stays at the stopping event
+        sim.run(until=100.0, stop=lambda: len(count) == 12)
+        assert len(count) == 12
+
+    def test_until_still_bounds_a_run_whose_stop_never_holds(self):
         sim = Simulator()
         count = []
 
@@ -87,8 +102,9 @@ class TestSimulator:
             sim.schedule(1.0, tick)
 
         sim.schedule(0.0, tick)
-        sim.run(max_events=10)
-        assert len(count) == 10
+        sim.run(until=4.5, stop=lambda: False)
+        assert len(count) == 5
+        assert sim.now == 4.5
 
 
 class TestLink:
