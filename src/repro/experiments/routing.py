@@ -151,7 +151,6 @@ def run_routing_experiment(config: RoutingExperimentConfig) -> RoutingExperiment
         for link in core_links(core):
             link.set_error_rate(config.flaky_error_rate, error_rng)
 
-    rng = random.Random(config.seed)
     if config.policy == "policy1":
         shared.inner = RandomUplinkPolicy(random.Random(config.seed + 10))
     else:

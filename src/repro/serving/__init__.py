@@ -20,13 +20,15 @@ Layers, bottom up:
 * :mod:`repro.serving.wal` — the checksummed, length-prefixed
   write-ahead op log every control op is appended to before it applies,
   and the one file recovery reads;
-* :mod:`repro.serving.recovery` — idempotent crash recovery: restore
-  from the newest checkpoint record plus exactly-once replay of the
-  log's suffix through the op table;
+* :mod:`repro.serving.recovery` — exactly-once crash recovery: restore
+  from the newest checkpoint record plus replay, in log order, of every
+  record logged after it through the op table;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
-  concurrent clients, per-tenant total order, serialized admission and
-  write-ahead durability, every op through the same table on one path
-  (queue, group-commit, apply, ack); an op applies once or is refused.
+  concurrent clients, one worker that serves their tenants in turn (so
+  per-tenant order, one-at-a-time admission and log order = apply order)
+  and write-ahead durability, every op through the same table on one
+  path (queue, group-commit, apply, ack); an op applies once or is
+  refused.
 
 Quickstart: ``python -m repro.serving.controller --backend batched``.
 """

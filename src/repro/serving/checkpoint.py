@@ -188,7 +188,7 @@ class SwitchCheckpoint:
 
     :meth:`from_payload` takes the args of a ``checkpoint`` WAL record
     as they are and ignores the keys beside the payload (the marker's
-    high-water mark and homing state).
+    homing state, and the ``hwm`` map older markers carried).
     """
 
     metric_names: tuple[str, ...]

@@ -3,14 +3,18 @@
 Many clients submit tenant-lifecycle and table operations concurrently;
 the controller guarantees:
 
-* **per-tenant total order** — every op names a tenant and lands on that
-  tenant's FIFO queue, drained by one worker task, so a client's
-  ``update; update; hot_swap`` sequence applies in exactly that order no
-  matter how many other clients are active;
-* **serialized admission** — ops that touch the shared physical budget
-  (admit, evict, hot-swap, migration phases) additionally hold the
-  admission lock, so the :class:`~repro.tenancy.manager.TenantManager`
-  admission path runs one op at a time across all tenants;
+* **one op at a time, in log order** — every op names a tenant and lands
+  on that tenant's FIFO; one worker task serves the FIFOs in turn, so a
+  client's ``update; update; hot_swap`` sequence applies in exactly that
+  order, the :class:`~repro.tenancy.manager.TenantManager` admission path
+  runs one op at a time across all tenants, and the order ops are logged
+  in is the order they apply.  This rests on one invariant: no
+  :data:`~repro.serving.ops.CONTROL_OPS` ``apply`` or ``gate`` awaits, so
+  a turn logs and applies without yielding to the event loop;
+* **fair turns** — a turn takes one tenant's burst (at most
+  ``_GROUP_COMMIT_MAX`` ops, or one solo op) and then sends that tenant
+  to the back of the turn order, so a flood on one tenant delays
+  another's op by one burst, not by the whole flood;
 * **one statement per op** — a public method only builds its op's typed
   payload; what the op does, and how it is spelled in the log, is its
   row of :data:`repro.serving.ops.CONTROL_OPS`, which
@@ -27,34 +31,34 @@ the controller guarantees:
   attached, every control op is appended (and made durable) immediately
   *before* it applies, in apply order, so an acknowledged op is always
   recoverable by :func:`~repro.serving.recovery.recover` and a crash loses
-  only unacknowledged ops; a worker *group-commits*: it drains every
-  immediately-available op on its queue and logs the burst as one WAL
-  frame (single encode + write + flush), which keeps durable logging
-  cheap on pipelined control streams; an op whose outcome replay cannot
-  recompute (``cutover``, ``checkpoint``) is alone in its batch and logs
-  at its commit point instead; :meth:`checkpoint` logs one
+  only unacknowledged ops; a turn *group-commits*: its burst is logged as
+  one WAL frame (single encode + write + flush), which keeps durable
+  logging cheap on pipelined control streams; an op whose outcome replay
+  cannot recompute (``cutover``, ``checkpoint``) is a turn of its own and
+  logs at its commit point instead; :meth:`checkpoint` logs one
   ``checkpoint`` record holding the whole
   :class:`~repro.serving.checkpoint.SwitchCheckpoint` payload and the
-  per-tenant op-id high-water mark, bounding replay to the suffix; a
-  clean :meth:`aclose` appends a ``shutdown`` marker — its absence is
-  how recovery detects a crash.  The log is the only file, so every
-  crash site is on it: the WAL's ``crash_hook`` also fires
-  ``ctl.after_apply`` once per applied op;
-* **one path, once** — every op takes the same path (queue,
-  group-commit to the WAL, apply — under the admission lock if it is a
-  lifecycle op — then acknowledge) and applies once or is refused.  An
+  homing state — every record logged before it has applied or failed by
+  then, so its place in the log is where replay starts; a clean
+  :meth:`aclose` appends a ``shutdown`` marker — its absence is how
+  recovery detects a crash.  The log is the only file, so every crash
+  site is on it: the WAL's ``crash_hook`` also fires ``ctl.after_apply``
+  once per applied op;
+* **one path, once** — every op takes the same path (queue, group-commit
+  to the WAL, apply, acknowledge) and applies once or is refused.  An
   error reaches the submitting client as raised; nothing retries,
-  re-applies or sheds, because exactly-once replay relies on apply
-  errors being deterministic.  The *data path* never queues behind
-  control ops: :meth:`process_batch` keeps serving the last-good plans
-  through a busy or crashed control plane;
-* **no state per name** — a tenant's queue, worker task and queue-depth
-  series exist while ops are queued or the name is admitted, migrating
-  or moved; a name nobody lives under is released once its queue drains.
+  re-applies or sheds, because replay relies on apply errors being
+  deterministic.  The *data path* never queues behind control ops:
+  :meth:`process_batch` keeps serving the last-good plans through a busy
+  or crashed control plane;
+* **no state per name** — a tenant's FIFO exists only while ops are
+  queued on it; the one worker, the turn order and one queue-depth
+  series are all the controller keeps.
 
 Observability: ``controller_ops_total{op,outcome}``,
-``controller_queue_depth{tenant}``, ``controller_apply_ns{op}``, plus
-the ``wal_*`` series of an attached log.
+``controller_queue_depth`` (ops queued across all tenants),
+``controller_apply_ns{op}``, plus the ``wal_*`` series of an attached
+log; every series carries the ``backend`` label.
 
 ``python -m repro.serving.controller`` runs a self-contained smoke
 scenario (concurrent clients on a chosen backend) and prints the metrics
@@ -85,12 +89,10 @@ from repro.tenancy.manager import Tenant, TenantSpec
 
 __all__ = ["Controller"]
 
-_SHUTDOWN = object()
-
 #: Reserved queue for switch-wide ops (checkpoint) — not a tenant name.
 _CTL = "__ctl__"
 
-#: Most ops a worker logs + applies per wakeup: one group-commit frame.
+#: Most ops one turn logs + applies: one group-commit frame.
 _GROUP_COMMIT_MAX = 64
 
 
@@ -107,76 +109,10 @@ class _Op:
     record: WalRecord | None = None
 
     @property
-    def lifecycle(self) -> bool:
-        """Applies holding the admission lock."""
-        return self.spec is None or self.spec.lifecycle
-
-    @property
     def solo(self) -> bool:
         """Logs at its own commit point, so it shares a WAL frame (and
-        a group-commit batch) with no other op."""
+        a turn) with no other op."""
         return self.spec is None or self.spec.gate is not None
-
-
-class _OpQueue:
-    """Per-tenant FIFO with join semantics.
-
-    A hand-rolled :class:`asyncio.Queue` replacement because group
-    commit needs what Queue cannot do: look at the head before taking it
-    (a solo op or the shutdown sentinel stays queued), and drop every
-    queued op at once on the crash path.
-    """
-
-    def __init__(self) -> None:
-        self._items: deque[Any] = deque()
-        self._not_empty = asyncio.Event()
-        self._unfinished = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-
-    def qsize(self) -> int:
-        return len(self._items)
-
-    def put_nowait(self, item: Any) -> None:
-        self._items.append(item)
-        if item is not _SHUTDOWN:
-            self._unfinished += 1
-            self._idle.clear()
-        self._not_empty.set()
-
-    def drain_ready(self, first: _Op, limit: int) -> list[_Op]:
-        """The group-commit drain: ``first`` plus the immediately
-        available ops behind it, up to ``limit`` in all, stopping short
-        of a shutdown sentinel and keeping a solo op alone."""
-        out = [first]
-        while not first.solo and self._items and len(out) < limit:
-            head = self._items[0]
-            if head is _SHUTDOWN or head.solo:
-                break
-            out.append(self._items.popleft())
-        return out
-
-    def clear_pending(self) -> list[_Op]:
-        """Drop everything still queued (crash path); returns the ops."""
-        dropped = [it for it in self._items if it is not _SHUTDOWN]
-        self._items.clear()
-        for _ in dropped:
-            self.task_done()
-        return dropped
-
-    async def get(self) -> Any:
-        while not self._items:
-            self._not_empty.clear()
-            await self._not_empty.wait()
-        return self._items.popleft()
-
-    def task_done(self) -> None:
-        self._unfinished -= 1
-        if self._unfinished <= 0:
-            self._idle.set()
-
-    async def join(self) -> None:
-        await self._idle.wait()
 
 
 class Controller:
@@ -204,19 +140,20 @@ class Controller:
                  wal: WriteAheadLog | None = None):
         self._backend = backend
         self._wal = wal
-        self._queues: dict[str, _OpQueue] = {}
-        self._workers: dict[str, asyncio.Task[None]] = {}
+        #: Each tenant's queued ops; the dict's order is the turn order.
+        self._queues: dict[str, deque[_Op]] = {}
+        self._queued = 0
+        self._worker: asyncio.Task[None] | None = None
+        self._wakeup = asyncio.Event()
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._homes = Homes(backend)
-        # Per-tenant op-id of the last WAL-logged op whose apply finished
-        # (ok or error): the exactly-once high-water mark a checkpoint
-        # marker carries so recovery replays only the suffix.
-        self._applied_hwm: dict[str, int] = {}
-        self._admission_lock = asyncio.Lock()
         self._closed = False
         self._crashed = False
         self._registry = obs.get_registry()
         self._backend_label = backend.name
         self._series: dict[tuple[str, ...], Any] = {}
+        self._depth = self._metric("controller_queue_depth")
 
     # -- obs helpers -------------------------------------------------------------------
 
@@ -230,8 +167,7 @@ class Controller:
             "histogram", ("op",),
             "submit-to-applied latency per op (ns, pow2 buckets)"),
         "controller_queue_depth": (
-            "gauge", ("tenant",),
-            "ops waiting in a tenant's control queue"),
+            "gauge", (), "ops waiting in the control queue"),
     }
 
     def _metric(self, name: str, *values: str) -> Any:
@@ -255,28 +191,24 @@ class Controller:
         if hook is not None:
             hook(site, record)
 
-    def _die(self, queue: _OpQueue, op: _Op, rest: list[_Op],
-             exc: SimulatedCrash) -> None:
+    def _die(self, op: _Op, rest: list[_Op], exc: SimulatedCrash) -> None:
         """The armed crash fired on ``op``: the 'process' is dead.
 
-        Reject the op it hit, the ``rest`` of the batch drained with it
-        from ``queue``, and everything still queued anywhere — none was
-        acknowledged; a logged record among them may replay on recovery,
-        exactly like ops a real crash would have stranded.  Stop every
-        worker and abandon the WAL exactly as it is on disk — recovery
-        reads the file, not us.
+        Reject the op it hit, the ``rest`` of its turn and everything
+        still queued — none was acknowledged; a logged record among them
+        may replay on recovery, exactly like ops a real crash would have
+        stranded.  Stop the worker and abandon the WAL exactly as it is
+        on disk — recovery reads the file, not us.
         """
-        self._closed = True
-        self._crashed = True
+        self._closed = self._crashed = True
         self._metric("controller_ops_total", op.kind, "crash").inc()
         if not op.future.cancelled():
             op.future.set_exception(exc)
-        never_acked = list(rest)
-        for _ in range(1 + len(rest)):
-            queue.task_done()
-        for other in self._queues.values():
-            never_acked.extend(other.clear_pending())
-            other.put_nowait(_SHUTDOWN)
+        never_acked = [*rest, *(o for q in self._queues.values() for o in q)]
+        self._queues.clear()
+        self._queued = 0
+        self._depth.set(0)
+        self._idle.set()
         for pending in never_acked:
             if not pending.future.cancelled():
                 pending.future.set_exception(FaultError(
@@ -286,17 +218,7 @@ class Controller:
         if self._wal is not None:
             self._wal.close()
 
-    # -- the per-tenant serializer -----------------------------------------------------
-
-    def _queue_for(self, tenant: str) -> _OpQueue:
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = _OpQueue()
-            self._queues[tenant] = queue
-            self._workers[tenant] = asyncio.get_running_loop().create_task(
-                self._worker(tenant, queue)
-            )
-        return queue
+    # -- the serializer ----------------------------------------------------------------
 
     def _apply(self, op: _Op) -> Any:
         """One op's effect, as its row of the table states it."""
@@ -314,8 +236,7 @@ class Controller:
         spec.apply(self._homes, op.tenant, op.payload)
         return answer
 
-    def _settle(self, queue: _OpQueue, op: _Op, *,
-                exc: BaseException | None = None,
+    def _settle(self, op: _Op, *, exc: BaseException | None = None,
                 result: Any = None) -> None:
         """Resolve one op's future and account its outcome."""
         if not op.future.cancelled():
@@ -328,95 +249,87 @@ class Controller:
         self._metric("controller_apply_ns", op.kind).observe(
             time.perf_counter_ns() - op.enqueued_ns
         )
-        queue.task_done()
 
-    async def _process_group(self, queue: _OpQueue,
-                             batch: list[_Op]) -> bool:
-        """Group-commit one drained burst: log every op in a single WAL
+    def _process_group(self, batch: list[_Op]) -> bool:
+        """Group-commit one turn's burst: log every op in a single WAL
         frame, then apply and acknowledge each in order.
 
         Returns ``False`` when a simulated crash killed the controller
         (the worker must exit).
         """
         # Write-ahead: every record in the frame is durable before the
-        # first byte of backend state changes.  Appends happen here in
-        # the worker (not at submit) so WAL order is exactly apply order.
-        if self._wal is not None:
-            to_log = [op for op in batch if not op.solo]
-            if to_log:
-                try:
-                    logged = self._wal.append_group(
-                        [(op.kind, op.tenant, op.spec.encode(op.payload))
-                         for op in to_log]
-                    )
-                except SimulatedCrash as exc:
-                    hit = to_log[0]
-                    self._die(queue, hit,
-                              [o for o in batch if o is not hit], exc)
-                    return False
-                except Exception as exc:  # noqa: BLE001 - relayed to callers
-                    for op in batch:
-                        self._settle(queue, op, exc=exc)
-                    return True
-                for op, rec in zip(to_log, logged, strict=True):
-                    op.record = rec
+        # first byte of backend state changes.  A solo op is alone in
+        # its turn and logs inside its apply instead.
+        if self._wal is not None and not batch[0].solo:
+            try:
+                logged = self._wal.append_group(
+                    [(op.kind, op.tenant, op.spec.encode(op.payload))
+                     for op in batch]
+                )
+            except SimulatedCrash as exc:
+                self._die(batch[0], batch[1:], exc)
+                return False
+            except Exception as exc:  # noqa: BLE001 - relayed to callers
+                for op in batch:
+                    self._settle(op, exc=exc)
+                return True
+            for op, rec in zip(batch, logged, strict=True):
+                op.record = rec
         for index, op in enumerate(batch):
             try:
-                try:
-                    if op.lifecycle:
-                        async with self._admission_lock:
-                            result = self._apply(op)
-                    else:
-                        result = self._apply(op)
-                finally:
-                    # The op is 'processed' for exactly-once purposes
-                    # whether it applied or raised (apply errors are
-                    # deterministic — replay would fail identically),
-                    # but a SimulatedCrash mid-apply must leave the op
-                    # below the next checkpoint's high-water mark so
-                    # recovery replays it.
-                    if op.record is not None and not self._crashed:
-                        self._applied_hwm[op.tenant] = op.record.op_id
+                result = self._apply(op)
                 self._crash("ctl.after_apply", op.record)
             except SimulatedCrash as exc:
-                self._die(queue, op, batch[index + 1:], exc)
+                self._die(op, batch[index + 1:], exc)
                 return False
             except Exception as exc:  # noqa: BLE001 - relayed to the caller
-                self._settle(queue, op, exc=exc)
+                self._settle(op, exc=exc)
                 continue
-            self._settle(queue, op, result=result)
+            self._settle(op, result=result)
         return True
 
-    async def _worker(self, tenant: str, queue: _OpQueue) -> None:
+    async def _run(self) -> None:
+        """The one worker: a turn per tenant with ops queued, in turn
+        order, until the controller closes with nothing queued."""
+        queues = self._queues
         while True:
-            first = await queue.get()
-            if first is _SHUTDOWN:
-                return
-            batch = queue.drain_ready(first, _GROUP_COMMIT_MAX)
-            self._metric("controller_queue_depth", tenant).set(queue.qsize())
-            if not await self._process_group(queue, batch):
-                return
-            if not queue.qsize() and not self._homes.knows(tenant):
-                # Nobody lives under this name (a typo, an evicted
-                # tenant, a refused admit): a label must not be able to
-                # mint state here.  The next submit starts afresh.
-                del self._queues[tenant], self._workers[tenant]
-                self._series.pop(("controller_queue_depth", tenant), None)
-                self._registry.discard("controller_queue_depth", {
-                    "tenant": tenant, "backend": self._backend_label})
+            if not queues:
+                self._idle.set()
+                if self._closed:
+                    return
+                self._wakeup.clear()
+                await self._wakeup.wait()
+                continue
+            tenant = next(iter(queues))
+            queue = queues.pop(tenant)
+            batch = [queue.popleft()]
+            while (queue and not batch[0].solo and not queue[0].solo
+                   and len(batch) < _GROUP_COMMIT_MAX):
+                batch.append(queue.popleft())
+            if queue:
+                queues[tenant] = queue  # to the back of the turn order
+            self._queued -= len(batch)
+            self._depth.set(self._queued)
+            if not self._process_group(batch):
                 return
 
     async def _submit(self, kind: str, tenant: str, payload: Any) -> Any:
         if self._closed:
             raise ConfigurationError("controller is closed")
-        future: asyncio.Future[Any] = (
-            asyncio.get_running_loop().create_future()
-        )
-        op = _Op(kind, tenant, payload, future, CONTROL_OPS.get(kind))
-        queue = self._queue_for(tenant)
-        queue.put_nowait(op)
-        self._metric("controller_queue_depth", tenant).set(queue.qsize())
-        return await future
+        loop = asyncio.get_running_loop()
+        op = _Op(kind, tenant, payload, loop.create_future(),
+                 CONTROL_OPS.get(kind))
+        queue = self._queues.get(tenant)
+        if queue is None:
+            queue = self._queues[tenant] = deque()
+        queue.append(op)
+        self._queued += 1
+        self._depth.set(self._queued)
+        self._idle.clear()
+        self._wakeup.set()
+        if self._worker is None:
+            self._worker = loop.create_task(self._run())
+        return await op.future
 
     # -- tenant lifecycle --------------------------------------------------------------
 
@@ -494,14 +407,13 @@ class Controller:
     async def checkpoint(self) -> SwitchCheckpoint:
         """Snapshot the whole switch into one ``checkpoint`` WAL record.
 
-        Runs as an admission-serialized op, so the snapshot and the
-        high-water mark it carries are mutually consistent: recovery
+        Runs as a turn of its own, so every op logged before the record
+        has applied (or failed) when the snapshot is taken: recovery
         restores the checkpoint and replays exactly the ops logged after
-        it (``op_id`` above each tenant's mark).  The record's args are
-        the snapshot's payload plus the mark and the homing state, since
-        who is migrating or moved is in no backend snapshot; it is
-        durable, torn or absent exactly as any other frame.  Without a
-        WAL this only returns the snapshot.
+        it.  The record's args are the snapshot's payload plus the
+        homing state, since who is migrating or moved is in no backend
+        snapshot; it is durable, torn or absent exactly as any other
+        frame.  Without a WAL this only returns the snapshot.
         """
         return await self._submit("checkpoint", _CTL, None)
 
@@ -509,26 +421,23 @@ class Controller:
         snapshot = self._backend.snapshot()
         if self._wal is not None:
             self._wal.append("checkpoint", _CTL, {
-                **snapshot.payload(),
-                "hwm": dict(self._applied_hwm),
-                **self._homes.to_doc(),
-            })
+                **snapshot.payload(), **self._homes.to_doc()})
         return snapshot
 
     # -- lifecycle ---------------------------------------------------------------------
 
     async def drain(self) -> None:
         """Wait for every queued op to apply."""
-        await asyncio.gather(*(q.join() for q in self._queues.values()))
+        await self._idle.wait()
 
     async def aclose(self) -> None:
-        """Drain, stop the worker tasks, log the clean-shutdown marker."""
+        """Drain, stop the worker, log the clean-shutdown marker."""
         if self._closed:
             return
         self._closed = True
-        for queue in self._queues.values():
-            queue.put_nowait(_SHUTDOWN)
-        await asyncio.gather(*self._workers.values())
+        if self._worker is not None:
+            self._wakeup.set()
+            await self._worker
         if self._wal is not None and not self._crashed:
             # The marker recovery reads as 'no crash here': a WAL whose
             # last record is anything else witnesses an unclean death.

@@ -2,15 +2,20 @@
 
 :data:`CONTROL_OPS` maps an op kind to a :class:`ControlOp` — how its
 payload is spelled in a WAL record (``encode`` / ``decode``), what it
-does (``apply``), whether it is a lifecycle op (it applies holding the
-admission lock, one at a time across all tenants), and for an op whose
-outcome a replay cannot recompute, the ``gate`` it must pass first.  The
-live :class:`~repro.serving.controller.Controller` runs
+does (``apply``), and for an op whose outcome a replay cannot recompute,
+the ``gate`` it must pass first.  The live
+:class:`~repro.serving.controller.Controller` runs
 ``apply(homes, tenant, payload)`` and logs ``encode(payload)``;
 :func:`~repro.serving.recovery.recover` runs the *same* ``apply`` on
 ``decode(tenant, record.args)``.  There is no second statement of an
 op's effect for the two to disagree about, and
 :data:`repro.serving.wal.CONTROL_OP_KINDS` is this table's keys.
+
+Every ``apply`` and ``gate`` is a plain function: the controller's one
+worker logs and applies a burst without yielding to the event loop, and
+that is what serializes ops — the admission path included — and makes
+log order the apply order.  An op that awaited would need a serializer
+of its own.
 
 :class:`Homes` is the one homing rule both sides apply through: a
 tenant's ops land on its :class:`~repro.serving.migration.LiveMigration`
@@ -19,7 +24,7 @@ cut over, on the backend otherwise.  Replay cannot reach a destination —
 it is another failure domain with its own log — so there a destination
 is an :class:`Elsewhere`: ops a migration *also* sends it are dropped on
 this side, and an op homed *only* there raises :class:`NotHere`, the one
-reason replay skips a record above the high-water mark.
+reason replay skips a record logged after the checkpoint.
 
 Commit-point logging: every op is logged immediately before it applies,
 except a gated one.  ``cutover``'s gate (the TH015 conservation check)
@@ -94,12 +99,6 @@ class Homes:
                 f"no migration in flight for tenant {tenant!r}")
         return self.migrations[tenant]
 
-    def knows(self, tenant: str) -> bool:
-        """Admitted here, dual-running, or moved: anything but a name
-        nobody lives under."""
-        return (tenant in self.backend.manager
-                or self.resolve(tenant) is not self.backend)
-
     def to_doc(self) -> dict[str, dict[str, str]]:
         return {
             "migrating": {t: m.dest.name for t, m in self.migrations.items()
@@ -123,7 +122,6 @@ class ControlOp(NamedTuple):
     #: The codec defaults to an op that carries no payload.
     encode: Callable[[Any], dict[str, Any]] = lambda _payload: {}
     decode: Callable[[str, dict[str, Any]], Any] = lambda _t, _args: None
-    lifecycle: bool = False
     #: Runs live only, after every earlier op on the tenant's queue has
     #: applied; the record is appended once it returns, and its return
     #: value is the op's answer.  Replay never re-runs it: the durable
@@ -149,7 +147,7 @@ def _begin_migration(homes: Homes, tenant: str, dest: Any) -> LiveMigration:
 def _cutover(homes: Homes, tenant: str, _payload: None) -> None:
     if tenant not in homes.migrations:
         # The gate vouched for a migration in flight, so this is replay
-        # and its begin lies below a checkpoint whose marker predates
+        # and its begin was logged before a checkpoint whose marker predates
         # the homing keys: the move still happened.
         _begin_migration(homes, tenant, Elsewhere("unlogged"))
     migration = homes.migrations.pop(tenant)
@@ -174,12 +172,11 @@ CONTROL_OPS: dict[str, ControlOp] = {
     "add_tenant": ControlOp(
         encode=lambda spec: {"spec": spec_to_dict(spec)},
         decode=lambda tenant, args: spec_from_dict(args["spec"]),
-        apply=_add_tenant, lifecycle=True,
+        apply=_add_tenant,
     ),
     "remove_tenant": ControlOp(
         apply=lambda homes, tenant, _:
             homes.resolve(tenant).unprogram_tenant(tenant),
-        lifecycle=True,
     ),
     # Payload: the policy.  A durable record rolls forward: replay
     # re-runs the whole compile-beside-and-install sequence through the
@@ -190,7 +187,6 @@ CONTROL_OPS: dict[str, ControlOp] = {
         decode=lambda tenant, args: policy_from_dict(args["policy"]),
         apply=lambda homes, tenant, policy:
             homes.resolve(tenant).hot_swap(tenant, policy),
-        lifecycle=True,
     ),
     "update_resource": _ROW_WRITE,
     "remove_resource": _ROW_WRITE,
@@ -206,11 +202,11 @@ CONTROL_OPS: dict[str, ControlOp] = {
     "begin_migration": ControlOp(
         encode=lambda dest: {"dest": dest.name},
         decode=lambda tenant, args: Elsewhere(str(args["dest"])),
-        apply=_begin_migration, lifecycle=True,
+        apply=_begin_migration,
     ),
     "cutover": ControlOp(
-        apply=_cutover, lifecycle=True,
+        apply=_cutover,
         gate=lambda homes, tenant, _: homes.migration(tenant).gate(),
     ),
-    "abort_migration": ControlOp(apply=_abort_migration, lifecycle=True),
+    "abort_migration": ControlOp(apply=_abort_migration),
 }

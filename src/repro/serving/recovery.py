@@ -1,4 +1,4 @@
-"""Idempotent, exactly-once recovery: checkpoint restore + WAL-suffix replay.
+"""Exactly-once recovery: checkpoint restore + replay of the log after it.
 
 A controller that crashes leaves one artefact on disk: the write-ahead
 log.  A checkpoint is a record in it, not a file beside it, so
@@ -24,17 +24,21 @@ three stages:
 2. **restore** — the newest ``checkpoint`` record in the trusted prefix
    whose payload decodes (:meth:`SwitchCheckpoint.from_payload
    <repro.serving.checkpoint.SwitchCheckpoint.from_payload>`) is restored
-   tenant by tenant; its per-tenant op-id high-water mark seeds the
-   exactly-once filter, and the homing state it carries (who was
-   migrating, who had moved) seeds the replay's
-   :class:`~repro.serving.ops.Homes`.  A checkpoint torn with its frame
-   is simply not in the prefix, so replay starts from an older one or
-   from the first record;
-3. **replay** — every control record above its tenant's high-water mark
-   (the rest is already inside the checkpoint) runs, in log order,
-   through its row of :data:`repro.serving.ops.CONTROL_OPS` — each op
-   applies exactly once across the crash boundary.  Replay sees
-   records, not frames: how ops were grouped on disk does not reach it.
+   tenant by tenant, and the homing state it carries (who was migrating,
+   who had moved) seeds the replay's :class:`~repro.serving.ops.Homes`.
+   A checkpoint torn with its frame is simply not in the prefix, so
+   replay starts from an older one or from the first record;
+3. **replay** — every control record logged after the checkpoint record
+   runs, in log order, through its row of
+   :data:`repro.serving.ops.CONTROL_OPS`; every record logged before it
+   is skipped.  The checkpoint's place in the log is its high-water
+   mark: the controller's one worker logs and applies a turn without
+   yielding, so every record logged before the checkpoint had applied
+   (or failed) when the snapshot was taken — whichever tenant it names
+   and whichever controller life wrote it.  Each op therefore applies
+   exactly once across the crash boundary.  Replay sees records, not
+   frames: how ops were grouped on disk does not reach it.  A ``hwm``
+   key an older checkpoint record carries is ignored.
 
 The table is the only statement of what an op does: the live controller
 logged ``encode(payload)`` and ran ``apply``; replay runs the *same*
@@ -105,15 +109,16 @@ class RecoveryReport:
 
 def _pick_checkpoint(
     records: tuple[WalRecord, ...],
-) -> tuple[SwitchCheckpoint | None, WalRecord | None]:
-    """The newest checkpoint record whose payload decodes, decoded."""
-    for record in reversed(records):
-        if record.kind == "checkpoint":
+) -> tuple[SwitchCheckpoint | None, int]:
+    """The newest checkpoint record whose payload decodes, decoded, and
+    its index (``-1`` with no such record)."""
+    for index in reversed(range(len(records))):
+        if records[index].kind == "checkpoint":
             try:
-                return SwitchCheckpoint.from_payload(record.args), record
+                return SwitchCheckpoint.from_payload(records[index].args), index
             except CheckpointError:
                 continue  # e.g. a marker from before checkpoints were records
-    return None, None
+    return None, -1
 
 
 def recover(
@@ -140,27 +145,26 @@ def recover(
             help="unclean controller shutdowns detected at recovery",
         ).inc()
 
-    checkpoint, marker = _pick_checkpoint(scan.records)
+    checkpoint, start = _pick_checkpoint(scan.records)
     backend = backend_factory(checkpoint)
     report = RecoveryReport(backend=backend, torn=scan.torn,
                             header_ok=scan.header_ok, unclean=unclean)
     homes = Homes(backend)
-    hwm: dict[str, int] = {}
-    if checkpoint is not None and marker is not None:
+    if checkpoint is not None:
+        marker = scan.records[start]
         report.checkpoint_op_id = marker.op_id
-        hwm = {str(t): int(op) for t, op in marker.args["hwm"].items()}
         for tenant_ckpt in checkpoint.tenants:
             backend.restore_tenant(tenant_ckpt)
             report.restored_tenants += 1
         homes.restore(marker.args)
 
-    for record in scan.records:
+    for index, record in enumerate(scan.records):
         op = CONTROL_OPS.get(record.kind)
         if op is None:
             continue  # checkpoint/shutdown markers structure the log only
-        # Exactly-once: at or below the mark the op's effect is already
-        # inside the restored checkpoint...
-        skip = record.op_id <= hwm.get(record.tenant, -1)
+        # Exactly-once: logged before the checkpoint, the op's effect is
+        # already inside it...
+        skip = index < start
         try:
             if not skip:
                 op.apply(homes, record.tenant,
@@ -186,8 +190,8 @@ def recover(
     ).inc(report.replayed)
     registry.counter(
         "wal_replay_skipped_total", {},
-        help="WAL records below the checkpoint high-water mark (or moved "
-             "tenants) skipped at recovery",
+        help="WAL records logged before the checkpoint (or homed on a "
+             "moved tenant's destination) skipped at recovery",
     ).inc(report.skipped)
     registry.counter(
         "wal_replay_errors_total", {},

@@ -22,7 +22,7 @@ a tenant and carry consecutive op-ids::
     {"grp": <first op id>, "tenant": ..., "kinds": [...], "args": [...]}
 
 Record ``i`` of the frame is ``(grp + i, kinds[i], tenant, args[i])``.
-The controller drains one tenant's queue per wakeup and logs the burst
+The controller's worker takes one tenant's burst per turn and logs it
 as one frame — one encode, one write, one flush — so the envelope and
 the flush amortize over the burst; a lone op is simply a group of one.
 A burst that names two tenants is a caller bug and is refused
@@ -45,10 +45,11 @@ Two marker kinds ride in the same log next to the control ops:
 
 * ``checkpoint`` — ``args`` *is* a
   :class:`~repro.serving.checkpoint.SwitchCheckpoint` payload, plus the
-  per-tenant op-id high-water mark (``hwm``) and the homing state
-  (``migrating``, ``moved``), so recovery restores the checkpoint and
-  replays only the suffix.  There is no checkpoint file: this log is the
-  one file recovery reads;
+  homing state (``migrating``, ``moved``).  Every record before it in
+  the log had applied when it was taken, so recovery restores the
+  checkpoint and replays only the records after it; a ``hwm`` map that
+  older checkpoint records carry is ignored.  There is no checkpoint
+  file: this log is the one file recovery reads;
 * ``shutdown`` — the controller closed cleanly; a log whose last record
   is anything else witnesses a crash (what recovery counts as
   ``faults_detected_total{kind="controller_crash"}``).
@@ -334,8 +335,8 @@ class WriteAheadLog:
         """Assign op-ids, frame the burst, make it durable.
 
         ``entries`` is ``[(kind, tenant, args), ...]`` in apply order, all
-        for one tenant (the controller drains per-tenant queues, so this
-        is free).  Every op gets its own consecutive op-id; the burst
+        for one tenant (a controller turn takes one tenant's burst, so
+        this is free).  Every op gets its own consecutive op-id; the burst
         shares a single envelope, JSON encode, checksum, write, and flush
         — the per-frame costs that dominate a one-op append amortize
         across the group.  This sits on every control op's latency path

@@ -20,7 +20,8 @@ from repro.errors import CompilationError, ConfigurationError, FaultError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.serving import WriteAheadLog, canonical_bytes, recover
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
-from repro.serving.controller import Controller
+from repro.serving.controller import _GROUP_COMMIT_MAX, Controller
+from repro.serving.wal import read_wal
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -228,9 +229,8 @@ def test_without_retry_policy_fault_surfaces_immediately():
 
 
 def test_unaffected_tenants_keep_serving_under_overload():
-    """Tenant 'noisy' is wedged — its worker waits on the admission lock
-    with writes queued behind it; tenant 'quiet' still applies a table
-    write and serves packets from its installed plan."""
+    """Tenant 'noisy' has a hot-swap and writes queued; tenant 'quiet'
+    still serves packets from its installed plan, ahead of all of them."""
     backend = _backend()
 
     async def scenario():
@@ -238,43 +238,54 @@ def test_unaffected_tenants_keep_serving_under_overload():
             await ctl.add_tenant(_spec("noisy"))
             await ctl.add_tenant(_spec("quiet"))
             await ctl.update_resource("quiet", 1, {"cpu": 3, "mem": 4})
-            release = asyncio.Event()
-
-            async def hold_lock() -> None:
-                async with ctl._admission_lock:
-                    await release.wait()
-
-            holder = asyncio.create_task(hold_lock())
-            await asyncio.sleep(0)
             blocker = asyncio.create_task(ctl.hot_swap("noisy", _policy()))
             flood = [
                 asyncio.create_task(ctl.update_resource(
                     "noisy", i, {"cpu": i, "mem": i}))
                 for i in range(8)
             ]
-            try:
-                await asyncio.sleep(0)
-                # The quiet tenant's control plane is untouched...
-                await ctl.update_resource("quiet", 2, {"cpu": 5, "mem": 6})
-                # ...and its data path serves the installed plan...
-                served = await ctl.process_batch([
-                    Packet(metadata={META_FILTER_REQUEST: 1,
-                                     META_TENANT: "quiet"})
-                ])
-                # ...while every noisy op still waits its turn.
-                assert not any(t.done() for t in (blocker, *flood))
-                assert len(backend.manager.get("noisy").module.smbm) == 0
-            finally:
-                release.set()
-            await asyncio.gather(holder, blocker, *flood)
+            await asyncio.sleep(0)  # every noisy op is queued, none applied
+            # The quiet tenant's data path serves the installed plan...
+            served = await ctl.process_batch([
+                Packet(metadata={META_FILTER_REQUEST: 1,
+                                 META_TENANT: "quiet"})
+            ])
+            # ...while every noisy op still waits its turn.
+            assert not any(t.done() for t in (blocker, *flood))
+            assert len(backend.manager.get("noisy").module.smbm) == 0
+            await asyncio.gather(blocker, *flood)
             return served
 
     served = asyncio.run(scenario())
     assert len(served) == 1
     assert sorted(
         backend.manager.get("quiet").module.smbm.snapshot()
-    ) == [1, 2]
+    ) == [1]
     assert len(backend.manager.get("noisy").module.smbm) == 8
+
+
+def test_a_flood_on_one_tenant_delays_another_by_one_turn(tmp_path):
+    """200 noisy writes are queued before one quiet write: the quiet op
+    is logged after at most one burst of noisy ops, not the whole flood."""
+    wal_path = tmp_path / "ops.wal"
+
+    async def scenario():
+        wal = WriteAheadLog(wal_path)
+        async with Controller(_backend(), wal=wal) as ctl:
+            await ctl.add_tenant(_spec("noisy"))
+            await ctl.add_tenant(_spec("quiet"))
+            flood = [asyncio.create_task(ctl.update_resource(
+                "noisy", i % 8, {"cpu": i, "mem": i})) for i in range(200)]
+            quiet = asyncio.create_task(ctl.update_resource(
+                "quiet", 1, {"cpu": 1, "mem": 1}))
+            await asyncio.gather(*flood, quiet)
+        wal.close()
+
+    asyncio.run(scenario())
+    writes = [r.tenant for r in read_wal(wal_path).records
+              if r.kind == "update_resource"]
+    assert len(writes) == 201
+    assert writes.index("quiet") <= _GROUP_COMMIT_MAX
 
 
 def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
@@ -360,8 +371,7 @@ def test_controller_obs_series():
         'outcome="error"}'
     ] == 1
     gauges = snap["gauges"]
-    assert ('controller_queue_depth{backend="scalar",tenant="t"}'
-            in gauges)
+    assert 'controller_queue_depth{backend="scalar"}' in gauges
     assert any(k.startswith("controller_apply_ns") for k in snap["histograms"])
 
 

@@ -9,6 +9,7 @@ the same table row, which is what these tests hold them to.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import pathlib
 import tempfile
@@ -177,12 +178,37 @@ def test_cutover_advances_the_high_water_mark(tmp_path):
     records = read_wal(tmp_path / "ops.wal").records
     marker = next(r for r in records if r.kind == "checkpoint")
     cutover = next(r for r in records if r.kind == "cutover")
-    assert marker.args["hwm"]["t"] == cutover.op_id
+    assert cutover.op_id < marker.op_id  # the checkpoint's place covers it
     assert marker.args["moved"] == {"t": "scalar"}
     report = recover(tmp_path / "ops.wal",
                      lambda _ckpt: _backend(ScalarBackend))
-    # Below the mark, then homed elsewhere: nothing replays, nothing errs.
+    # Before the checkpoint, then homed elsewhere: nothing replays, nothing
+    # errs.
     assert (report.replayed, report.skipped, report.errors) == (0, 4, [])
+    assert _state(report.backend) == _state(source)
+
+
+@BACKENDS
+def test_a_log_continued_across_controller_lives_recovers_exactly(tmp_path,
+                                                                  cls):
+    """Life 2 continues life 1's log over the same backend and
+    checkpoints: every record logged before the checkpoint is inside it,
+    whichever life logged it, so nothing replays twice."""
+    source, wal_path = _backend(cls), tmp_path / "ops.wal"
+
+    async def first_life(ctl: Controller) -> None:
+        await ctl.add_tenant(_spec("x"))
+        for rid in range(3):
+            await ctl.update_resource("x", rid, _row(rid))
+
+    async def second_life(ctl: Controller) -> None:
+        await ctl.add_tenant(_spec("y"))
+        await ctl.checkpoint()
+
+    _run(source, wal_path, first_life)
+    _run(source, wal_path, second_life)
+    report = recover(wal_path, lambda _ckpt: _backend(cls))
+    assert report.errors == []
     assert _state(report.backend) == _state(source)
 
 
@@ -205,23 +231,46 @@ def test_names_nobody_lives_under_hold_no_state(registry, cls):
                 with pytest.raises(ReproError):
                     await ctl.update_resource(f"ghost-{i}", 0, _row(0))
             for i in range(50):
-                # Pipelined on one queue: the admit keeps it alive for
-                # the write behind it.
+                # Pipelined on one queue: one turn logs both.
                 await asyncio.gather(
                     ctl.add_tenant(_spec(f"c{i}")),
                     ctl.update_resource(f"c{i}", 1, _row(1)))
                 await ctl.remove_tenant(f"c{i}")
-            await asyncio.sleep(0)  # let the reaped workers finish
-            admitted = len(backend.manager)
-            assert admitted == 1
-            assert len(ctl._queues) == len(ctl._workers) == admitted
-            assert len(asyncio.all_tasks()) - 1 == admitted
+            await asyncio.sleep(0)
+            assert len(backend.manager) == 1
+            # One worker, no queue left behind, one depth series.
+            assert not ctl._queues
+            assert len(asyncio.all_tasks()) - 1 == 1
             assert sum(key.startswith("controller_queue_depth")
-                       for key in series()) == admitted
+                       for key in series()) == 1
             # No sample, of any series, carries a ghost's name.
             assert not [key for key in series() if '"ghost-' in key]
 
     asyncio.run(scenario())
+
+
+@BACKENDS
+def test_logged_ghost_names_leave_nothing_behind(tmp_path, registry, cls):
+    """With a WAL attached, a checkpoint after 500 writes to unknown
+    names carries none of them, and neither does the controller or any
+    series."""
+    wal_path = tmp_path / "ops.wal"
+
+    async def scenario(ctl: Controller) -> None:
+        await ctl.add_tenant(_spec("keep"))
+        for i in range(500):
+            with pytest.raises(ReproError):
+                await ctl.update_resource(f"ghost-{i}", 0, _row(0))
+        await ctl.checkpoint()
+        assert "ghost-" not in repr(vars(ctl)) + repr(vars(ctl._homes))
+
+    _run(_backend(cls), wal_path, scenario)
+    records = read_wal(wal_path).records
+    assert [r for r in records if r.kind == "checkpoint"]
+    assert not [r for r in records if "ghost-" in json.dumps(r.args)]
+    snap = obs.snapshot(registry)
+    assert not [key for kind in ("counters", "gauges", "histograms")
+                for key in snap[kind] if '"ghost-' in key]
 
 
 # -- every kind, any order: recover() == the live source ----------------------------
@@ -360,3 +409,11 @@ def test_every_logged_kind_is_a_table_row_and_round_trips():
     old = {**CONTROL_OPS["hot_swap"].encode(payloads["hot_swap"]),
            "retired_flag": False}
     assert CONTROL_OPS["hot_swap"].decode("t", old).name == "wide"
+
+
+def test_no_op_awaits():
+    """The controller's one worker serializes ops, the admission path
+    included, only because no apply or gate yields to the event loop."""
+    for kind, op in CONTROL_OPS.items():
+        assert not inspect.iscoroutinefunction(op.apply), kind
+        assert not inspect.iscoroutinefunction(op.gate), kind
