@@ -665,7 +665,7 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
         "crash_points_swept": len(sweep),
         "crash_runs": crash_runs,
         "records_replayed": replayed_total,
-        "records_skipped_below_hwm": skipped_total,
+        "records_skipped_before_checkpoint": skipped_total,
         "torn_tails_truncated": torn_tails,
     }
 

@@ -5,11 +5,19 @@ log.  A checkpoint is a record in it, not a file beside it, so
 :func:`recover` opens no other file and rebuilds a serving backend in
 three stages:
 
-1. **scan** — the WAL is read through :func:`repro.serving.wal.read_wal`,
-   frame by frame.  Every frame is a group of one or more records for
-   one tenant and is trusted whole or not at all: the first frame that
-   fails its length, checksum or structure ends the trusted prefix and
-   is counted (``wal_torn_records_total``).  A torn group loses all its
+1. **scan** — the WAL is read through one
+   :class:`~repro.serving.wal.FrameReader`, one frame at a time, so
+   memory is O(largest frame), never O(log): a byte pass checks only
+   lengths and checksums and notes each frame whose payload contains
+   ``"checkpoint"``; a decode pass validates frames in order up to the
+   newest such candidate and notes each checkpoint record; stages 2 and
+   3 then decode and apply the frames after the chosen one.  No record
+   list is built, and a frame is decoded twice only when the newest
+   candidate's checkpoint does not decode.  Every frame is a group of
+   one or more records for one tenant and is trusted whole or not at
+   all: the first frame that fails its length, checksum or structure
+   ends the trusted prefix and is counted
+   (``wal_torn_records_total``).  A torn group loses all its
    records, never some — safe, because the controller acknowledges a
    group only after its frame is durable — and a durable group replays
    whole, including ops whose client never saw the ack.  A file that
@@ -79,7 +87,7 @@ from repro.errors import CheckpointError, ReproError
 from repro.serving.backend import SwitchBackend
 from repro.serving.checkpoint import SwitchCheckpoint
 from repro.serving.ops import CONTROL_OPS, Homes, NotHere
-from repro.serving.wal import WalRecord, read_wal
+from repro.serving.wal import WAL_MAGIC, FrameReader
 
 __all__ = ["RecoveryReport", "recover"]
 
@@ -107,20 +115,6 @@ class RecoveryReport:
                 if key != "backend"}
 
 
-def _pick_checkpoint(
-    records: tuple[WalRecord, ...],
-) -> tuple[SwitchCheckpoint | None, int]:
-    """The newest checkpoint record whose payload decodes, decoded, and
-    its index (``-1`` with no such record)."""
-    for index in reversed(range(len(records))):
-        if records[index].kind == "checkpoint":
-            try:
-                return SwitchCheckpoint.from_payload(records[index].args), index
-            except CheckpointError:
-                continue  # e.g. a marker from before checkpoints were records
-    return None, -1
-
-
 def recover(
     wal_path: str | pathlib.Path,
     backend_factory: Callable[[SwitchCheckpoint | None], SwitchBackend],
@@ -135,55 +129,79 @@ def recover(
     re-raise of an op that failed identically before the crash must not
     abort the recovery of everything after it.
     """
-    scan = read_wal(wal_path)
     registry = obs.get_registry()
+    with FrameReader(wal_path) as log:
+        candidates = [offset for offset, payload in log.frames()
+                      if b'"checkpoint"' in payload]
+        # (frame offset, index in frame, control records before it) of
+        # each checkpoint record up to the newest candidate.
+        marks: list[tuple[int, int, int]] = []
+        controls, held_at, held = 0, -1, None
+        for offset, frame in log.trusted() if candidates else ():
+            for index, kind in enumerate(frame.kinds):
+                if kind == "checkpoint":
+                    marks.append((offset, index, controls))
+                controls += kind in CONTROL_OPS
+            held_at, held = offset, frame
+            if offset == candidates[-1]:
+                break
+        # The newest checkpoint record whose payload decodes; a frame is
+        # decoded twice only when the newest candidate's does not.
+        checkpoint, start, first, skipped = None, len(WAL_MAGIC), -1, 0
+        for offset, index, before in reversed(marks):
+            if offset != held_at:
+                held_at, held = offset, next(log.trusted(offset))[1]
+            try:  # a marker from before checkpoints were records fails
+                checkpoint = SwitchCheckpoint.from_payload(held.args[index])
+            except CheckpointError:
+                continue
+            start, first, skipped = offset, index, before
+            break
+        backend = backend_factory(checkpoint)
+        report = RecoveryReport(backend=backend, header_ok=log.header_ok,
+                                skipped=skipped)
+        homes = Homes(backend)
+        if checkpoint is not None:
+            report.checkpoint_op_id = held.grp + first
+            for tenant_ckpt in checkpoint.tenants:
+                backend.restore_tenant(tenant_ckpt)
+                report.restored_tenants += 1
+            homes.restore(held.args[first])
 
-    unclean = not scan.records or scan.records[-1].kind != "shutdown"
-    if unclean:
+        last = None
+        for offset, frame in log.trusted(start):
+            tenant = frame.tenant
+            # Exactly-once: a record logged before the checkpoint has its
+            # effect inside it already (and was counted as skipped).
+            for index in range(first + 1 if offset == start else 0,
+                               len(frame.kinds)):
+                op = CONTROL_OPS.get(frame.kinds[index])
+                if op is None:
+                    continue  # checkpoint/shutdown markers structure the log
+                try:
+                    op.apply(homes, tenant,
+                             op.decode(tenant, frame.args[index]))
+                except NotHere:
+                    # Past a cutover the op applied in the destination's
+                    # failure domain, not ours.
+                    report.skipped += 1
+                except ReproError as exc:
+                    # The op failed before the crash too (apply errors are
+                    # deterministic); record and continue so one poisoned
+                    # op cannot block the recovery of every later one.
+                    report.errors.append(
+                        (frame.grp + index, frame.kinds[index], repr(exc)))
+                else:
+                    report.replayed += 1
+            last = frame.kinds[-1]
+        report.torn = log.torn()
+
+    report.unclean = last != "shutdown"
+    if report.unclean:
         registry.counter(
             "faults_detected_total", {"kind": "controller_crash"},
             help="unclean controller shutdowns detected at recovery",
         ).inc()
-
-    checkpoint, start = _pick_checkpoint(scan.records)
-    backend = backend_factory(checkpoint)
-    report = RecoveryReport(backend=backend, torn=scan.torn,
-                            header_ok=scan.header_ok, unclean=unclean)
-    homes = Homes(backend)
-    if checkpoint is not None:
-        marker = scan.records[start]
-        report.checkpoint_op_id = marker.op_id
-        for tenant_ckpt in checkpoint.tenants:
-            backend.restore_tenant(tenant_ckpt)
-            report.restored_tenants += 1
-        homes.restore(marker.args)
-
-    for index, record in enumerate(scan.records):
-        op = CONTROL_OPS.get(record.kind)
-        if op is None:
-            continue  # checkpoint/shutdown markers structure the log only
-        # Exactly-once: logged before the checkpoint, the op's effect is
-        # already inside it...
-        skip = index < start
-        try:
-            if not skip:
-                op.apply(homes, record.tenant,
-                         op.decode(record.tenant, record.args))
-        except NotHere:
-            # ...and past a cutover it applied in the destination's
-            # failure domain, not ours.
-            skip = True
-        except ReproError as exc:
-            # The op failed before the crash too (apply errors are
-            # deterministic); record and continue so one poisoned op
-            # cannot block the recovery of every later one.
-            report.errors.append((record.op_id, record.kind, repr(exc)))
-            continue
-        if skip:
-            report.skipped += 1
-        else:
-            report.replayed += 1
-
     registry.counter(
         "wal_records_replayed_total", {},
         help="control ops re-applied from the WAL at recovery",

@@ -54,10 +54,17 @@ Two marker kinds ride in the same log next to the control ops:
   is anything else witnesses a crash (what recovery counts as
   ``faults_detected_total{kind="controller_crash"}``).
 
+Reading: :class:`FrameReader` is the one reader.  It holds one frame at
+a time — length bound, checksum, then (in :meth:`FrameReader.trusted`)
+structure — so every reader's memory is O(largest frame), not O(log).
+:func:`read_wal` collects a whole log's records for tests and tools;
+nothing on the recovery or reopen path calls it.
+
 Opening: a missing or zero-length file is initialised with the header; a
-file that starts with this build's magic is continued (torn tail cut
-off, op-ids resumed).  Any *other* non-empty file — a foreign file, a
-``v1`` log, a log with a damaged header — is refused with
+file that starts with this build's magic is continued after one pass
+over its frames (torn tail cut off, op-ids resumed at the last trusted
+frame's ``grp + len(kinds)``).  Any *other* non-empty file — a foreign
+file, a ``v1`` log, a log with a damaged header — is refused with
 :class:`~repro.errors.WalError` and left byte-for-byte untouched: it may
 hold acknowledged ops, and overwriting it would destroy them.  The
 magic's trailing ``v2`` is the format version; ``v1`` had a second,
@@ -77,7 +84,7 @@ import json
 import os
 import pathlib
 import struct
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -90,6 +97,8 @@ __all__ = [
     "CONTROL_OP_KINDS",
     "MARKER_KINDS",
     "OP_KINDS",
+    "Frame",
+    "FrameReader",
     "WalRecord",
     "WalReadResult",
     "WriteAheadLog",
@@ -132,11 +141,24 @@ class WalRecord(NamedTuple):
     args: dict[str, Any]
 
 
-def _decode_frame(payload: bytes) -> list[WalRecord]:
-    """Unpack one frame's payload into its records (all or none)."""
-    doc = json.loads(payload.decode())
+class Frame(NamedTuple):
+    """One decoded frame: record ``i`` is ``(grp + i, kinds[i], tenant,
+    args[i])``."""
+
+    grp: int
+    tenant: str
+    kinds: list[str]
+    args: list[dict[str, Any]]
+
+
+def _decode_frame(payload: bytes) -> Frame | None:
+    """Unpack one frame's payload, or ``None`` if it is not a valid frame."""
+    try:
+        doc = json.loads(payload.decode())
+    except ValueError:  # UnicodeDecodeError or json.JSONDecodeError
+        return None
     if not isinstance(doc, dict):
-        raise WalError(f"structurally invalid WAL frame: {doc!r}")
+        return None
     first = doc.get("grp")
     tenant = doc.get("tenant")
     kinds = doc.get("kinds")
@@ -146,9 +168,8 @@ def _decode_frame(payload: bytes) -> list[WalRecord]:
             or not kinds or len(kinds) != len(argses)
             or not all(isinstance(k, str) for k in kinds)
             or not all(isinstance(a, dict) for a in argses)):
-        raise WalError(f"structurally invalid WAL frame: {doc!r}")
-    return [WalRecord(first + i, kinds[i], tenant, argses[i])
-            for i in range(len(kinds))]
+        return None
+    return Frame(first, tenant, kinds, argses)
 
 
 @dataclass(frozen=True)
@@ -177,6 +198,81 @@ class WalReadResult:
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class FrameReader:
+    """A log opened for reading, one frame at a time — never read whole.
+
+    ``header_ok`` is False when the file is missing or does not start
+    with :data:`WAL_MAGIC` (it then has no frames).  ``valid`` is the end
+    of the last frame :meth:`trusted` yielded: the trusted prefix's
+    length once a pass has run to its end.
+    """
+
+    def __init__(self, path: str | pathlib.Path):
+        try:
+            self._file = open(path, "rb")
+        except OSError:
+            self._file, self.size, self.header_ok = None, 0, False
+        else:
+            self.size = os.fstat(self._file.fileno()).st_size
+            self.header_ok = self._file.read(len(WAL_MAGIC)) == WAL_MAGIC
+        self.valid = len(WAL_MAGIC) if self.header_ok else 0
+
+    def frames(self, offset: int = len(WAL_MAGIC),
+               ) -> Iterator[tuple[int, bytes]]:
+        """``(offset, payload)`` of each frame from ``offset`` on, stopping
+        at the first whose length bound or checksum fails."""
+        if not self.header_ok:
+            return
+        file = self._file
+        while True:
+            file.seek(offset)
+            head = file.read(_LEN.size)
+            if len(head) < _LEN.size:
+                return
+            (length,) = _LEN.unpack(head)
+            end = offset + _LEN.size + length + _CHECKSUM_BYTES
+            if length > _MAX_FRAME_BYTES or end > self.size:
+                return
+            payload = file.read(length)
+            if (hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
+                    != file.read(_CHECKSUM_BYTES)):
+                return
+            yield offset, payload
+            offset = end
+
+    def trusted(self, offset: int = len(WAL_MAGIC),
+                ) -> Iterator[tuple[int, Frame]]:
+        """:meth:`frames`, decoded, also stopping at the first frame that
+        is not structurally valid.  A structurally bad payload behind a
+        good checksum is next to impossible from bit rot; it is treated
+        like a torn frame so that recovery stays total either way."""
+        for start, payload in self.frames(offset):
+            frame = _decode_frame(payload)
+            if frame is None:
+                return
+            self.valid = start + _LEN.size + len(payload) + _CHECKSUM_BYTES
+            yield start, frame
+
+    def torn(self) -> int:
+        """1 if the trusted prefix ends short of the file (counted as
+        ``wal_torn_records_total``), else 0.  Call it once, after the
+        pass that reached the prefix's end."""
+        if self.valid == self.size:
+            return 0
+        obs.get_registry().counter(
+            "wal_torn_records_total", {},
+            help="torn/corrupt WAL tails truncated at recovery",
+        ).inc()
+        return 1
+
+    def __enter__(self) -> FrameReader:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._file is not None:
+            self._file.close()
+
+
 def read_wal(path: str | pathlib.Path) -> WalReadResult:
     """Scan a log, returning the trusted prefix and truncating nothing.
 
@@ -187,56 +283,12 @@ def read_wal(path: str | pathlib.Path) -> WalReadResult:
     header reads as an empty log (``header_ok=False``; a non-empty file
     with a bad header also counts as torn).
     """
-    path = pathlib.Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return WalReadResult((), 0, 0, False)
-
-    def _torn() -> None:
-        obs.get_registry().counter(
-            "wal_torn_records_total", {},
-            help="torn/corrupt WAL tails truncated at recovery",
-        ).inc()
-
-    if blob[:len(WAL_MAGIC)] != WAL_MAGIC:
-        if blob:
-            _torn()
-            return WalReadResult((), 0, 1, False)
-        return WalReadResult((), 0, 0, False)
-
-    records: list[WalRecord] = []
-    valid = len(WAL_MAGIC)
-    torn = 0
-    while valid < len(blob):
-        offset = valid
-        if offset + _LEN.size > len(blob):
-            torn = 1
-            break
-        (length,) = _LEN.unpack_from(blob, offset)
-        offset += _LEN.size
-        if length > _MAX_FRAME_BYTES or offset + length + _CHECKSUM_BYTES > len(blob):
-            torn = 1
-            break
-        payload = blob[offset:offset + length]
-        offset += length
-        stored = blob[offset:offset + _CHECKSUM_BYTES]
-        offset += _CHECKSUM_BYTES
-        if hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES] != stored:
-            torn = 1
-            break
-        try:
-            records.extend(_decode_frame(payload))
-        except (WalError, UnicodeDecodeError, json.JSONDecodeError):
-            # A structurally-bad payload behind a good checksum is next
-            # to impossible from bit rot; treat it like a torn frame so
-            # recovery stays total either way.
-            torn = 1
-            break
-        valid = offset
-    if torn:
-        _torn()
-    return WalReadResult(tuple(records), valid, torn, True)
+    with FrameReader(path) as log:
+        records = tuple(
+            WalRecord(frame.grp + i, kind, frame.tenant, frame.args[i])
+            for _, frame in log.trusted()
+            for i, kind in enumerate(frame.kinds))
+        return WalReadResult(records, log.valid, log.torn(), log.header_ok)
 
 
 class WriteAheadLog:
@@ -285,15 +337,18 @@ class WriteAheadLog:
             "wal_fsync_total", {},
             help="fsync barriers issued by the write-ahead log",
         )
-        existing = read_wal(self.path)
+        with FrameReader(self.path) as existing:
+            last = None
+            for _, last in existing.trusted():
+                pass
+            torn = existing.torn()
         if existing.header_ok:
             # Continue an existing log: drop any torn tail, then append.
             with open(self.path, "r+b") as fh:
-                fh.truncate(existing.valid_bytes)
-            self._next_op = (max(r.op_id for r in existing.records) + 1
-                             if existing.records else 0)
+                fh.truncate(existing.valid)
+            self._next_op = last.grp + len(last.kinds) if last else 0
             self._file = open(self.path, "ab")
-        elif existing.torn:
+        elif torn:
             # Non-empty, but not our header.  Not ours to overwrite: it
             # may be an older-format log full of acknowledged ops, or
             # somebody else's file entirely.

@@ -689,9 +689,9 @@ def _chain_document() -> dict:
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
 def test_deeply_shared_policy_document_is_refused_at_once(cls):
     """Admission and hot-swap must refuse a document taller than the
-    pipeline per node (TH009), not walk the diamonds per path while
-    holding the controller's admission lock — and not recurse into the
-    chain: the refusal is typed, and the live plan keeps serving."""
+    pipeline per node (TH009), not walk the diamonds per path during
+    the controller worker's turn — and not recurse into the chain: the
+    refusal is typed, and the live plan keeps serving."""
     backend = _make_backend(cls)
     backend.unprogram_tenant("c")  # room to admit, were the policy to fit
     backend.write_batch([TableWrite("a", rid, {"cpu": 9 - rid, "mem": rid})

@@ -9,19 +9,22 @@ not merely plausible.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
-from repro.errors import CompilationError
+from repro.errors import CheckpointError, CompilationError, ReproError
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
-from repro.serving.checkpoint import canonical_bytes
+from repro.serving.checkpoint import SwitchCheckpoint, canonical_bytes
 from repro.serving.controller import Controller
-from repro.serving.recovery import recover
+from repro.serving.ops import CONTROL_OPS, Homes, NotHere
+from repro.serving.recovery import RecoveryReport, recover
 from repro.serving.wal import WAL_MAGIC, WriteAheadLog, read_wal
 from repro.tenancy.manager import TenantManager, TenantSpec
 from tests.serving.test_migration import serve_trace, stateful_cases
@@ -631,3 +634,215 @@ def test_replay_errors_are_counted_not_fatal(tmp_path):
     ]
     assert report.replayed == 2
     assert _state(report.backend) == _state(backend)
+
+
+# -- the frame reader: bounded memory, and the collected log's answer on every log ----
+
+
+def _row_log(path, records: int) -> None:
+    """One 16-row tenant's admission, then ``records`` row writes logged
+    in frames of 32 (the last frame may be shorter)."""
+    with WriteAheadLog(path) as wal:
+        wal.append("add_tenant", "t", CONTROL_OPS["add_tenant"].encode(
+            TenantSpec("t", _policy("pred"), smbm_quota=16)))
+        for base in range(0, records, 32):
+            wal.append_group([
+                ("update_resource", "t", TableWrite(
+                    "t", n % 16, {"cpu": n % 97, "mem": n}).to_dict())
+                for n in range(base, min(base + 32, records))])
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recovery_and_reopen_hold_one_frame_not_the_log(tmp_path):
+    """Neither recovery nor reopening a log builds its records: memory
+    is bounded by the largest frame, so ten times the log costs (well
+    under) one and a half times the peak."""
+    peaks = {}
+    for records in (2_000, 20_000):
+        path = tmp_path / f"rows-{records}.wal"
+        _row_log(path, records)
+        recover(path, _factory)  # warm: compile caches, lazy imports
+        reports = []
+        peaks[records] = (
+            _traced_peak(lambda: reports.append(recover(path, _factory))),
+            _traced_peak(lambda: WriteAheadLog(path).close()))
+        assert reports[0].replayed == records + 1 and not reports[0].errors
+    (recover_small, reopen_small), (recover_big, reopen_big) = peaks.values()
+    assert recover_big <= 1.5 * recover_small, peaks
+    assert reopen_big <= 1.5 * reopen_small, peaks
+
+
+def _reference_recover(path, backend_factory) -> RecoveryReport:
+    """Recovery as it was before the frame reader, over every record of
+    the collected log: pick the newest decodable checkpoint, restore it,
+    skip every control record before it and replay the rest.  Kept as
+    the oracle the frame passes must equal."""
+    scan = read_wal(path)
+    records = scan.records
+    checkpoint, start = None, -1
+    for index in reversed(range(len(records))):
+        if records[index].kind == "checkpoint":
+            try:
+                checkpoint = SwitchCheckpoint.from_payload(records[index].args)
+            except CheckpointError:
+                continue
+            start = index
+            break
+    backend = backend_factory(checkpoint)
+    report = RecoveryReport(
+        backend=backend, torn=scan.torn, header_ok=scan.header_ok,
+        unclean=not records or records[-1].kind != "shutdown")
+    homes = Homes(backend)
+    if checkpoint is not None:
+        report.checkpoint_op_id = records[start].op_id
+        for tenant_ckpt in checkpoint.tenants:
+            backend.restore_tenant(tenant_ckpt)
+            report.restored_tenants += 1
+        homes.restore(records[start].args)
+    for index, record in enumerate(records):
+        op = CONTROL_OPS.get(record.kind)
+        if op is None:
+            continue
+        skip = index < start
+        try:
+            if not skip:
+                op.apply(homes, record.tenant,
+                         op.decode(record.tenant, record.args))
+        except NotHere:
+            skip = True
+        except ReproError as exc:
+            report.errors.append((record.op_id, record.kind, repr(exc)))
+            continue
+        if skip:
+            report.skipped += 1
+        else:
+            report.replayed += 1
+    return report
+
+
+_REPORT_FIELDS = ("replayed", "skipped", "torn", "header_ok", "unclean",
+                  "checkpoint_op_id", "errors", "restored_tenants")
+
+
+def _assert_recovers_as_the_reference(path, label: str) -> None:
+    got = recover(path, _factory)
+    want = _reference_recover(path, _factory)
+    for name in _REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (label, name)
+    assert _state(got.backend) == _state(want.backend), label
+    scan = read_wal(path)
+    reopened = path.with_suffix(".reopen")
+    reopened.write_bytes(path.read_bytes())
+    with WriteAheadLog(reopened) as wal:
+        assert wal.next_op_id == (scan.records[-1].op_id + 1
+                                  if scan.records else 0), label
+    assert reopened.stat().st_size == scan.valid_bytes, label
+
+
+def _frame_offsets(blob: bytes) -> list[int]:
+    """Where each frame starts, in file order, and where the log ends."""
+    offsets, offset = [], len(WAL_MAGIC)
+    while offset < len(blob):
+        offsets.append(offset)
+        offset += 4 + int.from_bytes(blob[offset:offset + 4], "big") + 8
+    return [*offsets, offset]
+
+
+def _checkpoint_frames(blob: bytes) -> list[int]:
+    """Indices of the frames that hold a checkpoint record."""
+    offsets = _frame_offsets(blob)
+    return [k for k, offset in enumerate(offsets[:-1])
+            if "checkpoint" in json.loads(
+                blob[offset + 4:offsets[k + 1] - 8])["kinds"]]
+
+
+def _bad_structure_frame() -> bytes:
+    """A frame whose checksum holds but whose payload is no group; its
+    tenant is named ``checkpoint``, so the byte pass flags it too."""
+    payload = b'{"grp":"x","kinds":[],"args":[],"tenant":"checkpoint"}'
+    return (len(payload).to_bytes(4, "big") + payload
+            + hashlib.sha256(payload).digest()[:8])
+
+
+def _differential_log(path, *, bogus_newest: bool, ghost: bool) -> None:
+    """Two checkpoints among writes to ``a``; the newer one's payload does
+    not decode when ``bogus_newest``; ``ghost`` admits a tenant named
+    ``checkpoint`` whose frames are false candidates after both."""
+    wal = WriteAheadLog(path)
+
+    async def run() -> None:
+        async with Controller(_backend(), wal=wal) as ctl:
+            await ctl.add_tenant(_spec("a"))
+            await ctl.update_resource("a", 1, {"cpu": 4, "mem": 1})
+            await ctl.checkpoint()
+            await asyncio.gather(*(
+                ctl.update_resource("a", i, {"cpu": i, "mem": i})
+                for i in range(5)))
+            if bogus_newest:
+                wal.append("checkpoint", "__ctl__", {"tenants": "torn"})
+            else:
+                await ctl.checkpoint()
+            await ctl.remove_resource("a", 3)
+            if ghost:
+                await ctl.add_tenant(_spec("checkpoint", "pred"))
+                await ctl.update_resource("checkpoint", 2,
+                                          {"cpu": 1, "mem": 2})
+            await ctl.update_resource("a", 7, {"cpu": 2, "mem": 3})
+
+    asyncio.run(run())
+    wal.close()
+
+
+def test_frame_scan_recovers_as_the_collected_log_did(tmp_path):
+    """Recovery's frame passes and reopen's single pass answer exactly
+    as the record-collecting replay over ``read_wal(path).records``, on
+    clean, checkpointed, falsely-flagged, malformed and torn logs."""
+    logs = {}
+    for bogus_newest in (False, True):
+        for ghost in (False, True):
+            path = tmp_path / f"log-{bogus_newest}-{ghost}.wal"
+            _differential_log(path, bogus_newest=bogus_newest, ghost=ghost)
+            logs[path.stem] = path.read_bytes()
+    clean = tmp_path / "clean.wal"
+    with WriteAheadLog(clean) as wal:
+
+        async def run() -> None:
+            async with Controller(_backend(), wal=wal) as ctl:
+                await _schedule(ctl)
+
+        asyncio.run(run())
+    logs["clean"] = clean.read_bytes()
+
+    blob = logs["log-False-False"]
+    offsets = _frame_offsets(blob)
+    marks = _checkpoint_frames(blob)
+    assert len(marks) == 2
+    for name, k in (("bad-before-both", marks[0]),
+                    ("bad-between", marks[1]), ("bad-after", marks[1] + 1)):
+        cut = offsets[k]
+        logs[name] = blob[:cut] + _bad_structure_frame() + blob[cut:]
+
+    for name, data in logs.items():
+        path = tmp_path / f"case-{name}.wal"
+        path.write_bytes(data)
+        _assert_recovers_as_the_reference(path, name)
+        if name.startswith("log-"):
+            # Every byte of the last three frames, and a few cuts into
+            # each checkpoint frame.
+            offsets = _frame_offsets(data)
+            cuts = set(range(offsets[-4], len(data)))
+            for k in _checkpoint_frames(data):
+                start, end = offsets[k], offsets[k + 1]
+                cuts |= {start + 1, start + 4, (start + end) // 2, end - 1}
+            for cut in sorted(cuts):
+                path.write_bytes(data[:cut])
+                _assert_recovers_as_the_reference(path, f"{name}@{cut}")
