@@ -55,11 +55,11 @@ META_FILTER_EPOCH = "filter_epoch"
 def checked_mask(mask: object) -> int:
     """A packet's ``META_FILTER_INPUT`` value as the int mask it must be.
 
-    The one place the mask enters (the scalar hook and the columnariser
-    both call it): an ``int`` passes unchanged — negative ones keep their
-    two's-complement meaning — and anything else is refused, ``bool`` and
-    ``float`` included, rather than coerced or left to raise a bare
-    builtin error from the middle of a batch.
+    The one place the mask enters (the switch's classifying pass and the
+    columnariser both call it): an ``int`` passes unchanged — negative
+    ones keep their two's-complement meaning — and anything else is
+    refused, ``bool`` and ``float`` included, rather than coerced or left
+    to raise a bare builtin error from the middle of a batch.
     """
     if type(mask) is int:
         return mask
@@ -184,7 +184,7 @@ class PacketBatch:
     def scatter(self) -> None:
         """Write the output columns back onto the source packets' metadata
         (no-op rows whose packets did not request filtering, exactly like
-        the scalar :meth:`FilterModule.hook`)."""
+        the switch's batch pass)."""
         if self._packets is None:
             raise ConfigurationError(
                 "scatter() requires a batch built with from_packets()"

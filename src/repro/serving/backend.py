@@ -2,43 +2,41 @@
 
 :class:`SwitchBackend` is the contract the control plane programs against:
 tenant lifecycle (program / unprogram / hot-swap), table write-batches,
-packet serving (scalar and batch), checkpoint / restore, and a health
-probe.  Everything above this interface — the asyncio
+packet serving (one door, :meth:`SwitchBackend.process_batch`; a single
+packet is a batch of one), checkpoint / restore, and a health probe.
+Everything above this interface — the asyncio
 :class:`~repro.serving.controller.Controller`, live migration, the chaos
 harness — is written once and runs unchanged on any backend.
 
 Two backends conform today, both multiplexing tenants over one
 :class:`~repro.switch.thanos_switch.ThanosSwitch`:
 
-* :class:`ScalarBackend` — the per-packet reference path: every packet
-  goes through the switch's filter stage on its own (``switch.process``);
-* :class:`BatchedBackend` — the columnar engine path
-  (``switch.process_batch``): one classifying pass over the batch, then
-  each tenant's run of rows as one mask column through its module's
-  ``evaluate_masks`` (a memo broadcast, the kernel, or the row routine
-  while the Cells take rows), the outputs written straight onto the
-  packets, in runs cut only by that tenant's own probes.
+* :class:`BatchedBackend` — the columnar engine path: one classifying
+  pass over the batch, then each tenant's run of rows as one mask column
+  through its module's ``evaluate_masks`` (a memo broadcast, the kernel,
+  or the row routine while the Cells take rows), the outputs written
+  straight onto the packets, in runs cut only by that tenant's own probes;
+* :class:`ScalarBackend` — the same pass with every run evaluated one row
+  at a time, each row as a batch of its own would get it.  It runs the
+  batched path's code, so it checks that cutting a run changes no output;
+  it is no independent reference.
 
 Both refuse a batch by one rule, before any probe commits or any row is
-served: :func:`~repro.tenancy.demux.classify`, which the batched switch
-runs as its first pass and the scalar backend through
-:meth:`~repro.tenancy.demux.TenantDemux.partition` — every routing
-violation in one :class:`~repro.errors.RoutingError`, else the first
-malformed mask or out-of-quota probe id.  The rest of the shared
+served: :func:`~repro.tenancy.demux.classify`, the switch's first pass —
+every routing violation in one :class:`~repro.errors.RoutingError`, else
+the first malformed mask or out-of-quota probe id.  The rest of the shared
 machinery — admission, the epoch watermark stamped on filter outputs,
 serving-cache resets on plan or table change — lives in
 :class:`SwitchBackend` itself (and below it, in
 :class:`~repro.switch.filter_module.FilterModule`), so the backends
-differ *only* in how an admitted batch is served
-(:meth:`SwitchBackend._serve_batch`, the one abstract method).  That is
-what the conformance suite checks: same inputs, same outputs, same error
-types, same observability series (distinguished only by the ``backend``
-label).
+differ *only* in how a run is evaluated (:attr:`SwitchBackend.switch_cls`).
+That is what the conformance suite checks: same inputs, same outputs, same
+error types, same observability series (distinguished only by the
+``backend`` label).
 """
 
 from __future__ import annotations
 
-import abc
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from typing import Any
@@ -53,8 +51,8 @@ from repro.serving.checkpoint import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.switch.thanos_switch import ThanosSwitch
-from repro.tenancy.demux import TenantDemux
+from repro.switch.filter_module import FilterModule
+from repro.switch.thanos_switch import ThanosSwitch, _write_run
 from repro.tenancy.manager import Tenant, TenantManager, TenantSpec
 
 __all__ = [
@@ -97,28 +95,30 @@ class TableWrite:
                    else {str(k): int(v) for k, v in metrics.items()})
 
 
-class SwitchBackend(abc.ABC):
+class SwitchBackend:
     """The serving contract a control plane programs against, implemented
     once over a :class:`TenantManager` and the :class:`ThanosSwitch`
     that demuxes its tenants.
 
-    Subclasses override only :meth:`_serve_batch`, and both start it with
-    the same whole-batch check (module docstring), so they present
-    identical all-or-nothing batch admission regardless of how they serve.
+    Subclasses set only :attr:`name` and :attr:`switch_cls`; every switch
+    class starts a batch with the same whole-batch check (module
+    docstring), so they present identical all-or-nothing batch admission
+    regardless of how they serve.
     """
 
     #: Short identifier used as the ``backend`` label on obs series.
     name: str = "abstract"
+    #: The switch the backend serves through.
+    switch_cls: type[ThanosSwitch] = ThanosSwitch
 
     def __init__(self, manager: TenantManager):
         self._manager = manager
-        self._switch = ThanosSwitch(manager)
-        self._demux = TenantDemux(manager)
+        self._switch = self.switch_cls(manager)
         registry = obs.get_registry()
         labels = {"backend": self.name}
         self._obs_packets = registry.counter(
             "backend_packets_total", labels,
-            help="packets served through the backend (scalar + batch)",
+            help="packets served through the backend",
         )
         self._obs_writes = registry.counter(
             "backend_table_writes_total", labels,
@@ -179,21 +179,12 @@ class SwitchBackend(abc.ABC):
 
     # -- serving -----------------------------------------------------------------------
 
-    def process(self, packet: Packet) -> Packet:
-        """Serve one packet (probe or data)."""
-        out = self._switch.process(packet)
-        self._obs_packets.inc()
-        return out
-
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Serve a packet stream, preserving per-packet semantics."""
-        out = self._serve_batch(packets)
+        """Serve a packet stream (probes and data), preserving per-packet
+        semantics: the one packet door."""
+        out = self._switch.process_batch(packets)
         self._obs_packets.inc(len(packets))
         return out
-
-    @abc.abstractmethod
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """The one point the two backends differ."""
 
     # -- checkpoint / restore ----------------------------------------------------------
 
@@ -274,17 +265,24 @@ class SwitchBackend(abc.ABC):
         }
 
 
+class _RowByRowSwitch(ThanosSwitch):
+    """The switch with every run evaluated one row at a time: each row
+    gets what it would get as a batch of its own."""
+
+    @staticmethod
+    def _serve_run(module: FilterModule, rows: list[Packet],
+                   masks: list[int | None]) -> None:
+        evaluate = module.evaluate_masks
+        _write_run(module, rows, [evaluate((mask,))[0] for mask in masks])
+
+
 class ScalarBackend(SwitchBackend):
-    """The per-packet reference path: every packet, probe or data,
-    goes through the switch's filter stage on its own."""
+    """The batched path with every run cut to single rows (module
+    docstring): one classifying pass per batch, then one
+    ``evaluate_masks`` call per row."""
 
     name = "scalar"
-
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        # The batched path's up-front refusal, then per-packet serving
-        # (which re-resolves each label against the unchanged admitted set).
-        self._demux.partition(packets)
-        return [self._switch.process(p) for p in packets]
+    switch_cls = _RowByRowSwitch
 
 
 class BatchedBackend(SwitchBackend):
@@ -293,9 +291,6 @@ class BatchedBackend(SwitchBackend):
     ``evaluate_masks``, cut only by that tenant's own probes."""
 
     name = "batched"
-
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        return self._switch.process_batch(packets)
 
 
 def build_backend(kind: str, manager: TenantManager) -> SwitchBackend:

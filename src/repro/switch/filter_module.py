@@ -7,7 +7,8 @@ filtered set of resource ids — is written to the packet's metadata for the
 RMT stages that follow (section 3).
 
 Packets that do not want filtering simply bypass the module
-(:meth:`FilterModule.hook` leaves packets without the trigger flag alone).
+(:meth:`FilterModule.evaluate_batch` leaves rows without the trigger flag
+alone).
 
 The paper maps the policy onto Cells once, at compile time; a fault moves
 the *placement*, not the policy.  The module keeps that split with two
@@ -56,7 +57,6 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
     META_FILTER_REQUEST,
     META_FILTER_SELECTED,
     PacketBatch,
-    checked_mask,
 )
 from repro.engine.codegen import PlanCodegen
 from repro.errors import ConfigurationError, IntegrityError
@@ -366,7 +366,7 @@ class FilterModule:
     def _serve(self, mask: int | None) -> int:
         """One packet's filter output as a raw id-mask: the only row
         routine.  ``mask`` is the packet's ``META_FILTER_INPUT`` candidate
-        set (``None`` = the full table); every entry point — :meth:`hook`,
+        set (``None`` = the full table); every entry point —
         :meth:`evaluate`, :meth:`select`, each :meth:`evaluate_masks` row
         the batch engine does not take — lands here, so what a packet gets
         cannot depend on how it arrived.
@@ -524,20 +524,6 @@ class FilterModule:
         selected = selected_id(self._serve(None))
         return None if selected < 0 else selected
 
-    def hook(self, packet: Packet) -> None:
-        """The per-packet filter stage: filter on request, bypass otherwise.
-
-        A ``META_FILTER_INPUT`` candidate mask restricts the table the
-        policy sees for this packet, exactly as a masked batch row."""
-        meta = packet.metadata
-        if not meta.get(META_FILTER_REQUEST):
-            return
-        mask = meta.get(META_FILTER_INPUT)
-        out = self._serve(None if mask is None else checked_mask(mask))
-        meta[META_FILTER_OUTPUT] = out
-        meta[META_FILTER_SELECTED] = selected_id(out)
-        meta[META_FILTER_EPOCH] = self._plan_epoch
-
     # -- batched processing -------------------------------------------------------------
 
     def evaluate_masks(self, masks: Sequence[int | None]) -> list[int]:
@@ -555,8 +541,8 @@ class FilterModule:
         * while the Cells take rows (:attr:`CellShadow.takes_rows
           <repro.switch.cell_shadow.CellShadow.takes_rows>`: an injected
           fault is live, or ``sanitize``), :meth:`_serve` takes those rows
-          instead, one at a time, exactly as :meth:`hook` would, so a Cell
-          fault raises or heals here as it would for the same packet.
+          instead, one at a time, so a Cell fault raises or heals here as
+          it would for the same packet alone.
         """
         rows = len(masks)
         self._batches += 1

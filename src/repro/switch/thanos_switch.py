@@ -23,21 +23,44 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.rmt.packet import META_TENANT, Packet
-from repro.rmt.probe import ProbeCodec, ProbeUpdate
+from repro.rmt.probe import ProbeCodec
 from repro.switch.filter_module import (
     META_FILTER_EPOCH,
     META_FILTER_OUTPUT,
-    META_FILTER_REQUEST,
     META_FILTER_SELECTED,
     FilterModule,
     selected_id,
 )
-from repro.tenancy.demux import TenantDemux, classify
+from repro.tenancy.demux import classify
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime switch<->tenancy cycle
     from repro.tenancy.manager import TenantManager
 
 __all__ = ["ThanosSwitch", "META_TENANT"]
+
+
+def _serve_run(module: FilterModule, rows: list[Packet],
+               masks: list[int | None]) -> None:
+    """One owner's run of rows: its mask column through the batch core in
+    one call, the outputs written by :func:`_write_run`."""
+    if rows:
+        _write_run(module, rows, module.evaluate_masks(masks))
+
+
+def _write_run(module: FilterModule, rows: Sequence[Packet],
+               outs: Sequence[int]) -> None:
+    """Each output onto its row's metadata: the one writer of the filter
+    output on the switch (``selected`` once per distinct output object, so
+    once for a broadcast run)."""
+    epoch = module.plan_epoch
+    last = pick = None
+    for packet, out in zip(rows, outs):
+        if out is not last:
+            last, pick = out, selected_id(out)
+        meta = packet.metadata
+        meta[META_FILTER_OUTPUT] = out
+        meta[META_FILTER_SELECTED] = pick
+        meta[META_FILTER_EPOCH] = epoch
 
 
 class ThanosSwitch:
@@ -52,7 +75,6 @@ class ThanosSwitch:
 
     def __init__(self, tenants: "TenantManager"):
         self._tenants = tenants
-        self._demux = TenantDemux(tenants)
         self._codec = ProbeCodec(tenants.metric_names)
         self._probes_processed = 0
 
@@ -64,25 +86,9 @@ class ThanosSwitch:
     def probes_processed(self) -> int:
         return self._probes_processed
 
-    # -- remote metrics: the probe path (section 3, task 1) -----------------------------
-
-    def _apply_probe(self, module: FilterModule, update: ProbeUpdate) -> None:
-        """Commit one decoded probe to its owner's resource table."""
-        module.update_resource(update.resource_id, update.metrics)
-        self._probes_processed += 1
-
-    def process(self, packet: Packet) -> Packet:
-        """Process one packet: a probe updates its owner's table, a filter
-        request is served by its owner's module, anything else bypasses."""
-        update = self._codec.decode(packet)
-        if update is not None:
-            self._apply_probe(self._demux.resolve(packet).module, update)
-        elif packet.metadata.get(META_FILTER_REQUEST):
-            self._demux.resolve(packet).module.hook(packet)
-        return packet
-
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Process a packet stream, serving each owner's rows as columns.
+        """Process a packet stream, serving each owner's rows as columns:
+        the switch's one packet entry (a single packet is a batch of one).
 
         One pass (:func:`~repro.tenancy.demux.classify`) reads every
         packet's metadata once: it decodes only packets that carry headers,
@@ -93,43 +99,28 @@ class ThanosSwitch:
         one mask column through :meth:`FilterModule.evaluate_masks` per
         run, the outputs written straight onto the rows' metadata.  A run
         is cut only by its owner's own probes, which commit in arrival
-        order: every row sees exactly the table state it would under
-        per-packet :meth:`process`, and a probe for one tenant never splits
-        another's run (tables are disjoint, so the order across owners is
-        immaterial).
+        order: every row sees exactly the table state it would if each
+        packet came as a batch of its own, and a probe for one tenant never
+        splits another's run (tables are disjoint, so the order across
+        owners is immaterial).
 
         An error raised while *serving* a row — a dead Cell met without
-        ``self_healing``, a sanitizer refusal — is the one :meth:`process`
-        raises for that row, and propagates as is: while a fault sits on an
+        ``self_healing``, a sanitizer refusal — is the one that row raises
+        served alone, and propagates as is: while a fault sits on an
         owner's placement every row its memo cannot answer walks the Cells,
-        masked or not, on either path.  Which other owners' rows and probes
-        were served before it is not part of the contract: per-packet
-        serving stops at the packet, this path at the run.
+        masked or not.  Which other owners' rows and probes were served
+        before it is not part of the contract: a batch of one stops at the
+        packet, a longer batch at the run.
         """
         owners, cuts, runs = classify(packets, self._codec.decode,
                                       self._tenants)
         for name, run, update in cuts:
-            _serve_run(owners[name], *run)
-            self._apply_probe(owners[name], update)
+            self._serve_run(owners[name], *run)
+            owners[name].update_resource(update.resource_id, update.metrics)
+            self._probes_processed += 1
         for name, run in runs.items():
-            _serve_run(owners[name], *run)
+            self._serve_run(owners[name], *run)
         return list(packets)
 
-
-def _serve_run(module: FilterModule, rows: list[Packet],
-               masks: list[int | None]) -> None:
-    """One owner's run of rows: its mask column through the batch core, and
-    each output written onto its row's metadata, as :meth:`FilterModule.hook`
-    writes it (``selected`` once per distinct output object, so once for a
-    broadcast run)."""
-    if rows:
-        outs = module.evaluate_masks(masks)
-        epoch = module.plan_epoch
-        last = pick = None
-        for packet, out in zip(rows, outs):
-            if out is not last:
-                last, pick = out, selected_id(out)
-            meta = packet.metadata
-            meta[META_FILTER_OUTPUT] = out
-            meta[META_FILTER_SELECTED] = pick
-            meta[META_FILTER_EPOCH] = epoch
+    #: How one owner's run is served: its whole mask column at once.
+    _serve_run = staticmethod(_serve_run)

@@ -1,24 +1,24 @@
 """Backend-neutral tenant demux over ``META_TENANT`` labels.
 
 Every serving path that multiplexes many tenants onto one physical switch
-— the scalar per-packet hook, the batched columnar path, and any
-:class:`~repro.serving.backend.SwitchBackend` built on top of them —
-needs the same routing decision: *which admitted tenant owns this
-packet?*  This module centralises that decision so the rule is written
-once:
+— the switch's batch pass, and any
+:class:`~repro.serving.backend.SwitchBackend` built on it — needs the same
+routing decision: *which admitted tenant owns this packet?*  This module
+states that rule once, in :func:`classify`:
 
 * a packet that touches a tenant's module — a filter request or a probe
   (a table write) — with no ``META_TENANT`` label is a routing error (the
   ingress classifier must label every probe/data packet);
 * a label naming no admitted tenant — whatever its type, hashable or
   not — is a routing error;
-* batch demux reports **all** violations of a batch in one
+* all violations of a batch are reported in one
   :class:`~repro.errors.RoutingError` (every distinct unknown label plus
   the count of unlabelled packets) — a client replaying a rejected
-  batch learns the complete fix, not one label per round trip.
+  batch learns the complete fix, not one label per round trip.  A single
+  packet is a batch of one.
 
-:func:`classify` is the one pass a batch gets at the switch's edge; the
-batch-level :meth:`TenantDemux.partition` is a view of it.
+:func:`classify` is the one pass a batch gets at the switch's edge;
+:meth:`TenantDemux.partition` is a view of it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.rmt.probe import ProbeCodec, ProbeUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.switch.filter_module import FilterModule
-    from repro.tenancy.manager import Tenant, TenantManager
+    from repro.tenancy.manager import TenantManager
 
 __all__ = ["TenantDemux", "classify"]
 
@@ -139,41 +139,18 @@ def classify(
 
 
 class TenantDemux:
-    """Route packets to their owning tenant by ``META_TENANT`` label."""
+    """A batch's rows grouped by owning tenant, by :func:`classify`'s
+    rule."""
 
     def __init__(self, manager: "TenantManager"):
         self._manager = manager
         self._codec = ProbeCodec(manager.metric_names)
 
-    def resolve(self, packet: Packet) -> "Tenant":
-        """The admitted tenant owning this packet's traffic.
-
-        Single-packet (scalar path) variant: raises on the first problem,
-        since there is only one packet to report on.
-        """
-        name = packet.metadata.get(META_TENANT)
-        if name is None:
-            raise RoutingError(
-                "packet on a multi-tenant switch carries no META_TENANT "
-                "metadata; the ingress classifier must label every "
-                "probe/data packet with its tenant",
-                unlabelled=1,
-            )
-        try:
-            return self._manager.get(name)
-        except (ConfigurationError, TypeError):  # TypeError: unhashable
-            raise RoutingError(
-                f"no admitted tenant {name!r}; admitted: "
-                f"{sorted(t.name for t in self._manager)}",
-                unknown=(name,),
-            ) from None
-
     def partition(self, packets: Sequence[Packet]) -> dict[str, list[Packet]]:
         """Split a batch's rows into per-tenant sub-batches, arrival order
         kept: :func:`classify` with the probe cuts dropped, so it refuses
-        exactly what the batched switch refuses (the scalar backend's
-        up-front check).  Returns ``{tenant_name: [rows...]}`` for every
-        tenant with at least one row."""
+        exactly what the switch refuses.  Returns ``{tenant_name:
+        [rows...]}`` for every tenant with at least one row."""
         _, cuts, runs = classify(packets, self._codec.decode, self._manager)
         by_tenant: dict[str, list[Packet]] = {}
         for name, (rows, _), _ in cuts:

@@ -261,7 +261,7 @@ class TestStatefulKernel:
                             if mask is not None:
                                 meta[META_FILTER_INPUT] = mask
                             packet = Packet(metadata=meta)
-                            module.hook(packet)
+                            module.evaluate_batch([packet])
                             served.append(packet.metadata[META_FILTER_OUTPUT])
                         assert served == expected, (name, seed, step)
                 else:  # one batch, masked and unmasked rows mixed
@@ -281,7 +281,7 @@ class TestSanitizerDifferential:
         module.evaluate()  # agreeing paths: no complaint
         masked = Packet(metadata={META_FILTER_REQUEST: 1,
                                   META_FILTER_INPUT: rng.getrandbits(CAP)})
-        module.hook(masked)  # a masked row is held to the same check
+        module.evaluate_batch([masked])  # a masked row: the same check
         assert masked.metadata[META_FILTER_OUTPUT] == \
             module.compiled.evaluate_restricted(
                 module.smbm, masked.metadata[META_FILTER_INPUT]).value
@@ -299,6 +299,6 @@ class TestSanitizerDifferential:
         )
         with pytest.raises(IntegrityError):
             module.evaluate()
-        with pytest.raises(IntegrityError):  # masked scalar rows too
-            module.hook(Packet(metadata={META_FILTER_REQUEST: 1,
-                                         META_FILTER_INPUT: (1 << CAP) - 1}))
+        with pytest.raises(IntegrityError):  # a masked row alone too
+            module.evaluate_batch([Packet(metadata={
+                META_FILTER_REQUEST: 1, META_FILTER_INPUT: (1 << CAP) - 1})])

@@ -425,11 +425,15 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
     """N rows of the row routine that miss the memo move
     ``filter_evaluations_total``, the ``filter_eval_ns`` count and
     ``filter_eval_cycles_total`` by N, N and N x latency, whichever entry
-    point carried them and whether or not they carried a mask."""
+    point carried them and whether or not they carried a mask.  Masked
+    rows reach the row routine while the Cells take rows, so they are
+    carried on a sanitized module."""
     for policy in (_policy_a, _policy_c, _policy_f):
-        module = FilterModule(8, METRICS, policy())
+        module = FilterModule(8, METRICS, policy(), sanitize=True)
+        plain = FilterModule(8, METRICS, policy(), tenant="plain")
         for rid in range(5):
-            module.update_resource(rid, {"cpu": 40 - 7 * rid, "mem": rid})
+            for each in (module, plain):
+                each.update_resource(rid, {"cpu": 40 - 7 * rid, "mem": rid})
         module.evaluate()  # fill the memo where there is one
 
         def moved():
@@ -440,18 +444,16 @@ def test_every_miss_is_timed_and_charged_masked_or_not(registry):
                     registry.value_of("filter_eval_cycles_total"))
 
         before = moved()
-        packets = _traffic(ProbeCodec(METRICS), [
-            ("data", "t", mask) for mask in (0b111, 0b10011, 0, 0b1)])
-        module.hook(packets[0])
-        module.hook(packets[1])
+        module.evaluate_masks([0b111, 0b10011])
         module.update_resource(0, {"cpu": 99, "mem": 0})
         module.select()  # unmasked miss: the write dropped any memo
         misses = 3
         if not module.compiled.stateless:
             # A batch row of a stateful plan is a kernel row: one unit
             # step, charged to the engine path and not to the row routine.
-            module.evaluate_batch(packets[2:])
-            labels = {"policy": module.policy.name}
+            plain.evaluate_batch(_traffic(ProbeCodec(METRICS), [
+                ("data", "t", mask) for mask in (0, 0b1)]))
+            labels = {"policy": module.policy.name, "tenant": "plain"}
             assert registry.value_of("filter_memo_hits_total", labels) == 0
             assert registry.value_of("filter_batch_path_rows_total",
                                      {**labels, "path": "engine"}) == 2
@@ -544,7 +546,7 @@ def test_hostile_label_on_one_packet_is_a_routing_error(cls, label):
     backend = _make_backend(cls)
     packet = Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: label})
     with pytest.raises(RoutingError) as excinfo:
-        backend.process(packet)
+        backend.process_batch([packet])
     assert excinfo.value.unknown == (label,)
     assert META_FILTER_OUTPUT not in packet.metadata
 

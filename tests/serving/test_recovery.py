@@ -233,7 +233,8 @@ def _run_group_victim(cls, wal_path, hook) -> tuple[set[int], bool]:
                             raise result
         except SimulatedCrash:  # incl. one on the shutdown marker's frame
             return True
-        wal.close()
+        finally:  # a crashed life's handle too: what it wrote is flushed
+            wal.close()
         return False
 
     return acked, asyncio.run(run())

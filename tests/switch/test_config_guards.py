@@ -120,10 +120,10 @@ def _filled(**options) -> FilterModule:
     return module
 
 
-def _hook(module: FilterModule, mask: int) -> int:
-    """One masked packet through the scalar door."""
+def _masked(module: FilterModule, mask: int) -> int:
+    """One masked packet, a batch of one."""
     packet = Packet(metadata={META_FILTER_REQUEST: 1, META_FILTER_INPUT: mask})
-    module.hook(packet)
+    module.evaluate_batch([packet])
     return packet.metadata[META_FILTER_OUTPUT]
 
 
@@ -162,7 +162,7 @@ def test_a_stateless_module_serves_misses_and_masked_rows_from_its_kernel(
     for rid in range(4):
         module.update_resource(rid, {"q": 5 * rid, "load": 9 - rid})
         module.select()  # a memo miss per write
-    outs = [_hook(module, mask) for mask in (0b0110, 0b1000, 0)]
+    outs = [_masked(module, mask) for mask in (0b0110, 0b1000, 0)]
     assert plan_runs == []
     assert registry.value_of("filter_memo_misses_total") == 4
     assert outs == [0b0100, 0b1000, 0]
@@ -183,7 +183,7 @@ def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
         with pytest.raises(CellFault):
             module.select()
         with pytest.raises(CellFault):
-            _hook(module, 0b0110)
+            _masked(module, 0b0110)
         assert set(plan_runs) == {"evaluate", "evaluate_restricted"}
         # The self-test meets it too, and routes around it.
         assert module.self_test() == [
@@ -191,7 +191,7 @@ def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
     assert module.cells.routed_around == {dead}
     plan_runs.clear()  # healed: rows are back on the kernel
     module.update_resource(0, {"q": 0, "load": 0})
-    assert (module.select(), _hook(module, 0b0110)) == (0, 0b0100)
+    assert (module.select(), _masked(module, 0b0110)) == (0, 0b0100)
     assert plan_runs == []
 
 
@@ -199,11 +199,11 @@ def test_a_stuck_cell_holds_rows_on_the_cells_until_it_is_gone(plan_runs):
     module = _filled()
     pos = module.compiled.pipeline.active_cells()[0]
     module.cells.stick(*pos, 1, 0)
-    _hook(module, 0b0110)
+    _masked(module, 0b0110)
     assert plan_runs == ["evaluate_restricted"]
     module.cells.unstick(*pos, 1)
     plan_runs.clear()
-    assert _hook(module, 0b0110) == 0b0100 and plan_runs == []
+    assert _masked(module, 0b0110) == 0b0100 and plan_runs == []
 
 
 def test_a_swap_to_a_stateful_policy_builds_a_kernel_that_steps_its_units(

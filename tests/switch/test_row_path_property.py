@@ -5,12 +5,13 @@ Five twin modules are built identically and driven through the same
 sequence of packets, table writes, hot-swaps, wedged Cells and (where
 something can absorb it) a dead Cell — each twin through a different door:
 
-* ``hook``    — :meth:`FilterModule.hook` on the packet;
+* ``masks``   — :meth:`FilterModule.evaluate_masks` on ``[mask]``, the
+  selected id and epoch derived as the switch derives them;
 * ``packets`` — :meth:`FilterModule.evaluate_batch` on ``[packet]``;
 * ``batch``   — :meth:`FilterModule.evaluate_batch` on a prepared
   one-row :class:`PacketBatch`;
 * ``eval`` / ``select`` — :meth:`FilterModule.evaluate` / ``select`` for
-  unmasked packets (``hook`` for masked ones, which have no other door).
+  unmasked packets (``masks`` for masked ones, which have no other door).
 
 Every step must give the same outcome on all five — output, selected id
 and plan epoch, or the same exception type — and account for the packet
@@ -55,6 +56,7 @@ from repro.switch.filter_module import (
     META_FILTER_SELECTED,
     FilterModule,
     PacketBatch,
+    selected_id,
 )
 
 from tests.engine.test_batch_differential import (
@@ -64,7 +66,7 @@ from tests.engine.test_batch_differential import (
     _random_stateless_root,
 )
 
-DOORS = ("hook", "packets", "batch", "eval", "select")
+DOORS = ("masks", "packets", "batch", "eval", "select")
 
 STATEFUL_ROOTS = (
     lambda: round_robin(TableRef(), "a"),
@@ -139,10 +141,10 @@ def _serve(door: str, module: FilterModule, mask: int | None, all_none: bool):
         # select() shows only the singleton; the twins vouch for the rest.
         picked = module.select()
         return None, (-1 if picked is None else picked), module.plan_epoch
-    if door == "packets":
-        module.evaluate_batch([packet])
-    else:
-        module.hook(packet)
+    if door != "packets":
+        [out] = module.evaluate_masks([mask])
+        return out, selected_id(out), module.plan_epoch
+    module.evaluate_batch([packet])
     meta = packet.metadata
     return (meta[META_FILTER_OUTPUT], meta[META_FILTER_SELECTED],
             meta[META_FILTER_EPOCH])
@@ -221,7 +223,7 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
                         d, twins[d], mask, all_none))
                     for door in DOORS
                 }
-                want = outcomes["hook"]
+                want = outcomes["masks"]
                 for door, got in outcomes.items():
                     if door == "select" and mask is None and got[0] == "ok":
                         got = got[:1] + want[1:2] + got[2:]
@@ -237,7 +239,7 @@ def serves_like_plain(**options) -> None:
     module fed the same rows and the same hot-swap: every door serves the
     plain module's output, selected id and epoch on every mask shape —
     healthy, and with the first active Cell dead.  Where nothing absorbs
-    the dead Cell the row routine says so (``CellFault`` through ``hook``,
+    the dead Cell the row routine says so (``CellFault`` through ``masks``,
     never a silent answer) and no door serves anything *but* the plain
     rows or that fault."""
     def build(**kwargs) -> FilterModule:
@@ -256,7 +258,7 @@ def serves_like_plain(**options) -> None:
 
     masks = (None, 0b1011_0110_1101, 1 << 3, 0, 0b1111 << (CAP - 2))
     plain = build()
-    want = {mask: _outcome(lambda: _serve("hook", plain, mask, False))
+    want = {mask: _outcome(lambda: _serve("masks", plain, mask, False))
             for mask in masks}
     assert {outcome[0] for outcome in want.values()} == {"ok"}
     for dead in (False, True):
@@ -271,7 +273,7 @@ def serves_like_plain(**options) -> None:
                 got = got[:1] + want[mask][1:2] + got[2:]
             if not dead or _absorbs_dead_cell(options):
                 assert got == want[mask], (dead, door, mask)
-            elif door == "hook":
+            elif door == "masks":
                 assert got == ("raise", "CellFault"), (door, mask)
             else:
                 assert got in (want[mask], ("raise", "CellFault")), (

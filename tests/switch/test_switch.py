@@ -87,7 +87,7 @@ class TestFilterModule:
                           PipelineParams(n=2, k=1, f=1, chain_length=1))
         fm.update_resource(0, {"util": 5, "delay": 5})
         packet = data_packet()
-        fm.hook(packet)
+        fm.evaluate_batch([packet])
         assert META_FILTER_OUTPUT not in packet.metadata
         assert registry.value_of("filter_evaluations_total") == 0
 
@@ -97,7 +97,7 @@ class TestFilterModule:
         fm.update_resource(3, {"util": 5, "delay": 5})
         packet = data_packet()
         packet.metadata[META_FILTER_REQUEST] = 1
-        fm.hook(packet)
+        fm.evaluate_batch([packet])
         assert packet.metadata[META_FILTER_SELECTED] == 3
         assert packet.metadata[META_FILTER_OUTPUT] == 1 << 3
 
@@ -109,7 +109,7 @@ class TestFilterModule:
         fm.update_resource(1, {"util": 6, "delay": 6})
         packet = data_packet()
         packet.metadata[META_FILTER_REQUEST] = 1
-        fm.hook(packet)
+        fm.evaluate_batch([packet])
         assert packet.metadata[META_FILTER_SELECTED] == -1
         assert packet.metadata[META_FILTER_OUTPUT] == 0b11
 
@@ -132,22 +132,22 @@ class TestThanosSwitch:
 
     def test_probe_updates_resource_table(self):
         sw = make_switch()
-        sw.process(probe(2, util=30, delay=4))
+        sw.process_batch([probe(2, util=30, delay=4)])
         assert sw.probes_processed == 1
         assert module_of(sw).smbm.metrics_of(2) == {"util": 30, "delay": 4}
 
     def test_probe_refresh_overwrites(self):
         sw = make_switch()
-        sw.process(probe(2, util=30, delay=4))
-        sw.process(probe(2, util=70, delay=9))
+        sw.process_batch([probe(2, util=30, delay=4)])
+        sw.process_batch([probe(2, util=70, delay=9)])
         assert module_of(sw).smbm.metrics_of(2)["util"] == 70
 
     def test_data_packet_filtering_end_to_end(self):
         """Probes fill the table; a data packet picks the least-utilised path."""
         sw = make_switch()
         for rid, util in [(0, 60), (1, 10), (2, 40)]:
-            sw.process(probe(rid, util=util, delay=0))
-        packet = sw.process(request())
+            sw.process_batch([probe(rid, util=util, delay=0)])
+        [packet] = sw.process_batch([request()])
         assert packet.metadata[META_FILTER_SELECTED] == 1
 
     def test_process_batch_is_the_one_pass_with_one_owner(self):
@@ -162,7 +162,8 @@ class TestThanosSwitch:
 
         batched, scalar = make_switch(), make_switch()
         served = batched.process_batch(stream(range(4)))
-        want = [scalar.process(p) for p in stream(range(4))]
+        want = [p for one in stream(range(4))
+                for p in scalar.process_batch([one])]
         assert [p.metadata[META_FILTER_SELECTED] for p in served[1::2]] == [
             0, 1, 1, 3]
         assert [p.metadata for p in served] == [p.metadata for p in want]
@@ -177,7 +178,7 @@ class TestThanosSwitch:
     def test_data_packet_without_request_bypasses(self):
         """A packet that asks for nothing needs no tenant label."""
         sw = make_switch()
-        packet = sw.process(data_packet())
+        [packet] = sw.process_batch([data_packet()])
         assert META_FILTER_SELECTED not in packet.metadata
 
     def test_conditional_policy_through_switch(self):
@@ -188,9 +189,9 @@ class TestThanosSwitch:
         )
         policy = Policy(Conditional(random_pick(eligible), random_pick(TableRef())))
         sw = make_switch(policy, PipelineParams(n=4, k=3, f=2, chain_length=2))
-        sw.process(probe(0, util=90, delay=9))
-        sw.process(probe(1, util=10, delay=1))
-        packet = sw.process(request())
+        sw.process_batch([probe(0, util=90, delay=9)])
+        sw.process_batch([probe(1, util=10, delay=1)])
+        [packet] = sw.process_batch([request()])
         assert packet.metadata[META_FILTER_SELECTED] == 1
 
     def test_local_metric_event_hooks(self):
@@ -213,7 +214,8 @@ class TestThanosSwitch:
         on_queue(5, +1)
         on_queue(5, +1)
         assert module.smbm.metrics_of(3)["util"] == 1
-        assert sw.process(request()).metadata[META_FILTER_SELECTED] == 3
+        [packet] = sw.process_batch([request()])
+        assert packet.metadata[META_FILTER_SELECTED] == 3
 
 
 class TestReplicatedSMBM:

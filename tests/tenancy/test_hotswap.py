@@ -108,7 +108,7 @@ def test_hot_swap_scalar_stream_is_hitless(scenario):
         if i == swap_at:
             swap_epoch = mgr.hot_swap("a", _policies()[new])
         packet = _packet()
-        switch.process(packet)
+        switch.process_batch([packet])
         packets.append(packet)
     if swap_at == n_packets:
         swap_epoch = mgr.hot_swap("a", _policies()[new])

@@ -143,7 +143,7 @@ def test_two_tenant_chaos_isolation(rng):
                 packet = Packet(metadata={
                     META_FILTER_REQUEST: 1, META_TENANT: step[1],
                 })
-                switch.process(packet)
+                switch.process_batch([packet])
                 if step[1] == "b":
                     trace_b.append(packet.metadata[META_FILTER_OUTPUT])
         snap = obs.snapshot(registry)
