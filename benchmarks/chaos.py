@@ -1,23 +1,12 @@
-"""Seeded chaos harness: inject faults, assert detection and self-healing.
+"""Seeded chaos harness: inject faults, assert each contract holds.
 
 One :class:`~repro.faults.FaultInjector` (all randomness from ``--seed``)
-drives eight fault phases against the subsystems that claim to survive
-them, and every phase asserts its recovery invariants inline:
+drives five fault phases against the contracts they check, and every
+phase asserts its invariants inline:
 
-* **seu_storm** — SEU bit-flips in SMBM stored words; the background
-  scrubber must detect every one within one scrub period (a full cursor
-  rotation) and repair the table back to differential equality with the
-  pre-fault baseline.
-* **cell_kill** — a live pipeline Cell dies; the next memo miss faults and
-  the self-healing FilterModule recompiles the policy around the corpse,
-  with output equal to a fault-free twin fed the identical write schedule.
-* **cell_stuck** — a unit column wedges silently; built-in self-test
-  (golden-model comparison with per-Cell localization) finds and routes
-  around exactly the wedged Cell.
-* **replication** — one replica of a ReplicatedSMBM diverges; majority
-  vote detects and resyncs it.  Same-cycle write contention raises
-  :class:`~repro.switch.replication.WriteContention` and the table stays
-  usable afterwards.
+* **replication** — same-cycle write contention between replica pipelines
+  raises :class:`~repro.switch.replication.WriteContention` naming exactly
+  the clashing pair, and the table stays usable afterwards (§5.1.5).
 * **l4lb_crash** — a graphdb server crashes mid-trace; probe retries
   exhaust, the server is evicted (row deleted, flows drained and
   redistributed), and an answered probe later readmits it.  Every query in
@@ -39,8 +28,7 @@ them, and every phase asserts its recovery invariants inline:
   backends.
 
 The run finishes with the **parity check**: for every *detectable* fault
-class (``seu``, ``cell_dead``, ``cell_stuck``, ``replica_divergence``,
-``migration_divergence``, ``controller_crash``),
+class (``migration_divergence``, ``controller_crash``),
 ``faults_detected_total`` must equal ``faults_injected_total`` in the obs
 registry — nothing injected goes unseen, nothing is detected twice.  Every
 invariant, parity included, is asserted by the run itself, so the exit
@@ -71,11 +59,10 @@ if __package__ in (None, ""):  # direct script execution: make the
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 from repro import obs
-from repro.core.pipeline import PipelineParams
 from repro.core.policy import Policy, TableRef, intersection, predicate
 from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
 from repro.errors import IntegrityError
-from repro.faults import ECCStore, FaultInjector, Scrubber, SimulatedCrash
+from repro.faults import FaultInjector, SimulatedCrash
 from repro.graphdb.cluster import GraphDBCluster
 from repro.netsim.sim import Simulator
 from repro.netsim.topology import build_leaf_spine
@@ -104,19 +91,9 @@ DEFAULT_SEED = 7
 #: is detected synchronously as an exception, ``link_flap``/``probe_loss``/
 #: ``server_crash`` are *masked* rather than detected — TCP retransmission
 #: and probe retries absorb them.)
-DETECTABLE_KINDS = ("seu", "cell_dead", "cell_stuck", "replica_divergence",
-                    "migration_divergence", "controller_crash")
-
-#: Phases that exercise a repair path (scrub / recompile / BIST / resync);
-#: the bounded-recovery-latency assertion only applies when one of them ran.
-REPAIRING_PHASES = frozenset(
-    {"seu_storm", "cell_kill", "cell_stuck", "replication"}
-)
+DETECTABLE_KINDS = ("migration_divergence", "controller_crash")
 
 METRICS = ("cpu", "mem")
-#: n=6 gives 3 Cells per stage: enough spare capacity to route around both
-#: the killed and the wedged Cell without exhausting a stage.
-PARAMS = PipelineParams(n=6, k=3, f=2, chain_length=2)
 
 
 def _policy() -> Policy:
@@ -126,12 +103,6 @@ def _policy() -> Policy:
             predicate(TableRef(), "mem", ">", 100),
         ),
         name="chaos",
-    )
-
-
-def _module(capacity: int, *, self_healing: bool) -> FilterModule:
-    return FilterModule(
-        capacity, METRICS, _policy(), PARAMS, self_healing=self_healing
     )
 
 
@@ -145,123 +116,19 @@ class _RandomRouting:
         return self.rng.choice(candidates)
 
 
-def _fill(module: FilterModule, rng: random.Random, n_rows: int) -> None:
-    for rid in range(n_rows):
-        module.update_resource(
-            rid, {"cpu": rng.randrange(100), "mem": rng.randrange(400)}
-        )
-
-
 # -- phases ---------------------------------------------------------------------
 
 
-def phase_seu_storm(inj: FaultInjector, *, n_rows: int, n_seu: int,
-                    scrub_rows_per_step: int = 1) -> dict:
-    """SEUs vs the background scrubber: detection within one scrub period,
-    then differential equality with the pre-fault baseline."""
-    module = _module(n_rows, self_healing=True)
-    _fill(module, inj.rng, n_rows)
-    baseline = module.evaluate()
-    scrubber = Scrubber(ECCStore(module.smbm))
-
-    events = inj.flip_smbm_bits(module.smbm, n_seu)
-    # The memo legitimately serves the stale pre-fault answer during the
-    # hazard window; the invariant bounds the window, not the staleness.
-    assert module.evaluate() == baseline
-
-    # One scrub period == one full cursor rotation.
-    scrub_period_steps = -(-n_rows // scrub_rows_per_step)
-    detected_words = 0
-    steps_used = 0
-    for _ in range(scrub_period_steps):
-        found = scrubber.scrub_step(rows=scrub_rows_per_step)
-        steps_used += 1
-        detected_words += sum(len(e.metrics) for e in found)
-        if detected_words == n_seu:
-            break
-    assert detected_words == n_seu, (
-        f"scrub period elapsed with {detected_words}/{n_seu} SEUs detected"
-    )
-    # Repair bumped the table version -> memo invalidated -> the next
-    # evaluation recomputes on the corrected table.
-    assert module.evaluate() == baseline, "table not healed to baseline"
-    return {
-        "injected": len(events),
-        "detected_words": detected_words,
-        "scrub_steps_used": steps_used,
-        "scrub_period_steps": scrub_period_steps,
-    }
-
-
-def phase_cell_kill(inj: FaultInjector, *, n_rows: int) -> dict:
-    """Kill a routed-through Cell; fail-around must recompile and match a
-    fault-free twin on the same write schedule."""
-    module = _module(n_rows, self_healing=True)
-    twin = _module(n_rows, self_healing=False)
-    fill_rng = random.Random(inj.rng.randrange(2**32))
-    for rid in range(n_rows):
-        row = {"cpu": fill_rng.randrange(100), "mem": fill_rng.randrange(400)}
-        module.update_resource(rid, row)
-        twin.update_resource(rid, row)
-    assert module.evaluate() == twin.evaluate()
-
-    event = inj.kill_cell(module)
-    assert event is not None
-    # A probe-style table write lands on both copies: it invalidates the
-    # memo, so the next evaluation routes through the corpse, faults, and
-    # heals.
-    update = {"cpu": fill_rng.randrange(100), "mem": fill_rng.randrange(400)}
-    module.update_resource(0, update)
-    twin.update_resource(0, update)
-    healed = module.evaluate()
-    assert module.cells.routed_around == {(event.detail["stage"], event.detail["index"])}
-    assert healed == twin.evaluate(), "fail-around output diverged from twin"
-    assert module.cells.degraded
-    return {
-        "killed": [event.detail["stage"], event.detail["index"]],
-        "routed_around": sorted(module.cells.routed_around),
-    }
-
-
-def phase_cell_stuck(inj: FaultInjector, *, n_rows: int) -> dict:
-    """Wedge a unit column; built-in self-test must localize exactly it."""
-    module = _module(n_rows, self_healing=True)
-    twin = _module(n_rows, self_healing=False)
-    fill_rng = random.Random(inj.rng.randrange(2**32))
-    for rid in range(n_rows):
-        row = {"cpu": fill_rng.randrange(100), "mem": fill_rng.randrange(400)}
-        module.update_resource(rid, row)
-        twin.update_resource(rid, row)
-
-    event = inj.stick_cell(module)
-    assert event is not None, "no observable wedge existed at this seed"
-    healed = module.self_test()
-    assert {(h["stage"], h["index"]) for h in healed} == {
-        (event.detail["stage"], event.detail["index"])
-    }, f"BIST localized {healed}, injected {event.detail}"
-    assert module.evaluate() == twin.evaluate(), (
-        "post-BIST output diverged from twin"
-    )
-    return {"wedged": event.detail, "healed": healed}
-
-
 def phase_replication(inj: FaultInjector, *, n_rows: int) -> dict:
-    """Replica divergence -> majority-vote repair; write contention ->
-    refusal, with the table usable afterwards.  Runs with the sanitizer
-    armed: the refusal must name *exactly* the injected conflicting pair,
-    and the benign single-writer cycles must raise nothing."""
+    """Write contention -> refusal, with the table usable afterwards.
+    Runs with the sanitizer armed: the refusal must name *exactly* the
+    injected conflicting pair, and the benign single-writer cycles must
+    raise nothing."""
     rep = ReplicatedSMBM(3, n_rows, METRICS, sanitize=True)
     for rid in range(n_rows):
         rep.issue_update(0, rid, {"cpu": inj.rng.randrange(100),
                                   "mem": inj.rng.randrange(400)})
         rep.commit_cycle()
-
-    event = inj.diverge_replica(rep)
-    diverged = rep.diverged_replicas()
-    assert diverged == [event.detail["pipeline"]]
-    repaired = rep.repair()
-    assert repaired == diverged
-    rep.check_synchronised()
 
     inj.contend_writes(rep, 0, {
         1: {"cpu": 11, "mem": 11},
@@ -283,8 +150,6 @@ def phase_replication(inj: FaultInjector, *, n_rows: int) -> dict:
     assert rep.replica(0).metrics_of(0) == {"cpu": 33, "mem": 33}
     rep.check_synchronised()
     return {
-        "diverged": diverged,
-        "repaired": repaired,
         "contention_raised": True,
         "pairs": [list(p) for p in pairs],
     }
@@ -698,19 +563,13 @@ def run_chaos(seed: int = DEFAULT_SEED, quick: bool = False,
     """Run the seeded fault schedule; returns the JSON-ready report.
 
     ``phases`` selects a subset by name (default: all); the parity check
-    always runs (un-exercised kinds hold 0 == 0), while the bounded
-    recovery-latency assertion applies only when a repairing phase ran.
+    always runs (un-exercised kinds hold 0 == 0).
     """
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         inj = FaultInjector(seed)
         n_rows = 8 if quick else 24
         schedule: dict = {
-            "seu_storm": lambda: phase_seu_storm(
-                inj, n_rows=n_rows, n_seu=3 if quick else 8
-            ),
-            "cell_kill": lambda: phase_cell_kill(inj, n_rows=n_rows),
-            "cell_stuck": lambda: phase_cell_stuck(inj, n_rows=n_rows),
             "replication": lambda: phase_replication(inj, n_rows=n_rows),
             "l4lb_crash": lambda: phase_l4lb_crash(
                 inj, n_queries=100 if quick else 300
@@ -748,21 +607,6 @@ def run_chaos(seed: int = DEFAULT_SEED, quick: bool = False,
     assert injected and all(v > 0 for v in injected.values()), (
         f"expected nonzero fault-injection counters, got: {injected}"
     )
-    if REPAIRING_PHASES & set(results):
-        # Bounded recovery latency: every repair path observed at least
-        # one latency sample, and the histogram sums stay finite and
-        # positive.
-        hist = snapshot.get("histograms", {})
-        repair_series = {k: v for k, v in hist.items()
-                         if k.startswith("repair_latency_ns")}
-        # Modules register their repair histogram eagerly; only series
-        # that actually repaired something carry samples (the migrated
-        # tenant's module, for one, never needs a repair).
-        active = {k: v for k, v in repair_series.items()
-                  if v["count"] > 0}
-        assert active, "no repair latencies were observed"
-        for series, data in active.items():
-            assert data["sum"] > 0, series
 
     return {
         "bench": "chaos",

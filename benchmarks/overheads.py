@@ -1,4 +1,4 @@
-"""Three overhead budgets on the memoized read path.
+"""Two overhead budgets on the memoized read path.
 
 What a packet pays, when nothing goes wrong, for machinery that is armed
 but idle — the one thing ``benchmarks/e2e`` does not measure.  Each row
@@ -9,8 +9,6 @@ SMBM-version memo:
 
 * ``observability`` — built under a live :class:`repro.obs.MetricsRegistry`
   instead of the null registry (budget: < 5 %);
-* ``fault machinery`` — ``self_healing=True`` with an ``ECCStore`` kept in
-  lockstep and a ``Scrubber`` constructed, none of it triggered (< 5 %);
 * ``sanitizer`` — ``sanitize=True``: its work rides on committed writes,
   so the read path must stay flat (< 10 %).
 
@@ -23,7 +21,7 @@ than the budgets on a shared box.)
 
     PYTHONPATH=src python benchmarks/overheads.py
 
-prints the three percentages and exits 1 if any budget is blown.  No
+prints the two percentages and exits 1 if either budget is blown.  No
 flags, no artefact.
 """
 
@@ -39,7 +37,6 @@ from collections.abc import Callable
 from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, intersection, min_of, predicate
-from repro.faults import ECCStore, Scrubber
 from repro.switch.filter_module import FilterModule
 
 METRICS = ("load", "mem")
@@ -48,7 +45,7 @@ REPEATS = 60
 CALLS = 2000
 
 #: Budget per armed variant, in percent over the plain module.
-BUDGETS = {"observability": 5.0, "fault machinery": 5.0, "sanitizer": 10.0}
+BUDGETS = {"observability": 5.0, "sanitizer": 10.0}
 
 Samples = list[tuple[float, float]]
 
@@ -104,9 +101,7 @@ def main() -> int:
         # Instruments are captured at construction: the module stays
         # instrumented after the registry stops being the default.
         observed = _module(rows)
-    healing = _module(rows, self_healing=True)
-    _scrubber = Scrubber(ECCStore(healing.smbm))  # held: armed, never run
-    variants = {"observability": observed, "fault machinery": healing,
+    variants = {"observability": observed,
                 "sanitizer": _module(rows, sanitize=True)}
     expected = plain.evaluate()
     for name, module in variants.items():

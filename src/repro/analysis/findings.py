@@ -252,8 +252,7 @@ class Report:
         One ``lint_findings_total{rule=...}`` increment per finding; a
         no-op under the default null registry.  Identical findings about
         the same subject are counted **once per registry**: re-compiling
-        the same policy (fail-around, hot-swap retries, a re-run lint
-        pass) must not inflate the per-rule counters — a distinct message
+        the same policy (hot-swap retries, a re-run lint pass) must not inflate the per-rule counters — a distinct message
         or location is a distinct finding and still counts.
         """
         from repro import obs  # late: obs is cheap but keep import local

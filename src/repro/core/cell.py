@@ -31,7 +31,7 @@ from repro.core.bfpu import BFPU, BFPU_LATENCY_CYCLES, BinaryConfig
 from repro.core.kufpu import KUFPU, KUnaryConfig
 from repro.core.smbm import SMBM
 from repro.core.ufpu import UFPU_LATENCY_CYCLES
-from repro.errors import CellFault, ConfigurationError
+from repro.errors import CellFault
 
 __all__ = ["CellConfig", "Cell"]
 
@@ -72,19 +72,10 @@ class Cell:
 
     ``position`` (optional) records where the Cell sits in its pipeline as a
     ``(stage, index)`` pair (stage 1-based, index 0-based); it only matters
-    for fault reporting — a dead Cell raises :class:`~repro.errors.CellFault`
-    carrying its position so fail-around recompilation knows which physical
-    resource to route around.
-
-    Fault model (hardware faults, distinct from compile-time config):
-
-    * :meth:`kill` — the whole Cell dies; evaluating it raises ``CellFault``.
-    * :meth:`inject_stuck` — one unit column (side 1 or 2) is stuck: stuck-at
-      0 drives that output line all-zeros, stuck-at 1 wedges the column's
-      datapath transparent, so the output is a copy of the column's crossbar
-      input (units no longer transform it).  Stuck faults are *silent* —
-      they corrupt results without raising — which is what built-in self-test
-      (golden-model comparison) exists to catch.
+    for error reporting.  The compiler kills every Cell a plan must not use
+    (a tenant slice's foreign Cells, :meth:`kill`): evaluating one raises
+    :class:`~repro.errors.CellFault` carrying its position, so a plan that
+    strays outside its slice fails loudly.
     """
 
     def __init__(self, chain_length: int, config: CellConfig, *, lfsr_seed: int = 1,
@@ -92,7 +83,6 @@ class Cell:
         self._config = config
         self._position = position
         self._dead = False
-        self._stuck: dict[int, int] = {}
         self._kufpu1 = KUFPU(chain_length, config.kufpu1, lfsr_seed=lfsr_seed)
         self._kufpu2 = KUFPU(
             chain_length, config.kufpu2, lfsr_seed=lfsr_seed + chain_length
@@ -122,35 +112,13 @@ class Cell:
         """Input crossbar is pure wiring; units dominate the latency."""
         return self._kufpu1.latency_cycles + BFPU_LATENCY_CYCLES
 
-    # -- hardware fault hooks ---------------------------------------------------
-
     @property
     def is_dead(self) -> bool:
         return self._dead
 
-    @property
-    def stuck_faults(self) -> dict[int, int]:
-        """Active stuck-at faults: {side: stuck_value} (copy)."""
-        return dict(self._stuck)
-
     def kill(self) -> None:
-        """The Cell stops responding; evaluation raises CellFault."""
+        """The Cell is excluded; evaluation raises CellFault."""
         self._dead = True
-
-    def revive(self) -> None:
-        self._dead = False
-
-    def inject_stuck(self, side: int, stuck: int) -> None:
-        """Wedge output column ``side`` (1 or 2) at ``stuck`` (0 or 1)."""
-        if side not in (1, 2):
-            raise ConfigurationError(f"cell side must be 1 or 2, got {side}")
-        if stuck not in (0, 1):
-            raise ConfigurationError(f"stuck value must be 0 or 1, got {stuck}")
-        self._stuck[side] = stuck
-
-    def clear_stuck(self, side: int) -> None:
-        """Remove the stuck-at fault on one side, if any."""
-        self._stuck.pop(side, None)
 
     def reset_state(self) -> None:
         self._kufpu1.reset_state()
@@ -169,13 +137,6 @@ class Cell:
         u2 = self._kufpu2.evaluate(b, smbm)
         o1 = self._bfpu1.evaluate(u1, u2)
         o2 = self._bfpu2.evaluate(u1, u2)
-        if self._stuck:
-            s1 = self._stuck.get(1)
-            if s1 is not None:
-                o1 = 0 if s1 == 0 else in1
-            s2 = self._stuck.get(2)
-            if s2 is not None:
-                o2 = 0 if s2 == 0 else in2
         return o1, o2
 
 

@@ -169,8 +169,8 @@ class PolicyCompiler:
         traversal.
 
         ``dead_cells`` names physical Cells — ``(stage, index)`` pairs,
-        stage 1-based — that must not be allocated (fail-around after a
-        hardware fault): the policy is mapped onto the surviving Cells, and
+        stage 1-based — that must not be allocated (a tenant slice's foreign
+        Cells): the policy is mapped onto the others, and
         ``CompilationError`` is raised only when they truly cannot host it.
 
         ``input_lines`` restricts the pipeline input lines the plan may tap

@@ -119,10 +119,6 @@ class PipelineConfig:
         return "\n".join(lines)
 
 
-#: One active Cell's observed port I/O: ``(in1, in2, out1, out2)``.
-CellProbe = tuple[int, int, int, int]
-
-
 @dataclass(frozen=True)
 class _CellPlan:
     """Pruned-evaluation verdict for one physical Cell.
@@ -358,11 +354,8 @@ class FilterPipeline:
         return self._cells[stage - 1][index]
 
     def active_cells(self) -> list[tuple[int, int]]:
-        """(stage, index) of Cells the evaluation plan actually runs.
-
-        Live non-bypass Cells are the ones whose units touch packets — the
-        set a fault injector targets to guarantee an observable effect.
-        """
+        """(stage, index) of Cells the evaluation plan actually runs: the
+        live non-bypass Cells, whose units touch packets."""
         return [
             (s, c)
             for s, row in enumerate(self._plan, start=1)
@@ -376,21 +369,13 @@ class FilterPipeline:
             for cell in row:
                 cell.reset_state()
 
-    def evaluate(
-        self,
-        smbm: SMBM,
-        inputs: list[int] | None = None,
-        *,
-        probes: "dict[tuple[int, int], CellProbe] | None" = None,
-    ) -> list[int]:
+    def evaluate(self, smbm: SMBM, inputs: list[int] | None = None) -> list[int]:
         """One packet's traversal: n input tables in, n output tables out.
 
         When ``inputs`` is omitted every input line carries the full
         resource table (the common case: the pipeline input *is* the SMBM,
         Figure 14); given, each must be a mask of ids below the SMBM's
-        capacity.  ``probes`` is the diagnostic sink of
-        :meth:`evaluate_probed`; a pass that fills it is not counted in the
-        packet totals.
+        capacity.
         """
         n = self._params.n
         if inputs is None:
@@ -409,11 +394,9 @@ class FilterPipeline:
                     )
             lines = inputs
 
-        if probes is None:
-            self._packets_evaluated += 1
-        for s, (crossbar, row, plan_row) in enumerate(
-            zip(self._crossbars, self._cells, self._plan), start=1
-        ):
+        self._packets_evaluated += 1
+        for crossbar, row, plan_row in zip(self._crossbars, self._cells,
+                                           self._plan):
             ports = crossbar.apply(lines, idle=0)
             lines = []
             for c, cell in enumerate(row):
@@ -426,24 +409,6 @@ class FilterPipeline:
                     # Pure wire: outputs are the input ports.
                     lines += (ports[2 * c], ports[2 * c + 1])
                 else:
-                    i1, i2 = ports[2 * c], ports[2 * c + 1]
-                    o1, o2 = cell.evaluate(i1, i2, smbm)
-                    if probes is not None:
-                        probes[(s, c)] = (i1, i2, o1, o2)
-                    lines += (o1, o2)
+                    lines += cell.evaluate(ports[2 * c], ports[2 * c + 1],
+                                          smbm)
         return lines
-
-    def evaluate_probed(
-        self, smbm: SMBM, inputs: list[int] | None = None
-    ) -> "dict[tuple[int, int], CellProbe]":
-        """Diagnostic traversal capturing every active Cell's port I/O.
-
-        Returns ``{(stage, index): (in1, in2, out1, out2)}`` for the live
-        non-bypass Cells — the observation a built-in self-test needs to
-        compare each physical Cell against a golden model *on the inputs it
-        actually saw* (so a corrupted upstream Cell does not implicate the
-        healthy Cells downstream of it).
-        """
-        probes: dict[tuple[int, int], CellProbe] = {}
-        self.evaluate(smbm, inputs, probes=probes)
-        return probes

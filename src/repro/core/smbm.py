@@ -40,9 +40,9 @@ __all__ = ["SMBM", "MetricIndex", "ClockedSMBM", "WRITE_LATENCY_CYCLES",
 #: Latency, in clock cycles, of the add and delete primitives (section 5.1.3).
 WRITE_LATENCY_CYCLES = 2
 
-#: Bits of one stored metric word (what an SEU flips, :mod:`repro.faults.ecc`
-#: protects, the analyser and TH003 assume).  Writes refuse values outside
-#: it, so ``value << 64 | seq`` (seq below 2**64 too) is a sort key.
+#: Bits of one stored metric word (what the analyser and TH003 assume).
+#: Writes refuse values outside it, so ``value << 64 | seq`` (seq below
+#: 2**64 too) is a sort key.
 STORED_WORD_BITS = 64
 _WORD_LIMIT = 1 << STORED_WORD_BITS
 
@@ -325,7 +325,7 @@ class SMBM:
         self._id_bits = 0
         # Bumped by every committed write; caches (memos, kernels) key on it.
         self._version = 0
-        # Committed-write listeners (parity/ECC, replication shims).
+        # Committed-write listeners (the sanitizers' checks).
         self._write_listeners: list = []
         # Every committed write re-checks the invariants: O(N * M), debug only.
         self._sanitize = sanitize
@@ -428,7 +428,7 @@ class SMBM:
         seq = self._enqueue(resource_id, row)
         self._id_bits |= 1 << resource_id
         self._shift(resource_id, None, 0, row, seq)
-        self._commit("add", resource_id, row)
+        self._commit("add", resource_id)
 
     def _enqueue(self, resource_id: int, row: dict[str, int]) -> int:
         """Store ``row`` in the forward map at the next FIFO position."""
@@ -437,22 +437,18 @@ class SMBM:
         self._rows[resource_id] = row
         return seq
 
-    def _commit(self, op: str, resource_id: int, row: dict[str, int] | None,
-                patched: bool = True) -> None:
+    def _commit(self, op: str, resource_id: int, patched: bool = True) -> None:
         """Retire one add or delete: version, counters, listeners."""
         self._version += 1
         (self._obs_adds if op == "add" else self._obs_deletes).inc()
         if patched and (self._indexes or self._sets):
             self._obs_patches.inc(len(self._indexes) + len(self._sets))
         if self._write_listeners:
-            self._notify(op, resource_id, row)
+            self._notify(op, resource_id)
 
-    def _notify(self, kind: str, resource_id: int,
-                row: dict[str, int] | None) -> None:
-        if self._write_listeners:
-            snapshot = None if row is None else dict(row)
-            for listener in self._write_listeners:
-                listener(kind, resource_id, snapshot)
+    def _notify(self, kind: str, resource_id: int) -> None:
+        for listener in self._write_listeners:
+            listener(kind, resource_id)
 
     def delete(self, resource_id: int) -> None:
         """``delete(SMBM, id)`` — removes the entry if present (else no-op)."""
@@ -462,7 +458,7 @@ class SMBM:
         seq = self._seq.pop(resource_id)
         self._id_bits &= ~(1 << resource_id)
         self._shift(resource_id, row, seq, None, 0)
-        self._commit("delete", resource_id, None)
+        self._commit("delete", resource_id)
 
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
         """Delete then add, as the paper prescribes: two committed writes (two
@@ -475,8 +471,8 @@ class SMBM:
         old, old_seq = self._rows.pop(resource_id), self._seq.pop(resource_id)
         self._shift(resource_id, old, old_seq, row,
                     self._enqueue(resource_id, row))
-        self._commit("delete", resource_id, None, patched=False)
-        self._commit("add", resource_id, row)
+        self._commit("delete", resource_id, patched=False)
+        self._commit("add", resource_id)
 
     def _shift(self, resource_id: int, old: dict[str, int] | None,
                old_seq: int, row: dict[str, int] | None, seq: int) -> None:
@@ -494,7 +490,7 @@ class SMBM:
         """True when every committed write re-checks the invariants."""
         return self._sanitize
 
-    def _sanitize_listener(self, kind: str, resource_id: int, row) -> None:
+    def _sanitize_listener(self, kind: str, resource_id: int) -> None:
         """Commit-time invariant check, installed when ``sanitize=True``."""
         try:
             self.check_invariants()
@@ -507,51 +503,9 @@ class SMBM:
             ) from exc
 
     def add_write_listener(self, listener) -> None:
-        """Subscribe ``listener(kind, id, row)`` to committed writes: kind
-        add/delete/repair/restore, row a copy (None for a delete)."""
+        """Subscribe ``listener(kind, id)`` to committed writes (kind add or
+        delete) and to :meth:`restore_state` (kind delete or restore)."""
         self._write_listeners.append(listener)
-
-    # -- fault model (SEU injection and repair) ---------------------------------
-
-    def _rewrite(self, resource_id: int, name: str, value: int) -> None:
-        """Rewrite a row's ``name`` word to ``value`` in place: the entry
-        moves to the new value's rank at its old FIFO position."""
-        row, seq = self._rows[resource_id], self._seq[resource_id]
-        index = self._indexes.get(name)
-        if index is not None:
-            index.move(row[name] << 64 | seq, value << 64 | seq, resource_id)
-        row[name] = value
-        self._patch_sets(resource_id, row)
-        self._obs_patches.inc((index is not None) + len(self._sets))
-
-    def corrupt_stored_bit(self, resource_id: int, metric: str, bit: int) -> tuple[int, int]:
-        """Fault-injection backdoor: an SEU flips one bit of a stored word in
-        place, seen by every later read; the version, listeners (so parity
-        now *disagrees*) and FIFO order stay.  Returns ``(old, new)``."""
-        row = self._row(resource_id)
-        self._known(metric)
-        if not 0 <= bit < STORED_WORD_BITS:
-            raise ConfigurationError(
-                f"bit {bit} outside the {STORED_WORD_BITS}-bit stored word")
-        old = row[metric]
-        new = old ^ (1 << bit)
-        # The corrupted flop is read from the next cycle on.
-        self._rewrite(resource_id, metric, new)
-        return old, new
-
-    def repair_row(self, resource_id: int, corrected: Mapping[str, int]) -> list[str]:
-        """Scrubber repair: rewrite a row to ``corrected`` (checked like a
-        write) at its FIFO position, bumping the version; returns the
-        metrics whose stored value moved."""
-        row = self._row(resource_id)
-        good = self._checked_row(resource_id, corrected)
-        repaired = [name for name in self._metric_names if row[name] != good[name]]
-        for name in repaired:
-            self._rewrite(resource_id, name, good[name])
-        if repaired:
-            self._version += 1
-            self._notify("repair", resource_id, row)
-        return repaired
 
     # -- read interface (shared with the filter pipeline) -------------------------
 
@@ -687,8 +641,8 @@ class SMBM:
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore :meth:`export_state` output in place (same capacity and
         schema), rebuilding every read metric's list and predicate set.
-        Listeners see ``("delete", rid, None)`` per row dropped and
-        ``("restore", rid, row)`` per row kept.  The version may go **down**:
+        Listeners see ``("delete", rid)`` per row dropped and
+        ``("restore", rid)`` per row kept.  The version may go **down**:
         callers must drop their own version-keyed caches."""
         if state.get("capacity") != self._capacity:
             raise ConfigurationError(
@@ -728,9 +682,9 @@ class SMBM:
         self._obs_rebuilds.inc(len(self._indexes) + len(self._sets))
         self._next_seq, self._version = next_seq, version
         for rid in dropped:
-            self._notify("delete", rid, None)
+            self._notify("delete", rid)
         for rid in sorted(self._rows):
-            self._notify("restore", rid, self._rows[rid])
+            self._notify("restore", rid)
 
 
 class ClockedSMBM:

@@ -29,9 +29,7 @@ may be memoised, never whether it has a kernel.
 The tier is a lowering of the *policy*: it takes no compiled plan, the
 compiler (:mod:`repro.core.compiler`) does not know it exists, and a
 :class:`~repro.switch.filter_module.FilterModule` builds one for every
-policy on its policy clock (construction and ``hot_swap``), so a
-fail-around recompile onto other Cells keeps the same object, and the
-same units.
+policy on its policy clock (construction and ``hot_swap``).
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 policy's canonical document, :func:`~repro.core.policy.policy_to_dict`)
@@ -233,8 +231,8 @@ class PlanCodegen:
     """The codegen tier of one policy.
 
     A lowering of the policy alone — no compilation, placement or Cell
-    enters it — so it is built when the policy changes and survives every
-    fail-around recompile.  Every policy has one.  The kernel of a policy
+    enters it — so it is built when the policy changes.  Every policy has
+    one.  The kernel of a policy
     with units or feedback registers steps the
     :class:`~repro.core.policy.UnitState` its owner lends it as
     :attr:`units`: it holds no cross-packet state of its own.

@@ -124,10 +124,10 @@ class SimulationError(ReproError):
 
 
 class FaultError(ReproError):
-    """Base of the fault / self-healing branch of the hierarchy.
+    """Base of the fault branch of the hierarchy.
 
-    Carries structured context so detection and recovery machinery (and
-    tests) can reason about *where* a fault bit: the failing ``component``
+    Carries structured context so callers (and tests) can reason about
+    *where* a fault bit: the failing ``component``
     (e.g. ``"cell"``, ``"smbm"``, ``"replicated_smbm"``), the
     ``cycle`` (or simulated time) it was observed at, and the ``resource``
     (row id, server id, link name, ...) it touched.  All context fields are
@@ -157,14 +157,14 @@ class FaultError(ReproError):
 
 
 class IntegrityError(FaultError):
-    """Stored state failed a parity/ECC or cross-replica consistency check."""
+    """A sanitizer check failed: a table invariant, memo coherence, replica
+    synchrony, or an optimised result against its reference."""
 
 
 class CellFault(FaultError):
-    """A physical Cell failed while evaluating a packet (dead unit).
+    """A packet walked a Cell the compiler excluded (a killed Cell).
 
-    ``stage`` (1-based) and ``index`` locate the Cell inside its pipeline so
-    fail-around recompilation knows which physical resource to avoid.
+    ``stage`` (1-based) and ``index`` locate the Cell inside its pipeline.
     """
 
     def __init__(

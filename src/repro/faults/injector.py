@@ -1,23 +1,18 @@
 """The deterministic, seeded fault injector.
 
 One :class:`FaultInjector` drives every fault class the chaos harness
-exercises: SEU bit-flips in SMBM rows, Cell death and stuck-at faults in
-the filter pipeline, replica divergence and write contention, link flaps,
-probe loss, and server crashes.  All randomness flows from one
-``random.Random(seed)``, so a fault schedule replays bit-identically from
-its seed — the property every chaos assertion rests on.
+exercises, each one checking a contract: write contention between replica
+pipelines (§5.1.5), link flaps, probe loss and server crashes (the
+figures' substrate), a controller crash at an armed crash point (zero
+acked-op loss) and a write slipped around a live migration (hitless
+migration).  All randomness flows from one ``random.Random(seed)``, so a
+fault schedule replays bit-identically from its seed — the property every
+chaos assertion rests on.
 
 Every injection is recorded as a :class:`FaultEvent` and counted through
 ``repro.obs`` as ``faults_injected_total{kind=...}``, which is what the CI
 parity check compares against ``faults_detected_total`` for the detectable
 fault classes.
-
-Stuck-at faults get special handling: a wedged unit column may happen not
-to change the programmed policy's output at all (the fault is architectural
-dead weight), in which case no detector *can* see it.  To keep the
-injected == detected ledger exact, :meth:`stick_cell` probes the pipeline
-output before and after wedging and reverts injections that change nothing,
-walking the candidate list in seeded order until an observable one lands.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.smbm import SMBM, STORED_WORD_BITS
 from repro.errors import ConfigurationError
-from repro.switch.filter_module import FilterModule
 from repro.switch.replication import ReplicatedSMBM
 
 __all__ = ["FaultEvent", "FaultInjector", "SimulatedCrash"]
@@ -92,109 +85,7 @@ class FaultInjector:
         ).inc()
         return event
 
-    # -- SMBM storage faults -----------------------------------------------------
-
-    def flip_smbm_bit(self, smbm: SMBM) -> FaultEvent:
-        """One SEU: flip a random bit of a random stored metric word."""
-        rows = sorted(smbm.snapshot())
-        if not rows:
-            raise ConfigurationError("cannot flip a bit in an empty table")
-        rid = self._rng.choice(rows)
-        metric = self._rng.choice(list(smbm.metric_names))
-        bit = self._rng.randrange(STORED_WORD_BITS)
-        old, new = smbm.corrupt_stored_bit(rid, metric, bit)
-        return self._record(
-            "seu", "smbm", resource=rid, metric=metric, bit=bit,
-            old=old, new=new,
-        )
-
-    def flip_smbm_bits(self, smbm: SMBM, n: int) -> list[FaultEvent]:
-        """``n`` SEUs in *distinct* stored words (one flip per word, so
-        every one is single-bit correctable and the detection ledger is
-        exact)."""
-        rows = sorted(smbm.snapshot())
-        metrics = list(smbm.metric_names)
-        words = [(rid, m) for rid in rows for m in metrics]
-        if n > len(words):
-            raise ConfigurationError(
-                f"asked for {n} distinct-word flips but the table holds "
-                f"only {len(words)} words"
-            )
-        chosen = self._rng.sample(words, n)
-        events = []
-        for rid, metric in chosen:
-            bit = self._rng.randrange(STORED_WORD_BITS)
-            old, new = smbm.corrupt_stored_bit(rid, metric, bit)
-            events.append(self._record(
-                "seu", "smbm", resource=rid, metric=metric, bit=bit,
-                old=old, new=new,
-            ))
-        return events
-
-    # -- filter pipeline hardware faults -------------------------------------------
-
-    def kill_cell(self, module: FilterModule) -> FaultEvent | None:
-        """Kill a random Cell the evaluation plan actually routes through.
-
-        Targeting only active (live, non-bypass) Cells guarantees the death
-        is observable: the next evaluation faults and the self-healing path
-        must recompile.  Returns ``None`` when no targetable Cell remains.
-        """
-        candidates = module.cells.targets()
-        if not candidates:
-            return None
-        stage, index = self._rng.choice(candidates)
-        module.cells.kill(stage, index)
-        return self._record("cell_dead", "filter_module",
-                            stage=stage, index=index)
-
-    def stick_cell(self, module: FilterModule) -> FaultEvent | None:
-        """Wedge a unit column stuck-at-0/1 so the policy output changes.
-
-        Candidates (active Cells x sides x stuck values) are tried in
-        seeded order; a wedge that does not change the pipeline output is
-        reverted (nothing can detect it), keeping injected == detected
-        exact.  Returns ``None`` when no observable wedge exists.
-        """
-        candidates = [(pos, side, stuck) for pos in module.cells.targets()
-                      for side in (1, 2) for stuck in (0, 1)]
-        self._rng.shuffle(candidates)
-        baseline = module.compiled.evaluate(module.smbm)
-        for (stage, index), side, stuck in candidates:
-            module.cells.stick(stage, index, side, stuck)
-            corrupted = module.compiled.evaluate(module.smbm)
-            if corrupted != baseline:
-                return self._record(
-                    "cell_stuck", "filter_module",
-                    stage=stage, index=index, side=side, stuck=stuck,
-                )
-            module.cells.unstick(stage, index, side)
-        return None
-
     # -- replication faults --------------------------------------------------------
-
-    def diverge_replica(self, rep: ReplicatedSMBM) -> FaultEvent:
-        """Corrupt one stored bit in a single replica, breaking sync."""
-        if rep.pipelines < 2:
-            raise ConfigurationError(
-                "divergence needs at least two replicas"
-            )
-        pipeline = self._rng.randrange(rep.pipelines)
-        replica = rep.replica(pipeline)
-        rows = sorted(replica.snapshot())
-        if not rows:
-            raise ConfigurationError(
-                "cannot diverge an empty replica set"
-            )
-        rid = self._rng.choice(rows)
-        metric = self._rng.choice(list(replica.metric_names))
-        bit = self._rng.randrange(STORED_WORD_BITS)
-        old, new = replica.corrupt_stored_bit(rid, metric, bit)
-        return self._record(
-            "replica_divergence", "replicated_smbm",
-            pipeline=pipeline, resource=rid, metric=metric, bit=bit,
-            old=old, new=new,
-        )
 
     def contend_writes(self, rep: ReplicatedSMBM, resource_id: int,
                        metrics_by_pipeline: dict[int, dict[str, int]]

@@ -250,15 +250,10 @@ class SwitchBackend:
     # -- health ------------------------------------------------------------------------
 
     def health(self) -> dict[str, object]:
-        """A liveness/degradation summary for the control plane."""
-        degraded = sorted(
-            t.name for t in self._manager if t.module.cells.degraded
-        )
+        """A capacity summary for the control plane."""
         return {
             "backend": self.name,
-            "healthy": not degraded,
             "tenants": len(self._manager),
-            "degraded_tenants": degraded,
             "free_columns": len(self._manager.free_columns),
             "free_smbm_rows": self._manager.free_smbm_rows,
             "probes_processed": self._switch.probes_processed,

@@ -77,7 +77,7 @@ from typing import Any
 
 from repro import obs
 from repro.core.policy import Policy
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import ConfigurationError, FaultError, ReproError
 from repro.faults.injector import SimulatedCrash
 from repro.rmt.packet import Packet
 from repro.serving.backend import SwitchBackend, TableWrite, build_backend
@@ -465,9 +465,13 @@ def _smoke_policy(kind: str) -> Policy:
     )
 
 
+#: Packets each smoke client sends after its hot-swap.
+_SMOKE_PACKETS = 4
+
+
 async def _smoke(backend_kind: str, writes: int) -> dict[str, object]:
     """Two concurrent clients: admit, stream writes, hot-swap, serve."""
-    from repro.engine.batch import META_FILTER_REQUEST
+    from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
     from repro.rmt.packet import META_TENANT
     from repro.tenancy.manager import TenantManager
 
@@ -487,9 +491,9 @@ async def _smoke(backend_kind: str, writes: int) -> dict[str, object]:
         ))
         served = await ctl.process_batch([
             Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
-            for _ in range(4)
+            for _ in range(_SMOKE_PACKETS)
         ])
-        return len(served)
+        return sum(META_FILTER_OUTPUT in p.metadata for p in served)
 
     async with Controller(backend) as ctl:
         served = await asyncio.gather(
@@ -497,6 +501,7 @@ async def _smoke(backend_kind: str, writes: int) -> dict[str, object]:
         )
         await ctl.drain()
         health = backend.health()
+    health["sent"] = len(served) * _SMOKE_PACKETS
     health["served"] = sum(served)
     return health
 
@@ -516,11 +521,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     previous = obs.set_registry(registry)
     try:
         health = asyncio.run(_smoke(args.backend, args.writes))
+    except ReproError as exc:
+        print(f"# smoke on backend={args.backend}: op error: {exc!r}")
+        return 1
     finally:
         obs.set_registry(previous)
     print(f"# smoke on backend={args.backend}: {health}")
     print(obs.to_prometheus(registry))
-    return 0 if health.get("healthy") else 1
+    return 0 if health["served"] == health["sent"] else 1
 
 
 if __name__ == "__main__":

@@ -10,41 +10,35 @@ Packets that do not want filtering simply bypass the module
 (:meth:`FilterModule.evaluate_batch` leaves rows without the trigger flag
 alone).
 
-The paper maps the policy onto Cells once, at compile time; a fault moves
-the *placement*, not the policy.  The module keeps that split with two
-owners.  :class:`FilterModule` is the serving core: what the policy alone
-determines — its semantic analysis, the naive reference, the kernel and
-the unit state — built when the policy changes, and the version memo, the
-doors and the counters.  Its :attr:`~FilterModule.cells`, a
-:class:`~repro.switch.cell_shadow.CellShadow`, is the hardware model: the
-placement, the injected faults, fail-around, the self-test and the
-sanitizer's Cell compare; ``self_healing`` and ``sanitize`` are its
-settings, and the tenant slice its bounds.
+The paper maps the policy onto Cells once, at compile time (§5.3.2).  The
+module keeps that placement beside what serves: the policy's semantic
+analysis, the kernel and the unit state, the version memo, the doors and
+the counters.  A tenant slice bounds the placement
+(its reserved Cells are compiled dead and its input lines restricted).
 
 Every policy has one software lowering, its
 :class:`~repro.engine.codegen.PlanCodegen` kernel, for memo misses, masked
 rows, batch columns and the rows of a stateful policy alike.  A stateful
 policy's unit state — LFSR registers, round-robin pointers and weights,
-feedback registers — lives on the policy clock, in the one
+feedback registers — lives in the one
 :class:`~repro.core.policy.UnitState` the module owns and lends the
-kernel; it is seeded by the policy alone, so no placement, co-tenant,
-recompile or heal moves it.  One rule decides when a row walks the Cells:
-while an injected fault sits on the placement, every row the memo cannot
-answer does, from any door and masked or not; under ``sanitize`` the Cells
-check every kernel row.  Either way they are loaded from the owner's units
-before the walk.
+kernel; it is seeded by the policy alone, so no placement or co-tenant
+moves it.  The Cells walk a row only under ``sanitize``: they are loaded
+from the owner's units, and the kernel must agree with them on the output
+and on the unit state it leaves.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.analysis.symbolic import SemanticAnalysis, analyze_policy
 from repro.analysis.verifier import TableSchema
 from repro.core.bitvector import BitVector
-from repro.core.compiler import CompiledPolicy
+from repro.core.compiler import CompiledPolicy, PolicyCompiler
 from repro.core.pipeline import PipelineParams
 from repro.core.operators import UnaryOp
 from repro.core.policy import (Policy, PolicyInterpreter, Unary, UnitState,
@@ -61,7 +55,6 @@ from repro.engine.batch import (  # re-exported: the metadata protocol is
 from repro.engine.codegen import PlanCodegen
 from repro.errors import ConfigurationError, IntegrityError
 from repro.rmt.packet import Packet
-from repro.switch.cell_shadow import CellShadow
 
 __all__ = [
     "FilterModule",
@@ -88,22 +81,17 @@ class FilterModule:
     outputs advance per packet by design): each row is one step of their
     units on the kernel.
 
-    Every piece of serving state is rebuilt on exactly one of three clocks:
+    Every piece of serving state is rebuilt on exactly one of two clocks:
 
     * the **policy clock** (construction, :meth:`hot_swap`) —
       :meth:`_program` installs what is a function of the policy alone:
-      the :attr:`analysis` (computed once per policy; the hot-swap gate,
-      the sanitizer's containment check and admission's TH021 check all
-      read it), the naive reference, the kernel, the unit state the
-      kernel steps and the Cells load and store back
-      (:meth:`export_units` / :meth:`restore_units`), the
-      policy-labelled instruments, and which predicate sets the SMBM
-      keeps (the policy's; every other is dropped);
-    * the **placement clock** (construction, :meth:`hot_swap`, every
-      fail-around recompile) — :attr:`cells` maps the policy onto the
-      Cells the slice and the detected faults leave, re-arms the physical
-      faults and installs the plan; nothing the policy clock owns is
-      touched;
+      the :attr:`compiled` placement on the Cells the slice leaves, the
+      :attr:`analysis` (computed once per policy; the hot-swap gate, the
+      sanitizer's containment check and admission's TH021 check all read
+      it), the kernel, the unit state the kernel steps
+      (:meth:`export_units` / :meth:`restore_units`), the policy-labelled
+      instruments, and which predicate sets the SMBM keeps (the policy's;
+      every other is dropped);
     * the **version clock** (every committed table write, and a restore) —
       the memo entry and the kernel's specialization.
     """
@@ -116,38 +104,40 @@ class FilterModule:
         params: PipelineParams | None = None,
         *,
         lfsr_seed: int = 1,
-        self_healing: bool = False,
         sanitize: bool = False,
         tenant: str | None = None,
         reserved_cells: "Iterable[tuple[int, int]]" = (),
         input_lines: "Iterable[int] | None" = None,
     ):
+        # At most 30 instance attributes, observed or not: past CPython's
+        # shared-key dict limit every attribute read on the memo-hit path
+        # gets ~10 % dearer (benchmarks/overheads.py shows it).
         self._tenant = tenant
         self._smbm = SMBM(capacity, metric_names, sanitize=sanitize,
                           tenant=tenant)
         self._lfsr_seed = lfsr_seed
-        tlabels = {} if tenant is None else {"tenant": tenant}
-        # The schema is the table dimensions the static verifier checks
-        # every placement against (width compatibility, timing closure).
-        self._cells = CellShadow(
-            params, TableSchema(capacity, tuple(metric_names)),
-            lfsr_seed=lfsr_seed, reserved_cells=reserved_cells,
-            input_lines=input_lines, self_healing=self_healing,
-            sanitize=sanitize, on_move=self._reset_serving_caches,
-            labels=tlabels,
-        )
+        # Maps a policy onto the Cells of this module's slice (its foreign
+        # Cells compiled dead, its inputs restricted), checked by the static
+        # verifier against the table's dimensions; raises CompilationError
+        # when it does not fit, and installs nothing.
+        self._place = partial(
+            PolicyCompiler(params).compile, lfsr_seed=lfsr_seed,
+            dead_cells=frozenset(reserved_cells),
+            input_lines=None if input_lines is None else frozenset(input_lines),
+            schema=TableSchema(capacity, tuple(metric_names)))
+        #: The Cells check every kernel row (output and unit state).
+        self.sanitize = sanitize
         # A hitless hot-swap bumps the epoch; the watermark is stamped on
         # every filter output (scalar and batched) so a packet stream
         # spanning a swap separates cleanly into old-plan/new-plan halves.
         self._plan_epoch = 0
-        compiled = self._cells.place(policy)
+        compiled = self._place(policy)
         self._evaluations = self._cache_hits = self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
         # "broadcast" = uniform rows collapsed to one memoized evaluation,
         # "engine" = rows the kernel served in one call (masked rows of a
         # stateless policy, every row of a stateful one), "fallback" = the
-        # row routine, row by row (those rows while the Cells take rows:
-        # a fault is live, or sanitize).
+        # row routine, row by row (those rows under sanitize).
         self._batches = self._batch_rows = self._batch_broadcast_rows = 0
         self._batch_engine_rows = self._batch_fallback_rows = 0
         if sanitize:
@@ -163,9 +153,7 @@ class FilterModule:
         # timing capture, and only when a real registry is active.
         registry = obs.get_registry()
         self._obs_enabled = registry.enabled
-        self._program(analyze_policy(policy))
-        if self._obs_enabled:
-            registry.add_hook(self._obs_collect)
+        tlabels = {} if tenant is None else {"tenant": tenant}
         # Off the per-packet path, so created unconditionally: against the
         # null registry they are shared no-op singletons.
         self._obs_swaps = registry.counter(
@@ -175,33 +163,33 @@ class FilterModule:
         self._obs_cache_resets = registry.counter(
             "serving_cache_resets_total", tlabels or None,
             help="serving-cache invalidations (memo, codegen kernel) on "
-                 "install, hot-swap, fail-around, and table restore",
+                 "install, hot-swap and table restore",
         )
         # Construction installs the plan through the same step every
         # later plan change does (and counts its cache reset).
-        self._cells.install(compiled)
+        self._program(analyze_policy(policy), compiled)
+        if self._obs_enabled:
+            registry.add_hook(self._obs_collect)
 
-    def _program(self, analysis: SemanticAnalysis) -> None:
+    def _program(self, analysis: SemanticAnalysis,
+                 compiled: CompiledPolicy) -> None:
         """The policy clock: install ``analysis`` (emitting its findings)
-        and build everything else that is a function of its policy alone,
-        before the first assignment — among it the one
-        :class:`PlanCodegen` (the row routine's lowering and the batch
-        engine both) and the units it steps, freshly seeded."""
+        and its placement ``compiled``, and build everything else that is
+        a function of its policy alone, before the first assignment —
+        among it the one :class:`PlanCodegen` (the row routine's lowering
+        and the batch engine both) and the units it steps, freshly seeded.
+        Every serving cache is dropped in the same step."""
         policy = analysis.policy
-        # The naive reference self_test() and sanitize_check() hold the
-        # plan to: a walk of the policy DAG over the table's sorted lists,
-        # sharing no compiler, Cell or MetricIndex with the plan it judges.
-        reference = PolicyInterpreter(policy, lfsr_seed=self._lfsr_seed)
         kernel = PlanCodegen(policy)
         # The one owner of the unit and feedback registers: the kernel
-        # steps them, the Cells load them and store them back.
+        # steps them, and a sanitized walk loads the Cells from them.
         self._units = kernel.units = UnitState.seeded(policy,
                                                       self._lfsr_seed)
-        self._policy = policy
+        self._compiled = compiled
         self._analysis = analysis
-        self._reference = reference
         self._codegen = kernel
         self._memoize = not stateless_blockers(policy)
+        self._reset_serving_caches()
         self._smbm.keep_predicates(
             (node.config.attr, node.config.rel_op, node.config.val)
             for node in postorder(policy.root) if isinstance(node, Unary)
@@ -231,7 +219,7 @@ class FilterModule:
     def _plan_labels(self) -> dict[str, str]:
         """Labels of the per-plan series: policy name, plus the tenant when
         this module is one slice of a shared pipeline."""
-        labels = {"policy": self._policy.name}
+        labels = {"policy": self.policy.name}
         if self._tenant is not None:
             labels["tenant"] = self._tenant
         return labels
@@ -279,24 +267,24 @@ class FilterModule:
 
     @property
     def compiled(self) -> CompiledPolicy:
-        """The live placement (:attr:`cells`' compiled pipeline)."""
-        return self._cells.compiled
-
-    @property
-    def cells(self) -> CellShadow:
-        """The hardware shadow: placement, faults, fail-around, self-test
-        and the sanitizer's Cell compare."""
-        return self._cells
+        """The live policy placed on the Cells of this module's slice."""
+        return self._compiled
 
     @property
     def policy(self) -> Policy:
         """The currently programmed policy (the live one after a swap)."""
-        return self._policy
+        return self._analysis.policy
+
+    @property
+    def input_lines(self) -> frozenset[int] | None:
+        """The pipeline input lines this module's slice may read (``None``
+        = every line)."""
+        return self._place.keywords["input_lines"]
 
     @property
     def analysis(self) -> SemanticAnalysis:
         """The live policy's semantic analysis, computed once when it was
-        programmed: no placement change re-runs it."""
+        programmed."""
         return self._analysis
 
     def restore_table(
@@ -342,7 +330,7 @@ class FilterModule:
         """Deterministic processing latency added to a packet's pipeline
         traversal (the packet itself is unmodified and un-delayed relative
         to the pipeline: the module is fully pipelined)."""
-        return self._cells.compiled.latency_cycles
+        return self._compiled.latency_cycles
 
     # -- resource table maintenance --------------------------------------------------
 
@@ -376,9 +364,9 @@ class FilterModule:
         evaluation (a masked row's answer depends on its mask, so it always
         runs).  Exception-safe: the memo entry is dropped *before* the run
         and re-installed only on success, and only if the table version is
-        unchanged after the run — a fault (or a concurrent table write from
-        a fault handler) mid-evaluation can therefore never leave an entry
-        keyed on a version the output does not match.
+        unchanged after the run — an error (or a table write) mid-evaluation
+        can therefore never leave an entry keyed on a version the output
+        does not match.
         """
         self._evaluations += 1
         if mask is not None or not self._memoize:
@@ -396,18 +384,50 @@ class FilterModule:
         return out
 
     def _miss(self, mask: int | None) -> int:
-        """A row the memo cannot answer: the one call into the Cell shadow
-        (the kernel's answer, or the Cells' while they take rows), held to
-        the plan's feasible region under ``sanitize``; with metrics enabled
-        it attributes wall time and the deterministic hardware latency."""
+        """A row the memo cannot answer, over ``table ∩ mask``: the
+        kernel's answer, held to the Cells and to the plan's feasible
+        region under ``sanitize``; with metrics enabled it attributes wall
+        time and the deterministic hardware latency."""
         t0 = time.perf_counter_ns() if self._obs_enabled else 0
-        out = self._cells.run(self._smbm, mask, self._codegen, self._units)
+        if self.sanitize:
+            out = self._walk(mask)
+            self._check_semantic_containment(out)
+        else:
+            out = self._codegen.evaluate(self._smbm, mask)
         if self._obs_enabled:
             self._obs_eval_ns.observe(time.perf_counter_ns() - t0)
-            self._obs_cycles.inc(self._cells.compiled.latency_cycles)
-        if self._cells.sanitize:
-            self._check_semantic_containment(out)
+            self._obs_cycles.inc(self._compiled.latency_cycles)
         return out
+
+    def _walk(self, mask: int | None) -> int:
+        """Sanitizer: the Cells walk the row from the owner's unit state,
+        then the kernel steps the owner's units and must agree with the
+        Cells on both output and state."""
+        compiled, smbm = self._compiled, self._smbm
+        stateful = not compiled.stateless
+        if stateful:
+            compiled.restore_units(self._units.export())
+        cells = (compiled.evaluate(smbm) if mask is None else
+                 compiled.evaluate_restricted(smbm, mask)).value
+        out = self._agreed(self._codegen.evaluate(smbm, mask),
+                           "codegen kernel", cells, "the interpreted plan")
+        if stateful and self._units.export() != compiled.export_units():
+            raise IntegrityError(
+                f"sanitizer: codegen kernel unit state {self._units.export()} "
+                f"disagrees with the interpreted plan's "
+                f"{compiled.export_units()}", component="filter_module")
+        return out
+
+    def _agreed(self, fast: int, fast_name: str,
+                reference: int, reference_name: str) -> int:
+        """The one optimised-result-vs-reference compare: returns the
+        agreed output or raises :class:`~repro.errors.IntegrityError`."""
+        if fast != reference:
+            raise IntegrityError(
+                f"sanitizer: {fast_name} output {fast:#x} disagrees with "
+                f"{reference_name} {reference:#x} on policy "
+                f"{self.policy.name!r}", component="filter_module")
+        return fast
 
     def _check_semantic_containment(self, output_bits: int) -> None:
         """Sanitizer half of the soundness contract: every selected row
@@ -430,7 +450,7 @@ class FilterModule:
                     f"sanitizer: selected resource {rid} ({row}) lies "
                     f"outside the plan's feasible region "
                     f"{region.describe()} on policy "
-                    f"{self._policy.name!r} — symbolic analysis unsound "
+                    f"{self.policy.name!r} — symbolic analysis unsound "
                     "or plan mis-evaluated",
                     component="filter_module",
                     resource=rid,
@@ -438,7 +458,7 @@ class FilterModule:
 
     # -- runtime sanitizer -------------------------------------------------------------
 
-    def _sanitize_memo_listener(self, kind: str, resource_id: int, row) -> None:
+    def _sanitize_memo_listener(self, kind: str, resource_id: int) -> None:
         """Commit-time check: no memo entry may survive a committed write."""
         if (self._memo_version is not None
                 and self._memo_version >= self._smbm.version):
@@ -454,28 +474,31 @@ class FilterModule:
     def sanitize_check(self) -> BitVector:
         """On-demand oracle comparison: fast path vs the O(N) reference.
 
-        Evaluates the compiled fast path and the naive
+        Evaluates the placed Cells and the naive
         :class:`~repro.core.policy.PolicyInterpreter` on the live table
         and raises :class:`~repro.errors.IntegrityError` on any mismatch.
-        Returns the (agreed) output.  Only valid for stateless policies.
+        Returns the (agreed) output.  Stateless policies only: a stateful
+        unit's or a feedback register's outputs advance per evaluation, so
+        the two legitimately diverge.
         """
-        out = self._cells.check(self._smbm, self._reference)
+        if not self._compiled.stateless:
+            raise ConfigurationError(
+                "sanitize_check requires a stateless policy: stateful "
+                "units legitimately diverge from the naive reference")
+        # The naive reference: a walk of the policy DAG over the table's
+        # rows, sharing no compiler, Cell or MetricIndex with the plan.
+        reference = PolicyInterpreter(self.policy, lfsr_seed=self._lfsr_seed)
+        out = self._agreed(self._compiled.evaluate(self._smbm).value,
+                           "fast path", reference.evaluate(self._smbm).value,
+                           "the naive reference")
         self._check_semantic_containment(out)
         return BitVector.from_int(self._smbm.capacity, out)
-
-    def self_test(self) -> list[dict[str, object]]:
-        """Built-in self-test against the naive reference, healing every
-        fault it finds (:meth:`CellShadow.self_test
-        <repro.switch.cell_shadow.CellShadow.self_test>`).  Only valid for
-        stateless policies."""
-        return self._cells.self_test(self._smbm, self._reference)
 
     def _reset_serving_caches(self) -> None:
         """Drop every serving cache derived from the plan or the table —
         the version-keyed memo and the kernel's specialization — wherever
-        one could go stale: install (construction), hot-swap, fail-around
-        recompile and checkpoint restore.  Counted once per reset on
-        ``serving_cache_resets_total``."""
+        one could go stale: install (construction), hot-swap and checkpoint
+        restore.  Counted once per reset on ``serving_cache_resets_total``."""
         # Single-entry memo: the SMBM version only moves forward, so older
         # results can never become valid again.
         self._memo_version: int | None = None
@@ -491,9 +514,9 @@ class FilterModule:
     ) -> int:
         """Hitlessly replace the programmed policy with ``policy``.
 
-        Both the policy and the placement clock tick.  The replacement is
-        compiled *beside* the live plan (under the same tenant slice and
-        fault exclusions) and analysed once; ``gate`` (e.g. a tenant
+        The policy clock ticks.  The replacement is compiled *beside* the
+        live plan (under the same tenant slice) and analysed once; ``gate``
+        (e.g. a tenant
         manager's semantic and slice checks) is handed the plan and that
         analysis.  A policy that does not fit, or a gate that refuses,
         raises with the live plan, epoch and outputs untouched.  Then the
@@ -506,15 +529,14 @@ class FilterModule:
 
         Returns the new plan epoch.
         """
-        compiled = self._cells.place(policy)
+        compiled = self._place(policy)
         analysis = analyze_policy(policy)
         if gate is not None:
             gate(compiled, analysis)
         # Flip.  _program raises, if it does, before it assigns anything;
         # from there to the epoch bump is one packet boundary
         # (single-threaded cycle model).
-        self._program(analysis)
-        self._cells.install(compiled)
+        self._program(analysis, compiled)
         self._plan_epoch += 1
         self._obs_swaps.inc()
         return self._plan_epoch
@@ -538,11 +560,9 @@ class FilterModule:
           :meth:`~repro.engine.codegen.PlanCodegen.evaluate_masks` call,
           in arrival order (each stateful row is one step of the units
           the next row sees);
-        * while the Cells take rows (:attr:`CellShadow.takes_rows
-          <repro.switch.cell_shadow.CellShadow.takes_rows>`: an injected
-          fault is live, or ``sanitize``), :meth:`_serve` takes those rows
-          instead, one at a time, so a Cell fault raises or heals here as
-          it would for the same packet alone.
+        * under ``sanitize``, :meth:`_serve` takes those rows instead, one
+          at a time, so each is held to the Cells as it would be for the
+          same packet alone.
         """
         rows = len(masks)
         self._batches += 1
@@ -568,8 +588,8 @@ class FilterModule:
 
     def _run_rows(self, masks: Sequence[int | None]) -> list[int]:
         """Rows that cannot share a memo answer: the kernel in one call,
-        or the row routine while the Cells take rows."""
-        if self._cells.takes_rows:
+        or the row routine under ``sanitize``."""
+        if self.sanitize:
             self._batch_fallback_rows += len(masks)
             return [self._serve(mask) for mask in masks]
         self._batch_engine_rows += len(masks)

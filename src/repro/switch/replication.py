@@ -15,17 +15,10 @@ contended cycle: :meth:`~ReplicatedSMBM.commit_cycle` raises one
 staged write of the cycle is applied.  The commit is atomic: either every
 replica sees the cycle's writes or none does, and the staged set is always
 cleared, so the structure stays usable after the exception.
-
-Replicas can still diverge through *faults* (an SEU in one replica's rows, a
-partially failed apply): :meth:`diverged_replicas` detects this by
-majority vote over replica contents and :meth:`repair` resyncs the minority
-replicas from the majority state — the self-healing path a permanently
-wedged ``check_synchronised`` assertion does not provide.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -83,22 +76,9 @@ class ReplicatedSMBM:
         self._cycles = 0
         self._sanitize = sanitize
         registry = obs.get_registry()
-        self._obs_enabled = registry.enabled
         self._obs_contentions = registry.counter(
             "replica_write_contentions_total",
             help="same-resource same-cycle pipeline pairs in refused cycles",
-        )
-        self._obs_detected = registry.counter(
-            "faults_detected_total", {"kind": "replica_divergence"},
-            help="replicas found out of sync by majority vote",
-        )
-        self._obs_repairs = registry.counter(
-            "replica_repairs_total",
-            help="diverged replicas resynced from the majority state",
-        )
-        self._obs_repair_ns = registry.histogram(
-            "repair_latency_ns", {"component": "replicated_smbm"},
-            help="wall time of replica majority-vote resyncs (ns, pow2 buckets)",
         )
 
     @property
@@ -164,14 +144,15 @@ class ReplicatedSMBM:
                     "network path",
                     pairs=pairs, cycle=self._cycles, resource=pairs[0][0],
                 )
+            # SMBM.update is all-or-nothing and the replicas are identical,
+            # so a write refused by the first replica touched none.
             for write in by_resource.values():
                 for replica in self._replicas:
                     if write.kind == "delete":
                         replica.delete(write.resource_id)
                     else:
                         assert write.metrics is not None
-                        replica.delete(write.resource_id)
-                        replica.add(write.resource_id, write.metrics)
+                        replica.update(write.resource_id, write.metrics)
             if self._sanitize and by_resource:
                 self.check_synchronised()
         finally:
@@ -182,10 +163,8 @@ class ReplicatedSMBM:
     def export_state(self) -> dict[str, object]:
         """Bit-faithful export of every replica plus the cycle counter.
 
-        Replicas are exported individually (not deduplicated to one copy):
-        a checkpoint taken while a replica is diverged must restore the
-        divergence exactly, or the post-restore :meth:`diverged_replicas` /
-        :meth:`repair` behaviour would differ from the live structure's.
+        Replicas are exported individually (not deduplicated to one copy),
+        so a restore reproduces exactly what each pipeline read.
         """
         return {
             "pipelines": len(self._replicas),
@@ -212,59 +191,6 @@ class ReplicatedSMBM:
             replica.restore_state(sub)
         self._cycles = int(state["cycles"])  # type: ignore[arg-type]
         self._pending.clear()
-
-    # -- divergence detection and repair -----------------------------------------
-
-    def _majority(self) -> tuple[dict[int, dict[str, int]], list[int]]:
-        """Majority-vote contents and the replicas disagreeing with it.
-
-        Replicas vote with their full relational snapshot; the most common
-        snapshot wins (ties break toward the lowest replica index, the
-        deterministic choice a hardware arbiter would make).
-        """
-        snapshots = [replica.snapshot() for replica in self._replicas]
-        best_idx = 0
-        best_count = 0
-        for i, snap in enumerate(snapshots):
-            count = sum(1 for other in snapshots if other == snap)
-            if count > best_count:
-                best_idx, best_count = i, count
-        majority = snapshots[best_idx]
-        diverged = [
-            i for i, snap in enumerate(snapshots) if snap != majority
-        ]
-        return majority, diverged
-
-    def diverged_replicas(self) -> list[int]:
-        """Indices of replicas whose contents disagree with the majority."""
-        return self._majority()[1]
-
-    def repair(self) -> list[int]:
-        """Resync every diverged replica from the majority state.
-
-        Returns the indices repaired.  Each diverged replica is brought to
-        the majority contents with delete/add writes — rows it should not
-        have are removed, rows that differ (or are missing) are rewritten.
-        Detection and repair are counted and timed through ``repro.obs``.
-        """
-        t0 = time.perf_counter_ns() if self._obs_enabled else 0
-        majority, diverged = self._majority()
-        for i in diverged:
-            replica = self._replicas[i]
-            for rid in list(replica.snapshot()):
-                if rid not in majority:
-                    replica.delete(rid)
-            for rid, row in majority.items():
-                if rid in replica and replica.metrics_of(rid) == row:
-                    continue
-                replica.delete(rid)
-                replica.add(rid, row)
-        if diverged:
-            self._obs_detected.inc(len(diverged))
-            self._obs_repairs.inc(len(diverged))
-            if self._obs_enabled:
-                self._obs_repair_ns.observe(time.perf_counter_ns() - t0)
-        return diverged
 
     def check_synchronised(self) -> None:
         """Assert all replicas hold identical contents."""

@@ -104,13 +104,11 @@ class ThanosSwitch:
         splits another's run (tables are disjoint, so the order across
         owners is immaterial).
 
-        An error raised while *serving* a row — a dead Cell met without
-        ``self_healing``, a sanitizer refusal — is the one that row raises
-        served alone, and propagates as is: while a fault sits on an
-        owner's placement every row its memo cannot answer walks the Cells,
-        masked or not.  Which other owners' rows and probes were served
-        before it is not part of the contract: a batch of one stops at the
-        packet, a longer batch at the run.
+        An error raised while *serving* a row — a sanitizer refusal, say —
+        is the one that row raises served alone, and propagates as is.
+        Which other owners' rows and probes were served before it is not
+        part of the contract: a batch of one stops at the packet, a longer
+        batch at the run.
         """
         owners, cuts, runs = classify(packets, self._codec.decode,
                                       self._tenants)

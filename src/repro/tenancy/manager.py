@@ -24,11 +24,6 @@ neighbour's state.  Confinement is enforced three times over:
    against compiler bugs;
 3. each tenant's resource table is a separate SMBM sized exactly to its
    row quota, so a table write cannot even name a foreign row.
-
-Fault domains are per tenant: a :class:`~repro.errors.CellFault` in one
-tenant's strip triggers fail-around recompilation of *that* tenant's
-plan only, inside the same strip — the surviving tenants' plans, memos
-and kernels are untouched.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ class TenantSpec:
     columns: int = 1
     cell_quota: int | None = None
     lfsr_seed: int = 1
-    self_healing: bool = False
     sanitize: bool = False
     codegen: bool = False
 
@@ -303,7 +297,6 @@ class TenantManager:
                 spec.policy,
                 self._params,
                 lfsr_seed=spec.lfsr_seed,
-                self_healing=spec.self_healing,
                 sanitize=spec.sanitize,
                 tenant=spec.name,
                 reserved_cells=tenant_slice.reserved_cells(self._params),

@@ -27,7 +27,7 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConfigurationError
 
 CAP = 16
 METRICS = ("cpu", "mem", "bw")
@@ -308,3 +308,32 @@ class TestFigure14Structure:
         # The MUX plan picks between two distinct last-stage lines.
         assert compiled.mux is not None
         assert compiled.mux.primary_line != compiled.mux.fallback_line
+
+
+def _slice_policy() -> Policy:
+    return Policy(intersection(predicate(TableRef(), "cpu", "<", 70),
+                               predicate(TableRef(), "mem", ">", 100)),
+                  name="slice")
+
+
+#: Three Cells per stage: room to place around an excluded one.
+ROOMY = PipelineParams(n=6, k=3, f=2, chain_length=2)
+
+
+def test_compiler_rejects_out_of_range_dead_cells():
+    compiler = PolicyCompiler(ROOMY)
+    with pytest.raises(ConfigurationError):
+        compiler.compile(_slice_policy(), dead_cells=[(0, 0)])
+    with pytest.raises(ConfigurationError):
+        compiler.compile(_slice_policy(), dead_cells=[(1, 99)])
+
+
+def test_compiled_with_dead_cells_never_routes_them():
+    """An excluded Cell (a tenant slice's foreign Cell) is killed in the
+    compiled pipeline and placed nothing."""
+    compiled = PolicyCompiler(ROOMY).compile(
+        _slice_policy(), dead_cells=[(1, 0)]
+    )
+    assert compiled.dead_cells == frozenset({(1, 0)})
+    assert (1, 0) not in compiled.pipeline.active_cells()
+    assert compiled.pipeline.cell_at(1, 0).is_dead

@@ -125,7 +125,6 @@ class TestWriteSideWork:
         for _ in range(200):
             table.update(rng.randrange(64), _random_row(rng))
             table.delete(rng.randrange(64))
-        table.corrupt_stored_bit(next(iter(table.snapshot())), "cpu", 3)
         table.restore_state(table.export_state())
         assert table._indexes == {} and table._sets == {}
 

@@ -106,8 +106,8 @@ class TestRefusedWritesLeaveTheTableUntouched:
         (1, {"x": 5, "y": None}, ConfigurationError),
         (1, {"x": 2.5, "y": 1}, ConfigurationError),    # was silently 2
         (8, {"x": 5, "y": 1}, CapacityError),           # update of absent = add
-        # Outside the unsigned stored word the analyser, TH003 and the ECC
-        # assume (both were once stored).
+        # Outside the unsigned stored word the analyser and TH003 assume
+        # (both were once stored).
         (0, {"x": -1, "y": 1}, ConfigurationError),
         (0, {"x": 5, "y": 2**STORED_WORD_BITS}, ConfigurationError),
     ])
@@ -129,24 +129,6 @@ class TestRefusedWritesLeaveTheTableUntouched:
                           s.attr_list("y"), s.export_state())
         assert s.metric_index("x") is index
         assert masks == (index.below, s.predicate_set("y", RelOp.GT, 6))
-        assert seen == []
-        s.check_invariants()
-
-    @pytest.mark.parametrize("bad", [-1, 2**STORED_WORD_BITS, 2.7, "3"])
-    def test_repair_refuses_what_a_write_refuses(self, bad):
-        """A scrubber's corrected row passes the same guard as a write,
-        before its first word moves (it once stored -1 and 2**64, and
-        truncated 2.7 to 2)."""
-        s = make_smbm()
-        s.add(0, {"x": 5, "y": 5})
-        s.add(1, {"x": 3, "y": 9})
-        s.metric_index("x")
-        seen = []
-        s.add_write_listener(lambda *event: seen.append(event))
-        before = (s.export_state(), s.attr_list("x"), s.attr_list("y"))
-        with pytest.raises(ConfigurationError):
-            s.repair_row(0, {"x": 4, "y": bad})
-        assert (s.export_state(), s.attr_list("x"), s.attr_list("y")) == before
         assert seen == []
         s.check_invariants()
 

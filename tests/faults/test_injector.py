@@ -3,50 +3,19 @@
 import pytest
 
 from repro import obs
-from repro.core.pipeline import PipelineParams
-from repro.core.policy import Policy, TableRef, intersection, predicate
-from repro.core.smbm import SMBM
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector
-from repro.switch.filter_module import FilterModule
 from repro.switch.replication import ReplicatedSMBM
 
 METRICS = ("cpu", "mem")
-PARAMS = PipelineParams(n=6, k=3, f=2, chain_length=2)
-
-
-def make_policy():
-    return Policy(
-        intersection(
-            predicate(TableRef(), "cpu", "<", 70),
-            predicate(TableRef(), "mem", ">", 100),
-        ),
-        name="inj",
-    )
-
-
-def make_table(n_rows=6):
-    smbm = SMBM(n_rows, METRICS)
-    for rid in range(n_rows):
-        smbm.add(rid, {"cpu": 10 * rid, "mem": 60 * rid})
-    return smbm
-
-
-def make_module(n_rows=6):
-    module = FilterModule(n_rows, METRICS, make_policy(), PARAMS,
-                          self_healing=True)
-    for rid in range(n_rows):
-        module.update_resource(rid, {"cpu": 10 * rid, "mem": 60 * rid})
-    return module
+CLASH = {1: {"cpu": 1, "mem": 1}, 2: {"cpu": 2, "mem": 2}}
 
 
 def test_same_seed_same_schedule():
     def run(seed):
         inj = FaultInjector(seed)
-        smbm = make_table()
-        inj.flip_smbm_bits(smbm, 3)
-        module = make_module()
-        inj.kill_cell(module)
+        rep = ReplicatedSMBM(3, 1 << 16, METRICS)
+        inj.contend_writes(rep, inj.rng.randrange(1 << 16), CLASH)
         return [(e.kind, e.target, tuple(sorted(e.detail.items())))
                 for e in inj.events]
 
@@ -58,79 +27,15 @@ def test_events_and_counters_agree():
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         inj = FaultInjector(1)
-        smbm = make_table()
-        inj.flip_smbm_bit(smbm)
-        inj.flip_smbm_bits(smbm, 2)
+        rep = ReplicatedSMBM(3, 4, METRICS)
+        for rid in range(3):
+            inj.contend_writes(rep, rid, CLASH)
         snap = obs.snapshot(registry)
     assert inj.injected() == 3
-    assert inj.injected("seu") == 3
+    assert inj.injected("write_contention") == 3
     assert inj.injected("link_flap") == 0
-    assert snap["counters"]['faults_injected_total{kind="seu"}'] == 3
+    assert snap["counters"]['faults_injected_total{kind="write_contention"}'] == 3
     assert [e.seq for e in inj.events] == [0, 1, 2]
-
-
-def test_flip_applies_recorded_bit(rng):
-    inj = FaultInjector(rng.randrange(2**32))
-    smbm = make_table()
-    event = inj.flip_smbm_bit(smbm)
-    rid, metric = event.detail["resource"], event.detail["metric"]
-    assert smbm.metrics_of(rid)[metric] == event.detail["new"]
-    assert event.detail["old"] ^ event.detail["new"] == 1 << event.detail["bit"]
-
-
-def test_distinct_word_flips_stay_single_bit(rng):
-    inj = FaultInjector(rng.randrange(2**32))
-    smbm = make_table()
-    events = inj.flip_smbm_bits(smbm, 5)
-    words = [(e.detail["resource"], e.detail["metric"]) for e in events]
-    assert len(set(words)) == 5  # never two flips in one word
-
-
-def test_flip_rejects_empty_and_oversized():
-    inj = FaultInjector(0)
-    empty = SMBM(4, METRICS)
-    with pytest.raises(ConfigurationError):
-        inj.flip_smbm_bit(empty)
-    smbm = make_table(2)
-    with pytest.raises(ConfigurationError):
-        inj.flip_smbm_bits(smbm, 100)
-
-
-def test_kill_cell_targets_active_cell():
-    inj = FaultInjector(5)
-    module = make_module()
-    event = inj.kill_cell(module)
-    pos = (event.detail["stage"], event.detail["index"])
-    assert pos in module.compiled.pipeline.active_cells()
-    assert module.compiled.pipeline.cell_at(*pos).is_dead
-
-
-def test_stick_cell_keeps_only_observable_wedges():
-    inj = FaultInjector(3)
-    module = make_module()
-    event = inj.stick_cell(module)
-    if event is None:
-        pytest.skip("no observable wedge on this policy at this seed")
-    # Exactly one wedge left armed: the recorded one.
-    wedged = {
-        pos: module.compiled.pipeline.cell_at(*pos).stuck_faults
-        for pos in module.compiled.pipeline.active_cells()
-        if module.compiled.pipeline.cell_at(*pos).stuck_faults
-    }
-    assert wedged == {
-        (event.detail["stage"], event.detail["index"]):
-            {event.detail["side"]: event.detail["stuck"]}
-    }
-
-
-def test_diverge_replica_validations():
-    inj = FaultInjector(0)
-    single = ReplicatedSMBM(1, 4, METRICS)
-    with pytest.raises(ConfigurationError):
-        inj.diverge_replica(single)
-    empty = ReplicatedSMBM(3, 4, METRICS)
-    with pytest.raises(ConfigurationError):
-        inj.diverge_replica(empty)
 
 
 def test_contend_writes_requires_two_pipelines():

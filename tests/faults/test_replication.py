@@ -1,13 +1,11 @@
-"""ReplicatedSMBM beyond the happy path: divergence detection, majority
-repair, contention sequences, and exception-safety of commit_cycle."""
+"""ReplicatedSMBM beyond the happy path: contention sequences and
+exception-safety of commit_cycle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.core.smbm import STORED_WORD_BITS
-from repro.errors import ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.switch.replication import ReplicatedSMBM, WriteContention
 
@@ -23,63 +21,6 @@ def fill(rep, n_rows, rng):
         rep.issue_update(0, rid, {"cpu": rng.randrange(100),
                                   "mem": rng.randrange(400)})
         rep.commit_cycle()
-
-
-class TestDivergenceAndRepair:
-    def test_detects_single_corrupted_replica(self, rng):
-        rep = make_rep()
-        fill(rep, 4, rng)
-        victim = rng.randrange(rep.pipelines)
-        rep.replica(victim).corrupt_stored_bit(
-            2, "cpu", rng.randrange(STORED_WORD_BITS)
-        )
-        assert rep.diverged_replicas() == [victim]
-        # check_synchronised compares everyone against replica 0, so it
-        # flags *a* divergence (localization is diverged_replicas' job).
-        with pytest.raises(IntegrityError):
-            rep.check_synchronised()
-
-    def test_repair_resyncs_to_majority(self, rng):
-        rep = make_rep()
-        fill(rep, 4, rng)
-        expected = {rid: dict(rep.replica(0).metrics_of(rid))
-                    for rid in rep.replica(0).snapshot()}
-        victim = rng.randrange(rep.pipelines)
-        rep.replica(victim).corrupt_stored_bit(1, "mem", 7)
-        assert rep.repair() == [victim]
-        rep.check_synchronised()
-        for rid, row in expected.items():
-            assert dict(rep.replica(victim).metrics_of(rid)) == row
-
-    def test_repair_restores_missing_and_extra_rows(self, rng):
-        rep = make_rep()
-        fill(rep, 3, rng)
-        rep.replica(1).delete(0)                       # missing row
-        rep.replica(1).add(7, {"cpu": 1, "mem": 1})    # phantom row
-        assert rep.repair() == [1]
-        rep.check_synchronised()
-        assert 0 in rep.replica(1)
-        assert 7 not in rep.replica(1)
-
-    def test_repair_on_healthy_set_is_noop(self, rng):
-        rep = make_rep()
-        fill(rep, 3, rng)
-        assert rep.repair() == []
-        rep.check_synchronised()
-
-    def test_repair_counters(self, rng):
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            rep = make_rep()
-            fill(rep, 3, rng)
-            rep.replica(2).corrupt_stored_bit(1, "cpu", 3)
-            rep.repair()
-            snap = obs.snapshot(registry)
-        counters = snap["counters"]
-        assert counters['faults_detected_total{kind="replica_divergence"}'] == 1
-        assert counters["replica_repairs_total"] == 1
-        hist = snap["histograms"]['repair_latency_ns{component="replicated_smbm"}']
-        assert hist["count"] == 1
 
 
 class TestContention:
@@ -251,8 +192,5 @@ class TestMidApplyFailure:
         rep.issue_update(0, 0, {"cpu": 3, "mem": 4})
         rep.commit_cycle()
         assert dict(rep.replica(2).metrics_of(0)) == {"cpu": 3, "mem": 4}
-        # The half-applied write (delete landed, add failed on replica 0)
-        # is exactly what majority-vote repair exists for.
-        assert rep.diverged_replicas() == [0]
-        assert rep.repair() == [0]
+        # The refused write touched no replica: they are still in sync.
         rep.check_synchronised()

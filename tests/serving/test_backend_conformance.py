@@ -41,9 +41,9 @@ from repro.engine.batch import (
 )
 from repro.errors import (
     CapacityError,
-    CellFault,
     CompilationError,
     ConfigurationError,
+    IntegrityError,
     RoutingError,
 )
 from repro.rmt.packet import META_TENANT, Packet
@@ -353,81 +353,13 @@ def test_the_batched_switch_serves_without_a_packet_batch(monkeypatch):
         step[0] == "probe" for step in steps)
 
 
-#: The dead-Cell schedule's tenants, each with a spare Cell column: one
-#: heals around a dead Cell, and one more does under the sanitizer.  While
-#: the fault is live every row walks the Cells, masked batch rows included.
-FAULT_TENANTS = {"heal": {"self_healing": True},
-                 "heal-san": {"self_healing": True, "sanitize": True}}
-#: And one with nothing to heal its Cells: with one dead it must refuse
-#: every row, however it arrives.
-SANITIZED = {"san": {"sanitize": True}}
-
-
-def _dead_cell_schedule():
-    """Every tenant's first packets after the fault are *masked*, and a
-    probe closes that run before an unmasked one arrives: whichever entry
-    point carries a masked row has to heal itself, it cannot ride on an
-    unmasked row having done so."""
-    steps = [("probe", tenant, rid, {"cpu": 40 - 7 * rid, "mem": rid})
-             for rid in range(5) for tenant in FAULT_TENANTS]
-    for i, mask in enumerate((0b00111, 0b10011, None, 1 << 3, None, 0)):
-        for tenant in FAULT_TENANTS:
-            steps.append(("data", tenant, mask))
-        if i in (1, 3):
-            for tenant in FAULT_TENANTS:
-                steps.append(("probe", tenant, i, {"cpu": i, "mem": i}))
-    return steps
-
-
-def _run_with_dead_cells(cls, steps, tenants=FAULT_TENANTS):
-    """Serve ``steps`` with the first active Cell of every tenant dead
-    from the start; returns (traces, tenant -> (module, dead position))."""
-    manager = TenantManager(METRICS, PipelineParams(n=4 * len(tenants)),
-                            smbm_capacity=8 * len(tenants))
-    backend = cls(manager)
-    killed = {}
-    for name, flags in tenants.items():
-        tenant = backend.program_tenant(
-            TenantSpec(name, _policy_a(), smbm_quota=8, columns=2, **flags))
-        dead = tenant.module.compiled.pipeline.active_cells()[0]
-        tenant.module.cells.kill(*dead)
-        killed[name] = (tenant.module, dead)
-    return _run(backend, steps), killed
-
-
-def test_dead_cell_schedule_serves_alike_on_both_backends():
-    steps = _dead_cell_schedule()
-    scalar, killed = _run_with_dead_cells(ScalarBackend, steps)
-    batched, killed_batched = _run_with_dead_cells(BatchedBackend, steps)
-    golden = _golden_traces(steps, {name: _policy_a for name in FAULT_TENANTS})
-    assert scalar == batched == golden
-    # On both backends the first row to meet the dead Cell was a masked
-    # one, and it healed exactly as an unmasked row would have.
-    for name in ("heal", "heal-san"):
-        module, dead = killed_batched[name]
-        assert module.cells.routed_around == {dead}
-    for name in ("heal", "heal-san"):
-        module, dead = killed[name]
-        assert module.cells.routed_around == {dead}
-    # The sanitized tenant's masked rows meet the dead Cell on both
-    # backends — per packet on one, per batch row on the other, for a
-    # short column and a longer one.
-    for rows in (2, 9):
-        masked = ([("probe", "san", rid, {"cpu": 9 - rid, "mem": rid})
-                   for rid in range(3)]
-                  + [("data", "san", 0b011)] * rows)
-        for cls in BACKENDS:
-            with pytest.raises(CellFault):
-                _run_with_dead_cells(cls, masked, SANITIZED)
-
-
 def test_every_miss_is_timed_and_charged_masked_or_not(registry):
     """N rows of the row routine that miss the memo move
     ``filter_evaluations_total``, the ``filter_eval_ns`` count and
     ``filter_eval_cycles_total`` by N, N and N x latency, whichever entry
     point carried them and whether or not they carried a mask.  Masked
-    rows reach the row routine while the Cells take rows, so they are
-    carried on a sanitized module."""
+    rows reach the row routine under ``sanitize``, so they are carried on
+    a sanitized module."""
     for policy in (_policy_a, _policy_c, _policy_f):
         module = FilterModule(8, METRICS, policy(), sanitize=True)
         plain = FilterModule(8, METRICS, policy(), tenant="plain")
@@ -606,15 +538,25 @@ def test_out_of_quota_probe_id_refuses_the_whole_batch(cls):
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_a_dead_cell_met_while_serving_raises_alike(cls):
+def test_a_kernel_error_met_while_serving_raises_alike(cls, monkeypatch):
     """Past the up-front check, a serving-time error keeps its type on
-    both backends (``ThanosSwitch.process_batch``'s contract): a dead Cell
-    that a row meets without ``self_healing`` is a CellFault."""
+    both backends (``ThanosSwitch.process_batch``'s contract)."""
+    manager = TenantManager(METRICS, PipelineParams(n=4), smbm_capacity=8)
+    backend = cls(manager)
+    module = backend.program_tenant(
+        TenantSpec("plain", _policy_a(), smbm_quota=8)).module
+
+    def refuse(*args):
+        raise IntegrityError("kernel refused the row",
+                             component="filter_module")
+
+    for name in ("evaluate", "evaluate_masks"):
+        monkeypatch.setattr(module.codegen, name, refuse)
     steps = ([("probe", "plain", rid, {"cpu": 9 - rid, "mem": rid})
               for rid in range(3)]
              + [("data", "plain", mask) for mask in (None, 0b011)])
-    with pytest.raises(CellFault):
-        _run_with_dead_cells(cls, steps, {"plain": {}})
+    with pytest.raises(IntegrityError, match="kernel refused the row"):
+        _run(backend, steps)
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
@@ -630,9 +572,7 @@ def test_write_batch_and_health(cls):
     assert len(backend.manager.get("a").module.smbm) == 1
     health = backend.health()
     assert health["backend"] == cls.name
-    assert health["healthy"] is True
     assert health["tenants"] == len(POLICIES)
-    assert health["degraded_tenants"] == []
 
 
 @pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)

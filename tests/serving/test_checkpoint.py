@@ -2,9 +2,8 @@
 
 Property acceptance: ``restore(snapshot(smbm))`` reproduces the stored
 words, the FIFO enqueue order, *and* the version counter exactly — under
-arbitrary write histories, under :class:`ReplicatedSMBM` (per-replica,
-divergence preserved), and with an :class:`ECCStore` attached (check
-words rebuild to the source's).  A checkpoint's file is the write-ahead
+arbitrary write histories and under :class:`ReplicatedSMBM`
+(per-replica, divergence preserved).  A checkpoint's file is the write-ahead
 log: it round-trips through a ``checkpoint`` record bit-identically, and
 a payload that does not decode is rejected with
 :class:`~repro.errors.CheckpointError`, never half-restored.
@@ -33,7 +32,6 @@ from repro.core.policy import (
 )
 from repro.core.smbm import SMBM
 from repro.errors import CapacityError, CheckpointError, ConfigurationError
-from repro.faults.scrub import ECCStore
 from repro.serving.backend import ScalarBackend, TableWrite
 from repro.serving.checkpoint import (
     SwitchCheckpoint,
@@ -105,18 +103,6 @@ def test_restore_overwrites_any_prior_contents(ops, pre):
     _apply(target, pre)  # dirty the target first
     target.restore_state(source.export_state())
     assert target.export_state() == source.export_state()
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=_ops_strategy())
-def test_ecc_state_rebuilds_across_restore(ops):
-    source = SMBM(8, METRICS)
-    source_ecc = ECCStore(source)
-    _apply(source, ops)
-    target = SMBM(8, METRICS)
-    target_ecc = ECCStore(target)
-    target.restore_state(source.export_state())
-    assert target_ecc.snapshot() == source_ecc.snapshot()
 
 
 def test_restore_preserves_fifo_tie_order():

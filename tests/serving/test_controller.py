@@ -380,5 +380,21 @@ def test_module_smoke_entrypoint(capsys):
 
     assert main(["--backend", "batched", "--writes", "4"]) == 0
     out = capsys.readouterr().out
-    assert "healthy" in out
+    assert "'sent': 8, 'served': 8" in out
     assert "controller_ops_total" in out
+
+
+@pytest.mark.parametrize("outcome", ["op error", "short"])
+def test_module_smoke_exits_1_on_what_it_can_still_hit(outcome, monkeypatch,
+                                                       capsys):
+    """The smoke fails on an op error or on fewer packets served than sent."""
+    from repro.serving import controller
+
+    async def smoke(backend_kind, writes):
+        if outcome == "op error":
+            raise ConfigurationError("refused op")
+        return {"backend": backend_kind, "sent": 8, "served": 7}
+
+    monkeypatch.setattr(controller, "_smoke", smoke)
+    assert controller.main(["--backend", "batched"]) == 1
+    assert ("refused op" in capsys.readouterr().out) == (outcome == "op error")

@@ -172,15 +172,17 @@ def test_every_spec_field_survives_wal_and_checkpoint_roundtrip(tmp_path):
     ``add_tenant`` document, or snapshot -> checkpoint record -> restore."""
     spec = TenantSpec(name="alpha", policy=_policy("pred"), smbm_quota=6,
                       columns=2, cell_quota=5, lfsr_seed=11,
-                      self_healing=True, sanitize=True, codegen=True)
+                      sanitize=True, codegen=True)
     for field in dataclasses.fields(TenantSpec):
         if field.default is not dataclasses.MISSING:
             assert getattr(spec, field.name) != field.default, (
                 f"give TenantSpec.{field.name} a non-default value here")
 
-    # A document written before a field was retired (``memoize`` until
-    # PR 17) still carries its key; both persisted forms must keep reading.
-    for era, extra in (("now", {}), ("old", {"memoize": False})):
+    # A document written before a field was retired (``memoize``,
+    # ``self_healing``) still carries its key; both persisted forms must
+    # keep reading.
+    for era, extra in (("now", {}), ("memoize", {"memoize": False}),
+                       ("self_healing", {"self_healing": True})):
         source = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
         source.program_tenant(spec)
         wal_path = tmp_path / f"{era}.wal"

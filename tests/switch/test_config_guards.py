@@ -3,11 +3,9 @@ rebuilt on exactly one clock.
 
 No combination of the mode flags is refused: every one of them serves,
 through every door, what a plain module serves
-(:func:`tests.switch.test_row_path_property.serves_like_plain` — healthy
-and with a Cell dead).  The clock tests pin what a fail-around recompile
-must leave alone and what a hot-swap must replace, and which rows reach
-the Cells: none of a stateless plan's, unless an injected fault is still
-on the placement.
+(:func:`tests.switch.test_row_path_property.serves_like_plain`).  The
+clock tests pin what a hot-swap must replace, and that no row of a plain
+module reaches the Cells.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.core.compiler import CompiledPolicy
 from repro.core.operators import RelOp
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import Policy, TableRef, min_of, predicate, random_pick
-from repro.errors import CellFault
 from repro.rmt.packet import Packet
 from repro.switch.filter_module import (
     META_FILTER_INPUT,
@@ -38,7 +35,6 @@ METRICS = ("q", "load")
 #: "tenant" is a mode, not a boolean: it is enabled by the slicing
 #: parameters (here: the first two of four Cell columns).
 FLAG_KWARGS = {
-    "self_healing": {"self_healing": True},
     "sanitize": {"sanitize": True},
     "tenant": {
         "tenant": "alice",
@@ -70,42 +66,12 @@ def test_every_flag_at_once():
                          for k, v in kwargs.items()})
 
 
-def test_tenant_mode_composes_with_self_healing():
-    """Per-tenant fault domains: a sliced module may self-heal inside its
-    own strip."""
-    # Two columns: fail-around needs a surviving path through the strip
-    # (a one-column strip whose only stage-1 Cell dies is severed — the
-    # compiler rightly refuses, which is its own guarantee).
-    module = FilterModule(
-        8, METRICS,
-        Policy(predicate(TableRef(), "q", RelOp.LT, 5), name="p"),
-        PARAMS,
-        self_healing=True,
-        **FLAG_KWARGS["tenant"],
-    )
-    assert module.tenant == "alice"
-    assert module.cells.self_healing
-    module.update_resource(0, {"q": 3, "load": 1})
-    module.update_resource(1, {"q": 7, "load": 2})
-    out = module.evaluate()
-    # A fault in the tenant's own column heals by recompiling within the
-    # slice: the reserved Cells stay excluded afterwards.  (A table write
-    # invalidates the memo so the next evaluation really routes through
-    # the pipeline and trips the dead Cell.)
-    module.cells.kill(1, 0)
-    module.update_resource(2, {"q": 9, "load": 3})
-    healed = module.evaluate()
-    assert healed.value == out.value
-    assert (1, 0) in module.cells.routed_around
-    assert module.cells.reserved_cells <= module.compiled.dead_cells
-
-
-# -- the three clocks ------------------------------------------------------------------
+# -- the two clocks ------------------------------------------------------------------
 
 
 def _lowerings(module: FilterModule) -> tuple:
-    """What the policy clock owns: the kernel and the naive reference."""
-    return module.codegen, module._reference
+    """What the policy clock owns: the kernel and the units it steps."""
+    return module.codegen, module._units
 
 
 def _min_q() -> Policy:
@@ -139,21 +105,21 @@ def plan_runs(monkeypatch) -> list[str]:
     return calls
 
 
-def test_fail_around_keeps_what_the_policy_built_and_a_swap_replaces_it():
-    module = _filled(self_healing=True, sanitize=True)
+def test_a_swap_replaces_what_the_policy_built():
+    module = _filled(sanitize=True)
     built = _lowerings(module)
     assert None not in built
     plan = module.compiled
-    module.cells.kill(*plan.pipeline.active_cells()[0])
-    assert module.select() == 3  # healed mid-traffic
-    assert module.compiled is not plan and module.cells.routed_around
+    assert module.select() == 3
+    assert module.compiled is plan
     assert all(now is was for now, was in zip(_lowerings(module), built))
     assert module.hot_swap(_min_q()) == 1
+    assert module.compiled is not plan
     assert all(now is not was for now, was in zip(_lowerings(module), built))
     assert module.select() == 3
 
 
-# -- one lowering, and where the Cells still serve ---------------------------------
+# -- one lowering ------------------------------------------------------------------
 
 
 def test_a_stateless_module_serves_misses_and_masked_rows_from_its_kernel(
@@ -166,44 +132,6 @@ def test_a_stateless_module_serves_misses_and_masked_rows_from_its_kernel(
     assert plan_runs == []
     assert registry.value_of("filter_memo_misses_total") == 4
     assert outs == [0b0100, 0b1000, 0]
-
-
-@pytest.mark.parametrize("self_healing", (False, True),
-                         ids=("raises", "heals"))
-def test_an_injected_dead_cell_is_met_by_the_next_miss(plan_runs,
-                                                       self_healing: bool):
-    module = _filled(self_healing=self_healing)
-    assert module.select() == 3
-    dead = module.compiled.pipeline.active_cells()[0]
-    module.cells.kill(*dead)
-    module.update_resource(0, {"q": 0, "load": 9})  # the memo must miss
-    if self_healing:
-        assert module.select() == 3 and plan_runs == ["evaluate"]
-    else:
-        with pytest.raises(CellFault):
-            module.select()
-        with pytest.raises(CellFault):
-            _masked(module, 0b0110)
-        assert set(plan_runs) == {"evaluate", "evaluate_restricted"}
-        # The self-test meets it too, and routes around it.
-        assert module.self_test() == [
-            {"stage": dead[0], "index": dead[1], "kind": "cell_dead"}]
-    assert module.cells.routed_around == {dead}
-    plan_runs.clear()  # healed: rows are back on the kernel
-    module.update_resource(0, {"q": 0, "load": 0})
-    assert (module.select(), _masked(module, 0b0110)) == (0, 0b0100)
-    assert plan_runs == []
-
-
-def test_a_stuck_cell_holds_rows_on_the_cells_until_it_is_gone(plan_runs):
-    module = _filled()
-    pos = module.compiled.pipeline.active_cells()[0]
-    module.cells.stick(*pos, 1, 0)
-    _masked(module, 0b0110)
-    assert plan_runs == ["evaluate_restricted"]
-    module.cells.unstick(*pos, 1)
-    plan_runs.clear()
-    assert _masked(module, 0b0110) == 0b0100 and plan_runs == []
 
 
 def test_a_swap_to_a_stateful_policy_builds_a_kernel_that_steps_its_units(

@@ -2,8 +2,8 @@
 which entry point carried it.
 
 Five twin modules are built identically and driven through the same
-sequence of packets, table writes, hot-swaps, wedged Cells and (where
-something can absorb it) a dead Cell — each twin through a different door:
+sequence of packets, table writes and hot-swaps — each twin through a
+different door:
 
 * ``masks``   — :meth:`FilterModule.evaluate_masks` on ``[mask]``, the
   selected id and epoch derived as the switch derives them;
@@ -21,8 +21,7 @@ the batch engine did.
 
 :func:`serves_like_plain` turns the same doors on the module's options:
 whatever combination of them a module is built with, every door serves
-what a plain module serves — healthy, and with an active Cell dead
-wherever something absorbs the fault.
+what a plain module serves.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro.core.policy import (
     round_robin,
 )
 from repro.errors import CompilationError
-from repro.faults.injector import FaultInjector
 from repro.rmt.packet import Packet
 from repro.switch.filter_module import (
     META_FILTER_EPOCH,
@@ -77,11 +75,7 @@ STATEFUL_ROOTS = (
 )
 
 #: Every combination of the mode flags.
-FLAGS = tuple(
-    {flag: True for flag in combo}
-    for size in range(3)
-    for combo in itertools.combinations(("self_healing", "sanitize"), size)
-)
+FLAGS = ({}, {"sanitize": True})
 
 
 def _policy(seed: int, stateful: bool, name: str) -> Policy:
@@ -105,8 +99,6 @@ _step = st.one_of(
     st.tuples(st.just("packet"), _mask),
     st.tuples(st.just("write"), st.integers(0, CAP - 1), _metrics),
     st.tuples(st.just("swap"), st.integers(0, 10_000)),
-    st.tuples(st.just("kill")),
-    st.tuples(st.just("stick")),
 )
 
 
@@ -150,12 +142,6 @@ def _serve(door: str, module: FilterModule, mask: int | None, all_none: bool):
             meta[META_FILTER_EPOCH])
 
 
-def _absorbs_dead_cell(flags) -> bool:
-    """A dead Cell is only survivable where the heal guard absorbs it:
-    while it is live, every row routine run walks the Cells and meets it."""
-    return bool(flags.get("self_healing"))
-
-
 def _outcome(fn):
     try:
         return ("ok",) + tuple(fn())
@@ -187,7 +173,6 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
         for rid, metrics in rows:
             for module in twins.values():
                 module.update_resource(rid, metrics)
-        absorbs = _absorbs_dead_cell(flags)
         for number, step in enumerate(steps):
             if step[0] == "write":
                 for module in twins.values():
@@ -199,22 +184,6 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
                     for door, module in twins.items()
                 }
                 assert len(set(outcomes.values())) == 1, outcomes
-            elif step[0] == "stick":
-                # Silent: every later row the memo cannot answer walks
-                # the wedged Cells, whichever door it came in by.  (The
-                # injector's probe walk meets a dead Cell not yet healed.)
-                outcomes = {
-                    door: _outcome(lambda m=module: (
-                        FaultInjector(seed=3).stick_cell(m),))
-                    for door, module in twins.items()
-                }
-                assert len(set(map(repr, outcomes.values()))) == 1, outcomes
-            elif step[0] == "kill":
-                if absorbs:
-                    for module in twins.values():
-                        cells = module.compiled.pipeline.active_cells()
-                        if cells and cells[0] not in module.cells.routed_around:
-                            module.cells.kill(*cells[0])
             else:
                 mask = step[1]
                 before = {door: _counts(registry, door) for door in DOORS}
@@ -237,13 +206,9 @@ def test_every_door_serves_the_same_row(seed, stateful, flags, rows, steps,
 def serves_like_plain(**options) -> None:
     """Twin modules built with ``options``, one per door, against a plain
     module fed the same rows and the same hot-swap: every door serves the
-    plain module's output, selected id and epoch on every mask shape —
-    healthy, and with the first active Cell dead.  Where nothing absorbs
-    the dead Cell the row routine says so (``CellFault`` through ``masks``,
-    never a silent answer) and no door serves anything *but* the plain
-    rows or that fault."""
+    plain module's output, selected id and epoch on every mask shape."""
     def build(**kwargs) -> FilterModule:
-        # Two spare Cell columns, so a slice still has one to heal onto.
+        # Two spare Cell columns beside a two-column slice.
         module = FilterModule(CAP, METRICS, policy(), PipelineParams(n=8),
                               **kwargs)
         for rid in range(CAP // 2):
@@ -261,20 +226,9 @@ def serves_like_plain(**options) -> None:
     want = {mask: _outcome(lambda: _serve("masks", plain, mask, False))
             for mask in masks}
     assert {outcome[0] for outcome in want.values()} == {"ok"}
-    for dead in (False, True):
-        twins = {door: build(**options) for door in DOORS}
-        if dead:
-            for module in twins.values():
-                module.cells.kill(
-                    *module.compiled.pipeline.active_cells()[0])
-        for mask, door in itertools.product(masks, DOORS):
-            got = _outcome(lambda: _serve(door, twins[door], mask, False))
-            if door == "select" and mask is None and got[0] == "ok":
-                got = got[:1] + want[mask][1:2] + got[2:]
-            if not dead or _absorbs_dead_cell(options):
-                assert got == want[mask], (dead, door, mask)
-            elif door == "masks":
-                assert got == ("raise", "CellFault"), (door, mask)
-            else:
-                assert got in (want[mask], ("raise", "CellFault")), (
-                    door, mask)
+    twins = {door: build(**options) for door in DOORS}
+    for mask, door in itertools.product(masks, DOORS):
+        got = _outcome(lambda: _serve(door, twins[door], mask, False))
+        if door == "select" and mask is None and got[0] == "ok":
+            got = got[:1] + want[mask][1:2] + got[2:]
+        assert got == want[mask], (door, mask)
