@@ -267,18 +267,6 @@ class Region:
         }
         return Region.of(joined)
 
-    def is_subset(self, other: "Region") -> bool:
-        """True when every row admitted by ``self`` is admitted by
-        ``other`` (bottom is a subset of everything)."""
-        if self.empty:
-            return True
-        if other.empty:
-            return False
-        return all(
-            self.get(name).issubset(values)
-            for name, values in other.constraints
-        )
-
     # -- display -----------------------------------------------------------------------
 
     def describe(self) -> str:

@@ -710,7 +710,7 @@ class CompiledPolicy:
 
         A stateless policy's output depends only on the SMBM contents (and
         a candidate mask), so callers may cache results keyed on
-        :attr:`~repro.core.smbm.SMBM.version`.
+        :attr:`~repro.core.smbm.SMBM.stamp`.
         """
         return self._stateless
 

@@ -22,7 +22,7 @@ functional model; :class:`ClockedSMBM` adds the cycle-accurate write pipe.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, count
 from math import isqrt
 from operator import index as as_int, or_
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +45,11 @@ WRITE_LATENCY_CYCLES = 2
 #: 2**64 too) is a sort key.
 STORED_WORD_BITS = 64
 _WORD_LIMIT = 1 << STORED_WORD_BITS
+
+#: The one process-wide stamp count: every table's construction, commit
+#: and restore draws the next, so no two tables share a stamp and a stamp
+#: never comes back.
+_next_stamp = count(1).__next__
 
 
 def bucket_span(capacity: int) -> int:
@@ -323,14 +328,13 @@ class SMBM:
         self._sets: dict[tuple[str, RelOp, int], list] = {}
         # The id dimension, and the pipeline's input table as an O(1) read.
         self._id_bits = 0
-        # Bumped by every committed write; caches (memos, kernels) key on it.
+        # The checkpointed write count; caches key on the stamp instead.
         self._version = 0
-        # Committed-write listeners (the sanitizers' checks).
+        self._stamp = _next_stamp()
+        # Committed-write listeners (the memo-coherence sanitizer).
         self._write_listeners: list = []
-        # Every committed write re-checks the invariants: O(N * M), debug only.
+        # Commits and restores re-check the invariants: O(N * M), debug only.
         self._sanitize = sanitize
-        if sanitize:
-            self.add_write_listener(self._sanitize_listener)
         # Writes and mask builds bump counters (no-ops under the null
         # registry); ``tenant`` splits every smbm_* series per tenant.
         self._tenant = tenant
@@ -386,8 +390,17 @@ class SMBM:
 
     @property
     def version(self) -> int:
-        """Committed writes so far: memos and kernels key on it."""
+        """Committed writes so far: checkpointed and restored with the
+        rows, so it may go down; no cache keys on it."""
         return self._version
+
+    @property
+    def stamp(self) -> int:
+        """The table state's cache key, drawn from one process-wide count
+        at construction, at every commit and at every restore: no two
+        tables share one and none comes back.  Memos and kernels key on
+        it, so nothing downstream has to be told about a write."""
+        return self._stamp
 
     def is_full(self) -> bool:
         return len(self._rows) >= self._capacity
@@ -438,17 +451,19 @@ class SMBM:
         return seq
 
     def _commit(self, op: str, resource_id: int, patched: bool = True) -> None:
-        """Retire one add or delete: version, counters, listeners."""
+        """Retire one add or delete: stamp, version, counters, sanitizer,
+        listeners."""
+        self._stamp = _next_stamp()
         self._version += 1
         (self._obs_adds if op == "add" else self._obs_deletes).inc()
         if patched and (self._indexes or self._sets):
             self._obs_patches.inc(len(self._indexes) + len(self._sets))
+        if self._sanitize:
+            self._sanitized(f"committed {op} of resource {resource_id}",
+                            resource_id)
         if self._write_listeners:
-            self._notify(op, resource_id)
-
-    def _notify(self, kind: str, resource_id: int) -> None:
-        for listener in self._write_listeners:
-            listener(kind, resource_id)
+            for listener in self._write_listeners:
+                listener(op, resource_id)
 
     def delete(self, resource_id: int) -> None:
         """``delete(SMBM, id)`` — removes the entry if present (else no-op)."""
@@ -462,7 +477,7 @@ class SMBM:
 
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
         """Delete then add, as the paper prescribes: two committed writes (two
-        version bumps, a fresh FIFO position, listeners see both in order),
+        stamps, a fresh FIFO position, listeners see both in order),
         all-or-nothing, and one move per list, old rank to new."""
         if resource_id not in self._rows:
             self.add(resource_id, metrics)
@@ -487,24 +502,24 @@ class SMBM:
 
     @property
     def sanitize(self) -> bool:
-        """True when every committed write re-checks the invariants."""
+        """True when every commit and restore re-checks the invariants."""
         return self._sanitize
 
-    def _sanitize_listener(self, kind: str, resource_id: int) -> None:
-        """Commit-time invariant check, installed when ``sanitize=True``."""
+    def _sanitized(self, after: str, resource_id: int | None) -> None:
+        """The ``sanitize=True`` invariant check, run once per commit and
+        once per restore."""
         try:
             self.check_invariants()
         except SimulationError as exc:
             raise IntegrityError(
-                f"sanitizer: invariant violated after committed "
-                f"{kind} of resource {resource_id}: {exc}",
+                f"sanitizer: invariant violated after {after}: {exc}",
                 component="smbm",
                 resource=resource_id,
             ) from exc
 
     def add_write_listener(self, listener) -> None:
         """Subscribe ``listener(kind, id)`` to committed writes (kind add or
-        delete) and to :meth:`restore_state` (kind delete or restore)."""
+        delete); a restore commits nothing and notifies no one."""
         self._write_listeners.append(listener)
 
     # -- read interface (shared with the filter pipeline) -------------------------
@@ -608,7 +623,7 @@ class SMBM:
         """Raise :class:`SimulationError` unless every read metric's list
         equals a fresh sort of the rows, laid out legally with fresh
         boundaries, every predicate set a fresh scan, and the presence mask
-        names the rows; run at every commit under sanitize."""
+        names the rows; run at every commit and restore under sanitize."""
         if set(self._seq) != set(self._rows):
             raise SimulationError("FIFO sequence map disagrees with the rows")
         if self._id_bits != _bits(self._rows):
@@ -628,7 +643,8 @@ class SMBM:
 
     def export_state(self) -> dict[str, object]:
         """Bit-faithful checkpoint state: the words, FIFO sequence numbers and
-        version; lists and sets are derived from them on restore."""
+        version; lists and sets are derived from them on restore, and the
+        stamp is never part of it."""
         return {
             "capacity": self._capacity,
             "metric_names": list(self._metric_names),
@@ -641,9 +657,10 @@ class SMBM:
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore :meth:`export_state` output in place (same capacity and
         schema), rebuilding every read metric's list and predicate set.
-        Listeners see ``("delete", rid)`` per row dropped and
-        ``("restore", rid)`` per row kept.  The version may go **down**:
-        callers must drop their own version-keyed caches."""
+        The version may go **down**; the restore draws a fresh
+        :attr:`stamp`, so every stamp-keyed cache misses after it and no
+        caller has to drop one.  Under ``sanitize`` the invariants are
+        checked once, after the last row lands."""
         if state.get("capacity") != self._capacity:
             raise ConfigurationError(
                 f"checkpoint capacity {state.get('capacity')} does not match "
@@ -672,7 +689,6 @@ class SMBM:
             raise ConfigurationError(
                 "corrupt checkpoint state: FIFO sequence numbers must be distinct "
                 f"and in [0, next_seq={next_seq}), with next_seq below 2**64")
-        dropped = [rid for rid in self._rows if rid not in checked]
         self._rows, self._seq = checked, order
         self._id_bits = _bits(checked)
         for name, index in self._indexes.items():
@@ -681,10 +697,9 @@ class SMBM:
             entry[1] = self._scan(name, entry[0], val)
         self._obs_rebuilds.inc(len(self._indexes) + len(self._sets))
         self._next_seq, self._version = next_seq, version
-        for rid in dropped:
-            self._notify("delete", rid)
-        for rid in sorted(self._rows):
-            self._notify("restore", rid)
+        self._stamp = _next_stamp()
+        if self._sanitize:
+            self._sanitized("a restore", None)
 
 
 class ClockedSMBM:

@@ -6,9 +6,9 @@ The engine is the throughput tier above the per-packet fast path:
   (struct-of-arrays) packet buffer;
 * :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
   scalar closures (:func:`repro.core.policy.fold` in a source-emitting
-  domain), cached on ``(plan_hash, smbm.version)``: the one software
+  domain), cached on ``(plan_hash, smbm.stamp)``: the one software
   lowering of every policy, for single rows and batch columns alike (a
-  stateful one's kernel steps the units its owner lends it).
+  stateful one's kernel steps the units its owner constructs it with).
 
 :mod:`repro.engine.columnar` (the same fold over int-mask columns) serves
 no row.  Everything here is pure Python over int masks; nothing imports an

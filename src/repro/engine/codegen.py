@@ -5,7 +5,7 @@ packet, plus the bounds/width/liveness checks the pipeline model carries.
 A kernel pays neither.  :class:`PlanCodegen` emits, once per distinct
 plan, one small Python module of straight-line code whose
 ``specialize(smbm)`` resolves everything that is constant for one table
-version (predicate satisfying-sets, which the SMBM keeps and patches one
+state (predicate satisfying-sets, which the SMBM keeps and patches one
 bit per write, and bound min/max searches) and returns a flat
 ``kernel(mask) -> mask`` closure over those constants: no operator
 objects, no checks, no dispatch.  The source is the policy folded
@@ -20,10 +20,10 @@ and its row routine steps each unit over it (a pointer/weight move or
 an LFSR advance, then ``encode_cyclic``, K rounds for ``k > 1``: the
 hardware unit's own step, :attr:`repro.core.kufpu.KUFPU.step`), both
 arms of a Conditional before the MUX, and then writes the registers.
-The units and registers are a
-:class:`~repro.core.policy.UnitState` the owner lends the kernel as
-:attr:`PlanCodegen.units`; the kernel keeps no cross-packet state of its
-own.  Whether a policy is stateless decides only whether its outputs
+The units and registers are the
+:class:`~repro.core.policy.UnitState` its owner passes the constructor
+(:attr:`PlanCodegen.units`); the kernel keeps no cross-packet state of
+its own.  Whether a policy is stateless decides only whether its outputs
 may be memoised, never whether it has a kernel.
 
 The tier is a lowering of the *policy*: it takes no compiled plan, the
@@ -34,14 +34,15 @@ policy on its policy clock (construction and ``hot_swap``).
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 policy's canonical document, :func:`~repro.core.policy.policy_to_dict`)
 and exec'd once; specialized kernels are cached per instance on
-``smbm.version`` (and on the lent units), exactly the key the scalar
-memo invalidates on, so a committed table write respecializes on the
-next evaluation and nothing staler can ever be served.
+:attr:`~repro.core.smbm.SMBM.stamp`, the key the filter module's memo
+reads too.  A table's commit or restore draws a fresh stamp, and no two
+tables share one, so the next evaluation respecializes and nothing
+staler, nor another table's kernel, can ever be served.
 
 A batch runs the same kernel row by row
 (:meth:`PlanCodegen.evaluate_masks`), in arrival order, so one object is
 both the row routine's lowering and the module's batch engine: B rows of
-a stateful policy on one table version are B unit steps over one
+a stateful policy on one table state are B unit steps over one
 frontier.  What it saves over the interpreted column fold is
 per-operator dispatch, which the fold pays once per *batch*: on a wide
 column the two are even, on short columns and single rows the kernel
@@ -104,7 +105,7 @@ def plan_hash_of(policy: Policy) -> str:
 class _ScalarEmitter:
     """Fold domain whose values are kernel variable names: each operator
     appends one line of straight-line int-mask code, and whatever is
-    constant per table version to :attr:`preamble`; each relational
+    constant per table state to :attr:`preamble`; each relational
     operator a predicate names joins :attr:`relops`, the table the code
     indexes as ``RELOPS[j]``.
 
@@ -213,7 +214,7 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     emitter.read(root, *(values[b.node_id] for b in policy.feedback.values()))
     body = ["        " + line for line in emitter.body]
     if emitter.steps and emitter.frontier:
-        # The pure values the steps read: computed once per table version
+        # The pure values the steps read: computed once per table state
         # for the unmasked table, and per row only for a masked one.
         front = ", ".join(emitter.frontier) + ","
         lines += ["    def frontier(t):", *body, f"        return ({front})",
@@ -232,18 +233,15 @@ class PlanCodegen:
 
     A lowering of the policy alone — no compilation, placement or Cell
     enters it — so it is built when the policy changes.  Every policy has
-    one.  The kernel of a policy
-    with units or feedback registers steps the
-    :class:`~repro.core.policy.UnitState` its owner lends it as
-    :attr:`units`: it holds no cross-packet state of its own.
+    one.  The kernel of a policy with units or feedback registers steps
+    the :class:`~repro.core.policy.UnitState` its owner passes as
+    ``units`` (a stateless kernel never reads it): it holds no
+    cross-packet state of its own.
     """
 
-    #: The state a stateful kernel steps (``None`` until lent; a
-    #: stateless kernel never reads it).  Lending another respecializes.
-    units: UnitState | None = None
-
-    def __init__(self, policy: Policy):
+    def __init__(self, policy: Policy, units: UnitState | None = None):
         self._policy = policy
+        self._units = units
         # The order the generated code indexes its units in: the fold's
         # post-order.
         self._unit_ids = [
@@ -260,12 +258,11 @@ class PlanCodegen:
             exec(compile(source, f"<plan {digest}>", "exec"), namespace)
             _SOURCE_CACHE[digest] = namespace
         self._specialize = namespace["specialize"]
-        # Single-entry version-keyed kernel cache: the SMBM version only
-        # moves forward, so older kernels can never become valid again —
-        # same invalidation point as the FilterModule memo.
-        self._scalar_version: int | None = None
-        self._scalar_units: UnitState | None = None
-        self._scalar_kernel = None
+        # Single-entry kernel cache keyed on the table's stamp, as the
+        # FilterModule memo is: a stamp never comes back, so an older
+        # kernel can never become valid again.
+        self._kernel_stamp: int | None = None
+        self._kernel = None
         # Hot-path counters stay plain ints; a weakly-held collect hook
         # publishes them only when a real registry is active.
         self._specializations = 0
@@ -284,7 +281,7 @@ class PlanCodegen:
         )
         yield obs.Sample(
             "codegen_cache_misses_total", self._misses, labels=labels,
-            help="evaluations that had to respecialize (table version moved)",
+            help="evaluations that had to respecialize (table stamp moved)",
         )
         yield obs.Sample(
             "codegen_specializations_total", self._specializations,
@@ -306,41 +303,34 @@ class PlanCodegen:
         """The generated module source (for inspection and tests)."""
         return self._source
 
-    def invalidate(self) -> None:
-        """Drop the specialized kernel unconditionally.
-
-        The version-keyed cache assumes the SMBM version only moves
-        forward; a checkpoint *restore* can move it backward (or land on a
-        reused version number over different contents), so the serving
-        layer's cache-reset path calls this alongside dropping the scalar
-        memo.
-        """
-        self._scalar_version = None
-        self._scalar_kernel = None
+    @property
+    def units(self) -> UnitState | None:
+        """The state a stateful kernel steps, as passed at construction."""
+        return self._units
 
     # -- scalar lane ---------------------------------------------------------------
 
     def kernel(self, smbm: SMBM):
-        """The flat ``kernel(mask) -> mask`` closure for the current table
-        version and :attr:`units`, specializing if either moved."""
-        version, units = smbm.version, self.units
-        if version == self._scalar_version and units is self._scalar_units:
+        """The flat ``kernel(mask) -> mask`` closure for the table's
+        current :attr:`~repro.core.smbm.SMBM.stamp`, specializing when it
+        moved."""
+        stamp, units = smbm.stamp, self._units
+        if stamp == self._kernel_stamp:
             self._hits += 1
-            return self._scalar_kernel
+            return self._kernel
         if not self._stateful:
             kernel = self._specialize(smbm)
         elif units is None:
             raise ConfigurationError(
                 f"policy {self._policy.name!r} keeps cross-packet state: "
-                "its kernel steps the UnitState its owner lends as units"
+                "its kernel steps the UnitState its owner passes as units"
             )
         else:
             kernel = self._specialize(
                 smbm, [units.units[nid].step for nid in self._unit_ids],
                 units.registers)
-        self._scalar_kernel = kernel
-        self._scalar_version = version
-        self._scalar_units = units
+        self._kernel = kernel
+        self._kernel_stamp = stamp
         self._specializations += 1
         self._misses += 1
         return kernel

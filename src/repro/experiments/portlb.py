@@ -106,9 +106,14 @@ def run_portlb_experiment(config: PortLBExperimentConfig) -> PortLBExperimentRes
         random.Random(config.seed + 2), list(net.hosts), sizes,
         config.load, config.bandwidth_bps,
     )
-    for flow in generator.flows(duration_s=config.duration_s):
+    flows = list(generator.flows(duration_s=config.duration_s))
+    for flow in flows:
         sim.at(flow.start_time, lambda f=flow: net.start_flow(f))
-    sim.run(until=config.duration_s + config.drain_s)
+    # Done once every flow has finished and the fabric holds no packet, as
+    # in the routing experiment: past that point only dead timers run.
+    recorder = net.recorder
+    sim.run(until=config.duration_s + config.drain_s,
+            stop=lambda: recorder.finished == len(flows) and net.idle())
     return PortLBExperimentResult(
         config=config,
         mean_fct=net.recorder.mean_fct(),

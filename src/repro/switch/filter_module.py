@@ -12,8 +12,8 @@ alone).
 
 The paper maps the policy onto Cells once, at compile time (§5.3.2).  The
 module keeps that placement beside what serves: the policy's semantic
-analysis, the kernel and the unit state, the version memo, the doors and
-the counters.  A tenant slice bounds the placement
+analysis, the kernel and the unit state, the memo, the doors and the
+counters.  A tenant slice bounds the placement
 (its reserved Cells are compiled dead and its input lines restricted).
 
 Every policy has one software lowering, its
@@ -21,9 +21,9 @@ Every policy has one software lowering, its
 rows, batch columns and the rows of a stateful policy alike.  A stateful
 policy's unit state — LFSR registers, round-robin pointers and weights,
 feedback registers — lives in the one
-:class:`~repro.core.policy.UnitState` the module owns and lends the
-kernel; it is seeded by the policy alone, so no placement or co-tenant
-moves it.  The Cells walk a row only under ``sanitize``: they are loaded
+:class:`~repro.core.policy.UnitState` the module owns and builds the
+kernel with; it is seeded by the policy alone, so no placement or
+co-tenant moves it.  The Cells walk a row only under ``sanitize``: they are loaded
 from the owner's units, and the kernel must agree with them on the output
 and on the unit state it leaves.
 """
@@ -73,13 +73,14 @@ class FilterModule:
 
     For **stateless** policies (no round-robin/random unit and no feedback
     register: :func:`~repro.core.policy.stateless_blockers` is empty) the
-    module memoizes the evaluation result keyed on the SMBM's write-version
-    counter: back-to-back packets against an unchanged table cost a single
-    comparison — the software analogue of the hardware answering the same
-    table every clock cycle.  Any committed write bumps the version and so
-    invalidates the cache.  Stateful policies are never memoized (their
-    outputs advance per packet by design): each row is one step of their
-    units on the kernel.
+    module memoizes the evaluation result keyed on the SMBM's
+    :attr:`~repro.core.smbm.SMBM.stamp`: back-to-back packets against an
+    unchanged table cost a single comparison — the software analogue of
+    the hardware answering the same table every clock cycle.  Every
+    committed write and every restore draws a fresh stamp, and so misses
+    the memo; nothing has to drop it.  Stateful policies are never
+    memoized (their outputs advance per packet by design): each row is one
+    step of their units on the kernel.
 
     Every piece of serving state is rebuilt on exactly one of two clocks:
 
@@ -92,8 +93,9 @@ class FilterModule:
       (:meth:`export_units` / :meth:`restore_units`), the policy-labelled
       instruments, and which predicate sets the SMBM keeps (the policy's;
       every other is dropped);
-    * the **version clock** (every committed table write, and a restore) —
-      the memo entry and the kernel's specialization.
+    * the **stamp clock** (every committed table write, and a restore) —
+      the memo entry and the kernel's specialization, both keyed on the
+      table's stamp, so the clock needs no hook.
     """
 
     def __init__(
@@ -141,9 +143,9 @@ class FilterModule:
         self._batches = self._batch_rows = self._batch_broadcast_rows = 0
         self._batch_engine_rows = self._batch_fallback_rows = 0
         if sanitize:
-            # Memo-version coherence: a committed write bumps the table
-            # version, so a memo entry keyed at (or past) the post-write
-            # version means a stale result could be served as fresh.
+            # Memo coherence: a committed write draws a fresh stamp, so a
+            # memo entry keyed at (or past) it means a stale result could
+            # be served as fresh.
             self._smbm.add_write_listener(self._sanitize_memo_listener)
         # Observability.  The memo-hit path runs in ~0.4us, so the hot
         # counters stay plain ints (above) and are turned into registry
@@ -160,13 +162,8 @@ class FilterModule:
             "filter_hot_swaps_total", {"policy": policy.name, **tlabels},
             help="hitless policy hot-swaps installed on this module",
         )
-        self._obs_cache_resets = registry.counter(
-            "serving_cache_resets_total", tlabels or None,
-            help="serving-cache invalidations (memo, codegen kernel) on "
-                 "install, hot-swap and table restore",
-        )
         # Construction installs the plan through the same step every
-        # later plan change does (and counts its cache reset).
+        # later plan change does.
         self._program(analyze_policy(policy), compiled)
         if self._obs_enabled:
             registry.add_hook(self._obs_collect)
@@ -178,18 +175,20 @@ class FilterModule:
         a function of its policy alone, before the first assignment —
         among it the one :class:`PlanCodegen` (the row routine's lowering
         and the batch engine both) and the units it steps, freshly seeded.
-        Every serving cache is dropped in the same step."""
+        The memo is dropped beside the new kernel: its answer was the old
+        policy's."""
         policy = analysis.policy
-        kernel = PlanCodegen(policy)
         # The one owner of the unit and feedback registers: the kernel
         # steps them, and a sanitized walk loads the Cells from them.
-        self._units = kernel.units = UnitState.seeded(policy,
-                                                      self._lfsr_seed)
+        units = UnitState.seeded(policy, self._lfsr_seed)
+        kernel = PlanCodegen(policy, units=units)
+        self._units = units
         self._compiled = compiled
         self._analysis = analysis
         self._codegen = kernel
         self._memoize = not stateless_blockers(policy)
-        self._reset_serving_caches()
+        self._memo_stamp: int | None = None
+        self._memo_output = 0
         self._smbm.keep_predicates(
             (node.config.attr, node.config.rel_op, node.config.val)
             for node in postorder(policy.root) if isinstance(node, Unary)
@@ -231,7 +230,7 @@ class FilterModule:
                          labels=labels, help="per-packet policy evaluations")
         yield obs.Sample("filter_memo_hits_total", self._cache_hits,
                          labels=labels,
-                         help="evaluations served from the version memo")
+                         help="evaluations served from the stamp memo")
         yield obs.Sample("filter_memo_misses_total", self._cache_misses,
                          labels=labels,
                          help="memoized evaluations that ran the pipeline")
@@ -292,18 +291,15 @@ class FilterModule:
     ) -> None:
         """Restore the resource table from an SMBM checkpoint state.
 
-        Every serving cache is dropped *before* the restore lands: the
-        restored version counter may be lower than (or collide with) the
-        live one, so version-keyed reuse across a restore is unsound — the
-        memo and the kernel's specialization both rebuild against the
-        restored table.  ``plan_epoch`` optionally re-stamps the module's
-        epoch watermark so a migrated tenant's outputs keep the epoch
-        lineage of the source module; a negative one is refused before
-        anything is touched.
+        The restore draws a fresh table stamp, so the memo and the
+        kernel's specialization both miss and rebuild against the restored
+        table, whatever its version.  ``plan_epoch`` optionally re-stamps
+        the module's epoch watermark so a migrated tenant's outputs keep
+        the epoch lineage of the source module; a negative one is refused
+        before anything is touched.
         """
         if plan_epoch is not None and plan_epoch < 0:
             raise ConfigurationError(f"plan_epoch must be >= 0, got {plan_epoch}")
-        self._reset_serving_caches()
         self._smbm.restore_state(state)
         if plan_epoch is not None:
             self._plan_epoch = int(plan_epoch)
@@ -360,25 +356,25 @@ class FilterModule:
         cannot depend on how it arrived.
 
         Unmasked rows of a stateless policy are served from the
-        version-keyed memo when the table is unchanged since the last
+        stamp-keyed memo when the table is unchanged since the last
         evaluation (a masked row's answer depends on its mask, so it always
         runs).  Exception-safe: the memo entry is dropped *before* the run
-        and re-installed only on success, and only if the table version is
+        and re-installed only on success, and only if the table stamp is
         unchanged after the run — an error (or a table write) mid-evaluation
-        can therefore never leave an entry keyed on a version the output
+        can therefore never leave an entry keyed on a stamp the output
         does not match.
         """
         self._evaluations += 1
         if mask is not None or not self._memoize:
             return self._miss(mask)
-        version = self._smbm.version
-        if version == self._memo_version:
+        stamp = self._smbm.stamp
+        if stamp == self._memo_stamp:
             self._cache_hits += 1
             return self._memo_output
-        self._memo_version = None
+        self._memo_stamp = None
         out = self._miss(None)
-        if self._smbm.version == version:
-            self._memo_version = version
+        if self._smbm.stamp == stamp:
+            self._memo_stamp = stamp
             self._memo_output = out
         self._cache_misses += 1
         return out
@@ -459,13 +455,14 @@ class FilterModule:
     # -- runtime sanitizer -------------------------------------------------------------
 
     def _sanitize_memo_listener(self, kind: str, resource_id: int) -> None:
-        """Commit-time check: no memo entry may survive a committed write."""
-        if (self._memo_version is not None
-                and self._memo_version >= self._smbm.version):
+        """Commit-time check: no memo entry may hold the stamp a committed
+        write just drew."""
+        if (self._memo_stamp is not None
+                and self._memo_stamp >= self._smbm.stamp):
             raise IntegrityError(
-                f"sanitizer: memo keyed at version {self._memo_version} "
-                f"but a {kind} of resource {resource_id} just committed "
-                f"version {self._smbm.version} — stale results would be "
+                f"sanitizer: memo keyed at stamp {self._memo_stamp} "
+                f"but a {kind} of resource {resource_id} just drew "
+                f"stamp {self._smbm.stamp} — stale results would be "
                 "served as fresh",
                 component="filter_module",
                 resource=resource_id,
@@ -494,18 +491,6 @@ class FilterModule:
         self._check_semantic_containment(out)
         return BitVector.from_int(self._smbm.capacity, out)
 
-    def _reset_serving_caches(self) -> None:
-        """Drop every serving cache derived from the plan or the table —
-        the version-keyed memo and the kernel's specialization — wherever
-        one could go stale: install (construction), hot-swap and checkpoint
-        restore.  Counted once per reset on ``serving_cache_resets_total``."""
-        # Single-entry memo: the SMBM version only moves forward, so older
-        # results can never become valid again.
-        self._memo_version: int | None = None
-        self._memo_output = 0
-        self._codegen.invalidate()
-        self._obs_cache_resets.inc()
-
     def hot_swap(
         self,
         policy: Policy,
@@ -521,8 +506,8 @@ class FilterModule:
         analysis.  A policy that does not fit, or a gate that refuses,
         raises with the live plan, epoch and outputs untouched.  Then the
         same analysis is installed and the policy's kernel and units are
-        built, and the flip is atomic on an SMBM version boundary, with every
-        version-keyed cache dropped in the same step.
+        built, and the flip is atomic on an SMBM commit boundary, with the
+        memo dropped in the same step.
         No packet ever sees a mix: outputs stamped with the old
         :attr:`plan_epoch` came entirely from the old plan, outputs with
         the new epoch entirely from the new one.

@@ -29,7 +29,7 @@ neighbour's state.  Confinement is enforced three times over:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from repro import obs
 from repro.analysis.findings import Report
@@ -374,10 +374,3 @@ class TenantManager:
             self._verify_slice(tenant.spec, tenant.slice, compiled)
 
         return tenant.module.hot_swap(policy, gate=gate)
-
-    # -- traffic helpers ---------------------------------------------------------------
-
-    def update_resource(self, name: str, resource_id: int,
-                        metrics: Mapping[str, int]) -> None:
-        """Route a metric update to one tenant's table."""
-        self.get(name).module.update_resource(resource_id, metrics)

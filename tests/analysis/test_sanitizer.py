@@ -74,9 +74,9 @@ class TestMemoCoherence:
         module = FilterModule(8, ("q",), _policy(), sanitize=True)
         module.smbm.add(1, {"q": 5})
         module.evaluate()
-        # Simulate a version-bookkeeping bug: the memo claims to already
-        # hold the result of the *next* table version.
-        module._memo_version = module.smbm.version + 1
+        # Simulate a stamp-bookkeeping bug: the memo claims to already
+        # hold the result of the stamp the next commit draws.
+        module._memo_stamp = module.smbm.stamp + 1
         with pytest.raises(IntegrityError, match="stale results"):
             module.smbm.add(2, {"q": 3})
 

@@ -119,13 +119,13 @@ class TestRefusedWritesLeaveTheTableUntouched:
         index = s.metric_index("x")
         seen = []
         s.add_write_listener(lambda *event: seen.append(event))
-        before = (s.snapshot(), s.version, s.attr_list("x"), s.attr_list("y"),
-                  s.export_state())
+        before = (s.snapshot(), s.version, s.stamp, s.attr_list("x"),
+                  s.attr_list("y"), s.export_state())
         masks = (list(index.below), s.predicate_set("y", RelOp.GT, 6))
         with pytest.raises(error):
             getattr(s, write)(rid, bad)
         assert 1 in s
-        assert before == (s.snapshot(), s.version, s.attr_list("x"),
+        assert before == (s.snapshot(), s.version, s.stamp, s.attr_list("x"),
                           s.attr_list("y"), s.export_state())
         assert s.metric_index("x") is index
         assert masks == (index.below, s.predicate_set("y", RelOp.GT, 6))

@@ -152,12 +152,42 @@ class TestSpecializationCache:
         _random_write(rng, smbm)
         codegen.evaluate(smbm)
         misses = registry.value_of("codegen_cache_misses_total")
-        codegen.evaluate(smbm)          # unchanged version: a hit
+        codegen.evaluate(smbm)          # unchanged stamp: a hit
         assert registry.value_of("codegen_cache_misses_total") == misses
         assert registry.value_of("codegen_cache_hits_total") >= 1
-        _random_write(rng, smbm)        # version moved: respecialize
+        _random_write(rng, smbm)        # stamp moved: respecialize
         codegen.evaluate(smbm)
         assert registry.value_of("codegen_cache_misses_total") == misses + 1
+
+    def test_each_table_gets_its_own_kernel_at_equal_versions(self):
+        """Two tables at one version are two cache keys: the second
+        table must not be served the first one's kernel."""
+        policy = Policy(min_of(TableRef(), "a"), name="t")
+        codegen = PlanCodegen(policy)
+        first, second = SMBM(CAP, METRICS), SMBM(CAP, METRICS)
+        first.add(0, {"a": 1, "b": 0})
+        first.add(1, {"a": 2, "b": 0})
+        second.add(3, {"a": 1, "b": 0})
+        second.add(4, {"a": 5, "b": 0})
+        assert first.version == second.version == 2
+        for smbm in (first, second, first):
+            assert codegen.evaluate(smbm) == \
+                PolicyInterpreter(policy).evaluate(smbm).value
+        assert codegen.evaluate(second) == 0b1000
+
+    def test_a_restore_respecializes_whatever_its_version(self):
+        """A restore may land on the version the kernel was built at:
+        the fresh stamp still misses."""
+        policy = Policy(min_of(TableRef(), "a"), name="t")
+        codegen = PlanCodegen(policy)
+        smbm = SMBM(CAP, METRICS)
+        smbm.add(0, {"a": 1, "b": 0})
+        other = SMBM(CAP, METRICS)
+        other.add(5, {"a": 1, "b": 0})
+        assert codegen.evaluate(smbm) == 0b1
+        smbm.restore_state(other.export_state())
+        assert smbm.version == 1
+        assert codegen.evaluate(smbm) == 0b100000
 
     def test_source_cache_shared_across_equal_plans(self):
         node = lambda: min_of(  # noqa: E731 - tiny local factory
@@ -218,10 +248,9 @@ class TestConfigurationGuards:
         for policy in (Policy(random_pick(TableRef()), name="t"),
                        Policy(min_of(line, "a"), name="t",
                               feedback={1: line})):
-            codegen = PlanCodegen(policy)
             with pytest.raises(ConfigurationError, match="cross-packet"):
-                codegen.evaluate(smbm)
-            codegen.units = UnitState.seeded(policy)
+                PlanCodegen(policy).evaluate(smbm)
+            codegen = PlanCodegen(policy, units=UnitState.seeded(policy))
             reference = PolicyInterpreter(policy)
             for _ in range(3):
                 assert codegen.evaluate(smbm) == \

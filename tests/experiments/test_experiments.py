@@ -105,6 +105,18 @@ class TestPortLBExperiment:
         ))
         assert result.completed > 10
 
+    def test_stopping_early_equals_running_to_the_horizon(self, monkeypatch):
+        """The run ends once every flow has finished and the fabric is
+        empty; running on to the horizon moves no result."""
+        config = PortLBExperimentConfig(
+            policy="policy3", n_leaf=4, n_spine=4, hosts_per_leaf=2,
+            duration_s=0.01, drain_s=0.3, load=0.8, seed=2)
+        early = run_portlb_experiment(config)
+        run = Simulator.run
+        monkeypatch.setattr(Simulator, "run",
+                            lambda self, until=None, stop=None: run(self, until))
+        assert run_portlb_experiment(config) == early
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             run_portlb_experiment(PortLBExperimentConfig(

@@ -178,17 +178,43 @@ def test_restore_refuses_a_fifo_order_no_table_could_hold(seq, next_seq):
     assert target.attr_list("cpu") == [(3, 1), (3, 2), (3, 0)]
 
 
-def test_refused_restore_table_touches_neither_caches_nor_rows(registry):
+def test_refused_restore_table_touches_neither_caches_nor_rows():
     module = FilterModule(4, METRICS, Policy(min_of(TableRef(), "cpu")))
     module.update_resource(0, {"cpu": 5, "mem": 5})
-    before = module.smbm.export_state()
-    resets = registry.value_of("serving_cache_resets_total")
+    before = module.smbm.stamp, module.smbm.export_state()
     other = SMBM(4, METRICS)
     other.add(2, {"cpu": 1, "mem": 1})
     with pytest.raises(ConfigurationError, match="plan_epoch"):
         module.restore_table(other.export_state(), plan_epoch=-1)
-    assert module.smbm.export_state() == before
-    assert registry.value_of("serving_cache_resets_total") == resets
+    assert (module.smbm.stamp, module.smbm.export_state()) == before
+
+
+def test_sanitized_restore_checks_the_invariants_once(monkeypatch):
+    """The check runs after the last row lands, not once per row."""
+    source = SMBM(16, METRICS)
+    for rid in range(12):
+        source.add(rid, {"cpu": rid % 5, "mem": rid})
+    target = SMBM(16, METRICS, sanitize=True)
+    target.attr_list("cpu")             # a read list the restore refills
+    calls = []
+    check = SMBM.check_invariants
+    monkeypatch.setattr(SMBM, "check_invariants",
+                        lambda self: (calls.append(self), check(self)))
+    target.restore_state(source.export_state())
+    assert calls == [target]
+    target.add(12, {"cpu": 0, "mem": 0})
+    assert calls == [target, target]
+
+
+def test_a_restore_draws_a_fresh_stamp_and_keeps_the_version():
+    source, target = SMBM(4, METRICS), SMBM(4, METRICS)
+    source.add(1, {"cpu": 1, "mem": 1})
+    target.add(0, {"cpu": 2, "mem": 2})
+    target.add(2, {"cpu": 3, "mem": 3})
+    stamps = {source.stamp, target.stamp}
+    target.restore_state(source.export_state())
+    assert target.version == source.version == 1
+    assert target.stamp not in stamps and target.stamp > max(stamps)
 
 
 # -- ReplicatedSMBM --------------------------------------------------------------------

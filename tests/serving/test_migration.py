@@ -479,10 +479,9 @@ def test_any_interleaving_stays_th015_clean_against_an_unmoved_twin(
 
 
 def test_post_migration_serving_caches_rebuild():
-    """The restored module must not serve stale version-keyed results:
-    memo and kernel caches reset across restore (counted on the shared
-    serving_cache_resets_total path), then rebuild against the restored
-    table."""
+    """The restored module must not serve stale results: the restore
+    draws a fresh table stamp, so the memo and the kernel both miss and
+    rebuild against the restored table."""
     src, dst = _backend(ScalarBackend), _backend(ScalarBackend)
     _admit(src)
     src.write_batch([TableWrite("t", 1, {"cpu": 10, "mem": 10}),

@@ -76,7 +76,7 @@ def _env(rows, policy_index: int):
         "a", _policies()[policy_index], smbm_quota=QUOTA, columns=2,
     ))
     for rid, (q, load) in enumerate(rows):
-        mgr.update_resource("a", rid, {"q": q, "load": load})
+        mgr.get("a").module.update_resource(rid, {"q": q, "load": load})
     return mgr, ThanosSwitch(mgr)
 
 

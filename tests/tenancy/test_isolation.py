@@ -97,7 +97,7 @@ def test_batched_two_tenant_isolation(rng):
         if step[0] == "write":
             flush()
             _, tenant, rid, metrics = step
-            mgr.update_resource(tenant, rid, metrics)
+            mgr.get(tenant).module.update_resource(rid, metrics)
         else:
             run.append(Packet(metadata={
                 META_FILTER_REQUEST: 1, META_TENANT: step[1],

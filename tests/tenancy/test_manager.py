@@ -158,8 +158,8 @@ def test_admit_rejects_policy_too_big_for_slice():
 def test_hot_swap_replaces_policy_and_bumps_epoch():
     mgr = _manager()
     tenant = mgr.admit(TenantSpec("a", _policy("old"), smbm_quota=8))
-    mgr.update_resource("a", 0, {"q": 3, "load": 9})
-    mgr.update_resource("a", 1, {"q": 5, "load": 1})
+    tenant.module.update_resource(0, {"q": 3, "load": 9})
+    tenant.module.update_resource(1, {"q": 5, "load": 1})
     assert tenant.plan_epoch == 0
     old_out = tenant.module.evaluate().value
     epoch = mgr.hot_swap(
@@ -175,7 +175,7 @@ def test_hot_swap_gate_rejects_oversized_plan():
     plan keeps serving and the epoch does not move."""
     mgr = _manager()
     tenant = mgr.admit(TenantSpec("a", _policy("old"), smbm_quota=8))
-    mgr.update_resource("a", 0, {"q": 3, "load": 9})
+    tenant.module.update_resource(0, {"q": 3, "load": 9})
     before = tenant.module.evaluate().value
     from repro.core.policy import intersection
     table = TableRef()
